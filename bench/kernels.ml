@@ -5,14 +5,11 @@
      figures (7, 8, 10, 11): simplex LP solve, symmetry grouping,
      formulation build, model compile, and a full phase-1 solve.
    - Direct wall-clock benchmarks of the LP/MIP hot path on the Table-1
-     scenario sizes: LP pivots/sec under full-Dantzig vs candidate-list
-     pricing and under the dense-inverse vs LU+eta basis backends, and
-     branch-and-bound nodes/sec in three generations — cold-started
-     (the seed implementation's behaviour), warm-started with primal
-     restarts on the dense inverse (PR 1), and warm-started with
-     dual-simplex restarts on the factorized basis (current default).
-     Each pair prints its speedup and bound agreement; nothing is
-     asserted.
+     scenario sizes: LP pivots/sec under full-Dantzig vs Devex pricing,
+     under the dense-inverse vs LU+eta basis backends and under the
+     hypersparse vs dense-oracle kernels, and branch-and-bound nodes/sec
+     with warm dual-simplex restarts on the factorized basis.  Each pair
+     prints its speedup and agreement; nothing is asserted.
 
    Every result row is also appended to BENCH_kernels.json (kernel name,
    size, wall time, rates) so future changes have a perf trajectory to
@@ -150,11 +147,10 @@ let lp_kernel ~label ~repeats ?(with_dense = true) (std : Model.std) =
         ])
     ([
        ("dantzig-pricing", Simplex.Dantzig, Ras_mip.Basis.Lu, Ras_mip.Basis.Hypersparse);
-       ("partial-pricing", Simplex.Partial, Ras_mip.Basis.Lu, Ras_mip.Basis.Hypersparse);
        ("devex-pricing", Simplex.Devex, Ras_mip.Basis.Lu, Ras_mip.Basis.Hypersparse);
      ]
     @ (if with_dense then
-         [ ("dense-inverse", Simplex.Partial, Ras_mip.Basis.Dense, Ras_mip.Basis.Hypersparse) ]
+         [ ("dense-inverse", Simplex.Devex, Ras_mip.Basis.Dense, Ras_mip.Basis.Hypersparse) ]
        else [])
     @ [ ("dense-oracle-kernels", Simplex.Devex, Ras_mip.Basis.Lu, Ras_mip.Basis.Dense_oracle) ]);
   (* sparse-vs-dense kernels: same pricing, same LU factors — only the
@@ -188,9 +184,9 @@ let lp_kernel ~label ~repeats ?(with_dense = true) (std : Model.std) =
      difference.  The dense inverse refactorizes in O(m^3), so this variant
      only runs where [with_dense] allows it. *)
   if with_dense then begin
-    let lu_rate = Hashtbl.find rates "partial-pricing" in
+    let lu_rate = Hashtbl.find rates "devex-pricing" in
     let dn_rate = Hashtbl.find rates "dense-inverse" in
-    let lu_obj = Hashtbl.find objs "partial-pricing" in
+    let lu_obj = Hashtbl.find objs "devex-pricing" in
     let dn_obj = Hashtbl.find objs "dense-inverse" in
     let obj_agree =
       (Float.is_nan lu_obj && Float.is_nan dn_obj)
@@ -208,124 +204,51 @@ let lp_kernel ~label ~repeats ?(with_dense = true) (std : Model.std) =
       ]
   end;
   (* pricing-rule comparison on the same (LU) backend: total pivot counts,
-     not just rates, so iteration-count claims live in the JSON.  The
-     acceptance ratio is pivots(devex)/pivots(partial): < 1 means Devex
-     saved pivots over the windowed Dantzig scan. *)
+     not just rates, so iteration-count claims live in the JSON.  A
+     pivots(devex)/pivots(dantzig) ratio < 1 means Devex saved pivots. *)
   let zp = Hashtbl.find pivots "dantzig-pricing" in
-  let pp = Hashtbl.find pivots "partial-pricing" in
   let dp = Hashtbl.find pivots "devex-pricing" in
-  let ratio num den = float_of_int num /. float_of_int (max 1 den) in
-  Report.row "%-34s pivots dantzig=%d partial=%d devex=%d (devex/partial %.3f)\n"
+  let ratio = float_of_int dp /. float_of_int (max 1 zp) in
+  Report.row "%-34s pivots dantzig=%d devex=%d (devex/dantzig %.3f)\n"
     (Printf.sprintf "lp-%s pricing-rules" label)
-    zp pp dp (ratio dp pp);
+    zp dp ratio;
   record
-    ~kernel:(Printf.sprintf "lp-%s-devex-vs-partial-vs-dantzig" label)
+    ~kernel:(Printf.sprintf "lp-%s-devex-vs-dantzig" label)
     ~size:(size_of std) ~wall_s:0.0
     [
       ("dantzig_pivots", string_of_int zp);
-      ("partial_pivots", string_of_int pp);
       ("devex_pivots", string_of_int dp);
-      ("pivot_ratio_devex_over_partial", flt (ratio dp pp));
-      ("pivot_ratio_devex_over_dantzig", flt (ratio dp zp));
-      ( "pivots_per_sec_ratio_devex_over_partial",
-        flt (Hashtbl.find rates "devex-pricing" /. Hashtbl.find rates "partial-pricing") );
+      ("pivot_ratio_devex_over_dantzig", flt ratio);
+      ( "pivots_per_sec_ratio_devex_over_dantzig",
+        flt (Hashtbl.find rates "devex-pricing" /. Hashtbl.find rates "dantzig-pricing") );
     ]
 
 (* ---------------------------------------------------------------- *)
-(* B&B kernel: nodes/sec cold (seed behaviour) vs warm-started       *)
+(* B&B kernel: nodes/sec with warm dual-simplex restarts              *)
 
-let bb_kernel ~label ~node_limit ~time_limit ?(with_dense = true) (std : Model.std) =
-  let run name opts =
-    let t0 = Unix.gettimeofday () in
-    let out = Branch_bound.solve ~options:opts std in
-    let dt = Unix.gettimeofday () -. t0 in
-    let nodes_per_sec = float_of_int out.Branch_bound.nodes /. dt in
-    Report.row
-      "%-34s %8.3fs  %4d nodes (%d warm, %d dual)  %6.1f nodes/s  %6d pivots (%d dual)\n" name
-      dt out.Branch_bound.nodes out.Branch_bound.warm_started_nodes
-      out.Branch_bound.dual_restarted_nodes nodes_per_sec out.Branch_bound.lp_iterations
-      out.Branch_bound.dual_pivots;
-    record ~kernel:name ~size:(size_of std) ~wall_s:dt
-      [
-        ("nodes", string_of_int out.Branch_bound.nodes);
-        ("warm_started_nodes", string_of_int out.Branch_bound.warm_started_nodes);
-        ("dual_restarted_nodes", string_of_int out.Branch_bound.dual_restarted_nodes);
-        ("dual_pivots", string_of_int out.Branch_bound.dual_pivots);
-        ("bland_pivots", string_of_int out.Branch_bound.bland_pivots);
-        ("nodes_per_sec", flt nodes_per_sec);
-        ("lp_pivots", string_of_int out.Branch_bound.lp_iterations);
-        ("pivots_per_sec", flt (float_of_int out.Branch_bound.lp_iterations /. dt));
-        ("best_bound", flt out.Branch_bound.best_bound);
-      ];
-    (out, nodes_per_sec)
-  in
-  let base = { Branch_bound.default_options with Branch_bound.node_limit; time_limit } in
-  let agree a b =
-    a.Branch_bound.status = b.Branch_bound.status
-    && Float.abs (a.Branch_bound.best_bound -. b.Branch_bound.best_bound)
-       <= 1e-4 *. Float.max 1.0 (Float.abs a.Branch_bound.best_bound)
-  in
-  let speedup name num_rate den_rate ok =
-    Report.row "%-34s %.2fx nodes/s speedup, bounds agree: %b\n"
-      (Printf.sprintf "bb-%s %s" label name)
-      (num_rate /. den_rate) ok;
-    record
-      ~kernel:(Printf.sprintf "bb-%s-%s" label name)
-      ~size:(size_of std) ~wall_s:0.0
-      [ ("nodes_per_sec_ratio", flt (num_rate /. den_rate)); ("bounds_agree", string_of_bool ok) ]
-  in
-  (* current default: warm dual-simplex restarts on the factorized basis *)
-  let dual, dual_rate = run (Printf.sprintf "bb-%s-warm-dual-lu" label) base in
-  (* the historical baselines both run on the dense inverse (O(m^3) per
-     refactorization), so they are gated off at region-scale model sizes *)
-  if with_dense then begin
-    (* seed behaviour: cold starts, full pricing, dense inverse *)
-    let cold, cold_rate =
-      run
-        (Printf.sprintf "bb-%s-cold" label)
-        {
-          base with
-          Branch_bound.warm_start = false;
-          lp_pricing = Simplex.Dantzig;
-          lp_backend = Ras_mip.Basis.Dense;
-          dual_restart = false;
-        }
-    in
-    (* PR-1 behaviour: warm primal restarts on the dense inverse *)
-    let primal, primal_rate =
-      run
-        (Printf.sprintf "bb-%s-warm-primal-dense" label)
-        { base with Branch_bound.lp_backend = Ras_mip.Basis.Dense; dual_restart = false }
-    in
-    speedup "warm-vs-cold" dual_rate cold_rate (agree cold dual);
-    speedup "dual-vs-primal" dual_rate primal_rate (agree primal dual)
-  end;
-  (* Devex weights across warm restarts: carry the parent's reference
-     framework into the child vs reset it — the ISSUE asks for both to be
-     measured.  Same search tree either way (pricing changes pivot order
-     inside each node LP, not the node sequence, when both find optima). *)
-  let carry, carry_rate =
-    run
-      (Printf.sprintf "bb-%s-devex-carry" label)
-      { base with Branch_bound.lp_devex_carry = true }
-  in
-  let reset, reset_rate =
-    run
-      (Printf.sprintf "bb-%s-devex-reset" label)
-      { base with Branch_bound.lp_devex_carry = false }
-  in
-  Report.row "%-34s %.2fx nodes/s (carry/reset), pivots carry=%d reset=%d, bounds agree: %b\n"
-    (Printf.sprintf "bb-%s devex-carry-vs-reset" label)
-    (carry_rate /. reset_rate) carry.Branch_bound.lp_iterations
-    reset.Branch_bound.lp_iterations (agree carry reset);
-  record
-    ~kernel:(Printf.sprintf "bb-%s-devex-carry-vs-reset" label)
-    ~size:(size_of std) ~wall_s:0.0
+let bb_kernel ~label ~node_limit ~time_limit (std : Model.std) =
+  let name = Printf.sprintf "bb-%s-warm-dual-lu" label in
+  let options = { Branch_bound.default_options with Branch_bound.node_limit; time_limit } in
+  let t0 = Unix.gettimeofday () in
+  let out = Branch_bound.solve ~options std in
+  let dt = Unix.gettimeofday () -. t0 in
+  let nodes_per_sec = float_of_int out.Branch_bound.nodes /. dt in
+  Report.row
+    "%-34s %8.3fs  %4d nodes (%d warm, %d dual)  %6.1f nodes/s  %6d pivots (%d dual)\n" name dt
+    out.Branch_bound.nodes out.Branch_bound.warm_started_nodes
+    out.Branch_bound.dual_restarted_nodes nodes_per_sec out.Branch_bound.lp_iterations
+    out.Branch_bound.dual_pivots;
+  record ~kernel:name ~size:(size_of std) ~wall_s:dt
     [
-      ("nodes_per_sec_ratio", flt (carry_rate /. reset_rate));
-      ("carry_lp_pivots", string_of_int carry.Branch_bound.lp_iterations);
-      ("reset_lp_pivots", string_of_int reset.Branch_bound.lp_iterations);
-      ("bounds_agree", string_of_bool (agree carry reset));
+      ("nodes", string_of_int out.Branch_bound.nodes);
+      ("warm_started_nodes", string_of_int out.Branch_bound.warm_started_nodes);
+      ("dual_restarted_nodes", string_of_int out.Branch_bound.dual_restarted_nodes);
+      ("dual_pivots", string_of_int out.Branch_bound.dual_pivots);
+      ("bland_pivots", string_of_int out.Branch_bound.bland_pivots);
+      ("nodes_per_sec", flt nodes_per_sec);
+      ("lp_pivots", string_of_int out.Branch_bound.lp_iterations);
+      ("pivots_per_sec", flt (float_of_int out.Branch_bound.lp_iterations /. dt));
+      ("best_bound", flt out.Branch_bound.best_bound);
     ]
 
 (* ---------------------------------------------------------------- *)
@@ -512,12 +435,10 @@ let continuous_loop_kernel ~label ~rounds preset =
 
 (* The two-tier claim in numbers: after one tier-2 round binds capacity,
    fail [events] reservation-owned servers one at a time and time the
-   synchronous mark_down -> replacement repair.  Three latencies compete:
+   synchronous mark_down -> replacement repair.  Two latencies compete:
    the tier-1 reactive path (O(affected classes) against the incremental
-   availability index), the legacy full-scan search (O(servers), measured
-   without mutating via the retained oracle), and the tier-2 baseline — a
-   failure that waits for the next loop round pays the round's solve
-   latency.  Visited-server / visited-class / allocation counters per event
+   availability index) and the tier-2 baseline — a failure that waits for
+   the next loop round pays the round's solve latency.  Visited-server / visited-class / allocation counters per event
    pin the O(n) -> O(classes) claim at every preset size. *)
 let reactive_restore_kernel ~label ~events preset =
   let module Broker = Ras_broker.Broker in
@@ -529,8 +450,8 @@ let reactive_restore_kernel ~label ~events preset =
     List.map Ras.Reservation.of_request requests
     @ Ras.Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000
   in
-  let reactive = Ras.Reactive.create broker in
-  let mover = Ras.Online_mover.create ~reactive broker in
+  let mover = Ras.Online_mover.create broker in
+  let reactive = Ras.Online_mover.reactive mover in
   Ras.Online_mover.set_reservations mover reservations;
   let solver =
     {
@@ -572,17 +493,7 @@ let reactive_restore_kernel ~label ~events preset =
     Report.row "%-34s skipped: no bound servers after the setup round\n"
       (Printf.sprintf "reactive-restore-%s" label)
   else begin
-    (* without tier-1: the legacy O(n) record-building search, measured
-       non-mutatingly via the retained oracle *)
-    let t0 = Unix.gettimeofday () in
-    List.iter
-      (fun (id, res) ->
-        ignore
-          (Ras.Online_mover.find_replacement_reference mover res
-             ~failed_hw:region.Region.servers.(id).Region.hw.Ras_topology.Hardware.index))
-      victims;
-    let scan_s = Unix.gettimeofday () -. t0 in
-    (* with tier-1: fail each victim; the mover repairs synchronously inside
+    (* fail each victim; the mover repairs synchronously inside
        mark_down through the reactive index *)
     Ras.Reactive.reset_counters reactive;
     let done0 = Ras.Online_mover.replacements_done mover in
@@ -597,14 +508,9 @@ let reactive_restore_kernel ~label ~events preset =
     let restored = Ras.Online_mover.replacements_done mover - done0 in
     let fe = float_of_int events in
     let per_event = tier1_s /. fe in
-    let scan_per_event = scan_s /. fe in
-    Report.row
-      "%-34s %d events  %d restored  tier-1 %.6fs/event  scan %.6fs/event (%.0fx)  round %.3fs \
-       (%.0fx)\n"
+    Report.row "%-34s %d events  %d restored  tier-1 %.6fs/event  round %.3fs (%.0fx)\n"
       (Printf.sprintf "reactive-restore-%s" label)
-      events restored per_event scan_per_event
-      (scan_per_event /. per_event)
-      round_s (round_s /. per_event);
+      events restored per_event round_s (round_s /. per_event);
     Report.row
       "%-34s visited/event: %.1f servers  %.1f classes  (%d servers, %d buckets)  %.0f B alloc/event\n"
       ""
@@ -621,8 +527,6 @@ let reactive_restore_kernel ~label ~events preset =
         ("events", string_of_int events);
         ("restored", string_of_int restored);
         ("per_event_s", flt per_event);
-        ("scan_per_event_s", flt scan_per_event);
-        ("scan_speedup", flt (scan_per_event /. per_event));
         ("baseline_round_s", flt round_s);
         ("round_speedup", flt (round_s /. per_event));
         ("visited_servers_per_event", flt (float_of_int c.Ras.Reactive.visited_servers /. fe));
@@ -756,7 +660,7 @@ let run () =
   json_entries := [];
   Report.heading "Solver kernel benchmarks"
     ~paper:"(methodology) wall-clock kernels behind Figs. 7/8/10/11 and Table 1"
-    ~expect:"warm-started B&B >= 2x nodes/s over cold starts at medium scale";
+    ~expect:"Devex fewer pivots than Dantzig; sparse kernels no slower than the dense oracle";
   Report.row "-- bechamel micro-benchmarks --\n";
   run_micro ();
   let rows = List.map (fun r -> (r, lazy (scenario_std r.preset))) (preset_rows ()) in
@@ -767,12 +671,12 @@ let run () =
         lp_kernel ~label:r.label ~repeats:r.lp_repeats ~with_dense:r.with_dense
           (Lazy.force std))
     rows;
-  Report.row "-- branch-and-bound warm starts --\n";
+  Report.row "-- branch-and-bound --\n";
   List.iter
     (fun (r, std) ->
       if r.bb_node_limit > 0 then
         bb_kernel ~label:r.label ~node_limit:r.bb_node_limit ~time_limit:r.bb_time_limit
-          ~with_dense:r.with_dense (Lazy.force std))
+          (Lazy.force std))
     rows;
   Report.row "-- continuous loop: cold vs persistent cross-round state --\n";
   List.iter

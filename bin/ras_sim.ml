@@ -171,7 +171,7 @@ let simulate_cmd =
     Ras.System.run sys ~until_h:(days *. 24.0);
     Printf.printf "simulated %.1f days in %.1fs wall clock (%d solves)\n\n" days
       (Unix.gettimeofday () -. t0)
-      (List.length (Ras.System.solve_history sys));
+      (Ras.System.solve_count sys);
     Format.printf "%a@." Ras_sim.Metrics.pp (Ras.System.metrics sys);
     Printf.printf "failure replacements: %d done, %d failed\n"
       (Ras.Online_mover.replacements_done (Ras.System.mover sys))

@@ -43,6 +43,8 @@ let owner_of_code = function
   | c when c land 3 = 2 -> Reservation ((c - 2) asr 2)
   | c -> Elastic ((c - 3) asr 2)
 
+let is_elastic_code c = c land 3 = 3
+
 let kind_code = function
   | Unavail.Planned_maintenance -> 0
   | Unavail.Unplanned_sw -> 1

@@ -58,6 +58,9 @@ val owner_code : owner -> int
 val owner_of_code : int -> owner
 (** Inverse of {!owner_code}. *)
 
+val is_elastic_code : int -> bool
+(** Whether the code is that of some [Elastic _] owner. *)
+
 val current_code : t -> int -> int
 (** [owner_code] of the server's current owner. *)
 

@@ -4,10 +4,14 @@
     (elastic) capacity.
 
     Elastic lending (§3.4) is an overlay: a lent server's broker owner
-    becomes [Elastic id] while the mover remembers its {e home} owner; the
-    Async Solver sees lent servers at their home owner (via {!home_of}), so
-    loans never perturb the optimization.  Whenever failure handling needs
-    buffer capacity, loans are revoked. *)
+    becomes [Elastic id] and its home is the shared buffer; the Async
+    Solver sees lent servers at their home owner (via {!home_of}), so loans
+    never perturb the optimization.  Whenever failure handling needs buffer
+    capacity, loans are revoked.
+
+    Every tier-1 decision (replacement search, donor pick, revocation) reads
+    the mover's {!Reactive} index; there is no scan fallback and no separate
+    loan table. *)
 
 type t
 
@@ -17,33 +21,21 @@ type apply_stats = {
   skipped_unavailable : int;  (** planned moves whose server was down *)
 }
 
-val create : ?engine:Ras_sim.Engine.t -> ?reactive:Reactive.t -> Ras_broker.Broker.t -> t
-(** Subscribes to broker unavailability events.  With an engine, failure
-    replacements are scheduled one simulated minute after the failure (the
-    paper's replacement SLO); without one they happen synchronously.
+val create : ?engine:Ras_sim.Engine.t -> Ras_broker.Broker.t -> t
+(** Builds a {!Reactive} index over the broker and subscribes to broker
+    unavailability events.  With an engine, failure replacements are
+    scheduled one simulated minute after the failure (the paper's
+    replacement SLO); without one they happen synchronously. *)
 
-    With [?reactive] (a tier-1 index over the same broker — raises
-    [Invalid_argument] otherwise), replacement search and elastic-lending
-    donor selection run against the incrementally-maintained availability
-    pools in O(affected classes); without it they are columnar broker scans.
-    Either way the per-event work no longer materializes one record per
-    server. *)
-
-val reactive : t -> Reactive.t option
+val reactive : t -> Reactive.t
+(** The tier-1 index every decision of the mover reads. *)
 
 val find_replacement : t -> Reservation.t -> failed_hw:int -> int option
 (** The replacement a failure of hardware-subtype [failed_hw] inside the
-    reservation would pick right now (no state change): a healthy
-    shared-buffer server — same subtype preferred — or, failing that, a
-    revocable elastic loan whose home is the shared buffer.  The preference
-    classes (same subtype > other subtype, buffer > loan, idle > in-use)
-    match {!find_replacement_reference} exactly; within a class the reactive
-    path picks by dual price where the scans pick the lowest id. *)
-
-val find_replacement_reference : t -> Reservation.t -> failed_hw:int -> int option
-(** The original O(servers) record-building scan, retained as the
-    differential oracle for {!find_replacement} (the
-    {!Symmetry.build_reference} pattern). *)
+    reservation would pick right now (no state change):
+    {!Reactive.find_replacement}.  Same subtype before other subtypes;
+    within a subtype a healthy idle shared-buffer server, then a healthy
+    idle loan, then a loan running opportunistic containers. *)
 
 val set_reservations : t -> Reservation.t list -> unit
 (** The mover needs reservation specs to pick acceptable replacements. *)
@@ -58,16 +50,20 @@ val apply_plan : t -> Concretize.plan -> apply_stats
     are picked up by a later solve once they return. *)
 
 val home_of : t -> int -> Ras_broker.Broker.owner option
-(** Lending overlay for {!Snapshot.take}. *)
+(** Lending overlay for {!Snapshot.take}: [Some Shared_buffer] for every
+    [Elastic]-owned server, [None] otherwise.  O(1). *)
 
 val lend_idle : t -> elastic_id:int -> max_servers:int -> int
-(** Lend healthy, idle shared-buffer servers to an elastic reservation;
-    returns how many were lent. *)
+(** Lend healthy, idle shared-buffer servers to an elastic reservation,
+    cheapest-priced buckets first; returns how many were lent.  The only
+    writer of [Elastic] owners. *)
 
 val revoke : t -> elastic_id:int -> int
-(** Return every loan of the elastic reservation to its home owner. *)
+(** Return every loan of the elastic reservation to the shared buffer,
+    preempting its containers.  O(loans + classes). *)
 
 val loans_outstanding : t -> int
+(** Servers currently on loan, healthy or not.  O(1). *)
 
 val replacements_done : t -> int
 (** Successful shared-buffer replacements since creation. *)

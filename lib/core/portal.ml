@@ -63,12 +63,19 @@ let committed_overlapping t snapshot service ~excluding =
 
 let validate t (snapshot : Snapshot.t) (req : Capacity_request.t) ~excluding =
   let service = req.Capacity_request.service in
+  let rru = req.Capacity_request.rru in
   let types =
     Array.fold_left
       (fun acc hw -> if Service.rru_of service hw > 0.0 then acc + 1 else acc)
       0 Hw.catalog
   in
-  if types = 0 then
+  (* a record update can carry any float past [Capacity_request.make]; NaN
+     would pass every supply comparison below *)
+  if not (Float.is_finite rru && rru > 0.0) then
+    Rejected
+      (Printf.sprintf "the request asks for %g RRUs; capacity must be a finite positive number"
+         rru)
+  else if types = 0 then
     Rejected
       (Printf.sprintf
          "no hardware subtype in the region's catalog is acceptable to service %s (categories \
@@ -76,7 +83,7 @@ let validate t (snapshot : Snapshot.t) (req : Capacity_request.t) ~excluding =
          service.Service.name)
   else begin
     let supply = supply_of_hist (usable_hist t snapshot) service in
-    let need = req.Capacity_request.rru *. buffer_overhead snapshot.Snapshot.region req in
+    let need = rru *. buffer_overhead snapshot.Snapshot.region req in
     if supply < need then
       Rejected
         (Printf.sprintf

@@ -8,6 +8,9 @@
     an admission check against the current snapshot and rejections carry a
     concrete, human-readable reason:
 
+    - the requested RRUs are not a finite positive number (NaN, infinite,
+      zero or negative: a record update bypasses
+      {!Ras_workload.Capacity_request.make}'s check);
     - no acceptable hardware subtype exists in the catalog;
     - the region does not have enough acceptable hardware even if the
       request got all of it;

@@ -35,19 +35,27 @@ let vec_push v x =
 let code_free = Broker.owner_code Broker.Free
 let code_buffer = Broker.owner_code Broker.Shared_buffer
 
-(* membership byte per server *)
+(* membership byte per server: the pool that holds it.  Only [lend_idle]
+   writes [Elastic] owners and it lends from the shared buffer, so every
+   [Elastic] server is a loan whose home is the buffer. *)
 let m_none = 0
-let m_free = 1
-let m_buffer = 2
+let m_free = 1  (* healthy idle Free *)
+let m_buffer = 2  (* healthy idle Shared_buffer *)
+let m_lent_idle = 3  (* healthy idle Elastic *)
+let m_lent_busy = 4  (* healthy Elastic running opportunistic containers *)
+let m_lent_down = 5  (* unhealthy Elastic *)
+let num_pools = 6
+
+let is_lent m = m >= m_lent_idle
 
 type t = {
   tbroker : Broker.t;
   mutable num_msbs : int;
-  mutable free_pools : vec array;  (* bucket -> healthy idle Free servers *)
-  mutable buf_pools : vec array;  (* bucket -> healthy idle Shared_buffer servers *)
-  mutable membership : Bytes.t;  (* server id -> m_none / m_free / m_buffer *)
+  mutable pools : vec array array;  (* membership -> bucket -> servers *)
+  mutable membership : Bytes.t;  (* server id -> m_* *)
   mutable slot : int array;  (* server id -> its index inside its pool *)
   mutable bucket : int array;  (* server id -> msb * Hw.count + hw (static) *)
+  mutable lent : int;  (* servers in the three lent pools *)
   mutable pprices : Solver_state.price_table option;
   mutable c_events : int;
   mutable c_visited_classes : int;
@@ -63,32 +71,38 @@ let prices t = t.pprices
 
 let num_buckets t = t.num_msbs * Hw.count
 
-let pools_of t m = if m = m_free then t.free_pools else t.buf_pools
-
 let desired_pool t id =
-  if (not (Broker.healthy_at t.tbroker id)) || Broker.in_use_at t.tbroker id then m_none
-  else begin
-    let c = Broker.current_code t.tbroker id in
-    if c = code_free then m_free else if c = code_buffer then m_buffer else m_none
+  let c = Broker.current_code t.tbroker id in
+  let healthy = Broker.healthy_at t.tbroker id in
+  if Broker.is_elastic_code c then begin
+    if not healthy then m_lent_down
+    else if Broker.in_use_at t.tbroker id then m_lent_busy
+    else m_lent_idle
   end
+  else if (not healthy) || Broker.in_use_at t.tbroker id then m_none
+  else if c = code_free then m_free
+  else if c = code_buffer then m_buffer
+  else m_none
 
 let detach t id =
   let m = Bytes.get_uint8 t.membership id in
   if m <> m_none then begin
-    let v = (pools_of t m).(t.bucket.(id)) in
+    let v = t.pools.(m).(t.bucket.(id)) in
     let i = t.slot.(id) in
     let last = v.len - 1 in
     let moved = v.data.(last) in
     v.data.(i) <- moved;
     t.slot.(moved) <- i;
     v.len <- last;
+    if is_lent m then t.lent <- t.lent - 1;
     Bytes.set_uint8 t.membership id m_none
   end
 
 let attach t id m =
-  let v = (pools_of t m).(t.bucket.(id)) in
+  let v = t.pools.(m).(t.bucket.(id)) in
   vec_push v id;
   t.slot.(id) <- v.len - 1;
+  if is_lent m then t.lent <- t.lent + 1;
   Bytes.set_uint8 t.membership id m
 
 let rebuild t =
@@ -96,8 +110,10 @@ let rebuild t =
   let n = Broker.num_servers t.tbroker in
   t.num_msbs <- region.Region.num_msbs;
   let nbuckets = t.num_msbs * Hw.count in
-  t.free_pools <- Array.init nbuckets (fun _ -> vec_make ());
-  t.buf_pools <- Array.init nbuckets (fun _ -> vec_make ());
+  t.pools <-
+    Array.init num_pools (fun m ->
+        if m = m_none then [||] else Array.init nbuckets (fun _ -> vec_make ()));
+  t.lent <- 0;
   t.membership <- Bytes.make n '\000';
   t.slot <- Array.make n 0;
   t.bucket <-
@@ -126,11 +142,11 @@ let create broker =
     {
       tbroker = broker;
       num_msbs = 0;
-      free_pools = [||];
-      buf_pools = [||];
+      pools = [||];
       membership = Bytes.empty;
       slot = [||];
       bucket = [||];
+      lent = 0;
       pprices = None;
       c_events = 0;
       c_visited_classes = 0;
@@ -147,45 +163,77 @@ let bucket_price t b =
   | None -> 0.0
   | Some p -> Solver_state.class_price p ~msb:(b / Hw.count) ~hw:(b mod Hw.count)
 
+let pool_of_source = function
+  | `Free -> m_free
+  | `Buffer -> m_buffer
+  | `Lent_idle -> m_lent_idle
+  | `Lent_in_use -> m_lent_busy
+  | `Lent_down -> m_lent_down
+
 let available_in_bucket t ~source ~msb ~hw =
-  let pools = match source with `Free -> t.free_pools | `Buffer -> t.buf_pools in
+  let pools = t.pools.(pool_of_source source) in
   let b = (msb * Hw.count) + hw in
   if b < 0 || b >= Array.length pools then 0 else pools.(b).len
 
+(* Preference classes of a replacement, best first: the failed server's
+   own subtype before any other, and within a subtype a buffer server
+   before a loan, an idle loan before one running opportunistic containers
+   (a loan may be reclaimed in use: the elastic contract, §3.4). *)
+let replacement_classes =
+  [
+    (true, m_buffer);
+    (true, m_lent_idle);
+    (true, m_lent_busy);
+    (false, m_buffer);
+    (false, m_lent_idle);
+    (false, m_lent_busy);
+  ]
+
 let find_replacement t res ~failed_hw =
   t.c_events <- t.c_events + 1;
-  let best = ref None in
-  for hw = 0 to Hw.count - 1 do
-    if res.Reservation.rru_of Hw.catalog.(hw) > 0.0 then
-      for msb = 0 to t.num_msbs - 1 do
-        let b = (msb * Hw.count) + hw in
-        t.c_visited_classes <- t.c_visited_classes + 1;
-        let v = t.buf_pools.(b) in
-        if v.len > 0 then begin
-          let score = ((if hw = failed_hw then 0 else 1), bucket_price t b, b) in
-          match !best with
-          | Some (s, _) when s <= score -> ()
-          | Some _ | None -> best := Some (score, v)
-        end
-      done
-  done;
-  match !best with
-  | None -> None
-  | Some (_, v) ->
-    t.c_visited_servers <- t.c_visited_servers + 1;
-    Some v.data.(v.len - 1)
+  (* the cheapest non-empty bucket of one class, ties to the lowest bucket *)
+  let cheapest ~same m =
+    let pools = t.pools.(m) in
+    let best = ref (-1) and best_price = ref infinity in
+    for hw = 0 to Hw.count - 1 do
+      if (hw = failed_hw) = same && res.Reservation.rru_of Hw.catalog.(hw) > 0.0 then
+        for msb = 0 to t.num_msbs - 1 do
+          let b = (msb * Hw.count) + hw in
+          t.c_visited_classes <- t.c_visited_classes + 1;
+          if pools.(b).len > 0 then begin
+            let p = bucket_price t b in
+            if !best < 0 || p < !best_price || (p = !best_price && b < !best) then begin
+              best := b;
+              best_price := p
+            end
+          end
+        done
+    done;
+    if !best < 0 then None else Some pools.(!best)
+  in
+  let rec search = function
+    | [] -> None
+    | (same, m) :: rest -> (
+      match cheapest ~same m with
+      | Some v ->
+        t.c_visited_servers <- t.c_visited_servers + 1;
+        Some v.data.(v.len - 1)
+      | None -> search rest)
+  in
+  search replacement_classes
 
 let take_idle_buffer t ~max_servers =
   t.c_events <- t.c_events + 1;
   let cands = ref [] in
-  for b = Array.length t.buf_pools - 1 downto 0 do
+  let buf_pools = t.pools.(m_buffer) in
+  for b = Array.length buf_pools - 1 downto 0 do
     t.c_visited_classes <- t.c_visited_classes + 1;
-    if t.buf_pools.(b).len > 0 then cands := (bucket_price t b, b) :: !cands
+    if buf_pools.(b).len > 0 then cands := (bucket_price t b, b) :: !cands
   done;
   let out = ref [] and taken = ref 0 in
   List.iter
     (fun (_, b) ->
-      let pool = t.buf_pools.(b) in
+      let pool = buf_pools.(b) in
       let i = ref (pool.len - 1) in
       while !taken < max_servers && !i >= 0 do
         out := pool.data.(!i) :: !out;
@@ -227,8 +275,8 @@ let grant t ~reservation ~rru ~allow_buffer =
         done)
       (List.sort compare !cands)
   in
-  take_from t.free_pools ~buffer:false;
-  if !granted < rru && allow_buffer then take_from t.buf_pools ~buffer:true;
+  take_from t.pools.(m_free) ~buffer:false;
+  if !granted < rru && allow_buffer then take_from t.pools.(m_buffer) ~buffer:true;
   t.c_visited_servers <- t.c_visited_servers + !visited;
   {
     requested_rru = rru;
@@ -237,6 +285,21 @@ let grant t ~reservation ~rru ~allow_buffer =
     took_from_buffer = !from_buffer;
     visited = !visited;
   }
+
+let loans_outstanding t = t.lent
+
+let lent_servers t =
+  let out = ref [] in
+  List.iter
+    (fun m ->
+      Array.iter
+        (fun v ->
+          for i = 0 to v.len - 1 do
+            out := v.data.(i) :: !out
+          done)
+        t.pools.(m))
+    [ m_lent_idle; m_lent_busy; m_lent_down ];
+  !out
 
 let counters t =
   {

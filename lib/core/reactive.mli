@@ -19,9 +19,16 @@
       what keeps the next round's objective drift small;
     - picking a server out of a bucket is O(1).
 
-    The legacy full-scan implementations ({!Emergency.grant_reference},
-    {!Online_mover.find_replacement_reference}) are retained as
-    differential oracles, the same pattern as {!Symmetry.build_reference}. *)
+    Each bucket holds five pools: healthy idle [Free] servers, healthy idle
+    [Shared_buffer] servers, and the servers on loan to an elastic
+    reservation, split into healthy idle, healthy in use, and down.  Only
+    {!Online_mover.lend_idle} writes [Elastic] owners, and it lends from the
+    shared buffer, so every [Elastic] server is a loan whose home is the
+    buffer: the index is the only loan table.
+
+    This module is the only implementation of each tier-1 decision.  The
+    full-scan oracles the differential tests compare it with live under
+    [test/]. *)
 
 type counters = {
   events : int;  (** tier-1 operations served (replacements + grants) *)
@@ -60,25 +67,42 @@ val prices : t -> Solver_state.price_table option
 val num_buckets : t -> int
 (** num_msbs x hardware-catalog size: the per-event visit bound. *)
 
-val available_in_bucket : t -> source:[ `Free | `Buffer ] -> msb:int -> hw:int -> int
+val available_in_bucket :
+  t ->
+  source:[ `Free | `Buffer | `Lent_idle | `Lent_in_use | `Lent_down ] ->
+  msb:int ->
+  hw:int ->
+  int
 (** Current pool size of one bucket (test/oracle hook). *)
 
 val find_replacement : t -> Reservation.t -> failed_hw:int -> int option
-(** A healthy, idle shared-buffer server the reservation can use: same
-    hardware subtype preferred, then cheapest dual price.  O(classes);
-    does not move the server.  [None] when no buffer bucket has supply —
-    callers may still fall back to revoking elastic loans (an O(loans)
-    concern the Online Mover owns). *)
+(** The server a failure of hardware subtype [failed_hw] inside the
+    reservation should take: a healthy server the reservation can use,
+    from the first non-empty preference class of same subtype before other
+    subtypes, and within a subtype idle buffer, then idle loan, then loan
+    in use.  Inside a class the cheapest-priced bucket wins.
+    O(classes); does not move the server. *)
 
 val take_idle_buffer : t -> max_servers:int -> int list
 (** Up to [max_servers] healthy idle shared-buffer servers, cheapest
     buckets first (the elastic-lending donor pick).  Does not move them. *)
 
 val grant : t -> reservation:Reservation.t -> rru:float -> allow_buffer:bool -> grant
-(** The tier-1 urgent grant: binds servers (current and target) directly to
-    the reservation until [rru] is covered, free pool first, then — only
-    with [allow_buffer] — the shared buffer, draining cheapest-priced
-    buckets first.  O(classes + servers granted). *)
+(** The out-of-band emergency grant (paper §5.4, "capacity-request
+    delays"): binds servers (current and target) directly to the
+    reservation until [rru] is covered, without obeying every placement
+    guarantee; the next solve repairs what it broke.  Free pool first,
+    then, only with [allow_buffer], the shared buffer: the "dipping into
+    buffers" §5.3 warns about, so callers must opt in.  Drains
+    cheapest-priced buckets first.  O(classes + servers granted). *)
+
+val loans_outstanding : t -> int
+(** Servers currently owned by some [Elastic] reservation, healthy or not.
+    O(1). *)
+
+val lent_servers : t -> int list
+(** Every server currently owned by some [Elastic] reservation, in no
+    particular order.  O(loans + classes). *)
 
 val counters : t -> counters
 (** Cumulative counters since creation or the last {!reset_counters}. *)

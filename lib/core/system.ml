@@ -31,7 +31,6 @@ type t = {
   config : config;
   eng : Engine.t;
   brk : Broker.t;
-  rx : Reactive.t;
   mv : Online_mover.t;
   mtr : Metrics.t;
   mutable guaranteed : Reservation.t list;  (* newest first *)
@@ -39,7 +38,8 @@ type t = {
   allocators : (int, Allocator.t) Hashtbl.t;
   requests : (int, Capacity_request.t) Hashtbl.t;
   mutable next_job_id : int;
-  mutable history : Async_solver.stats list;  (* newest first *)
+  mutable solve_count : int;
+  mutable last_solve : Async_solver.stats option;
   mutable moves_in_use_acc : int;
   mutable moves_unused_acc : int;
   mutable last_replacements : int;
@@ -49,14 +49,13 @@ let engine t = t.eng
 let broker t = t.brk
 let metrics t = t.mtr
 let mover t = t.mv
-let reactive t = t.rx
+let reactive t = Online_mover.reactive t.mv
 
 let reservations t = List.rev t.guaranteed @ t.buffers
 
 let create ?(config = default_config) brk =
   let eng = Engine.create () in
-  let rx = Reactive.create brk in
-  let mv = Online_mover.create ~engine:eng ~reactive:rx brk in
+  let mv = Online_mover.create ~engine:eng brk in
   let buffers =
     Buffers.shared_buffer_reservations (Broker.region brk)
       ~fraction:config.shared_buffer_fraction ~first_id:8000
@@ -66,7 +65,6 @@ let create ?(config = default_config) brk =
       config;
       eng;
       brk;
-      rx;
       mv;
       mtr = Metrics.create ();
       guaranteed = [];
@@ -74,7 +72,8 @@ let create ?(config = default_config) brk =
       allocators = Hashtbl.create 32;
       requests = Hashtbl.create 32;
       next_job_id = 1;
-      history = [];
+      solve_count = 0;
+      last_solve = None;
       moves_in_use_acc = 0;
       moves_unused_acc = 0;
       last_replacements = 0;
@@ -162,7 +161,7 @@ let solve_now t =
   let stats = Async_solver.solve ~params:t.config.solver snap in
   (* refresh the tier-1 repair policy with this round's dual prices *)
   (match stats.Async_solver.price_table with
-  | Some p -> Reactive.set_prices t.rx p
+  | Some p -> Reactive.set_prices (reactive t) p
   | None -> ());
   (* revoke elastic loans touched by the plan before applying it *)
   let apply = Online_mover.apply_plan t.mv stats.Async_solver.plan in
@@ -173,7 +172,8 @@ let solve_now t =
   | Some eid -> ignore (Online_mover.lend_idle t.mv ~elastic_id:eid ~max_servers:max_int)
   | None -> ());
   fill_jobs t;
-  t.history <- stats :: t.history;
+  t.solve_count <- t.solve_count + 1;
+  t.last_solve <- Some stats;
   stats
 
 let record_metrics t =
@@ -240,6 +240,8 @@ let start t =
 
 let run t ~until_h = Engine.run_until t.eng until_h
 
-let solve_history t = List.rev t.history
+let solve_count t = t.solve_count
+
+let last_solve t = t.last_solve
 
 let allocator t rid = Hashtbl.find_opt t.allocators rid

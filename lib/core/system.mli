@@ -34,7 +34,7 @@ val broker : t -> Ras_broker.Broker.t
 val metrics : t -> Ras_sim.Metrics.t
 val mover : t -> Online_mover.t
 val reactive : t -> Reactive.t
-(** The tier-1 reactive index the system maintains over its broker; each
+(** The mover's tier-1 reactive index ({!Online_mover.reactive}); each
     {!solve_now} refreshes its dual-price table. *)
 
 val reservations : t -> Reservation.t list
@@ -64,8 +64,12 @@ val solve_now : t -> Async_solver.stats
 val snapshot : t -> Snapshot.t
 (** Current state, with elastic loans resolved to home owners. *)
 
-val solve_history : t -> Async_solver.stats list
-(** All solves so far, oldest first. *)
+val solve_count : t -> int
+(** Solves so far. *)
+
+val last_solve : t -> Async_solver.stats option
+(** The latest solve's statistics.  Only the latest is kept: each record
+    pins its round's formulation, symmetry and snapshot. *)
 
 val allocator : t -> int -> Ras_twine.Allocator.t option
 

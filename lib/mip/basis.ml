@@ -25,11 +25,6 @@ type kind = Dense | Lu
    code. *)
 type kernels = Hypersparse | Dense_oracle
 
-let kernels_of_env () =
-  match Sys.getenv_opt "RAS_LP_KERNELS" with
-  | Some ("dense" | "DENSE" | "dense-oracle" | "dense_oracle") -> Dense_oracle
-  | Some _ | None -> Hypersparse
-
 (* Sparse vector: a packed, ascending index list over a dense value scratch
    (zero outside the pattern).  The solve results below are returned in
    svecs owned by the factorization; each is valid until the next call of
@@ -158,11 +153,11 @@ let identity_lu m =
     ennz = 0;
   }
 
-let create ?kernels knd ~m =
+let create ?(kernels = Hypersparse) knd ~m =
   {
     m;
     knd;
-    kern = (match kernels with Some k -> k | None -> kernels_of_env ());
+    kern = kernels;
     repr =
       (match knd with
       | Dense -> Dense_r { inv = identity_dense m; nzbuf = Array.make m 0 }

@@ -42,11 +42,6 @@ type kernels = Hypersparse | Dense_oracle
     that pass (the fully-dense-column worst case), again without changing
     any result. *)
 
-val kernels_of_env : unit -> kernels
-(** Kernel mode forced by the [RAS_LP_KERNELS] environment variable
-    ("dense" selects {!Dense_oracle}); {!Hypersparse} when unset.  CI runs
-    the test suite once under each. *)
-
 (** Sparse vector over a dense backing store: [idx.(0..n-1)] lists the
     nonzero positions in ascending order and [vals] is zero outside them.
     The sparse solves below return svecs owned by the factorization; each
@@ -70,7 +65,7 @@ exception Singular
 
 val create : ?kernels:kernels -> kind -> m:int -> t
 (** Fresh factorization of the m×m identity (the all-slack basis).
-    [kernels] defaults to {!kernels_of_env}. *)
+    [kernels] defaults to {!Hypersparse}. *)
 
 val kind : t -> kind
 val dim : t -> int

@@ -10,12 +10,9 @@ type options = {
   heuristic_period : int;
   initial : float array option;
   root_basis : Simplex.warm_basis option;
-  warm_start : bool;
   lp_pricing : Simplex.pricing;
-  lp_devex_carry : bool;
   lp_backend : Basis.kind;
   lp_kernels : Basis.kernels option;
-  dual_restart : bool;
 }
 
 let default_options =
@@ -29,12 +26,9 @@ let default_options =
     heuristic_period = 20;
     initial = None;
     root_basis = None;
-    warm_start = true;
     lp_pricing = Simplex.Devex;
-    lp_devex_carry = false;
     lp_backend = Basis.Lu;
     lp_kernels = None;
-    dual_restart = true;
   }
 
 type seed_status = Seed_none | Seed_accepted | Seed_repaired | Seed_rejected
@@ -224,21 +218,17 @@ let solve_presolved ?(options = default_options) (std : Model.std) =
     if parent_bound < !incumbent_obj && not (gap_closed parent_bound) then begin
       incr nodes;
       let basis =
-        if not options.warm_start then None
-        else
-          match node.wb with
-          | None -> None
-          | Some wb -> (
-            match !fac_cache with
-            | Some (key, fac) when key == wb -> Some { wb with Simplex.wfac = Some fac }
-            | _ -> Some wb)
+        match node.wb with
+        | None -> None
+        | Some wb -> (
+          match !fac_cache with
+          | Some (key, fac) when key == wb -> Some { wb with Simplex.wfac = Some fac }
+          | _ -> Some wb)
       in
       (match basis with Some _ -> incr warm_nodes | None -> ());
       match
-        Simplex.solve ~pricing:options.lp_pricing
-          ~devex_carry:options.lp_devex_carry ~backend:options.lp_backend
-          ?kernels:options.lp_kernels ~ws:lp_ws
-          ~dual_simplex:options.dual_restart ?basis ~lb:node.nlb ~ub:node.nub std
+        Simplex.solve ~pricing:options.lp_pricing ~backend:options.lp_backend
+          ?kernels:options.lp_kernels ~ws:lp_ws ?basis ~lb:node.nlb ~ub:node.nub std
       with
       | Simplex.Infeasible _ -> ()
       | Simplex.Unbounded -> unbounded := true
@@ -277,7 +267,7 @@ let solve_presolved ?(options = default_options) (std : Model.std) =
               (match final_basis.Simplex.wfac with
               | Some fac -> fac_cache := Some (stripped, fac)
               | None -> ());
-              let wb = if options.warm_start then Some stripped else None in
+              let wb = Some stripped in
               let v = x.(j) in
               let down_ub = Array.copy node.nub in
               down_ub.(j) <- Float.floor v;
@@ -460,9 +450,8 @@ let project_root_basis ~kept_rows (reduced : Model.std) (wb : Simplex.warm_basis
       if used.(j) then wstatus.(j) <- Simplex.Basic
       else if wstatus.(j) = Simplex.Basic then wstatus.(j) <- Simplex.At_lower
     done;
-    (* the factorization and devex weights belong to the unprojected
-       basis / column space; never carry them *)
-    Some { Simplex.wcols; wstatus; wfac = None; wdevex = None }
+    (* the factorization belongs to the unprojected basis; never carry it *)
+    Some { Simplex.wcols; wstatus; wfac = None }
   end
 
 let solve ?(options = default_options) (std : Model.std) =

@@ -49,39 +49,24 @@ type options = {
           root LP, or last round's root via {!Incremental.map_basis}).
           Advisory: the simplex validates it and falls back to a cold
           root solve on any mismatch.  Child nodes are unaffected (they
-          warm-start from their parent as controlled by [warm_start]). *)
-  warm_start : bool;
-      (** restart child LPs from the parent's optimal basis; disable to get
-          the cold-start behaviour (equivalence testing, benchmarking) *)
+          always warm-start from their parent). *)
   lp_pricing : Simplex.pricing;
       (** entering-variable rule for every node LP, forwarded to
           {!Simplex.solve}'s [pricing] *)
-  lp_devex_carry : bool;
-      (** when pricing with {!Simplex.Devex}, warm-started children adopt
-          the parent's reference-framework weights instead of resetting
-          them (forwarded to {!Simplex.solve}'s [devex_carry]).  Off by
-          default: benchmarking showed identical pivot counts either way
-          on the Table-1 MIPs (dual restarts do the re-optimization work)
-          with carry paying extra weight-copying per node *)
   lp_backend : Basis.kind;
       (** basis representation for every node LP ({!Basis.Lu} by default;
           {!Basis.Dense} is the differential-testing oracle) *)
   lp_kernels : Basis.kernels option;
       (** triangular-solve kernels for every node LP, forwarded to
-          {!Simplex.solve}'s [kernels]; [None] (the default) defers to
-          {!Basis.kernels_of_env} *)
-  dual_restart : bool;
-      (** re-optimize warm-started children with the dual simplex phase;
-          disable to get PR-1's primal-restart behaviour (benchmarking,
-          differential testing) *)
+          {!Simplex.solve}'s [kernels]; [None] (the default) means
+          {!Basis.Hypersparse} *)
 }
 
 val default_options : options
 (** [time_limit = infinity], [node_limit = 100_000], [gap_abs = 1e-6],
     [gap_rel = 1e-9], [int_tol = 1e-6], [heuristic_period = 20], no initial
-    solution, [warm_start = true], [lp_pricing = Simplex.Devex],
-    [lp_devex_carry = false], [lp_backend = Basis.Lu],
-    [lp_kernels = None], [dual_restart = true]. *)
+    solution, [lp_pricing = Simplex.Devex], [lp_backend = Basis.Lu],
+    [lp_kernels = None]. *)
 
 type seed_status =
   | Seed_none  (** no initial solution was supplied *)

@@ -341,7 +341,7 @@ let map_basis t ~(prev_basis : Simplex.warm_basis) =
         prev_basis.Simplex.wfac
       else None
     in
-    Some ({ Simplex.wcols; wstatus; wfac; wdevex = None }, !reused)
+    Some ({ Simplex.wcols; wstatus; wfac }, !reused)
   end
 
 let map_solution t x =

@@ -9,9 +9,8 @@
     - infeasible starts are handled by a piecewise-linear phase 1 that
       minimizes the total bound violation of basic variables (no artificial
       columns are added);
-    - three pricing rules are available (see {!pricing}): a full Dantzig
-      scan, candidate-list partial pricing over a rotating window, and
-      Devex approximate steepest-edge (the default); every rule switches
+    - two pricing rules are available (see {!pricing}): a full Dantzig
+      scan and Devex approximate steepest-edge (the default); both switch
       to Bland's rule after a run of degenerate pivots, which guarantees
       termination; the simplex multipliers are cached and updated
       incrementally after phase-2 pivots instead of being recomputed by a
@@ -26,7 +25,8 @@
       child pattern: parent-optimal basis, tightened bounds) is
       re-optimized by a dual simplex phase — typically a handful of pivots —
       before the primal phases run; the dual phase bails out to the primal
-      path on any numerical doubt, so it is purely an accelerator.
+      path on any numerical doubt, so it is purely an accelerator.  Cold
+      starts never run it.
 
     Integrality markers in the input are ignored: this is the LP relaxation
     solver used by {!Branch_bound}. *)
@@ -34,10 +34,8 @@
 type pricing =
   | Dantzig  (** Full scan, most-negative reduced cost.  The textbook rule;
                  O(n) reduced costs per iteration and prone to long stalls
-                 on degenerate problems. *)
-  | Partial  (** Candidate-list partial pricing: Dantzig scores within a
-                 rotating window of columns, falling back to a full scan
-                 when the window prices out. *)
+                 on degenerate problems.  The pricing of the differential
+                 reference configuration. *)
   | Devex
       (** Forrest–Goldfarb approximate steepest-edge.  Each nonbasic
           column carries a reference-framework weight [w_j ≥ 1]
@@ -48,7 +46,7 @@ type pricing =
           framework is reset — all weights back to 1 — on
           refactorization, on entry to Bland mode, when the accuracy
           estimate strikes out, and on [devex_reset_period].  Fewer
-          pivots than Dantzig/Partial on degenerate problems at the cost
+          pivots than Dantzig on degenerate problems at the cost
           of a full-width scan per iteration. *)
 (** Entering-variable selection rule for the primal phases. *)
 
@@ -71,12 +69,6 @@ type warm_basis = {
           restart refactorizes from [wcols].  When present it must genuinely
           be the factorization of the [wcols] basis — it is not
           cross-checked. *)
-  wdevex : float array option;
-      (** Devex reference-framework weights at the end of the solve
-          ([None] unless the solve priced with {!Devex}).  A restart
-          adopts them only when [solve ~devex_carry:true] and the warm
-          basis was actually installed; otherwise the restart begins from
-          a fresh framework (all weights 1). *)
 }
 (** A restartable snapshot of a simplex basis.  Obtained from
     {!result.Optimal} and fed back through [solve ~basis]; the solver
@@ -146,14 +138,12 @@ val solve :
   ?feas_tol:float ->
   ?dual_tol:float ->
   ?pricing:pricing ->
-  ?devex_carry:bool ->
   ?degen_limit:int ->
   ?devex_reset_period:int ->
   ?trace:(iteration:int -> min_devex_weight:float -> unit) ->
   ?backend:Basis.kind ->
   ?kernels:Basis.kernels ->
   ?ws:workspace ->
-  ?dual_simplex:bool ->
   ?basis:warm_basis ->
   ?lb:float array ->
   ?ub:float array ->
@@ -162,10 +152,9 @@ val solve :
 (** [solve std] solves the LP relaxation.  [lb]/[ub] override the structural
     variable bounds without touching [std] (this is how branch-and-bound
     explores nodes).  [basis] warm-starts from a previous solve's final
-    basis (see {!warm_basis}).  [pricing] selects the entering-variable
-    rule (default {!Devex}); [devex_carry] lets a warm start adopt the
-    snapshot's Devex weights instead of resetting the framework (default
-    [false]: reset).  [degen_limit] is the number of consecutive
+    basis (see {!warm_basis}); every solve starts from a fresh Devex
+    framework.  [pricing] selects the entering-variable rule (default
+    {!Devex}).  [degen_limit] is the number of consecutive
     degenerate pivots tolerated before switching to Bland's rule (default
     100; [0] switches on the first degenerate pivot — used by the cycling
     tests).  [devex_reset_period] > 0 forces a framework reset every that
@@ -176,10 +165,8 @@ val solve :
     selects the basis representation ([Basis.Lu] by default; [Basis.Dense]
     is the reference oracle used by the differential tests).  [kernels]
     selects the triangular-solve kernels ({!Basis.Hypersparse} /
-    {!Basis.Dense_oracle}); the default comes from
-    {!Basis.kernels_of_env}, and the two modes take bit-identical pivot
-    sequences (the sparse-vs-dense differential battery's invariant).
-    [ws] supplies a reusable {!workspace}.  [dual_simplex:false] disables
-    the dual re-optimization phase on warm starts (the differential
-    reference configuration).  Defaults: [max_iters] scales with problem
+    {!Basis.Dense_oracle}, default {!Basis.Hypersparse}); the two modes
+    take bit-identical pivot sequences (the sparse-vs-dense differential
+    battery's invariant).  [ws] supplies a reusable {!workspace}.
+    Defaults: [max_iters] scales with problem
     size, [feas_tol = 1e-7], [dual_tol = 1e-7]. *)

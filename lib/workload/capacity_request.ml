@@ -15,7 +15,8 @@ type t = {
 let make ~id ~service ~rru ?(msb_spread_limit = 0.1) ?rack_spread_limit ?(dc_affinity = [])
     ?(affinity_tolerance = 0.1) ?(embedded_buffer = true) ?hard_msb_cap
     ?(io_intensity = 0.0) ?(arrival_time = 0.0) () =
-  if rru <= 0.0 then invalid_arg "Capacity_request.make: rru must be positive";
+  if not (Float.is_finite rru && rru > 0.0) then
+    invalid_arg "Capacity_request.make: rru must be finite and positive";
   (match hard_msb_cap with
   | Some c when c <= 0.0 || c > 1.0 ->
     invalid_arg "Capacity_request.make: hard_msb_cap outside (0, 1]"

@@ -47,7 +47,8 @@ val make :
   t
 (** Defaults: [msb_spread_limit] 0.1, no rack limit, no affinity,
     [affinity_tolerance] 0.1, [embedded_buffer] true, no quorum cap,
-    [arrival_time] 0. *)
+    [arrival_time] 0.  Raises [Invalid_argument] unless [rru] is finite and
+    positive. *)
 
 val quorum_cap : replicas:int -> quorum:int -> float
 (** [(replicas - quorum) / replicas]; raises [Invalid_argument] unless

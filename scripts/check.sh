@@ -7,14 +7,10 @@ cd "$(dirname "$0")/.."
 echo "== dune build =="
 dune build
 
-echo "== dune runtest (hypersparse kernels) =="
-RAS_LP_KERNELS=sparse dune runtest
-
-# the same suite again with the dense-oracle triangular-solve kernels
-# forced: the two modes take bit-identical pivot sequences, so every test
-# must pass under either (--force because dune does not track the env var)
-echo "== dune runtest (dense-oracle kernels) =="
-RAS_LP_KERNELS=dense dune runtest --force
+# the sparse-vs-dense batteries inside the suite solve every instance
+# under both triangular-solve kernels, so one run covers both
+echo "== dune runtest =="
+dune runtest
 
 echo "== bench smoke (kernels --quick, incl. continuous-loop + large rows) =="
 dune exec bench/main.exe -- --quick kernels

@@ -563,20 +563,22 @@ let test_health_overlap_severity () =
   Ras_sim.Engine.run_until engine 12.0;
   Alcotest.(check bool) "healthy at the end" true (Broker.healthy (Broker.record broker 0))
 
-(* ---------- Emergency ---------- *)
+(* ---------- Emergency grant (Reactive.grant) ---------- *)
 
 let test_emergency_grant () =
   let region = Generator.generate Generator.small_params in
   let broker = Broker.create region in
   let res = Reservation.of_request (Capacity_request.make ~id:1 ~service:web ~rru:4.0 ()) in
-  let grant = Emergency.grant broker ~reservation:res ~rru:4.0 ~allow_buffer:false in
-  Alcotest.(check bool) "granted" true (grant.Emergency.granted_rru >= 4.0);
-  Alcotest.(check int) "nothing from buffer" 0 grant.Emergency.took_from_buffer;
+  let grant =
+    Reactive.grant (Reactive.create broker) ~reservation:res ~rru:4.0 ~allow_buffer:false
+  in
+  Alcotest.(check bool) "granted" true (grant.Reactive.granted_rru >= 4.0);
+  Alcotest.(check int) "nothing from buffer" 0 grant.Reactive.took_from_buffer;
   List.iter
     (fun id ->
       Alcotest.(check bool) "bound directly" true
         ((Broker.record broker id).Broker.current = Broker.Reservation 1))
-    grant.Emergency.servers
+    grant.Reactive.servers
 
 let test_emergency_buffer_opt_in () =
   let region = Generator.generate Generator.small_params in
@@ -586,11 +588,12 @@ let test_emergency_buffer_opt_in () =
   Broker.iter broker ~f:(fun r ->
       if res.Reservation.rru_of r.Broker.server.Region.hw > 0.0 then
         Broker.move broker r.Broker.server.Region.id Broker.Shared_buffer);
-  let no_buffer = Emergency.grant broker ~reservation:res ~rru:2.0 ~allow_buffer:false in
-  Alcotest.(check (float 1e-9)) "nothing without opt-in" 0.0 no_buffer.Emergency.granted_rru;
-  let with_buffer = Emergency.grant broker ~reservation:res ~rru:2.0 ~allow_buffer:true in
+  let index = Reactive.create broker in
+  let no_buffer = Reactive.grant index ~reservation:res ~rru:2.0 ~allow_buffer:false in
+  Alcotest.(check (float 1e-9)) "nothing without opt-in" 0.0 no_buffer.Reactive.granted_rru;
+  let with_buffer = Reactive.grant index ~reservation:res ~rru:2.0 ~allow_buffer:true in
   Alcotest.(check bool) "buffer drained with opt-in" true
-    (with_buffer.Emergency.granted_rru >= 2.0 && with_buffer.Emergency.took_from_buffer > 0)
+    (with_buffer.Reactive.granted_rru >= 2.0 && with_buffer.Reactive.took_from_buffer > 0)
 
 let test_solve_repairs_emergency_damage () =
   (* the out-of-band path may drain the shared buffer; the next solve must
@@ -623,9 +626,11 @@ let test_solve_repairs_emergency_damage () =
         r.Broker.current = Broker.Free
         && urgent.Reservation.rru_of r.Broker.server.Region.hw > 0.0
       then Broker.move broker r.Broker.server.Region.id (Broker.Reservation 77));
-  let grant = Emergency.grant broker ~reservation:urgent ~rru:8.0 ~allow_buffer:true in
+  let grant =
+    Reactive.grant (Online_mover.reactive mover) ~reservation:urgent ~rru:8.0 ~allow_buffer:true
+  in
   Alcotest.(check bool) "emergency took buffer servers" true
-    (grant.Emergency.took_from_buffer > 0);
+    (grant.Reactive.took_from_buffer > 0);
   let drained = buffer_capacity (Snapshot.take broker reservations) in
   Alcotest.(check bool) "buffer depleted" true (drained < before);
   (* release the artificial squatter, then the next solve (with the urgent
@@ -738,7 +743,7 @@ let test_system_end_to_end () =
   System.install_failures sys failures;
   System.start sys;
   System.run sys ~until_h:24.0;
-  Alcotest.(check bool) "solves happened" true (List.length (System.solve_history sys) >= 24);
+  Alcotest.(check bool) "solves happened" true (System.solve_count sys >= 24);
   let metrics = System.metrics sys in
   List.iter
     (fun name ->
@@ -747,9 +752,9 @@ let test_system_end_to_end () =
   (* reservations hold their capacity at the end *)
   let snap = System.snapshot sys in
   let last_shortfalls =
-    match List.rev (System.solve_history sys) with
-    | last :: _ -> List.map fst last.Async_solver.shortfalls
-    | [] -> []
+    match System.last_solve sys with
+    | Some last -> List.map fst last.Async_solver.shortfalls
+    | None -> []
   in
   List.iter
     (fun res ->
@@ -772,6 +777,46 @@ let test_system_remove_reservation () =
     (Broker.count_owner broker (Broker.Reservation 1) > 0);
   System.remove_reservation sys 1;
   Alcotest.(check int) "servers released" 0 (Broker.count_owner broker (Broker.Reservation 1))
+
+let test_system_memory_bounded () =
+  (* the system keeps one round's statistics, not all of them: forty more
+     rounds must not grow its reachable heap by a single stats record, each
+     of which pins a formulation, a symmetry and a snapshot *)
+  let region = Generator.generate Generator.small_params in
+  let broker = Broker.create region in
+  let requests =
+    Ras_workload.Request_gen.scenario (Ras_stats.Rng.create 11) ~region
+      ~services:Service.default_catalog ~target_utilization:0.4
+  in
+  let config =
+    {
+      System.default_config with
+      System.solver = { Async_solver.default_params with Async_solver.node_limit = 0 };
+    }
+  in
+  let sys = System.create ~config broker in
+  List.iter (System.add_request sys) requests;
+  let solve () = ignore (System.solve_now sys) in
+  for _ = 1 to 10 do
+    solve ()
+  done;
+  let words () = Obj.reachable_words (Obj.repr sys) in
+  let at_10 = words () in
+  for _ = 11 to 50 do
+    solve ()
+  done;
+  let at_50 = words () in
+  let record =
+    match System.last_solve sys with
+    | Some stats -> Obj.reachable_words (Obj.repr stats)
+    | None -> Alcotest.fail "no solve recorded"
+  in
+  Alcotest.(check int) "every solve counted" 50 (System.solve_count sys);
+  Alcotest.(check bool)
+    (Printf.sprintf "heap grew %d words from solve 10 to 50, one stats record is %d"
+       (at_50 - at_10) record)
+    true
+    (at_50 - at_10 < record)
 
 let suite =
   [
@@ -814,4 +859,5 @@ let suite =
       test_shadow_prices_surface_binding_rows;
     Alcotest.test_case "system end to end" `Slow test_system_end_to_end;
     Alcotest.test_case "system remove reservation" `Quick test_system_remove_reservation;
+    Alcotest.test_case "system memory bounded over rounds" `Quick test_system_memory_bounded;
   ]

@@ -1,10 +1,11 @@
-(* Differential solver harness: every pricing rule (Dantzig, Partial,
-   Devex) on every basis backend (dense inverse, LU + eta) against one
-   reference configuration — full Dantzig scan on the dense inverse with
-   the dual-simplex phase off — on a 280-instance seeded corpus of random
-   bounded LPs and MIPs (140 LP + 60 warm-restart LP + 80 MIP).
+(* Differential solver harness: every pricing rule (Dantzig, Devex) on
+   every basis backend (dense inverse, LU + eta) against one reference
+   configuration — full Dantzig scan on the dense inverse — on a
+   280-instance seeded corpus of random bounded LPs and MIPs (140 LP + 60
+   warm-restart LP + 80 MIP).  The LP references are cold solves; the MIP
+   reference's child nodes restart warm like every other configuration.
 
-   Every generated instance is solved under all six pricing×backend
+   Every generated instance is solved under all four pricing×backend
    combinations; each must agree with the reference on the feasibility
    verdict, the objective value (within 1e-6, scale-relative) and — for
    MIPs — the branch-and-bound best bound.  The generator covers sizes up
@@ -25,7 +26,7 @@ let production_backend = Basis.Lu
 
 (* the full pricing × backend matrix every instance is solved under *)
 let all_pricings =
-  [ ("dantzig", Simplex.Dantzig); ("partial", Simplex.Partial); ("devex", Simplex.Devex) ]
+  [ ("dantzig", Simplex.Dantzig); ("devex", Simplex.Devex) ]
 
 let all_backends = [ ("dense", Basis.Dense); ("lu", Basis.Lu) ]
 
@@ -101,8 +102,7 @@ let lp_verdict = function
 
 let check_lp_instance seed std =
   let reference =
-    Simplex.solve ~pricing:Simplex.Dantzig ~backend:reference_backend ~dual_simplex:false
-      std
+    Simplex.solve ~pricing:Simplex.Dantzig ~backend:reference_backend std
   in
   iter_configs (fun ~pname ~pricing ~bname ~backend ->
       let produced = Simplex.solve ~pricing ~backend std in
@@ -191,16 +191,10 @@ let test_lp_warm_differential () =
       if lb.(j) <= ub.(j) then begin
         incr exercised;
         let reference =
-          Simplex.solve ~pricing:Simplex.Dantzig ~backend:reference_backend
-            ~dual_simplex:false ~lb ~ub std
+          Simplex.solve ~pricing:Simplex.Dantzig ~backend:reference_backend ~lb ~ub std
         in
         iter_configs (fun ~pname ~pricing ~bname ~backend ->
-            (* Devex restarts adopt the snapshot's weights: the carry path
-               is the risky one, so it is the one differentially tested *)
-            let produced =
-              Simplex.solve ~pricing ~devex_carry:(pricing = Simplex.Devex) ~backend
-                ~basis ~lb ~ub std
-            in
+            let produced = Simplex.solve ~pricing ~backend ~basis ~lb ~ub std in
             match (reference, produced) with
             | Simplex.Optimal r, Simplex.Optimal p ->
               if Float.abs (r.obj -. p.obj) > obj_tol r.obj then
@@ -229,21 +223,20 @@ let status_name = function
   | Branch_bound.Unknown -> "unknown"
 
 let check_mip_instance seed std =
-  let solve pricing backend dual =
+  let solve pricing backend =
     let options =
       {
         Branch_bound.default_options with
         Branch_bound.lp_pricing = pricing;
         lp_backend = backend;
-        dual_restart = dual;
         node_limit = 20_000;
       }
     in
     Branch_bound.solve ~options std
   in
-  let reference = solve Simplex.Dantzig reference_backend false in
+  let reference = solve Simplex.Dantzig reference_backend in
   iter_configs (fun ~pname ~pricing ~bname ~backend ->
-      let produced = solve pricing backend true in
+      let produced = solve pricing backend in
       if reference.Branch_bound.status <> produced.Branch_bound.status then
         Alcotest.failf "seed %d [%s/%s]: MIP status differs: ref %s vs %s" seed pname bname
           (status_name reference.Branch_bound.status)
@@ -280,7 +273,7 @@ let test_mip_differential () =
    so a solve under either kernel must take the *same pivot sequence*, not
    merely reach the same optimum.  The full 280-instance corpus (the same
    140 LP + 60 warm-restart + 80 MIP seeds as above) is re-solved here
-   under both kernels × all three pricing rules on the production LU
+   under both kernels × both pricing rules on the production LU
    backend, asserting identical pivot counts, identical final bases,
    matching verdicts, and objectives within 1e-9. *)
 

@@ -103,6 +103,33 @@ let test_buffer_overhead () =
     (Portal.buffer_overhead region with_buffer);
   Alcotest.(check (float 1e-9)) "plain 1x" 1.0 (Portal.buffer_overhead region without)
 
+let bad_rrus = [ ("nan", Float.nan); ("-1", -1.0); ("infinity", Float.infinity) ]
+
+let test_rejects_non_finite_rru () =
+  let snap = snapshot () in
+  List.iter
+    (fun (label, rru) ->
+      Alcotest.check_raises (label ^ ": make refuses")
+        (Invalid_argument "Capacity_request.make: rru must be finite and positive") (fun () ->
+          ignore (Capacity_request.make ~id:3 ~service:web ~rru ()));
+      let portal = Portal.create () in
+      let ok = Capacity_request.make ~id:3 ~service:web ~rru:5.0 () in
+      let bad = { ok with Capacity_request.rru } in
+      (match Portal.submit portal snap bad with
+      | Portal.Rejected reason ->
+        Alcotest.(check bool) (label ^ ": submit reason names the rule") true
+          (contains reason "finite positive")
+      | Portal.Accepted -> Alcotest.failf "%s: submit must reject" label);
+      Alcotest.(check int) (label ^ ": not stored") 0 (List.length (Portal.requests portal));
+      ignore (Portal.submit portal snap ok);
+      (match Portal.modify portal snap bad with
+      | Portal.Rejected _ -> ()
+      | Portal.Accepted -> Alcotest.failf "%s: modify must reject" label);
+      match Portal.find portal 3 with
+      | Some r -> Alcotest.(check (float 0.0)) (label ^ ": old size kept") 5.0 r.Capacity_request.rru
+      | None -> Alcotest.failf "%s: lost the accepted request" label)
+    bad_rrus
+
 let suite =
   [
     Alcotest.test_case "accepts reasonable request" `Quick test_accepts_reasonable_request;
@@ -112,4 +139,5 @@ let suite =
     Alcotest.test_case "modify excludes own claim" `Quick test_modify_excludes_own_claim;
     Alcotest.test_case "delete and audit log" `Quick test_delete_and_log;
     Alcotest.test_case "buffer overhead" `Quick test_buffer_overhead;
+    Alcotest.test_case "rejects NaN, negative and infinite rru" `Quick test_rejects_non_finite_rru;
   ]

@@ -1,16 +1,18 @@
 (* Tier-1 reactive repair battery.
 
-   Pins, in order: the incremental availability index never drifts from a
-   fresh rebuild under churn (including region growth); the columnar
-   emergency grant is grant-for-grant identical to the retained full-scan
-   oracle while visiting a bounded prefix of the region; the columnar
-   replacement search equals the reference scan decision-for-decision on
-   seeded failure storms; the reactive (price-guided) paths stay inside the
-   reference's preference classes and respect the dual prices; the
-   replace_failed swap leaves no double-counted capacity behind (checked
-   through the Symmetry current-owner histograms); loan bookkeeping
-   round-trips under double failures; and the tier-2 objective drift caused
-   by tier-1 repairs is bounded against oracle-repaired state.
+   Pins, in order: the incremental availability index (free, buffer and the
+   three lent pools) never drifts from a fresh rebuild under churn
+   (including region growth); the emergency grant covers what the retained
+   full-scan oracle covers, from the same sources, while visiting only the
+   servers it takes; on seeded failure storms with loans outstanding, every
+   replacement falls in the oracle's preference class (same subtype, buffer
+   or lent, idle or in use); the price-guided picks respect the dual
+   prices; the replace_failed swap leaves no double-counted capacity behind
+   (checked through the Symmetry current-owner histograms); loan
+   bookkeeping round-trips under double failures and equals the Elastic
+   owners after churn; a replacement costs O(classes) however many loans
+   are out; and the tier-2 objective drift caused by tier-1 repairs is
+   bounded against oracle-repaired state.
 
    RAS_SCALE_TESTS=full adds the 10^6-server pins: per-event visited
    servers/classes bounded by class structure (not region size) and
@@ -51,7 +53,7 @@ let check_index_matches_rebuild t =
             (Printf.sprintf "bucket m%d h%d" msb hw)
             (Reactive.available_in_bucket fresh ~source ~msb ~hw)
             (Reactive.available_in_bucket t ~source ~msb ~hw))
-        [ `Free; `Buffer ]
+        [ `Free; `Buffer; `Lent_idle; `Lent_in_use; `Lent_down ]
     done
   done
 
@@ -62,8 +64,9 @@ let test_index_tracks_churn () =
   let rng = Rng.create 42 in
   for _ = 1 to 2000 do
     let id = Rng.int rng n in
-    (match Rng.int rng 6 with
+    (match Rng.int rng 7 with
     | 0 -> Broker.move broker id Broker.Shared_buffer
+    | 5 -> Broker.move broker id (Broker.Elastic 9000)
     | 1 -> Broker.move broker id Broker.Free
     | 2 -> Broker.move broker id (Broker.Reservation (1 + Rng.int rng 3))
     | 3 -> Broker.mark_down broker id Unavail.Unplanned_hw
@@ -98,7 +101,7 @@ let test_index_survives_region_growth () =
   Alcotest.(check int) "every free healthy server indexed" (Broker.count_owner broker Broker.Free)
     !total_free
 
-(* ---------- emergency grant: columnar vs full-scan oracle ---------- *)
+(* ---------- emergency grant: index vs full-scan oracle ---------- *)
 
 (* Run the same pre-grant damage on both brokers so their columns agree. *)
 let seed_buffer_and_damage broker =
@@ -115,116 +118,171 @@ let seed_buffer_and_damage broker =
   done
 
 let test_grant_matches_oracle () =
-  let a = fresh_broker () and b = fresh_broker () in
-  seed_buffer_and_damage a;
-  seed_buffer_and_damage b;
-  let res = reservation_of_rru ~id:1 6.0 in
+  (* the index drains buckets by price where the oracle walks ids, so the
+     served sets differ; what must agree is what the supply allows: both
+     cover the request or both take everything, and both dip into the
+     buffer only when the free pool falls short *)
   List.iter
-    (fun allow_buffer ->
-      let g = Emergency.grant a ~reservation:res ~rru:6.0 ~allow_buffer in
-      let o = Emergency.grant_reference b ~reservation:res ~rru:6.0 ~allow_buffer in
-      Alcotest.(check (list int))
-        (Printf.sprintf "same servers (allow_buffer=%b)" allow_buffer)
-        o.Emergency.servers g.Emergency.servers;
-      Alcotest.(check (float 1e-9)) "same rru" o.Emergency.granted_rru g.Emergency.granted_rru;
-      Alcotest.(check int) "same buffer draw" o.Emergency.took_from_buffer
-        g.Emergency.took_from_buffer;
-      Alcotest.(check bool) "columnar visits no more than the oracle" true
-        (g.Emergency.visited <= o.Emergency.visited))
-    [ false; true ]
+    (fun (allow_buffer, rru) ->
+      let a = fresh_broker () and b = fresh_broker () in
+      seed_buffer_and_damage a;
+      seed_buffer_and_damage b;
+      let res = reservation_of_rru ~id:1 rru in
+      let eligible id =
+        Broker.healthy_at a id
+        && (not (Broker.in_use_at a id))
+        && res.Reservation.rru_of (Broker.region a).Region.servers.(id).Region.hw > 0.0
+        &&
+        match Broker.current_owner a id with
+        | Broker.Free -> true
+        | Broker.Shared_buffer -> allow_buffer
+        | Broker.Reservation _ | Broker.Elastic _ -> false
+      in
+      let eligible_before = List.filter eligible (List.init (Broker.num_servers a) Fun.id) in
+      let g = Reactive.grant (Reactive.create a) ~reservation:res ~rru ~allow_buffer in
+      let o = Oracles.grant_reference b ~reservation:res ~rru ~allow_buffer in
+      let label = Printf.sprintf "allow_buffer=%b rru=%.0f" allow_buffer rru in
+      Alcotest.(check bool) (label ^ ": same coverage") (o.Reactive.granted_rru >= rru)
+        (g.Reactive.granted_rru >= rru);
+      if o.Reactive.granted_rru < rru then
+        Alcotest.(check (float 1e-9)) (label ^ ": both drained the supply")
+          o.Reactive.granted_rru g.Reactive.granted_rru;
+      Alcotest.(check bool) (label ^ ": same buffer dip") (o.Reactive.took_from_buffer > 0)
+        (g.Reactive.took_from_buffer > 0);
+      List.iter
+        (fun id ->
+          Alcotest.(check bool) (Printf.sprintf "%s: server %d was eligible" label id) true
+            (List.mem id eligible_before))
+        g.Reactive.servers;
+      Alcotest.(check bool) (label ^ ": index visits no more than the oracle") true
+        (g.Reactive.visited <= o.Reactive.visited))
+    [ (false, 6.0); (true, 6.0); (false, 1e4); (true, 1e4) ]
 
 let test_grant_terminates_early () =
   let broker = fresh_broker () in
+  let index = Reactive.create broker in
   let res = reservation_of_rru ~id:1 2.0 in
   let n = Broker.num_servers broker in
   let alloc0 = Gc.allocated_bytes () in
-  let g = Emergency.grant broker ~reservation:res ~rru:2.0 ~allow_buffer:false in
+  let g = Reactive.grant index ~reservation:res ~rru:2.0 ~allow_buffer:false in
   let alloc = Gc.allocated_bytes () -. alloc0 in
-  Alcotest.(check bool) "covered" true (g.Emergency.granted_rru >= 2.0);
+  Alcotest.(check bool) "covered" true (g.Reactive.granted_rru >= 2.0);
   (* the whole free pool is acceptable compute-heavy supply, so coverage
-     must come from a short prefix — not a full scan *)
+     must come from a few servers — not a full scan *)
   Alcotest.(check bool)
-    (Printf.sprintf "early termination (visited %d of %d)" g.Emergency.visited n)
+    (Printf.sprintf "early termination (visited %d of %d)" g.Reactive.visited n)
     true
-    (g.Emergency.visited < n);
-  (* columnar path materializes no records: allocation is O(grant), not
-     O(region) — a generous fixed budget catches an O(n) record build *)
+    (g.Reactive.visited < n);
+  (* the grant materializes no records: allocation is O(classes + grant),
+     not O(region) — a generous fixed budget catches an O(n) record build *)
   Alcotest.(check bool)
     (Printf.sprintf "allocation bounded (%.0f bytes)" alloc)
     true (alloc < 64_000.0)
 
-(* ---------- replacement search: columnar vs oracle on storms ---------- *)
+(* ---------- replacement search: index vs oracle on storms ---------- *)
 
+(* The preference class the reference score ranks first, without its id
+   tie-break: (same subtype, lent, in use).  The index may pick another
+   server than the scan, never one from another class. *)
+let replacement_class broker ~failed_hw id =
+  ( (Broker.region broker).Region.servers.(id).Region.hw.Hw.index = failed_hw,
+    Broker.is_elastic_code (Broker.current_code broker id),
+    Broker.in_use_at broker id )
+
+let check_same_class broker res ~failed_hw fast =
+  match (Oracles.find_replacement_reference broker res ~failed_hw, fast) with
+  | None, None -> None
+  | Some r, Some f ->
+    let cls = replacement_class broker ~failed_hw r in
+    Alcotest.(check (triple bool bool bool)) "same preference class" cls
+      (replacement_class broker ~failed_hw f);
+    Some cls
+  | Some _, None -> Alcotest.fail "the index found nothing where the oracle found a server"
+  | None, Some _ -> Alcotest.fail "the index found a server the oracle could not"
+
+(* Bound compute to the reservation and park more in the buffer, then lend
+   part of the buffer out and put some of the loans to work. *)
 let storm_world () =
   let broker = fresh_broker () in
   let res = reservation_of_rru ~id:1 10.0 in
   let mover = Online_mover.create broker in
   Online_mover.set_reservations mover [ res ];
-  (* bind some compute to the reservation, park some in the buffer *)
   let bound = ref [] in
   let count_res = ref 0 and count_buf = ref 0 in
   Broker.iter broker ~f:(fun r ->
       if res.Reservation.rru_of r.Broker.server.Region.hw > 0.0 then begin
         let id = r.Broker.server.Region.id in
-        if !count_res < 10 then begin
+        if !count_res < 20 then begin
           Broker.move broker id (Broker.Reservation 1);
           bound := id :: !bound;
           incr count_res
         end
-        else if !count_buf < 6 then begin
+        else if !count_buf < 16 then begin
           Broker.move broker id Broker.Shared_buffer;
           incr count_buf
         end
       end);
+  let lent = Online_mover.lend_idle mover ~elastic_id:9000 ~max_servers:10 in
+  Alcotest.(check int) "loans out" 10 lent;
+  List.iteri
+    (fun i id -> if i mod 3 = 0 then Broker.set_in_use broker id true)
+    (Reactive.lent_servers (Online_mover.reactive mover) |> List.sort compare);
   (broker, res, mover, List.rev !bound)
 
 let test_replacement_matches_oracle_on_storm () =
   let broker, res, mover, bound = storm_world () in
+  let n = Broker.num_servers broker in
   let rng = Rng.create 13 in
+  let region = Broker.region broker in
+  let down = ref [] and lent_picks = ref 0 and busy_picks = ref 0 in
   List.iter
     (fun victim ->
       if Broker.healthy_at broker victim then begin
-        let failed_hw =
-          (Broker.region broker).Region.servers.(victim).Region.hw.Hw.index
-        in
-        (* decision equality BEFORE the state advances... *)
-        let fast = Online_mover.find_replacement mover res ~failed_hw in
-        let slow = Online_mover.find_replacement_reference mover res ~failed_hw in
-        Alcotest.(check (option int)) "scan equals oracle" slow fast;
+        let failed_hw = region.Region.servers.(victim).Region.hw.Hw.index in
+        (* class equality BEFORE the state advances... *)
+        (match check_same_class broker res ~failed_hw (Online_mover.find_replacement mover res ~failed_hw) with
+        | Some (_, lent, busy) ->
+          if lent then incr lent_picks;
+          if busy then incr busy_picks
+        | None -> ());
         (* ...then advance it: fail the victim, let the mover repair *)
         Broker.mark_down broker victim Unavail.Unplanned_hw;
-        (* occasionally sprinkle extra churn between events *)
-        if Rng.int rng 2 = 0 then
-          Broker.set_in_use broker (Rng.int rng (Broker.num_servers broker)) true
+        down := victim :: !down;
+        (* churn between events: in-use flips, heals, fresh loans *)
+        match Rng.int rng 4 with
+        | 0 -> Broker.set_in_use broker (Rng.int rng n) (Rng.int rng 2 = 0)
+        | 1 -> (
+          match !down with
+          | healed :: rest ->
+            Broker.mark_up broker healed;
+            down := rest
+          | [] -> ())
+        | 2 -> ignore (Online_mover.lend_idle mover ~elastic_id:9000 ~max_servers:1)
+        | _ -> ()
       end)
     bound;
   Alcotest.(check bool) "storm produced replacements" true
-    (Online_mover.replacements_done mover > 0)
+    (Online_mover.replacements_done mover > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "storm reclaimed loans (%d, %d in use)" !lent_picks !busy_picks)
+    true (!lent_picks > 0 && !busy_picks > 0)
 
 let test_reactive_replacement_same_class () =
-  (* the reactive path may pick a different server than the scans, but only
-     inside the same preference class: same subtype-match rank and same
-     source kind *)
+  (* with dual prices installed the index's tie-break inside a class is the
+     cheapest bucket, not the lowest id: the class must still match *)
   let broker, res, mover, bound = storm_world () in
-  let reactive = Reactive.create broker in
-  let rmover = Online_mover.create ~reactive broker in
-  Online_mover.set_reservations rmover [ res ];
   let region = Broker.region broker in
+  let rng = Rng.create 5 in
+  let row_names =
+    Array.init (region.Region.num_msbs * Hw.count) (fun b ->
+        Printf.sprintf "supply_m%dh%du0a0" (b / Hw.count) (b mod Hw.count))
+  in
+  let duals = Array.map (fun _ -> float_of_int (Rng.int rng 10)) row_names in
+  Reactive.set_prices (Online_mover.reactive mover) (Solver_state.price_table ~row_names ~duals ());
   List.iter
     (fun victim ->
       let failed_hw = region.Region.servers.(victim).Region.hw.Hw.index in
-      let reference = Online_mover.find_replacement_reference mover res ~failed_hw in
-      let fast = Online_mover.find_replacement rmover res ~failed_hw in
-      match (reference, fast) with
-      | None, None -> ()
-      | Some r, Some f ->
-        let cls id =
-          ( region.Region.servers.(id).Region.hw.Hw.index = failed_hw,
-            Broker.current_code broker id )
-        in
-        Alcotest.(check (pair bool int)) "same preference class" (cls r) (cls f)
-      | Some _, None -> Alcotest.fail "reactive found nothing where the oracle found a server"
-      | None, Some _ -> Alcotest.fail "reactive found a server the oracle could not")
+      ignore (check_same_class broker res ~failed_hw (Online_mover.find_replacement mover res ~failed_hw)))
     bound
 
 let test_reactive_respects_prices () =
@@ -326,6 +384,102 @@ let test_double_failure_loan_round_trip () =
   Alcotest.(check int) "no elastic holdings left" 0
     (Broker.count_owner broker (Broker.Elastic 9000))
 
+(* ---------- loans live in the index ---------- *)
+
+let test_loans_match_elastic_owners () =
+  (* seeded lend / fail / heal / in-use / apply_plan / revoke churn: the
+     index's loan count and lent pools must equal the Elastic owners *)
+  let broker = fresh_broker () in
+  let mover = Online_mover.create broker in
+  Online_mover.set_reservations mover [ reservation_of_rru ~id:1 1e6 ];
+  let n = Broker.num_servers broker in
+  let rng = Rng.create 23 in
+  let random_owner () =
+    match Rng.int rng 3 with
+    | 0 -> Broker.Free
+    | 1 -> Broker.Shared_buffer
+    | _ -> Broker.Reservation 1
+  in
+  let most_loans = ref 0 in
+  for _ = 1 to 3000 do
+    let id = Rng.int rng n in
+    (match Rng.int rng 7 with
+    | 0 -> Broker.move broker id (random_owner ())
+    | 1 ->
+      ignore
+        (Online_mover.lend_idle mover ~elastic_id:(9000 + Rng.int rng 2)
+           ~max_servers:(1 + Rng.int rng 4))
+    | 2 ->
+      Broker.mark_down broker id
+        (if Rng.int rng 2 = 0 then Unavail.Unplanned_hw else Unavail.Planned_maintenance)
+    | 3 -> Broker.mark_up broker id
+    | 4 -> Broker.set_in_use broker id (Rng.int rng 2 = 0)
+    | 5 ->
+      let to_ = random_owner () in
+      let move =
+        {
+          Concretize.server = id;
+          from_ = Broker.current_owner broker id;
+          to_;
+          was_in_use = Broker.in_use_at broker id;
+        }
+      in
+      ignore (Online_mover.apply_plan mover { Concretize.moves = [ move ]; targets = [ (id, to_) ] })
+    | _ -> ignore (Online_mover.revoke mover ~elastic_id:(9000 + Rng.int rng 2)));
+    most_loans := max !most_loans (Online_mover.loans_outstanding mover)
+  done;
+  let elastic = List.filter (fun id -> Broker.is_elastic_code (Broker.current_code broker id)) (List.init n Fun.id) in
+  Alcotest.(check bool) "churn lent servers" true (!most_loans > 0);
+  Alcotest.(check int) "loans equal Elastic owners" (List.length elastic)
+    (Online_mover.loans_outstanding mover);
+  Alcotest.(check (list int)) "lent pools hold exactly the Elastic owners" elastic
+    (List.sort compare (Reactive.lent_servers (Online_mover.reactive mover)));
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (Printf.sprintf "home of %d" id) (List.mem id elastic)
+        (Online_mover.home_of mover id = Some Broker.Shared_buffer))
+    (List.init n Fun.id);
+  check_index_matches_rebuild (Online_mover.reactive mover)
+
+let test_replacement_cost_ignores_loans () =
+  (* the replacement search used to walk every outstanding loan; with the
+     buffer lent out entirely it must still visit O(1) servers and at most
+     one class per (bucket, lent-or-buffer pool) *)
+  let params, loans =
+    if full_scale () then (Generator.region_scale_params, 10_000)
+    else (Generator.default_params, 1_000)
+  in
+  let broker = Broker.create (Generator.generate params) in
+  let region = Broker.region broker in
+  let res = reservation_of_rru ~id:1 1e9 in
+  let mover = Online_mover.create broker in
+  Online_mover.set_reservations mover [ res ];
+  let acceptable id = res.Reservation.rru_of region.Region.servers.(id).Region.hw > 0.0 in
+  let victim = List.find acceptable (List.init (Broker.num_servers broker) Fun.id) in
+  Broker.move broker victim (Broker.Reservation 1);
+  for id = victim + 1 to victim + loans do
+    Broker.move broker id Broker.Shared_buffer
+  done;
+  Alcotest.(check int) "every buffer server lent" loans
+    (Online_mover.lend_idle mover ~elastic_id:9000 ~max_servers:max_int);
+  for id = victim + 1 to victim + loans do
+    if id mod 2 = 0 then Broker.set_in_use broker id true
+  done;
+  let index = Online_mover.reactive mover in
+  Reactive.reset_counters index;
+  Broker.mark_down broker victim Unavail.Unplanned_hw;
+  let c = Reactive.counters index in
+  Alcotest.(check int) "replaced from a loan" 1 (Online_mover.replacements_done mover);
+  Alcotest.(check int) "the loan ended" (loans - 1) (Online_mover.loans_outstanding mover);
+  Alcotest.(check bool)
+    (Printf.sprintf "visited %d servers with %d loans out" c.Reactive.visited_servers loans)
+    true (c.Reactive.visited_servers <= 2);
+  Alcotest.(check bool)
+    (Printf.sprintf "visited %d classes of %d buckets" c.Reactive.visited_classes
+       (Reactive.num_buckets index))
+    true
+    (c.Reactive.visited_classes <= 3 * Reactive.num_buckets index)
+
 (* ---------- tier-2 drift bound ---------- *)
 
 let test_tier1_repair_drift_bounded () =
@@ -352,10 +506,27 @@ let test_tier1_repair_drift_bounded () =
     let result = Phases.run ~mip_node_limit:0 snapshot reservations in
     result.Phases.outcome.Ras_mip.Branch_bound.objective
   in
-  let repair use_reactive =
+  (* the oracle world repairs each failure by hand with the full-scan
+     pick, using replace_failed's swap *)
+  let oracle_replace broker reservations id =
+    match Broker.current_owner broker id with
+    | Broker.Reservation rid -> (
+      let res = List.find (fun r -> r.Reservation.id = rid) reservations in
+      let failed_hw = (Broker.region broker).Region.servers.(id).Region.hw.Hw.index in
+      match Oracles.find_replacement_reference broker res ~failed_hw with
+      | Some replacement ->
+        List.iter
+          (fun (server, owner) ->
+            Broker.move broker server owner;
+            Broker.set_target broker server owner)
+          [ (replacement, Broker.Reservation rid); (id, Broker.Shared_buffer) ];
+        1
+      | None -> 0)
+    | Broker.Free | Broker.Shared_buffer | Broker.Elastic _ -> 0
+  in
+  let repair ~oracle =
     let broker, reservations = build () in
-    let reactive = if use_reactive then Some (Reactive.create broker) else None in
-    let mover = Online_mover.create ?reactive broker in
+    let mover = Online_mover.create broker in
     Online_mover.set_reservations mover reservations;
     (* bind capacity with one heuristic round *)
     let snapshot = Snapshot.take broker reservations in
@@ -365,9 +536,7 @@ let test_tier1_repair_drift_bounded () =
         snapshot
     in
     ignore (Online_mover.apply_plan mover stats.Async_solver.plan);
-    (match (reactive, stats.Async_solver.price_table) with
-    | Some ri, Some p -> Reactive.set_prices ri p
-    | _ -> ());
+    Option.iter (Reactive.set_prices (Online_mover.reactive mover)) stats.Async_solver.price_table;
     (* deterministic storm over reservation-bound servers *)
     let victims = ref [] in
     Broker.iter broker ~f:(fun r ->
@@ -375,11 +544,26 @@ let test_tier1_repair_drift_bounded () =
         | Broker.Reservation rid when rid < 8000 && List.length !victims < 8 ->
           victims := r.Broker.server.Region.id :: !victims
         | _ -> ());
-    List.iter (fun id -> Broker.mark_down broker id Unavail.Unplanned_hw) (List.rev !victims);
-    (solve_objective broker reservations, Online_mover.replacements_done mover)
+    let victims = List.rev !victims in
+    let repaired =
+      if oracle then begin
+        (* a mover without reservations leaves every failure alone *)
+        Online_mover.set_reservations mover [];
+        List.fold_left
+          (fun acc id ->
+            Broker.mark_down broker id Unavail.Unplanned_hw;
+            acc + oracle_replace broker reservations id)
+          0 victims
+      end
+      else begin
+        List.iter (fun id -> Broker.mark_down broker id Unavail.Unplanned_hw) victims;
+        Online_mover.replacements_done mover
+      end
+    in
+    (solve_objective broker reservations, repaired)
   in
-  let obj_oracle, repl_oracle = repair false in
-  let obj_reactive, repl_reactive = repair true in
+  let obj_oracle, repl_oracle = repair ~oracle:true in
+  let obj_reactive, repl_reactive = repair ~oracle:false in
   Alcotest.(check int) "both repaired the same storm" repl_oracle repl_reactive;
   let drift = Float.abs (obj_reactive -. obj_oracle) in
   let bound = 0.05 *. Float.max 1.0 (Float.abs obj_oracle) in
@@ -419,8 +603,8 @@ let test_scale_reactive_visits_classes_not_servers () =
   if not (full_scale ()) then () (* 10^6-server pin: RAS_SCALE_TESTS=full only *)
   else begin
     let broker, res, bound = scale_world () in
-    let reactive = Reactive.create broker in
-    let mover = Online_mover.create ~reactive broker in
+    let mover = Online_mover.create broker in
+    let reactive = Online_mover.reactive mover in
     Online_mover.set_reservations mover [ res ];
     let n = Broker.num_servers broker in
     let buckets = Reactive.num_buckets reactive in
@@ -453,15 +637,16 @@ let test_scale_grant_bounded () =
   if not (full_scale ()) then () (* 10^6-server pin: RAS_SCALE_TESTS=full only *)
   else begin
     let broker, res, _ = scale_world () in
+    let index = Reactive.create broker in
     let n = Broker.num_servers broker in
     let alloc0 = Gc.allocated_bytes () in
-    let g = Emergency.grant broker ~reservation:res ~rru:50.0 ~allow_buffer:false in
+    let g = Reactive.grant index ~reservation:res ~rru:50.0 ~allow_buffer:false in
     let alloc = Gc.allocated_bytes () -. alloc0 in
-    Alcotest.(check bool) "covered" true (g.Emergency.granted_rru >= 50.0);
+    Alcotest.(check bool) "covered" true (g.Reactive.granted_rru >= 50.0);
     Alcotest.(check bool)
-      (Printf.sprintf "visited %d of %d: early termination held" g.Emergency.visited n)
+      (Printf.sprintf "visited %d of %d: early termination held" g.Reactive.visited n)
       true
-      (g.Emergency.visited < n / 10);
+      (g.Reactive.visited < n / 10);
     Alcotest.(check bool)
       (Printf.sprintf "grant allocation %.0f bytes bounded" alloc)
       true (alloc < 1_000_000.0)
@@ -483,6 +668,10 @@ let suite =
       test_replace_failed_releases_dead_server;
     Alcotest.test_case "double failure loan round trip" `Quick
       test_double_failure_loan_round_trip;
+    Alcotest.test_case "loans equal Elastic owners after churn" `Quick
+      test_loans_match_elastic_owners;
+    Alcotest.test_case "replacement cost ignores outstanding loans" `Quick
+      test_replacement_cost_ignores_loans;
     Alcotest.test_case "tier-1 repair drift bounded" `Quick test_tier1_repair_drift_bounded;
     Alcotest.test_case "scale: visits classes not servers" `Slow
       test_scale_reactive_visits_classes_not_servers;

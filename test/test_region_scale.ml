@@ -172,7 +172,7 @@ let test_solves_agree_across_rules_and_kernels () =
       Alcotest.(check bool) "objective agrees across pricing rules" true
         (Float.abs (sparse_obj -. reference_obj)
         <= 1e-6 *. Float.max 1.0 (Float.abs reference_obj)))
-    [ Simplex.Dantzig; Simplex.Partial; Simplex.Devex ]
+    [ Simplex.Dantzig; Simplex.Devex ]
 
 (* ---------- disaggregation round trip ---------- *)
 

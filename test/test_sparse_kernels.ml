@@ -249,22 +249,6 @@ let test_workspace_alloc_bound () =
   if reused > 25_000.0 then
     Alcotest.failf "reused-workspace solve allocates %.0f words (bound 25000)" reused
 
-(* ------------------------------------------------------------------ *)
-(* Kernel-mode selection via the environment                           *)
-
-let test_kernels_of_env () =
-  let saved = Sys.getenv_opt "RAS_LP_KERNELS" in
-  let restore () =
-    match saved with Some v -> Unix.putenv "RAS_LP_KERNELS" v | None -> Unix.putenv "RAS_LP_KERNELS" ""
-  in
-  Fun.protect ~finally:restore (fun () ->
-      Unix.putenv "RAS_LP_KERNELS" "dense";
-      Alcotest.(check bool) "dense forces the oracle" true
-        (Basis.kernels_of_env () = Basis.Dense_oracle);
-      Unix.putenv "RAS_LP_KERNELS" "sparse";
-      Alcotest.(check bool) "anything else is hypersparse" true
-        (Basis.kernels_of_env () = Basis.Hypersparse))
-
 let suite =
   [
     Alcotest.test_case "random sparse systems: traversal == oracle, round trips" `Quick
@@ -275,5 +259,4 @@ let suite =
       test_bound_flip_dual_restart;
     Alcotest.test_case "workspace reuse bounds per-solve allocation" `Quick
       test_workspace_alloc_bound;
-    Alcotest.test_case "RAS_LP_KERNELS selects the kernel" `Quick test_kernels_of_env;
   ]

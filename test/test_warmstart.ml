@@ -2,8 +2,9 @@
 
    The warm-start machinery (Simplex.solve ~basis, Branch_bound warm nodes,
    candidate-list pricing) is a pure performance change: on any input it must
-   return the same status and the same objective (within gap_abs) as the
-   cold-start configuration, and repeated runs must be bit-identical.  These
+   return the same status and the same objective (within gap_abs) as a
+   branch-and-bound whose every node LP starts cold, and repeated runs must
+   be bit-identical.  These
    tests pin that contract on a corpus of small random MIPs plus direct
    simplex restart checks. *)
 
@@ -39,12 +40,29 @@ let random_mip rng =
     (Lin_expr.of_terms (List.init n (fun i -> (coef (), vars.(i)))));
   Model.compile model
 
-let cold_options =
-  {
-    Branch_bound.default_options with
-    Branch_bound.warm_start = false;
-    lp_pricing = Simplex.Dantzig;
-  }
+(* The cold-start reference: a depth-first branch-and-bound that solves
+   every node LP from scratch with Dantzig pricing and branches on the
+   first fractional integer variable.  Returns the optimum, or [infinity]
+   when the MIP is infeasible (the corpus has finite bounds, so no node is
+   unbounded). *)
+let cold_branch_and_bound (std : Model.std) =
+  let best = ref infinity in
+  let rec explore lb ub =
+    match Simplex.solve ~pricing:Simplex.Dantzig ~lb ~ub std with
+    | Simplex.Optimal { x; obj; _ } when obj < !best -> (
+      let fractional j = std.Model.integer.(j) && Float.abs (x.(j) -. Float.round x.(j)) > 1e-6 in
+      match List.find_opt fractional (List.init std.Model.nvars Fun.id) with
+      | None -> best := obj
+      | Some j ->
+        let down = Array.copy ub and up = Array.copy lb in
+        down.(j) <- Float.floor x.(j);
+        up.(j) <- Float.ceil x.(j);
+        explore lb down;
+        explore up ub)
+    | Simplex.Optimal _ | Simplex.Infeasible _ | Simplex.Unbounded | Simplex.Iteration_limit _ -> ()
+  in
+  explore std.Model.lb std.Model.ub;
+  !best
 
 (* ---------- equivalence: warm-started B&B = cold-started B&B ---------- *)
 
@@ -53,17 +71,13 @@ let prop_warm_matches_cold =
     QCheck.int (fun seed ->
       let rng = Ras_stats.Rng.create seed in
       let std = random_mip rng in
-      let cold = Branch_bound.solve ~options:cold_options std in
+      let cold = cold_branch_and_bound std in
       let warm = Branch_bound.solve std in
       let tol = Branch_bound.default_options.Branch_bound.gap_abs in
-      cold.Branch_bound.status = warm.Branch_bound.status
-      && (match cold.Branch_bound.status with
-         | Branch_bound.Optimal ->
-           Float.abs (cold.Branch_bound.objective -. warm.Branch_bound.objective)
-           <= tol
-         | Branch_bound.Feasible | Branch_bound.Infeasible
-         | Branch_bound.Unbounded | Branch_bound.Unknown ->
-           true))
+      match warm.Branch_bound.status with
+      | Branch_bound.Optimal -> Float.abs (cold -. warm.Branch_bound.objective) <= tol
+      | Branch_bound.Infeasible -> cold = infinity
+      | Branch_bound.Feasible | Branch_bound.Unbounded | Branch_bound.Unknown -> false)
 
 (* ---------- determinism: repeated warm runs are bit-identical ---------- *)
 
@@ -167,7 +181,6 @@ let test_stale_basis_falls_back () =
       Simplex.wcols = Array.make (Array.length first.basis.Simplex.wcols) 0;
       wstatus = first.basis.Simplex.wstatus;
       wfac = None;
-      wdevex = None;
     }
   in
   let out = solve_exn ~basis:bogus std in

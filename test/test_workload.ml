@@ -48,8 +48,13 @@ let test_default_catalog_shape () =
   Alcotest.(check int) "ids unique" 30 (List.length (List.sort_uniq compare ids))
 
 let test_capacity_request_validation () =
-  Alcotest.check_raises "zero rru" (Invalid_argument "Capacity_request.make: rru must be positive")
-    (fun () -> ignore (Capacity_request.make ~id:1 ~service:web ~rru:0.0 ()))
+  List.iter
+    (fun (label, rru) ->
+      Alcotest.check_raises label
+        (Invalid_argument "Capacity_request.make: rru must be finite and positive") (fun () ->
+          ignore (Capacity_request.make ~id:1 ~service:web ~rru ())))
+    [ ("zero rru", 0.0); ("negative rru", -1.0); ("nan rru", Float.nan);
+      ("infinite rru", Float.infinity) ]
 
 let test_acceptable_hw_types () =
   let req = Capacity_request.make ~id:1 ~service:web ~rru:10.0 () in
