@@ -7,9 +7,10 @@
    - Direct wall-clock benchmarks of the LP/MIP hot path on the Table-1
      scenario sizes: LP pivots/sec under full-Dantzig vs Devex pricing,
      under the dense-inverse vs LU+eta basis backends and under the
-     hypersparse vs dense-oracle kernels, and branch-and-bound nodes/sec
-     with warm dual-simplex restarts on the factorized basis.  Each pair
-     prints its speedup and agreement; nothing is asserted.
+     hypersparse vs dense-oracle kernels, one LU refactorization of the
+     root basis, and branch-and-bound nodes/sec with warm dual-simplex
+     restarts on the factorized basis.  Each pair prints its speedup and
+     agreement; nothing is asserted.
 
    Every result row is also appended to BENCH_kernels.json (kernel name,
    size, wall time, rates) so future changes have a perf trajectory to
@@ -222,6 +223,48 @@ let lp_kernel ~label ~repeats ?(with_dense = true) (std : Model.std) =
       ( "pivots_per_sec_ratio_devex_over_dantzig",
         flt (Hashtbl.find rates "devex-pricing" /. Hashtbl.find rates "dantzig-pricing") );
     ]
+
+(* ---------------------------------------------------------------- *)
+(* LU refactorization: one Markowitz elimination of the root basis   *)
+
+(* Cost of one [Basis.refactorize] of the lp row's optimal root basis
+   (median of [repeats]), next to how often a cold root LP pays it, so the
+   refactorization share of the LP is readable from the JSON. *)
+let lu_refactor_kernel ~label ~repeats (std : Model.std) =
+  let name = Printf.sprintf "lu-refactor-%s" label in
+  match Simplex.solve std with
+  | Simplex.Optimal { basis = { Simplex.wcols; wfac; _ }; _ } ->
+    let module Basis = Ras_mip.Basis in
+    let m = std.Model.nrows in
+    let col = Simplex.iter_column std in
+    let nnz =
+      Array.fold_left
+        (fun acc j ->
+          acc + if j < std.Model.nvars then std.Model.col_ptr.(j + 1) - std.Model.col_ptr.(j) else 1)
+        0 wcols
+    in
+    let per_lp = match wfac with Some f -> Basis.refactor_count f | None -> 0 in
+    let t = Basis.create Basis.Lu ~m in
+    let times =
+      Array.init repeats (fun _ ->
+          let t0 = Unix.gettimeofday () in
+          Basis.refactorize t ~basis:wcols ~col;
+          Unix.gettimeofday () -. t0)
+    in
+    Array.sort compare times;
+    let median = times.(repeats / 2) in
+    Report.row "%-34s %8.3fms median of %d  %d per cold root LP  m=%d nnz(B)=%d\n" name
+      (median *. 1e3) repeats per_lp m nnz;
+    record ~kernel:name ~size:(size_of std)
+      ~wall_s:(Array.fold_left ( +. ) 0.0 times)
+      [
+        ("refactor_ms_median", flt (median *. 1e3));
+        ("repeats", string_of_int repeats);
+        ("refactors_per_root_lp", string_of_int per_lp);
+        ("m", string_of_int m);
+        ("nnz_b", string_of_int nnz);
+      ]
+  | _ -> Report.row "%-34s skipped: root LP not optimal\n" name
 
 (* ---------------------------------------------------------------- *)
 (* B&B kernel: nodes/sec with warm dual-simplex restarts              *)
@@ -596,6 +639,7 @@ type preset_row = {
   decompose_time_limit : float;
   with_dense : bool;
   reactive_events : int;  (* tier-1 restore events; 0 skips the kernel *)
+  lu_refactors : int;  (* timed root-basis refactorizations; 0 skips *)
 }
 
 (* evaluated at run time so the [Scenarios.quick] flag (set by the CLI) is
@@ -613,6 +657,7 @@ let preset_rows () =
       decompose_time_limit = 0.0;
       with_dense = true;
       reactive_events = 0;
+      lu_refactors = 0;
     };
     {
       label = "medium";
@@ -625,6 +670,7 @@ let preset_rows () =
       decompose_time_limit = 120.0;
       with_dense = true;
       reactive_events = (if !Scenarios.quick then 20 else 60);
+      lu_refactors = (if !Scenarios.quick then 7 else 31);
     };
     {
       label = "wide";
@@ -637,6 +683,7 @@ let preset_rows () =
       decompose_time_limit = 120.0;
       with_dense = true;
       reactive_events = 0;
+      lu_refactors = 0;
     };
     (* the north-star row: the 10^6-server preset.  Symmetry aggregation
        keeps the compiled model within ~2x of medium, so every enabled
@@ -653,6 +700,7 @@ let preset_rows () =
       decompose_time_limit = 0.0;
       with_dense = false;
       reactive_events = (if !Scenarios.quick then 10 else 25);
+      lu_refactors = (if !Scenarios.quick then 7 else 31);
     };
   ]
 
@@ -670,6 +718,12 @@ let run () =
       if r.lp_repeats > 0 then
         lp_kernel ~label:r.label ~repeats:r.lp_repeats ~with_dense:r.with_dense
           (Lazy.force std))
+    rows;
+  Report.row "-- LU refactorization (root basis) --\n";
+  List.iter
+    (fun (r, std) ->
+      if r.lu_refactors > 0 then
+        lu_refactor_kernel ~label:r.label ~repeats:r.lu_refactors (Lazy.force std))
     rows;
   Report.row "-- branch-and-bound --\n";
   List.iter

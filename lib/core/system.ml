@@ -120,11 +120,14 @@ let remove_reservation t rid =
   Hashtbl.remove t.requests rid;
   Hashtbl.remove t.allocators rid;
   Online_mover.set_reservations t.mv (reservations t);
-  Broker.iter t.brk ~f:(fun r ->
-      if r.Broker.current = Broker.Reservation rid then begin
-        Broker.move t.brk r.Broker.server.Region.id Broker.Free;
-        Broker.set_target t.brk r.Broker.server.Region.id Broker.Free
-      end)
+  (* one pass over the owner column, no record per server *)
+  let code = Broker.owner_code (Broker.Reservation rid) in
+  for id = 0 to Broker.num_servers t.brk - 1 do
+    if Broker.current_code t.brk id = code then begin
+      Broker.move t.brk id Broker.Free;
+      Broker.set_target t.brk id Broker.Free
+    end
+  done
 
 let install_failures t events = ignore (Health.install t.eng t.brk events)
 

@@ -210,6 +210,11 @@ let set_refactor_hook t f = t.on_refactor <- f
 let updates_since_refactor t = t.updates
 let refactor_count t = t.refactors
 
+let pivot_order t =
+  match t.repr with
+  | Lu_r lu -> (Array.copy lu.rperm, Array.copy lu.cperm)
+  | Dense_r _ -> invalid_arg "Basis.pivot_order: dense backend"
+
 let eta_nnz t = match t.repr with Dense_r _ -> 0 | Lu_r lu -> lu.ennz
 
 let should_refactorize t = t.updates >= t.update_limit || t.err > err_limit
@@ -343,10 +348,26 @@ let markowitz_tau = 0.1
 (* How many smallest-count candidate columns to examine per step. *)
 let markowitz_cands = 4
 
+(* Heap slots that can hold those candidates: the k-th smallest entry of a
+   binary min-heap has at most k - 1 ancestors (each smaller), so the
+   [markowitz_cands] smallest all sit in the first 2^markowitz_cands - 1
+   slots. *)
+let markowitz_window = (1 lsl markowitz_cands) - 1
+
 let lu_refactorize ?deficient m ~basis ~col =
   (* Working matrix: rows as parallel growable (col, val) arrays; column
      patterns as growable row lists that may carry stale entries (lazily
      compacted against the row store).
+
+     The active (not yet pivoted or dropped) columns sit in an indexed
+     binary min-heap keyed by (column count, column): every change to a
+     heaped column's count re-sifts it, so each step reads its candidate
+     window off the heap's top slots in O(1) and pays O(log m) per count
+     change, instead of scanning all m columns.  The window is exactly the
+     [markowitz_cands] smallest (count, column) pairs, stale over-estimated
+     counts included — the same columns, in the same order, that a scan in
+     column order keeping the first of equal counts would pick — so the
+     pivot sequence does not depend on how the window is found.
 
      When [deficient] is supplied, a rank-deficient basis does not raise
      {!Singular}: columns that prove dependent (empty or numerically zero
@@ -362,6 +383,57 @@ let lu_refactorize ?deficient m ~basis ~col =
   let rlen = Array.make m 0 in
   let crow = Array.make m [||] in
   let clen = Array.make m 0 in
+  (* [heap.(0 .. !hsize-1)] holds the active columns; [hpos.(c)] is column
+     c's slot, -1 before the heap is built and once c is pivoted or
+     dropped *)
+  let heap = Array.make m 0 and hpos = Array.make m (-1) in
+  let hsize = ref 0 in
+  let hless a b =
+    let la = clen.(a) and lb = clen.(b) in
+    la < lb || (la = lb && a < b)
+  in
+  let hset i c =
+    heap.(i) <- c;
+    hpos.(c) <- i
+  in
+  let sift_up c =
+    let i = ref hpos.(c) in
+    while !i > 0 && hless c heap.((!i - 1) / 2) do
+      let p = (!i - 1) / 2 in
+      hset !i heap.(p);
+      i := p
+    done;
+    hset !i c
+  in
+  let sift_down c =
+    let n = !hsize in
+    let i = ref hpos.(c) and sinking = ref true in
+    while !sinking do
+      let l = (2 * !i) + 1 in
+      if l >= n then sinking := false
+      else begin
+        let s = if l + 1 < n && hless heap.(l + 1) heap.(l) then l + 1 else l in
+        if hless heap.(s) c then begin
+          hset !i heap.(s);
+          i := s
+        end
+        else sinking := false
+      end
+    done;
+    hset !i c
+  in
+  let heap_remove c =
+    let i = hpos.(c) in
+    decr hsize;
+    hpos.(c) <- -1;
+    if i < !hsize then begin
+      let last = heap.(!hsize) in
+      hset i last;
+      sift_up last;
+      sift_down last
+    end
+  in
+  let active c = hpos.(c) >= 0 in
   let row_push r c v =
     let n = rlen.(r) in
     if n = Array.length rcol.(r) then begin
@@ -385,12 +457,16 @@ let lu_refactorize ?deficient m ~basis ~col =
       crow.(c) <- nr
     end;
     crow.(c).(n) <- r;
-    clen.(c) <- n + 1
+    clen.(c) <- n + 1;
+    if active c then sift_down c
   in
   let row_find r c =
     let a = rcol.(r) and n = rlen.(r) in
-    let rec go i = if i >= n then -1 else if a.(i) = c then i else go (i + 1) in
-    go 0
+    let i = ref 0 in
+    while !i < n && a.(!i) <> c do
+      incr i
+    done;
+    if !i < n then !i else -1
   in
   let row_delete r idx =
     let n = rlen.(r) - 1 in
@@ -405,13 +481,21 @@ let lu_refactorize ?deficient m ~basis ~col =
           col_push i r
         end)
   done;
-  let row_active = Array.make m true and col_active = Array.make m true in
+  for c = 0 to m - 1 do
+    hset c c
+  done;
+  hsize := m;
+  for i = (m / 2) - 1 downto 0 do
+    sift_down heap.(i)
+  done;
+  let row_active = Array.make m true in
   (* scratch for compacted column entries *)
   let cand_rows = Array.make m 0 and cand_vals = Array.make m 0.0 in
   let seen = Array.make m (-1) in
   let tick = ref 0 in
   (* Rebuild column c's list from live row entries (dedup via [seen]);
-     returns the live count with (row, value) pairs in the scratch arrays. *)
+     returns the live count with (row, value) pairs in the scratch arrays.
+     The count can only shrink, so a heaped column sifts up. *)
   let compact_col c =
     incr tick;
     let t0 = !tick in
@@ -431,6 +515,7 @@ let lu_refactorize ?deficient m ~basis ~col =
       end
     done;
     clen.(c) <- !n;
+    if active c then sift_up c;
     !n
   in
   (* outputs *)
@@ -440,70 +525,63 @@ let lu_refactorize ?deficient m ~basis ~col =
   let ucols = Array.make m [||] and uvals = Array.make m [||] in
   let udiag = Array.make m 0.0 in
   (* per-step scratch *)
+  let cands = Array.make markowitz_cands 0 in
   let urow_c = Array.make m 0 and urow_v = Array.make m 0.0 in
   let lrow_r = Array.make m 0 and lrow_v = Array.make m 0.0 in
   let repair = deficient <> None in
   let dropped = ref [] in
   (* basis positions dropped as dependent (repair mode only) *)
   let kstep = ref 0 in
-  let ncols_left = ref m in
-  while !ncols_left > 0 do
-    (* --- pivot selection: best Markowitz cost among eligible entries of a
-       few smallest-count active columns --- *)
-    let cands = Array.make markowitz_cands (-1) in
+  while !hsize > 0 do
+    (* --- pivot selection: best Markowitz cost among eligible entries of the
+       few smallest-count active columns, sorted out of the heap's top
+       slots --- *)
     let ncand = ref 0 in
-    for c = 0 to m - 1 do
-      if col_active.(c) then begin
-        (* insertion into the sorted candidate window by (possibly stale,
-           hence over-estimated) column count *)
-        let i = ref !ncand in
-        while !i > 0 && clen.(cands.(!i - 1)) > clen.(c) do
-          if !i < markowitz_cands then cands.(!i) <- cands.(!i - 1);
-          decr i
-        done;
-        if !i < markowitz_cands then begin
-          cands.(!i) <- c;
-          if !ncand < markowitz_cands then incr ncand
-        end
+    for s = 0 to Stdlib.min markowitz_window !hsize - 1 do
+      let c = heap.(s) in
+      let i = ref !ncand in
+      while !i > 0 && hless c cands.(!i - 1) do
+        if !i < markowitz_cands then cands.(!i) <- cands.(!i - 1);
+        decr i
+      done;
+      if !i < markowitz_cands then begin
+        cands.(!i) <- c;
+        if !ncand < markowitz_cands then incr ncand
       end
     done;
-    if !ncand = 0 then raise Singular;
     let best_r = ref (-1) and best_c = ref (-1) and best_v = ref 0.0 in
     let best_cost = ref max_int and best_mag = ref 0.0 in
     for t = 0 to !ncand - 1 do
       let c = cands.(t) in
-      if c >= 0 && col_active.(c) then begin
-        let n = compact_col c in
-        let colmax = ref 0.0 in
+      let n = compact_col c in
+      let colmax = ref 0.0 in
+      for u = 0 to n - 1 do
+        let a = Float.abs cand_vals.(u) in
+        if a > !colmax then colmax := a
+      done;
+      if n = 0 || !colmax < 1e-12 then begin
+        if not repair then raise Singular;
+        (* dependent on the pivots chosen so far: drop from the basis *)
+        heap_remove c;
+        dropped := c :: !dropped
+      end
+      else begin
+        let thresh = markowitz_tau *. !colmax in
         for u = 0 to n - 1 do
-          let a = Float.abs cand_vals.(u) in
-          if a > !colmax then colmax := a
-        done;
-        if n = 0 || !colmax < 1e-12 then begin
-          if not repair then raise Singular;
-          (* dependent on the pivots chosen so far: drop from the basis *)
-          col_active.(c) <- false;
-          decr ncols_left;
-          dropped := c :: !dropped
-        end
-        else begin
-          let thresh = markowitz_tau *. !colmax in
-          for u = 0 to n - 1 do
-            let v = cand_vals.(u) in
-            let a = Float.abs v in
-            if a >= thresh then begin
-              let r = cand_rows.(u) in
-              let cost = (rlen.(r) - 1) * (n - 1) in
-              if cost < !best_cost || (cost = !best_cost && a > !best_mag) then begin
-                best_cost := cost;
-                best_mag := a;
-                best_r := r;
-                best_c := c;
-                best_v := v
-              end
+          let v = cand_vals.(u) in
+          let a = Float.abs v in
+          if a >= thresh then begin
+            let r = cand_rows.(u) in
+            let cost = (rlen.(r) - 1) * (n - 1) in
+            if cost < !best_cost || (cost = !best_cost && a > !best_mag) then begin
+              best_cost := cost;
+              best_mag := a;
+              best_r := r;
+              best_c := c;
+              best_v := v
             end
-          done
-        end
+          end
+        done
       end
     done;
     if !best_r < 0 then begin
@@ -515,20 +593,19 @@ let lu_refactorize ?deficient m ~basis ~col =
     else begin
     let k = !kstep in
     incr kstep;
-    decr ncols_left;
     let prow = !best_r and pcol = !best_c and pv = !best_v in
     rperm.(k) <- prow;
     rpos.(prow) <- k;
     cperm.(k) <- pcol;
     cpos.(pcol) <- k;
     row_active.(prow) <- false;
-    col_active.(pcol) <- false;
+    heap_remove pcol;
     udiag.(k) <- pv;
     (* --- U row k: the pivot row's remaining live entries --- *)
     let un = ref 0 in
     for idx = 0 to rlen.(prow) - 1 do
       let c = rcol.(prow).(idx) in
-      if col_active.(c) then begin
+      if active c then begin
         urow_c.(!un) <- c;
         urow_v.(!un) <- rval.(prow).(idx);
         incr un
@@ -549,7 +626,7 @@ let lu_refactorize ?deficient m ~basis ~col =
       (let idx = row_find r pcol in
        if idx >= 0 then row_delete r idx);
       for w = 0 to un - 1 do
-        let c = ucols.(k).(w) and uv = uvals.(k).(w) in
+        let c = urow_c.(w) and uv = urow_v.(w) in
         let idx = row_find r c in
         if idx >= 0 then begin
           let old = rval.(r).(idx) in

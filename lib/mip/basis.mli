@@ -5,8 +5,9 @@
       Markowitz pivoting at refactorization time, extended by product-form
       eta updates after each simplex pivot.  FTRAN/BTRAN run through the
       triangular factors and the eta file in O(nnz) instead of O(m²), and
-      refactorization rebuilds the factors in roughly O(nnz·fill) instead of
-      the O(m³) dense elimination.
+      refactorization rebuilds the factors in roughly O(m log m + nnz·fill)
+      instead of the O(m³) dense elimination (the sparsest-column candidates
+      come off a count heap, see {!pivot_order}).
     - {!Dense} (the reference backend): the explicitly maintained dense
       Gauss–Jordan basis inverse the solver shipped with.  It is kept as the
       differential-testing oracle (see [test/test_differential.ml]) and for
@@ -184,6 +185,16 @@ val eta_nnz : t -> int
     per-solve cost of the update chain, exposed for stats and tests. *)
 
 val refactor_count : t -> int
+
+val pivot_order : t -> int array * int array
+(** [(rperm, cperm)] of the last {!Lu} refactorization: elimination step
+    [k] pivoted on constraint row [rperm.(k)] in basis position
+    [cperm.(k)].  Each step picks the minimum Markowitz cost over the 4
+    active columns of smallest (count, index), read off an indexed count
+    heap; the order is the one a scan of all columns would give, which the
+    oracle tests compare.  Fresh copies; the identity for a fresh or
+    {!set_identity} factorization.  Raises [Invalid_argument] on the
+    {!Dense} backend, which has no elimination order. *)
 
 val set_refactor_hook : t -> (unit -> unit) -> unit
 (** [set_refactor_hook t f] registers [f] to run after every successful

@@ -139,15 +139,15 @@ type state = {
 (* Column access: structural columns come from the compiled sparse form;
    slack column [nvars + i] is the unit vector e_i.                      *)
 
-let col_iter st j f =
-  if j < st.std.nvars then begin
-    let p = st.std.col_ptr in
-    let ind = st.std.col_ind and vl = st.std.col_val in
+let iter_column (std : Model.std) j f =
+  if j < std.nvars then begin
+    let p = std.col_ptr in
+    let ind = std.col_ind and vl = std.col_val in
     for k = p.(j) to p.(j + 1) - 1 do
       f ind.(k) vl.(k)
     done
   end
-  else f (j - st.std.nvars) 1.0
+  else f (j - std.nvars) 1.0
 
 (* alpha = B^-1 * A_j through the factorization, as a sparse vector in the
    factorization's FTRAN scratch (valid until the next FTRAN). *)
@@ -197,7 +197,7 @@ let devex_sparsity_band = 1.5
    Bounds numerical drift from the update chain.  Raises Basis.Singular
    (leaving the factors unchanged) when elimination breaks down. *)
 let refactor st =
-  Basis.refactorize st.fac ~basis:st.basis ~col:(col_iter st);
+  Basis.refactorize st.fac ~basis:st.basis ~col:(iter_column st.std);
   st.dual_valid <- false;
   st.dvec_valid <- false
 
@@ -207,7 +207,7 @@ let recompute_basics st =
   for j = 0 to st.ntotal - 1 do
     if st.status.(j) <> Basic && st.xval.(j) <> 0.0 then begin
       let v = st.xval.(j) in
-      col_iter st j (fun row c -> r.(row) <- r.(row) -. (c *. v))
+      iter_column st.std j (fun row c -> r.(row) <- r.(row) -. (c *. v))
     end
   done;
   let vals = Basis.ftran_dense st.fac r in
@@ -749,7 +749,7 @@ let try_warm st (wb : warm_basis) =
       in
       match
         if adopted then []
-        else Basis.refactorize_repaired st.fac ~basis:st.basis ~col:(col_iter st)
+        else Basis.refactorize_repaired st.fac ~basis:st.basis ~col:(iter_column st.std)
       with
       | repairs ->
         (* Dependent carried columns (a cross-round basis projected onto a
@@ -1223,7 +1223,7 @@ let dual_phase st ~max_iters =
                   | Basic | Nb_free -> 0.0
                 in
                 if dx <> 0.0 then
-                  col_iter st j (fun row c ->
+                  iter_column st.std j (fun row c ->
                       if st.fmark.(row) <> stamp then begin
                         st.fmark.(row) <- stamp;
                         st.fpat.(!nf) <- row;

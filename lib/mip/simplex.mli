@@ -133,6 +133,13 @@ type result =
       (** The iteration budget ran out; [obj] is meaningful only when
           [feasible]. *)
 
+val iter_column : Model.std -> int -> (int -> float -> unit) -> unit
+(** [iter_column std j f] calls [f row coef] for every nonzero of column [j]
+    of the solver's standard form: structural columns [j < nvars] from the
+    compiled model, slack column [nvars + i] as the unit vector e_i.  This
+    is the [~col] callback the solver hands {!Basis.refactorize} for a
+    {!warm_basis}'s [wcols]. *)
+
 val solve :
   ?max_iters:int ->
   ?feas_tol:float ->

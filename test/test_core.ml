@@ -770,13 +770,50 @@ let test_system_remove_reservation () =
   let region = Generator.generate Generator.small_params in
   let broker = Broker.create region in
   let sys = System.create broker in
-  let req = Capacity_request.make ~id:1 ~service:ds ~rru:4.0 () in
-  System.add_request sys req;
+  System.add_request sys (Capacity_request.make ~id:1 ~service:ds ~rru:4.0 ());
+  System.add_request sys (Capacity_request.make ~id:2 ~service:ds ~rru:3.0 ());
   ignore (System.solve_now sys);
   Alcotest.(check bool) "servers bound" true
     (Broker.count_owner broker (Broker.Reservation 1) > 0);
+  (* a down server of the removed reservation is released too *)
+  (match Broker.servers_with_owner broker (Broker.Reservation 1) with
+  | id :: _ -> Broker.mark_down broker id Unavail.Unplanned_hw
+  | [] -> ());
+  let n = Broker.num_servers broker in
+  let cur0 = Array.init n (Broker.current_code broker) in
+  let tgt0 = Array.init n (Broker.target_code broker) in
   System.remove_reservation sys 1;
-  Alcotest.(check int) "servers released" 0 (Broker.count_owner broker (Broker.Reservation 1))
+  Alcotest.(check int) "servers released" 0 (Broker.count_owner broker (Broker.Reservation 1));
+  (* exactly the removed reservation's servers move, to Free in both
+     columns; every other server keeps its current owner and target *)
+  let removed = Broker.owner_code (Broker.Reservation 1) and free = Broker.owner_code Broker.Free in
+  for id = 0 to n - 1 do
+    let cur, tgt = if cur0.(id) = removed then (free, free) else (cur0.(id), tgt0.(id)) in
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "server %d owner/target" id)
+      (cur, tgt)
+      (Broker.current_code broker id, Broker.target_code broker id)
+  done;
+  (* the owner histogram over usable servers, as the next round's symmetry
+     build sees it through its O(1) per-class counts (the snapshot counts a
+     lent server at its home, the shared buffer) *)
+  let sym = Symmetry.build (System.snapshot sys) in
+  List.iter
+    (fun owner ->
+      let code = Broker.owner_code owner in
+      let counts_as c =
+        c = code || (owner = Broker.Shared_buffer && Broker.is_elastic_code c)
+      in
+      let direct = ref 0 in
+      for id = 0 to n - 1 do
+        if counts_as (Broker.current_code broker id) && Broker.available_at broker id then
+          incr direct
+      done;
+      let from_classes =
+        Array.fold_left (fun acc c -> acc + Symmetry.current_count sym c owner) 0 sym.Symmetry.classes
+      in
+      Alcotest.(check int) "owner histogram" !direct from_classes)
+    [ Broker.Free; Broker.Reservation 1; Broker.Reservation 2; Broker.Shared_buffer ]
 
 let test_system_memory_bounded () =
   (* the system keeps one round's statistics, not all of them: forty more
