@@ -378,102 +378,6 @@ let decompose_kernel ~label ~node_limit ~time_limit preset =
     [ 2; 4; 8 ]
 
 (* ---------------------------------------------------------------- *)
-(* Continuous-loop kernel: cold rounds vs persistent cross-round     *)
-(* solver state (the tentpole quantity: per-round wall time under    *)
-(* small churn)                                                      *)
-
-let continuous_loop_kernel ~label ~rounds preset =
-  (* phase 2 re-selects its reservation slice every round and never uses
-     the cross-round state, so the loop kernel isolates phase 1 *)
-  (* Interactive tolerance (0.1% relative gap): the continuous-loop regime
-     from the paper — each round needs a near-optimal allocation, not a
-     proven-exact one.  Cold and incremental runs share the setting, so the
-     comparison stays apples-to-apples: the incremental side wins when last
-     round's patched incumbent proves within tolerance at the root. *)
-  let solver =
-    {
-      Scenarios.interactive_solver with
-      Ras.Async_solver.run_phase2 = false;
-      mip_gap_rel = 1e-3;
-      mip_stall_nodes = 8;
-    }
-  in
-  (* small churn: ~0.3% of servers fail per round and a few reservations
-     flip in_use — the RAS continuous-loop regime, not a region rebuild *)
-  let churn = 0.003 in
-  let flip_prob = 0.05 in
-  let collect state =
-    Solver_runs.collect ~preset ~solver ~churn ~flip_prob ?incremental:state ~solves:rounds ()
-  in
-  let report name runs extra =
-    let s = Solver_runs.duration_summary runs in
-    let mean = Ras_stats.Summary.mean s in
-    let p50 = Ras_stats.Summary.percentile s 50.0 in
-    let p99 = Ras_stats.Summary.percentile s 99.0 in
-    let total = Ras_stats.Summary.total s in
-    Report.row "%-34s %8.3fs total  %d rounds  per-round mean %.3fs  p50 %.3fs  p99 %.3fs\n"
-      name total rounds mean p50 p99;
-    record ~kernel:name ~size:(Printf.sprintf "%s churn=%.3f" label churn) ~wall_s:total
-      ([
-         ("rounds", string_of_int rounds);
-         ("mean_s", flt mean);
-         ("p50_s", flt p50);
-         ("p99_s", flt p99);
-       ]
-      @ extra);
-    s
-  in
-  let cold = report (Printf.sprintf "continuous-loop-%s-cold" label) (collect None) [] in
-  let state = Ras.Solver_state.create () in
-  let inc_runs = collect (Some state) in
-  (* cross-round stats come from the committed state history: warm rounds
-     only (round 0 through the same state is itself cold) *)
-  let hist = Ras.Solver_state.history state in
-  let warm_rounds = List.filter (fun r -> r.Ras.Solver_state.diff <> None) hist in
-  let reuse =
-    match warm_rounds with
-    | [] -> 0.0
-    | _ ->
-      List.fold_left (fun a r -> a +. Ras.Solver_state.basis_reuse_rate r) 0.0 warm_rounds
-      /. float_of_int (List.length warm_rounds)
-  in
-  let pivots_saved =
-    List.fold_left (fun a r -> a + r.Ras.Solver_state.pivots_saved) 0 warm_rounds
-  in
-  let count_seed s =
-    List.length (List.filter (fun r -> r.Ras.Solver_state.seed = s) warm_rounds)
-  in
-  let inc =
-    report
-      (Printf.sprintf "continuous-loop-%s-incremental" label)
-      inc_runs
-      [
-        ("basis_reuse_rate", flt reuse);
-        ("pivots_saved", string_of_int pivots_saved);
-        ("seeds_accepted", string_of_int (count_seed Branch_bound.Seed_accepted));
-        ("seeds_repaired", string_of_int (count_seed Branch_bound.Seed_repaired));
-        ("seeds_rejected", string_of_int (count_seed Branch_bound.Seed_rejected));
-      ]
-  in
-  let ratio at =
-    Ras_stats.Summary.percentile cold at /. Ras_stats.Summary.percentile inc at
-  in
-  Report.row "%-34s %.2fx per-round p50 speedup  %.2fx p99  basis reuse %.0f%%  %d pivots saved\n"
-    (Printf.sprintf "continuous-loop-%s incremental-vs-cold" label)
-    (ratio 50.0) (ratio 99.0) (100.0 *. reuse) pivots_saved;
-  record
-    ~kernel:(Printf.sprintf "continuous-loop-%s-incremental-vs-cold" label)
-    ~size:(Printf.sprintf "%s churn=%.3f" label churn)
-    ~wall_s:0.0
-    [
-      ("p50_speedup", flt (ratio 50.0));
-      ("p99_speedup", flt (ratio 99.0));
-      ("mean_speedup", flt (Ras_stats.Summary.mean cold /. Ras_stats.Summary.mean inc));
-      ("basis_reuse_rate", flt reuse);
-      ("pivots_saved", string_of_int pivots_saved);
-    ]
-
-(* ---------------------------------------------------------------- *)
 (* Tier-1 reactive restore: event -> healthy-replacement latency     *)
 
 (* The two-tier claim in numbers: after one tier-2 round binds capacity,
@@ -506,9 +410,9 @@ let reactive_restore_kernel ~label ~events preset =
   let snap = Ras.Snapshot.take ~home_of:(Ras.Online_mover.home_of mover) broker reservations in
   let stats = Ras.Async_solver.solve ~params:solver snap in
   ignore (Ras.Online_mover.apply_plan mover stats.Ras.Async_solver.plan);
-  (match stats.Ras.Async_solver.price_table with
-  | Some p -> Ras.Reactive.set_prices reactive p
-  | None -> ());
+  (let p1 = stats.Ras.Async_solver.phase1 in
+   Ras.Reactive.set_prices reactive ~row_names:p1.Ras.Phases.compiled.Ras_mip.Model.row_names
+     ~duals:p1.Ras.Phases.lp_duals);
   let round_s = stats.Ras.Async_solver.duration_s in
   let n = Broker.num_servers broker in
   (* victims: healthy servers bound to guaranteed reservations, spread over
@@ -624,7 +528,7 @@ let run_micro () =
 (* Preset rows: one record per scenario size drives every kernel      *)
 (* section below, so a new size inherits the same knob structure      *)
 (* instead of a copy-pasted block per kernel.  A zero                 *)
-(* repeats/limit/rounds skips that kernel for the row; [with_dense]   *)
+(* repeats/limit/events skips that kernel for the row; [with_dense]   *)
 (* gates the O(m^3) dense-inverse baselines, intractable at the       *)
 (* region-scale row's model size.                                     *)
 
@@ -634,7 +538,6 @@ type preset_row = {
   lp_repeats : int;
   bb_node_limit : int;
   bb_time_limit : float;
-  loop_rounds : int;
   decompose_node_limit : int;
   decompose_time_limit : float;
   with_dense : bool;
@@ -652,7 +555,6 @@ let preset_rows () =
       lp_repeats = Scenarios.scaled 8;
       bb_node_limit = Scenarios.scaled 120;
       bb_time_limit = 60.0;
-      loop_rounds = 0;
       decompose_node_limit = 0;
       decompose_time_limit = 0.0;
       with_dense = true;
@@ -665,7 +567,6 @@ let preset_rows () =
       lp_repeats = 2;
       bb_node_limit = (if !Scenarios.quick then 24 else 60);
       bb_time_limit = 120.0;
-      loop_rounds = (if !Scenarios.quick then 4 else 10);
       decompose_node_limit = (if !Scenarios.quick then 24 else 60);
       decompose_time_limit = 120.0;
       with_dense = true;
@@ -678,7 +579,6 @@ let preset_rows () =
       lp_repeats = 0;
       bb_node_limit = 0;
       bb_time_limit = 0.0;
-      loop_rounds = 0;
       decompose_node_limit = (if !Scenarios.quick then 12 else 40);
       decompose_time_limit = 120.0;
       with_dense = true;
@@ -695,7 +595,6 @@ let preset_rows () =
       lp_repeats = (if !Scenarios.quick then 1 else 2);
       bb_node_limit = (if !Scenarios.quick then 8 else 40);
       bb_time_limit = 120.0;
-      loop_rounds = (if !Scenarios.quick then 2 else 6);
       decompose_node_limit = 0;
       decompose_time_limit = 0.0;
       with_dense = false;
@@ -731,12 +630,6 @@ let run () =
       if r.bb_node_limit > 0 then
         bb_kernel ~label:r.label ~node_limit:r.bb_node_limit ~time_limit:r.bb_time_limit
           (Lazy.force std))
-    rows;
-  Report.row "-- continuous loop: cold vs persistent cross-round state --\n";
-  List.iter
-    (fun (r, _) ->
-      if r.loop_rounds > 0 then
-        continuous_loop_kernel ~label:r.label ~rounds:r.loop_rounds r.preset)
     rows;
   Report.row "-- tier-1 reactive restore (event -> replacement) --\n";
   List.iter

@@ -22,8 +22,7 @@ let solver_totals runs =
     (0, 0, 0) runs
 
 (* Per-solve wall-time distribution — the aggregate counters above hide the
-   spread, which is the quantity Fig. 7 (and the continuous-loop kernel's
-   p50/p99 rows) actually report. *)
+   spread, which is the quantity Fig. 7 actually reports. *)
 let duration_summary runs =
   let s = Ras_stats.Summary.create () in
   List.iter
@@ -39,8 +38,11 @@ let with_rack_limits requests =
       else r)
     requests
 
-let collect ?(preset = Scenarios.Small) ?(solver = Scenarios.interactive_solver)
-    ?(churn = 0.01) ?(flip_prob = 0.7) ?incremental ~solves () =
+let churn = 0.01
+let flip_prob = 0.7
+
+let collect ?(solver = Scenarios.interactive_solver) ~solves () =
+  let preset = Scenarios.Small in
   let region = Scenarios.region_of preset in
   let broker = Broker.create region in
   let rng = Ras_stats.Rng.create 2024 in
@@ -70,10 +72,7 @@ let collect ?(preset = Scenarios.Small) ?(solver = Scenarios.interactive_solver)
             Broker.set_in_use broker r.Broker.server.Region.id true
         | Broker.Free | Broker.Shared_buffer | Broker.Elastic _ -> ());
     let snapshot = Ras.Snapshot.take broker reservations in
-    (* [incremental] is the continuous loop's persistent cross-round solver
-       state: the same object is threaded through every round, so round i's
-       phase 1 warm-starts from round i-1's basis and incumbent *)
-    let stats = Ras.Async_solver.solve ~params:solver ?state:incremental snapshot in
+    let stats = Ras.Async_solver.solve ~params:solver snapshot in
     ignore (Ras.Online_mover.apply_plan mover stats.Ras.Async_solver.plan);
     List.iter (fun id -> Broker.mark_up broker id) down;
     runs := { stats; solve_index = i } :: !runs

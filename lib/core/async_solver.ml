@@ -46,8 +46,6 @@ type stats = {
   solver_dual_pivots : int;
   solver_bland_pivots : int;
   decompose : Ras_mip.Decompose.stats option;
-  incremental : Solver_state.round_stats option;
-  price_table : Solver_state.price_table option;
 }
 
 let owner_of_res res =
@@ -93,18 +91,16 @@ let with_targets (snapshot : Snapshot.t) targets =
     targets;
   { snapshot with Snapshot.current; in_use }
 
-let solve ?(params = default_params) ?include_server ?state (snapshot : Snapshot.t) =
+let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
   let start = Unix.gettimeofday () in
   let reservations = snapshot.Snapshot.reservations in
   let phase1 =
-    (* decomposition and cross-round state apply to phase 1 only: phase 2
-       re-solves a small, rack-scoped slice with a per-round reservation
-       selection, so neither the split overhead nor the cached basis can
-       pay off there *)
+    (* decomposition applies to phase 1 only: phase 2 re-solves a small,
+       rack-scoped slice, too small to pay the split overhead *)
     Phases.run ~params:params.formulation ~mip_time_limit:params.phase1_time_limit_s
       ~mip_node_limit:params.node_limit ~mip_gap_rel:params.mip_gap_rel
       ~mip_stall_nodes:params.mip_stall_nodes ~rack_level:false ?include_server
-      ?decompose:params.decompose ?state snapshot reservations
+      ?decompose:params.decompose snapshot reservations
   in
   let assignment1 = Formulation.decode phase1.Phases.formulation phase1.Phases.solution in
   let plan1 = Concretize.plan phase1.Phases.formulation assignment1 in
@@ -239,18 +235,4 @@ let solve ?(params = default_params) ?include_server ?state (snapshot : Snapshot
     solver_dual_pivots = sum (fun o -> o.Branch_bound.dual_pivots);
     solver_bland_pivots = sum (fun o -> o.Branch_bound.bland_pivots);
     decompose = phase1.Phases.decompose;
-    incremental = phase1.Phases.incremental;
-    price_table =
-      (* phase 1's root-LP duals cover the whole region at the (msb, hw)
-         granularity the reactive pools use; phase 2's rack slice does not *)
-      (if Array.length phase1.Phases.lp_duals = 0 then None
-       else
-         Some
-           (Solver_state.price_table
-              ~round:
-                (match phase1.Phases.incremental with
-                | Some r -> r.Solver_state.round
-                | None -> 0)
-              ~row_names:phase1.Phases.compiled.Ras_mip.Model.row_names
-              ~duals:phase1.Phases.lp_duals ()));
   }

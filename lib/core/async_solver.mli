@@ -16,17 +16,13 @@ type params = {
   mip_gap_rel : float;
       (** relative optimality gap for both phases' tree searches (forwarded
           to {!Phases.run}).  The default is near-exact; continuous-loop
-          deployments run at an interactive tolerance (e.g. [1e-3]) so a
-          carried cross-round incumbent that is still within tolerance
-          stops the search at the root *)
+          deployments may run at an interactive tolerance (e.g. [1e-3]) *)
   mip_stall_nodes : int;
       (** stop a phase's tree search once the incumbent has not improved
           for this many nodes (0 disables; forwarded to {!Phases.run}).
           This is the stopping rule that fires in practice: the allocation
           MIPs' soft-penalty integrality gap never closes, so a round ends
-          either here or at [node_limit].  With cross-round state the seed
-          is already near-optimal and rounds stop after a handful of
-          nodes *)
+          either here or at [node_limit] *)
   run_phase2 : bool;
   phase2_fraction : float;  (** reservations refined in phase 2 *)
   phase2_var_cap : int;  (** grouped assignment-variable cap for phase 2 *)
@@ -69,19 +65,11 @@ type stats = {
   decompose : Ras_mip.Decompose.stats option;
       (** phase-1 decomposition statistics when [params.decompose] was
           active (mirrors [phase1.decompose]) *)
-  incremental : Solver_state.round_stats option;
-      (** phase-1 cross-round warm-start statistics when [?state] was
-          given (mirrors [phase1.incremental]) *)
-  price_table : Solver_state.price_table option;
-      (** phase-1 root-LP dual prices keyed for the tier-1 reactive layer —
-          feed to {!Reactive.set_prices} after applying the plan; [None]
-          when the root LP did not reach optimality *)
 }
 
 val solve :
   ?params:params ->
   ?include_server:(Snapshot.server_view -> bool) ->
-  ?state:Solver_state.t ->
   Snapshot.t ->
   stats
 (** [include_server] restricts the assignable server pool (on top of the
@@ -89,8 +77,7 @@ val solve :
     while the rest stays under legacy management (Fig. 12's gradual
     enablement).
 
-    [state] is the persistent cross-round solver state of the continuous
-    loop: pass the same {!Solver_state.t} to every round and phase 1
-    warm-starts from the previous round's basis and incumbent (see
-    {!Phases.run}).  Phase 2 always solves cold — its reservation slice is
-    re-selected each round. *)
+    Phase 1's root-LP duals ([phase1.lp_duals] against
+    [phase1.compiled.row_names]) cover the whole region at the (msb, hw)
+    granularity of the tier-1 pools; {!System.solve_now} installs them
+    with {!Reactive.set_prices}. *)

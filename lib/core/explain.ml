@@ -119,10 +119,6 @@ let solve_report (stats : Async_solver.stats) =
     stats.Async_solver.solver_nodes stats.Async_solver.solver_warm_starts
     stats.Async_solver.solver_dual_restarts stats.Async_solver.solver_lp_iterations
     stats.Async_solver.solver_dual_pivots stats.Async_solver.solver_bland_pivots;
-  (match stats.Async_solver.incremental with
-  | Some r ->
-    add "  incremental: %s\n" (Format.asprintf "%a" Solver_state.pp_round r)
-  | None -> ());
   (match stats.Async_solver.decompose with
   | Some d ->
     add

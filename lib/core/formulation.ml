@@ -75,8 +75,8 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
           let v = res.Reservation.rru_of hw in
           if v > 0.0 then begin
             (* names are keyed by the stable class key, never the dense
-               class index: across snapshot deltas the surviving classes
-               keep their names, so cross-round model diffs stay minimal *)
+               class index: a name identifies the same logical class in
+               every snapshot *)
             let name =
               Printf.sprintf "n_%s_r%d" (Symmetry.class_name cls) res.Reservation.id
             in
@@ -581,12 +581,12 @@ let repair t solution =
       in
       Hashtbl.replace pairs_of_class p.cls.Symmetry.index (p :: existing))
     t.pairs;
-  (* Shed over-assignment first: a stale cross-round seed can leave a class
-     holding more servers than it has members (its membership shrank under
-     churn).  Drop one server at a time — from the reservation with the
-     most surplus over its own request, so the drop is least likely to
-     create a shortfall — until every class fits; the top-up loop below
-     then restores any capacity this sheds.  A no-op on supply-feasible
+  (* Shed over-assignment first: a rounded LP point or a merged decomposed
+     solution can leave a class holding more servers than it has members.
+     Drop one server at a time — from the reservation with the most
+     surplus over its own request, so the drop is least likely to create a
+     shortfall — until every class fits; the top-up loop below then
+     restores any capacity this sheds.  A no-op on supply-feasible
      inputs. *)
   for c = 0 to nclasses - 1 do
     let size = Symmetry.size t.symmetry.Symmetry.classes.(c) in

@@ -23,14 +23,13 @@ type result = {
   lp_duals : float array;
   compiled : Model.std;
   decompose : Ras_mip.Decompose.stats option;
-  incremental : Solver_state.round_stats option;
 }
 
 let now () = Unix.gettimeofday ()
 
 let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
     ?(mip_gap_rel = Branch_bound.default_options.Branch_bound.gap_rel)
-    ?(mip_stall_nodes = 0) ?(rack_level = false) ?include_server ?decompose ?state
+    ?(mip_stall_nodes = 0) ?(rack_level = false) ?include_server ?decompose
     snapshot reservations =
   let words_before = Gc.allocated_bytes () in
   let t0 = now () in
@@ -41,16 +40,7 @@ let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
   let t2 = now () in
   let words_after = Gc.allocated_bytes () in
   let status_quo = Formulation.status_quo formulation in
-  (* Cross-round warm start: diff against the cached previous round and map
-     its optimal root basis and incumbent across (see {!Solver_state}).
-     Everything mapped is advisory — the simplex validates the basis and
-     falls back to a cold start on any mismatch. *)
-  let warm = match state with None -> None | Some st -> Solver_state.prepare st ~next:std in
-  let lp =
-    match warm with
-    | Some { Solver_state.wbasis = Some b; _ } -> Simplex.solve ~basis:b std
-    | Some { Solver_state.wbasis = None; _ } | None -> Simplex.solve std
-  in
+  let lp = Simplex.solve std in
   (* Primal heuristic: round the LP relaxation into a feasible integral
      solution; keep whichever of it and the status quo is cheaper. *)
   let objective_of x =
@@ -66,29 +56,6 @@ let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
       let repaired = Formulation.repair formulation (Formulation.round_lp formulation x) in
       if objective_of repaired <= objective_of status_quo then repaired else status_quo
     | Simplex.Infeasible _ | Simplex.Unbounded | Simplex.Iteration_limit _ -> status_quo
-  in
-  (* The previous round's incumbent, patched into this round's variable
-     space, competes with the LP-rounding incumbent.  Stale seeds degrade
-     gracefully: checked as-is, then once through the formulation-aware
-     repair, and dropped (with the outcome recorded) if still infeasible. *)
-  let seed_status = ref Branch_bound.Seed_none in
-  let initial =
-    match warm with
-    | Some { Solver_state.wseed = Some s; _ } -> (
-      match Model.check_solution std s with
-      | Ok () ->
-        seed_status := Branch_bound.Seed_accepted;
-        if objective_of s <= objective_of initial then s else initial
-      | Error _ -> (
-        let repaired = Formulation.repair formulation s in
-        match Model.check_solution std repaired with
-        | Ok () ->
-          seed_status := Branch_bound.Seed_repaired;
-          if objective_of repaired <= objective_of initial then repaired else initial
-        | Error _ ->
-          seed_status := Branch_bound.Seed_rejected;
-          initial))
-    | Some { Solver_state.wseed = None; _ } | None -> initial
   in
   let t3 = now () in
   let lp_bound = match lp with Simplex.Optimal { obj; _ } -> obj | _ -> neg_infinity in
@@ -171,29 +138,6 @@ let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
   let solution =
     match outcome.Branch_bound.solution with Some x -> x | None -> initial
   in
-  let incremental =
-    match state with
-    | None -> None
-    | Some st ->
-      let root_basis, root_pivots =
-        match lp with
-        | Simplex.Optimal { basis; iterations; _ } -> (Some basis, iterations)
-        | _ -> (None, 0)
-      in
-      let prices =
-        match lp with
-        | Simplex.Optimal { duals; _ } ->
-          Some
-            (Solver_state.price_table ~round:(Solver_state.round st)
-               ~row_names:std.Model.row_names ~duals ())
-        | _ -> None
-      in
-      Solver_state.commit st ?prices ~std ~basis:root_basis ~incumbent:(Some solution)
-        ~diff:(Option.map (fun w -> w.Solver_state.wdiff) warm)
-        ~rows_reused:(match warm with Some w -> w.Solver_state.wrows_reused | None -> 0)
-        ~seed:!seed_status ~root_pivots ();
-      Solver_state.last_round st
-  in
   {
     timing =
       {
@@ -212,5 +156,4 @@ let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
     lp_duals = (match lp with Simplex.Optimal { duals; _ } -> duals | _ -> [||]);
     compiled = std;
     decompose = !decompose_stats;
-    incremental;
   }

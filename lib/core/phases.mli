@@ -38,10 +38,6 @@ type result = {
   decompose : Ras_mip.Decompose.stats option;
       (** present when the solve ran POP-decomposed ([?decompose] with
           [k > 1] and a positive node limit) *)
-  incremental : Solver_state.round_stats option;
-      (** present when the solve ran with [?state]: this round's
-          cross-round diff sizes, basis-reuse rate, seed outcome and
-          pivots saved (mirrors {!Solver_state.last_round}) *)
 }
 
 val run :
@@ -53,7 +49,6 @@ val run :
   ?rack_level:bool ->
   ?include_server:(Snapshot.server_view -> bool) ->
   ?decompose:int ->
-  ?state:Solver_state.t ->
   Snapshot.t ->
   Reservation.t list ->
   result
@@ -66,20 +61,9 @@ val run :
 
     [?mip_gap_rel] sets the branch-and-bound relative optimality gap
     (default {!Ras_mip.Branch_bound.default_options}'s near-exact 1e-9).
-    The continuous loop runs at an interactive tolerance (e.g. 1e-3): with
-    small churn, the previous round's patched incumbent usually proves
-    within tolerance at the root and the tree search terminates without
-    branching.  [?mip_stall_nodes] forwards
+    The continuous loop may run at an interactive tolerance (e.g. 1e-3).
+    [?mip_stall_nodes] forwards
     {!Ras_mip.Branch_bound.options.stall_node_limit} — stop once the
     incumbent has not improved for that many nodes (0, the default,
     disables) — which is the stopping rule that actually fires on the
-    soft-penalty allocation MIPs, whose integrality gap never closes.
-
-    [?state] threads persistent cross-round solver state through the
-    continuous loop: the previous round's optimal root basis warm-starts
-    this round's root LP (via the {!Ras_mip.Incremental} name-keyed diff),
-    and the previous incumbent — patched for departed servers — competes
-    to seed branch-and-bound.  The state is updated in place at the end of
-    the solve.  One state object per solve loop; sharing it across
-    unrelated model families wastes the cache but stays correct (every
-    mapped artifact is validated before use). *)
+    soft-penalty allocation MIPs, whose integrality gap never closes. *)

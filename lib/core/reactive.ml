@@ -56,7 +56,7 @@ type t = {
   mutable slot : int array;  (* server id -> its index inside its pool *)
   mutable bucket : int array;  (* server id -> msb * Hw.count + hw (static) *)
   mutable lent : int;  (* servers in the three lent pools *)
-  mutable pprices : Solver_state.price_table option;
+  mutable prices : float array;  (* bucket -> max |supply dual|; [||] before any solve *)
   mutable c_events : int;
   mutable c_visited_classes : int;
   mutable c_visited_servers : int;
@@ -65,9 +65,56 @@ type t = {
 
 let broker t = t.tbroker
 
-let set_prices t p = t.pprices <- Some p
+(* ---- dual prices: the tier-1 repair policy's view of the last solve ----
 
-let prices t = t.pprices
+   Duals are keyed by compiled row names, which encode the stable symmetry
+   class key ("supply_m3h5u1a0").  Supply-row duals aggregate per (msb, hw)
+   bucket — the scope the pools are bucketed by — taking the max |dual| over
+   the in_use / attr variants, so a class whose servers the solver fully
+   values keeps its whole bucket expensive. *)
+
+(* "supply_m<msb>[k<rack>]h<hw>u<0|1>a<attr>" -> (msb, hw); rack-level rows
+   fold into their (msb, hw) bucket like everything else *)
+let parse_supply name =
+  let n = String.length name in
+  let prefix = "supply_m" in
+  let np = String.length prefix in
+  if n <= np || not (String.starts_with ~prefix name) then None
+  else begin
+    let digits i =
+      let j = ref i in
+      while !j < n && name.[!j] >= '0' && name.[!j] <= '9' do incr j done;
+      if !j = i then None else Some (int_of_string (String.sub name i (!j - i)), !j)
+    in
+    match digits np with
+    | None -> None
+    | Some (msb, i) -> (
+      let i = if i < n && name.[i] = 'k' then match digits (i + 1) with Some (_, j) -> j | None -> i else i in
+      if i >= n || name.[i] <> 'h' then None
+      else match digits (i + 1) with None -> None | Some (hw, _) -> Some (msb, hw))
+  end
+
+let set_prices t ~row_names ~duals =
+  if Array.length duals > 0 then begin
+    let priced = ref [] and size = ref 0 in
+    for i = 0 to Int.min (Array.length row_names) (Array.length duals) - 1 do
+      let d = Float.abs duals.(i) in
+      if d > 1e-12 then
+        match parse_supply row_names.(i) with
+        | Some (msb, hw) ->
+          let b = (msb * Hw.count) + hw in
+          priced := (b, d) :: !priced;
+          size := Int.max !size (b + 1)
+        | None -> ()
+    done;
+    let prices = Array.make !size 0.0 in
+    List.iter (fun (b, d) -> if d > prices.(b) then prices.(b) <- d) !priced;
+    t.prices <- prices
+  end
+
+let bucket_price t b = if b < Array.length t.prices then t.prices.(b) else 0.0
+
+let price t ~msb ~hw = bucket_price t ((msb * Hw.count) + hw)
 
 let num_buckets t = t.num_msbs * Hw.count
 
@@ -147,7 +194,7 @@ let create broker =
       slot = [||];
       bucket = [||];
       lent = 0;
-      pprices = None;
+      prices = [||];
       c_events = 0;
       c_visited_classes = 0;
       c_visited_servers = 0;
@@ -157,11 +204,6 @@ let create broker =
   rebuild t;
   Broker.subscribe_changes broker (fun id -> on_change t id);
   t
-
-let bucket_price t b =
-  match t.pprices with
-  | None -> 0.0
-  | Some p -> Solver_state.class_price p ~msb:(b / Hw.count) ~hw:(b mod Hw.count)
 
 let pool_of_source = function
   | `Free -> m_free

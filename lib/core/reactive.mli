@@ -14,7 +14,7 @@
       every ownership / health / in-use mutation updates the affected
       bucket in O(1), no matter which code path performed it;
     - candidate buckets are scored with the dual prices the last tier-2
-      solve already produced ({!Solver_state.price_table}): the repair
+      solve already produced ({!set_prices}): the repair
       takes equivalent servers from the scope tier-2 valued least, which is
       what keeps the next round's objective drift small;
     - picking a server out of a bucket is O(1).
@@ -56,13 +56,23 @@ val create : Ras_broker.Broker.t -> t
 
 val broker : t -> Ras_broker.Broker.t
 
-val set_prices : t -> Solver_state.price_table -> unit
-(** Install the dual prices of the latest tier-2 solve
-    ({!Async_solver.stats.price_table} or {!Solver_state.prices}).  Without
-    prices every bucket scores 0 and repair falls back to deterministic
-    (same-subtype first, lowest bucket) choice. *)
+val set_prices : t -> row_names:string array -> duals:float array -> unit
+(** Install the dual prices of the latest tier-2 solve: a compiled model's
+    row names against its root-LP duals ({!Phases.result.compiled} and
+    {!Phases.result.lp_duals} of phase 1, whose rows cover the whole region
+    at bucket granularity).  Each (msb, hw) bucket is priced at the max
+    |dual| over its [supply_*] rows, in_use / attr variants and rack rows
+    folded in: the marginal value tier-2 put on one more server of that
+    scope (0 = slack supply, cheap to take from).  Other rows and
+    negligible duals are skipped; mismatched lengths truncate to the
+    shorter.  Empty [duals] (a root LP that did not reach optimality) keep
+    the previous prices.  Without prices every bucket scores 0 and repair
+    falls back to deterministic (same-subtype first, lowest bucket) choice.
+    Prices are advisory: they only steer {e which} equivalent repair is
+    picked, never whether a repair is valid. *)
 
-val prices : t -> Solver_state.price_table option
+val price : t -> msb:int -> hw:int -> float
+(** The installed price of one bucket; 0 when no priced row named it. *)
 
 val num_buckets : t -> int
 (** num_msbs x hardware-catalog size: the per-event visit bound. *)

@@ -161,8 +161,8 @@ let build_reference ?(rack_level = false) ?(include_server = fun _ -> true)
 (* Stable identity of a class: every field of the grouping key, none of the
    dense index.  Used to name model variables and rows, so that the same
    logical class keeps the same name across snapshots even when classes
-   appear or disappear and the dense indices shift — the property the
-   cross-round incremental diff relies on. *)
+   appear or disappear and the dense indices shift; the tier-1 price
+   table reads the (msb, hw) scope back out of the supply-row names. *)
 let class_name c =
   let rack = match c.rack with Some r -> Printf.sprintf "k%d" r | None -> "" in
   Printf.sprintf "m%d%sh%du%da%d" c.msb rack c.hw (if c.in_use then 1 else 0) c.attr

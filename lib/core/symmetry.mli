@@ -54,8 +54,9 @@ val class_name : cls -> string
 (** Stable textual identity of the class, built from every grouping-key
     field and none of the dense index (e.g. ["m3k2h5u1a0"]).  Two builds
     over different snapshots give the same name to the same logical class,
-    which is what keeps model variable/row names — and therefore the
-    cross-round {!Ras_mip.Incremental} diffs — stable under churn. *)
+    which keeps model variable/row names stable under churn;
+    {!Reactive.set_prices} reads the (msb, hw) scope back out of the
+    supply-row names. *)
 
 val size : cls -> int
 

@@ -162,10 +162,11 @@ let fill_jobs t =
 let solve_now t =
   let snap = snapshot t in
   let stats = Async_solver.solve ~params:t.config.solver snap in
-  (* refresh the tier-1 repair policy with this round's dual prices *)
-  (match stats.Async_solver.price_table with
-  | Some p -> Reactive.set_prices (reactive t) p
-  | None -> ());
+  (* refresh the tier-1 repair policy with this round's phase-1 dual
+     prices; a round without root-LP duals keeps the previous ones *)
+  let p1 = stats.Async_solver.phase1 in
+  Reactive.set_prices (reactive t) ~row_names:p1.Phases.compiled.Ras_mip.Model.row_names
+    ~duals:p1.Phases.lp_duals;
   (* revoke elastic loans touched by the plan before applying it *)
   let apply = Online_mover.apply_plan t.mv stats.Async_solver.plan in
   t.moves_in_use_acc <- t.moves_in_use_acc + apply.Online_mover.moved_in_use;

@@ -96,8 +96,9 @@ val refactorize_repaired :
     matrix.  Returns the [(position, row)] substitutions — the caller must
     install row [row]'s slack at basis position [position] in its own
     bookkeeping; the empty list means the basis was already nonsingular.
-    This is what makes a cross-round mapped basis usable after row
-    removals: projecting out rows can make carried columns dependent, and
+    This is what makes a projected basis usable after row removals
+    (branch-and-bound's root basis across presolve's row drops):
+    projecting out rows can make carried columns dependent, and
     the repair keeps the independent majority instead of discarding the
     whole warm start.  The {!Dense} backend takes the strict path and
     raises {!Singular}. *)

@@ -332,9 +332,9 @@ let solve_presolved ?(options = default_options) (std : Model.std) =
     else if
       (* stalled: the incumbent has not improved for [stall_node_limit]
          consecutive nodes.  This is the continuous-loop stopping rule —
-         a near-optimal carried seed makes every round stop almost
-         immediately, while a poorly-seeded search keeps running as long
-         as it keeps finding better allocations. *)
+         a near-optimal incumbent stops the round almost immediately,
+         while a search that keeps finding better allocations keeps
+         running. *)
       options.stall_node_limit > 0
       && !incumbent <> None
       && !nodes - !last_improve >= options.stall_node_limit

@@ -32,22 +32,20 @@ type options = {
           consecutive nodes (0 disables).  The soft-penalty allocation
           MIPs carry a structural integrality gap the bound cannot close,
           so gap-based stopping never fires; stalling is the stopping rule
-          the continuous loop uses — a near-optimal cross-round seed makes
-          the re-solve terminate after a handful of nodes *)
+          the continuous loop uses *)
   int_tol : float;  (** integrality tolerance on LP values *)
   heuristic_period : int;  (** run the rounding heuristic every N nodes *)
   initial : float array option;
       (** a known (possibly stale) solution to seed the incumbent.  The
           seed is checked with {!Model.check_solution}; an invalid one —
-          e.g. last round's incumbent after churn — gets one bounded
+          e.g. a caller's incumbent for a since-changed model — gets one bounded
           repair attempt (clamp into root bounds, round integers) and is
           otherwise rejected.  The outcome's [seed] field reports which
           happened; a stale seed never raises. *)
   root_basis : Simplex.warm_basis option;
       (** warm basis for the {e root} node's LP — typically the optimal
           basis of a relaxation the caller already solved (the phase-1
-          root LP, or last round's root via {!Incremental.map_basis}).
-          Advisory: the simplex validates it and falls back to a cold
+          root LP), projected across presolve's row drops.  Advisory: the simplex validates it and falls back to a cold
           root solve on any mismatch.  Child nodes are unaffected (they
           always warm-start from their parent). *)
   lp_pricing : Simplex.pricing;

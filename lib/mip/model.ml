@@ -46,8 +46,8 @@ let add_to_objective t e = t.obj <- Lin_expr.add t.obj e
 let add_pos_part ?name t ~weight e =
   if weight < 0.0 then invalid_arg "Model.add_pos_part: negative weight";
   let y = add_var ?name ~lb:0.0 t in
-  (* y >= e  <=>  e - y <= 0; the defining row inherits the auxiliary
-     variable's (stable) name so cross-round diffs can match it by name *)
+  (* y >= e  <=>  e - y <= 0; the defining row is named after the
+     auxiliary variable *)
   let rname = Printf.sprintf "%s_def" t.vars.(y).vname in
   let _ = add_constraint ~name:rname t (Lin_expr.sub e (Lin_expr.var y)) Le 0.0 in
   add_to_objective t (Lin_expr.term weight y);

@@ -752,8 +752,8 @@ let try_warm st (wb : warm_basis) =
         else Basis.refactorize_repaired st.fac ~basis:st.basis ~col:(iter_column st.std)
       with
       | repairs ->
-        (* Dependent carried columns (a cross-round basis projected onto a
-           model with removed rows) were replaced by slacks of the rows the
+        (* Dependent carried columns (a basis projected onto a model with
+           removed rows, like the root basis across presolve) were replaced by slacks of the rows the
            elimination left unpivoted; mirror the substitutions here. *)
         List.iter
           (fun (pos, row) ->

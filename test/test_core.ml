@@ -815,6 +815,58 @@ let test_system_remove_reservation () =
       Alcotest.(check int) "owner histogram" !direct from_classes)
     [ Broker.Free; Broker.Reservation 1; Broker.Reservation 2; Broker.Shared_buffer ]
 
+let test_system_installs_prices () =
+  (* each round hands phase 1's root-LP duals to the tier-1 index: every
+     (msb, hw) bucket is priced at the max |dual| over its supply rows *)
+  let region = Generator.generate Generator.small_params in
+  let broker = Broker.create region in
+  let requests =
+    Ras_workload.Request_gen.scenario (Ras_stats.Rng.create 11) ~region
+      ~services:Service.default_catalog ~target_utilization:0.8
+  in
+  let config =
+    {
+      System.default_config with
+      System.solver = { Async_solver.default_params with Async_solver.node_limit = 0 };
+    }
+  in
+  let sys = System.create ~config broker in
+  List.iter (System.add_request sys) requests;
+  ignore (System.solve_now sys);
+  let p1 =
+    match System.last_solve sys with
+    | Some stats -> stats.Async_solver.phase1
+    | None -> Alcotest.fail "no solve recorded"
+  in
+  let duals = p1.Phases.lp_duals and row_names = p1.Phases.compiled.Model.row_names in
+  Alcotest.(check int) "one dual per row" (Array.length row_names) (Array.length duals);
+  let expected = Array.make (region.Region.num_msbs * Hw.count) 0.0 in
+  Array.iteri
+    (fun i name ->
+      let scope =
+        try Some (Scanf.sscanf name "supply_m%dk%_dh%d" (fun m h -> (m, h)))
+        with Scanf.Scan_failure _ | End_of_file -> (
+          try Some (Scanf.sscanf name "supply_m%dh%d" (fun m h -> (m, h)))
+          with Scanf.Scan_failure _ | End_of_file -> None)
+      in
+      match scope with
+      | Some (msb, hw) ->
+        let b = (msb * Hw.count) + hw in
+        expected.(b) <- Float.max expected.(b) (Float.abs duals.(i))
+      | None -> ())
+    row_names;
+  Alcotest.(check bool) "some supply row is priced" true
+    (Array.exists (fun p -> p > 1e-12) expected);
+  let reactive = System.reactive sys in
+  Array.iteri
+    (fun b want ->
+      let msb = b / Hw.count and hw = b mod Hw.count in
+      Alcotest.(check (float 1e-12))
+        (Printf.sprintf "price of msb %d hw %d" msb hw)
+        want
+        (Reactive.price reactive ~msb ~hw))
+    expected
+
 let test_system_memory_bounded () =
   (* the system keeps one round's statistics, not all of them: forty more
      rounds must not grow its reachable heap by a single stats record, each
@@ -896,5 +948,6 @@ let suite =
       test_shadow_prices_surface_binding_rows;
     Alcotest.test_case "system end to end" `Slow test_system_end_to_end;
     Alcotest.test_case "system remove reservation" `Quick test_system_remove_reservation;
+    Alcotest.test_case "system installs tier-1 prices" `Quick test_system_installs_prices;
     Alcotest.test_case "system memory bounded over rounds" `Quick test_system_memory_bounded;
   ]

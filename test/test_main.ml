@@ -14,7 +14,6 @@ let suites =
     ("sparse_kernels", Test_sparse_kernels.suite);
     ("decompose", Test_decompose.suite);
     ("warmstart", Test_warmstart.suite);
-    ("incremental", Test_incremental.suite);
     ("presolve", Test_presolve.suite);
     ("topology", Test_topology.suite);
     ("workload", Test_workload.suite);

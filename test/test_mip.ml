@@ -245,6 +245,54 @@ let test_mip_mixed_integer () =
     Alcotest.(check (float 1e-6)) "y continuous" 1.25 sol.(1)
   | None -> Alcotest.fail "no solution"
 
+(* ---------- stale seeds are repaired or rejected, never an exception ---- *)
+
+let bounded_mip () =
+  let m = Model.create () in
+  let x = Model.add_var ~name:"x" ~ub:5.0 ~kind:Model.Integer m in
+  let y = Model.add_var ~name:"y" ~ub:5.0 ~kind:Model.Integer m in
+  ignore
+    (Model.add_constraint ~name:"cap" m
+       (Lin_expr.of_terms [ (1.0, x); (1.0, y) ])
+       Model.Le 6.0);
+  Model.set_objective m (Lin_expr.of_terms [ (-1.0, x); (-2.0, y) ]);
+  Model.compile m
+
+let test_stale_seed_repaired () =
+  let std = bounded_mip () in
+  (* out-of-bounds and fractional: clamping + rounding makes it feasible *)
+  let options =
+    { Branch_bound.default_options with Branch_bound.initial = Some [| 9.5; -3.2 |] }
+  in
+  let out = Branch_bound.solve ~options std in
+  Alcotest.(check bool)
+    "repaired seed counted" true
+    (out.Branch_bound.seed = Branch_bound.Seed_repaired);
+  Alcotest.(check (float 1e-6)) "still solves to optimality" (-11.0) out.Branch_bound.objective
+
+let test_stale_seed_rejected () =
+  let std = bounded_mip () in
+  (* wrong dimension: nothing to repair, must be rejected without raising *)
+  let options =
+    { Branch_bound.default_options with Branch_bound.initial = Some [| 1.0 |] }
+  in
+  let out = Branch_bound.solve ~options std in
+  Alcotest.(check bool)
+    "wrong-length seed rejected" true
+    (out.Branch_bound.seed = Branch_bound.Seed_rejected);
+  Alcotest.(check (float 1e-6)) "solve unaffected" (-11.0) out.Branch_bound.objective
+
+let test_valid_seed_accepted () =
+  let std = bounded_mip () in
+  let options =
+    { Branch_bound.default_options with Branch_bound.initial = Some [| 1.0; 5.0 |] }
+  in
+  let out = Branch_bound.solve ~options std in
+  Alcotest.(check bool)
+    "valid seed accepted" true
+    (out.Branch_bound.seed = Branch_bound.Seed_accepted);
+  Alcotest.(check (float 1e-6)) "optimal from seed" (-11.0) out.Branch_bound.objective
+
 (* ---------- LP format ---------- *)
 
 let contains haystack needle =
@@ -364,23 +412,6 @@ let prop_lp_round_trip_preserves_optimum =
         | Branch_bound.Optimal, Branch_bound.Optimal ->
           Float.abs (a.Branch_bound.objective -. b.Branch_bound.objective) <= 1e-6
         | sa, sb -> sa = sb))
-
-(* ---------- MPS writer ---------- *)
-
-let test_mps_sections () =
-  let m = Model.create () in
-  let x = Model.add_var ~name:"x" ~kind:Model.Integer ~ub:3.0 m in
-  let y = Model.add_var ~name:"y" ~lb:(-1.0) ~ub:2.0 m in
-  let z = Model.add_var ~name:"z" ~lb:5.0 ~ub:5.0 m in
-  let _ = Model.add_constraint ~name:"cap" m (Lin_expr.of_terms [ (1.0, x); (2.0, y) ]) Model.Le 4.0 in
-  let _ = Model.add_constraint ~name:"floor" m (Lin_expr.of_terms [ (1.0, z) ]) Model.Ge 1.0 in
-  Model.set_objective m (Lin_expr.var x);
-  let text = Mps_format.to_string (Model.compile m) in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) (Printf.sprintf "contains %s" needle) true (contains text needle))
-    [ "NAME"; "ROWS"; " L  cap"; " G  floor"; "COLUMNS"; "INTORG"; "INTEND"; "RHS";
-      "BOUNDS"; " FX BND"; " UP BND"; "ENDATA" ]
 
 (* ---------- randomized cross-check ---------- *)
 
@@ -657,10 +688,12 @@ let suite =
     Alcotest.test_case "mip infeasible window" `Quick test_mip_infeasible;
     Alcotest.test_case "mip initial incumbent" `Quick test_mip_respects_initial_incumbent;
     Alcotest.test_case "mip invalid initial ignored" `Quick test_mip_invalid_initial_ignored;
+    Alcotest.test_case "stale seed repaired" `Quick test_stale_seed_repaired;
+    Alcotest.test_case "stale seed rejected" `Quick test_stale_seed_rejected;
+    Alcotest.test_case "valid seed accepted" `Quick test_valid_seed_accepted;
     Alcotest.test_case "mip gap and rounding" `Quick test_mip_gap_reported;
     Alcotest.test_case "mip mixed integer" `Quick test_mip_mixed_integer;
     Alcotest.test_case "lp format sections" `Quick test_lp_format_sections;
-    Alcotest.test_case "mps sections" `Quick test_mps_sections;
     Alcotest.test_case "lp parse round trip" `Quick test_lp_round_trip;
     Alcotest.test_case "lp parse rejects garbage" `Quick test_lp_parse_rejects_garbage;
     Alcotest.test_case "lp parse duplicate bounds" `Quick test_lp_parse_duplicate_bounds;

@@ -278,7 +278,7 @@ let test_reactive_replacement_same_class () =
         Printf.sprintf "supply_m%dh%du0a0" (b / Hw.count) (b mod Hw.count))
   in
   let duals = Array.map (fun _ -> float_of_int (Rng.int rng 10)) row_names in
-  Reactive.set_prices (Online_mover.reactive mover) (Solver_state.price_table ~row_names ~duals ());
+  Reactive.set_prices (Online_mover.reactive mover) ~row_names ~duals;
   List.iter
     (fun victim ->
       let failed_hw = region.Region.servers.(victim).Region.hw.Hw.index in
@@ -294,7 +294,7 @@ let test_reactive_respects_prices () =
     Array.init Hw.count (fun hw -> Printf.sprintf "supply_m0h%du0a0" hw)
   in
   let duals = Array.make Hw.count 5.0 in
-  Reactive.set_prices reactive (Solver_state.price_table ~row_names ~duals ());
+  Reactive.set_prices reactive ~row_names ~duals;
   let res = reservation_of_rru ~id:1 3.0 in
   let g = Reactive.grant reactive ~reservation:res ~rru:3.0 ~allow_buffer:false in
   Alcotest.(check bool) "granted" true (g.Reactive.granted_rru >= 3.0);
@@ -305,20 +305,19 @@ let test_reactive_respects_prices () =
     g.Reactive.servers
 
 let test_price_table_parsing () =
+  let reactive = Reactive.create (fresh_broker ()) in
   let row_names =
     [| "supply_m3h5u1a0"; "supply_m3k7h5u0a2"; "supply_m12h0u0a0"; "capacity_r42"; "spread_x" |]
   in
   let duals = [| -2.0; 3.5; 1e-15; -7.25; 9.9 |] in
-  let p = Solver_state.price_table ~round:4 ~row_names ~duals () in
+  Reactive.set_prices reactive ~row_names ~duals;
   (* max |dual| over the class variants of (msb 3, hw 5), rack rows folded *)
   Alcotest.(check (float 1e-9)) "class max-abs aggregate" 3.5
-    (Solver_state.class_price p ~msb:3 ~hw:5);
+    (Reactive.price reactive ~msb:3 ~hw:5);
   Alcotest.(check (float 1e-9)) "negligible dual skipped" 0.0
-    (Solver_state.class_price p ~msb:12 ~hw:0);
-  Alcotest.(check (float 1e-9)) "capacity dual kept signed" (-7.25)
-    (Solver_state.capacity_price p 42);
+    (Reactive.price reactive ~msb:12 ~hw:0);
   Alcotest.(check (float 1e-9)) "unknown scope prices 0" 0.0
-    (Solver_state.class_price p ~msb:0 ~hw:0)
+    (Reactive.price reactive ~msb:0 ~hw:0)
 
 (* ---------- replace_failed swap accounting ---------- *)
 
@@ -536,7 +535,9 @@ let test_tier1_repair_drift_bounded () =
         snapshot
     in
     ignore (Online_mover.apply_plan mover stats.Async_solver.plan);
-    Option.iter (Reactive.set_prices (Online_mover.reactive mover)) stats.Async_solver.price_table;
+    (let p1 = stats.Async_solver.phase1 in
+     Reactive.set_prices (Online_mover.reactive mover)
+       ~row_names:p1.Phases.compiled.Ras_mip.Model.row_names ~duals:p1.Phases.lp_duals);
     (* deterministic storm over reservation-bound servers *)
     let victims = ref [] in
     Broker.iter broker ~f:(fun r ->
