@@ -102,13 +102,13 @@ let size_of (std : Model.std) = Printf.sprintf "nvars=%d nrows=%d" std.Model.nva
 
 let lp_kernel ~label ~repeats ?(with_dense = true) (std : Model.std) =
   let ws = Simplex.create_workspace () in
-  let run pricing backend kernels =
+  let run pricing backend =
     let t0 = Unix.gettimeofday () in
     let iters = ref 0 in
     let status = ref "?" and obj = ref nan in
     let ks = ref { Simplex.avg_ftran_nnz = 0.0; avg_btran_nnz = 0.0; bound_flips = 0 } in
     for _ = 1 to repeats do
-      match Simplex.solve ~pricing ~backend ~kernels ~ws std with
+      match Simplex.solve ~pricing ~backend ~ws std with
       | Simplex.Optimal { iterations; obj = o; kstats; _ } ->
         iters := !iters + iterations;
         obj := o;
@@ -124,8 +124,8 @@ let lp_kernel ~label ~repeats ?(with_dense = true) (std : Model.std) =
   let rates = Hashtbl.create 4 and objs = Hashtbl.create 4 in
   let pivots = Hashtbl.create 4 and walls = Hashtbl.create 4 in
   List.iter
-    (fun (mode, pricing, backend, kernels) ->
-      let dt, iters, status, obj, ks = run pricing backend kernels in
+    (fun (mode, pricing, backend) ->
+      let dt, iters, status, obj, ks = run pricing backend in
       let name = Printf.sprintf "lp-%s-%s" label mode in
       let rate = float_of_int iters /. dt in
       Hashtbl.replace rates mode rate;
@@ -147,13 +147,11 @@ let lp_kernel ~label ~repeats ?(with_dense = true) (std : Model.std) =
           ("bound_flips", string_of_int ks.Simplex.bound_flips);
         ])
     ([
-       ("dantzig-pricing", Simplex.Dantzig, Ras_mip.Basis.Lu, Ras_mip.Basis.Hypersparse);
-       ("devex-pricing", Simplex.Devex, Ras_mip.Basis.Lu, Ras_mip.Basis.Hypersparse);
+       ("dantzig-pricing", Simplex.Dantzig, Ras_mip.Basis.Lu);
+       ("devex-pricing", Simplex.Devex, Ras_mip.Basis.Lu);
      ]
-    @ (if with_dense then
-         [ ("dense-inverse", Simplex.Devex, Ras_mip.Basis.Dense, Ras_mip.Basis.Hypersparse) ]
-       else [])
-    @ [ ("dense-oracle-kernels", Simplex.Devex, Ras_mip.Basis.Lu, Ras_mip.Basis.Dense_oracle) ]);
+    @ (if with_dense then [ ("dense-inverse", Simplex.Devex, Ras_mip.Basis.Dense) ] else [])
+    @ [ ("dense-oracle-kernels", Simplex.Devex, Ras_mip.Basis.Lu_full_scan) ]);
   (* sparse-vs-dense kernels: same pricing, same LU factors — only the
      triangular-solve traversal differs, so the pivot counts must be
      identical (the differential pin) and the speedup is pure kernel

@@ -68,8 +68,6 @@ val target_code : t -> int -> int
 
 val current_owner : t -> int -> owner
 
-val down_at : t -> int -> Ras_failures.Unavail.kind option
-
 val in_use_at : t -> int -> bool
 
 val available_at : t -> int -> bool

@@ -10,8 +10,6 @@ type params = {
   mip_gap_rel : float;
   mip_stall_nodes : int;
   run_phase2 : bool;
-  phase2_fraction : float;
-  phase2_var_cap : int;
   decompose : int option;
 }
 
@@ -24,10 +22,14 @@ let default_params =
     mip_gap_rel = Branch_bound.default_options.Branch_bound.gap_rel;
     mip_stall_nodes = 0;
     run_phase2 = true;
-    phase2_fraction = 0.1;
-    phase2_var_cap = 6000;
     decompose = None;
   }
+
+(* Phase 2 refines the worst ~10% of reservations by rack objective
+   (§3.5.2), while their grouped assignment-variable estimate stays under
+   the cap. *)
+let phase2_fraction = 0.1
+let phase2_var_cap = 6000
 
 type stats = {
   phase1 : Phases.result;
@@ -121,7 +123,7 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
       else begin
         let scored = List.sort (fun (a, _) (b, _) -> compare b a) scored in
         let quota =
-          Int.max 1 (int_of_float (params.phase2_fraction *. float_of_int (List.length reservations)))
+          Int.max 1 (int_of_float (phase2_fraction *. float_of_int (List.length reservations)))
         in
         let snapshot2_all = with_targets snapshot targets in
         (* accumulate reservations while the grouped-variable estimate stays
@@ -141,7 +143,7 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
               done;
               let server_count = !counted in
               (* rack-level classes are at worst one per server *)
-              if !var_estimate + server_count <= params.phase2_var_cap then begin
+              if !var_estimate + server_count <= phase2_var_cap then begin
                 selected := res :: !selected;
                 var_estimate := !var_estimate + server_count
               end

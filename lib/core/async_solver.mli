@@ -5,8 +5,9 @@
     Two-phase solving (§3.5.2): phase 1 optimizes the whole region at MSB
     granularity (no rack goals, coarser symmetry classes); phase 2 re-solves
     with rack goals for the worst ~10% of reservations by rack objective —
-    capped so the grouped variable count stays bounded — starting from the
-    phase-1 result, with every other reservation's servers frozen. *)
+    capped so the grouped assignment-variable estimate stays under 6,000 —
+    starting from the phase-1 result, with every other reservation's
+    servers frozen. *)
 
 type params = {
   formulation : Formulation.params;
@@ -24,8 +25,6 @@ type params = {
           MIPs' soft-penalty integrality gap never closes, so a round ends
           either here or at [node_limit] *)
   run_phase2 : bool;
-  phase2_fraction : float;  (** reservations refined in phase 2 *)
-  phase2_var_cap : int;  (** grouped assignment-variable cap for phase 2 *)
   decompose : int option;
       (** [Some k] with [k > 1] solves phase 1 POP-decomposed into [k]
           concurrent subproblems (see {!Ras_mip.Decompose}); [None] (the

@@ -12,9 +12,3 @@ val install :
 (** Schedules down/up transitions for every event.  Events whose servers do
     not exist (e.g. from a schedule generated before a region extension) are
     ignored. *)
-
-val active_events : t -> int
-(** Events currently in their active window. *)
-
-val severity : Ras_failures.Unavail.kind -> int
-(** Correlated = 3, hardware = 2, software = 1, planned = 0. *)

@@ -118,9 +118,3 @@ val counters : t -> counters
 (** Cumulative counters since creation or the last {!reset_counters}. *)
 
 val reset_counters : t -> unit
-
-val rebuild : t -> unit
-(** Drop and rebuild the index from the broker columns (O(servers)).
-    Happens automatically when the broker adopts an extended region; the
-    oracle tests also use it to prove the incremental index never drifts
-    from a fresh build. *)

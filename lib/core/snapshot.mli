@@ -64,24 +64,13 @@ val usable_at : t -> int -> bool
 
 val attr_at : t -> int -> int
 
-val hw_index_at : t -> int -> int
-(** Hardware-catalog index of the server — an array read, no record
-    materialization (the admission hot path's accessor). *)
-
 val usable_hw_histogram : t -> int array
 (** Usable-server count per hardware-catalog index (length
     {!Ras_topology.Hardware.count}).  One integer pass over the columns;
     admission checks fold supply over this instead of evaluating a
     per-server RRU function 10⁶ times. *)
 
-val with_current : t -> int array -> t
-(** A copy of the snapshot with the current-owner column replaced (used to
-    re-snapshot hypothetical assignments).  Raises [Invalid_argument] on a
-    length mismatch. *)
-
 val iter_views : t -> f:(server_view -> unit) -> unit
-
-val fold_views : t -> init:'a -> f:('a -> server_view -> 'a) -> 'a
 
 val usable_servers : t -> server_view list
 
@@ -89,8 +78,6 @@ val owned_by_code : Reservation.t -> int -> Ras_topology.Hardware.t -> bool
 (** [owned_by_code res code hw]: does owner-code [code] on a server of
     hardware [hw] place it in reservation [res]?  Buffer reservations own
     [Shared_buffer] servers of their hardware category. *)
-
-val owned_by : Reservation.t -> server_view -> bool
 
 val current_rru : t -> Reservation.t -> float
 (** Usable RRU currently bound to the reservation. *)

@@ -98,9 +98,9 @@ let build ?(rack_level = false) ?include_server (snapshot : Snapshot.t) =
         group.(id) <- g
     end
   done;
-  (* class order is the sorted key order, as in the reference build: the
-     dense indices (and the name list order) must not depend on which server
-     id happened to introduce each class *)
+  (* class order is the sorted key order, as in the pre-streaming build the
+     tests keep as an oracle: the dense indices (and the name list order)
+     must not depend on which server id happened to introduce each class *)
   let sorted_keys = List.sort compare !keys in
   let class_of_group = Array.make !num_groups (-1) in
   List.iteri
@@ -123,40 +123,6 @@ let build ?(rack_level = false) ?include_server (snapshot : Snapshot.t) =
       (List.mapi (fun index key -> cls_of_key index key members.(index)) sorted_keys)
   in
   finish snapshot classes
-
-(* The pre-streaming implementation, kept verbatim as the differential
-   oracle for the aggregation-equivalence battery (test_region_scale.ml):
-   materializes every server view and groups member-id lists through the
-   key table, exactly as builds did before the columnar refactor. *)
-let build_reference ?(rack_level = false) ?(include_server = fun _ -> true)
-    (snapshot : Snapshot.t) =
-  let groups : (key, int list ref) Hashtbl.t = Hashtbl.create 256 in
-  Snapshot.iter_views snapshot ~f:(fun (v : Snapshot.server_view) ->
-      if v.Snapshot.usable && include_server v then begin
-        let loc = v.Snapshot.server.Region.loc in
-        let key =
-          {
-            kmsb = loc.Region.msb;
-            krack = (if rack_level then loc.Region.rack else -1);
-            khw = v.Snapshot.server.Region.hw.Hw.index;
-            kuse = v.Snapshot.in_use;
-            kattr = v.Snapshot.attr;
-          }
-        in
-        match Hashtbl.find_opt groups key with
-        | Some members -> members := v.Snapshot.server.Region.id :: !members
-        | None -> Hashtbl.replace groups key (ref [ v.Snapshot.server.Region.id ])
-      end);
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) groups [] in
-  let keys = List.sort compare keys in
-  let classes =
-    List.mapi
-      (fun index key ->
-        let members = Array.of_list (List.sort compare !(Hashtbl.find groups key)) in
-        cls_of_key index key members)
-      keys
-  in
-  finish snapshot (Array.of_list classes)
 
 (* Stable identity of a class: every field of the grouping key, none of the
    dense index.  Used to name model variables and rows, so that the same

@@ -41,15 +41,6 @@ val build :
     snapshot columns: per-server work is O(1) and, absent a filter, no
     per-server view records are materialized. *)
 
-val build_reference :
-  ?rack_level:bool ->
-  ?include_server:(Snapshot.server_view -> bool) ->
-  Snapshot.t ->
-  t
-(** The pre-streaming implementation (materializes every server view and
-    groups id lists), kept as the differential oracle: [build] must agree
-    with it class-for-class, member-for-member on any snapshot. *)
-
 val class_name : cls -> string
 (** Stable textual identity of the class, built from every grouping-key
     field and none of the dense index (e.g. ["m3k2h5u1a0"]).  Two builds

@@ -34,6 +34,4 @@ val active_at : t -> float -> bool
 val servers_of : Ras_topology.Region.t -> t -> int list
 (** Ids of all servers the event covers. *)
 
-val kind_name : kind -> string
-
 val pp : Format.formatter -> t -> unit

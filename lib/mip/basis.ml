@@ -5,6 +5,9 @@
      between refactorizations by a product-form eta file.  All solves run
      through the triangular factors and the etas, touching factor nonzeros
      only.
+   - Lu_full_scan: the same factors and arithmetic, with every triangular
+     solve run as a full scan over all steps instead of a reachability
+     traversal — the oracle that pins the traversal code.
    - Dense: the dense Gauss-Jordan basis inverse the solver originally
      maintained, kept verbatim as the differential-testing oracle.
 
@@ -13,17 +16,13 @@
    "basis position").  FTRAN inputs are row-indexed and outputs basis-
    position-indexed; BTRAN is the reverse. *)
 
-type kind = Dense | Lu
-
-(* Solve-kernel selection, orthogonal to [kind].  [Hypersparse] runs the
-   triangular solves by graph traversal over the factor patterns, touching
-   only steps reachable from the right-hand side's nonzeros; [Dense_oracle]
-   runs the same arithmetic as full scans over every step.  Both perform
-   bit-identical floating-point operations on every reachable entry (the
-   skipped entries are structural zeros), so they are differentially
-   comparable pivot-for-pivot — the oracle is what pins the traversal
-   code. *)
-type kernels = Hypersparse | Dense_oracle
+(* [Lu] runs the triangular solves by graph traversal over the factor
+   patterns, touching only steps reachable from the right-hand side's
+   nonzeros; [Lu_full_scan] runs the same arithmetic as full scans over
+   every step.  Both perform bit-identical floating-point operations on
+   every reachable entry (the skipped entries are structural zeros), so
+   they are differentially comparable pivot-for-pivot. *)
+type kind = Dense | Lu | Lu_full_scan
 
 (* Sparse vector: a packed, ascending index list over a dense value scratch
    (zero outside the pattern).  The solve results below are returned in
@@ -83,7 +82,6 @@ type repr = Dense_r of dense | Lu_r of lu
 type t = {
   m : int;
   knd : kind;
-  mutable kern : kernels;
   mutable repr : repr;
   mutable updates : int;
   update_limit : int;
@@ -107,11 +105,6 @@ type t = {
   mutable ftran_nnz : int;
   mutable btran_calls : int;
   mutable btran_nnz : int;
-  (* invoked after every successful refactorization: the owning solve hangs
-     state off the factorization's lifetime (Devex pricing weights are only
-     meaningful relative to the basis they were accumulated on, so the
-     simplex resets them here) *)
-  mutable on_refactor : unit -> unit;
 }
 
 (* Update-chain budgets: the dense rank-one update is cheap and accurate
@@ -153,17 +146,17 @@ let identity_lu m =
     ennz = 0;
   }
 
-let create ?(kernels = Hypersparse) knd ~m =
+let create knd ~m =
   {
     m;
     knd;
-    kern = kernels;
     repr =
       (match knd with
       | Dense -> Dense_r { inv = identity_dense m; nzbuf = Array.make m 0 }
-      | Lu -> Lu_r (identity_lu m));
+      | Lu | Lu_full_scan -> Lu_r (identity_lu m));
     updates = 0;
-    update_limit = (match knd with Dense -> dense_update_limit | Lu -> lu_update_limit);
+    update_limit =
+      (match knd with Dense -> dense_update_limit | Lu | Lu_full_scan -> lu_update_limit);
     err = 0.0;
     refactors = 0;
     sf = Svec.make m;
@@ -178,13 +171,10 @@ let create ?(kernels = Hypersparse) knd ~m =
     ftran_nnz = 0;
     btran_calls = 0;
     btran_nnz = 0;
-    on_refactor = ignore;
   }
 
 let kind t = t.knd
 let dim t = t.m
-let kernels t = t.kern
-let set_kernels t k = t.kern <- k
 
 type solve_stats = {
   ftran_calls : int;
@@ -206,7 +196,7 @@ let reset_stats (t : t) =
   t.ftran_nnz <- 0;
   t.btran_calls <- 0;
   t.btran_nnz <- 0
-let set_refactor_hook t f = t.on_refactor <- f
+
 let updates_since_refactor t = t.updates
 let refactor_count t = t.refactors
 
@@ -226,11 +216,10 @@ let set_identity t =
   t.updates <- 0;
   t.err <- 0.0
 
-let copy t =
+let copy_as t knd =
   {
     t with
-    (* the hook points into the donor solve's state; a copy starts detached *)
-    on_refactor = ignore;
+    knd;
     (* solve scratch and counters are per-holder, never shared *)
     sf = Svec.make t.m;
     sb = Svec.make t.m;
@@ -260,6 +249,15 @@ let copy t =
                factorization, so sharing them between copies is safe *)
           });
   }
+
+let copy t = copy_as t t.knd
+
+(* Both LU kinds hold the same factors, so one adopts the other's; only
+   the Gauss-Jordan inverse is a different representation. *)
+let adopt t knd =
+  match (t.knd, knd) with
+  | (Lu | Lu_full_scan), (Lu | Lu_full_scan) | Dense, Dense -> Some (copy_as t knd)
+  | Dense, (Lu | Lu_full_scan) | (Lu | Lu_full_scan), Dense -> None
 
 (* ------------------------------------------------------------------ *)
 (* Dense backend: Gauss-Jordan refactorization and rank-one updates    *)
@@ -747,11 +745,10 @@ let refactorize t ~basis ~col =
   | Dense ->
     let inv = dense_refactorize t.m ~basis ~col in
     (match t.repr with Dense_r d -> d.inv <- inv | Lu_r _ -> assert false)
-  | Lu -> t.repr <- Lu_r (lu_refactorize t.m ~basis ~col));
+  | Lu | Lu_full_scan -> t.repr <- Lu_r (lu_refactorize t.m ~basis ~col));
   t.updates <- 0;
   t.err <- 0.0;
-  t.refactors <- t.refactors + 1;
-  t.on_refactor ()
+  t.refactors <- t.refactors + 1
 
 let refactorize_repaired t ~basis ~col =
   match t.knd with
@@ -760,13 +757,12 @@ let refactorize_repaired t ~basis ~col =
        {!refactorize} and the caller falls back to a cold start *)
     refactorize t ~basis ~col;
     []
-  | Lu ->
+  | Lu | Lu_full_scan ->
     let repairs = ref [] in
     t.repr <- Lu_r (lu_refactorize ~deficient:repairs t.m ~basis ~col);
     t.updates <- 0;
     t.err <- 0.0;
     t.refactors <- t.refactors + 1;
-    t.on_refactor ();
     !repairs
 
 (* ------------------------------------------------------------------ *)
@@ -941,7 +937,7 @@ let l_forward t lu nseed =
   let vals = t.sf.Svec.vals in
   let z = t.wz and pat = t.wzi in
   let nl =
-    if t.kern = Hypersparse then
+    if t.knd = Lu then
       drain_reach lu.lsteps t.wmark t.wstamp t.wstk nseed pat (hyper_cap m)
     else -1
   in
@@ -993,7 +989,7 @@ let u_backward t lu np =
   let m = t.m in
   let z = t.wz and pat = t.wzi in
   let nu =
-    if t.kern = Hypersparse && np >= 0 then begin
+    if t.knd = Lu && np >= 0 then begin
       t.wstamp <- t.wstamp + 1;
       let stamp = t.wstamp in
       let sp = ref 0 in
@@ -1178,64 +1174,6 @@ let ftran_dense t b =
     apply_etas lu x;
     x
 
-let ftran_col t rows coefs =
-  match t.repr with
-  | Dense_r d ->
-    let out = Array.make t.m 0.0 in
-    let ne = Array.length rows in
-    for i = 0 to t.m - 1 do
-      let bi = d.inv.(i) in
-      let acc = ref 0.0 in
-      for k = 0 to ne - 1 do
-        acc := !acc +. (bi.(rows.(k)) *. coefs.(k))
-      done;
-      out.(i) <- !acc
-    done;
-    out
-  | Lu_r lu ->
-    let x = Array.make t.m 0.0 in
-    for k = 0 to Array.length rows - 1 do
-      x.(rows.(k)) <- x.(rows.(k)) +. coefs.(k)
-    done;
-    lu_solve lu t.m t.wd x;
-    apply_etas lu x;
-    x
-
-let ftran_unit t r =
-  match t.repr with
-  | Dense_r d ->
-    let out = Array.make t.m 0.0 in
-    for i = 0 to t.m - 1 do
-      out.(i) <- d.inv.(i).(r)
-    done;
-    out
-  | Lu_r lu ->
-    let x = Array.make t.m 0.0 in
-    x.(r) <- 1.0;
-    lu_solve lu t.m t.wd x;
-    apply_etas lu x;
-    x
-
-let btran_dense t c =
-  match t.repr with
-  | Dense_r d ->
-    let y = Array.make t.m 0.0 in
-    for i = 0 to t.m - 1 do
-      let ci = c.(i) in
-      if ci <> 0.0 then begin
-        let bi = d.inv.(i) in
-        for k = 0 to t.m - 1 do
-          y.(k) <- y.(k) +. (ci *. bi.(k))
-        done
-      end
-    done;
-    y
-  | Lu_r lu ->
-    let y = Array.copy c in
-    apply_etas_t lu y;
-    lu_solve_t lu t.m t.wd y;
-    y
-
 let btran_dense_into t c y =
   match t.repr with
   | Dense_r d ->
@@ -1254,23 +1192,13 @@ let btran_dense_into t c y =
     apply_etas_t lu y;
     lu_solve_t lu t.m t.wd y
 
-let row_of_inverse t r =
-  match t.repr with
-  | Dense_r d -> Array.copy d.inv.(r)
-  | Lu_r lu ->
-    let y = Array.make t.m 0.0 in
-    y.(r) <- 1.0;
-    apply_etas_t lu y;
-    lu_solve_t lu t.m t.wd y;
-    y
-
 (* ------------------------------------------------------------------ *)
 (* Sparse-result solves (the simplex hot path)                         *)
 
 (* B^-1 a for the sparse column in rows/coefs slots [off .. off+len-1].
    Result in [t]'s FTRAN svec: valid until the next ftran_*_sparse on
    [t]. *)
-let ftran_sparse t (rows : int array) (coefs : float array) ~off ~len =
+let ftran_col_sparse t (rows : int array) (coefs : float array) ~off ~len =
   let sv = t.sf in
   Svec.clear sv;
   (match t.repr with
@@ -1313,8 +1241,6 @@ let ftran_sparse t (rows : int array) (coefs : float array) ~off ~len =
   t.ftran_calls <- t.ftran_calls + 1;
   t.ftran_nnz <- t.ftran_nnz + sv.Svec.n;
   sv
-
-let ftran_col_sparse t rows coefs ~off ~len = ftran_sparse t rows coefs ~off ~len
 
 let ftran_unit_sparse t r =
   let sv = t.sf in
@@ -1389,7 +1315,7 @@ let btran_unit_sparse t r =
     sv.Svec.n <- 0;
     (* U^T forward, ascending over the reach (successors are later steps) *)
     let nu =
-      if t.kern = Hypersparse then
+      if t.knd = Lu then
         drain_reach lu.ucols t.wmark stamp t.wstk !sp pat (hyper_cap t.m)
       else -1
     in
@@ -1474,54 +1400,11 @@ let btran_unit_sparse t r =
 (* ------------------------------------------------------------------ *)
 (* Updates                                                             *)
 
-let update t ~alpha ~row =
-  let m = t.m in
-  let piv = alpha.(row) in
-  let apiv = Float.abs piv in
-  let amax = ref 0.0 in
-  for i = 0 to m - 1 do
-    let a = Float.abs alpha.(i) in
-    if a > !amax then amax := a
-  done;
-  if apiv < pivot_abs_min || apiv < pivot_rel_min *. !amax then false
-  else if t.updates >= t.update_limit then false
-  else begin
-    (match t.repr with
-    | Dense_r d -> dense_update m d ~alpha ~row
-    | Lu_r lu ->
-      let nnz = ref 0 in
-      for i = 0 to m - 1 do
-        if i <> row && alpha.(i) <> 0.0 then incr nnz
-      done;
-      let rs = Array.make !nnz 0 and vs = Array.make !nnz 0.0 in
-      let p = ref 0 in
-      for i = 0 to m - 1 do
-        if i <> row && alpha.(i) <> 0.0 then begin
-          rs.(!p) <- i;
-          vs.(!p) <- alpha.(i);
-          incr p
-        end
-      done;
-      if lu.neta = Array.length lu.etas then begin
-        let cap = Stdlib.max 8 (2 * lu.neta) in
-        let bigger =
-          Array.make cap { er = 0; epiv = 1.0; erows = [||]; evals = [||] }
-        in
-        Array.blit lu.etas 0 bigger 0 lu.neta;
-        lu.etas <- bigger
-      end;
-      lu.etas.(lu.neta) <- { er = row; epiv = piv; erows = rs; evals = vs };
-      lu.neta <- lu.neta + 1;
-      lu.ennz <- lu.ennz + !nnz + 1);
-    t.updates <- t.updates + 1;
-    t.err <- t.err +. (1e-16 *. (!amax /. apiv));
-    true
-  end
-
-(* {!update} on a sparse alpha: the stability guards and the eta are derived
-   from the pattern alone (svec patterns carry no exact zeros, so the
-   resulting eta is identical to the dense scan's).  The {!Dense} backend
-   reads the svec's dense backing store directly. *)
+(* Record the basis change that replaces the column in basis position [row]
+   by the entering column whose FTRAN is [alpha].  The stability guards and
+   the eta are derived from the pattern alone (svec patterns carry no exact
+   zeros).  The {!Dense} backend reads the svec's dense backing store
+   directly. *)
 let update_sparse t ~(alpha : Svec.t) ~row =
   let piv = alpha.Svec.vals.(row) in
   let apiv = Float.abs piv in

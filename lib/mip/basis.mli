@@ -1,5 +1,5 @@
 (** Factorized simplex basis: FTRAN/BTRAN and rank-one updates behind one
-    interface, with two interchangeable representations.
+    interface, with interchangeable representations.
 
     - {!Lu} (the production backend): a sparse LU factorization computed with
       Markowitz pivoting at refactorization time, extended by product-form
@@ -8,40 +8,44 @@
       refactorization rebuilds the factors in roughly O(m log m + nnz·fill)
       instead of the O(m³) dense elimination (the sparsest-column candidates
       come off a count heap, see {!pivot_order}).
+    - {!Lu_full_scan} (the kernel reference): the {!Lu} factors with every
+      triangular solve run as a full scan (see {!kind}).
     - {!Dense} (the reference backend): the explicitly maintained dense
       Gauss–Jordan basis inverse the solver shipped with.  It is kept as the
       differential-testing oracle (see [test/test_differential.ml]) and for
       benchmarking the factorized path against
       ([bench/kernels.ml] eta-vs-dense rows).
 
-    Both representations answer the same queries, so {!Simplex} is written
-    against this module only and the backend is a solver option.
+    All representations answer the same queries, so {!Simplex} is written
+    against this module only and selects the representation through its
+    [backend] option.
 
-    A factorization goes stale in two ways, and {!update} /
+    A factorization goes stale in two ways, and {!update_sparse} /
     {!should_refactorize} encode the refactorization policy:
     - the update chain grows past its budget (eta file length for {!Lu},
       update count for {!Dense}), or the accumulated error estimate from
       small pivots crosses a threshold — {!should_refactorize} turns true;
     - a single proposed pivot element is too small to apply stably —
-      {!update} refuses (returns [false]) without touching the
+      {!update_sparse} refuses (returns [false]) without touching the
       factorization, and the caller must refactorize from the new basis
       instead of dividing by a near-zero. *)
 
-type kind = Dense | Lu
-
-type kernels = Hypersparse | Dense_oracle
-(** Solve-kernel selection, orthogonal to {!kind}.  [Hypersparse] runs the
-    triangular solves of the {!Lu} backend as graph traversals over the
-    factor patterns (Gilbert–Peierls-style reachability), touching only the
-    steps reachable from the right-hand side's nonzeros; [Dense_oracle]
-    runs the very same arithmetic as full scans over every step.  The two
-    perform bit-identical floating-point operations on every reachable
-    entry — the entries a traversal skips are structural zeros — so a solve
-    under either kernel takes the same pivot sequence, which is what the
-    sparse-vs-dense differential battery asserts.  A traversal whose reach
-    densifies past a fraction of the steps falls back to the full scan for
-    that pass (the fully-dense-column worst case), again without changing
-    any result. *)
+type kind =
+  | Dense
+  | Lu
+      (** Sparse solves run as graph traversals over the factor patterns
+          (Gilbert–Peierls-style reachability), touching only the steps
+          reachable from the right-hand side's nonzeros.  A traversal whose
+          reach densifies past a fraction of the steps falls back to the
+          full scan for that pass (the fully-dense-column worst case)
+          without changing any result. *)
+  | Lu_full_scan
+      (** The same factors as {!Lu}, with every sparse solve run as a full
+          scan over all elimination steps.  It performs bit-identical
+          floating-point operations on every reachable entry — the entries
+          a traversal skips are structural zeros — so a solve under either
+          LU kind takes the same pivot sequence, which is what the
+          sparse-vs-dense differential battery asserts. *)
 
 (** Sparse vector over a dense backing store: [idx.(0..n-1)] lists the
     nonzero positions in ascending order and [vals] is zero outside them.
@@ -57,24 +61,18 @@ end
 
 type t
 (** Mutable factorization state for one m×m basis.  Not thread-safe; copy
-    with {!copy} to share across solves (branch-and-bound snapshot
+    with {!adopt} to share across solves (branch-and-bound snapshot
     adoption). *)
 
 exception Singular
 (** Raised by {!refactorize} when the basis matrix is (numerically)
     singular.  The factorization is left unchanged. *)
 
-val create : ?kernels:kernels -> kind -> m:int -> t
-(** Fresh factorization of the m×m identity (the all-slack basis).
-    [kernels] defaults to {!Hypersparse}. *)
+val create : kind -> m:int -> t
+(** Fresh factorization of the m×m identity (the all-slack basis). *)
 
 val kind : t -> kind
 val dim : t -> int
-val kernels : t -> kernels
-
-val set_kernels : t -> kernels -> unit
-(** Switch the solve kernel; takes effect on the next solve call (the
-    factors themselves are kernel-agnostic). *)
 
 val set_identity : t -> unit
 (** Reset to the identity factorization (cold all-slack start). *)
@@ -90,7 +88,7 @@ val refactorize :
 val refactorize_repaired :
   t -> basis:int array -> col:(int -> (int -> float -> unit) -> unit) -> (int * int) list
 (** Like {!refactorize}, but a rank-deficient basis is repaired rather than
-    rejected ({!Lu} backend only): columns that prove linearly dependent
+    rejected (LU kinds only): columns that prove linearly dependent
     during elimination are replaced by unit columns of the rows left
     without a pivot, and the factorization completes for the repaired
     matrix.  Returns the [(position, row)] substitutions — the caller must
@@ -103,54 +101,46 @@ val refactorize_repaired :
     whole warm start.  The {!Dense} backend takes the strict path and
     raises {!Singular}. *)
 
-val ftran_col : t -> int array -> float array -> float array
-(** [ftran_col t rows coefs] returns B⁻¹a for the sparse column a given by
-    parallel [rows]/[coefs] arrays (the simplex entering column). *)
-
-val ftran_unit : t -> int -> float array
-(** [ftran_unit t r] is {!ftran_col} on the unit column e_r (slack
-    columns). *)
-
 val ftran_dense : t -> float array -> float array
 (** [ftran_dense t b] returns B⁻¹b for a dense right-hand side [b] indexed
     by constraint row; the result is indexed by basis position (used to
     recompute the basic-variable values). *)
 
-val btran_dense : t -> float array -> float array
-(** [btran_dense t c] returns B⁻ᵀc: the simplex multipliers y solving
-    yᵀB = cᵀ for a cost vector [c] indexed by basis position.  The result
-    is indexed by constraint row. *)
-
 val btran_dense_into : t -> float array -> float array -> unit
-(** [btran_dense_into t c y] is {!btran_dense} storing its result into the
-    caller buffer [y] (length m, fully overwritten) instead of allocating;
-    [c] and [y] must not alias.  The simplex phase-1 dual recompute runs
-    every iteration, and this keeps it allocation-free. *)
-
-val row_of_inverse : t -> int -> float array
-(** [row_of_inverse t r] is row [r] of B⁻¹ (equivalently B⁻ᵀe_r): the
-    vector behind the dual-simplex pivot row and the incremental dual
-    update. *)
+(** [btran_dense_into t c y] stores B⁻ᵀc into the caller buffer [y]
+    (length m, fully overwritten): the simplex multipliers y solving
+    yᵀB = cᵀ for a cost vector [c] indexed by basis position, indexed by
+    constraint row.  [c] and [y] must not alias.  The simplex phase-1 dual
+    recompute runs every iteration, and the caller buffer keeps it
+    allocation-free. *)
 
 val ftran_col_sparse : t -> int array -> float array -> off:int -> len:int -> Svec.t
-(** [ftran_col_sparse t ind val_ ~off ~len] is {!ftran_col} on the packed
-    column slice [ind]/[val_].[off .. off+len-1], returned as a sparse
-    vector (see {!Svec} for the ownership rule).  Under {!Hypersparse} the
-    triangular passes visit only the steps reachable from the column's
-    nonzeros. *)
+(** [ftran_col_sparse t ind val_ ~off ~len] returns B⁻¹a for the packed
+    column slice a = [ind]/[val_].[off .. off+len-1] (the simplex entering
+    column) as a sparse vector indexed by basis position (see {!Svec} for
+    the ownership rule).  Under {!Lu} the triangular passes visit only the
+    steps reachable from the column's nonzeros. *)
 
 val ftran_unit_sparse : t -> int -> Svec.t
 (** {!ftran_col_sparse} on the unit column e_r (slack columns). *)
 
 val btran_unit_sparse : t -> int -> Svec.t
-(** Sparse {!row_of_inverse}: row [r] of B⁻¹ as a sparse row-indexed
-    vector, in the factorization's BTRAN svec (separate from the FTRAN
-    svec, so a pivot may hold both at once). *)
+(** Row [r] of B⁻¹ (equivalently B⁻ᵀe_r) as a sparse row-indexed vector:
+    the vector behind the dual-simplex pivot row and the incremental dual
+    update.  It lives in the factorization's BTRAN svec (separate from the
+    FTRAN svec, so a pivot may hold both at once). *)
 
 val update_sparse : t -> alpha:Svec.t -> row:int -> bool
-(** {!update} taking the FTRAN result in sparse form: the eta (and the
-    stability guards) are built from the pattern without scanning the full
-    column. *)
+(** [update_sparse t ~alpha ~row] records the basis change that replaces
+    the column in basis position [row], where [alpha] = B⁻¹a_q is the
+    sparse FTRAN of the entering column (so [alpha]'s value at [row] is the
+    pivot element).  Returns [false] — leaving the factorization unchanged
+    — when the pivot element is too small in absolute or relative terms to
+    apply stably; the caller must then {!refactorize} from the updated
+    basis.  For the LU kinds a successful update appends one eta to the
+    product-form file, built from [alpha]'s pattern without scanning the
+    full column; for {!Dense} it performs the Gauss–Jordan rank-one update
+    of the inverse. *)
 
 type solve_stats = {
   ftran_calls : int;
@@ -163,16 +153,6 @@ type solve_stats = {
 
 val solve_stats : t -> solve_stats
 val reset_stats : t -> unit
-
-val update : t -> alpha:float array -> row:int -> bool
-(** [update t ~alpha ~row] records the basis change that replaces the
-    column in basis position [row], where [alpha] = B⁻¹a_q is the FTRAN of
-    the entering column (so [alpha.(row)] is the pivot element).  Returns
-    [false] — leaving the factorization unchanged — when the pivot element
-    is too small in absolute or relative terms to apply stably; the caller
-    must then {!refactorize} from the updated basis.  For {!Lu} a
-    successful update appends one eta to the product-form file; for
-    {!Dense} it performs the Gauss–Jordan rank-one update of the inverse. *)
 
 val should_refactorize : t -> bool
 (** The update chain has exhausted its budget (eta-file length, dense
@@ -188,7 +168,7 @@ val eta_nnz : t -> int
 val refactor_count : t -> int
 
 val pivot_order : t -> int array * int array
-(** [(rperm, cperm)] of the last {!Lu} refactorization: elimination step
+(** [(rperm, cperm)] of the last LU refactorization: elimination step
     [k] pivoted on constraint row [rperm.(k)] in basis position
     [cperm.(k)].  Each step picks the minimum Markowitz cost over the 4
     active columns of smallest (count, index), read off an indexed count
@@ -197,16 +177,13 @@ val pivot_order : t -> int array * int array
     {!set_identity} factorization.  Raises [Invalid_argument] on the
     {!Dense} backend, which has no elimination order. *)
 
-val set_refactor_hook : t -> (unit -> unit) -> unit
-(** [set_refactor_hook t f] registers [f] to run after every successful
-    {!refactorize} of [t].  There is one hook slot per factorization; the
-    owning solve uses it to invalidate state that is only meaningful
-    relative to the basis the factors were built from — the {!Simplex}
-    Devex pricer resets its reference-framework weights here.  {!copy}
-    deliberately does not carry the hook (a copied factorization starts
-    detached), and a failed refactorization ({!Singular}) does not fire
-    it. *)
-
 val copy : t -> t
-(** Deep copy; the copy can be mutated independently.  The refactor hook is
-    not copied (see {!set_refactor_hook}). *)
+(** Deep copy; the copy can be mutated independently.  Solve scratch and
+    the {!solve_stats} counters start fresh. *)
+
+val adopt : t -> kind -> t option
+(** [adopt t kind] is a {!copy} of [t] that solves as [kind], or [None]
+    when [t]'s representation cannot serve [kind].  {!Lu} and
+    {!Lu_full_scan} hold the same factors, so each adopts the other's;
+    {!Dense} adopts only {!Dense}.  This is how a warm start reuses a
+    donor solve's factorization. *)

@@ -3,33 +3,31 @@ type status = Optimal | Feasible | Infeasible | Unbounded | Unknown
 type options = {
   time_limit : float;
   node_limit : int;
-  gap_abs : float;
   gap_rel : float;
   stall_node_limit : int;
-  int_tol : float;
-  heuristic_period : int;
   initial : float array option;
   root_basis : Simplex.warm_basis option;
   lp_pricing : Simplex.pricing;
   lp_backend : Basis.kind;
-  lp_kernels : Basis.kernels option;
 }
 
 let default_options =
   {
     time_limit = infinity;
     node_limit = 100_000;
-    gap_abs = 1e-6;
     gap_rel = 1e-9;
     stall_node_limit = 0;
-    int_tol = 1e-6;
-    heuristic_period = 20;
     initial = None;
     root_basis = None;
     lp_pricing = Simplex.Devex;
     lp_backend = Basis.Lu;
-    lp_kernels = None;
   }
+
+(* Absolute optimality gap, integrality tolerance on LP values, and the
+   node period of the rounding heuristic. *)
+let gap_abs = 1e-6
+let int_tol = 1e-6
+let heuristic_period = 20
 
 type seed_status = Seed_none | Seed_accepted | Seed_repaired | Seed_rejected
 
@@ -123,7 +121,7 @@ let fractionality v = Float.abs (v -. Float.round v)
 
 (* Most-fractional branching: [fractionality] is the distance to the nearest
    integer, so maximizing it picks the variable closest to half-integral. *)
-let pick_branch_var (std : Model.std) ~int_tol x =
+let pick_branch_var (std : Model.std) x =
   let best = ref (-1) and best_score = ref int_tol in
   for j = 0 to std.nvars - 1 do
     if std.integer.(j) then begin
@@ -156,7 +154,7 @@ let rounding_probe (std : Model.std) node x =
     Some (y, !obj)
   | Error _ -> None
 
-let integral (std : Model.std) ~int_tol x =
+let integral (std : Model.std) x =
   let ok = ref true in
   for j = 0 to std.nvars - 1 do
     if std.integer.(j) && fractionality x.(j) > int_tol then ok := false
@@ -204,7 +202,7 @@ let solve_presolved ?(options = default_options) (std : Model.std) =
   in
   let gap_closed bound =
     Float.is_finite !incumbent_obj
-    && (!incumbent_obj -. bound <= options.gap_abs
+    && (!incumbent_obj -. bound <= gap_abs
         || !incumbent_obj -. bound
            <= options.gap_rel *. Float.max 1.0 (Float.abs !incumbent_obj))
   in
@@ -227,8 +225,8 @@ let solve_presolved ?(options = default_options) (std : Model.std) =
       in
       (match basis with Some _ -> incr warm_nodes | None -> ());
       match
-        Simplex.solve ~pricing:options.lp_pricing ~backend:options.lp_backend
-          ?kernels:options.lp_kernels ~ws:lp_ws ?basis ~lb:node.nlb ~ub:node.nub std
+        Simplex.solve ~pricing:options.lp_pricing ~backend:options.lp_backend ~ws:lp_ws ?basis
+          ~lb:node.nlb ~ub:node.nub std
       with
       | Simplex.Infeasible _ -> ()
       | Simplex.Unbounded -> unbounded := true
@@ -243,8 +241,8 @@ let solve_presolved ?(options = default_options) (std : Model.std) =
           incr dual_nodes;
           dual_pivots := !dual_pivots + dual_iterations
         end;
-        if obj < !incumbent_obj -. options.gap_abs then begin
-          if integral std ~int_tol:options.int_tol x then begin
+        if obj < !incumbent_obj -. gap_abs then begin
+          if integral std x then begin
             (* round off the tiny fractional noise before storing *)
             let y = Array.copy x in
             for j = 0 to std.nvars - 1 do
@@ -253,12 +251,12 @@ let solve_presolved ?(options = default_options) (std : Model.std) =
             update_incumbent y obj
           end
           else begin
-            if !nodes mod options.heuristic_period = 1 then begin
+            if !nodes mod heuristic_period = 1 then begin
               match rounding_probe std node x with
               | Some (y, hobj) -> update_incumbent y hobj
               | None -> ()
             end;
-            match pick_branch_var std ~int_tol:options.int_tol x with
+            match pick_branch_var std x with
             | None -> ()
             | Some j ->
               (* both children share one stripped snapshot of this node's

@@ -25,16 +25,15 @@ type status =
 type options = {
   time_limit : float;  (** seconds of wall clock; [infinity] disables *)
   node_limit : int;
-  gap_abs : float;  (** stop when [incumbent - best_bound <= gap_abs] *)
-  gap_rel : float;  (** or [<= gap_rel * max 1 |incumbent|] *)
+  gap_rel : float;
+      (** stop when [incumbent - best_bound <= gap_rel * max 1 |incumbent|]
+          (or [<= 1e-6] absolute) *)
   stall_node_limit : int;
       (** stop once the incumbent has not improved for this many
           consecutive nodes (0 disables).  The soft-penalty allocation
           MIPs carry a structural integrality gap the bound cannot close,
           so gap-based stopping never fires; stalling is the stopping rule
           the continuous loop uses *)
-  int_tol : float;  (** integrality tolerance on LP values *)
-  heuristic_period : int;  (** run the rounding heuristic every N nodes *)
   initial : float array option;
       (** a known (possibly stale) solution to seed the incumbent.  The
           seed is checked with {!Model.check_solution}; an invalid one —
@@ -52,19 +51,19 @@ type options = {
       (** entering-variable rule for every node LP, forwarded to
           {!Simplex.solve}'s [pricing] *)
   lp_backend : Basis.kind;
-      (** basis representation for every node LP ({!Basis.Lu} by default;
-          {!Basis.Dense} is the differential-testing oracle) *)
-  lp_kernels : Basis.kernels option;
-      (** triangular-solve kernels for every node LP, forwarded to
-          {!Simplex.solve}'s [kernels]; [None] (the default) means
-          {!Basis.Hypersparse} *)
+      (** basis representation for every node LP, forwarded to
+          {!Simplex.solve}'s [backend] ({!Basis.Lu} by default;
+          {!Basis.Dense} and {!Basis.Lu_full_scan} are the
+          differential-testing references) *)
 }
 
 val default_options : options
-(** [time_limit = infinity], [node_limit = 100_000], [gap_abs = 1e-6],
-    [gap_rel = 1e-9], [int_tol = 1e-6], [heuristic_period = 20], no initial
-    solution, [lp_pricing = Simplex.Devex], [lp_backend = Basis.Lu],
-    [lp_kernels = None]. *)
+(** [time_limit = infinity], [node_limit = 100_000], [gap_rel = 1e-9], no
+    stall limit, no initial solution or root basis,
+    [lp_pricing = Simplex.Devex], [lp_backend = Basis.Lu].  The options
+    that no caller varies are fixed: an absolute gap of [1e-6], an
+    integrality tolerance of [1e-6] on LP values, and the rounding
+    heuristic on every 20th node. *)
 
 type seed_status =
   | Seed_none  (** no initial solution was supplied *)

@@ -25,9 +25,6 @@ val sub : t -> t -> t
 
 val scale : float -> t -> t
 
-val add_term : t -> float -> int -> t
-(** [add_term e c v] is [e + c * v]. *)
-
 val get_constant : t -> float
 
 val coef : t -> int -> float

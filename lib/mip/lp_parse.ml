@@ -20,11 +20,24 @@ let tokens line =
   flush ();
   List.rev !out
 
+(* [float_of_string] also reads "nan", "inf" and "infinity" in any case;
+   NaN is never a valid model number. *)
 let float_of_token line t =
-  match t with
-  | "-inf" -> neg_infinity
-  | "+inf" | "inf" -> infinity
-  | _ -> ( try float_of_string t with Failure _ -> fail line "expected a number")
+  let v =
+    match t with
+    | "-inf" -> neg_infinity
+    | "+inf" | "inf" -> infinity
+    | _ -> ( try float_of_string t with Failure _ -> fail line "expected a number")
+  in
+  if Float.is_nan v then fail line "NaN is not a number";
+  v
+
+(* Coefficients and right-hand sides must be finite; only bounds may be
+   infinite. *)
+let finite_of_token line what t =
+  let v = float_of_token line t in
+  if not (Float.is_finite v) then fail line (Printf.sprintf "infinite %s" what);
+  v
 
 (* Linear expression tokens: [c1 x1 + c2 x2 - c3 x3 ...] or ["0"].  The
    writer always emits an explicit coefficient before each name. *)
@@ -35,7 +48,7 @@ let parse_terms line ~var_index toks =
     | "-" :: rest -> loop (-1.0) acc rest
     | [ "0" ] when acc = [] -> []
     | coef :: name :: rest ->
-      let c = sign *. float_of_token line coef in
+      let c = sign *. finite_of_token line "coefficient" coef in
       let v =
         match Hashtbl.find_opt var_index name with
         | Some v -> v
@@ -89,10 +102,13 @@ let parse text =
             in
             match toks with
             | [ name; "="; v ] ->
-              let v = float_of_token line v in
+              let v = finite_of_token line "fixed value" v in
               add_bound name v v
             | [ lo; "<="; name; "<="; hi ] ->
-              add_bound name (float_of_token line lo) (float_of_token line hi)
+              let lo = float_of_token line lo and hi = float_of_token line hi in
+              if lo = infinity then fail line "lower bound +inf";
+              if hi = neg_infinity then fail line "upper bound -inf";
+              add_bound name lo hi
             | _ -> fail line "malformed bound")
           | General -> (
             match toks with
@@ -148,7 +164,7 @@ let parse text =
                   name = label;
                   terms = parse_terms line ~var_index lhs;
                   sense;
-                  rhs = float_of_token line rhs;
+                  rhs = finite_of_token line "right-hand side" rhs;
                 }
                 :: !rows
             | _ -> fail line "malformed right-hand side")

@@ -13,6 +13,9 @@
     indices. *)
 
 val parse : string -> (Model.std, string) result
-(** Parse a model; the error string carries the offending line. *)
+(** Parse a model; the error string carries the offending line.  NaN is
+    rejected everywhere; objective and row coefficients, right-hand sides
+    and fixed values must be finite, a lower bound may not be [+inf] and
+    an upper bound may not be [-inf]. *)
 
 val parse_file : string -> (Model.std, string) result

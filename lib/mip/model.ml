@@ -6,7 +6,7 @@ type sense = Le | Ge | Eq
 
 type row = { rname : string; expr : Lin_expr.t; rsense : sense; rrhs : float }
 
-type vinfo = { vname : string; mutable vlb : float; mutable vub : float; vkind : kind }
+type vinfo = { vname : string; vlb : float; vub : float; vkind : kind }
 
 type t = {
   mutable vars : vinfo array;
@@ -69,27 +69,13 @@ let add_max_over ?name t ~weight es =
 
 let num_vars t = t.nvars
 
-let num_constraints t = t.nrows
-
 let check_var t v fn =
   if v < 0 || v >= t.nvars then
     invalid_arg (Printf.sprintf "Model.%s: variable %d out of range" fn v)
 
-let var_name t v = check_var t v "var_name"; t.vars.(v).vname
-
-let var_kind t v = check_var t v "var_kind"; t.vars.(v).vkind
-
 let var_bounds t v = check_var t v "var_bounds"; (t.vars.(v).vlb, t.vars.(v).vub)
 
-let set_var_bounds t v ~lb ~ub =
-  check_var t v "set_var_bounds";
-  if lb > ub then invalid_arg "Model.set_var_bounds: lb > ub";
-  t.vars.(v).vlb <- lb;
-  t.vars.(v).vub <- ub
-
 let objective t = t.obj
-
-let objective_offset t = Lin_expr.get_constant t.obj
 
 type std = {
   nvars : int;

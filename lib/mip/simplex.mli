@@ -43,11 +43,12 @@ type pricing =
           column maximizes [d_j²/w_j].  Weights are updated from the
           pivot's FTRAN/BTRAN vectors (no extra column passes: the
           neighbour update is folded into the next pricing scan) and the
-          framework is reset — all weights back to 1 — on
-          refactorization, on entry to Bland mode, when the accuracy
-          estimate strikes out, and on [devex_reset_period].  Fewer
-          pivots than Dantzig on degenerate problems at the cost
-          of a full-width scan per iteration. *)
+          framework is reset — all weights back to 1 — on a cold start,
+          on entry to Bland mode, and when the accuracy estimate strikes
+          out.  Refactorization keeps the weights: it changes the
+          factors, not the basis.  Fewer pivots than Dantzig on
+          degenerate problems at the cost of a full-width scan per
+          iteration. *)
 (** Entering-variable selection rule for the primal phases. *)
 
 type col_status = Basic | At_lower | At_upper | Nb_free
@@ -64,9 +65,10 @@ type warm_basis = {
       (** The basis factorization matching [wcols], when available.
           Supplying it lets a restart skip refactorization; dropping it (set
           to [None]) keeps a stored snapshot at O(columns) memory.  It is
-          adopted (copied) only when its {!Basis.kind} matches the solve's
-          [backend] and its dimension matches the model; otherwise the
-          restart refactorizes from [wcols].  When present it must genuinely
+          adopted (copied, see {!Basis.adopt}) only when its
+          representation can serve the solve's [backend] and its
+          dimension matches the model; otherwise the restart
+          refactorizes from [wcols].  When present it must genuinely
           be the factorization of the [wcols] basis — it is not
           cross-checked. *)
 }
@@ -80,7 +82,7 @@ type kernel_stats = {
   avg_ftran_nnz : float;
       (** Mean nonzeros per sparse FTRAN result over the whole solve.  The
           hypersparse win is exactly this (and its BTRAN twin) staying far
-          below the row count [m]; under {!Basis.Dense_oracle} the work is
+          below the row count [m]; under {!Basis.Lu_full_scan} the work is
           O(m) regardless, but the counters still measure result density. *)
   avg_btran_nnz : float;
   bound_flips : int;
@@ -141,15 +143,10 @@ val iter_column : Model.std -> int -> (int -> float -> unit) -> unit
     {!warm_basis}'s [wcols]. *)
 
 val solve :
-  ?max_iters:int ->
-  ?feas_tol:float ->
-  ?dual_tol:float ->
   ?pricing:pricing ->
   ?degen_limit:int ->
-  ?devex_reset_period:int ->
   ?trace:(iteration:int -> min_devex_weight:float -> unit) ->
   ?backend:Basis.kind ->
-  ?kernels:Basis.kernels ->
   ?ws:workspace ->
   ?basis:warm_basis ->
   ?lb:float array ->
@@ -164,16 +161,13 @@ val solve :
     {!Devex}).  [degen_limit] is the number of consecutive
     degenerate pivots tolerated before switching to Bland's rule (default
     100; [0] switches on the first degenerate pivot — used by the cycling
-    tests).  [devex_reset_period] > 0 forces a framework reset every that
-    many iterations (default [0]: never; used by the reset-equivalence
-    property tests).  [trace], when supplied and pricing is {!Devex}, is
+    tests).  [trace], when supplied and pricing is {!Devex}, is
     called after every primal pivot with the iteration count and the
     minimum weight over all columns (test instrumentation).  [backend]
-    selects the basis representation ([Basis.Lu] by default; [Basis.Dense]
-    is the reference oracle used by the differential tests).  [kernels]
-    selects the triangular-solve kernels ({!Basis.Hypersparse} /
-    {!Basis.Dense_oracle}, default {!Basis.Hypersparse}); the two modes
-    take bit-identical pivot sequences (the sparse-vs-dense differential
-    battery's invariant).  [ws] supplies a reusable {!workspace}.
-    Defaults: [max_iters] scales with problem
-    size, [feas_tol = 1e-7], [dual_tol = 1e-7]. *)
+    selects the basis representation ({!Basis.Lu} by default;
+    {!Basis.Dense} and {!Basis.Lu_full_scan} are the references the
+    differential tests compare against — the two LU kinds take
+    bit-identical pivot sequences).  [ws] supplies a reusable
+    {!workspace}.  The iteration budget is [20000 + 60·(m + n)] pivots
+    over [m] rows and [n] columns including slacks, and the primal
+    feasibility and reduced-cost tolerances are both [1e-7]. *)

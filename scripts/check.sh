@@ -1,5 +1,5 @@
 #!/bin/sh
-# Repository check: build, dead-module check, full test suite, and a quick
+# Repository check: build, dead-code check, full test suite, and a quick
 # solver-kernel bench smoke run (same entry points CI uses).
 # Usage: scripts/check.sh
 set -eu
@@ -8,11 +8,11 @@ cd "$(dirname "$0")/.."
 echo "== dune build =="
 dune build
 
-echo "== dead-module check =="
+echo "== dead-module and dead-value check =="
 sh scripts/check_dead_modules.sh
 
 # the sparse-vs-dense batteries inside the suite solve every instance
-# under both triangular-solve kernels, so one run covers both
+# under both LU kinds (traversal and full scan), so one run covers both
 echo "== dune runtest =="
 dune runtest
 

@@ -1,13 +1,20 @@
 #!/bin/sh
-# Dead-module check: every library module (lib/*/*.ml) must be reachable
-# from shipped code -- bin/, bench/, benchmark/ or examples/ -- through
-# module references.  A module referenced only from its own files, from
-# test/, or from other modules that are themselves unreachable fails the
-# check: it is code no caller runs, kept alive by its tests alone.
+# Dead-code check, in two passes.
 #
-# References are capitalised identifiers in the sources with comments and
-# string literals stripped, so a doc comment naming a module does not keep
-# it alive.  Usage: scripts/check_dead_modules.sh
+# Modules: every library module (lib/*/*.ml) must be reachable from
+# shipped code -- bin/, bench/, benchmark/ or examples/ -- through module
+# references.  A module referenced only from its own files, from test/, or
+# from other modules that are themselves unreachable fails the check: it
+# is code no caller runs, kept alive by its tests alone.
+#
+# Values: every `val` a library interface (lib/*/*.mli) exports must be
+# named in some file outside its own module's .ml/.mli -- anywhere in
+# lib/, bin/, bench/, benchmark/, examples/ or test/.  An export nothing
+# else names is surface without a caller.
+#
+# References are identifiers in the sources with comments and string
+# literals stripped, so a doc comment naming a module or value does not
+# keep it alive.  Usage: scripts/check_dead_modules.sh
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -17,12 +24,16 @@ ALLOW='
 Lp_parse  reads the test/fixtures/*.lp golden corpus and is the LP-format fuzz target
 '
 
+# Exported values that nothing outside their module names but that stay on
+# purpose, one per line as Module.value with the reason after it.
+ALLOW_VALUES='
+'
+
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# Drop (nested) comments, string literals and char literals; print every
-# remaining capitalised identifier, one per line.
-idents() {
+# Drop (nested) comments, string literals and char literals.
+strip() {
   awk '
     {
       line = $0; out = ""; n = length(line); i = 1
@@ -43,8 +54,12 @@ idents() {
         i++
       }
       print out
-    }' "$@" |
-    tr -c 'A-Za-z0-9_\n' '\n' | grep -E '^[A-Z][A-Za-z0-9_]*$' | sort -u || true
+    }' "$@"
+}
+
+# Every capitalised identifier left after [strip], one per line.
+idents() {
+  strip "$@" | tr -c 'A-Za-z0-9_\n' '\n' | grep -E '^[A-Z][A-Za-z0-9_]*$' | sort -u || true
 }
 
 modname() {
@@ -86,3 +101,34 @@ if [ -n "$dead" ]; then
   exit 1
 fi
 echo "dead-module check OK ($(wc -l < "$tmp/modules") modules)"
+
+# Value pass.  refs: "<identifier> <file>" for every lowercase identifier a
+# source names; vals: "<value> <interface>" for every exported value.
+find lib bin bench benchmark examples test -name '*.ml' -o -name '*.mli' 2>/dev/null |
+  sort | while read -r f; do
+    strip "$f" | tr -c 'A-Za-z0-9_\n' '\n' | grep -E '^[a-z_][A-Za-z0-9_]*$' | sort -u |
+      sed "s|\$| $f|" || true
+  done > "$tmp/refs"
+for f in lib/*/*.mli; do
+  strip "$f" | sed -n 's/^[[:space:]]*val[[:space:]][[:space:]]*\([a-z_][A-Za-z0-9_]*\).*/\1/p' |
+    sed "s|\$| $f|"
+done > "$tmp/vals"
+awk '
+  NR == FNR { files[$1] = files[$1] " " $2; next }
+  {
+    base = $2; sub(/\.mli$/, "", base)
+    n = split(files[$1], fs, " "); used = 0
+    for (i = 1; i <= n; i++) if (fs[i] != base ".ml" && fs[i] != base ".mli") used = 1
+    if (!used) {
+      m = base; sub(/.*\//, "", m)
+      print toupper(substr(m, 1, 1)) substr(m, 2) "." $1
+    }
+  }' "$tmp/refs" "$tmp/vals" | sort -u > "$tmp/unnamed"
+printf '%s\n' "$ALLOW_VALUES" | awk 'NF { print $1 }' > "$tmp/allowed_values"
+dead=$(grep -vFxf "$tmp/allowed_values" "$tmp/unnamed" || true)
+if [ -n "$dead" ]; then
+  echo "exported values named nowhere outside their own module:"
+  printf '  %s\n' $dead
+  exit 1
+fi
+echo "dead-value check OK ($(wc -l < "$tmp/vals") exported values)"

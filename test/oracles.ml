@@ -6,7 +6,9 @@
      Each oracle walks every server and materializes a record per server,
      O(region) per event (test_reactive.ml, test_core.ml).
    - The Markowitz candidate window of the LU refactorization, which
-     Ras_mip.Basis reads off a count heap (test_basis.ml). *)
+     Ras_mip.Basis reads off a count heap (test_basis.ml).
+   - The symmetry-class build, which Ras.Symmetry streams over the
+     snapshot columns (test_region_scale.ml, test_properties.ml). *)
 
 open Ras
 module Broker = Ras_broker.Broker
@@ -346,3 +348,60 @@ let lu_pivot_order_reference ?(repair = false) m ~basis ~col =
     | None -> assert false));
   let repairs = match deficient with Some cell -> !cell | None -> [] in
   (Array.init m (fun k -> (rperm.(k), cperm.(k))), repairs)
+
+(* ---------- symmetry classes: the pre-streaming build ---------- *)
+
+(* The pre-streaming [Symmetry.build]: materializes every server view and
+   groups member-id lists in a table keyed by (msb, rack, hw, in_use,
+   attr), exactly as builds did before the columnar refactor.  The
+   streaming build must agree with it class-for-class, member-for-member on
+   any snapshot. *)
+let build_reference ?(rack_level = false) ?(include_server = fun _ -> true)
+    (snapshot : Snapshot.t) =
+  let groups = Hashtbl.create 256 in
+  Snapshot.iter_views snapshot ~f:(fun (v : Snapshot.server_view) ->
+      if v.Snapshot.usable && include_server v then begin
+        let s = v.Snapshot.server in
+        let loc = s.Region.loc in
+        let key =
+          ( loc.Region.msb,
+            (if rack_level then loc.Region.rack else -1),
+            s.Region.hw.Ras_topology.Hardware.index,
+            v.Snapshot.in_use,
+            v.Snapshot.attr )
+        in
+        match Hashtbl.find_opt groups key with
+        | Some members -> members := s.Region.id :: !members
+        | None -> Hashtbl.replace groups key (ref [ s.Region.id ])
+      end);
+  let keys = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) groups []) in
+  let classes =
+    Array.of_list
+      (List.mapi
+         (fun index ((msb, rack, hw, in_use, attr) as key) ->
+           let members = Array.of_list (List.sort compare !(Hashtbl.find groups key)) in
+           {
+             Symmetry.index;
+             msb;
+             rack = (if rack >= 0 then Some rack else None);
+             hw;
+             in_use;
+             attr;
+             members;
+           })
+         keys)
+  in
+  (* per-class histogram of member current-owner codes *)
+  let owner_counts =
+    Array.map
+      (fun (c : Symmetry.cls) ->
+        let h = Hashtbl.create 8 in
+        Array.iter
+          (fun id ->
+            let code = Snapshot.current_code snapshot id in
+            Hashtbl.replace h code (1 + Option.value ~default:0 (Hashtbl.find_opt h code)))
+          c.Symmetry.members;
+        h)
+      classes
+  in
+  { Symmetry.classes; region = snapshot.Snapshot.region; snapshot; owner_counts }

@@ -57,6 +57,35 @@ let refactorized kind rng m =
   Basis.refactorize t ~basis ~col:(col_fn cols);
   (t, cols, basis)
 
+(* B^-T c through the caller-buffer BTRAN *)
+let btran t c =
+  let y = Array.make (Array.length c) 0.0 in
+  Basis.btran_dense_into t c y;
+  y
+
+(* A sparse vector holding the nonzeros of the dense [a], as the sparse
+   FTRAN would return it. *)
+let svec_of_dense a =
+  let s = Basis.Svec.make (Array.length a) in
+  Array.iteri
+    (fun i v ->
+      if v <> 0.0 then begin
+        s.Basis.Svec.vals.(i) <- v;
+        s.Basis.Svec.idx.(s.Basis.Svec.n) <- i;
+        s.Basis.Svec.n <- s.Basis.Svec.n + 1
+      end)
+    a;
+  s
+
+(* [k]·B^-1 e_r: the FTRAN of k times the unit column e_r, scaled in place *)
+let scaled_unit_ftran t r k =
+  let alpha = Basis.ftran_unit_sparse t r in
+  for u = 0 to alpha.Basis.Svec.n - 1 do
+    let i = alpha.Basis.Svec.idx.(u) in
+    alpha.Basis.Svec.vals.(i) <- k *. alpha.Basis.Svec.vals.(i)
+  done;
+  alpha
+
 let max_abs_diff a b =
   let worst = ref 0.0 in
   Array.iteri (fun i v -> worst := Float.max !worst (Float.abs (v -. b.(i)))) a;
@@ -82,7 +111,7 @@ let test_btran_round_trip () =
     (fun m ->
       let t, cols, basis = refactorized Basis.Lu rng m in
       let c = Array.init m (fun _ -> R.float rng 10.0 -. 5.0) in
-      let y = Basis.btran_dense t (Array.copy c) in
+      let y = btran t c in
       (* y^T B = c^T: component i is y . A_{basis.(i)} *)
       let back =
         Array.map (fun j -> List.fold_left (fun acc (i, v) -> acc +. (y.(i) *. v)) 0.0 cols.(j)) basis
@@ -102,14 +131,15 @@ let test_ftran_btran_adjoint () =
   (* push a few eta updates through *)
   for k = 0 to 4 do
     let col = Array.init m (fun _ -> R.float rng 2.0 -. 1.0) in
-    let alpha = Basis.ftran_dense t (Array.copy col) in
+    let alpha = Basis.ftran_col_sparse t (Array.init m Fun.id) col ~off:0 ~len:m in
     let row = k mod m in
-    if Float.abs alpha.(row) > 1e-6 then ignore (Basis.update t ~alpha ~row)
+    if Float.abs alpha.Basis.Svec.vals.(row) > 1e-6 then
+      ignore (Basis.update_sparse t ~alpha ~row)
   done;
   let b = Array.init m (fun _ -> R.float rng 4.0 -. 2.0) in
   let c = Array.init m (fun _ -> R.float rng 4.0 -. 2.0) in
   let x = Basis.ftran_dense t (Array.copy b) in
-  let y = Basis.btran_dense t (Array.copy c) in
+  let y = btran t c in
   let lhs = ref 0.0 and rhs = ref 0.0 in
   for i = 0 to m - 1 do
     lhs := !lhs +. (c.(i) *. x.(i));
@@ -128,9 +158,8 @@ let test_eta_limit_triggers_refactorize () =
        against the current factors scaled on that row, always an acceptable
        pivot *)
     let row = !k mod m in
-    let alpha = Basis.ftran_unit t row in
-    Array.iteri (fun i v -> alpha.(i) <- 2.0 *. v) alpha;
-    Alcotest.(check bool) "update accepted" true (Basis.update t ~alpha ~row);
+    let alpha = scaled_unit_ftran t row 2.0 in
+    Alcotest.(check bool) "update accepted" true (Basis.update_sparse t ~alpha ~row);
     incr k;
     if Basis.should_refactorize t then fired := !k
   done;
@@ -151,12 +180,14 @@ let test_near_singular_pivot_refused () =
   (* absolute test: pivot element ~1e-12 *)
   let alpha = Array.make m 0.1 in
   alpha.(3) <- 1e-12;
-  Alcotest.(check bool) "tiny pivot refused" false (Basis.update t ~alpha ~row:3);
+  Alcotest.(check bool) "tiny pivot refused" false
+    (Basis.update_sparse t ~alpha:(svec_of_dense alpha) ~row:3);
   (* relative test: pivot 1.0 dwarfed by a 1e9 entry elsewhere *)
   let alpha = Array.make m 0.0 in
   alpha.(3) <- 1.0;
   alpha.(7) <- 1e9;
-  Alcotest.(check bool) "relatively tiny pivot refused" false (Basis.update t ~alpha ~row:3);
+  Alcotest.(check bool) "relatively tiny pivot refused" false
+    (Basis.update_sparse t ~alpha:(svec_of_dense alpha) ~row:3);
   (* the refused updates left the factorization untouched *)
   Alcotest.(check int) "no update recorded" before_updates (Basis.updates_since_refactor t);
   let x_after = Basis.ftran_dense t (Array.copy probe) in
@@ -193,8 +224,8 @@ let test_dense_lu_agree () =
       (Printf.sprintf "ftran agrees at m=%d (err %g)" m (max_abs_diff xl xd))
       true
       (max_abs_diff xl xd < 1e-8);
-    let yl = Basis.btran_dense lu (Array.copy b) in
-    let yd = Basis.btran_dense dn (Array.copy b) in
+    let yl = btran lu b in
+    let yd = btran dn b in
     Alcotest.(check bool)
       (Printf.sprintf "btran agrees at m=%d (err %g)" m (max_abs_diff yl yd))
       true
@@ -209,9 +240,8 @@ let test_copy_is_independent () =
   let x_before = Basis.ftran_dense t (Array.copy probe) in
   let snap = Basis.copy t in
   (* mutate the copy with an eta update *)
-  let alpha = Basis.ftran_unit snap 2 in
-  Array.iteri (fun i v -> alpha.(i) <- 3.0 *. v) alpha;
-  Alcotest.(check bool) "update on copy ok" true (Basis.update snap ~alpha ~row:2);
+  let alpha = scaled_unit_ftran snap 2 3.0 in
+  Alcotest.(check bool) "update on copy ok" true (Basis.update_sparse snap ~alpha ~row:2);
   (* the original is untouched *)
   Alcotest.(check int) "original update count" 0 (Basis.updates_since_refactor t);
   let x_after = Basis.ftran_dense t (Array.copy probe) in
@@ -327,23 +357,22 @@ let test_pivot_order_rank_deficient () =
 (* FTRAN/BTRAN of a basis through a fresh factorization and through the
    solve's own factorization [t] (which pivoted its way to the basis and
    carries an eta file), forced to refactorize, must be bitwise equal under
-   both kernels: nothing of the factorization's history survives a
+   both LU kinds: nothing of the factorization's history survives a
    refactorization. *)
 let check_solves_bitwise tag rng (t : Basis.t) m ~basis ~col =
-  let fresh = Basis.create Basis.Lu ~m in
-  Basis.refactorize fresh ~basis ~col;
   Basis.refactorize t ~basis ~col;
   List.iter
-    (fun kernels ->
-      Basis.set_kernels fresh kernels;
-      Basis.set_kernels t kernels;
+    (fun kind ->
+      let fresh = Basis.create kind ~m in
+      Basis.refactorize fresh ~basis ~col;
+      let t = Option.get (Basis.adopt t kind) in
       List.iter
         (fun b ->
           let same f = f fresh (Array.copy b) = f t (Array.copy b) in
-          if not (same Basis.ftran_dense && same Basis.btran_dense) then
+          if not (same Basis.ftran_dense && same btran) then
             Alcotest.failf "%s: solves differ after a forced refactorization" tag)
         (List.init 3 (fun _ -> Array.init m (fun _ -> R.float rng 2.0 -. 1.0))))
-    [ Basis.Hypersparse; Basis.Dense_oracle ]
+    [ Basis.Lu; Basis.Lu_full_scan ]
 
 (* The differential corpus (140 LP + 60 warm-restart LP + 80 MIP
    relaxations): every optimal root basis, plus — since most of the random

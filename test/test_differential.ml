@@ -13,9 +13,9 @@
    for MIPs, with free/fixed/one-sided/negative variable bounds and all
    three row senses.
 
-   The same 280-instance corpus is then re-solved under both
-   triangular-solve kernels (hypersparse traversal vs the dense-oracle
-   full scan) with a strictly tighter contract: bit-identical pivot
+   The same 280-instance corpus is then re-solved under both LU kinds
+   (hypersparse traversal vs the full-scan reference) with a strictly
+   tighter contract: bit-identical pivot
    counts, bases, and search traces, objectives within 1e-9. *)
 
 open Ras_mip
@@ -267,25 +267,24 @@ let test_mip_differential () =
 (* ------------------------------------------------------------------ *)
 (* Sparse-vs-dense kernel differential                                 *)
 
-(* The two triangular-solve kernels ({!Basis.Hypersparse} graph traversal
-   vs {!Basis.Dense_oracle} full scans) perform bit-identical floating
-   point operations — the entries a traversal skips are structural zeros —
-   so a solve under either kernel must take the *same pivot sequence*, not
-   merely reach the same optimum.  The full 280-instance corpus (the same
-   140 LP + 60 warm-restart + 80 MIP seeds as above) is re-solved here
-   under both kernels × both pricing rules on the production LU
-   backend, asserting identical pivot counts, identical final bases,
-   matching verdicts, and objectives within 1e-9. *)
+(* The two LU kinds ({!Basis.Lu} graph traversal vs {!Basis.Lu_full_scan}
+   full scans) perform bit-identical floating point operations — the
+   entries a traversal skips are structural zeros — so a solve under either
+   kind must take the *same pivot sequence*, not merely reach the same
+   optimum.  The full 280-instance corpus (the same 140 LP + 60
+   warm-restart + 80 MIP seeds as above) is re-solved here under both
+   kinds × both pricing rules, asserting identical pivot counts, identical
+   final bases, matching verdicts, and objectives within 1e-9.  The warm
+   restarts hand both kinds the production solve's factorization, which
+   each adopts. *)
 
 let kernel_tol a = 1e-9 *. (1.0 +. Float.abs a)
 
 let check_lp_kernel_pair ?basis ?lb ?ub tag std =
   List.iter
     (fun (pname, pricing) ->
-      let solve kernels =
-        Simplex.solve ~pricing ~backend:production_backend ~kernels ?basis ?lb ?ub std
-      in
-      let sparse = solve Basis.Hypersparse and oracle = solve Basis.Dense_oracle in
+      let solve backend = Simplex.solve ~pricing ~backend ?basis ?lb ?ub std in
+      let sparse = solve production_backend and oracle = solve Basis.Lu_full_scan in
       match (sparse, oracle) with
       | ( Simplex.Optimal
             { iterations = si; dual_iterations = sdi; obj = so; basis = sb; kstats = sk; _ },
@@ -349,19 +348,18 @@ let test_mip_kernel_differential () =
     let std = random_model rng ~max_rows:8 ~max_cols:8 ~integer_frac:0.7 in
     List.iter
       (fun (pname, pricing) ->
-        let solve kernels =
+        let solve backend =
           let options =
             {
               Branch_bound.default_options with
               Branch_bound.lp_pricing = pricing;
-              lp_backend = production_backend;
-              lp_kernels = Some kernels;
+              lp_backend = backend;
               node_limit = 20_000;
             }
           in
           Branch_bound.solve ~options std
         in
-        let s = solve Basis.Hypersparse and o = solve Basis.Dense_oracle in
+        let s = solve production_backend and o = solve Basis.Lu_full_scan in
         if s.Branch_bound.status <> o.Branch_bound.status then
           Alcotest.failf "mip seed %d [%s]: statuses differ: %s vs %s" seed pname
             (status_name s.Branch_bound.status)

@@ -351,9 +351,51 @@ let test_lp_parse_rejects_garbage () =
   (match Lp_parse.parse "Minimize\n obj: 1 ghost\nBounds\nEnd\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown variable must be rejected");
-  match Lp_parse.parse "Minimize\n obj: 0\nSubject To\n r: 1 x 4\nBounds\n 0 <= x <= 1\nEnd\n" with
+  (match
+     Lp_parse.parse "Minimize\n obj: 0\nSubject To\n r: 1 x 4\nBounds\n 0 <= x <= 1\nEnd\n"
+   with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "row without comparison must be rejected"
+  | Ok _ -> Alcotest.fail "row without comparison must be rejected");
+  (* non-finite numbers: each model differs from a valid one in one line,
+     and the error must name that line *)
+  let model ~obj ~row ~bound =
+    Printf.sprintf "Minimize\n %s\nSubject To\n %s\nBounds\n %s\n 0 <= y <= 1\nEnd\n" obj row
+      bound
+  in
+  let obj = "obj: 1 x + -2 y" and row = "r1: 1 x + 1 y <= 4" and bound = "0 <= x <= +inf" in
+  let names_line bad msg =
+    let n = String.length bad in
+    let rec go i = i + n <= String.length msg && (String.sub msg i n = bad || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (what, bad, line) ->
+      let text =
+        match line with
+        | `Obj -> model ~obj:bad ~row ~bound
+        | `Row -> model ~obj ~row:bad ~bound
+        | `Bound -> model ~obj ~row ~bound:bad
+      in
+      match Lp_parse.parse text with
+      | Ok _ -> Alcotest.failf "%s must be rejected" what
+      | Error msg ->
+        if not (names_line bad msg) then
+          Alcotest.failf "%s: error %S does not name the line %S" what msg bad)
+    [
+      ("NaN objective coefficient", "obj: nan x + -2 y", `Obj);
+      ("NaN right-hand side", "r1: 1 x + 1 y <= nan", `Row);
+      ("NaN bound", "nan <= x <= +inf", `Bound);
+      ("infinite objective coefficient", "obj: inf x + -2 y", `Obj);
+      ("infinite row coefficient", "r1: inf x + 1 y <= 4", `Row);
+      ("infinite right-hand side", "r1: 1 x + 1 y <= -inf", `Row);
+      ("+inf lower bound", "+inf <= x <= +inf", `Bound);
+      ("-inf upper bound", "-inf <= x <= -inf", `Bound);
+      ("infinite fixed value", "x = inf", `Bound);
+    ];
+  (* the same model with finite numbers parses *)
+  match Lp_parse.parse (model ~obj ~row ~bound) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "finite model must parse: %s" msg
 
 let test_lp_parse_duplicate_bounds () =
   (* duplicates intersect rather than registering the variable twice *)

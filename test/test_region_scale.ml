@@ -7,7 +7,7 @@
    identical class structure.  That gives three pins:
 
    - equivalence: the streaming [Symmetry.build] must agree with the
-     retained pre-columnar oracle [Symmetry.build_reference] class-for-class
+     retained pre-columnar oracle [Oracles.build_reference] class-for-class
      and produce the same compiled model, which must solve to the same
      verdict/objective under every pricing rule and both kernel backends;
    - disaggregation: a class-level solution concretized to per-server
@@ -110,7 +110,7 @@ let check_std_equal (a : Model.std) (b : Model.std) =
 let test_streaming_matches_reference () =
   let snapshot, reservations = scale_snapshot ~servers_per_rack:1 () in
   let streamed = Symmetry.build snapshot in
-  let reference = Symmetry.build_reference snapshot in
+  let reference = Oracles.build_reference snapshot in
   check_symmetry_equal streamed reference;
   (* O(1) owner histograms agree with a direct member scan *)
   let owners =
@@ -144,7 +144,7 @@ let test_streaming_matches_reference () =
   let filter (v : Snapshot.server_view) = v.Snapshot.server.Region.id mod 3 <> 0 in
   check_symmetry_equal
     (Symmetry.build ~rack_level:true ~include_server:filter snapshot)
-    (Symmetry.build_reference ~rack_level:true ~include_server:filter snapshot)
+    (Oracles.build_reference ~rack_level:true ~include_server:filter snapshot)
 
 (* ---------- solve equivalence across pricing rules and kernel backends -- *)
 
@@ -153,18 +153,18 @@ let test_solves_agree_across_rules_and_kernels () =
   let symmetry = Symmetry.build snapshot in
   let f = Formulation.build symmetry reservations in
   let std = Model.compile f.Formulation.model in
-  let solve pricing kernels =
-    match Simplex.solve ~pricing ~kernels std with
+  let solve pricing backend =
+    match Simplex.solve ~pricing ~backend std with
     | Simplex.Optimal { obj; iterations; _ } -> (obj, iterations)
     | _ -> Alcotest.fail "region-scale root LP must be optimal"
   in
-  let reference_obj, _ = solve Simplex.Devex Basis.Hypersparse in
+  let reference_obj, _ = solve Simplex.Devex Basis.Lu in
   List.iter
     (fun pricing ->
-      (* the two kernel modes perform bit-identical fp operations, so pivot
+      (* the two LU kinds perform bit-identical fp operations, so pivot
          counts and objectives must agree exactly per rule *)
-      let sparse_obj, sparse_iters = solve pricing Basis.Hypersparse in
-      let oracle_obj, oracle_iters = solve pricing Basis.Dense_oracle in
+      let sparse_obj, sparse_iters = solve pricing Basis.Lu in
+      let oracle_obj, oracle_iters = solve pricing Basis.Lu_full_scan in
       Alcotest.(check int) "pivot counts identical across kernels" sparse_iters oracle_iters;
       Alcotest.(check (float 0.0)) "objectives identical across kernels" sparse_obj oracle_obj;
       (* pricing rules may take different paths but land on the same LP

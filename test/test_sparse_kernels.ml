@@ -3,8 +3,10 @@
    test_differential.ml's kernel battery):
 
    - seeded random sparse systems: FTRAN/BTRAN under the hypersparse
-     traversal must be bit-identical to the dense-oracle full scan, and
-     both must agree with the plain dense entry points to 1e-9;
+     traversal ({!Basis.Lu}) must be bit-identical to the full scan over
+     the same factors ({!Basis.Lu_full_scan}), and both must agree to 1e-9
+     with a Gauss-Jordan ({!Basis.Dense}) factorization of the same
+     columns;
    - round trips: B·(B⁻¹b) recovers b through the factorization, before
      and after product-form eta updates;
    - the fully-dense-column worst case, where the traversal's reach is the
@@ -34,9 +36,8 @@ let random_sparse_matrix rng m =
       done;
       !entries)
 
-let factorized rng kernels m cols =
-  ignore rng;
-  let t = Basis.create ~kernels Basis.Lu ~m in
+let factorized kind m cols =
+  let t = Basis.create kind ~m in
   Basis.refactorize t
     ~basis:(Array.init m (fun i -> i))
     ~col:(fun j f -> List.iter (fun (i, v) -> f i v) cols.(j));
@@ -95,18 +96,21 @@ let test_random_sparse_triangular () =
     let rng = R.create (11_000 + seed) in
     let m = 5 + R.int rng 56 in
     let cols = random_sparse_matrix rng m in
-    let th = factorized rng Basis.Hypersparse m cols in
-    let td = factorized rng Basis.Dense_oracle m cols in
+    let th = factorized Basis.Lu m cols in
+    let td = factorized Basis.Lu_full_scan m cols in
+    let tg = factorized Basis.Dense m cols in
     (* current basis columns by position; updated as etas are applied *)
     let cur = Array.init m (fun i -> cols.(i)) in
     for pass = 1 to 3 do
-      (* FTRAN: traversal vs oracle bit-identical, dense path to 1e-9 *)
+      (* FTRAN: traversal vs full scan bit-identical, Gauss-Jordan to 1e-9 *)
       let rows, coefs = random_rhs rng m in
       let tag = Printf.sprintf "seed %d pass %d" seed pass in
-      let xh = svec_dense m (Basis.ftran_col_sparse th rows coefs ~off:0 ~len:(Array.length rows)) in
-      let xd = svec_dense m (Basis.ftran_col_sparse td rows coefs ~off:0 ~len:(Array.length rows)) in
+      let ftran t =
+        svec_dense m (Basis.ftran_col_sparse t rows coefs ~off:0 ~len:(Array.length rows))
+      in
+      let xh = ftran th and xd = ftran td in
       check_bit_identical (tag ^ " ftran") xh xd;
-      let x_dense = Basis.ftran_col th rows coefs in
+      let x_dense = ftran tg in
       Array.iteri
         (fun i v ->
           if Float.abs (v -. x_dense.(i)) > 1e-9 *. (1.0 +. Float.abs v) then
@@ -114,12 +118,13 @@ let test_random_sparse_triangular () =
               x_dense.(i))
         xh;
       check_round_trip (tag ^ " ftran") m cur xh rows coefs;
-      (* BTRAN: a random row of the inverse, traversal vs oracle vs dense *)
+      (* BTRAN: a random row of the inverse, traversal vs full scan vs
+         Gauss-Jordan *)
       let r = R.int rng m in
       let yh = svec_dense m (Basis.btran_unit_sparse th r) in
       let yd = svec_dense m (Basis.btran_unit_sparse td r) in
       check_bit_identical (tag ^ " btran") yh yd;
-      let y_dense = Basis.row_of_inverse th r in
+      let y_dense = svec_dense m (Basis.btran_unit_sparse tg r) in
       Array.iteri
         (fun i v ->
           if Float.abs (v -. y_dense.(i)) > 1e-9 *. (1.0 +. Float.abs v) then
@@ -135,9 +140,11 @@ let test_random_sparse_triangular () =
       Array.iteri (fun i v -> if Float.abs v > Float.abs alpha.(!row) then row := i) alpha;
       if Float.abs alpha.(!row) > 0.1 then begin
         let ad = Basis.ftran_col_sparse td erows ecoefs ~off:0 ~len:(Array.length erows) in
+        let ag = Basis.ftran_col_sparse tg erows ecoefs ~off:0 ~len:(Array.length erows) in
         let okh = Basis.update_sparse th ~alpha:ah ~row:!row in
         let okd = Basis.update_sparse td ~alpha:ad ~row:!row in
-        if okh <> okd then Alcotest.failf "%s: update verdicts differ" tag;
+        let okg = Basis.update_sparse tg ~alpha:ag ~row:!row in
+        if okh <> okd || okh <> okg then Alcotest.failf "%s: update verdicts differ" tag;
         if okh then
           cur.(!row) <-
             List.init (Array.length erows) (fun k -> (erows.(k), ecoefs.(k)))
@@ -155,8 +162,8 @@ let test_dense_column_fallback () =
     let cols = random_sparse_matrix rng m in
     cols.(0) <-
       List.init m (fun i -> (i, if i = 0 then 3.0 +. R.float rng 2.0 else R.float rng 1.0 -. 0.5));
-    let th = factorized rng Basis.Hypersparse m cols in
-    let td = factorized rng Basis.Dense_oracle m cols in
+    let th = factorized Basis.Lu m cols in
+    let td = factorized Basis.Lu_full_scan m cols in
     let rows = Array.init m (fun i -> i) in
     let coefs = Array.init m (fun _ -> R.float rng 4.0 -. 2.0) in
     let tag = Printf.sprintf "dense-col seed %d" seed in
@@ -186,15 +193,15 @@ let test_bound_flip_dual_restart () =
     let ub = Array.copy std.Model.ub in
     ub.(2) <- 0.0;
     List.iter
-      (fun kernels ->
-        match Simplex.solve ~basis ~ub ~kernels std with
+      (fun backend ->
+        match Simplex.solve ~basis ~ub ~backend std with
         | Simplex.Optimal { obj; dual_iterations; kstats; _ } ->
           Alcotest.(check (float 1e-6)) "warm objective" (-9.725) obj;
           Alcotest.(check bool) "dual phase ran" true (dual_iterations > 0);
           Alcotest.(check int) "long-step bound flips" 2
             kstats.Simplex.bound_flips
         | _ -> Alcotest.fail "warm restart: expected optimal")
-      [ Basis.Hypersparse; Basis.Dense_oracle ]
+      [ Basis.Lu; Basis.Lu_full_scan ]
   | _ -> Alcotest.fail "bound_flip.lp: expected optimal"
 
 (* ------------------------------------------------------------------ *)

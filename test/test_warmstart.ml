@@ -2,11 +2,10 @@
 
    The warm-start machinery (Simplex.solve ~basis, Branch_bound warm nodes,
    candidate-list pricing) is a pure performance change: on any input it must
-   return the same status and the same objective (within gap_abs) as a
-   branch-and-bound whose every node LP starts cold, and repeated runs must
-   be bit-identical.  These
-   tests pin that contract on a corpus of small random MIPs plus direct
-   simplex restart checks. *)
+   return the same status and the same objective (within the 1e-6 absolute
+   gap) as a branch-and-bound whose every node LP starts cold, and repeated
+   runs must be bit-identical.  These tests pin that contract on a corpus of
+   small random MIPs plus direct simplex restart checks. *)
 
 module Model = Ras_mip.Model
 module Lin_expr = Ras_mip.Lin_expr
@@ -73,7 +72,8 @@ let prop_warm_matches_cold =
       let std = random_mip rng in
       let cold = cold_branch_and_bound std in
       let warm = Branch_bound.solve std in
-      let tol = Branch_bound.default_options.Branch_bound.gap_abs in
+      (* branch-and-bound's fixed absolute optimality gap *)
+      let tol = 1e-6 in
       match warm.Branch_bound.status with
       | Branch_bound.Optimal -> Float.abs (cold -. warm.Branch_bound.objective) <= tol
       | Branch_bound.Infeasible -> cold = infinity
