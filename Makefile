@@ -11,8 +11,8 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# quick-mode solver-kernel smoke (LP, LU, B&B, tier-1 restore and
-# decomposition rows); writes BENCH_kernels.json
+# quick-mode solver-kernel smoke (LP, LU, B&B and tier-1 restore rows);
+# writes BENCH_kernels.json
 bench-quick:
 	dune exec bench/main.exe -- --quick kernels
 

@@ -293,89 +293,6 @@ let bb_kernel ~label ~node_limit ~time_limit (std : Model.std) =
     ]
 
 (* ---------------------------------------------------------------- *)
-(* POP decomposition kernel: monolith vs k concurrent partitions     *)
-
-let decompose_kernel ~label ~node_limit ~time_limit preset =
-  let formulation, std = scenario_formulation preset in
-  let initial = Ras.Formulation.status_quo formulation in
-  let opts =
-    {
-      Branch_bound.default_options with
-      Branch_bound.node_limit;
-      time_limit;
-      initial = Some initial;
-    }
-  in
-  let domains = Domain.recommended_domain_count () in
-  let t0 = Unix.gettimeofday () in
-  let mono = Branch_bound.solve ~options:opts std in
-  let mono_dt = Unix.gettimeofday () -. t0 in
-  Report.row "%-34s %8.3fs  obj %.2f  %d nodes  (1 domain)\n"
-    (Printf.sprintf "decompose-%s-monolith" label)
-    mono_dt mono.Branch_bound.objective mono.Branch_bound.nodes;
-  record
-    ~kernel:(Printf.sprintf "decompose-%s-monolith" label)
-    ~size:(size_of std) ~wall_s:mono_dt
-    [
-      ("k", "1");
-      ("domains", "1");
-      ("objective", flt mono.Branch_bound.objective);
-      ("nodes", string_of_int mono.Branch_bound.nodes);
-    ];
-  List.iter
-    (fun k ->
-      let part = Ras.Formulation.partition_vars formulation ~parts:k in
-      let t0 = Unix.gettimeofday () in
-      let r =
-        Ras_mip.Decompose.solve ~options:opts ~num_parts:k
-          ~var_part:(fun v -> part.(v))
-          std
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      let out = r.Ras_mip.Decompose.outcome and ds = r.Ras_mip.Decompose.stats in
-      let feasible = out.Branch_bound.solution <> None in
-      (* product behaviour (Phases): the merged solution goes through the
-         formulation-aware repair before use, so quality is measured there *)
-      let repaired_obj =
-        match out.Branch_bound.solution with
-        | Some x ->
-          let repaired = Ras.Formulation.repair formulation x in
-          let acc = ref std.Model.obj_offset in
-          Array.iteri (fun v c -> acc := !acc +. (c *. repaired.(v))) std.Model.obj;
-          !acc
-        | None -> infinity
-      in
-      let speedup = mono_dt /. dt in
-      let obj_ratio =
-        if Float.is_finite repaired_obj && Float.is_finite mono.Branch_bound.objective
-        then repaired_obj /. mono.Branch_bound.objective
-        else nan
-      in
-      Report.row
-        "%-34s %8.3fs  %.2fx vs monolith  obj-ratio %.3f  feasible %b  %d repairs (%d \
-         unresolved)  (%d domains)\n"
-        (Printf.sprintf "decompose-%s-k%d" label k)
-        dt speedup obj_ratio feasible ds.Ras_mip.Decompose.merge_repairs
-        ds.Ras_mip.Decompose.unresolved_rows domains;
-      record
-        ~kernel:(Printf.sprintf "decompose-%s-k%d" label k)
-        ~size:(size_of std) ~wall_s:dt
-        [
-          ("k", string_of_int k);
-          ("domains", string_of_int domains);
-          ("speedup_vs_monolith", flt speedup);
-          ("objective", flt out.Branch_bound.objective);
-          ("repaired_objective", flt repaired_obj);
-          ("objective_ratio", flt obj_ratio);
-          ("feasible", string_of_bool feasible);
-          ("coupled_rows", string_of_int ds.Ras_mip.Decompose.coupled_rows);
-          ("merge_repairs", string_of_int ds.Ras_mip.Decompose.merge_repairs);
-          ("unresolved_rows", string_of_int ds.Ras_mip.Decompose.unresolved_rows);
-          ("nodes", string_of_int out.Branch_bound.nodes);
-        ])
-    [ 2; 4; 8 ]
-
-(* ---------------------------------------------------------------- *)
 (* Tier-1 reactive restore: event -> healthy-replacement latency     *)
 
 (* The two-tier claim in numbers: after one tier-2 round binds capacity,
@@ -536,8 +453,6 @@ type preset_row = {
   lp_repeats : int;
   bb_node_limit : int;
   bb_time_limit : float;
-  decompose_node_limit : int;
-  decompose_time_limit : float;
   with_dense : bool;
   reactive_events : int;  (* tier-1 restore events; 0 skips the kernel *)
   lu_refactors : int;  (* timed root-basis refactorizations; 0 skips *)
@@ -553,8 +468,6 @@ let preset_rows () =
       lp_repeats = Scenarios.scaled 8;
       bb_node_limit = Scenarios.scaled 120;
       bb_time_limit = 60.0;
-      decompose_node_limit = 0;
-      decompose_time_limit = 0.0;
       with_dense = true;
       reactive_events = 0;
       lu_refactors = 0;
@@ -565,23 +478,9 @@ let preset_rows () =
       lp_repeats = 2;
       bb_node_limit = (if !Scenarios.quick then 24 else 60);
       bb_time_limit = 120.0;
-      decompose_node_limit = (if !Scenarios.quick then 24 else 60);
-      decompose_time_limit = 120.0;
       with_dense = true;
       reactive_events = (if !Scenarios.quick then 20 else 60);
       lu_refactors = (if !Scenarios.quick then 7 else 31);
-    };
-    {
-      label = "wide";
-      preset = Scenarios.Wide;
-      lp_repeats = 0;
-      bb_node_limit = 0;
-      bb_time_limit = 0.0;
-      decompose_node_limit = (if !Scenarios.quick then 12 else 40);
-      decompose_time_limit = 120.0;
-      with_dense = true;
-      reactive_events = 0;
-      lu_refactors = 0;
     };
     (* the north-star row: the 10^6-server preset.  Symmetry aggregation
        keeps the compiled model within ~2x of medium, so every enabled
@@ -593,8 +492,6 @@ let preset_rows () =
       lp_repeats = (if !Scenarios.quick then 1 else 2);
       bb_node_limit = (if !Scenarios.quick then 8 else 40);
       bb_time_limit = 120.0;
-      decompose_node_limit = 0;
-      decompose_time_limit = 0.0;
       with_dense = false;
       reactive_events = (if !Scenarios.quick then 10 else 25);
       lu_refactors = (if !Scenarios.quick then 7 else 31);
@@ -634,12 +531,5 @@ let run () =
     (fun (r, _) ->
       if r.reactive_events > 0 then
         reactive_restore_kernel ~label:r.label ~events:r.reactive_events r.preset)
-    rows;
-  Report.row "-- POP decomposition (monolith vs k partitions) --\n";
-  List.iter
-    (fun (r, _) ->
-      if r.decompose_node_limit > 0 then
-        decompose_kernel ~label:r.label ~node_limit:r.decompose_node_limit
-          ~time_limit:r.decompose_time_limit r.preset)
     rows;
   write_json ()

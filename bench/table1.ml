@@ -43,17 +43,6 @@ let run () =
     (List.length f.Ras.Formulation.capacity_slack);
   Report.row "compiled model:               %s\n"
     (Format.asprintf "%a" Ras_mip.Model.pp_stats std);
-  (* POP decomposition view of the same model: reservations dealt across 4
-     partitions, coupled capacity rows split with scaled right-hand sides *)
-  let part = Ras.Formulation.partition_vars f ~parts:4 in
-  let subs = Ras_mip.Decompose.split ~num_parts:4 ~var_part:(fun v -> part.(v)) std in
-  Report.row "POP split (k=4):              %s\n"
-    (String.concat " + "
-       (Array.to_list
-          (Array.map
-             (fun ((s : Ras_mip.Model.std), _) ->
-               Printf.sprintf "%dv/%dr" s.Ras_mip.Model.nvars s.Ras_mip.Model.nrows)
-             subs)));
   (* prove the LP rendering works: first lines of the model *)
   let lp = Ras_mip.Lp_format.to_string std in
   let first_lines = String.split_on_char '\n' lp in

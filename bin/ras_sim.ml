@@ -85,13 +85,7 @@ let solve_cmd =
   let time_limit =
     Arg.(value & opt float 10.0 & info [ "time-limit" ] ~docv:"SEC" ~doc:"MIP time limit per phase.")
   in
-  let decompose =
-    Arg.(
-      value & opt int 0
-      & info [ "decompose" ] ~docv:"K"
-          ~doc:"Solve phase 1 POP-decomposed into K concurrent partitions (0 = monolithic).")
-  in
-  let run dcs msbs racks servers seed utilization nodes time_limit decompose =
+  let run dcs msbs racks servers seed utilization nodes time_limit =
     let region = make_region ~dcs ~msbs ~racks ~servers ~seed in
     let broker = Broker.create region in
     let requests = make_scenario region ~seed:(seed + 10) ~utilization in
@@ -103,7 +97,6 @@ let solve_cmd =
         Ras.Async_solver.node_limit = nodes;
         phase1_time_limit_s = time_limit;
         phase2_time_limit_s = time_limit /. 2.0;
-        decompose = (if decompose > 1 then Some decompose else None);
       }
     in
     let snapshot = Ras.Snapshot.take broker reservations in
@@ -132,9 +125,7 @@ let solve_cmd =
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Run one Async Solver pass and explain the result.")
-    Term.(
-      const run $ dcs $ msbs $ racks $ servers $ seed $ utilization $ nodes $ time_limit
-      $ decompose)
+    Term.(const run $ dcs $ msbs $ racks $ servers $ seed $ utilization $ nodes $ time_limit)
 
 (* ---------- simulate ---------- *)
 

@@ -10,7 +10,6 @@ type params = {
   mip_gap_rel : float;
   mip_stall_nodes : int;
   run_phase2 : bool;
-  decompose : int option;
 }
 
 let default_params =
@@ -22,7 +21,6 @@ let default_params =
     mip_gap_rel = Branch_bound.default_options.Branch_bound.gap_rel;
     mip_stall_nodes = 0;
     run_phase2 = true;
-    decompose = None;
   }
 
 (* Phase 2 refines the worst ~10% of reservations by rack objective
@@ -47,7 +45,6 @@ type stats = {
   solver_dual_restarts : int;
   solver_dual_pivots : int;
   solver_bland_pivots : int;
-  decompose : Ras_mip.Decompose.stats option;
 }
 
 let owner_of_res res =
@@ -97,12 +94,10 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
   let start = Unix.gettimeofday () in
   let reservations = snapshot.Snapshot.reservations in
   let phase1 =
-    (* decomposition applies to phase 1 only: phase 2 re-solves a small,
-       rack-scoped slice, too small to pay the split overhead *)
     Phases.run ~params:params.formulation ~mip_time_limit:params.phase1_time_limit_s
       ~mip_node_limit:params.node_limit ~mip_gap_rel:params.mip_gap_rel
       ~mip_stall_nodes:params.mip_stall_nodes ~rack_level:false ?include_server
-      ?decompose:params.decompose snapshot reservations
+      snapshot reservations
   in
   let assignment1 = Formulation.decode phase1.Phases.formulation phase1.Phases.solution in
   let plan1 = Concretize.plan phase1.Phases.formulation assignment1 in
@@ -236,5 +231,4 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
     solver_dual_restarts = sum (fun o -> o.Branch_bound.dual_restarted_nodes);
     solver_dual_pivots = sum (fun o -> o.Branch_bound.dual_pivots);
     solver_bland_pivots = sum (fun o -> o.Branch_bound.bland_pivots);
-    decompose = phase1.Phases.decompose;
   }

@@ -25,12 +25,6 @@ type params = {
           MIPs' soft-penalty integrality gap never closes, so a round ends
           either here or at [node_limit] *)
   run_phase2 : bool;
-  decompose : int option;
-      (** [Some k] with [k > 1] solves phase 1 POP-decomposed into [k]
-          concurrent subproblems (see {!Ras_mip.Decompose}); [None] (the
-          default) keeps the monolithic solve.  Phase 2 is never
-          decomposed — its rack-scoped slice is too small to pay the split
-          overhead. *)
 }
 
 val default_params : params
@@ -61,9 +55,6 @@ type stats = {
   solver_bland_pivots : int;
       (** primal pivots taken under the Bland anti-cycling fallback across
           both phases — nonzero flags degenerate stalls in the node LPs *)
-  decompose : Ras_mip.Decompose.stats option;
-      (** phase-1 decomposition statistics when [params.decompose] was
-          active (mirrors [phase1.decompose]) *)
 }
 
 val solve :

@@ -119,22 +119,6 @@ let solve_report (stats : Async_solver.stats) =
     stats.Async_solver.solver_nodes stats.Async_solver.solver_warm_starts
     stats.Async_solver.solver_dual_restarts stats.Async_solver.solver_lp_iterations
     stats.Async_solver.solver_dual_pivots stats.Async_solver.solver_bland_pivots;
-  (match stats.Async_solver.decompose with
-  | Some d ->
-    add
-      "  decomposition: %d partitions, %d coupled rows split, %d merge repairs (%d rows \
-       unresolved), %.2fs\n"
-      (Array.length d.Ras_mip.Decompose.parts)
-      d.Ras_mip.Decompose.coupled_rows d.Ras_mip.Decompose.merge_repairs
-      d.Ras_mip.Decompose.unresolved_rows d.Ras_mip.Decompose.wall_s;
-    Array.iter
-      (fun p ->
-        add "    part %d: %d vars, %d rows, obj %.2f, %d nodes, %.2fs\n"
-          p.Ras_mip.Decompose.part p.Ras_mip.Decompose.vars p.Ras_mip.Decompose.rows
-          p.Ras_mip.Decompose.objective p.Ras_mip.Decompose.nodes
-          p.Ras_mip.Decompose.wall_s)
-      d.Ras_mip.Decompose.parts
-  | None -> ());
   (match stats.Async_solver.phase2 with
   | Some p2 ->
     add "%s\n" (timing_line "phase 2" p2.Phases.timing);

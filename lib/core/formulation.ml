@@ -581,36 +581,6 @@ let repair t solution =
       in
       Hashtbl.replace pairs_of_class p.cls.Symmetry.index (p :: existing))
     t.pairs;
-  (* Shed over-assignment first: a rounded LP point or a merged decomposed
-     solution can leave a class holding more servers than it has members.
-     Drop one server at a time — from the reservation with the most
-     surplus over its own request, so the drop is least likely to create a
-     shortfall — until every class fits; the top-up loop below then
-     restores any capacity this sheds.  A no-op on supply-feasible
-     inputs. *)
-  for c = 0 to nclasses - 1 do
-    let size = Symmetry.size t.symmetry.Symmetry.classes.(c) in
-    let guard = ref 0 in
-    while class_used.(c) > size && !guard < 10_000 do
-      incr guard;
-      let ps = try Hashtbl.find pairs_of_class c with Not_found -> [] in
-      let best = ref None in
-      List.iter
-        (fun p ->
-          if count_of p > 0 then begin
-            let surplus =
-              !(Hashtbl.find res_total p.res.Reservation.id) -. p.res.Reservation.capacity_rru
-            in
-            match !best with
-            | Some (bs, _) when bs >= surplus -> ()
-            | _ -> best := Some (surplus, p)
-          end)
-        ps;
-      match !best with
-      | Some (_, p) -> bump p (-1)
-      | None -> guard := 10_000 (* unreachable: class_used > 0 implies a positive count *)
-    done
-  done;
   (* a donor must keep a safety margin over its own request so stealing never
      creates a new violation elsewhere *)
   let donor_floor res =
@@ -715,41 +685,3 @@ let movement_units t solution ~in_use =
       end
       else acc)
     0.0 t.pairs
-
-(* POP-style variable partitioning for Ras_mip.Decompose: reservations are
-   dealt round-robin across partitions in decreasing capacity order (so each
-   partition gets a comparable slice of demand), every assignment / slack /
-   buffer variable follows its reservation, and auxiliary variables follow
-   the first variable their defining expressions reference — aux_defs is in
-   ascending variable order, so that variable is always placed already. *)
-let partition_vars t ~parts =
-  if parts < 1 then invalid_arg "Formulation.partition_vars: parts must be >= 1";
-  let n = Model.num_vars t.model in
-  let assign = Array.make n 0 in
-  let res_part = Hashtbl.create 32 in
-  let sorted =
-    List.sort
-      (fun a b ->
-        match Float.compare b.Reservation.capacity_rru a.Reservation.capacity_rru with
-        | 0 -> compare a.Reservation.id b.Reservation.id
-        | c -> c)
-      t.reservations
-  in
-  List.iteri (fun i res -> Hashtbl.replace res_part res.Reservation.id (i mod parts)) sorted;
-  let part_of_res rid = match Hashtbl.find_opt res_part rid with Some p -> p | None -> 0 in
-  List.iter (fun p -> assign.(p.var) <- part_of_res p.res.Reservation.id) t.pairs;
-  List.iter (fun (rid, v) -> assign.(v) <- part_of_res rid) t.capacity_slack;
-  List.iter (fun (rid, v) -> assign.(v) <- part_of_res rid) t.buffer_var;
-  List.iter
-    (fun (v, exprs) ->
-      let found = ref None in
-      List.iter
-        (fun e ->
-          if !found = None then
-            List.iter
-              (fun (_, u) -> if !found = None && u < v then found := Some assign.(u))
-              (Lin.terms e))
-        exprs;
-      assign.(v) <- (match !found with Some p -> p | None -> 0))
-    t.aux_defs;
-  assign

@@ -101,12 +101,7 @@ val round_lp : t -> float array -> float array
 val repair : t -> float array -> float array
 (** Greedy capacity repair of an integral solution: tops up reservations
     left short (e.g. by rounding scarce hardware classes) from unassigned
-    supply first, then from donors that stay above their own capacity. *)
+    supply first, then from donors that stay above their own capacity.
+    The input must fit every class's supply, as {!round_lp}'s output does;
+    repair never removes servers from an over-filled class. *)
 
-val partition_vars : t -> parts:int -> int array
-(** POP-style partition map for {!Ras_mip.Decompose}: entry [v] is the
-    partition (in [0, parts)]) of model variable [v].  Reservations are
-    dealt round-robin across partitions in decreasing [capacity_rru] order;
-    assignment, slack and buffer variables follow their reservation, and
-    auxiliary variables follow the variables their definitions reference.
-    Raises [Invalid_argument] when [parts < 1]. *)

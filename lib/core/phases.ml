@@ -22,14 +22,13 @@ type result = {
   setup_bytes : int;
   lp_duals : float array;
   compiled : Model.std;
-  decompose : Ras_mip.Decompose.stats option;
 }
 
 let now () = Unix.gettimeofday ()
 
 let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
     ?(mip_gap_rel = Branch_bound.default_options.Branch_bound.gap_rel)
-    ?(mip_stall_nodes = 0) ?(rack_level = false) ?include_server ?decompose
+    ?(mip_stall_nodes = 0) ?(rack_level = false) ?include_server
     snapshot reservations =
   let words_before = Gc.allocated_bytes () in
   let t0 = now () in
@@ -59,7 +58,6 @@ let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
   in
   let t3 = now () in
   let lp_bound = match lp with Simplex.Optimal { obj; _ } -> obj | _ -> neg_infinity in
-  let decompose_stats = ref None in
   let outcome =
     if mip_node_limit <= 0 then begin
       (* heuristic-only mode for long simulations: the LP-guided rounding /
@@ -100,38 +98,7 @@ let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
             (match lp with Simplex.Optimal { basis; _ } -> Some basis | _ -> None);
         }
       in
-      match decompose with
-      | Some k when k > 1 ->
-        (* POP-style split: solve the k partitioned MIPs concurrently, then
-           run the merged solution through the formulation-aware repair and
-           keep whichever of it and the initial incumbent is cheaper.  The
-           monolith root LP stays the proven bound — subproblem bounds do
-           not compose into one. *)
-        let part = Formulation.partition_vars formulation ~parts:k in
-        let dr =
-          Ras_mip.Decompose.solve ~options ~num_parts:k
-            ~var_part:(fun v -> part.(v))
-            std
-        in
-        decompose_stats := Some dr.Ras_mip.Decompose.stats;
-        let out = dr.Ras_mip.Decompose.outcome in
-        let best =
-          match out.Branch_bound.solution with
-          | Some x ->
-            let repaired = Formulation.repair formulation x in
-            if objective_of repaired <= objective_of initial then repaired else initial
-          | None -> initial
-        in
-        let objective = objective_of best in
-        {
-          out with
-          Branch_bound.status = Branch_bound.Feasible;
-          solution = Some best;
-          objective;
-          best_bound = lp_bound;
-          gap = objective -. lp_bound;
-        }
-      | _ -> Branch_bound.solve ~options std
+      Branch_bound.solve ~options std
     end
   in
   let t4 = now () in
@@ -155,5 +122,4 @@ let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
     setup_bytes = int_of_float (words_after -. words_before);
     lp_duals = (match lp with Simplex.Optimal { duals; _ } -> duals | _ -> [||]);
     compiled = std;
-    decompose = !decompose_stats;
   }

@@ -35,9 +35,6 @@ type result = {
           LP did not reach optimality); {!Explain.shadow_prices} turns them
           into per-constraint price reports *)
   compiled : Ras_mip.Model.std;  (** the compiled model the solve ran on *)
-  decompose : Ras_mip.Decompose.stats option;
-      (** present when the solve ran POP-decomposed ([?decompose] with
-          [k > 1] and a positive node limit) *)
 }
 
 val run :
@@ -48,18 +45,10 @@ val run :
   ?mip_stall_nodes:int ->
   ?rack_level:bool ->
   ?include_server:(Snapshot.server_view -> bool) ->
-  ?decompose:int ->
   Snapshot.t ->
   Reservation.t list ->
   result
-(** [?decompose:k] with [k > 1] partitions the formulation with
-    {!Formulation.partition_vars} and solves the [k] subproblems
-    concurrently via {!Ras_mip.Decompose} (POP-style, one domain each),
-    merging and repairing the result; the monolith root LP remains the
-    reported bound.  Ignored when [k <= 1] or in heuristic-only mode
-    ([mip_node_limit <= 0]).
-
-    [?mip_gap_rel] sets the branch-and-bound relative optimality gap
+(** [?mip_gap_rel] sets the branch-and-bound relative optimality gap
     (default {!Ras_mip.Branch_bound.default_options}'s near-exact 1e-9).
     The continuous loop may run at an interactive tolerance (e.g. 1e-3).
     [?mip_stall_nodes] forwards

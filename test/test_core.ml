@@ -180,11 +180,11 @@ let test_symmetry_current_count () =
 
 (* ---------- Formulation ---------- *)
 
-let formulation_fixture () =
+let formulation_fixture ?(rack_level = false) () =
   let lazy { broker; reservations; _ } = fixture in
   let snap = Snapshot.take broker reservations in
-  let sym = Symmetry.build snap in
-  (Formulation.build sym reservations, snap)
+  let sym = Symmetry.build ~rack_level snap in
+  (Formulation.build ~rack_level sym reservations, snap)
 
 let test_status_quo_feasible () =
   let f, _ = formulation_fixture () in
@@ -193,16 +193,21 @@ let test_status_quo_feasible () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* round_lp never over-fills a class at either granularity — phase 1's MSB
+   build or phase 2's rack build — so repair only ever tops up *)
 let test_round_lp_feasible () =
-  let f, _ = formulation_fixture () in
-  let std = Model.compile f.Formulation.model in
-  match Simplex.solve std with
-  | Simplex.Optimal { x; _ } -> (
-    let rounded = Formulation.round_lp f x in
-    (match Model.check_solution std rounded with Ok () -> () | Error e -> Alcotest.fail e);
-    let repaired = Formulation.repair f rounded in
-    match Model.check_solution std repaired with Ok () -> () | Error e -> Alcotest.fail e)
-  | _ -> Alcotest.fail "LP should solve"
+  List.iter
+    (fun rack_level ->
+      let f, _ = formulation_fixture ~rack_level () in
+      let std = Model.compile f.Formulation.model in
+      match Simplex.solve std with
+      | Simplex.Optimal { x; _ } -> (
+        let rounded = Formulation.round_lp f x in
+        (match Model.check_solution std rounded with Ok () -> () | Error e -> Alcotest.fail e);
+        let repaired = Formulation.repair f rounded in
+        match Model.check_solution std repaired with Ok () -> () | Error e -> Alcotest.fail e)
+      | _ -> Alcotest.fail "LP should solve")
+    [ false; true ]
 
 let test_repair_improves_shortfalls () =
   let f, _ = formulation_fixture () in

@@ -389,59 +389,6 @@ let test_mip_kernel_differential () =
       all_pricings
   done
 
-(* ------------------------------------------------------------------ *)
-(* Decomposition differential                                          *)
-
-(* POP decomposition against the monolith oracle: a merged solution that
-   validates must be feasible for the original model (check_solution) and
-   can never beat the monolith's proven bound; and reruns are bit-identical
-   (same seed => same allocation), which the deterministic pool ordering
-   guarantees even when subproblems finish out of order. *)
-let test_decompose_differential () =
-  let module D = Ras_mip.Decompose in
-  let feasible = ref 0 and total = ref 0 in
-  for seed = 1 to 39 do
-    if seed mod 2 = 1 then begin
-      let make () =
-        let rng = R.create (8000 + seed) in
-        random_model rng ~max_rows:8 ~max_cols:8 ~integer_frac:0.7
-      in
-      let std = make () in
-      let monolith = Branch_bound.solve std in
-      List.iter
-        (fun k ->
-          incr total;
-          let var_part j = j mod k in
-          let r = D.solve ~num_parts:k ~var_part std in
-          (match r.D.outcome.Branch_bound.solution with
-          | Some x ->
-            incr feasible;
-            (match Model.check_solution std x with
-            | Ok () -> ()
-            | Error msg ->
-              Alcotest.failf "seed %d k=%d: merged solution invalid: %s" seed k msg);
-            let obj = r.D.outcome.Branch_bound.objective in
-            if obj < monolith.Branch_bound.best_bound -. obj_tol monolith.Branch_bound.best_bound
-            then
-              Alcotest.failf "seed %d k=%d: merged objective %.9g beats monolith bound %.9g"
-                seed k obj monolith.Branch_bound.best_bound
-          | None ->
-            if r.D.outcome.Branch_bound.status <> Branch_bound.Unknown then
-              Alcotest.failf "seed %d k=%d: no solution but status not Unknown" seed k);
-          let rerun = D.solve ~num_parts:k ~var_part std in
-          if rerun.D.outcome.Branch_bound.solution <> r.D.outcome.Branch_bound.solution then
-            Alcotest.failf "seed %d k=%d: decomposed solve not deterministic" seed k)
-        [ 2; 4 ]
-    end
-  done;
-  (* scaled capacities make some subs infeasible by construction; the corpus
-     must still produce a healthy share of feasible merges for the
-     comparison to mean anything *)
-  Alcotest.(check bool)
-    (Printf.sprintf "feasible merges (%d/%d)" !feasible !total)
-    true
-    (!feasible >= 10)
-
 let suite =
   [
     Alcotest.test_case "lp: 3 pricing rules x 2 backends match oracle (140 instances)"
@@ -459,6 +406,4 @@ let suite =
     Alcotest.test_case
       "kernels mip: sparse vs dense-oracle identical search traces (80 instances)" `Quick
       test_mip_kernel_differential;
-    Alcotest.test_case "decompose: merged solutions feasible, bounded, deterministic"
-      `Quick test_decompose_differential;
   ]

@@ -12,7 +12,6 @@ let suites =
     ("basis", Test_basis.suite);
     ("differential", Test_differential.suite);
     ("sparse_kernels", Test_sparse_kernels.suite);
-    ("decompose", Test_decompose.suite);
     ("warmstart", Test_warmstart.suite);
     ("presolve", Test_presolve.suite);
     ("topology", Test_topology.suite);
