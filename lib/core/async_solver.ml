@@ -1,6 +1,7 @@
 module Broker = Ras_broker.Broker
 module Region = Ras_topology.Region
 module Branch_bound = Ras_mip.Branch_bound
+module Hw = Ras_topology.Hardware
 
 type params = {
   formulation : Formulation.params;
@@ -52,37 +53,61 @@ let owner_of_res res =
   | Reservation.Guaranteed -> Broker.Reservation res.Reservation.id
   | Reservation.Random_failure_buffer _ -> Broker.Shared_buffer
 
-(* Rack-spread overflow of a reservation under a target map — the phase-2
-   selection criterion ("reservations with the worst rack-level objectives
-   are prioritized", §3.5.2). *)
-let rack_overflow (snapshot : Snapshot.t) targets res =
-  match res.Reservation.rack_spread_limit with
-  | None -> 0.0
-  | Some alpha_k ->
-    let owner = owner_of_res res in
-    let per_rack = Hashtbl.create 32 in
-    Hashtbl.iter
-      (fun id target ->
-        if target = owner then begin
-          let s = Snapshot.server snapshot id in
-          let rru = res.Reservation.rru_of s.Region.hw in
-          if rru > 0.0 then begin
-            let rack = s.Region.loc.Region.rack in
-            let cur = try Hashtbl.find per_rack rack with Not_found -> 0.0 in
-            Hashtbl.replace per_rack rack (cur +. rru)
-          end
-        end)
-      targets;
-    let limit = alpha_k *. res.Reservation.capacity_rru in
-    Hashtbl.fold (fun _ v acc -> acc +. Float.max 0.0 (v -. limit)) per_rack 0.0
+(* Rack-spread overflow of every reservation under a target column (0 for
+   one without a rack goal) — the phase-2 selection criterion
+   ("reservations with the worst rack-level objectives are prioritized",
+   §3.5.2).  One pass over the column sums RRU per (rack-goal reservation,
+   rack). *)
+let rack_overflows (snapshot : Snapshot.t) targets reservations =
+  let region = snapshot.Snapshot.region in
+  let res = Array.of_list reservations in
+  let has_goal r = r.Reservation.rack_spread_limit <> None in
+  let code_of r = Broker.owner_code (owner_of_res r) in
+  let max_code =
+    Array.fold_left (fun m r -> if has_goal r then Int.max m (code_of r) else m) (-1) res
+  in
+  (* owner code -> the rack-goal reservations it serves (buffer
+     reservations share one code) *)
+  let goals_of = Array.make (max_code + 1) [] in
+  Array.iteri (fun i r -> if has_goal r then goals_of.(code_of r) <- i :: goals_of.(code_of r)) res;
+  let rru =
+    Array.map (fun r -> if has_goal r then Array.map r.Reservation.rru_of Hw.catalog else [||]) res
+  in
+  let per_rack =
+    Array.map (fun r -> if has_goal r then Array.make region.Region.num_racks 0.0 else [||]) res
+  in
+  Array.iteri
+    (fun id code ->
+      if code >= 0 && code <= max_code && goals_of.(code) <> [] then begin
+        let s = region.Region.servers.(id) in
+        let hw = s.Region.hw.Hw.index and rack = s.Region.loc.Region.rack in
+        List.iter
+          (fun i ->
+            let v = rru.(i).(hw) in
+            if v > 0.0 then per_rack.(i).(rack) <- per_rack.(i).(rack) +. v)
+          goals_of.(code)
+      end)
+    targets;
+  List.mapi
+    (fun i r ->
+      match r.Reservation.rack_spread_limit with
+      | None -> 0.0
+      | Some alpha_k ->
+        let limit = alpha_k *. r.Reservation.capacity_rru in
+        (* racks the reservation does not touch contribute nothing *)
+        Array.fold_left
+          (fun acc v -> if v > 0.0 then acc +. Float.max 0.0 (v -. limit) else acc)
+          0.0 per_rack.(i))
+    reservations
 
+(* The snapshot phase 2 solves from: every covered server on its target
+   owner. *)
 let with_targets (snapshot : Snapshot.t) targets =
   let current = Array.copy snapshot.Snapshot.current in
   let in_use = Bytes.copy snapshot.Snapshot.in_use in
-  Hashtbl.iter
-    (fun id owner ->
-      let code = Broker.owner_code owner in
-      if current.(id) <> code then begin
+  Array.iteri
+    (fun id code ->
+      if code >= 0 && current.(id) <> code then begin
         (* a moved server is preempted: it arrives idle *)
         current.(id) <- code;
         Bytes.set in_use id '\000'
@@ -100,19 +125,16 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
       snapshot reservations
   in
   let assignment1 = Formulation.decode phase1.Phases.formulation phase1.Phases.solution in
-  let plan1 = Concretize.plan phase1.Phases.formulation assignment1 in
-  let targets = Hashtbl.create 1024 in
-  List.iter (fun (id, owner) -> Hashtbl.replace targets id owner) plan1.Concretize.targets;
+  (* the target owner code per server id, -1 where no phase covered it *)
+  let targets = Array.make (Snapshot.num_servers snapshot) (-1) in
+  Concretize.write_targets phase1.Phases.formulation assignment1 targets;
   (* ---- phase 2: rack refinement for the worst reservations ---- *)
   let phase2 =
     if not params.run_phase2 then None
     else begin
       let scored =
-        List.filter_map
-          (fun res ->
-            let overflow = rack_overflow snapshot targets res in
-            if overflow > 1e-6 then Some (overflow, res) else None)
-          reservations
+        List.combine (rack_overflows snapshot targets reservations) reservations
+        |> List.filter (fun (overflow, _) -> overflow > 1e-6)
       in
       if scored = [] then None
       else begin
@@ -120,30 +142,36 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
         let quota =
           Int.max 1 (int_of_float (phase2_fraction *. float_of_int (List.length reservations)))
         in
+        let candidates = List.filteri (fun i _ -> i < quota) (List.map snd scored) in
         let snapshot2_all = with_targets snapshot targets in
+        (* a candidate's phase-2 pool is its usable servers plus the usable
+           free ones: one owner-code histogram sizes them all *)
+        let free_code = Broker.owner_code Broker.Free in
+        let max_code =
+          List.fold_left
+            (fun m res -> Int.max m (Broker.owner_code (owner_of_res res)))
+            free_code candidates
+        in
+        let usable_by_code = Array.make (max_code + 1) 0 in
+        Array.iteri
+          (fun id c ->
+            if c <= max_code && Snapshot.usable_at snapshot2_all id then
+              usable_by_code.(c) <- usable_by_code.(c) + 1)
+          snapshot2_all.Snapshot.current;
         (* accumulate reservations while the grouped-variable estimate stays
            under the cap (one variable per rack-level class x reservation) *)
         let selected = ref [] and var_estimate = ref 0 in
-        List.iteri
-          (fun i (_, res) ->
-            if i < quota then begin
-              let owner_code = Broker.owner_code (owner_of_res res) in
-              let free_code = Broker.owner_code Broker.Free in
-              let counted = ref 0 in
-              for id = 0 to Snapshot.num_servers snapshot2_all - 1 do
-                if Snapshot.usable_at snapshot2_all id then begin
-                  let c = Snapshot.current_code snapshot2_all id in
-                  if c = owner_code || c = free_code then incr counted
-                end
-              done;
-              let server_count = !counted in
-              (* rack-level classes are at worst one per server *)
-              if !var_estimate + server_count <= phase2_var_cap then begin
-                selected := res :: !selected;
-                var_estimate := !var_estimate + server_count
-              end
+        List.iter
+          (fun res ->
+            let server_count =
+              usable_by_code.(Broker.owner_code (owner_of_res res)) + usable_by_code.(free_code)
+            in
+            (* rack-level classes are at worst one per server *)
+            if !var_estimate + server_count <= phase2_var_cap then begin
+              selected := res :: !selected;
+              var_estimate := !var_estimate + server_count
             end)
-          scored;
+          candidates;
         match !selected with
         | [] -> None
         | selected ->
@@ -162,35 +190,13 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
               ~rack_level:true ~include_server snapshot2_all selected
           in
           let assignment2 = Formulation.decode result.Phases.formulation result.Phases.solution in
-          let plan2 = Concretize.plan result.Phases.formulation assignment2 in
-          List.iter (fun (id, owner) -> Hashtbl.replace targets id owner) plan2.Concretize.targets;
+          Concretize.write_targets result.Phases.formulation assignment2 targets;
           Some result
       end
     end
   in
   (* ---- merge: moves relative to the original snapshot ---- *)
-  let moves = ref [] and target_list = ref [] in
-  Hashtbl.iter
-    (fun id owner ->
-      target_list := (id, owner) :: !target_list;
-      let current = Snapshot.current snapshot id in
-      if current <> owner then
-        moves :=
-          {
-            Concretize.server = id;
-            from_ = current;
-            to_ = owner;
-            was_in_use = Snapshot.in_use_at snapshot id;
-          }
-          :: !moves)
-    targets;
-  let plan =
-    {
-      Concretize.moves =
-        List.sort (fun a b -> compare a.Concretize.server b.Concretize.server) !moves;
-      targets = List.sort compare !target_list;
-    }
-  in
+  let plan = Concretize.plan_of_column snapshot targets in
   let shortfalls =
     let base = Formulation.capacity_shortfalls phase1.Phases.formulation phase1.Phases.solution in
     match phase2 with

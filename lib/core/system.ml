@@ -185,14 +185,14 @@ let record_metrics t =
   let snap = snapshot t in
   let frac = Buffers.embedded_buffer_fraction snap in
   if not (Float.is_nan frac) then Metrics.record t.mtr "max_msb_share" ~time:now frac;
-  (* power *)
+  (* power, read off the owner and in-use columns *)
+  let free = Broker.owner_code Broker.Free and shared = Broker.owner_code Broker.Shared_buffer in
   let usage_of (s : Region.server) =
-    let r = Broker.record t.brk s.Region.id in
-    match r.Broker.current with
-    | Broker.Free -> Power.Idle_free
-    | Broker.Shared_buffer -> Power.Assigned_idle
-    | Broker.Reservation _ | Broker.Elastic _ ->
-      if r.Broker.in_use then Power.Assigned_busy else Power.Assigned_idle
+    let id = s.Region.id in
+    let code = Broker.current_code t.brk id in
+    if code = free then Power.Idle_free
+    else if code <> shared && Broker.in_use_at t.brk id then Power.Assigned_busy
+    else Power.Assigned_idle
   in
   let draw = Power.msb_power (Broker.region t.brk) ~usage_of in
   Metrics.record t.mtr "power_variance" ~time:now (Power.normalized_variance draw);
@@ -226,11 +226,12 @@ let record_metrics t =
       | [] -> ())
     t.guaranteed;
   (* availability + pool state *)
-  let down =
-    Broker.fold t.brk ~init:0 ~f:(fun acc r -> if Broker.healthy r then acc else acc + 1)
-  in
+  let down = ref 0 in
+  for id = 0 to Broker.num_servers t.brk - 1 do
+    if not (Broker.healthy_at t.brk id) then incr down
+  done;
   Metrics.record t.mtr "unavailable_frac" ~time:now
-    (float_of_int down /. float_of_int (Broker.num_servers t.brk));
+    (float_of_int !down /. float_of_int (Broker.num_servers t.brk));
   Metrics.record t.mtr "free_servers" ~time:now
     (float_of_int (Broker.count_owner t.brk Broker.Free));
   Metrics.record t.mtr "loans_outstanding" ~time:now

@@ -12,8 +12,11 @@ echo "== dead-module and dead-value check =="
 sh scripts/check_dead_modules.sh
 
 # the sparse-vs-dense batteries inside the suite solve every instance
-# under both LU kinds (traversal and full scan), so one run covers both
-echo "== dune runtest =="
+# under both LU kinds (traversal and full scan), so one run covers both;
+# runtest also runs `ras_bench.exe --smoke` (benchmark/dune), whose
+# check_round verifies, through System, that every available server sits
+# on its target owner and that capacity plus shortfall covers each request
+echo "== dune runtest (test suite + ras_bench --smoke) =="
 dune runtest
 
 echo "== bench smoke (kernels --quick, incl. large rows) =="

@@ -8,7 +8,11 @@
    - The Markowitz candidate window of the LU refactorization, which
      Ras_mip.Basis reads off a count heap (test_basis.ml).
    - The symmetry-class build, which Ras.Symmetry streams over the
-     snapshot columns (test_region_scale.ml, test_properties.ml). *)
+     snapshot columns (test_region_scale.ml, test_properties.ml).
+   - Disaggregation: Ras.Concretize and Async_solver's phase-2 selection
+     and merge, which now run over one owner-code column, as they first
+     shipped over per-class tables, a server-keyed target table and sorted
+     lists (test_properties.ml, test_region_scale.ml, test_core.ml). *)
 
 open Ras
 module Broker = Ras_broker.Broker
@@ -405,3 +409,250 @@ let build_reference ?(rack_level = false) ?(include_server = fun _ -> true)
       classes
   in
   { Symmetry.classes; region = snapshot.Snapshot.region; snapshot; owner_counts }
+
+(* ---------- disaggregation: the table-and-list implementation ---------- *)
+
+let owner_of (res : Reservation.t) =
+  match res.Reservation.kind with
+  | Reservation.Guaranteed -> Broker.Reservation res.Reservation.id
+  | Reservation.Random_failure_buffer _ -> Broker.Shared_buffer
+
+(* [Concretize.plan] before the owner-code column: per class a [Hashtbl] of
+   kept members, a [List.filter] per quota and a polymorphic sort of the
+   surplus.  The column walk must give the same targets and moves. *)
+let concretize_reference (f : Formulation.t) (assignment : Formulation.assignment) :
+    Concretize.plan =
+  let snapshot = f.Formulation.symmetry.Symmetry.snapshot in
+  let current id = Snapshot.current snapshot id in
+  (* per class: quotas per owner *)
+  let quotas_of_class : (int, (Broker.owner * int) list ref) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun (cls, res, count) ->
+      let owner = owner_of res in
+      let q =
+        match Hashtbl.find_opt quotas_of_class cls.Symmetry.index with
+        | Some q -> q
+        | None ->
+          let q = ref [] in
+          Hashtbl.replace quotas_of_class cls.Symmetry.index q;
+          q
+      in
+      q := (owner, count) :: !q)
+    assignment.Formulation.counts;
+  let moves = ref [] and targets = ref [] in
+  Array.iter
+    (fun (cls : Symmetry.cls) ->
+      let quotas =
+        match Hashtbl.find_opt quotas_of_class cls.Symmetry.index with
+        | Some q -> List.sort compare !q
+        | None -> []
+      in
+      let members = Array.to_list cls.Symmetry.members in
+      (* stability first: fill each owner's quota with servers it already has *)
+      let kept : (int, Broker.owner) Hashtbl.t = Hashtbl.create 16 in
+      let remaining_quota = ref [] in
+      List.iter
+        (fun (owner, want) ->
+          let have = List.filter (fun id -> current id = owner) members in
+          let keep, _ =
+            List.fold_left
+              (fun (acc, k) id -> if k < want then (id :: acc, k + 1) else (acc, k))
+              ([], 0) have
+          in
+          List.iter (fun id -> Hashtbl.replace kept id owner) keep;
+          let missing = want - List.length keep in
+          if missing > 0 then remaining_quota := (owner, missing) :: !remaining_quota)
+        quotas;
+      (* surplus pool: members not kept anywhere; free servers first, then by id *)
+      let surplus = List.filter (fun id -> not (Hashtbl.mem kept id)) members in
+      let free_first =
+        List.stable_sort
+          (fun a b ->
+            let fa = current a = Broker.Free and fb = current b = Broker.Free in
+            if fa = fb then compare a b else if fa then -1 else 1)
+          surplus
+      in
+      let pool = ref free_first in
+      List.iter
+        (fun (owner, missing) ->
+          let taken = ref 0 in
+          let rest = ref [] in
+          List.iter
+            (fun id ->
+              if !taken < missing then begin
+                Hashtbl.replace kept id owner;
+                incr taken
+              end
+              else rest := id :: !rest)
+            !pool;
+          pool := List.rev !rest)
+        (List.sort compare !remaining_quota);
+      (* whatever is left returns to the free pool *)
+      List.iter (fun id -> if not (Hashtbl.mem kept id) then Hashtbl.replace kept id Broker.Free) members;
+      List.iter
+        (fun id ->
+          let target = Hashtbl.find kept id in
+          targets := (id, target) :: !targets;
+          if target <> current id then
+            moves :=
+              {
+                Concretize.server = id;
+                from_ = current id;
+                to_ = target;
+                was_in_use = Snapshot.in_use_at snapshot id;
+              }
+              :: !moves)
+        members)
+    f.Formulation.symmetry.Symmetry.classes;
+  {
+    Concretize.moves =
+      List.sort (fun a b -> compare a.Concretize.server b.Concretize.server) !moves;
+    targets = List.sort compare !targets;
+  }
+
+(* Async_solver's phase-2 criterion before the column: one pass over the
+   whole target table per reservation, summed in hash order. *)
+let rack_overflow_reference (snapshot : Snapshot.t) targets res =
+  match res.Reservation.rack_spread_limit with
+  | None -> 0.0
+  | Some alpha_k ->
+    let owner = owner_of res in
+    let per_rack = Hashtbl.create 32 in
+    Hashtbl.iter
+      (fun id target ->
+        if target = owner then begin
+          let s = Snapshot.server snapshot id in
+          let rru = res.Reservation.rru_of s.Region.hw in
+          if rru > 0.0 then begin
+            let rack = s.Region.loc.Region.rack in
+            let cur = try Hashtbl.find per_rack rack with Not_found -> 0.0 in
+            Hashtbl.replace per_rack rack (cur +. rru)
+          end
+        end)
+      targets;
+    let limit = alpha_k *. res.Reservation.capacity_rru in
+    Hashtbl.fold (fun _ v acc -> acc +. Float.max 0.0 (v -. limit)) per_rack 0.0
+
+let with_targets_reference (snapshot : Snapshot.t) targets =
+  let current = Array.copy snapshot.Snapshot.current in
+  let in_use = Bytes.copy snapshot.Snapshot.in_use in
+  Hashtbl.iter
+    (fun id owner ->
+      let code = Broker.owner_code owner in
+      if current.(id) <> code then begin
+        current.(id) <- code;
+        Bytes.set in_use id '\000'
+      end)
+    targets;
+  { snapshot with Snapshot.current; in_use }
+
+type merge = {
+  overflows : float list;  (** phase-1 rack overflow per snapshot reservation *)
+  selected : int list;  (** phase-2 reservation ids, in the order phase 2 got them *)
+  phase2_snapshot : Snapshot.t option;  (** what phase 2 solved from, when it ran *)
+  plan : Concretize.plan;
+}
+
+(* Everything [Async_solver.solve] did after each phase before the column,
+   replayed from a solve's phase results: the phase-1 target table, the
+   rack overflows, the phase-2 selection (one full server pass per
+   candidate), the phase-2 overwrite and the merge with its two sorts.  A
+   solve made with default [run_phase2] and no [include_server] must agree
+   with it. *)
+let merge_reference (stats : Async_solver.stats) =
+  let p1 = stats.Async_solver.phase1 in
+  let snapshot = p1.Phases.formulation.Formulation.symmetry.Symmetry.snapshot in
+  let reservations = snapshot.Snapshot.reservations in
+  let concretize (p : Phases.result) =
+    let f = p.Phases.formulation in
+    concretize_reference f (Formulation.decode f p.Phases.solution)
+  in
+  let targets = Hashtbl.create 1024 in
+  let overwrite (plan : Concretize.plan) =
+    List.iter (fun (id, owner) -> Hashtbl.replace targets id owner) plan.Concretize.targets
+  in
+  overwrite (concretize p1);
+  let overflows = List.map (rack_overflow_reference snapshot targets) reservations in
+  let scored =
+    List.filter_map
+      (fun (overflow, res) -> if overflow > 1e-6 then Some (overflow, res) else None)
+      (List.combine overflows reservations)
+  in
+  let selected, phase2_snapshot =
+    if scored = [] then ([], None)
+    else begin
+      let scored = List.sort (fun (a, _) (b, _) -> compare b a) scored in
+      let quota = Int.max 1 (int_of_float (0.1 *. float_of_int (List.length reservations))) in
+      let snapshot2_all = with_targets_reference snapshot targets in
+      let selected = ref [] and var_estimate = ref 0 in
+      List.iteri
+        (fun i (_, res) ->
+          if i < quota then begin
+            let owner_code = Broker.owner_code (owner_of res) in
+            let free_code = Broker.owner_code Broker.Free in
+            let counted = ref 0 in
+            for id = 0 to Snapshot.num_servers snapshot2_all - 1 do
+              if Snapshot.usable_at snapshot2_all id then begin
+                let c = Snapshot.current_code snapshot2_all id in
+                if c = owner_code || c = free_code then incr counted
+              end
+            done;
+            let server_count = !counted in
+            if !var_estimate + server_count <= 6000 then begin
+              selected := res :: !selected;
+              var_estimate := !var_estimate + server_count
+            end
+          end)
+        scored;
+      if !selected = [] then ([], None)
+      else (List.map (fun r -> r.Reservation.id) !selected, Some snapshot2_all)
+    end
+  in
+  (match stats.Async_solver.phase2 with
+  | Some p2 -> overwrite (concretize p2)
+  | None -> ());
+  let moves = ref [] and target_list = ref [] in
+  Hashtbl.iter
+    (fun id owner ->
+      target_list := (id, owner) :: !target_list;
+      let current = Snapshot.current snapshot id in
+      if current <> owner then
+        moves :=
+          {
+            Concretize.server = id;
+            from_ = current;
+            to_ = owner;
+            was_in_use = Snapshot.in_use_at snapshot id;
+          }
+          :: !moves)
+    targets;
+  let plan =
+    {
+      Concretize.moves =
+        List.sort (fun a b -> compare a.Concretize.server b.Concretize.server) !moves;
+      targets = List.sort compare !target_list;
+    }
+  in
+  { overflows; selected; phase2_snapshot; plan }
+
+(* ---------- System metrics: the record-building reads ---------- *)
+
+(* [System.record_metrics]' power draw and down count as first written: a
+   [Broker.record] per server for the usage classifier and a [Broker.fold]
+   for the down count.  Returns (power_variance, unavailable_frac). *)
+let metrics_reference broker =
+  let usage_of (s : Region.server) =
+    let r = Broker.record broker s.Region.id in
+    match r.Broker.current with
+    | Broker.Free -> Ras_workload.Power.Idle_free
+    | Broker.Shared_buffer -> Ras_workload.Power.Assigned_idle
+    | Broker.Reservation _ | Broker.Elastic _ ->
+      if r.Broker.in_use then Ras_workload.Power.Assigned_busy
+      else Ras_workload.Power.Assigned_idle
+  in
+  let draw = Ras_workload.Power.msb_power (Broker.region broker) ~usage_of in
+  let down =
+    Broker.fold broker ~init:0 ~f:(fun acc r -> if Broker.healthy r then acc else acc + 1)
+  in
+  ( Ras_workload.Power.normalized_variance draw,
+    float_of_int down /. float_of_int (Broker.num_servers broker) )

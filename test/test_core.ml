@@ -444,6 +444,39 @@ let test_mover_lend_and_revoke () =
     ((Broker.record broker 0).Broker.current = Broker.Shared_buffer);
   Alcotest.(check int) "no loans left" 0 (Online_mover.loans_outstanding mover)
 
+let test_mover_apply_plan_counts () =
+  (* one move of each kind: in use, idle, under planned maintenance (still
+     available, so it moves) and down unplanned (skipped) *)
+  let region = Generator.generate Generator.small_params in
+  let broker = Broker.create region in
+  let mover = Online_mover.create broker in
+  List.iter (fun id -> Broker.move broker id (Broker.Reservation 1)) [ 0; 1; 2; 3 ];
+  Broker.set_in_use broker 0 true;
+  Broker.mark_down broker 2 Unavail.Planned_maintenance;
+  Broker.mark_down broker 3 Unavail.Unplanned_hw;
+  let move id =
+    {
+      Concretize.server = id;
+      from_ = Broker.Reservation 1;
+      to_ = Broker.Free;
+      was_in_use = id = 0;
+    }
+  in
+  let ids = [ 0; 1; 2; 3 ] in
+  let targets = List.map (fun id -> (id, Broker.Free)) ids in
+  let stats = Online_mover.apply_plan mover { Concretize.moves = List.map move ids; targets } in
+  Alcotest.(check (list int)) "in use / unused / skipped" [ 1; 2; 1 ]
+    [
+      stats.Online_mover.moved_in_use;
+      stats.Online_mover.moved_unused;
+      stats.Online_mover.skipped_unavailable;
+    ];
+  Alcotest.(check (list bool)) "moved servers are free, the skipped one is not"
+    [ true; true; true; false ]
+    (List.map (fun id -> Broker.current_owner broker id = Broker.Free) ids);
+  Alcotest.(check (list bool)) "every target written" [ true; true; true; true ]
+    (List.map (fun id -> Broker.target_code broker id = Broker.owner_code Broker.Free) ids)
+
 let test_mover_replacement_revokes_loan () =
   let region = Generator.generate Generator.small_params in
   let broker = Broker.create region in
@@ -771,6 +804,54 @@ let test_system_end_to_end () =
           (Snapshot.current_rru snap res >= res.Reservation.capacity_rru -. 1e-6))
     (System.reservations sys)
 
+let test_system_metrics_match_reference () =
+  (* every metrics tick of a day with containers, lent buffers and
+     failures: the column reads give the record-building reads' power
+     variance and unavailable fraction, bit for bit *)
+  let region = Generator.generate Generator.small_params in
+  let broker = Broker.create region in
+  let requests =
+    Ras_workload.Request_gen.scenario (Ras_stats.Rng.create 11) ~region
+      ~services:Service.default_catalog ~target_utilization:0.4
+  in
+  let config =
+    {
+      System.default_config with
+      System.solver = { Async_solver.default_params with Async_solver.node_limit = 0 };
+    }
+  in
+  let sys = System.create ~config broker in
+  List.iter (System.add_request sys) requests;
+  System.install_failures sys
+    (Ras_failures.Failure_model.generate (Ras_stats.Rng.create 5) region
+       Ras_failures.Failure_model.default_params ~horizon_days:1.0);
+  (* and servers that stay down all day, one of each kind *)
+  List.iteri
+    (fun i kind -> Broker.mark_down broker (17 * (i + 1)) kind)
+    Unavail.[ Planned_maintenance; Unplanned_sw; Unplanned_hw; Correlated ];
+  System.start sys;
+  (* events at equal times run in schedule order: this check runs right
+     after each metrics tick *)
+  let ticks = ref 0 in
+  Ras_sim.Engine.schedule_every (System.engine sys)
+    ~first:(config.System.metrics_period_h /. 2.0)
+    ~period:config.System.metrics_period_h
+    (fun eng ->
+      incr ticks;
+      let variance, unavailable = Oracles.metrics_reference broker in
+      let last name =
+        match Ras_sim.Metrics.find (System.metrics sys) name with
+        | Some series -> (
+          match Ras_stats.Timeseries.last series with
+          | Some (time, v) when time = Ras_sim.Engine.now eng -> v
+          | Some _ | None -> Alcotest.failf "%s not recorded at this tick" name)
+        | None -> Alcotest.failf "%s never recorded" name
+      in
+      Alcotest.(check (float 0.0)) "power_variance" variance (last "power_variance");
+      Alcotest.(check (float 0.0)) "unavailable_frac" unavailable (last "unavailable_frac"));
+  System.run sys ~until_h:24.0;
+  Alcotest.(check int) "one check per tick" 24 !ticks
+
 let test_system_remove_reservation () =
   let region = Generator.generate Generator.small_params in
   let broker = Broker.create region in
@@ -872,6 +953,102 @@ let test_system_installs_prices () =
         (Reactive.price reactive ~msb ~hw))
     expected
 
+(* Rounds of [System] on the medium preset's layout at [servers_per_rack],
+   with rack goals on the larger requests, as the solver-performance figures
+   set them, so phase 2 has overflows to refine; containers and failures
+   between rounds make moves of in-use servers and phase-2 snapshots that
+   differ from the round's.  Every round's rack overflows, phase-2
+   selection, phase-2 snapshot and merged plan must be the ones the
+   table-and-list oracle rebuilds from the round's phase results. *)
+let system_merge_matches_reference ~servers_per_rack ~rounds =
+  let region =
+    Generator.generate
+      {
+        Generator.name = "region-medium";
+        num_dcs = 3;
+        msbs_per_dc = 6;
+        racks_per_msb = 6;
+        servers_per_rack;
+        seed = 3;
+      }
+  in
+  let broker = Broker.create region in
+  let requests =
+    Ras_workload.Request_gen.scenario (Ras_stats.Rng.create 11) ~region
+      ~services:Service.default_catalog ~target_utilization:0.45
+    |> List.map (fun (r : Capacity_request.t) ->
+           if r.Capacity_request.rru >= 5.0 then
+             { r with Capacity_request.rack_spread_limit = Some 0.06 }
+           else r)
+  in
+  let config =
+    {
+      System.default_config with
+      System.solver = { Async_solver.default_params with Async_solver.node_limit = 0 };
+    }
+  in
+  let sys = System.create ~config broker in
+  List.iter (System.add_request sys) requests;
+  let rng = Ras_stats.Rng.create 7 in
+  let phase2_rounds = ref 0 in
+  for round = 1 to rounds do
+    for _ = 1 to 10 do
+      let id = Ras_stats.Rng.int rng (Broker.num_servers broker) in
+      Broker.mark_down broker id Unavail.Unplanned_hw
+    done;
+    let stats = System.solve_now sys in
+    let reference = Oracles.merge_reference stats in
+    let label what = Printf.sprintf "round %d: %s" round what in
+    let p1 = stats.Async_solver.phase1 in
+    let f1 = p1.Phases.formulation in
+    let snapshot = f1.Formulation.symmetry.Symmetry.snapshot in
+    let column = Array.make (Snapshot.num_servers snapshot) (-1) in
+    Concretize.write_targets f1 (Formulation.decode f1 p1.Phases.solution) column;
+    (* the sums run in id order, not the oracle's hash order *)
+    let worst =
+      List.fold_left2
+        (fun acc got want ->
+          Float.max acc (Float.abs (got -. want) /. Float.max 1.0 (Float.abs want)))
+        0.0
+        (Async_solver.rack_overflows snapshot column snapshot.Snapshot.reservations)
+        reference.Oracles.overflows
+    in
+    Alcotest.(check bool)
+      (label (Printf.sprintf "rack overflows within %g of the oracle's" worst))
+      true (worst <= 1e-9);
+    let selected =
+      match stats.Async_solver.phase2 with
+      | Some p2 ->
+        incr phase2_rounds;
+        List.map (fun r -> r.Reservation.id) p2.Phases.formulation.Formulation.reservations
+      | None -> []
+    in
+    Alcotest.(check (list int)) (label "phase-2 selection") reference.Oracles.selected selected;
+    (match (stats.Async_solver.phase2, reference.Oracles.phase2_snapshot) with
+    | Some p2, Some want ->
+      let got = p2.Phases.formulation.Formulation.symmetry.Symmetry.snapshot in
+      Alcotest.(check (array int)) (label "phase-2 owners") want.Snapshot.current
+        got.Snapshot.current;
+      Alcotest.(check bool) (label "phase-2 in-use column") true
+        (Bytes.equal want.Snapshot.in_use got.Snapshot.in_use)
+    | None, None -> ()
+    | Some _, None | None, Some _ -> Alcotest.fail (label "phase 2 ran on one side only"));
+    Alcotest.(check bool) (label "merged plan") true
+      (stats.Async_solver.plan = reference.Oracles.plan);
+    System.run sys ~until_h:(float_of_int round)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "phase 2 fired (%d of %d rounds)" !phase2_rounds rounds)
+    true (!phase2_rounds >= 1)
+
+let test_system_merge_matches_reference () =
+  (* the medium preset itself: 864 servers *)
+  system_merge_matches_reference ~servers_per_rack:8 ~rounds:4;
+  (* 5,184 servers: a candidate's phase-2 pool (its own plus the free
+     usable servers) is large enough that the 6,000-variable cap turns
+     candidates away, so the sizing histogram decides the selection *)
+  system_merge_matches_reference ~servers_per_rack:48 ~rounds:2
+
 let test_system_memory_bounded () =
   (* the system keeps one round's statistics, not all of them: forty more
      rounds must not grow its reachable heap by a single stats record, each
@@ -938,6 +1115,7 @@ let suite =
     Alcotest.test_case "mover replacement fails w/o buffer" `Quick test_mover_replacement_fails_without_buffer;
     Alcotest.test_case "mover ignores planned" `Quick test_mover_planned_no_replacement;
     Alcotest.test_case "mover lend and revoke" `Quick test_mover_lend_and_revoke;
+    Alcotest.test_case "mover apply_plan counts" `Quick test_mover_apply_plan_counts;
     Alcotest.test_case "mover replacement revokes loan" `Quick test_mover_replacement_revokes_loan;
     Alcotest.test_case "solver converges to stability" `Slow test_solver_converges_to_stability;
     Alcotest.test_case "mover replacement SLA" `Quick test_mover_replacement_sla;
@@ -953,6 +1131,10 @@ let suite =
       test_shadow_prices_surface_binding_rows;
     Alcotest.test_case "system end to end" `Slow test_system_end_to_end;
     Alcotest.test_case "system remove reservation" `Quick test_system_remove_reservation;
+    Alcotest.test_case "system metrics match the record reads" `Quick
+      test_system_metrics_match_reference;
     Alcotest.test_case "system installs tier-1 prices" `Quick test_system_installs_prices;
     Alcotest.test_case "system memory bounded over rounds" `Quick test_system_memory_bounded;
+    Alcotest.test_case "system merge matches the oracle over rounds" `Slow
+      test_system_merge_matches_reference;
   ]

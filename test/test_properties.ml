@@ -36,40 +36,37 @@ let owner_of (res : Reservation.t) =
   | Reservation.Guaranteed -> Broker.Reservation res.Reservation.id
   | Reservation.Random_failure_buffer _ -> Broker.Shared_buffer
 
+(* Random feasible counts: walk classes, hand out supply to random
+   acceptable reservations. *)
+let random_counts rng (f : Formulation.t) =
+  let counts = Hashtbl.create 64 in
+  Array.iter
+    (fun (cls : Symmetry.cls) ->
+      let pairs =
+        List.filter (fun (p : Formulation.pair) -> p.Formulation.cls == cls) f.Formulation.pairs
+      in
+      let budget = ref (Symmetry.size cls) in
+      List.iter
+        (fun (p : Formulation.pair) ->
+          if !budget > 0 then begin
+            let take = Ras_stats.Rng.int rng (!budget + 1) in
+            if take > 0 then begin
+              Hashtbl.replace counts (cls.Symmetry.index, p.Formulation.res.Reservation.id) take;
+              budget := !budget - take
+            end
+          end)
+        pairs)
+    f.Formulation.symmetry.Symmetry.classes;
+  fun (p : Formulation.pair) ->
+    try Hashtbl.find counts (p.Formulation.cls.Symmetry.index, p.Formulation.res.Reservation.id)
+    with Not_found -> 0
+
 let prop_concretize_realizes_random_counts =
   QCheck.Test.make ~name:"concretize realizes random counts with minimal movement" ~count:25
     QCheck.int
     (fun seed ->
       let f = fixture () in
-      let rng = Ras_stats.Rng.create seed in
-      (* random feasible counts: walk classes, hand out supply to random
-         acceptable reservations *)
-      let counts = Hashtbl.create 64 in
-      Array.iter
-        (fun (cls : Symmetry.cls) ->
-          let pairs =
-            List.filter (fun (p : Formulation.pair) -> p.Formulation.cls == cls) f.Formulation.pairs
-          in
-          if pairs <> [] then begin
-            let budget = ref (Symmetry.size cls) in
-            List.iter
-              (fun (p : Formulation.pair) ->
-                if !budget > 0 then begin
-                  let take = Ras_stats.Rng.int rng (!budget + 1) in
-                  if take > 0 then begin
-                    Hashtbl.replace counts
-                      (cls.Symmetry.index, p.Formulation.res.Reservation.id)
-                      take;
-                    budget := !budget - take
-                  end
-                end)
-              pairs
-          end)
-        f.Formulation.symmetry.Symmetry.classes;
-      let count_of (p : Formulation.pair) =
-        try Hashtbl.find counts (p.Formulation.cls.Symmetry.index, p.Formulation.res.Reservation.id)
-        with Not_found -> 0
-      in
+      let count_of = random_counts (Ras_stats.Rng.create seed) f in
       let solution = Formulation.encode f count_of in
       let assignment = Formulation.decode f solution in
       let plan = Concretize.plan f assignment in
@@ -115,7 +112,9 @@ let prop_concretize_realizes_random_counts =
             stayed = min n0 (count_of p))
           f.Formulation.pairs
       in
-      realized_ok && movement_ok)
+      (* 3. the column walk picks the very servers the table-and-list
+         implementation picked *)
+      realized_ok && movement_ok && plan = Oracles.concretize_reference f assignment)
 
 (* ---------- symmetry aggregation invariants ---------- *)
 
@@ -238,8 +237,31 @@ let prop_aggregation_invariants =
              (fun (id, o) -> Snapshot.current snapshot id = o)
              plan.Concretize.targets
       in
+      (* 6. on random counts the column walk gives the oracle's targets and
+         moves, and the one-pass rack overflows (every reservation given a
+         rack goal) agree with the per-reservation table passes *)
+      let assignment =
+        Formulation.decode f (Formulation.encode f (random_counts (Ras_stats.Rng.create seed) f))
+      in
+      let plan = Concretize.plan f assignment in
+      let reference_ok = plan = Oracles.concretize_reference f assignment in
+      let overflows_ok =
+        let goals =
+          List.map (fun r -> { r with Reservation.rack_spread_limit = Some 0.05 }) reservations
+        in
+        let column = Array.make (Snapshot.num_servers snapshot) (-1) in
+        Concretize.write_targets f assignment column;
+        let table = Hashtbl.create 64 in
+        List.iter (fun (id, o) -> Hashtbl.replace table id o) plan.Concretize.targets;
+        List.for_all2
+          (fun got res ->
+            let want = Oracles.rack_overflow_reference snapshot table res in
+            Float.abs (got -. want) <= 1e-9 *. Float.max 1.0 (Float.abs want))
+          (Async_solver.rack_overflows snapshot column goals)
+          goals
+      in
       matches_reference && counts_sum && representative_ok && capacity_ok && histogram_ok
-      && identity_ok)
+      && identity_ok && reference_ok && overflows_ok)
 
 (* ---------- simplex under bad scaling ---------- *)
 

@@ -12,7 +12,8 @@
      verdict/objective under every pricing rule and both kernel backends;
    - disaggregation: a class-level solution concretized to per-server
      targets and re-aggregated must encode back to a feasible vector with
-     the same objective;
+     the same objective, and the column walk and merge must pick the
+     targets and moves of the retained table-and-list oracle;
    - ceilings: compiled size must be independent of raw server count
      (Fig. 10/11 regime), formulation+compile allocation must be bounded by
      model size (not server count), and the columnar snapshot/symmetry live
@@ -186,17 +187,27 @@ let objective_of (std : Model.std) x =
   Array.iteri (fun v c -> acc := !acc +. (c *. x.(v))) std.Model.obj;
   !acc
 
-let test_disaggregation_round_trip () =
-  let snapshot, reservations = scale_snapshot ~servers_per_rack:1 () in
-  let result = Phases.run ~mip_node_limit:0 snapshot reservations in
+let round_trip ~servers_per_rack =
+  let snapshot, _ = scale_snapshot ~servers_per_rack () in
+  let stats =
+    Async_solver.solve
+      ~params:{ Async_solver.default_params with Async_solver.node_limit = 0 }
+      snapshot
+  in
+  let result = stats.Async_solver.phase1 in
   let f = result.Phases.formulation in
   let std = result.Phases.compiled in
   let solution = result.Phases.solution in
   Alcotest.(check bool) "solver solution is feasible" true
     (Model.check_solution std solution = Ok ());
-  (* class counts -> per-server assignment *)
+  (* class counts -> per-server assignment: the very servers, targets and
+     moves the table-and-list oracle picks, and the same merged plan *)
   let assignment = Formulation.decode f solution in
   let plan = Concretize.plan f assignment in
+  Alcotest.(check bool) "concretize matches the oracle" true
+    (plan = Oracles.concretize_reference f assignment);
+  Alcotest.(check bool) "merged plan matches the oracle" true
+    (stats.Async_solver.plan = (Oracles.merge_reference stats).Oracles.plan);
   let target_of = Hashtbl.create 4096 in
   List.iter (fun (id, o) -> Hashtbl.replace target_of id o) plan.Concretize.targets;
   (* re-aggregate the per-server assignment back into per-pair counts.
@@ -224,6 +235,11 @@ let test_disaggregation_round_trip () =
     (Printf.sprintf "objective preserved (%.6f vs %.6f)" obj_orig obj_rebuilt)
     true
     (Float.abs (obj_orig -. obj_rebuilt) <= 1e-9 *. Float.max 1.0 (Float.abs obj_orig))
+
+let test_disaggregation_round_trip () =
+  round_trip ~servers_per_rack:1;
+  (* 10^6-server pin: RAS_SCALE_TESTS=full only *)
+  if full_scale () then round_trip ~servers_per_rack:48
 
 (* ---------- scale sweep: compiled size independent of raw server count -- *)
 
