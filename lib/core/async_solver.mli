@@ -45,7 +45,9 @@ type stats = {
       (** the bound proves no additional softened constraint could have been
           fixed by running longer (Fig. 9: true for ~99% of solves) *)
   solver_nodes : int;  (** branch-and-bound nodes across both phases *)
-  solver_lp_iterations : int;  (** simplex pivots across both phases *)
+  solver_lp_iterations : int;
+      (** branch-and-bound node-LP pivots across both phases; the root LP
+          each phase solves before the tree search is not counted *)
   solver_warm_starts : int;
       (** nodes whose LP restarted from a parent basis (see
           {!Ras_mip.Branch_bound}); the warm-start hit rate of this solve *)

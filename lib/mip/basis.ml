@@ -352,7 +352,7 @@ let markowitz_cands = 4
    slots. *)
 let markowitz_window = (1 lsl markowitz_cands) - 1
 
-let lu_refactorize ?deficient m ~basis ~col =
+let lu_refactorize m ~basis ~col =
   (* Working matrix: rows as parallel growable (col, val) arrays; column
      patterns as growable row lists that may carry stale entries (lazily
      compacted against the row store).
@@ -367,23 +367,14 @@ let lu_refactorize ?deficient m ~basis ~col =
      column order keeping the first of equal counts would pick — so the
      pivot sequence does not depend on how the window is found.
 
-     When [deficient] is supplied, a rank-deficient basis does not raise
-     {!Singular}: columns that prove dependent (empty or numerically zero
-     once eliminated against the pivots chosen so far) are dropped, and
-     after the main elimination each leftover row [r] gets a unit column
-     [e_r] at one of the dropped basis positions.  Because a leftover row
-     was never a pivot row, [e_r] passes through every eliminated step
-     untouched (no pivot row has an entry in it), so the tail steps factor
-     trivially with pivot value 1 and empty L/U rows.  The (position, row)
-     substitutions are reported through [deficient] so the caller can
-     patch its basis bookkeeping. *)
+     A column that proves dependent (empty or numerically zero once
+     eliminated against the pivots chosen so far) raises {!Singular}. *)
   let rcol = Array.make m [||] and rval = Array.make m [||] in
   let rlen = Array.make m 0 in
   let crow = Array.make m [||] in
   let clen = Array.make m 0 in
   (* [heap.(0 .. !hsize-1)] holds the active columns; [hpos.(c)] is column
-     c's slot, -1 before the heap is built and once c is pivoted or
-     dropped *)
+     c's slot, -1 before the heap is built and once c is pivoted *)
   let heap = Array.make m 0 and hpos = Array.make m (-1) in
   let hsize = ref 0 in
   let hless a b =
@@ -526,11 +517,8 @@ let lu_refactorize ?deficient m ~basis ~col =
   let cands = Array.make markowitz_cands 0 in
   let urow_c = Array.make m 0 and urow_v = Array.make m 0.0 in
   let lrow_r = Array.make m 0 and lrow_v = Array.make m 0.0 in
-  let repair = deficient <> None in
-  let dropped = ref [] in
-  (* basis positions dropped as dependent (repair mode only) *)
-  let kstep = ref 0 in
-  while !hsize > 0 do
+  (* every step pivots one column off the heap *)
+  for k = 0 to m - 1 do
     (* --- pivot selection: best Markowitz cost among eligible entries of the
        few smallest-count active columns, sorted out of the heap's top
        slots --- *)
@@ -557,40 +545,24 @@ let lu_refactorize ?deficient m ~basis ~col =
         let a = Float.abs cand_vals.(u) in
         if a > !colmax then colmax := a
       done;
-      if n = 0 || !colmax < 1e-12 then begin
-        if not repair then raise Singular;
-        (* dependent on the pivots chosen so far: drop from the basis *)
-        heap_remove c;
-        dropped := c :: !dropped
-      end
-      else begin
-        let thresh = markowitz_tau *. !colmax in
-        for u = 0 to n - 1 do
-          let v = cand_vals.(u) in
-          let a = Float.abs v in
-          if a >= thresh then begin
-            let r = cand_rows.(u) in
-            let cost = (rlen.(r) - 1) * (n - 1) in
-            if cost < !best_cost || (cost = !best_cost && a > !best_mag) then begin
-              best_cost := cost;
-              best_mag := a;
-              best_r := r;
-              best_c := c;
-              best_v := v
-            end
+      if n = 0 || !colmax < 1e-12 then raise Singular;
+      let thresh = markowitz_tau *. !colmax in
+      for u = 0 to n - 1 do
+        let v = cand_vals.(u) in
+        let a = Float.abs v in
+        if a >= thresh then begin
+          let r = cand_rows.(u) in
+          let cost = (rlen.(r) - 1) * (n - 1) in
+          if cost < !best_cost || (cost = !best_cost && a > !best_mag) then begin
+            best_cost := cost;
+            best_mag := a;
+            best_r := r;
+            best_c := c;
+            best_v := v
           end
-        done
-      end
+        end
+      done
     done;
-    if !best_r < 0 then begin
-      (* every candidate this round proved dependent: in repair mode they
-         were dropped above (so the reselection loop makes progress), in
-         strict mode the basis is singular *)
-      if not repair then raise Singular
-    end
-    else begin
-    let k = !kstep in
-    incr kstep;
     let prow = !best_r and pcol = !best_c and pv = !best_v in
     rperm.(k) <- prow;
     rpos.(prow) <- k;
@@ -644,57 +616,13 @@ let lu_refactorize ?deficient m ~basis ~col =
     done;
     lrows.(k) <- Array.sub lrow_r 0 !ln;
     lvals.(k) <- Array.sub lrow_v 0 !ln
-    end
   done;
-  (* --- repair tail: one unit column per leftover row, placed at the
-     dropped positions.  Leftover rows were never pivot rows, so their
-     unit columns are untouched by the eliminated steps and factor with
-     pivot 1 and empty L/U rows (already the initialized defaults). --- *)
-  let replaced = Array.make m false in
-  (match !dropped with
-  | [] -> ()
-  | drops ->
-    let repairs = ref [] in
-    let remaining = ref drops in
-    for r = 0 to m - 1 do
-      if row_active.(r) then begin
-        match !remaining with
-        | [] -> raise Singular (* more leftover rows than dropped columns *)
-        | pos :: rest ->
-          remaining := rest;
-          let k = !kstep in
-          incr kstep;
-          row_active.(r) <- false;
-          replaced.(pos) <- true;
-          rperm.(k) <- r;
-          rpos.(r) <- k;
-          cperm.(k) <- pos;
-          cpos.(pos) <- k;
-          udiag.(k) <- 1.0;
-          repairs := (pos, r) :: !repairs
-      end
-    done;
-    if !remaining <> [] then raise Singular;
-    (match deficient with
-    | Some cell -> cell := List.rev !repairs
-    | None -> assert false));
-  (* convert U column ids from basis positions to elimination steps; entries
-     in replaced columns are dropped — the unit column that now occupies the
-     position is zero in every pivot row *)
+  (* convert U column ids from basis positions to elimination steps *)
   for k = 0 to m - 1 do
-    let uc = ucols.(k) and uv = uvals.(k) in
-    let n = ref 0 in
+    let uc = ucols.(k) in
     for t = 0 to Array.length uc - 1 do
-      if not replaced.(uc.(t)) then begin
-        uc.(!n) <- cpos.(uc.(t));
-        uv.(!n) <- uv.(t);
-        incr n
-      end
-    done;
-    if !n < Array.length uc then begin
-      ucols.(k) <- Array.sub uc 0 !n;
-      uvals.(k) <- Array.sub uv 0 !n
-    end
+      uc.(t) <- cpos.(uc.(t))
+    done
   done;
   (* pattern-only step views and their transposes, for the hypersparse
      reachability passes (O(nnz) once per refactorization) *)
@@ -749,21 +677,6 @@ let refactorize t ~basis ~col =
   t.updates <- 0;
   t.err <- 0.0;
   t.refactors <- t.refactors + 1
-
-let refactorize_repaired t ~basis ~col =
-  match t.knd with
-  | Dense ->
-    (* the dense backend has no repair path; a singular basis raises as in
-       {!refactorize} and the caller falls back to a cold start *)
-    refactorize t ~basis ~col;
-    []
-  | Lu | Lu_full_scan ->
-    let repairs = ref [] in
-    t.repr <- Lu_r (lu_refactorize ~deficient:repairs t.m ~basis ~col);
-    t.updates <- 0;
-    t.err <- 0.0;
-    t.refactors <- t.refactors + 1;
-    !repairs
 
 (* ------------------------------------------------------------------ *)
 (* LU solves                                                           *)

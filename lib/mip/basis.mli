@@ -20,6 +20,10 @@
     against this module only and selects the representation through its
     [backend] option.
 
+    A basis is factorized as given: a singular one raises {!Singular},
+    nothing repairs its rank, and a warm start that meets it falls back to
+    a cold start.
+
     A factorization goes stale in two ways, and {!update_sparse} /
     {!should_refactorize} encode the refactorization policy:
     - the update chain grows past its budget (eta file length for {!Lu},
@@ -84,22 +88,6 @@ val refactorize :
     matrix; [col j f] must call [f row coef] for every nonzero of column
     [j].  Clears the eta file / update counter.  Raises {!Singular} (state
     unchanged) when elimination cannot complete. *)
-
-val refactorize_repaired :
-  t -> basis:int array -> col:(int -> (int -> float -> unit) -> unit) -> (int * int) list
-(** Like {!refactorize}, but a rank-deficient basis is repaired rather than
-    rejected (LU kinds only): columns that prove linearly dependent
-    during elimination are replaced by unit columns of the rows left
-    without a pivot, and the factorization completes for the repaired
-    matrix.  Returns the [(position, row)] substitutions — the caller must
-    install row [row]'s slack at basis position [position] in its own
-    bookkeeping; the empty list means the basis was already nonsingular.
-    This is what makes a projected basis usable after row removals
-    (branch-and-bound's root basis across presolve's row drops):
-    projecting out rows can make carried columns dependent, and
-    the repair keeps the independent majority instead of discarding the
-    whole warm start.  The {!Dense} backend takes the strict path and
-    raises {!Singular}. *)
 
 val ftran_dense : t -> float array -> float array
 (** [ftran_dense t b] returns B⁻¹b for a dense right-hand side [b] indexed

@@ -169,7 +169,7 @@ let tighten_integer_bounds (std : Model.std) lb ub =
     end
   done
 
-let solve_presolved ?(options = default_options) (std : Model.std) =
+let solve ?(options = default_options) (std : Model.std) =
   let start = Unix.gettimeofday () in
   let elapsed () = Unix.gettimeofday () -. start in
   let incumbent = ref None and incumbent_obj = ref infinity in
@@ -321,8 +321,10 @@ let solve_presolved ?(options = default_options) (std : Model.std) =
       | Error _ -> seed_status := Seed_rejected))
   | Some _ -> seed_status := Seed_rejected
   | None -> ());
-  if options.node_limit > 0 then
-    process { nlb = root_lb; nub = root_ub; depth = 0; wb = options.root_basis } neg_infinity;
+  (let root = { nlb = root_lb; nub = root_ub; depth = 0; wb = options.root_basis } in
+   (* an unprocessed root stays open, so nothing is claimed proven *)
+   if options.node_limit > 0 then process root neg_infinity
+   else Heap.push open_nodes neg_infinity root);
   let max_plunge_depth = 100 in
   let stop = ref !unbounded in
   while not !stop do
@@ -390,97 +392,3 @@ let solve_presolved ?(options = default_options) (std : Model.std) =
     seed = !seed_status;
     elapsed = elapsed ();
   }
-
-(* Project a caller-supplied root basis of the {e original} model onto the
-   presolved one: variables keep their indices (presolve preserves them),
-   slack columns are renumbered to the surviving rows, and basis positions
-   of dropped rows vanish.  Rows whose carried column disappeared get a free
-   slack; any resulting rank deficiency is the simplex's repairing
-   refactorization's problem.  [None] when the variable spaces disagree. *)
-let project_root_basis ~kept_rows (reduced : Model.std) (wb : Simplex.warm_basis) =
-  let nvars = reduced.Model.nvars and m = reduced.Model.nrows in
-  let old_m = Array.length wb.Simplex.wcols in
-  let old_nvars = Array.length wb.Simplex.wstatus - old_m in
-  if old_nvars <> nvars || Array.length kept_rows <> m then None
-  else begin
-    let slack_map = Array.make old_m (-1) in
-    Array.iteri (fun newi oldi -> slack_map.(oldi) <- newi) kept_rows;
-    let remap c =
-      if c < nvars then c
-      else
-        let r = slack_map.(c - nvars) in
-        if r < 0 then -1 else nvars + r
-    in
-    let ntotal = nvars + m in
-    let used = Array.make ntotal false in
-    let wcols = Array.make m (-1) in
-    Array.iteri
-      (fun newi oldi ->
-        let c = remap wb.Simplex.wcols.(oldi) in
-        if c >= 0 && not used.(c) then begin
-          wcols.(newi) <- c;
-          used.(c) <- true
-        end)
-      kept_rows;
-    let next_free = ref 0 in
-    for i = 0 to m - 1 do
-      if wcols.(i) < 0 then begin
-        let own = nvars + i in
-        let c =
-          if not used.(own) then own
-          else begin
-            while used.(nvars + !next_free) do
-              incr next_free
-            done;
-            nvars + !next_free
-          end
-        in
-        wcols.(i) <- c;
-        used.(c) <- true
-      end
-    done;
-    let wstatus = Array.make ntotal Simplex.At_lower in
-    Array.blit wb.Simplex.wstatus 0 wstatus 0 nvars;
-    Array.iteri
-      (fun newi oldi -> wstatus.(nvars + newi) <- wb.Simplex.wstatus.(old_nvars + oldi))
-      kept_rows;
-    for j = 0 to ntotal - 1 do
-      if used.(j) then wstatus.(j) <- Simplex.Basic
-      else if wstatus.(j) = Simplex.Basic then wstatus.(j) <- Simplex.At_lower
-    done;
-    (* the factorization belongs to the unprojected basis; never carry it *)
-    Some { Simplex.wcols; wstatus; wfac = None }
-  end
-
-let solve ?(options = default_options) (std : Model.std) =
-  (* presolve first: bound tightening and row elimination are pure wins for
-     every node's LP, and trivially infeasible models are rejected without
-     touching the simplex *)
-  match Presolve.run std with
-  | Presolve.Proven_infeasible _ ->
-    {
-      status = Infeasible;
-      solution = None;
-      objective = infinity;
-      best_bound = infinity;
-      gap = infinity;
-      nodes = 0;
-      lp_iterations = 0;
-      warm_started_nodes = 0;
-      dual_restarted_nodes = 0;
-      dual_pivots = 0;
-      bound_flips = 0;
-      bland_pivots = 0;
-      seed = (if options.initial = None then Seed_none else Seed_rejected);
-      elapsed = 0.0;
-    }
-  | Presolve.Reduced { std = reduced; fixed; kept_rows; _ } ->
-    let options =
-      match options.root_basis with
-      | Some wb -> { options with root_basis = project_root_basis ~kept_rows reduced wb }
-      | None -> options
-    in
-    let outcome = solve_presolved ~options reduced in
-    (match outcome.solution with
-    | Some x -> { outcome with solution = Some (Presolve.restore ~fixed x) }
-    | None -> outcome)

@@ -25,6 +25,8 @@ type status =
 type options = {
   time_limit : float;  (** seconds of wall clock; [infinity] disables *)
   node_limit : int;
+      (** [0] processes no node: the root stays open, so a seeded search
+          reports [Feasible] with [best_bound = neg_infinity] *)
   gap_rel : float;
       (** stop when [incumbent - best_bound <= gap_rel * max 1 |incumbent|]
           (or [<= 1e-6] absolute) *)
@@ -43,10 +45,12 @@ type options = {
           happened; a stale seed never raises. *)
   root_basis : Simplex.warm_basis option;
       (** warm basis for the {e root} node's LP — typically the optimal
-          basis of a relaxation the caller already solved (the phase-1
-          root LP), projected across presolve's row drops.  Advisory: the simplex validates it and falls back to a cold
-          root solve on any mismatch.  Child nodes are unaffected (they
-          always warm-start from their parent). *)
+          basis of a relaxation of the same model the caller already solved
+          (the phase-1 root LP), with its factors, which the root adopts
+          as-is (see {!Simplex.warm_basis}).  Advisory: the simplex
+          validates it and falls back to a cold root solve on any mismatch
+          or a singular basis.  Child nodes are unaffected (they always
+          warm-start from their parent). *)
   lp_pricing : Simplex.pricing;
       (** entering-variable rule for every node LP, forwarded to
           {!Simplex.solve}'s [pricing] *)
@@ -72,9 +76,9 @@ type seed_status =
       (** the seed was invalid but the clamp-and-round repair made it
           feasible; the repaired point became the starting incumbent *)
   | Seed_rejected
-      (** the seed stayed invalid after repair (or had the wrong length,
-          or the model was proven infeasible in presolve); the search
-          started unseeded *)
+      (** the seed stayed invalid after repair, or had the wrong length
+          (an infeasible model rejects every seed); the search started
+          unseeded *)
 
 type outcome = {
   status : status;
@@ -101,6 +105,8 @@ type outcome = {
 }
 
 val solve : ?options:options -> Model.std -> outcome
-(** Solves [min obj.x] over the compiled model, honouring integrality
-    markers.  A model with no integer variables reduces to a single LP
-    solve. *)
+(** Solves [min obj.x] over the model as compiled, honouring integrality
+    markers; no reduction is applied first.  Integer bounds are rounded
+    inward at the root, and an infeasible model (an empty integer window,
+    a row no activity can satisfy) is proven so by the root LP.  A model with no
+    integer variables reduces to a single LP solve. *)

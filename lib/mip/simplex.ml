@@ -723,9 +723,10 @@ let pivot st alpha ~row j ~bound =
 
 (* Restart from a caller-supplied basis: validate, install statuses and
    nonbasic resting points (normalized against the possibly-tightened
-   bounds), then either adopt the supplied factorization or refactorize.
-   Returns false — leaving the caller to fall back to a cold start — on any
-   structural mismatch or a singular basis. *)
+   bounds), then either adopt the supplied factorization (the tree root
+   takes the root LP's factors this way) or refactorize.  Returns false —
+   leaving the caller to fall back to a cold start — on any structural
+   mismatch or a singular basis; the basis is never repaired. *)
 let try_warm st (wb : warm_basis) =
   if Array.length wb.wcols <> st.m || Array.length wb.wstatus <> st.ntotal then false
   else begin
@@ -752,22 +753,8 @@ let try_warm st (wb : warm_basis) =
           | None -> false)
         | Some _ | None -> false
       in
-      match
-        if adopted then []
-        else Basis.refactorize_repaired st.fac ~basis:st.basis ~col:(iter_column st.std)
-      with
-      | repairs ->
-        (* Dependent carried columns (a basis projected onto a model with
-           removed rows, like the root basis across presolve) were replaced by slacks of the rows the
-           elimination left unpivoted; mirror the substitutions here. *)
-        List.iter
-          (fun (pos, row) ->
-            let displaced = st.basis.(pos) in
-            let slack = st.std.nvars + row in
-            st.basis.(pos) <- slack;
-            st.status.(slack) <- Basic;
-            set_nonbasic st displaced wb.wstatus.(displaced))
-          repairs;
+      match if not adopted then refactor st with
+      | () ->
         st.dual_valid <- false;
         st.dvec_valid <- false;
         recompute_basics st;

@@ -19,6 +19,9 @@ sh scripts/check_dead_modules.sh
 echo "== dune runtest (test suite + ras_bench --smoke) =="
 dune runtest
 
+# includes the 10^6-server `large` rows (lp-large-*, and the
+# reactive-restore-{medium,large} time-to-restore rows), keeping the
+# paper-regime perf rows on the artifact trail
 echo "== bench smoke (kernels --quick, incl. large rows) =="
 dune exec bench/main.exe -- --quick kernels
 
@@ -27,10 +30,19 @@ dune exec bench/main.exe -- --quick kernels
 # and skips the scale-gated pins); kept separate so a laptop run can
 # skip them by exporting RAS_SCALE_TESTS=quick first
 if [ "${RAS_SCALE_TESTS:-full}" = "full" ]; then
+  # the scale sweep must compile the identical model at servers_per_rack
+  # 1 / 5 / 48, and the disaggregation round trip at 10^6 servers must pick
+  # the oracle's targets and moves (column walk and merge)
   echo "== region-scale sweep at 10^6 servers (RAS_SCALE_TESTS=full) =="
   RAS_SCALE_TESTS=full dune exec test/test_main.exe -- test region_scale
+  # the O(n)->O(classes) event-path pins only bite at this preset:
+  # per-event visited servers/classes and grant allocation stay bounded by
+  # class structure on the 10^6-server broker
   echo "== tier-1 reactive battery at 10^6 servers (RAS_SCALE_TESTS=full) =="
   RAS_SCALE_TESTS=full dune exec test/test_main.exe -- test reactive
+  # adds the optimal root bases of the 10^6-server phase-1 model (bring-up
+  # and one post-failure round): the count-heap elimination must pivot in
+  # the window-scan oracle's order on them
   echo "== LU identity battery on 10^6-server root bases (RAS_SCALE_TESTS=full) =="
   RAS_SCALE_TESTS=full dune exec test/test_main.exe -- test basis
 fi

@@ -96,15 +96,12 @@ let grant_reference broker ~reservation ~rru ~allow_buffer : Reactive.grant =
    scanning all m columns, O(m) per step.  [Basis.refactorize] reads the
    same window off an indexed count heap instead; this copy keeps the scan
    and returns what the differential tests in test_basis.ml compare: the
-   elimination order as (constraint row, basis position) per step, and in
-   repair mode ([~repair:true], the [Basis.refactorize_repaired] path) the
-   (position, row) unit-column substitutions.  Raises [Basis.Singular]
-   exactly where the production path does. *)
+   elimination order as (constraint row, basis position) per step.  Raises
+   [Basis.Singular] exactly where the production path does. *)
 let markowitz_tau = 0.1
 let markowitz_cands = 4
 
-let lu_pivot_order_reference ?(repair = false) m ~basis ~col =
-  let deficient = if repair then Some (ref []) else None in
+let lu_pivot_order_reference m ~basis ~col =
   let rcol = Array.make m [||] and rval = Array.make m [||] in
   let rlen = Array.make m 0 in
   let crow = Array.make m [||] in
@@ -189,12 +186,7 @@ let lu_pivot_order_reference ?(repair = false) m ~basis ~col =
   (* per-step scratch *)
   let urow_c = Array.make m 0 and urow_v = Array.make m 0.0 in
   let lrow_r = Array.make m 0 and lrow_v = Array.make m 0.0 in
-  let repair = deficient <> None in
-  let dropped = ref [] in
-  (* basis positions dropped as dependent (repair mode only) *)
-  let kstep = ref 0 in
-  let ncols_left = ref m in
-  while !ncols_left > 0 do
+  for k = 0 to m - 1 do
     (* --- pivot selection: best Markowitz cost among eligible entries of a
        few smallest-count active columns --- *)
     let cands = Array.make markowitz_cands (-1) in
@@ -226,43 +218,25 @@ let lu_pivot_order_reference ?(repair = false) m ~basis ~col =
           let a = Float.abs cand_vals.(u) in
           if a > !colmax then colmax := a
         done;
-        if n = 0 || !colmax < 1e-12 then begin
-          if not repair then raise Ras_mip.Basis.Singular;
-          (* dependent on the pivots chosen so far: drop from the basis *)
-          col_active.(c) <- false;
-          decr ncols_left;
-          dropped := c :: !dropped
-        end
-        else begin
-          let thresh = markowitz_tau *. !colmax in
-          for u = 0 to n - 1 do
-            let v = cand_vals.(u) in
-            let a = Float.abs v in
-            if a >= thresh then begin
-              let r = cand_rows.(u) in
-              let cost = (rlen.(r) - 1) * (n - 1) in
-              if cost < !best_cost || (cost = !best_cost && a > !best_mag) then begin
-                best_cost := cost;
-                best_mag := a;
-                best_r := r;
-                best_c := c;
-                best_v := v
-              end
+        if n = 0 || !colmax < 1e-12 then raise Ras_mip.Basis.Singular;
+        let thresh = markowitz_tau *. !colmax in
+        for u = 0 to n - 1 do
+          let v = cand_vals.(u) in
+          let a = Float.abs v in
+          if a >= thresh then begin
+            let r = cand_rows.(u) in
+            let cost = (rlen.(r) - 1) * (n - 1) in
+            if cost < !best_cost || (cost = !best_cost && a > !best_mag) then begin
+              best_cost := cost;
+              best_mag := a;
+              best_r := r;
+              best_c := c;
+              best_v := v
             end
-          done
-        end
+          end
+        done
       end
     done;
-    if !best_r < 0 then begin
-      (* every candidate this round proved dependent: in repair mode they
-         were dropped above (so the reselection loop makes progress), in
-         strict mode the basis is singular *)
-      if not repair then raise Ras_mip.Basis.Singular
-    end
-    else begin
-    let k = !kstep in
-    incr kstep;
-    decr ncols_left;
     let prow = !best_r and pcol = !best_c and pv = !best_v in
     rperm.(k) <- prow;
     rpos.(prow) <- k;
@@ -316,42 +290,8 @@ let lu_pivot_order_reference ?(repair = false) m ~basis ~col =
     done;
     lrows.(k) <- Array.sub lrow_r 0 !ln;
     lvals.(k) <- Array.sub lrow_v 0 !ln
-    end
   done;
-  (* --- repair tail: one unit column per leftover row, placed at the
-     dropped positions.  Leftover rows were never pivot rows, so their
-     unit columns are untouched by the eliminated steps and factor with
-     pivot 1 and empty L/U rows (already the initialized defaults). --- *)
-  let replaced = Array.make m false in
-  (match !dropped with
-  | [] -> ()
-  | drops ->
-    let repairs = ref [] in
-    let remaining = ref drops in
-    for r = 0 to m - 1 do
-      if row_active.(r) then begin
-        match !remaining with
-        | [] -> raise Ras_mip.Basis.Singular (* more leftover rows than dropped columns *)
-        | pos :: rest ->
-          remaining := rest;
-          let k = !kstep in
-          incr kstep;
-          row_active.(r) <- false;
-          replaced.(pos) <- true;
-          rperm.(k) <- r;
-          rpos.(r) <- k;
-          cperm.(k) <- pos;
-          cpos.(pos) <- k;
-          udiag.(k) <- 1.0;
-          repairs := (pos, r) :: !repairs
-      end
-    done;
-    if !remaining <> [] then raise Ras_mip.Basis.Singular;
-    (match deficient with
-    | Some cell -> cell := List.rev !repairs
-    | None -> assert false));
-  let repairs = match deficient with Some cell -> !cell | None -> [] in
-  (Array.init m (fun k -> (rperm.(k), cperm.(k))), repairs)
+  Array.init m (fun k -> (rperm.(k), cperm.(k)))
 
 (* ---------- symmetry classes: the pre-streaming build ---------- *)
 

@@ -4,11 +4,12 @@
    Dense-vs-Lu backend agreement on random matrices.
 
    The LU identity battery pins the Markowitz elimination order against
-   the window-scan oracle ([Oracles.lu_pivot_order_reference]) on random,
-   rank-deficient and differential-corpus root bases, plus the
-   refactorization's scaling and allocation.  RAS_SCALE_TESTS=full adds the
-   root bases of the 10^6-server preset's phase-1 model at bring-up and
-   after a failure round (the region-scale CI job sets it). *)
+   the window-scan oracle ([Oracles.lu_pivot_order_reference]) on random
+   and differential-corpus root bases, and pins that both raise Singular
+   on bases with dependent columns, plus the refactorization's scaling and
+   allocation.  RAS_SCALE_TESTS=full adds the root bases of the
+   10^6-server preset's phase-1 model at bring-up and after a failure
+   round (scripts/check.sh sets it by default). *)
 
 open Ras_mip
 module R = Ras_stats.Rng
@@ -251,28 +252,23 @@ let test_copy_is_independent () =
 
 (* The factorization reads its Markowitz candidate window off a count heap;
    [Oracles.lu_pivot_order_reference] is the original all-columns scan.  The
-   same window means the same pivot sequence, so the elimination order (and
-   in repair mode the unit-column substitutions) must match exactly. *)
+   same window means the same pivot sequence, so the elimination order
+   must match exactly. *)
 
-let production_order ?(repair = false) m ~basis ~col =
+let production_order m ~basis ~col =
   let t = Basis.create Basis.Lu ~m in
-  let repairs =
-    if repair then Basis.refactorize_repaired t ~basis ~col
-    else begin
-      Basis.refactorize t ~basis ~col;
-      []
-    end
-  in
+  Basis.refactorize t ~basis ~col;
   let rperm, cperm = Basis.pivot_order t in
-  (Array.init m (fun k -> (rperm.(k), cperm.(k))), repairs)
+  Array.init m (fun k -> (rperm.(k), cperm.(k)))
 
-(* Both paths on one input: equal orders and repairs, or both singular. *)
-let check_pivot_order ?repair tag m ~basis ~col =
+(* Both paths on one input: equal orders, or both singular.  Returns
+   whether both raised Singular. *)
+let check_pivot_order tag m ~basis ~col =
   let run f = match f () with v -> Ok v | exception Basis.Singular -> Error () in
-  let produced = run (fun () -> production_order ?repair m ~basis ~col) in
-  let expected = run (fun () -> Oracles.lu_pivot_order_reference ?repair m ~basis ~col) in
+  let produced = run (fun () -> production_order m ~basis ~col) in
+  let expected = run (fun () -> Oracles.lu_pivot_order_reference m ~basis ~col) in
   match (produced, expected) with
-  | Ok (order, repairs), Ok (order_ref, repairs_ref) ->
+  | Ok order, Ok order_ref ->
     Array.iteri
       (fun k (r, c) ->
         let r', c' = order_ref.(k) in
@@ -280,8 +276,8 @@ let check_pivot_order ?repair tag m ~basis ~col =
           Alcotest.failf "%s: step %d pivots (row %d, pos %d), oracle (row %d, pos %d)" tag k r
             c r' c')
       order;
-    if repairs <> repairs_ref then Alcotest.failf "%s: repair substitutions differ" tag
-  | Error (), Error () -> ()
+    false
+  | Error (), Error () -> true
   | Ok _, Error () -> Alcotest.failf "%s: oracle raised Singular, production did not" tag
   | Error (), Ok _ -> Alcotest.failf "%s: production raised Singular, oracle did not" tag
 
@@ -317,16 +313,17 @@ let test_pivot_order_random () =
     in
     let basis = Array.init m (fun i -> i) in
     R.shuffle rng basis;
-    check_pivot_order (Printf.sprintf "random trial %d (m=%d)" trial m) m ~basis
-      ~col:(col_fn cols)
+    ignore
+      (check_pivot_order (Printf.sprintf "random trial %d (m=%d)" trial m) m ~basis
+         ~col:(col_fn cols))
   done
 
-(* Rank-deficient bases: duplicated, zero and linearly combined columns, so
-   the repair path drops columns mid-elimination and fills the leftover
-   rows with unit columns. *)
-let test_pivot_order_rank_deficient () =
+(* Singular bases: duplicated, zero and linearly combined columns, so
+   elimination meets a dependent column mid-way and both paths must raise
+   Singular on the same inputs. *)
+let test_pivot_order_singular () =
   let rng = R.create 22 in
-  let repaired = ref 0 in
+  let singular = ref 0 in
   for trial = 1 to 120 do
     let m = 2 + R.int rng 50 in
     let cols = random_sparse_matrix rng m ~slack_frac:0.3 in
@@ -343,16 +340,12 @@ let test_pivot_order_rank_deficient () =
     done;
     let basis = Array.init m (fun i -> i) in
     R.shuffle rng basis;
-    let tag = Printf.sprintf "deficient trial %d (m=%d)" trial m in
-    check_pivot_order ~repair:true tag m ~basis ~col:(col_fn cols);
-    check_pivot_order tag m ~basis ~col:(col_fn cols);
-    match production_order ~repair:true m ~basis ~col:(col_fn cols) with
-    | _, _ :: _ -> incr repaired
-    | _, [] | (exception Basis.Singular) -> ()
+    let tag = Printf.sprintf "dependent trial %d (m=%d)" trial m in
+    if check_pivot_order tag m ~basis ~col:(col_fn cols) then incr singular
   done;
   Alcotest.(check bool)
-    (Printf.sprintf "repairs exercised (%d)" !repaired)
-    true (!repaired >= 60)
+    (Printf.sprintf "singular agreements exercised (%d)" !singular)
+    true (!singular >= 60)
 
 (* FTRAN/BTRAN of a basis through a fresh factorization and through the
    solve's own factorization [t] (which pivoted its way to the basis and
@@ -377,7 +370,8 @@ let check_solves_bitwise tag rng (t : Basis.t) m ~basis ~col =
 (* The differential corpus (140 LP + 60 warm-restart LP + 80 MIP
    relaxations): every optimal root basis, plus — since most of the random
    LPs are infeasible or unbounded — one random pick of m of each
-   instance's structural and slack columns, factorized in repair mode. *)
+   instance's structural and slack columns, which both paths must
+   factorize identically or both reject as singular. *)
 let test_pivot_order_corpus () =
   let module D = Test_differential in
   let rng = R.create 23 in
@@ -386,13 +380,14 @@ let test_pivot_order_corpus () =
     let m = std.Model.nrows and ntotal = std.Model.nvars + std.Model.nrows in
     let pick = Array.init ntotal Fun.id in
     R.shuffle rng pick;
-    check_pivot_order ~repair:true (tag ^ " random pick") m ~basis:(Array.sub pick 0 m)
-      ~col:(Simplex.iter_column std);
+    ignore
+      (check_pivot_order (tag ^ " random pick") m ~basis:(Array.sub pick 0 m)
+         ~col:(Simplex.iter_column std));
     match Simplex.solve std with
     | Simplex.Optimal { basis = { Simplex.wcols; wfac = Some fac; _ }; _ } ->
       incr checked;
       let m = std.Model.nrows and col = Simplex.iter_column std in
-      check_pivot_order tag m ~basis:wcols ~col;
+      ignore (check_pivot_order tag m ~basis:wcols ~col);
       check_solves_bitwise tag rng fac m ~basis:wcols ~col
     | _ -> ()
   in
@@ -434,16 +429,19 @@ let banded_basis ~stride m =
   let nnz = Array.fold_left (fun a r -> a + Array.length r) 0 rows in
   (Array.init m Fun.id, col, nnz)
 
-(* best of 3 wall time, and the minor words of the last run *)
+(* best of 3 process CPU time, and the minor words of the last run.  CPU
+   rather than wall time: a 25 ms factorization spans several scheduler
+   slices and a 2.5 ms one fits in one, so on a loaded machine wall time
+   inflates only the large run and with it the ratio. *)
 let measure_refactorize ~stride m =
   let basis, col, nnz = banded_basis ~stride m in
   let t = Basis.create Basis.Lu ~m in
   let best = ref infinity and words = ref 0.0 in
   for _ = 1 to 3 do
     let w0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Sys.time () in
     Basis.refactorize t ~basis ~col;
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Sys.time () -. t0 in
     words := Gc.minor_words () -. w0;
     best := Float.min !best dt
   done;
@@ -453,8 +451,15 @@ let measure_refactorize ~stride m =
    instead of an O(m) scan per elimination step.  8x the size costs ~7-10x
    the time here (O(m log m) predicts ~9x); the scan cost ~50-65x. *)
 let test_refactorize_scaling () =
-  let small, _, _ = measure_refactorize ~stride:4 2_000 in
-  let large, _, _ = measure_refactorize ~stride:4 16_000 in
+  (* sizes alternate, so a clock-speed change between them shifts both *)
+  let small = ref infinity and large = ref infinity in
+  for _ = 1 to 3 do
+    let s, _, _ = measure_refactorize ~stride:4 2_000 in
+    let l, _, _ = measure_refactorize ~stride:4 16_000 in
+    small := Float.min !small s;
+    large := Float.min !large l
+  done;
+  let small = !small and large = !large in
   let ratio = large /. small in
   Alcotest.(check bool)
     (Printf.sprintf "m=16000 / m=2000 refactorization time %.1fx (%.2f / %.2f ms) < 24x" ratio
@@ -518,7 +523,7 @@ let test_pivot_order_region_scale () =
       match Simplex.solve std with
       | Simplex.Optimal { basis = { Simplex.wcols; wfac = Some fac; _ }; _ } ->
         let m = std.Model.nrows and col = Simplex.iter_column std in
-        check_pivot_order tag m ~basis:wcols ~col;
+        ignore (check_pivot_order tag m ~basis:wcols ~col);
         check_solves_bitwise tag rng fac m ~basis:wcols ~col;
         Printf.printf "%s: %d elimination steps match the oracle\n" tag m
       | _ -> Alcotest.failf "%s: root LP not optimal" tag
@@ -544,8 +549,8 @@ let suite =
     Alcotest.test_case "copy is independent" `Quick test_copy_is_independent;
     Alcotest.test_case "LU pivot order matches the window-scan oracle (random bases)" `Quick
       test_pivot_order_random;
-    Alcotest.test_case "LU pivot order and repairs match the oracle (rank-deficient)" `Quick
-      test_pivot_order_rank_deficient;
+    Alcotest.test_case "LU pivot order and singularity match the oracle (dependent columns)" `Quick
+      test_pivot_order_singular;
     Alcotest.test_case "LU pivot order and solves on the differential corpus's root bases"
       `Quick test_pivot_order_corpus;
     Alcotest.test_case "refactorization time scales O(m log m) (banded, m=2k..16k)" `Quick

@@ -13,7 +13,6 @@ let suites =
     ("differential", Test_differential.suite);
     ("sparse_kernels", Test_sparse_kernels.suite);
     ("warmstart", Test_warmstart.suite);
-    ("presolve", Test_presolve.suite);
     ("topology", Test_topology.suite);
     ("workload", Test_workload.suite);
     ("failures", Test_failures.suite);

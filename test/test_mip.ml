@@ -171,6 +171,44 @@ let test_lp_degenerate () =
   | Simplex.Optimal { obj; _ } -> Alcotest.(check (float 1e-6)) "degenerate opt" (-1.0) obj
   | _ -> Alcotest.fail "expected optimal"
 
+(* ---------- Dual values ---------- *)
+
+let compile_of build =
+  let m = Model.create () in
+  let r = build m in
+  (Model.compile m, r)
+
+let test_duals_of_binding_constraint () =
+  (* min -x st x <= 4 (x unbounded above otherwise): dual of the row is the
+     objective improvement per unit of rhs: -1 *)
+  let std, _ =
+    compile_of (fun m ->
+        let x = Model.add_var m in
+        let _ = Model.add_constraint m (Lin_expr.var x) Model.Le 4.0 in
+        Model.set_objective m (Lin_expr.term (-1.0) x);
+        x)
+  in
+  match Simplex.solve std with
+  | Simplex.Optimal { obj; duals; _ } ->
+    Alcotest.(check (float 1e-6)) "objective" (-4.0) obj;
+    Alcotest.(check int) "one dual" 1 (Array.length duals);
+    Alcotest.(check (float 1e-6)) "shadow price" (-1.0) duals.(0)
+  | _ -> Alcotest.fail "expected optimal"
+
+let test_duals_zero_when_slack () =
+  (* the constraint never binds: its shadow price is 0 *)
+  let std, _ =
+    compile_of (fun m ->
+        let x = Model.add_var ~ub:1.0 m in
+        let _ = Model.add_constraint m (Lin_expr.var x) Model.Le 100.0 in
+        Model.set_objective m (Lin_expr.term (-1.0) x);
+        x)
+  in
+  match Simplex.solve std with
+  | Simplex.Optimal { duals; _ } ->
+    Alcotest.(check (float 1e-6)) "non-binding row" 0.0 duals.(0)
+  | _ -> Alcotest.fail "expected optimal"
+
 (* ---------- Branch and bound ---------- *)
 
 let test_mip_knapsack () =
@@ -195,6 +233,67 @@ let test_mip_infeasible () =
   let out = Branch_bound.solve (Model.compile m) in
   Alcotest.(check bool) "infeasible" true (out.Branch_bound.status = Branch_bound.Infeasible)
 
+let test_mip_knapsack_fixed_variable () =
+  let m = Model.create () in
+  let a = Model.add_var ~kind:Model.Integer ~ub:1.0 m in
+  let b = Model.add_var ~kind:Model.Integer ~ub:1.0 m in
+  let c = Model.add_var ~lb:1.0 ~ub:1.0 m in
+  (* c fixed *)
+  let _ =
+    Model.add_constraint m (Lin_expr.of_terms [ (2.0, a); (3.0, b); (1.0, c) ]) Model.Le 4.0
+  in
+  Model.set_objective m (Lin_expr.of_terms [ (-5.0, a); (-4.0, b); (-3.0, c) ]);
+  let std = Model.compile m in
+  let out = Branch_bound.solve std in
+  Alcotest.(check (float 1e-6)) "optimal with fixed var" (-8.0) out.Branch_bound.objective;
+  match out.Branch_bound.solution with
+  | Some sol -> (
+    match Model.check_solution std sol with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail ("solution invalid: " ^ e))
+  | None -> Alcotest.fail "no solution"
+
+(* Models with no feasible point that the root LP must prove so: the
+   answer is Infeasible, never Unknown or an exception, and a seed for
+   such a model is always rejected. *)
+let test_mip_infeasible_models () =
+  let cases =
+    [
+      ( "integer window [0.4, 0.6]",
+        fun m -> ignore (Model.add_var ~lb:0.4 ~ub:0.6 ~kind:Model.Integer m) );
+      ( "row activity cannot reach its rhs",
+        fun m ->
+          let x = Model.add_var ~ub:1.0 m in
+          let y = Model.add_var ~ub:1.0 m in
+          ignore (Model.add_constraint m Lin_expr.(add (var x) (var y)) Model.Ge 5.0) );
+      ( "row with no terms and a positive rhs",
+        fun m ->
+          ignore (Model.add_var ~ub:1.0 m);
+          ignore (Model.add_constraint m Lin_expr.zero Model.Ge 1.0) );
+    ]
+  in
+  List.iter
+    (fun (name, build) ->
+      let m = Model.create () in
+      build m;
+      let std = Model.compile m in
+      List.iter
+        (fun initial ->
+          let tag = if initial = None then name else name ^ " (seeded)" in
+          let options = { Branch_bound.default_options with Branch_bound.initial } in
+          match Branch_bound.solve ~options std with
+          | out ->
+            Alcotest.(check bool)
+              (tag ^ ": infeasible") true
+              (out.Branch_bound.status = Branch_bound.Infeasible);
+            if initial <> None then
+              Alcotest.(check bool)
+                (tag ^ ": seed rejected") true
+                (out.Branch_bound.seed = Branch_bound.Seed_rejected)
+          | exception e -> Alcotest.failf "%s: raised %s" tag (Printexc.to_string e))
+        [ None; Some (Array.make std.Model.nvars 0.5) ])
+    cases
+
 let test_mip_respects_initial_incumbent () =
   let m = Model.create () in
   let x = Model.add_var ~kind:Model.Integer ~ub:5.0 m in
@@ -205,7 +304,12 @@ let test_mip_respects_initial_incumbent () =
     { Branch_bound.default_options with Branch_bound.node_limit = 0; initial = Some [| 3.0 |] }
   in
   let out = Branch_bound.solve ~options std in
-  Alcotest.(check (float 1e-6)) "incumbent used" 3.0 out.Branch_bound.objective
+  Alcotest.(check (float 1e-6)) "incumbent used" 3.0 out.Branch_bound.objective;
+  (* the root was never processed, so nothing is proven: the true optimum
+     is 1 *)
+  Alcotest.(check bool) "feasible, not optimal" true (out.Branch_bound.status = Branch_bound.Feasible);
+  Alcotest.(check bool) "no bound" true (out.Branch_bound.best_bound = neg_infinity);
+  Alcotest.(check bool) "infinite gap" true (out.Branch_bound.gap = infinity)
 
 let test_mip_invalid_initial_ignored () =
   let m = Model.create () in
@@ -461,9 +565,15 @@ let brute_force_case rng =
   let module R = Ras_stats.Rng in
   let n = 2 + R.int rng 3 in
   let m_rows = 1 + R.int rng 3 in
+  (* one case in four also has pre-fixed variables (lb = ub) and a
+     singleton row *)
+  let fixed_shape = R.int rng 4 = 0 in
   let ubs = Array.init n (fun _ -> float_of_int (1 + R.int rng 3)) in
+  let lbs = Array.map (fun ub -> if fixed_shape && R.int rng 4 = 0 then ub else 0.0) ubs in
   let model = Model.create () in
-  let vars = Array.init n (fun i -> Model.add_var ~kind:Model.Integer ~ub:ubs.(i) model) in
+  let vars =
+    Array.init n (fun i -> Model.add_var ~kind:Model.Integer ~lb:lbs.(i) ~ub:ubs.(i) model)
+  in
   let coef () = float_of_int (R.int rng 11 - 5) in
   let rows =
     Array.init m_rows (fun _ ->
@@ -472,6 +582,14 @@ let brute_force_case rng =
           match R.int rng 3 with 0 -> Model.Le | 1 -> Model.Ge | _ -> Model.Eq
         in
         (cs, sense, float_of_int (R.int rng 15 - 5)))
+  in
+  let rows =
+    if not fixed_shape then rows
+    else begin
+      let cs = Array.make n 0.0 in
+      cs.(R.int rng n) <- 1.0;
+      Array.append rows [| (cs, Model.Le, float_of_int (R.int rng 5)) |]
+    end
   in
   Array.iter
     (fun (cs, sense, rhs) ->
@@ -503,7 +621,7 @@ let brute_force_case rng =
       end
     end
     else
-      for v = 0 to int_of_float ubs.(i) do
+      for v = int_of_float lbs.(i) to int_of_float ubs.(i) do
         x.(i) <- v;
         enum (i + 1)
       done
@@ -726,8 +844,14 @@ let suite =
     Alcotest.test_case "lp bounds only" `Quick test_lp_no_constraints;
     Alcotest.test_case "lp fixed variable" `Quick test_lp_fixed_variable;
     Alcotest.test_case "lp degenerate" `Quick test_lp_degenerate;
+    Alcotest.test_case "duals of binding constraint" `Quick test_duals_of_binding_constraint;
+    Alcotest.test_case "duals zero when slack" `Quick test_duals_zero_when_slack;
     Alcotest.test_case "mip knapsack" `Quick test_mip_knapsack;
     Alcotest.test_case "mip infeasible window" `Quick test_mip_infeasible;
+    Alcotest.test_case "mip infeasible models answer Infeasible" `Quick
+      test_mip_infeasible_models;
+    Alcotest.test_case "mip knapsack with a fixed variable" `Quick
+      test_mip_knapsack_fixed_variable;
     Alcotest.test_case "mip initial incumbent" `Quick test_mip_respects_initial_incumbent;
     Alcotest.test_case "mip invalid initial ignored" `Quick test_mip_invalid_initial_ignored;
     Alcotest.test_case "stale seed repaired" `Quick test_stale_seed_repaired;

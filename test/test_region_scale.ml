@@ -20,7 +20,7 @@
      footprint must stay a few words per server.
 
    [dune runtest] keeps the sweep at spr <= 5; RAS_SCALE_TESTS=full adds
-   the 10^6 run (the dedicated CI job sets it). *)
+   the 10^6 run (scripts/check.sh sets it by default). *)
 
 open Ras
 module Broker = Ras_broker.Broker
