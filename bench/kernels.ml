@@ -8,8 +8,9 @@
      scenario sizes: LP pivots/sec under full-Dantzig vs Devex pricing,
      under the dense-inverse vs LU+eta basis backends and under the
      hypersparse vs dense-oracle kernels, one LU refactorization of the
-     root basis, and branch-and-bound nodes/sec with warm dual-simplex
-     restarts on the factorized basis.  Each pair prints its speedup and
+     root basis, LP rounding + repair of the root-LP optimum, and
+     branch-and-bound nodes/sec with warm dual-simplex restarts on the
+     factorized basis.  Each pair prints its speedup and
      agreement; nothing is asserted.
 
    Every result row is also appended to BENCH_kernels.json (kernel name,
@@ -92,8 +93,6 @@ let scenario_formulation preset =
   let symmetry = Ras.Symmetry.build snapshot in
   let formulation = Ras.Formulation.build symmetry snapshot.Ras.Snapshot.reservations in
   (formulation, Ras_mip.Model.compile formulation.Ras.Formulation.model)
-
-let scenario_std preset = snd (scenario_formulation preset)
 
 let size_of (std : Model.std) = Printf.sprintf "nvars=%d nrows=%d" std.Model.nvars std.Model.nrows
 
@@ -262,6 +261,30 @@ let lu_refactor_kernel ~label ~repeats (std : Model.std) =
         ("m", string_of_int m);
         ("nnz_b", string_of_int nnz);
       ]
+  | _ -> Report.row "%-34s skipped: root LP not optimal\n" name
+
+(* ---------------------------------------------------------------- *)
+(* Primal heuristic: LP rounding, capacity repair, local searches     *)
+
+(* [Formulation.repair (round_lp x)] on the phase-1 root-LP optimum [x]
+   (median of [repeats]): the incumbent branch-and-bound starts from, and
+   on a time-limited round often the round's answer. *)
+let heuristic_kernel ~label ~repeats ((f : Ras.Formulation.t), std) =
+  let name = Printf.sprintf "heuristic-%s" label in
+  match Simplex.solve std with
+  | Simplex.Optimal { x; _ } ->
+    let times =
+      Array.init repeats (fun _ ->
+          let t0 = Unix.gettimeofday () in
+          ignore (Ras.Formulation.repair f (Ras.Formulation.round_lp f x));
+          Unix.gettimeofday () -. t0)
+    in
+    Array.sort compare times;
+    let median = times.(repeats / 2) in
+    let pairs = Ras.Formulation.num_assignment_vars f in
+    Report.row "%-34s %8.3fms median of %d  pairs=%d\n" name (median *. 1e3) repeats pairs;
+    record ~kernel:name ~size:(size_of std) ~wall_s:median
+      [ ("pairs", string_of_int pairs); ("repeats", string_of_int repeats) ]
   | _ -> Report.row "%-34s skipped: root LP not optimal\n" name
 
 (* ---------------------------------------------------------------- *)
@@ -456,6 +479,7 @@ type preset_row = {
   with_dense : bool;
   reactive_events : int;  (* tier-1 restore events; 0 skips the kernel *)
   lu_refactors : int;  (* timed root-basis refactorizations; 0 skips *)
+  heuristic_repeats : int;  (* timed round_lp + repair calls; 0 skips *)
 }
 
 (* evaluated at run time so the [Scenarios.quick] flag (set by the CLI) is
@@ -471,6 +495,7 @@ let preset_rows () =
       with_dense = true;
       reactive_events = 0;
       lu_refactors = 0;
+      heuristic_repeats = 0;
     };
     {
       label = "medium";
@@ -481,6 +506,7 @@ let preset_rows () =
       with_dense = true;
       reactive_events = (if !Scenarios.quick then 20 else 60);
       lu_refactors = (if !Scenarios.quick then 7 else 31);
+      heuristic_repeats = (if !Scenarios.quick then 5 else 15);
     };
     (* the north-star row: the 10^6-server preset.  Symmetry aggregation
        keeps the compiled model within ~2x of medium, so every enabled
@@ -495,6 +521,7 @@ let preset_rows () =
       with_dense = false;
       reactive_events = (if !Scenarios.quick then 10 else 25);
       lu_refactors = (if !Scenarios.quick then 7 else 31);
+      heuristic_repeats = (if !Scenarios.quick then 3 else 7);
     };
   ]
 
@@ -505,26 +532,33 @@ let run () =
     ~expect:"Devex fewer pivots than Dantzig; sparse kernels no slower than the dense oracle";
   Report.row "-- bechamel micro-benchmarks --\n";
   run_micro ();
-  let rows = List.map (fun r -> (r, lazy (scenario_std r.preset))) (preset_rows ()) in
+  let rows = List.map (fun r -> (r, lazy (scenario_formulation r.preset))) (preset_rows ()) in
+  let std row = snd (Lazy.force row) in
   Report.row "-- LP pricing (Table-1 scenario sizes) --\n";
   List.iter
-    (fun (r, std) ->
+    (fun (r, row) ->
       if r.lp_repeats > 0 then
         lp_kernel ~label:r.label ~repeats:r.lp_repeats ~with_dense:r.with_dense
-          (Lazy.force std))
+          (std row))
     rows;
   Report.row "-- LU refactorization (root basis) --\n";
   List.iter
-    (fun (r, std) ->
+    (fun (r, row) ->
       if r.lu_refactors > 0 then
-        lu_refactor_kernel ~label:r.label ~repeats:r.lu_refactors (Lazy.force std))
+        lu_refactor_kernel ~label:r.label ~repeats:r.lu_refactors (std row))
+    rows;
+  Report.row "-- primal heuristic (round_lp + repair on the root-LP optimum) --\n";
+  List.iter
+    (fun (r, row) ->
+      if r.heuristic_repeats > 0 then
+        heuristic_kernel ~label:r.label ~repeats:r.heuristic_repeats (Lazy.force row))
     rows;
   Report.row "-- branch-and-bound --\n";
   List.iter
-    (fun (r, std) ->
+    (fun (r, row) ->
       if r.bb_node_limit > 0 then
         bb_kernel ~label:r.label ~node_limit:r.bb_node_limit ~time_limit:r.bb_time_limit
-          (Lazy.force std))
+          (std row))
     rows;
   Report.row "-- tier-1 reactive restore (event -> replacement) --\n";
   List.iter

@@ -31,13 +31,15 @@ let default_params =
     wear_penalty = 2.0;
   }
 
-type pair = { cls : Symmetry.cls; res : Reservation.t; var : Model.var }
+type pair = { cls : Symmetry.cls; res : Reservation.t; var : Model.var; rru : float; res_index : int }
 
 type t = {
   model : Model.t;
   symmetry : Symmetry.t;
   reservations : Reservation.t list;
-  pairs : pair list;
+  pairs : pair array;
+  res_pairs : int array array;
+  class_pairs : int array array;
   capacity_slack : (int * Model.var) list;
   buffer_var : (int * Model.var) list;
   aux_defs : (Model.var * Lin.t list) list;
@@ -57,23 +59,19 @@ let owner_of res =
 
 let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.t) reservations =
   let model = Model.create () in
-  let pairs = ref [] in
-  let per_class_vars = Array.make (Symmetry.num_classes symmetry) [] in
-  (* per reservation id: terms (V, var, cls) *)
-  let res_terms : (int, (float * Model.var * Symmetry.cls) list ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  List.iter
-    (fun res -> Hashtbl.replace res_terms res.Reservation.id (ref []))
-    reservations;
+  let pairs = ref [] and npairs = ref 0 in
+  (* pair indices per reservation position and per class, each list in
+     descending creation order *)
+  let res_pairs = Array.make (List.length reservations) [] in
+  let class_pairs = Array.make (Symmetry.num_classes symmetry) [] in
   (* assignment variables *)
   Array.iter
     (fun (cls : Symmetry.cls) ->
       let hw = Symmetry.hw_of cls in
-      List.iter
-        (fun res ->
-          let v = res.Reservation.rru_of hw in
-          if v > 0.0 then begin
+      List.iteri
+        (fun res_index res ->
+          let rru = res.Reservation.rru_of hw in
+          if rru > 0.0 then begin
             (* names are keyed by the stable class key, never the dense
                class index: a name identifies the same logical class in
                every snapshot *)
@@ -85,23 +83,25 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
                 ~ub:(float_of_int (Symmetry.size cls))
                 ~kind:Model.Integer model
             in
-            pairs := { cls; res; var } :: !pairs;
-            per_class_vars.(cls.Symmetry.index) <- var :: per_class_vars.(cls.Symmetry.index);
+            let i = !npairs in
+            incr npairs;
+            pairs := { cls; res; var; rru; res_index } :: !pairs;
+            res_pairs.(res_index) <- i :: res_pairs.(res_index);
+            class_pairs.(cls.Symmetry.index) <- i :: class_pairs.(cls.Symmetry.index);
             let wear_cost =
               params.wear_penalty *. res.Reservation.io_intensity
               *. float_of_int cls.Symmetry.attr
             in
-            Model.add_to_objective model (Lin.term (params.assignment_cost +. wear_cost) var);
-            let terms = Hashtbl.find res_terms res.Reservation.id in
-            terms := (v, var, cls) :: !terms
+            Model.add_to_objective model (Lin.term (params.assignment_cost +. wear_cost) var)
           end)
         reservations)
-      symmetry.Symmetry.classes;
+    symmetry.Symmetry.classes;
+  let pairs = Array.of_list (List.rev !pairs) in
   (* expression (5): class supply *)
   Array.iteri
-    (fun idx vars ->
-      if vars <> [] then begin
-        let e = Lin.of_terms (List.map (fun v -> (1.0, v)) vars) in
+    (fun idx ps ->
+      if ps <> [] then begin
+        let e = Lin.of_terms (List.map (fun i -> (1.0, pairs.(i).var)) ps) in
         let cls = symmetry.Symmetry.classes.(idx) in
         ignore
           (Model.add_constraint
@@ -109,7 +109,7 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
              model e Model.Le
              (float_of_int (Symmetry.size cls)))
       end)
-    per_class_vars;
+    class_pairs;
   let capacity_slack = ref [] and buffer_var = ref [] in
   let aux_defs = ref [] in
   let pos_part ~name ~weight e =
@@ -131,19 +131,19 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
   let group_terms terms ~scope_of =
     let tbl = Hashtbl.create 16 in
     List.iter
-      (fun (v, var, cls) ->
-        let g = scope_of cls in
+      (fun p ->
+        let g = scope_of p.cls in
         let existing = try Hashtbl.find tbl g with Not_found -> [] in
-        Hashtbl.replace tbl g ((v, var) :: existing))
+        Hashtbl.replace tbl g ((p.rru, p.var) :: existing))
       terms;
     Hashtbl.fold (fun g ts acc -> (g, Lin.of_terms ts) :: acc) tbl []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
-  List.iter
-    (fun res ->
+  List.iteri
+    (fun res_index res ->
       let rid = res.Reservation.id in
-      let terms = !(Hashtbl.find res_terms rid) in
-      let total = Lin.of_terms (List.map (fun (v, var, _) -> (v, var)) terms) in
+      let terms = List.map (fun i -> pairs.(i)) res_pairs.(res_index) in
+      let total = Lin.of_terms (List.map (fun p -> (p.rru, p.var)) terms) in
       let by_msb = group_terms terms ~scope_of:(fun c -> c.Symmetry.msb) in
       let cr = res.Reservation.capacity_rru in
       (* expressions (4) + (6): embedded correlated-failure buffer *)
@@ -259,7 +259,7 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
       (* expression (1): stability *)
       let owner = owner_of res in
       List.iter
-        (fun (_, var, cls) ->
+        (fun { cls; var; _ } ->
           let n0 = Symmetry.current_count symmetry cls owner in
           if n0 > 0 then begin
             let cost =
@@ -277,7 +277,9 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
     model;
     symmetry;
     reservations;
-    pairs = List.rev !pairs;
+    pairs;
+    res_pairs = Array.map Array.of_list res_pairs;
+    class_pairs = Array.map Array.of_list class_pairs;
     capacity_slack = !capacity_slack;
     buffer_var = !buffer_var;
     aux_defs = List.rev !aux_defs;
@@ -285,13 +287,13 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
     rack_level;
   }
 
-(* Reconstruct a full solution vector from assignment counts: auxiliary
-   variables all take their cheapest feasible value [max(0, max_i e_i)];
-   definitions only reference earlier variables so one ascending pass
-   suffices. *)
-let encode t counts_of =
+(* Reconstruct a full solution vector from per-pair counts (indexed like
+   [t.pairs]): auxiliary variables all take their cheapest feasible value
+   [max(0, max_i e_i)]; definitions only reference earlier variables so one
+   ascending pass suffices. *)
+let encode_counts t counts =
   let vec = Array.make (Model.num_vars t.model) 0.0 in
-  List.iter (fun p -> vec.(p.var) <- float_of_int (counts_of p)) t.pairs;
+  Array.iteri (fun i p -> vec.(p.var) <- float_of_int counts.(i)) t.pairs;
   List.iter
     (fun (v, exprs) ->
       let value =
@@ -301,49 +303,32 @@ let encode t counts_of =
     t.aux_defs;
   vec
 
-let status_quo t =
-  encode t (fun p ->
-      let owner = owner_of p.res in
-      Symmetry.current_count t.symmetry p.cls owner)
+let encode t counts_of = encode_counts t (Array.map counts_of t.pairs)
+
+let status_quo t = encode t (fun p -> Symmetry.current_count t.symmetry p.cls (owner_of p.res))
 
 (* Largest-remainder rounding of an LP-relaxation solution: per class, floor
    every count, then hand the class's remaining LP mass back to the pairs
-   with the largest fractional parts.  Supply can only decrease, so the
-   result is always feasible once auxiliaries are re-encoded. *)
+   with the largest fractional parts, ties in [class_pairs] order.  Supply
+   can only decrease, so the result is always feasible once auxiliaries are
+   re-encoded. *)
 let round_lp t lp_solution =
-  let by_class = Hashtbl.create 64 in
-  List.iter
-    (fun p ->
-      let existing = try Hashtbl.find by_class p.cls.Symmetry.index with Not_found -> [] in
-      Hashtbl.replace by_class p.cls.Symmetry.index (p :: existing))
-    t.pairs;
-  let counts = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun _ ps ->
-      let floors =
-        List.map
-          (fun p ->
-            let x = Float.max 0.0 lp_solution.(p.var) in
-            let fl = Float.floor (x +. 1e-9) in
-            (p, int_of_float fl, x -. fl))
-          ps
-      in
-      let total_lp = List.fold_left (fun acc p -> acc +. Float.max 0.0 lp_solution.(p.var)) 0.0 ps in
-      let floor_sum = List.fold_left (fun acc (_, fl, _) -> acc + fl) 0 floors in
+  let x i = Float.max 0.0 lp_solution.(t.pairs.(i).var) in
+  let floor i = Float.floor (x i +. 1e-9) in
+  let remainder i = x i -. floor i in
+  let counts = Array.init (Array.length t.pairs) (fun i -> int_of_float (floor i)) in
+  Array.iter
+    (fun ps ->
+      let total_lp = Array.fold_left (fun acc i -> acc +. x i) 0.0 ps in
+      let floor_sum = Array.fold_left (fun acc i -> acc + counts.(i)) 0 ps in
       let extra = int_of_float (Float.round total_lp) - floor_sum in
-      let by_remainder =
-        List.sort (fun (_, _, ra) (_, _, rb) -> compare rb ra) floors
-      in
-      List.iteri
-        (fun i (p, fl, _) ->
-          let c = if i < extra then fl + 1 else fl in
-          Hashtbl.replace counts (p.cls.Symmetry.index, p.res.Reservation.id) c)
-        by_remainder)
-    by_class;
-  encode t (fun p ->
-      try Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id) with Not_found -> 0)
+      let by_remainder = Array.copy ps in
+      Array.stable_sort (fun a b -> compare (remainder b) (remainder a)) by_remainder;
+      Array.iteri (fun k i -> if k < extra then counts.(i) <- counts.(i) + 1) by_remainder)
+    t.class_pairs;
+  encode_counts t counts
 
-let num_assignment_vars t = List.length t.pairs
+let num_assignment_vars t = Array.length t.pairs
 
 type assignment = { counts : (Symmetry.cls * Reservation.t * int) list }
 
@@ -353,7 +338,7 @@ let decode t solution =
       (fun p ->
         let v = int_of_float (Float.round solution.(p.var)) in
         if v > 0 then Some (p.cls, p.res, v) else None)
-      t.pairs
+      (Array.to_list t.pairs)
   in
   { counts }
 
@@ -364,87 +349,98 @@ let capacity_shortfalls t solution =
       if v > 1e-6 then Some (rid, v) else None)
     t.capacity_slack
 
+(* The repair passes' working state: servers per pair (indexed like
+   [t.pairs]), servers used per class, and RRU per reservation position.
+   Every move goes through [bump], which keeps the three in step. *)
+type work = { count : int array; class_used : int array; res_total : float array }
+
+let bump t w i delta =
+  let p = t.pairs.(i) in
+  w.count.(i) <- w.count.(i) + delta;
+  w.class_used.(p.cls.Symmetry.index) <- w.class_used.(p.cls.Symmetry.index) + delta;
+  w.res_total.(p.res_index) <- w.res_total.(p.res_index) +. (p.rru *. float_of_int delta)
+
+(* RRU of pairs [ps], summed per group (MSB or datacenter) in [ps] order *)
+let rru_by t w ps ~groups ~group =
+  let load = Array.make groups 0.0 in
+  Array.iter
+    (fun i ->
+      let p = t.pairs.(i) in
+      let g = group p.cls in
+      load.(g) <- load.(g) +. (p.rru *. float_of_int w.count.(i)))
+    ps;
+  load
+
+let msb_of (cls : Symmetry.cls) = cls.Symmetry.msb
+
+(* One-server moves within a reservation, shared by the two local searches:
+   while [unfinished ()] and the last round moved a server, move one from a
+   [source] pair holding servers to a pair whose class has free supply,
+   taking the least [key] (first found on ties; [None] rejects the move),
+   and keep the reservation's per-group [load] in step. *)
+let swap_search t w load ~group my_pairs ~unfinished ~source ~key =
+  let guard = ref 0 and progress = ref true in
+  while unfinished () && !progress && !guard < 500 do
+    progress := false;
+    incr guard;
+    let best = ref None in
+    Array.iter
+      (fun i_from ->
+        if w.count.(i_from) > 0 && source t.pairs.(i_from) then
+          Array.iter
+            (fun i_to ->
+              let pt = t.pairs.(i_to) in
+              if w.class_used.(pt.cls.Symmetry.index) < Symmetry.size pt.cls then
+                match (key t.pairs.(i_from) pt, !best) with
+                | None, _ -> ()
+                | Some k, Some (bk, _, _) when bk <= k -> ()
+                | Some k, _ -> best := Some (k, i_from, i_to))
+            my_pairs)
+      my_pairs;
+    match !best with
+    | Some (_, i_from, i_to) ->
+      let pf = t.pairs.(i_from) and pt = t.pairs.(i_to) in
+      bump t w i_from (-1);
+      bump t w i_to 1;
+      load.(group pf.cls) <- load.(group pf.cls) -. pf.rru;
+      load.(group pt.cls) <- load.(group pt.cls) +. pt.rru;
+      progress := true
+    | None -> ()
+  done
+
 (* Spread local search: repeatedly move one server of the reservation out of
    its fullest MSB into an acceptable class with free supply in a less-loaded
    MSB, whenever that lowers the reservation's max-MSB capacity (expressions
-   3/4/6 all improve).  Works on a counts table in place. *)
-let improve_spread t ~counts ~class_used =
-  let region = t.symmetry.Symmetry.region in
-  let num_msbs = region.Region.num_msbs in
-  let pairs_of_res = Hashtbl.create 32 in
-  List.iter
-    (fun p ->
-      let existing = try Hashtbl.find pairs_of_res p.res.Reservation.id with Not_found -> [] in
-      Hashtbl.replace pairs_of_res p.res.Reservation.id (p :: existing))
-    t.pairs;
-  let value p = p.res.Reservation.rru_of (Symmetry.hw_of p.cls) in
-  let count_of p = !(Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id)) in
-  let set p delta =
-    let r = Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id) in
-    r := !r + delta;
-    class_used.(p.cls.Symmetry.index) <- class_used.(p.cls.Symmetry.index) + delta
-  in
-  List.iter
-    (fun res ->
+   3/4/6 all improve). *)
+let improve_spread t w =
+  let num_msbs = t.symmetry.Symmetry.region.Region.num_msbs in
+  List.iteri
+    (fun ri res ->
       if res.Reservation.embedded_buffer then begin
-        let my_pairs = try Hashtbl.find pairs_of_res res.Reservation.id with Not_found -> [] in
-        let msb_rru = Array.make num_msbs 0.0 in
-        List.iter
-          (fun p ->
-            msb_rru.(p.cls.Symmetry.msb) <-
-              msb_rru.(p.cls.Symmetry.msb) +. (value p *. float_of_int (count_of p)))
-          my_pairs;
-        let improved = ref true and guard = ref 0 in
-        while !improved && !guard < 500 do
-          improved := false;
-          incr guard;
-          (* fullest MSB *)
-          let max_msb = ref 0 in
+        let msb_rru = rru_by t w t.res_pairs.(ri) ~groups:num_msbs ~group:msb_of in
+        let fullest = ref 0 in
+        let unfinished () =
+          fullest := 0;
           for m = 1 to num_msbs - 1 do
-            if msb_rru.(m) > msb_rru.(!max_msb) then max_msb := m
+            if msb_rru.(m) > msb_rru.(!fullest) then fullest := m
           done;
-          if msb_rru.(!max_msb) > 0.0 then begin
-            (* best single-server move out of it *)
-            let best = ref None in
-            List.iter
-              (fun p_from ->
-                if p_from.cls.Symmetry.msb = !max_msb && count_of p_from > 0 then
-                  List.iter
-                    (fun p_to ->
-                      if
-                        p_to.cls.Symmetry.msb <> !max_msb
-                        && class_used.(p_to.cls.Symmetry.index) < Symmetry.size p_to.cls
-                      then begin
-                        let new_src = msb_rru.(!max_msb) -. value p_from in
-                        let new_dst = msb_rru.(p_to.cls.Symmetry.msb) +. value p_to in
-                        (* the move must lower this reservation's max share
-                           and must not shrink its total capacity *)
-                        if
-                          Float.max new_src new_dst < msb_rru.(!max_msb) -. 1e-9
-                          && value p_to >= value p_from -. 1e-9
-                        then begin
-                          let headroom = msb_rru.(!max_msb) -. Float.max new_src new_dst in
-                          (* idle servers move for a tenth of the cost of
-                             in-use ones (expression 1), so prefer them *)
-                          let key = ((if p_from.cls.Symmetry.in_use then 0 else 1), headroom) in
-                          match !best with
-                          | Some (k, _, _) when k >= key -> ()
-                          | _ -> best := Some (key, p_from, p_to)
-                        end
-                      end)
-                    my_pairs)
-              my_pairs;
-            match !best with
-            | Some (_, p_from, p_to) ->
-              set p_from (-1);
-              set p_to 1;
-              msb_rru.(p_from.cls.Symmetry.msb) <-
-                msb_rru.(p_from.cls.Symmetry.msb) -. value p_from;
-              msb_rru.(p_to.cls.Symmetry.msb) <- msb_rru.(p_to.cls.Symmetry.msb) +. value p_to;
-              improved := true
-            | None -> ()
-          end
-        done
+          msb_rru.(!fullest) > 0.0
+        in
+        swap_search t w msb_rru ~group:msb_of t.res_pairs.(ri) ~unfinished
+          ~source:(fun pf -> pf.cls.Symmetry.msb = !fullest)
+          ~key:(fun pf pt ->
+            let top = msb_rru.(!fullest) in
+            let new_max = Float.max (top -. pf.rru) (msb_rru.(pt.cls.Symmetry.msb) +. pt.rru) in
+            (* out of the fullest MSB, lowering this reservation's max share
+               without shrinking its total capacity; idle servers move for a
+               tenth of the cost of in-use ones (expression 1), so they go
+               first, then the most headroom *)
+            if
+              pt.cls.Symmetry.msb <> !fullest
+              && new_max < top -. 1e-9
+              && pt.rru >= pf.rru -. 1e-9
+            then Some ((if pf.cls.Symmetry.in_use then 1 else 0), -.(top -. new_max))
+            else None)
       end)
     t.reservations
 
@@ -452,84 +448,80 @@ let improve_spread t ~counts ~class_used =
    servers between datacenters (one dropped, one picked up from unassigned
    supply) until every declared datacenter's share is inside
    [(A - theta) C_r, (A + theta) C_r] or no swap helps. *)
-let improve_affinity t ~counts ~class_used =
+let improve_affinity t w =
   let region = t.symmetry.Symmetry.region in
+  let num_dcs = region.Region.num_dcs and num_msbs = region.Region.num_msbs in
   let dc_of cls = region.Region.msb_dc.(cls.Symmetry.msb) in
-  let pairs_of_res = Hashtbl.create 32 in
-  List.iter
-    (fun p ->
-      let existing = try Hashtbl.find pairs_of_res p.res.Reservation.id with Not_found -> [] in
-      Hashtbl.replace pairs_of_res p.res.Reservation.id (p :: existing))
-    t.pairs;
-  let value p = p.res.Reservation.rru_of (Symmetry.hw_of p.cls) in
-  let count_of p = !(Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id)) in
-  let set p delta =
-    let r = Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id) in
-    r := !r + delta;
-    class_used.(p.cls.Symmetry.index) <- class_used.(p.cls.Symmetry.index) + delta
-  in
-  List.iter
-    (fun res ->
+  List.iteri
+    (fun ri res ->
       if res.Reservation.dc_affinity <> [] then begin
-        let my_pairs = try Hashtbl.find pairs_of_res res.Reservation.id with Not_found -> [] in
         let cr = res.Reservation.capacity_rru in
         let theta = res.Reservation.affinity_tolerance in
-        let dc_rru = Array.make region.Region.num_dcs 0.0 in
-        List.iter
-          (fun p -> dc_rru.(dc_of p.cls) <- dc_rru.(dc_of p.cls) +. (value p *. float_of_int (count_of p)))
-          my_pairs;
-        let declared = res.Reservation.dc_affinity in
-        let lo d = match List.assoc_opt d declared with Some a -> (a -. theta) *. cr | None -> 0.0 in
-        let hi d =
-          match List.assoc_opt d declared with Some a -> (a +. theta) *. cr | None -> infinity
+        let dc_rru = rru_by t w t.res_pairs.(ri) ~groups:num_dcs ~group:dc_of in
+        let bound ~side ~none =
+          Array.init num_dcs (fun d ->
+              match List.assoc_opt d res.Reservation.dc_affinity with
+              | Some a -> side a theta *. cr
+              | None -> none)
         in
+        let lo = bound ~side:( -. ) ~none:0.0 and hi = bound ~side:( +. ) ~none:infinity in
+        (* summed over datacenters in ascending order *)
         let violation () =
-          Array.to_list dc_rru
-          |> List.mapi (fun d v -> Float.max 0.0 (lo d -. v) +. Float.max 0.0 (v -. hi d))
-          |> List.fold_left ( +. ) 0.0
+          let v = ref 0.0 in
+          for d = 0 to num_dcs - 1 do
+            let x = dc_rru.(d) in
+            v := !v +. (Float.max 0.0 (lo.(d) -. x) +. Float.max 0.0 (x -. hi.(d)))
+          done;
+          !v
         in
-        let guard = ref 0 and progress = ref true in
-        while violation () > 1e-6 && !progress && !guard < 500 do
-          progress := false;
-          incr guard;
-          (* best swap: drop one server in dc_from, add one in dc_to *)
-          let best = ref None in
-          let before = violation () in
-          List.iter
-            (fun p_from ->
-              if count_of p_from > 0 then
-                List.iter
-                  (fun p_to ->
-                    if
-                      dc_of p_to.cls <> dc_of p_from.cls
-                      && class_used.(p_to.cls.Symmetry.index) < Symmetry.size p_to.cls
-                    then begin
-                      let df = dc_of p_from.cls and dt = dc_of p_to.cls in
-                      dc_rru.(df) <- dc_rru.(df) -. value p_from;
-                      dc_rru.(dt) <- dc_rru.(dt) +. value p_to;
-                      let after = violation () in
-                      dc_rru.(df) <- dc_rru.(df) +. value p_from;
-                      dc_rru.(dt) <- dc_rru.(dt) -. value p_to;
-                      (* keep total capacity: only allow swaps that do not
-                         shrink the reservation *)
-                      if after < before -. 1e-9 && value p_to >= value p_from -. 1e-9 then begin
-                        let key = ((if p_from.cls.Symmetry.in_use then 1 else 0), after) in
-                        match !best with
-                        | Some (k, _, _) when k <= key -> ()
-                        | _ -> best := Some (key, p_from, p_to)
-                      end
-                    end)
-                  my_pairs)
-            my_pairs;
-          match !best with
-          | Some (_, p_from, p_to) ->
-            set p_from (-1);
-            set p_to 1;
-            dc_rru.(dc_of p_from.cls) <- dc_rru.(dc_of p_from.cls) -. value p_from;
-            dc_rru.(dc_of p_to.cls) <- dc_rru.(dc_of p_to.cls) +. value p_to;
-            progress := true
-          | None -> ()
-        done
+        (* expression (6) for a buffered reservation: a swap may not take
+           its surviving capacity below the request, or lower it further
+           when it is already below *)
+        let buffered = res.Reservation.embedded_buffer && num_msbs > 1 in
+        let before = ref 0.0 and msb_rru = ref [||] and must_keep = ref 0.0 in
+        let unfinished () =
+          before := violation ();
+          if buffered then msb_rru := rru_by t w t.res_pairs.(ri) ~groups:num_msbs ~group:msb_of;
+          let now = Array.fold_left ( +. ) 0.0 !msb_rru -. Array.fold_left Float.max 0.0 !msb_rru in
+          must_keep := Float.min cr now -. 1e-9;
+          !before > 1e-6
+        in
+        (* total minus the fullest MSB once [pf] is swapped for [pt] *)
+        let survives pf pt =
+          let total = ref 0.0 and fullest = ref 0.0 in
+          Array.iteri
+            (fun m v ->
+              let v = if m = msb_of pf.cls then v -. pf.rru else v in
+              let v = if m = msb_of pt.cls then v +. pt.rru else v in
+              total := !total +. v;
+              fullest := Float.max !fullest v)
+            !msb_rru;
+          !total -. !fullest >= !must_keep
+        in
+        swap_search t w dc_rru ~group:dc_of t.res_pairs.(ri) ~unfinished
+          ~source:(fun _ -> true)
+          ~key:(fun pf pt ->
+            let df = dc_of pf.cls and dt = dc_of pt.cls in
+            if df = dt then None
+            else begin
+              (* probe in place: the subtract-and-restore rounding is part
+                 of the state later probes read *)
+              dc_rru.(df) <- dc_rru.(df) -. pf.rru;
+              dc_rru.(dt) <- dc_rru.(dt) +. pt.rru;
+              let after = violation () in
+              dc_rru.(df) <- dc_rru.(df) +. pf.rru;
+              dc_rru.(dt) <- dc_rru.(dt) -. pt.rru;
+              (* keep total capacity: only allow swaps that do not shrink
+                 the reservation; idle servers first, then the lowest
+                 violation *)
+              if
+                after < !before -. 1e-9
+                && pt.rru >= pf.rru -. 1e-9
+                && ((not buffered) || survives pf pt)
+              then
+                Some ((if pf.cls.Symmetry.in_use then 1 else 0), after)
+              else None
+            end)
       end)
     t.reservations
 
@@ -539,48 +531,15 @@ let improve_affinity t ~counts ~class_used =
    under-loaded MSBs and the highest-value class, then (b) donors that would
    remain above their own requested capacity after giving a server up. *)
 let repair t solution =
-  let nclasses = Array.length t.symmetry.Symmetry.classes in
   let num_msbs = t.symmetry.Symmetry.region.Region.num_msbs in
-  let counts = Hashtbl.create 256 in
-  let class_used = Array.make nclasses 0 in
-  let res_total = Hashtbl.create 32 in
-  List.iter
-    (fun res -> Hashtbl.replace res_total res.Reservation.id (ref 0.0))
-    t.reservations;
-  List.iter
-    (fun p ->
-      let c = int_of_float (Float.round solution.(p.var)) in
-      Hashtbl.replace counts (p.cls.Symmetry.index, p.res.Reservation.id) (ref c);
-      class_used.(p.cls.Symmetry.index) <- class_used.(p.cls.Symmetry.index) + c;
-      let v = p.res.Reservation.rru_of (Symmetry.hw_of p.cls) in
-      let total = Hashtbl.find res_total p.res.Reservation.id in
-      total := !total +. (v *. float_of_int c))
-    t.pairs;
-  let value p = p.res.Reservation.rru_of (Symmetry.hw_of p.cls) in
-  let count_of p = !(Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id)) in
-  let bump p delta =
-    let r = Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id) in
-    r := !r + delta;
-    class_used.(p.cls.Symmetry.index) <- class_used.(p.cls.Symmetry.index) + delta;
-    let total = Hashtbl.find res_total p.res.Reservation.id in
-    total := !total +. (value p *. float_of_int delta)
+  let w =
+    {
+      count = Array.make (Array.length t.pairs) 0;
+      class_used = Array.make (Symmetry.num_classes t.symmetry) 0;
+      res_total = Array.make (Array.length t.res_pairs) 0.0;
+    }
   in
-  let pairs_of_res = Hashtbl.create 32 in
-  List.iter
-    (fun p ->
-      let existing =
-        try Hashtbl.find pairs_of_res p.res.Reservation.id with Not_found -> []
-      in
-      Hashtbl.replace pairs_of_res p.res.Reservation.id (p :: existing))
-    t.pairs;
-  let pairs_of_class = Hashtbl.create 64 in
-  List.iter
-    (fun p ->
-      let existing =
-        try Hashtbl.find pairs_of_class p.cls.Symmetry.index with Not_found -> []
-      in
-      Hashtbl.replace pairs_of_class p.cls.Symmetry.index (p :: existing))
-    t.pairs;
+  Array.iteri (fun i p -> bump t w i (int_of_float (Float.round solution.(p.var)))) t.pairs;
   (* a donor must keep a safety margin over its own request so stealing never
      creates a new violation elsewhere *)
   let donor_floor res =
@@ -588,100 +547,81 @@ let repair t solution =
       res.Reservation.capacity_rru *. (1.0 +. (1.2 /. float_of_int (num_msbs - 1)))
     else res.Reservation.capacity_rru
   in
-  List.iter
-    (fun res ->
-      let rid = res.Reservation.id in
-      let my_pairs = try Hashtbl.find pairs_of_res rid with Not_found -> [] in
+  List.iteri
+    (fun ri res ->
+      let my_pairs = t.res_pairs.(ri) in
       let cr = res.Reservation.capacity_rru in
-      let total = Hashtbl.find res_total rid in
-      let msb_rru = Array.make num_msbs 0.0 in
-      List.iter
-        (fun p ->
-          msb_rru.(p.cls.Symmetry.msb) <-
-            msb_rru.(p.cls.Symmetry.msb) +. (value p *. float_of_int (count_of p)))
-        my_pairs;
+      let msb_rru = rru_by t w my_pairs ~groups:num_msbs ~group:msb_of in
       let buffered = res.Reservation.embedded_buffer && num_msbs > 1 in
       (* expression (6): what the reservation keeps after losing its fullest
          MSB must cover the request; without an embedded buffer plain total
          suffices *)
       let surviving () =
-        if buffered then !total -. Array.fold_left Float.max 0.0 msb_rru else !total
+        if buffered then w.res_total.(ri) -. Array.fold_left Float.max 0.0 msb_rru
+        else w.res_total.(ri)
       in
       (* deficit reduction if one server of pair [p] were added *)
       let gain p =
-        if not buffered then value p
+        if not buffered then p.rru
         else begin
           let old_max = Array.fold_left Float.max 0.0 msb_rru in
-          let new_max = Float.max old_max (msb_rru.(p.cls.Symmetry.msb) +. value p) in
-          !total +. value p -. new_max -. surviving ()
+          let new_max = Float.max old_max (msb_rru.(p.cls.Symmetry.msb) +. p.rru) in
+          w.res_total.(ri) +. p.rru -. new_max -. surviving ()
         end
       in
-      let guard = ref 0 in
-      let progress = ref true in
+      let guard = ref 0 and progress = ref true in
       while surviving () < cr -. 1e-6 && !progress && !guard < 2000 do
         progress := false;
         incr guard;
-        (* free supply: candidate with the best deficit reduction *)
-        let best_free = ref None in
-        List.iter
-          (fun p ->
-            if class_used.(p.cls.Symmetry.index) < Symmetry.size p.cls then begin
+        (* the best deficit reduction from free supply; failing that, from a
+           donor ([d >= 0]) who keeps its safety margin after giving one up,
+           idle servers first: stealing one avoids a preemption *)
+        let best = ref None in
+        let offer key i d =
+          match !best with Some (k, _, _) when k >= key -> () | _ -> best := Some (key, i, d)
+        in
+        Array.iter
+          (fun i ->
+            let p = t.pairs.(i) in
+            if w.class_used.(p.cls.Symmetry.index) < Symmetry.size p.cls then begin
               let g = gain p in
-              if g > 1e-9 then
-                match !best_free with
-                | Some (bg, _) when bg >= g -> ()
-                | _ -> best_free := Some (g, p)
+              if g > 1e-9 then offer (2, g) i (-1)
             end)
           my_pairs;
-        match !best_free with
-        | Some (_, p) ->
-          bump p 1;
-          msb_rru.(p.cls.Symmetry.msb) <- msb_rru.(p.cls.Symmetry.msb) +. value p;
-          progress := true
-        | None ->
-          (* donors: anyone who keeps its safety margin after giving one up *)
-          let best_donor = ref None in
-          List.iter
-            (fun my_p ->
-              let g = gain my_p in
-              if g > 1e-9 then begin
-                let others =
-                  try Hashtbl.find pairs_of_class my_p.cls.Symmetry.index with Not_found -> []
-                in
-                List.iter
-                  (fun donor ->
-                    if donor.res.Reservation.id <> rid && count_of donor > 0 then begin
-                      let donor_total = !(Hashtbl.find res_total donor.res.Reservation.id) in
-                      if donor_total -. value donor >= donor_floor donor.res -. 1e-6 then begin
-                        (* stealing an idle server avoids a preemption *)
-                        let key = ((if donor.cls.Symmetry.in_use then 0 else 1), g) in
-                        match !best_donor with
-                        | Some (bk, _, _) when bk >= key -> ()
-                        | _ -> best_donor := Some (key, my_p, donor)
-                      end
-                    end)
-                  others
-              end)
+        if Option.is_none !best then
+          Array.iter
+            (fun i ->
+              let g = gain t.pairs.(i) in
+              if g > 1e-9 then
+                Array.iter
+                  (fun d ->
+                    let donor = t.pairs.(d) in
+                    if
+                      donor.res_index <> ri
+                      && w.count.(d) > 0
+                      && w.res_total.(donor.res_index) -. donor.rru >= donor_floor donor.res -. 1e-6
+                    then offer ((if donor.cls.Symmetry.in_use then 0 else 1), g) i d)
+                  t.class_pairs.(t.pairs.(i).cls.Symmetry.index))
             my_pairs;
-          (match !best_donor with
-          | Some (_, my_p, donor) ->
-            bump donor (-1);
-            bump my_p 1;
-            msb_rru.(my_p.cls.Symmetry.msb) <- msb_rru.(my_p.cls.Symmetry.msb) +. value my_p;
-            progress := true
-          | None -> ())
+        match !best with
+        | Some (_, i, d) ->
+          if d >= 0 then bump t w d (-1);
+          bump t w i 1;
+          let p = t.pairs.(i) in
+          msb_rru.(p.cls.Symmetry.msb) <- msb_rru.(p.cls.Symmetry.msb) +. p.rru;
+          progress := true
+        | None -> ()
       done)
     t.reservations;
-  improve_spread t ~counts ~class_used;
-  improve_affinity t ~counts ~class_used;
-  encode t (fun p -> count_of p)
+  improve_spread t w;
+  improve_affinity t w;
+  encode_counts t w.count
+
 let movement_units t solution ~in_use =
-  List.fold_left
+  Array.fold_left
     (fun acc p ->
-      if p.cls.Symmetry.in_use = in_use then begin
-        let owner = owner_of p.res in
-        let n0 = Symmetry.current_count t.symmetry p.cls owner in
-        if n0 > 0 then acc +. Float.max 0.0 (float_of_int n0 -. solution.(p.var)) else acc
-      end
+      let n0 = Symmetry.current_count t.symmetry p.cls (owner_of p.res) in
+      if p.cls.Symmetry.in_use = in_use && n0 > 0 then
+        acc +. Float.max 0.0 (float_of_int n0 -. solution.(p.var))
       else acc)
     0.0 t.pairs

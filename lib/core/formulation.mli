@@ -39,13 +39,25 @@ type params = {
 
 val default_params : params
 
-type pair = { cls : Symmetry.cls; res : Reservation.t; var : Ras_mip.Model.var }
+type pair = {
+  cls : Symmetry.cls;
+  res : Reservation.t;
+  var : Ras_mip.Model.var;
+  rru : float;  (** [V_{s,r}]: the RRU one server of [cls] gives [res] *)
+  res_index : int;  (** position of [res] in [reservations] *)
+}
 
 type t = {
   model : Ras_mip.Model.t;
   symmetry : Symmetry.t;
   reservations : Reservation.t list;
-  pairs : pair list;  (** assignment variables in creation order *)
+  pairs : pair array;
+      (** assignment variables in creation order: classes outermost, then
+          reservations; a pair's position here is its pair index *)
+  res_pairs : int array array;
+      (** per reservation position: its pair indices, descending *)
+  class_pairs : int array array;
+      (** per class index: its pair indices, descending *)
   capacity_slack : (int * Ras_mip.Model.var) list;  (** reservation id -> slack *)
   buffer_var : (int * Ras_mip.Model.var) list;  (** reservation id -> z_r *)
   aux_defs : (Ras_mip.Model.var * Ras_mip.Lin_expr.t list) list;
@@ -94,14 +106,25 @@ val status_quo : t -> float array
 
 val round_lp : t -> float array -> float array
 (** Largest-remainder rounding of an LP-relaxation solution into a feasible
-    integral one ({!encode}d).  This is the primal heuristic that makes
-    timed-out solves useful: its objective is typically within a few
-    movement units of the LP bound (Fig. 9's quality-gap regime). *)
+    integral one ({!encode}d): per class, every pair's count is floored and
+    the class's remaining LP mass goes one server at a time to the pairs
+    with the largest fractional parts, ties in [class_pairs] order.  This is
+    the primal heuristic that makes timed-out solves useful: its objective
+    is typically within a few movement units of the LP bound (Fig. 9's
+    quality-gap regime). *)
 
 val repair : t -> float array -> float array
-(** Greedy capacity repair of an integral solution: tops up reservations
-    left short (e.g. by rounding scarce hardware classes) from unassigned
-    supply first, then from donors that stay above their own capacity.
+(** Greedy repair of an integral solution, in three passes over one count
+    per pair:
+    - capacity: tops up reservations left short (e.g. by rounding scarce
+      hardware classes) from unassigned supply first, then from donors
+      that stay above their own capacity;
+    - spread: for embedded-buffer reservations, moves servers out of the
+      fullest MSB while that lowers it without shrinking the total;
+    - affinity: swaps servers between datacenters toward the declared
+      shares, never shrinking the total and never taking an
+      embedded-buffer reservation's capacity after its worst MSB loss
+      (expression 6) below the request, or lower when already below.
     The input must fit every class's supply, as {!round_lp}'s output does;
     repair never removes servers from an over-filled class. *)
 

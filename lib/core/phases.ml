@@ -42,13 +42,7 @@ let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
   let lp = Simplex.solve std in
   (* Primal heuristic: round the LP relaxation into a feasible integral
      solution; keep whichever of it and the status quo is cheaper. *)
-  let objective_of x =
-    let acc = ref std.Model.obj_offset in
-    for j = 0 to std.Model.nvars - 1 do
-      acc := !acc +. (std.Model.obj.(j) *. x.(j))
-    done;
-    !acc
-  in
+  let objective_of = Model.objective_value std in
   let initial =
     match lp with
     | Simplex.Optimal { x; _ } ->

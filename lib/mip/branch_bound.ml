@@ -29,7 +29,7 @@ let gap_abs = 1e-6
 let int_tol = 1e-6
 let heuristic_period = 20
 
-type seed_status = Seed_none | Seed_accepted | Seed_repaired | Seed_rejected
+type seed_status = Seed_none | Seed_accepted | Seed_rejected
 
 type outcome = {
   status : status;
@@ -146,12 +146,7 @@ let rounding_probe (std : Model.std) node x =
     end
   done;
   match Model.check_solution std y with
-  | Ok () ->
-    let obj = ref std.obj_offset in
-    for j = 0 to std.nvars - 1 do
-      obj := !obj +. (std.obj.(j) *. y.(j))
-    done;
-    Some (y, !obj)
+  | Ok () -> Some (y, Model.objective_value std y)
   | Error _ -> None
 
 let integral (std : Model.std) x =
@@ -288,37 +283,9 @@ let solve ?(options = default_options) (std : Model.std) =
   in
   let seed_status = ref Seed_none in
   (match options.initial with
-  | Some x0 when Array.length x0 = std.nvars -> (
-    let objective_of y =
-      let obj = ref std.obj_offset in
-      for j = 0 to std.nvars - 1 do
-        obj := !obj +. (std.obj.(j) *. y.(j))
-      done;
-      !obj
-    in
-    match Model.check_solution std x0 with
-    | Ok () ->
-      seed_status := Seed_accepted;
-      update_incumbent (Array.copy x0) (objective_of x0)
-    | Error _ -> (
-      (* A stale seed — e.g. last round's incumbent after churn moved the
-         bounds — gets one bounded repair attempt: clamp into the root
-         node's (integer-tightened) bounds and round integer variables.
-         Only the full checker decides; a still-invalid seed is counted
-         as rejected and branch-and-bound proceeds unseeded. *)
-      let y = Array.copy x0 in
-      for j = 0 to std.nvars - 1 do
-        let v = Float.max root_lb.(j) (Float.min root_ub.(j) y.(j)) in
-        y.(j) <-
-          (if std.integer.(j) then
-             Float.max root_lb.(j) (Float.min root_ub.(j) (Float.round v))
-           else v)
-      done;
-      match Model.check_solution std y with
-      | Ok () ->
-        seed_status := Seed_repaired;
-        update_incumbent y (objective_of y)
-      | Error _ -> seed_status := Seed_rejected))
+  | Some x0 when Array.length x0 = std.nvars && Model.check_solution std x0 = Ok () ->
+    seed_status := Seed_accepted;
+    update_incumbent (Array.copy x0) (Model.objective_value std x0)
   | Some _ -> seed_status := Seed_rejected
   | None -> ());
   (let root = { nlb = root_lb; nub = root_ub; depth = 0; wb = options.root_basis } in

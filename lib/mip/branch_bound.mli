@@ -37,12 +37,11 @@ type options = {
           so gap-based stopping never fires; stalling is the stopping rule
           the continuous loop uses *)
   initial : float array option;
-      (** a known (possibly stale) solution to seed the incumbent.  The
-          seed is checked with {!Model.check_solution}; an invalid one —
-          e.g. a caller's incumbent for a since-changed model — gets one bounded
-          repair attempt (clamp into root bounds, round integers) and is
-          otherwise rejected.  The outcome's [seed] field reports which
-          happened; a stale seed never raises. *)
+      (** a known solution to seed the incumbent.  The seed is checked
+          with {!Model.check_solution} and used as given or rejected,
+          never repaired: a caller's incumbent for a since-changed model
+          must be re-encoded against the new one.  The outcome's [seed]
+          field reports which happened; a bad seed never raises. *)
   root_basis : Simplex.warm_basis option;
       (** warm basis for the {e root} node's LP — typically the optimal
           basis of a relaxation of the same model the caller already solved
@@ -71,14 +70,13 @@ val default_options : options
 
 type seed_status =
   | Seed_none  (** no initial solution was supplied *)
-  | Seed_accepted  (** the seed passed {!Model.check_solution} as given *)
-  | Seed_repaired
-      (** the seed was invalid but the clamp-and-round repair made it
-          feasible; the repaired point became the starting incumbent *)
+  | Seed_accepted
+      (** the seed passed {!Model.check_solution} and became the starting
+          incumbent *)
   | Seed_rejected
-      (** the seed stayed invalid after repair, or had the wrong length
-          (an infeasible model rejects every seed); the search started
-          unseeded *)
+      (** the seed failed {!Model.check_solution} or had the wrong length
+          (an infeasible model rejects every seed); it is not repaired, and
+          the search started unseeded *)
 
 type outcome = {
   status : status;

@@ -164,6 +164,13 @@ let compile (t : t) =
     row_names;
   }
 
+let objective_value std x =
+  let acc = ref std.obj_offset in
+  for j = 0 to std.nvars - 1 do
+    acc := !acc +. (std.obj.(j) *. x.(j))
+  done;
+  !acc
+
 let check_solution ?(tol = 1e-6) std x =
   if Array.length x <> std.nvars then Error "solution length mismatch"
   else begin

@@ -957,12 +957,7 @@ let initial_state ?lb_override ?ub_override ?basis ?ws ~pricing ~degen_limit ~tr
   if not warmed then set_cold st;
   (st, warmed)
 
-let objective_value st =
-  let acc = ref st.std.obj_offset in
-  for j = 0 to st.std.nvars - 1 do
-    acc := !acc +. (st.std.obj.(j) *. st.xval.(j))
-  done;
-  !acc
+let objective_value st = Model.objective_value st.std st.xval
 
 let extract st = Array.sub st.xval 0 st.std.nvars
 
@@ -1323,14 +1318,10 @@ let solve_unconstrained std lb ub =
   done;
   if !unbounded then Unbounded
   else begin
-    let obj = ref std.obj_offset in
-    for j = 0 to n - 1 do
-      obj := !obj +. (std.obj.(j) *. x.(j))
-    done;
     Optimal
       {
         x;
-        obj = !obj;
+        obj = Model.objective_value std x;
         iterations = 0;
         dual_iterations = 0;
         bland_iterations = 0;

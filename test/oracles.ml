@@ -12,7 +12,11 @@
    - Disaggregation: Ras.Concretize and Async_solver's phase-2 selection
      and merge, which now run over one owner-code column, as they first
      shipped over per-class tables, a server-keyed target table and sorted
-     lists (test_properties.ml, test_region_scale.ml, test_core.ml). *)
+     lists (test_properties.ml, test_region_scale.ml, test_core.ml).
+   - The primal heuristic: Ras.Formulation's rounding and repair passes,
+     which now share one count array by pair, as they first shipped over
+     Hashtbls keyed by (class, reservation) (test_core.ml,
+     test_region_scale.ml). *)
 
 open Ras
 module Broker = Ras_broker.Broker
@@ -596,3 +600,432 @@ let metrics_reference broker =
   in
   ( Ras_workload.Power.normalized_variance draw,
     float_of_int down /. float_of_int (Broker.num_servers broker) )
+
+(* ---------- primal heuristic: the Hashtbl implementation ---------- *)
+
+(* Moves each pass of [repair_reference] made: top-ups from unassigned
+   supply, steals from donors, spread and affinity swaps. *)
+type heuristic_moves = {
+  mutable free : int;
+  mutable donor : int;
+  mutable spread : int;
+  mutable affinity : int;
+}
+
+(* [Formulation.round_lp], [repair] and the two local searches as first
+   written: counts in a Hashtbl keyed by (class index, reservation id), the
+   pairs regrouped by class and by reservation on every call.  The
+   pair-indexed count table must make every decision they make. *)
+let round_lp_reference (t : Formulation.t) lp_solution =
+  let open Formulation in
+  let by_class = Hashtbl.create 64 in
+  Array.iter
+    (fun p ->
+      let existing = try Hashtbl.find by_class p.cls.Symmetry.index with Not_found -> [] in
+      Hashtbl.replace by_class p.cls.Symmetry.index (p :: existing))
+    t.pairs;
+  let counts = Hashtbl.create 256 in
+  Hashtbl.iter
+    (fun _ ps ->
+      let floors =
+        List.map
+          (fun p ->
+            let x = Float.max 0.0 lp_solution.(p.var) in
+            let fl = Float.floor (x +. 1e-9) in
+            (p, int_of_float fl, x -. fl))
+          ps
+      in
+      let total_lp = List.fold_left (fun acc p -> acc +. Float.max 0.0 lp_solution.(p.var)) 0.0 ps in
+      let floor_sum = List.fold_left (fun acc (_, fl, _) -> acc + fl) 0 floors in
+      let extra = int_of_float (Float.round total_lp) - floor_sum in
+      let by_remainder =
+        List.sort (fun (_, _, ra) (_, _, rb) -> compare rb ra) floors
+      in
+      List.iteri
+        (fun i (p, fl, _) ->
+          let c = if i < extra then fl + 1 else fl in
+          Hashtbl.replace counts (p.cls.Symmetry.index, p.res.Reservation.id) c)
+        by_remainder)
+    by_class;
+  encode t (fun p ->
+      try Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id) with Not_found -> 0)
+
+let improve_spread_reference (t : Formulation.t) ~moves ~counts ~class_used =
+  let open Formulation in
+  let region = t.symmetry.Symmetry.region in
+  let num_msbs = region.Region.num_msbs in
+  let pairs_of_res = Hashtbl.create 32 in
+  Array.iter
+    (fun p ->
+      let existing = try Hashtbl.find pairs_of_res p.res.Reservation.id with Not_found -> [] in
+      Hashtbl.replace pairs_of_res p.res.Reservation.id (p :: existing))
+    t.pairs;
+  let value p = p.res.Reservation.rru_of (Symmetry.hw_of p.cls) in
+  let count_of p = !(Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id)) in
+  let set p delta =
+    let r = Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id) in
+    r := !r + delta;
+    class_used.(p.cls.Symmetry.index) <- class_used.(p.cls.Symmetry.index) + delta
+  in
+  List.iter
+    (fun res ->
+      if res.Reservation.embedded_buffer then begin
+        let my_pairs = try Hashtbl.find pairs_of_res res.Reservation.id with Not_found -> [] in
+        let msb_rru = Array.make num_msbs 0.0 in
+        List.iter
+          (fun p ->
+            msb_rru.(p.cls.Symmetry.msb) <-
+              msb_rru.(p.cls.Symmetry.msb) +. (value p *. float_of_int (count_of p)))
+          my_pairs;
+        let improved = ref true and guard = ref 0 in
+        while !improved && !guard < 500 do
+          improved := false;
+          incr guard;
+          (* fullest MSB *)
+          let max_msb = ref 0 in
+          for m = 1 to num_msbs - 1 do
+            if msb_rru.(m) > msb_rru.(!max_msb) then max_msb := m
+          done;
+          if msb_rru.(!max_msb) > 0.0 then begin
+            (* best single-server move out of it *)
+            let best = ref None in
+            List.iter
+              (fun p_from ->
+                if p_from.cls.Symmetry.msb = !max_msb && count_of p_from > 0 then
+                  List.iter
+                    (fun p_to ->
+                      if
+                        p_to.cls.Symmetry.msb <> !max_msb
+                        && class_used.(p_to.cls.Symmetry.index) < Symmetry.size p_to.cls
+                      then begin
+                        let new_src = msb_rru.(!max_msb) -. value p_from in
+                        let new_dst = msb_rru.(p_to.cls.Symmetry.msb) +. value p_to in
+                        (* the move must lower this reservation's max share
+                           and must not shrink its total capacity *)
+                        if
+                          Float.max new_src new_dst < msb_rru.(!max_msb) -. 1e-9
+                          && value p_to >= value p_from -. 1e-9
+                        then begin
+                          let headroom = msb_rru.(!max_msb) -. Float.max new_src new_dst in
+                          (* idle servers move for a tenth of the cost of
+                             in-use ones (expression 1), so prefer them *)
+                          let key = ((if p_from.cls.Symmetry.in_use then 0 else 1), headroom) in
+                          match !best with
+                          | Some (k, _, _) when k >= key -> ()
+                          | _ -> best := Some (key, p_from, p_to)
+                        end
+                      end)
+                    my_pairs)
+              my_pairs;
+            match !best with
+            | Some (_, p_from, p_to) ->
+              set p_from (-1);
+              set p_to 1;
+              moves.spread <- moves.spread + 1;
+              msb_rru.(p_from.cls.Symmetry.msb) <-
+                msb_rru.(p_from.cls.Symmetry.msb) -. value p_from;
+              msb_rru.(p_to.cls.Symmetry.msb) <- msb_rru.(p_to.cls.Symmetry.msb) +. value p_to;
+              improved := true
+            | None -> ()
+          end
+        done
+      end)
+    t.reservations
+
+let improve_affinity_reference (t : Formulation.t) ~moves ~counts ~class_used =
+  let open Formulation in
+  let region = t.symmetry.Symmetry.region in
+  let dc_of cls = region.Region.msb_dc.(cls.Symmetry.msb) in
+  let pairs_of_res = Hashtbl.create 32 in
+  Array.iter
+    (fun p ->
+      let existing = try Hashtbl.find pairs_of_res p.res.Reservation.id with Not_found -> [] in
+      Hashtbl.replace pairs_of_res p.res.Reservation.id (p :: existing))
+    t.pairs;
+  let value p = p.res.Reservation.rru_of (Symmetry.hw_of p.cls) in
+  let count_of p = !(Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id)) in
+  let set p delta =
+    let r = Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id) in
+    r := !r + delta;
+    class_used.(p.cls.Symmetry.index) <- class_used.(p.cls.Symmetry.index) + delta
+  in
+  List.iter
+    (fun res ->
+      if res.Reservation.dc_affinity <> [] then begin
+        let my_pairs = try Hashtbl.find pairs_of_res res.Reservation.id with Not_found -> [] in
+        let cr = res.Reservation.capacity_rru in
+        let theta = res.Reservation.affinity_tolerance in
+        let dc_rru = Array.make region.Region.num_dcs 0.0 in
+        List.iter
+          (fun p -> dc_rru.(dc_of p.cls) <- dc_rru.(dc_of p.cls) +. (value p *. float_of_int (count_of p)))
+          my_pairs;
+        let declared = res.Reservation.dc_affinity in
+        let lo d = match List.assoc_opt d declared with Some a -> (a -. theta) *. cr | None -> 0.0 in
+        let hi d =
+          match List.assoc_opt d declared with Some a -> (a +. theta) *. cr | None -> infinity
+        in
+        let violation () =
+          Array.to_list dc_rru
+          |> List.mapi (fun d v -> Float.max 0.0 (lo d -. v) +. Float.max 0.0 (v -. hi d))
+          |> List.fold_left ( +. ) 0.0
+        in
+        (* the expression (6) guard, added after the pair-indexed rewrite was
+           pinned against this function: a buffered reservation's surviving
+           capacity (total minus the fullest MSB) may not drop below the
+           request, or lower further when it is already below *)
+        let num_msbs = region.Region.num_msbs in
+        let buffered = res.Reservation.embedded_buffer && num_msbs > 1 in
+        let msb_rru = Array.make num_msbs 0.0 and must_keep = ref 0.0 in
+        let survives p_from p_to =
+          let total = ref 0.0 and fullest = ref 0.0 in
+          Array.iteri
+            (fun m v ->
+              let v = if m = p_from.cls.Symmetry.msb then v -. value p_from else v in
+              let v = if m = p_to.cls.Symmetry.msb then v +. value p_to else v in
+              total := !total +. v;
+              fullest := Float.max !fullest v)
+            msb_rru;
+          !total -. !fullest >= !must_keep
+        in
+        let guard = ref 0 and progress = ref true in
+        while violation () > 1e-6 && !progress && !guard < 500 do
+          progress := false;
+          incr guard;
+          Array.fill msb_rru 0 num_msbs 0.0;
+          List.iter
+            (fun p ->
+              msb_rru.(p.cls.Symmetry.msb) <-
+                msb_rru.(p.cls.Symmetry.msb) +. (value p *. float_of_int (count_of p)))
+            my_pairs;
+          must_keep :=
+            Float.min cr
+              (Array.fold_left ( +. ) 0.0 msb_rru -. Array.fold_left Float.max 0.0 msb_rru)
+            -. 1e-9;
+          (* best swap: drop one server in dc_from, add one in dc_to *)
+          let best = ref None in
+          let before = violation () in
+          List.iter
+            (fun p_from ->
+              if count_of p_from > 0 then
+                List.iter
+                  (fun p_to ->
+                    if
+                      dc_of p_to.cls <> dc_of p_from.cls
+                      && class_used.(p_to.cls.Symmetry.index) < Symmetry.size p_to.cls
+                    then begin
+                      let df = dc_of p_from.cls and dt = dc_of p_to.cls in
+                      dc_rru.(df) <- dc_rru.(df) -. value p_from;
+                      dc_rru.(dt) <- dc_rru.(dt) +. value p_to;
+                      let after = violation () in
+                      dc_rru.(df) <- dc_rru.(df) +. value p_from;
+                      dc_rru.(dt) <- dc_rru.(dt) -. value p_to;
+                      (* keep total capacity: only allow swaps that do not
+                         shrink the reservation *)
+                      if
+                        after < before -. 1e-9
+                        && value p_to >= value p_from -. 1e-9
+                        && ((not buffered) || survives p_from p_to)
+                      then begin
+                        let key = ((if p_from.cls.Symmetry.in_use then 1 else 0), after) in
+                        match !best with
+                        | Some (k, _, _) when k <= key -> ()
+                        | _ -> best := Some (key, p_from, p_to)
+                      end
+                    end)
+                  my_pairs)
+            my_pairs;
+          match !best with
+          | Some (_, p_from, p_to) ->
+            set p_from (-1);
+            set p_to 1;
+            moves.affinity <- moves.affinity + 1;
+            dc_rru.(dc_of p_from.cls) <- dc_rru.(dc_of p_from.cls) -. value p_from;
+            dc_rru.(dc_of p_to.cls) <- dc_rru.(dc_of p_to.cls) +. value p_to;
+            progress := true
+          | None -> ()
+        done
+      end)
+    t.reservations
+
+(* Returns the repaired solution and the moves each pass made. *)
+let repair_reference (t : Formulation.t) solution =
+  let open Formulation in
+  let moves = { free = 0; donor = 0; spread = 0; affinity = 0 } in
+  let nclasses = Array.length t.symmetry.Symmetry.classes in
+  let num_msbs = t.symmetry.Symmetry.region.Region.num_msbs in
+  let counts = Hashtbl.create 256 in
+  let class_used = Array.make nclasses 0 in
+  let res_total = Hashtbl.create 32 in
+  List.iter
+    (fun res -> Hashtbl.replace res_total res.Reservation.id (ref 0.0))
+    t.reservations;
+  Array.iter
+    (fun p ->
+      let c = int_of_float (Float.round solution.(p.var)) in
+      Hashtbl.replace counts (p.cls.Symmetry.index, p.res.Reservation.id) (ref c);
+      class_used.(p.cls.Symmetry.index) <- class_used.(p.cls.Symmetry.index) + c;
+      let v = p.res.Reservation.rru_of (Symmetry.hw_of p.cls) in
+      let total = Hashtbl.find res_total p.res.Reservation.id in
+      total := !total +. (v *. float_of_int c))
+    t.pairs;
+  let value p = p.res.Reservation.rru_of (Symmetry.hw_of p.cls) in
+  let count_of p = !(Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id)) in
+  let bump p delta =
+    let r = Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id) in
+    r := !r + delta;
+    class_used.(p.cls.Symmetry.index) <- class_used.(p.cls.Symmetry.index) + delta;
+    let total = Hashtbl.find res_total p.res.Reservation.id in
+    total := !total +. (value p *. float_of_int delta)
+  in
+  let pairs_of_res = Hashtbl.create 32 in
+  Array.iter
+    (fun p ->
+      let existing =
+        try Hashtbl.find pairs_of_res p.res.Reservation.id with Not_found -> []
+      in
+      Hashtbl.replace pairs_of_res p.res.Reservation.id (p :: existing))
+    t.pairs;
+  let pairs_of_class = Hashtbl.create 64 in
+  Array.iter
+    (fun p ->
+      let existing =
+        try Hashtbl.find pairs_of_class p.cls.Symmetry.index with Not_found -> []
+      in
+      Hashtbl.replace pairs_of_class p.cls.Symmetry.index (p :: existing))
+    t.pairs;
+  (* a donor must keep a safety margin over its own request so stealing never
+     creates a new violation elsewhere *)
+  let donor_floor res =
+    if res.Reservation.embedded_buffer && num_msbs > 1 then
+      res.Reservation.capacity_rru *. (1.0 +. (1.2 /. float_of_int (num_msbs - 1)))
+    else res.Reservation.capacity_rru
+  in
+  List.iter
+    (fun res ->
+      let rid = res.Reservation.id in
+      let my_pairs = try Hashtbl.find pairs_of_res rid with Not_found -> [] in
+      let cr = res.Reservation.capacity_rru in
+      let total = Hashtbl.find res_total rid in
+      let msb_rru = Array.make num_msbs 0.0 in
+      List.iter
+        (fun p ->
+          msb_rru.(p.cls.Symmetry.msb) <-
+            msb_rru.(p.cls.Symmetry.msb) +. (value p *. float_of_int (count_of p)))
+        my_pairs;
+      let buffered = res.Reservation.embedded_buffer && num_msbs > 1 in
+      (* expression (6): what the reservation keeps after losing its fullest
+         MSB must cover the request; without an embedded buffer plain total
+         suffices *)
+      let surviving () =
+        if buffered then !total -. Array.fold_left Float.max 0.0 msb_rru else !total
+      in
+      (* deficit reduction if one server of pair [p] were added *)
+      let gain p =
+        if not buffered then value p
+        else begin
+          let old_max = Array.fold_left Float.max 0.0 msb_rru in
+          let new_max = Float.max old_max (msb_rru.(p.cls.Symmetry.msb) +. value p) in
+          !total +. value p -. new_max -. surviving ()
+        end
+      in
+      let guard = ref 0 in
+      let progress = ref true in
+      while surviving () < cr -. 1e-6 && !progress && !guard < 2000 do
+        progress := false;
+        incr guard;
+        (* free supply: candidate with the best deficit reduction *)
+        let best_free = ref None in
+        List.iter
+          (fun p ->
+            if class_used.(p.cls.Symmetry.index) < Symmetry.size p.cls then begin
+              let g = gain p in
+              if g > 1e-9 then
+                match !best_free with
+                | Some (bg, _) when bg >= g -> ()
+                | _ -> best_free := Some (g, p)
+            end)
+          my_pairs;
+        match !best_free with
+        | Some (_, p) ->
+          bump p 1;
+          moves.free <- moves.free + 1;
+          msb_rru.(p.cls.Symmetry.msb) <- msb_rru.(p.cls.Symmetry.msb) +. value p;
+          progress := true
+        | None ->
+          (* donors: anyone who keeps its safety margin after giving one up *)
+          let best_donor = ref None in
+          List.iter
+            (fun my_p ->
+              let g = gain my_p in
+              if g > 1e-9 then begin
+                let others =
+                  try Hashtbl.find pairs_of_class my_p.cls.Symmetry.index with Not_found -> []
+                in
+                List.iter
+                  (fun donor ->
+                    if donor.res.Reservation.id <> rid && count_of donor > 0 then begin
+                      let donor_total = !(Hashtbl.find res_total donor.res.Reservation.id) in
+                      if donor_total -. value donor >= donor_floor donor.res -. 1e-6 then begin
+                        (* stealing an idle server avoids a preemption *)
+                        let key = ((if donor.cls.Symmetry.in_use then 0 else 1), g) in
+                        match !best_donor with
+                        | Some (bk, _, _) when bk >= key -> ()
+                        | _ -> best_donor := Some (key, my_p, donor)
+                      end
+                    end)
+                  others
+              end)
+            my_pairs;
+          (match !best_donor with
+          | Some (_, my_p, donor) ->
+            bump donor (-1);
+            bump my_p 1;
+            moves.donor <- moves.donor + 1;
+            msb_rru.(my_p.cls.Symmetry.msb) <- msb_rru.(my_p.cls.Symmetry.msb) +. value my_p;
+            progress := true
+          | None -> ())
+      done)
+    t.reservations;
+  improve_spread_reference t ~moves ~counts ~class_used;
+  improve_affinity_reference t ~moves ~counts ~class_used;
+  (encode t (fun p -> count_of p), moves)
+
+(* Seeded variants of a root-LP optimum for the heuristic pin: every count
+   is shrunk and jittered, leaving reservations short while classes keep
+   free supply; with [fill] each class's leftover supply also goes to one of
+   its pairs, so only donors can cover a shortfall.  Class supply holds. *)
+let perturb_lp rng (f : Formulation.t) ~fill x =
+  let y = Array.copy x in
+  let var i = f.Formulation.pairs.(i).Formulation.var in
+  Array.iter
+    (fun ps ->
+      if ps <> [||] then begin
+        let size = float_of_int (Symmetry.size f.Formulation.pairs.(ps.(0)).Formulation.cls) in
+        Array.iter
+          (fun i ->
+            y.(var i) <- (x.(var i) *. Ras_stats.Rng.float rng 1.0) +. Ras_stats.Rng.float rng 1.5)
+          ps;
+        let sum = Array.fold_left (fun acc i -> acc +. y.(var i)) 0.0 ps in
+        if sum > size then Array.iter (fun i -> y.(var i) <- y.(var i) *. size /. sum) ps
+        else if fill then begin
+          let i = Ras_stats.Rng.pick rng ps in
+          y.(var i) <- y.(var i) +. (size -. sum)
+        end
+      end)
+    f.Formulation.class_pairs;
+  y
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)) a b
+
+(* [Formulation.repair (round_lp x)] against the oracle, bit for bit at
+   both stages; adds the oracle's moves into [total]. *)
+let heuristic_matches ~total (f : Formulation.t) x =
+  let rounded = Formulation.round_lp f x and rounded_ref = round_lp_reference f x in
+  let repaired_ref, moves = repair_reference f rounded_ref in
+  total.free <- total.free + moves.free;
+  total.donor <- total.donor + moves.donor;
+  total.spread <- total.spread + moves.spread;
+  total.affinity <- total.affinity + moves.affinity;
+  same_bits rounded rounded_ref && same_bits (Formulation.repair f rounded) repaired_ref

@@ -223,6 +223,99 @@ let test_repair_improves_shortfalls () =
       (total repaired <= total rounded +. 1e-6)
   | _ -> Alcotest.fail "LP should solve"
 
+(* The pair-indexed heuristic makes every decision the Hashtbl oracle
+   makes, on root-LP optima and seeded perturbations of them: Small and
+   Medium at phase 1's MSB and phase 2's rack granularity, plus a
+   scarce-supply region where only donors can cover shortfalls.  Across the
+   corpus every pass of the oracle moves a server. *)
+let test_heuristic_matches_reference () =
+  let total = { Oracles.free = 0; donor = 0; spread = 0; affinity = 0 } in
+  let pin name broker reservations =
+    let snap = Snapshot.take broker reservations in
+    List.iter
+      (fun rack_level ->
+        let f = Formulation.build ~rack_level (Symmetry.build ~rack_level snap) reservations in
+        match Simplex.solve (Model.compile f.Formulation.model) with
+        | Simplex.Optimal { x; _ } ->
+          let rng = Ras_stats.Rng.create 7 in
+          let inputs = x :: List.init 4 (fun k -> Oracles.perturb_lp rng f ~fill:(k mod 2 = 1) x) in
+          List.iteri
+            (fun k y ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s rack_level=%b input %d matches the oracle" name rack_level k)
+                true
+                (Oracles.heuristic_matches ~total f y))
+            inputs
+        | _ -> Alcotest.fail "LP should solve")
+      [ false; true ]
+  in
+  let lazy { broker; reservations; _ } = fixture in
+  pin "small" broker reservations;
+  let scenario name params ~utilization =
+    let region = Generator.generate params in
+    let rng = Ras_stats.Rng.create 11 in
+    let requests =
+      Ras_workload.Request_gen.scenario rng ~region ~services:Service.default_catalog
+        ~target_utilization:utilization
+    in
+    pin name (Broker.create region)
+      (List.map Reservation.of_request requests
+      @ Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000)
+  in
+  scenario "medium"
+    { Generator.name = "region-medium"; num_dcs = 3; msbs_per_dc = 6; racks_per_msb = 6;
+      servers_per_rack = 8; seed = 3 }
+    ~utilization:0.45;
+  scenario "scarce" Generator.small_params ~utilization:0.95;
+  List.iter
+    (fun (pass, n) ->
+      Alcotest.(check bool) (Printf.sprintf "%s pass moved (%d)" pass n) true (n > 0))
+    [
+      ("free top-up", total.Oracles.free);
+      ("donor", total.Oracles.donor);
+      ("spread", total.Oracles.spread);
+      ("affinity", total.Oracles.affinity);
+    ]
+
+(* Expression (6) through the affinity search: reservation [r] wants all of
+   its 2 RRU in datacenter 1 but holds one server in each of three MSBs,
+   two of them in datacenter 0, and surviving the loss of any one leaves
+   exactly 2.  Datacenter 1's other MSB is full, so every swap that fixes
+   affinity stacks two servers in one MSB and would leave 1 RRU after that
+   MSB's loss: none may be taken. *)
+let test_affinity_keeps_msb_survival () =
+  let region =
+    Generator.generate
+      { Generator.name = "affinity-survival"; num_dcs = 2; msbs_per_dc = 2; racks_per_msb = 1;
+        servers_per_rack = 3; seed = 5 }
+  in
+  let reservation id ~capacity_rru ~dc_affinity ~embedded_buffer =
+    { Reservation.id; name = Printf.sprintf "r%d" id; kind = Reservation.Guaranteed;
+      capacity_rru; rru_of = (fun _ -> 1.0); msb_spread_limit = 1.0; rack_spread_limit = None;
+      dc_affinity; affinity_tolerance = 0.1; embedded_buffer; hard_msb_cap = None;
+      io_intensity = 0.0 }
+  in
+  let r = reservation 1 ~capacity_rru:2.0 ~dc_affinity:[ (0, 0.0); (1, 1.0) ] ~embedded_buffer:true in
+  let filler = reservation 2 ~capacity_rru:3.0 ~dc_affinity:[] ~embedded_buffer:false in
+  let msbs_of dc = List.filter (fun m -> region.Region.msb_dc.(m) = dc) [ 0; 1; 2; 3 ] in
+  let full_msb = List.nth (msbs_of 1) 1 in
+  let snap = Snapshot.take (Broker.create region) [ r; filler ] in
+  let f = Formulation.build (Symmetry.build snap) [ r; filler ] in
+  let sol =
+    Formulation.encode f (fun p ->
+        let msb = p.Formulation.cls.Symmetry.msb in
+        if p.Formulation.res == filler then if msb = full_msb then 3 else 0
+        else if msb = full_msb then 0
+        else 1)
+  in
+  Alcotest.(check (list (pair int (float 1e-9)))) "input covers the request" []
+    (Formulation.capacity_shortfalls f sol);
+  let repaired = Formulation.repair f sol in
+  Alcotest.(check (list (pair int (float 1e-9)))) "repair keeps it covered" []
+    (Formulation.capacity_shortfalls f repaired);
+  Alcotest.(check bool) "the oracle's guard agrees" true
+    (Oracles.same_bits repaired (fst (Oracles.repair_reference f sol)))
+
 let test_encode_aux_semantics () =
   (* encode must set every pos-part auxiliary to exactly max(0, e) *)
   let f, _ = formulation_fixture () in
@@ -1101,6 +1194,10 @@ let suite =
     Alcotest.test_case "symmetry current_count" `Slow test_symmetry_current_count;
     Alcotest.test_case "status quo feasible" `Slow test_status_quo_feasible;
     Alcotest.test_case "round_lp + repair feasible" `Slow test_round_lp_feasible;
+    Alcotest.test_case "heuristic matches the Hashtbl oracle" `Slow
+      test_heuristic_matches_reference;
+    Alcotest.test_case "affinity swaps keep MSB-loss survival" `Quick
+      test_affinity_keeps_msb_survival;
     Alcotest.test_case "repair improves shortfalls" `Slow test_repair_improves_shortfalls;
     Alcotest.test_case "encode aux semantics" `Slow test_encode_aux_semantics;
     Alcotest.test_case "status quo zero movement" `Slow test_status_quo_zero_movement;

@@ -349,7 +349,7 @@ let test_mip_mixed_integer () =
     Alcotest.(check (float 1e-6)) "y continuous" 1.25 sol.(1)
   | None -> Alcotest.fail "no solution"
 
-(* ---------- stale seeds are repaired or rejected, never an exception ---- *)
+(* ---------- stale seeds are rejected: never repaired, never an exception  *)
 
 let bounded_mip () =
   let m = Model.create () in
@@ -362,29 +362,19 @@ let bounded_mip () =
   Model.set_objective m (Lin_expr.of_terms [ (-1.0, x); (-2.0, y) ]);
   Model.compile m
 
-let test_stale_seed_repaired () =
-  let std = bounded_mip () in
-  (* out-of-bounds and fractional: clamping + rounding makes it feasible *)
-  let options =
-    { Branch_bound.default_options with Branch_bound.initial = Some [| 9.5; -3.2 |] }
-  in
-  let out = Branch_bound.solve ~options std in
-  Alcotest.(check bool)
-    "repaired seed counted" true
-    (out.Branch_bound.seed = Branch_bound.Seed_repaired);
-  Alcotest.(check (float 1e-6)) "still solves to optimality" (-11.0) out.Branch_bound.objective
-
 let test_stale_seed_rejected () =
   let std = bounded_mip () in
-  (* wrong dimension: nothing to repair, must be rejected without raising *)
-  let options =
-    { Branch_bound.default_options with Branch_bound.initial = Some [| 1.0 |] }
-  in
-  let out = Branch_bound.solve ~options std in
-  Alcotest.(check bool)
-    "wrong-length seed rejected" true
-    (out.Branch_bound.seed = Branch_bound.Seed_rejected);
-  Alcotest.(check (float 1e-6)) "solve unaffected" (-11.0) out.Branch_bound.objective
+  (* wrong dimension, or out of bounds and fractional: rejected without
+     raising, and the search proceeds unseeded *)
+  List.iter
+    (fun (name, seed) ->
+      let options = { Branch_bound.default_options with Branch_bound.initial = Some seed } in
+      let out = Branch_bound.solve ~options std in
+      Alcotest.(check bool)
+        (name ^ " seed rejected") true
+        (out.Branch_bound.seed = Branch_bound.Seed_rejected);
+      Alcotest.(check (float 1e-6)) "solve unaffected" (-11.0) out.Branch_bound.objective)
+    [ ("wrong-length", [| 1.0 |]); ("out-of-bounds", [| 9.5; -3.2 |]) ]
 
 let test_valid_seed_accepted () =
   let std = bounded_mip () in
@@ -854,7 +844,6 @@ let suite =
       test_mip_knapsack_fixed_variable;
     Alcotest.test_case "mip initial incumbent" `Quick test_mip_respects_initial_incumbent;
     Alcotest.test_case "mip invalid initial ignored" `Quick test_mip_invalid_initial_ignored;
-    Alcotest.test_case "stale seed repaired" `Quick test_stale_seed_repaired;
     Alcotest.test_case "stale seed rejected" `Quick test_stale_seed_rejected;
     Alcotest.test_case "valid seed accepted" `Quick test_valid_seed_accepted;
     Alcotest.test_case "mip gap and rounding" `Quick test_mip_gap_reported;

@@ -43,7 +43,9 @@ let random_counts rng (f : Formulation.t) =
   Array.iter
     (fun (cls : Symmetry.cls) ->
       let pairs =
-        List.filter (fun (p : Formulation.pair) -> p.Formulation.cls == cls) f.Formulation.pairs
+        List.filter
+          (fun (p : Formulation.pair) -> p.Formulation.cls == cls)
+          (Array.to_list f.Formulation.pairs)
       in
       let budget = ref (Symmetry.size cls) in
       List.iter
@@ -76,7 +78,7 @@ let prop_concretize_realizes_random_counts =
       (* 1. realized counts match (buffer reservations pool per category, so
          check guaranteed ones exactly) *)
       let realized_ok =
-        List.for_all
+        Array.for_all
           (fun (p : Formulation.pair) ->
             Reservation.is_buffer p.Formulation.res
             ||
@@ -93,7 +95,7 @@ let prop_concretize_realizes_random_counts =
       (* 2. movement minimality: per guaranteed pair, exactly
          max(0, N0 - n) members leave the owner *)
       let movement_ok =
-        List.for_all
+        Array.for_all
           (fun (p : Formulation.pair) ->
             Reservation.is_buffer p.Formulation.res
             ||

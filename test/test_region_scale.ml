@@ -4,7 +4,7 @@
    The region-scale preset varies only [servers_per_rack] between scales;
    rack hardware is drawn once per rack, so the same logical region exists
    at ~2x10^4 (spr=1), ~10^5 (spr=5) and ~10^6 (spr=48) raw servers with
-   identical class structure.  That gives three pins:
+   identical class structure.  That gives four pins:
 
    - equivalence: the streaming [Symmetry.build] must agree with the
      retained pre-columnar oracle [Oracles.build_reference] class-for-class
@@ -14,6 +14,8 @@
      targets and re-aggregated must encode back to a feasible vector with
      the same objective, and the column walk and merge must pick the
      targets and moves of the retained table-and-list oracle;
+   - heuristic: rounding and repair of the bring-up model's root-LP
+     optimum must match the retained Hashtbl oracle bit for bit;
    - ceilings: compiled size must be independent of raw server count
      (Fig. 10/11 regime), formulation+compile allocation must be bounded by
      model size (not server count), and the columnar snapshot/symmetry live
@@ -182,11 +184,6 @@ let owner_of (res : Reservation.t) =
   | Reservation.Guaranteed -> Broker.Reservation res.Reservation.id
   | Reservation.Random_failure_buffer _ -> Broker.Shared_buffer
 
-let objective_of (std : Model.std) x =
-  let acc = ref std.Model.obj_offset in
-  Array.iteri (fun v c -> acc := !acc +. (c *. x.(v))) std.Model.obj;
-  !acc
-
 let round_trip ~servers_per_rack =
   let snapshot, _ = scale_snapshot ~servers_per_rack () in
   let stats =
@@ -230,7 +227,8 @@ let round_trip ~servers_per_rack =
   let rebuilt = Formulation.encode f count_of in
   Alcotest.(check bool) "re-aggregated solution is feasible" true
     (Model.check_solution std rebuilt = Ok ());
-  let obj_orig = objective_of std solution and obj_rebuilt = objective_of std rebuilt in
+  let obj_orig = Model.objective_value std solution
+  and obj_rebuilt = Model.objective_value std rebuilt in
   Alcotest.(check bool)
     (Printf.sprintf "objective preserved (%.6f vs %.6f)" obj_orig obj_rebuilt)
     true
@@ -279,6 +277,32 @@ let test_scale_invariance () =
     Alcotest.(check bool) "million-server heuristic solve is feasible" true
       (Model.check_solution result.Phases.compiled result.Phases.solution = Ok ())
   end
+
+(* ---------- primal heuristic: pair-indexed table vs the oracle ---------- *)
+
+(* The bring-up phase-1 model (surge-mid's servers_per_rack = 8 under
+   RAS_SCALE_TESTS=full): rounding and repair of its root-LP optimum make
+   every decision the Hashtbl oracle makes.  At full scale the affinity
+   search there is long, so its move count is pinned too. *)
+let test_heuristic_matches_reference () =
+  let servers_per_rack = if full_scale () then 8 else 1 in
+  let snapshot, reservations = scale_snapshot ~churn:false ~servers_per_rack () in
+  let f = Formulation.build (Symmetry.build snapshot) reservations in
+  match Simplex.solve (Model.compile f.Formulation.model) with
+  | Simplex.Optimal { x; _ } ->
+    let total = { Oracles.free = 0; donor = 0; spread = 0; affinity = 0 } in
+    let matches name y =
+      Alcotest.(check bool) (name ^ " matches the oracle") true
+        (Oracles.heuristic_matches ~total f y)
+    in
+    matches "root-LP optimum" x;
+    if full_scale () then
+      Alcotest.(check bool)
+        (Printf.sprintf "affinity moves at spr=8 (%d)" total.Oracles.affinity)
+        true
+        (total.Oracles.affinity >= 100);
+    matches "perturbed optimum" (Oracles.perturb_lp (Ras_stats.Rng.create 7) f ~fill:false x)
+  | _ -> Alcotest.fail "root LP should solve"
 
 (* ---------- memory ceilings ---------- *)
 
@@ -344,6 +368,8 @@ let suite =
       test_disaggregation_round_trip;
     Alcotest.test_case "compiled model size is invariant in raw server count" `Slow
       test_scale_invariance;
+    Alcotest.test_case "heuristic matches the Hashtbl oracle on the bring-up model" `Slow
+      test_heuristic_matches_reference;
     Alcotest.test_case "build allocation is bounded by model size, not server count" `Slow
       test_build_allocation_scale_independent;
     Alcotest.test_case "columnar stores cost O(1) words per server" `Quick
