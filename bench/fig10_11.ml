@@ -95,8 +95,9 @@ let run_fig10 () =
     Report.row "build seconds per grouped variable: first %.2e, last %.2e (ratio %.2f)\n" first
       last (last /. first);
     Report.row
-      "(the initial-state LP is cold-started here and grows superlinearly; the paper's\n \
-       production solver warm-starts it, see EXPERIMENTS.md)\n"
+      "(the initial-state LP here is a bring-up solve: the empty status quo gives its crash\n \
+       basis nothing to start from, so it runs as if cold and grows superlinearly; see\n \
+       EXPERIMENTS.md)\n"
   | _ -> ())
 
 let run_fig11 () =

@@ -8,7 +8,9 @@
      scenario sizes: LP pivots/sec under full-Dantzig vs Devex pricing,
      under the dense-inverse vs LU+eta basis backends and under the
      hypersparse vs dense-oracle kernels, one LU refactorization of the
-     root basis, LP rounding + repair of the root-LP optimum, and
+     root basis, the root LP of a post-failure round started cold and
+     from the crash basis at the status quo, LP rounding + repair of the
+     root-LP optimum, and
      branch-and-bound nodes/sec with warm dual-simplex restarts on the
      factorized basis.  Each pair prints its speedup and
      agreement; nothing is asserted.
@@ -264,6 +266,75 @@ let lu_refactor_kernel ~label ~repeats (std : Model.std) =
   | _ -> Report.row "%-34s skipped: root LP not optimal\n" name
 
 (* ---------------------------------------------------------------- *)
+(* Root LP: cold start vs the crash basis at the status quo          *)
+
+(* The phase-1 model of a continuous-loop round after failures: a
+   bring-up round through [System], up to 200 random hardware failures
+   (one per 40 servers at most), then the round [System] solves next.
+   Returns that round's formulation and compiled model. *)
+let post_failure_phase1 preset =
+  let module Broker = Ras_broker.Broker in
+  let region = Scenarios.region_of preset in
+  let broker = Broker.create region in
+  let config =
+    {
+      Ras.System.default_config with
+      Ras.System.solver = Scenarios.simulation_solver;
+      job_fill_fraction = 0.0;
+    }
+  in
+  let sys = Ras.System.create ~config broker in
+  List.iter (Ras.System.add_request sys) (Scenarios.requests_of preset region);
+  ignore (Ras.System.solve_now sys);
+  let n = Broker.num_servers broker in
+  let rng = Ras_stats.Rng.create 24 in
+  for _ = 1 to min 200 (n / 40) do
+    Broker.mark_down broker (Ras_stats.Rng.int rng n) Ras_failures.Unavail.Unplanned_hw
+  done;
+  let p1 = (Ras.System.solve_now sys).Ras.Async_solver.phase1 in
+  (p1.Ras.Phases.formulation, p1.Ras.Phases.compiled)
+
+(* The root LP [Phases] solves every round, cold from the all-slack basis
+   and from [Simplex.crash] at the status quo (crash time included):
+   pivots of each, median wall time of [repeats], and the objectives'
+   relative difference (alternative optima may differ in x, not in obj). *)
+let root_lp_kernel ~label ~repeats ((f : Ras.Formulation.t), (std : Model.std)) =
+  let name = Printf.sprintf "root-lp-%s" label in
+  let x0 = Ras.Formulation.status_quo f in
+  let timed solve =
+    let times = Array.make repeats 0.0 and out = ref Simplex.Unbounded in
+    for r = 0 to repeats - 1 do
+      let t0 = Unix.gettimeofday () in
+      out := solve ();
+      times.(r) <- Unix.gettimeofday () -. t0
+    done;
+    Array.sort compare times;
+    (times.(repeats / 2), !out)
+  in
+  let cold_s, cold = timed (fun () -> Simplex.solve std) in
+  let crash_s, crash = timed (fun () -> Simplex.solve ~basis:(Simplex.crash std x0) std) in
+  match (cold, crash) with
+  | Simplex.Optimal c, Simplex.Optimal w ->
+    let rel = Float.abs (c.obj -. w.obj) /. Float.max 1.0 (Float.abs c.obj) in
+    let ratio a b = float_of_int a /. float_of_int (max 1 b) in
+    Report.row
+      "%-34s cold %5d pivots %7.3fs  crash %5d pivots %7.3fs  (%.2fx pivots, %.2fx time)  obj \
+       rel diff %.1e\n"
+      name c.iterations cold_s w.iterations crash_s
+      (ratio c.iterations w.iterations)
+      (cold_s /. crash_s) rel;
+    record ~kernel:name ~size:(size_of std) ~wall_s:crash_s
+      [
+        ("cold_pivots", string_of_int c.iterations);
+        ("crash_pivots", string_of_int w.iterations);
+        ("cold_s_median", flt cold_s);
+        ("crash_s_median", flt crash_s);
+        ("repeats", string_of_int repeats);
+        ("obj_rel_diff", flt rel);
+      ]
+  | _ -> Report.row "%-34s skipped: root LP not optimal\n" name
+
+(* ---------------------------------------------------------------- *)
 (* Primal heuristic: LP rounding, capacity repair, local searches     *)
 
 (* [Formulation.repair (round_lp x)] on the phase-1 root-LP optimum [x]
@@ -480,6 +551,7 @@ type preset_row = {
   reactive_events : int;  (* tier-1 restore events; 0 skips the kernel *)
   lu_refactors : int;  (* timed root-basis refactorizations; 0 skips *)
   heuristic_repeats : int;  (* timed round_lp + repair calls; 0 skips *)
+  root_lp_repeats : int;  (* timed cold and crash root LPs after failures; 0 skips *)
 }
 
 (* evaluated at run time so the [Scenarios.quick] flag (set by the CLI) is
@@ -496,6 +568,7 @@ let preset_rows () =
       reactive_events = 0;
       lu_refactors = 0;
       heuristic_repeats = 0;
+      root_lp_repeats = 0;
     };
     {
       label = "medium";
@@ -507,6 +580,7 @@ let preset_rows () =
       reactive_events = (if !Scenarios.quick then 20 else 60);
       lu_refactors = (if !Scenarios.quick then 7 else 31);
       heuristic_repeats = (if !Scenarios.quick then 5 else 15);
+      root_lp_repeats = (if !Scenarios.quick then 3 else 7);
     };
     (* the north-star row: the 10^6-server preset.  Symmetry aggregation
        keeps the compiled model within ~2x of medium, so every enabled
@@ -522,6 +596,7 @@ let preset_rows () =
       reactive_events = (if !Scenarios.quick then 10 else 25);
       lu_refactors = (if !Scenarios.quick then 7 else 31);
       heuristic_repeats = (if !Scenarios.quick then 3 else 7);
+      root_lp_repeats = (if !Scenarios.quick then 1 else 3);
     };
   ]
 
@@ -552,6 +627,12 @@ let run () =
     (fun (r, row) ->
       if r.heuristic_repeats > 0 then
         heuristic_kernel ~label:r.label ~repeats:r.heuristic_repeats (Lazy.force row))
+    rows;
+  Report.row "-- root LP after failures (cold vs crash at the status quo) --\n";
+  List.iter
+    (fun (r, _) ->
+      if r.root_lp_repeats > 0 then
+        root_lp_kernel ~label:r.label ~repeats:r.root_lp_repeats (post_failure_phase1 r.preset))
     rows;
   Report.row "-- branch-and-bound --\n";
   List.iter

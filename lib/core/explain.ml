@@ -113,10 +113,14 @@ let solve_report (stats : Async_solver.stats) =
   add "%s\n" (timing_line "phase 1" p1.Phases.timing);
   add "    %d grouped vars (%d raw), %d rows, MIP nodes %d\n" p1.Phases.grouped_vars
     p1.Phases.raw_vars p1.Phases.rows p1.Phases.outcome.Branch_bound.nodes;
+  let root_lp_pivots =
+    p1.Phases.root_lp_pivots
+    + Option.fold ~none:0 ~some:(fun p2 -> p2.Phases.root_lp_pivots) stats.Async_solver.phase2
+  in
   add
-    "  solver kernels: %d B&B nodes (%d warm-started, %d dual-restarted), %d LP pivots (%d \
-     dual, %d bland)\n"
-    stats.Async_solver.solver_nodes stats.Async_solver.solver_warm_starts
+    "  solver kernels: root LP %d pivots; %d B&B nodes (%d warm-started, %d dual-restarted), \
+     %d B&B LP pivots (%d dual, %d bland)\n"
+    root_lp_pivots stats.Async_solver.solver_nodes stats.Async_solver.solver_warm_starts
     stats.Async_solver.solver_dual_restarts stats.Async_solver.solver_lp_iterations
     stats.Async_solver.solver_dual_pivots stats.Async_solver.solver_bland_pivots;
   (match stats.Async_solver.phase2 with

@@ -21,6 +21,7 @@ type result = {
   rows : int;
   setup_bytes : int;
   lp_duals : float array;
+  root_lp_pivots : int;
   compiled : Model.std;
 }
 
@@ -39,7 +40,9 @@ let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
   let t2 = now () in
   let words_after = Gc.allocated_bytes () in
   let status_quo = Formulation.status_quo formulation in
-  let lp = Simplex.solve std in
+  (* the stability term anchors the optimum on the current assignment, so
+     the root LP starts from a crash basis at the status quo *)
+  let lp = Simplex.solve ~basis:(Simplex.crash std status_quo) std in
   (* Primal heuristic: round the LP relaxation into a feasible integral
      solution; keep whichever of it and the status quo is cheaper. *)
   let objective_of = Model.objective_value std in
@@ -115,5 +118,6 @@ let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
     rows = std.Model.nrows;
     setup_bytes = int_of_float (words_after -. words_before);
     lp_duals = (match lp with Simplex.Optimal { duals; _ } -> duals | _ -> [||]);
+    root_lp_pivots = (match lp with Simplex.Optimal { iterations; _ } -> iterations | _ -> 0);
     compiled = std;
   }

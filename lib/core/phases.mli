@@ -5,7 +5,8 @@
     - {e solver build}: translation to the solver's standard form
       ({!Ras_mip.Model.compile});
     - {e initial state}: seeding the incumbent with the current assignment
-      and the initial LP relaxation solve;
+      and the initial LP relaxation solve, started from a {!Ras_mip.Simplex.crash}
+      basis at that assignment;
     - {e MIP}: branch-and-bound. *)
 
 type timing = {
@@ -34,6 +35,9 @@ type result = {
       (** root-LP shadow prices, one per compiled row (empty when the root
           LP did not reach optimality); {!Explain.shadow_prices} turns them
           into per-constraint price reports *)
+  root_lp_pivots : int;
+      (** simplex pivots of the root LP as solved here, from the crash
+          basis at the status quo (0 when it did not reach optimality) *)
   compiled : Ras_mip.Model.std;  (** the compiled model the solve ran on *)
 }
 

@@ -763,6 +763,81 @@ let try_warm st (wb : warm_basis) =
     end
   end
 
+(* Triangular crash from a point [x0] (Bixby, ORSA J. Computing 4(3),
+   1992); see the interface for the rules.  Closing every row of a placed
+   column means no later pivot row holds an earlier pivot column's entry,
+   so the basis is triangular.  Candidates touching the fewest tight rows
+   go first (then fewest nonzeros, then index): columns whose only tight
+   row is shared, such as the correlated-failure buffer maxima, would
+   otherwise find it taken by wider columns and rest at a bound, pushing
+   the basics that depend on them out of bounds. *)
+let crash (std : Model.std) x0 =
+  let n = std.nvars and m = std.nrows in
+  let p = std.col_ptr and ind = std.col_ind and vl = std.col_val in
+  let act = Array.make m 0.0 in
+  for j = 0 to n - 1 do
+    let v = x0.(j) in
+    if v <> 0.0 then
+      for k = p.(j) to p.(j + 1) - 1 do
+        act.(ind.(k)) <- act.(ind.(k)) +. (vl.(k) *. v)
+      done
+  done;
+  let tight =
+    Array.init m (fun i ->
+        match std.row_sense.(i) with
+        | Model.Eq -> true
+        | Model.Le | Model.Ge ->
+          Float.abs (std.rhs.(i) -. act.(i)) <= feas_tol *. (1.0 +. Float.abs std.rhs.(i)))
+  in
+  let wstatus = Array.make (n + m) Basic in
+  let nearer j =
+    let lo = std.lb.(j) and hi = std.ub.(j) in
+    if Float.is_finite lo && (x0.(j) -. lo <= hi -. x0.(j)) then At_lower
+    else if Float.is_finite hi then At_upper
+    else Nb_free
+  in
+  let cands = ref [] in
+  for j = n - 1 downto 0 do
+    let v = x0.(j) in
+    if v <= std.lb.(j) +. feas_tol then wstatus.(j) <- At_lower
+    else if v >= std.ub.(j) -. feas_tol then wstatus.(j) <- At_upper
+    else begin
+      let touched = ref 0 in
+      for k = p.(j) to p.(j + 1) - 1 do
+        if tight.(ind.(k)) then incr touched
+      done;
+      cands := (!touched, p.(j + 1) - p.(j), j) :: !cands
+    end
+  done;
+  let wcols = Array.init m (fun i -> n + i) in
+  let closed = Array.make m false in
+  List.iter
+    (fun (_, _, j) ->
+      let colmax = ref 0.0 in
+      for k = p.(j) to p.(j + 1) - 1 do
+        colmax := Float.max !colmax (Float.abs vl.(k))
+      done;
+      let best = ref (-1) and best_a = ref (Float.max pivot_tol (0.1 *. !colmax)) in
+      for k = p.(j) to p.(j + 1) - 1 do
+        let i = ind.(k) and a = Float.abs vl.(k) in
+        if tight.(i) && (not closed.(i)) && a >= !best_a && (!best < 0 || a > !best_a) then begin
+          best := i;
+          best_a := a
+        end
+      done;
+      if !best < 0 then wstatus.(j) <- nearer j
+      else begin
+        let r = !best in
+        wcols.(r) <- j;
+        (* the displaced slack rests on its only finite bound, 0 *)
+        wstatus.(n + r) <- (if std.row_sense.(r) = Model.Ge then At_upper else At_lower);
+        for k = p.(j) to p.(j + 1) - 1 do
+          closed.(ind.(k)) <- true
+        done
+      end)
+    (List.sort compare !cands);
+  { wcols; wstatus; wfac = None }
+
 (* Reusable per-solve scratch: every O(m)/O(ntotal) array a solve needs, so
    a caller that solves many same-shaped LPs (the branch-and-bound node
    loop) allocates them once instead of per solve.  The basis factorization

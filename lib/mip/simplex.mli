@@ -20,7 +20,8 @@
       declaring optimality, bounding numerical drift;
     - solves can be warm-started from the final basis of a previous solve of
       the same model with different bounds — this is how {!Branch_bound}
-      restarts each child node from its parent's optimal basis;
+      restarts each child node from its parent's optimal basis — or from a
+      triangular basis crashed from a known point ({!crash});
     - a warm-started basis that is still dual feasible (the branch-and-bound
       child pattern: parent-optimal basis, tightened bounds) is
       re-optimized by a dual simplex phase — typically a handful of pivots —
@@ -73,7 +74,8 @@ type warm_basis = {
           cross-checked. *)
 }
 (** A restartable snapshot of a simplex basis.  Obtained from
-    {!result.Optimal} and fed back through [solve ~basis]; the solver
+    {!result.Optimal} or built from a point by {!crash}, and fed back
+    through [solve ~basis]; the solver
     validates the structural fields and silently falls back to a cold start
     on any mismatch, so a stale snapshot degrades performance, not
     correctness. *)
@@ -141,6 +143,23 @@ val iter_column : Model.std -> int -> (int -> float -> unit) -> unit
     compiled model, slack column [nvars + i] as the unit vector e_i.  This
     is the [~col] callback the solver hands {!Basis.refactorize} for a
     {!warm_basis}'s [wcols]. *)
+
+val crash : Model.std -> float array -> warm_basis
+(** [crash std x0] is a triangular starting basis built from the point
+    [x0] (one entry per structural; Bixby's crash, ORSA J. Computing 4(3),
+    1992).  Structurals on a bound at [x0] rest nonbasic there.  Each
+    structural strictly inside its bounds replaces the slack of a
+    {e tight} row — one whose slack sits on its bound at [x0]; Eq rows
+    always — where its entry is largest and at least a tenth of its
+    column's largest, after which every row that column touches is closed
+    to later columns; columns touching fewer tight rows choose first.  The
+    result is triangular, hence nonsingular by construction, and needs no
+    completion: unchosen rows keep their slacks basic.  A column that finds
+    no row rests at its nearer bound.  When [x0] is feasible and every
+    interior structural found a row, the basis reproduces [x0] and the
+    solve starts in phase 2.  [wfac] is [None]: the solve factorizes it.
+    An [x0] with every structural at its lower bound gives the all-slack
+    basis. *)
 
 val solve :
   ?pricing:pricing ->

@@ -486,54 +486,23 @@ let test_refactorize_allocation () =
 
 (* ---------- region scale (RAS_SCALE_TESTS=full) ---------- *)
 
-let full_scale () = Sys.getenv_opt "RAS_SCALE_TESTS" = Some "full"
-
 (* The phase-1 model a region-scale round compiles, at bring-up and after a
    failure round: its optimal root basis must factor in the oracle's order,
    with solves unchanged by a forced refactorization. *)
 let test_pivot_order_region_scale () =
-  if not (full_scale ()) then () (* 10^6-server pin: RAS_SCALE_TESTS=full only *)
+  if not (Test_region_scale.full_scale ()) then () (* 10^6-server pin: RAS_SCALE_TESTS=full only *)
   else begin
-    let module Generator = Ras_topology.Generator in
-    let module Broker = Ras_broker.Broker in
-    let module Service = Ras_workload.Service in
-    let region = Generator.generate Generator.region_scale_params in
-    let broker = Broker.create region in
-    let config =
-      {
-        Ras.System.default_config with
-        Ras.System.solver = { Ras.Async_solver.default_params with Ras.Async_solver.node_limit = 0 };
-        job_fill_fraction = 0.0;
-      }
-    in
-    let sys = Ras.System.create ~config broker in
-    let services =
-      List.filter
-        (fun s -> s.Service.id <= 12 || s.Service.id = 13 || s.Service.id = 17)
-        Service.default_catalog
-    in
-    List.iter (Ras.System.add_request sys)
-      (Ras_workload.Request_gen.scenario (R.create 11) ~region ~services
-         ~target_utilization:0.45);
     let rng = R.create 24 in
-    let check_round tag =
-      let stats = Ras.System.solve_now sys in
-      let std = stats.Ras.Async_solver.phase1.Ras.Phases.compiled in
-      let tag = Printf.sprintf "%s (%d vars x %d rows)" tag std.Model.nvars std.Model.nrows in
-      match Simplex.solve std with
-      | Simplex.Optimal { basis = { Simplex.wcols; wfac = Some fac; _ }; _ } ->
-        let m = std.Model.nrows and col = Simplex.iter_column std in
-        ignore (check_pivot_order tag m ~basis:wcols ~col);
-        check_solves_bitwise tag rng fac m ~basis:wcols ~col;
-        Printf.printf "%s: %d elimination steps match the oracle\n" tag m
-      | _ -> Alcotest.failf "%s: root LP not optimal" tag
-    in
-    check_round "bring-up";
-    let n = Broker.num_servers broker in
-    for _ = 1 to 200 do
-      Broker.mark_down broker (R.int rng n) Ras_failures.Unavail.Unplanned_hw
-    done;
-    check_round "post-failure"
+    Test_region_scale.bring_up_then_failures ~servers_per_rack:48 (fun tag stats ->
+        let std = stats.Ras.Async_solver.phase1.Ras.Phases.compiled in
+        let tag = Printf.sprintf "%s (%d vars x %d rows)" tag std.Model.nvars std.Model.nrows in
+        match Simplex.solve std with
+        | Simplex.Optimal { basis = { Simplex.wcols; wfac = Some fac; _ }; _ } ->
+          let m = std.Model.nrows and col = Simplex.iter_column std in
+          ignore (check_pivot_order tag m ~basis:wcols ~col);
+          check_solves_bitwise tag rng fac m ~basis:wcols ~col;
+          Printf.printf "%s: %d elimination steps match the oracle\n" tag m
+        | _ -> Alcotest.failf "%s: root LP not optimal" tag)
   end
 
 let suite =

@@ -186,12 +186,28 @@ let formulation_fixture ?(rack_level = false) () =
   let sym = Symmetry.build ~rack_level snap in
   (Formulation.build ~rack_level sym reservations, snap)
 
+(* The root LP's crash basis and Phases' branch-and-bound seed both start
+   from the status quo: it must be a feasible point of every model a phase
+   compiles. *)
+let check_status_quo tag (stats : Async_solver.stats) =
+  List.iter
+    (fun (phase, (p : Phases.result)) ->
+      match
+        Model.check_solution p.Phases.compiled (Formulation.status_quo p.Phases.formulation)
+      with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s, %s: status quo infeasible: %s" tag phase e)
+    (("phase 1", stats.Async_solver.phase1)
+    :: Option.to_list (Option.map (fun p2 -> ("phase 2", p2)) stats.Async_solver.phase2))
+
 let test_status_quo_feasible () =
   let f, _ = formulation_fixture () in
   let std = Model.compile f.Formulation.model in
-  match Model.check_solution std (Formulation.status_quo f) with
+  (match Model.check_solution std (Formulation.status_quo f) with
   | Ok () -> ()
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail e);
+  let lazy { stats; _ } = fixture in
+  check_status_quo "fixture" stats
 
 (* round_lp never over-fills a class at either granularity — phase 1's MSB
    build or phase 2's rack build — so repair only ever tops up *)
@@ -614,6 +630,7 @@ let test_solver_converges_to_stability () =
   let last_moves = ref max_int in
   for _ = 1 to 4 do
     let stats = Async_solver.solve ~params (Snapshot.take broker reservations) in
+    check_status_quo "converging round" stats;
     ignore (Online_mover.apply_plan mover stats.Async_solver.plan);
     last_moves := List.length stats.Async_solver.plan.Concretize.moves
   done;
@@ -824,6 +841,13 @@ let test_explain_reports () =
   Alcotest.(check bool) "mentions spread" true (contains report "spread");
   let solve = Explain.solve_report stats in
   Alcotest.(check bool) "mentions phases" true (contains solve "phase 1");
+  Alcotest.(check bool) "reports the root LP's pivots" true
+    (contains solve
+       (Printf.sprintf "root LP %d pivots"
+          (stats.Async_solver.phase1.Phases.root_lp_pivots
+          + Option.fold ~none:0
+              ~some:(fun p2 -> p2.Phases.root_lp_pivots)
+              stats.Async_solver.phase2)));
   let reason = Explain.shortfall_reason snap res ~shortfall:1.0 in
   Alcotest.(check bool) "reason non-empty" true (String.length reason > 20)
 
@@ -1092,6 +1116,7 @@ let system_merge_matches_reference ~servers_per_rack ~rounds =
     let stats = System.solve_now sys in
     let reference = Oracles.merge_reference stats in
     let label what = Printf.sprintf "round %d: %s" round what in
+    check_status_quo (label "after failures") stats;
     let p1 = stats.Async_solver.phase1 in
     let f1 = p1.Phases.formulation in
     let snapshot = f1.Formulation.symmetry.Symmetry.snapshot in

@@ -4,7 +4,7 @@
    The region-scale preset varies only [servers_per_rack] between scales;
    rack hardware is drawn once per rack, so the same logical region exists
    at ~2x10^4 (spr=1), ~10^5 (spr=5) and ~10^6 (spr=48) raw servers with
-   identical class structure.  That gives four pins:
+   identical class structure.  That gives five pins:
 
    - equivalence: the streaming [Symmetry.build] must agree with the
      retained pre-columnar oracle [Oracles.build_reference] class-for-class
@@ -16,6 +16,8 @@
      targets and moves of the retained table-and-list oracle;
    - heuristic: rounding and repair of the bring-up model's root-LP
      optimum must match the retained Hashtbl oracle bit for bit;
+   - root LP: after failures, the crash basis at the status quo must halve
+     the cold start's pivots and reach the same objective;
    - ceilings: compiled size must be independent of raw server count
      (Fig. 10/11 regime), formulation+compile allocation must be bounded by
      model size (not server count), and the columnar snapshot/symmetry live
@@ -80,6 +82,38 @@ let scale_snapshot ?(churn = true) ~servers_per_rack () =
      sweep (churn = false) must stay attribute-free to remain invariant *)
   let attr_of = if churn then fun id -> if id mod 97 = 0 then 1 else 0 else fun _ -> 0 in
   (Snapshot.take ~attr_of broker reservations, reservations)
+
+(* The continuous loop's first rounds on the region-scale preset at
+   [servers_per_rack], through [System] with the heuristic solver: the
+   bring-up round, then a round after 200 random hardware failures.
+   [f tag stats] sees each round's statistics. *)
+let bring_up_then_failures ~servers_per_rack f =
+  let region = Generator.generate (params_at ~servers_per_rack) in
+  let broker = Broker.create region in
+  let config =
+    {
+      System.default_config with
+      System.solver = { Async_solver.default_params with Async_solver.node_limit = 0 };
+      job_fill_fraction = 0.0;
+    }
+  in
+  let sys = System.create ~config broker in
+  let services =
+    List.filter
+      (fun s -> s.Ras_workload.Service.id <= 12 || s.Ras_workload.Service.id = 13
+                || s.Ras_workload.Service.id = 17)
+      Ras_workload.Service.default_catalog
+  in
+  List.iter (System.add_request sys)
+    (Ras_workload.Request_gen.scenario (Ras_stats.Rng.create 11) ~region ~services
+       ~target_utilization:0.45);
+  f "bring-up" (System.solve_now sys);
+  let rng = Ras_stats.Rng.create 24 in
+  let n = Broker.num_servers broker in
+  for _ = 1 to 200 do
+    Broker.mark_down broker (Ras_stats.Rng.int rng n) Unavail.Unplanned_hw
+  done;
+  f "post-failure" (System.solve_now sys)
 
 (* ---------- aggregation equivalence: streaming vs reference oracle ----- *)
 
@@ -191,6 +225,7 @@ let round_trip ~servers_per_rack =
       ~params:{ Async_solver.default_params with Async_solver.node_limit = 0 }
       snapshot
   in
+  Test_core.check_status_quo "round trip" stats;
   let result = stats.Async_solver.phase1 in
   let f = result.Phases.formulation in
   let std = result.Phases.compiled in
@@ -275,8 +310,48 @@ let test_scale_invariance () =
     let snapshot, reservations = scale_snapshot ~servers_per_rack:48 () in
     let result = Phases.run ~mip_node_limit:0 snapshot reservations in
     Alcotest.(check bool) "million-server heuristic solve is feasible" true
-      (Model.check_solution result.Phases.compiled result.Phases.solution = Ok ())
+      (Model.check_solution result.Phases.compiled result.Phases.solution = Ok ());
+    Alcotest.(check bool) "million-server status quo is feasible" true
+      (Model.check_solution result.Phases.compiled
+         (Formulation.status_quo result.Phases.formulation)
+      = Ok ())
   end
+
+(* ---------- root LP: crash basis at the status quo ---------- *)
+
+(* The root LP of a round after failures, started from the crash basis at
+   the status quo as [Phases] starts it, takes at most half the pivots of
+   a cold start and reaches the same objective (the vertex may differ:
+   alternative optima).  spr=1 in [dune runtest], 10^6 servers under
+   RAS_SCALE_TESTS=full. *)
+let test_crash_root_lp_after_failures () =
+  let servers_per_rack = if full_scale () then 48 else 1 in
+  bring_up_then_failures ~servers_per_rack (fun tag stats ->
+      Test_core.check_status_quo tag stats;
+      let p1 = stats.Async_solver.phase1 in
+      let std = p1.Phases.compiled in
+      if tag = "post-failure" then
+        match Simplex.solve std with
+        | Simplex.Optimal { obj = cold_obj; iterations = cold; _ } ->
+          (match
+             Simplex.solve
+               ~basis:(Simplex.crash std (Formulation.status_quo p1.Phases.formulation))
+               std
+           with
+          | Simplex.Optimal { obj; iterations; _ } ->
+            Alcotest.(check int) "Phases reports the crash-started pivots" iterations
+              p1.Phases.root_lp_pivots;
+            Alcotest.(check bool)
+              (Printf.sprintf "spr=%d: crash %d pivots <= 1/2 of cold %d" servers_per_rack
+                 iterations cold)
+              true
+              (2 * iterations <= cold);
+            Alcotest.(check bool)
+              (Printf.sprintf "objective %.12g vs cold %.12g" obj cold_obj)
+              true
+              (Float.abs (obj -. cold_obj) <= 1e-9 *. Float.max 1.0 (Float.abs cold_obj))
+          | _ -> Alcotest.fail "crash-started root LP not optimal")
+        | _ -> Alcotest.fail "cold root LP not optimal")
 
 (* ---------- primal heuristic: pair-indexed table vs the oracle ---------- *)
 
@@ -368,6 +443,8 @@ let suite =
       test_disaggregation_round_trip;
     Alcotest.test_case "compiled model size is invariant in raw server count" `Slow
       test_scale_invariance;
+    Alcotest.test_case "crash-started root LP halves the cold pivots after failures" `Slow
+      test_crash_root_lp_after_failures;
     Alcotest.test_case "heuristic matches the Hashtbl oracle on the bring-up model" `Slow
       test_heuristic_matches_reference;
     Alcotest.test_case "build allocation is bounded by model size, not server count" `Slow

@@ -186,8 +186,152 @@ let test_stale_basis_falls_back () =
   let out = solve_exn ~basis:bogus std in
   Alcotest.(check (float 1e-9)) "same objective" first.obj out.obj
 
+(* ---------- crash basis from a point ---------- *)
+
+module Basis = Ras_mip.Basis
+module D = Test_differential
+module R = Ras_stats.Rng
+
+(* The differential corpus's LPs: its 140 random bounded LPs and the 60
+   feasible-by-construction ones of the warm-restart slice. *)
+let crash_corpus =
+  lazy
+    (List.init 140 (fun k ->
+         let rng = R.create (7000 + k + 1) in
+         (Printf.sprintf "lp seed %d" (k + 1),
+          D.random_model rng ~max_rows:60 ~max_cols:120 ~integer_frac:0.0))
+    @ List.init 60 (fun k ->
+          let rng = R.create (9000 + k + 1) in
+          (Printf.sprintf "warm seed %d" (k + 1), D.random_feasible_model rng ~max_rows:30 ~max_cols:60)))
+
+(* A point in the bound box, about half of it on a bound: feasible for the
+   box only, so the crash meets violated rows too. *)
+let box_point rng (std : Model.std) =
+  Array.init std.Model.nvars (fun j ->
+      let lo = std.Model.lb.(j) and hi = std.Model.ub.(j) in
+      let u = R.float rng 1.0 in
+      match (Float.is_finite lo, Float.is_finite hi) with
+      | true, true -> if R.bool rng then (if R.bool rng then lo else hi) else lo +. (u *. (hi -. lo))
+      | true, false -> if R.bool rng then lo else lo +. (5.0 *. u)
+      | false, true -> if R.bool rng then hi else hi -. (5.0 *. u)
+      | false, false -> (10.0 *. u) -. 5.0)
+
+(* A seeded feasible point of an LP with optimum [xstar]: the midpoint of
+   [xstar] and the optimum under a seeded random objective (both vertices
+   of the feasible set, so the midpoint is feasible and often interior). *)
+let feasible_point rng (std : Model.std) xstar =
+  let obj = Array.init std.Model.nvars (fun _ -> R.float rng 10.0 -. 5.0) in
+  match Simplex.solve { std with Model.obj } with
+  | Simplex.Optimal { x; _ } -> Array.map2 (fun a b -> 0.5 *. (a +. b)) xstar x
+  | Simplex.Infeasible _ | Simplex.Unbounded | Simplex.Iteration_limit _ -> xstar
+
+let cold_optimum ?pricing std =
+  match Simplex.solve ?pricing std with
+  | Simplex.Optimal { x; obj; iterations; _ } -> Some (x, obj, iterations)
+  | Simplex.Infeasible _ | Simplex.Unbounded | Simplex.Iteration_limit _ -> None
+
+(* Every crash basis is triangular: every backend factorizes it, from any
+   point — box points that violate rows, seeded feasible points, optima and
+   the all-lower-bound point. *)
+let test_crash_nonsingular () =
+  let rng = R.create 41 in
+  let bases = ref 0 in
+  List.iter
+    (fun (tag, std) ->
+      let points =
+        (std.Model.lb :: box_point rng std :: box_point rng std
+        ::
+        (match cold_optimum std with
+        | Some (x, _, _) -> [ x; feasible_point rng std x ]
+        | None -> []))
+      in
+      List.iter
+        (fun x0 ->
+          let b = Simplex.crash std x0 in
+          let m = std.Model.nrows in
+          Alcotest.(check int) (tag ^ ": one basic column per row") m (Array.length b.Simplex.wcols);
+          List.iter
+            (fun kind ->
+              let t = Basis.create kind ~m in
+              match Basis.refactorize t ~basis:b.Simplex.wcols ~col:(Simplex.iter_column std) with
+              | () -> incr bases
+              | exception Basis.Singular -> Alcotest.failf "%s: crash basis singular" tag)
+            [ Basis.Lu; Basis.Lu_full_scan; Basis.Dense ])
+        points)
+    (Lazy.force crash_corpus);
+  Alcotest.(check bool) (Printf.sprintf "crash bases factorized (%d)" !bases) true (!bases >= 1500)
+
+(* From a seeded feasible point the crash-started solve reaches the cold
+   optimum's objective under both pricing rules (the vertex may differ:
+   alternative optima). *)
+let test_crash_solves_to_cold_objective () =
+  let rng = R.create 43 in
+  let solved = ref 0 in
+  List.iter
+    (fun (tag, std) ->
+      match cold_optimum std with
+      | None -> ()
+      | Some (xstar, _, _) ->
+        let basis = Simplex.crash std (feasible_point rng std xstar) in
+        List.iter
+          (fun (pname, pricing) ->
+            let _, cold, _ = Option.get (cold_optimum ~pricing std) in
+            match Simplex.solve ~pricing ~basis std with
+            | Simplex.Optimal { obj; x; _ } ->
+              incr solved;
+              if Float.abs (obj -. cold) > 1e-9 *. Float.max 1.0 (Float.abs cold) then
+                Alcotest.failf "%s [%s]: crash objective %.12g vs cold %.12g" tag pname obj cold;
+              if Model.check_solution std x <> Ok () then
+                Alcotest.failf "%s [%s]: crash-started solution infeasible" tag pname
+            | Simplex.Infeasible _ | Simplex.Unbounded | Simplex.Iteration_limit _ ->
+              Alcotest.failf "%s [%s]: crash-started solve not optimal" tag pname)
+          D.all_pricings)
+    (Lazy.force crash_corpus);
+  Alcotest.(check bool) (Printf.sprintf "crash solves checked (%d)" !solved) true (!solved >= 100)
+
+(* The crash rebuilds most of an optimal basis from the optimum alone. *)
+let test_crash_from_optimum_is_cheap () =
+  let cold = ref 0 and crashed = ref 0 in
+  List.iter
+    (fun (_, std) ->
+      match cold_optimum std with
+      | None -> ()
+      | Some (xstar, _, iterations) -> (
+        cold := !cold + iterations;
+        match Simplex.solve ~basis:(Simplex.crash std xstar) std with
+        | Simplex.Optimal { iterations; _ } -> crashed := !crashed + iterations
+        | Simplex.Infeasible _ | Simplex.Unbounded | Simplex.Iteration_limit _ ->
+          Alcotest.fail "crash from the optimum not optimal"))
+    (Lazy.force crash_corpus);
+  Alcotest.(check bool)
+    (Printf.sprintf "crash from x* %d pivots < 1/4 of cold %d" !crashed !cold)
+    true
+    (4 * !crashed < !cold)
+
+(* Nothing strictly inside its bounds, nothing to place: all slack. *)
+let test_crash_at_lower_bounds_is_all_slack () =
+  List.iter
+    (fun (tag, (std : Model.std)) ->
+      let b = Simplex.crash std std.Model.lb in
+      let n = std.Model.nvars in
+      Array.iteri
+        (fun i c -> if c <> n + i then Alcotest.failf "%s: row %d holds column %d" tag i c)
+        b.Simplex.wcols;
+      for j = 0 to n - 1 do
+        if b.Simplex.wstatus.(j) <> Simplex.At_lower then
+          Alcotest.failf "%s: structural %d not at its lower bound" tag j
+      done)
+    (Lazy.force crash_corpus)
+
 let suite =
   [
+    Alcotest.test_case "crash basis factorizes under every backend" `Quick test_crash_nonsingular;
+    Alcotest.test_case "crash-started solve reaches the cold objective" `Quick
+      test_crash_solves_to_cold_objective;
+    Alcotest.test_case "crash from the optimum takes < 1/4 of the cold pivots" `Quick
+      test_crash_from_optimum_is_cheap;
+    Alcotest.test_case "crash at the lower bounds is the all-slack basis" `Quick
+      test_crash_at_lower_bounds_is_all_slack;
     Alcotest.test_case "simplex restart, unchanged bounds" `Quick
       test_restart_same_bounds;
     Alcotest.test_case "simplex restart, tightened bound" `Quick
