@@ -4,7 +4,9 @@
    Usage: main.exe [--quick] [experiment ...]
    Experiments: table1 fig2 fig3 fig4 fig5 fig7 fig8 fig9 fig10 fig11 fig12
                 fig13 fig14 fig15 fig16 ablations kernels
-   With no experiment arguments, everything runs. *)
+   With no experiment arguments, everything runs.  Exits 1 when an
+   experiment's checked claim fails (fig9 checks the paper's two
+   phase-1 quality claims). *)
 
 let experiments : (string * (unit -> unit)) list =
   [
@@ -55,4 +57,8 @@ let () =
       f ();
       Printf.printf "[%s done in %.1fs]\n%!" name (Unix.gettimeofday () -. t))
     to_run;
-  Printf.printf "\nall experiments done in %.1fs\n" (Unix.gettimeofday () -. t0)
+  Printf.printf "\nall experiments done in %.1fs\n" (Unix.gettimeofday () -. t0);
+  if !Report.failed_checks > 0 then begin
+    Printf.printf "%d check(s) failed\n" !Report.failed_checks;
+    exit 1
+  end

@@ -21,3 +21,16 @@ let summary name (s : Ras_stats.Summary.t) =
   Printf.printf "%-28s %s\n" name (Format.asprintf "%a" Ras_stats.Summary.pp s)
 
 let pct x = 100.0 *. x
+
+(* A claim an experiment checks.  A failed one prints at once and makes
+   main.exe exit non-zero after every selected experiment has run. *)
+let failed_checks = ref 0
+
+let check ok fmt =
+  Printf.ksprintf
+    (fun msg ->
+      if not ok then begin
+        incr failed_checks;
+        Printf.printf "CHECK FAILED: %s\n" msg
+      end)
+    fmt

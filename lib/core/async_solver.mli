@@ -13,17 +13,19 @@ type params = {
   formulation : Formulation.params;
   phase1_time_limit_s : float;
   phase2_time_limit_s : float;
-  node_limit : int;  (** branch-and-bound nodes per phase *)
+  node_limit : int;
+      (** branch-and-bound nodes per phase.  In practice this is phase 2's
+          budget: phase 1 stops once its gap is under the capacity-slack
+          cost (see {!Phases.run}), which after bring-up holds at its root
+          node *)
   mip_gap_rel : float;
       (** relative optimality gap for both phases' tree searches (forwarded
           to {!Phases.run}).  The default is near-exact; continuous-loop
           deployments may run at an interactive tolerance (e.g. [1e-3]) *)
   mip_stall_nodes : int;
       (** stop a phase's tree search once the incumbent has not improved
-          for this many nodes (0 disables; forwarded to {!Phases.run}).
-          This is the stopping rule that fires in practice: the allocation
-          MIPs' soft-penalty integrality gap never closes, so a round ends
-          either here or at [node_limit] *)
+          for this many nodes (0, the default, disables; forwarded to
+          {!Phases.run}) *)
   run_phase2 : bool;
 }
 
@@ -43,7 +45,9 @@ type stats = {
           units (Fig. 9's x-axis is this cost scale) *)
   proven_constraints_fixed : bool;
       (** the bound proves no additional softened constraint could have been
-          fixed by running longer (Fig. 9: true for ~99% of solves) *)
+          fixed by running longer: phase 1's gap is under the capacity-slack
+          cost (Fig. 9: true for ~99% of solves).  Phase 1 stops searching
+          as soon as this holds *)
   solver_nodes : int;  (** branch-and-bound nodes across both phases *)
   solver_lp_iterations : int;
       (** branch-and-bound node-LP pivots across both phases; the root LP

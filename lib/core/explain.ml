@@ -105,14 +105,29 @@ let timing_line label (t : Phases.timing) =
     label (Phases.total_s t) t.Phases.ras_build_s t.Phases.solver_build_s t.Phases.initial_state_s
     t.Phases.mip_s
 
+let stop_reason = function
+  | Branch_bound.Optimal -> "met its gap tolerance"
+  | Branch_bound.Feasible -> "stopped at a node, time or stall limit"
+  | Branch_bound.Infeasible -> "proved the model infeasible"
+  | Branch_bound.Unbounded -> "found the model unbounded"
+  | Branch_bound.Unknown -> "stopped at a limit with no incumbent"
+
+(* model size, then what stopped the phase's tree search *)
+let phase_lines label (p : Phases.result) =
+  let o = p.Phases.outcome in
+  Printf.sprintf
+    "%s\n    %d grouped vars (%d raw), %d rows\n\
+    \    B&B %s at node %d: objective %.1f, bound %.1f, gap %.1f\n"
+    (timing_line label p.Phases.timing) p.Phases.grouped_vars p.Phases.raw_vars p.Phases.rows
+    (stop_reason o.Branch_bound.status) o.Branch_bound.nodes o.Branch_bound.objective
+    o.Branch_bound.best_bound o.Branch_bound.gap
+
 let solve_report (stats : Async_solver.stats) =
   let buf = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "solve finished in %.2fs\n" stats.Async_solver.duration_s;
   let p1 = stats.Async_solver.phase1 in
-  add "%s\n" (timing_line "phase 1" p1.Phases.timing);
-  add "    %d grouped vars (%d raw), %d rows, MIP nodes %d\n" p1.Phases.grouped_vars
-    p1.Phases.raw_vars p1.Phases.rows p1.Phases.outcome.Branch_bound.nodes;
+  add "%s" (phase_lines "phase 1" p1);
   let root_lp_pivots =
     p1.Phases.root_lp_pivots
     + Option.fold ~none:0 ~some:(fun p2 -> p2.Phases.root_lp_pivots) stats.Async_solver.phase2
@@ -124,10 +139,7 @@ let solve_report (stats : Async_solver.stats) =
     stats.Async_solver.solver_dual_restarts stats.Async_solver.solver_lp_iterations
     stats.Async_solver.solver_dual_pivots stats.Async_solver.solver_bland_pivots;
   (match stats.Async_solver.phase2 with
-  | Some p2 ->
-    add "%s\n" (timing_line "phase 2" p2.Phases.timing);
-    add "    %d grouped vars (%d raw), %d rows\n" p2.Phases.grouped_vars p2.Phases.raw_vars
-      p2.Phases.rows
+  | Some p2 -> add "%s" (phase_lines "phase 2" p2)
   | None -> add "  phase 2: skipped (no rack goal violations)\n");
   add "  moves: %d in-use, %d unused\n" stats.Async_solver.moves_in_use
     stats.Async_solver.moves_unused;

@@ -17,9 +17,10 @@ val shortfall_reason : Snapshot.t -> Reservation.t -> shortfall:float -> string
     acceptability constraint (category/generation) is binding. *)
 
 val solve_report : Async_solver.stats -> string
-(** Timing breakdown per phase, model sizes, the root LPs' pivots next to
-    branch-and-bound's, MIP gap in preemption units, move counts and
-    remaining softened violations. *)
+(** Timing breakdown per phase, model sizes, what stopped each phase's
+    branch-and-bound (status, node count, objective, bound and gap), the
+    root LPs' pivots next to branch-and-bound's, the phase-1 gap in
+    preemption units, move counts and remaining softened violations. *)
 
 val shadow_prices : ?top:int -> Phases.result -> (string * float) list
 (** The most expensive binding constraints of the phase's root LP: row name

@@ -86,6 +86,14 @@ let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
           Branch_bound.time_limit = mip_time_limit;
           node_limit = mip_node_limit;
           gap_rel = mip_gap_rel;
+          (* phase 1 stops once its incumbent is provably within one
+             capacity-slack unit of the optimum: search past that cannot fix
+             a softened capacity constraint (the paper's Fig. 9 bar).
+             Phase 2 keeps the near-exact default and its node budget. *)
+          gap_abs =
+            (if rack_level then Branch_bound.default_options.Branch_bound.gap_abs
+             else (Option.value params ~default:Formulation.default_params)
+                    .Formulation.capacity_slack_cost);
           stall_node_limit = mip_stall_nodes;
           initial = Some initial;
           (* hand the root LP's optimal basis to the root node: the tree

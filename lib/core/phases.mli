@@ -7,7 +7,8 @@
     - {e initial state}: seeding the incumbent with the current assignment
       and the initial LP relaxation solve, started from a {!Ras_mip.Simplex.crash}
       basis at that assignment;
-    - {e MIP}: branch-and-bound. *)
+    - {e MIP}: branch-and-bound, seeded with the cheaper of the rounded
+      root LP and the status quo. *)
 
 type timing = {
   ras_build_s : float;
@@ -58,5 +59,12 @@ val run :
     [?mip_stall_nodes] forwards
     {!Ras_mip.Branch_bound.options.stall_node_limit} — stop once the
     incumbent has not improved for that many nodes (0, the default,
-    disables) — which is the stopping rule that actually fires on the
-    soft-penalty allocation MIPs, whose integrality gap never closes. *)
+    disables).
+
+    The absolute gap is not a parameter.  At MSB granularity
+    ([rack_level = false], phase 1) it is the formulation's
+    [capacity_slack_cost]: the search stops once its incumbent is
+    provably within one capacity-slack unit of the optimum, which after
+    bring-up is usually at the root node.  At rack granularity (phase 2)
+    it is the near-exact default, and [mip_node_limit] is the budget that
+    ends the search. *)

@@ -4,6 +4,7 @@ type options = {
   time_limit : float;
   node_limit : int;
   gap_rel : float;
+  gap_abs : float;
   stall_node_limit : int;
   initial : float array option;
   root_basis : Simplex.warm_basis option;
@@ -16,6 +17,7 @@ let default_options =
     time_limit = infinity;
     node_limit = 100_000;
     gap_rel = 1e-9;
+    gap_abs = 1e-6;
     stall_node_limit = 0;
     initial = None;
     root_basis = None;
@@ -23,9 +25,8 @@ let default_options =
     lp_backend = Basis.Lu;
   }
 
-(* Absolute optimality gap, integrality tolerance on LP values, and the
-   node period of the rounding heuristic. *)
-let gap_abs = 1e-6
+(* Integrality tolerance on LP values and the node period of the rounding
+   heuristic. *)
 let int_tol = 1e-6
 let heuristic_period = 20
 
@@ -197,7 +198,7 @@ let solve ?(options = default_options) (std : Model.std) =
   in
   let gap_closed bound =
     Float.is_finite !incumbent_obj
-    && (!incumbent_obj -. bound <= gap_abs
+    && (!incumbent_obj -. bound <= options.gap_abs
         || !incumbent_obj -. bound
            <= options.gap_rel *. Float.max 1.0 (Float.abs !incumbent_obj))
   in
@@ -207,79 +208,81 @@ let solve ?(options = default_options) (std : Model.std) =
      immediately (the plunge stack), which finds integral incumbents far
      faster than pure best-first on near-integral allocation problems. *)
   let plunge : (float * node) list ref = ref [] in
-  let process node parent_bound =
-    if parent_bound < !incumbent_obj && not (gap_closed parent_bound) then begin
-      incr nodes;
-      let basis =
-        match node.wb with
-        | None -> None
-        | Some wb -> (
-          match !fac_cache with
-          | Some (key, fac) when key == wb -> Some { wb with Simplex.wfac = Some fac }
-          | _ -> Some wb)
-      in
-      (match basis with Some _ -> incr warm_nodes | None -> ());
-      match
-        Simplex.solve ~pricing:options.lp_pricing ~backend:options.lp_backend ~ws:lp_ws ?basis
-          ~lb:node.nlb ~ub:node.nub std
-      with
-      | Simplex.Infeasible _ -> ()
-      | Simplex.Unbounded -> unbounded := true
-      | Simplex.Iteration_limit _ -> inexact := true
-      | Simplex.Optimal
-          { x; obj; iterations; dual_iterations; bland_iterations; basis = final_basis; kstats; _ }
-        ->
-        lp_iters := !lp_iters + iterations;
-        bland_pivots := !bland_pivots + bland_iterations;
-        bound_flips := !bound_flips + kstats.Simplex.bound_flips;
-        if dual_iterations > 0 then begin
-          incr dual_nodes;
-          dual_pivots := !dual_pivots + dual_iterations
-        end;
-        if obj < !incumbent_obj -. gap_abs then begin
-          if integral std x then begin
-            (* round off the tiny fractional noise before storing *)
-            let y = Array.copy x in
-            for j = 0 to std.nvars - 1 do
-              if std.integer.(j) then y.(j) <- Float.round y.(j)
-            done;
-            update_incumbent y obj
-          end
-          else begin
-            if !nodes mod heuristic_period = 1 then begin
-              match rounding_probe std node x with
-              | Some (y, hobj) -> update_incumbent y hobj
-              | None -> ()
-            end;
-            match pick_branch_var std x with
-            | None -> ()
-            | Some j ->
-              (* both children share one stripped snapshot of this node's
-                 optimal basis; the factorization lives only in the cache *)
-              let stripped = { final_basis with Simplex.wfac = None } in
-              (match final_basis.Simplex.wfac with
-              | Some fac -> fac_cache := Some (stripped, fac)
-              | None -> ());
-              let wb = Some stripped in
-              let v = x.(j) in
-              let down_ub = Array.copy node.nub in
-              down_ub.(j) <- Float.floor v;
-              let up_lb = Array.copy node.nlb in
-              up_lb.(j) <- Float.ceil v;
-              let down_ok = Float.floor v >= node.nlb.(j) -. 1e-9 in
-              let up_ok = Float.ceil v <= node.nub.(j) +. 1e-9 in
-              let down = { nlb = node.nlb; nub = down_ub; depth = node.depth + 1; wb } in
-              let up = { nlb = up_lb; nub = node.nub; depth = node.depth + 1; wb } in
-              let frac = v -. Float.floor v in
-              let near, near_ok, far, far_ok =
-                if frac < 0.5 then (down, down_ok, up, up_ok)
-                else (up, up_ok, down, down_ok)
-              in
-              if far_ok then Heap.push open_nodes obj far;
-              if near_ok then plunge := (obj, near) :: !plunge
-          end
+  let process node =
+    incr nodes;
+    let basis =
+      match node.wb with
+      | None -> None
+      | Some wb -> (
+        match !fac_cache with
+        | Some (key, fac) when key == wb -> Some { wb with Simplex.wfac = Some fac }
+        | _ -> Some wb)
+    in
+    (match basis with Some _ -> incr warm_nodes | None -> ());
+    match
+      Simplex.solve ~pricing:options.lp_pricing ~backend:options.lp_backend ~ws:lp_ws ?basis
+        ~lb:node.nlb ~ub:node.nub std
+    with
+    | Simplex.Infeasible _ -> ()
+    | Simplex.Unbounded -> unbounded := true
+    | Simplex.Iteration_limit _ -> inexact := true
+    | Simplex.Optimal
+        { x; obj; iterations; dual_iterations; bland_iterations; basis = final_basis; kstats; _ }
+      ->
+      lp_iters := !lp_iters + iterations;
+      bland_pivots := !bland_pivots + bland_iterations;
+      bound_flips := !bound_flips + kstats.Simplex.bound_flips;
+      if dual_iterations > 0 then begin
+        incr dual_nodes;
+        dual_pivots := !dual_pivots + dual_iterations
+      end;
+      if obj < !incumbent_obj -. options.gap_abs then begin
+        if integral std x then begin
+          (* round off the tiny fractional noise before storing *)
+          let y = Array.copy x in
+          for j = 0 to std.nvars - 1 do
+            if std.integer.(j) then y.(j) <- Float.round y.(j)
+          done;
+          update_incumbent y obj
         end
-    end
+        else begin
+          if !nodes mod heuristic_period = 1 then begin
+            match rounding_probe std node x with
+            | Some (y, hobj) -> update_incumbent y hobj
+            | None -> ()
+          end;
+          match pick_branch_var std x with
+          | None -> ()
+          | Some j ->
+            (* both children share one stripped snapshot of this node's
+               optimal basis; the factorization lives only in the cache *)
+            let stripped = { final_basis with Simplex.wfac = None } in
+            (match final_basis.Simplex.wfac with
+            | Some fac -> fac_cache := Some (stripped, fac)
+            | None -> ());
+            let wb = Some stripped in
+            let v = x.(j) in
+            let down_ub = Array.copy node.nub in
+            down_ub.(j) <- Float.floor v;
+            let up_lb = Array.copy node.nlb in
+            up_lb.(j) <- Float.ceil v;
+            let down_ok = Float.floor v >= node.nlb.(j) -. 1e-9 in
+            let up_ok = Float.ceil v <= node.nub.(j) +. 1e-9 in
+            let down = { nlb = node.nlb; nub = down_ub; depth = node.depth + 1; wb } in
+            let up = { nlb = up_lb; nub = node.nub; depth = node.depth + 1; wb } in
+            let frac = v -. Float.floor v in
+            let near, near_ok, far, far_ok =
+              if frac < 0.5 then (down, down_ok, up, up_ok)
+              else (up, up_ok, down, down_ok)
+            in
+            if far_ok then Heap.push open_nodes obj far;
+            if near_ok then plunge := (obj, near) :: !plunge
+        end
+      end
+      else if obj < !incumbent_obj then
+        (* within the absolute gap of the incumbent: not searched, but
+           left open so that [best_bound] still counts its bound *)
+        Heap.push open_nodes obj node
   in
   let seed_status = ref Seed_none in
   (match options.initial with
@@ -290,7 +293,7 @@ let solve ?(options = default_options) (std : Model.std) =
   | None -> ());
   (let root = { nlb = root_lb; nub = root_ub; depth = 0; wb = options.root_basis } in
    (* an unprocessed root stays open, so nothing is claimed proven *)
-   if options.node_limit > 0 then process root neg_infinity
+   if options.node_limit > 0 then process root
    else Heap.push open_nodes neg_infinity root);
   let max_plunge_depth = 100 in
   let stop = ref !unbounded in
@@ -298,10 +301,8 @@ let solve ?(options = default_options) (std : Model.std) =
     if elapsed () > options.time_limit || !nodes >= options.node_limit then stop := true
     else if
       (* stalled: the incumbent has not improved for [stall_node_limit]
-         consecutive nodes.  This is the continuous-loop stopping rule —
-         a near-optimal incumbent stops the round almost immediately,
-         while a search that keeps finding better allocations keeps
-         running. *)
+         consecutive nodes, while a search that keeps finding better
+         allocations keeps running *)
       options.stall_node_limit > 0
       && !incumbent <> None
       && !nodes - !last_improve >= options.stall_node_limit
@@ -310,16 +311,24 @@ let solve ?(options = default_options) (std : Model.std) =
       (match !plunge with
       | (bound, node) :: rest ->
         plunge := rest;
-        if bound >= !incumbent_obj || gap_closed bound then ()
-        else if node.depth > max_plunge_depth then Heap.push open_nodes bound node
-        else process node bound
+        (* a node whose bound is within the gap is not searched but stays
+           open: dropping it would let [best_bound] collapse onto the
+           incumbent and report a gap the search never proved *)
+        if bound >= !incumbent_obj then ()
+        else if gap_closed bound || node.depth > max_plunge_depth then
+          Heap.push open_nodes bound node
+        else process node
       | [] -> (
         match Heap.pop open_nodes with
         | None -> stop := true
         | Some (bound, node) ->
-          if bound >= !incumbent_obj || gap_closed bound then stop := true
-            (* best-first: every remaining node is at least this bad *)
-          else process node bound));
+          (* best-first: every remaining node is at least this bad *)
+          if bound >= !incumbent_obj then stop := true
+          else if gap_closed bound then begin
+            Heap.push open_nodes bound node;
+            stop := true
+          end
+          else process node));
       if !unbounded then stop := true
     end
   done;

@@ -28,14 +28,19 @@ type options = {
       (** [0] processes no node: the root stays open, so a seeded search
           reports [Feasible] with [best_bound = neg_infinity] *)
   gap_rel : float;
-      (** stop when [incumbent - best_bound <= gap_rel * max 1 |incumbent|]
-          (or [<= 1e-6] absolute) *)
+      (** stop when [incumbent - best_bound <= gap_rel * max 1 |incumbent|] *)
+  gap_abs : float;
+      (** stop when [incumbent - best_bound <= gap_abs]; a node whose LP
+          bound is within [gap_abs] of the incumbent is not branched on.
+          Either gap rule leaves the unsearched nodes open, so
+          [best_bound] and [gap] report what was proven, not a closed gap.
+          The soft-penalty allocation MIPs carry an integrality gap the
+          bound rarely closes, so [Phases.run] sets this to the
+          capacity-slack cost in phase 1: an incumbent within it cannot
+          leave a softened capacity constraint that search could fix *)
   stall_node_limit : int;
       (** stop once the incumbent has not improved for this many
-          consecutive nodes (0 disables).  The soft-penalty allocation
-          MIPs carry a structural integrality gap the bound cannot close,
-          so gap-based stopping never fires; stalling is the stopping rule
-          the continuous loop uses *)
+          consecutive nodes (0 disables) *)
   initial : float array option;
       (** a known solution to seed the incumbent.  The seed is checked
           with {!Model.check_solution} and used as given or rejected,
@@ -61,12 +66,11 @@ type options = {
 }
 
 val default_options : options
-(** [time_limit = infinity], [node_limit = 100_000], [gap_rel = 1e-9], no
-    stall limit, no initial solution or root basis,
+(** [time_limit = infinity], [node_limit = 100_000], [gap_rel = 1e-9],
+    [gap_abs = 1e-6], no stall limit, no initial solution or root basis,
     [lp_pricing = Simplex.Devex], [lp_backend = Basis.Lu].  The options
-    that no caller varies are fixed: an absolute gap of [1e-6], an
-    integrality tolerance of [1e-6] on LP values, and the rounding
-    heuristic on every 20th node. *)
+    that no caller varies are fixed: an integrality tolerance of [1e-6] on
+    LP values and the rounding heuristic on every 20th node. *)
 
 type seed_status =
   | Seed_none  (** no initial solution was supplied *)
@@ -82,7 +86,9 @@ type outcome = {
   status : status;
   solution : float array option;  (** incumbent, one entry per variable *)
   objective : float;  (** incumbent objective; [infinity] when none *)
-  best_bound : float;  (** proven lower bound on the optimum *)
+  best_bound : float;
+      (** proven lower bound on the optimum: the least bound over the nodes
+          left open, capped at the incumbent *)
   gap : float;  (** [objective - best_bound]; [infinity] when no incumbent *)
   nodes : int;
   lp_iterations : int;

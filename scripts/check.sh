@@ -1,6 +1,7 @@
 #!/bin/sh
-# Repository check: build, dead-code check, full test suite, and a quick
-# solver-kernel bench smoke run (same entry points CI uses).
+# Repository check: build, dead-code check, full test suite, a quick
+# solver-kernel bench smoke run and the Fig. 9 quality claims (same entry
+# points CI uses).
 # Usage: scripts/check.sh
 set -eu
 cd "$(dirname "$0")/.."
@@ -24,6 +25,12 @@ dune runtest
 # paper-regime perf rows on the artifact trail
 echo "== bench smoke (kernels --quick, incl. large rows) =="
 dune exec bench/main.exe -- --quick kernels
+
+# Fig. 9's two claims as a gate: main.exe exits 1 when fewer than 90% of
+# the phase-1 solves are within 200 preemptions of their bound, or fewer
+# than 99% are proven on the softened constraints
+echo "== Fig. 9 quality claims (fig9 --quick) =="
+dune exec bench/main.exe -- --quick fig9
 
 # the region-scale, tier-1 reactive and LU identity batteries again at the
 # full 10^6-server preset (the quick runtest above covers the reduced sweep

@@ -48,6 +48,42 @@ let build_fixture () =
 
 let fixture = lazy (build_fixture ())
 
+(* The heuristic seed phase 1 starts its tree search from, with the root-LP
+   bound, as a node-less phase 1 reports them. *)
+let heuristic_seed (snap : Snapshot.t) =
+  (Phases.run ~mip_node_limit:0 snap snap.Snapshot.reservations).Phases.outcome
+
+(* A post-failure round on the solve-medium benchmark's region and
+   requests, with rack goals on requests of 5 RRU or more so that phase 2
+   runs: the round's heuristic seed and its statistics. *)
+type medium_round = { seed : Ras_mip.Branch_bound.outcome; round : Async_solver.stats }
+
+let medium_round =
+  lazy
+    (let region =
+       Generator.generate
+         { Generator.name = "region-medium"; num_dcs = 3; msbs_per_dc = 6; racks_per_msb = 6;
+           servers_per_rack = 8; seed = 3 }
+     in
+     let broker = Broker.create region in
+     let sys = System.create broker in
+     List.iter
+       (fun r ->
+         System.add_request sys
+           (if r.Capacity_request.rru >= 5.0 then
+              { r with Capacity_request.rack_spread_limit = Some 0.06 }
+            else r))
+       (Ras_workload.Request_gen.scenario (Ras_stats.Rng.create 11) ~region
+          ~services:Service.default_catalog ~target_utilization:0.45);
+     ignore (System.solve_now sys);
+     let rng = Ras_stats.Rng.create 24 in
+     for _ = 1 to 5 do
+       Broker.mark_down broker (Ras_stats.Rng.int rng (Broker.num_servers broker))
+         Unavail.Unplanned_hw
+     done;
+     let seed = heuristic_seed (System.snapshot sys) in
+     { seed; round = System.solve_now sys })
+
 (* ---------- Reservation ---------- *)
 
 let test_reservation_of_request () =
@@ -463,6 +499,30 @@ let test_quorum_cap_helper () =
        false
      with Invalid_argument _ -> true)
 
+(* Phase 1 stops once its gap is under the capacity-slack cost, and only
+   then.  A bring-up whose heuristic seed leaves capacity unmet sits more
+   than the slack cost above its bound, so the tree still searches, and it
+   ends within the slack cost of its bound with every capacity constraint
+   met. *)
+let check_bad_seed_searched snap (stats : Async_solver.stats) =
+  let slack = Formulation.default_params.Formulation.capacity_slack_cost in
+  let seed = heuristic_seed snap in
+  let p1 = stats.Async_solver.phase1.Phases.outcome in
+  Alcotest.(check bool)
+    (Printf.sprintf "seed %.1f is over the slack cost above its bound %.1f"
+       seed.Ras_mip.Branch_bound.objective seed.Ras_mip.Branch_bound.best_bound)
+    true
+    (seed.Ras_mip.Branch_bound.gap > slack);
+  Alcotest.(check bool)
+    (Printf.sprintf "phase 1 searched (%d nodes)" p1.Ras_mip.Branch_bound.nodes)
+    true
+    (p1.Ras_mip.Branch_bound.nodes > 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "phase 1 gap %.1f under the slack cost" p1.Ras_mip.Branch_bound.gap)
+    true
+    (p1.Ras_mip.Branch_bound.gap < slack);
+  Alcotest.(check bool) "no shortfalls" true (stats.Async_solver.shortfalls = [])
+
 let test_quorum_spread_enforced () =
   let region = Generator.generate Generator.small_params in
   let broker = Broker.create region in
@@ -472,7 +532,9 @@ let test_quorum_spread_enforced () =
       ~msb_spread_limit:0.5 ()
   in
   let reservations = [ Reservation.of_request req ] in
-  let stats = Async_solver.solve (Snapshot.take broker reservations) in
+  let snap = Snapshot.take broker reservations in
+  let stats = Async_solver.solve snap in
+  check_bad_seed_searched snap stats;
   let mover = Online_mover.create broker in
   Online_mover.set_reservations mover reservations;
   ignore (Online_mover.apply_plan mover stats.Async_solver.plan);
@@ -848,6 +910,25 @@ let test_explain_reports () =
           + Option.fold ~none:0
               ~some:(fun p2 -> p2.Phases.root_lp_pivots)
               stats.Async_solver.phase2)));
+  (* each phase says what stopped its tree search, with the node count,
+     objective, bound and gap it stopped at: phase 1 met its gap
+     tolerance, the Medium round's phase 2 spent its node budget *)
+  let check_phase report label stopped (p : Phases.result) =
+    let o = p.Phases.outcome in
+    Alcotest.(check bool) (label ^ " reports what stopped its search") true
+      (contains report
+         (Printf.sprintf "B&B %s at node %d: objective %.1f, bound %.1f, gap %.1f" stopped
+            o.Ras_mip.Branch_bound.nodes o.Ras_mip.Branch_bound.objective
+            o.Ras_mip.Branch_bound.best_bound o.Ras_mip.Branch_bound.gap))
+  in
+  check_phase solve "phase 1" "met its gap tolerance" stats.Async_solver.phase1;
+  Alcotest.(check bool) "phase 2 skip reported" true (contains solve "phase 2: skipped");
+  let lazy { round; _ } = medium_round in
+  let medium = Explain.solve_report round in
+  check_phase medium "Medium phase 1" "met its gap tolerance" round.Async_solver.phase1;
+  (match round.Async_solver.phase2 with
+  | Some p2 -> check_phase medium "Medium phase 2" "stopped at a node, time or stall limit" p2
+  | None -> Alcotest.fail "phase 2 should refine the rack goals");
   let reason = Explain.shortfall_reason snap res ~shortfall:1.0 in
   Alcotest.(check bool) "reason non-empty" true (String.length reason > 20)
 
@@ -874,6 +955,33 @@ let test_shadow_prices_surface_binding_rows () =
     prices
 
 (* ---------- System ---------- *)
+
+(* After bring-up, the heuristic seed of a Medium round is within the
+   capacity-slack cost of the root bound: phase 1 proves that at its root
+   node and keeps the seed, leaving the node budget to phase 2. *)
+let test_phase1_stops_within_slack () =
+  let lazy { seed; round } = medium_round in
+  let slack = Formulation.default_params.Formulation.capacity_slack_cost in
+  Alcotest.(check bool)
+    (Printf.sprintf "seed %.1f within the slack cost of its bound %.1f"
+       seed.Ras_mip.Branch_bound.objective seed.Ras_mip.Branch_bound.best_bound)
+    true
+    (seed.Ras_mip.Branch_bound.gap < slack);
+  let p1 = round.Async_solver.phase1.Phases.outcome in
+  Alcotest.(check int) "phase 1 processes the root only" 1 p1.Ras_mip.Branch_bound.nodes;
+  Alcotest.(check (float 1e-9)) "phase 1 keeps the seed" seed.Ras_mip.Branch_bound.objective
+    p1.Ras_mip.Branch_bound.objective;
+  Alcotest.(check bool)
+    (Printf.sprintf "open root bound %.1f below the incumbent" p1.Ras_mip.Branch_bound.best_bound)
+    true
+    (p1.Ras_mip.Branch_bound.gap > 0.0 && p1.Ras_mip.Branch_bound.gap < slack);
+  Alcotest.(check bool) "proven on softened constraints" true
+    round.Async_solver.proven_constraints_fixed;
+  match round.Async_solver.phase2 with
+  | Some p2 ->
+    Alcotest.(check int) "phase 2 keeps its node budget" Async_solver.default_params.Async_solver.node_limit
+      p2.Phases.outcome.Ras_mip.Branch_bound.nodes
+  | None -> Alcotest.fail "phase 2 should refine the rack goals"
 
 let test_system_end_to_end () =
   let region = Generator.generate Generator.small_params in
@@ -975,7 +1083,8 @@ let test_system_remove_reservation () =
   let sys = System.create broker in
   System.add_request sys (Capacity_request.make ~id:1 ~service:ds ~rru:4.0 ());
   System.add_request sys (Capacity_request.make ~id:2 ~service:ds ~rru:3.0 ());
-  ignore (System.solve_now sys);
+  let snap = System.snapshot sys in
+  check_bad_seed_searched snap (System.solve_now sys);
   Alcotest.(check bool) "servers bound" true
     (Broker.count_owner broker (Broker.Reservation 1) > 0);
   (* a down server of the removed reservation is released too *)
@@ -1253,6 +1362,7 @@ let suite =
       test_shadow_prices_surface_binding_rows;
     Alcotest.test_case "system end to end" `Slow test_system_end_to_end;
     Alcotest.test_case "system remove reservation" `Quick test_system_remove_reservation;
+    Alcotest.test_case "phase 1 stops within the slack cost" `Quick test_phase1_stops_within_slack;
     Alcotest.test_case "system metrics match the record reads" `Quick
       test_system_metrics_match_reference;
     Alcotest.test_case "system installs tier-1 prices" `Quick test_system_installs_prices;

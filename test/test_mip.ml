@@ -323,15 +323,53 @@ let test_mip_invalid_initial_ignored () =
   let out = Branch_bound.solve ~options std in
   Alcotest.(check (float 1e-6)) "solves anyway" 1.0 out.Branch_bound.objective
 
-let test_mip_gap_reported () =
+(* min x + y over integers with 2x + 2y >= 3: LP bound 1.5, optimum 2 *)
+let half_cover_mip () =
   let m = Model.create () in
   let x = Model.add_var ~kind:Model.Integer ~ub:9.0 m in
   let y = Model.add_var ~kind:Model.Integer ~ub:9.0 m in
   let _ = Model.add_constraint m Lin_expr.(add (scale 2.0 (var x)) (scale 2.0 (var y))) Model.Ge 3.0 in
   Model.set_objective m Lin_expr.(add (var x) (var y));
-  let out = Branch_bound.solve (Model.compile m) in
+  Model.compile m
+
+let test_mip_gap_reported () =
+  let out = Branch_bound.solve (half_cover_mip ()) in
   Alcotest.(check bool) "gap closed at optimum" true (out.Branch_bound.gap < 1e-6);
   Alcotest.(check (float 1e-6)) "objective 2 (ceil of 1.5)" 2.0 out.Branch_bound.objective
+
+(* A search stopped by a gap tolerance leaves the unsearched nodes open:
+   the bound it reports is the one it proved (the root LP here), not the
+   incumbent, so the reported gap stays positive. *)
+let test_mip_gap_stop_keeps_bound () =
+  let std = half_cover_mip () in
+  let root_lp =
+    match Simplex.solve std with
+    | Simplex.Optimal { obj; _ } -> obj
+    | _ -> Alcotest.fail "root LP not optimal"
+  in
+  List.iter
+    (fun (name, options) ->
+      let out = Branch_bound.solve ~options std in
+      Alcotest.(check int) (name ^ ": stopped at the root") 1 out.Branch_bound.nodes;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: root LP %.3f <= best_bound %.3f < objective %.3f" name root_lp
+           out.Branch_bound.best_bound out.Branch_bound.objective)
+        true
+        (root_lp <= out.Branch_bound.best_bound +. 1e-9
+        && out.Branch_bound.best_bound < out.Branch_bound.objective);
+      Alcotest.(check bool) (name ^ ": gap > 0") true (out.Branch_bound.gap > 0.0);
+      Alcotest.(check (float 1e-9))
+        (name ^ ": gap = objective - best_bound")
+        (out.Branch_bound.objective -. out.Branch_bound.best_bound)
+        out.Branch_bound.gap)
+    [
+      (* the root's rounding probe finds 2 against the LP's 1.5 *)
+      ( "loose gap_rel",
+        { Branch_bound.default_options with Branch_bound.gap_rel = 0.6; initial = Some [| 3.0; 0.0 |] } );
+      (* the root LP is within gap_abs of the seed: the root stays open *)
+      ( "gap_abs",
+        { Branch_bound.default_options with Branch_bound.gap_abs = 1.0; initial = Some [| 1.0; 1.0 |] } );
+    ]
 
 let test_mip_mixed_integer () =
   (* x integer, y continuous: min -x - 10y st x + 2y <= 4.5, y <= 1.3 *)
@@ -847,6 +885,7 @@ let suite =
     Alcotest.test_case "stale seed rejected" `Quick test_stale_seed_rejected;
     Alcotest.test_case "valid seed accepted" `Quick test_valid_seed_accepted;
     Alcotest.test_case "mip gap and rounding" `Quick test_mip_gap_reported;
+    Alcotest.test_case "mip gap stop keeps the proven bound" `Quick test_mip_gap_stop_keeps_bound;
     Alcotest.test_case "mip mixed integer" `Quick test_mip_mixed_integer;
     Alcotest.test_case "lp format sections" `Quick test_lp_format_sections;
     Alcotest.test_case "lp parse round trip" `Quick test_lp_round_trip;
