@@ -48,11 +48,6 @@ type stats = {
   solver_bland_pivots : int;
 }
 
-let owner_of_res res =
-  match res.Reservation.kind with
-  | Reservation.Guaranteed -> Broker.Reservation res.Reservation.id
-  | Reservation.Random_failure_buffer _ -> Broker.Shared_buffer
-
 (* Rack-spread overflow of every reservation under a target column (0 for
    one without a rack goal) — the phase-2 selection criterion
    ("reservations with the worst rack-level objectives are prioritized",
@@ -62,7 +57,7 @@ let rack_overflows (snapshot : Snapshot.t) targets reservations =
   let region = snapshot.Snapshot.region in
   let res = Array.of_list reservations in
   let has_goal r = r.Reservation.rack_spread_limit <> None in
-  let code_of r = Broker.owner_code (owner_of_res r) in
+  let code_of r = Broker.owner_code (Reservation.owner r) in
   let max_code =
     Array.fold_left (fun m r -> if has_goal r then Int.max m (code_of r) else m) (-1) res
   in
@@ -149,7 +144,7 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
         let free_code = Broker.owner_code Broker.Free in
         let max_code =
           List.fold_left
-            (fun m res -> Int.max m (Broker.owner_code (owner_of_res res)))
+            (fun m res -> Int.max m (Broker.owner_code (Reservation.owner res)))
             free_code candidates
         in
         let usable_by_code = Array.make (max_code + 1) 0 in
@@ -164,7 +159,8 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
         List.iter
           (fun res ->
             let server_count =
-              usable_by_code.(Broker.owner_code (owner_of_res res)) + usable_by_code.(free_code)
+              usable_by_code.(Broker.owner_code (Reservation.owner res))
+              + usable_by_code.(free_code)
             in
             (* rack-level classes are at worst one per server *)
             if !var_estimate + server_count <= phase2_var_cap then begin
@@ -175,7 +171,7 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
         match !selected with
         | [] -> None
         | selected ->
-          let owners = List.map owner_of_res selected in
+          let owners = List.map Reservation.owner selected in
           let user_filter =
             match include_server with Some f -> f | None -> fun _ -> true
           in

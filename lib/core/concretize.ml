@@ -4,11 +4,6 @@ type move = { server : int; from_ : Broker.owner; to_ : Broker.owner; was_in_use
 
 type plan = { moves : move list; targets : (int * Broker.owner) list }
 
-let owner_of_res res =
-  match res.Reservation.kind with
-  | Reservation.Guaranteed -> Broker.Reservation res.Reservation.id
-  | Reservation.Random_failure_buffer _ -> Broker.Shared_buffer
-
 let free_code = Broker.owner_code Broker.Free
 
 (* A read position in a class's unmet quotas, laid end to end in quota
@@ -44,7 +39,7 @@ let write_targets (f : Formulation.t) (assignment : Formulation.assignment) colu
   let max_code = ref free_code in
   List.iter
     (fun (cls, res, count) ->
-      let owner = owner_of_res res in
+      let owner = Reservation.owner res in
       max_code := Int.max !max_code (Broker.owner_code owner);
       quotas.(cls.Symmetry.index) <- (owner, count) :: quotas.(cls.Symmetry.index))
     assignment.Formulation.counts;

@@ -1,6 +1,5 @@
 module Model = Ras_mip.Model
 module Lin = Ras_mip.Lin_expr
-module Broker = Ras_broker.Broker
 module Region = Ras_topology.Region
 
 type params = {
@@ -51,11 +50,6 @@ type t = {
   params : params;
   rack_level : bool;
 }
-
-let owner_of res =
-  match res.Reservation.kind with
-  | Reservation.Guaranteed -> Broker.Reservation res.Reservation.id
-  | Reservation.Random_failure_buffer _ -> Broker.Shared_buffer
 
 let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.t) reservations =
   let model = Model.create () in
@@ -257,7 +251,7 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
           res.Reservation.dc_affinity
       end;
       (* expression (1): stability *)
-      let owner = owner_of res in
+      let owner = Reservation.owner res in
       List.iter
         (fun { cls; var; _ } ->
           let n0 = Symmetry.current_count symmetry cls owner in
@@ -305,7 +299,8 @@ let encode_counts t counts =
 
 let encode t counts_of = encode_counts t (Array.map counts_of t.pairs)
 
-let status_quo t = encode t (fun p -> Symmetry.current_count t.symmetry p.cls (owner_of p.res))
+let status_quo t =
+  encode t (fun p -> Symmetry.current_count t.symmetry p.cls (Reservation.owner p.res))
 
 (* Largest-remainder rounding of an LP-relaxation solution: per class, floor
    every count, then hand the class's remaining LP mass back to the pairs
@@ -620,7 +615,7 @@ let repair t solution =
 let movement_units t solution ~in_use =
   Array.fold_left
     (fun acc p ->
-      let n0 = Symmetry.current_count t.symmetry p.cls (owner_of p.res) in
+      let n0 = Symmetry.current_count t.symmetry p.cls (Reservation.owner p.res) in
       if p.cls.Symmetry.in_use = in_use && n0 > 0 then
         acc +. Float.max 0.0 (float_of_int n0 -. solution.(p.var))
       else acc)

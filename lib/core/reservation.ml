@@ -62,6 +62,11 @@ let shared_buffer ~id ~category ~capacity_rru =
 
 let is_buffer t = match t.kind with Random_failure_buffer _ -> true | Guaranteed -> false
 
+let owner t =
+  match t.kind with
+  | Guaranteed -> Ras_broker.Broker.Reservation t.id
+  | Random_failure_buffer _ -> Ras_broker.Broker.Shared_buffer
+
 let accepts t hw = t.rru_of hw > 0.0
 
 let pp ppf t =

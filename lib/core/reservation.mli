@@ -44,6 +44,11 @@ val shared_buffer :
 
 val is_buffer : t -> bool
 
+val owner : t -> Ras_broker.Broker.owner
+(** The broker owner of a server bound to this reservation:
+    [Reservation id] for a guaranteed reservation, [Shared_buffer] for a
+    random-failure buffer. *)
+
 val accepts : t -> Ras_topology.Hardware.t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -5,9 +5,9 @@
      between refactorizations by a product-form eta file.  All solves run
      through the triangular factors and the etas, touching factor nonzeros
      only.
-   - Lu_full_scan: the same factors and arithmetic, with every triangular
-     solve run as a full scan over all steps instead of a reachability
-     traversal — the oracle that pins the traversal code.
+   - Lu_full_scan: the same factors, with every triangular pass run over
+     all steps instead of a reachability traversal — the oracle that pins
+     the traversal code.
    - Dense: the dense Gauss-Jordan basis inverse the solver originally
      maintained, kept verbatim as the differential-testing oracle.
 
@@ -16,12 +16,13 @@
    "basis position").  FTRAN inputs are row-indexed and outputs basis-
    position-indexed; BTRAN is the reverse. *)
 
-(* [Lu] runs the triangular solves by graph traversal over the factor
-   patterns, touching only steps reachable from the right-hand side's
-   nonzeros; [Lu_full_scan] runs the same arithmetic as full scans over
-   every step.  Both perform bit-identical floating-point operations on
-   every reachable entry (the skipped entries are structural zeros), so
-   they are differentially comparable pivot-for-pivot. *)
+(* Each of the four triangular passes (L, U, Uᵀ, Lᵀ) is one loop over an
+   ascending list of elimination steps.  [Lu] lists the steps reachable
+   from the right-hand side's nonzeros through the factor patterns;
+   [Lu_full_scan] lists every step, as do the dense solves.  The entries a
+   reach skips are structural zeros, so both kinds perform bit-identical
+   floating-point operations on every reachable entry and are
+   differentially comparable pivot-for-pivot. *)
 type kind = Dense | Lu | Lu_full_scan
 
 (* Sparse vector: a packed, ascending index list over a dense value scratch
@@ -89,9 +90,9 @@ type t = {
   mutable refactors : int;
   (* solve scratch owned by the factorization: the two svec results (FTRAN
      and BTRAN directions are separate so a pivot can hold both at once), a
-     step-indexed workspace [wz] kept all-zero between calls, its pattern
-     [wzi], a traversal worklist, position/step marks, and a dense-path
-     buffer [wd] for the full-scan solves *)
+     step-indexed workspace [wz] kept all-zero between calls, the step list
+     [wzi] the triangular passes run over, a traversal worklist, step marks,
+     and the one-entry row array of the unit FTRAN's column *)
   sf : Svec.t;
   sb : Svec.t;
   wz : float array;
@@ -99,7 +100,7 @@ type t = {
   wstk : int array;
   wmark : int array;
   mutable wstamp : int;
-  wd : float array;
+  unit_row : int array;
   (* per-solve kernel counters (reset by {!reset_stats}) *)
   mutable ftran_calls : int;
   mutable ftran_nnz : int;
@@ -166,7 +167,7 @@ let create knd ~m =
     wstk = Array.make m 0;
     wmark = Array.make m (-1);
     wstamp = 0;
-    wd = Array.make m 0.0;
+    unit_row = [| 0 |];
     ftran_calls = 0;
     ftran_nnz = 0;
     btran_calls = 0;
@@ -228,7 +229,7 @@ let copy_as t knd =
     wstk = Array.make t.m 0;
     wmark = Array.make t.m (-1);
     wstamp = 0;
-    wd = Array.make t.m 0.0;
+    unit_row = [| 0 |];
     ftran_calls = 0;
     ftran_nnz = 0;
     btran_calls = 0;
@@ -679,100 +680,13 @@ let refactorize t ~basis ~col =
   t.refactors <- t.refactors + 1
 
 (* ------------------------------------------------------------------ *)
-(* LU solves                                                           *)
-
-(* x := B0^-1 x through the triangular factors, where x arrives indexed by
-   constraint row and leaves indexed by basis position.  [z] is a caller
-   scratch of length m (overwritten). *)
-let lu_solve lu m z x =
-  (* forward: L z = P x, updating the row-indexed workspace in place (every
-     L column only touches rows that pivot later) *)
-  for k = 0 to m - 1 do
-    let zk = x.(lu.rperm.(k)) in
-    z.(k) <- zk;
-    if zk <> 0.0 then begin
-      let lr = lu.lrows.(k) and lv = lu.lvals.(k) in
-      for u = 0 to Array.length lr - 1 do
-        x.(lr.(u)) <- x.(lr.(u)) -. (lv.(u) *. zk)
-      done
-    end
-  done;
-  (* back: U y = z in place *)
-  for k = m - 1 downto 0 do
-    let uc = lu.ucols.(k) and uv = lu.uvals.(k) in
-    let acc = ref z.(k) in
-    for u = 0 to Array.length uc - 1 do
-      acc := !acc -. (uv.(u) *. z.(uc.(u)))
-    done;
-    z.(k) <- !acc /. lu.udiag.(k)
-  done;
-  (* permute back to basis positions, reusing the input array *)
-  for k = 0 to m - 1 do
-    x.(lu.cperm.(k)) <- z.(k)
-  done
-
-let apply_etas lu x =
-  for e = 0 to lu.neta - 1 do
-    let eta = lu.etas.(e) in
-    let xr = x.(eta.er) /. eta.epiv in
-    x.(eta.er) <- xr;
-    if xr <> 0.0 then begin
-      let rs = eta.erows and vs = eta.evals in
-      for u = 0 to Array.length rs - 1 do
-        x.(rs.(u)) <- x.(rs.(u)) -. (vs.(u) *. xr)
-      done
-    end
-  done
-
-(* y := B0^-T y: input indexed by basis position, output by constraint row.
-   [d] is a caller scratch of length m (overwritten). *)
-let lu_solve_t lu m d y =
-  for k = 0 to m - 1 do
-    d.(k) <- y.(lu.cperm.(k))
-  done;
-  (* U^T d' = d, ascending *)
-  for k = 0 to m - 1 do
-    let dk = d.(k) /. lu.udiag.(k) in
-    d.(k) <- dk;
-    if dk <> 0.0 then begin
-      let uc = lu.ucols.(k) and uv = lu.uvals.(k) in
-      for u = 0 to Array.length uc - 1 do
-        d.(uc.(u)) <- d.(uc.(u)) -. (uv.(u) *. dk)
-      done
-    end
-  done;
-  (* L^T e = d, descending *)
-  for k = m - 1 downto 0 do
-    let lr = lu.lrows.(k) and lv = lu.lvals.(k) in
-    let acc = ref d.(k) in
-    for u = 0 to Array.length lr - 1 do
-      acc := !acc -. (lv.(u) *. d.(lu.rpos.(lr.(u))))
-    done;
-    d.(k) <- !acc
-  done;
-  for k = 0 to m - 1 do
-    y.(lu.rperm.(k)) <- d.(k)
-  done
-
-let apply_etas_t lu y =
-  for e = lu.neta - 1 downto 0 do
-    let eta = lu.etas.(e) in
-    let rs = eta.erows and vs = eta.evals in
-    let s = ref 0.0 in
-    for u = 0 to Array.length rs - 1 do
-      s := !s +. (vs.(u) *. y.(rs.(u)))
-    done;
-    y.(eta.er) <- (y.(eta.er) -. !s) /. eta.epiv
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Hypersparse traversal machinery                                     *)
+(* Step lists                                                          *)
 
 (* When the reach of a right-hand side exceeds this fraction of the steps,
    graph traversal stops paying for itself (sort + worklist overhead on a
-   nearly-dense vector) and the solve falls back to the full scan for that
-   pass.  Results are unchanged either way — the scan performs the same
-   arithmetic — so the cap is purely a performance knob. *)
+   nearly-dense vector) and the pass runs over every step instead.  Results
+   are unchanged either way — a step outside the reach only ever holds a
+   zero — so the cap is purely a performance knob. *)
 let hyper_cap m = 16 + (m asr 2)
 
 (* In-place ascending sort of a.(lo..hi); the reach sets it orders are
@@ -812,8 +726,8 @@ let rec qsort_ints (a : int array) lo hi =
 
 (* Drain the worklist (stack holds [sp] marked seed steps) over the step
    adjacency [succ], collecting every reachable step into [out].  Returns
-   the reach size, or -1 once it exceeds [cap] (the caller falls back to the
-   full scan; the stale marks are invalidated by the next stamp bump). *)
+   the reach size, or -1 once it exceeds [cap] (the stale marks are
+   invalidated by the next stamp bump). *)
 let drain_reach (succ : int array array) mark stamp (stack : int array) sp
     (out : int array) cap =
   let n = ref 0 in
@@ -839,141 +753,175 @@ let drain_reach (succ : int array array) mark stamp (stack : int array) sp
   done;
   if !overflow then -1 else !n
 
-(* Forward pass L z = P x over the row-indexed workspace [vals], writing the
-   step-indexed result into [t.wz] and its (sorted, possibly zero-carrying)
-   pattern into [t.wzi].  Rows of [vals] touched by the pass are zeroed on
-   the way out.  Returns the pattern length, or -1 when the pass ran as a
-   full scan (the workspace then holds all m steps and [vals] is fully
-   cleared). *)
-let l_forward t lu nseed =
-  let m = t.m in
-  let vals = t.sf.Svec.vals in
-  let z = t.wz and pat = t.wzi in
-  let nl =
-    if t.knd = Lu then
-      drain_reach lu.lsteps t.wmark t.wstamp t.wstk nseed pat (hyper_cap m)
-    else -1
-  in
-  if nl >= 0 then begin
-    qsort_ints pat 0 (nl - 1);
-    for u = 0 to nl - 1 do
-      let k = pat.(u) in
-      let zk = vals.(lu.rperm.(k)) in
-      z.(k) <- zk;
-      if zk <> 0.0 then begin
-        let lr = lu.lrows.(k) and lv = lu.lvals.(k) in
-        for w = 0 to Array.length lr - 1 do
-          vals.(lr.(w)) <- vals.(lr.(w)) -. (lv.(w) *. zk)
-        done
-      end
-    done;
-    (* every touched row is the rperm image of a reached step *)
-    for u = 0 to nl - 1 do
-      vals.(lu.rperm.(pat.(u))) <- 0.0
-    done;
-    nl
-  end
+(* Push step [k] onto the seed stack at [sp] unless this stamp already
+   marked it; returns the new stack height. *)
+let push_seed t k sp =
+  if t.wmark.(k) = t.wstamp then sp
   else begin
-    (* full scan: identical arithmetic over all steps, collecting the
-       nonzero pattern as it appears *)
-    let n = ref 0 in
-    for k = 0 to m - 1 do
-      let zk = vals.(lu.rperm.(k)) in
-      z.(k) <- zk;
-      if zk <> 0.0 then begin
-        pat.(!n) <- k;
-        incr n;
-        let lr = lu.lrows.(k) and lv = lu.lvals.(k) in
-        for w = 0 to Array.length lr - 1 do
-          vals.(lr.(w)) <- vals.(lr.(w)) -. (lv.(w) *. zk)
-        done
-      end
-    done;
-    Array.fill vals 0 m 0.0;
-    !n
+    t.wmark.(k) <- t.wstamp;
+    t.wstk.(sp) <- k;
+    sp + 1
   end
 
-(* Back-substitution U y = z over the step workspace, given the (sorted)
-   candidate pattern from the forward pass.  Extends the pattern to the
-   reach over the transposed U rows and processes it in descending step
-   order; falls back to the full descending scan when the reach densifies.
-   Returns the final pattern length, or -1 for "all m steps". *)
-let u_backward t lu np =
-  let m = t.m in
+(* Every step 0..m-1 as the step list: the full scan. *)
+let all_steps t =
+  for k = 0 to t.m - 1 do
+    t.wzi.(k) <- k
+  done;
+  t.m
+
+(* The ascending step list of one triangular pass, left in [t.wzi]: under
+   [Lu] the reach over [succ] of the [nseed] seeds on [t.wstk]; every step
+   under [Lu_full_scan] or once that reach passes [hyper_cap].  Returns the
+   list's length. *)
+let reach_steps t succ nseed =
+  let n =
+    if t.knd = Lu then drain_reach succ t.wmark t.wstamp t.wstk nseed t.wzi (hyper_cap t.m)
+    else -1
+  in
+  if n < 0 then all_steps t
+  else begin
+    qsort_ints t.wzi 0 (n - 1);
+    n
+  end
+
+(* The step list of the pass that follows one over [t.wzi.(0 .. n-1)]: the
+   reach of that list over [succ], and every step again after a full
+   scan. *)
+let next_steps t succ n =
+  if n = t.m then n
+  else begin
+    t.wstamp <- t.wstamp + 1;
+    let sp = ref 0 in
+    for u = 0 to n - 1 do
+      sp := push_seed t t.wzi.(u) !sp
+    done;
+    reach_steps t succ !sp
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Triangular passes                                                   *)
+
+(* Each pass runs over the [n]-step list in [t.wzi], on the step-indexed
+   workspace [t.wz].  The traversal and the full scan are the same loop:
+   only the list differs. *)
+
+(* Forward L z = P x: read the row-indexed right-hand side [x] into the
+   workspace, zeroing every row the list covers (L column k only touches
+   rows that pivot after step k, so row rperm.(k) is final when read). *)
+let l_forward t lu (x : float array) n =
   let z = t.wz and pat = t.wzi in
-  let nu =
-    if t.knd = Lu && np >= 0 then begin
-      t.wstamp <- t.wstamp + 1;
-      let stamp = t.wstamp in
-      let sp = ref 0 in
-      for u = 0 to np - 1 do
-        let k = pat.(u) in
-        t.wmark.(k) <- stamp;
-        t.wstk.(!sp) <- k;
-        incr sp
-      done;
-      drain_reach lu.utr t.wmark stamp t.wstk !sp pat (hyper_cap m)
+  for u = 0 to n - 1 do
+    let k = pat.(u) in
+    let r = lu.rperm.(k) in
+    let zk = x.(r) in
+    x.(r) <- 0.0;
+    z.(k) <- zk;
+    if zk <> 0.0 then begin
+      let lr = lu.lrows.(k) and lv = lu.lvals.(k) in
+      for w = 0 to Array.length lr - 1 do
+        x.(lr.(w)) <- x.(lr.(w)) -. (lv.(w) *. zk)
+      done
     end
-    else -1
-  in
-  if nu >= 0 then begin
-    qsort_ints pat 0 (nu - 1);
-    for u = nu - 1 downto 0 do
-      let k = pat.(u) in
-      let uc = lu.ucols.(k) and uv = lu.uvals.(k) in
-      let acc = ref z.(k) in
-      for w = 0 to Array.length uc - 1 do
-        acc := !acc -. (uv.(w) *. z.(uc.(w)))
-      done;
-      z.(k) <- !acc /. lu.udiag.(k)
-    done;
-    nu
-  end
-  else begin
-    for k = m - 1 downto 0 do
-      let uc = lu.ucols.(k) and uv = lu.uvals.(k) in
-      let acc = ref z.(k) in
-      for w = 0 to Array.length uc - 1 do
-        acc := !acc -. (uv.(w) *. z.(uc.(w)))
-      done;
-      z.(k) <- !acc /. lu.udiag.(k)
-    done;
-    -1
-  end
+  done
 
-(* Scatter the step workspace into [sv] through [perm] (dropping exact
-   zeros), clear the workspace, and leave the pattern sorted ascending. *)
-let emit_steps t (perm : int array) nu (sv : Svec.t) =
-  let m = t.m in
+(* Back-substitution U y = z, descending (each gather reads later steps). *)
+let u_backward t lu n =
+  let z = t.wz and pat = t.wzi in
+  for u = n - 1 downto 0 do
+    let k = pat.(u) in
+    let uc = lu.ucols.(k) and uv = lu.uvals.(k) in
+    let acc = ref z.(k) in
+    for w = 0 to Array.length uc - 1 do
+      acc := !acc -. (uv.(w) *. z.(uc.(w)))
+    done;
+    z.(k) <- !acc /. lu.udiag.(k)
+  done
+
+(* Uᵀ d' = d, ascending (each scatter writes later steps). *)
+let ut_forward t lu n =
+  let z = t.wz and pat = t.wzi in
+  for u = 0 to n - 1 do
+    let k = pat.(u) in
+    let dk = z.(k) /. lu.udiag.(k) in
+    z.(k) <- dk;
+    if dk <> 0.0 then begin
+      let uc = lu.ucols.(k) and uv = lu.uvals.(k) in
+      for w = 0 to Array.length uc - 1 do
+        z.(uc.(w)) <- z.(uc.(w)) -. (uv.(w) *. dk)
+      done
+    end
+  done
+
+(* Lᵀ e = d, descending (each gather reads later steps, already final). *)
+let lt_backward t lu n =
+  let z = t.wz and pat = t.wzi in
+  for u = n - 1 downto 0 do
+    let k = pat.(u) in
+    let lr = lu.lrows.(k) and lv = lu.lvals.(k) in
+    let acc = ref z.(k) in
+    for w = 0 to Array.length lr - 1 do
+      acc := !acc -. (lv.(w) *. z.(lu.rpos.(lr.(w))))
+    done;
+    z.(k) <- !acc
+  done
+
+(* Scatter the listed workspace steps into [sv] through [perm] (dropping
+   exact zeros), clear the workspace, and leave the pattern sorted
+   ascending. *)
+let emit_steps t (perm : int array) n (sv : Svec.t) =
   let z = t.wz and pat = t.wzi in
   let vals = sv.Svec.vals and idx = sv.Svec.idx in
-  let n = ref 0 in
-  if nu >= 0 then begin
-    for u = 0 to nu - 1 do
-      let k = pat.(u) in
-      let zk = z.(k) in
-      z.(k) <- 0.0;
-      if zk <> 0.0 then begin
-        let p = perm.(k) in
-        vals.(p) <- zk;
-        idx.(!n) <- p;
-        incr n
-      end
-    done
-  end
-  else
-    for k = 0 to m - 1 do
-      let zk = z.(k) in
-      z.(k) <- 0.0;
-      if zk <> 0.0 then begin
-        let p = perm.(k) in
-        vals.(p) <- zk;
-        idx.(!n) <- p;
-        incr n
-      end
+  let nz = ref 0 in
+  for u = 0 to n - 1 do
+    let k = pat.(u) in
+    let zk = z.(k) in
+    z.(k) <- 0.0;
+    if zk <> 0.0 then begin
+      let p = perm.(k) in
+      vals.(p) <- zk;
+      idx.(!nz) <- p;
+      incr nz
+    end
+  done;
+  qsort_ints idx 0 (!nz - 1);
+  sv.Svec.n <- !nz
+
+(* The dense twin of {!emit_steps}: x.(perm.(k)) := z.(k) for every step,
+   clearing the workspace. *)
+let scatter_steps t (perm : int array) (x : float array) =
+  let z = t.wz in
+  for k = 0 to t.m - 1 do
+    x.(perm.(k)) <- z.(k);
+    z.(k) <- 0.0
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Product-form eta files                                              *)
+
+let apply_etas lu x =
+  for e = 0 to lu.neta - 1 do
+    let eta = lu.etas.(e) in
+    let xr = x.(eta.er) /. eta.epiv in
+    x.(eta.er) <- xr;
+    if xr <> 0.0 then begin
+      let rs = eta.erows and vs = eta.evals in
+      for u = 0 to Array.length rs - 1 do
+        x.(rs.(u)) <- x.(rs.(u)) -. (vs.(u) *. xr)
+      done
+    end
+  done
+
+let apply_etas_t lu y =
+  for e = lu.neta - 1 downto 0 do
+    let eta = lu.etas.(e) in
+    let rs = eta.erows and vs = eta.evals in
+    let s = ref 0.0 in
+    for u = 0 to Array.length rs - 1 do
+      s := !s +. (vs.(u) *. y.(rs.(u)))
     done;
-  qsort_ints idx 0 (!n - 1);
-  sv.Svec.n <- !n
+    y.(eta.er) <- (y.(eta.er) -. !s) /. eta.epiv
+  done
 
 (* Sparse (pattern-tracked) product-form eta application over [sv]'s
    position-indexed values.  Performs the same arithmetic as {!apply_etas}
@@ -1068,6 +1016,9 @@ let apply_etas_t_sparse t lu (sv : Svec.t) =
 (* ------------------------------------------------------------------ *)
 (* Public solves                                                       *)
 
+(* The dense solves run the triangular passes over every step through the
+   step workspace and their own arrays, never through the svecs [sf]/[sb]:
+   a caller may still hold the last sparse FTRAN or BTRAN across them. *)
 let ftran_dense t b =
   match t.repr with
   | Dense_r d ->
@@ -1083,7 +1034,10 @@ let ftran_dense t b =
     out
   | Lu_r lu ->
     let x = Array.copy b in
-    lu_solve lu t.m t.wd x;
+    let n = all_steps t in
+    l_forward t lu x n;
+    u_backward t lu n;
+    scatter_steps t lu.cperm x;
     apply_etas lu x;
     x
 
@@ -1103,7 +1057,13 @@ let btran_dense_into t c y =
   | Lu_r lu ->
     Array.blit c 0 y 0 t.m;
     apply_etas_t lu y;
-    lu_solve_t lu t.m t.wd y
+    for k = 0 to t.m - 1 do
+      t.wz.(k) <- y.(lu.cperm.(k))
+    done;
+    let n = all_steps t in
+    ut_forward t lu n;
+    lt_backward t lu n;
+    scatter_steps t lu.rperm y
 
 (* ------------------------------------------------------------------ *)
 (* Sparse-result solves (the simplex hot path)                         *)
@@ -1135,55 +1095,27 @@ let ftran_col_sparse t (rows : int array) (coefs : float array) ~off ~len =
   | Lu_r lu ->
     let vals = sv.Svec.vals in
     t.wstamp <- t.wstamp + 1;
-    let stamp = t.wstamp in
     let nseed = ref 0 in
     for k = 0 to len - 1 do
       let r = rows.(off + k) in
       vals.(r) <- vals.(r) +. coefs.(off + k);
-      let s = lu.rpos.(r) in
-      if t.wmark.(s) <> stamp then begin
-        t.wmark.(s) <- stamp;
-        t.wstk.(!nseed) <- s;
-        incr nseed
-      end
+      nseed := push_seed t lu.rpos.(r) !nseed
     done;
-    let np = l_forward t lu !nseed in
-    let nu = u_backward t lu np in
-    emit_steps t lu.cperm nu sv;
+    let n = reach_steps t lu.lsteps !nseed in
+    l_forward t lu vals n;
+    let n = next_steps t lu.utr n in
+    u_backward t lu n;
+    emit_steps t lu.cperm n sv;
     apply_etas_sparse t lu sv);
   t.ftran_calls <- t.ftran_calls + 1;
   t.ftran_nnz <- t.ftran_nnz + sv.Svec.n;
   sv
 
+let unit_coef = [| 1.0 |]
+
 let ftran_unit_sparse t r =
-  let sv = t.sf in
-  Svec.clear sv;
-  (match t.repr with
-  | Dense_r d ->
-    let vals = sv.Svec.vals and idx = sv.Svec.idx in
-    let n = ref 0 in
-    for i = 0 to t.m - 1 do
-      let v = d.inv.(i).(r) in
-      if v <> 0.0 then begin
-        vals.(i) <- v;
-        idx.(!n) <- i;
-        incr n
-      end
-    done;
-    sv.Svec.n <- !n
-  | Lu_r lu ->
-    sv.Svec.vals.(r) <- 1.0;
-    t.wstamp <- t.wstamp + 1;
-    let s = lu.rpos.(r) in
-    t.wmark.(s) <- t.wstamp;
-    t.wstk.(0) <- s;
-    let np = l_forward t lu 1 in
-    let nu = u_backward t lu np in
-    emit_steps t lu.cperm nu sv;
-    apply_etas_sparse t lu sv);
-  t.ftran_calls <- t.ftran_calls + 1;
-  t.ftran_nnz <- t.ftran_nnz + sv.Svec.n;
-  sv
+  t.unit_row.(0) <- r;
+  ftran_col_sparse t t.unit_row unit_coef ~off:0 ~len:1
 
 (* Row r of B^-1 (equivalently B^-T e_r) as a sparse row-indexed vector.
    Result in [t]'s BTRAN svec: valid until the next btran_unit_sparse on
@@ -1211,101 +1143,22 @@ let btran_unit_sparse t r =
     sv.Svec.idx.(0) <- r;
     sv.Svec.n <- 1;
     apply_etas_t_sparse t lu sv;
-    (* transfer the position-indexed pattern into the step workspace *)
-    let z = t.wz and pat = t.wzi in
+    (* move the position-indexed pattern into the step workspace *)
     t.wstamp <- t.wstamp + 1;
-    let stamp = t.wstamp in
-    let sp = ref 0 in
+    let nseed = ref 0 in
     for u = 0 to sv.Svec.n - 1 do
       let p = sv.Svec.idx.(u) in
       let k = lu.cpos.(p) in
-      z.(k) <- vals.(p);
+      t.wz.(k) <- vals.(p);
       vals.(p) <- 0.0;
-      t.wmark.(k) <- stamp;
-      t.wstk.(!sp) <- k;
-      incr sp
+      nseed := push_seed t k !nseed
     done;
     sv.Svec.n <- 0;
-    (* U^T forward, ascending over the reach (successors are later steps) *)
-    let nu =
-      if t.knd = Lu then
-        drain_reach lu.ucols t.wmark stamp t.wstk !sp pat (hyper_cap t.m)
-      else -1
-    in
-    let nu =
-      if nu >= 0 then begin
-        qsort_ints pat 0 (nu - 1);
-        for u = 0 to nu - 1 do
-          let k = pat.(u) in
-          let dk = z.(k) /. lu.udiag.(k) in
-          z.(k) <- dk;
-          if dk <> 0.0 then begin
-            let uc = lu.ucols.(k) and uv = lu.uvals.(k) in
-            for w = 0 to Array.length uc - 1 do
-              z.(uc.(w)) <- z.(uc.(w)) -. (uv.(w) *. dk)
-            done
-          end
-        done;
-        nu
-      end
-      else begin
-        for k = 0 to t.m - 1 do
-          let dk = z.(k) /. lu.udiag.(k) in
-          z.(k) <- dk;
-          if dk <> 0.0 then begin
-            let uc = lu.ucols.(k) and uv = lu.uvals.(k) in
-            for w = 0 to Array.length uc - 1 do
-              z.(uc.(w)) <- z.(uc.(w)) -. (uv.(w) *. dk)
-            done
-          end
-        done;
-        -1
-      end
-    in
-    (* L^T backward, descending over the reach through the transposed L
-       pattern (each gather reads only later steps, already final) *)
-    let nl =
-      if nu >= 0 then begin
-        t.wstamp <- t.wstamp + 1;
-        let stamp = t.wstamp in
-        let sp = ref 0 in
-        for u = 0 to nu - 1 do
-          let k = pat.(u) in
-          t.wmark.(k) <- stamp;
-          t.wstk.(!sp) <- k;
-          incr sp
-        done;
-        drain_reach lu.ltr t.wmark stamp t.wstk !sp pat (hyper_cap t.m)
-      end
-      else -1
-    in
-    let nl =
-      if nl >= 0 then begin
-        qsort_ints pat 0 (nl - 1);
-        for u = nl - 1 downto 0 do
-          let k = pat.(u) in
-          let lr = lu.lrows.(k) and lv = lu.lvals.(k) in
-          let acc = ref z.(k) in
-          for w = 0 to Array.length lr - 1 do
-            acc := !acc -. (lv.(w) *. z.(lu.rpos.(lr.(w))))
-          done;
-          z.(k) <- !acc
-        done;
-        nl
-      end
-      else begin
-        for k = t.m - 1 downto 0 do
-          let lr = lu.lrows.(k) and lv = lu.lvals.(k) in
-          let acc = ref z.(k) in
-          for w = 0 to Array.length lr - 1 do
-            acc := !acc -. (lv.(w) *. z.(lu.rpos.(lr.(w))))
-          done;
-          z.(k) <- !acc
-        done;
-        -1
-      end
-    in
-    emit_steps t lu.rperm nl sv);
+    let n = reach_steps t lu.ucols !nseed in
+    ut_forward t lu n;
+    let n = next_steps t lu.ltr n in
+    lt_backward t lu n;
+    emit_steps t lu.rperm n sv);
   t.btran_calls <- t.btran_calls + 1;
   t.btran_nnz <- t.btran_nnz + sv.Svec.n;
   sv

@@ -40,9 +40,9 @@ type kind =
       (** Sparse solves run as graph traversals over the factor patterns
           (Gilbert–Peierls-style reachability), touching only the steps
           reachable from the right-hand side's nonzeros.  A traversal whose
-          reach densifies past a fraction of the steps falls back to the
-          full scan for that pass (the fully-dense-column worst case)
-          without changing any result. *)
+          reach densifies past a fraction of the steps runs that pass, and
+          the ones after it, over every step (the fully-dense-column worst
+          case) without changing any result. *)
   | Lu_full_scan
       (** The same factors as {!Lu}, with every sparse solve run as a full
           scan over all elimination steps.  It performs bit-identical

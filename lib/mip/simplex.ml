@@ -226,16 +226,13 @@ let infeasibility_of st b =
   else if x > st.ub.(b) +. feas_tol then x -. st.ub.(b)
   else 0.0
 
-let total_infeasibility st =
-  let total = ref 0.0 and count = ref 0 in
+(* How many basic variables violate a bound by more than [feas_tol]. *)
+let infeasible_rows st =
+  let count = ref 0 in
   for i = 0 to st.m - 1 do
-    let v = infeasibility_of st st.basis.(i) in
-    if v > 0.0 then begin
-      total := !total +. v;
-      incr count
-    end
+    if infeasibility_of st st.basis.(i) > 0.0 then incr count
   done;
-  (!total, !count)
+  !count
 
 (* Phase-1 cost of the basic variable in row [i]: the gradient of its bound
    violation.  Nonbasic columns always have zero phase-1 cost. *)
@@ -838,119 +835,42 @@ let crash (std : Model.std) x0 =
     (List.sort compare !cands);
   { wcols; wstatus; wfac = None }
 
-(* Reusable per-solve scratch: every O(m)/O(ntotal) array a solve needs, so
-   a caller that solves many same-shaped LPs (the branch-and-bound node
-   loop) allocates them once instead of per solve.  The basis factorization
-   is deliberately not here — it escapes into the returned [warm_basis].
-   A workspace whose dimensions do not match the model is re-allocated
-   transparently, so one workspace can serve heterogeneous solves at the
-   cost of losing reuse across shape changes. *)
-type workspace = {
-  mutable ws_m : int;
-  mutable ws_n : int;  (* ntotal = nvars + nrows *)
-  mutable ws_lb : float array;
-  mutable ws_ub : float array;
-  mutable ws_obj : float array;
-  mutable ws_status : col_status array;
-  mutable ws_xval : float array;
-  mutable ws_basis : int array;
-  mutable ws_dual : float array;
-  mutable ws_cb : float array;
-  mutable ws_cand_j : int array;
-  mutable ws_cand_d : float array;
-  mutable ws_cand_a : float array;
-  mutable ws_cand_r : float array;
-  mutable ws_cand_ord : int array;
-  mutable ws_frhs : float array;
-  mutable ws_fpat : int array;
-  mutable ws_fval : float array;
-  mutable ws_fmark : int array;
-  mutable ws_devex_w : float array;
-  mutable ws_dvec : float array;
-  mutable ws_prod : float array;
-  mutable ws_prod_pat : int array;
-  mutable ws_pmark : int array;
-  mutable ws_clist : int array;
-  mutable ws_cl_mark : int array;
-}
+(* Reusable per-solve scratch: the previous solve's state, whose O(m) and
+   O(ntotal) arrays the next solve takes over, so a caller that solves many
+   same-shaped LPs (the branch-and-bound node loop) allocates them once
+   instead of per solve.  The basis factorization is deliberately not
+   reused — it escapes into the returned [warm_basis].  A previous state of
+   another shape is dropped and the arrays allocated afresh, so one
+   workspace can serve heterogeneous solves at the cost of losing reuse
+   across shape changes. *)
+type workspace = { mutable prev : state option }
 
-let create_workspace () =
-  {
-    ws_m = -1;
-    ws_n = -1;
-    ws_lb = [||];
-    ws_ub = [||];
-    ws_obj = [||];
-    ws_status = [||];
-    ws_xval = [||];
-    ws_basis = [||];
-    ws_dual = [||];
-    ws_cb = [||];
-    ws_cand_j = [||];
-    ws_cand_d = [||];
-    ws_cand_a = [||];
-    ws_cand_r = [||];
-    ws_cand_ord = [||];
-    ws_frhs = [||];
-    ws_fpat = [||];
-    ws_fval = [||];
-    ws_fmark = [||];
-    ws_devex_w = [||];
-    ws_dvec = [||];
-    ws_prod = [||];
-    ws_prod_pat = [||];
-    ws_pmark = [||];
-    ws_clist = [||];
-    ws_cl_mark = [||];
-  }
+let create_workspace () = { prev = None }
 
 let initial_state ?lb_override ?ub_override ?basis ?ws ~pricing ~degen_limit ~trace ~backend
     (std : Model.std) =
   let m = std.nrows in
   let nvars = std.nvars in
   let ntotal = nvars + m in
-  let w = match ws with Some w -> w | None -> create_workspace () in
-  if w.ws_m <> m || w.ws_n <> ntotal then begin
-    w.ws_m <- m;
-    w.ws_n <- ntotal;
-    w.ws_lb <- Array.make ntotal 0.0;
-    w.ws_ub <- Array.make ntotal 0.0;
-    w.ws_obj <- Array.make ntotal 0.0;
-    w.ws_status <- Array.make ntotal At_lower;
-    w.ws_xval <- Array.make ntotal 0.0;
-    w.ws_basis <- Array.make m 0;
-    w.ws_dual <- Array.make m 0.0;
-    w.ws_cb <- Array.make m 0.0;
-    w.ws_cand_j <- Array.make ntotal 0;
-    w.ws_cand_d <- Array.make ntotal 0.0;
-    w.ws_cand_a <- Array.make ntotal 0.0;
-    w.ws_cand_r <- Array.make ntotal 0.0;
-    w.ws_cand_ord <- Array.make ntotal 0;
-    w.ws_frhs <- Array.make m 0.0;
-    w.ws_fpat <- Array.make m 0;
-    w.ws_fval <- Array.make m 0.0;
-    w.ws_fmark <- Array.make m 0;
-    w.ws_devex_w <- Array.make ntotal 1.0;
-    w.ws_dvec <- Array.make ntotal 0.0;
-    w.ws_prod <- Array.make ntotal 0.0;
-    w.ws_prod_pat <- Array.make ntotal 0;
-    w.ws_pmark <- Array.make ntotal 0;
-    w.ws_clist <- Array.make ntotal 0;
-    w.ws_cl_mark <- Array.make ntotal 0
-  end
-  else begin
-    (* reused scratch: restore the invariants fresh arrays provide — frhs
-       all-zero, the mark arrays unstamped (this solve's stamps restart at
-       1), Devex weights back to the unit framework.  prod and dvec need no
-       reset: prod is garbage off-pattern by contract and dvec is rebuilt
-       before its first read. *)
-    Array.fill w.ws_frhs 0 m 0.0;
-    Array.fill w.ws_fmark 0 m 0;
-    Array.fill w.ws_pmark 0 ntotal 0;
-    Array.fill w.ws_cl_mark 0 ntotal 0;
-    Array.fill w.ws_devex_w 0 ntotal 1.0
-  end;
-  let lb = w.ws_lb and ub = w.ws_ub in
+  let prev =
+    match ws with
+    | Some { prev = Some p } when p.m = m && p.ntotal = ntotal ->
+      (* reused scratch: restore the invariants fresh arrays provide — frhs
+         all-zero, the mark arrays unstamped (this solve's stamps restart at
+         1), Devex weights back to the unit framework.  prod and dvec need
+         no reset: prod is garbage off-pattern by contract and dvec is
+         rebuilt before its first read. *)
+      Array.fill p.frhs 0 m 0.0;
+      Array.fill p.fmark 0 m 0;
+      Array.fill p.pmark 0 ntotal 0;
+      Array.fill p.cl_mark 0 ntotal 0;
+      Array.fill p.devex_w 0 ntotal 1.0;
+      Some p
+    | _ -> None
+  in
+  (* the previous state's array, or a fresh one of [len] copies of [v] *)
+  let take field len v = match prev with Some p -> field p | None -> Array.make len v in
+  let lb = take (fun p -> p.lb) ntotal 0.0 and ub = take (fun p -> p.ub) ntotal 0.0 in
   let slb = match lb_override with Some a -> a | None -> std.lb in
   let sub = match ub_override with Some a -> a | None -> std.ub in
   Array.blit slb 0 lb 0 nvars;
@@ -970,10 +890,10 @@ let initial_state ?lb_override ?ub_override ?basis ?ws ~pricing ~degen_limit ~tr
       lb.(j) <- 0.0;
       ub.(j) <- 0.0
   done;
-  let obj = w.ws_obj in
+  let obj = take (fun p -> p.obj) ntotal 0.0 in
   Array.blit std.obj 0 obj 0 nvars;
   Array.fill obj nvars m 0.0;
-  let basis_arr = w.ws_basis in
+  let basis_arr = take (fun p -> p.basis) m 0 in
   for i = 0 to m - 1 do
     basis_arr.(i) <- nvars + i
   done;
@@ -985,8 +905,8 @@ let initial_state ?lb_override ?ub_override ?basis ?ws ~pricing ~degen_limit ~tr
       lb;
       ub;
       obj;
-      status = w.ws_status;
-      xval = w.ws_xval;
+      status = take (fun p -> p.status) ntotal At_lower;
+      xval = take (fun p -> p.xval) ntotal 0.0;
       basis = basis_arr;
       fac = Basis.create backend ~m;
       bland = false;
@@ -996,37 +916,38 @@ let initial_state ?lb_override ?ub_override ?basis ?ws ~pricing ~degen_limit ~tr
       dual_pivots = 0;
       bland_pivots = 0;
       bound_flips = 0;
-      dual = w.ws_dual;
+      dual = take (fun p -> p.dual) m 0.0;
       dual_valid = false;
       dual_phase1 = false;
-      cb = w.ws_cb;
-      cand_j = w.ws_cand_j;
-      cand_d = w.ws_cand_d;
-      cand_a = w.ws_cand_a;
-      cand_r = w.ws_cand_r;
-      cand_ord = w.ws_cand_ord;
-      frhs = w.ws_frhs;
-      fpat = w.ws_fpat;
-      fval = w.ws_fval;
-      fmark = w.ws_fmark;
+      cb = take (fun p -> p.cb) m 0.0;
+      cand_j = take (fun p -> p.cand_j) ntotal 0;
+      cand_d = take (fun p -> p.cand_d) ntotal 0.0;
+      cand_a = take (fun p -> p.cand_a) ntotal 0.0;
+      cand_r = take (fun p -> p.cand_r) ntotal 0.0;
+      cand_ord = take (fun p -> p.cand_ord) ntotal 0;
+      frhs = take (fun p -> p.frhs) m 0.0;
+      fpat = take (fun p -> p.fpat) m 0;
+      fval = take (fun p -> p.fval) m 0.0;
+      fmark = take (fun p -> p.fmark) m 0;
       fstamp = 0;
-      dvec = w.ws_dvec;
+      dvec = take (fun p -> p.dvec) ntotal 0.0;
       dvec_valid = false;
-      prod = w.ws_prod;
-      prod_pat = w.ws_prod_pat;
-      pmark = w.ws_pmark;
-      clist = w.ws_clist;
+      prod = take (fun p -> p.prod) ntotal 0.0;
+      prod_pat = take (fun p -> p.prod_pat) ntotal 0;
+      pmark = take (fun p -> p.pmark) ntotal 0;
+      clist = take (fun p -> p.clist) ntotal 0;
       clist_n = 0;
-      cl_mark = w.ws_cl_mark;
+      cl_mark = take (fun p -> p.cl_mark) ntotal 0;
       cl_gen = 0;
       clist_valid = false;
       pricing;
-      devex_w = w.ws_devex_w;
+      devex_w = take (fun p -> p.devex_w) ntotal 1.0;
       devex_strikes = 0;
       devex_gen = 0;
       trace;
     }
   in
+  Option.iter (fun w -> w.prev <- Some st) ws;
   let warmed = match basis with Some wb -> try_warm st wb | None -> false in
   Basis.reset_stats st.fac;
   if not warmed then set_cold st;
@@ -1429,7 +1350,7 @@ let solve ?(pricing = Devex) ?(degen_limit = 100) ?trace ?(backend = Basis.Lu) ?
        restart pattern.  Cold starts and dual-infeasible bases skip
        straight to the primal phases. *)
     if warmed then begin
-      let _, infeas0 = total_infeasibility st in
+      let infeas0 = infeasible_rows st in
       if infeas0 > 0 && dual_feasible_now st then dual_phase st ~max_iters
     end;
     let result = ref None in
@@ -1439,7 +1360,7 @@ let solve ?(pricing = Devex) ?(degen_limit = 100) ?trace ?(backend = Basis.Lu) ?
         (try refactor st with Basis.Singular -> ());
         recompute_basics st
       end;
-      let _, infeas_count = total_infeasibility st in
+      let infeas_count = infeasible_rows st in
       let phase1 = infeas_count > 0 in
       match choose_entering st ~phase1 with
       | None ->
@@ -1449,7 +1370,7 @@ let solve ?(pricing = Devex) ?(degen_limit = 100) ?trace ?(backend = Basis.Lu) ?
             match refactor st with
             | () ->
               recompute_basics st;
-              let _, recount = total_infeasibility st in
+              let recount = infeasible_rows st in
               if recount > 0 then result := Some (Infeasible { infeasibility = recount })
             | exception Basis.Singular ->
               result := Some (Infeasible { infeasibility = infeas_count })
@@ -1615,6 +1536,6 @@ let solve ?(pricing = Devex) ?(degen_limit = 100) ?trace ?(backend = Basis.Lu) ?
     match !result with
     | Some r -> r
     | None ->
-      let _, infeas_count = total_infeasibility st in
+      let infeas_count = infeasible_rows st in
       Iteration_limit { feasible = infeas_count = 0; obj = objective_value st }
   end

@@ -98,8 +98,8 @@ type kernel_stats = {
     surfaced in the bench kernel rows. *)
 
 type workspace
-(** Reusable per-solve scratch: all the O(rows + columns) working arrays a
-    solve allocates.  Pass the same workspace to consecutive [solve] calls
+(** Reusable per-solve scratch: the previous solve's O(rows + columns)
+    working arrays, which the next solve takes over.  Pass the same workspace to consecutive [solve] calls
     on same-shaped models (the branch-and-bound node loop) to make the
     solver's own allocation per solve O(1) arrays instead of O(solve
     count × problem size); a dimension mismatch transparently reallocates.

@@ -356,11 +356,6 @@ let build_reference ?(rack_level = false) ?(include_server = fun _ -> true)
 
 (* ---------- disaggregation: the table-and-list implementation ---------- *)
 
-let owner_of (res : Reservation.t) =
-  match res.Reservation.kind with
-  | Reservation.Guaranteed -> Broker.Reservation res.Reservation.id
-  | Reservation.Random_failure_buffer _ -> Broker.Shared_buffer
-
 (* [Concretize.plan] before the owner-code column: per class a [Hashtbl] of
    kept members, a [List.filter] per quota and a polymorphic sort of the
    surplus.  The column walk must give the same targets and moves. *)
@@ -372,7 +367,7 @@ let concretize_reference (f : Formulation.t) (assignment : Formulation.assignmen
   let quotas_of_class : (int, (Broker.owner * int) list ref) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (cls, res, count) ->
-      let owner = owner_of res in
+      let owner = Reservation.owner res in
       let q =
         match Hashtbl.find_opt quotas_of_class cls.Symmetry.index with
         | Some q -> q
@@ -460,7 +455,7 @@ let rack_overflow_reference (snapshot : Snapshot.t) targets res =
   match res.Reservation.rack_spread_limit with
   | None -> 0.0
   | Some alpha_k ->
-    let owner = owner_of res in
+    let owner = Reservation.owner res in
     let per_rack = Hashtbl.create 32 in
     Hashtbl.iter
       (fun id target ->
@@ -532,7 +527,7 @@ let merge_reference (stats : Async_solver.stats) =
       List.iteri
         (fun i (_, res) ->
           if i < quota then begin
-            let owner_code = Broker.owner_code (owner_of res) in
+            let owner_code = Broker.owner_code (Reservation.owner res) in
             let free_code = Broker.owner_code Broker.Free in
             let counted = ref 0 in
             for id = 0 to Snapshot.num_servers snapshot2_all - 1 do

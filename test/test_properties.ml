@@ -31,11 +31,6 @@ let fixture () =
   let symmetry = Symmetry.build snapshot in
   Formulation.build symmetry reservations
 
-let owner_of (res : Reservation.t) =
-  match res.Reservation.kind with
-  | Reservation.Guaranteed -> Broker.Reservation res.Reservation.id
-  | Reservation.Random_failure_buffer _ -> Broker.Shared_buffer
-
 (* Random feasible counts: walk classes, hand out supply to random
    acceptable reservations. *)
 let random_counts rng (f : Formulation.t) =
@@ -82,7 +77,7 @@ let prop_concretize_realizes_random_counts =
           (fun (p : Formulation.pair) ->
             Reservation.is_buffer p.Formulation.res
             ||
-            let owner = owner_of p.Formulation.res in
+            let owner = Reservation.owner p.Formulation.res in
             let got =
               Array.fold_left
                 (fun acc id ->
@@ -99,7 +94,7 @@ let prop_concretize_realizes_random_counts =
           (fun (p : Formulation.pair) ->
             Reservation.is_buffer p.Formulation.res
             ||
-            let owner = owner_of p.Formulation.res in
+            let owner = Reservation.owner p.Formulation.res in
             let n0 = Symmetry.current_count f.Formulation.symmetry p.Formulation.cls owner in
             let stayed =
               Array.fold_left

@@ -213,11 +213,6 @@ let test_solves_agree_across_rules_and_kernels () =
 
 (* ---------- disaggregation round trip ---------- *)
 
-let owner_of (res : Reservation.t) =
-  match res.Reservation.kind with
-  | Reservation.Guaranteed -> Broker.Reservation res.Reservation.id
-  | Reservation.Random_failure_buffer _ -> Broker.Shared_buffer
-
 let round_trip ~servers_per_rack =
   let snapshot, _ = scale_snapshot ~servers_per_rack () in
   let stats =
@@ -255,7 +250,7 @@ let round_trip ~servers_per_rack =
           if res.Reservation.rru_of (Snapshot.server snapshot id).Region.hw > 0.0 then
             acc + 1
           else acc
-        | Some o when o = owner_of res && not (Reservation.is_buffer res) -> acc + 1
+        | Some o when o = Reservation.owner res && not (Reservation.is_buffer res) -> acc + 1
         | Some _ | None -> acc)
       0 p.Formulation.cls.Symmetry.members
   in

@@ -9,6 +9,9 @@
      columns;
    - round trips: B·(B⁻¹b) recovers b through the factorization, before
      and after product-form eta updates;
+   - the dense solves under both LU kinds: [ftran_dense] and
+     [btran_dense_into] equal the sparse FTRAN/BTRAN of the same right-hand
+     side entry for entry, and leave the svecs those returned untouched;
    - the fully-dense-column worst case, where the traversal's reach is the
      whole factor pattern and the kernel falls back to the full scan;
    - the bound-flip (long-step) dual ratio test on the bound_flip.lp
@@ -65,6 +68,10 @@ let svec_dense m (s : Basis.Svec.t) =
     d.(i) <- s.Basis.Svec.vals.(i)
   done;
   d
+
+(* an svec's pattern and the bits of its whole backing store *)
+let svec_bits (s : Basis.Svec.t) =
+  (Array.sub s.Basis.Svec.idx 0 s.Basis.Svec.n, Array.map Int64.bits_of_float s.Basis.Svec.vals)
 
 let check_bit_identical tag a b =
   Array.iteri
@@ -131,6 +138,26 @@ let test_random_sparse_triangular () =
             Alcotest.failf "%s: sparse vs dense btran at %d: %.12g vs %.12g" tag i v
               y_dense.(i))
         yh;
+      (* the dense solves run the same passes over every step: they match
+         the sparse ones entry for entry (0.0 = -0.0), and a sparse result
+         held across them keeps its pattern and values *)
+      let b = Array.make m 0.0 in
+      Array.iteri (fun k i -> b.(i) <- coefs.(k)) rows;
+      let e_r = Array.init m (fun i -> if i = r then 1.0 else 0.0) in
+      List.iter
+        (fun (kname, t) ->
+          let tag = Printf.sprintf "%s %s" tag kname in
+          let xs = Basis.ftran_col_sparse t rows coefs ~off:0 ~len:(Array.length rows) in
+          let ys = Basis.btran_unit_sparse t r in
+          let held = (svec_bits xs, svec_bits ys) in
+          let x_full = Basis.ftran_dense t b in
+          let y_full = Array.make m 0.0 in
+          Basis.btran_dense_into t e_r y_full;
+          if (svec_bits xs, svec_bits ys) <> held then
+            Alcotest.failf "%s: a dense solve changed a held sparse result" tag;
+          check_bit_identical (tag ^ " ftran_dense") x_full (svec_dense m xs);
+          check_bit_identical (tag ^ " btran_dense_into") y_full (svec_dense m ys))
+        [ ("lu", th); ("full scan", td) ];
       (* push a product-form eta and keep testing against the updated basis:
          enter a fresh random column at the position of its largest alpha *)
       let erows, ecoefs = random_rhs rng m in
