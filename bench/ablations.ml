@@ -201,17 +201,13 @@ let run_wear () =
     ignore (Ras.Online_mover.apply_plan mover stats.Ras.Async_solver.plan);
     (* mean wear of the flash servers the reservation received *)
     let total = ref 0.0 and n = ref 0 in
-    Broker.iter broker ~f:(fun r ->
-        if
-          r.Ras_broker.Broker.current = Ras_broker.Broker.Reservation 1
-          && Ras_workload.Wear.has_flash r.Ras_broker.Broker.server
-        then begin
-          total :=
-            !total
-            +. Ras_workload.Wear.fraction wear
-                 r.Ras_broker.Broker.server.Ras_topology.Region.id;
+    List.iter
+      (fun id ->
+        if Ras_workload.Wear.has_flash region.Ras_topology.Region.servers.(id) then begin
+          total := !total +. Ras_workload.Wear.fraction wear id;
           incr n
-        end);
+        end)
+      (Broker.servers_with_owner broker (Broker.Reservation 1));
     let mean = if !n = 0 then nan else !total /. float_of_int !n in
     (mean, stats.Ras.Async_solver.phase1.Ras.Phases.grouped_vars)
   in

@@ -62,13 +62,12 @@ let run () =
     end;
     let reservations = enabled @ buffers () in
     Ras.Online_mover.set_reservations mover reservations;
-    let enabled_owners = List.map Ras.Reservation.owner reservations in
-    let include_server (v : Ras.Snapshot.server_view) =
-      v.Ras.Snapshot.current = Broker.Free
-      || v.Ras.Snapshot.current = Broker.Shared_buffer
-      || List.mem v.Ras.Snapshot.current enabled_owners
+    let enabled_owners =
+      List.map Broker.owner_code
+        (Broker.Free :: Broker.Shared_buffer :: List.map Ras.Reservation.owner reservations)
     in
     let snapshot = Ras.Snapshot.take broker reservations in
+    let include_server id = List.mem (Ras.Snapshot.current_code snapshot id) enabled_owners in
     let stats =
       Ras.Async_solver.solve ~params:Scenarios.simulation_solver ~include_server snapshot
     in

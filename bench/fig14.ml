@@ -10,8 +10,7 @@ module Greedy = Ras_twine.Greedy
 
 let power_state broker =
   let usage_of (s : Region.server) =
-    let r = Broker.record broker s.Region.id in
-    match r.Broker.current with
+    match Broker.current_owner broker s.Region.id with
     | Broker.Free -> Power.Idle_free
     | Broker.Shared_buffer -> Power.Assigned_idle
     | Broker.Reservation _ | Broker.Elastic _ -> Power.Assigned_busy

@@ -65,12 +65,12 @@ let collect ?(solver = Scenarios.interactive_solver) ~solves () =
         (fun _ -> Ras_stats.Rng.int rng n)
     in
     List.iter (fun id -> Broker.mark_down broker id Unavail.Unplanned_sw) down;
-    Broker.iter broker ~f:(fun r ->
-        match r.Broker.current with
-        | Broker.Reservation _ ->
-          if Ras_stats.Rng.float rng 1.0 < flip_prob then
-            Broker.set_in_use broker r.Broker.server.Region.id true
-        | Broker.Free | Broker.Shared_buffer | Broker.Elastic _ -> ());
+    for id = 0 to n - 1 do
+      match Broker.current_owner broker id with
+      | Broker.Reservation _ ->
+        if Ras_stats.Rng.float rng 1.0 < flip_prob then Broker.set_in_use broker id true
+      | Broker.Free | Broker.Shared_buffer | Broker.Elastic _ -> ()
+    done;
     let snapshot = Ras.Snapshot.take broker reservations in
     let stats = Ras.Async_solver.solve ~params:solver snapshot in
     ignore (Ras.Online_mover.apply_plan mover stats.Ras.Async_solver.plan);

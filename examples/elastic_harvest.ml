@@ -39,6 +39,7 @@ let () =
   let alloc =
     Allocator.create broker ~reservation:elastic_id ~rru_of:(Service.rru_of batch)
   in
+  Broker.subscribe broker (Allocator.on_event alloc);
   let job = Job.make ~id:1 ~reservation:elastic_id ~replicas:lent ~rru_per_replica:0.5 () in
   (match Allocator.place_job alloc job with
   | Ok () ->

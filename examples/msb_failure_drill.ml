@@ -47,6 +47,8 @@ let () =
 
   (* fill the requested capacity with containers *)
   let alloc = Allocator.create broker ~reservation:1 ~rru_of:res.Reservation.rru_of in
+  (* failures reach the allocator through the broker's event feed *)
+  Broker.subscribe broker (Allocator.on_event alloc);
   let job = Job.make ~id:1 ~reservation:1 ~replicas:20 ~rru_per_replica:1.0 () in
   (match Allocator.place_job alloc job with
   | Ok () -> Printf.printf "running %d containers\n" (Allocator.placed_containers alloc)
@@ -56,7 +58,7 @@ let () =
   let msb_load = Hashtbl.create 8 in
   List.iter
     (fun sid ->
-      let msb = (Broker.record broker sid).Broker.server.Region.loc.Region.msb in
+      let msb = region.Region.servers.(sid).Region.loc.Region.msb in
       Hashtbl.replace msb_load msb (1 + (try Hashtbl.find msb_load msb with Not_found -> 0)))
     (Allocator.servers_in_use alloc);
   let worst_msb, hosted =

@@ -64,6 +64,8 @@ let () =
     Ras_twine.Allocator.create broker ~reservation:web_res.Reservation.id
       ~rru_of:web_res.Reservation.rru_of
   in
+  (* re-place containers when one of the reservation's servers fails *)
+  Broker.subscribe broker (Ras_twine.Allocator.on_event alloc);
   let job =
     Ras_twine.Job.make ~id:1 ~reservation:web_res.Reservation.id ~replicas:10
       ~rru_per_replica:1.0 ()

@@ -3,14 +3,6 @@ module Unavail = Ras_failures.Unavail
 
 type owner = Free | Reservation of int | Shared_buffer | Elastic of int
 
-type record = {
-  server : Region.server;
-  mutable current : owner;
-  mutable target : owner;
-  mutable down : Unavail.kind option;
-  mutable in_use : bool;
-}
-
 type event = Went_down of int * Unavail.kind | Came_up of int
 
 (* Per-server state lives in flat columns (one int or one byte per server)
@@ -79,7 +71,7 @@ let check t id fn =
   if id < 0 || id >= Array.length t.current then
     invalid_arg (Printf.sprintf "Broker.%s: unknown server %d" fn id)
 
-(* -- column accessors: the allocation-free read path -- *)
+(* -- column accessors: the one read path -- *)
 
 let current_code t id = check t id "current_code"; t.current.(id)
 
@@ -99,19 +91,6 @@ let available_code c = c = 0 || c = 1 + kind_code Unavail.Planned_maintenance
 let available_at t id = available_code (down_code t id)
 
 let healthy_at t id = down_code t id = 0
-
-(* [record] materializes a view of one server's columns.  It is a copy:
-   writes to its mutable fields do not reach the store (mutate through
-   {!move}/{!set_target}/{!mark_down}/{!mark_up}/{!set_in_use} instead). *)
-let record t id =
-  check t id "record";
-  {
-    server = t.reg.Region.servers.(id);
-    current = owner_of_code t.current.(id);
-    target = owner_of_code t.target.(id);
-    down = down_at t id;
-    in_use = in_use_at t id;
-  }
 
 let subscribe t f = t.subscribers <- f :: t.subscribers
 
@@ -183,18 +162,6 @@ let extend_region t reg =
     notify_change t id
   done
 
-let fold t ~init ~f =
-  let acc = ref init in
-  for id = 0 to num_servers t - 1 do
-    acc := f !acc (record t id)
-  done;
-  !acc
-
-let iter t ~f =
-  for id = 0 to num_servers t - 1 do
-    f (record t id)
-  done
-
 let servers_with_owner t owner =
   let code = owner_code owner in
   let out = ref [] in
@@ -208,10 +175,3 @@ let count_owner t owner =
   let acc = ref 0 in
   Array.iter (fun c -> if c = code then incr acc) t.current;
   !acc
-
-let available (r : record) =
-  match r.down with
-  | None | Some Unavail.Planned_maintenance -> true
-  | Some (Unavail.Unplanned_sw | Unavail.Unplanned_hw | Unavail.Correlated) -> false
-
-let healthy (r : record) = r.down = None

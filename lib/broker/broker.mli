@@ -3,32 +3,27 @@
     For every server the broker keeps the fields of Fig. 6's "Solve Input"
     table: the {e current} owner (who holds the server now), the {e target}
     owner (the binding intent written by the Async Solver), whether the
-    server is lent out elastically, and its unavailability state.  The Twine
-    allocator and the Online Mover subscribe to unavailability changes.
+    server is lent out elastically, and its unavailability state.  The Online
+    Mover subscribes to unavailability changes, and {!Ras.System} forwards
+    them to its Twine allocators.
 
     The production broker is highly-available replicated storage; behaviour
     relevant to allocation is the data model and the subscription contract,
     which this in-memory version preserves.
 
-    Internally the store is columnar — one int or byte column per field,
-    indexed by server id — so a region-scale broker (10⁶ servers) costs a
-    few flat arrays rather than a million heap records.  {!record}
-    materializes a per-server view on demand; the [*_at] / [*_code]
-    accessors read the columns without allocating. *)
+    The store is columnar — one int or byte column per field, indexed by
+    server id — so a region-scale broker (10⁶ servers) costs a few flat
+    arrays rather than a million heap records.  State is read one way: the
+    [*_at] / [*_code] accessors, which take a server id, check it, and
+    never allocate (the server's location and hardware come from
+    {!region}).  It is written through {!move}, {!set_target},
+    {!mark_down}, {!mark_up} and {!set_in_use}. *)
 
 type owner =
   | Free  (** region free pool *)
   | Reservation of int  (** bound to a guaranteed reservation *)
   | Shared_buffer  (** the shared random-failure buffer (§3.3.1) *)
   | Elastic of int  (** buffer capacity lent to an elastic reservation (§3.4) *)
-
-type record = {
-  server : Ras_topology.Region.server;
-  mutable current : owner;
-  mutable target : owner;
-  mutable down : Ras_failures.Unavail.kind option;  (** [None] = healthy *)
-  mutable in_use : bool;  (** has running containers (drives movement cost) *)
-}
 
 type t
 
@@ -41,16 +36,10 @@ val region : t -> Ras_topology.Region.t
 
 val num_servers : t -> int
 
-val record : t -> int -> record
-(** Materializes a snapshot of one server's columns.  The returned record is
-    a copy: writes to its mutable fields do not reach the store — mutate
-    through {!move}/{!set_target}/{!mark_down}/{!mark_up}/{!set_in_use}.
-    Raises [Invalid_argument] on an unknown server id. *)
+(** {2 Column accessors}
 
-(** {2 Allocation-free column accessors}
-
-    The hot paths (snapshot capture, symmetry aggregation) read server state
-    through these instead of materializing {!record}s. *)
+    Those that take a server id raise [Invalid_argument] on an unknown
+    one. *)
 
 val owner_code : owner -> int
 (** Injective encoding of {!owner} as an immediate int ([Free] = 0). *)
@@ -62,18 +51,25 @@ val is_elastic_code : int -> bool
 (** Whether the code is that of some [Elastic _] owner. *)
 
 val current_code : t -> int -> int
-(** [owner_code] of the server's current owner. *)
+(** [owner_code] of the server's current owner (who holds it now). *)
 
 val target_code : t -> int -> int
+(** [owner_code] of the server's target owner (the solver's binding intent). *)
 
 val current_owner : t -> int -> owner
 
 val in_use_at : t -> int -> bool
+(** Has running containers (drives movement cost). *)
+
+val down_at : t -> int -> Ras_failures.Unavail.kind option
+(** The server's active unavailability; [None] = healthy. *)
 
 val available_at : t -> int -> bool
-(** Column equivalent of {!available}. *)
+(** Healthy or under planned maintenance: planned events count as usable
+    capacity for the solver (§3.5.1). *)
 
 val healthy_at : t -> int -> bool
+(** No active unavailability at all. *)
 
 val subscribe : t -> (event -> unit) -> unit
 (** Callbacks run synchronously on {!mark_down}/{!mark_up}, in subscription
@@ -110,17 +106,6 @@ val extend_region : t -> Ras_topology.Region.t -> unit
     servers are added as [Free]; existing records are untouched.  Raises
     [Invalid_argument] if the new region does not extend the old one. *)
 
-val fold : t -> init:'a -> f:('a -> record -> 'a) -> 'a
-
-val iter : t -> f:(record -> unit) -> unit
-
 val servers_with_owner : t -> owner -> int list
 
 val count_owner : t -> owner -> int
-
-val available : record -> bool
-(** Healthy or under planned maintenance: planned events count as usable
-    capacity for the solver (§3.5.1). *)
-
-val healthy : record -> bool
-(** No active unavailability at all. *)

@@ -171,13 +171,11 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
         match !selected with
         | [] -> None
         | selected ->
-          let owners = List.map Reservation.owner selected in
-          let user_filter =
-            match include_server with Some f -> f | None -> fun _ -> true
-          in
-          let include_server (v : Snapshot.server_view) =
-            (v.Snapshot.current = Broker.Free || List.mem v.Snapshot.current owners)
-            && user_filter v
+          let owners = List.map (fun res -> Broker.owner_code (Reservation.owner res)) selected in
+          let user_filter = Option.value include_server ~default:(fun _ -> true) in
+          let include_server id =
+            let code = Snapshot.current_code snapshot2_all id in
+            (code = free_code || List.mem code owners) && user_filter id
           in
           let result =
             Phases.run ~params:params.formulation

@@ -73,11 +73,12 @@ val rack_overflows : Snapshot.t -> int array -> Reservation.t list -> float list
 
 val solve :
   ?params:params ->
-  ?include_server:(Snapshot.server_view -> bool) ->
+  ?include_server:(int -> bool) ->
   Snapshot.t ->
   stats
-(** [include_server] restricts the assignable server pool (on top of the
-    availability constraint); used to roll RAS out to a subset of the fleet
+(** [include_server id] restricts the assignable server pool by server id
+    (on top of the availability constraint); phase 2 applies it on top of
+    its own pool filter.  Used to roll RAS out to a subset of the fleet
     while the rest stays under legacy management (Fig. 12's gradual
     enablement).
 

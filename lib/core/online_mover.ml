@@ -42,13 +42,12 @@ let do_move t id owner =
 let find_replacement t res ~failed_hw = Reactive.find_replacement t.reactive res ~failed_hw
 
 let replace_failed t id =
-  let r = Broker.record t.broker id in
-  match r.Broker.current with
+  match Broker.current_owner t.broker id with
   | Broker.Reservation rid -> (
     match reservation_of t rid with
     | None -> ()
     | Some res -> (
-      let failed_hw = r.Broker.server.Region.hw.Ras_topology.Hardware.index in
+      let failed_hw = (Broker.region t.broker).Region.servers.(id).Region.hw.Hw.index in
       match find_replacement t res ~failed_hw with
       | Some replacement ->
         do_move t replacement (Broker.Reservation rid);
@@ -85,9 +84,7 @@ let create ?engine broker =
       | Some engine ->
         Engine.schedule engine
           ~at:(Engine.now engine +. (1.0 /. 60.0))
-          (fun _ ->
-            let r = Broker.record t.broker id in
-            if not (Broker.healthy r) then replace_failed t id)
+          (fun _ -> if not (Broker.healthy_at t.broker id) then replace_failed t id)
       | None -> replace_failed t id)
     | Broker.Went_down _ | Broker.Came_up _ -> ()
   in

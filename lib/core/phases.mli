@@ -49,7 +49,7 @@ val run :
   ?mip_gap_rel:float ->
   ?mip_stall_nodes:int ->
   ?rack_level:bool ->
-  ?include_server:(Snapshot.server_view -> bool) ->
+  ?include_server:(int -> bool) ->
   Snapshot.t ->
   Reservation.t list ->
   result

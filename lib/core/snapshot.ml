@@ -1,17 +1,9 @@
 module Broker = Ras_broker.Broker
 module Region = Ras_topology.Region
 
-type server_view = {
-  server : Region.server;
-  current : Broker.owner;
-  in_use : bool;
-  usable : bool;
-  attr : int;
-}
-
 (* Server state is columnar (int/byte column per field, indexed by server
    id): a region-scale snapshot costs a handful of flat arrays instead of
-   10^6 view records, and capture from the (equally columnar) broker is a
+   10^6 records, and capture from the (equally columnar) broker is a
    tight loop with no per-server allocation. *)
 type t = {
   region : Region.t;
@@ -54,9 +46,9 @@ let current_code t id = t.current.(id)
 
 let current t id = Broker.owner_of_code t.current.(id)
 
-let in_use_at t id = Bytes.unsafe_get t.in_use id <> '\000'
+let in_use_at t id = Bytes.get t.in_use id <> '\000'
 
-let usable_at t id = Bytes.unsafe_get t.usable id <> '\000'
+let usable_at t id = Bytes.get t.usable id <> '\000'
 
 let attr_at t id = t.attr.(id)
 
@@ -71,27 +63,6 @@ let usable_hw_histogram t =
     end
   done;
   counts
-
-let view t id =
-  {
-    server = server t id;
-    current = current t id;
-    in_use = in_use_at t id;
-    usable = usable_at t id;
-    attr = t.attr.(id);
-  }
-
-let iter_views t ~f =
-  for id = 0 to num_servers t - 1 do
-    f (view t id)
-  done
-
-let usable_servers t =
-  let out = ref [] in
-  for id = num_servers t - 1 downto 0 do
-    if usable_at t id then out := view t id :: !out
-  done;
-  !out
 
 (* Buffer reservations are per hardware category, so category membership
    (rru_of > 0) identifies which buffer reservation holds a [Shared_buffer]

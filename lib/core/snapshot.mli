@@ -8,31 +8,24 @@
 
     Server state is stored columnar — one int or byte column per field,
     indexed by server id — so a region-scale snapshot (10⁶ servers) costs a
-    handful of flat arrays rather than a million per-server records.  Use
-    the [*_at]/[*_code] accessors on hot paths; {!view} materializes a
-    {!server_view} on demand. *)
-
-type server_view = {
-  server : Ras_topology.Region.server;
-  current : Ras_broker.Broker.owner;
-      (** home owner: elastic lending is resolved back to the lender before
-          the snapshot is taken *)
-  in_use : bool;
-  usable : bool;
-  attr : int;
-      (** generic placement attribute (0 = none): extra server state the
-          formulation prices, e.g. the SSD wear bucket of §5.2.  It is part
-          of the symmetry key, so non-zero attributes deliberately break
-          server symmetry — exactly the cost the paper warns new placement
-          goals carry *)
-}
+    handful of flat arrays rather than a million per-server records.  It is
+    read one way, through the [*_at]/[*_code] accessors (each raises
+    [Invalid_argument] on an unknown server id) or the columns below. *)
 
 type t = {
   region : Ras_topology.Region.t;
-  current : int array;  (** {!Ras_broker.Broker.owner_code} per server id *)
+  current : int array;
+      (** {!Ras_broker.Broker.owner_code} of the home owner per server id:
+          elastic lending is resolved back to the lender before the
+          snapshot is taken *)
   in_use : Bytes.t;  (** 0 / 1 per server id *)
   usable : Bytes.t;  (** 0 / 1 per server id *)
   attr : int array;
+      (** generic placement attribute per server id (0 = none): extra server
+          state the formulation prices, e.g. the SSD wear bucket of §5.2.
+          It is part of the symmetry key, so non-zero attributes
+          deliberately break server symmetry — exactly the cost the paper
+          warns new placement goals carry *)
   reservations : Reservation.t list;
 }
 
@@ -48,9 +41,6 @@ val take :
     reads the broker's columns directly: no per-server allocation. *)
 
 val num_servers : t -> int
-
-val view : t -> int -> server_view
-(** Materializes one server's columns as a {!server_view}. *)
 
 val server : t -> int -> Ras_topology.Region.server
 
@@ -69,10 +59,6 @@ val usable_hw_histogram : t -> int array
     {!Ras_topology.Hardware.count}).  One integer pass over the columns;
     admission checks fold supply over this instead of evaluating a
     per-server RRU function 10⁶ times. *)
-
-val iter_views : t -> f:(server_view -> unit) -> unit
-
-val usable_servers : t -> server_view list
 
 val owned_by_code : Reservation.t -> int -> Ras_topology.Hardware.t -> bool
 (** [owned_by_code res code hw]: does owner-code [code] on a server of

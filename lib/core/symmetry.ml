@@ -58,25 +58,19 @@ let finish snapshot classes =
     owner_counts = count_owners snapshot classes;
   }
 
-(* Streaming build: one pass over server ids reading the snapshot columns
-   (no per-server view records on the default path), grouping into classes
-   via a key table.  Member arrays are filled in a second pass over a
-   per-server group-index scratch column, so ids come out ascending for free
-   and the optional filter runs exactly once per server. *)
-let build ?(rack_level = false) ?include_server (snapshot : Snapshot.t) =
+(* Streaming build: one pass over server ids reading the snapshot columns,
+   grouping into classes via a key table.  Member arrays are filled in a
+   second pass over a per-server group-index scratch column, so ids come out
+   ascending for free and the filter runs exactly once per usable server. *)
+let build ?(rack_level = false) ?(include_server = fun _ -> true) (snapshot : Snapshot.t) =
   let n = Snapshot.num_servers snapshot in
   let group_of_key : (key, int) Hashtbl.t = Hashtbl.create 256 in
   let keys : key list ref = ref [] in
   let num_groups = ref 0 in
   (* group index per server, -1 = excluded *)
   let group = Array.make n (-1) in
-  let keep =
-    match include_server with
-    | None -> fun _ -> true
-    | Some f -> fun id -> f (Snapshot.view snapshot id)
-  in
   for id = 0 to n - 1 do
-    if Snapshot.usable_at snapshot id && keep id then begin
+    if Snapshot.usable_at snapshot id && include_server id then begin
       let s = Snapshot.server snapshot id in
       let loc = s.Region.loc in
       let key =

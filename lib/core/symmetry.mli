@@ -33,13 +33,13 @@ type t = {
 
 val build :
   ?rack_level:bool ->
-  ?include_server:(Snapshot.server_view -> bool) ->
+  ?include_server:(int -> bool) ->
   Snapshot.t ->
   t
-(** Classes over the snapshot's usable servers (optionally filtered
-    further).  Defaults: MSB-level, all usable servers.  Streams over the
-    snapshot columns: per-server work is O(1) and, absent a filter, no
-    per-server view records are materialized. *)
+(** Classes over the snapshot's usable servers, optionally filtered further
+    by [include_server] over server ids.  Defaults: MSB-level, all usable
+    servers.  Streams over the snapshot columns: per-server work is O(1)
+    and allocates nothing per server. *)
 
 val class_name : cls -> string
 (** Stable textual identity of the class, built from every grouping-key

@@ -82,13 +82,18 @@ let create ?(config = default_config) brk =
   Online_mover.set_reservations mv (reservations t);
   (* preemption: route to the allocator of the server's current owner *)
   Online_mover.on_preempt mv (fun id ->
-      let r = Broker.record brk id in
-      match r.Broker.current with
+      match Broker.current_owner brk id with
       | Broker.Reservation rid | Broker.Elastic rid -> (
         match Hashtbl.find_opt t.allocators rid with
         | Some alloc -> Allocator.evict_server alloc id
         | None -> ())
       | Broker.Free | Broker.Shared_buffer -> ());
+  (* unavailability: every allocator in the table hears it (each touches
+     only its own reservation's servers, so their order does not matter);
+     a removed reservation's allocator leaves the table and stops hearing *)
+  if config.job_fill_fraction > 0.0 then
+    Broker.subscribe brk (fun ev ->
+        Hashtbl.iter (fun _ alloc -> Allocator.on_event alloc ev) t.allocators);
   t
 
 let add_request t req =

@@ -27,7 +27,10 @@ type t
 
 val create : ?config:config -> Ras_broker.Broker.t -> t
 (** Builds shared-buffer reservations for the broker's region and installs
-    the mover.  Does not schedule anything yet; see {!start}. *)
+    the mover.  When [job_fill_fraction > 0] (the only case in which it
+    creates Twine allocators) it subscribes once to the broker's
+    unavailability events and forwards each to the allocators in its
+    table.  Does not schedule anything yet; see {!start}. *)
 
 val engine : t -> Ras_sim.Engine.t
 val broker : t -> Ras_broker.Broker.t
@@ -48,7 +51,8 @@ val resize_request : t -> Ras_workload.Capacity_request.t -> unit
     adjusts the binding.  Unknown ids are ignored. *)
 
 val remove_reservation : t -> int -> unit
-(** Delete a reservation; its servers return to the free pool. *)
+(** Delete a reservation; its servers return to the free pool.  Its
+    allocator leaves the table and hears no further broker events. *)
 
 val install_failures : t -> Ras_failures.Unavail.t list -> unit
 

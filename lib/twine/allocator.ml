@@ -22,20 +22,27 @@ let reservation t = t.res_id
 
 let load t sid = try Hashtbl.find t.server_load sid with Not_found -> 0.0
 
-let server_capacity t (r : Broker.record) = t.rru_of r.Broker.server.Region.hw
+let server t sid = (Broker.region t.broker).Region.servers.(sid)
 
-let remaining t r = server_capacity t r -. load t r.Broker.server.Region.id
+let server_capacity t sid = t.rru_of (server t sid).Region.hw
+
+let remaining t sid = server_capacity t sid -. load t sid
 
 (* The allocator works within its reservation; elastic reservations own
    servers under the [Elastic] constructor. *)
-let owned_by_me t (r : Broker.record) =
-  match r.Broker.current with
-  | Broker.Reservation id | Broker.Elastic id -> id = t.res_id
-  | Broker.Free | Broker.Shared_buffer -> false
+let owned_by_me t sid =
+  let code = Broker.current_code t.broker sid in
+  code = Broker.owner_code (Broker.Reservation t.res_id)
+  || code = Broker.owner_code (Broker.Elastic t.res_id)
 
+(* Healthy servers of the reservation, in descending id order: [place_one]
+   keeps the first of equal scores, so the order decides ties. *)
 let candidates t =
-  Broker.fold t.broker ~init:[] ~f:(fun acc r ->
-      if owned_by_me t r && Broker.healthy r then r :: acc else acc)
+  let out = ref [] in
+  for sid = 0 to Broker.num_servers t.broker - 1 do
+    if owned_by_me t sid && Broker.healthy_at t.broker sid then out := sid :: !out
+  done;
+  !out
 
 let attach t c sid =
   Hashtbl.replace t.container_server (key c) sid;
@@ -68,24 +75,23 @@ let detach t c =
 let place_one t ~msb_replicas ~spread c =
   let size = c.Job.job.Job.rru_per_replica in
   let best = ref None in
-  let consider r =
-    let rem = remaining t r in
+  let consider sid =
+    let rem = remaining t sid in
     if rem >= size -. 1e-9 then begin
-      let msb = r.Broker.server.Region.loc.Region.msb in
+      let msb = (server t sid).Region.loc.Region.msb in
       let reps = try Hashtbl.find msb_replicas msb with Not_found -> 0 in
       let score = if spread then (reps, -.rem) else (0, -.rem) in
       match !best with
       | Some (bscore, _) when bscore <= score -> ()
-      | _ -> best := Some (score, r)
+      | _ -> best := Some (score, sid)
     end
   in
   List.iter consider (candidates t);
   match !best with
   | None -> None
-  | Some (_, r) ->
-    let sid = r.Broker.server.Region.id in
+  | Some (_, sid) ->
     attach t c sid;
-    let msb = r.Broker.server.Region.loc.Region.msb in
+    let msb = (server t sid).Region.loc.Region.msb in
     Hashtbl.replace msb_replicas msb (1 + (try Hashtbl.find msb_replicas msb with Not_found -> 0));
     Some sid
 
@@ -109,28 +115,23 @@ let evict_server t sid =
     t.pending <- cs @ t.pending
 
 let create broker ~reservation ~rru_of =
-  let t =
-    {
-      broker;
-      res_id = reservation;
-      rru_of;
-      container_server = Hashtbl.create 256;
-      server_load = Hashtbl.create 256;
-      server_containers = Hashtbl.create 256;
-      pending = [];
-    }
-  in
-  let on_event = function
-    | Broker.Went_down (sid, _) ->
-      let r = Broker.record broker sid in
-      if owned_by_me t r && not (Broker.healthy r) then begin
-        evict_server t sid;
-        ignore (retry_pending t)
-      end
-    | Broker.Came_up _ -> ignore (retry_pending t)
-  in
-  Broker.subscribe broker on_event;
-  t
+  {
+    broker;
+    res_id = reservation;
+    rru_of;
+    container_server = Hashtbl.create 256;
+    server_load = Hashtbl.create 256;
+    server_containers = Hashtbl.create 256;
+    pending = [];
+  }
+
+let on_event t = function
+  | Broker.Went_down (sid, _) ->
+    if owned_by_me t sid && not (Broker.healthy_at t.broker sid) then begin
+      evict_server t sid;
+      ignore (retry_pending t)
+    end
+  | Broker.Came_up _ -> ignore (retry_pending t)
 
 let place_job t job =
   if job.Job.reservation <> t.res_id then
@@ -164,6 +165,6 @@ let server_of_container t c = Hashtbl.find_opt t.container_server (key c)
 let used_rru t = Hashtbl.fold (fun _ l acc -> acc +. l) t.server_load 0.0
 
 let capacity_rru t =
-  List.fold_left (fun acc r -> acc +. server_capacity t r) 0.0 (candidates t)
+  List.fold_left (fun acc sid -> acc +. server_capacity t sid) 0.0 (candidates t)
 
 let servers_in_use t = Hashtbl.fold (fun sid _ acc -> sid :: acc) t.server_containers []

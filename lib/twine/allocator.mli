@@ -8,9 +8,12 @@
     reservation's service — with optional MSB spread so a job survives a
     correlated failure.
 
-    The allocator reacts to broker unavailability events by re-placing the
-    containers of a failed server onto remaining capacity (the buffer servers
-    RAS embedded into the reservation). *)
+    The allocator reacts to broker unavailability events ({!on_event}) by
+    re-placing the containers of a failed server onto remaining capacity
+    (the buffer servers RAS embedded into the reservation).  It does not
+    subscribe itself: its owner forwards the events ({!Ras.System} does so
+    for the allocators in its table), so an allocator that is dropped stops
+    hearing them. *)
 
 type t
 
@@ -23,7 +26,12 @@ val create :
   reservation:int ->
   rru_of:(Ras_topology.Hardware.t -> float) ->
   t
-(** The allocator subscribes itself to broker unavailability events. *)
+
+val on_event : t -> Ras_broker.Broker.event -> unit
+(** Handle one broker unavailability event: a failed server of the
+    reservation has its containers evicted and re-placed; a recovery retries
+    the pending containers.  Subscribe it with
+    [Broker.subscribe broker (Allocator.on_event alloc)]. *)
 
 val reservation : t -> int
 

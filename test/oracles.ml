@@ -3,8 +3,8 @@
    compare the index against them.
 
    - The tier-1 decisions Ras.Reactive makes from its availability index.
-     Each oracle walks every server and materializes a record per server,
-     O(region) per event (test_reactive.ml, test_core.ml).
+     Each oracle walks every server's columns, O(region) per event
+     (test_reactive.ml, test_core.ml).
    - The Markowitz candidate window of the LU refactorization, which
      Ras_mip.Basis reads off a count heap (test_basis.ml).
    - The symmetry-class build, which Ras.Symmetry streams over the
@@ -22,67 +22,73 @@ open Ras
 module Broker = Ras_broker.Broker
 module Region = Ras_topology.Region
 
-(* The original replacement search: one full record-building broker scan
-   per failure event.  Every [Elastic] server is a loan whose home is the
-   shared buffer, so lent servers are read straight from the owner codes.
-   Scores rank same subtype first, then buffer before loan, idle before in
-   use, then lowest id. *)
+(* The original replacement search: one full broker scan per failure
+   event.  Every [Elastic] server is a loan whose home is the shared buffer,
+   so lent servers are read straight from the owner column.  Scores rank
+   same subtype first, then buffer before loan, idle before in use, then
+   lowest id. *)
 let find_replacement_reference broker res ~failed_hw =
-  let candidate_score (r : Broker.record) ~lent =
+  let servers = (Broker.region broker).Region.servers in
+  let candidate_score id ~lent =
+    let in_use = Broker.in_use_at broker id in
     (* a lent server may be reclaimed even while running opportunistic
        containers — that is the elastic contract (§3.4) *)
-    if (not (Broker.healthy r)) || (r.Broker.in_use && not lent) then None
+    if (not (Broker.healthy_at broker id)) || (in_use && not lent) then None
     else begin
-      let hw = r.Broker.server.Region.hw in
+      let hw = servers.(id).Region.hw in
       if res.Reservation.rru_of hw <= 0.0 then None
       else begin
         let same_subtype = hw.Ras_topology.Hardware.index = failed_hw in
         Some
           ( (if same_subtype then 0 else 1),
             (if lent then 1 else 0),
-            (if r.Broker.in_use then 1 else 0),
-            r.Broker.server.Region.id )
+            (if in_use then 1 else 0),
+            id )
       end
     end
   in
   let best = ref None in
-  Broker.iter broker ~f:(fun r ->
-      let id = r.Broker.server.Region.id in
-      let scored =
-        match r.Broker.current with
-        | Broker.Shared_buffer -> candidate_score r ~lent:false
-        | Broker.Elastic _ -> candidate_score r ~lent:true
-        | Broker.Free | Broker.Reservation _ -> None
-      in
-      match scored with
-      | Some score -> (
-        match !best with
-        | Some (s, _) when s <= score -> ()
-        | _ -> best := Some (score, id))
-      | None -> ());
+  for id = 0 to Broker.num_servers broker - 1 do
+    let scored =
+      match Broker.current_owner broker id with
+      | Broker.Shared_buffer -> candidate_score id ~lent:false
+      | Broker.Elastic _ -> candidate_score id ~lent:true
+      | Broker.Free | Broker.Reservation _ -> None
+    in
+    match scored with
+    | Some score -> (
+      match !best with
+      | Some (s, _) when s <= score -> ()
+      | _ -> best := Some (score, id))
+    | None -> ()
+  done;
   Option.map snd !best
 
-(* The original full-scan emergency grant: it iterates every server per
-   source even after the request is covered, materializing a record each
-   time. *)
+(* The original full-scan emergency grant: it visits every server per
+   source even after the request is covered. *)
 let grant_reference broker ~reservation ~rru ~allow_buffer : Reactive.grant =
   let owner = Broker.Reservation reservation.Reservation.id in
+  let region_servers = (Broker.region broker).Region.servers in
   let granted = ref 0.0 and servers = ref [] and from_buffer = ref 0 and visited = ref 0 in
   let try_take ~source =
-    Broker.iter broker ~f:(fun r ->
-        incr visited;
-        if !granted < rru && r.Broker.current = source && Broker.healthy r && not r.Broker.in_use
-        then begin
-          let v = reservation.Reservation.rru_of r.Broker.server.Region.hw in
-          if v > 0.0 then begin
-            let id = r.Broker.server.Region.id in
-            Broker.move broker id owner;
-            Broker.set_target broker id owner;
-            granted := !granted +. v;
-            servers := id :: !servers;
-            if source = Broker.Shared_buffer then incr from_buffer
-          end
-        end)
+    for id = 0 to Broker.num_servers broker - 1 do
+      incr visited;
+      if
+        !granted < rru
+        && Broker.current_owner broker id = source
+        && Broker.healthy_at broker id
+        && not (Broker.in_use_at broker id)
+      then begin
+        let v = reservation.Reservation.rru_of region_servers.(id).Region.hw in
+        if v > 0.0 then begin
+          Broker.move broker id owner;
+          Broker.set_target broker id owner;
+          granted := !granted +. v;
+          servers := id :: !servers;
+          if source = Broker.Shared_buffer then incr from_buffer
+        end
+      end
+    done
   in
   try_take ~source:Broker.Free;
   if !granted < rru && allow_buffer then try_take ~source:Broker.Shared_buffer;
@@ -299,29 +305,29 @@ let lu_pivot_order_reference m ~basis ~col =
 
 (* ---------- symmetry classes: the pre-streaming build ---------- *)
 
-(* The pre-streaming [Symmetry.build]: materializes every server view and
-   groups member-id lists in a table keyed by (msb, rack, hw, in_use,
-   attr), exactly as builds did before the columnar refactor.  The
-   streaming build must agree with it class-for-class, member-for-member on
-   any snapshot. *)
+(* The pre-streaming [Symmetry.build]: groups member-id lists in a table
+   keyed by (msb, rack, hw, in_use, attr), exactly as builds did before the
+   columnar refactor.  The streaming build must agree with it
+   class-for-class, member-for-member on any snapshot. *)
 let build_reference ?(rack_level = false) ?(include_server = fun _ -> true)
     (snapshot : Snapshot.t) =
   let groups = Hashtbl.create 256 in
-  Snapshot.iter_views snapshot ~f:(fun (v : Snapshot.server_view) ->
-      if v.Snapshot.usable && include_server v then begin
-        let s = v.Snapshot.server in
-        let loc = s.Region.loc in
-        let key =
-          ( loc.Region.msb,
-            (if rack_level then loc.Region.rack else -1),
-            s.Region.hw.Ras_topology.Hardware.index,
-            v.Snapshot.in_use,
-            v.Snapshot.attr )
-        in
-        match Hashtbl.find_opt groups key with
-        | Some members -> members := s.Region.id :: !members
-        | None -> Hashtbl.replace groups key (ref [ s.Region.id ])
-      end);
+  for id = 0 to Snapshot.num_servers snapshot - 1 do
+    if Snapshot.usable_at snapshot id && include_server id then begin
+      let s = Snapshot.server snapshot id in
+      let loc = s.Region.loc in
+      let key =
+        ( loc.Region.msb,
+          (if rack_level then loc.Region.rack else -1),
+          s.Region.hw.Ras_topology.Hardware.index,
+          Snapshot.in_use_at snapshot id,
+          Snapshot.attr_at snapshot id )
+      in
+      match Hashtbl.find_opt groups key with
+      | Some members -> members := id :: !members
+      | None -> Hashtbl.replace groups key (ref [ id ])
+    end
+  done;
   let keys = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) groups []) in
   let classes =
     Array.of_list
@@ -574,25 +580,27 @@ let merge_reference (stats : Async_solver.stats) =
   in
   { overflows; selected; phase2_snapshot; plan }
 
-(* ---------- System metrics: the record-building reads ---------- *)
+(* ---------- System metrics: the decoded-owner reads ---------- *)
 
-(* [System.record_metrics]' power draw and down count as first written: a
-   [Broker.record] per server for the usage classifier and a [Broker.fold]
-   for the down count.  Returns (power_variance, unavailable_frac). *)
+(* [System.record_metrics]' power draw and down count as first written: the
+   usage classifier matches on each server's decoded owner, and the down
+   count scans the unavailability column.  Returns (power_variance,
+   unavailable_frac). *)
 let metrics_reference broker =
   let usage_of (s : Region.server) =
-    let r = Broker.record broker s.Region.id in
-    match r.Broker.current with
+    match Broker.current_owner broker s.Region.id with
     | Broker.Free -> Ras_workload.Power.Idle_free
     | Broker.Shared_buffer -> Ras_workload.Power.Assigned_idle
     | Broker.Reservation _ | Broker.Elastic _ ->
-      if r.Broker.in_use then Ras_workload.Power.Assigned_busy
+      if Broker.in_use_at broker s.Region.id then Ras_workload.Power.Assigned_busy
       else Ras_workload.Power.Assigned_idle
   in
   let draw = Ras_workload.Power.msb_power (Broker.region broker) ~usage_of in
-  let down =
-    Broker.fold broker ~init:0 ~f:(fun acc r -> if Broker.healthy r then acc else acc + 1)
-  in
+  let down = ref 0 in
+  for id = 0 to Broker.num_servers broker - 1 do
+    if Broker.down_at broker id <> None then incr down
+  done;
+  let down = !down in
   ( Ras_workload.Power.normalized_variance draw,
     float_of_int down /. float_of_int (Broker.num_servers broker) )
 

@@ -11,24 +11,38 @@ let broker () = Broker.create (Generator.generate Generator.small_params)
 let test_initial_state () =
   let b = broker () in
   Alcotest.(check int) "all free" (Broker.num_servers b) (Broker.count_owner b Broker.Free);
-  let r = Broker.record b 0 in
-  Alcotest.(check bool) "healthy" true (Broker.healthy r);
-  Alcotest.(check bool) "available" true (Broker.available r);
-  Alcotest.(check bool) "target free" true (r.Broker.target = Broker.Free)
+  Alcotest.(check bool) "healthy" true (Broker.healthy_at b 0);
+  Alcotest.(check bool) "available" true (Broker.available_at b 0);
+  Alcotest.(check bool) "target free" true
+    (Broker.target_code b 0 = Broker.owner_code Broker.Free)
 
+(* every id-taking column accessor checks the id *)
 let test_record_bounds () =
   let b = broker () in
-  Alcotest.check_raises "unknown id" (Invalid_argument "Broker.record: unknown server 9999")
-    (fun () -> ignore (Broker.record b 9999))
+  let raises name read =
+    List.iter
+      (fun id ->
+        Alcotest.check_raises "unknown id"
+          (Invalid_argument (Printf.sprintf "Broker.%s: unknown server %d" name id))
+          (fun () -> ignore (read b id)))
+      [ -1; Broker.num_servers b ]
+  in
+  raises "current_code" Broker.current_code;
+  raises "current_code" Broker.current_owner;
+  raises "target_code" Broker.target_code;
+  raises "in_use_at" Broker.in_use_at;
+  raises "down_code" Broker.down_at;
+  raises "down_code" Broker.available_at;
+  raises "down_code" Broker.healthy_at
 
 let test_move_resets_in_use () =
   let b = broker () in
   Broker.move b 0 (Broker.Reservation 1);
   Broker.set_in_use b 0 true;
   Broker.move b 0 (Broker.Reservation 1);
-  Alcotest.(check bool) "same owner keeps in_use" true (Broker.record b 0).Broker.in_use;
+  Alcotest.(check bool) "same owner keeps in_use" true (Broker.in_use_at b 0);
   Broker.move b 0 (Broker.Reservation 2);
-  Alcotest.(check bool) "owner change preempts" false (Broker.record b 0).Broker.in_use
+  Alcotest.(check bool) "owner change preempts" false (Broker.in_use_at b 0)
 
 let test_owner_queries () =
   let b = broker () in
@@ -41,13 +55,12 @@ let test_owner_queries () =
 let test_availability_semantics () =
   let b = broker () in
   Broker.mark_down b 0 Unavail.Planned_maintenance;
-  let r = Broker.record b 0 in
-  Alcotest.(check bool) "planned is available" true (Broker.available r);
-  Alcotest.(check bool) "planned is not healthy" false (Broker.healthy r);
+  Alcotest.(check bool) "planned is available" true (Broker.available_at b 0);
+  Alcotest.(check bool) "planned is not healthy" false (Broker.healthy_at b 0);
   Broker.mark_down b 0 Unavail.Correlated;
-  Alcotest.(check bool) "correlated is unavailable" false (Broker.available (Broker.record b 0));
+  Alcotest.(check bool) "correlated is unavailable" false (Broker.available_at b 0);
   Broker.mark_up b 0;
-  Alcotest.(check bool) "healthy again" true (Broker.healthy (Broker.record b 0))
+  Alcotest.(check bool) "healthy again" true (Broker.healthy_at b 0)
 
 let test_subscription_events () =
   let b = broker () in
@@ -78,9 +91,9 @@ let test_extend_region () =
   Broker.extend_region b bigger;
   Alcotest.(check int) "more servers" (Region.num_servers bigger) (Broker.num_servers b);
   Alcotest.(check bool) "old state kept" true
-    ((Broker.record b 0).Broker.current = Broker.Reservation 7);
+    (Broker.current_owner b 0 = Broker.Reservation 7);
   Alcotest.(check bool) "new servers free" true
-    ((Broker.record b (Region.num_servers region)).Broker.current = Broker.Free)
+    (Broker.current_owner b (Region.num_servers region) = Broker.Free)
 
 let test_extend_rejects_shrink () =
   let region = Generator.generate Generator.small_params in
@@ -89,14 +102,6 @@ let test_extend_rejects_shrink () =
   Alcotest.check_raises "shrink rejected"
     (Invalid_argument "Broker.extend_region: new region is smaller") (fun () ->
       Broker.extend_region b tiny)
-
-let test_fold_iter_consistency () =
-  let b = broker () in
-  let n_fold = Broker.fold b ~init:0 ~f:(fun acc _ -> acc + 1) in
-  let n_iter = ref 0 in
-  Broker.iter b ~f:(fun _ -> incr n_iter);
-  Alcotest.(check int) "fold = iter = size" n_fold !n_iter;
-  Alcotest.(check int) "equals num_servers" (Broker.num_servers b) n_fold
 
 let suite =
   [
@@ -109,5 +114,4 @@ let suite =
     Alcotest.test_case "subscriber order" `Quick test_subscriber_order;
     Alcotest.test_case "extend region" `Quick test_extend_region;
     Alcotest.test_case "extend rejects shrink" `Quick test_extend_rejects_shrink;
-    Alcotest.test_case "fold/iter consistency" `Quick test_fold_iter_consistency;
   ]

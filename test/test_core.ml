@@ -14,6 +14,7 @@ module Capacity_request = Ras_workload.Capacity_request
 module Unavail = Ras_failures.Unavail
 module Model = Ras_mip.Model
 module Simplex = Ras_mip.Simplex
+module Allocator = Ras_twine.Allocator
 
 let web = Service.make ~id:1 ~name:"web" ~profile:Service.Web ()
 let ds = Service.make ~id:2 ~name:"ds" ~profile:Service.Data_store ()
@@ -55,8 +56,13 @@ let heuristic_seed (snap : Snapshot.t) =
 
 (* A post-failure round on the solve-medium benchmark's region and
    requests, with rack goals on requests of 5 RRU or more so that phase 2
-   runs: the round's heuristic seed and its statistics. *)
-type medium_round = { seed : Ras_mip.Branch_bound.outcome; round : Async_solver.stats }
+   runs: the snapshot the round solves, its heuristic seed and its
+   statistics. *)
+type medium_round = {
+  snap : Snapshot.t;
+  seed : Ras_mip.Branch_bound.outcome;
+  round : Async_solver.stats;
+}
 
 let medium_round =
   lazy
@@ -81,8 +87,8 @@ let medium_round =
        Broker.mark_down broker (Ras_stats.Rng.int rng (Broker.num_servers broker))
          Unavail.Unplanned_hw
      done;
-     let seed = heuristic_seed (System.snapshot sys) in
-     { seed; round = System.solve_now sys })
+     let snap = System.snapshot sys in
+     { snap; seed = heuristic_seed snap; round = System.solve_now sys })
 
 (* ---------- Reservation ---------- *)
 
@@ -117,16 +123,17 @@ let test_snapshot_ownership_accounting () =
   let res = Reservation.of_request (Capacity_request.make ~id:1 ~service:web ~rru:5.0 ()) in
   (* bind two compute servers *)
   let bound = ref [] in
-  Broker.iter broker ~f:(fun r ->
-      if List.length !bound < 2 && res.Reservation.rru_of r.Broker.server.Region.hw > 0.0 then begin
-        Broker.move broker r.Broker.server.Region.id (Broker.Reservation 1);
-        bound := r.Broker.server.Region.id :: !bound
-      end);
+  Array.iter
+    (fun (s : Region.server) ->
+      if List.length !bound < 2 && res.Reservation.rru_of s.Region.hw > 0.0 then begin
+        Broker.move broker s.Region.id (Broker.Reservation 1);
+        bound := s.Region.id :: !bound
+      end)
+    region.Region.servers;
   let snap = Snapshot.take broker [ res ] in
   let expected =
     List.fold_left
-      (fun acc id ->
-        acc +. res.Reservation.rru_of (Broker.record broker id).Broker.server.Region.hw)
+      (fun acc id -> acc +. res.Reservation.rru_of region.Region.servers.(id).Region.hw)
       0.0 !bound
   in
   Alcotest.(check (float 1e-9)) "current rru" expected (Snapshot.current_rru snap res);
@@ -138,9 +145,11 @@ let test_snapshot_excludes_unusable () =
   let region = Generator.generate Generator.small_params in
   let broker = Broker.create region in
   let res = Reservation.of_request (Capacity_request.make ~id:1 ~service:web ~rru:5.0 ()) in
-  Broker.iter broker ~f:(fun r ->
-      if res.Reservation.rru_of r.Broker.server.Region.hw > 0.0 then
-        Broker.move broker r.Broker.server.Region.id (Broker.Reservation 1));
+  Array.iter
+    (fun (s : Region.server) ->
+      if res.Reservation.rru_of s.Region.hw > 0.0 then
+        Broker.move broker s.Region.id (Broker.Reservation 1))
+    region.Region.servers;
   let before = Snapshot.current_rru (Snapshot.take broker [ res ]) res in
   (* down one bound server with an unplanned event *)
   let victim =
@@ -165,23 +174,41 @@ let test_snapshot_home_overlay () =
   Alcotest.(check bool) "lent server resolved home" true
     (Snapshot.current snap 0 = Broker.Shared_buffer)
 
+(* the column reads check the id: a caller-written filter that strays off
+   the column raises instead of reading past it *)
+let test_snapshot_unknown_id () =
+  let region = Generator.generate Generator.small_params in
+  let snap = Snapshot.take (Broker.create region) [] in
+  List.iter
+    (fun id ->
+      Alcotest.check_raises "in_use_at" (Invalid_argument "index out of bounds") (fun () ->
+          ignore (Snapshot.in_use_at snap id));
+      Alcotest.check_raises "usable_at" (Invalid_argument "index out of bounds") (fun () ->
+          ignore (Snapshot.usable_at snap id));
+      Alcotest.check_raises "current_code" (Invalid_argument "index out of bounds") (fun () ->
+          ignore (Snapshot.current_code snap id)))
+    [ -1; Snapshot.num_servers snap ]
+
 (* ---------- Symmetry ---------- *)
 
 let test_symmetry_partition () =
   let lazy { broker; reservations; _ } = fixture in
   let snap = Snapshot.take broker reservations in
   let sym = Symmetry.build snap in
-  let usable = List.length (Snapshot.usable_servers snap) in
-  Alcotest.(check int) "classes cover usable servers" usable (Symmetry.total_members sym);
+  let usable = ref 0 in
+  for id = 0 to Snapshot.num_servers snap - 1 do
+    if Snapshot.usable_at snap id then incr usable
+  done;
+  Alcotest.(check int) "classes cover usable servers" !usable (Symmetry.total_members sym);
   (* members are homogeneous *)
   Array.iter
     (fun (c : Symmetry.cls) ->
       Array.iter
         (fun id ->
-          let v = Snapshot.view snap id in
-          Alcotest.(check int) "hw matches" c.Symmetry.hw v.Snapshot.server.Region.hw.Hw.index;
-          Alcotest.(check int) "msb matches" c.Symmetry.msb v.Snapshot.server.Region.loc.Region.msb;
-          Alcotest.(check bool) "in_use matches" c.Symmetry.in_use v.Snapshot.in_use)
+          let s = Snapshot.server snap id in
+          Alcotest.(check int) "hw matches" c.Symmetry.hw s.Region.hw.Hw.index;
+          Alcotest.(check int) "msb matches" c.Symmetry.msb s.Region.loc.Region.msb;
+          Alcotest.(check bool) "in_use matches" c.Symmetry.in_use (Snapshot.in_use_at snap id))
         c.Symmetry.members)
     sym.Symmetry.classes
 
@@ -209,8 +236,8 @@ let test_symmetry_current_count () =
       0 sym.Symmetry.classes
   in
   let direct =
-    Broker.fold broker ~init:0 ~f:(fun acc r ->
-        if r.Broker.current = owner && Broker.available r then acc + 1 else acc)
+    List.length
+      (List.filter (Broker.available_at broker) (Broker.servers_with_owner broker owner))
   in
   Alcotest.(check int) "class counts match broker" direct from_classes
 
@@ -552,6 +579,13 @@ let test_quorum_spread_enforced () =
 
 (* ---------- Online mover ---------- *)
 
+(* ids of the servers [res] can use, highest first *)
+let compatible_servers region res =
+  Array.fold_left
+    (fun acc (s : Region.server) ->
+      if res.Reservation.rru_of s.Region.hw > 0.0 then s.Region.id :: acc else acc)
+    [] region.Region.servers
+
 let test_mover_failure_replacement () =
   let region = Generator.generate Generator.small_params in
   let broker = Broker.create region in
@@ -560,10 +594,7 @@ let test_mover_failure_replacement () =
   Online_mover.set_reservations mover [ res ];
   (* one server in the reservation, one compatible in the shared buffer *)
   let compute =
-    Broker.fold broker ~init:[] ~f:(fun acc r ->
-        if res.Reservation.rru_of r.Broker.server.Region.hw > 0.0 then
-          r.Broker.server.Region.id :: acc
-        else acc)
+    compatible_servers region res
   in
   (match compute with
   | a :: b :: _ ->
@@ -572,7 +603,7 @@ let test_mover_failure_replacement () =
     Broker.mark_down broker a Unavail.Unplanned_hw;
     Alcotest.(check int) "replacement done" 1 (Online_mover.replacements_done mover);
     Alcotest.(check bool) "buffer server moved in" true
-      ((Broker.record broker b).Broker.current = Broker.Reservation 1)
+      (Broker.current_owner broker b = Broker.Reservation 1)
   | _ -> Alcotest.fail "fixture too small")
 
 let test_mover_replacement_fails_without_buffer () =
@@ -606,13 +637,13 @@ let test_mover_lend_and_revoke () =
   Alcotest.(check int) "both lent" 2 lent;
   Alcotest.(check int) "loans tracked" 2 (Online_mover.loans_outstanding mover);
   Alcotest.(check bool) "owner is elastic" true
-    ((Broker.record broker 0).Broker.current = Broker.Elastic 9000);
+    (Broker.current_owner broker 0 = Broker.Elastic 9000);
   Alcotest.(check bool) "home resolved" true
     (Online_mover.home_of mover 0 = Some Broker.Shared_buffer);
   let revoked = Online_mover.revoke mover ~elastic_id:9000 in
   Alcotest.(check int) "revoked" 2 revoked;
   Alcotest.(check bool) "back home" true
-    ((Broker.record broker 0).Broker.current = Broker.Shared_buffer);
+    (Broker.current_owner broker 0 = Broker.Shared_buffer);
   Alcotest.(check int) "no loans left" 0 (Online_mover.loans_outstanding mover)
 
 let test_mover_apply_plan_counts () =
@@ -655,10 +686,7 @@ let test_mover_replacement_revokes_loan () =
   let mover = Online_mover.create broker in
   Online_mover.set_reservations mover [ res ];
   let compute =
-    Broker.fold broker ~init:[] ~f:(fun acc r ->
-        if res.Reservation.rru_of r.Broker.server.Region.hw > 0.0 then
-          r.Broker.server.Region.id :: acc
-        else acc)
+    compatible_servers region res
   in
   match compute with
   | a :: b :: _ ->
@@ -666,10 +694,10 @@ let test_mover_replacement_revokes_loan () =
     Broker.move broker b Broker.Shared_buffer;
     ignore (Online_mover.lend_idle mover ~elastic_id:9000 ~max_servers:5);
     Alcotest.(check bool) "b lent out" true
-      ((Broker.record broker b).Broker.current = Broker.Elastic 9000);
+      (Broker.current_owner broker b = Broker.Elastic 9000);
     Broker.mark_down broker a Unavail.Unplanned_hw;
     Alcotest.(check bool) "loan revoked for replacement" true
-      ((Broker.record broker b).Broker.current = Broker.Reservation 1)
+      (Broker.current_owner broker b = Broker.Reservation 1)
   | _ -> Alcotest.fail "fixture too small"
 
 let test_solver_converges_to_stability () =
@@ -710,10 +738,7 @@ let test_mover_replacement_sla () =
   let mover = Online_mover.create ~engine broker in
   Online_mover.set_reservations mover [ res ];
   let compute =
-    Broker.fold broker ~init:[] ~f:(fun acc r ->
-        if res.Reservation.rru_of r.Broker.server.Region.hw > 0.0 then
-          r.Broker.server.Region.id :: acc
-        else acc)
+    compatible_servers region res
   in
   match compute with
   | a :: b :: _ ->
@@ -763,15 +788,15 @@ let test_health_overlap_severity () =
   let _ = Health.install engine broker events in
   Ras_sim.Engine.run_until engine 1.5;
   Alcotest.(check bool) "planned active" true
-    ((Broker.record broker 0).Broker.down = Some Unavail.Planned_maintenance);
+    (Broker.down_at broker 0 = Some Unavail.Planned_maintenance);
   Ras_sim.Engine.run_until engine 3.0;
   Alcotest.(check bool) "correlated overrides" true
-    ((Broker.record broker 0).Broker.down = Some Unavail.Correlated);
+    (Broker.down_at broker 0 = Some Unavail.Correlated);
   Ras_sim.Engine.run_until engine 5.0;
   Alcotest.(check bool) "falls back to planned" true
-    ((Broker.record broker 0).Broker.down = Some Unavail.Planned_maintenance);
+    (Broker.down_at broker 0 = Some Unavail.Planned_maintenance);
   Ras_sim.Engine.run_until engine 12.0;
-  Alcotest.(check bool) "healthy at the end" true (Broker.healthy (Broker.record broker 0))
+  Alcotest.(check bool) "healthy at the end" true (Broker.healthy_at broker 0)
 
 (* ---------- Emergency grant (Reactive.grant) ---------- *)
 
@@ -787,7 +812,7 @@ let test_emergency_grant () =
   List.iter
     (fun id ->
       Alcotest.(check bool) "bound directly" true
-        ((Broker.record broker id).Broker.current = Broker.Reservation 1))
+        (Broker.current_owner broker id = Broker.Reservation 1))
     grant.Reactive.servers
 
 let test_emergency_buffer_opt_in () =
@@ -795,9 +820,9 @@ let test_emergency_buffer_opt_in () =
   let broker = Broker.create region in
   (* put ALL compute in the shared buffer so the free pool cannot satisfy *)
   let res = Reservation.of_request (Capacity_request.make ~id:1 ~service:web ~rru:2.0 ()) in
-  Broker.iter broker ~f:(fun r ->
-      if res.Reservation.rru_of r.Broker.server.Region.hw > 0.0 then
-        Broker.move broker r.Broker.server.Region.id Broker.Shared_buffer);
+  List.iter
+    (fun id -> Broker.move broker id Broker.Shared_buffer)
+    (compatible_servers region res);
   let index = Reactive.create broker in
   let no_buffer = Reactive.grant index ~reservation:res ~rru:2.0 ~allow_buffer:false in
   Alcotest.(check (float 1e-9)) "nothing without opt-in" 0.0 no_buffer.Reactive.granted_rru;
@@ -831,11 +856,11 @@ let test_solve_repairs_emergency_damage () =
   (* occupy the free compute pool so the urgent grant must dip into the
      shared buffer *)
   let urgent = Reservation.of_request (Capacity_request.make ~id:99 ~service:web ~rru:8.0 ()) in
-  Broker.iter broker ~f:(fun r ->
-      if
-        r.Broker.current = Broker.Free
-        && urgent.Reservation.rru_of r.Broker.server.Region.hw > 0.0
-      then Broker.move broker r.Broker.server.Region.id (Broker.Reservation 77));
+  List.iter
+    (fun id -> Broker.move broker id (Broker.Reservation 77))
+    (List.filter
+       (fun id -> Broker.current_owner broker id = Broker.Free)
+       (compatible_servers region urgent));
   let grant =
     Reactive.grant (Online_mover.reactive mover) ~reservation:urgent ~rru:8.0 ~allow_buffer:true
   in
@@ -845,9 +870,9 @@ let test_solve_repairs_emergency_damage () =
   Alcotest.(check bool) "buffer depleted" true (drained < before);
   (* release the artificial squatter, then the next solve (with the urgent
      reservation now a first-class citizen) refills the shared buffer *)
-  Broker.iter broker ~f:(fun r ->
-      if r.Broker.current = Broker.Reservation 77 then
-        Broker.move broker r.Broker.server.Region.id Broker.Free);
+  List.iter
+    (fun id -> Broker.move broker id Broker.Free)
+    (Broker.servers_with_owner broker (Broker.Reservation 77));
   let reservations' = urgent :: reservations in
   Online_mover.set_reservations mover reservations';
   let stats = Async_solver.solve ~params (Snapshot.take broker reservations') in
@@ -954,13 +979,38 @@ let test_shadow_prices_surface_binding_rows () =
       Alcotest.(check bool) "non-trivial price" true (Float.abs price > 1e-6))
     prices
 
+(* [include_server] confines both phases: on the Medium rack-goal round,
+   with every third server id rejected, no rejected server is a member of
+   either phase's symmetry classes, nor is it given a target or moved. *)
+let test_solve_include_server () =
+  let lazy { snap; _ } = medium_round in
+  let rejected id = id mod 3 = 0 in
+  let stats = Async_solver.solve ~include_server:(fun id -> not (rejected id)) snap in
+  let no_rejected what ids =
+    Alcotest.(check (list int)) (what ^ " hold no rejected id") [] (List.filter rejected ids)
+  in
+  let check_classes what (p : Phases.result) =
+    no_rejected what
+      (Array.fold_left
+         (fun acc (c : Symmetry.cls) -> Array.to_list c.Symmetry.members @ acc)
+         [] p.Phases.formulation.Formulation.symmetry.Symmetry.classes)
+  in
+  check_classes "phase 1 classes" stats.Async_solver.phase1;
+  (match stats.Async_solver.phase2 with
+  | Some p2 -> check_classes "phase 2 classes" p2
+  | None -> Alcotest.fail "phase 2 should refine the rack goals");
+  let plan = stats.Async_solver.plan in
+  Alcotest.(check bool) "the plan moves servers" true (plan.Concretize.moves <> []);
+  no_rejected "targets" (List.map fst plan.Concretize.targets);
+  no_rejected "moves" (List.map (fun m -> m.Concretize.server) plan.Concretize.moves)
+
 (* ---------- System ---------- *)
 
 (* After bring-up, the heuristic seed of a Medium round is within the
    capacity-slack cost of the root bound: phase 1 proves that at its root
    node and keeps the seed, leaving the node budget to phase 2. *)
 let test_phase1_stops_within_slack () =
-  let lazy { seed; round } = medium_round in
+  let lazy { seed; round; _ } = medium_round in
   let slack = Formulation.default_params.Formulation.capacity_slack_cost in
   Alcotest.(check bool)
     (Printf.sprintf "seed %.1f within the slack cost of its bound %.1f"
@@ -1031,7 +1081,7 @@ let test_system_end_to_end () =
 
 let test_system_metrics_match_reference () =
   (* every metrics tick of a day with containers, lent buffers and
-     failures: the column reads give the record-building reads' power
+     failures: the owner-code reads give the decoded-owner reads' power
      variance and unavailable fraction, bit for bit *)
   let region = Generator.generate Generator.small_params in
   let broker = Broker.create region in
@@ -1126,6 +1176,40 @@ let test_system_remove_reservation () =
       in
       Alcotest.(check int) "owner histogram" !direct from_classes)
     [ Broker.Free; Broker.Reservation 1; Broker.Reservation 2; Broker.Shared_buffer ]
+
+let test_system_removed_allocator_is_deaf () =
+  (* a removed reservation's allocator must stop hearing broker events: if
+     its id comes back, the old allocator would otherwise re-place its
+     stale containers onto the new reservation's servers *)
+  let region = Generator.generate Generator.small_params in
+  let broker = Broker.create region in
+  let config =
+    {
+      System.default_config with
+      System.solver = { Async_solver.default_params with Async_solver.node_limit = 0 };
+    }
+  in
+  let sys = System.create ~config broker in
+  let req = Capacity_request.make ~id:1 ~service:web ~rru:12.0 () in
+  System.add_request sys req;
+  ignore (System.solve_now sys);
+  let removed = Option.get (System.allocator sys 1) in
+  Alcotest.(check bool) "containers placed" true (Allocator.placed_containers removed > 0);
+  System.remove_reservation sys 1;
+  System.add_request sys req;
+  ignore (System.solve_now sys);
+  let live = Option.get (System.allocator sys 1) in
+  Alcotest.(check bool) "a new allocator" true (live != removed);
+  let in_use = List.sort compare (Allocator.servers_in_use removed) in
+  let pending = Allocator.pending_containers removed in
+  (* storm: every server of the re-added reservation fails, then heals *)
+  let victims = Broker.servers_with_owner broker (Broker.Reservation 1) in
+  List.iter (fun id -> Broker.mark_down broker id Unavail.Unplanned_hw) victims;
+  List.iter (fun id -> Broker.mark_up broker id) victims;
+  Alcotest.(check (list int)) "removed allocator's servers unchanged" in_use
+    (List.sort compare (Allocator.servers_in_use removed));
+  Alcotest.(check int) "removed allocator's pending unchanged" pending
+    (Allocator.pending_containers removed)
 
 let test_system_installs_prices () =
   (* each round hands phase 1's root-LP duals to the tier-1 index: every
@@ -1369,4 +1453,8 @@ let suite =
     Alcotest.test_case "system memory bounded over rounds" `Quick test_system_memory_bounded;
     Alcotest.test_case "system merge matches the oracle over rounds" `Slow
       test_system_merge_matches_reference;
+    Alcotest.test_case "snapshot unknown id" `Quick test_snapshot_unknown_id;
+    Alcotest.test_case "solve include_server" `Quick test_solve_include_server;
+    Alcotest.test_case "system removed allocator is deaf" `Quick
+      test_system_removed_allocator_is_deaf;
   ]

@@ -189,11 +189,10 @@ let prop_aggregation_invariants =
             let hw = Symmetry.hw_of c in
             Array.for_all
               (fun id ->
-                let v = Snapshot.view snapshot id in
-                v.Snapshot.server.Region.hw.Ras_topology.Hardware.index
+                (Snapshot.server snapshot id).Region.hw.Ras_topology.Hardware.index
                 = hw.Ras_topology.Hardware.index
-                && v.Snapshot.in_use = c.Symmetry.in_use
-                && v.Snapshot.attr = c.Symmetry.attr)
+                && Snapshot.in_use_at snapshot id = c.Symmetry.in_use
+                && Snapshot.attr_at snapshot id = c.Symmetry.attr)
               c.Symmetry.members)
           sym.Symmetry.classes
       in

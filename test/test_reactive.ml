@@ -209,9 +209,10 @@ let storm_world () =
   Online_mover.set_reservations mover [ res ];
   let bound = ref [] in
   let count_res = ref 0 and count_buf = ref 0 in
-  Broker.iter broker ~f:(fun r ->
-      if res.Reservation.rru_of r.Broker.server.Region.hw > 0.0 then begin
-        let id = r.Broker.server.Region.id in
+  Array.iter
+    (fun (s : Region.server) ->
+      if res.Reservation.rru_of s.Region.hw > 0.0 then begin
+        let id = s.Region.id in
         if !count_res < 20 then begin
           Broker.move broker id (Broker.Reservation 1);
           bound := id :: !bound;
@@ -221,7 +222,8 @@ let storm_world () =
           Broker.move broker id Broker.Shared_buffer;
           incr count_buf
         end
-      end);
+      end)
+    (Broker.region broker).Region.servers;
   let lent = Online_mover.lend_idle mover ~elastic_id:9000 ~max_servers:10 in
   Alcotest.(check int) "loans out" 10 lent;
   List.iteri
@@ -333,11 +335,11 @@ let test_replace_failed_releases_dead_server () =
   Alcotest.(check int) "one replacement" 1 (Online_mover.replacements_done mover);
   (* the swap: replacement in, dead server out to the shared buffer *)
   Alcotest.(check bool) "replacement bound" true
-    ((Broker.record broker 1).Broker.current = Broker.Reservation 1);
+    (Broker.current_owner broker 1 = Broker.Reservation 1);
   Alcotest.(check bool) "dead server released to the buffer" true
-    ((Broker.record broker 0).Broker.current = Broker.Shared_buffer);
+    (Broker.current_owner broker 0 = Broker.Shared_buffer);
   Alcotest.(check bool) "target follows" true
-    ((Broker.record broker 0).Broker.target = Broker.Shared_buffer);
+    (Broker.target_code broker 0 = Broker.owner_code Broker.Shared_buffer);
   Alcotest.(check int) "no double-counted membership" owned_before
     (Broker.count_owner broker (Broker.Reservation 1));
   (* the accounting the solver sees: symmetry's current-owner histograms
@@ -540,11 +542,12 @@ let test_tier1_repair_drift_bounded () =
        ~row_names:p1.Phases.compiled.Ras_mip.Model.row_names ~duals:p1.Phases.lp_duals);
     (* deterministic storm over reservation-bound servers *)
     let victims = ref [] in
-    Broker.iter broker ~f:(fun r ->
-        match r.Broker.current with
-        | Broker.Reservation rid when rid < 8000 && List.length !victims < 8 ->
-          victims := r.Broker.server.Region.id :: !victims
-        | _ -> ());
+    for id = 0 to Broker.num_servers broker - 1 do
+      match Broker.current_owner broker id with
+      | Broker.Reservation rid when rid < 8000 && List.length !victims < 8 ->
+        victims := id :: !victims
+      | _ -> ()
+    done;
     let victims = List.rev !victims in
     let repaired =
       if oracle then begin

@@ -76,12 +76,13 @@ let test_wear_objective_prefers_fresh_flash () =
     Online_mover.set_reservations mover reservations;
     ignore (Online_mover.apply_plan mover stats.Async_solver.plan);
     let total = ref 0.0 and n = ref 0 in
-    Broker.iter broker ~f:(fun rec_ ->
-        if rec_.Broker.current = Broker.Reservation 1 && Wear.has_flash rec_.Broker.server
-        then begin
-          total := !total +. Wear.fraction wear rec_.Broker.server.Region.id;
+    List.iter
+      (fun id ->
+        if Wear.has_flash (Broker.region broker).Region.servers.(id) then begin
+          total := !total +. Wear.fraction wear id;
           incr n
-        end);
+        end)
+      (Broker.servers_with_owner broker (Broker.Reservation 1));
     if !n = 0 then nan else !total /. float_of_int !n
   in
   ignore broker;
