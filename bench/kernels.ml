@@ -107,7 +107,7 @@ let lp_kernel ~label ~repeats ?(with_dense = true) (std : Model.std) =
     let t0 = Unix.gettimeofday () in
     let iters = ref 0 in
     let status = ref "?" and obj = ref nan in
-    let ks = ref { Simplex.avg_ftran_nnz = 0.0; avg_btran_nnz = 0.0; bound_flips = 0 } in
+    let ks = ref { Simplex.avg_ftran_nnz = 0.0; avg_btran_nnz = 0.0 } in
     for _ = 1 to repeats do
       match Simplex.solve ~pricing ~backend ~ws std with
       | Simplex.Optimal { iterations; obj = o; kstats; _ } ->
@@ -145,7 +145,6 @@ let lp_kernel ~label ~repeats ?(with_dense = true) (std : Model.std) =
           ("lps_per_sec", flt (float_of_int repeats /. dt));
           ("avg_ftran_nnz", flt ks.Simplex.avg_ftran_nnz);
           ("avg_btran_nnz", flt ks.Simplex.avg_btran_nnz);
-          ("bound_flips", string_of_int ks.Simplex.bound_flips);
         ])
     ([
        ("dantzig-pricing", Simplex.Dantzig, Ras_mip.Basis.Lu);

@@ -43,9 +43,7 @@ type stats = {
   solver_nodes : int;
   solver_lp_iterations : int;
   solver_warm_starts : int;
-  solver_dual_restarts : int;
   solver_dual_pivots : int;
-  solver_bland_pivots : int;
 }
 
 (* Rack-spread overflow of every reservation under a target column (0 for
@@ -228,7 +226,5 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
     solver_nodes = sum (fun o -> o.Branch_bound.nodes);
     solver_lp_iterations = sum (fun o -> o.Branch_bound.lp_iterations);
     solver_warm_starts = sum (fun o -> o.Branch_bound.warm_started_nodes);
-    solver_dual_restarts = sum (fun o -> o.Branch_bound.dual_restarted_nodes);
     solver_dual_pivots = sum (fun o -> o.Branch_bound.dual_pivots);
-    solver_bland_pivots = sum (fun o -> o.Branch_bound.bland_pivots);
   }

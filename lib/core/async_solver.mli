@@ -55,12 +55,7 @@ type stats = {
   solver_warm_starts : int;
       (** nodes whose LP restarted from a parent basis (see
           {!Ras_mip.Branch_bound}); the warm-start hit rate of this solve *)
-  solver_dual_restarts : int;
-      (** warm-started nodes that re-optimized via the dual-simplex phase *)
   solver_dual_pivots : int;  (** dual-simplex pivots across both phases *)
-  solver_bland_pivots : int;
-      (** primal pivots taken under the Bland anti-cycling fallback across
-          both phases — nonzero flags degenerate stalls in the node LPs *)
 }
 
 val rack_overflows : Snapshot.t -> int array -> Reservation.t list -> float list

@@ -112,15 +112,19 @@ let stop_reason = function
   | Branch_bound.Unbounded -> "found the model unbounded"
   | Branch_bound.Unknown -> "stopped at a limit with no incumbent"
 
-(* model size, then what stopped the phase's tree search *)
+(* model size, what stopped the phase's tree search, then how its node
+   LPs restarted *)
 let phase_lines label (p : Phases.result) =
   let o = p.Phases.outcome in
   Printf.sprintf
     "%s\n    %d grouped vars (%d raw), %d rows\n\
-    \    B&B %s at node %d: objective %.1f, bound %.1f, gap %.1f\n"
-    (timing_line label p.Phases.timing) p.Phases.grouped_vars p.Phases.raw_vars p.Phases.rows
-    (stop_reason o.Branch_bound.status) o.Branch_bound.nodes o.Branch_bound.objective
-    o.Branch_bound.best_bound o.Branch_bound.gap
+    \    B&B %s at node %d: objective %.1f, bound %.1f, gap %.1f\n\
+    \    node LPs: %d warm-started, %d dual-restarted, %d bland pivots\n"
+    (timing_line label p.Phases.timing) p.Phases.grouped_vars p.Phases.raw_vars
+    p.Phases.compiled.Ras_mip.Model.nrows (stop_reason o.Branch_bound.status)
+    o.Branch_bound.nodes o.Branch_bound.objective o.Branch_bound.best_bound o.Branch_bound.gap
+    o.Branch_bound.warm_started_nodes o.Branch_bound.dual_restarted_nodes
+    o.Branch_bound.bland_pivots
 
 let solve_report (stats : Async_solver.stats) =
   let buf = Buffer.create 512 in
@@ -133,11 +137,10 @@ let solve_report (stats : Async_solver.stats) =
     + Option.fold ~none:0 ~some:(fun p2 -> p2.Phases.root_lp_pivots) stats.Async_solver.phase2
   in
   add
-    "  solver kernels: root LP %d pivots; %d B&B nodes (%d warm-started, %d dual-restarted), \
-     %d B&B LP pivots (%d dual, %d bland)\n"
+    "  solver kernels: root LP %d pivots; %d B&B nodes (%d warm-started), %d B&B LP pivots \
+     (%d dual)\n"
     root_lp_pivots stats.Async_solver.solver_nodes stats.Async_solver.solver_warm_starts
-    stats.Async_solver.solver_dual_restarts stats.Async_solver.solver_lp_iterations
-    stats.Async_solver.solver_dual_pivots stats.Async_solver.solver_bland_pivots;
+    stats.Async_solver.solver_lp_iterations stats.Async_solver.solver_dual_pivots;
   (match stats.Async_solver.phase2 with
   | Some p2 -> add "%s" (phase_lines "phase 2" p2)
   | None -> add "  phase 2: skipped (no rack goal violations)\n");

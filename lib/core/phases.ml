@@ -18,7 +18,6 @@ type result = {
   solution : float array;
   grouped_vars : int;
   raw_vars : int;
-  rows : int;
   setup_bytes : int;
   lp_duals : float array;
   root_lp_pivots : int;
@@ -73,7 +72,6 @@ let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
         warm_started_nodes = 0;
         dual_restarted_nodes = 0;
         dual_pivots = 0;
-        bound_flips = 0;
         bland_pivots = 0;
         seed = Branch_bound.Seed_none;
         elapsed = 0.0;
@@ -123,7 +121,6 @@ let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
     solution;
     grouped_vars = Symmetry.grouped_variable_count symmetry ~reservations;
     raw_vars = Symmetry.raw_variable_count symmetry ~reservations;
-    rows = std.Model.nrows;
     setup_bytes = int_of_float (words_after -. words_before);
     lp_duals = (match lp with Simplex.Optimal { duals; _ } -> duals | _ -> [||]);
     root_lp_pivots = (match lp with Simplex.Optimal { iterations; _ } -> iterations | _ -> 0);

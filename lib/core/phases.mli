@@ -28,7 +28,6 @@ type result = {
           found nothing better (softened constraints make it feasible) *)
   grouped_vars : int;  (** assignment variables after symmetry grouping *)
   raw_vars : int;  (** variables a per-server formulation would have *)
-  rows : int;
   setup_bytes : int;
       (** bytes allocated during build — the Fig. 11
           memory proxy *)

@@ -25,10 +25,8 @@ let default_options =
     lp_backend = Basis.Lu;
   }
 
-(* Integrality tolerance on LP values and the node period of the rounding
-   heuristic. *)
+(* Integrality tolerance on LP values. *)
 let int_tol = 1e-6
-let heuristic_period = 20
 
 type seed_status = Seed_none | Seed_accepted | Seed_rejected
 
@@ -43,7 +41,6 @@ type outcome = {
   warm_started_nodes : int;
   dual_restarted_nodes : int;
   dual_pivots : int;
-  bound_flips : int;
   bland_pivots : int;
   seed : seed_status;
   elapsed : float;
@@ -135,21 +132,6 @@ let pick_branch_var (std : Model.std) x =
   done;
   if !best < 0 then None else Some !best
 
-(* Nearest-integer rounding probe: clamp to node bounds; accept only if the
-   full solution checker passes. *)
-let rounding_probe (std : Model.std) node x =
-  let y = Array.copy x in
-  for j = 0 to std.nvars - 1 do
-    if std.integer.(j) then begin
-      let r = Float.round y.(j) in
-      let r = Float.max node.nlb.(j) (Float.min node.nub.(j) r) in
-      y.(j) <- r
-    end
-  done;
-  match Model.check_solution std y with
-  | Ok () -> Some (y, Model.objective_value std y)
-  | Error _ -> None
-
 let integral (std : Model.std) x =
   let ok = ref true in
   for j = 0 to std.nvars - 1 do
@@ -171,7 +153,7 @@ let solve ?(options = default_options) (std : Model.std) =
   let incumbent = ref None and incumbent_obj = ref infinity in
   let nodes = ref 0 and lp_iters = ref 0 and warm_nodes = ref 0 in
   let dual_nodes = ref 0 and dual_pivots = ref 0 in
-  let bland_pivots = ref 0 and bound_flips = ref 0 in
+  let bland_pivots = ref 0 in
   (* every node LP is the same shape, so one workspace serves the whole
      tree: the solver's per-node allocations collapse to O(1) arrays *)
   let lp_ws = Simplex.create_workspace () in
@@ -227,11 +209,9 @@ let solve ?(options = default_options) (std : Model.std) =
     | Simplex.Unbounded -> unbounded := true
     | Simplex.Iteration_limit _ -> inexact := true
     | Simplex.Optimal
-        { x; obj; iterations; dual_iterations; bland_iterations; basis = final_basis; kstats; _ }
-      ->
+        { x; obj; iterations; dual_iterations; bland_iterations; basis = final_basis; _ } ->
       lp_iters := !lp_iters + iterations;
       bland_pivots := !bland_pivots + bland_iterations;
-      bound_flips := !bound_flips + kstats.Simplex.bound_flips;
       if dual_iterations > 0 then begin
         incr dual_nodes;
         dual_pivots := !dual_pivots + dual_iterations
@@ -246,11 +226,6 @@ let solve ?(options = default_options) (std : Model.std) =
           update_incumbent y obj
         end
         else begin
-          if !nodes mod heuristic_period = 1 then begin
-            match rounding_probe std node x with
-            | Some (y, hobj) -> update_incumbent y hobj
-            | None -> ()
-          end;
           match pick_branch_var std x with
           | None -> ()
           | Some j ->
@@ -363,7 +338,6 @@ let solve ?(options = default_options) (std : Model.std) =
     warm_started_nodes = !warm_nodes;
     dual_restarted_nodes = !dual_nodes;
     dual_pivots = !dual_pivots;
-    bound_flips = !bound_flips;
     bland_pivots = !bland_pivots;
     seed = !seed_status;
     elapsed = elapsed ();

@@ -1,9 +1,10 @@
 (** Branch-and-bound mixed-integer solver over the {!Simplex} LP relaxation.
 
     Nodes carry their own bound arrays; best-bound (best-first) node
-    selection; branching on the most fractional integer variable; a
-    nearest-integer rounding heuristic probes for incumbents.  The solver
-    honours wall-clock and node limits and reports the remaining optimality
+    selection with depth-first plunging; branching on the most fractional
+    integer variable.  Incumbents come from the caller's seed
+    ([options.initial]) and from node LPs whose solution is integral.  The
+    solver honours wall-clock and node limits and reports the remaining optimality
     gap — RAS deliberately runs its solver with a timeout and reasons about
     the gap (paper §4.1.2, Fig. 9), so the gap is a first-class output.
 
@@ -68,9 +69,9 @@ type options = {
 val default_options : options
 (** [time_limit = infinity], [node_limit = 100_000], [gap_rel = 1e-9],
     [gap_abs = 1e-6], no stall limit, no initial solution or root basis,
-    [lp_pricing = Simplex.Devex], [lp_backend = Basis.Lu].  The options
-    that no caller varies are fixed: an integrality tolerance of [1e-6] on
-    LP values and the rounding heuristic on every 20th node. *)
+    [lp_pricing = Simplex.Devex], [lp_backend = Basis.Lu].  The
+    integrality tolerance on LP values, which no caller varies, is fixed
+    at [1e-6]. *)
 
 type seed_status =
   | Seed_none  (** no initial solution was supplied *)
@@ -97,9 +98,6 @@ type outcome = {
   dual_restarted_nodes : int;
       (** warm-started nodes whose LP re-optimized via dual-simplex pivots *)
   dual_pivots : int;  (** total dual-simplex pivots across all node LPs *)
-  bound_flips : int;
-      (** total nonbasic bound flips performed by the long-step dual ratio
-          test across all node LPs (see {!Simplex.kernel_stats}) *)
   bland_pivots : int;
       (** total primal pivots taken under the Bland anti-cycling fallback
           across all node LPs (nonzero means some node hit a degenerate

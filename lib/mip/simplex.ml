@@ -21,13 +21,10 @@ type warm_basis = {
 }
 
 (* Hot-path kernel counters for one solve: average FTRAN/BTRAN result
-   nonzeros (the hypersparse win is exactly these staying far below m) and
-   the number of nonbasic bound flips the long-step dual ratio test
-   performed. *)
+   nonzeros (the hypersparse win is exactly these staying far below m). *)
 type kernel_stats = {
   avg_ftran_nnz : float;
   avg_btran_nnz : float;
-  bound_flips : int;
 }
 
 type result =
@@ -62,28 +59,15 @@ type state = {
   mutable iterations : int;
   mutable dual_pivots : int;
   mutable bland_pivots : int;  (* pivots whose entering column Bland chose *)
-  mutable bound_flips : int;  (* long-step dual ratio-test bound flips *)
   (* cached simplex multipliers y = c_B^T B^-1: recomputed by BTRAN in
      phase 1 (the phase-1 cost vector moves with the iterate) and after
      refactorization, updated incrementally after phase-2 pivots *)
   dual : float array;
   mutable dual_valid : bool;
   mutable dual_phase1 : bool;
-  (* solver-owned scratch (reusable across solves through {!workspace}):
-     basic-cost buffer for the dual BTRAN, dual ratio-test candidate lists,
-     and the accumulated bound-flip column (row-indexed dense + packed
-     pattern fed straight to the sparse FTRAN) *)
+  (* solver-owned basic-cost buffer for the dual BTRAN (reusable across
+     solves through {!workspace}) *)
   cb : float array;  (* m *)
-  cand_j : int array;  (* ntotal *)
-  cand_d : float array;
-  cand_a : float array;  (* |pivot-row entry| *)
-  cand_r : float array;  (* dual ratio *)
-  cand_ord : int array;
-  frhs : float array;  (* m, all-zero between uses *)
-  fpat : int array;  (* m *)
-  fval : float array;  (* m *)
-  fmark : int array;  (* m, row-dedup stamps for the flip column *)
-  mutable fstamp : int;
   (* cached reduced costs d_j = c_j - y . A_j under [dual]: maintained
      incrementally across pivots by [update_prices_after_pivot] — in phase
      1 only while no bystander basic crosses a violation boundary (see
@@ -94,14 +78,14 @@ type state = {
   mutable dvec_valid : bool;
   (* pivot-row pricing scratch: prod.(j) = (e_r B^-1) . A_j over the
      columns the pivot row touches, with a packed pattern and dedup
-     stamps (prod is garbage off-pattern; [fstamp] serves both mark
-     arrays) *)
+     stamps (prod is garbage off-pattern) *)
   prod : float array;  (* ntotal *)
   prod_pat : int array;  (* ntotal *)
   pmark : int array;  (* ntotal *)
+  mutable pstamp : int;  (* current [pmark] stamp *)
   (* entering-column selection *)
   pricing : pricing;
-  (* Devex phase-2 candidate list: the set of improving nonbasic columns,
+  (* Devex candidate list: the set of improving nonbasic columns,
      maintained incrementally.  A column's candidacy can only change when
      its reduced cost or status changes, and every such change flows
      through the sparse pivot-row pricing pass (or a bound flip of the
@@ -272,12 +256,12 @@ let ensure_duals st ~phase1 =
    it intersects (compiled row arrays) plus its own slack.  Returns the
    pattern length; prod holds garbage off-pattern, so readers must stay on
    [prod_pat] (or check [pmark] against the stamp this call leaves in
-   [st.fstamp]).  Cost is the total nonzero count of the touched rows —
+   [st.pstamp]).  Cost is the total nonzero count of the touched rows —
    independent of ntotal, the hypersparse analogue of pricing a dense pivot
    row against every column. *)
 let price_row st (row : Basis.Svec.t) =
-  st.fstamp <- st.fstamp + 1;
-  let stamp = st.fstamp in
+  st.pstamp <- st.pstamp + 1;
+  let stamp = st.pstamp in
   let prod = st.prod and pat = st.prod_pat and mark = st.pmark in
   let nvars = st.std.nvars in
   let row_cols = st.std.row_cols and row_coefs = st.std.row_coefs in
@@ -358,7 +342,7 @@ let entering_direction st ~d j =
       else if d > dual_tol then Some (-1.0)
       else None
 
-(* Candidate-list maintenance (Devex phase-2 pricing).  [rebuild_clist]
+(* Candidate-list maintenance (Devex pricing).  [rebuild_clist]
    seeds the list with every improving column in one full scan — bumping
    the membership generation retires all old marks at once.  [clist_add]
    admits a column whose reduced cost or status just changed; non-improving
@@ -428,7 +412,7 @@ let update_prices_after_pivot st ~row ~q ~leaving ~d ~lshift ~upd_dual ~fold_g =
   let dofold = match fold_g with Some _ -> true | None -> false in
   if upd_dvec || dofold then begin
     let np = price_row st brow in
-    let stamp = st.fstamp in
+    let stamp = st.pstamp in
     let g = match fold_g with Some g -> g | None -> 0.0 in
     let dvec = st.dvec and prod = st.prod and pat = st.prod_pat in
     for u = 0 to np - 1 do
@@ -464,12 +448,12 @@ let update_prices_after_pivot st ~row ~q ~leaving ~d ~lshift ~upd_dual ~fold_g =
      rule, the pricing of the differential reference);
    - Devex (default): score d^2 / w_j under the approximate steepest-edge
      weights (maintained eagerly by the pivot epilogue, see
-     [update_prices_after_pivot]).  Phase 2 scans the incrementally
+     [update_prices_after_pivot]).  Both phases scan the incrementally
      maintained candidate list — typically a small fraction of ntotal —
      pruning entries that stopped improving as it goes; an empty scan means
      dual feasibility exactly because the list provably contains every
-     improving column.  Phase 1 rebuilds the reduced costs every iteration,
-     so no list survives long enough to pay there: full scan. *)
+     improving column.  The list is rebuilt by a full scan whenever the
+     reduced-cost cache is (see [ensure_prices]). *)
 let choose_entering st ~phase1 =
   ensure_prices st ~phase1;
   let dvec = st.dvec in
@@ -855,13 +839,11 @@ let initial_state ?lb_override ?ub_override ?basis ?ws ~pricing ~degen_limit ~tr
   let prev =
     match ws with
     | Some { prev = Some p } when p.m = m && p.ntotal = ntotal ->
-      (* reused scratch: restore the invariants fresh arrays provide — frhs
-         all-zero, the mark arrays unstamped (this solve's stamps restart at
-         1), Devex weights back to the unit framework.  prod and dvec need
-         no reset: prod is garbage off-pattern by contract and dvec is
-         rebuilt before its first read. *)
-      Array.fill p.frhs 0 m 0.0;
-      Array.fill p.fmark 0 m 0;
+      (* reused scratch: restore the invariants fresh arrays provide — the
+         mark arrays unstamped (this solve's stamps restart at 1), Devex
+         weights back to the unit framework.  prod and dvec need no reset:
+         prod is garbage off-pattern by contract and dvec is rebuilt before
+         its first read. *)
       Array.fill p.pmark 0 ntotal 0;
       Array.fill p.cl_mark 0 ntotal 0;
       Array.fill p.devex_w 0 ntotal 1.0;
@@ -915,26 +897,16 @@ let initial_state ?lb_override ?ub_override ?basis ?ws ~pricing ~degen_limit ~tr
       iterations = 0;
       dual_pivots = 0;
       bland_pivots = 0;
-      bound_flips = 0;
       dual = take (fun p -> p.dual) m 0.0;
       dual_valid = false;
       dual_phase1 = false;
       cb = take (fun p -> p.cb) m 0.0;
-      cand_j = take (fun p -> p.cand_j) ntotal 0;
-      cand_d = take (fun p -> p.cand_d) ntotal 0.0;
-      cand_a = take (fun p -> p.cand_a) ntotal 0.0;
-      cand_r = take (fun p -> p.cand_r) ntotal 0.0;
-      cand_ord = take (fun p -> p.cand_ord) ntotal 0;
-      frhs = take (fun p -> p.frhs) m 0.0;
-      fpat = take (fun p -> p.fpat) m 0;
-      fval = take (fun p -> p.fval) m 0.0;
-      fmark = take (fun p -> p.fmark) m 0;
-      fstamp = 0;
       dvec = take (fun p -> p.dvec) ntotal 0.0;
       dvec_valid = false;
       prod = take (fun p -> p.prod) ntotal 0.0;
       prod_pat = take (fun p -> p.prod_pat) ntotal 0;
       pmark = take (fun p -> p.pmark) ntotal 0;
+      pstamp = 0;
       clist = take (fun p -> p.clist) ntotal 0;
       clist_n = 0;
       cl_mark = take (fun p -> p.cl_mark) ntotal 0;
@@ -972,7 +944,6 @@ let kernel_stats_of st =
   {
     avg_ftran_nnz = avg s.Basis.ftran_calls s.Basis.ftran_nnz;
     avg_btran_nnz = avg s.Basis.btran_calls s.Basis.btran_nnz;
-    bound_flips = st.bound_flips;
   }
 
 (* -------------------------------------------------------------------- *)
@@ -1001,80 +972,16 @@ let dual_feasible_now st =
   done;
   !ok
 
-(* Breakpoint order for the dual ratio test: ratio ascending, then larger
-   |pivot-row entry| (numerical stability), then column index (a strict
-   total order, so the sort is deterministic). *)
-let cand_before st i j =
-  let ri = st.cand_r.(i) and rj = st.cand_r.(j) in
-  if ri < rj then true
-  else if ri > rj then false
-  else
-    let ai = st.cand_a.(i) and aj = st.cand_a.(j) in
-    if ai > aj then true
-    else if ai < aj then false
-    else st.cand_j.(i) < st.cand_j.(j)
-
-(* In-place quicksort of the candidate permutation [ord.(lo0..hi0)] under
-   [cand_before]; insertion sort below a small cutoff. *)
-let sort_candidates st ord lo0 hi0 =
-  let rec go lo hi =
-    if hi - lo <= 11 then
-      for i = lo + 1 to hi do
-        let v = ord.(i) in
-        let k = ref (i - 1) in
-        while !k >= lo && cand_before st v ord.(!k) do
-          ord.(!k + 1) <- ord.(!k);
-          decr k
-        done;
-        ord.(!k + 1) <- v
-      done
-    else begin
-      let mid = lo + ((hi - lo) / 2) in
-      let a = ord.(lo) and b = ord.(mid) and c = ord.(hi) in
-      let p =
-        if cand_before st a b then
-          if cand_before st b c then b else if cand_before st a c then c else a
-        else if cand_before st a c then a
-        else if cand_before st b c then c
-        else b
-      in
-      let i = ref lo and j = ref hi in
-      while !i <= !j do
-        while cand_before st ord.(!i) p do
-          incr i
-        done;
-        while cand_before st p ord.(!j) do
-          decr j
-        done;
-        if !i <= !j then begin
-          let tmp = ord.(!i) in
-          ord.(!i) <- ord.(!j);
-          ord.(!j) <- tmp;
-          incr i;
-          decr j
-        end
-      done;
-      if lo < !j then go lo !j;
-      if !i < hi then go !i hi
-    end
-  in
-  if hi0 > lo0 then go lo0 hi0
-
 (* Dual simplex re-optimization: drive out primal infeasibilities while the
    reduced costs stay dual feasible.  Each iteration picks the most
    violated basic variable as the leaving row, prices the pivot row
-   (rho = e_r^T B^-1 via sparse BTRAN, then one pass over the nonbasic
-   columns for both the row entries and the reduced costs), runs the
-   long-step (bound-flip) dual ratio test over the sorted breakpoints, and
-   pivots.  A boxed breakpoint whose flip keeps the dual slope positive is
-   flipped to its opposite bound instead of pivoted on — the classic
-   branch-and-bound child pattern, where a tightened bound makes a cluster
-   of cheap flips plus one pivot out of what plain Dantzig-dual would take
-   many pivots to do.  All flips of one pass are priced into a single
-   accumulated sparse FTRAN.  On any numerical doubt — no eligible column,
-   a pivot-row / FTRAN disagreement, a long degenerate stall — it simply
-   stops: the primal loop behind it is fully general and finishes the
-   solve, so the dual phase is purely an accelerator. *)
+   (rho = e_r^T B^-1 via sparse BTRAN, then one row-major pass over the
+   columns the row touches for both the row entries and the reduced
+   costs), runs the textbook dual ratio test, and pivots.  On any numerical
+   doubt — no eligible column, a pivot-row / FTRAN disagreement, a long
+   degenerate stall — it simply stops: the primal loop behind it is fully
+   general and finishes the solve, so the dual phase is purely an
+   accelerator. *)
 let dual_phase st ~max_iters =
   let m = st.m in
   let budget = ref (200 + (2 * m)) in
@@ -1108,15 +1015,15 @@ let dual_phase st ~max_iters =
         in
         ensure_prices st ~phase1:false;
         let rho = Basis.btran_unit_sparse st.fac r in
-        (* Price the pivot row once, row-major: only the columns the row
-           actually touches can be breakpoints (everything else has a
+        (* Dual ratio test over the priced pivot row: only the columns the
+           row touches can be breakpoints (everything else has a
            structurally zero row entry), and their reduced costs come from
-           the maintained cache — the old O(ntotal) column-dot pass is
-           gone.  Candidate order differs from the old ascending-j scan,
-           but [cand_before] is a strict total order (ties fall through to
-           the column index), so the sorted sequence is identical. *)
+           the maintained cache.  The entering column has the least ratio
+           |d_j| / |a_j|; ties go to the larger |a_j| (numerical
+           stability), then to the lower column index, so the choice does
+           not depend on the order [price_row] visits the row. *)
         let np = price_row st rho in
-        let nc = ref 0 in
+        let q = ref (-1) and dq = ref 0.0 and rq = ref 0.0 and aq = ref 0.0 in
         for u = 0 to np - 1 do
           let j = st.prod_pat.(u) in
           if st.status.(j) <> Basic && st.ub.(j) -. st.lb.(j) > 0.0 then begin
@@ -1131,163 +1038,67 @@ let dual_phase st ~max_iters =
               in
               if eligible then begin
                 let d = st.dvec.(j) in
-                let k = !nc in
-                st.cand_j.(k) <- j;
-                st.cand_d.(k) <- d;
-                st.cand_a.(k) <- Float.abs a;
-                st.cand_r.(k) <- Float.abs d /. Float.abs a;
-                st.cand_ord.(k) <- k;
-                nc := k + 1
+                let aa = Float.abs a in
+                let ratio = Float.abs d /. aa in
+                if
+                  !q < 0 || ratio < !rq
+                  || (ratio = !rq && (aa > !aq || (aa = !aq && j < !q)))
+                then begin
+                  q := j;
+                  dq := d;
+                  rq := ratio;
+                  aq := aa
+                end
               end
             end
           end
         done;
-        if !nc = 0 then running := false
+        if !q < 0 then running := false
           (* dual ray (primal infeasible) or numerics: let the primal
              phase 1 deliver the verdict *)
         else begin
-          let nc = !nc in
-          sort_candidates st st.cand_ord 0 (nc - 1);
-          (* Long-step walk over the sorted breakpoints.  The dual slope
-             starts at the infeasibility |v|; flipping the boxed candidate k
-             past its breakpoint shrinks it by |a_k| * range_k.  Flip while
-             the slope stays positive; the pivot lands on the first
-             breakpoint that would exhaust it (or cannot flip). *)
-          let slope = ref (Float.abs v) in
-          let nflip = ref 0 in
-          let stop = ref false in
-          while (not !stop) && !nflip < nc do
-            let k = st.cand_ord.(!nflip) in
-            let j = st.cand_j.(k) in
-            let range = st.ub.(j) -. st.lb.(j) in
-            let boxed = st.status.(j) <> Nb_free && Float.is_finite range in
-            if boxed && !slope -. (st.cand_a.(k) *. range) > feas_tol then begin
-              slope := !slope -. (st.cand_a.(k) *. range);
-              incr nflip
-            end
-            else stop := true
-          done;
-          if not !stop then running := false
-            (* every breakpoint flips: a dual ray (primal infeasible).
-               Apply nothing and let phase 1 deliver the verdict. *)
+          let q = !q in
+          let alpha = ftran st q in
+          let arq = alpha.Basis.Svec.vals.(r) in
+          if Float.abs arq < pivot_tol then begin
+            (* the priced row entry and the FTRAN'd column disagree:
+               refresh the factorization, then give the primal path the
+               problem if it keeps happening *)
+            (try refactor st with Basis.Singular -> ());
+            recompute_basics st;
+            incr stalled;
+            if !stalled > 3 then running := false
+          end
           else begin
-            let kq = st.cand_ord.(!nflip) in
-            let q = st.cand_j.(kq) in
-            let dq = st.cand_d.(kq) in
-            let rq = st.cand_r.(kq) in
-            if !nflip > 0 then begin
-              (* Move every flipped nonbasic to its opposite bound,
-                 accumulate the combined column delta (dedup'd row pattern
-                 via stamps), and restore the basic values with ONE sparse
-                 FTRAN of the accumulated right-hand side. *)
-              st.fstamp <- st.fstamp + 1;
-              let stamp = st.fstamp in
-              let nf = ref 0 in
-              for i = 0 to !nflip - 1 do
-                let k = st.cand_ord.(i) in
-                let j = st.cand_j.(k) in
-                let dx =
-                  match st.status.(j) with
-                  | At_lower ->
-                    st.status.(j) <- At_upper;
-                    st.xval.(j) <- st.ub.(j);
-                    st.ub.(j) -. st.lb.(j)
-                  | At_upper ->
-                    st.status.(j) <- At_lower;
-                    st.xval.(j) <- st.lb.(j);
-                    st.lb.(j) -. st.ub.(j)
-                  | Basic | Nb_free -> 0.0
-                in
-                if dx <> 0.0 then
-                  iter_column st.std j (fun row c ->
-                      if st.fmark.(row) <> stamp then begin
-                        st.fmark.(row) <- stamp;
-                        st.fpat.(!nf) <- row;
-                        incr nf
-                      end;
-                      st.frhs.(row) <- st.frhs.(row) +. (c *. dx))
-              done;
-              (* compact (dropping cancellations), restoring frhs to all
-                 zeros for the next use *)
-              let nf2 = ref 0 in
-              for u = 0 to !nf - 1 do
-                let row = st.fpat.(u) in
-                let vv = st.frhs.(row) in
-                st.frhs.(row) <- 0.0;
-                if vv <> 0.0 then begin
-                  st.fpat.(!nf2) <- row;
-                  st.fval.(!nf2) <- vv;
-                  incr nf2
-                end
-              done;
-              if !nf2 > 0 then begin
-                let dxb = Basis.ftran_col_sparse st.fac st.fpat st.fval ~off:0 ~len:!nf2 in
-                for u = 0 to dxb.Basis.Svec.n - 1 do
-                  let i = dxb.Basis.Svec.idx.(u) in
-                  let bi = st.basis.(i) in
-                  st.xval.(bi) <- st.xval.(bi) -. dxb.Basis.Svec.vals.(i)
-                done
-              end;
-              st.bound_flips <- st.bound_flips + !nflip
-              (* the basis is unchanged, so the cached duals stay valid *)
-            end;
-            (* the flips moved the basic values: re-derive the leaving
-               variable's violation before pivoting on it *)
-            let xb = st.xval.(b) in
-            let v' =
-              if xb < st.lb.(b) -. feas_tol then xb -. st.lb.(b)
-              else if xb > st.ub.(b) +. feas_tol then xb -. st.ub.(b)
-              else 0.0
-            in
-            if v' = 0.0 || (v' < 0.0) <> (v < 0.0) then
-              (* the flips alone repaired (or overshot) this row's
-                 violation; a pivot on the stale ratio would be wrong, so
-                 rescan for the next most-violated row *)
-              stalled := 0
-            else begin
-              let alpha = ftran st q in
-              let arq = alpha.Basis.Svec.vals.(r) in
-              if Float.abs arq < pivot_tol then begin
-                (* the priced row entry and the FTRAN'd column disagree:
-                   refresh the factorization, then give the primal path the
-                   problem if it keeps happening *)
-                (try refactor st with Basis.Singular -> ());
-                recompute_basics st;
-                incr stalled;
-                if !stalled > 3 then running := false
+            let step = v /. arq in
+            st.xval.(q) <- st.xval.(q) +. step;
+            for u = 0 to alpha.Basis.Svec.n - 1 do
+              let i = alpha.Basis.Svec.idx.(u) in
+              let a = alpha.Basis.Svec.vals.(i) in
+              if a <> 0.0 then begin
+                let bi = st.basis.(i) in
+                st.xval.(bi) <- st.xval.(bi) -. (a *. step)
               end
-              else begin
-                let step = v' /. arq in
-                st.xval.(q) <- st.xval.(q) +. step;
-                for u = 0 to alpha.Basis.Svec.n - 1 do
-                  let i = alpha.Basis.Svec.idx.(u) in
-                  let a = alpha.Basis.Svec.vals.(i) in
-                  if a <> 0.0 then begin
-                    let bi = st.basis.(i) in
-                    st.xval.(bi) <- st.xval.(bi) -. (a *. step)
-                  end
-                done;
-                (* the leaving variable lands exactly on its violated bound *)
-                let bound = if v' < 0.0 then At_lower else At_upper in
-                st.status.(b) <- bound;
-                (st.xval.(b) <-
-                   match bound with At_lower -> st.lb.(b) | _ -> st.ub.(b));
-                st.basis.(r) <- q;
-                st.status.(q) <- Basic;
-                absorb_pivot st alpha ~row:r;
-                st.iterations <- st.iterations + 1;
-                st.dual_pivots <- st.dual_pivots + 1;
-                if st.dual_valid then
-                  update_prices_after_pivot st ~row:r ~q ~leaving:b ~d:dq
-                    ~lshift:0.0 ~upd_dual:true ~fold_g:None;
-                if rq <= dual_tol then begin
-                  (* dual-degenerate pivot: no dual objective progress *)
-                  incr stalled;
-                  if !stalled > 100 then running := false
-                end
-                else stalled := 0
-              end
+            done;
+            (* the leaving variable lands exactly on its violated bound *)
+            let bound = if v < 0.0 then At_lower else At_upper in
+            st.status.(b) <- bound;
+            (st.xval.(b) <-
+               match bound with At_lower -> st.lb.(b) | _ -> st.ub.(b));
+            st.basis.(r) <- q;
+            st.status.(q) <- Basic;
+            absorb_pivot st alpha ~row:r;
+            st.iterations <- st.iterations + 1;
+            st.dual_pivots <- st.dual_pivots + 1;
+            if st.dual_valid then
+              update_prices_after_pivot st ~row:r ~q ~leaving:b ~d:!dq
+                ~lshift:0.0 ~upd_dual:true ~fold_g:None;
+            if !rq <= dual_tol then begin
+              (* dual-degenerate pivot: no dual objective progress *)
+              incr stalled;
+              if !stalled > 100 then running := false
             end
+            else stalled := 0
           end
         end
       end
@@ -1323,7 +1134,7 @@ let solve_unconstrained std lb ub =
         bland_iterations = 0;
         duals = [||];
         basis = { wcols = [||]; wstatus = [||]; wfac = None };
-        kstats = { avg_ftran_nnz = 0.0; avg_btran_nnz = 0.0; bound_flips = 0 };
+        kstats = { avg_ftran_nnz = 0.0; avg_btran_nnz = 0.0 };
       }
   end
 

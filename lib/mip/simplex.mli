@@ -24,10 +24,12 @@
       triangular basis crashed from a known point ({!crash});
     - a warm-started basis that is still dual feasible (the branch-and-bound
       child pattern: parent-optimal basis, tightened bounds) is
-      re-optimized by a dual simplex phase — typically a handful of pivots —
-      before the primal phases run; the dual phase bails out to the primal
-      path on any numerical doubt, so it is purely an accelerator.  Cold
-      starts never run it.
+      re-optimized by a dual simplex phase — typically a handful of pivots
+      under the textbook dual ratio test (least [|d_j|/|a_j|] over the
+      priced pivot row; ties to the larger [|a_j|], then the lower column
+      index) — before the primal phases run; the dual phase bails out to
+      the primal path on any numerical doubt, so it is purely an
+      accelerator.  Cold starts never run it.
 
     Integrality markers in the input are ignored: this is the LP relaxation
     solver used by {!Branch_bound}. *)
@@ -87,12 +89,6 @@ type kernel_stats = {
           below the row count [m]; under {!Basis.Lu_full_scan} the work is
           O(m) regardless, but the counters still measure result density. *)
   avg_btran_nnz : float;
-  bound_flips : int;
-      (** Nonbasic bound flips performed by the long-step (bound-flip) dual
-          ratio test during the dual re-optimization phase.  Each flip
-          retires one breakpoint without a basis change; a cluster of flips
-          plus one pivot replaces what a textbook dual ratio test does in
-          many pivots. *)
 }
 (** Solve-kernel counters for one solve, reported by {!result.Optimal} and
     surfaced in the bench kernel rows. *)

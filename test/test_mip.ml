@@ -363,7 +363,7 @@ let test_mip_gap_stop_keeps_bound () =
         (out.Branch_bound.objective -. out.Branch_bound.best_bound)
         out.Branch_bound.gap)
     [
-      (* the root's rounding probe finds 2 against the LP's 1.5 *)
+      (* the seed's 3 is within 60% of the root LP's 1.5 *)
       ( "loose gap_rel",
         { Branch_bound.default_options with Branch_bound.gap_rel = 0.6; initial = Some [| 3.0; 0.0 |] } );
       (* the root LP is within gap_abs of the seed: the root stays open *)
@@ -736,9 +736,9 @@ let golden_fixtures =
        the LP relaxation covers r1's last RRU with half a c2 server (0.75);
        branch-and-bound must round it up to a whole one (0.8) *)
     ("region_scale_small.lp", Mip_opt 0.8);
-    (* x1 = x2 = 1, x3 = 0.5 basic; tightening x3's upper bound to 0 turns
-       the dual re-optimization into two bound flips plus one pivot — the
-       warm-restart side lives in test_sparse_kernels.ml *)
+    (* x1 = x2 = 1, x3 = 0.5 basic; tightening x3's upper bound to 0 makes
+       the dual re-optimization walk three breakpoints, x4, x5 then x6 —
+       the warm-restart side lives in test_sparse_kernels.ml *)
     ("bound_flip.lp", Lp_opt (-10.5));
     (* d appears in every row, so its FTRAN reach is the whole factor
        pattern: the hypersparse traversal must fall back to the full scan
