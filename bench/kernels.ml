@@ -1,6 +1,6 @@
 (* Solver kernel benchmarks.
 
-   Two layers:
+   Three layers:
    - Bechamel micro-benchmarks of the build kernels behind the timing
      figures (7, 8, 10, 11): simplex LP solve, symmetry grouping,
      formulation build, model compile, and a full phase-1 solve.
@@ -14,6 +14,9 @@
      branch-and-bound nodes/sec with warm dual-simplex restarts on the
      factorized basis.  Each pair prints its speedup and
      agreement; nothing is asserted.
+   - The tier-1 restore path and a demand change's window (snapshot +
+     admission, and the column copy the next broker write pays) on the
+     medium and 10^6-server presets.
 
    Every result row is also appended to BENCH_kernels.json (kernel name,
    size, wall time, rates) so future changes have a perf trajectory to
@@ -415,7 +418,7 @@ let reactive_restore_kernel ~label ~events preset =
       phase1_time_limit_s = 120.0;
     }
   in
-  let snap = Ras.Snapshot.take ~home_of:(Ras.Online_mover.home_of mover) broker reservations in
+  let snap = Ras.Snapshot.take broker reservations in
   let stats = Ras.Async_solver.solve ~params:solver snap in
   ignore (Ras.Online_mover.apply_plan mover stats.Ras.Async_solver.plan);
   (let p1 = stats.Ras.Async_solver.phase1 in
@@ -491,6 +494,73 @@ let reactive_restore_kernel ~label ~events preset =
   end
 
 (* ---------------------------------------------------------------- *)
+(* Demand change: snapshot + admission, and the copy-on-write cost    *)
+
+(* The timed window of a demand change, [System.snapshot] then
+   [Portal.modify], on a broker nothing writes between changes; then the
+   one column copy the first write after a snapshot pays, against the
+   same write with no snapshot pending.  Words are minor + major words
+   allocated per change. *)
+let snapshot_kernel ~label ~changes preset =
+  let module Broker = Ras_broker.Broker in
+  let module Portal = Ras.Portal in
+  let region = Scenarios.region_of preset in
+  let broker = Broker.create region in
+  let sys = Ras.System.create broker in
+  let portal = Portal.create () in
+  List.iter
+    (fun req ->
+      if Portal.submit portal (Ras.System.snapshot sys) req = Portal.Accepted then
+        Ras.System.add_request sys req)
+    (Scenarios.requests_of preset region);
+  let accepted = Array.of_list (Portal.requests portal) in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let t0 = Unix.gettimeofday () in
+  for i = 1 to changes do
+    let snap = Ras.System.snapshot sys in
+    ignore (Portal.modify portal snap accepted.(i mod Array.length accepted))
+  done;
+  let change_s = (Unix.gettimeofday () -. t0) /. float_of_int changes in
+  let change_words = (words () -. w0) /. float_of_int changes in
+  (* toggle one server's in-use flag: an effective write that touches no
+     index beyond the change feed *)
+  let toggle () = Broker.set_in_use broker 0 (not (Broker.in_use_at broker 0)) in
+  let time_write ~after_snapshot =
+    (* untimed: pays the copy the last snapshot above left pending *)
+    toggle ();
+    let total = ref 0.0 in
+    for _ = 1 to changes do
+      if after_snapshot then ignore (Ras.System.snapshot sys);
+      let t = Unix.gettimeofday () in
+      toggle ();
+      total := !total +. (Unix.gettimeofday () -. t)
+    done;
+    !total /. float_of_int changes
+  in
+  let plain_s = time_write ~after_snapshot:false in
+  let copy_s = time_write ~after_snapshot:true in
+  let n = Broker.num_servers broker in
+  let name = Printf.sprintf "snapshot-%s" label in
+  Report.row "%-34s %d changes  snapshot+modify %.6fs/change  %.0f words/change\n" name
+    changes change_s change_words;
+  Report.row "%-34s first write after a snapshot %.6fs (column copy)  plain write %.6fs\n" ""
+    copy_s plain_s;
+  record ~kernel:name
+    ~size:(Printf.sprintf "servers=%d requests=%d" n (Array.length accepted))
+    ~wall_s:(change_s *. float_of_int changes)
+    [
+      ("changes", string_of_int changes);
+      ("change_s", flt change_s);
+      ("words_per_change", flt change_words);
+      ("first_write_after_snapshot_s", flt copy_s);
+      ("plain_write_s", flt plain_s);
+    ]
+
+(* ---------------------------------------------------------------- *)
 (* Bechamel micro-benchmarks (build kernels)                         *)
 
 let tests () =
@@ -551,6 +621,7 @@ type preset_row = {
   lu_refactors : int;  (* timed root-basis refactorizations; 0 skips *)
   heuristic_repeats : int;  (* timed round_lp + repair calls; 0 skips *)
   root_lp_repeats : int;  (* timed cold and crash root LPs after failures; 0 skips *)
+  snapshot_changes : int;  (* timed snapshot + admission changes; 0 skips *)
 }
 
 (* evaluated at run time so the [Scenarios.quick] flag (set by the CLI) is
@@ -568,6 +639,7 @@ let preset_rows () =
       lu_refactors = 0;
       heuristic_repeats = 0;
       root_lp_repeats = 0;
+      snapshot_changes = 0;
     };
     {
       label = "medium";
@@ -580,6 +652,7 @@ let preset_rows () =
       lu_refactors = (if !Scenarios.quick then 7 else 31);
       heuristic_repeats = (if !Scenarios.quick then 5 else 15);
       root_lp_repeats = (if !Scenarios.quick then 3 else 7);
+      snapshot_changes = (if !Scenarios.quick then 200 else 1000);
     };
     (* the north-star row: the 10^6-server preset.  Symmetry aggregation
        keeps the compiled model within ~2x of medium, so every enabled
@@ -596,6 +669,7 @@ let preset_rows () =
       lu_refactors = (if !Scenarios.quick then 7 else 31);
       heuristic_repeats = (if !Scenarios.quick then 3 else 7);
       root_lp_repeats = (if !Scenarios.quick then 1 else 3);
+      snapshot_changes = (if !Scenarios.quick then 50 else 200);
     };
   ]
 
@@ -645,5 +719,11 @@ let run () =
     (fun (r, _) ->
       if r.reactive_events > 0 then
         reactive_restore_kernel ~label:r.label ~events:r.reactive_events r.preset)
+    rows;
+  Report.row "-- demand change (snapshot + admission, copy-on-write) --\n";
+  List.iter
+    (fun (r, _) ->
+      if r.snapshot_changes > 0 then
+        snapshot_kernel ~label:r.label ~changes:r.snapshot_changes r.preset)
     rows;
   write_json ()

@@ -1,21 +1,36 @@
 module Region = Ras_topology.Region
 module Unavail = Ras_failures.Unavail
+module Hw = Ras_topology.Hardware
 
 type owner = Free | Reservation of int | Shared_buffer | Elastic of int
 
 type event = Went_down of int * Unavail.kind | Came_up of int
 
+type frozen = {
+  current : int array;
+  in_use : Bytes.t;
+  down : Bytes.t;
+  available_by_hw : int array;
+}
+
 (* Per-server state lives in flat columns (one int or one byte per server)
    instead of one heap record per server: at region scale (10^6 servers) the
    record representation costs ~6 words of header+fields per server plus a
    pointer array, while the columns cost ~2.25 words per server total and
-   never allocate on reads of the hot fields. *)
+   never allocate on reads of the hot fields.
+
+   [freeze] hands the [current], [in_use] and [down] columns to a reader
+   as they are and sets [shared]; the first effective write after it
+   copies the three columns once, so a frozen view never changes and a
+   run of freezes with no write between them costs no per-server work. *)
 type t = {
   mutable reg : Region.t;
   mutable current : int array;  (* owner codes *)
   mutable target : int array;  (* owner codes *)
   mutable down : Bytes.t;  (* 0 = healthy, 1 + kind code otherwise *)
   mutable in_use : Bytes.t;  (* 0 / 1 *)
+  mutable shared : bool;  (* [current], [in_use] and [down] are frozen views *)
+  available_by_hw : int array;  (* available servers per hardware-catalog index *)
   mutable subscribers : (event -> unit) list;  (* reversed subscription order *)
   mutable change_subscribers : (int -> unit) list;  (* reversed subscription order *)
 }
@@ -35,7 +50,7 @@ let owner_of_code = function
   | c when c land 3 = 2 -> Reservation ((c - 2) asr 2)
   | c -> Elastic ((c - 3) asr 2)
 
-let is_elastic_code c = c land 3 = 3
+let[@inline] is_elastic_code c = c land 3 = 3
 
 let kind_code = function
   | Unavail.Planned_maintenance -> 0
@@ -51,14 +66,23 @@ let kind_of_code = function
 
 let free_code = 0
 
+let hw_index_at reg id = reg.Region.servers.(id).Region.hw.Hw.index
+
 let create reg =
   let n = Region.num_servers reg in
+  let available_by_hw = Array.make Hw.count 0 in
+  for id = 0 to n - 1 do
+    let h = hw_index_at reg id in
+    available_by_hw.(h) <- available_by_hw.(h) + 1
+  done;
   {
     reg;
     current = Array.make n free_code;
     target = Array.make n free_code;
     down = Bytes.make n '\000';
     in_use = Bytes.make n '\000';
+    shared = false;
+    available_by_hw;
     subscribers = [];
     change_subscribers = [];
   }
@@ -86,9 +110,14 @@ let down_at t id =
 
 let in_use_at t id = check t id "in_use_at"; Bytes.unsafe_get t.in_use id <> '\000'
 
-let available_code c = c = 0 || c = 1 + kind_code Unavail.Planned_maintenance
+let planned_code = 1 + kind_code Unavail.Planned_maintenance
+
+(* inlined: the snapshot reads call it once per server per pass *)
+let[@inline] available_code c = c = 0 || c = planned_code
 
 let available_at t id = available_code (down_code t id)
+
+let[@inline] available_byte b = available_code (Char.code b)
 
 let healthy_at t id = down_code t id = 0
 
@@ -101,28 +130,59 @@ let notify t ev = List.iter (fun f -> f ev) (List.rev t.subscribers)
 let notify_change t id =
   List.iter (fun f -> f id) (List.rev t.change_subscribers)
 
+let freeze t : frozen =
+  t.shared <- true;
+  {
+    current = t.current;
+    in_use = t.in_use;
+    down = t.down;
+    available_by_hw = Array.copy t.available_by_hw;
+  }
+
+(* Called by every effective write to a frozen column, before it writes. *)
+let unshare t =
+  if t.shared then begin
+    t.current <- Array.copy t.current;
+    t.in_use <- Bytes.copy t.in_use;
+    t.down <- Bytes.copy t.down;
+    t.shared <- false
+  end
+
 let set_target t id owner = check t id "set_target"; t.target.(id) <- owner_code owner
 
 let move t id owner =
   check t id "move";
   let code = owner_code owner in
   if t.current.(id) <> code then begin
+    unshare t;
     t.current.(id) <- code;
     Bytes.unsafe_set t.in_use id '\000';
     notify_change t id
   end
 
+(* Write a down code and keep the per-subtype availability count. *)
+let set_down t id ~was code =
+  unshare t;
+  Bytes.unsafe_set t.down id (Char.chr code);
+  let delta = Bool.to_int (available_code code) - Bool.to_int (available_code was) in
+  if delta <> 0 then begin
+    let h = hw_index_at t.reg id in
+    t.available_by_hw.(h) <- t.available_by_hw.(h) + delta
+  end
+
 let mark_down t id kind =
   let code = 1 + kind_code kind in
-  if down_code t id <> code then begin
-    Bytes.unsafe_set t.down id (Char.chr code);
+  let was = down_code t id in
+  if was <> code then begin
+    set_down t id ~was code;
     notify_change t id;
     notify t (Went_down (id, kind))
   end
 
 let mark_up t id =
-  if down_code t id <> 0 then begin
-    Bytes.unsafe_set t.down id '\000';
+  let was = down_code t id in
+  if was <> 0 then begin
+    set_down t id ~was 0;
     notify_change t id;
     notify t (Came_up id)
   end
@@ -131,6 +191,7 @@ let set_in_use t id flag =
   check t id "set_in_use";
   let byte = if flag then '\001' else '\000' in
   if Bytes.unsafe_get t.in_use id <> byte then begin
+    unshare t;
     Bytes.unsafe_set t.in_use id byte;
     notify_change t id
   end
@@ -157,7 +218,15 @@ let extend_region t reg =
   t.target <- grow_int t.target;
   t.down <- grow_bytes t.down;
   t.in_use <- grow_bytes t.in_use;
+  (* the grown columns are fresh: no frozen view shares them *)
+  t.shared <- false;
   t.reg <- reg;
+  (* every count before the first notification: a change subscriber may
+     freeze *)
+  for id = old_n to n - 1 do
+    let h = hw_index_at reg id in
+    t.available_by_hw.(h) <- t.available_by_hw.(h) + 1
+  done;
   for id = old_n to n - 1 do
     notify_change t id
   done

@@ -17,7 +17,14 @@
     [*_at] / [*_code] accessors, which take a server id, check it, and
     never allocate (the server's location and hardware come from
     {!region}).  It is written through {!move}, {!set_target},
-    {!mark_down}, {!mark_up} and {!set_in_use}. *)
+    {!mark_down}, {!mark_up} and {!set_in_use}.
+
+    The broker is a versioned store: {!freeze} hands out the [current],
+    [in_use] and [down] columns as an O(1) read-only view, and the first
+    effective write after it copies those three columns once before
+    writing (copy-on-write), so the view never changes.  Freezes with no
+    write between them share one copy.  The [target] column is never
+    frozen, so it is never copied. *)
 
 type owner =
   | Free  (** region free pool *)
@@ -71,6 +78,29 @@ val available_at : t -> int -> bool
 val healthy_at : t -> int -> bool
 (** No active unavailability at all. *)
 
+val available_byte : char -> bool
+(** The availability rule of {!available_at}, applied to one byte of a
+    frozen [down] column. *)
+
+(** {2 Frozen views} *)
+
+type frozen = private {
+  current : int array;  (** owner codes per server id *)
+  in_use : Bytes.t;  (** 0 / 1 per server id *)
+  down : Bytes.t;  (** 0 = healthy, otherwise the server's active unavailability *)
+  available_by_hw : int array;
+      (** available servers ({!available_at}) per hardware-catalog index;
+          a copy of the count the broker keeps *)
+}
+(** The columns as of one {!freeze}.  Readers must not write them: they
+    are the broker's own arrays until its next effective write. *)
+
+val freeze : t -> frozen
+(** O(1) apart from the catalog-length count copy.  Marks the three
+    columns shared: the next effective {!move}, {!mark_down}, {!mark_up}
+    or {!set_in_use} copies them first.  {!extend_region} allocates new
+    columns anyway. *)
+
 val subscribe : t -> (event -> unit) -> unit
 (** Callbacks run synchronously on {!mark_down}/{!mark_up}, in subscription
     order. *)
@@ -103,7 +133,8 @@ val set_in_use : t -> int -> bool -> unit
 
 val extend_region : t -> Ras_topology.Region.t -> unit
 (** Adopt an extended region (see {!Ras_topology.Generator.extend}): new
-    servers are added as [Free]; existing records are untouched.  Raises
+    servers are added as [Free] and healthy; existing records are
+    untouched.  Raises
     [Invalid_argument] if the new region does not extend the old one. *)
 
 val servers_with_owner : t -> owner -> int list

@@ -94,13 +94,14 @@ let rack_overflows (snapshot : Snapshot.t) targets reservations =
     reservations
 
 (* The snapshot phase 2 solves from: every covered server on its target
-   owner. *)
+   owner.  Uncovered cells keep the column's raw codes, which
+   [Snapshot.current_code] resolves on read. *)
 let with_targets (snapshot : Snapshot.t) targets =
   let current = Array.copy snapshot.Snapshot.current in
   let in_use = Bytes.copy snapshot.Snapshot.in_use in
   Array.iteri
     (fun id code ->
-      if code >= 0 && current.(id) <> code then begin
+      if code >= 0 && Snapshot.current_code snapshot id <> code then begin
         (* a moved server is preempted: it arrives idle *)
         current.(id) <- code;
         Bytes.set in_use id '\000'
@@ -146,11 +147,11 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
             free_code candidates
         in
         let usable_by_code = Array.make (max_code + 1) 0 in
-        Array.iteri
-          (fun id c ->
-            if c <= max_code && Snapshot.usable_at snapshot2_all id then
-              usable_by_code.(c) <- usable_by_code.(c) + 1)
-          snapshot2_all.Snapshot.current;
+        for id = 0 to Snapshot.num_servers snapshot2_all - 1 do
+          let c = Snapshot.current_code snapshot2_all id in
+          if c <= max_code && Snapshot.usable_at snapshot2_all id then
+            usable_by_code.(c) <- usable_by_code.(c) + 1
+        done;
         (* accumulate reservations while the grouped-variable estimate stays
            under the cap (one variable per rack-level class x reservation) *)
         let selected = ref [] and var_estimate = ref 0 in

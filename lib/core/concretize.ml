@@ -34,7 +34,7 @@ let take unmet c =
 
 let write_targets (f : Formulation.t) (assignment : Formulation.assignment) column =
   let sym = f.Formulation.symmetry in
-  let current = sym.Symmetry.snapshot.Snapshot.current in
+  let snapshot = sym.Symmetry.snapshot in
   let quotas = Array.make (Symmetry.num_classes sym) [] in
   let max_code = ref free_code in
   List.iter
@@ -69,7 +69,7 @@ let write_targets (f : Formulation.t) (assignment : Formulation.assignment) colu
       let from_free = cursor_at unmet 0 and from_owned = cursor_at unmet free_surplus in
       Array.iter
         (fun id ->
-          let c = current.(id) in
+          let c = Snapshot.current_code snapshot id in
           column.(id) <-
             (if c <= !max_code && keep.(c) > 0 then begin
                keep.(c) <- keep.(c) - 1;

@@ -5,7 +5,8 @@
 
     Elastic lending (§3.4) is an overlay: a lent server's broker owner
     becomes [Elastic id] and its home is the shared buffer; the Async
-    Solver sees lent servers at their home owner (via {!home_of}), so loans
+    Solver sees lent servers at their home owner ({!Snapshot.current_code}
+    resolves [Elastic] codes on read, the rule {!home_of} states), so loans
     never perturb the optimization.  Whenever failure handling needs buffer
     capacity, loans are revoked.
 
@@ -50,8 +51,9 @@ val apply_plan : t -> Concretize.plan -> apply_stats
     are picked up by a later solve once they return. *)
 
 val home_of : t -> int -> Ras_broker.Broker.owner option
-(** Lending overlay for {!Snapshot.take}: [Some Shared_buffer] for every
-    [Elastic]-owned server, [None] otherwise.  O(1). *)
+(** The lending overlay read off the broker: [Some Shared_buffer] for
+    every [Elastic]-owned server, [None] otherwise.  O(1).  Snapshots apply
+    the same rule in {!Snapshot.current_code}. *)
 
 val lend_idle : t -> elastic_id:int -> max_servers:int -> int
 (** Lend healthy, idle shared-buffer servers to an elastic reservation,

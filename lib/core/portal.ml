@@ -10,21 +10,18 @@ type event = Submitted of int * decision | Modified of int * decision | Deleted 
 type t = {
   accepted : (int, Capacity_request.t) Hashtbl.t;
   mutable events : event list;  (* newest first *)
-  mutable supply_hist : (Snapshot.t * int array) option;
-      (* usable-per-subtype histogram of the last snapshot seen (keyed by
-         physical identity): admission folds supply over it instead of
-         walking 10^6 servers per submit/modify *)
 }
 
-let create () = { accepted = Hashtbl.create 32; events = []; supply_hist = None }
+let create () = { accepted = Hashtbl.create 32; events = [] }
 
 let buffer_overhead (region : Region.t) (req : Capacity_request.t) =
   if req.Capacity_request.embedded_buffer && region.Region.num_msbs > 1 then
     1.0 +. (1.0 /. float_of_int (region.Region.num_msbs - 1))
   else 1.0
 
-(* |catalog| RRU evaluations against the usable histogram — the per-server
-   form of this loop was an O(n) record build on every submit/modify *)
+(* |catalog| RRU evaluations against the snapshot's usable-per-subtype
+   counts, which the broker keeps as servers fail and heal: admission does
+   no per-server work *)
 let supply_of_hist hist service =
   let acc = ref 0.0 in
   Array.iteri
@@ -32,14 +29,6 @@ let supply_of_hist hist service =
       if n > 0 then acc := !acc +. (float_of_int n *. Service.rru_of service Hw.catalog.(i)))
     hist;
   !acc
-
-let usable_hist t snapshot =
-  match t.supply_hist with
-  | Some (s, h) when s == snapshot -> h
-  | Some _ | None ->
-    let h = Snapshot.usable_hw_histogram snapshot in
-    t.supply_hist <- Some (snapshot, h);
-    h
 
 (* What other accepted requests already claim of this service's acceptable
    supply: conservatively, any request accepting an overlapping hardware
@@ -82,7 +71,7 @@ let validate t (snapshot : Snapshot.t) (req : Capacity_request.t) ~excluding =
           or CPU-generation limits rule everything out)"
          service.Service.name)
   else begin
-    let supply = supply_of_hist (usable_hist t snapshot) service in
+    let supply = supply_of_hist (Snapshot.usable_hw_histogram snapshot) service in
     let need = rru *. buffer_overhead snapshot.Snapshot.region req in
     if supply < need then
       Rejected

@@ -2,67 +2,56 @@ module Broker = Ras_broker.Broker
 module Region = Ras_topology.Region
 
 (* Server state is columnar (int/byte column per field, indexed by server
-   id): a region-scale snapshot costs a handful of flat arrays instead of
-   10^6 records, and capture from the (equally columnar) broker is a
-   tight loop with no per-server allocation. *)
+   id), and the columns are the broker's own, frozen: capture does no
+   per-server work, and the broker copies them on its next write. *)
 type t = {
   region : Region.t;
-  current : int array;  (* Broker.owner_code per server *)
+  current : int array;  (* Broker.owner_code per server, [Elastic] unresolved *)
   in_use : Bytes.t;
-  usable : Bytes.t;
-  attr : int array;
+  down : Bytes.t;
+  attr : int array option;
+  usable_by_hw : int array;
   reservations : Reservation.t list;
 }
 
-let take ?home_of ?attr_of broker reservations =
-  let n = Broker.num_servers broker in
-  let current =
-    match home_of with
-    | None -> Array.init n (fun id -> Broker.current_code broker id)
-    | Some home_of ->
-      Array.init n (fun id ->
-          match home_of id with
-          | Some home -> Broker.owner_code home
-          | None -> Broker.current_code broker id)
-  in
-  let in_use = Bytes.make n '\000' in
-  let usable = Bytes.make n '\000' in
-  for id = 0 to n - 1 do
-    if Broker.in_use_at broker id then Bytes.unsafe_set in_use id '\001';
-    if Broker.available_at broker id then Bytes.unsafe_set usable id '\001'
-  done;
-  let attr =
-    match attr_of with
-    | None -> Array.make n 0
-    | Some attr_of -> Array.init n attr_of
-  in
-  { region = Broker.region broker; current; in_use; usable; attr; reservations }
+let take ?attr_of broker reservations =
+  let f = Broker.freeze broker in
+  {
+    region = Broker.region broker;
+    current = f.Broker.current;
+    in_use = f.Broker.in_use;
+    down = f.Broker.down;
+    attr = Option.map (Array.init (Broker.num_servers broker)) attr_of;
+    usable_by_hw = f.Broker.available_by_hw;
+    reservations;
+  }
 
 let num_servers t = Array.length t.current
 
 let server t id = t.region.Region.servers.(id)
 
-let current_code t id = t.current.(id)
+let shared_code = Broker.owner_code Broker.Shared_buffer
 
-let current t id = Broker.owner_of_code t.current.(id)
+(* [Online_mover.lend_idle] is the only writer of [Elastic] owners, and it
+   lends from the shared buffer: a lent server is read at its home.  The
+   per-server reads are inlined: symmetry, concretize and the merge call
+   them once per server per pass. *)
+let[@inline] current_code t id =
+  let c = t.current.(id) in
+  if Broker.is_elastic_code c then shared_code else c
+
+let current t id = Broker.owner_of_code (current_code t id)
 
 let in_use_at t id = Bytes.get t.in_use id <> '\000'
 
-let usable_at t id = Bytes.get t.usable id <> '\000'
+let[@inline] usable_at t id = Broker.available_byte (Bytes.get t.down id)
 
-let attr_at t id = t.attr.(id)
+let[@inline] attr_at t id =
+  match t.attr with
+  | Some attr -> attr.(id)
+  | None -> if id < 0 || id >= num_servers t then invalid_arg "index out of bounds" else 0
 
-let hw_index_at t id = t.region.Region.servers.(id).Region.hw.Ras_topology.Hardware.index
-
-let usable_hw_histogram t =
-  let counts = Array.make Ras_topology.Hardware.count 0 in
-  for id = 0 to num_servers t - 1 do
-    if usable_at t id then begin
-      let h = hw_index_at t id in
-      counts.(h) <- counts.(h) + 1
-    end
-  done;
-  counts
+let usable_hw_histogram t = t.usable_by_hw
 
 (* Buffer reservations are per hardware category, so category membership
    (rru_of > 0) identifies which buffer reservation holds a [Shared_buffer]
@@ -79,7 +68,7 @@ let current_rru t res =
   for id = 0 to num_servers t - 1 do
     if usable_at t id then begin
       let hw = (server t id).Region.hw in
-      if owned_by_code res t.current.(id) hw then
+      if owned_by_code res (current_code t id) hw then
         acc := !acc +. res.Reservation.rru_of hw
     end
   done;
@@ -91,7 +80,7 @@ let rru_by_msb t res =
     if usable_at t id then begin
       let s = server t id in
       let hw = s.Region.hw in
-      if owned_by_code res t.current.(id) hw then begin
+      if owned_by_code res (current_code t id) hw then begin
         let m = s.Region.loc.Region.msb in
         out.(m) <- out.(m) +. res.Reservation.rru_of hw
       end
@@ -105,7 +94,7 @@ let rru_by_dc t res =
     if usable_at t id then begin
       let s = server t id in
       let hw = s.Region.hw in
-      if owned_by_code res t.current.(id) hw then begin
+      if owned_by_code res (current_code t id) hw then begin
         let d = s.Region.loc.Region.dc in
         out.(d) <- out.(d) +. res.Reservation.rru_of hw
       end

@@ -7,58 +7,63 @@
     is pre-baked into reservations.
 
     Server state is stored columnar — one int or byte column per field,
-    indexed by server id — so a region-scale snapshot (10⁶ servers) costs a
-    handful of flat arrays rather than a million per-server records.  It is
-    read one way, through the [*_at]/[*_code] accessors (each raises
-    [Invalid_argument] on an unknown server id) or the columns below. *)
+    indexed by server id — and the columns are the broker's own, frozen
+    by {!Ras_broker.Broker.freeze}: capture is O(1) in the number of
+    servers, and the broker copies them on its next write, so a snapshot
+    never changes once taken.  It is read one way, through the
+    [*_at]/[*_code] accessors (each raises [Invalid_argument] on an
+    unknown server id) or the columns below, which callers must not
+    write. *)
 
 type t = {
   region : Ras_topology.Region.t;
   current : int array;
-      (** {!Ras_broker.Broker.owner_code} of the home owner per server id:
-          elastic lending is resolved back to the lender before the
-          snapshot is taken *)
+      (** {!Ras_broker.Broker.owner_code} of the current owner per server
+          id, as the broker holds it: read it through {!current_code},
+          which resolves elastic lending *)
   in_use : Bytes.t;  (** 0 / 1 per server id *)
-  usable : Bytes.t;  (** 0 / 1 per server id *)
-  attr : int array;
-      (** generic placement attribute per server id (0 = none): extra server
-          state the formulation prices, e.g. the SSD wear bucket of §5.2.
-          It is part of the symmetry key, so non-zero attributes
-          deliberately break server symmetry — exactly the cost the paper
-          warns new placement goals carry *)
+  down : Bytes.t;  (** the broker's unavailability byte per server id; see {!usable_at} *)
+  attr : int array option;
+      (** generic placement attribute per server id ([None] = 0 everywhere):
+          extra server state the formulation prices, e.g. the SSD wear
+          bucket of §5.2.  It is part of the symmetry key, so non-zero
+          attributes deliberately break server symmetry — exactly the cost
+          the paper warns new placement goals carry *)
+  usable_by_hw : int array;  (** see {!usable_hw_histogram} *)
   reservations : Reservation.t list;
 }
 
-val take :
-  ?home_of:(int -> Ras_broker.Broker.owner option) ->
-  ?attr_of:(int -> int) ->
-  Ras_broker.Broker.t ->
-  Reservation.t list ->
-  t
-(** [home_of id] resolves an elastically-lent server to its home owner
-    (provided by the Online Mover); defaults to no lending.  [attr_of id]
-    supplies the placement attribute (defaults to 0 everywhere).  Capture
-    reads the broker's columns directly: no per-server allocation. *)
+val take : ?attr_of:(int -> int) -> Ras_broker.Broker.t -> Reservation.t list -> t
+(** [attr_of id] supplies the placement attribute (defaults to 0
+    everywhere, with no column).  Without it, capture does no per-server
+    work: it freezes the broker's columns and copies its per-subtype
+    counts. *)
 
 val num_servers : t -> int
 
 val server : t -> int -> Ras_topology.Region.server
 
 val current_code : t -> int -> int
+(** The server's owner code, with elastic lending resolved to its home:
+    an [Elastic _] code reads as [Shared_buffer], because
+    {!Online_mover.lend_idle}, the only writer of [Elastic] owners, lends
+    from the shared buffer. *)
 
 val current : t -> int -> Ras_broker.Broker.owner
 
 val in_use_at : t -> int -> bool
 
 val usable_at : t -> int -> bool
+(** Healthy or under planned maintenance ({!Ras_broker.Broker.available_at}
+    as of the snapshot). *)
 
 val attr_at : t -> int -> int
 
 val usable_hw_histogram : t -> int array
 (** Usable-server count per hardware-catalog index (length
-    {!Ras_topology.Hardware.count}).  One integer pass over the columns;
-    admission checks fold supply over this instead of evaluating a
-    per-server RRU function 10⁶ times. *)
+    {!Ras_topology.Hardware.count}): the broker's counts as of the
+    snapshot, so admission checks fold supply over |catalog| entries
+    instead of 10⁶ servers.  Callers must not write the array. *)
 
 val owned_by_code : Reservation.t -> int -> Ras_topology.Hardware.t -> bool
 (** [owned_by_code res code hw]: does owner-code [code] on a server of

@@ -137,7 +137,7 @@ let remove_reservation t rid =
 let install_failures t events = ignore (Health.install t.eng t.brk events)
 
 let snapshot t =
-  Snapshot.take ~home_of:(Online_mover.home_of t.mv) t.brk (reservations t)
+  Snapshot.take t.brk (reservations t)
 
 (* Fill each reservation's allocator with 1-RRU containers up to the
    configured fraction of its requested capacity, so that servers carry

@@ -66,7 +66,8 @@ val solve_now : t -> Async_solver.stats
     recurring event). *)
 
 val snapshot : t -> Snapshot.t
-(** Current state, with elastic loans resolved to home owners. *)
+(** Current state as an O(1) frozen view of the broker's columns; elastic
+    loans read at their home owner ({!Snapshot.current_code}). *)
 
 val solve_count : t -> int
 (** Solves so far. *)

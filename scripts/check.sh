@@ -20,9 +20,10 @@ sh scripts/check_dead_modules.sh
 echo "== dune runtest (test suite + ras_bench --smoke) =="
 dune runtest
 
-# includes the 10^6-server `large` rows (lp-large-*, and the
-# reactive-restore-{medium,large} time-to-restore rows), keeping the
-# paper-regime perf rows on the artifact trail
+# includes the 10^6-server `large` rows (lp-large-*, the
+# reactive-restore-{medium,large} time-to-restore rows and the
+# snapshot-{medium,large} demand-change rows), keeping the paper-regime
+# perf rows on the artifact trail
 echo "== bench smoke (kernels --quick, incl. large rows) =="
 dune exec bench/main.exe -- --quick kernels
 

@@ -16,7 +16,9 @@
    - The primal heuristic: Ras.Formulation's rounding and repair passes,
      which now share one count array by pair, as they first shipped over
      Hashtbls keyed by (class, reservation) (test_core.ml,
-     test_region_scale.ml). *)
+     test_region_scale.ml).
+   - Admission supply: the usable servers per hardware subtype, which the
+     broker now keeps as counts and a snapshot freezes (test_core.ml). *)
 
 open Ras
 module Broker = Ras_broker.Broker
@@ -484,7 +486,7 @@ let with_targets_reference (snapshot : Snapshot.t) targets =
   Hashtbl.iter
     (fun id owner ->
       let code = Broker.owner_code owner in
-      if current.(id) <> code then begin
+      if Snapshot.current_code snapshot id <> code then begin
         current.(id) <- code;
         Bytes.set in_use id '\000'
       end)
@@ -579,6 +581,21 @@ let merge_reference (stats : Async_solver.stats) =
     }
   in
   { overflows; selected; phase2_snapshot; plan }
+
+(* ---------- admission supply: the per-server fold ---------- *)
+
+(* [Snapshot.usable_hw_histogram] before the broker kept the counts: one
+   pass over every server of the snapshot, counting the usable ones per
+   hardware-catalog index. *)
+let usable_hw_histogram_reference (snapshot : Snapshot.t) =
+  let counts = Array.make Ras_topology.Hardware.count 0 in
+  for id = 0 to Snapshot.num_servers snapshot - 1 do
+    if Snapshot.usable_at snapshot id then begin
+      let h = (Snapshot.server snapshot id).Region.hw.Ras_topology.Hardware.index in
+      counts.(h) <- counts.(h) + 1
+    end
+  done;
+  counts
 
 (* ---------- System metrics: the decoded-owner reads ---------- *)
 

@@ -168,9 +168,7 @@ let test_snapshot_home_overlay () =
   let region = Generator.generate Generator.small_params in
   let broker = Broker.create region in
   Broker.move broker 0 (Broker.Elastic 9000);
-  let snap =
-    Snapshot.take ~home_of:(fun id -> if id = 0 then Some Broker.Shared_buffer else None) broker []
-  in
+  let snap = Snapshot.take broker [] in
   Alcotest.(check bool) "lent server resolved home" true
     (Snapshot.current snap 0 = Broker.Shared_buffer)
 
@@ -188,6 +186,172 @@ let test_snapshot_unknown_id () =
       Alcotest.check_raises "current_code" (Invalid_argument "index out of bounds") (fun () ->
           ignore (Snapshot.current_code snap id)))
     [ -1; Snapshot.num_servers snap ]
+
+(* Everything a snapshot answers, per server and per subtype. *)
+let snapshot_reads snap =
+  let n = Snapshot.num_servers snap in
+  ( Array.init n (Snapshot.current_code snap),
+    Array.init n (Snapshot.in_use_at snap),
+    Array.init n (Snapshot.usable_at snap),
+    Array.init n (Snapshot.attr_at snap),
+    Array.copy (Snapshot.usable_hw_histogram snap) )
+
+(* A snapshot shares the broker's columns until the broker's next write,
+   which copies them first: a snapshot reads the same after every mutator,
+   back-to-back snapshots allocate no per-server words, and a lent server
+   reads at its home, the shared buffer. *)
+let test_snapshot_frozen_view () =
+  let region =
+    Generator.generate { Generator.small_params with Generator.servers_per_rack = 60 }
+  in
+  let broker = Broker.create region in
+  let n = Broker.num_servers broker in
+  Broker.move broker 1 (Broker.Reservation 3);
+  Broker.set_in_use broker 1 true;
+  Broker.mark_down broker 2 Unavail.Unplanned_hw;
+  let first = Snapshot.take ~attr_of:(fun id -> id mod 3) broker [] in
+  for id = 0 to n - 1 do
+    if
+      Snapshot.current_code first id <> Broker.current_code broker id
+      || Snapshot.in_use_at first id <> Broker.in_use_at broker id
+      || Snapshot.usable_at first id <> Broker.available_at broker id
+    then Alcotest.failf "server %d: the snapshot does not read the broker at capture" id
+  done;
+  let first_reads = snapshot_reads first in
+  let bigger =
+    Generator.extend region ~new_msbs_per_dc:1 ~racks_per_msb:2 ~servers_per_rack:3 ~seed:9
+  in
+  let mutators =
+    [
+      ("move", fun () -> Broker.move broker 1 (Broker.Reservation 4));
+      ("mark_down planned", fun () -> Broker.mark_down broker 3 Unavail.Planned_maintenance);
+      ("mark_down sw", fun () -> Broker.mark_down broker 4 Unavail.Unplanned_sw);
+      ("mark_down hw", fun () -> Broker.mark_down broker 5 Unavail.Unplanned_hw);
+      ("mark_down correlated", fun () -> Broker.mark_down broker 6 Unavail.Correlated);
+      ("mark_down over planned", fun () -> Broker.mark_down broker 3 Unavail.Correlated);
+      ("mark_up", fun () -> Broker.mark_up broker 2);
+      ("set_in_use", fun () -> Broker.set_in_use broker 7 true);
+      ("extend_region", fun () -> Broker.extend_region broker bigger);
+      ("move after extend", fun () -> Broker.move broker (n + 1) Broker.Shared_buffer);
+    ]
+  in
+  List.iter
+    (fun (name, write) ->
+      (* a fresh snapshot before each write: every freeze is followed by
+         one copy, and the copy must leave both views intact *)
+      let latest = Snapshot.take broker [] in
+      let latest_reads = snapshot_reads latest in
+      write ();
+      Alcotest.(check bool) (name ^ ": first snapshot unchanged") true
+        (snapshot_reads first = first_reads);
+      Alcotest.(check bool) (name ^ ": latest snapshot unchanged") true
+        (snapshot_reads latest = latest_reads))
+    mutators;
+  Alcotest.(check int) "the broker grew" (Region.num_servers bigger) (Broker.num_servers broker);
+  Alcotest.(check bool) "the broker took the writes" true
+    (Broker.current_code broker 1 = Broker.owner_code (Broker.Reservation 4)
+    && Broker.down_at broker 3 = Some Unavail.Correlated
+    && Broker.healthy_at broker 2 && Broker.in_use_at broker 7);
+  (* capture is O(1): no per-server words with no write in between *)
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  ignore (Snapshot.take broker []);
+  let w0 = words () in
+  let a = Snapshot.take broker [] in
+  let b = Snapshot.take broker [] in
+  let allocated = words () -. w0 in
+  ignore (Sys.opaque_identity (a, b));
+  Alcotest.(check bool)
+    (Printf.sprintf "two snapshots of %d servers allocate %.0f words (limit 256)"
+       (Broker.num_servers broker) allocated)
+    true (allocated <= 256.0);
+  (* a lent server reads at its home through every owner read *)
+  let lent = 0 in
+  let hw = (Broker.region broker).Region.servers.(lent).Region.hw in
+  let buffers = Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000 in
+  let buffer =
+    match List.find_opt (fun r -> r.Reservation.rru_of hw > 0.0) buffers with
+    | Some r -> r
+    | None -> Alcotest.fail "no shared buffer accepts the lent server's hardware"
+  in
+  Broker.move broker lent (Broker.Elastic 9000);
+  let snap = Snapshot.take broker buffers in
+  Alcotest.(check int) "current_code" (Broker.owner_code Broker.Shared_buffer)
+    (Snapshot.current_code snap lent);
+  Alcotest.(check (float 1e-9)) "current_rru" (buffer.Reservation.rru_of hw)
+    (Snapshot.current_rru snap buffer);
+  let sym = Symmetry.build snap in
+  let cls =
+    match
+      Array.to_list sym.Symmetry.classes
+      |> List.find_opt (fun (c : Symmetry.cls) -> Array.mem lent c.Symmetry.members)
+    with
+    | Some c -> c
+    | None -> Alcotest.fail "the lent server is in no class"
+  in
+  Alcotest.(check int) "owner counts: buffer" 1
+    (Symmetry.current_count sym cls Broker.Shared_buffer);
+  Alcotest.(check int) "owner counts: elastic" 0
+    (Symmetry.current_count sym cls (Broker.Elastic 9000))
+
+(* The broker's per-subtype counts, which admission reads through
+   [Snapshot.usable_hw_histogram], equal the full fold after every change
+   of a seeded sequence: failures of each kind, overlapping health events,
+   maintenance and a region extension. *)
+let test_snapshot_counts_match_fold () =
+  let region = Generator.generate Generator.small_params in
+  let broker = Broker.create region in
+  let checks = ref 0 in
+  let check () =
+    let snap = Snapshot.take broker [] in
+    incr checks;
+    Alcotest.(check (array int))
+      (Printf.sprintf "counts after change %d" !checks)
+      (Oracles.usable_hw_histogram_reference snap)
+      (Snapshot.usable_hw_histogram snap)
+  in
+  Broker.subscribe_changes broker (fun _ -> check ());
+  check ();
+  let rng = Ras_stats.Rng.create 29 in
+  let kinds =
+    [| Unavail.Planned_maintenance; Unavail.Unplanned_sw; Unavail.Unplanned_hw; Unavail.Correlated |]
+  in
+  let churn () =
+    for _ = 1 to 200 do
+      let id = Ras_stats.Rng.int rng (Broker.num_servers broker) in
+      if Ras_stats.Rng.int rng 3 = 0 then Broker.mark_up broker id
+      else Broker.mark_down broker id kinds.(Ras_stats.Rng.int rng (Array.length kinds))
+    done
+  in
+  churn ();
+  let engine = Ras_sim.Engine.create () in
+  let event id scope kind start_h duration_h =
+    { Unavail.id; scope; kind; start_h; duration_h }
+  in
+  let events =
+    [
+      event 0 (Unavail.Msb 0) Unavail.Planned_maintenance 1.0 6.0;
+      event 1 (Unavail.Rack 1) Unavail.Correlated 2.0 2.0;
+      event 2 (Unavail.Server 5) Unavail.Unplanned_hw 1.5 4.0;
+      event 3 (Unavail.Server 5) Unavail.Unplanned_sw 3.0 0.5;
+      event 4 (Unavail.Msb 1) Unavail.Correlated 2.5 1.0;
+      event 5 (Unavail.Rack 2) Unavail.Planned_maintenance 0.5 8.0;
+    ]
+  in
+  ignore (Health.install engine broker events);
+  for step = 1 to 20 do
+    Ras_sim.Engine.run_until engine (0.5 *. float_of_int step);
+    check ()
+  done;
+  let bigger =
+    Generator.extend region ~new_msbs_per_dc:1 ~racks_per_msb:2 ~servers_per_rack:3 ~seed:9
+  in
+  Broker.extend_region broker bigger;
+  check ();
+  churn ();
+  Alcotest.(check bool) "the sequence changed availability" true (!checks > 100)
 
 (* ---------- Symmetry ---------- *)
 
@@ -1457,4 +1621,7 @@ let suite =
     Alcotest.test_case "solve include_server" `Quick test_solve_include_server;
     Alcotest.test_case "system removed allocator is deaf" `Quick
       test_system_removed_allocator_is_deaf;
+    Alcotest.test_case "snapshot is a frozen view" `Quick test_snapshot_frozen_view;
+    Alcotest.test_case "snapshot counts match the full fold" `Quick
+      test_snapshot_counts_match_fold;
   ]
