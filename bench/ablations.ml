@@ -82,7 +82,6 @@ let run_buffers () =
     let requests = Scenarios.requests_of Scenarios.Small region in
     let config =
       {
-        Ras.System.default_config with
         Ras.System.solver = Scenarios.simulation_solver;
         shared_buffer_fraction = fraction;
         job_fill_fraction = 0.7;

@@ -412,17 +412,14 @@ let reactive_restore_kernel ~label ~events preset =
   let reactive = Ras.Online_mover.reactive mover in
   Ras.Online_mover.set_reservations mover reservations;
   let solver =
-    {
-      Scenarios.simulation_solver with
-      Ras.Async_solver.run_phase2 = false;
-      phase1_time_limit_s = 120.0;
-    }
+    { Scenarios.simulation_solver with Ras.Async_solver.phase1_time_limit_s = 120.0 }
   in
   let snap = Ras.Snapshot.take broker reservations in
   let stats = Ras.Async_solver.solve ~params:solver snap in
   ignore (Ras.Online_mover.apply_plan mover stats.Ras.Async_solver.plan);
   (let p1 = stats.Ras.Async_solver.phase1 in
-   Ras.Reactive.set_prices reactive ~row_names:p1.Ras.Phases.compiled.Ras_mip.Model.row_names
+   Ras.Reactive.set_prices reactive
+     ~supply_rows:p1.Ras.Phases.formulation.Ras.Formulation.supply_rows
      ~duals:p1.Ras.Phases.lp_duals);
   let round_s = stats.Ras.Async_solver.duration_s in
   let n = Broker.num_servers broker in

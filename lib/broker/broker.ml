@@ -58,12 +58,6 @@ let kind_code = function
   | Unavail.Unplanned_hw -> 2
   | Unavail.Correlated -> 3
 
-let kind_of_code = function
-  | 0 -> Unavail.Planned_maintenance
-  | 1 -> Unavail.Unplanned_sw
-  | 2 -> Unavail.Unplanned_hw
-  | _ -> Unavail.Correlated
-
 let free_code = 0
 
 let hw_index_at reg id = reg.Region.servers.(id).Region.hw.Hw.index
@@ -104,9 +98,6 @@ let target_code t id = check t id "target_code"; t.target.(id)
 let current_owner t id = owner_of_code (current_code t id)
 
 let down_code t id = check t id "down_code"; Char.code (Bytes.unsafe_get t.down id)
-
-let down_at t id =
-  match down_code t id with 0 -> None | c -> Some (kind_of_code (c - 1))
 
 let in_use_at t id = check t id "in_use_at"; Bytes.unsafe_get t.in_use id <> '\000'
 

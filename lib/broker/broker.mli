@@ -68,9 +68,6 @@ val current_owner : t -> int -> owner
 val in_use_at : t -> int -> bool
 (** Has running containers (drives movement cost). *)
 
-val down_at : t -> int -> Ras_failures.Unavail.kind option
-(** The server's active unavailability; [None] = healthy. *)
-
 val available_at : t -> int -> bool
 (** Healthy or under planned maintenance: planned events count as usable
     capacity for the solver (§3.5.1). *)

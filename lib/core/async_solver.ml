@@ -10,7 +10,6 @@ type params = {
   node_limit : int;
   mip_gap_rel : float;
   mip_stall_nodes : int;
-  run_phase2 : bool;
 }
 
 let default_params =
@@ -21,7 +20,6 @@ let default_params =
     node_limit = 300;
     mip_gap_rel = Branch_bound.default_options.Branch_bound.gap_rel;
     mip_stall_nodes = 0;
-    run_phase2 = true;
   }
 
 (* Phase 2 refines the worst ~10% of reservations by rack objective
@@ -124,68 +122,65 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
   Concretize.write_targets phase1.Phases.formulation assignment1 targets;
   (* ---- phase 2: rack refinement for the worst reservations ---- *)
   let phase2 =
-    if not params.run_phase2 then None
+    let scored =
+      List.combine (rack_overflows snapshot targets reservations) reservations
+      |> List.filter (fun (overflow, _) -> overflow > 1e-6)
+    in
+    if scored = [] then None
     else begin
-      let scored =
-        List.combine (rack_overflows snapshot targets reservations) reservations
-        |> List.filter (fun (overflow, _) -> overflow > 1e-6)
+      let scored = List.sort (fun (a, _) (b, _) -> compare b a) scored in
+      let quota =
+        Int.max 1 (int_of_float (phase2_fraction *. float_of_int (List.length reservations)))
       in
-      if scored = [] then None
-      else begin
-        let scored = List.sort (fun (a, _) (b, _) -> compare b a) scored in
-        let quota =
-          Int.max 1 (int_of_float (phase2_fraction *. float_of_int (List.length reservations)))
-        in
-        let candidates = List.filteri (fun i _ -> i < quota) (List.map snd scored) in
-        let snapshot2_all = with_targets snapshot targets in
-        (* a candidate's phase-2 pool is its usable servers plus the usable
-           free ones: one owner-code histogram sizes them all *)
-        let free_code = Broker.owner_code Broker.Free in
-        let max_code =
-          List.fold_left
-            (fun m res -> Int.max m (Broker.owner_code (Reservation.owner res)))
-            free_code candidates
-        in
-        let usable_by_code = Array.make (max_code + 1) 0 in
-        for id = 0 to Snapshot.num_servers snapshot2_all - 1 do
-          let c = Snapshot.current_code snapshot2_all id in
-          if c <= max_code && Snapshot.usable_at snapshot2_all id then
-            usable_by_code.(c) <- usable_by_code.(c) + 1
-        done;
-        (* accumulate reservations while the grouped-variable estimate stays
-           under the cap (one variable per rack-level class x reservation) *)
-        let selected = ref [] and var_estimate = ref 0 in
-        List.iter
-          (fun res ->
-            let server_count =
-              usable_by_code.(Broker.owner_code (Reservation.owner res))
-              + usable_by_code.(free_code)
-            in
-            (* rack-level classes are at worst one per server *)
-            if !var_estimate + server_count <= phase2_var_cap then begin
-              selected := res :: !selected;
-              var_estimate := !var_estimate + server_count
-            end)
-          candidates;
-        match !selected with
-        | [] -> None
-        | selected ->
-          let owners = List.map (fun res -> Broker.owner_code (Reservation.owner res)) selected in
-          let user_filter = Option.value include_server ~default:(fun _ -> true) in
-          let include_server id =
-            let code = Snapshot.current_code snapshot2_all id in
-            (code = free_code || List.mem code owners) && user_filter id
+      let candidates = List.filteri (fun i _ -> i < quota) (List.map snd scored) in
+      let snapshot2_all = with_targets snapshot targets in
+      (* a candidate's phase-2 pool is its usable servers plus the usable
+         free ones: one owner-code histogram sizes them all *)
+      let free_code = Broker.owner_code Broker.Free in
+      let max_code =
+        List.fold_left
+          (fun m res -> Int.max m (Broker.owner_code (Reservation.owner res)))
+          free_code candidates
+      in
+      let usable_by_code = Array.make (max_code + 1) 0 in
+      for id = 0 to Snapshot.num_servers snapshot2_all - 1 do
+        let c = Snapshot.current_code snapshot2_all id in
+        if c <= max_code && Snapshot.usable_at snapshot2_all id then
+          usable_by_code.(c) <- usable_by_code.(c) + 1
+      done;
+      (* accumulate reservations while the grouped-variable estimate stays
+         under the cap (one variable per rack-level class x reservation) *)
+      let selected = ref [] and var_estimate = ref 0 in
+      List.iter
+        (fun res ->
+          let server_count =
+            usable_by_code.(Broker.owner_code (Reservation.owner res))
+            + usable_by_code.(free_code)
           in
-          let result =
-            Phases.run ~params:params.formulation
-              ~mip_time_limit:params.phase2_time_limit_s ~mip_node_limit:params.node_limit
-              ~mip_gap_rel:params.mip_gap_rel ~mip_stall_nodes:params.mip_stall_nodes
-              ~rack_level:true ~include_server snapshot2_all selected
-          in
-          let assignment2 = Formulation.decode result.Phases.formulation result.Phases.solution in
-          Concretize.write_targets result.Phases.formulation assignment2 targets;
-          Some result
-      end
+          (* rack-level classes are at worst one per server *)
+          if !var_estimate + server_count <= phase2_var_cap then begin
+            selected := res :: !selected;
+            var_estimate := !var_estimate + server_count
+          end)
+        candidates;
+      match !selected with
+      | [] -> None
+      | selected ->
+        let owners = List.map (fun res -> Broker.owner_code (Reservation.owner res)) selected in
+        let user_filter = Option.value include_server ~default:(fun _ -> true) in
+        let include_server id =
+          let code = Snapshot.current_code snapshot2_all id in
+          (code = free_code || List.mem code owners) && user_filter id
+        in
+        let result =
+          Phases.run ~params:params.formulation
+            ~mip_time_limit:params.phase2_time_limit_s ~mip_node_limit:params.node_limit
+            ~mip_gap_rel:params.mip_gap_rel ~mip_stall_nodes:params.mip_stall_nodes
+            ~rack_level:true ~include_server snapshot2_all selected
+        in
+        let assignment2 = Formulation.decode result.Phases.formulation result.Phases.solution in
+        Concretize.write_targets result.Phases.formulation assignment2 targets;
+        Some result
     end
   in
   (* ---- merge: moves relative to the original snapshot ---- *)

@@ -26,7 +26,6 @@ type params = {
       (** stop a phase's tree search once the incumbent has not improved
           for this many nodes (0, the default, disables; forwarded to
           {!Phases.run}) *)
-  run_phase2 : bool;
 }
 
 val default_params : params
@@ -77,7 +76,7 @@ val solve :
     while the rest stays under legacy management (Fig. 12's gradual
     enablement).
 
-    Phase 1's root-LP duals ([phase1.lp_duals] against
-    [phase1.compiled.row_names]) cover the whole region at the (msb, hw)
-    granularity of the tier-1 pools; {!System.solve_now} installs them
+    Phase 1's root-LP duals ([phase1.lp_duals] on the class-supply rows
+    [phase1.formulation.supply_rows]) cover the whole region at the
+    (msb, hw) granularity of the tier-1 pools; {!System.solve_now} installs them
     with {!Reactive.set_prices}. *)

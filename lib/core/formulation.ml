@@ -39,6 +39,7 @@ type t = {
   pairs : pair array;
   res_pairs : int array array;
   class_pairs : int array array;
+  supply_rows : (int * Symmetry.cls) list;
   capacity_slack : (int * Model.var) list;
   buffer_var : (int * Model.var) list;
   aux_defs : (Model.var * Lin.t list) list;
@@ -92,16 +93,19 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
     symmetry.Symmetry.classes;
   let pairs = Array.of_list (List.rev !pairs) in
   (* expression (5): class supply *)
+  let supply_rows = ref [] in
   Array.iteri
     (fun idx ps ->
       if ps <> [] then begin
         let e = Lin.of_terms (List.map (fun i -> (1.0, pairs.(i).var)) ps) in
         let cls = symmetry.Symmetry.classes.(idx) in
-        ignore
-          (Model.add_constraint
-             ~name:(Printf.sprintf "supply_%s" (Symmetry.class_name cls))
-             model e Model.Le
-             (float_of_int (Symmetry.size cls)))
+        let row =
+          Model.add_constraint
+            ~name:(Printf.sprintf "supply_%s" (Symmetry.class_name cls))
+            model e Model.Le
+            (float_of_int (Symmetry.size cls))
+        in
+        supply_rows := (row, cls) :: !supply_rows
       end)
     class_pairs;
   let capacity_slack = ref [] and buffer_var = ref [] in
@@ -274,6 +278,7 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
     pairs;
     res_pairs = Array.map Array.of_list res_pairs;
     class_pairs = Array.map Array.of_list class_pairs;
+    supply_rows = List.rev !supply_rows;
     capacity_slack = !capacity_slack;
     buffer_var = !buffer_var;
     aux_defs = List.rev !aux_defs;
@@ -611,12 +616,3 @@ let repair t solution =
   improve_spread t w;
   improve_affinity t w;
   encode_counts t w.count
-
-let movement_units t solution ~in_use =
-  Array.fold_left
-    (fun acc p ->
-      let n0 = Symmetry.current_count t.symmetry p.cls (Reservation.owner p.res) in
-      if p.cls.Symmetry.in_use = in_use && n0 > 0 then
-        acc +. Float.max 0.0 (float_of_int n0 -. solution.(p.var))
-      else acc)
-    0.0 t.pairs

@@ -58,6 +58,9 @@ type t = {
       (** per reservation position: its pair indices, descending *)
   class_pairs : int array array;
       (** per class index: its pair indices, descending *)
+  supply_rows : (int * Symmetry.cls) list;
+      (** (row index, class) of every expression-(5) class-supply row, in
+          ascending row order; a compiled model keeps the row indices *)
   capacity_slack : (int * Ras_mip.Model.var) list;  (** reservation id -> slack *)
   buffer_var : (int * Ras_mip.Model.var) list;  (** reservation id -> z_r *)
   aux_defs : (Ras_mip.Model.var * Ras_mip.Lin_expr.t list) list;
@@ -88,10 +91,6 @@ val decode : t -> float array -> assignment
 val capacity_shortfalls : t -> float array -> (int * float) list
 (** Softened capacity violations per reservation id (only positive ones) —
     the "broken constraints" Fig. 9 talks about. *)
-
-val movement_units : t -> float array -> in_use:bool -> float
-(** Total servers moved out of their current owner, split by in-use flag —
-    feeds Fig. 16. *)
 
 val encode : t -> (pair -> int) -> float array
 (** Build a complete, feasible solution vector from per-pair assignment

@@ -5,14 +5,10 @@ module Capacity_request = Ras_workload.Capacity_request
 
 type decision = Accepted | Rejected of string
 
-type event = Submitted of int * decision | Modified of int * decision | Deleted of int
+(* accepted requests by id *)
+type t = (int, Capacity_request.t) Hashtbl.t
 
-type t = {
-  accepted : (int, Capacity_request.t) Hashtbl.t;
-  mutable events : event list;  (* newest first *)
-}
-
-let create () = { accepted = Hashtbl.create 32; events = [] }
+let create () = Hashtbl.create 32
 
 let buffer_overhead (region : Region.t) (req : Capacity_request.t) =
   if req.Capacity_request.embedded_buffer && region.Region.num_msbs > 1 then
@@ -48,7 +44,7 @@ let committed_overlapping t snapshot service ~excluding =
         +. (other.Capacity_request.rru
            *. buffer_overhead snapshot.Snapshot.region other)
       else acc)
-    t.accepted 0.0
+    t 0.0
 
 let validate t (snapshot : Snapshot.t) (req : Capacity_request.t) ~excluding =
   let service = req.Capacity_request.service in
@@ -96,31 +92,24 @@ let validate t (snapshot : Snapshot.t) (req : Capacity_request.t) ~excluding =
 let submit t snapshot req =
   let decision = validate t snapshot req ~excluding:min_int in
   (match decision with
-  | Accepted -> Hashtbl.replace t.accepted req.Capacity_request.id req
+  | Accepted -> Hashtbl.replace t req.Capacity_request.id req
   | Rejected _ -> ());
-  t.events <- Submitted (req.Capacity_request.id, decision) :: t.events;
   decision
 
 let modify t snapshot req =
   let decision = validate t snapshot req ~excluding:req.Capacity_request.id in
   (match decision with
-  | Accepted -> Hashtbl.replace t.accepted req.Capacity_request.id req
+  | Accepted -> Hashtbl.replace t req.Capacity_request.id req
   | Rejected _ -> ());
-  t.events <- Modified (req.Capacity_request.id, decision) :: t.events;
   decision
 
 let delete t id =
-  let existed = Hashtbl.mem t.accepted id in
-  if existed then begin
-    Hashtbl.remove t.accepted id;
-    t.events <- Deleted id :: t.events
-  end;
+  let existed = Hashtbl.mem t id in
+  Hashtbl.remove t id;
   existed
 
 let requests t =
-  Hashtbl.fold (fun _ r acc -> r :: acc) t.accepted []
+  Hashtbl.fold (fun _ r acc -> r :: acc) t []
   |> List.sort (fun a b -> compare a.Capacity_request.id b.Capacity_request.id)
 
-let find t id = Hashtbl.find_opt t.accepted id
-
-let log t = List.rev t.events
+let find t id = Hashtbl.find_opt t id

@@ -16,7 +16,8 @@
       request got all of it;
     - the uncommitted supply (total acceptable minus what other accepted
       requests already claim) cannot cover the request plus its buffer
-      overhead.
+      overhead: a request with an embedded buffer needs roughly
+      [1 + 1/(num_msbs - 1)] times its RRUs, a plain or quorum one 1x.
 
     Admission is intentionally conservative-but-fast: it proves obvious
     infeasibility without running the solver; the solver remains the
@@ -46,16 +47,3 @@ val requests : t -> Ras_workload.Capacity_request.t list
 (** All accepted requests, by ascending id. *)
 
 val find : t -> int -> Ras_workload.Capacity_request.t option
-
-type event =
-  | Submitted of int * decision
-  | Modified of int * decision
-  | Deleted of int
-
-val log : t -> event list
-(** Audit trail, oldest first. *)
-
-val buffer_overhead : Ras_topology.Region.t -> Ras_workload.Capacity_request.t -> float
-(** The capacity multiplier admission assumes: requests with an embedded
-    buffer need roughly [1 + 1/(num_msbs - 1)] times their RRUs; plain and
-    quorum requests need 1x. *)

@@ -67,48 +67,23 @@ let broker t = t.tbroker
 
 (* ---- dual prices: the tier-1 repair policy's view of the last solve ----
 
-   Duals are keyed by compiled row names, which encode the stable symmetry
-   class key ("supply_m3h5u1a0").  Supply-row duals aggregate per (msb, hw)
-   bucket — the scope the pools are bucketed by — taking the max |dual| over
-   the in_use / attr variants, so a class whose servers the solver fully
+   Supply-row duals aggregate per (msb, hw) bucket — the scope the pools
+   are bucketed by — taking the max |dual| over the in_use / attr / rack
+   variants of the classes, so a class whose servers the solver fully
    values keeps its whole bucket expensive. *)
 
-(* "supply_m<msb>[k<rack>]h<hw>u<0|1>a<attr>" -> (msb, hw); rack-level rows
-   fold into their (msb, hw) bucket like everything else *)
-let parse_supply name =
-  let n = String.length name in
-  let prefix = "supply_m" in
-  let np = String.length prefix in
-  if n <= np || not (String.starts_with ~prefix name) then None
-  else begin
-    let digits i =
-      let j = ref i in
-      while !j < n && name.[!j] >= '0' && name.[!j] <= '9' do incr j done;
-      if !j = i then None else Some (int_of_string (String.sub name i (!j - i)), !j)
-    in
-    match digits np with
-    | None -> None
-    | Some (msb, i) -> (
-      let i = if i < n && name.[i] = 'k' then match digits (i + 1) with Some (_, j) -> j | None -> i else i in
-      if i >= n || name.[i] <> 'h' then None
-      else match digits (i + 1) with None -> None | Some (hw, _) -> Some (msb, hw))
-  end
-
-let set_prices t ~row_names ~duals =
+let set_prices t ~supply_rows ~duals =
   if Array.length duals > 0 then begin
-    let priced = ref [] and size = ref 0 in
-    for i = 0 to Int.min (Array.length row_names) (Array.length duals) - 1 do
-      let d = Float.abs duals.(i) in
-      if d > 1e-12 then
-        match parse_supply row_names.(i) with
-        | Some (msb, hw) ->
-          let b = (msb * Hw.count) + hw in
-          priced := (b, d) :: !priced;
-          size := Int.max !size (b + 1)
-        | None -> ()
-    done;
-    let prices = Array.make !size 0.0 in
-    List.iter (fun (b, d) -> if d > prices.(b) then prices.(b) <- d) !priced;
+    let bucket (c : Symmetry.cls) = (c.Symmetry.msb * Hw.count) + c.Symmetry.hw in
+    let size = List.fold_left (fun n (_, c) -> Int.max n (bucket c + 1)) 0 supply_rows in
+    let prices = Array.make size 0.0 in
+    List.iter
+      (fun (row, c) ->
+        if row < Array.length duals then begin
+          let d = Float.abs duals.(row) and b = bucket c in
+          if d > 1e-12 && d > prices.(b) then prices.(b) <- d
+        end)
+      supply_rows;
     t.prices <- prices
   end
 

@@ -56,23 +56,26 @@ val create : Ras_broker.Broker.t -> t
 
 val broker : t -> Ras_broker.Broker.t
 
-val set_prices : t -> row_names:string array -> duals:float array -> unit
-(** Install the dual prices of the latest tier-2 solve: a compiled model's
-    row names against its root-LP duals ({!Phases.result.compiled} and
-    {!Phases.result.lp_duals} of phase 1, whose rows cover the whole region
-    at bucket granularity).  Each (msb, hw) bucket is priced at the max
-    |dual| over its [supply_*] rows, in_use / attr variants and rack rows
-    folded in: the marginal value tier-2 put on one more server of that
-    scope (0 = slack supply, cheap to take from).  Other rows and
-    negligible duals are skipped; mismatched lengths truncate to the
-    shorter.  Empty [duals] (a root LP that did not reach optimality) keep
-    the previous prices.  Without prices every bucket scores 0 and repair
-    falls back to deterministic (same-subtype first, lowest bucket) choice.
+val set_prices :
+  t -> supply_rows:(int * Symmetry.cls) list -> duals:float array -> unit
+(** Install the dual prices of the latest tier-2 solve: a formulation's
+    class-supply rows against its root-LP duals
+    ({!Formulation.t.supply_rows} of phase 1's {!Phases.result.formulation}
+    and {!Phases.result.lp_duals}, whose rows cover the whole region at
+    bucket granularity).  Each (msb, hw) bucket is priced at the max |dual|
+    over the supply rows of its classes, in_use / attr variants and rack
+    classes folded in: the marginal value tier-2 put on one more server of
+    that scope (0 = slack supply, cheap to take from).  Negligible duals
+    and rows past the end of [duals] are skipped.  Empty [duals] (a root
+    LP that did not reach optimality) keep the previous prices.  Without
+    prices every bucket scores 0 and repair falls back to deterministic
+    (same-subtype first, lowest bucket) choice.
     Prices are advisory: they only steer {e which} equivalent repair is
     picked, never whether a repair is valid. *)
 
 val price : t -> msb:int -> hw:int -> float
-(** The installed price of one bucket; 0 when no priced row named it. *)
+(** The installed price of one bucket; 0 when no priced supply row covers
+    it. *)
 
 val num_buckets : t -> int
 (** num_msbs x hardware-catalog size: the per-event visit bound. *)

@@ -121,8 +121,7 @@ let build ?(rack_level = false) ?(include_server = fun _ -> true) (snapshot : Sn
 (* Stable identity of a class: every field of the grouping key, none of the
    dense index.  Used to name model variables and rows, so that the same
    logical class keeps the same name across snapshots even when classes
-   appear or disappear and the dense indices shift; the tier-1 price
-   table reads the (msb, hw) scope back out of the supply-row names. *)
+   appear or disappear and the dense indices shift. *)
 let class_name c =
   let rack = match c.rack with Some r -> Printf.sprintf "k%d" r | None -> "" in
   Printf.sprintf "m%d%sh%du%da%d" c.msb rack c.hw (if c.in_use then 1 else 0) c.attr
@@ -137,8 +136,6 @@ let current_count t c owner =
   | None -> 0
 
 let num_classes t = Array.length t.classes
-
-let total_members t = Array.fold_left (fun acc c -> acc + size c) 0 t.classes
 
 let acceptable_count reservations hw =
   List.fold_left

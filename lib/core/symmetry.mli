@@ -45,9 +45,7 @@ val class_name : cls -> string
 (** Stable textual identity of the class, built from every grouping-key
     field and none of the dense index (e.g. ["m3k2h5u1a0"]).  Two builds
     over different snapshots give the same name to the same logical class,
-    which keeps model variable/row names stable under churn;
-    {!Reactive.set_prices} reads the (msb, hw) scope back out of the
-    supply-row names. *)
+    which keeps model variable/row names stable under churn. *)
 
 val size : cls -> int
 
@@ -57,8 +55,6 @@ val current_count : t -> cls -> Ras_broker.Broker.owner -> int
 (** [N0]: how many members are currently owned by the given owner. *)
 
 val num_classes : t -> int
-
-val total_members : t -> int
 
 val raw_variable_count : t -> reservations:Reservation.t list -> int
 (** Assignment variables a per-server formulation would need (|usable

@@ -9,23 +9,20 @@ module Traffic = Ras_workload.Traffic
 module Capacity_request = Ras_workload.Capacity_request
 
 type config = {
-  solve_period_h : float;
   solver : Async_solver.params;
   shared_buffer_fraction : float;
-  elastic_id : int option;
   job_fill_fraction : float;
-  metrics_period_h : float;
 }
 
 let default_config =
-  {
-    solve_period_h = 1.0;
-    solver = Async_solver.default_params;
-    shared_buffer_fraction = 0.02;
-    elastic_id = Some 9000;
-    job_fill_fraction = 0.8;
-    metrics_period_h = 1.0;
-  }
+  { solver = Async_solver.default_params; shared_buffer_fraction = 0.02; job_fill_fraction = 0.8 }
+
+(* hourly solves, as in production, and hourly metric samples *)
+let solve_period_h = 1.0
+let metrics_period_h = 1.0
+
+(* the elastic reservation idle shared-buffer servers are lent to *)
+let elastic_id = 9000
 
 type t = {
   config : config;
@@ -39,7 +36,6 @@ type t = {
   requests : (int, Capacity_request.t) Hashtbl.t;
   mutable next_job_id : int;
   mutable solve_count : int;
-  mutable last_solve : Async_solver.stats option;
   mutable moves_in_use_acc : int;
   mutable moves_unused_acc : int;
   mutable last_replacements : int;
@@ -73,7 +69,6 @@ let create ?(config = default_config) brk =
       requests = Hashtbl.create 32;
       next_job_id = 1;
       solve_count = 0;
-      last_solve = None;
       moves_in_use_acc = 0;
       moves_unused_acc = 0;
       last_replacements = 0;
@@ -170,19 +165,16 @@ let solve_now t =
   (* refresh the tier-1 repair policy with this round's phase-1 dual
      prices; a round without root-LP duals keeps the previous ones *)
   let p1 = stats.Async_solver.phase1 in
-  Reactive.set_prices (reactive t) ~row_names:p1.Phases.compiled.Ras_mip.Model.row_names
+  Reactive.set_prices (reactive t) ~supply_rows:p1.Phases.formulation.Formulation.supply_rows
     ~duals:p1.Phases.lp_duals;
   (* revoke elastic loans touched by the plan before applying it *)
   let apply = Online_mover.apply_plan t.mv stats.Async_solver.plan in
   t.moves_in_use_acc <- t.moves_in_use_acc + apply.Online_mover.moved_in_use;
   t.moves_unused_acc <- t.moves_unused_acc + apply.Online_mover.moved_unused;
   (* hand idle buffers to the elastic reservation *)
-  (match t.config.elastic_id with
-  | Some eid -> ignore (Online_mover.lend_idle t.mv ~elastic_id:eid ~max_servers:max_int)
-  | None -> ());
+  ignore (Online_mover.lend_idle t.mv ~elastic_id ~max_servers:max_int);
   fill_jobs t;
   t.solve_count <- t.solve_count + 1;
-  t.last_solve <- Some stats;
   stats
 
 let record_metrics t =
@@ -243,15 +235,12 @@ let record_metrics t =
     (float_of_int (Online_mover.loans_outstanding t.mv))
 
 let start t =
-  Engine.schedule_every t.eng ~first:0.0 ~period:t.config.solve_period_h (fun _ ->
-      ignore (solve_now t));
-  Engine.schedule_every t.eng ~first:(t.config.metrics_period_h /. 2.0)
-    ~period:t.config.metrics_period_h (fun _ -> record_metrics t)
+  Engine.schedule_every t.eng ~first:0.0 ~period:solve_period_h (fun _ -> ignore (solve_now t));
+  Engine.schedule_every t.eng ~first:(metrics_period_h /. 2.0) ~period:metrics_period_h (fun _ ->
+      record_metrics t)
 
 let run t ~until_h = Engine.run_until t.eng until_h
 
 let solve_count t = t.solve_count
-
-let last_solve t = t.last_solve
 
 let allocator t rid = Hashtbl.find_opt t.allocators rid

@@ -9,19 +9,18 @@
     time series are sampled every simulated hour. *)
 
 type config = {
-  solve_period_h : float;
   solver : Async_solver.params;
   shared_buffer_fraction : float;  (** 2% in production (§3.3.1) *)
-  elastic_id : int option;  (** lend idle buffer servers to this elastic id *)
   job_fill_fraction : float;
       (** fraction of each reservation's requested RRUs filled with 1-RRU
           containers after each solve (0 disables container simulation) *)
-  metrics_period_h : float;
 }
 
 val default_config : config
-(** Hourly solves, 2% shared buffer, elastic lending on (id 9000), 80% job
-    fill, hourly metrics. *)
+(** 2% shared buffer, 80% job fill.  Whatever the config, {!start} solves
+    every hour and samples metrics every hour, half an hour after each
+    solve, and each solve lends the idle shared-buffer servers to elastic
+    reservation 9000. *)
 
 type t
 
@@ -72,13 +71,9 @@ val snapshot : t -> Snapshot.t
 val solve_count : t -> int
 (** Solves so far. *)
 
-val last_solve : t -> Async_solver.stats option
-(** The latest solve's statistics.  Only the latest is kept: each record
-    pins its round's formulation, symmetry and snapshot. *)
-
 val allocator : t -> int -> Ras_twine.Allocator.t option
 
-(** Metric series names recorded every [metrics_period_h]:
+(** Metric series names recorded every hour:
     ["max_msb_share"] (capacity-weighted, Fig. 12), ["power_variance"]
     (Fig. 14), ["power_headroom"], ["moves_in_use"] / ["moves_unused"]
     (per-hour counts, Fig. 16), ["cross_dc:<name>"] for reservations with

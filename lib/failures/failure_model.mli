@@ -34,11 +34,6 @@ val generate :
   Ras_stats.Rng.t -> Ras_topology.Region.t -> params -> horizon_days:float -> Unavail.t list
 (** Events sorted by start time, ids dense from 0. *)
 
-val unavailable_fraction :
-  Ras_topology.Region.t -> Unavail.t list -> at:float -> kinds:Unavail.kind list -> float
-(** Fraction of servers down at a time instant from events of the given
-    kinds (a server under several events counts once). *)
-
 val series :
   Ras_topology.Region.t ->
   Unavail.t list ->
@@ -46,4 +41,6 @@ val series :
   window_h:float ->
   kinds:Unavail.kind list ->
   (float * float) array
-(** Sampled [unavailable_fraction] per window — the Fig. 5 curves. *)
+(** Per window, its midpoint and the fraction of servers down then from
+    events of the given kinds (a server under several events counts once)
+    — the Fig. 5 curves. *)

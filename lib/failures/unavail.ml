@@ -6,7 +6,6 @@ type kind = Planned_maintenance | Unplanned_sw | Unplanned_hw | Correlated
 
 type t = { id : int; scope : scope; kind : kind; start_h : float; duration_h : float }
 
-let planned t = t.kind = Planned_maintenance
 
 let end_h t = t.start_h +. t.duration_h
 

@@ -23,10 +23,6 @@ type t = {
   duration_h : float;
 }
 
-val planned : t -> bool
-(** Planned events count as usable capacity for solver purposes (§3.5.1):
-    only [Planned_maintenance]. *)
-
 val end_h : t -> float
 
 val active_at : t -> float -> bool

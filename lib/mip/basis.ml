@@ -73,7 +73,6 @@ type lu = {
   utr : int array array;
   mutable etas : eta array;
   mutable neta : int;
-  mutable ennz : int;
 }
 
 type dense = { mutable inv : float array array; nzbuf : int array }
@@ -144,7 +143,6 @@ let identity_lu m =
     utr = Array.make m [||];
     etas = [||];
     neta = 0;
-    ennz = 0;
   }
 
 let create knd ~m =
@@ -205,8 +203,6 @@ let pivot_order t =
   match t.repr with
   | Lu_r lu -> (Array.copy lu.rperm, Array.copy lu.cperm)
   | Dense_r _ -> invalid_arg "Basis.pivot_order: dense backend"
-
-let eta_nnz t = match t.repr with Dense_r _ -> 0 | Lu_r lu -> lu.ennz
 
 let should_refactorize t = t.updates >= t.update_limit || t.err > err_limit
 
@@ -665,7 +661,6 @@ let lu_refactorize m ~basis ~col =
     utr;
     etas = [||];
     neta = 0;
-    ennz = 0;
   }
 
 let refactorize t ~basis ~col =
@@ -1208,8 +1203,7 @@ let update_sparse t ~(alpha : Svec.t) ~row =
         lu.etas <- bigger
       end;
       lu.etas.(lu.neta) <- { er = row; epiv = piv; erows = rs; evals = vs };
-      lu.neta <- lu.neta + 1;
-      lu.ennz <- lu.ennz + !nnz + 1);
+      lu.neta <- lu.neta + 1);
     t.updates <- t.updates + 1;
     t.err <- t.err +. (1e-16 *. (!amax /. apiv));
     true

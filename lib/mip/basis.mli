@@ -149,10 +149,6 @@ val should_refactorize : t -> bool
 
 val updates_since_refactor : t -> int
 
-val eta_nnz : t -> int
-(** Total nonzeros in the eta file (0 for {!Dense}): the memory and
-    per-solve cost of the update chain, exposed for stats and tests. *)
-
 val refactor_count : t -> int
 
 val pivot_order : t -> int array * int array

@@ -34,11 +34,7 @@ let normalize e =
   let combined = Hashtbl.fold (fun v c acc -> if c <> 0.0 then (c, v) :: acc else acc) tbl [] in
   List.sort (fun (_, v1) (_, v2) -> compare v1 v2) combined
 
-let coef e v = List.fold_left (fun acc (c, v') -> if v' = v then acc +. c else acc) 0.0 e.terms
-
 let terms e = normalize e
-
-let num_terms e = List.length (normalize e)
 
 let eval e value_of =
   List.fold_left (fun acc (c, v) -> acc +. (c *. value_of v)) e.const e.terms

@@ -27,13 +27,8 @@ val scale : float -> t -> t
 
 val get_constant : t -> float
 
-val coef : t -> int -> float
-(** Coefficient of a variable (0 when absent). *)
-
 val terms : t -> (float * int) list
 (** Combined terms with non-zero coefficients, in increasing variable order. *)
-
-val num_terms : t -> int
 
 val eval : t -> (int -> float) -> float
 (** [eval e value_of] substitutes variable values. *)

@@ -8,4 +8,4 @@ val to_string : Model.std -> string
 (** Render the model in LP format: [Minimize], [Subject To], [Bounds],
     [General] (integer variables) and [End] sections.  The constant
     objective offset has no LP-format representation and is not emitted;
-    {!Lp_parse} round trips everything else. *)
+    the test suite's LP reader round trips everything else. *)

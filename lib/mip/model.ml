@@ -69,12 +69,6 @@ let add_max_over ?name t ~weight es =
 
 let num_vars t = t.nvars
 
-let check_var t v fn =
-  if v < 0 || v >= t.nvars then
-    invalid_arg (Printf.sprintf "Model.%s: variable %d out of range" fn v)
-
-let var_bounds t v = check_var t v "var_bounds"; (t.vars.(v).vlb, t.vars.(v).vub)
-
 let objective t = t.obj
 
 type std = {

@@ -13,19 +13,6 @@ let normal rng ~mean ~stddev =
 
 let lognormal rng ~mu ~sigma = exp (normal rng ~mean:mu ~stddev:sigma)
 
-let zipf rng ~n ~s =
-  if n <= 0 then invalid_arg "Dist.zipf: n must be positive";
-  let weights = Array.init n (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) s) in
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  let u = Rng.float rng total in
-  let rec loop i acc =
-    if i = n - 1 then n
-    else
-      let acc = acc +. weights.(i) in
-      if u < acc then i + 1 else loop (i + 1) acc
-  in
-  loop 0 0.0
-
 let poisson rng ~mean =
   if mean <= 0.0 then 0
   else if mean > 30.0 then

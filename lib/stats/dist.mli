@@ -16,10 +16,6 @@ val lognormal : Rng.t -> mu:float -> sigma:float -> float
     (Fig. 4) span 1–30,000 units with a heavy upper tail, which a log-normal
     reproduces. *)
 
-val zipf : Rng.t -> n:int -> s:float -> int
-(** Zipf-like rank in \[1, n\] with exponent [s], sampled by inverse CDF over
-    precomputed weights.  Used for service popularity. *)
-
 val poisson : Rng.t -> mean:float -> int
 (** Poisson counts (Knuth's method for small means, normal approximation for
     large ones). *)

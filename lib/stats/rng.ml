@@ -17,10 +17,6 @@ let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
-let split t =
-  let seed = bits64 t in
-  { state = seed }
-
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Keep 62 bits so the value fits OCaml's 63-bit native int; the modulo
@@ -34,10 +30,6 @@ let float t x =
   x *. (v /. 9007199254740992.0)
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int t (Array.length a))
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

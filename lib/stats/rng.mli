@@ -1,10 +1,9 @@
-(** Deterministic, splittable pseudo-random number generator.
+(** Deterministic pseudo-random number generator.
 
     All stochastic inputs in this repository flow through this module so that
     every experiment regenerates bit-identically from a seed.  The generator
     is splitmix64 (Steele, Lea & Flood, OOPSLA 2014): a tiny, fast, high
-    quality 64-bit generator whose state advances by a Weyl sequence, which
-    makes it trivially splittable into independent streams. *)
+    quality 64-bit generator whose state advances by a Weyl sequence. *)
 
 type t
 (** Mutable generator state. *)
@@ -12,15 +11,8 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed. *)
 
-val split : t -> t
-(** [split t] derives an independent child generator and advances [t].
-    Streams obtained by successive splits are statistically independent. *)
-
 val copy : t -> t
 (** [copy t] duplicates the current state; the copy evolves independently. *)
-
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
 
 val int : t -> int -> int
 (** [int t n] is uniform in \[0, n).  Raises [Invalid_argument] if [n <= 0]. *)
@@ -30,10 +22,6 @@ val float : t -> float -> float
 
 val bool : t -> bool
 (** Fair coin. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array.  Raises [Invalid_argument] on an
-    empty array. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -19,10 +19,9 @@ val total : t -> float
 val mean : t -> float
 (** Mean of the samples; [nan] when empty. *)
 
-val variance : t -> float
-(** Population variance; [nan] when empty. *)
-
 val stddev : t -> float
+(** Population standard deviation (Welford's running update); [nan] when
+    empty. *)
 
 val min_value : t -> float
 (** Smallest sample; [nan] when empty. *)

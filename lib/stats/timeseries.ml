@@ -33,28 +33,6 @@ let points t = Array.init t.len (fun i -> (t.times.(i), t.values.(i)))
 
 let last t = if t.len = 0 then None else Some (t.times.(t.len - 1), t.values.(t.len - 1))
 
-let value_at t time =
-  (* Binary search for the rightmost index with times.(i) <= time. *)
-  if t.len = 0 || t.times.(0) > time then None
-  else begin
-    let lo = ref 0 and hi = ref (t.len - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if t.times.(mid) <= time then lo := mid else hi := mid - 1
-    done;
-    Some t.values.(!lo)
-  end
-
-let window_mean t ~lo ~hi =
-  let sum = ref 0.0 and n = ref 0 in
-  for i = 0 to t.len - 1 do
-    if t.times.(i) >= lo && t.times.(i) < hi then begin
-      sum := !sum +. t.values.(i);
-      incr n
-    end
-  done;
-  if !n = 0 then nan else !sum /. float_of_int !n
-
 let bucketize t ~width ~f =
   if t.len = 0 then [||]
   else begin

@@ -19,13 +19,6 @@ val points : t -> (float * float) array
 
 val last : t -> (float * float) option
 
-val value_at : t -> float -> float option
-(** [value_at t time] is the most recent value recorded at or before [time]. *)
-
-val window_mean : t -> lo:float -> hi:float -> float
-(** Mean of values with time in \[lo, hi); [nan] when no points fall in the
-    window. *)
-
 val bucketize : t -> width:float -> f:(float array -> float) -> (float * float) array
 (** [bucketize t ~width ~f] groups points into consecutive time buckets of
     [width] starting at the first point's time and reduces each non-empty

@@ -53,12 +53,6 @@ let subtype_weights ~age =
       if age >= lo && age <= hi then category_weight h.Hardware.category else 0.0)
     Hardware.catalog
 
-let age_of_msb (region : Region.t) msb =
-  let pos = ref 0 in
-  Array.iteri (fun i m -> if m = msb then pos := i) region.Region.msb_deploy_order;
-  if region.Region.num_msbs <= 1 then 0.0
-  else float_of_int !pos /. float_of_int (region.Region.num_msbs - 1)
-
 (* Build servers for MSBs [first_msb, last_msb); racks are homogeneous in
    hardware, with the rack's subtype drawn from the age-dependent mixture. *)
 let build_servers rng ~ages ~first_msb ~last_msb ~racks_per_msb ~servers_per_rack ~first_rack

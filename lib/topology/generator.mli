@@ -42,6 +42,3 @@ val extend : Region.t -> new_msbs_per_dc:int -> racks_per_msb:int -> servers_per
     indices stable (servers, racks and MSBs only ever gain entries).  The
     new MSBs are the youngest and carry the newest hardware mixture.  Fig. 12
     uses this to model the mid-experiment datacenter expansion. *)
-
-val age_of_msb : Region.t -> int -> float
-(** Deployment age in [0, 1]: 0 = oldest MSB of the region, 1 = newest. *)

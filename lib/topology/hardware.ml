@@ -45,10 +45,6 @@ let count = Array.length catalog
 
 let find_by_code code = Array.find_opt (fun h -> h.code = code) catalog
 
-let generation_share gen =
-  let n = Array.fold_left (fun acc h -> if h.cpu_generation = gen then acc + 1 else acc) 0 catalog in
-  float_of_int n /. float_of_int count
-
 let pp ppf h =
   Format.fprintf ppf "%s(gen%d, %d cores, %dGB, %.1fTB, %dgpu, %.0fW, %.2frru)" h.code
     h.cpu_generation h.cores h.mem_gb h.flash_tb h.gpus h.power_watts h.base_rru

@@ -42,8 +42,4 @@ val count : int
 
 val find_by_code : string -> t option
 
-val generation_share : int -> float
-(** Fraction of the default catalog that is of the given CPU generation
-    (used by tests as a sanity check on the catalog's shape). *)
-
 val pp : Format.formatter -> t -> unit

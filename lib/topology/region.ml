@@ -18,13 +18,6 @@ let num_servers t = Array.length t.servers
 let servers_of_msb t msb =
   Array.fold_right (fun s acc -> if s.loc.msb = msb then s :: acc else acc) t.servers []
 
-let msbs_of_dc t dc =
-  let out = ref [] in
-  for m = t.num_msbs - 1 downto 0 do
-    if t.msb_dc.(m) = dc then out := m :: !out
-  done;
-  !out
-
 let validate t =
   let error = ref None in
   let fail msg = if !error = None then error := Some msg in

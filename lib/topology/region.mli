@@ -36,8 +36,6 @@ val num_servers : t -> int
 val servers_of_msb : t -> int -> server list
 (** Servers located in the given MSB (region-global index). *)
 
-val msbs_of_dc : t -> int -> int list
-
 val validate : t -> (unit, string) result
 (** Structural invariants: every index in range, [rack_msb]/[msb_dc]
     consistent with server locations, deploy order a permutation. *)

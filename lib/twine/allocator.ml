@@ -154,13 +154,9 @@ let place_job t job =
   in
   loop (Job.containers job)
 
-let stop_job t job = List.iter (fun c -> detach t c) (Job.containers job)
-
 let placed_containers t = Hashtbl.length t.container_server
 
 let pending_containers t = List.length t.pending
-
-let server_of_container t c = Hashtbl.find_opt t.container_server (key c)
 
 let used_rru t = Hashtbl.fold (fun _ l acc -> acc +. l) t.server_load 0.0
 

@@ -40,10 +40,6 @@ val place_job : t -> Job.t -> (unit, string) result
     capacity; the error names the shortfall.  Raises [Invalid_argument] if
     the job references a different reservation. *)
 
-val stop_job : t -> Job.t -> unit
-(** Remove all of the job's containers; servers left empty are marked not
-    in-use. *)
-
 val placed_containers : t -> int
 
 val pending_containers : t -> int
@@ -56,8 +52,6 @@ val retry_pending : t -> failure_stats
 val evict_server : t -> int -> unit
 (** Preempt every container on the server (they become pending).  The Online
     Mover calls this before moving an in-use server to another owner. *)
-
-val server_of_container : t -> Job.container -> int option
 
 val used_rru : t -> float
 

@@ -26,10 +26,3 @@ let fulfill broker requests =
     (req.Capacity_request.id, Float.max 0.0 !needed)
   in
   List.map fulfill_one requests
-
-let release broker ~reservation =
-  List.iter
-    (fun sid ->
-      Broker.move broker sid Broker.Free;
-      Broker.set_target broker sid Broker.Free)
-    (Broker.servers_with_owner broker (Broker.Reservation reservation))

@@ -19,6 +19,3 @@ val fulfill :
     requested RRUs are covered, setting broker [current] and [target] to the
     request's reservation.  Returns per-request [(reservation id, shortfall
     rru)] — shortfall 0 when fully satisfied. *)
-
-val release : Ras_broker.Broker.t -> reservation:int -> unit
-(** Return every server of a reservation to the free pool. *)

@@ -40,11 +40,6 @@ let quorum_cap ~replicas ~quorum =
     invalid_arg "Capacity_request.quorum_cap: need 0 < quorum <= replicas";
   float_of_int (replicas - quorum) /. float_of_int replicas
 
-let acceptable_hw_types t =
-  Array.fold_left
-    (fun acc hw -> if Service.acceptable t.service hw then acc + 1 else acc)
-    0 Ras_topology.Hardware.catalog
-
 let pp ppf t =
   Format.fprintf ppf "req#%d %s rru=%.1f spread<=%.2f buffer=%b" t.id t.service.Service.name
     t.rru t.msb_spread_limit t.embedded_buffer

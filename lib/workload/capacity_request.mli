@@ -54,8 +54,4 @@ val quorum_cap : replicas:int -> quorum:int -> float
 (** [(replicas - quorum) / replicas]; raises [Invalid_argument] unless
     [0 < quorum <= replicas]. *)
 
-val acceptable_hw_types : t -> int
-(** Number of catalog hardware subtypes that can serve this request — the
-    x-axis of Fig. 4. *)
-
 val pp : Format.formatter -> t -> unit

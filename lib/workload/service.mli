@@ -38,8 +38,6 @@ val relative_value : profile -> int -> float
 (** [relative_value p gen] for [gen] in 1..3; Fig. 3's table, extended with
     plausible values for the profiles the figure aggregates as "Fleet Avg". *)
 
-val acceptable : t -> Ras_topology.Hardware.t -> bool
-
 val rru_of : t -> Ras_topology.Hardware.t -> float
 (** [V_{s,r}]: the RRU value of a server of this hardware type for the
     service — 0 when the hardware is unacceptable.  Compute-bound profiles

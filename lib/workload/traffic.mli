@@ -8,15 +8,11 @@
     this model equals the capacity share placed outside the data's
     datacenter. *)
 
-val cross_dc_fraction :
-  data_dc:int -> capacity_per_dc:float array -> float
-(** Fraction of capacity (hence traffic) outside [data_dc]; [nan] when the
-    total capacity is zero. *)
-
 val cross_dc_gb :
   service:Service.t -> data_dc:int -> capacity_per_dc:float array -> hours:float -> float
 (** Absolute cross-datacenter volume over a period, using the service's
-    traffic intensity. *)
+    traffic intensity: the capacity outside [data_dc] generates it; 0 when
+    the total capacity is zero. *)
 
 val cross_dc_working_fraction :
   data_dc:int -> capacity_per_dc:float array -> requested:float -> float

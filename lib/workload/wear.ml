@@ -18,8 +18,6 @@ let generate rng (region : Region.t) =
       end)
     region.Region.servers
 
-let of_array a = Array.copy a
-
 let fraction t id = if id >= 0 && id < Array.length t then t.(id) else 0.0
 
 let buckets = 3

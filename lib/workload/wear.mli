@@ -16,9 +16,6 @@ val generate : Ras_stats.Rng.t -> Ras_topology.Region.t -> t
 (** Synthesize wear: older MSBs carry more-worn flash; servers without
     flash have wear 0. *)
 
-val of_array : float array -> t
-(** For tests: explicit per-server wear fractions. *)
-
 val fraction : t -> int -> float
 (** Wear of one server (0 when the id is out of range). *)
 

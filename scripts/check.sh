@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 echo "== dune build =="
 dune build
 
+# every library module and exported value needs a shipped caller: bin/,
+# bench/, benchmark/, examples/ or (for values) lib/ outside its own
+# module; a test alone keeps neither alive
 echo "== dead-module and dead-value check =="
 sh scripts/check_dead_modules.sh
 

@@ -1,3 +1,5 @@
+open Ras_mip
+
 type section = Preamble | Objective | Rows | Bounds | General | Done
 
 exception Parse_error of string

@@ -1,4 +1,6 @@
-(** CPLEX-LP-format reader for the dialect {!Lp_format} writes.
+(** CPLEX-LP-format reader for the dialect {!Ras_mip.Lp_format} writes:
+    the test suite reads its golden corpus ([fixtures/*.lp]) with it and
+    round-trips and fuzzes the writer against it.
 
     Together with the writer this gives the solver a round-trippable
     external representation: models can be dumped, inspected or edited by
@@ -12,10 +14,10 @@
     writer emits them, so a write→parse round trip preserves variable
     indices. *)
 
-val parse : string -> (Model.std, string) result
+val parse : string -> (Ras_mip.Model.std, string) result
 (** Parse a model; the error string carries the offending line.  NaN is
     rejected everywhere; objective and row coefficients, right-hand sides
     and fixed values must be finite, a lower bound may not be [+inf] and
     an upper bound may not be [-inf]. *)
 
-val parse_file : string -> (Model.std, string) result
+val parse_file : string -> (Ras_mip.Model.std, string) result

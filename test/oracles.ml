@@ -504,8 +504,7 @@ type merge = {
    replayed from a solve's phase results: the phase-1 target table, the
    rack overflows, the phase-2 selection (one full server pass per
    candidate), the phase-2 overwrite and the merge with its two sorts.  A
-   solve made with default [run_phase2] and no [include_server] must agree
-   with it. *)
+   solve made with no [include_server] must agree with it. *)
 let merge_reference (stats : Async_solver.stats) =
   let p1 = stats.Async_solver.phase1 in
   let snapshot = p1.Phases.formulation.Formulation.symmetry.Symmetry.snapshot in
@@ -615,7 +614,7 @@ let metrics_reference broker =
   let draw = Ras_workload.Power.msb_power (Broker.region broker) ~usage_of in
   let down = ref 0 in
   for id = 0 to Broker.num_servers broker - 1 do
-    if Broker.down_at broker id <> None then incr down
+    if not (Broker.healthy_at broker id) then incr down
   done;
   let down = !down in
   ( Ras_workload.Power.normalized_variance draw,
@@ -1028,7 +1027,7 @@ let perturb_lp rng (f : Formulation.t) ~fill x =
         let sum = Array.fold_left (fun acc i -> acc +. y.(var i)) 0.0 ps in
         if sum > size then Array.iter (fun i -> y.(var i) <- y.(var i) *. size /. sum) ps
         else if fill then begin
-          let i = Ras_stats.Rng.pick rng ps in
+          let i = ps.(Ras_stats.Rng.int rng (Array.length ps)) in
           y.(var i) <- y.(var i) +. (size -. sum)
         end
       end)

@@ -168,8 +168,7 @@ let test_eta_limit_triggers_refactorize () =
     (Printf.sprintf "eta budget fires (after %d updates)" !fired)
     true
     (!fired > 0 && !fired <= 64);
-  Alcotest.(check int) "update counter matches" !fired (Basis.updates_since_refactor t);
-  Alcotest.(check bool) "eta file is nonempty" true (Basis.eta_nnz t > 0)
+  Alcotest.(check int) "update counter matches" !fired (Basis.updates_since_refactor t)
 
 let test_near_singular_pivot_refused () =
   let rng = R.create 14 in

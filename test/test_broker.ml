@@ -31,7 +31,6 @@ let test_record_bounds () =
   raises "current_code" Broker.current_owner;
   raises "target_code" Broker.target_code;
   raises "in_use_at" Broker.in_use_at;
-  raises "down_code" Broker.down_at;
   raises "down_code" Broker.available_at;
   raises "down_code" Broker.healthy_at
 

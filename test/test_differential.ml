@@ -78,7 +78,7 @@ let random_model ?(finite_bounds = false) rng ~max_rows ~max_cols ~integer_frac 
           let c = (1.0 +. R.float rng 4.0) *. if R.bool rng then 1.0 else -1.0 in
           (c, vars.(picked.(t))))
     in
-    let sense = R.pick rng [| Model.Le; Model.Ge; Model.Eq |] in
+    let sense = [| Model.Le; Model.Ge; Model.Eq |].(R.int rng 3) in
     let rhs = R.float rng 40.0 -. 20.0 in
     ignore (Model.add_constraint mdl (Lin_expr.of_terms terms) sense rhs)
   done;

@@ -27,12 +27,6 @@ let test_servers_of_scopes () =
   let bogus = { server_event with Unavail.scope = Unavail.Server 9999 } in
   Alcotest.(check (list int)) "unknown server empty" [] (Unavail.servers_of r bogus)
 
-let test_planned_classification () =
-  let planned = { Unavail.id = 0; scope = Unavail.Server 0; kind = Unavail.Planned_maintenance; start_h = 0.0; duration_h = 1.0 } in
-  Alcotest.(check bool) "planned" true (Unavail.planned planned);
-  Alcotest.(check bool) "correlated is unplanned" false
-    (Unavail.planned { planned with Unavail.kind = Unavail.Correlated })
-
 let test_generate_sorted_and_in_horizon () =
   let r = region () in
   let rng = Ras_stats.Rng.create 5 in
@@ -102,10 +96,9 @@ let test_unavailable_fraction_bounds () =
   let rng = Ras_stats.Rng.create 6 in
   let events = Failure_model.generate rng r Failure_model.default_params ~horizon_days:7.0 in
   let kinds = [ Unavail.Planned_maintenance; Unavail.Unplanned_sw; Unavail.Unplanned_hw; Unavail.Correlated ] in
-  for hour = 0 to 20 do
-    let f = Failure_model.unavailable_fraction r events ~at:(float_of_int hour *. 8.0) ~kinds in
-    Alcotest.(check bool) "fraction in [0,1]" true (f >= 0.0 && f <= 1.0)
-  done
+  Array.iter
+    (fun (_, f) -> Alcotest.(check bool) "fraction in [0,1]" true (f >= 0.0 && f <= 1.0))
+    (Failure_model.series r events ~horizon_days:7.0 ~window_h:8.0 ~kinds)
 
 let test_series_shape () =
   let r = region () in
@@ -118,14 +111,17 @@ let test_overlapping_events_count_once () =
   let r = region () in
   let mk id scope = { Unavail.id; scope; kind = Unavail.Unplanned_sw; start_h = 0.0; duration_h = 5.0 } in
   let events = [ mk 0 (Unavail.Server 1); mk 1 (Unavail.Server 1); mk 2 (Unavail.Server 2) ] in
-  let f = Failure_model.unavailable_fraction r events ~at:1.0 ~kinds:[ Unavail.Unplanned_sw ] in
+  (* the first one-hour window is sampled at t = 0.5 *)
+  let series =
+    Failure_model.series r events ~horizon_days:1.0 ~window_h:1.0 ~kinds:[ Unavail.Unplanned_sw ]
+  in
+  let f = snd series.(0) in
   Alcotest.(check (float 1e-9)) "two distinct servers down" (2.0 /. 144.0) f
 
 let suite =
   [
     Alcotest.test_case "event activity window" `Quick test_event_activity_window;
     Alcotest.test_case "servers_of scopes" `Quick test_servers_of_scopes;
-    Alcotest.test_case "planned classification" `Quick test_planned_classification;
     Alcotest.test_case "generate sorted + horizon" `Quick test_generate_sorted_and_in_horizon;
     Alcotest.test_case "calm params only planned" `Quick test_calm_params_no_unplanned;
     Alcotest.test_case "maintenance covers all MSBs" `Quick test_maintenance_covers_all_msbs;

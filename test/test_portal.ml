@@ -82,26 +82,30 @@ let test_modify_excludes_own_claim () =
   | Some r -> Alcotest.(check (float 1e-9)) "stored new size" 150.0 r.Capacity_request.rru
   | None -> Alcotest.fail "lost the request"
 
-let test_delete_and_log () =
+let test_delete () =
   let portal = Portal.create () in
   let snap = snapshot () in
   let r1 = Capacity_request.make ~id:1 ~service:web ~rru:5.0 () in
   ignore (Portal.submit portal snap r1);
   Alcotest.(check bool) "delete known" true (Portal.delete portal 1);
   Alcotest.(check bool) "delete unknown" false (Portal.delete portal 77);
-  match Portal.log portal with
-  | [ Portal.Submitted (1, Portal.Accepted); Portal.Deleted 1 ] -> ()
-  | l -> Alcotest.failf "unexpected log (%d entries)" (List.length l)
+  Alcotest.(check bool) "delete twice" false (Portal.delete portal 1);
+  Alcotest.(check bool) "not findable" true (Portal.find portal 1 = None);
+  Alcotest.(check int) "no requests left" 0 (List.length (Portal.requests portal))
 
 let test_buffer_overhead () =
-  let region = Generator.generate Generator.small_params in
-  let with_buffer = Capacity_request.make ~id:1 ~service:web ~rru:10.0 () in
-  let without =
-    Capacity_request.make ~id:2 ~service:web ~rru:10.0 ~embedded_buffer:false ()
+  (* the small region has 6 MSBs: an embedded buffer asks 1 + 1/(6 - 1)
+     times the RRUs; the rejection of an oversized request names the need *)
+  let need ~embedded_buffer =
+    let req = Capacity_request.make ~id:1 ~service:web ~rru:1000.0 ~embedded_buffer () in
+    match Portal.submit (Portal.create ()) (snapshot ()) req with
+    | Portal.Rejected reason -> reason
+    | Portal.Accepted -> Alcotest.fail "1000 RRUs must not fit the small region"
   in
-  Alcotest.(check (float 1e-9)) "1 + 1/(msbs-1)" (1.0 +. (1.0 /. 5.0))
-    (Portal.buffer_overhead region with_buffer);
-  Alcotest.(check (float 1e-9)) "plain 1x" 1.0 (Portal.buffer_overhead region without)
+  Alcotest.(check bool) "1 + 1/(msbs-1)" true
+    (contains (need ~embedded_buffer:true) "needs 1200.0 including");
+  Alcotest.(check bool) "plain 1x" true
+    (contains (need ~embedded_buffer:false) "needs 1000.0 including")
 
 let bad_rrus = [ ("nan", Float.nan); ("-1", -1.0); ("infinity", Float.infinity) ]
 
@@ -137,7 +141,7 @@ let suite =
     Alcotest.test_case "rejects oversized request" `Quick test_rejects_oversized_request;
     Alcotest.test_case "rejects overcommit" `Quick test_rejects_overcommit;
     Alcotest.test_case "modify excludes own claim" `Quick test_modify_excludes_own_claim;
-    Alcotest.test_case "delete and audit log" `Quick test_delete_and_log;
+    Alcotest.test_case "delete forgets the request" `Quick test_delete;
     Alcotest.test_case "buffer overhead" `Quick test_buffer_overhead;
     Alcotest.test_case "rejects NaN, negative and infinite rru" `Quick test_rejects_non_finite_rru;
   ]

@@ -179,7 +179,9 @@ let prop_aggregation_invariants =
       for id = 0 to Snapshot.num_servers snapshot - 1 do
         if Snapshot.usable_at snapshot id then incr usable
       done;
-      let counts_sum = Symmetry.total_members sym = !usable in
+      let counts_sum =
+        Array.fold_left (fun acc c -> acc + Symmetry.size c) 0 sym.Symmetry.classes = !usable
+      in
       (* 3. members really are interchangeable with the representative:
          identical hardware subtype, in-use flag and attribute, so any
          per-class capacity is the representative's value times the count *)
@@ -269,8 +271,9 @@ let prop_simplex_survives_bad_scaling =
       let n = 2 + R.int rng 3 in
       let m = Model.create () in
       let scale_of () = [| 1e-2; 1.0; 1e2; 1e4 |].(R.int rng 4) in
-      let vars = Array.init n (fun _ -> Model.add_var ~ub:(10.0 *. scale_of ()) m) in
-      let point = Array.init n (fun i -> Ras_stats.Rng.float rng (Model.var_bounds m vars.(i) |> snd)) in
+      let ubs = Array.init n (fun _ -> 10.0 *. scale_of ()) in
+      let vars = Array.map (fun ub -> Model.add_var ~ub m) ubs in
+      let point = Array.init n (fun i -> Ras_stats.Rng.float rng ubs.(i)) in
       for _ = 1 to 1 + R.int rng 3 do
         let cs = Array.init n (fun _ -> scale_of () *. float_of_int (R.int rng 9 - 4)) in
         let lhs = ref 0.0 in

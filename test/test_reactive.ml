@@ -35,6 +35,10 @@ let web = Service.make ~id:1 ~name:"web" ~profile:Service.Web ()
 let reservation_of_rru ~id rru =
   Reservation.of_request (Capacity_request.make ~id ~service:web ~rru ())
 
+(* a class-supply row of a formulation, as {!Reactive.set_prices} reads it *)
+let supply_row ?rack ?(in_use = false) ?(attr = 0) row ~msb ~hw =
+  (row, { Symmetry.index = row; msb; rack; hw; in_use; attr; members = [||] })
+
 (* Two structurally identical worlds: the differential tests run the same
    deterministic op sequence against both and compare outcomes. *)
 let fresh_broker ?(params = Generator.small_params) () =
@@ -275,12 +279,12 @@ let test_reactive_replacement_same_class () =
   let broker, res, mover, bound = storm_world () in
   let region = Broker.region broker in
   let rng = Rng.create 5 in
-  let row_names =
-    Array.init (region.Region.num_msbs * Hw.count) (fun b ->
-        Printf.sprintf "supply_m%dh%du0a0" (b / Hw.count) (b mod Hw.count))
+  let buckets = region.Region.num_msbs * Hw.count in
+  let supply_rows =
+    List.init buckets (fun b -> supply_row b ~msb:(b / Hw.count) ~hw:(b mod Hw.count))
   in
-  let duals = Array.map (fun _ -> float_of_int (Rng.int rng 10)) row_names in
-  Reactive.set_prices (Online_mover.reactive mover) ~row_names ~duals;
+  let duals = Array.init buckets (fun _ -> float_of_int (Rng.int rng 10)) in
+  Reactive.set_prices (Online_mover.reactive mover) ~supply_rows ~duals;
   List.iter
     (fun victim ->
       let failed_hw = region.Region.servers.(victim).Region.hw.Hw.index in
@@ -292,11 +296,9 @@ let test_reactive_respects_prices () =
   let reactive = Reactive.create broker in
   let region = Broker.region broker in
   (* make msb 0 expensive for every subtype; everything else free *)
-  let row_names =
-    Array.init Hw.count (fun hw -> Printf.sprintf "supply_m0h%du0a0" hw)
-  in
+  let supply_rows = List.init Hw.count (fun hw -> supply_row hw ~msb:0 ~hw) in
   let duals = Array.make Hw.count 5.0 in
-  Reactive.set_prices reactive ~row_names ~duals;
+  Reactive.set_prices reactive ~supply_rows ~duals;
   let res = reservation_of_rru ~id:1 3.0 in
   let g = Reactive.grant reactive ~reservation:res ~rru:3.0 ~allow_buffer:false in
   Alcotest.(check bool) "granted" true (g.Reactive.granted_rru >= 3.0);
@@ -306,20 +308,29 @@ let test_reactive_respects_prices () =
         (region.Region.servers.(id).Region.loc.Region.msb <> 0))
     g.Reactive.servers
 
-let test_price_table_parsing () =
+let test_price_table_aggregation () =
   let reactive = Reactive.create (fresh_broker ()) in
-  let row_names =
-    [| "supply_m3h5u1a0"; "supply_m3k7h5u0a2"; "supply_m12h0u0a0"; "capacity_r42"; "spread_x" |]
+  (* rows 3 and 4 stand for other constraints (capacity, spread): only the
+     listed supply rows price buckets; row 5 lies past the duals *)
+  let supply_rows =
+    [
+      supply_row 0 ~msb:3 ~hw:5 ~in_use:true;
+      supply_row 1 ~msb:3 ~rack:7 ~hw:5 ~attr:2;
+      supply_row 2 ~msb:12 ~hw:0;
+      supply_row 5 ~msb:0 ~hw:0;
+    ]
   in
   let duals = [| -2.0; 3.5; 1e-15; -7.25; 9.9 |] in
-  Reactive.set_prices reactive ~row_names ~duals;
+  Reactive.set_prices reactive ~supply_rows ~duals;
   (* max |dual| over the class variants of (msb 3, hw 5), rack rows folded *)
   Alcotest.(check (float 1e-9)) "class max-abs aggregate" 3.5
     (Reactive.price reactive ~msb:3 ~hw:5);
   Alcotest.(check (float 1e-9)) "negligible dual skipped" 0.0
     (Reactive.price reactive ~msb:12 ~hw:0);
+  Alcotest.(check (float 1e-9)) "row past the duals prices 0" 0.0
+    (Reactive.price reactive ~msb:0 ~hw:0);
   Alcotest.(check (float 1e-9)) "unknown scope prices 0" 0.0
-    (Reactive.price reactive ~msb:0 ~hw:0)
+    (Reactive.price reactive ~msb:1 ~hw:1)
 
 (* ---------- replace_failed swap accounting ---------- *)
 
@@ -539,7 +550,7 @@ let test_tier1_repair_drift_bounded () =
     ignore (Online_mover.apply_plan mover stats.Async_solver.plan);
     (let p1 = stats.Async_solver.phase1 in
      Reactive.set_prices (Online_mover.reactive mover)
-       ~row_names:p1.Phases.compiled.Ras_mip.Model.row_names ~duals:p1.Phases.lp_duals);
+       ~supply_rows:p1.Phases.formulation.Formulation.supply_rows ~duals:p1.Phases.lp_duals);
     (* deterministic storm over reservation-bound servers *)
     let victims = ref [] in
     for id = 0 to Broker.num_servers broker - 1 do
@@ -667,7 +678,7 @@ let suite =
     Alcotest.test_case "reactive replacement stays in class" `Quick
       test_reactive_replacement_same_class;
     Alcotest.test_case "reactive grant respects prices" `Quick test_reactive_respects_prices;
-    Alcotest.test_case "price table parsing" `Quick test_price_table_parsing;
+    Alcotest.test_case "price table aggregation" `Quick test_price_table_aggregation;
     Alcotest.test_case "replace_failed releases dead server" `Quick
       test_replace_failed_releases_dead_server;
     Alcotest.test_case "double failure loan round trip" `Quick

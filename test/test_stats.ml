@@ -8,28 +8,22 @@ let check_float = Alcotest.(check (float 1e-9))
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Rng.bits64 a) (Rng.bits64 b)
+    Alcotest.(check (float 0.0)) "same stream" (Rng.float a 1.0) (Rng.float b 1.0)
   done
 
 let test_rng_seeds_differ () =
   let a = Rng.create 1 and b = Rng.create 2 in
   let same = ref 0 in
   for _ = 1 to 64 do
-    if Rng.bits64 a = Rng.bits64 b then incr same
+    if Rng.float a 1.0 = Rng.float b 1.0 then incr same
   done;
   Alcotest.(check bool) "streams differ" true (!same < 4)
 
-let test_rng_split_independent () =
-  let parent = Rng.create 7 in
-  let child = Rng.split parent in
-  let c1 = Rng.bits64 child and p1 = Rng.bits64 parent in
-  Alcotest.(check bool) "child differs from parent" true (c1 <> p1)
-
 let test_rng_copy () =
   let a = Rng.create 3 in
-  ignore (Rng.bits64 a);
+  ignore (Rng.float a 1.0);
   let b = Rng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Rng.bits64 a) (Rng.bits64 b)
+  Alcotest.(check (float 0.0)) "copy continues identically" (Rng.float a 1.0) (Rng.float b 1.0)
 
 let test_rng_int_range () =
   let rng = Rng.create 5 in
@@ -91,15 +85,6 @@ let test_categorical_rejects_all_zero () =
     (Invalid_argument "Dist.categorical: zero total weight") (fun () ->
       ignore (Dist.categorical rng [| 0.0; 0.0 |]))
 
-let test_zipf_rank_one_most_common () =
-  let rng = Rng.create 12 in
-  let counts = Array.make 10 0 in
-  for _ = 1 to 10_000 do
-    let r = Dist.zipf rng ~n:10 ~s:1.0 in
-    counts.(r - 1) <- counts.(r - 1) + 1
-  done;
-  Alcotest.(check bool) "rank 1 beats rank 10" true (counts.(0) > counts.(9) * 3)
-
 let test_poisson_mean () =
   let rng = Rng.create 13 in
   let n = 20_000 in
@@ -120,7 +105,7 @@ let test_summary_exact () =
   check_float "p0" 1.0 (Summary.percentile s 0.0);
   check_float "p100" 4.0 (Summary.percentile s 100.0);
   check_float "p50" 2.5 (Summary.percentile s 50.0);
-  check_float "variance" 1.25 (Summary.variance s)
+  check_float "stddev" (sqrt 1.25) (Summary.stddev s)
 
 let test_summary_variance_large_offset () =
   (* samples clustered around 1e9: the naive E[x^2] - E[x]^2 formula loses
@@ -129,7 +114,6 @@ let test_summary_variance_large_offset () =
   let s = Summary.create () in
   Summary.add_list s [ 1e9; 1e9 +. 1.0; 1e9 +. 2.0 ];
   check_float "mean" (1e9 +. 1.0) (Summary.mean s);
-  check_float "variance" (2.0 /. 3.0) (Summary.variance s);
   check_float "stddev" (sqrt (2.0 /. 3.0)) (Summary.stddev s)
 
 let test_summary_empty () =
@@ -173,15 +157,6 @@ let test_timeseries_monotonic () =
   Alcotest.check_raises "backwards time" (Invalid_argument "Timeseries.record: time went backwards")
     (fun () -> Timeseries.record ts ~time:4.0 1.0)
 
-let test_timeseries_value_at () =
-  let ts = Timeseries.create ~name:"t" in
-  Timeseries.record ts ~time:1.0 10.0;
-  Timeseries.record ts ~time:3.0 30.0;
-  Alcotest.(check (option (float 1e-9))) "before first" None (Timeseries.value_at ts 0.5);
-  Alcotest.(check (option (float 1e-9))) "at first" (Some 10.0) (Timeseries.value_at ts 1.0);
-  Alcotest.(check (option (float 1e-9))) "between" (Some 10.0) (Timeseries.value_at ts 2.0);
-  Alcotest.(check (option (float 1e-9))) "after last" (Some 30.0) (Timeseries.value_at ts 9.0)
-
 let test_timeseries_bucketize () =
   let ts = Timeseries.create ~name:"t" in
   List.iter (fun (t, v) -> Timeseries.record ts ~time:t v)
@@ -190,11 +165,6 @@ let test_timeseries_bucketize () =
   Alcotest.(check int) "two buckets" 2 (Array.length buckets);
   check_float "first bucket sum" 4.0 (snd buckets.(0));
   check_float "second bucket sum" 5.0 (snd buckets.(1))
-
-let test_timeseries_window_mean () =
-  let ts = Timeseries.create ~name:"t" in
-  List.iter (fun (t, v) -> Timeseries.record ts ~time:t v) [ (0.0, 2.0); (1.0, 4.0); (2.0, 9.0) ];
-  check_float "window [0,2)" 3.0 (Timeseries.window_mean ts ~lo:0.0 ~hi:2.0)
 
 (* qcheck properties *)
 
@@ -215,7 +185,12 @@ let prop_variance_nonneg =
     (fun xs ->
       let s = Summary.create () in
       Summary.add_list s xs;
-      Summary.variance s >= -1e-6)
+      (* Welford's running spread against the two-pass population variance *)
+      let n = float_of_int (List.length xs) in
+      let mean = List.fold_left ( +. ) 0.0 xs /. n in
+      let var = List.fold_left (fun acc x -> acc +. ((x -. mean) *. (x -. mean))) 0.0 xs /. n in
+      let sd = Summary.stddev s in
+      sd >= 0.0 && Float.abs ((sd *. sd) -. var) <= 1e-9 *. (1.0 +. var))
 
 let prop_rng_int_uniformish =
   QCheck.Test.make ~name:"Rng.int covers its range" ~count:20 QCheck.(int_range 2 20)
@@ -231,7 +206,6 @@ let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng seeds differ" `Quick test_rng_seeds_differ;
-    Alcotest.test_case "rng split independent" `Quick test_rng_split_independent;
     Alcotest.test_case "rng copy" `Quick test_rng_copy;
     Alcotest.test_case "rng int range" `Quick test_rng_int_range;
     Alcotest.test_case "rng int rejects non-positive" `Quick test_rng_int_rejects_nonpositive;
@@ -241,7 +215,6 @@ let suite =
     Alcotest.test_case "normal moments" `Quick test_normal_moments;
     Alcotest.test_case "categorical zeros" `Quick test_categorical_respects_zeros;
     Alcotest.test_case "categorical all-zero rejected" `Quick test_categorical_rejects_all_zero;
-    Alcotest.test_case "zipf rank 1 most common" `Quick test_zipf_rank_one_most_common;
     Alcotest.test_case "poisson mean" `Quick test_poisson_mean;
     Alcotest.test_case "summary exact values" `Quick test_summary_exact;
     Alcotest.test_case "summary variance large offset" `Quick
@@ -252,9 +225,7 @@ let suite =
     Alcotest.test_case "histogram count" `Quick test_histogram;
     Alcotest.test_case "timeseries basics" `Quick test_timeseries_basics;
     Alcotest.test_case "timeseries monotonic" `Quick test_timeseries_monotonic;
-    Alcotest.test_case "timeseries value_at" `Quick test_timeseries_value_at;
     Alcotest.test_case "timeseries bucketize" `Quick test_timeseries_bucketize;
-    Alcotest.test_case "timeseries window mean" `Quick test_timeseries_window_mean;
     QCheck_alcotest.to_alcotest prop_percentile_monotone;
     QCheck_alcotest.to_alcotest prop_variance_nonneg;
     QCheck_alcotest.to_alcotest prop_rng_int_uniformish;

@@ -26,8 +26,19 @@ let test_find_by_code () =
   Alcotest.(check bool) "unknown code" true (Hw.find_by_code "C99" = None)
 
 let test_generation_share_sums () =
-  let total = Hw.generation_share 1 +. Hw.generation_share 2 +. Hw.generation_share 3 in
-  Alcotest.(check (float 1e-9)) "shares sum to 1" 1.0 total
+  (* the Fig. 2 age skew needs every generation in the catalog: an absent
+     one would make the "no gen-3 in the oldest MSB" check vacuous *)
+  let share gen =
+    let n =
+      Array.fold_left (fun acc h -> if h.Hw.cpu_generation = gen then acc + 1 else acc) 0 Hw.catalog
+    in
+    float_of_int n /. float_of_int Hw.count
+  in
+  List.iter
+    (fun gen ->
+      Alcotest.(check bool) (Printf.sprintf "generation %d present" gen) true (share gen > 0.0))
+    [ 1; 2; 3 ];
+  Alcotest.(check (float 1e-9)) "shares sum to 1" 1.0 (share 1 +. share 2 +. share 3)
 
 let test_generate_valid () =
   let region = Generator.generate Generator.small_params in
@@ -74,12 +85,6 @@ let test_age_skew () =
   Alcotest.(check (float 1e-9)) "no gen-3 in oldest MSB" 0.0 (gen_share 0 3);
   Alcotest.(check (float 1e-9)) "no gen-1 in newest MSB" 0.0 (gen_share newest 1)
 
-let test_age_of_msb_ordering () =
-  let region = Generator.generate Generator.small_params in
-  Alcotest.(check (float 1e-9)) "oldest age 0" 0.0 (Generator.age_of_msb region 0);
-  Alcotest.(check (float 1e-9)) "newest age 1" 1.0
-    (Generator.age_of_msb region (region.Region.num_msbs - 1))
-
 let test_extend_preserves_ids () =
   let region = Generator.generate Generator.small_params in
   let bigger =
@@ -118,7 +123,10 @@ let test_servers_of_msb () =
 
 let test_msbs_of_dc () =
   let region = Generator.generate Generator.small_params in
-  let counts = List.init region.Region.num_dcs (fun d -> List.length (Region.msbs_of_dc region d)) in
+  let counts =
+    List.init region.Region.num_dcs (fun d ->
+        Array.fold_left (fun acc dc -> if dc = d then acc + 1 else acc) 0 region.Region.msb_dc)
+  in
   Alcotest.(check (list int)) "3 msbs per dc" [ 3; 3 ] counts
 
 let prop_validate_rejects_corruption =
@@ -140,7 +148,6 @@ let suite =
     Alcotest.test_case "generate deterministic" `Quick test_generate_deterministic;
     Alcotest.test_case "racks homogeneous" `Quick test_racks_homogeneous;
     Alcotest.test_case "age skew" `Quick test_age_skew;
-    Alcotest.test_case "age of msb" `Quick test_age_of_msb_ordering;
     Alcotest.test_case "extend preserves ids" `Quick test_extend_preserves_ids;
     Alcotest.test_case "hw mix and rru" `Quick test_hw_mix_and_rru;
     Alcotest.test_case "servers_of_msb partition" `Quick test_servers_of_msb;

@@ -45,8 +45,12 @@ let test_place_and_stop () =
     (fun sid ->
       Alcotest.(check bool) "broker marked in use" true (Broker.in_use_at broker sid))
     in_use;
-  Allocator.stop_job alloc job;
+  (* stopping every host (as the Online Mover does before it moves an
+     in-use server) detaches the job's containers *)
+  List.iter (Allocator.evict_server alloc) in_use;
   Alcotest.(check int) "stopped" 0 (Allocator.placed_containers alloc);
+  Alcotest.(check int) "stopped containers wait for capacity" 4
+    (Allocator.pending_containers alloc);
   List.iter
     (fun sid ->
       Alcotest.(check bool) "in_use cleared" false (Broker.in_use_at broker sid))
@@ -71,17 +75,8 @@ let test_stacking_respects_capacity () =
   let _, alloc = setup () in
   let job = Job.make ~id:3 ~reservation:1 ~replicas:20 ~rru_per_replica:0.4 ~spread_msbs:false () in
   (match Allocator.place_job alloc job with Ok () -> () | Error e -> Alcotest.fail e);
-  (* no server may exceed its own RRU value *)
-  let loads = Hashtbl.create 16 in
-  List.iter
-    (fun c ->
-      match Allocator.server_of_container alloc c with
-      | Some sid ->
-        Hashtbl.replace loads sid
-          (0.4 +. (try Hashtbl.find loads sid with Not_found -> 0.0))
-      | None -> Alcotest.fail "unplaced container")
-    (Job.containers job);
-  Alcotest.(check bool) "stacked" true (Hashtbl.length loads < 20)
+  Alcotest.(check int) "all placed" 20 (Allocator.placed_containers alloc);
+  Alcotest.(check bool) "stacked" true (List.length (Allocator.servers_in_use alloc) < 20)
 
 let test_spread_across_msbs () =
   (* server ids are rack-major within MSB: 0..23 are MSB 0, 24..47 MSB 1;
@@ -93,16 +88,13 @@ let test_spread_across_msbs () =
   let alloc = Allocator.create broker ~reservation:1 ~rru_of in
   let job = Job.make ~id:4 ~reservation:1 ~replicas:6 ~rru_per_replica:0.25 () in
   (match Allocator.place_job alloc job with Ok () -> () | Error e -> Alcotest.fail e);
-  let msbs = Hashtbl.create 8 in
-  List.iter
-    (fun c ->
-      match Allocator.server_of_container alloc c with
-      | Some sid ->
-        let msb = (Broker.region broker).Region.servers.(sid).Region.loc.Region.msb in
-        Hashtbl.replace msbs msb ()
-      | None -> ())
-    (Job.containers job);
-  Alcotest.(check bool) "replicas span several msbs" true (Hashtbl.length msbs >= 2)
+  let msbs =
+    List.sort_uniq compare
+      (List.map
+         (fun sid -> (Broker.region broker).Region.servers.(sid).Region.loc.Region.msb)
+         (Allocator.servers_in_use alloc))
+  in
+  Alcotest.(check bool) "replicas span several msbs" true (List.length msbs >= 2)
 
 let test_failure_replacement () =
   let broker, alloc = setup ~owned:12 () in
@@ -145,7 +137,7 @@ let test_evict_server () =
 
 let web = Service.make ~id:1 ~name:"web" ~profile:Service.Web ()
 
-let test_greedy_fulfill_and_release () =
+let test_greedy_fulfill () =
   let region = Generator.generate Generator.small_params in
   let broker = Broker.create region in
   let req = Capacity_request.make ~id:1 ~service:web ~rru:10.0 () in
@@ -160,9 +152,7 @@ let test_greedy_fulfill_and_release () =
     List.map (fun sid -> (Broker.region broker).Region.servers.(sid).Region.loc.Region.msb) owned
     |> List.sort_uniq compare
   in
-  Alcotest.(check bool) "concentrated placement" true (List.length msbs <= 3);
-  Greedy.release broker ~reservation:1;
-  Alcotest.(check int) "released" 0 (Broker.count_owner broker (Broker.Reservation 1))
+  Alcotest.(check bool) "concentrated placement" true (List.length msbs <= 3)
 
 let test_greedy_reports_shortfall () =
   let region = Generator.generate Generator.small_params in
@@ -195,7 +185,7 @@ let suite =
     Alcotest.test_case "failure replacement" `Quick test_failure_replacement;
     Alcotest.test_case "failure goes pending" `Quick test_failure_without_capacity_goes_pending;
     Alcotest.test_case "evict server" `Quick test_evict_server;
-    Alcotest.test_case "greedy fulfill/release" `Quick test_greedy_fulfill_and_release;
+    Alcotest.test_case "greedy binds in pool order" `Quick test_greedy_fulfill;
     Alcotest.test_case "greedy reports shortfall" `Quick test_greedy_reports_shortfall;
     Alcotest.test_case "greedy hw acceptability" `Quick test_greedy_skips_unacceptable_hw;
   ]

@@ -22,10 +22,16 @@ let test_wear_generation_bounds () =
     r.Region.servers
 
 let test_wear_buckets () =
-  let wear = Wear.of_array [| 0.0; 0.39; 0.4; 0.74; 0.75; 1.0 |] in
-  Alcotest.(check (list int)) "bucket thresholds" [ 0; 0; 1; 1; 2; 2 ]
-    (List.init 6 (fun i -> Wear.bucket wear i));
-  Alcotest.(check int) "out of range is fresh" 0 (Wear.bucket wear 99);
+  let r = region () in
+  let wear = Wear.generate (Ras_stats.Rng.create 3) r in
+  Array.iter
+    (fun (s : Region.server) ->
+      let w = Wear.fraction wear s.Region.id in
+      Alcotest.(check int) "bucket thresholds"
+        (if w < 0.4 then 0 else if w < 0.75 then 1 else 2)
+        (Wear.bucket wear s.Region.id))
+    r.Region.servers;
+  Alcotest.(check int) "out of range is fresh" 0 (Wear.bucket wear (Region.num_servers r));
   Alcotest.(check int) "three buckets" 3 Wear.buckets
 
 let test_wear_age_skew () =

@@ -57,8 +57,11 @@ let test_capacity_request_validation () =
       ("infinite rru", Float.infinity) ]
 
 let test_acceptable_hw_types () =
-  let req = Capacity_request.make ~id:1 ~service:web ~rru:10.0 () in
-  let n = Capacity_request.acceptable_hw_types req in
+  let n =
+    Array.fold_left
+      (fun acc hw -> if Service.rru_of web hw > 0.0 then acc + 1 else acc)
+      0 Hw.catalog
+  in
   Alcotest.(check bool) "web accepts several compute types" true (n >= 4 && n <= 8)
 
 let test_paper_distribution_ranges () =
@@ -158,12 +161,16 @@ let test_msb_power_totals () =
   Array.iter (fun w -> Alcotest.(check bool) "positive draw" true (w > 0.0)) draw
 
 let test_traffic_fractions () =
-  Alcotest.(check (float 1e-9)) "all local" 0.0
-    (Traffic.cross_dc_fraction ~data_dc:0 ~capacity_per_dc:[| 10.0; 0.0 |]);
-  Alcotest.(check (float 1e-9)) "half remote" 0.5
-    (Traffic.cross_dc_fraction ~data_dc:0 ~capacity_per_dc:[| 5.0; 5.0 |]);
-  Alcotest.(check bool) "empty is nan" true
-    (Float.is_nan (Traffic.cross_dc_fraction ~data_dc:0 ~capacity_per_dc:[| 0.0; 0.0 |]))
+  (* the cross-DC share of a day's traffic volume at [capacity_per_dc] *)
+  let fraction capacity_per_dc =
+    let total = Array.fold_left ( +. ) 0.0 capacity_per_dc in
+    Traffic.cross_dc_gb ~service:web ~data_dc:0 ~capacity_per_dc ~hours:24.0
+    /. (total *. web.Service.network_gb_per_rru *. 24.0)
+  in
+  Alcotest.(check (float 1e-9)) "all local" 0.0 (fraction [| 10.0; 0.0 |]);
+  Alcotest.(check (float 1e-9)) "half remote" 0.5 (fraction [| 5.0; 5.0 |]);
+  Alcotest.(check (float 0.0)) "no capacity, no traffic" 0.0
+    (Traffic.cross_dc_gb ~service:web ~data_dc:0 ~capacity_per_dc:[| 0.0; 0.0 |] ~hours:24.0)
 
 let test_traffic_working_fraction () =
   (* 10 requested, 10 local, 5 extra buffer elsewhere: working set is local *)
