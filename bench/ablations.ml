@@ -11,7 +11,7 @@ let scenario preset =
   let requests = Solver_runs.with_rack_limits (Scenarios.requests_of preset region) in
   let reservations =
     List.map Ras.Reservation.of_request requests
-    @ Ras.Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000
+    @ Ras.Buffers.shared_buffer_reservations region ~fraction:0.02
   in
   (region, broker, reservations)
 

@@ -37,7 +37,7 @@ let measure ~dcs ~msbs ~racks ~servers =
   in
   let reservations =
     List.map Ras.Reservation.of_request requests
-    @ Ras.Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000
+    @ Ras.Buffers.shared_buffer_reservations region ~fraction:0.02
   in
   let snapshot = Ras.Snapshot.take broker reservations in
   let stats =

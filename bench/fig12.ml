@@ -33,7 +33,7 @@ let run () =
       (List.length unmet);
   let all_res = List.map Ras.Reservation.of_request requests in
   let buffers () =
-    Ras.Buffers.shared_buffer_reservations (Broker.region broker) ~fraction:0.02 ~first_id:8000
+    Ras.Buffers.shared_buffer_reservations (Broker.region broker) ~fraction:0.02
   in
   let measure () =
     let snap = Ras.Snapshot.take broker all_res in

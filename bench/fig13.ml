@@ -16,7 +16,7 @@ let run () =
   let requests = Scenarios.requests_of ~utilization:0.42 Scenarios.Wide region in
   let reservations =
     List.map Ras.Reservation.of_request requests
-    @ Ras.Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000
+    @ Ras.Buffers.shared_buffer_reservations region ~fraction:0.02
   in
   let mover = Ras.Online_mover.create broker in
   Ras.Online_mover.set_reservations mover reservations;

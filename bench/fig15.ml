@@ -45,7 +45,7 @@ let run () =
         affinity_tolerance = 0.1 }
     else r
   in
-  let buffers = Ras.Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000 in
+  let buffers = Ras.Buffers.shared_buffer_reservations region ~fraction:0.02 in
   let mover = Ras.Online_mover.create broker in
   let weeks = Scenarios.scaled 8 in
   let presto_res reservations =

@@ -89,7 +89,7 @@ let scenario_snapshot preset =
   let requests = Scenarios.requests_of preset region in
   let reservations =
     List.map Ras.Reservation.of_request requests
-    @ Ras.Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000
+    @ Ras.Buffers.shared_buffer_reservations region ~fraction:0.02
   in
   Ras.Snapshot.take broker reservations
 
@@ -406,7 +406,7 @@ let reactive_restore_kernel ~label ~events preset =
   let requests = Scenarios.requests_of preset region in
   let reservations =
     List.map Ras.Reservation.of_request requests
-    @ Ras.Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000
+    @ Ras.Buffers.shared_buffer_reservations region ~fraction:0.02
   in
   let mover = Ras.Online_mover.create broker in
   let reactive = Ras.Online_mover.reactive mover in

@@ -12,7 +12,7 @@ let run () =
   let requests = Scenarios.requests_of Scenarios.Small region in
   let reservations =
     List.map Ras.Reservation.of_request requests
-    @ Ras.Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000
+    @ Ras.Buffers.shared_buffer_reservations region ~fraction:0.02
   in
   let snapshot = Ras.Snapshot.take broker reservations in
   let symmetry = Ras.Symmetry.build snapshot in

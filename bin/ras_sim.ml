@@ -55,7 +55,7 @@ let make_scenario region ~seed ~utilization =
 
 let reservations_of region requests =
   List.map Ras.Reservation.of_request requests
-  @ Ras.Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000
+  @ Ras.Buffers.shared_buffer_reservations region ~fraction:0.02
 
 (* ---------- region ---------- *)
 

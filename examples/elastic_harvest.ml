@@ -21,7 +21,7 @@ let () =
   let web = Service.make ~id:1 ~name:"frontend" ~profile:Service.Web () in
   let reservations =
     [ Reservation.of_request (Capacity_request.make ~id:1 ~service:web ~rru:12.0 ()) ]
-    @ Buffers.shared_buffer_reservations region ~fraction:0.05 ~first_id:8000
+    @ Buffers.shared_buffer_reservations region ~fraction:0.05
   in
   let mover = Online_mover.create broker in
   Online_mover.set_reservations mover reservations;

@@ -32,7 +32,7 @@ let () =
   in
   let reservations =
     [ Reservation.of_request request ]
-    @ Buffers.shared_buffer_reservations region ~fraction:0.03 ~first_id:8000
+    @ Buffers.shared_buffer_reservations region ~fraction:0.03
   in
   let res = List.hd reservations in
   let mover = Online_mover.create broker in

@@ -36,7 +36,7 @@ let run_once ~with_affinity =
   in
   let reservations =
     List.map Reservation.of_request requests
-    @ Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000
+    @ Buffers.shared_buffer_reservations region ~fraction:0.02
   in
   let mover = Online_mover.create broker in
   Online_mover.set_reservations mover reservations;

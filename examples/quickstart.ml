@@ -34,7 +34,7 @@ let () =
   let reservations =
     List.map Reservation.of_request requests
     (* plus the shared random-failure buffer, 2% per hardware category *)
-    @ Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000
+    @ Buffers.shared_buffer_reservations region ~fraction:0.02
   in
 
   (* 3. one continuous-optimization pass *)

@@ -6,7 +6,11 @@ module Model = Ras_mip.Model
 let all_categories =
   [ Hw.Compute; Hw.Storage; Hw.Memory; Hw.Flash; Hw.Gpu; Hw.Asic; Hw.Compute_dense ]
 
-let shared_buffer_reservations region ~fraction ~first_id =
+(* Shared-buffer reservation ids count up from here, one per category
+   present, clear of the request ids callers pick. *)
+let first_buffer_id = 8000
+
+let shared_buffer_reservations region ~fraction =
   let capacity_of category =
     Array.fold_left
       (fun acc (s : Region.server) ->
@@ -20,7 +24,7 @@ let shared_buffer_reservations region ~fraction ~first_id =
         if cap >= 1.0 then
           (id + 1, Reservation.shared_buffer ~id ~category ~capacity_rru:cap :: acc)
         else (id, acc))
-      (first_id, []) all_categories
+      (first_buffer_id, []) all_categories
   in
   List.rev reservations
 

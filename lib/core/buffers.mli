@@ -13,10 +13,11 @@
     perfect-spread bound (100/36 = 2.8%). *)
 
 val shared_buffer_reservations :
-  Ras_topology.Region.t -> fraction:float -> first_id:int -> Reservation.t list
+  Ras_topology.Region.t -> fraction:float -> Reservation.t list
 (** One shared-buffer reservation per hardware category present in the
     region, each sized to [fraction] of that category's total base RRU.
-    Categories with negligible capacity are skipped. *)
+    Categories with negligible capacity are skipped.  Ids count up from
+    8000, in catalog category order. *)
 
 val embedded_buffer_fraction : Snapshot.t -> float
 (** Achieved embedded-buffer share: sum over guaranteed reservations of

@@ -6,7 +6,11 @@ module Branch_bound = Ras_mip.Branch_bound
 let reservation_report (snapshot : Snapshot.t) res =
   let buf = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let total = Snapshot.current_rru snapshot res in
+  (* per-MSB RRU, read once: the capacity, spread, buffer and quorum lines
+     all derive from it *)
+  let per_msb = Snapshot.rru_by_msb snapshot res in
+  let total = Array.fold_left ( +. ) 0.0 per_msb in
+  let max_msb = Array.fold_left Float.max 0.0 per_msb in
   add "%s (reservation %d)\n" res.Reservation.name res.Reservation.id;
   add "  capacity: %.1f RRU bound / %.1f requested%s\n" total res.Reservation.capacity_rru
     (if total >= res.Reservation.capacity_rru then "" else "  ** SHORT **");
@@ -25,8 +29,7 @@ let reservation_report (snapshot : Snapshot.t) res =
     hw_counts;
   add "\n";
   (* MSB spread *)
-  let per_msb = Snapshot.rru_by_msb snapshot res in
-  let max_share = Snapshot.max_msb_share snapshot res in
+  let max_share = if total <= 0.0 then nan else max_msb /. total in
   let used_msbs = Array.fold_left (fun acc v -> if v > 0.0 then acc + 1 else acc) 0 per_msb in
   if Float.is_nan max_share then add "  spread: no capacity bound yet\n"
   else begin
@@ -35,7 +38,6 @@ let reservation_report (snapshot : Snapshot.t) res =
       (100.0 *. res.Reservation.msb_spread_limit)
       (if max_share > res.Reservation.msb_spread_limit +. 1e-9 then "  ** OVER **" else "");
     if res.Reservation.embedded_buffer then begin
-      let max_msb = Array.fold_left Float.max 0.0 per_msb in
       let survives = total -. max_msb >= res.Reservation.capacity_rru -. 1e-9 in
       add "  embedded buffer: %s (capacity after worst MSB loss: %.1f / %.1f needed)\n"
         (if survives then "covers one MSB failure" else "** CANNOT cover an MSB failure **")
@@ -45,11 +47,9 @@ let reservation_report (snapshot : Snapshot.t) res =
   (* storage quorum spread *)
   (match res.Reservation.hard_msb_cap with
   | Some cap when total > 0.0 ->
-    let per_msb = Snapshot.rru_by_msb snapshot res in
-    let worst = Array.fold_left Float.max 0.0 per_msb /. total in
-    add "  quorum spread: max MSB holds %.1f%% of total (hard cap %.1f%%)%s\n" (100.0 *. worst)
-      (100.0 *. cap)
-      (if worst > cap +. 1e-9 then "  ** QUORUM AT RISK **" else "")
+    add "  quorum spread: max MSB holds %.1f%% of total (hard cap %.1f%%)%s\n"
+      (100.0 *. max_share) (100.0 *. cap)
+      (if max_share > cap +. 1e-9 then "  ** QUORUM AT RISK **" else "")
   | Some _ | None -> ());
   (* datacenter affinity *)
   if res.Reservation.dc_affinity <> [] then begin

@@ -111,5 +111,3 @@ let delete t id =
 let requests t =
   Hashtbl.fold (fun _ r acc -> r :: acc) t []
   |> List.sort (fun a b -> compare a.Capacity_request.id b.Capacity_request.id)
-
-let find t id = Hashtbl.find_opt t id

@@ -45,5 +45,3 @@ val delete : t -> int -> bool
 
 val requests : t -> Ras_workload.Capacity_request.t list
 (** All accepted requests, by ascending id. *)
-
-val find : t -> int -> Ras_workload.Capacity_request.t option

@@ -63,8 +63,6 @@ type t = {
   mutable c_index_updates : int;
 }
 
-let broker t = t.tbroker
-
 (* ---- dual prices: the tier-1 repair policy's view of the last solve ----
 
    Supply-row duals aggregate per (msb, hw) bucket — the scope the pools

@@ -54,8 +54,6 @@ val create : Ras_broker.Broker.t -> t
     subscribes to its change feed; from then on the index tracks every
     mutation incrementally.  One instance per broker. *)
 
-val broker : t -> Ras_broker.Broker.t
-
 val set_prices :
   t -> supply_rows:(int * Symmetry.cls) list -> duals:float array -> unit
 (** Install the dual prices of the latest tier-2 solve: a formulation's

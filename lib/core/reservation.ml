@@ -68,7 +68,3 @@ let owner t =
   | Random_failure_buffer _ -> Ras_broker.Broker.Shared_buffer
 
 let accepts t hw = t.rru_of hw > 0.0
-
-let pp ppf t =
-  Format.fprintf ppf "reservation#%d %s C=%.1f spread<=%.2f buffer=%b" t.id t.name
-    t.capacity_rru t.msb_spread_limit t.embedded_buffer

@@ -50,5 +50,3 @@ val owner : t -> Ras_broker.Broker.owner
     random-failure buffer. *)
 
 val accepts : t -> Ras_topology.Hardware.t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -63,17 +63,8 @@ let owned_by_code res code hw =
     code = Broker.owner_code (Broker.Reservation res.Reservation.id)
     && not (Reservation.is_buffer res)
 
-let current_rru t res =
-  let acc = ref 0.0 in
-  for id = 0 to num_servers t - 1 do
-    if usable_at t id then begin
-      let hw = (server t id).Region.hw in
-      if owned_by_code res (current_code t id) hw then
-        acc := !acc +. res.Reservation.rru_of hw
-    end
-  done;
-  !acc
-
+(* The one per-server pass of the rru folds: the per-DC and total reads
+   add up its MSBs. *)
 let rru_by_msb t res =
   let out = Array.make t.region.Region.num_msbs 0.0 in
   for id = 0 to num_servers t - 1 do
@@ -88,18 +79,15 @@ let rru_by_msb t res =
   done;
   out
 
+let current_rru t res = Array.fold_left ( +. ) 0.0 (rru_by_msb t res)
+
 let rru_by_dc t res =
   let out = Array.make t.region.Region.num_dcs 0.0 in
-  for id = 0 to num_servers t - 1 do
-    if usable_at t id then begin
-      let s = server t id in
-      let hw = s.Region.hw in
-      if owned_by_code res (current_code t id) hw then begin
-        let d = s.Region.loc.Region.dc in
-        out.(d) <- out.(d) +. res.Reservation.rru_of hw
-      end
-    end
-  done;
+  Array.iteri
+    (fun m v ->
+      let d = t.region.Region.msb_dc.(m) in
+      out.(d) <- out.(d) +. v)
+    (rru_by_msb t res);
   out
 
 let max_msb_share t res =

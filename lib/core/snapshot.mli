@@ -71,12 +71,14 @@ val owned_by_code : Reservation.t -> int -> Ras_topology.Hardware.t -> bool
     [Shared_buffer] servers of their hardware category. *)
 
 val current_rru : t -> Reservation.t -> float
-(** Usable RRU currently bound to the reservation. *)
+(** Usable RRU currently bound to the reservation: the sum of
+    {!rru_by_msb}. *)
 
 val rru_by_msb : t -> Reservation.t -> float array
-(** Usable RRU of the reservation per MSB. *)
+(** Usable RRU of the reservation per MSB, in one pass over the servers. *)
 
 val rru_by_dc : t -> Reservation.t -> float array
+(** {!rru_by_msb} added up per datacenter through [region.msb_dc]. *)
 
 val max_msb_share : t -> Reservation.t -> float
 (** Largest per-MSB fraction of the reservation's current capacity — the

@@ -53,8 +53,7 @@ let create ?(config = default_config) brk =
   let eng = Engine.create () in
   let mv = Online_mover.create ~engine:eng brk in
   let buffers =
-    Buffers.shared_buffer_reservations (Broker.region brk)
-      ~fraction:config.shared_buffer_fraction ~first_id:8000
+    Buffers.shared_buffer_reservations (Broker.region brk) ~fraction:config.shared_buffer_fraction
   in
   let t =
     {

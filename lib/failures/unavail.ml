@@ -22,18 +22,3 @@ let servers_of region t =
     Array.fold_right
       (fun s acc -> if s.Region.loc.Region.msb = m then s.Region.id :: acc else acc)
       region.Region.servers []
-
-let kind_name = function
-  | Planned_maintenance -> "planned"
-  | Unplanned_sw -> "unplanned-sw"
-  | Unplanned_hw -> "unplanned-hw"
-  | Correlated -> "correlated"
-
-let scope_name = function
-  | Server id -> Printf.sprintf "server:%d" id
-  | Rack r -> Printf.sprintf "rack:%d" r
-  | Msb m -> Printf.sprintf "msb:%d" m
-
-let pp ppf t =
-  Format.fprintf ppf "event#%d %s %s t=[%.1f, %.1f)" t.id (kind_name t.kind) (scope_name t.scope)
-    t.start_h (end_h t)

@@ -29,5 +29,3 @@ val active_at : t -> float -> bool
 
 val servers_of : Ras_topology.Region.t -> t -> int list
 (** Ids of all servers the event covers. *)
-
-val pp : Format.formatter -> t -> unit

@@ -247,8 +247,6 @@ let copy_as t knd =
           });
   }
 
-let copy t = copy_as t t.knd
-
 (* Both LU kinds hold the same factors, so one adopts the other's; only
    the Gauss-Jordan inverse is a different representation. *)
 let adopt t knd =

@@ -58,9 +58,6 @@ type kind =
     {!t}. *)
 module Svec : sig
   type t = { mutable n : int; idx : int array; vals : float array }
-
-  val make : int -> t
-  val clear : t -> unit
 end
 
 type t
@@ -161,13 +158,10 @@ val pivot_order : t -> int array * int array
     {!set_identity} factorization.  Raises [Invalid_argument] on the
     {!Dense} backend, which has no elimination order. *)
 
-val copy : t -> t
-(** Deep copy; the copy can be mutated independently.  Solve scratch and
-    the {!solve_stats} counters start fresh. *)
-
 val adopt : t -> kind -> t option
-(** [adopt t kind] is a {!copy} of [t] that solves as [kind], or [None]
-    when [t]'s representation cannot serve [kind].  {!Lu} and
-    {!Lu_full_scan} hold the same factors, so each adopts the other's;
-    {!Dense} adopts only {!Dense}.  This is how a warm start reuses a
+(** [adopt t kind] is a deep copy of [t] that solves as [kind], or [None]
+    when [t]'s representation cannot serve [kind]; the copy can be mutated
+    independently, and its solve scratch and {!solve_stats} counters start
+    fresh.  {!Lu} and {!Lu_full_scan} hold the same factors, so each adopts
+    the other's; {!Dense} adopts only {!Dense}.  This is how a warm start reuses a
     donor solve's factorization. *)

@@ -38,17 +38,3 @@ let terms e = normalize e
 
 let eval e value_of =
   List.fold_left (fun acc (c, v) -> acc +. (c *. value_of v)) e.const e.terms
-
-let pp ppf e =
-  let ts = normalize e in
-  if ts = [] then Format.fprintf ppf "%g" e.const
-  else begin
-    let pp_term first (c, v) =
-      if first then Format.fprintf ppf "%gx%d" c v
-      else if c >= 0.0 then Format.fprintf ppf " + %gx%d" c v
-      else Format.fprintf ppf " - %gx%d" (-.c) v;
-      false
-    in
-    let _ = List.fold_left pp_term true ts in
-    if e.const <> 0.0 then Format.fprintf ppf " + %g" e.const
-  end

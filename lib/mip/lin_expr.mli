@@ -32,5 +32,3 @@ val terms : t -> (float * int) list
 
 val eval : t -> (int -> float) -> float
 (** [eval e value_of] substitutes variable values. *)
-
-val pp : Format.formatter -> t -> unit

@@ -69,8 +69,6 @@ let add_max_over ?name t ~weight es =
 
 let num_vars t = t.nvars
 
-let objective t = t.obj
-
 type std = {
   nvars : int;
   nrows : int;

@@ -51,7 +51,6 @@ val add_max_over : ?name:string -> t -> weight:float -> Lin_expr.t list -> var
     the capacity constraint this way).  Returns the auxiliary variable. *)
 
 val num_vars : t -> int
-val objective : t -> Lin_expr.t
 
 (** Compiled standard form: minimize [obj . x] subject to sparse rows
     [row sense rhs] and variable bounds.  Produced once; solvers treat it as

@@ -32,5 +32,3 @@ let run_until t horizon =
     | Some _ | None -> continue := false
   done;
   t.now <- Float.max t.now horizon
-
-let pending t = Event_queue.length t.queue

@@ -22,5 +22,3 @@ exception Stop_recurring
 val run_until : t -> float -> unit
 (** Process all events with time <= the horizon, advancing [now] to the
     horizon. *)
-
-val pending : t -> int

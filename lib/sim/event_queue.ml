@@ -7,10 +7,6 @@ type 'a t = { mutable data : 'a entry option array; mutable len : int; mutable n
 
 let create () = { data = [||]; len = 0; next_seq = 0 }
 
-let is_empty t = t.len = 0
-
-let length t = t.len
-
 let get t i = match t.data.(i) with Some e -> e | None -> assert false
 
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)

@@ -6,14 +6,9 @@ type t
 
 val create : unit -> t
 
-val series : t -> string -> Ras_stats.Timeseries.t
-(** Get-or-create. *)
-
 val record : t -> string -> time:float -> float -> unit
-
-val names : t -> string list
-(** Sorted. *)
 
 val find : t -> string -> Ras_stats.Timeseries.t option
 
 val pp : Format.formatter -> t -> unit
+(** Every series as a table, in name order. *)

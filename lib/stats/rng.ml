@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64 output function: xor-shift-multiply finalizer over a Weyl
    sequence.  Constants from the reference implementation. *)
 let mix z =

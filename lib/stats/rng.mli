@@ -11,9 +11,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state; the copy evolves independently. *)
-
 val int : t -> int -> int
 (** [int t n] is uniform in \[0, n).  Raises [Invalid_argument] if [n <= 0]. *)
 

@@ -1,14 +1,12 @@
 type t = {
   mutable data : float array;
   mutable len : int;
-  mutable sum : float;
   mutable run_mean : float;  (* Welford running mean *)
-  mutable m2 : float;  (* Welford sum of squared deviations from the mean *)
   mutable sorted : bool;
 }
 
 let create () =
-  { data = Array.make 16 0.0; len = 0; sum = 0.0; run_mean = 0.0; m2 = 0.0; sorted = true }
+  { data = Array.make 16 0.0; len = 0; run_mean = 0.0; sorted = true }
 
 let add t x =
   if t.len = Array.length t.data then begin
@@ -18,25 +16,15 @@ let add t x =
   end;
   t.data.(t.len) <- x;
   t.len <- t.len + 1;
-  t.sum <- t.sum +. x;
-  (* Welford's update: immune to the catastrophic cancellation that the
-     naive E[x^2] - E[x]^2 formula suffers on large-offset samples *)
-  let delta = x -. t.run_mean in
-  t.run_mean <- t.run_mean +. (delta /. float_of_int t.len);
-  t.m2 <- t.m2 +. (delta *. (x -. t.run_mean));
+  (* Welford's running mean *)
+  t.run_mean <- t.run_mean +. ((x -. t.run_mean) /. float_of_int t.len);
   t.sorted <- false
 
 let add_list t xs = List.iter (add t) xs
 
 let count t = t.len
 
-let total t = t.sum
-
 let mean t = if t.len = 0 then nan else t.run_mean
-
-let variance t = if t.len = 0 then nan else t.m2 /. float_of_int t.len
-
-let stddev t = sqrt (max 0.0 (variance t))
 
 let ensure_sorted t =
   if not t.sorted then begin
@@ -71,10 +59,6 @@ let percentile t p =
     let frac = rank -. float_of_int lo in
     (t.data.(lo) *. (1.0 -. frac)) +. (t.data.(hi) *. frac)
   end
-
-let samples t =
-  ensure_sorted t;
-  Array.sub t.data 0 t.len
 
 type histogram = { lo : float; hi : float; counts : int array }
 

@@ -1,6 +1,6 @@
-(** Descriptive statistics over samples: means, variance, percentiles and
+(** Descriptive statistics over samples: means, percentiles and
     fixed-width histograms.  Used by every benchmark to report the same
-    aggregates the paper plots (mean / p95 / p99, variance, distributions). *)
+    aggregates the paper plots (mean / p95 / p99, distributions). *)
 
 type t
 (** An online accumulator of float samples.  Samples are retained so exact
@@ -14,14 +14,8 @@ val add_list : t -> float list -> unit
 
 val count : t -> int
 
-val total : t -> float
-
 val mean : t -> float
 (** Mean of the samples; [nan] when empty. *)
-
-val stddev : t -> float
-(** Population standard deviation (Welford's running update); [nan] when
-    empty. *)
 
 val min_value : t -> float
 (** Smallest sample; [nan] when empty. *)
@@ -32,9 +26,6 @@ val percentile : t -> float -> float
 (** [percentile t p] for [p] in \[0, 100\] with linear interpolation between
     order statistics; [nan] when empty.  Raises [Invalid_argument] for [p]
     outside the range. *)
-
-val samples : t -> float array
-(** A sorted copy of all samples. *)
 
 type histogram = { lo : float; hi : float; counts : int array }
 (** Equal-width bins over \[lo, hi); samples outside are clamped to the

@@ -7,8 +7,6 @@ type t = {
 
 let create ~name = { name; times = Array.make 16 0.0; values = Array.make 16 0.0; len = 0 }
 
-let name t = t.name
-
 let grow t =
   let cap = Array.length t.times in
   if t.len = cap then begin
@@ -27,11 +25,7 @@ let record t ~time v =
   t.values.(t.len) <- v;
   t.len <- t.len + 1
 
-let length t = t.len
-
 let points t = Array.init t.len (fun i -> (t.times.(i), t.values.(i)))
-
-let last t = if t.len = 0 then None else Some (t.times.(t.len - 1), t.values.(t.len - 1))
 
 let bucketize t ~width ~f =
   if t.len = 0 then [||]

@@ -6,18 +6,12 @@ type t
 
 val create : name:string -> t
 
-val name : t -> string
-
 val record : t -> time:float -> float -> unit
 (** Append an observation.  Times need not be distinct but must be
     non-decreasing; raises [Invalid_argument] otherwise. *)
 
-val length : t -> int
-
 val points : t -> (float * float) array
 (** All (time, value) points in recording order. *)
-
-val last : t -> (float * float) option
 
 val bucketize : t -> width:float -> f:(float array -> float) -> (float * float) array
 (** [bucketize t ~width ~f] groups points into consecutive time buckets of

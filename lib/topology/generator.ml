@@ -7,9 +7,6 @@ type params = {
   seed : int;
 }
 
-let default_params =
-  { name = "region-a"; num_dcs = 4; msbs_per_dc = 9; racks_per_msb = 12; servers_per_rack = 12; seed = 1 }
-
 let small_params =
   { name = "region-small"; num_dcs = 2; msbs_per_dc = 3; racks_per_msb = 4; servers_per_rack = 6; seed = 1 }
 

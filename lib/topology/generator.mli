@@ -20,10 +20,6 @@ type params = {
   seed : int;
 }
 
-val default_params : params
-(** 4 datacenters, 9 MSBs each (36 total, like the production region of
-    §3.3.1), 12 racks per MSB, 12 servers per rack. *)
-
 val small_params : params
 (** A laptop-scale region for tests and the quickstart example: 2 DCs,
     3 MSBs each, 4 racks per MSB, 6 servers per rack. *)

@@ -44,7 +44,3 @@ let catalog =
 let count = Array.length catalog
 
 let find_by_code code = Array.find_opt (fun h -> h.code = code) catalog
-
-let pp ppf h =
-  Format.fprintf ppf "%s(gen%d, %d cores, %dGB, %.1fTB, %dgpu, %.0fW, %.2frru)" h.code
-    h.cpu_generation h.cores h.mem_gb h.flash_tb h.gpus h.power_watts h.base_rru

@@ -41,5 +41,3 @@ val count : int
 (** [Array.length catalog]. *)
 
 val find_by_code : string -> t option
-
-val pp : Format.formatter -> t -> unit

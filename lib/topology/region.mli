@@ -36,15 +36,8 @@ val num_servers : t -> int
 val servers_of_msb : t -> int -> server list
 (** Servers located in the given MSB (region-global index). *)
 
-val validate : t -> (unit, string) result
-(** Structural invariants: every index in range, [rack_msb]/[msb_dc]
-    consistent with server locations, deploy order a permutation. *)
-
 val hw_mix_of_msb : t -> int -> (Hardware.t * int) list
 (** Count of servers per hardware subtype within one MSB (only subtypes
     present), sorted by catalog index — the per-bar data of Fig. 2. *)
-
-val total_rru : t -> float
-(** Sum of [base_rru] over all servers. *)
 
 val pp_summary : Format.formatter -> t -> unit

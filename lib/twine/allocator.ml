@@ -18,8 +18,6 @@ type failure_stats = { replaced : int; stranded : int }
 
 let key (c : Job.container) = (c.Job.job.Job.id, c.Job.index)
 
-let reservation t = t.res_id
-
 let load t sid = try Hashtbl.find t.server_load sid with Not_found -> 0.0
 
 let server t sid = (Broker.region t.broker).Region.servers.(sid)
@@ -159,8 +157,5 @@ let placed_containers t = Hashtbl.length t.container_server
 let pending_containers t = List.length t.pending
 
 let used_rru t = Hashtbl.fold (fun _ l acc -> acc +. l) t.server_load 0.0
-
-let capacity_rru t =
-  List.fold_left (fun acc sid -> acc +. server_capacity t sid) 0.0 (candidates t)
 
 let servers_in_use t = Hashtbl.fold (fun sid _ acc -> sid :: acc) t.server_containers []

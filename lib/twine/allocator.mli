@@ -33,8 +33,6 @@ val on_event : t -> Ras_broker.Broker.event -> unit
     the pending containers.  Subscribe it with
     [Broker.subscribe broker (Allocator.on_event alloc)]. *)
 
-val reservation : t -> int
-
 val place_job : t -> Job.t -> (unit, string) result
 (** Place all replicas.  Fails (placing nothing) when the reservation lacks
     capacity; the error names the shortfall.  Raises [Invalid_argument] if
@@ -54,8 +52,5 @@ val evict_server : t -> int -> unit
     Mover calls this before moving an in-use server to another owner. *)
 
 val used_rru : t -> float
-
-val capacity_rru : t -> float
-(** Total RRU of healthy servers currently owned by the reservation. *)
 
 val servers_in_use : t -> int list

@@ -14,5 +14,3 @@ let make ~id ~reservation ~replicas ~rru_per_replica ?(spread_msbs = true) () =
   { id; reservation; replicas; rru_per_replica; spread_msbs }
 
 let containers t = List.init t.replicas (fun index -> { job = t; index })
-
-let total_rru t = float_of_int t.replicas *. t.rru_per_replica

@@ -22,5 +22,3 @@ val make :
     non-positive replica count or size. *)
 
 val containers : t -> container list
-
-val total_rru : t -> float

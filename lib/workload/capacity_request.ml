@@ -39,7 +39,3 @@ let quorum_cap ~replicas ~quorum =
   if quorum <= 0 || quorum > replicas then
     invalid_arg "Capacity_request.quorum_cap: need 0 < quorum <= replicas";
   float_of_int (replicas - quorum) /. float_of_int replicas
-
-let pp ppf t =
-  Format.fprintf ppf "req#%d %s rru=%.1f spread<=%.2f buffer=%b" t.id t.service.Service.name
-    t.rru t.msb_spread_limit t.embedded_buffer

@@ -53,5 +53,3 @@ val make :
 val quorum_cap : replicas:int -> quorum:int -> float
 (** [(replicas - quorum) / replicas]; raises [Invalid_argument] unless
     [0 < quorum <= replicas]. *)
-
-val pp : Format.formatter -> t -> unit

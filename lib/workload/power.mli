@@ -6,13 +6,10 @@
 
 type usage = Idle_free | Assigned_idle | Assigned_busy
 
-val draw_watts : Ras_topology.Hardware.t -> usage -> float
-(** Free idle servers draw ~30% of nameplate, assigned-but-idle ~55%, busy
-    ~88%. *)
-
 val msb_power :
   Ras_topology.Region.t -> usage_of:(Ras_topology.Region.server -> usage) -> float array
-(** Total draw per MSB given a usage classifier. *)
+(** Total draw per MSB given a usage classifier.  Free idle servers draw
+    ~30% of nameplate, assigned-but-idle ~55%, busy ~88%. *)
 
 val normalized_variance : float array -> float
 (** Variance of the values normalized by the square of their mean —

@@ -20,8 +20,6 @@ let generate rng (region : Region.t) =
 
 let fraction t id = if id >= 0 && id < Array.length t then t.(id) else 0.0
 
-let buckets = 3
-
 let bucket t id =
   let w = fraction t id in
   if w < 0.4 then 0 else if w < 0.75 then 1 else 2

@@ -19,9 +19,6 @@ val generate : Ras_stats.Rng.t -> Ras_topology.Region.t -> t
 val fraction : t -> int -> float
 (** Wear of one server (0 when the id is out of range). *)
 
-val buckets : int
-(** Number of coarse buckets (3: fresh < 0.4 <= worn < 0.75 <= critical). *)
-
 val bucket : t -> int -> int
 (** Bucket index of one server: 0 fresh, 1 worn, 2 critical. *)
 

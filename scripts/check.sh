@@ -11,7 +11,9 @@ dune build
 
 # every library module and exported value needs a shipped caller: bin/,
 # bench/, benchmark/, examples/ or (for values) lib/ outside its own
-# module; a test alone keeps neither alive
+# module; a test alone keeps neither alive.  A value counts only where it
+# is named qualified (Module.value, or through a module alias or an open),
+# and an allow-list entry that is gone or now used fails as stale
 echo "== dead-module and dead-value check =="
 sh scripts/check_dead_modules.sh
 

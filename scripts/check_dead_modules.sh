@@ -8,13 +8,17 @@
 # is code no caller runs, kept alive by its tests alone.
 #
 # Values: every `val` a library interface (lib/*/*.mli) exports must be
-# named by shipped code outside its own module's .ml/.mli -- lib/, bin/,
-# bench/, benchmark/ or examples/.  As with modules, test/ does not count:
-# an export only tests name is surface kept alive by its tests alone.
+# named qualified (rules at the value pass below) by shipped code outside
+# its own module's .ml/.mli -- lib/, bin/, bench/, benchmark/ or
+# examples/.  As with modules, test/ does not count: an export only tests
+# name is surface kept alive by its tests alone.
 #
-# References are identifiers in the sources with comments and string
-# literals stripped, so a doc comment naming a module or value does not
-# keep it alive.  Usage: scripts/check_dead_modules.sh
+# Allow lists: an entry whose module or value no longer exists, or that
+# shipped code now uses, fails the check as stale.
+#
+# References are read from the sources with comments and string literals
+# stripped, so a doc comment naming a module or value does not keep it
+# alive.  Usage: scripts/check_dead_modules.sh
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -37,6 +41,7 @@ Hardware.find_by_code  request and reservation fixtures pick hardware by the pap
 Reactive.available_in_bucket  the index differential compares every bucket with a fresh rebuild
 Reactive.grant  the emergency grant of paper section 5.4; compared with Oracles.grant_reference
 Reactive.price  compared with the prices re-derived from row names in the tier-1 price test
+Rng.bool  the seeded LP/MIP instance generators of four batteries draw signs and bounds with it
 '
 
 tmp=$(mktemp -d)
@@ -121,16 +126,95 @@ else
   echo "dead-module check OK ($(wc -l < "$tmp/modules") modules)"
 fi
 
-# Value pass.  refs: "<identifier> <file>" for every lowercase identifier a
-# shipped source names; vals: "<value> <interface>" for every exported value.
+# Value pass.  An exported value M.v counts as used only where shipped code
+# outside M names it qualified: M.v, Lib.M.v, or A.v in a file that binds
+# `module A = ....M` (also `let module`).  A value declared in a nested
+# signature is qualified by its submodule (Basis.Svec.make).  A file that
+# opens M (`open M`, `let open M in`, `M.( ... )`) names every bare
+# identifier it holds as M.ident.  A path after a value (r.Region.f) is a
+# record field, not a reference.
+
+# library wrapper names (Ras, Ras_mip, ...) a qualified path may start with
+sed -n 's/.*(name \([a-z_]*\)).*/\1/p' lib/*/dune |
+  awk '{ print toupper(substr($0, 1, 1)) substr($0, 2) }' > "$tmp/libs"
+
+# qualified FILE: "<Module.value> FILE" for every qualified value FILE names
+qualified() {
+  strip "$1" > "$tmp/src"
+  awk -v file="$1" -v libs="$tmp/libs" '
+    # expand an alias at the head of a module path and drop library wrappers
+    function resolve(p,   c, n, i, out) {
+      n = split(p, c, ".")
+      if (c[1] in alias) {
+        p = alias[c[1]]
+        for (i = 2; i <= n; i++) p = p "." c[i]
+        n = split(p, c, ".")
+      }
+      for (i = 1; i <= n && (c[i] in lib); i++) ;
+      out = ""
+      for (; i <= n; i++) out = out (out == "" ? "" : ".") c[i]
+      return out
+    }
+    BEGIN { while ((getline l < libs) > 0) lib[l] = 1 }
+    # first pass: aliases and opens, in file order
+    FNR == NR {
+      line = $0
+      while (match(line, /module[ \t]+[A-Z][A-Za-z0-9_]*[ \t]*=[ \t]*[A-Z][A-Za-z0-9_.]*/)) {
+        m = substr(line, RSTART, RLENGTH); line = substr(line, RSTART + RLENGTH)
+        sub(/^module[ \t]+/, "", m)
+        a = m; sub(/[ \t]*=.*/, "", a)
+        t = m; sub(/.*=[ \t]*/, "", t)
+        alias[a] = resolve(t)
+      }
+      line = $0
+      while (match(line, /(^|[^A-Za-z0-9_])open!?[ \t]+[A-Z][A-Za-z0-9_.]*/)) {
+        m = substr(line, RSTART, RLENGTH); line = substr(line, RSTART + RLENGTH)
+        sub(/.*open!?[ \t]+/, "", m)
+        if ((p = resolve(m)) != "") opened[p] = 1
+      }
+      line = $0
+      while (match(line, /[A-Z][A-Za-z0-9_]*(\.[A-Z][A-Za-z0-9_]*)*\.\(/)) {
+        m = substr(line, RSTART, RLENGTH - 2); line = substr(line, RSTART + RLENGTH)
+        if ((p = resolve(m)) != "") opened[p] = 1
+      }
+      next
+    }
+    # second pass: qualified paths, and bare names under an open
+    {
+      gsub(/[^A-Za-z0-9_.]/, " ")
+      for (w = 1; w <= NF; w++) {
+        k = split($w, c, ".")
+        if (c[1] ~ /^[a-z_]/) {
+          for (p in opened) print p "." c[1], file
+          continue
+        }
+        if (c[1] !~ /^[A-Z]/) continue
+        for (j = 1; j <= k && c[j] ~ /^[A-Z]/; j++) ;
+        if (j > k || c[j] !~ /^[a-z_]/) continue
+        m = c[1]
+        for (i = 2; i < j; i++) m = m "." c[i]
+        if ((p = resolve(m)) != "") print p "." c[j], file
+      }
+    }' "$tmp/src" "$tmp/src" | sort -u
+}
+
+# refs: "<Module.value> <file>" for every qualified name a shipped source
+# uses; vals: "<Module.value> <interface>" for every exported value
 find lib bin bench benchmark examples -name '*.ml' -o -name '*.mli' 2>/dev/null |
-  sort | while read -r f; do
-    strip "$f" | tr -c 'A-Za-z0-9_\n' '\n' | grep -E '^[a-z_][A-Za-z0-9_]*$' | sort -u |
-      sed "s|\$| $f|" || true
-  done > "$tmp/refs"
+  sort | while read -r f; do qualified "$f"; done > "$tmp/refs"
 for f in lib/*/*.mli; do
-  strip "$f" | sed -n 's/^[[:space:]]*val[[:space:]][[:space:]]*\([a-z_][A-Za-z0-9_]*\).*/\1/p' |
-    sed "s|\$| $f|"
+  strip "$f" | awk -v file="$f" -v m="$(modname "$f")" '
+    /^[ \t]*module[ \t]+[A-Z][A-Za-z0-9_]*[ \t]*:[ \t]*sig/ {
+      s = $0; sub(/^[ \t]*module[ \t]+/, "", s); sub(/[ \t:].*/, "", s)
+      sub_[++d] = s; next
+    }
+    /^[ \t]*end([^A-Za-z0-9_]|$)/ && d > 0 { d--; next }
+    /^[ \t]*val[ \t]+[a-z_]/ {
+      v = $0; sub(/^[ \t]*val[ \t]+/, "", v); sub(/[^A-Za-z0-9_].*/, "", v)
+      p = m
+      for (i = 1; i <= d; i++) p = p "." sub_[i]
+      print p "." v, file
+    }'
 done > "$tmp/vals"
 awk '
   NR == FNR { files[$1] = files[$1] " " $2; next }
@@ -138,18 +222,29 @@ awk '
     base = $2; sub(/\.mli$/, "", base)
     n = split(files[$1], fs, " "); used = 0
     for (i = 1; i <= n; i++) if (fs[i] != base ".ml" && fs[i] != base ".mli") used = 1
-    if (!used) {
-      m = base; sub(/.*\//, "", m)
-      print toupper(substr(m, 1, 1)) substr(m, 2) "." $1
-    }
+    if (!used) print $1
   }' "$tmp/refs" "$tmp/vals" | sort -u > "$tmp/unnamed"
 printf '%s\n' "$ALLOW_VALUES" | awk 'NF { print $1 }' > "$tmp/allowed_values"
 dead=$(grep -vFxf "$tmp/allowed_values" "$tmp/unnamed" || true)
 if [ -n "$dead" ]; then
-  echo "exported values no shipped code outside their own module names:"
+  echo "exported values no shipped code outside their own module names qualified:"
   printf '  %s\n' $dead
   status=1
 else
   echo "dead-value check OK ($(wc -l < "$tmp/vals") exported values)"
+fi
+
+# An allow-list entry must still be needed: a module that no longer exists
+# or that shipped code now reaches, a value no interface exports or that
+# shipped code now names qualified, fails the check.
+awk '{ print $1 }' "$tmp/vals" > "$tmp/exported"
+stale=$( (grep -vFxf "$tmp/modules" "$tmp/allowed" || true
+          grep -Fxf "$tmp/reached" "$tmp/allowed" || true
+          grep -vFxf "$tmp/exported" "$tmp/allowed_values" || true
+          grep -vFxf "$tmp/unnamed" "$tmp/allowed_values" || true) | sort -u)
+if [ -n "$stale" ]; then
+  echo "stale allow-list entries (gone, or now used by shipped code):"
+  printf '  %s\n' $stale
+  status=1
 fi
 exit $status

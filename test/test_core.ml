@@ -37,7 +37,7 @@ let build_fixture () =
   in
   let reservations =
     List.map Reservation.of_request requests
-    @ Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000
+    @ Buffers.shared_buffer_reservations region ~fraction:0.02
   in
   let snapshot = Snapshot.take broker reservations in
   let params = { Async_solver.default_params with Async_solver.node_limit = 40 } in
@@ -117,6 +117,49 @@ let test_shared_buffer_reservation () =
 
 (* ---------- Snapshot ---------- *)
 
+(* [current_rru], [rru_by_msb] and [rru_by_dc] of every reservation in
+   [snap] against a per-server scan: a server counts at its home owner (a
+   lent [Elastic] server at the shared buffer) unless it is in [lost] *)
+let check_rru_folds broker snap ~lost =
+  let region = Broker.region broker in
+  let close what want got =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %g vs scan %g" what got want)
+      true
+      (Float.abs (got -. want) <= 1e-9 *. Float.max 1.0 (Float.abs want))
+  in
+  List.iter
+    (fun res ->
+      let total = ref 0.0 in
+      let by_msb = Array.make region.Region.num_msbs 0.0 in
+      let by_dc = Array.make region.Region.num_dcs 0.0 in
+      Array.iter
+        (fun (s : Region.server) ->
+          let id = s.Region.id and hw = s.Region.hw in
+          let held =
+            match Broker.owner_of_code (Broker.current_code broker id) with
+            | Broker.Shared_buffer | Broker.Elastic _ ->
+              Reservation.is_buffer res && res.Reservation.rru_of hw > 0.0
+            | Broker.Reservation r -> r = res.Reservation.id && not (Reservation.is_buffer res)
+            | _ -> false
+          in
+          if held && not (List.mem id lost) then begin
+            let v = res.Reservation.rru_of hw and loc = s.Region.loc in
+            total := !total +. v;
+            by_msb.(loc.Region.msb) <- by_msb.(loc.Region.msb) +. v;
+            by_dc.(loc.Region.dc) <- by_dc.(loc.Region.dc) +. v
+          end)
+        region.Region.servers;
+      let name = res.Reservation.name in
+      close (name ^ " current rru") !total (Snapshot.current_rru snap res);
+      Array.iteri
+        (fun m v -> close (Printf.sprintf "%s msb %d" name m) v (Snapshot.rru_by_msb snap res).(m))
+        by_msb;
+      Array.iteri
+        (fun d v -> close (Printf.sprintf "%s dc %d" name d) v (Snapshot.rru_by_dc snap res).(d))
+        by_dc)
+    snap.Snapshot.reservations
+
 let test_snapshot_ownership_accounting () =
   let region = Generator.generate Generator.small_params in
   let broker = Broker.create region in
@@ -139,7 +182,34 @@ let test_snapshot_ownership_accounting () =
   Alcotest.(check (float 1e-9)) "current rru" expected (Snapshot.current_rru snap res);
   let by_msb = Snapshot.rru_by_msb snap res in
   Alcotest.(check (float 1e-9)) "per-msb sums to total" expected
-    (Array.fold_left ( +. ) 0.0 by_msb)
+    (Array.fold_left ( +. ) 0.0 by_msb);
+  check_rru_folds broker snap ~lost:[];
+  (* a second input: every third compute server bound to the reservation,
+     the rest in the compute shared buffer, one of those lent out, one bound
+     server in planned maintenance (still usable, section 3.5.1) and one
+     down unplanned *)
+  let buffer = Reservation.shared_buffer ~id:8000 ~category:Hw.Compute ~capacity_rru:50.0 in
+  let compute =
+    List.filter
+      (fun id -> buffer.Reservation.rru_of region.Region.servers.(id).Region.hw > 0.0)
+      (List.init (Region.num_servers region) Fun.id)
+  in
+  let bind, pool = List.partition (fun id -> id mod 3 = 0) compute in
+  List.iter (fun id -> Broker.move broker id (Broker.Reservation 1)) bind;
+  List.iter (fun id -> Broker.move broker id Broker.Shared_buffer) pool;
+  let planned, unplanned, lent =
+    match (bind, pool) with
+    | p :: u :: _, l :: _ -> (p, u, l)
+    | _ -> Alcotest.fail "small region lacks compute servers"
+  in
+  Broker.mark_down broker planned Unavail.Planned_maintenance;
+  Broker.mark_down broker unplanned Unavail.Unplanned_hw;
+  Broker.move broker lent (Broker.Elastic 9000);
+  let snap = Snapshot.take broker [ res; buffer ] in
+  Alcotest.(check bool) "lent server counts at its home" true
+    (Snapshot.current_rru snap buffer
+    >= buffer.Reservation.rru_of region.Region.servers.(lent).Region.hw);
+  check_rru_folds broker snap ~lost:[ unplanned ]
 
 let test_snapshot_excludes_unusable () =
   let region = Generator.generate Generator.small_params in
@@ -270,7 +340,7 @@ let test_snapshot_frozen_view () =
   (* a lent server reads at its home through every owner read *)
   let lent = 0 in
   let hw = (Broker.region broker).Region.servers.(lent).Region.hw in
-  let buffers = Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000 in
+  let buffers = Buffers.shared_buffer_reservations region ~fraction:0.02 in
   let buffer =
     match List.find_opt (fun r -> r.Reservation.rru_of hw > 0.0) buffers with
     | Some r -> r
@@ -504,7 +574,7 @@ let test_heuristic_matches_reference () =
     in
     pin name (Broker.create region)
       (List.map Reservation.of_request requests
-      @ Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000)
+      @ Buffers.shared_buffer_reservations region ~fraction:0.02)
   in
   scenario "medium"
     { Generator.name = "region-medium"; num_dcs = 3; msbs_per_dc = 6; racks_per_msb = 6;
@@ -884,7 +954,7 @@ let test_solver_converges_to_stability () =
   in
   let reservations =
     List.map Reservation.of_request requests
-    @ Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000
+    @ Buffers.shared_buffer_reservations region ~fraction:0.02
   in
   let mover = Online_mover.create broker in
   Online_mover.set_reservations mover reservations;
@@ -1008,7 +1078,7 @@ let test_solve_repairs_emergency_damage () =
   let region = Generator.generate Generator.small_params in
   let broker = Broker.create region in
   let reservations =
-    Buffers.shared_buffer_reservations region ~fraction:0.05 ~first_id:8000
+    Buffers.shared_buffer_reservations region ~fraction:0.05
   in
   let mover = Online_mover.create broker in
   Online_mover.set_reservations mover reservations;
@@ -1064,7 +1134,7 @@ let test_solve_repairs_emergency_damage () =
 
 let test_shared_buffer_sizing () =
   let region = Generator.generate Generator.small_params in
-  let buffers = Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000 in
+  let buffers = Buffers.shared_buffer_reservations region ~fraction:0.02 in
   Alcotest.(check bool) "at least one category" true (buffers <> []);
   List.iter
     (fun b ->
@@ -1284,7 +1354,9 @@ let test_system_metrics_match_reference () =
       let last name =
         match Ras_sim.Metrics.find (System.metrics sys) name with
         | Some series -> (
-          match Ras_stats.Timeseries.last series with
+          let points = Ras_stats.Timeseries.points series in
+          let n = Array.length points in
+          match if n = 0 then None else Some points.(n - 1) with
           | Some (time, v) when time = Ras_sim.Engine.now eng -> v
           | Some _ | None -> Alcotest.failf "%s not recorded at this tick" name)
         | None -> Alcotest.failf "%s never recorded" name

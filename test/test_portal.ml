@@ -12,6 +12,10 @@ let contains haystack needle =
   let rec loop i = i + nn <= nh && (String.sub haystack i nn = needle || loop (i + 1)) in
   nn = 0 || loop 0
 
+(* the stored request with id [id], read through the shipped [requests] *)
+let find portal id =
+  List.find_opt (fun r -> r.Capacity_request.id = id) (Portal.requests portal)
+
 let web = Service.make ~id:1 ~name:"web" ~profile:Service.Web ()
 
 let snapshot () =
@@ -26,7 +30,7 @@ let test_accepts_reasonable_request () =
   | Portal.Accepted -> ()
   | Portal.Rejected r -> Alcotest.fail r);
   Alcotest.(check int) "stored" 1 (List.length (Portal.requests portal));
-  Alcotest.(check bool) "findable" true (Portal.find portal 1 <> None)
+  Alcotest.(check bool) "findable" true (find portal 1 <> None)
 
 let test_rejects_impossible_hardware () =
   let portal = Portal.create () in
@@ -78,7 +82,7 @@ let test_modify_excludes_own_claim () =
   (match Portal.modify portal snap grown with
   | Portal.Accepted -> ()
   | Portal.Rejected r -> Alcotest.fail ("modify should pass: " ^ r));
-  match Portal.find portal 1 with
+  match find portal 1 with
   | Some r -> Alcotest.(check (float 1e-9)) "stored new size" 150.0 r.Capacity_request.rru
   | None -> Alcotest.fail "lost the request"
 
@@ -90,7 +94,7 @@ let test_delete () =
   Alcotest.(check bool) "delete known" true (Portal.delete portal 1);
   Alcotest.(check bool) "delete unknown" false (Portal.delete portal 77);
   Alcotest.(check bool) "delete twice" false (Portal.delete portal 1);
-  Alcotest.(check bool) "not findable" true (Portal.find portal 1 = None);
+  Alcotest.(check bool) "not findable" true (find portal 1 = None);
   Alcotest.(check int) "no requests left" 0 (List.length (Portal.requests portal))
 
 let test_buffer_overhead () =
@@ -129,7 +133,7 @@ let test_rejects_non_finite_rru () =
       (match Portal.modify portal snap bad with
       | Portal.Rejected _ -> ()
       | Portal.Accepted -> Alcotest.failf "%s: modify must reject" label);
-      match Portal.find portal 3 with
+      match find portal 3 with
       | Some r -> Alcotest.(check (float 0.0)) (label ^ ": old size kept") 5.0 r.Capacity_request.rru
       | None -> Alcotest.failf "%s: lost the accepted request" label)
     bad_rrus

@@ -23,7 +23,7 @@ let fixture () =
   in
   let reservations =
     List.map Reservation.of_request requests
-    @ Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000
+    @ Buffers.shared_buffer_reservations region ~fraction:0.02
   in
   (* put the broker in a non-trivial starting state *)
   ignore (Ras_twine.Greedy.fulfill broker requests);
@@ -139,7 +139,7 @@ let aggregation_scenario seed =
   in
   let reservations =
     List.map Reservation.of_request requests
-    @ Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000
+    @ Buffers.shared_buffer_reservations region ~fraction:0.02
   in
   ignore (Ras_twine.Greedy.fulfill broker requests);
   let n = Broker.num_servers broker in

@@ -44,11 +44,11 @@ let supply_row ?rack ?(in_use = false) ?(attr = 0) row ~msb ~hw =
 let fresh_broker ?(params = Generator.small_params) () =
   Broker.create (Generator.generate params)
 
-let check_index_matches_rebuild t =
+let check_index_matches_rebuild broker t =
   (* a freshly built index over the same broker is the ground truth the
      incremental one must agree with, bucket-for-bucket *)
-  let fresh = Reactive.create (Reactive.broker t) in
-  let region = Broker.region (Reactive.broker t) in
+  let fresh = Reactive.create broker in
+  let region = Broker.region broker in
   for msb = 0 to region.Region.num_msbs - 1 do
     for hw = 0 to Hw.count - 1 do
       List.iter
@@ -78,7 +78,7 @@ let test_index_tracks_churn () =
     | _ -> Broker.set_in_use broker id (Rng.int rng 2 = 0));
     ()
   done;
-  check_index_matches_rebuild t;
+  check_index_matches_rebuild broker t;
   Alcotest.(check bool) "index absorbed updates" true
     ((Reactive.counters t).Reactive.index_updates > 0)
 
@@ -93,7 +93,7 @@ let test_index_survives_region_growth () =
   Broker.extend_region broker grown;
   Alcotest.(check bool) "bucket space grew with the region" true
     (Reactive.num_buckets t > before);
-  check_index_matches_rebuild t;
+  check_index_matches_rebuild broker t;
   (* adopted servers arrive Free and healthy: they must be in the pools *)
   let total_free = ref 0 in
   let r = Broker.region broker in
@@ -451,7 +451,7 @@ let test_loans_match_elastic_owners () =
       Alcotest.(check bool) (Printf.sprintf "home of %d" id) (List.mem id elastic)
         (Online_mover.home_of mover id = Some Broker.Shared_buffer))
     (List.init n Fun.id);
-  check_index_matches_rebuild (Online_mover.reactive mover)
+  check_index_matches_rebuild broker (Online_mover.reactive mover)
 
 let test_replacement_cost_ignores_loans () =
   (* the replacement search used to walk every outstanding loan; with the
@@ -459,7 +459,15 @@ let test_replacement_cost_ignores_loans () =
      one class per (bucket, lent-or-buffer pool) *)
   let params, loans =
     if full_scale () then (Generator.region_scale_params, 10_000)
-    else (Generator.default_params, 1_000)
+    else
+      ( {
+          Generator.small_params with
+          Generator.num_dcs = 4;
+          msbs_per_dc = 9;
+          racks_per_msb = 12;
+          servers_per_rack = 12;
+        },
+        1_000 )
   in
   let broker = Broker.create (Generator.generate params) in
   let region = Broker.region broker in
@@ -509,7 +517,7 @@ let test_tier1_repair_drift_bounded () =
     in
     let reservations =
       List.map Reservation.of_request requests
-      @ Buffers.shared_buffer_reservations region ~fraction:0.05 ~first_id:8000
+      @ Buffers.shared_buffer_reservations region ~fraction:0.05
     in
     (broker, reservations)
   in

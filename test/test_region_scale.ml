@@ -59,7 +59,7 @@ let scale_snapshot ?(churn = true) ~servers_per_rack () =
   in
   let reservations =
     List.map Reservation.of_request requests
-    @ Buffers.shared_buffer_reservations region ~fraction:0.02 ~first_id:8000
+    @ Buffers.shared_buffer_reservations region ~fraction:0.02
   in
   if churn then begin
     ignore (Ras_twine.Greedy.fulfill broker requests);

@@ -19,12 +19,6 @@ let test_rng_seeds_differ () =
   done;
   Alcotest.(check bool) "streams differ" true (!same < 4)
 
-let test_rng_copy () =
-  let a = Rng.create 3 in
-  ignore (Rng.float a 1.0);
-  let b = Rng.copy a in
-  Alcotest.(check (float 0.0)) "copy continues identically" (Rng.float a 1.0) (Rng.float b 1.0)
-
 let test_rng_int_range () =
   let rng = Rng.create 5 in
   for _ = 1 to 10_000 do
@@ -65,12 +59,12 @@ let test_exponential_mean () =
 let test_normal_moments () =
   let rng = Rng.create 10 in
   let n = 20_000 in
-  let s = Summary.create () in
-  for _ = 1 to n do
-    Summary.add s (Dist.normal rng ~mean:3.0 ~stddev:2.0)
-  done;
-  Alcotest.(check bool) "mean near 3" true (Float.abs (Summary.mean s -. 3.0) < 0.1);
-  Alcotest.(check bool) "stddev near 2" true (Float.abs (Summary.stddev s -. 2.0) < 0.1)
+  let xs = Array.init n (fun _ -> Dist.normal rng ~mean:3.0 ~stddev:2.0) in
+  let mean = Array.fold_left ( +. ) 0.0 xs /. float_of_int n in
+  let var = Array.fold_left (fun acc x -> acc +. ((x -. mean) *. (x -. mean))) 0.0 xs in
+  Alcotest.(check bool) "mean near 3" true (Float.abs (mean -. 3.0) < 0.1);
+  Alcotest.(check bool) "stddev near 2" true
+    (Float.abs (sqrt (var /. float_of_int n) -. 2.0) < 0.1)
 
 let test_categorical_respects_zeros () =
   let rng = Rng.create 11 in
@@ -99,22 +93,17 @@ let test_summary_exact () =
   let s = Summary.create () in
   Summary.add_list s [ 1.0; 2.0; 3.0; 4.0 ];
   check_float "mean" 2.5 (Summary.mean s);
-  check_float "total" 10.0 (Summary.total s);
   check_float "min" 1.0 (Summary.min_value s);
   check_float "max" 4.0 (Summary.max_value s);
   check_float "p0" 1.0 (Summary.percentile s 0.0);
   check_float "p100" 4.0 (Summary.percentile s 100.0);
-  check_float "p50" 2.5 (Summary.percentile s 50.0);
-  check_float "stddev" (sqrt 1.25) (Summary.stddev s)
+  check_float "p50" 2.5 (Summary.percentile s 50.0)
 
-let test_summary_variance_large_offset () =
-  (* samples clustered around 1e9: the naive E[x^2] - E[x]^2 formula loses
-     all significant digits here (and could even go negative); Welford's
-     update keeps the exact spread *)
+let test_summary_mean_large_offset () =
+  (* samples clustered around 1e9: Welford's running mean keeps them exact *)
   let s = Summary.create () in
   Summary.add_list s [ 1e9; 1e9 +. 1.0; 1e9 +. 2.0 ];
-  check_float "mean" (1e9 +. 1.0) (Summary.mean s);
-  check_float "stddev" (sqrt (2.0 /. 3.0)) (Summary.stddev s)
+  check_float "mean" (1e9 +. 1.0) (Summary.mean s)
 
 let test_summary_empty () =
   let s = Summary.create () in
@@ -147,9 +136,10 @@ let test_timeseries_basics () =
   Timeseries.record ts ~time:0.0 1.0;
   Timeseries.record ts ~time:1.0 2.0;
   Timeseries.record ts ~time:1.0 3.0;
-  Alcotest.(check int) "length" 3 (Timeseries.length ts);
-  Alcotest.(check (option (pair (float 1e-9) (float 1e-9)))) "last" (Some (1.0, 3.0))
-    (Timeseries.last ts)
+  Alcotest.(check (array (pair (float 1e-9) (float 1e-9))))
+    "points in recording order"
+    [| (0.0, 1.0); (1.0, 2.0); (1.0, 3.0) |]
+    (Timeseries.points ts)
 
 let test_timeseries_monotonic () =
   let ts = Timeseries.create ~name:"t" in
@@ -179,19 +169,6 @@ let prop_percentile_monotone =
       and p75 = Summary.percentile s 75.0 in
       p25 <= p50 +. 1e-9 && p50 <= p75 +. 1e-9)
 
-let prop_variance_nonneg =
-  QCheck.Test.make ~name:"variance is non-negative" ~count:200
-    QCheck.(list_of_size Gen.(int_range 1 50) (float_range (-100.) 100.))
-    (fun xs ->
-      let s = Summary.create () in
-      Summary.add_list s xs;
-      (* Welford's running spread against the two-pass population variance *)
-      let n = float_of_int (List.length xs) in
-      let mean = List.fold_left ( +. ) 0.0 xs /. n in
-      let var = List.fold_left (fun acc x -> acc +. ((x -. mean) *. (x -. mean))) 0.0 xs /. n in
-      let sd = Summary.stddev s in
-      sd >= 0.0 && Float.abs ((sd *. sd) -. var) <= 1e-9 *. (1.0 +. var))
-
 let prop_rng_int_uniformish =
   QCheck.Test.make ~name:"Rng.int covers its range" ~count:20 QCheck.(int_range 2 20)
     (fun n ->
@@ -206,7 +183,6 @@ let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng seeds differ" `Quick test_rng_seeds_differ;
-    Alcotest.test_case "rng copy" `Quick test_rng_copy;
     Alcotest.test_case "rng int range" `Quick test_rng_int_range;
     Alcotest.test_case "rng int rejects non-positive" `Quick test_rng_int_rejects_nonpositive;
     Alcotest.test_case "rng float range" `Quick test_rng_float_range;
@@ -217,8 +193,7 @@ let suite =
     Alcotest.test_case "categorical all-zero rejected" `Quick test_categorical_rejects_all_zero;
     Alcotest.test_case "poisson mean" `Quick test_poisson_mean;
     Alcotest.test_case "summary exact values" `Quick test_summary_exact;
-    Alcotest.test_case "summary variance large offset" `Quick
-      test_summary_variance_large_offset;
+    Alcotest.test_case "summary mean large offset" `Quick test_summary_mean_large_offset;
     Alcotest.test_case "summary empty" `Quick test_summary_empty;
     Alcotest.test_case "summary percentile bounds" `Quick test_summary_percentile_bounds;
     Alcotest.test_case "summary interleaved sort" `Quick test_summary_interleaved_sort;
@@ -227,6 +202,5 @@ let suite =
     Alcotest.test_case "timeseries monotonic" `Quick test_timeseries_monotonic;
     Alcotest.test_case "timeseries bucketize" `Quick test_timeseries_bucketize;
     QCheck_alcotest.to_alcotest prop_percentile_monotone;
-    QCheck_alcotest.to_alcotest prop_variance_nonneg;
     QCheck_alcotest.to_alcotest prop_rng_int_uniformish;
   ]

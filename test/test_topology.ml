@@ -5,6 +5,50 @@ module Hw = Ras_topology.Hardware
 module Region = Ras_topology.Region
 module Generator = Ras_topology.Generator
 
+(* 4 DCs x 9 MSBs (36, like the production region of section 3.3.1), 12
+   racks per MSB, 12 servers per rack *)
+let region_a_params =
+  {
+    Generator.small_params with
+    Generator.name = "region-a";
+    num_dcs = 4;
+    msbs_per_dc = 9;
+    racks_per_msb = 12;
+    servers_per_rack = 12;
+  }
+
+(* Structural invariants of a region: every index in range, [rack_msb] and
+   [msb_dc] consistent with server locations, deploy order a permutation. *)
+let validate (t : Region.t) =
+  let error = ref None in
+  let fail msg = if !error = None then error := Some msg in
+  if Array.length t.msb_dc <> t.num_msbs then fail "msb_dc length mismatch";
+  if Array.length t.rack_msb <> t.num_racks then fail "rack_msb length mismatch";
+  Array.iter (fun dc -> if dc < 0 || dc >= t.num_dcs then fail "msb_dc out of range") t.msb_dc;
+  Array.iter (fun m -> if m < 0 || m >= t.num_msbs then fail "rack_msb out of range") t.rack_msb;
+  Array.iteri
+    (fun i (s : Region.server) ->
+      if s.id <> i then fail "server id mismatch";
+      if s.loc.dc < 0 || s.loc.dc >= t.num_dcs then fail "server dc out of range";
+      if s.loc.msb < 0 || s.loc.msb >= t.num_msbs then fail "server msb out of range";
+      if s.loc.rack < 0 || s.loc.rack >= t.num_racks then fail "server rack out of range";
+      if s.loc.rack >= 0 && s.loc.rack < t.num_racks && t.rack_msb.(s.loc.rack) <> s.loc.msb then
+        fail "server rack/msb inconsistent";
+      if s.loc.msb >= 0 && s.loc.msb < t.num_msbs && t.msb_dc.(s.loc.msb) <> s.loc.dc then
+        fail "server msb/dc inconsistent")
+    t.servers;
+  if Array.length t.msb_deploy_order <> t.num_msbs then fail "deploy order length mismatch"
+  else begin
+    let seen = Array.make t.num_msbs false in
+    Array.iter
+      (fun m ->
+        if m < 0 || m >= t.num_msbs then fail "deploy order out of range"
+        else if seen.(m) then fail "deploy order repeats an MSB"
+        else seen.(m) <- true)
+      t.msb_deploy_order
+  end;
+  match !error with None -> Ok () | Some msg -> Error msg
+
 let test_catalog_shape () =
   Alcotest.(check int) "sixteen subtypes" 16 Hw.count;
   let codes = Array.to_list (Array.map (fun h -> h.Hw.code) Hw.catalog) in
@@ -42,7 +86,7 @@ let test_generation_share_sums () =
 
 let test_generate_valid () =
   let region = Generator.generate Generator.small_params in
-  (match Region.validate region with
+  (match validate region with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   Alcotest.(check int) "server count" (2 * 3 * 4 * 6) (Region.num_servers region);
@@ -69,7 +113,7 @@ let test_racks_homogeneous () =
     region.Region.servers
 
 let test_age_skew () =
-  let region = Generator.generate Generator.default_params in
+  let region = Generator.generate region_a_params in
   let gen_share msb gen =
     let total = ref 0 and matching = ref 0 in
     Array.iter
@@ -90,7 +134,7 @@ let test_extend_preserves_ids () =
   let bigger =
     Generator.extend region ~new_msbs_per_dc:1 ~racks_per_msb:4 ~servers_per_rack:6 ~seed:2
   in
-  (match Region.validate bigger with Ok () -> () | Error e -> Alcotest.fail e);
+  (match validate bigger with Ok () -> () | Error e -> Alcotest.fail e);
   Alcotest.(check int) "msbs grew" (region.Region.num_msbs + 2) bigger.Region.num_msbs;
   Array.iteri
     (fun i (s : Region.server) ->
@@ -111,7 +155,8 @@ let test_hw_mix_and_rru () =
   let mix = Region.hw_mix_of_msb region 0 in
   let total = List.fold_left (fun acc (_, c) -> acc + c) 0 mix in
   Alcotest.(check int) "mix covers msb servers" (4 * 6) total;
-  Alcotest.(check bool) "total rru positive" true (Region.total_rru region > 0.0)
+  Alcotest.(check bool) "mixed subtypes carry rru" true
+    (List.for_all (fun (hw, _) -> hw.Hw.base_rru > 0.0) mix)
 
 let test_servers_of_msb () =
   let region = Generator.generate Generator.small_params in
@@ -136,7 +181,7 @@ let prop_validate_rejects_corruption =
       let bad_rack_msb = Array.copy region.Region.rack_msb in
       bad_rack_msb.(rack) <- (bad_rack_msb.(rack) + 1) mod region.Region.num_msbs;
       let corrupted = { region with Region.rack_msb = bad_rack_msb } in
-      match Region.validate corrupted with Ok () -> false | Error _ -> true)
+      match validate corrupted with Ok () -> false | Error _ -> true)
 
 let suite =
   [

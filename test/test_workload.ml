@@ -137,12 +137,23 @@ let test_arrivals_sorted_diurnal () =
   Alcotest.(check bool) "weekdays dominate" true (!weekday_count > !weekend_count * 3)
 
 let test_power_draw_ordering () =
-  let hw = Hw.catalog.(0) in
-  let idle = Power.draw_watts hw Power.Idle_free in
-  let assigned = Power.draw_watts hw Power.Assigned_idle in
-  let busy = Power.draw_watts hw Power.Assigned_busy in
-  Alcotest.(check bool) "idle < assigned < busy" true (idle < assigned && assigned < busy);
-  Alcotest.(check bool) "busy below nameplate" true (busy <= hw.Hw.power_watts)
+  let region = small_region () in
+  let draw usage = Power.msb_power region ~usage_of:(fun _ -> usage) in
+  let idle = draw Power.Idle_free
+  and assigned = draw Power.Assigned_idle
+  and busy = draw Power.Assigned_busy in
+  let nameplate = Array.make region.Region.num_msbs 0.0 in
+  Array.iter
+    (fun (s : Region.server) ->
+      let m = s.Region.loc.Region.msb in
+      nameplate.(m) <- nameplate.(m) +. s.Region.hw.Hw.power_watts)
+    region.Region.servers;
+  Array.iteri
+    (fun m busy_w ->
+      Alcotest.(check bool) "idle < assigned < busy" true
+        (idle.(m) < assigned.(m) && assigned.(m) < busy_w);
+      Alcotest.(check bool) "busy below nameplate" true (busy_w <= nameplate.(m)))
+    busy
 
 let test_power_variance_uniform_zero () =
   Alcotest.(check (float 1e-12)) "uniform variance" 0.0
