@@ -226,7 +226,7 @@ let lp_kernel ~label ~repeats ?(with_dense = true) (std : Model.std) =
     ]
 
 (* ---------------------------------------------------------------- *)
-(* LU refactorization: one Markowitz elimination of the root basis   *)
+(* LU refactorization: singletons, then Markowitz, of the root basis *)
 
 (* Cost of one [Basis.refactorize] of the lp row's optimal root basis
    (median of [repeats]), next to how often a cold root LP pays it, so the

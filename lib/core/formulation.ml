@@ -408,12 +408,38 @@ let swap_search t w load ~group my_pairs ~unfinished ~source ~key =
     | None -> ()
   done
 
+(* A reservation's datacenter-affinity window, [(A - theta) C_r] to
+   [(A + theta) C_r] per datacenter (0 to infinity where it declares no
+   share). *)
+let affinity_window t res =
+  let num_dcs = t.symmetry.Symmetry.region.Region.num_dcs in
+  let cr = res.Reservation.capacity_rru and theta = res.Reservation.affinity_tolerance in
+  let bound ~side ~none =
+    Array.init num_dcs (fun d ->
+        match List.assoc_opt d res.Reservation.dc_affinity with
+        | Some a -> side a theta *. cr
+        | None -> none)
+  in
+  (bound ~side:( -. ) ~none:0.0, bound ~side:( +. ) ~none:infinity)
+
+(* How far per-datacenter RRU lies outside the window, summed over
+   datacenters in ascending order. *)
+let affinity_violation (lo, hi) dc_rru =
+  let v = ref 0.0 in
+  Array.iteri
+    (fun d x -> v := !v +. (Float.max 0.0 (lo.(d) -. x) +. Float.max 0.0 (x -. hi.(d))))
+    dc_rru;
+  !v
+
 (* Spread local search: repeatedly move one server of the reservation out of
    its fullest MSB into an acceptable class with free supply in a less-loaded
    MSB, whenever that lowers the reservation's max-MSB capacity (expressions
-   3/4/6 all improve). *)
+   3/4/6 all improve) without taking it further outside its datacenter
+   affinity window: the affinity search that runs next swaps only against
+   free supply, so it cannot always move the server back. *)
 let improve_spread t w =
-  let num_msbs = t.symmetry.Symmetry.region.Region.num_msbs in
+  let region = t.symmetry.Symmetry.region in
+  let num_msbs = region.Region.num_msbs in
   List.iteri
     (fun ri res ->
       if res.Reservation.embedded_buffer then begin
@@ -425,6 +451,23 @@ let improve_spread t w =
             if msb_rru.(m) > msb_rru.(!fullest) then fullest := m
           done;
           msb_rru.(!fullest) > 0.0
+        in
+        let window =
+          if res.Reservation.dc_affinity = [] then None else Some (affinity_window t res)
+        in
+        let dc_of m = region.Region.msb_dc.(m) in
+        let keeps_affinity pf pt =
+          let df = dc_of (msb_of pf.cls) and dt = dc_of (msb_of pt.cls) in
+          match window with
+          | Some win when df <> dt ->
+            (* per-datacenter RRU from the per-MSB loads, in MSB order *)
+            let dc_rru = Array.make region.Region.num_dcs 0.0 in
+            Array.iteri (fun m v -> dc_rru.(dc_of m) <- dc_rru.(dc_of m) +. v) msb_rru;
+            let before = affinity_violation win dc_rru in
+            dc_rru.(df) <- dc_rru.(df) -. pf.rru;
+            dc_rru.(dt) <- dc_rru.(dt) +. pt.rru;
+            affinity_violation win dc_rru <= before +. 1e-9
+          | _ -> true
         in
         swap_search t w msb_rru ~group:msb_of t.res_pairs.(ri) ~unfinished
           ~source:(fun pf -> pf.cls.Symmetry.msb = !fullest)
@@ -439,6 +482,7 @@ let improve_spread t w =
               pt.cls.Symmetry.msb <> !fullest
               && new_max < top -. 1e-9
               && pt.rru >= pf.rru -. 1e-9
+              && keeps_affinity pf pt
             then Some ((if pf.cls.Symmetry.in_use then 1 else 0), -.(top -. new_max))
             else None)
       end)
@@ -456,24 +500,9 @@ let improve_affinity t w =
     (fun ri res ->
       if res.Reservation.dc_affinity <> [] then begin
         let cr = res.Reservation.capacity_rru in
-        let theta = res.Reservation.affinity_tolerance in
         let dc_rru = rru_by t w t.res_pairs.(ri) ~groups:num_dcs ~group:dc_of in
-        let bound ~side ~none =
-          Array.init num_dcs (fun d ->
-              match List.assoc_opt d res.Reservation.dc_affinity with
-              | Some a -> side a theta *. cr
-              | None -> none)
-        in
-        let lo = bound ~side:( -. ) ~none:0.0 and hi = bound ~side:( +. ) ~none:infinity in
-        (* summed over datacenters in ascending order *)
-        let violation () =
-          let v = ref 0.0 in
-          for d = 0 to num_dcs - 1 do
-            let x = dc_rru.(d) in
-            v := !v +. (Float.max 0.0 (lo.(d) -. x) +. Float.max 0.0 (x -. hi.(d)))
-          done;
-          !v
-        in
+        let window = affinity_window t res in
+        let violation () = affinity_violation window dc_rru in
         (* expression (6) for a buffered reservation: a swap may not take
            its surviving capacity below the request, or lower it further
            when it is already below *)

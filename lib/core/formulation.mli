@@ -119,7 +119,9 @@ val repair : t -> float array -> float array
       hardware classes) from unassigned supply first, then from donors
       that stay above their own capacity;
     - spread: for embedded-buffer reservations, moves servers out of the
-      fullest MSB while that lowers it without shrinking the total;
+      fullest MSB while that lowers it without shrinking the total or
+      taking the reservation further outside its datacenter-affinity
+      window;
     - affinity: swaps servers between datacenters toward the declared
       shares, never shrinking the total and never taking an
       embedded-buffer reservation's capacity after its worst MSB loss

@@ -1,10 +1,14 @@
 (* Factorized simplex basis.  Two representations behind one interface:
 
-   - Lu: sparse LU computed with Markowitz pivoting (threshold partial
-     pivoting for stability, minimum fill-in cost for sparsity), extended
-     between refactorizations by a product-form eta file.  All solves run
-     through the triangular factors and the etas, touching factor nonzeros
-     only.
+   - Lu: sparse LU, extended between refactorizations by a product-form
+     eta file.  A refactorization reads B once into compressed columns and
+     rows, pivots column singletons in O(nnz) — simplex bases are nearly
+     triangular, so this takes most steps — and runs Markowitz pivoting
+     (threshold partial pivoting for stability, minimum fill-in cost for
+     sparsity) only on the nucleus left over.  The factors are flat
+     compressed arrays, written without per-step allocation.  All solves
+     run through the triangular factors and the etas, touching factor
+     nonzeros only.
    - Lu_full_scan: the same factors, with every triangular pass run over
      all steps instead of a reachability traversal — the oracle that pins
      the traversal code.
@@ -54,23 +58,27 @@ type eta = {
   evals : float array;
 }
 
+(* A compressed pattern of m entries: entry k's indices sit in slots
+   ptr.(k) .. ptr.(k+1) - 1 of [idx]. *)
+type pattern = { ptr : int array; idx : int array }
+
 type lu = {
   rperm : int array;  (* elimination step -> constraint row *)
   rpos : int array;  (* constraint row -> elimination step *)
   cperm : int array;  (* elimination step -> basis position *)
   cpos : int array;  (* basis position -> elimination step *)
-  lrows : int array array;  (* L column k: constraint rows below the pivot *)
-  lvals : float array array;  (* matching multipliers *)
-  ucols : int array array;  (* U row k: later elimination steps *)
-  uvals : float array array;
+  lcol : pattern;  (* L column k: constraint rows below the pivot *)
+  lval : float array;  (* matching multipliers, slot for slot *)
+  urow : pattern;  (* U row k: later elimination steps *)
+  uval : float array;
   udiag : float array;
   (* pattern-only views for the hypersparse reachability passes: [lsteps] is
-     [lrows] with constraint rows mapped to their elimination steps, and
-     [ltr]/[utr] are the transposed patterns of [lsteps]/[ucols] (step j ->
+     [lcol] with constraint rows mapped to their elimination steps, and
+     [ltr]/[utr] are the transposed patterns of [lsteps]/[urow] (step j ->
      steps k < j whose L column / U row contains j) *)
-  lsteps : int array array;
-  ltr : int array array;
-  utr : int array array;
+  lsteps : pattern;
+  ltr : pattern;
+  utr : pattern;
   mutable etas : eta array;
   mutable neta : int;
 }
@@ -128,19 +136,20 @@ let identity_dense m =
   Array.init m (fun i -> Array.init m (fun k -> if i = k then 1.0 else 0.0))
 
 let identity_lu m =
+  let empty = { ptr = Array.make (m + 1) 0; idx = [||] } in
   {
     rperm = Array.init m Fun.id;
     rpos = Array.init m Fun.id;
     cperm = Array.init m Fun.id;
     cpos = Array.init m Fun.id;
-    lrows = Array.make m [||];
-    lvals = Array.make m [||];
-    ucols = Array.make m [||];
-    uvals = Array.make m [||];
+    lcol = empty;
+    lval = [||];
+    urow = empty;
+    uval = [||];
     udiag = Array.make m 1.0;
-    lsteps = Array.make m [||];
-    ltr = Array.make m [||];
-    utr = Array.make m [||];
+    lsteps = empty;
+    ltr = empty;
+    utr = empty;
     etas = [||];
     neta = 0;
   }
@@ -242,7 +251,7 @@ let copy_as t knd =
             cperm = Array.copy lu.cperm;
             cpos = Array.copy lu.cpos;
             etas = Array.sub lu.etas 0 lu.neta;
-            (* factor bodies (lrows .. udiag) are immutable after
+            (* factor bodies (lcol .. utr) are immutable after
                factorization, so sharing them between copies is safe *)
           });
   }
@@ -332,7 +341,7 @@ let dense_update m d ~alpha ~row =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Sparse LU factorization with Markowitz pivoting                      *)
+(* Sparse LU factorization: column singletons, then Markowitz          *)
 
 (* Threshold for accepting a pivot relative to its column's largest entry:
    larger = more stable, smaller = sparser factors. *)
@@ -347,10 +356,226 @@ let markowitz_cands = 4
    slots. *)
 let markowitz_window = (1 lsl markowitz_cands) - 1
 
+(* A column whose largest active entry is below this is numerically
+   dependent on the columns pivoted before it. *)
+let singular_tol = 1e-12
+
+(* Growable (index, value) slots: B's entries as read, or the L columns /
+   U rows as the elimination writes them, step after step, into one pair
+   of flat arrays. *)
+type slots = { mutable si : int array; mutable sv : float array; mutable sn : int }
+
+let slots_make () = { si = [||]; sv = [||]; sn = 0 }
+
+let slots_push s i v =
+  let n = s.sn in
+  if n = Array.length s.si then begin
+    let cap = Stdlib.max 16 (2 * n) in
+    let ni = Array.make cap 0 and nv = Array.make cap 0.0 in
+    Array.blit s.si 0 ni 0 n;
+    Array.blit s.sv 0 nv 0 n;
+    s.si <- ni;
+    s.sv <- nv
+  end;
+  s.si.(n) <- i;
+  s.sv.(n) <- v;
+  s.sn <- n + 1
+
+(* Write the transpose of the m-entry pattern [p] over indices 0 .. m-1
+   into [ptr] (m + 1 slots) and [idx]: entry j lists, ascending, every k
+   whose entry holds j.  A non-empty [tvals] receives [vals] (one value per
+   slot of [p]) alongside. *)
+let transpose_into m (p : pattern) vals ptr idx tvals =
+  Array.fill ptr 0 (m + 1) 0;
+  for s = 0 to p.ptr.(m) - 1 do
+    let j = p.idx.(s) + 1 in
+    ptr.(j) <- ptr.(j) + 1
+  done;
+  for j = 1 to m do
+    ptr.(j) <- ptr.(j) + ptr.(j - 1)
+  done;
+  (* ptr.(j) is entry j's first slot; filling advances it to the next
+     entry's first, so a shift restores the starts *)
+  for k = 0 to m - 1 do
+    for s = p.ptr.(k) to p.ptr.(k + 1) - 1 do
+      let j = p.idx.(s) in
+      let d = ptr.(j) in
+      idx.(d) <- k;
+      if Array.length tvals > 0 then tvals.(d) <- vals.(s);
+      ptr.(j) <- d + 1
+    done
+  done;
+  for j = m downto 1 do
+    ptr.(j) <- ptr.(j - 1)
+  done;
+  ptr.(0) <- 0
+
+let transpose m (p : pattern) =
+  let ptr = Array.make (m + 1) 0 and idx = Array.make p.ptr.(m) 0 in
+  transpose_into m p [||] ptr idx [||];
+  { ptr; idx }
+
+(* Refactorization scratch: B's compressed columns and rows, the singleton
+   pass's counts and stack, the nucleus's working rows and columns and its
+   count heap, and the slots the steps write L and U into before the
+   factors are copied out at their exact sizes.  One per domain, reused by
+   every refactorization there and grown to the largest basis it has met:
+   a refactorization allocates its factors, the nucleus's rows and columns
+   and little else, and fresh major-heap memory is what an O(nnz) pass
+   would otherwise spend most of its time on.  The nucleus's row and
+   column arrays are dropped at the end of each call, so between calls the
+   scratch holds flat arrays only. *)
+type scratch = {
+  cap : int;  (* the m the m-indexed arrays below hold *)
+  bptr : int array;
+  rptr : int array;
+  mutable ridx : int array;  (* B's rows, nnz(B) slots *)
+  mutable rvals : float array;
+  cnt : int array;
+  stack : int array;
+  row_active : bool array;
+  rcol : int array array;
+  rval : float array array;
+  rlen : int array;
+  crow : int array array;
+  clen : int array;
+  heap : int array;
+  hpos : int array;
+  cand_rows : int array;
+  cand_vals : float array;
+  seen : int array;
+  bs : slots;  (* B's columns, entry after entry *)
+  ls : slots;
+  us : slots;
+}
+
+let scratch_make m =
+  {
+    cap = m;
+    bptr = Array.make (m + 1) 0;
+    rptr = Array.make (m + 1) 0;
+    ridx = [||];
+    rvals = [||];
+    cnt = Array.make m 0;
+    stack = Array.make m 0;
+    row_active = Array.make m true;
+    rcol = Array.make m [||];
+    rval = Array.make m [||];
+    rlen = Array.make m 0;
+    crow = Array.make m [||];
+    clen = Array.make m 0;
+    heap = Array.make m 0;
+    hpos = Array.make m (-1);
+    cand_rows = Array.make m 0;
+    cand_vals = Array.make m 0.0;
+    seen = Array.make m (-1);
+    bs = slots_make ();
+    ls = slots_make ();
+    us = slots_make ();
+  }
+
+let scratch_key = Domain.DLS.new_key (fun () -> scratch_make 0)
+
+(* This domain's scratch, with room for an m x m basis. *)
+let scratch m =
+  let w = Domain.DLS.get scratch_key in
+  if w.cap >= m then w
+  else begin
+    let w = scratch_make m in
+    Domain.DLS.set scratch_key w;
+    w
+  end
+
 let lu_refactorize m ~basis ~col =
-  (* Working matrix: rows as parallel growable (col, val) arrays; column
-     patterns as growable row lists that may carry stale entries (lazily
-     compacted against the row store).
+  let w = scratch m in
+  (* B, read once: compressed columns (entries in the callback's order) and
+     compressed rows (entries in ascending basis position). *)
+  let bptr = w.bptr and b = w.bs in
+  b.sn <- 0;
+  let push r v = if v <> 0.0 then slots_push b r v in
+  for i = 0 to m - 1 do
+    col basis.(i) push;
+    bptr.(i + 1) <- b.sn
+  done;
+  let nnz = b.sn in
+  if Array.length w.ridx < nnz then begin
+    let cap = Stdlib.max nnz (2 * Array.length w.ridx) in
+    w.ridx <- Array.make cap 0;
+    w.rvals <- Array.make cap 0.0
+  end;
+  let bcol = { ptr = bptr; idx = b.si } and bval = b.sv in
+  let brow = { ptr = w.rptr; idx = w.ridx } and brval = w.rvals in
+  transpose_into m bcol bval brow.ptr brow.idx brval;
+  (* outputs: the L columns and U rows of steps 0 .. k-1 fill slots
+     [lptr.(k)] and [uptr.(k)] onwards; U rows hold basis positions until
+     the end maps them to steps *)
+  let rperm = Array.make m 0 and rpos = Array.make m 0 in
+  let cperm = Array.make m 0 and cpos = Array.make m (-1) in
+  let udiag = Array.make m 0.0 in
+  let lptr = Array.make (m + 1) 0 and uptr = Array.make (m + 1) 0 in
+  let lslots = w.ls and uslots = w.us in
+  lslots.sn <- 0;
+  uslots.sn <- 0;
+  let row_active = w.row_active in
+  Array.fill row_active 0 m true;
+  let pivot k r c v =
+    rperm.(k) <- r;
+    rpos.(r) <- k;
+    cperm.(k) <- c;
+    cpos.(c) <- k;
+    udiag.(k) <- v;
+    row_active.(r) <- false
+  in
+  (* --- column singletons, O(nnz): a LIFO stack of the active columns with
+     one active row (position 0 on top at the start).  Pivoting such a
+     column eliminates nothing — its L column is empty and its row's other
+     entries are its U row — so the only update is the count of each column
+     in that row, which is pushed when it drops to 1.  Every column of an
+     active row is still active: a pivoted column's other entries lie in
+     rows pivoted before it. --- *)
+  let cnt = w.cnt and stack = w.stack and sp = ref 0 in
+  for c = m - 1 downto 0 do
+    let n = bptr.(c + 1) - bptr.(c) in
+    if n = 0 then raise Singular;
+    cnt.(c) <- n;
+    if n = 1 then begin
+      stack.(!sp) <- c;
+      incr sp
+    end
+  done;
+  let steps = ref 0 in
+  while !sp > 0 do
+    decr sp;
+    let c = stack.(!sp) in
+    let s = ref bptr.(c) in
+    while not row_active.(bcol.idx.(!s)) do
+      incr s
+    done;
+    let r = bcol.idx.(!s) and v = bval.(!s) in
+    if Float.abs v < singular_tol then raise Singular;
+    let k = !steps in
+    pivot k r c v;
+    for s = brow.ptr.(r) to brow.ptr.(r + 1) - 1 do
+      let c' = brow.idx.(s) in
+      if c' <> c then begin
+        slots_push uslots c' brval.(s);
+        let n = cnt.(c') - 1 in
+        if n = 0 then raise Singular;
+        cnt.(c') <- n;
+        if n = 1 then begin
+          stack.(!sp) <- c';
+          incr sp
+        end
+      end
+    done;
+    lptr.(k + 1) <- lslots.sn;
+    uptr.(k + 1) <- uslots.sn;
+    steps := k + 1
+  done;
+  (* --- the nucleus left over: Markowitz elimination.  Working matrix: rows
+     as parallel growable (col, val) arrays; column patterns as growable row
+     lists that may carry stale entries (lazily compacted against the row
+     store).
 
      The active (not yet pivoted or dropped) columns sit in an indexed
      binary min-heap keyed by (column count, column): every change to a
@@ -363,296 +588,274 @@ let lu_refactorize m ~basis ~col =
      pivot sequence does not depend on how the window is found.
 
      A column that proves dependent (empty or numerically zero once
-     eliminated against the pivots chosen so far) raises {!Singular}. *)
-  let rcol = Array.make m [||] and rval = Array.make m [||] in
-  let rlen = Array.make m 0 in
-  let crow = Array.make m [||] in
-  let clen = Array.make m 0 in
-  (* [heap.(0 .. !hsize-1)] holds the active columns; [hpos.(c)] is column
-     c's slot, -1 before the heap is built and once c is pivoted *)
-  let heap = Array.make m 0 and hpos = Array.make m (-1) in
-  let hsize = ref 0 in
-  let hless a b =
-    let la = clen.(a) and lb = clen.(b) in
-    la < lb || (la = lb && a < b)
-  in
-  let hset i c =
-    heap.(i) <- c;
-    hpos.(c) <- i
-  in
-  let sift_up c =
-    let i = ref hpos.(c) in
-    while !i > 0 && hless c heap.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      hset !i heap.(p);
-      i := p
-    done;
-    hset !i c
-  in
-  let sift_down c =
-    let n = !hsize in
-    let i = ref hpos.(c) and sinking = ref true in
-    while !sinking do
-      let l = (2 * !i) + 1 in
-      if l >= n then sinking := false
-      else begin
-        let s = if l + 1 < n && hless heap.(l + 1) heap.(l) then l + 1 else l in
-        if hless heap.(s) c then begin
-          hset !i heap.(s);
-          i := s
-        end
-        else sinking := false
+     eliminated against the pivots chosen so far) raises {!Singular}. --- *)
+  if !steps < m then begin
+    let rcol = w.rcol and rval = w.rval and rlen = w.rlen in
+    let crow = w.crow and clen = w.clen in
+    for r = 0 to m - 1 do
+      if row_active.(r) then begin
+        let s0 = brow.ptr.(r) and n = brow.ptr.(r + 1) - brow.ptr.(r) in
+        rcol.(r) <- Array.sub brow.idx s0 n;
+        rval.(r) <- Array.sub brval s0 n;
+        rlen.(r) <- n
       end
+      else rlen.(r) <- 0
     done;
-    hset !i c
-  in
-  let heap_remove c =
-    let i = hpos.(c) in
-    decr hsize;
-    hpos.(c) <- -1;
-    if i < !hsize then begin
-      let last = heap.(!hsize) in
-      hset i last;
-      sift_up last;
-      sift_down last
-    end
-  in
-  let active c = hpos.(c) >= 0 in
-  let row_push r c v =
-    let n = rlen.(r) in
-    if n = Array.length rcol.(r) then begin
-      let cap = Stdlib.max 4 (2 * n) in
-      let nc = Array.make cap 0 and nv = Array.make cap 0.0 in
-      Array.blit rcol.(r) 0 nc 0 n;
-      Array.blit rval.(r) 0 nv 0 n;
-      rcol.(r) <- nc;
-      rval.(r) <- nv
-    end;
-    rcol.(r).(n) <- c;
-    rval.(r).(n) <- v;
-    rlen.(r) <- n + 1
-  in
-  let col_push c r =
-    let n = clen.(c) in
-    if n = Array.length crow.(c) then begin
-      let cap = Stdlib.max 4 (2 * n) in
-      let nr = Array.make cap 0 in
-      Array.blit crow.(c) 0 nr 0 n;
-      crow.(c) <- nr
-    end;
-    crow.(c).(n) <- r;
-    clen.(c) <- n + 1;
-    if active c then sift_down c
-  in
-  let row_find r c =
-    let a = rcol.(r) and n = rlen.(r) in
-    let i = ref 0 in
-    while !i < n && a.(!i) <> c do
-      incr i
-    done;
-    if !i < n then !i else -1
-  in
-  let row_delete r idx =
-    let n = rlen.(r) - 1 in
-    rcol.(r).(idx) <- rcol.(r).(n);
-    rval.(r).(idx) <- rval.(r).(n);
-    rlen.(r) <- n
-  in
-  for i = 0 to m - 1 do
-    col basis.(i) (fun r v ->
-        if v <> 0.0 then begin
-          row_push r i v;
-          col_push i r
-        end)
-  done;
-  for c = 0 to m - 1 do
-    hset c c
-  done;
-  hsize := m;
-  for i = (m / 2) - 1 downto 0 do
-    sift_down heap.(i)
-  done;
-  let row_active = Array.make m true in
-  (* scratch for compacted column entries *)
-  let cand_rows = Array.make m 0 and cand_vals = Array.make m 0.0 in
-  let seen = Array.make m (-1) in
-  let tick = ref 0 in
-  (* Rebuild column c's list from live row entries (dedup via [seen]);
-     returns the live count with (row, value) pairs in the scratch arrays.
-     The count can only shrink, so a heaped column sifts up. *)
-  let compact_col c =
-    incr tick;
-    let t0 = !tick in
-    let a = crow.(c) in
-    let n = ref 0 in
-    for u = 0 to clen.(c) - 1 do
-      let r = a.(u) in
-      if row_active.(r) && seen.(r) <> t0 then begin
-        let idx = row_find r c in
-        if idx >= 0 then begin
-          seen.(r) <- t0;
-          a.(!n) <- r;
-          cand_rows.(!n) <- r;
-          cand_vals.(!n) <- rval.(r).(idx);
-          incr n
-        end
-      end
-    done;
-    clen.(c) <- !n;
-    if active c then sift_up c;
-    !n
-  in
-  (* outputs *)
-  let rperm = Array.make m 0 and rpos = Array.make m 0 in
-  let cperm = Array.make m 0 and cpos = Array.make m 0 in
-  let lrows = Array.make m [||] and lvals = Array.make m [||] in
-  let ucols = Array.make m [||] and uvals = Array.make m [||] in
-  let udiag = Array.make m 0.0 in
-  (* per-step scratch *)
-  let cands = Array.make markowitz_cands 0 in
-  let urow_c = Array.make m 0 and urow_v = Array.make m 0.0 in
-  let lrow_r = Array.make m 0 and lrow_v = Array.make m 0.0 in
-  (* every step pivots one column off the heap *)
-  for k = 0 to m - 1 do
-    (* --- pivot selection: best Markowitz cost among eligible entries of the
-       few smallest-count active columns, sorted out of the heap's top
-       slots --- *)
-    let ncand = ref 0 in
-    for s = 0 to Stdlib.min markowitz_window !hsize - 1 do
-      let c = heap.(s) in
-      let i = ref !ncand in
-      while !i > 0 && hless c cands.(!i - 1) do
-        if !i < markowitz_cands then cands.(!i) <- cands.(!i - 1);
-        decr i
-      done;
-      if !i < markowitz_cands then begin
-        cands.(!i) <- c;
-        if !ncand < markowitz_cands then incr ncand
-      end
-    done;
-    let best_r = ref (-1) and best_c = ref (-1) and best_v = ref 0.0 in
-    let best_cost = ref max_int and best_mag = ref 0.0 in
-    for t = 0 to !ncand - 1 do
-      let c = cands.(t) in
-      let n = compact_col c in
-      let colmax = ref 0.0 in
-      for u = 0 to n - 1 do
-        let a = Float.abs cand_vals.(u) in
-        if a > !colmax then colmax := a
-      done;
-      if n = 0 || !colmax < 1e-12 then raise Singular;
-      let thresh = markowitz_tau *. !colmax in
-      for u = 0 to n - 1 do
-        let v = cand_vals.(u) in
-        let a = Float.abs v in
-        if a >= thresh then begin
-          let r = cand_rows.(u) in
-          let cost = (rlen.(r) - 1) * (n - 1) in
-          if cost < !best_cost || (cost = !best_cost && a > !best_mag) then begin
-            best_cost := cost;
-            best_mag := a;
-            best_r := r;
-            best_c := c;
-            best_v := v
+    for c = 0 to m - 1 do
+      clen.(c) <- 0;
+      if cpos.(c) < 0 then begin
+        let a = Array.make cnt.(c) 0 and n = ref 0 in
+        for s = bptr.(c) to bptr.(c + 1) - 1 do
+          let r = bcol.idx.(s) in
+          if row_active.(r) then begin
+            a.(!n) <- r;
+            incr n
           end
-        end
-      done
-    done;
-    let prow = !best_r and pcol = !best_c and pv = !best_v in
-    rperm.(k) <- prow;
-    rpos.(prow) <- k;
-    cperm.(k) <- pcol;
-    cpos.(pcol) <- k;
-    row_active.(prow) <- false;
-    heap_remove pcol;
-    udiag.(k) <- pv;
-    (* --- U row k: the pivot row's remaining live entries --- *)
-    let un = ref 0 in
-    for idx = 0 to rlen.(prow) - 1 do
-      let c = rcol.(prow).(idx) in
-      if active c then begin
-        urow_c.(!un) <- c;
-        urow_v.(!un) <- rval.(prow).(idx);
-        incr un
+        done;
+        crow.(c) <- a;
+        clen.(c) <- !n
       end
     done;
-    let un = !un in
-    ucols.(k) <- Array.sub urow_c 0 un;
-    uvals.(k) <- Array.sub urow_v 0 un;
-    (* --- eliminate the pivot column from the remaining active rows --- *)
-    let ln = ref 0 in
-    let pn = compact_col pcol in
-    for u = 0 to pn - 1 do
-      let r = cand_rows.(u) and f = cand_vals.(u) in
-      let l = f /. pv in
-      lrow_r.(!ln) <- r;
-      lrow_v.(!ln) <- l;
-      incr ln;
-      (let idx = row_find r pcol in
-       if idx >= 0 then row_delete r idx);
-      for w = 0 to un - 1 do
-        let c = urow_c.(w) and uv = urow_v.(w) in
-        let idx = row_find r c in
-        if idx >= 0 then begin
-          let old = rval.(r).(idx) in
-          let nv = old -. (l *. uv) in
-          if Float.abs nv <= 1e-14 *. (Float.abs old +. Float.abs (l *. uv)) then
-            row_delete r idx
-          else rval.(r).(idx) <- nv
-        end
+    (* [heap.(0 .. !hsize-1)] holds the active columns; [hpos.(c)] is column
+       c's slot, -1 once c is pivoted *)
+    let heap = w.heap and hpos = w.hpos in
+    Array.fill hpos 0 m (-1);
+    let hsize = ref 0 in
+    let hless a b =
+      let la = clen.(a) and lb = clen.(b) in
+      la < lb || (la = lb && a < b)
+    in
+    let hset i c =
+      heap.(i) <- c;
+      hpos.(c) <- i
+    in
+    let sift_up c =
+      let i = ref hpos.(c) in
+      while !i > 0 && hless c heap.((!i - 1) / 2) do
+        let p = (!i - 1) / 2 in
+        hset !i heap.(p);
+        i := p
+      done;
+      hset !i c
+    in
+    let sift_down c =
+      let n = !hsize in
+      let i = ref hpos.(c) and sinking = ref true in
+      while !sinking do
+        let l = (2 * !i) + 1 in
+        if l >= n then sinking := false
         else begin
-          let nv = -.(l *. uv) in
-          if nv <> 0.0 then begin
-            row_push r c nv;
-            col_push c r
+          let s = if l + 1 < n && hless heap.(l + 1) heap.(l) then l + 1 else l in
+          if hless heap.(s) c then begin
+            hset !i heap.(s);
+            i := s
+          end
+          else sinking := false
+        end
+      done;
+      hset !i c
+    in
+    let heap_remove c =
+      let i = hpos.(c) in
+      decr hsize;
+      hpos.(c) <- -1;
+      if i < !hsize then begin
+        let last = heap.(!hsize) in
+        hset i last;
+        sift_up last;
+        sift_down last
+      end
+    in
+    let active c = hpos.(c) >= 0 in
+    let row_push r c v =
+      let n = rlen.(r) in
+      if n = Array.length rcol.(r) then begin
+        let cap = Stdlib.max 4 (2 * n) in
+        let nc = Array.make cap 0 and nv = Array.make cap 0.0 in
+        Array.blit rcol.(r) 0 nc 0 n;
+        Array.blit rval.(r) 0 nv 0 n;
+        rcol.(r) <- nc;
+        rval.(r) <- nv
+      end;
+      rcol.(r).(n) <- c;
+      rval.(r).(n) <- v;
+      rlen.(r) <- n + 1
+    in
+    let col_push c r =
+      let n = clen.(c) in
+      if n = Array.length crow.(c) then begin
+        let cap = Stdlib.max 4 (2 * n) in
+        let nr = Array.make cap 0 in
+        Array.blit crow.(c) 0 nr 0 n;
+        crow.(c) <- nr
+      end;
+      crow.(c).(n) <- r;
+      clen.(c) <- n + 1;
+      if active c then sift_down c
+    in
+    let row_find r c =
+      let a = rcol.(r) and n = rlen.(r) in
+      let i = ref 0 in
+      while !i < n && a.(!i) <> c do
+        incr i
+      done;
+      if !i < n then !i else -1
+    in
+    let row_delete r idx =
+      let n = rlen.(r) - 1 in
+      rcol.(r).(idx) <- rcol.(r).(n);
+      rval.(r).(idx) <- rval.(r).(n);
+      rlen.(r) <- n
+    in
+    for c = 0 to m - 1 do
+      if cpos.(c) < 0 then begin
+        hset !hsize c;
+        incr hsize
+      end
+    done;
+    for i = (!hsize / 2) - 1 downto 0 do
+      sift_down heap.(i)
+    done;
+    (* scratch for compacted column entries *)
+    let cand_rows = w.cand_rows and cand_vals = w.cand_vals and seen = w.seen in
+    Array.fill seen 0 m (-1);
+    let tick = ref 0 in
+    (* Rebuild column c's list from live row entries (dedup via [seen]);
+       returns the live count with (row, value) pairs in the scratch arrays.
+       The count can only shrink, so a heaped column sifts up. *)
+    let compact_col c =
+      incr tick;
+      let t0 = !tick in
+      let a = crow.(c) in
+      let n = ref 0 in
+      for u = 0 to clen.(c) - 1 do
+        let r = a.(u) in
+        if row_active.(r) && seen.(r) <> t0 then begin
+          let idx = row_find r c in
+          if idx >= 0 then begin
+            seen.(r) <- t0;
+            a.(!n) <- r;
+            cand_rows.(!n) <- r;
+            cand_vals.(!n) <- rval.(r).(idx);
+            incr n
           end
         end
-      done
+      done;
+      clen.(c) <- !n;
+      if active c then sift_up c;
+      !n
+    in
+    let cands = Array.make markowitz_cands 0 in
+    (* every step pivots one column off the heap *)
+    for k = !steps to m - 1 do
+      (* --- pivot selection: best Markowitz cost among eligible entries of
+         the few smallest-count active columns, sorted out of the heap's
+         top slots --- *)
+      let ncand = ref 0 in
+      for s = 0 to Stdlib.min markowitz_window !hsize - 1 do
+        let c = heap.(s) in
+        let i = ref !ncand in
+        while !i > 0 && hless c cands.(!i - 1) do
+          if !i < markowitz_cands then cands.(!i) <- cands.(!i - 1);
+          decr i
+        done;
+        if !i < markowitz_cands then begin
+          cands.(!i) <- c;
+          if !ncand < markowitz_cands then incr ncand
+        end
+      done;
+      let best_r = ref (-1) and best_c = ref (-1) and best_v = ref 0.0 in
+      let best_cost = ref max_int and best_mag = ref 0.0 in
+      for t = 0 to !ncand - 1 do
+        let c = cands.(t) in
+        let n = compact_col c in
+        let colmax = ref 0.0 in
+        for u = 0 to n - 1 do
+          let a = Float.abs cand_vals.(u) in
+          if a > !colmax then colmax := a
+        done;
+        if n = 0 || !colmax < singular_tol then raise Singular;
+        let thresh = markowitz_tau *. !colmax in
+        for u = 0 to n - 1 do
+          let v = cand_vals.(u) in
+          let a = Float.abs v in
+          if a >= thresh then begin
+            let r = cand_rows.(u) in
+            let cost = (rlen.(r) - 1) * (n - 1) in
+            if cost < !best_cost || (cost = !best_cost && a > !best_mag) then begin
+              best_cost := cost;
+              best_mag := a;
+              best_r := r;
+              best_c := c;
+              best_v := v
+            end
+          end
+        done
+      done;
+      let prow = !best_r and pcol = !best_c and pv = !best_v in
+      pivot k prow pcol pv;
+      heap_remove pcol;
+      (* --- U row k: the pivot row's remaining live entries --- *)
+      let u0 = uslots.sn in
+      for idx = 0 to rlen.(prow) - 1 do
+        let c = rcol.(prow).(idx) in
+        if active c then slots_push uslots c rval.(prow).(idx)
+      done;
+      uptr.(k + 1) <- uslots.sn;
+      (* --- eliminate the pivot column from the remaining active rows --- *)
+      let pn = compact_col pcol in
+      for t = 0 to pn - 1 do
+        let r = cand_rows.(t) and f = cand_vals.(t) in
+        let lk = f /. pv in
+        slots_push lslots r lk;
+        (let idx = row_find r pcol in
+         if idx >= 0 then row_delete r idx);
+        for q = u0 to uslots.sn - 1 do
+          let c = uslots.si.(q) and uv = uslots.sv.(q) in
+          let idx = row_find r c in
+          if idx >= 0 then begin
+            let old = rval.(r).(idx) in
+            let nv = old -. (lk *. uv) in
+            if Float.abs nv <= 1e-14 *. (Float.abs old +. Float.abs (lk *. uv)) then
+              row_delete r idx
+            else rval.(r).(idx) <- nv
+          end
+          else begin
+            let nv = -.(lk *. uv) in
+            if nv <> 0.0 then begin
+              row_push r c nv;
+              col_push c r
+            end
+          end
+        done
+      done;
+      lptr.(k + 1) <- lslots.sn
     done;
-    lrows.(k) <- Array.sub lrow_r 0 !ln;
-    lvals.(k) <- Array.sub lrow_v 0 !ln
-  done;
-  (* convert U column ids from basis positions to elimination steps *)
-  for k = 0 to m - 1 do
-    let uc = ucols.(k) in
-    for t = 0 to Array.length uc - 1 do
-      uc.(t) <- cpos.(uc.(t))
-    done
-  done;
-  (* pattern-only step views and their transposes, for the hypersparse
+    (* the nucleus's grown rows and columns are not kept for the next call *)
+    Array.fill rcol 0 m [||];
+    Array.fill rval 0 m [||];
+    Array.fill crow 0 m [||]
+  end;
+  (* U column ids from basis positions to elimination steps, then the
+     pattern-only step views and their transposes for the hypersparse
      reachability passes (O(nnz) once per refactorization) *)
-  let lsteps = Array.make m [||] in
-  let lcnt = Array.make m 0 and ucnt = Array.make m 0 in
-  for k = 0 to m - 1 do
-    lsteps.(k) <- Array.map (fun r -> rpos.(r)) lrows.(k);
-    Array.iter (fun j -> lcnt.(j) <- lcnt.(j) + 1) lsteps.(k);
-    Array.iter (fun j -> ucnt.(j) <- ucnt.(j) + 1) ucols.(k)
+  let lidx = Array.sub lslots.si 0 lslots.sn and lval = Array.sub lslots.sv 0 lslots.sn in
+  let uidx = Array.sub uslots.si 0 uslots.sn and uval = Array.sub uslots.sv 0 uslots.sn in
+  for s = 0 to Array.length uidx - 1 do
+    uidx.(s) <- cpos.(uidx.(s))
   done;
-  let ltr = Array.init m (fun j -> Array.make lcnt.(j) 0) in
-  let utr = Array.init m (fun j -> Array.make ucnt.(j) 0) in
-  Array.fill lcnt 0 m 0;
-  Array.fill ucnt 0 m 0;
-  for k = 0 to m - 1 do
-    Array.iter
-      (fun j ->
-        ltr.(j).(lcnt.(j)) <- k;
-        lcnt.(j) <- lcnt.(j) + 1)
-      lsteps.(k);
-    Array.iter
-      (fun j ->
-        utr.(j).(ucnt.(j)) <- k;
-        ucnt.(j) <- ucnt.(j) + 1)
-      ucols.(k)
-  done;
+  let lcol = { ptr = lptr; idx = lidx } and urow = { ptr = uptr; idx = uidx } in
+  let lsteps = { ptr = lptr; idx = Array.map (fun r -> rpos.(r)) lidx } in
+  let ltr = transpose m lsteps and utr = transpose m urow in
   {
     rperm;
     rpos;
     cperm;
     cpos;
-    lrows;
-    lvals;
-    ucols;
-    uvals;
+    lcol;
+    lval;
+    urow;
+    uval;
     udiag;
     lsteps;
     ltr;
@@ -721,8 +924,7 @@ let rec qsort_ints (a : int array) lo hi =
    adjacency [succ], collecting every reachable step into [out].  Returns
    the reach size, or -1 once it exceeds [cap] (the stale marks are
    invalidated by the next stamp bump). *)
-let drain_reach (succ : int array array) mark stamp (stack : int array) sp
-    (out : int array) cap =
+let drain_reach (succ : pattern) mark stamp (stack : int array) sp (out : int array) cap =
   let n = ref 0 in
   let sp = ref sp in
   let overflow = ref false in
@@ -733,9 +935,8 @@ let drain_reach (succ : int array array) mark stamp (stack : int array) sp
     incr n;
     if !n > cap then overflow := true
     else begin
-      let s = succ.(k) in
-      for u = 0 to Array.length s - 1 do
-        let j = s.(u) in
+      for u = succ.ptr.(k) to succ.ptr.(k + 1) - 1 do
+        let j = succ.idx.(u) in
         if mark.(j) <> stamp then begin
           mark.(j) <- stamp;
           stack.(!sp) <- j;
@@ -811,8 +1012,8 @@ let l_forward t lu (x : float array) n =
     x.(r) <- 0.0;
     z.(k) <- zk;
     if zk <> 0.0 then begin
-      let lr = lu.lrows.(k) and lv = lu.lvals.(k) in
-      for w = 0 to Array.length lr - 1 do
+      let lr = lu.lcol.idx and lv = lu.lval in
+      for w = lu.lcol.ptr.(k) to lu.lcol.ptr.(k + 1) - 1 do
         x.(lr.(w)) <- x.(lr.(w)) -. (lv.(w) *. zk)
       done
     end
@@ -823,9 +1024,9 @@ let u_backward t lu n =
   let z = t.wz and pat = t.wzi in
   for u = n - 1 downto 0 do
     let k = pat.(u) in
-    let uc = lu.ucols.(k) and uv = lu.uvals.(k) in
+    let uc = lu.urow.idx and uv = lu.uval in
     let acc = ref z.(k) in
-    for w = 0 to Array.length uc - 1 do
+    for w = lu.urow.ptr.(k) to lu.urow.ptr.(k + 1) - 1 do
       acc := !acc -. (uv.(w) *. z.(uc.(w)))
     done;
     z.(k) <- !acc /. lu.udiag.(k)
@@ -839,8 +1040,8 @@ let ut_forward t lu n =
     let dk = z.(k) /. lu.udiag.(k) in
     z.(k) <- dk;
     if dk <> 0.0 then begin
-      let uc = lu.ucols.(k) and uv = lu.uvals.(k) in
-      for w = 0 to Array.length uc - 1 do
+      let uc = lu.urow.idx and uv = lu.uval in
+      for w = lu.urow.ptr.(k) to lu.urow.ptr.(k + 1) - 1 do
         z.(uc.(w)) <- z.(uc.(w)) -. (uv.(w) *. dk)
       done
     end
@@ -851,9 +1052,9 @@ let lt_backward t lu n =
   let z = t.wz and pat = t.wzi in
   for u = n - 1 downto 0 do
     let k = pat.(u) in
-    let lr = lu.lrows.(k) and lv = lu.lvals.(k) in
+    let lr = lu.lcol.idx and lv = lu.lval in
     let acc = ref z.(k) in
-    for w = 0 to Array.length lr - 1 do
+    for w = lu.lcol.ptr.(k) to lu.lcol.ptr.(k + 1) - 1 do
       acc := !acc -. (lv.(w) *. z.(lu.rpos.(lr.(w))))
     done;
     z.(k) <- !acc
@@ -1147,7 +1348,7 @@ let btran_unit_sparse t r =
       nseed := push_seed t k !nseed
     done;
     sv.Svec.n <- 0;
-    let n = reach_steps t lu.ucols !nseed in
+    let n = reach_steps t lu.urow !nseed in
     ut_forward t lu n;
     let n = next_steps t lu.ltr n in
     lt_backward t lu n;

@@ -5,9 +5,10 @@
       Markowitz pivoting at refactorization time, extended by product-form
       eta updates after each simplex pivot.  FTRAN/BTRAN run through the
       triangular factors and the eta file in O(nnz) instead of O(m²), and
-      refactorization rebuilds the factors in roughly O(m log m + nnz·fill)
-      instead of the O(m³) dense elimination (the sparsest-column candidates
-      come off a count heap, see {!pivot_order}).
+      refactorization rebuilds the factors in O(nnz) for the column
+      singletons plus roughly O(n log n + nnz·fill) for the n-column
+      nucleus left after them, instead of the O(m³) dense elimination (see
+      {!pivot_order}).
     - {!Lu_full_scan} (the kernel reference): the {!Lu} factors with every
       triangular solve run as a full scan (see {!kind}).
     - {!Dense} (the reference backend): the explicitly maintained dense
@@ -151,12 +152,16 @@ val refactor_count : t -> int
 val pivot_order : t -> int array * int array
 (** [(rperm, cperm)] of the last LU refactorization: elimination step
     [k] pivoted on constraint row [rperm.(k)] in basis position
-    [cperm.(k)].  Each step picks the minimum Markowitz cost over the 4
-    active columns of smallest (count, index), read off an indexed count
-    heap; the order is the one a scan of all columns would give, which the
-    oracle tests compare.  Fresh copies; the identity for a fresh or
-    {!set_identity} factorization.  Raises [Invalid_argument] on the
-    {!Dense} backend, which has no elimination order. *)
+    [cperm.(k)].  The first steps pivot column singletons — active columns
+    with one active row — off a LIFO stack seeded in position order with
+    position 0 on top, pushing each column whose count drops to 1 in its
+    pivot row's (ascending) order.  Each remaining step picks the minimum
+    Markowitz cost over the 4 active columns of smallest (count, index),
+    read off an indexed count heap.  The order is the one rescans of all
+    columns would give, which the oracle tests compare.  Fresh copies; the
+    identity for a fresh or {!set_identity} factorization.  Raises
+    [Invalid_argument] on the {!Dense} backend, which has no elimination
+    order. *)
 
 val adopt : t -> kind -> t option
 (** [adopt t kind] is a deep copy of [t] that solves as [kind], or [None]

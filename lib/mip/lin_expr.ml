@@ -1,6 +1,7 @@
 (* Expressions are kept as an unsorted term list plus a constant and combined
-   lazily: building is O(1) per operation, and [normalize] merges duplicates
-   once when the expression is consumed. *)
+   lazily: [normalize] merges duplicates once when the expression is
+   consumed.  [add a b] copies [a]'s terms onto [b]'s, O(length of [a]), so
+   a long accumulation keeps the accumulator second. *)
 
 type t = { terms : (float * int) list; const : float }
 

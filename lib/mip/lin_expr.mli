@@ -20,6 +20,8 @@ val of_terms : ?constant:float -> (float * int) list -> t
 (** Build from a coefficient/variable list; duplicate variables are summed. *)
 
 val add : t -> t -> t
+(** [add a b] costs O(terms of [a]) and shares [b]'s: an accumulator
+    belongs in the second argument. *)
 
 val sub : t -> t -> t
 

@@ -41,7 +41,7 @@ let add_constraint ?name t expr rsense rhs =
 
 let set_objective t e = t.obj <- e
 
-let add_to_objective t e = t.obj <- Lin_expr.add t.obj e
+let add_to_objective t e = t.obj <- Lin_expr.add e t.obj
 
 let add_pos_part ?name t ~weight e =
   if weight < 0.0 then invalid_arg "Model.add_pos_part: negative weight";

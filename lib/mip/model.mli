@@ -35,7 +35,8 @@ val set_objective : t -> Lin_expr.t -> unit
     fixed objective offset.  Replaces any previous objective. *)
 
 val add_to_objective : t -> Lin_expr.t -> unit
-(** Adds the expression to the current objective. *)
+(** Adds the expression to the current objective, in time proportional to
+    the expression's terms (not the objective's). *)
 
 val add_pos_part : ?name:string -> t -> weight:float -> Lin_expr.t -> var
 (** [add_pos_part t ~weight e] adds [weight * max(0, e)] to the objective by

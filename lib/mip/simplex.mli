@@ -1,7 +1,7 @@
 (** Bounded-variable simplex for linear programs in {!Model.std} form.
 
     The implementation is a revised simplex over a factorized basis
-    ({!Basis}: sparse Markowitz LU with product-form eta updates, or the
+    ({!Basis}: sparse LU with product-form eta updates, or the
     dense Gauss–Jordan inverse kept as a reference backend):
 
     - slack columns are appended internally (one per row) so the working

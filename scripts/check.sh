@@ -53,9 +53,10 @@ if [ "${RAS_SCALE_TESTS:-full}" = "full" ]; then
   # class structure on the 10^6-server broker
   echo "== tier-1 reactive battery at 10^6 servers (RAS_SCALE_TESTS=full) =="
   RAS_SCALE_TESTS=full dune exec test/test_main.exe -- test reactive
-  # adds the optimal root bases of the 10^6-server phase-1 model (bring-up
-  # and one post-failure round): the count-heap elimination must pivot in
-  # the window-scan oracle's order on them
+  # adds the crash and optimal root bases of the 10^6-server phase-1 model
+  # (bring-up and one post-failure round): the singleton pass and the
+  # count-heap elimination must pivot in the rescan oracle's order on
+  # them, and the crash bases must be all column singletons
   echo "== LU identity battery on 10^6-server root bases (RAS_SCALE_TESTS=full) =="
   RAS_SCALE_TESTS=full dune exec test/test_main.exe -- test basis
 fi

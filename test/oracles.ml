@@ -5,8 +5,9 @@
    - The tier-1 decisions Ras.Reactive makes from its availability index.
      Each oracle walks every server's columns, O(region) per event
      (test_reactive.ml, test_core.ml).
-   - The Markowitz candidate window of the LU refactorization, which
-     Ras_mip.Basis reads off a count heap (test_basis.ml).
+   - The LU refactorization's column singletons and Markowitz candidate
+     window, which Ras_mip.Basis takes off a stack and a count heap
+     (test_basis.ml).
    - The symmetry-class build, which Ras.Symmetry streams over the
      snapshot columns (test_region_scale.ml, test_properties.ml).
    - Disaggregation: Ras.Concretize and Async_solver's phase-2 selection
@@ -102,14 +103,21 @@ let grant_reference broker ~reservation ~rru ~allow_buffer : Reactive.grant =
     visited = !visited;
   }
 
-(* The LU refactorization's Markowitz elimination as it first shipped:
-   every step finds its candidate window — the [markowitz_cands] active
-   columns of smallest (possibly stale) count, lowest index first — by
-   scanning all m columns, O(m) per step.  [Basis.refactorize] reads the
-   same window off an indexed count heap instead; this copy keeps the scan
-   and returns what the differential tests in test_basis.ml compare: the
-   elimination order as (constraint row, basis position) per step.  Raises
-   [Basis.Singular] exactly where the production path does. *)
+(* The LU refactorization's elimination order, written as plain rescans.
+   First the column-singleton pass: while some active column has exactly
+   one active row, pivot the one that became a singleton last — initial
+   singletons count as becoming one in descending position, so position 0
+   goes first, and the columns of one pivot row in that row's (ascending)
+   order — found by scanning every column's stamp, O(m) per step.  Then
+   the Markowitz elimination as it first shipped: every step finds its
+   candidate window — the [markowitz_cands] active columns of smallest
+   (possibly stale) count, lowest index first — by scanning all m columns,
+   O(m) per step.  [Basis.refactorize] runs the singleton pass off a stack
+   and reads the window off an indexed count heap instead; this copy
+   returns what the differential tests in test_basis.ml compare: the
+   elimination order as (constraint row, basis position) per step, and how
+   many of those steps the singleton pass took.  Raises [Basis.Singular]
+   exactly where the production path does. *)
 let markowitz_tau = 0.1
 let markowitz_cands = 4
 
@@ -162,6 +170,55 @@ let lu_pivot_order_reference m ~basis ~col =
         end)
   done;
   let row_active = Array.make m true and col_active = Array.make m true in
+  (* outputs *)
+  let rperm = Array.make m 0 and rpos = Array.make m 0 in
+  let cperm = Array.make m 0 and cpos = Array.make m 0 in
+  (* --- column singletons: [cnt.(c)] active rows of column c; [stamp.(c)]
+     orders the moments columns became singletons --- *)
+  let cnt = Array.copy clen in
+  let stamp = Array.make m (-1) and clock = ref 0 in
+  let became_singleton c =
+    stamp.(c) <- !clock;
+    incr clock
+  in
+  for c = m - 1 downto 0 do
+    if cnt.(c) = 0 then raise Ras_mip.Basis.Singular;
+    if cnt.(c) = 1 then became_singleton c
+  done;
+  let latest_singleton () =
+    let best = ref (-1) in
+    for c = 0 to m - 1 do
+      if col_active.(c) && cnt.(c) = 1 && (!best < 0 || stamp.(c) > stamp.(!best)) then best := c
+    done;
+    !best
+  in
+  let singletons = ref 0 in
+  let c = ref (latest_singleton ()) in
+  while !c >= 0 do
+    let pcol = !c and k = !singletons in
+    let prow = ref (-1) in
+    for u = 0 to clen.(pcol) - 1 do
+      if row_active.(crow.(pcol).(u)) then prow := crow.(pcol).(u)
+    done;
+    let prow = !prow in
+    if Float.abs rval.(prow).(row_find prow pcol) < 1e-12 then raise Ras_mip.Basis.Singular;
+    rperm.(k) <- prow;
+    rpos.(prow) <- k;
+    cperm.(k) <- pcol;
+    cpos.(pcol) <- k;
+    row_active.(prow) <- false;
+    col_active.(pcol) <- false;
+    for idx = 0 to rlen.(prow) - 1 do
+      let c' = rcol.(prow).(idx) in
+      if col_active.(c') then begin
+        cnt.(c') <- cnt.(c') - 1;
+        if cnt.(c') = 0 then raise Ras_mip.Basis.Singular;
+        if cnt.(c') = 1 then became_singleton c'
+      end
+    done;
+    singletons := k + 1;
+    c := latest_singleton ()
+  done;
   (* scratch for compacted column entries *)
   let cand_rows = Array.make m 0 and cand_vals = Array.make m 0.0 in
   let seen = Array.make m (-1) in
@@ -189,16 +246,18 @@ let lu_pivot_order_reference m ~basis ~col =
     clen.(c) <- !n;
     !n
   in
-  (* outputs *)
-  let rperm = Array.make m 0 and rpos = Array.make m 0 in
-  let cperm = Array.make m 0 and cpos = Array.make m 0 in
+  (* the Markowitz elimination starts from exact counts over the rows and
+     columns the singleton pass left *)
+  for c = 0 to m - 1 do
+    if col_active.(c) then ignore (compact_col c)
+  done;
   let lrows = Array.make m [||] and lvals = Array.make m [||] in
   let ucols = Array.make m [||] and uvals = Array.make m [||] in
   let udiag = Array.make m 0.0 in
   (* per-step scratch *)
   let urow_c = Array.make m 0 and urow_v = Array.make m 0.0 in
   let lrow_r = Array.make m 0 and lrow_v = Array.make m 0.0 in
-  for k = 0 to m - 1 do
+  for k = !singletons to m - 1 do
     (* --- pivot selection: best Markowitz cost among eligible entries of a
        few smallest-count active columns --- *)
     let cands = Array.make markowitz_cands (-1) in
@@ -303,7 +362,7 @@ let lu_pivot_order_reference m ~basis ~col =
     lrows.(k) <- Array.sub lrow_r 0 !ln;
     lvals.(k) <- Array.sub lrow_v 0 !ln
   done;
-  Array.init m (fun k -> (rperm.(k), cperm.(k)))
+  (Array.init m (fun k -> (rperm.(k), cperm.(k))), !singletons)
 
 (* ---------- symmetry classes: the pre-streaming build ---------- *)
 
@@ -673,6 +732,7 @@ let improve_spread_reference (t : Formulation.t) ~moves ~counts ~class_used =
   let open Formulation in
   let region = t.symmetry.Symmetry.region in
   let num_msbs = region.Region.num_msbs in
+  let num_dcs = region.Region.num_dcs in
   let pairs_of_res = Hashtbl.create 32 in
   Array.iter
     (fun p ->
@@ -696,6 +756,39 @@ let improve_spread_reference (t : Formulation.t) ~moves ~counts ~class_used =
             msb_rru.(p.cls.Symmetry.msb) <-
               msb_rru.(p.cls.Symmetry.msb) +. (value p *. float_of_int (count_of p)))
           my_pairs;
+        (* the datacenter-affinity guard, added after the pair-indexed
+           rewrite was pinned against this function: a move between
+           datacenters may not take the reservation further outside its
+           affinity window *)
+        let declared = res.Reservation.dc_affinity in
+        let cr = res.Reservation.capacity_rru and theta = res.Reservation.affinity_tolerance in
+        let violation dc_rru =
+          let v = ref 0.0 in
+          for d = 0 to num_dcs - 1 do
+            let lo, hi =
+              match List.assoc_opt d declared with
+              | Some a -> ((a -. theta) *. cr, (a +. theta) *. cr)
+              | None -> (0.0, infinity)
+            in
+            v := !v +. (Float.max 0.0 (lo -. dc_rru.(d)) +. Float.max 0.0 (dc_rru.(d) -. hi))
+          done;
+          !v
+        in
+        let keeps_affinity p_from p_to =
+          let dc_of p = region.Region.msb_dc.(p.cls.Symmetry.msb) in
+          if declared = [] || dc_of p_from = dc_of p_to then true
+          else begin
+            let dc_rru = Array.make num_dcs 0.0 in
+            for m = 0 to num_msbs - 1 do
+              let d = region.Region.msb_dc.(m) in
+              dc_rru.(d) <- dc_rru.(d) +. msb_rru.(m)
+            done;
+            let before = violation dc_rru in
+            dc_rru.(dc_of p_from) <- dc_rru.(dc_of p_from) -. value p_from;
+            dc_rru.(dc_of p_to) <- dc_rru.(dc_of p_to) +. value p_to;
+            violation dc_rru <= before +. 1e-9
+          end
+        in
         let improved = ref true and guard = ref 0 in
         while !improved && !guard < 500 do
           improved := false;
@@ -724,6 +817,7 @@ let improve_spread_reference (t : Formulation.t) ~moves ~counts ~class_used =
                         if
                           Float.max new_src new_dst < msb_rru.(!max_msb) -. 1e-9
                           && value p_to >= value p_from -. 1e-9
+                          && keeps_affinity p_from p_to
                         then begin
                           let headroom = msb_rru.(!max_msb) -. Float.max new_src new_dst in
                           (* idle servers move for a tenth of the cost of

@@ -29,6 +29,23 @@ let test_lin_expr_scale () =
 
 (* ---------- Model ---------- *)
 
+(* Accumulating the objective term by term costs O(1) words per term:
+   8x the terms cost ~8x the words (an accumulator copied on every add
+   would cost ~64x). *)
+let test_objective_accumulation_linear () =
+  let words n =
+    let mdl = Model.create () in
+    let vars = Array.init n (fun _ -> Model.add_var ~lb:0.0 ~ub:1.0 mdl) in
+    let w0 = Gc.minor_words () in
+    Array.iter (fun v -> Model.add_to_objective mdl (Lin_expr.term 1.0 v)) vars;
+    Gc.minor_words () -. w0
+  in
+  let small = words 2_000 and large = words 16_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "16000 / 2000 objective terms: %.1fx the minor words (< 12x)" (large /. small))
+    true
+    (large /. small < 12.0)
+
 let test_model_bounds_validation () =
   let m = Model.create () in
   Alcotest.check_raises "lb > ub" (Invalid_argument "Model.add_var: lb > ub") (fun () ->
@@ -886,6 +903,8 @@ let suite =
     Alcotest.test_case "mip gap and rounding" `Quick test_mip_gap_reported;
     Alcotest.test_case "mip gap stop keeps the proven bound" `Quick test_mip_gap_stop_keeps_bound;
     Alcotest.test_case "mip mixed integer" `Quick test_mip_mixed_integer;
+    Alcotest.test_case "objective accumulation is linear in its terms" `Quick
+      test_objective_accumulation_linear;
     Alcotest.test_case "lp format sections" `Quick test_lp_format_sections;
     Alcotest.test_case "lp parse round trip" `Quick test_lp_round_trip;
     Alcotest.test_case "lp parse rejects garbage" `Quick test_lp_parse_rejects_garbage;
