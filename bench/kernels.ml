@@ -9,8 +9,9 @@
      under the dense-inverse vs LU+eta basis backends and under the
      hypersparse vs dense-oracle kernels, one LU refactorization of the
      root basis, the root LP of a post-failure round started cold and
-     from the crash basis at the status quo, LP rounding + repair of the
-     root-LP optimum, and
+     from the crash basis at the status quo, that round's merge + apply
+     (the moves it makes and the targets it writes), LP rounding + repair
+     of the root-LP optimum, and
      branch-and-bound nodes/sec with warm dual-simplex restarts on the
      factorized basis.  Each pair prints its speedup and
      agreement; nothing is asserted.
@@ -44,6 +45,14 @@ let record ~kernel ~size ~wall_s fields =
     :: !json_entries
 
 let flt v = Printf.sprintf "%.6g" v
+
+(* Words allocated on both heaps.  The minor count comes from
+   [Gc.minor_words]: OCaml 5.1's [Gc.counters] leaves out what the minor
+   heap holds since its last collection.  Exact over a window that starts
+   with a [Gc.minor ()]. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 let write_json () =
   let oc = open_out "BENCH_kernels.json" in
@@ -229,8 +238,8 @@ let lp_kernel ~label ~repeats ?(with_dense = true) (std : Model.std) =
 (* LU refactorization: singletons, then Markowitz, of the root basis *)
 
 (* Cost of one [Basis.refactorize] of the lp row's optimal root basis
-   (median of [repeats]), next to how often a cold root LP pays it, so the
-   refactorization share of the LP is readable from the JSON. *)
+   (quartiles of [repeats]), next to how often a cold root LP pays it, so
+   the refactorization share of the LP is readable from the JSON. *)
 let lu_refactor_kernel ~label ~repeats (std : Model.std) =
   let name = Printf.sprintf "lu-refactor-%s" label in
   match Simplex.solve std with
@@ -253,13 +262,15 @@ let lu_refactor_kernel ~label ~repeats (std : Model.std) =
           Unix.gettimeofday () -. t0)
     in
     Array.sort compare times;
-    let median = times.(repeats / 2) in
-    Report.row "%-34s %8.3fms median of %d  %d per cold root LP  m=%d nnz(B)=%d\n" name
-      (median *. 1e3) repeats per_lp m nnz;
+    let q k = times.(k * (repeats - 1) / 4) in
+    Report.row "%-34s %8.3fms median (q1 %.3f, q3 %.3f) of %d  %d per cold root LP  m=%d nnz(B)=%d\n"
+      name (q 2 *. 1e3) (q 1 *. 1e3) (q 3 *. 1e3) repeats per_lp m nnz;
     record ~kernel:name ~size:(size_of std)
       ~wall_s:(Array.fold_left ( +. ) 0.0 times)
       [
-        ("refactor_ms_median", flt (median *. 1e3));
+        ("refactor_ms_median", flt (q 2 *. 1e3));
+        ("refactor_ms_q1", flt (q 1 *. 1e3));
+        ("refactor_ms_q3", flt (q 3 *. 1e3));
         ("repeats", string_of_int repeats);
         ("refactors_per_root_lp", string_of_int per_lp);
         ("m", string_of_int m);
@@ -270,11 +281,11 @@ let lu_refactor_kernel ~label ~repeats (std : Model.std) =
 (* ---------------------------------------------------------------- *)
 (* Root LP: cold start vs the crash basis at the status quo          *)
 
-(* The phase-1 model of a continuous-loop round after failures: a
-   bring-up round through [System], up to 200 random hardware failures
-   (one per 40 servers at most), then the round [System] solves next.
-   Returns that round's formulation and compiled model. *)
-let post_failure_phase1 preset =
+(* A continuous-loop round after failures: a bring-up round through
+   [System], up to 200 random hardware failures (one per 40 servers at
+   most), then the solve [System] makes next, not yet applied.  Returns
+   the system and that round's solve. *)
+let post_failure_round preset =
   let module Broker = Ras_broker.Broker in
   let region = Scenarios.region_of preset in
   let broker = Broker.create region in
@@ -293,7 +304,12 @@ let post_failure_phase1 preset =
   for _ = 1 to min 200 (n / 40) do
     Broker.mark_down broker (Ras_stats.Rng.int rng n) Ras_failures.Unavail.Unplanned_hw
   done;
-  let p1 = (Ras.System.solve_now sys).Ras.Async_solver.phase1 in
+  (sys, Ras.Async_solver.solve ~params:Scenarios.simulation_solver (Ras.System.snapshot sys))
+
+(* The phase-1 model of [post_failure_round]: its formulation and compiled
+   model. *)
+let post_failure_phase1 (_, stats) =
+  let p1 = stats.Ras.Async_solver.phase1 in
   (p1.Ras.Phases.formulation, p1.Ras.Phases.compiled)
 
 (* The root LP [Phases] solves every round, cold from the all-slack basis
@@ -511,18 +527,15 @@ let snapshot_kernel ~label ~changes preset =
         Ras.System.add_request sys req)
     (Scenarios.requests_of preset region);
   let accepted = Array.of_list (Portal.requests portal) in
-  let words () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
-  let w0 = words () in
+  Gc.minor ();
+  let w0 = allocated_words () in
   let t0 = Unix.gettimeofday () in
   for i = 1 to changes do
     let snap = Ras.System.snapshot sys in
     ignore (Portal.modify portal snap accepted.(i mod Array.length accepted))
   done;
   let change_s = (Unix.gettimeofday () -. t0) /. float_of_int changes in
-  let change_words = (words () -. w0) /. float_of_int changes in
+  let change_words = (allocated_words () -. w0) /. float_of_int changes in
   (* toggle one server's in-use flag: an effective write that touches no
      index beyond the change feed *)
   let toggle () = Broker.set_in_use broker 0 (not (Broker.in_use_at broker 0)) in
@@ -556,6 +569,89 @@ let snapshot_kernel ~label ~changes preset =
       ("first_write_after_snapshot_s", flt copy_s);
       ("plain_write_s", flt plain_s);
     ]
+
+(* ---------------------------------------------------------------- *)
+(* Merge + apply: a round's solver output carried out as moves       *)
+
+(* A copy of the broker's owner, target, in-use and availability columns
+   (an unavailable server is marked down unplanned, a planned one under
+   maintenance), with no subscriber. *)
+let clone_broker broker =
+  let module Broker = Ras_broker.Broker in
+  let copy = Broker.create (Broker.region broker) in
+  for id = 0 to Broker.num_servers broker - 1 do
+    Broker.move copy id (Broker.current_owner broker id);
+    Broker.set_target copy id (Broker.owner_of_code (Broker.target_code broker id));
+    if Broker.in_use_at broker id then Broker.set_in_use copy id true;
+    if not (Broker.available_at broker id) then
+      Broker.mark_down copy id Ras_failures.Unavail.Unplanned_hw
+    else if not (Broker.healthy_at broker id) then
+      Broker.mark_down copy id Ras_failures.Unavail.Planned_maintenance
+  done;
+  copy
+
+(* What a round does between the phases' solutions and the price push:
+   the moves of each phase ([Concretize.moves_of]), phase 2's merge, and
+   [Online_mover.apply_plan], on [post_failure_round]'s state.  Each of
+   [repeats] applies to a fresh copy of the broker (copy and mover set-up
+   untimed); quartiles of the wall time, and the round's moves and target
+   writes. *)
+let merge_apply_kernel ~label ~repeats (sys, (stats : Ras.Async_solver.stats)) =
+  let module Broker = Ras_broker.Broker in
+  let module Concretize = Ras.Concretize in
+  let name = Printf.sprintf "merge-apply-%s" label in
+  let broker = Ras.System.broker sys in
+  let decoded (p : Ras.Phases.result) =
+    (p.Ras.Phases.formulation, Ras.Formulation.decode p.Ras.Phases.formulation p.Ras.Phases.solution)
+  in
+  let f1, a1 = decoded stats.Ras.Async_solver.phase1 in
+  let phase2 = Option.map decoded stats.Ras.Async_solver.phase2 in
+  let snapshot = f1.Ras.Formulation.symmetry.Ras.Symmetry.snapshot in
+  let merge () =
+    let moves1 = Concretize.moves_of f1 a1 in
+    let moves =
+      match phase2 with
+      | Some (f2, a2) -> Concretize.merge snapshot ~phase1:moves1 ~phase2:(Concretize.moves_of f2 a2)
+      | None -> moves1
+    in
+    Concretize.of_moves ~covers:f1.Ras.Formulation.symmetry.Ras.Symmetry.covers moves
+  in
+  let last = ref None in
+  let times =
+    Array.init repeats (fun _ ->
+        let copy = clone_broker broker in
+        let mover = Ras.Online_mover.create copy in
+        Ras.Online_mover.set_reservations mover (Ras.System.reservations sys);
+        Gc.full_major ();
+        let t0 = Unix.gettimeofday () in
+        let plan = merge () in
+        let apply = Ras.Online_mover.apply_plan mover plan in
+        let dt = Unix.gettimeofday () -. t0 in
+        last := Some (plan, apply);
+        dt)
+  in
+  Array.sort compare times;
+  let q k = times.(k * (repeats - 1) / 4) in
+  match !last with
+  | None -> ()
+  | Some (plan, apply) ->
+    let moves = List.length plan.Concretize.moves in
+    let writes = apply.Ras.Online_mover.target_writes in
+    Report.row "%-34s %8.3fms median (q1 %.3f, q3 %.3f) of %d  %d moves  %d target writes  %d servers%s\n"
+      name (q 2 *. 1e3) (q 1 *. 1e3) (q 3 *. 1e3) repeats moves writes (Broker.num_servers broker)
+      (if phase2 = None then "" else "  (phase 2 merged)");
+    record ~kernel:name
+      ~size:(Printf.sprintf "servers=%d" (Broker.num_servers broker))
+      ~wall_s:(Array.fold_left ( +. ) 0.0 times)
+      [
+        ("merge_apply_ms_median", flt (q 2 *. 1e3));
+        ("merge_apply_ms_q1", flt (q 1 *. 1e3));
+        ("merge_apply_ms_q3", flt (q 3 *. 1e3));
+        ("repeats", string_of_int repeats);
+        ("moves", string_of_int moves);
+        ("target_writes", string_of_int writes);
+        ("phase2", string_of_bool (phase2 <> None));
+      ]
 
 (* ---------------------------------------------------------------- *)
 (* Bechamel micro-benchmarks (build kernels)                         *)
@@ -618,6 +714,7 @@ type preset_row = {
   lu_refactors : int;  (* timed root-basis refactorizations; 0 skips *)
   heuristic_repeats : int;  (* timed round_lp + repair calls; 0 skips *)
   root_lp_repeats : int;  (* timed cold and crash root LPs after failures; 0 skips *)
+  merge_repeats : int;  (* timed merge + apply of the post-failure round; 0 skips *)
   snapshot_changes : int;  (* timed snapshot + admission changes; 0 skips *)
 }
 
@@ -636,6 +733,7 @@ let preset_rows () =
       lu_refactors = 0;
       heuristic_repeats = 0;
       root_lp_repeats = 0;
+      merge_repeats = 0;
       snapshot_changes = 0;
     };
     {
@@ -646,9 +744,10 @@ let preset_rows () =
       bb_time_limit = 120.0;
       with_dense = true;
       reactive_events = (if !Scenarios.quick then 20 else 60);
-      lu_refactors = (if !Scenarios.quick then 7 else 31);
+      lu_refactors = 31;
       heuristic_repeats = (if !Scenarios.quick then 5 else 15);
       root_lp_repeats = (if !Scenarios.quick then 3 else 7);
+      merge_repeats = (if !Scenarios.quick then 7 else 15);
       snapshot_changes = (if !Scenarios.quick then 200 else 1000);
     };
     (* the north-star row: the 10^6-server preset.  Symmetry aggregation
@@ -663,9 +762,10 @@ let preset_rows () =
       bb_time_limit = 120.0;
       with_dense = false;
       reactive_events = (if !Scenarios.quick then 10 else 25);
-      lu_refactors = (if !Scenarios.quick then 7 else 31);
+      lu_refactors = 31;
       heuristic_repeats = (if !Scenarios.quick then 3 else 7);
       root_lp_repeats = (if !Scenarios.quick then 1 else 3);
+      merge_repeats = (if !Scenarios.quick then 3 else 7);
       snapshot_changes = (if !Scenarios.quick then 50 else 200);
     };
   ]
@@ -698,11 +798,15 @@ let run () =
       if r.heuristic_repeats > 0 then
         heuristic_kernel ~label:r.label ~repeats:r.heuristic_repeats (Lazy.force row))
     rows;
-  Report.row "-- root LP after failures (cold vs crash at the status quo) --\n";
+  Report.row "-- a round after failures: root LP (cold vs crash at the status quo), merge + apply --\n";
   List.iter
     (fun (r, _) ->
-      if r.root_lp_repeats > 0 then
-        root_lp_kernel ~label:r.label ~repeats:r.root_lp_repeats (post_failure_phase1 r.preset))
+      if r.root_lp_repeats > 0 || r.merge_repeats > 0 then begin
+        let round = post_failure_round r.preset in
+        if r.root_lp_repeats > 0 then
+          root_lp_kernel ~label:r.label ~repeats:r.root_lp_repeats (post_failure_phase1 round);
+        if r.merge_repeats > 0 then merge_apply_kernel ~label:r.label ~repeats:r.merge_repeats round
+      end)
     rows;
   Report.row "-- branch-and-bound --\n";
   List.iter

@@ -22,7 +22,15 @@ type frozen = {
    [freeze] hands the [current], [in_use] and [down] columns to a reader
    as they are and sets [shared]; the first effective write after it
    copies the three columns once, so a frozen view never changes and a
-   run of freezes with no write between them costs no per-server work. *)
+   run of freezes with no write between them costs no per-server work.
+
+   [stale_log] holds every server whose target differs from its current
+   owner's home (an [Elastic] owner is shared-buffer capacity on loan, so
+   it reads as [Shared_buffer]).  Every write to a server's target or
+   owner appends its id, and the log is compacted to the stale servers,
+   once each, when it is read or fills up.  A write so pays one sequential
+   store: the tier-1 repair's moves read no column they did not read
+   before. *)
 type t = {
   mutable reg : Region.t;
   mutable current : int array;  (* owner codes *)
@@ -31,6 +39,9 @@ type t = {
   mutable in_use : Bytes.t;  (* 0 / 1 *)
   mutable shared : bool;  (* [current], [in_use] and [down] are frozen views *)
   available_by_hw : int array;  (* available servers per hardware-catalog index *)
+  mutable stale_log : int array;  (* a superset of the stale ids *)
+  mutable stale_len : int;
+  mutable stale_mark : Bytes.t;  (* compaction scratch, 0 / 1 per server id, all 0 outside it *)
   mutable subscribers : (event -> unit) list;  (* reversed subscription order *)
   mutable change_subscribers : (int -> unit) list;  (* reversed subscription order *)
 }
@@ -77,6 +88,9 @@ let create reg =
     in_use = Bytes.make n '\000';
     shared = false;
     available_by_hw;
+    stale_log = Array.make 64 0;
+    stale_len = 0;
+    stale_mark = Bytes.make n '\000';
     subscribers = [];
     change_subscribers = [];
   }
@@ -139,7 +153,49 @@ let unshare t =
     t.shared <- false
   end
 
-let set_target t id owner = check t id "set_target"; t.target.(id) <- owner_code owner
+(* -- the stale set -- *)
+
+let shared_buffer_code = owner_code Shared_buffer
+
+let stale_at t id =
+  let c = t.current.(id) in
+  t.target.(id) <> if is_elastic_code c then shared_buffer_code else c
+
+(* Keep the log's stale ids, once each, in place. *)
+let compact_stale t =
+  let len = ref 0 in
+  for k = 0 to t.stale_len - 1 do
+    let id = t.stale_log.(k) in
+    if Bytes.unsafe_get t.stale_mark id = '\000' && stale_at t id then begin
+      Bytes.unsafe_set t.stale_mark id '\001';
+      t.stale_log.(!len) <- id;
+      incr len
+    end
+  done;
+  for k = 0 to !len - 1 do
+    Bytes.unsafe_set t.stale_mark t.stale_log.(k) '\000'
+  done;
+  t.stale_len <- !len
+
+(* Called after a write to [id]'s target or current owner.  A full log is
+   compacted first, and doubled when that leaves it more than half full. *)
+let log_write t id =
+  if t.stale_len = Array.length t.stale_log then begin
+    compact_stale t;
+    if 2 * t.stale_len >= Array.length t.stale_log then
+      t.stale_log <- Array.append t.stale_log (Array.make (Array.length t.stale_log) 0)
+  end;
+  t.stale_log.(t.stale_len) <- id;
+  t.stale_len <- t.stale_len + 1
+
+let stale_servers t =
+  compact_stale t;
+  List.init t.stale_len (fun k -> t.stale_log.(k))
+
+let set_target t id owner =
+  check t id "set_target";
+  t.target.(id) <- owner_code owner;
+  log_write t id
 
 let move t id owner =
   check t id "move";
@@ -147,6 +203,7 @@ let move t id owner =
   if t.current.(id) <> code then begin
     unshare t;
     t.current.(id) <- code;
+    log_write t id;
     Bytes.unsafe_set t.in_use id '\000';
     notify_change t id
   end
@@ -209,6 +266,7 @@ let extend_region t reg =
   t.target <- grow_int t.target;
   t.down <- grow_bytes t.down;
   t.in_use <- grow_bytes t.in_use;
+  t.stale_mark <- grow_bytes t.stale_mark;
   (* the grown columns are fresh: no frozen view shares them *)
   t.shared <- false;
   t.reg <- reg;

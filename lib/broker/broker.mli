@@ -24,7 +24,13 @@
     effective write after it copies those three columns once before
     writing (copy-on-write), so the view never changes.  Freezes with no
     write between them share one copy.  The [target] column is never
-    frozen, so it is never copied. *)
+    frozen, so it is never copied.
+
+    The broker also keeps the {e stale} set: the servers whose target
+    differs from their current owner, an [Elastic] owner reading as its
+    home, [Shared_buffer].  They are the planned moves a down server
+    skipped and the targets written without a move; the Online Mover's
+    apply step reads them instead of walking every server. *)
 
 type owner =
   | Free  (** region free pool *)
@@ -115,6 +121,13 @@ val subscribe_changes : t -> (int -> unit) -> unit
 
 val set_target : t -> int -> owner -> unit
 (** Record binding intent (solver output step 3 in Fig. 6). *)
+
+val stale_servers : t -> int list
+(** The stale set, in no particular order: every server whose target
+    owner differs from its current owner, an [Elastic _] current owner
+    counting as [Shared_buffer].  O(writes since the last read), allocating
+    only the list: every {!move} and {!set_target} logs its server, and
+    this read keeps the stale ones. *)
 
 val move : t -> int -> owner -> unit
 (** Change [current] ownership (the Online Mover's capacity-binding step).

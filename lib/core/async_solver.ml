@@ -44,12 +44,12 @@ type stats = {
   solver_dual_pivots : int;
 }
 
-(* Rack-spread overflow of every reservation under a target column (0 for
-   one without a rack goal) — the phase-2 selection criterion
+(* Rack-spread overflow of every reservation once a round's moves are
+   made (0 for one without a rack goal) — the phase-2 selection criterion
    ("reservations with the worst rack-level objectives are prioritized",
-   §3.5.2).  One pass over the column sums RRU per (rack-goal reservation,
-   rack). *)
-let rack_overflows (snapshot : Snapshot.t) targets reservations =
+   §3.5.2).  One pass over the servers, with a cursor in the id-sorted
+   moves, sums RRU per (rack-goal reservation, rack). *)
+let rack_overflows (snapshot : Snapshot.t) ~covers (moves : Concretize.move list) reservations =
   let region = snapshot.Snapshot.region in
   let res = Array.of_list reservations in
   let has_goal r = r.Reservation.rack_spread_limit <> None in
@@ -67,18 +67,28 @@ let rack_overflows (snapshot : Snapshot.t) targets reservations =
   let per_rack =
     Array.map (fun r -> if has_goal r then Array.make region.Region.num_racks 0.0 else [||]) res
   in
-  Array.iteri
-    (fun id code ->
-      if code >= 0 && code <= max_code && goals_of.(code) <> [] then begin
-        let s = region.Region.servers.(id) in
-        let hw = s.Region.hw.Hw.index and rack = s.Region.loc.Region.rack in
-        List.iter
-          (fun i ->
-            let v = rru.(i).(hw) in
-            if v > 0.0 then per_rack.(i).(rack) <- per_rack.(i).(rack) +. v)
-          goals_of.(code)
-      end)
-    targets;
+  let rec add hw rack = function
+    | [] -> ()
+    | i :: goals ->
+      let v = rru.(i).(hw) in
+      if v > 0.0 then per_rack.(i).(rack) <- per_rack.(i).(rack) +. v;
+      add hw rack goals
+  in
+  let moves = ref moves in
+  for id = 0 to Snapshot.num_servers snapshot - 1 do
+    let code =
+      match !moves with
+      | m :: rest when m.Concretize.server = id ->
+        moves := rest;
+        Broker.owner_code m.Concretize.to_
+      | _ -> Snapshot.current_code snapshot id
+    in
+    (* a server the solve did not cover has no target and counts nowhere *)
+    if code <= max_code && goals_of.(code) != [] && covers id then begin
+      let s = region.Region.servers.(id) in
+      add s.Region.hw.Hw.index s.Region.loc.Region.rack goals_of.(code)
+    end
+  done;
   List.mapi
     (fun i r ->
       match r.Reservation.rack_spread_limit with
@@ -91,20 +101,17 @@ let rack_overflows (snapshot : Snapshot.t) targets reservations =
           0.0 per_rack.(i))
     reservations
 
-(* The snapshot phase 2 solves from: every covered server on its target
-   owner.  Uncovered cells keep the column's raw codes, which
-   [Snapshot.current_code] resolves on read. *)
-let with_targets (snapshot : Snapshot.t) targets =
+(* The snapshot phase 2 solves from: every moved server on its target
+   owner. *)
+let with_moves (snapshot : Snapshot.t) (moves : Concretize.move list) =
   let current = Array.copy snapshot.Snapshot.current in
   let in_use = Bytes.copy snapshot.Snapshot.in_use in
-  Array.iteri
-    (fun id code ->
-      if code >= 0 && Snapshot.current_code snapshot id <> code then begin
-        (* a moved server is preempted: it arrives idle *)
-        current.(id) <- code;
-        Bytes.set in_use id '\000'
-      end)
-    targets;
+  List.iter
+    (fun (m : Concretize.move) ->
+      current.(m.Concretize.server) <- Broker.owner_code m.Concretize.to_;
+      (* a moved server is preempted: it arrives idle *)
+      Bytes.set in_use m.Concretize.server '\000')
+    moves;
   { snapshot with Snapshot.current; in_use }
 
 let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
@@ -117,13 +124,13 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
       snapshot reservations
   in
   let assignment1 = Formulation.decode phase1.Phases.formulation phase1.Phases.solution in
-  (* the target owner code per server id, -1 where no phase covered it *)
-  let targets = Array.make (Snapshot.num_servers snapshot) (-1) in
-  Concretize.write_targets phase1.Phases.formulation assignment1 targets;
+  let moves1 = Concretize.moves_of phase1.Phases.formulation assignment1 in
+  (* phase 2 covers a subset of the servers phase 1 covers *)
+  let covers = phase1.Phases.formulation.Formulation.symmetry.Symmetry.covers in
   (* ---- phase 2: rack refinement for the worst reservations ---- *)
   let phase2 =
     let scored =
-      List.combine (rack_overflows snapshot targets reservations) reservations
+      List.combine (rack_overflows snapshot ~covers moves1 reservations) reservations
       |> List.filter (fun (overflow, _) -> overflow > 1e-6)
     in
     if scored = [] then None
@@ -133,7 +140,7 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
         Int.max 1 (int_of_float (phase2_fraction *. float_of_int (List.length reservations)))
       in
       let candidates = List.filteri (fun i _ -> i < quota) (List.map snd scored) in
-      let snapshot2_all = with_targets snapshot targets in
+      let snapshot2_all = with_moves snapshot moves1 in
       (* a candidate's phase-2 pool is its usable servers plus the usable
          free ones: one owner-code histogram sizes them all *)
       let free_code = Broker.owner_code Broker.Free in
@@ -178,13 +185,19 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
             ~mip_gap_rel:params.mip_gap_rel ~mip_stall_nodes:params.mip_stall_nodes
             ~rack_level:true ~include_server snapshot2_all selected
         in
-        let assignment2 = Formulation.decode result.Phases.formulation result.Phases.solution in
-        Concretize.write_targets result.Phases.formulation assignment2 targets;
         Some result
     end
   in
-  (* ---- merge: moves relative to the original snapshot ---- *)
-  let plan = Concretize.plan_of_column snapshot targets in
+  (* ---- merge: phase 2's moves override phase 1's ---- *)
+  let moves =
+    match phase2 with
+    | None -> moves1
+    | Some p2 ->
+      let f2 = p2.Phases.formulation in
+      Concretize.merge snapshot ~phase1:moves1
+        ~phase2:(Concretize.moves_of f2 (Formulation.decode f2 p2.Phases.solution))
+  in
+  let plan = Concretize.of_moves ~covers moves in
   let shortfalls =
     let base = Formulation.capacity_shortfalls phase1.Phases.formulation phase1.Phases.solution in
     match phase2 with

@@ -57,13 +57,14 @@ type stats = {
   solver_dual_pivots : int;  (** dual-simplex pivots across both phases *)
 }
 
-val rack_overflows : Snapshot.t -> int array -> Reservation.t list -> float list
-(** [rack_overflows snapshot targets reservations]: per reservation, in list
-    order, the RRU its rack-goal racks hold above [alpha_K * C_r] when every
-    server with a target code ([targets.(id) >= 0], indexed by server id)
-    sits on that target; 0 for a reservation without a rack goal.  Phase 2
-    refines the reservations this scores worst.  One pass over the column
-    covers every reservation. *)
+val rack_overflows :
+  Snapshot.t -> covers:(int -> bool) -> Concretize.move list -> Reservation.t list -> float list
+(** [rack_overflows snapshot ~covers moves reservations]: per reservation,
+    in list order, the RRU its rack-goal racks hold above [alpha_K * C_r]
+    once the id-sorted [moves] are made, counting the servers [covers]
+    admits; 0 for a reservation without a rack goal.  Phase 2 refines the
+    reservations this scores worst.  One pass over the servers covers
+    every reservation. *)
 
 val solve :
   ?params:params ->

@@ -2,7 +2,7 @@ module Broker = Ras_broker.Broker
 
 type move = { server : int; from_ : Broker.owner; to_ : Broker.owner; was_in_use : bool }
 
-type plan = { moves : move list; targets : (int * Broker.owner) list }
+type plan = { moves : move list; targets : (int * Broker.owner) list; covers : int -> bool }
 
 let free_code = Broker.owner_code Broker.Free
 
@@ -32,7 +32,7 @@ let take unmet c =
     code
   end
 
-let write_targets (f : Formulation.t) (assignment : Formulation.assignment) column =
+let moves_of (f : Formulation.t) (assignment : Formulation.assignment) =
   let sym = f.Formulation.symmetry in
   let snapshot = sym.Symmetry.snapshot in
   let quotas = Array.make (Symmetry.num_classes sym) [] in
@@ -43,11 +43,14 @@ let write_targets (f : Formulation.t) (assignment : Formulation.assignment) colu
       max_code := Int.max !max_code (Broker.owner_code owner);
       quotas.(cls.Symmetry.index) <- (owner, count) :: quotas.(cls.Symmetry.index))
     assignment.Formulation.counts;
-  (* keep.(c): members currently owned by [c] that stay with it; zero again
-     once a class's walk has met them all *)
+  (* keep.(c): members currently owned by [c] that stay with it; zeroed
+     again after each class *)
   let keep = Array.make (!max_code + 1) 0 in
+  let kept c = if c <= !max_code then keep.(c) else 0 in
+  let moves = ref [] in
   Array.iter
     (fun (cls : Symmetry.cls) ->
+      let quotas = quotas.(cls.Symmetry.index) in
       (* stability first: each owner keeps up to its quota of the members it
          already has, the lowest ids first *)
       let unmet =
@@ -57,55 +60,73 @@ let write_targets (f : Formulation.t) (assignment : Formulation.assignment) colu
             let have = Int.min want (Symmetry.current_count sym cls owner) in
             keep.(code) <- Int.max keep.(code) have;
             if want > have then Some (owner, want - have) else None)
-          quotas.(cls.Symmetry.index)
+          quotas
         |> List.sort compare
         |> List.map (fun (owner, missing) -> (Broker.owner_code owner, missing))
         |> Array.of_list
       in
       (* the surplus pool, free members first and then by id, fills the unmet
          quotas in order: free members take its first slots, the others
-         follow them *)
-      let free_surplus = Symmetry.current_count sym cls Broker.Free - keep.(free_code) in
-      let from_free = cursor_at unmet 0 and from_owned = cursor_at unmet free_surplus in
-      Array.iter
-        (fun id ->
-          let c = Snapshot.current_code snapshot id in
-          column.(id) <-
-            (if c <= !max_code && keep.(c) > 0 then begin
-               keep.(c) <- keep.(c) - 1;
-               c
-             end
-             else if c = free_code then take unmet from_free
-             else take unmet from_owned))
-        cls.Symmetry.members)
-    sym.Symmetry.classes
+         follow them.  An owned surplus member always moves, a free one
+         only while slots are left, so a class whose owners all keep every
+         member and whose free members meet no slot moves nothing *)
+      let free_surplus = Symmetry.current_count sym cls Broker.Free - kept free_code in
+      let moves_nothing =
+        (Array.length unmet = 0 || free_surplus = 0)
+        && Hashtbl.fold
+             (fun c n ok -> ok && (c = free_code || kept c = n))
+             sym.Symmetry.owner_counts.(cls.Symmetry.index) true
+      in
+      if not moves_nothing then begin
+        let from_free = cursor_at unmet 0 and from_owned = cursor_at unmet free_surplus in
+        Array.iter
+          (fun id ->
+            let c = Snapshot.current_code snapshot id in
+            if kept c > 0 then keep.(c) <- keep.(c) - 1
+            else begin
+              let target = take unmet (if c = free_code then from_free else from_owned) in
+              if target <> c then
+                moves :=
+                  {
+                    server = id;
+                    from_ = Broker.owner_of_code c;
+                    to_ = Broker.owner_of_code target;
+                    was_in_use = Snapshot.in_use_at snapshot id;
+                  }
+                  :: !moves
+            end)
+          cls.Symmetry.members
+      end;
+      List.iter (fun (owner, _) -> keep.(Broker.owner_code owner) <- 0) quotas)
+    sym.Symmetry.classes;
+  List.sort (fun a b -> Int.compare a.server b.server) !moves
 
-let plan_of_column (snapshot : Snapshot.t) column =
-  let moves = ref [] and targets = ref [] in
-  for id = Array.length column - 1 downto 0 do
-    let code = column.(id) in
-    if code >= 0 then begin
-      let to_ = Broker.owner_of_code code in
-      targets := (id, to_) :: !targets;
-      let from = Snapshot.current_code snapshot id in
-      if code <> from then
-        moves :=
-          {
-            server = id;
-            from_ = Broker.owner_of_code from;
-            to_;
-            was_in_use = Snapshot.in_use_at snapshot id;
-          }
-          :: !moves
-    end
-  done;
-  { moves = !moves; targets = !targets }
+let merge (snapshot : Snapshot.t) ~phase1 ~phase2 =
+  (* a phase-2 move restated against [snapshot], dropped when it returns
+     the server to its snapshot owner *)
+  let push acc m =
+    let from = Snapshot.current_code snapshot m.server in
+    if Broker.owner_code m.to_ = from then acc
+    else
+      { m with from_ = Broker.owner_of_code from; was_in_use = Snapshot.in_use_at snapshot m.server }
+      :: acc
+  in
+  let rec go acc a b =
+    match (a, b) with
+    | rest, [] -> List.rev_append acc rest
+    | [], m :: b -> go (push acc m) [] b
+    | x :: a', y :: b' ->
+      if x.server < y.server then go (x :: acc) a' b
+      else if x.server > y.server then go (push acc y) a b'
+      else go (push acc y) a' b'
+  in
+  go [] phase1 phase2
+
+let of_moves ~covers moves =
+  { moves; targets = List.map (fun m -> (m.server, m.to_)) moves; covers }
 
 let plan (f : Formulation.t) (assignment : Formulation.assignment) =
-  let snapshot = f.Formulation.symmetry.Symmetry.snapshot in
-  let column = Array.make (Snapshot.num_servers snapshot) (-1) in
-  write_targets f assignment column;
-  plan_of_column snapshot column
+  of_moves ~covers:f.Formulation.symmetry.Symmetry.covers (moves_of f assignment)
 
 let moves_in_use plan =
   List.fold_left (fun acc m -> if m.was_in_use then acc + 1 else acc) 0 plan.moves

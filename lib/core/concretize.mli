@@ -1,14 +1,16 @@
-(** Turn the solver's per-class counts back into concrete server bindings.
+(** Turn the solver's per-class counts back into concrete server moves.
 
     Within a class all members are interchangeable, so the mapping is free
     to prefer stability: members already owned by a reservation fill that
     reservation's quota first, and only the surplus moves.  Free servers are
     consumed before servers are taken away from other owners.  The result is
-    the solver output of Fig. 6 step 3: a target owner per server.
+    the solver output of Fig. 6 step 3, stated as the moves it makes: every
+    server the solve covered and does not move keeps its current owner as
+    its target.
 
-    The work runs on a target column: an [int array] of
-    {!Ras_broker.Broker.owner_code}s indexed by server id, [-1] where the
-    solve covered no server.  Each class's members are walked once. *)
+    A class whose quotas leave every member with its owner is skipped; the
+    members of the others are walked once.  The work is O(classes + members
+    of the classes that change + moves), never O(servers). *)
 
 type move = {
   server : int;
@@ -20,24 +22,28 @@ type move = {
 type plan = {
   moves : move list;  (** servers whose owner changes, ascending id *)
   targets : (int * Ras_broker.Broker.owner) list;
-      (** target owner for every server the solve covered (including the
-          ones that stay put), ascending id *)
+      (** the target write of every move, [(server, to_)], ascending id *)
+  covers : int -> bool;
+      (** the servers the solve covered.  A covered server that does not
+          move keeps its current owner as target; {!Online_mover.apply_plan}
+          resets the stale ones *)
 }
 
+val moves_of : Formulation.t -> Formulation.assignment -> move list
+(** The moves that realize an assignment, relative to the formulation's
+    snapshot, ascending id. *)
+
+val merge : Snapshot.t -> phase1:move list -> phase2:move list -> move list
+(** [merge snapshot ~phase1 ~phase2]: a later phase's moves, made from a
+    snapshot with [phase1]'s moves applied, override [phase1]'s on the
+    servers they move and are restated against [snapshot]; a server a
+    [phase2] move returns to its [snapshot] owner no longer moves.  One
+    merge by server id. *)
+
+val of_moves : covers:(int -> bool) -> move list -> plan
+
 val plan : Formulation.t -> Formulation.assignment -> plan
-(** {!write_targets} into a fresh column, then {!plan_of_column} against the
-    formulation's snapshot. *)
-
-val write_targets : Formulation.t -> Formulation.assignment -> int array -> unit
-(** [write_targets f assignment column] writes the target owner code of
-    every member of [f]'s classes into [column] (length: the snapshot's
-    server count) and leaves every other cell as it was. *)
-
-val plan_of_column : Snapshot.t -> int array -> plan
-(** The plan of a target column: a target for every covered cell, and a
-    move, relative to the snapshot, for every covered server whose target
-    is not its current owner.  One descending pass, so both lists come out
-    in ascending id order. *)
+(** {!moves_of}, covering the formulation's classes. *)
 
 val moves_in_use : plan -> int
 

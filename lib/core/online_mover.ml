@@ -4,7 +4,12 @@ module Hw = Ras_topology.Hardware
 module Engine = Ras_sim.Engine
 module Unavail = Ras_failures.Unavail
 
-type apply_stats = { moved_in_use : int; moved_unused : int; skipped_unavailable : int }
+type apply_stats = {
+  moved_in_use : int;
+  moved_unused : int;
+  skipped_unavailable : int;
+  target_writes : int;
+}
 
 type t = {
   broker : Broker.t;
@@ -92,7 +97,19 @@ let create ?engine broker =
   t
 
 let apply_plan t (plan : Concretize.plan) =
-  List.iter (fun (id, owner) -> Broker.set_target t.broker id owner) plan.Concretize.targets;
+  let target_writes = ref 0 in
+  let write id owner =
+    incr target_writes;
+    Broker.set_target t.broker id owner
+  in
+  (* a covered server the plan leaves in place keeps its owner (for a
+     loan, its home) as target: only the stale ones need the write *)
+  List.iter
+    (fun id ->
+      if plan.Concretize.covers id then
+        write id (match home_of t id with Some home -> home | None -> Broker.current_owner t.broker id))
+    (Broker.stale_servers t.broker);
+  List.iter (fun (id, owner) -> write id owner) plan.Concretize.targets;
   let moved_in_use = ref 0 and moved_unused = ref 0 and skipped_unavailable = ref 0 in
   List.iter
     (fun (m : Concretize.move) ->
@@ -107,6 +124,7 @@ let apply_plan t (plan : Concretize.plan) =
     moved_in_use = !moved_in_use;
     moved_unused = !moved_unused;
     skipped_unavailable = !skipped_unavailable;
+    target_writes = !target_writes;
   }
 
 let lend_idle t ~elastic_id ~max_servers =

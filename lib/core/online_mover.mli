@@ -12,7 +12,13 @@
 
     Every tier-1 decision (replacement search, donor pick, revocation) reads
     the mover's {!Reactive} index; there is no scan fallback and no separate
-    loan table. *)
+    loan table.
+
+    A solver plan is its moves ({!Concretize}).  Carrying it out writes
+    the moves' targets and resets the broker's stale set
+    ({!Ras_broker.Broker.stale_servers}): a covered server whose recorded
+    target is not its owner, such as a planned move its server was down
+    for, gets its owner back as target.  No step walks every server. *)
 
 type t
 
@@ -20,6 +26,7 @@ type apply_stats = {
   moved_in_use : int;  (** moves that preempted running containers *)
   moved_unused : int;
   skipped_unavailable : int;  (** planned moves whose server was down *)
+  target_writes : int;  (** {!Ras_broker.Broker.set_target} calls the apply made *)
 }
 
 val create : ?engine:Ras_sim.Engine.t -> Ras_broker.Broker.t -> t
@@ -46,9 +53,15 @@ val on_preempt : t -> (int -> unit) -> unit
     container allocator uses this to evict and re-queue containers. *)
 
 val apply_plan : t -> Concretize.plan -> apply_stats
-(** Execute the binding intent: set targets, then move every server whose
-    current owner differs.  Unavailable servers keep the recorded target and
-    are picked up by a later solve once they return. *)
+(** Execute the binding intent: write targets, then move every planned
+    server.  The targets written are the moves' and, for every covered
+    server in the broker's stale set ({!Ras_broker.Broker.stale_servers}),
+    its current owner (a loan's home); no other server is visited, so the
+    cost is O(moves + stale).  Unavailable servers keep the recorded target
+    and are picked up by a later solve once they return.  The broker must
+    hold the owners the plan's snapshot froze, as it does when the apply
+    follows the solve: a server moved in between keeps the target its mover
+    wrote unless the plan moves it. *)
 
 val home_of : t -> int -> Ras_broker.Broker.owner option
 (** The lending overlay read off the broker: [Some Shared_buffer] for

@@ -17,6 +17,7 @@ type t = {
   region : Region.t;
   snapshot : Snapshot.t;
   owner_counts : (int, int) Hashtbl.t array;
+  covers : int -> bool;
 }
 
 type key = { kmsb : int; krack : int; khw : int; kuse : bool; kattr : int }
@@ -50,12 +51,13 @@ let count_owners snapshot classes =
       h)
     classes
 
-let finish snapshot classes =
+let finish snapshot classes covers =
   {
     classes;
     region = snapshot.Snapshot.region;
     snapshot;
     owner_counts = count_owners snapshot classes;
+    covers;
   }
 
 (* Streaming build: one pass over server ids reading the snapshot columns,
@@ -64,13 +66,14 @@ let finish snapshot classes =
    ascending for free and the filter runs exactly once per usable server. *)
 let build ?(rack_level = false) ?(include_server = fun _ -> true) (snapshot : Snapshot.t) =
   let n = Snapshot.num_servers snapshot in
+  let covers id = Snapshot.usable_at snapshot id && include_server id in
   let group_of_key : (key, int) Hashtbl.t = Hashtbl.create 256 in
   let keys : key list ref = ref [] in
   let num_groups = ref 0 in
   (* group index per server, -1 = excluded *)
   let group = Array.make n (-1) in
   for id = 0 to n - 1 do
-    if Snapshot.usable_at snapshot id && include_server id then begin
+    if covers id then begin
       let s = Snapshot.server snapshot id in
       let loc = s.Region.loc in
       let key =
@@ -116,7 +119,7 @@ let build ?(rack_level = false) ?(include_server = fun _ -> true) (snapshot : Sn
     Array.of_list
       (List.mapi (fun index key -> cls_of_key index key members.(index)) sorted_keys)
   in
-  finish snapshot classes
+  finish snapshot classes covers
 
 (* Stable identity of a class: every field of the grouping key, none of the
    dense index.  Used to name model variables and rows, so that the same

@@ -29,6 +29,9 @@ type t = {
   owner_counts : (int, int) Hashtbl.t array;
       (** per class index: histogram of member current-owner codes
           ({!Ras_broker.Broker.owner_code}), making {!current_count} O(1) *)
+  covers : int -> bool;
+      (** whether a server id is a member of some class: usable in the
+          snapshot and passing the build's [include_server].  O(1) *)
 }
 
 val build :

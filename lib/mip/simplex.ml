@@ -57,6 +57,10 @@ type state = {
   mutable degenerate_run : int;
   degen_limit : int;  (* consecutive degenerate pivots before Bland mode *)
   mutable iterations : int;
+  mutable infeasible : int;
+      (* basic variables outside their bounds by more than [feas_tol]: kept
+         by [apply_move] and [pivot], recounted by [recompute_basics] and
+         after the dual phase *)
   mutable dual_pivots : int;
   mutable bland_pivots : int;  (* pivots whose entering column Bland chose *)
   (* cached simplex multipliers y = c_B^T B^-1: recomputed by BTRAN in
@@ -187,6 +191,23 @@ let refactor st =
   st.dual_valid <- false;
   st.dvec_valid <- false
 
+let infeasibility_of st b =
+  let x = st.xval.(b) in
+  if x < st.lb.(b) -. feas_tol then st.lb.(b) -. x
+  else if x > st.ub.(b) +. feas_tol then x -. st.ub.(b)
+  else 0.0
+
+(* 1 when variable [b] violates a bound by more than [feas_tol], else 0. *)
+let violates st b = Bool.to_int (infeasibility_of st b > 0.0)
+
+(* Recount [st.infeasible] from scratch: one pass over the basic rows. *)
+let count_infeasible st =
+  let count = ref 0 in
+  for i = 0 to st.m - 1 do
+    count := !count + violates st st.basis.(i)
+  done;
+  st.infeasible <- !count
+
 let recompute_basics st =
   (* x_B = B^-1 (rhs - sum over nonbasic columns of A_j x_j) *)
   let r = Array.copy st.std.rhs in
@@ -199,24 +220,11 @@ let recompute_basics st =
   let vals = Basis.ftran_dense st.fac r in
   for i = 0 to st.m - 1 do
     st.xval.(st.basis.(i)) <- vals.(i)
-  done
+  done;
+  count_infeasible st
 
 (* -------------------------------------------------------------------- *)
 (* Pricing                                                               *)
-
-let infeasibility_of st b =
-  let x = st.xval.(b) in
-  if x < st.lb.(b) -. feas_tol then st.lb.(b) -. x
-  else if x > st.ub.(b) +. feas_tol then x -. st.ub.(b)
-  else 0.0
-
-(* How many basic variables violate a bound by more than [feas_tol]. *)
-let infeasible_rows st =
-  let count = ref 0 in
-  for i = 0 to st.m - 1 do
-    if infeasibility_of st st.basis.(i) > 0.0 then incr count
-  done;
-  !count
 
 (* Phase-1 cost of the basic variable in row [i]: the gradient of its bound
    violation.  Nonbasic columns always have zero phase-1 cost. *)
@@ -632,14 +640,18 @@ let set_cold st =
 let apply_move st (alpha : Basis.Svec.t) ~dir ~step j =
   if step <> 0.0 then begin
     st.xval.(j) <- st.xval.(j) +. (dir *. step);
+    let infeasible = ref st.infeasible in
     for u = 0 to alpha.Basis.Svec.n - 1 do
       let i = alpha.Basis.Svec.idx.(u) in
       let a = alpha.Basis.Svec.vals.(i) in
       if a <> 0.0 then begin
         let b = st.basis.(i) in
-        st.xval.(b) <- st.xval.(b) -. (a *. dir *. step)
+        let before = violates st b in
+        st.xval.(b) <- st.xval.(b) -. (a *. dir *. step);
+        infeasible := !infeasible + violates st b - before
       end
-    done
+    done;
+    st.infeasible <- !infeasible
   end
 
 (* Would this pivot's basic-variable movement change any phase-1 cost
@@ -688,6 +700,8 @@ let absorb_pivot st (alpha : Basis.Svec.t) ~row =
 
 let pivot st alpha ~row j ~bound =
   let leaving = st.basis.(row) in
+  (* the row's basic variable changes from [leaving] to [j] *)
+  st.infeasible <- st.infeasible - violates st leaving + violates st j;
   st.status.(leaving) <- bound;
   (* pin the leaving variable exactly on its bound to avoid drift *)
   (st.xval.(leaving) <-
@@ -895,6 +909,7 @@ let initial_state ?lb_override ?ub_override ?basis ?ws ~pricing ~degen_limit ~tr
       degenerate_run = 0;
       degen_limit;
       iterations = 0;
+      infeasible = 0;
       dual_pivots = 0;
       bland_pivots = 0;
       dual = take (fun p -> p.dual) m 0.0;
@@ -1160,9 +1175,10 @@ let solve ?(pricing = Devex) ?(degen_limit = 100) ?trace ?(backend = Basis.Lu) ?
        of dual pivots restores optimality — the branch-and-bound child
        restart pattern.  Cold starts and dual-infeasible bases skip
        straight to the primal phases. *)
-    if warmed then begin
-      let infeas0 = infeasible_rows st in
-      if infeas0 > 0 && dual_feasible_now st then dual_phase st ~max_iters
+    if warmed && st.infeasible > 0 && dual_feasible_now st then begin
+      dual_phase st ~max_iters;
+      (* the dual phase moves basic values outside [apply_move] *)
+      count_infeasible st
     end;
     let result = ref None in
     while !result = None && st.iterations < max_iters do
@@ -1171,7 +1187,7 @@ let solve ?(pricing = Devex) ?(degen_limit = 100) ?trace ?(backend = Basis.Lu) ?
         (try refactor st with Basis.Singular -> ());
         recompute_basics st
       end;
-      let infeas_count = infeasible_rows st in
+      let infeas_count = st.infeasible in
       let phase1 = infeas_count > 0 in
       match choose_entering st ~phase1 with
       | None ->
@@ -1181,8 +1197,8 @@ let solve ?(pricing = Devex) ?(degen_limit = 100) ?trace ?(backend = Basis.Lu) ?
             match refactor st with
             | () ->
               recompute_basics st;
-              let recount = infeasible_rows st in
-              if recount > 0 then result := Some (Infeasible { infeasibility = recount })
+              if st.infeasible > 0 then
+                result := Some (Infeasible { infeasibility = st.infeasible })
             | exception Basis.Singular ->
               result := Some (Infeasible { infeasibility = infeas_count })
           end
@@ -1346,7 +1362,5 @@ let solve ?(pricing = Devex) ?(degen_limit = 100) ?trace ?(backend = Basis.Lu) ?
     done;
     match !result with
     | Some r -> r
-    | None ->
-      let infeas_count = infeasible_rows st in
-      Iteration_limit { feasible = infeas_count = 0; obj = objective_value st }
+    | None -> Iteration_limit { feasible = st.infeasible = 0; obj = objective_value st }
   end

@@ -45,7 +45,8 @@ dune exec bench/main.exe -- --quick fig9
 if [ "${RAS_SCALE_TESTS:-full}" = "full" ]; then
   # the scale sweep must compile the identical model at servers_per_rack
   # 1 / 5 / 48, and the disaggregation round trip at 10^6 servers must pick
-  # the oracle's targets and moves (column walk and merge)
+  # the oracle's moves (class walk and merge) and leave its target column
+  # after the apply
   echo "== region-scale sweep at 10^6 servers (RAS_SCALE_TESTS=full) =="
   RAS_SCALE_TESTS=full dune exec test/test_main.exe -- test region_scale
   # the O(n)->O(classes) event-path pins only bite at this preset:

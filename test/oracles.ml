@@ -11,9 +11,11 @@
    - The symmetry-class build, which Ras.Symmetry streams over the
      snapshot columns (test_region_scale.ml, test_properties.ml).
    - Disaggregation: Ras.Concretize and Async_solver's phase-2 selection
-     and merge, which now run over one owner-code column, as they first
-     shipped over per-class tables, a server-keyed target table and sorted
-     lists (test_properties.ml, test_region_scale.ml, test_core.ml).
+     and merge, which now emit only the moves and skip the classes that do
+     not change, as they first shipped over per-class tables, a
+     server-keyed target table with a target for every covered server and
+     sorted lists; and the apply step that wrote every one of those
+     targets (test_properties.ml, test_region_scale.ml, test_core.ml).
    - The primal heuristic: Ras.Formulation's rounding and repair passes,
      which now share one count array by pair, as they first shipped over
      Hashtbls keyed by (class, reservation) (test_core.ml,
@@ -419,15 +421,41 @@ let build_reference ?(rack_level = false) ?(include_server = fun _ -> true)
         h)
       classes
   in
-  { Symmetry.classes; region = snapshot.Snapshot.region; snapshot; owner_counts }
+  let members = Hashtbl.create 1024 in
+  Array.iter
+    (fun (c : Symmetry.cls) -> Array.iter (fun id -> Hashtbl.replace members id ()) c.Symmetry.members)
+    classes;
+  {
+    Symmetry.classes;
+    region = snapshot.Snapshot.region;
+    snapshot;
+    owner_counts;
+    covers = Hashtbl.mem members;
+  }
 
 (* ---------- disaggregation: the table-and-list implementation ---------- *)
 
+(* A plan as disaggregation first stated it: the moves, and a target for
+   every server the solve covered, both ascending id. *)
+type full_plan = { moves : Concretize.move list; targets : (int * Broker.owner) list }
+
+(* [plan] makes the reference's moves and writes the moves' targets. *)
+let plan_matches (plan : Concretize.plan) (reference : full_plan) =
+  plan.Concretize.moves = reference.moves
+  && plan.Concretize.targets
+     = List.map (fun m -> (m.Concretize.server, m.Concretize.to_)) reference.moves
+
+(* The broker's target column after the first apply step wrote every
+   target of [plan] over [before], the column as the apply found it. *)
+let apply_reference before (plan : full_plan) =
+  let after = Array.copy before in
+  List.iter (fun (id, owner) -> after.(id) <- Broker.owner_code owner) plan.targets;
+  after
+
 (* [Concretize.plan] before the owner-code column: per class a [Hashtbl] of
    kept members, a [List.filter] per quota and a polymorphic sort of the
-   surplus.  The column walk must give the same targets and moves. *)
-let concretize_reference (f : Formulation.t) (assignment : Formulation.assignment) :
-    Concretize.plan =
+   surplus.  The class walk must give the same moves. *)
+let concretize_reference (f : Formulation.t) (assignment : Formulation.assignment) : full_plan =
   let snapshot = f.Formulation.symmetry.Symmetry.snapshot in
   let current id = Snapshot.current snapshot id in
   (* per class: quotas per owner *)
@@ -511,8 +539,7 @@ let concretize_reference (f : Formulation.t) (assignment : Formulation.assignmen
         members)
     f.Formulation.symmetry.Symmetry.classes;
   {
-    Concretize.moves =
-      List.sort (fun a b -> compare a.Concretize.server b.Concretize.server) !moves;
+    moves = List.sort (fun a b -> compare a.Concretize.server b.Concretize.server) !moves;
     targets = List.sort compare !targets;
   }
 
@@ -556,7 +583,7 @@ type merge = {
   overflows : float list;  (** phase-1 rack overflow per snapshot reservation *)
   selected : int list;  (** phase-2 reservation ids, in the order phase 2 got them *)
   phase2_snapshot : Snapshot.t option;  (** what phase 2 solved from, when it ran *)
-  plan : Concretize.plan;
+  plan : full_plan;
 }
 
 (* Everything [Async_solver.solve] did after each phase before the column,
@@ -573,8 +600,8 @@ let merge_reference (stats : Async_solver.stats) =
     concretize_reference f (Formulation.decode f p.Phases.solution)
   in
   let targets = Hashtbl.create 1024 in
-  let overwrite (plan : Concretize.plan) =
-    List.iter (fun (id, owner) -> Hashtbl.replace targets id owner) plan.Concretize.targets
+  let overwrite (plan : full_plan) =
+    List.iter (fun (id, owner) -> Hashtbl.replace targets id owner) plan.targets
   in
   overwrite (concretize p1);
   let overflows = List.map (rack_overflow_reference snapshot targets) reservations in
@@ -633,8 +660,7 @@ let merge_reference (stats : Async_solver.stats) =
     targets;
   let plan =
     {
-      Concretize.moves =
-        List.sort (fun a b -> compare a.Concretize.server b.Concretize.server) !moves;
+      moves = List.sort (fun a b -> compare a.Concretize.server b.Concretize.server) !moves;
       targets = List.sort compare !target_list;
     }
   in

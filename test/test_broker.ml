@@ -102,8 +102,53 @@ let test_extend_rejects_shrink () =
     (Invalid_argument "Broker.extend_region: new region is smaller") (fun () ->
       Broker.extend_region b tiny)
 
+(* The stale set against a scan of both owner columns, after every write
+   of a seeded churn long enough to fill and compact the log many times:
+   moves (loans among them), target writes, and a region extension. *)
+let test_stale_servers_match_scan () =
+  let region = Generator.generate Generator.small_params in
+  let b = Broker.create region in
+  let rng = Ras_stats.Rng.create 3 in
+  let owner () =
+    match Ras_stats.Rng.int rng 4 with
+    | 0 -> Broker.Free
+    | 1 -> Broker.Shared_buffer
+    | 2 -> Broker.Elastic (Ras_stats.Rng.int rng 2)
+    | _ -> Broker.Reservation (Ras_stats.Rng.int rng 3)
+  in
+  let home id =
+    let c = Broker.current_code b id in
+    if Broker.is_elastic_code c then Broker.owner_code Broker.Shared_buffer else c
+  in
+  let scan () =
+    List.filter
+      (fun id -> Broker.target_code b id <> home id)
+      (List.init (Broker.num_servers b) Fun.id)
+  in
+  let most = ref 0 in
+  for step = 1 to 4000 do
+    if step = 2000 then
+      Broker.extend_region b
+        (Generator.extend region ~new_msbs_per_dc:1 ~racks_per_msb:2 ~servers_per_rack:3 ~seed:9);
+    let id = Ras_stats.Rng.int rng (Broker.num_servers b) in
+    (match Ras_stats.Rng.int rng 2 with
+    | 0 -> Broker.move b id (owner ())
+    | _ ->
+      (* targets are never loans *)
+      let rec target () = match owner () with Broker.Elastic _ -> target () | o -> o in
+      Broker.set_target b id (target ()));
+    if step mod 97 = 0 || step > 3900 then begin
+      let want = scan () in
+      most := max !most (List.length want);
+      Alcotest.(check (list int)) (Printf.sprintf "step %d" step) want
+        (List.sort compare (Broker.stale_servers b))
+    end
+  done;
+  Alcotest.(check bool) (Printf.sprintf "the log overflowed (%d stale)" !most) true (!most > 64)
+
 let suite =
   [
+    Alcotest.test_case "stale servers match a scan" `Quick test_stale_servers_match_scan;
     Alcotest.test_case "initial state" `Quick test_initial_state;
     Alcotest.test_case "record bounds" `Quick test_record_bounds;
     Alcotest.test_case "move resets in_use" `Quick test_move_resets_in_use;

@@ -58,6 +58,13 @@ let heuristic_seed (snap : Snapshot.t) =
    requests, with rack goals on requests of 5 RRU or more so that phase 2
    runs: the snapshot the round solves, its heuristic seed and its
    statistics. *)
+(* Words allocated on both heaps.  The minor count comes from
+   [Gc.minor_words]: OCaml 5.1's [Gc.counters] leaves out what the minor
+   heap holds since its last collection. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
 type medium_round = {
   snap : Snapshot.t;
   seed : Ras_mip.Branch_bound.outcome;
@@ -323,11 +330,11 @@ let test_snapshot_frozen_view () =
     && (not (Broker.available_at broker 3))
     && Broker.healthy_at broker 2 && Broker.in_use_at broker 7);
   (* capture is O(1): no per-server words with no write in between *)
-  let words () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
+  let words = allocated_words in
   ignore (Snapshot.take broker []);
+  (* from an empty minor heap, a promotion inside the window only moves
+     words allocated inside it *)
+  Gc.minor ();
   let w0 = words () in
   let a = Snapshot.take broker [] in
   let b = Snapshot.take broker [] in
@@ -666,15 +673,16 @@ let test_concretize_stability_and_cover () =
   let assignment = Formulation.decode f sq in
   let plan = Concretize.plan f assignment in
   Alcotest.(check int) "status quo has no moves" 0 (List.length plan.Concretize.moves);
-  (* targets cover every usable classed server *)
+  Alcotest.(check int) "and no target writes" 0 (List.length plan.Concretize.targets);
+  (* the plan covers every usable classed server and nothing else *)
   let sym = f.Formulation.symmetry in
-  Alcotest.(check int) "targets cover classes"
+  let covered = List.filter plan.Concretize.covers (List.init (Snapshot.num_servers snap) Fun.id) in
+  Alcotest.(check int) "covers the classes"
     (Array.fold_left (fun acc c -> acc + Symmetry.size c) 0 sym.Symmetry.classes)
-    (List.length plan.Concretize.targets);
+    (List.length covered);
   List.iter
-    (fun (id, _) ->
-      Alcotest.(check bool) "target ids usable" true (Snapshot.usable_at snap id))
-    plan.Concretize.targets
+    (fun id -> Alcotest.(check bool) "covered ids usable" true (Snapshot.usable_at snap id))
+    covered
 
 let test_concretize_counts_respected () =
   let f, _ = formulation_fixture () in
@@ -685,9 +693,14 @@ let test_concretize_counts_respected () =
     let assignment = Formulation.decode f sol in
     let plan = Concretize.plan f assignment in
     (* per (class, reservation) the number of targeted servers equals the
-       decoded count *)
+       decoded count; a server the plan does not move keeps its owner *)
+    let snapshot = f.Formulation.symmetry.Symmetry.snapshot in
     let target_of = Hashtbl.create 256 in
-    List.iter (fun (id, o) -> Hashtbl.replace target_of id o) plan.Concretize.targets;
+    Array.iter
+      (fun (c : Symmetry.cls) ->
+        Array.iter (fun id -> Hashtbl.replace target_of id (Snapshot.current snapshot id)) c.Symmetry.members)
+      f.Formulation.symmetry.Symmetry.classes;
+    List.iter (fun m -> Hashtbl.replace target_of m.Concretize.server m.Concretize.to_) plan.Concretize.moves;
     List.iter
       (fun ((c : Symmetry.cls), (res : Reservation.t), count) ->
         let owner =
@@ -907,13 +920,14 @@ let test_mover_apply_plan_counts () =
     }
   in
   let ids = [ 0; 1; 2; 3 ] in
-  let targets = List.map (fun id -> (id, Broker.Free)) ids in
-  let stats = Online_mover.apply_plan mover { Concretize.moves = List.map move ids; targets } in
-  Alcotest.(check (list int)) "in use / unused / skipped" [ 1; 2; 1 ]
+  let plan = Concretize.of_moves ~covers:(fun _ -> false) (List.map move ids) in
+  let stats = Online_mover.apply_plan mover plan in
+  Alcotest.(check (list int)) "in use / unused / skipped / target writes" [ 1; 2; 1; 4 ]
     [
       stats.Online_mover.moved_in_use;
       stats.Online_mover.moved_unused;
       stats.Online_mover.skipped_unavailable;
+      stats.Online_mover.target_writes;
     ];
   Alcotest.(check (list bool)) "moved servers are free, the skipped one is not"
     [ true; true; true; false ]
@@ -1504,7 +1518,9 @@ let test_system_installs_prices () =
    differ from the round's.  Every round's rack overflows, phase-2
    selection, phase-2 snapshot and merged plan must be the ones the
    table-and-list oracle rebuilds from the round's phase results. *)
-let system_merge_matches_reference ~servers_per_rack ~rounds =
+(* The medium preset's layout at [servers_per_rack] under the medium
+   workload, rack goals on the larger requests, no tree search. *)
+let rack_goal_system ~servers_per_rack =
   let region =
     Generator.generate
       {
@@ -1533,29 +1549,54 @@ let system_merge_matches_reference ~servers_per_rack ~rounds =
   in
   let sys = System.create ~config broker in
   List.iter (System.add_request sys) requests;
+  (broker, sys, config.System.solver)
+
+let target_column broker = Array.init (Broker.num_servers broker) (Broker.target_code broker)
+
+(* After an apply that found the target column [before], the broker's
+   targets are the ones the reference apply of [reference] writes. *)
+let check_targets label broker before (reference : Oracles.full_plan) =
+  Alcotest.(check bool) (label ^ ": target column after apply") true
+    (target_column broker = Oracles.apply_reference before reference)
+
+let elastic_servers broker =
+  List.filter
+    (fun id -> Broker.is_elastic_code (Broker.current_code broker id))
+    (List.init (Broker.num_servers broker) Fun.id)
+
+let system_merge_matches_reference ~servers_per_rack ~rounds =
+  let broker, sys, _ = rack_goal_system ~servers_per_rack in
   let rng = Ras_stats.Rng.create 7 in
-  let phase2_rounds = ref 0 in
+  let phase2_rounds = ref 0 and lent_rounds = ref 0 in
   for round = 1 to rounds do
     for _ = 1 to 10 do
       let id = Ras_stats.Rng.int rng (Broker.num_servers broker) in
       Broker.mark_down broker id Unavail.Unplanned_hw
     done;
+    (* intent the broker holds but the owners do not yet follow: some of
+       these servers are down, so the round does not cover them *)
+    for _ = 1 to 10 do
+      Broker.set_target broker (Ras_stats.Rng.int rng (Broker.num_servers broker)) Broker.Free
+    done;
+    if elastic_servers broker <> [] then incr lent_rounds;
+    let before = target_column broker in
     let stats = System.solve_now sys in
     let reference = Oracles.merge_reference stats in
     let label what = Printf.sprintf "round %d: %s" round what in
     check_status_quo (label "after failures") stats;
+    check_targets (label "merged plan") broker before reference.Oracles.plan;
     let p1 = stats.Async_solver.phase1 in
     let f1 = p1.Phases.formulation in
     let snapshot = f1.Formulation.symmetry.Symmetry.snapshot in
-    let column = Array.make (Snapshot.num_servers snapshot) (-1) in
-    Concretize.write_targets f1 (Formulation.decode f1 p1.Phases.solution) column;
     (* the sums run in id order, not the oracle's hash order *)
     let worst =
       List.fold_left2
         (fun acc got want ->
           Float.max acc (Float.abs (got -. want) /. Float.max 1.0 (Float.abs want)))
         0.0
-        (Async_solver.rack_overflows snapshot column snapshot.Snapshot.reservations)
+        (Async_solver.rack_overflows snapshot ~covers:f1.Formulation.symmetry.Symmetry.covers
+           (Concretize.moves_of f1 (Formulation.decode f1 p1.Phases.solution))
+           snapshot.Snapshot.reservations)
         reference.Oracles.overflows
     in
     Alcotest.(check bool)
@@ -1579,12 +1620,169 @@ let system_merge_matches_reference ~servers_per_rack ~rounds =
     | None, None -> ()
     | Some _, None | None, Some _ -> Alcotest.fail (label "phase 2 ran on one side only"));
     Alcotest.(check bool) (label "merged plan") true
-      (stats.Async_solver.plan = reference.Oracles.plan);
+      (Oracles.plan_matches stats.Async_solver.plan reference.Oracles.plan);
     System.run sys ~until_h:(float_of_int round)
   done;
   Alcotest.(check bool)
     (Printf.sprintf "phase 2 fired (%d of %d rounds)" !phase2_rounds rounds)
-    true (!phase2_rounds >= 1)
+    true (!phase2_rounds >= 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "servers on loan (%d of %d rounds)" !lent_rounds rounds)
+    true (!lent_rounds >= 1)
+
+(* The simplex keeps its count of infeasible basic rows by pivot instead
+   of rescanning every row each iteration; a count that drifts from the
+   scan changes which phase an iteration prices in, and with it the pivot
+   sequence.  The medium round's phase-1 root LP, cold and from the crash
+   basis at the status quo, and a 40-node tree search over it, whose warm
+   restarts run the dual phase, must take the pivots the scanning simplex
+   took. *)
+let test_root_lp_pivots_pinned () =
+  let lazy { round; _ } = medium_round in
+  let p1 = round.Async_solver.phase1 in
+  let std = p1.Phases.compiled in
+  let solve label want basis =
+    match Simplex.solve ?basis std with
+    | Simplex.Optimal { iterations; obj; _ } ->
+      Alcotest.(check int) (label ^ " pivots") want iterations;
+      obj
+    | _ -> Alcotest.failf "%s: root LP not optimal" label
+  in
+  let cold = solve "cold" 1403 None in
+  let crash =
+    solve "crash" 309 (Some (Simplex.crash std (Formulation.status_quo p1.Phases.formulation)))
+  in
+  Alcotest.(check (float 1e-6)) "same objective" cold crash;
+  (* a tree search's warm restarts run the dual phase *)
+  let out =
+    Ras_mip.Branch_bound.solve
+      ~options:
+        { Ras_mip.Branch_bound.default_options with node_limit = 40; time_limit = 600.0 }
+      std
+  in
+  Alcotest.(check (list int)) "tree search: nodes, node-LP pivots, dual pivots" [ 40; 1612; 131 ]
+    [
+      out.Ras_mip.Branch_bound.nodes;
+      out.Ras_mip.Branch_bound.lp_iterations;
+      out.Ras_mip.Branch_bound.dual_pivots;
+    ]
+
+(* Merge and apply allocate O(classes + quotas + moves), not O(servers):
+   a round on the medium layout at 8 and at 48 servers per rack, counted
+   from the decoded phase results to the applied plan. *)
+let test_merge_apply_words () =
+  List.iter
+    (fun servers_per_rack ->
+      let broker, sys, params = rack_goal_system ~servers_per_rack in
+      ignore (System.solve_now sys);
+      let rng = Ras_stats.Rng.create 5 in
+      for _ = 1 to 20 do
+        Broker.mark_down broker (Ras_stats.Rng.int rng (Broker.num_servers broker)) Unavail.Unplanned_hw
+      done;
+      let snapshot = System.snapshot sys in
+      let stats = Async_solver.solve ~params snapshot in
+      let decoded (p : Phases.result) =
+        (p.Phases.formulation, Formulation.decode p.Phases.formulation p.Phases.solution)
+      in
+      let f1, a1 = decoded stats.Async_solver.phase1 in
+      let phase2 = Option.map decoded stats.Async_solver.phase2 in
+      (* the first write after the snapshot copies the frozen columns: pay
+         it outside the window *)
+      Broker.set_in_use broker 0 (not (Broker.in_use_at broker 0));
+      Broker.set_in_use broker 0 (not (Broker.in_use_at broker 0));
+      Gc.minor ();
+      let w0 = allocated_words () in
+      let moves1 = Concretize.moves_of f1 a1 in
+      let moves =
+        match phase2 with
+        | Some (f2, a2) -> Concretize.merge snapshot ~phase1:moves1 ~phase2:(Concretize.moves_of f2 a2)
+        | None -> moves1
+      in
+      let plan = Concretize.of_moves ~covers:f1.Formulation.symmetry.Symmetry.covers moves in
+      let apply = Online_mover.apply_plan (System.mover sys) plan in
+      let words = allocated_words () -. w0 in
+      let classes, quotas =
+        List.fold_left
+          (fun (c, q) (f, (a : Formulation.assignment)) ->
+            (c + Symmetry.num_classes f.Formulation.symmetry, q + List.length a.Formulation.counts))
+          (0, 0)
+          ((f1, a1) :: Option.to_list phase2)
+      in
+      let moved = List.length moves1 + List.length moves + apply.Online_mover.target_writes in
+      (* a per-server word, 5,184 of them at 48 servers per rack, fails it *)
+      let bound = (64 * classes) + (8 * quotas) + (32 * moved) + 1024 in
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "%d servers: %.0f words for %d classes, %d quotas, %d moves, %d target writes (bound %d)"
+           (Broker.num_servers broker) words classes quotas (List.length moves)
+           apply.Online_mover.target_writes bound)
+        true
+        (words <= float_of_int bound))
+    [ 8; 48 ]
+
+(* A planned move whose server goes down before the apply is skipped and
+   leaves a stale target; once the server heals, the next round covers it
+   and the apply resets it.  That round runs under an [include_server]
+   filter, with stale targets on covered and on filtered-out servers and
+   shared-buffer servers on loan.  Moves and the target column after each
+   apply are the oracle's. *)
+let test_apply_matches_reference () =
+  let broker, sys, params = rack_goal_system ~servers_per_rack:8 in
+  ignore (System.solve_now sys);
+  let mover = System.mover sys in
+  let rng = Ras_stats.Rng.create 5 in
+  for _ = 1 to 10 do
+    Broker.mark_down broker (Ras_stats.Rng.int rng (Broker.num_servers broker)) Unavail.Unplanned_hw
+  done;
+  let round label ?include_server ~before_apply () =
+    let stats = Async_solver.solve ~params ?include_server (System.snapshot sys) in
+    let reference = Oracles.merge_reference stats in
+    let plan = stats.Async_solver.plan in
+    Alcotest.(check bool) (label ^ ": moves") true (Oracles.plan_matches plan reference.Oracles.plan);
+    before_apply plan;
+    let before = target_column broker in
+    let apply = Online_mover.apply_plan mover plan in
+    check_targets label broker before reference.Oracles.plan;
+    (plan, apply)
+  in
+  (* a correlated failure: the mover leaves it to the next round *)
+  let skipped = ref (-1) in
+  let _, apply =
+    round "a down server skips its move"
+      ~before_apply:(fun plan ->
+        match plan.Concretize.moves with
+        | m :: _ ->
+          skipped := m.Concretize.server;
+          Broker.mark_down broker !skipped Unavail.Correlated
+        | [] -> Alcotest.fail "the round after failures moves nothing")
+      ()
+  in
+  Alcotest.(check int) "one move skipped" 1 apply.Online_mover.skipped_unavailable;
+  Alcotest.(check bool) "its target is stale" true (List.mem !skipped (Broker.stale_servers broker));
+  Broker.mark_up broker !skipped;
+  ignore (Online_mover.lend_idle mover ~elastic_id:9000 ~max_servers:max_int);
+  Alcotest.(check bool) "servers on loan" true (elastic_servers broker <> []);
+  let filtered id = id mod 5 = 0 && id <> !skipped in
+  let stale_filtered = ref [] in
+  for id = 0 to Broker.num_servers broker - 1 do
+    if id mod 37 = 0 && Broker.current_code broker id <> Broker.owner_code Broker.Free then begin
+      Broker.set_target broker id Broker.Free;
+      if filtered id then stale_filtered := id :: !stale_filtered
+    end
+  done;
+  Alcotest.(check bool) "stale targets on filtered-out servers" true (!stale_filtered <> []);
+  let plan, apply =
+    round "healed, under a filter"
+      ~include_server:(fun id -> not (filtered id))
+      ~before_apply:(fun _ -> ())
+      ()
+  in
+  Alcotest.(check bool) "the healed server is covered" true (plan.Concretize.covers !skipped);
+  Alcotest.(check int) "nothing skipped" 0 apply.Online_mover.skipped_unavailable;
+  Alcotest.(check (list int)) "only uncovered servers stay stale" []
+    (List.filter plan.Concretize.covers (Broker.stale_servers broker));
+  Alcotest.(check bool) "filtered-out stale targets kept" true
+    (List.for_all (fun id -> List.mem id (Broker.stale_servers broker)) !stale_filtered)
 
 let test_system_merge_matches_reference () =
   (* the medium preset itself: 864 servers *)
@@ -1684,6 +1882,10 @@ let suite =
     Alcotest.test_case "system memory bounded over rounds" `Quick test_system_memory_bounded;
     Alcotest.test_case "system merge matches the oracle over rounds" `Slow
       test_system_merge_matches_reference;
+    Alcotest.test_case "apply matches the oracle: stale, lent, filtered" `Quick
+      test_apply_matches_reference;
+    Alcotest.test_case "merge and apply allocate O(moves)" `Quick test_merge_apply_words;
+    Alcotest.test_case "root LP pivots pinned" `Quick test_root_lp_pivots_pinned;
     Alcotest.test_case "snapshot unknown id" `Quick test_snapshot_unknown_id;
     Alcotest.test_case "solve include_server" `Quick test_solve_include_server;
     Alcotest.test_case "system removed allocator is deaf" `Quick

@@ -67,9 +67,14 @@ let prop_concretize_realizes_random_counts =
       let solution = Formulation.encode f count_of in
       let assignment = Formulation.decode f solution in
       let plan = Concretize.plan f assignment in
-      let target_of = Hashtbl.create 256 in
-      List.iter (fun (id, o) -> Hashtbl.replace target_of id o) plan.Concretize.targets;
       let snapshot = f.Formulation.symmetry.Symmetry.snapshot in
+      (* a member the plan does not move keeps its owner *)
+      let target_of = Hashtbl.create 256 in
+      Array.iter
+        (fun (c : Symmetry.cls) ->
+          Array.iter (fun id -> Hashtbl.replace target_of id (Snapshot.current snapshot id)) c.Symmetry.members)
+        f.Formulation.symmetry.Symmetry.classes;
+      List.iter (fun m -> Hashtbl.replace target_of m.Concretize.server m.Concretize.to_) plan.Concretize.moves;
       (* 1. realized counts match (buffer reservations pool per category, so
          check guaranteed ones exactly) *)
       let realized_ok =
@@ -109,9 +114,9 @@ let prop_concretize_realizes_random_counts =
             stayed = min n0 (count_of p))
           f.Formulation.pairs
       in
-      (* 3. the column walk picks the very servers the table-and-list
+      (* 3. the class walk picks the very servers the table-and-list
          implementation picked *)
-      realized_ok && movement_ok && plan = Oracles.concretize_reference f assignment)
+      realized_ok && movement_ok && Oracles.plan_matches plan (Oracles.concretize_reference f assignment))
 
 (* ---------- symmetry aggregation invariants ---------- *)
 
@@ -229,37 +234,43 @@ let prop_aggregation_invariants =
       let f = Formulation.build sym reservations in
       let assignment = Formulation.decode f (Formulation.status_quo f) in
       let plan = Concretize.plan f assignment in
-      let identity_ok =
-        plan.Concretize.moves = []
-        && List.for_all
-             (fun (id, o) -> Snapshot.current snapshot id = o)
-             plan.Concretize.targets
-      in
-      (* 6. on random counts the column walk gives the oracle's targets and
-         moves, and the one-pass rack overflows (every reservation given a
-         rack goal) agree with the per-reservation table passes *)
+      let identity_ok = plan.Concretize.moves = [] && plan.Concretize.targets = [] in
+      (* 6. on random counts the class walk gives the oracle's moves, and
+         the one-pass rack overflows over them (every reservation given a
+         rack goal) agree with the per-reservation passes over the
+         oracle's targets *)
       let assignment =
         Formulation.decode f (Formulation.encode f (random_counts (Ras_stats.Rng.create seed) f))
       in
       let plan = Concretize.plan f assignment in
-      let reference_ok = plan = Oracles.concretize_reference f assignment in
+      let reference = Oracles.concretize_reference f assignment in
+      let reference_ok = Oracles.plan_matches plan reference in
       let overflows_ok =
         let goals =
           List.map (fun r -> { r with Reservation.rack_spread_limit = Some 0.05 }) reservations
         in
-        let column = Array.make (Snapshot.num_servers snapshot) (-1) in
-        Concretize.write_targets f assignment column;
         let table = Hashtbl.create 64 in
-        List.iter (fun (id, o) -> Hashtbl.replace table id o) plan.Concretize.targets;
+        List.iter (fun (id, o) -> Hashtbl.replace table id o) reference.Oracles.targets;
         List.for_all2
           (fun got res ->
             let want = Oracles.rack_overflow_reference snapshot table res in
             Float.abs (got -. want) <= 1e-9 *. Float.max 1.0 (Float.abs want))
-          (Async_solver.rack_overflows snapshot column goals)
+          (Async_solver.rack_overflows snapshot ~covers:sym.Symmetry.covers plan.Concretize.moves
+             goals)
           goals
       in
+      (* 7. the build covers exactly its classes' members *)
+      let covers_ok =
+        let members = Hashtbl.create 64 in
+        Array.iter
+          (fun (c : Symmetry.cls) -> Array.iter (fun id -> Hashtbl.replace members id ()) c.Symmetry.members)
+          sym.Symmetry.classes;
+        List.for_all
+          (fun id -> sym.Symmetry.covers id = Hashtbl.mem members id)
+          (List.init (Snapshot.num_servers snapshot) Fun.id)
+      in
       matches_reference && counts_sum && representative_ok && capacity_ok && histogram_ok
-      && identity_ok && reference_ok && overflows_ok)
+      && identity_ok && reference_ok && overflows_ok && covers_ok)
 
 (* ---------- simplex under bad scaling ---------- *)
 

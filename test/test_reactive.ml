@@ -436,7 +436,7 @@ let test_loans_match_elastic_owners () =
           was_in_use = Broker.in_use_at broker id;
         }
       in
-      ignore (Online_mover.apply_plan mover { Concretize.moves = [ move ]; targets = [ (id, to_) ] })
+      ignore (Online_mover.apply_plan mover (Concretize.of_moves ~covers:(fun _ -> false) [ move ]))
     | _ -> ignore (Online_mover.revoke mover ~elastic_id:(9000 + Rng.int rng 2)));
     most_loans := max !most_loans (Online_mover.loans_outstanding mover)
   done;

@@ -12,8 +12,9 @@
      verdict/objective under every pricing rule and both kernel backends;
    - disaggregation: a class-level solution concretized to per-server
      targets and re-aggregated must encode back to a feasible vector with
-     the same objective, and the column walk and merge must pick the
-     targets and moves of the retained table-and-list oracle;
+     the same objective, and the class walk and merge must pick the moves
+     of the retained table-and-list oracle, and the apply leave its
+     target column;
    - heuristic: rounding and repair of the bring-up model's root-LP
      optimum must match the retained Hashtbl oracle bit for bit;
    - root LP: after failures, the crash basis at the status quo must halve
@@ -44,7 +45,7 @@ let params_at ~servers_per_rack =
    greedy fulfillment, scattered failures of every kind, and a sparse
    placement attribute, so symmetry sees non-trivial in_use/usable/attr
    columns. *)
-let scale_snapshot ?(churn = true) ~servers_per_rack () =
+let scale_broker ?(churn = true) ~servers_per_rack () =
   let region = Generator.generate (params_at ~servers_per_rack) in
   let broker = Broker.create region in
   let services =
@@ -81,7 +82,11 @@ let scale_snapshot ?(churn = true) ~servers_per_rack () =
      configuration — server ids shift with [servers_per_rack], so the scale
      sweep (churn = false) must stay attribute-free to remain invariant *)
   let attr_of = if churn then fun id -> if id mod 97 = 0 then 1 else 0 else fun _ -> 0 in
-  (Snapshot.take ~attr_of broker reservations, reservations)
+  (broker, Snapshot.take ~attr_of broker reservations, reservations)
+
+let scale_snapshot ?churn ~servers_per_rack () =
+  let _, snapshot, reservations = scale_broker ?churn ~servers_per_rack () in
+  (snapshot, reservations)
 
 (* The continuous loop's first rounds on the region-scale preset at
    [servers_per_rack], through [System] with the heuristic solver: the
@@ -214,7 +219,13 @@ let test_solves_agree_across_rules_and_kernels () =
 (* ---------- disaggregation round trip ---------- *)
 
 let round_trip ~servers_per_rack =
-  let snapshot, _ = scale_snapshot ~servers_per_rack () in
+  let broker, _, reservations = scale_broker ~servers_per_rack () in
+  (* stale targets: intent the owners do not follow yet, on covered servers
+     and on down ones the round does not cover *)
+  for id = 0 to Broker.num_servers broker - 1 do
+    if id mod 997 = 0 then Broker.set_target broker id Broker.Shared_buffer
+  done;
+  let snapshot = Snapshot.take broker reservations in
   let stats =
     Async_solver.solve
       ~params:{ Async_solver.default_params with Async_solver.node_limit = 0 }
@@ -227,16 +238,28 @@ let round_trip ~servers_per_rack =
   let solution = result.Phases.solution in
   Alcotest.(check bool) "solver solution is feasible" true
     (Model.check_solution std solution = Ok ());
-  (* class counts -> per-server assignment: the very servers, targets and
-     moves the table-and-list oracle picks, and the same merged plan *)
+  (* class counts -> per-server assignment: the very moves the
+     table-and-list oracle picks, the same merged plan, and after the
+     apply the target column the oracle's apply of every target writes *)
   let assignment = Formulation.decode f solution in
   let plan = Concretize.plan f assignment in
-  Alcotest.(check bool) "concretize matches the oracle" true
-    (plan = Oracles.concretize_reference f assignment);
+  let reference = Oracles.concretize_reference f assignment in
+  Alcotest.(check bool) "concretize matches the oracle" true (Oracles.plan_matches plan reference);
+  let merged = (Oracles.merge_reference stats).Oracles.plan in
   Alcotest.(check bool) "merged plan matches the oracle" true
-    (stats.Async_solver.plan = (Oracles.merge_reference stats).Oracles.plan);
+    (Oracles.plan_matches stats.Async_solver.plan merged);
+  let before = Test_core.target_column broker in
+  let mover = Online_mover.create broker in
+  let apply = Online_mover.apply_plan mover stats.Async_solver.plan in
+  Test_core.check_targets "round trip" broker before merged;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d target writes for %d moves and %d servers" apply.Online_mover.target_writes
+       (List.length stats.Async_solver.plan.Concretize.moves) (Broker.num_servers broker))
+    true
+    (apply.Online_mover.target_writes
+    <= List.length stats.Async_solver.plan.Concretize.moves + (Broker.num_servers broker / 997) + 1);
   let target_of = Hashtbl.create 4096 in
-  List.iter (fun (id, o) -> Hashtbl.replace target_of id o) plan.Concretize.targets;
+  List.iter (fun (id, o) -> Hashtbl.replace target_of id o) reference.Oracles.targets;
   (* re-aggregate the per-server assignment back into per-pair counts.
      Guaranteed reservations own their targets directly; buffer reservations
      pool [Shared_buffer] servers per hardware category, and every class has
