@@ -5,16 +5,14 @@
      figures (7, 8, 10, 11): simplex LP solve, symmetry grouping,
      formulation build, model compile, and a full phase-1 solve.
    - Direct wall-clock benchmarks of the LP/MIP hot path on the Table-1
-     scenario sizes: LP pivots/sec under full-Dantzig vs Devex pricing,
-     under the dense-inverse vs LU+eta basis backends and under the
-     hypersparse vs dense-oracle kernels, one LU refactorization of the
-     root basis, the root LP of a post-failure round started cold and
-     from the crash basis at the status quo, that round's merge + apply
-     (the moves it makes and the targets it writes), LP rounding + repair
-     of the root-LP optimum, and
+     scenario sizes: LP pivots/sec and FTRAN/BTRAN result density of the
+     cold root LP, one LU refactorization of the root basis, the root LP
+     of a post-failure round started cold and from the crash basis at the
+     status quo, that round's merge + apply (the moves it makes and the
+     targets it writes), LP rounding + repair of the root-LP optimum, and
      branch-and-bound nodes/sec with warm dual-simplex restarts on the
-     factorized basis.  Each pair prints its speedup and
-     agreement; nothing is asserted.
+     factorized basis.  Each pair prints its speedup and agreement;
+     nothing is asserted.
    - The tier-1 restore path and a demand change's window (snapshot +
      admission, and the column copy the next broker write pays) on the
      medium and 10^6-server presets.
@@ -111,127 +109,40 @@ let scenario_formulation preset =
 let size_of (std : Model.std) = Printf.sprintf "nvars=%d nrows=%d" std.Model.nvars std.Model.nrows
 
 (* ---------------------------------------------------------------- *)
-(* LP kernel: pivots/sec under the two pricing schemes               *)
+(* LP kernel: pivots/sec of the cold root LP                         *)
 
-let lp_kernel ~label ~repeats ?(with_dense = true) (std : Model.std) =
+let lp_kernel ~label ~repeats (std : Model.std) =
   let ws = Simplex.create_workspace () in
-  let run pricing backend =
-    let t0 = Unix.gettimeofday () in
-    let iters = ref 0 in
-    let status = ref "?" and obj = ref nan in
-    let ks = ref { Simplex.avg_ftran_nnz = 0.0; avg_btran_nnz = 0.0 } in
-    for _ = 1 to repeats do
-      match Simplex.solve ~pricing ~backend ~ws std with
-      | Simplex.Optimal { iterations; obj = o; kstats; _ } ->
-        iters := !iters + iterations;
-        obj := o;
-        ks := kstats;
-        status := "optimal"
-      | Simplex.Infeasible _ -> status := "infeasible"
-      | Simplex.Unbounded -> status := "unbounded"
-      | Simplex.Iteration_limit _ -> status := "iteration-limit"
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    (dt, !iters, !status, !obj, !ks)
-  in
-  let rates = Hashtbl.create 4 and objs = Hashtbl.create 4 in
-  let pivots = Hashtbl.create 4 and walls = Hashtbl.create 4 in
-  List.iter
-    (fun (mode, pricing, backend) ->
-      let dt, iters, status, obj, ks = run pricing backend in
-      let name = Printf.sprintf "lp-%s-%s" label mode in
-      let rate = float_of_int iters /. dt in
-      Hashtbl.replace rates mode rate;
-      Hashtbl.replace objs mode obj;
-      Hashtbl.replace pivots mode iters;
-      Hashtbl.replace walls mode dt;
-      Report.row
-        "%-34s %8.3fs  %6d pivots  %9.0f pivots/s  %6.1f LP/s  ftran %.1f / btran %.1f nnz  [%s]\n"
-        name dt iters rate
-        (float_of_int repeats /. dt)
-        ks.Simplex.avg_ftran_nnz ks.Simplex.avg_btran_nnz status;
-      record ~kernel:name ~size:(size_of std) ~wall_s:dt
-        [
-          ("pivots", string_of_int iters);
-          ("pivots_per_sec", flt rate);
-          ("lps_per_sec", flt (float_of_int repeats /. dt));
-          ("avg_ftran_nnz", flt ks.Simplex.avg_ftran_nnz);
-          ("avg_btran_nnz", flt ks.Simplex.avg_btran_nnz);
-        ])
-    ([
-       ("dantzig-pricing", Simplex.Dantzig, Ras_mip.Basis.Lu);
-       ("devex-pricing", Simplex.Devex, Ras_mip.Basis.Lu);
-     ]
-    @ (if with_dense then [ ("dense-inverse", Simplex.Devex, Ras_mip.Basis.Dense) ] else [])
-    @ [ ("dense-oracle-kernels", Simplex.Devex, Ras_mip.Basis.Lu_full_scan) ]);
-  (* sparse-vs-dense kernels: same pricing, same LU factors — only the
-     triangular-solve traversal differs, so the pivot counts must be
-     identical (the differential pin) and the speedup is pure kernel
-     win. *)
-  let sp_wall = Hashtbl.find walls "devex-pricing" in
-  let dk_wall = Hashtbl.find walls "dense-oracle-kernels" in
-  let sp_piv = Hashtbl.find pivots "devex-pricing" in
-  let dk_piv = Hashtbl.find pivots "dense-oracle-kernels" in
-  let sp_obj = Hashtbl.find objs "devex-pricing" in
-  let dk_obj = Hashtbl.find objs "dense-oracle-kernels" in
-  let kernels_obj_agree =
-    (Float.is_nan sp_obj && Float.is_nan dk_obj)
-    || Float.abs (sp_obj -. dk_obj) <= 1e-9 *. Float.max 1.0 (Float.abs dk_obj)
-  in
-  Report.row "%-34s %.2fx wall speedup, pivots equal: %b, objectives agree: %b\n"
-    (Printf.sprintf "lp-%s sparse-vs-dense-kernels" label)
-    (dk_wall /. sp_wall) (sp_piv = dk_piv) kernels_obj_agree;
-  record
-    ~kernel:(Printf.sprintf "lp-%s-sparse-vs-dense-kernels" label)
-    ~size:(size_of std) ~wall_s:0.0
+  let t0 = Unix.gettimeofday () in
+  let iters = ref 0 in
+  let status = ref "?" in
+  let ks = ref { Simplex.avg_ftran_nnz = 0.0; avg_btran_nnz = 0.0 } in
+  for _ = 1 to repeats do
+    match Simplex.solve ~ws std with
+    | Simplex.Optimal { iterations; kstats; _ } ->
+      iters := !iters + iterations;
+      ks := kstats;
+      status := "optimal"
+    | Simplex.Infeasible _ -> status := "infeasible"
+    | Simplex.Unbounded -> status := "unbounded"
+    | Simplex.Iteration_limit _ -> status := "iteration-limit"
+  done;
+  let dt = Unix.gettimeofday () -. t0 in
+  let iters = !iters and ks = !ks in
+  let name = Printf.sprintf "lp-%s-devex-pricing" label in
+  let rate = float_of_int iters /. dt in
+  Report.row
+    "%-34s %8.3fs  %6d pivots  %9.0f pivots/s  %6.1f LP/s  ftran %.1f / btran %.1f nnz  [%s]\n"
+    name dt iters rate
+    (float_of_int repeats /. dt)
+    ks.Simplex.avg_ftran_nnz ks.Simplex.avg_btran_nnz !status;
+  record ~kernel:name ~size:(size_of std) ~wall_s:dt
     [
-      ("wall_speedup", flt (dk_wall /. sp_wall));
-      ("pivots_equal", string_of_bool (sp_piv = dk_piv));
-      ("objectives_agree", string_of_bool kernels_obj_agree);
-      ("sparse_pivots", string_of_int sp_piv);
-      ("dense_oracle_pivots", string_of_int dk_piv);
-    ];
-  (* eta-vs-dense: same pricing scheme, the basis backend is the only
-     difference.  The dense inverse refactorizes in O(m^3), so this variant
-     only runs where [with_dense] allows it. *)
-  if with_dense then begin
-    let lu_rate = Hashtbl.find rates "devex-pricing" in
-    let dn_rate = Hashtbl.find rates "dense-inverse" in
-    let lu_obj = Hashtbl.find objs "devex-pricing" in
-    let dn_obj = Hashtbl.find objs "dense-inverse" in
-    let obj_agree =
-      (Float.is_nan lu_obj && Float.is_nan dn_obj)
-      || Float.abs (lu_obj -. dn_obj) <= 1e-4 *. Float.max 1.0 (Float.abs dn_obj)
-    in
-    Report.row "%-34s %.2fx pivots/s speedup, objectives agree: %b\n"
-      (Printf.sprintf "lp-%s eta-vs-dense" label)
-      (lu_rate /. dn_rate) obj_agree;
-    record
-      ~kernel:(Printf.sprintf "lp-%s-eta-vs-dense" label)
-      ~size:(size_of std) ~wall_s:0.0
-      [
-        ("pivots_per_sec_ratio", flt (lu_rate /. dn_rate));
-        ("objectives_agree", string_of_bool obj_agree);
-      ]
-  end;
-  (* pricing-rule comparison on the same (LU) backend: total pivot counts,
-     not just rates, so iteration-count claims live in the JSON.  A
-     pivots(devex)/pivots(dantzig) ratio < 1 means Devex saved pivots. *)
-  let zp = Hashtbl.find pivots "dantzig-pricing" in
-  let dp = Hashtbl.find pivots "devex-pricing" in
-  let ratio = float_of_int dp /. float_of_int (max 1 zp) in
-  Report.row "%-34s pivots dantzig=%d devex=%d (devex/dantzig %.3f)\n"
-    (Printf.sprintf "lp-%s pricing-rules" label)
-    zp dp ratio;
-  record
-    ~kernel:(Printf.sprintf "lp-%s-devex-vs-dantzig" label)
-    ~size:(size_of std) ~wall_s:0.0
-    [
-      ("dantzig_pivots", string_of_int zp);
-      ("devex_pivots", string_of_int dp);
-      ("pivot_ratio_devex_over_dantzig", flt ratio);
-      ( "pivots_per_sec_ratio_devex_over_dantzig",
-        flt (Hashtbl.find rates "devex-pricing" /. Hashtbl.find rates "dantzig-pricing") );
+      ("pivots", string_of_int iters);
+      ("pivots_per_sec", flt rate);
+      ("lps_per_sec", flt (float_of_int repeats /. dt));
+      ("avg_ftran_nnz", flt ks.Simplex.avg_ftran_nnz);
+      ("avg_btran_nnz", flt ks.Simplex.avg_btran_nnz);
     ]
 
 (* ---------------------------------------------------------------- *)
@@ -254,7 +165,7 @@ let lu_refactor_kernel ~label ~repeats (std : Model.std) =
         0 wcols
     in
     let per_lp = match wfac with Some f -> Basis.refactor_count f | None -> 0 in
-    let t = Basis.create Basis.Lu ~m in
+    let t = Basis.create ~m in
     let times =
       Array.init repeats (fun _ ->
           let t0 = Unix.gettimeofday () in
@@ -699,9 +610,7 @@ let run_micro () =
 (* Preset rows: one record per scenario size drives every kernel      *)
 (* section below, so a new size inherits the same knob structure      *)
 (* instead of a copy-pasted block per kernel.  A zero                 *)
-(* repeats/limit/events skips that kernel for the row; [with_dense]   *)
-(* gates the O(m^3) dense-inverse baselines, intractable at the       *)
-(* region-scale row's model size.                                     *)
+(* repeats/limit/events skips that kernel for the row.               *)
 
 type preset_row = {
   label : string;
@@ -709,7 +618,6 @@ type preset_row = {
   lp_repeats : int;
   bb_node_limit : int;
   bb_time_limit : float;
-  with_dense : bool;
   reactive_events : int;  (* tier-1 restore events; 0 skips the kernel *)
   lu_refactors : int;  (* timed root-basis refactorizations; 0 skips *)
   heuristic_repeats : int;  (* timed round_lp + repair calls; 0 skips *)
@@ -728,7 +636,6 @@ let preset_rows () =
       lp_repeats = Scenarios.scaled 8;
       bb_node_limit = Scenarios.scaled 120;
       bb_time_limit = 60.0;
-      with_dense = true;
       reactive_events = 0;
       lu_refactors = 0;
       heuristic_repeats = 0;
@@ -742,7 +649,6 @@ let preset_rows () =
       lp_repeats = 2;
       bb_node_limit = (if !Scenarios.quick then 24 else 60);
       bb_time_limit = 120.0;
-      with_dense = true;
       reactive_events = (if !Scenarios.quick then 20 else 60);
       lu_refactors = 31;
       heuristic_repeats = (if !Scenarios.quick then 5 else 15);
@@ -752,15 +658,13 @@ let preset_rows () =
     };
     (* the north-star row: the 10^6-server preset.  Symmetry aggregation
        keeps the compiled model within ~2x of medium, so every enabled
-       kernel runs in the same regime — only the dense O(m^3) baselines
-       are gated off. *)
+       kernel runs in the same regime. *)
     {
       label = "large";
       preset = Scenarios.Region_scale;
       lp_repeats = (if !Scenarios.quick then 1 else 2);
       bb_node_limit = (if !Scenarios.quick then 8 else 40);
       bb_time_limit = 120.0;
-      with_dense = false;
       reactive_events = (if !Scenarios.quick then 10 else 25);
       lu_refactors = 31;
       heuristic_repeats = (if !Scenarios.quick then 3 else 7);
@@ -774,17 +678,14 @@ let run () =
   json_entries := [];
   Report.heading "Solver kernel benchmarks"
     ~paper:"(methodology) wall-clock kernels behind Figs. 7/8/10/11 and Table 1"
-    ~expect:"Devex fewer pivots than Dantzig; sparse kernels no slower than the dense oracle";
+    ~expect:"hypersparse LP kernels: FTRAN/BTRAN results far below the row count";
   Report.row "-- bechamel micro-benchmarks --\n";
   run_micro ();
   let rows = List.map (fun r -> (r, lazy (scenario_formulation r.preset))) (preset_rows ()) in
   let std row = snd (Lazy.force row) in
-  Report.row "-- LP pricing (Table-1 scenario sizes) --\n";
+  Report.row "-- LP root solve (Table-1 scenario sizes) --\n";
   List.iter
-    (fun (r, row) ->
-      if r.lp_repeats > 0 then
-        lp_kernel ~label:r.label ~repeats:r.lp_repeats ~with_dense:r.with_dense
-          (std row))
+    (fun (r, row) -> if r.lp_repeats > 0 then lp_kernel ~label:r.label ~repeats:r.lp_repeats (std row))
     rows;
   Report.row "-- LU refactorization (root basis) --\n";
   List.iter

@@ -80,7 +80,6 @@ let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
     else begin
       let options =
         {
-          Branch_bound.default_options with
           Branch_bound.time_limit = mip_time_limit;
           node_limit = mip_node_limit;
           gap_rel = mip_gap_rel;

@@ -1,19 +1,12 @@
-(* Factorized simplex basis.  Two representations behind one interface:
-
-   - Lu: sparse LU, extended between refactorizations by a product-form
-     eta file.  A refactorization reads B once into compressed columns and
-     rows, pivots column singletons in O(nnz) — simplex bases are nearly
-     triangular, so this takes most steps — and runs Markowitz pivoting
-     (threshold partial pivoting for stability, minimum fill-in cost for
-     sparsity) only on the nucleus left over.  The factors are flat
-     compressed arrays, written without per-step allocation.  All solves
-     run through the triangular factors and the etas, touching factor
-     nonzeros only.
-   - Lu_full_scan: the same factors, with every triangular pass run over
-     all steps instead of a reachability traversal — the oracle that pins
-     the traversal code.
-   - Dense: the dense Gauss-Jordan basis inverse the solver originally
-     maintained, kept verbatim as the differential-testing oracle.
+(* Factorized simplex basis: sparse LU, extended between refactorizations
+   by a product-form eta file.  A refactorization reads B once into
+   compressed columns and rows, pivots column singletons in O(nnz) —
+   simplex bases are nearly triangular, so this takes most steps — and runs
+   Markowitz pivoting (threshold partial pivoting for stability, minimum
+   fill-in cost for sparsity) only on the nucleus left over.  The factors
+   are flat compressed arrays, written without per-step allocation.  All
+   solves run through the triangular factors and the etas, touching factor
+   nonzeros only.
 
    Index conventions (shared with Simplex): the basis matrix B is m x m with
    rows = constraint rows and column i = constraint column basis.(i) (a
@@ -21,13 +14,11 @@
    position-indexed; BTRAN is the reverse. *)
 
 (* Each of the four triangular passes (L, U, Uᵀ, Lᵀ) is one loop over an
-   ascending list of elimination steps.  [Lu] lists the steps reachable
-   from the right-hand side's nonzeros through the factor patterns;
-   [Lu_full_scan] lists every step, as do the dense solves.  The entries a
-   reach skips are structural zeros, so both kinds perform bit-identical
-   floating-point operations on every reachable entry and are
-   differentially comparable pivot-for-pivot. *)
-type kind = Dense | Lu | Lu_full_scan
+   ascending list of elimination steps.  The sparse solves list the steps
+   reachable from the right-hand side's nonzeros through the factor
+   patterns; the dense solves list every step.  The entries a reach skips
+   are structural zeros, so both perform bit-identical floating-point
+   operations on every reachable entry. *)
 
 (* Sparse vector: a packed, ascending index list over a dense value scratch
    (zero outside the pattern).  The solve results below are returned in
@@ -83,16 +74,10 @@ type lu = {
   mutable neta : int;
 }
 
-type dense = { mutable inv : float array array; nzbuf : int array }
-
-type repr = Dense_r of dense | Lu_r of lu
-
 type t = {
   m : int;
-  knd : kind;
-  mutable repr : repr;
+  mutable lu : lu;
   mutable updates : int;
-  update_limit : int;
   mutable err : float;
   mutable refactors : int;
   (* solve scratch owned by the factorization: the two svec results (FTRAN
@@ -115,12 +100,9 @@ type t = {
   mutable btran_nnz : int;
 }
 
-(* Update-chain budgets: the dense rank-one update is cheap and accurate
-   enough to run for a long time (the historical refactor-every-300-pivots
-   policy); the eta file also costs one pass per solve, so it is kept
-   short. *)
-let dense_update_limit = 300
-let lu_update_limit = 48
+(* Update-chain budget: every eta costs one pass per solve, so the file is
+   kept short. *)
+let update_limit = 48
 
 (* Accumulated-error threshold: each accepted pivot contributes an estimate
    proportional to its growth factor; crossing this forces refactorization
@@ -131,9 +113,6 @@ let err_limit = 1e-8
    a relative test against the largest entry of the FTRAN'd column. *)
 let pivot_abs_min = 1e-9
 let pivot_rel_min = 1e-7
-
-let identity_dense m =
-  Array.init m (fun i -> Array.init m (fun k -> if i = k then 1.0 else 0.0))
 
 let identity_lu m =
   let empty = { ptr = Array.make (m + 1) 0; idx = [||] } in
@@ -154,17 +133,11 @@ let identity_lu m =
     neta = 0;
   }
 
-let create knd ~m =
+let create ~m =
   {
     m;
-    knd;
-    repr =
-      (match knd with
-      | Dense -> Dense_r { inv = identity_dense m; nzbuf = Array.make m 0 }
-      | Lu | Lu_full_scan -> Lu_r (identity_lu m));
+    lu = identity_lu m;
     updates = 0;
-    update_limit =
-      (match knd with Dense -> dense_update_limit | Lu | Lu_full_scan -> lu_update_limit);
     err = 0.0;
     refactors = 0;
     sf = Svec.make m;
@@ -181,7 +154,6 @@ let create knd ~m =
     btran_nnz = 0;
   }
 
-let kind t = t.knd
 let dim t = t.m
 
 type solve_stats = {
@@ -208,24 +180,19 @@ let reset_stats (t : t) =
 let updates_since_refactor t = t.updates
 let refactor_count t = t.refactors
 
-let pivot_order t =
-  match t.repr with
-  | Lu_r lu -> (Array.copy lu.rperm, Array.copy lu.cperm)
-  | Dense_r _ -> invalid_arg "Basis.pivot_order: dense backend"
+let pivot_order t = (Array.copy t.lu.rperm, Array.copy t.lu.cperm)
 
-let should_refactorize t = t.updates >= t.update_limit || t.err > err_limit
+let should_refactorize t = t.updates >= update_limit || t.err > err_limit
 
 let set_identity t =
-  (match t.repr with
-  | Dense_r d -> d.inv <- identity_dense t.m
-  | Lu_r _ -> t.repr <- Lu_r (identity_lu t.m));
+  t.lu <- identity_lu t.m;
   t.updates <- 0;
   t.err <- 0.0
 
-let copy_as t knd =
+let copy t =
+  let lu = t.lu in
   {
     t with
-    knd;
     (* solve scratch and counters are per-holder, never shared *)
     sf = Svec.make t.m;
     sb = Svec.make t.m;
@@ -239,106 +206,18 @@ let copy_as t knd =
     ftran_nnz = 0;
     btran_calls = 0;
     btran_nnz = 0;
-    repr =
-      (match t.repr with
-      | Dense_r d -> Dense_r { inv = Array.map Array.copy d.inv; nzbuf = Array.make t.m 0 }
-      | Lu_r lu ->
-        Lu_r
-          {
-            lu with
-            rperm = Array.copy lu.rperm;
-            rpos = Array.copy lu.rpos;
-            cperm = Array.copy lu.cperm;
-            cpos = Array.copy lu.cpos;
-            etas = Array.sub lu.etas 0 lu.neta;
-            (* factor bodies (lcol .. utr) are immutable after
-               factorization, so sharing them between copies is safe *)
-          });
+    lu =
+      {
+        lu with
+        rperm = Array.copy lu.rperm;
+        rpos = Array.copy lu.rpos;
+        cperm = Array.copy lu.cperm;
+        cpos = Array.copy lu.cpos;
+        etas = Array.sub lu.etas 0 lu.neta;
+        (* factor bodies (lcol .. utr) are immutable after factorization,
+           so sharing them between copies is safe *)
+      };
   }
-
-(* Both LU kinds hold the same factors, so one adopts the other's; only
-   the Gauss-Jordan inverse is a different representation. *)
-let adopt t knd =
-  match (t.knd, knd) with
-  | (Lu | Lu_full_scan), (Lu | Lu_full_scan) | Dense, Dense -> Some (copy_as t knd)
-  | Dense, (Lu | Lu_full_scan) | (Lu | Lu_full_scan), Dense -> None
-
-(* ------------------------------------------------------------------ *)
-(* Dense backend: Gauss-Jordan refactorization and rank-one updates    *)
-
-let dense_refactorize m ~basis ~col =
-  let b = Array.make_matrix m m 0.0 in
-  for i = 0 to m - 1 do
-    col basis.(i) (fun r c -> b.(r).(i) <- c)
-  done;
-  let inv = Array.init m (fun i -> Array.init m (fun k -> if i = k then 1.0 else 0.0)) in
-  for c = 0 to m - 1 do
-    let best = ref c in
-    for r = c + 1 to m - 1 do
-      if Float.abs b.(r).(c) > Float.abs b.(!best).(c) then best := r
-    done;
-    if Float.abs b.(!best).(c) < 1e-12 then raise Singular;
-    if !best <> c then begin
-      let tmp = b.(c) in
-      b.(c) <- b.(!best);
-      b.(!best) <- tmp;
-      let tmp = inv.(c) in
-      inv.(c) <- inv.(!best);
-      inv.(!best) <- tmp
-    end;
-    let piv = b.(c).(c) in
-    for k = 0 to m - 1 do
-      b.(c).(k) <- b.(c).(k) /. piv;
-      inv.(c).(k) <- inv.(c).(k) /. piv
-    done;
-    for r = 0 to m - 1 do
-      if r <> c then begin
-        let f = b.(r).(c) in
-        if f <> 0.0 then
-          for k = 0 to m - 1 do
-            b.(r).(k) <- b.(r).(k) -. (f *. b.(c).(k));
-            inv.(r).(k) <- inv.(r).(k) -. (f *. inv.(c).(k))
-          done
-      end
-    done
-  done;
-  inv
-
-(* Rank-one update of the explicit inverse through the nonzero pattern of
-   the scaled pivot row (sparse whenever the basis is near an identity, the
-   common warm-start case). *)
-let dense_update m d ~alpha ~row =
-  let piv = alpha.(row) in
-  let brow = d.inv.(row) in
-  let nz = d.nzbuf in
-  let nnz = ref 0 in
-  for k = 0 to m - 1 do
-    let v = brow.(k) in
-    if v <> 0.0 then begin
-      brow.(k) <- v /. piv;
-      nz.(!nnz) <- k;
-      incr nnz
-    end
-  done;
-  let nnz = !nnz in
-  let sparse_row = 2 * nnz < m in
-  for i = 0 to m - 1 do
-    if i <> row then begin
-      let f = alpha.(i) in
-      if f <> 0.0 then begin
-        let bi = d.inv.(i) in
-        if sparse_row then
-          for u = 0 to nnz - 1 do
-            let k = nz.(u) in
-            bi.(k) <- bi.(k) -. (f *. brow.(k))
-          done
-        else
-          for k = 0 to m - 1 do
-            bi.(k) <- bi.(k) -. (f *. brow.(k))
-          done
-      end
-    end
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Sparse LU factorization: column singletons, then Markowitz          *)
@@ -866,11 +745,7 @@ let lu_refactorize m ~basis ~col =
 
 let refactorize t ~basis ~col =
   (* build first, install second: a Singular raise leaves [t] unchanged *)
-  (match t.knd with
-  | Dense ->
-    let inv = dense_refactorize t.m ~basis ~col in
-    (match t.repr with Dense_r d -> d.inv <- inv | Lu_r _ -> assert false)
-  | Lu | Lu_full_scan -> t.repr <- Lu_r (lu_refactorize t.m ~basis ~col));
+  t.lu <- lu_refactorize t.m ~basis ~col;
   t.updates <- 0;
   t.err <- 0.0;
   t.refactors <- t.refactors + 1
@@ -964,15 +839,11 @@ let all_steps t =
   done;
   t.m
 
-(* The ascending step list of one triangular pass, left in [t.wzi]: under
-   [Lu] the reach over [succ] of the [nseed] seeds on [t.wstk]; every step
-   under [Lu_full_scan] or once that reach passes [hyper_cap].  Returns the
-   list's length. *)
+(* The ascending step list of one triangular pass, left in [t.wzi]: the
+   reach over [succ] of the [nseed] seeds on [t.wstk], or every step once
+   that reach passes [hyper_cap].  Returns the list's length. *)
 let reach_steps t succ nseed =
-  let n =
-    if t.knd = Lu then drain_reach succ t.wmark t.wstamp t.wstk nseed t.wzi (hyper_cap t.m)
-    else -1
-  in
+  let n = drain_reach succ t.wmark t.wstamp t.wstk nseed t.wzi (hyper_cap t.m) in
   if n < 0 then all_steps t
   else begin
     qsort_ints t.wzi 0 (n - 1);
@@ -1214,50 +1085,26 @@ let apply_etas_t_sparse t lu (sv : Svec.t) =
    step workspace and their own arrays, never through the svecs [sf]/[sb]:
    a caller may still hold the last sparse FTRAN or BTRAN across them. *)
 let ftran_dense t b =
-  match t.repr with
-  | Dense_r d ->
-    let out = Array.make t.m 0.0 in
-    for i = 0 to t.m - 1 do
-      let bi = d.inv.(i) in
-      let acc = ref 0.0 in
-      for k = 0 to t.m - 1 do
-        acc := !acc +. (bi.(k) *. b.(k))
-      done;
-      out.(i) <- !acc
-    done;
-    out
-  | Lu_r lu ->
-    let x = Array.copy b in
-    let n = all_steps t in
-    l_forward t lu x n;
-    u_backward t lu n;
-    scatter_steps t lu.cperm x;
-    apply_etas lu x;
-    x
+  let lu = t.lu in
+  let x = Array.copy b in
+  let n = all_steps t in
+  l_forward t lu x n;
+  u_backward t lu n;
+  scatter_steps t lu.cperm x;
+  apply_etas lu x;
+  x
 
 let btran_dense_into t c y =
-  match t.repr with
-  | Dense_r d ->
-    Array.fill y 0 t.m 0.0;
-    for i = 0 to t.m - 1 do
-      let ci = c.(i) in
-      if ci <> 0.0 then begin
-        let bi = d.inv.(i) in
-        for k = 0 to t.m - 1 do
-          y.(k) <- y.(k) +. (ci *. bi.(k))
-        done
-      end
-    done
-  | Lu_r lu ->
-    Array.blit c 0 y 0 t.m;
-    apply_etas_t lu y;
-    for k = 0 to t.m - 1 do
-      t.wz.(k) <- y.(lu.cperm.(k))
-    done;
-    let n = all_steps t in
-    ut_forward t lu n;
-    lt_backward t lu n;
-    scatter_steps t lu.rperm y
+  let lu = t.lu in
+  Array.blit c 0 y 0 t.m;
+  apply_etas_t lu y;
+  for k = 0 to t.m - 1 do
+    t.wz.(k) <- y.(lu.cperm.(k))
+  done;
+  let n = all_steps t in
+  ut_forward t lu n;
+  lt_backward t lu n;
+  scatter_steps t lu.rperm y
 
 (* ------------------------------------------------------------------ *)
 (* Sparse-result solves (the simplex hot path)                         *)
@@ -1266,41 +1113,22 @@ let btran_dense_into t c y =
    Result in [t]'s FTRAN svec: valid until the next ftran_*_sparse on
    [t]. *)
 let ftran_col_sparse t (rows : int array) (coefs : float array) ~off ~len =
-  let sv = t.sf in
+  let sv = t.sf and lu = t.lu in
   Svec.clear sv;
-  (match t.repr with
-  | Dense_r d ->
-    (* dense-inverse oracle: row-times-column products, compacted *)
-    let vals = sv.Svec.vals and idx = sv.Svec.idx in
-    let n = ref 0 in
-    for i = 0 to t.m - 1 do
-      let bi = d.inv.(i) in
-      let acc = ref 0.0 in
-      for k = 0 to len - 1 do
-        acc := !acc +. (bi.(rows.(off + k)) *. coefs.(off + k))
-      done;
-      if !acc <> 0.0 then begin
-        vals.(i) <- !acc;
-        idx.(!n) <- i;
-        incr n
-      end
-    done;
-    sv.Svec.n <- !n
-  | Lu_r lu ->
-    let vals = sv.Svec.vals in
-    t.wstamp <- t.wstamp + 1;
-    let nseed = ref 0 in
-    for k = 0 to len - 1 do
-      let r = rows.(off + k) in
-      vals.(r) <- vals.(r) +. coefs.(off + k);
-      nseed := push_seed t lu.rpos.(r) !nseed
-    done;
-    let n = reach_steps t lu.lsteps !nseed in
-    l_forward t lu vals n;
-    let n = next_steps t lu.utr n in
-    u_backward t lu n;
-    emit_steps t lu.cperm n sv;
-    apply_etas_sparse t lu sv);
+  let vals = sv.Svec.vals in
+  t.wstamp <- t.wstamp + 1;
+  let nseed = ref 0 in
+  for k = 0 to len - 1 do
+    let r = rows.(off + k) in
+    vals.(r) <- vals.(r) +. coefs.(off + k);
+    nseed := push_seed t lu.rpos.(r) !nseed
+  done;
+  let n = reach_steps t lu.lsteps !nseed in
+  l_forward t lu vals n;
+  let n = next_steps t lu.utr n in
+  u_backward t lu n;
+  emit_steps t lu.cperm n sv;
+  apply_etas_sparse t lu sv;
   t.ftran_calls <- t.ftran_calls + 1;
   t.ftran_nnz <- t.ftran_nnz + sv.Svec.n;
   sv
@@ -1315,44 +1143,29 @@ let ftran_unit_sparse t r =
    Result in [t]'s BTRAN svec: valid until the next btran_unit_sparse on
    [t], and in particular across an interleaved FTRAN. *)
 let btran_unit_sparse t r =
-  let sv = t.sb in
+  let sv = t.sb and lu = t.lu in
   Svec.clear sv;
-  (match t.repr with
-  | Dense_r d ->
-    let vals = sv.Svec.vals and idx = sv.Svec.idx in
-    let bi = d.inv.(r) in
-    let n = ref 0 in
-    for k = 0 to t.m - 1 do
-      let v = bi.(k) in
-      if v <> 0.0 then begin
-        vals.(k) <- v;
-        idx.(!n) <- k;
-        incr n
-      end
-    done;
-    sv.Svec.n <- !n
-  | Lu_r lu ->
-    let vals = sv.Svec.vals in
-    vals.(r) <- 1.0;
-    sv.Svec.idx.(0) <- r;
-    sv.Svec.n <- 1;
-    apply_etas_t_sparse t lu sv;
-    (* move the position-indexed pattern into the step workspace *)
-    t.wstamp <- t.wstamp + 1;
-    let nseed = ref 0 in
-    for u = 0 to sv.Svec.n - 1 do
-      let p = sv.Svec.idx.(u) in
-      let k = lu.cpos.(p) in
-      t.wz.(k) <- vals.(p);
-      vals.(p) <- 0.0;
-      nseed := push_seed t k !nseed
-    done;
-    sv.Svec.n <- 0;
-    let n = reach_steps t lu.urow !nseed in
-    ut_forward t lu n;
-    let n = next_steps t lu.ltr n in
-    lt_backward t lu n;
-    emit_steps t lu.rperm n sv);
+  let vals = sv.Svec.vals in
+  vals.(r) <- 1.0;
+  sv.Svec.idx.(0) <- r;
+  sv.Svec.n <- 1;
+  apply_etas_t_sparse t lu sv;
+  (* move the position-indexed pattern into the step workspace *)
+  t.wstamp <- t.wstamp + 1;
+  let nseed = ref 0 in
+  for u = 0 to sv.Svec.n - 1 do
+    let p = sv.Svec.idx.(u) in
+    let k = lu.cpos.(p) in
+    t.wz.(k) <- vals.(p);
+    vals.(p) <- 0.0;
+    nseed := push_seed t k !nseed
+  done;
+  sv.Svec.n <- 0;
+  let n = reach_steps t lu.urow !nseed in
+  ut_forward t lu n;
+  let n = next_steps t lu.ltr n in
+  lt_backward t lu n;
+  emit_steps t lu.rperm n sv;
   t.btran_calls <- t.btran_calls + 1;
   t.btran_nnz <- t.btran_nnz + sv.Svec.n;
   sv
@@ -1363,8 +1176,7 @@ let btran_unit_sparse t r =
 (* Record the basis change that replaces the column in basis position [row]
    by the entering column whose FTRAN is [alpha].  The stability guards and
    the eta are derived from the pattern alone (svec patterns carry no exact
-   zeros).  The {!Dense} backend reads the svec's dense backing store
-   directly. *)
+   zeros). *)
 let update_sparse t ~(alpha : Svec.t) ~row =
   let piv = alpha.Svec.vals.(row) in
   let apiv = Float.abs piv in
@@ -1374,35 +1186,31 @@ let update_sparse t ~(alpha : Svec.t) ~row =
     if a > !amax then amax := a
   done;
   if apiv < pivot_abs_min || apiv < pivot_rel_min *. !amax then false
-  else if t.updates >= t.update_limit then false
+  else if t.updates >= update_limit then false
   else begin
-    (match t.repr with
-    | Dense_r d -> dense_update t.m d ~alpha:alpha.Svec.vals ~row
-    | Lu_r lu ->
-      let nnz = ref 0 in
-      for u = 0 to alpha.Svec.n - 1 do
-        if alpha.Svec.idx.(u) <> row then incr nnz
-      done;
-      let rs = Array.make !nnz 0 and vs = Array.make !nnz 0.0 in
-      let p = ref 0 in
-      for u = 0 to alpha.Svec.n - 1 do
-        let i = alpha.Svec.idx.(u) in
-        if i <> row then begin
-          rs.(!p) <- i;
-          vs.(!p) <- alpha.Svec.vals.(i);
-          incr p
-        end
-      done;
-      if lu.neta = Array.length lu.etas then begin
-        let cap = Stdlib.max 8 (2 * lu.neta) in
-        let bigger =
-          Array.make cap { er = 0; epiv = 1.0; erows = [||]; evals = [||] }
-        in
-        Array.blit lu.etas 0 bigger 0 lu.neta;
-        lu.etas <- bigger
-      end;
-      lu.etas.(lu.neta) <- { er = row; epiv = piv; erows = rs; evals = vs };
-      lu.neta <- lu.neta + 1);
+    let lu = t.lu in
+    let nnz = ref 0 in
+    for u = 0 to alpha.Svec.n - 1 do
+      if alpha.Svec.idx.(u) <> row then incr nnz
+    done;
+    let rs = Array.make !nnz 0 and vs = Array.make !nnz 0.0 in
+    let p = ref 0 in
+    for u = 0 to alpha.Svec.n - 1 do
+      let i = alpha.Svec.idx.(u) in
+      if i <> row then begin
+        rs.(!p) <- i;
+        vs.(!p) <- alpha.Svec.vals.(i);
+        incr p
+      end
+    done;
+    if lu.neta = Array.length lu.etas then begin
+      let cap = Stdlib.max 8 (2 * lu.neta) in
+      let bigger = Array.make cap { er = 0; epiv = 1.0; erows = [||]; evals = [||] } in
+      Array.blit lu.etas 0 bigger 0 lu.neta;
+      lu.etas <- bigger
+    end;
+    lu.etas.(lu.neta) <- { er = row; epiv = piv; erows = rs; evals = vs };
+    lu.neta <- lu.neta + 1;
     t.updates <- t.updates + 1;
     t.err <- t.err +. (1e-16 *. (!amax /. apiv));
     true

@@ -1,25 +1,22 @@
-(** Factorized simplex basis: FTRAN/BTRAN and rank-one updates behind one
-    interface, with interchangeable representations.
+(** Factorized simplex basis: FTRAN/BTRAN and rank-one updates over a
+    sparse LU factorization, computed with Markowitz pivoting at
+    refactorization time and extended by product-form eta updates after
+    each simplex pivot.  FTRAN/BTRAN run through the triangular factors and
+    the eta file in O(nnz) instead of O(m²), and refactorization rebuilds
+    the factors in O(nnz) for the column singletons plus roughly
+    O(n log n + nnz·fill) for the n-column nucleus left after them, instead
+    of the O(m³) dense elimination (see {!pivot_order}).
 
-    - {!Lu} (the production backend): a sparse LU factorization computed with
-      Markowitz pivoting at refactorization time, extended by product-form
-      eta updates after each simplex pivot.  FTRAN/BTRAN run through the
-      triangular factors and the eta file in O(nnz) instead of O(m²), and
-      refactorization rebuilds the factors in O(nnz) for the column
-      singletons plus roughly O(n log n + nnz·fill) for the n-column
-      nucleus left after them, instead of the O(m³) dense elimination (see
-      {!pivot_order}).
-    - {!Lu_full_scan} (the kernel reference): the {!Lu} factors with every
-      triangular solve run as a full scan (see {!kind}).
-    - {!Dense} (the reference backend): the explicitly maintained dense
-      Gauss–Jordan basis inverse the solver shipped with.  It is kept as the
-      differential-testing oracle (see [test/test_differential.ml]) and for
-      benchmarking the factorized path against
-      ([bench/kernels.ml] eta-vs-dense rows).
-
-    All representations answer the same queries, so {!Simplex} is written
-    against this module only and selects the representation through its
-    [backend] option.
+    The sparse solves ({!ftran_col_sparse}, {!btran_unit_sparse}) run as
+    graph traversals over the factor patterns (Gilbert–Peierls-style
+    reachability), touching only the steps reachable from the right-hand
+    side's nonzeros; a traversal whose reach densifies past a fraction of
+    the steps runs that pass, and the ones after it, over every step.  The
+    dense solves ({!ftran_dense}, {!btran_dense_into}) run every pass over
+    every step.  The entries a traversal skips are structural zeros, so on
+    the same factors a sparse solve's nonzeros equal the dense solve's bit
+    for bit, which the tests pin; their accuracy is checked by residuals
+    ‖B·x − b‖ and ‖Bᵀ·y − c‖ against B rebuilt from the basis columns.
 
     A basis is factorized as given: a singular one raises {!Singular},
     nothing repairs its rank, and a warm start that meets it falls back to
@@ -27,30 +24,13 @@
 
     A factorization goes stale in two ways, and {!update_sparse} /
     {!should_refactorize} encode the refactorization policy:
-    - the update chain grows past its budget (eta file length for {!Lu},
-      update count for {!Dense}), or the accumulated error estimate from
-      small pivots crosses a threshold — {!should_refactorize} turns true;
+    - the eta file grows past its budget, or the accumulated error estimate
+      from small pivots crosses a threshold — {!should_refactorize} turns
+      true;
     - a single proposed pivot element is too small to apply stably —
       {!update_sparse} refuses (returns [false]) without touching the
       factorization, and the caller must refactorize from the new basis
       instead of dividing by a near-zero. *)
-
-type kind =
-  | Dense
-  | Lu
-      (** Sparse solves run as graph traversals over the factor patterns
-          (Gilbert–Peierls-style reachability), touching only the steps
-          reachable from the right-hand side's nonzeros.  A traversal whose
-          reach densifies past a fraction of the steps runs that pass, and
-          the ones after it, over every step (the fully-dense-column worst
-          case) without changing any result. *)
-  | Lu_full_scan
-      (** The same factors as {!Lu}, with every sparse solve run as a full
-          scan over all elimination steps.  It performs bit-identical
-          floating-point operations on every reachable entry — the entries
-          a traversal skips are structural zeros — so a solve under either
-          LU kind takes the same pivot sequence, which is what the
-          sparse-vs-dense differential battery asserts. *)
 
 (** Sparse vector over a dense backing store: [idx.(0..n-1)] lists the
     nonzero positions in ascending order and [vals] is zero outside them.
@@ -63,17 +43,16 @@ end
 
 type t
 (** Mutable factorization state for one m×m basis.  Not thread-safe; copy
-    with {!adopt} to share across solves (branch-and-bound snapshot
+    with {!copy} to share across solves (branch-and-bound snapshot
     adoption). *)
 
 exception Singular
 (** Raised by {!refactorize} when the basis matrix is (numerically)
     singular.  The factorization is left unchanged. *)
 
-val create : kind -> m:int -> t
+val create : m:int -> t
 (** Fresh factorization of the m×m identity (the all-slack basis). *)
 
-val kind : t -> kind
 val dim : t -> int
 
 val set_identity : t -> unit
@@ -84,7 +63,7 @@ val refactorize :
 (** [refactorize t ~basis ~col] rebuilds the factorization from scratch for
     the matrix whose [i]-th column is column [basis.(i)] of the constraint
     matrix; [col j f] must call [f row coef] for every nonzero of column
-    [j].  Clears the eta file / update counter.  Raises {!Singular} (state
+    [j].  Clears the eta file.  Raises {!Singular} (state
     unchanged) when elimination cannot complete. *)
 
 val ftran_dense : t -> float array -> float array
@@ -104,8 +83,8 @@ val ftran_col_sparse : t -> int array -> float array -> off:int -> len:int -> Sv
 (** [ftran_col_sparse t ind val_ ~off ~len] returns B⁻¹a for the packed
     column slice a = [ind]/[val_].[off .. off+len-1] (the simplex entering
     column) as a sparse vector indexed by basis position (see {!Svec} for
-    the ownership rule).  Under {!Lu} the triangular passes visit only the
-    steps reachable from the column's nonzeros. *)
+    the ownership rule).  The triangular passes visit only the steps
+    reachable from the column's nonzeros. *)
 
 val ftran_unit_sparse : t -> int -> Svec.t
 (** {!ftran_col_sparse} on the unit column e_r (slack columns). *)
@@ -123,10 +102,8 @@ val update_sparse : t -> alpha:Svec.t -> row:int -> bool
     pivot element).  Returns [false] — leaving the factorization unchanged
     — when the pivot element is too small in absolute or relative terms to
     apply stably; the caller must then {!refactorize} from the updated
-    basis.  For the LU kinds a successful update appends one eta to the
-    product-form file, built from [alpha]'s pattern without scanning the
-    full column; for {!Dense} it performs the Gauss–Jordan rank-one update
-    of the inverse. *)
+    basis.  A successful update appends one eta to the product-form file,
+    built from [alpha]'s pattern without scanning the full column. *)
 
 type solve_stats = {
   ftran_calls : int;
@@ -141,9 +118,9 @@ val solve_stats : t -> solve_stats
 val reset_stats : t -> unit
 
 val should_refactorize : t -> bool
-(** The update chain has exhausted its budget (eta-file length, dense
-    update count) or the accumulated pivot-error estimate crossed its
-    threshold: the caller should refactorize at the next safe point. *)
+(** The eta file has exhausted its budget or the accumulated pivot-error
+    estimate crossed its threshold: the caller should refactorize at the
+    next safe point. *)
 
 val updates_since_refactor : t -> int
 
@@ -159,14 +136,9 @@ val pivot_order : t -> int array * int array
     Markowitz cost over the 4 active columns of smallest (count, index),
     read off an indexed count heap.  The order is the one rescans of all
     columns would give, which the oracle tests compare.  Fresh copies; the
-    identity for a fresh or {!set_identity} factorization.  Raises
-    [Invalid_argument] on the {!Dense} backend, which has no elimination
-    order. *)
+    identity for a fresh or {!set_identity} factorization. *)
 
-val adopt : t -> kind -> t option
-(** [adopt t kind] is a deep copy of [t] that solves as [kind], or [None]
-    when [t]'s representation cannot serve [kind]; the copy can be mutated
-    independently, and its solve scratch and {!solve_stats} counters start
-    fresh.  {!Lu} and {!Lu_full_scan} hold the same factors, so each adopts
-    the other's; {!Dense} adopts only {!Dense}.  This is how a warm start reuses a
-    donor solve's factorization. *)
+val copy : t -> t
+(** [copy t] is a deep copy of [t]: it can be mutated independently, and
+    its solve scratch and {!solve_stats} counters start fresh.  This is how
+    a warm start reuses a donor solve's factorization. *)

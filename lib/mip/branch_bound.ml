@@ -8,8 +8,6 @@ type options = {
   stall_node_limit : int;
   initial : float array option;
   root_basis : Simplex.warm_basis option;
-  lp_pricing : Simplex.pricing;
-  lp_backend : Basis.kind;
 }
 
 let default_options =
@@ -21,8 +19,6 @@ let default_options =
     stall_node_limit = 0;
     initial = None;
     root_basis = None;
-    lp_pricing = Simplex.Devex;
-    lp_backend = Basis.Lu;
   }
 
 (* Integrality tolerance on LP values. *)
@@ -202,8 +198,7 @@ let solve ?(options = default_options) (std : Model.std) =
     in
     (match basis with Some _ -> incr warm_nodes | None -> ());
     match
-      Simplex.solve ~pricing:options.lp_pricing ~backend:options.lp_backend ~ws:lp_ws ?basis
-        ~lb:node.nlb ~ub:node.nub std
+      Simplex.solve ~ws:lp_ws ?basis ~lb:node.nlb ~ub:node.nub std
     with
     | Simplex.Infeasible _ -> ()
     | Simplex.Unbounded -> unbounded := true

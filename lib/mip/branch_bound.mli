@@ -56,22 +56,13 @@ type options = {
           validates it and falls back to a cold root solve on any mismatch
           or a singular basis.  Child nodes are unaffected (they always
           warm-start from their parent). *)
-  lp_pricing : Simplex.pricing;
-      (** entering-variable rule for every node LP, forwarded to
-          {!Simplex.solve}'s [pricing] *)
-  lp_backend : Basis.kind;
-      (** basis representation for every node LP, forwarded to
-          {!Simplex.solve}'s [backend] ({!Basis.Lu} by default;
-          {!Basis.Dense} and {!Basis.Lu_full_scan} are the
-          differential-testing references) *)
 }
 
 val default_options : options
 (** [time_limit = infinity], [node_limit = 100_000], [gap_rel = 1e-9],
-    [gap_abs = 1e-6], no stall limit, no initial solution or root basis,
-    [lp_pricing = Simplex.Devex], [lp_backend = Basis.Lu].  The
-    integrality tolerance on LP values, which no caller varies, is fixed
-    at [1e-6]. *)
+    [gap_abs = 1e-6], no stall limit, no initial solution or root basis.
+    The integrality tolerance on LP values, which no caller varies, is
+    fixed at [1e-6]. *)
 
 type seed_status =
   | Seed_none  (** no initial solution was supplied *)

@@ -21,7 +21,7 @@ let scale k e =
 
 let sub a b = add a (scale (-1.0) b)
 
-let of_terms ?(constant = 0.0) terms = { terms; const = constant }
+let of_terms terms = { terms; const = 0.0 }
 
 let get_constant e = e.const
 

@@ -16,7 +16,7 @@ val term : float -> int -> t
 val var : int -> t
 (** [var v] is [term 1.0 v]. *)
 
-val of_terms : ?constant:float -> (float * int) list -> t
+val of_terms : (float * int) list -> t
 (** Build from a coefficient/variable list; duplicate variables are summed. *)
 
 val add : t -> t -> t

@@ -163,7 +163,8 @@ let objective_value std x =
   done;
   !acc
 
-let check_solution ?(tol = 1e-6) std x =
+let check_solution std x =
+  let tol = 1e-6 in
   if Array.length x <> std.nvars then Error "solution length mismatch"
   else begin
     let error = ref None in

@@ -87,9 +87,9 @@ val objective_value : std -> float array -> float
 (** [obj_offset + sum_j obj.(j) * x.(j)], summed in ascending [j]; [x] may
     be longer than [nvars]. *)
 
-val check_solution : ?tol:float -> std -> float array -> (unit, string) result
-(** Verifies bounds, integrality and every row within tolerance (default
-    [1e-6]); the error string names the first violated item.  Used by tests
+val check_solution : std -> float array -> (unit, string) result
+(** Verifies bounds, integrality and every row within [1e-6]; the error
+    string names the first violated item.  Used by tests
     and by the solver's internal assertions. *)
 
 val pp_stats : Format.formatter -> std -> unit

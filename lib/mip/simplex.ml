@@ -3,12 +3,6 @@
    columns sit at zero. *)
 type col_status = Basic | At_lower | At_upper | Nb_free
 
-(* Entering-column selection rule.  Dantzig scores candidates by |reduced
-   cost| over every column; Devex scores by d^2 / w_j with
-   reference-framework weights approximating the steepest-edge norms
-   (Forrest-Goldfarb). *)
-type pricing = Dantzig | Devex
-
 (* A restartable basis snapshot: which column is basic in each row plus the
    bound every nonbasic column rests on.  [wfac] optionally carries the
    matching basis factorization so a restart can skip refactorization;
@@ -52,7 +46,7 @@ type state = {
   status : col_status array;
   xval : float array;
   basis : int array;  (* basis.(i) = column basic in row i *)
-  mutable fac : Basis.t;  (* factorized basis (LU+eta or dense inverse) *)
+  mutable fac : Basis.t;  (* factorized basis (LU + eta file) *)
   mutable bland : bool;  (* anti-cycling mode *)
   mutable degenerate_run : int;
   degen_limit : int;  (* consecutive degenerate pivots before Bland mode *)
@@ -87,8 +81,6 @@ type state = {
   prod_pat : int array;  (* ntotal *)
   pmark : int array;  (* ntotal *)
   mutable pstamp : int;  (* current [pmark] stamp *)
-  (* entering-column selection *)
-  pricing : pricing;
   (* Devex candidate list: the set of improving nonbasic columns,
      maintained incrementally.  A column's candidacy can only change when
      its reduced cost or status changes, and every such change flows
@@ -449,13 +441,11 @@ let update_prices_after_pivot st ~row ~q ~leaving ~d ~lshift ~upd_dual ~fold_g =
     end
   end
 
-(* Entering-column choice.  Every regime reads the cached reduced-cost
-   vector — no column is ever dotted against the duals here.  Three regimes:
+(* Entering-column choice.  Both regimes read the cached reduced-cost
+   vector — no column is ever dotted against the duals here:
    - Bland's rule (anti-cycling): lowest-index improving column, full scan;
-   - full Dantzig: best |reduced cost| over every column (the textbook
-     rule, the pricing of the differential reference);
-   - Devex (default): score d^2 / w_j under the approximate steepest-edge
-     weights (maintained eagerly by the pivot epilogue, see
+   - Devex: score d^2 / w_j under the approximate steepest-edge weights
+     (maintained eagerly by the pivot epilogue, see
      [update_prices_after_pivot]).  Both phases scan the incrementally
      maintained candidate list — typically a small fraction of ntotal —
      pruning entries that stopped improving as it goes; an empty scan means
@@ -477,25 +467,7 @@ let choose_entering st ~phase1 =
     in
     scan 0
   end
-  else
-    match st.pricing with
-    | Dantzig ->
-    let best = ref None and best_score = ref 0.0 in
-    for j = 0 to st.ntotal - 1 do
-      if st.status.(j) <> Basic then begin
-        let d = dvec.(j) in
-        match entering_direction st ~d j with
-        | Some dir ->
-          let score = Float.abs d in
-          if score > !best_score then begin
-            best_score := score;
-            best := Some (j, dir, d)
-          end
-        | None -> ()
-      end
-    done;
-    !best
-    | Devex ->
+  else begin
     if not st.clist_valid then rebuild_clist st;
     let nvars = st.std.Model.nvars and cp = st.std.Model.col_ptr in
     let nnz_of j = if j < nvars then cp.(j + 1) - cp.(j) else 1 in
@@ -527,6 +499,7 @@ let choose_entering st ~phase1 =
     done;
     st.clist_n <- !kept;
     !best
+  end
 
 (* -------------------------------------------------------------------- *)
 (* Ratio test                                                            *)
@@ -631,7 +604,7 @@ let set_cold st =
   st.dual_valid <- false;
   st.dvec_valid <- false;
   (* the basis jumped wholesale; any accumulated pricing state is stale *)
-  if st.pricing = Devex then reset_devex st;
+  reset_devex st;
   recompute_basics st
 
 (* -------------------------------------------------------------------- *)
@@ -740,12 +713,9 @@ let try_warm st (wb : warm_basis) =
       done;
       let adopted =
         match wb.wfac with
-        | Some f when Basis.dim f = st.m -> (
-          match Basis.adopt f (Basis.kind st.fac) with
-          | Some fac ->
-            st.fac <- fac;
-            true
-          | None -> false)
+        | Some f when Basis.dim f = st.m ->
+          st.fac <- Basis.copy f;
+          true
         | Some _ | None -> false
       in
       match if not adopted then refactor st with
@@ -845,8 +815,7 @@ type workspace = { mutable prev : state option }
 
 let create_workspace () = { prev = None }
 
-let initial_state ?lb_override ?ub_override ?basis ?ws ~pricing ~degen_limit ~trace ~backend
-    (std : Model.std) =
+let initial_state ?lb_override ?ub_override ?basis ?ws ~degen_limit ~trace (std : Model.std) =
   let m = std.nrows in
   let nvars = std.nvars in
   let ntotal = nvars + m in
@@ -904,7 +873,7 @@ let initial_state ?lb_override ?ub_override ?basis ?ws ~pricing ~degen_limit ~tr
       status = take (fun p -> p.status) ntotal At_lower;
       xval = take (fun p -> p.xval) ntotal 0.0;
       basis = basis_arr;
-      fac = Basis.create backend ~m;
+      fac = Basis.create ~m;
       bland = false;
       degenerate_run = 0;
       degen_limit;
@@ -927,7 +896,6 @@ let initial_state ?lb_override ?ub_override ?basis ?ws ~pricing ~degen_limit ~tr
       cl_mark = take (fun p -> p.cl_mark) ntotal 0;
       cl_gen = 0;
       clist_valid = false;
-      pricing;
       devex_w = take (fun p -> p.devex_w) ntotal 1.0;
       devex_strikes = 0;
       devex_gen = 0;
@@ -1153,8 +1121,7 @@ let solve_unconstrained std lb ub =
       }
   end
 
-let solve ?(pricing = Devex) ?(degen_limit = 100) ?trace ?(backend = Basis.Lu) ?ws ?basis ?lb
-    ?ub (std : Model.std) =
+let solve ?(degen_limit = 100) ?trace ?ws ?basis ?lb ?ub (std : Model.std) =
   (* A variable fixed-range check also covers per-node bound conflicts. *)
   let lbs = match lb with Some a -> a | None -> std.lb in
   let ubs = match ub with Some a -> a | None -> std.ub in
@@ -1165,10 +1132,7 @@ let solve ?(pricing = Devex) ?(degen_limit = 100) ?trace ?(backend = Basis.Lu) ?
   if !conflict then Infeasible { infeasibility = 1 }
   else if std.nrows = 0 then solve_unconstrained std lbs ubs
   else begin
-    let st, warmed =
-      initial_state ?lb_override:lb ?ub_override:ub ?basis ?ws ~pricing ~degen_limit ~trace
-        ~backend std
-    in
+    let st, warmed = initial_state ?lb_override:lb ?ub_override:ub ?basis ?ws ~degen_limit ~trace std in
     let max_iters = 20000 + (60 * (st.m + st.ntotal)) in
     (* Dual re-optimization: a warm basis whose bounds were tightened is
        typically primal infeasible but still dual feasible, and a handful
@@ -1278,7 +1242,7 @@ let solve ?(pricing = Devex) ?(degen_limit = 100) ?trace ?(backend = Basis.Lu) ?
               st.bland <- true;
               (* Bland's rule ignores the weights; restart the reference
                  framework from whatever basis Bland mode leaves us in. *)
-              if st.pricing = Devex then reset_devex st
+              reset_devex st
             end
           end
           else begin
@@ -1303,7 +1267,7 @@ let solve ?(pricing = Devex) ?(degen_limit = 100) ?trace ?(backend = Basis.Lu) ?
           apply_move st alpha ~dir ~step j;
           (* Devex bookkeeping needs pre-pivot data: the entering column's
              stored weight, the pivot element, and the leaving variable. *)
-          let devex_live = st.pricing = Devex && not st.bland in
+          let devex_live = not st.bland in
           let gen0 = st.devex_gen in
           let entering_w =
             if devex_live then Float.max 1.0 st.devex_w.(j) else 1.0
@@ -1351,13 +1315,13 @@ let solve ?(pricing = Devex) ?(degen_limit = 100) ?trace ?(backend = Basis.Lu) ?
               ~upd_dual:need_dual
               ~fold_g:(if devex_live then Some entering_w else None);
           (match st.trace with
-          | Some f when st.pricing = Devex ->
+          | Some f ->
             let mw = ref infinity in
             for k = 0 to st.ntotal - 1 do
               if st.devex_w.(k) < !mw then mw := st.devex_w.(k)
             done;
             f ~iteration:st.iterations ~min_devex_weight:!mw
-          | Some _ | None -> ())
+          | None -> ())
       end
     done;
     match !result with

@@ -1,20 +1,27 @@
 (** Bounded-variable simplex for linear programs in {!Model.std} form.
 
     The implementation is a revised simplex over a factorized basis
-    ({!Basis}: sparse LU with product-form eta updates, or the
-    dense Gauss–Jordan inverse kept as a reference backend):
+    ({!Basis}: sparse LU with product-form eta updates):
 
     - slack columns are appended internally (one per row) so the working
       problem is [min c.x  s.t.  Ax + s = b] with bounds on every column;
     - infeasible starts are handled by a piecewise-linear phase 1 that
       minimizes the total bound violation of basic variables (no artificial
       columns are added);
-    - two pricing rules are available (see {!pricing}): a full Dantzig
-      scan and Devex approximate steepest-edge (the default); both switch
-      to Bland's rule after a run of degenerate pivots, which guarantees
-      termination; the simplex multipliers are cached and updated
-      incrementally after phase-2 pivots instead of being recomputed by a
-      full BTRAN every iteration;
+    - pricing is Forrest–Goldfarb Devex approximate steepest-edge: each
+      nonbasic column carries a reference-framework weight [w_j ≥ 1]
+      approximating [‖B⁻¹A_j‖²] over a reference basis, and the entering
+      column maximizes [d_j²/w_j].  Weights are updated from the pivot's
+      FTRAN/BTRAN vectors (no extra column passes: the neighbour update is
+      folded into the next pricing scan) and the framework is reset — all
+      weights back to 1 — on a cold start, on entry to Bland mode, and when
+      the accuracy estimate strikes out; refactorization keeps the weights,
+      since it changes the factors, not the basis.  After a run of
+      degenerate pivots the solver switches to Bland's rule, which
+      guarantees termination;
+    - the simplex multipliers are cached and updated incrementally after
+      phase-2 pivots instead of being recomputed by a full BTRAN every
+      iteration;
     - the basis is refactorized when the update chain exhausts its budget or
       accumulated pivot error crosses a threshold (see {!Basis}), and before
       declaring optimality, bounding numerical drift;
@@ -34,26 +41,6 @@
     Integrality markers in the input are ignored: this is the LP relaxation
     solver used by {!Branch_bound}. *)
 
-type pricing =
-  | Dantzig  (** Full scan, most-negative reduced cost.  The textbook rule;
-                 O(n) reduced costs per iteration and prone to long stalls
-                 on degenerate problems.  The pricing of the differential
-                 reference configuration. *)
-  | Devex
-      (** Forrest–Goldfarb approximate steepest-edge.  Each nonbasic
-          column carries a reference-framework weight [w_j ≥ 1]
-          approximating [‖B⁻¹A_j‖²] over a reference basis; the entering
-          column maximizes [d_j²/w_j].  Weights are updated from the
-          pivot's FTRAN/BTRAN vectors (no extra column passes: the
-          neighbour update is folded into the next pricing scan) and the
-          framework is reset — all weights back to 1 — on a cold start,
-          on entry to Bland mode, and when the accuracy estimate strikes
-          out.  Refactorization keeps the weights: it changes the
-          factors, not the basis.  Fewer pivots than Dantzig on
-          degenerate problems at the cost of a full-width scan per
-          iteration. *)
-(** Entering-variable selection rule for the primal phases. *)
-
 type col_status = Basic | At_lower | At_upper | Nb_free
 (** Where a column currently rests: basic, pinned at a bound, or free at
     zero. *)
@@ -68,12 +55,10 @@ type warm_basis = {
       (** The basis factorization matching [wcols], when available.
           Supplying it lets a restart skip refactorization; dropping it (set
           to [None]) keeps a stored snapshot at O(columns) memory.  It is
-          adopted (copied, see {!Basis.adopt}) only when its
-          representation can serve the solve's [backend] and its
-          dimension matches the model; otherwise the restart
-          refactorizes from [wcols].  When present it must genuinely
-          be the factorization of the [wcols] basis — it is not
-          cross-checked. *)
+          adopted (copied, see {!Basis.copy}) when its dimension matches
+          the model; otherwise the restart refactorizes from [wcols].
+          When present it must genuinely be the factorization of the
+          [wcols] basis — it is not cross-checked. *)
 }
 (** A restartable snapshot of a simplex basis.  Obtained from
     {!result.Optimal} or built from a point by {!crash}, and fed back
@@ -86,8 +71,7 @@ type kernel_stats = {
   avg_ftran_nnz : float;
       (** Mean nonzeros per sparse FTRAN result over the whole solve.  The
           hypersparse win is exactly this (and its BTRAN twin) staying far
-          below the row count [m]; under {!Basis.Lu_full_scan} the work is
-          O(m) regardless, but the counters still measure result density. *)
+          below the row count [m]. *)
   avg_btran_nnz : float;
 }
 (** Solve-kernel counters for one solve, reported by {!result.Optimal} and
@@ -158,10 +142,8 @@ val crash : Model.std -> float array -> warm_basis
     basis. *)
 
 val solve :
-  ?pricing:pricing ->
   ?degen_limit:int ->
   ?trace:(iteration:int -> min_devex_weight:float -> unit) ->
-  ?backend:Basis.kind ->
   ?ws:workspace ->
   ?basis:warm_basis ->
   ?lb:float array ->
@@ -172,17 +154,13 @@ val solve :
     variable bounds without touching [std] (this is how branch-and-bound
     explores nodes).  [basis] warm-starts from a previous solve's final
     basis (see {!warm_basis}); every solve starts from a fresh Devex
-    framework.  [pricing] selects the entering-variable rule (default
-    {!Devex}).  [degen_limit] is the number of consecutive
-    degenerate pivots tolerated before switching to Bland's rule (default
-    100; [0] switches on the first degenerate pivot — used by the cycling
-    tests).  [trace], when supplied and pricing is {!Devex}, is
-    called after every primal pivot with the iteration count and the
-    minimum weight over all columns (test instrumentation).  [backend]
-    selects the basis representation ({!Basis.Lu} by default;
-    {!Basis.Dense} and {!Basis.Lu_full_scan} are the references the
-    differential tests compare against — the two LU kinds take
-    bit-identical pivot sequences).  [ws] supplies a reusable
-    {!workspace}.  The iteration budget is [20000 + 60·(m + n)] pivots
-    over [m] rows and [n] columns including slacks, and the primal
-    feasibility and reduced-cost tolerances are both [1e-7]. *)
+    framework.  [degen_limit] is the number of consecutive degenerate
+    pivots tolerated before switching to Bland's rule (default 100; [0]
+    switches on the first degenerate pivot — the cycling tests force the
+    Bland fallback this way).  [trace], when supplied, is called after
+    every primal pivot with the iteration count and the minimum Devex
+    weight over all columns (the property tests pin that every weight
+    stays ≥ 1).  [ws] supplies a reusable {!workspace}.  The iteration
+    budget is [20000 + 60·(m + n)] pivots over [m] rows and [n] columns
+    including slacks, and the primal feasibility and reduced-cost
+    tolerances are both [1e-7]. *)

@@ -8,9 +8,9 @@ type t = {
 
 type container = { job : t; index : int }
 
-let make ~id ~reservation ~replicas ~rru_per_replica ?(spread_msbs = true) () =
+let make ~id ~reservation ~replicas ~rru_per_replica () =
   if replicas <= 0 then invalid_arg "Job.make: replicas must be positive";
   if rru_per_replica <= 0.0 then invalid_arg "Job.make: rru_per_replica must be positive";
-  { id; reservation; replicas; rru_per_replica; spread_msbs }
+  { id; reservation; replicas; rru_per_replica; spread_msbs = true }
 
 let containers t = List.init t.replicas (fun index -> { job = t; index })

@@ -15,10 +15,9 @@ type t = {
 type container = { job : t; index : int }
 (** A single replica of a job. *)
 
-val make :
-  id:int -> reservation:int -> replicas:int -> rru_per_replica:float -> ?spread_msbs:bool ->
-  unit -> t
-(** Defaults: [spread_msbs = true].  Raises [Invalid_argument] on
+val make : id:int -> reservation:int -> replicas:int -> rru_per_replica:float -> unit -> t
+(** A job that spreads its replicas across MSBs ([spread_msbs = true]; a
+    record update turns that off).  Raises [Invalid_argument] on
     non-positive replica count or size. *)
 
 val containers : t -> container list

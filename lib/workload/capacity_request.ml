@@ -12,9 +12,9 @@ type t = {
   arrival_time : float;
 }
 
-let make ~id ~service ~rru ?(msb_spread_limit = 0.1) ?rack_spread_limit ?(dc_affinity = [])
+let make ~id ~service ~rru ?(msb_spread_limit = 0.1) ?(dc_affinity = [])
     ?(affinity_tolerance = 0.1) ?(embedded_buffer = true) ?hard_msb_cap
-    ?(io_intensity = 0.0) ?(arrival_time = 0.0) () =
+    ?(io_intensity = 0.0) () =
   if not (Float.is_finite rru && rru > 0.0) then
     invalid_arg "Capacity_request.make: rru must be finite and positive";
   (match hard_msb_cap with
@@ -26,13 +26,13 @@ let make ~id ~service ~rru ?(msb_spread_limit = 0.1) ?rack_spread_limit ?(dc_aff
     service;
     rru;
     msb_spread_limit;
-    rack_spread_limit;
+    rack_spread_limit = None;
     dc_affinity;
     affinity_tolerance;
     embedded_buffer;
     hard_msb_cap;
     io_intensity;
-    arrival_time;
+    arrival_time = 0.0;
   }
 
 let quorum_cap ~replicas ~quorum =

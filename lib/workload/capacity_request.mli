@@ -36,18 +36,17 @@ val make :
   service:Service.t ->
   rru:float ->
   ?msb_spread_limit:float ->
-  ?rack_spread_limit:float ->
   ?dc_affinity:(int * float) list ->
   ?affinity_tolerance:float ->
   ?embedded_buffer:bool ->
   ?hard_msb_cap:float ->
   ?io_intensity:float ->
-  ?arrival_time:float ->
   unit ->
   t
-(** Defaults: [msb_spread_limit] 0.1, no rack limit, no affinity,
-    [affinity_tolerance] 0.1, [embedded_buffer] true, no quorum cap,
-    [arrival_time] 0.  Raises [Invalid_argument] unless [rru] is finite and
+(** Defaults: [msb_spread_limit] 0.1, no affinity, [affinity_tolerance]
+    0.1, [embedded_buffer] true, no quorum cap.  A request starts with no
+    rack limit and [arrival_time] 0; callers that set them do so by record
+    update.  Raises [Invalid_argument] unless [rru] is finite and
     positive. *)
 
 val quorum_cap : replicas:int -> quorum:int -> float

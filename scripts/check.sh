@@ -13,12 +13,13 @@ dune build
 # bench/, benchmark/, examples/ or (for values) lib/ outside its own
 # module; a test alone keeps neither alive.  A value counts only where it
 # is named qualified (Module.value, or through a module alias or an open),
+# every exported optional argument needs a shipped call that passes it,
 # and an allow-list entry that is gone or now used fails as stale
 echo "== dead-module and dead-value check =="
 sh scripts/check_dead_modules.sh
 
-# the sparse-vs-dense batteries inside the suite solve every instance
-# under both LU kinds (traversal and full scan), so one run covers both;
+# the kernel batteries inside the suite pin every sparse solve they probe
+# against the all-steps dense solve on the same factors, bit for bit;
 # runtest also runs `ras_bench.exe --smoke` (benchmark/dune), whose
 # check_round verifies, through System, that every available server sits
 # on its target owner and that capacity plus shortfall covers each request
@@ -57,7 +58,8 @@ if [ "${RAS_SCALE_TESTS:-full}" = "full" ]; then
   # adds the crash and optimal root bases of the 10^6-server phase-1 model
   # (bring-up and one post-failure round): the singleton pass and the
   # count-heap elimination must pivot in the rescan oracle's order on
-  # them, and the crash bases must be all column singletons
+  # them, the crash bases must be all column singletons, and on the root
+  # bases every sparse solve probed must equal the dense one bit for bit
   echo "== LU identity battery on 10^6-server root bases (RAS_SCALE_TESTS=full) =="
   RAS_SCALE_TESTS=full dune exec test/test_main.exe -- test basis
 fi

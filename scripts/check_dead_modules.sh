@@ -1,5 +1,5 @@
 #!/bin/sh
-# Dead-code check, in two passes.
+# Dead-code check, in three passes.
 #
 # Modules: every library module (lib/*/*.ml) must be reachable from
 # shipped code -- bin/, bench/, benchmark/ or examples/ -- through module
@@ -13,8 +13,13 @@
 # examples/.  As with modules, test/ does not count: an export only tests
 # name is surface kept alive by its tests alone.
 #
-# Allow lists: an entry whose module or value no longer exists, or that
-# shipped code now uses, fails the check as stale.
+# Optional arguments: every ?label of an exported value must be passed,
+# as ~label or ?label, at a call of that value in shipped code -- lib/
+# (its own module included), bin/, bench/, benchmark/ or examples/.  An
+# option only tests pass is a knob kept alive by its tests alone.
+#
+# Allow lists: an entry whose module, value or option no longer exists, or
+# that shipped code now uses, fails the check as stale.
 #
 # References are read from the sources with comments and string literals
 # stripped, so a doc comment naming a module or value does not keep it
@@ -44,11 +49,19 @@ Reactive.price  compared with the prices re-derived from row names in the tier-1
 Rng.bool  the seeded LP/MIP instance generators of four batteries draw signs and bounds with it
 '
 
+# Optional arguments no shipped call passes that stay on purpose, one per
+# line as Module.value?label with the behaviour only it reaches after it.
+ALLOW_OPTIONS='
+Simplex.solve?degen_limit  degen_limit 0 forces the Bland fallback on the cycling fixtures and the golden corpus, which no production solve reaches on them
+Simplex.solve?trace  the only view of the Devex weights after each pivot: the property test pins that every weight stays >= 1
+'
+
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 status=0
 
-unreasoned=$(printf '%s\n%s\n' "$ALLOW" "$ALLOW_VALUES" | awk 'NF == 1 { print $1 }')
+unreasoned=$(printf '%s\n%s\n%s\n' "$ALLOW" "$ALLOW_VALUES" "$ALLOW_OPTIONS" |
+  awk 'NF == 1 { print $1 }')
 if [ -n "$unreasoned" ]; then
   echo "allow-list entries without a reason:"
   printf '  %s\n' $unreasoned
@@ -139,10 +152,11 @@ sed -n 's/.*(name \([a-z_]*\)).*/\1/p' lib/*/dune |
   awk '{ print toupper(substr($0, 1, 1)) substr($0, 2) }' > "$tmp/libs"
 
 # qualified FILE: "<Module.value> FILE" for every qualified value FILE names
-qualified() {
-  strip "$1" > "$tmp/src"
-  awk -v file="$1" -v libs="$tmp/libs" '
-    # expand an alias at the head of a module path and drop library wrappers
+# The first of two passes over a stripped source, shared by the value and
+# option passes: [resolve] expands an alias at the head of a module path
+# and drops library wrappers, and the pass records the file's aliases and
+# opens (`open M`, `let open M in`, `M.( ... )`) in file order.
+resolve_prelude='
     function resolve(p,   c, n, i, out) {
       n = split(p, c, ".")
       if (c[1] in alias) {
@@ -156,7 +170,6 @@ qualified() {
       return out
     }
     BEGIN { while ((getline l < libs) > 0) lib[l] = 1 }
-    # first pass: aliases and opens, in file order
     FNR == NR {
       line = $0
       while (match(line, /module[ \t]+[A-Z][A-Za-z0-9_]*[ \t]*=[ \t]*[A-Z][A-Za-z0-9_.]*/)) {
@@ -178,7 +191,11 @@ qualified() {
         if ((p = resolve(m)) != "") opened[p] = 1
       }
       next
-    }
+    }'
+
+qualified() {
+  strip "$1" > "$tmp/src"
+  awk -v file="$1" -v libs="$tmp/libs" "$resolve_prelude"'
     # second pass: qualified paths, and bare names under an open
     {
       gsub(/[^A-Za-z0-9_.]/, " ")
@@ -244,6 +261,131 @@ stale=$( (grep -vFxf "$tmp/modules" "$tmp/allowed" || true
           grep -vFxf "$tmp/unnamed" "$tmp/allowed_values" || true) | sort -u)
 if [ -n "$stale" ]; then
   echo "stale allow-list entries (gone, or now used by shipped code):"
+  printf '  %s\n' $stale
+  status=1
+fi
+
+# Option pass.  options: "<Module.value?label>" for every optional label
+# at the top level of an exported value's type.
+for f in lib/*/*.mli; do
+  strip "$f" | awk -v m="$(modname "$f")" '
+    function flush(   i, c, depth, rest, l) {
+      if (name == "") return
+      depth = 0
+      for (i = 1; i <= length(text); i++) {
+        c = substr(text, i, 1)
+        if (c == "(" || c == "[" || c == "{") depth++
+        else if (c == ")" || c == "]" || c == "}") depth--
+        else if (c == "?" && depth == 0) {
+          rest = substr(text, i + 1)
+          if (match(rest, /^[a-z_][A-Za-z0-9_\047]*[ \t]*:/)) {
+            l = substr(rest, 1, RLENGTH); sub(/[ \t]*:$/, "", l)
+            print name "?" l
+          }
+        }
+      }
+      name = ""
+    }
+    /^[ \t]*(val|type|module|end|exception|external|include|open|and)([^A-Za-z0-9_]|$)/ { flush() }
+    /^[ \t]*module[ \t]+[A-Z][A-Za-z0-9_]*[ \t]*:[ \t]*sig/ {
+      s = $0; sub(/^[ \t]*module[ \t]+/, "", s); sub(/[ \t:].*/, "", s)
+      sub_[++d] = s; next
+    }
+    /^[ \t]*end([^A-Za-z0-9_]|$)/ && d > 0 { d--; next }
+    /^[ \t]*val[ \t]+[a-z_]/ {
+      v = $0; sub(/^[ \t]*val[ \t]+/, "", v); sub(/[^A-Za-z0-9_].*/, "", v)
+      name = m
+      for (i = 1; i <= d; i++) name = name "." sub_[i]
+      name = name "." v
+      text = $0; sub(/^[^:]*:/, "", text)
+      next
+    }
+    name != "" { text = text " " $0 }
+    END { flush() }'
+done | sort -u > "$tmp/options"
+sed 's/?.*//' "$tmp/options" | sort -u > "$tmp/optvals"
+
+# passed FILE: "<Module.value?label>" for every label passed at depth 0 of
+# a call of a value with options.  A call starts at the value's name --
+# qualified, or bare in its own module's file or under an open of it -- and
+# its arguments run to the first token at its bracket depth that cannot
+# start an argument: a keyword, an operator or a separator, or the bracket
+# that closes around it.  A name right after let, and, rec, val or
+# external is a definition, not a call.
+passed() {
+  strip "$1" > "$tmp/src"
+  awk -v self="$(modname "$1")" -v libs="$tmp/libs" -v optvals="$tmp/optvals" "$resolve_prelude"'
+    # the value with options a name token calls, or ""
+    function callee(tok,   n, c, m, i, p) {
+      n = split(tok, c, ".")
+      if (c[n] !~ /^[a-z_]/) return ""
+      if (n == 1) {
+        if ((self "." tok) in opt) return self "." tok
+        for (p in opened) if ((p "." tok) in opt) return p "." tok
+        return ""
+      }
+      if (c[1] !~ /^[A-Z]/) return ""
+      m = c[1]
+      for (i = 2; i < n; i++) m = m "." c[i]
+      p = resolve(m) "." c[n]
+      return (p in opt) ? p : ""
+    }
+    BEGIN {
+      while ((getline l < optvals) > 0) opt[l] = 1
+      split("in then else do done with and let match if fun function try when to downto of val type module open mutable rec struct sig while for external method object exception", kw, " ")
+      for (i in kw) keyword[kw[i]] = 1
+    }
+    {
+      line = $0
+      while (line != "") {
+        if (match(line, /^[ \t]+/)) { line = substr(line, RLENGTH + 1); continue }
+        if (match(line, /^[~?][a-z_][A-Za-z0-9_\047]*:?/)) kind = "label"
+        else if (match(line, /^[A-Za-z_][A-Za-z0-9_\047]*(\.[A-Za-z_][A-Za-z0-9_\047]*)*/)) kind = "name"
+        else if (match(line, /^[0-9][0-9A-Za-z_.]*/)) kind = "arg"
+        else if (match(line, /^(\[\||\.\(|\.\[|\.\{|[(\[{])/)) kind = "open"
+        else if (match(line, /^(\|\]|[)\]}])/)) kind = "close"
+        else if (match(line, /^[!\047]/)) kind = "arg"
+        else { match(line, /^[-+*\/<>=@^|&$%:;,.#]+/); if (RLENGTH < 1) RLENGTH = 1; kind = "op" }
+        tok = substr(line, 1, RLENGTH); line = substr(line, RLENGTH + 1)
+        if (kind == "name" && tok == "begin") kind = "open"
+        if (kind == "name" && tok == "end") kind = "close"
+        if (kind == "name" && (tok in keyword)) kind = "op"
+        if (kind == "open") { depth++; prev = tok; continue }
+        if (kind == "close") {
+          depth--
+          while (nc > 0 && cdepth[nc] > depth) nc--
+          prev = tok; continue
+        }
+        incall = nc > 0 && cdepth[nc] == depth
+        if (kind == "op") { if (incall) nc--; prev = tok; continue }
+        if (kind == "label") {
+          if (incall) { l = substr(tok, 2); sub(/:$/, "", l); print ccallee[nc] "?" l }
+          prev = tok; continue
+        }
+        if (kind == "name" && !incall && prev != "let" && prev != "and" && prev != "rec" \
+            && prev != "val" && prev != "external" && (c = callee(tok)) != "") {
+          nc++; ccallee[nc] = c; cdepth[nc] = depth
+        }
+        prev = tok
+      }
+    }' "$tmp/src" "$tmp/src"
+}
+find lib bin bench benchmark examples -name '*.ml' 2>/dev/null | sort |
+  while read -r f; do passed "$f"; done | sort -u > "$tmp/passed"
+grep -vFxf "$tmp/passed" "$tmp/options" > "$tmp/unpassed" || true
+printf '%s\n' "$ALLOW_OPTIONS" | awk 'NF { print $1 }' > "$tmp/allowed_options"
+dead=$(grep -vFxf "$tmp/allowed_options" "$tmp/unpassed" || true)
+if [ -n "$dead" ]; then
+  echo "optional arguments no shipped call passes:"
+  printf '  %s\n' $dead
+  status=1
+else
+  echo "dead-option check OK ($(wc -l < "$tmp/options") optional arguments)"
+fi
+stale=$( (grep -vFxf "$tmp/options" "$tmp/allowed_options" || true
+          grep -vFxf "$tmp/unpassed" "$tmp/allowed_options" || true) | sort -u)
+if [ -n "$stale" ]; then
+  echo "stale option allow-list entries (gone, or now passed by shipped code):"
   printf '  %s\n' $stale
   status=1
 fi

@@ -21,7 +21,18 @@
      Hashtbls keyed by (class, reservation) (test_core.ml,
      test_region_scale.ml).
    - Admission supply: the usable servers per hardware subtype, which the
-     broker now keeps as counts and a snapshot freezes (test_core.ml). *)
+     broker now keeps as counts and a snapshot freezes (test_core.ml).
+
+   And independent references that share no code with what they check:
+
+   - LP and MIP: a dense tableau simplex under Bland's rule and a
+     depth-first branch-and-bound over it, against Ras_mip.Simplex and
+     Ras_mip.Branch_bound (test_differential.ml, test_mip.ml,
+     test_warmstart.ml), and an optimality certificate read off an LP
+     optimum's point and duals (also test_region_scale.ml).
+   - LU accuracy: FTRAN/BTRAN residuals against the basis columns, for
+     Ras_mip.Basis (test_basis.ml, test_sparse_kernels.ml,
+     test_warmstart.ml). *)
 
 open Ras
 module Broker = Ras_broker.Broker
@@ -1168,3 +1179,357 @@ let heuristic_matches ~total (f : Formulation.t) x =
   total.spread <- total.spread + moves.spread;
   total.affinity <- total.affinity + moves.affinity;
   same_bits rounded rounded_ref && same_bits (Formulation.repair f rounded) repaired_ref
+
+(* ---------- LP and MIP: a dense tableau simplex ---------- *)
+
+(* An LP reference that shares no code with Ras_mip.Simplex or
+   Ras_mip.Basis: the textbook two-phase tableau simplex under Bland's rule
+   (lowest-index entering column, lowest-index leaving basic on ratio
+   ties), which terminates on every input.  Bounds are shifted and split
+   into nonnegative columns — x = l + p with a row p <= u - l when both
+   bounds are finite, x = u - p when only the upper one is, x = p - q when
+   neither is — and each row gets a slack, so the tableau solves
+   min c.p  s.t.  A p = b, p >= 0.  Rows whose slack cannot start basic
+   get an artificial for phase 1.  Dense O(rows x columns) work per pivot:
+   for the differential battery's and the golden corpus's small models
+   only. *)
+
+type lp_verdict =
+  | Lp_optimal of { obj : float; x : float array }
+  | Lp_infeasible
+  | Lp_unbounded
+
+let lp_verdict_name = function
+  | Lp_optimal { obj; _ } -> Printf.sprintf "optimal %g" obj
+  | Lp_infeasible -> "infeasible"
+  | Lp_unbounded -> "unbounded"
+
+(* reduced costs at or below [-lp_eps] improve; entries at or below
+   [lp_eps] never pivot *)
+let lp_eps = 1e-9
+
+exception Tableau_unbounded
+
+(* Pivot the tableau [tab] (rows of [ncols] coefficients, then the
+   right-hand side) and its reduced-cost row [d] (the negated objective
+   value last) on row [r], column [c]. *)
+let tableau_pivot tab d basis r c =
+  let pr = tab.(r) in
+  let p = pr.(c) in
+  Array.iteri (fun k v -> pr.(k) <- v /. p) pr;
+  let eliminate row =
+    let f = row.(c) in
+    if f <> 0.0 then Array.iteri (fun k v -> row.(k) <- row.(k) -. (f *. v)) pr
+  in
+  Array.iteri (fun i row -> if i <> r then eliminate row) tab;
+  eliminate d;
+  basis.(r) <- c
+
+(* Bland's rule from the current basis, entering only [allowed] columns;
+   raises [Tableau_unbounded] on an improving column no row blocks. *)
+let tableau_optimize tab d basis ~allowed =
+  let ncols = Array.length d - 1 in
+  let rec loop () =
+    let rec entering c =
+      if c >= ncols then None
+      else if allowed c && d.(c) < -.lp_eps then Some c
+      else entering (c + 1)
+    in
+    match entering 0 with
+    | None -> ()
+    | Some c ->
+      let best = ref (-1) and best_ratio = ref infinity in
+      Array.iteri
+        (fun i row ->
+          let a = row.(c) in
+          if a > lp_eps then begin
+            let ratio = row.(ncols) /. a in
+            if
+              ratio < !best_ratio
+              || (ratio = !best_ratio && basis.(i) < basis.(!best))
+            then begin
+              best := i;
+              best_ratio := ratio
+            end
+          end)
+        tab;
+      if !best < 0 then raise Tableau_unbounded;
+      tableau_pivot tab d basis !best c;
+      loop ()
+  in
+  loop ()
+
+(* [d] := cost - cost_B B^-1 A over the current tableau. *)
+let tableau_prices tab basis cost =
+  let d = Array.copy cost in
+  Array.iteri
+    (fun i row ->
+      let cb = cost.(basis.(i)) in
+      if cb <> 0.0 then Array.iteri (fun k v -> d.(k) <- d.(k) -. (cb *. v)) row)
+    tab;
+  d
+
+let lp_reference ?lb ?ub (std : Ras_mip.Model.std) =
+  let module Model = Ras_mip.Model in
+  let n = std.Model.nvars in
+  let lb = Option.value lb ~default:std.Model.lb and ub = Option.value ub ~default:std.Model.ub in
+  if Array.exists2 (fun l u -> l > u) lb ub then Lp_infeasible
+  else begin
+    (* x_j = shift.(j) + sum of sign * p over its columns *)
+    let shift = Array.make n 0.0 and cols = Array.make n [] in
+    let np = ref 0 and bound_rows = ref [] in
+    let fresh sign =
+      let c = !np in
+      incr np;
+      (c, sign)
+    in
+    for j = 0 to n - 1 do
+      let l = lb.(j) and u = ub.(j) in
+      if Float.is_finite l then begin
+        shift.(j) <- l;
+        let ((c, _) as p) = fresh 1.0 in
+        cols.(j) <- [ p ];
+        if Float.is_finite u then bound_rows := (c, u -. l) :: !bound_rows
+      end
+      else if Float.is_finite u then begin
+        shift.(j) <- u;
+        cols.(j) <- [ fresh (-1.0) ]
+      end
+      else cols.(j) <- [ fresh 1.0; fresh (-1.0) ]
+    done;
+    let np = !np and bound_rows = List.rev !bound_rows in
+    let m = std.Model.nrows + List.length bound_rows in
+    (* structural columns, one slack per row, then one artificial per row
+       (used only where the slack cannot start basic) *)
+    let ncols = np + m + m in
+    let tab = Array.init m (fun _ -> Array.make (ncols + 1) 0.0) in
+    let art = Array.make m false in
+    let fill i (entries : (int * float) list) sense rhs =
+      let row = tab.(i) in
+      List.iter (fun (c, v) -> row.(c) <- row.(c) +. v) entries;
+      (match sense with
+      | Model.Le -> row.(np + i) <- 1.0
+      | Model.Ge -> row.(np + i) <- -1.0
+      | Model.Eq -> ());
+      row.(ncols) <- rhs;
+      if rhs < 0.0 then Array.iteri (fun k v -> row.(k) <- -.v) row;
+      art.(i) <- sense = Model.Eq || row.(np + i) < 0.0
+    in
+    for i = 0 to std.Model.nrows - 1 do
+      let entries = ref [] and rhs = ref std.Model.rhs.(i) in
+      Array.iteri
+        (fun k j ->
+          let a = std.Model.row_coefs.(i).(k) in
+          rhs := !rhs -. (a *. shift.(j));
+          List.iter (fun (c, sign) -> entries := (c, a *. sign) :: !entries) cols.(j))
+        std.Model.row_cols.(i);
+      fill i !entries std.Model.row_sense.(i) !rhs
+    done;
+    List.iteri
+      (fun k (c, width) -> fill (std.Model.nrows + k) [ (c, 1.0) ] Model.Le width)
+      bound_rows;
+    let basis =
+      Array.init m (fun i ->
+          if art.(i) then begin
+            tab.(i).(np + m + i) <- 1.0;
+            np + m + i
+          end
+          else np + i)
+    in
+    let is_art c = c >= np + m in
+    (* phase 1: minimize the sum of the artificials *)
+    let art_cost = Array.init (ncols + 1) (fun c -> if c < ncols && is_art c then 1.0 else 0.0) in
+    tableau_optimize tab (tableau_prices tab basis art_cost) basis ~allowed:(fun _ -> true);
+    let scale = Array.fold_left (fun a row -> Float.max a (Float.abs row.(ncols))) 1.0 tab in
+    let infeasibility = ref 0.0 in
+    Array.iteri
+      (fun i c -> if is_art c then infeasibility := !infeasibility +. tab.(i).(ncols))
+      basis;
+    if !infeasibility > 1e-7 *. scale then Lp_infeasible
+    else begin
+      (* drive the artificials left at zero out of the basis; a row with no
+         other nonzero is redundant and drops *)
+      let live = Array.make m true in
+      Array.iteri
+        (fun i c ->
+          if is_art c then
+            let row = tab.(i) in
+            let rec find k =
+              if k >= np + m then None else if Float.abs row.(k) > lp_eps then Some k else find (k + 1)
+            in
+            match find 0 with
+            | Some k -> tableau_pivot tab (Array.make (ncols + 1) 0.0) basis i k
+            | None -> live.(i) <- false)
+        (Array.copy basis);
+      let keep = List.filter (fun i -> live.(i)) (List.init m Fun.id) in
+      let tab = Array.of_list (List.map (fun i -> tab.(i)) keep) in
+      let basis = Array.of_list (List.map (fun i -> basis.(i)) keep) in
+      (* phase 2 costs: c_j times each of x_j's column signs *)
+      let cost = Array.make (ncols + 1) 0.0 in
+      for j = 0 to n - 1 do
+        List.iter (fun (c, sign) -> cost.(c) <- std.Model.obj.(j) *. sign) cols.(j)
+      done;
+      let d = tableau_prices tab basis cost in
+      match tableau_optimize tab d basis ~allowed:(fun c -> not (is_art c)) with
+      | exception Tableau_unbounded -> Lp_unbounded
+      | () ->
+        let p = Array.make ncols 0.0 in
+        Array.iteri (fun i c -> p.(c) <- tab.(i).(ncols)) basis;
+        let x =
+          Array.init n (fun j ->
+              List.fold_left (fun a (c, sign) -> a +. (sign *. p.(c))) shift.(j) cols.(j))
+        in
+        Lp_optimal { obj = Model.objective_value std x; x }
+    end
+  end
+
+type mip_verdict = Mip_optimal of float | Mip_infeasible | Mip_unbounded
+
+(* A depth-first branch-and-bound over [lp_reference]: branch on the
+   first integer variable more than 1e-6 from an integer, down branch
+   first; prune a node whose LP bound does not beat the incumbent by more
+   than 1e-9.  An unbounded node LP makes the model unbounded, as in
+   Ras_mip.Branch_bound.  For small models with finite integer bounds. *)
+let mip_reference (std : Ras_mip.Model.std) =
+  let module Model = Ras_mip.Model in
+  let best = ref infinity and unbounded = ref false in
+  let rec explore lb ub =
+    if not !unbounded then
+      match lp_reference ~lb ~ub std with
+      | Lp_unbounded -> unbounded := true
+      | Lp_infeasible -> ()
+      | Lp_optimal { obj; x } when obj < !best -. 1e-9 -> (
+        let fractional j =
+          std.Model.integer.(j) && Float.abs (x.(j) -. Float.round x.(j)) > 1e-6
+        in
+        match List.find_opt fractional (List.init std.Model.nvars Fun.id) with
+        | None -> best := obj
+        | Some j ->
+          let down = Array.copy ub and up = Array.copy lb in
+          down.(j) <- Float.floor x.(j);
+          up.(j) <- Float.ceil x.(j);
+          explore lb down;
+          explore up ub)
+      | Lp_optimal _ -> ()
+  in
+  (* integer bounds rounded inward, as the solver does at the root *)
+  let inward round b = Array.mapi (fun j v -> if std.Model.integer.(j) then round v else v) b in
+  explore (inward Float.ceil std.Model.lb) (inward Float.floor std.Model.ub);
+  if !unbounded then Mip_unbounded
+  else if !best < infinity then Mip_optimal !best
+  else Mip_infeasible
+
+(* ---------- LP optimality certificate ---------- *)
+
+(* Checks an optimal LP result from its primal point [x] (one entry per
+   structural), row duals [duals] and reported objective [obj], against
+   the model and optional bound overrides, reading nothing of the solver's
+   internals.  With slacks s = b - Ax (Le rows s >= 0, Ge rows s <= 0, Eq
+   rows s = 0), reduced costs d = c - A^T y and the slack's reduced cost
+   -y_i, it checks:
+   - primal feasibility: every row and bound within 1e-6 (scale-relative);
+   - dual feasibility: a column strictly inside its bounds has |d_j| at
+     most 1e-6, one resting only on its lower bound d_j >= -1e-6, one
+     resting only on its upper bound d_j <= 1e-6 (so a Le row's dual is
+     <= 0, a Ge row's >= 0, and a non-binding row's is 0);
+   - strong duality: the dual objective y.b + sum_j d_j * (the bound d_j's
+     sign selects) + offset equals [obj] to 1e-6 relative.  Weak duality
+     makes that a proof of optimality; a reduced cost within tolerance of
+     zero is charged at the point's value instead of an infinite bound.
+   Returns the first violation found. *)
+let lp_certificate ?lb ?ub (std : Ras_mip.Model.std) ~x ~duals ~obj =
+  let module Model = Ras_mip.Model in
+  let lb = Option.value lb ~default:std.Model.lb and ub = Option.value ub ~default:std.Model.ub in
+  let n = std.Model.nvars and m = std.Model.nrows in
+  let ptol v = 1e-6 *. (1.0 +. Float.abs v) and dtol = 1e-6 in
+  let error = ref None in
+  let fail fmt = Printf.ksprintf (fun s -> if !error = None then error := Some s) fmt in
+  if Array.length x <> n || Array.length duals <> m then
+    fail "x has %d entries for %d columns, duals %d for %d rows" (Array.length x) n
+      (Array.length duals) m
+  else begin
+    let dual_obj = ref std.Model.obj_offset in
+    (* one column resting at value v in [lo, hi] with reduced cost d *)
+    let column what v lo hi d =
+      if v < lo -. ptol lo || v > hi +. ptol hi then
+        fail "%s = %.9g outside [%g, %g]" what v lo hi;
+      let at_lo = Float.is_finite lo && v <= lo +. ptol lo in
+      let at_hi = Float.is_finite hi && v >= hi -. ptol hi in
+      let ok =
+        (at_lo && at_hi) || (at_lo && d >= -.dtol) || (at_hi && d <= dtol) || Float.abs d <= dtol
+      in
+      if not ok then
+        fail "%s = %.9g in [%g, %g] has reduced cost %.3g of the wrong sign" what v lo hi d;
+      dual_obj :=
+        !dual_obj
+        +.
+        if Float.abs d <= dtol then d *. v
+        else if d > 0.0 then d *. lo
+        else d *. hi
+    in
+    let activity = Array.make m 0.0 in
+    for j = 0 to n - 1 do
+      let d = ref std.Model.obj.(j) in
+      for k = std.Model.col_ptr.(j) to std.Model.col_ptr.(j + 1) - 1 do
+        let i = std.Model.col_ind.(k) and a = std.Model.col_val.(k) in
+        activity.(i) <- activity.(i) +. (a *. x.(j));
+        d := !d -. (duals.(i) *. a)
+      done;
+      column (Printf.sprintf "column %d" j) x.(j) lb.(j) ub.(j) !d
+    done;
+    for i = 0 to m - 1 do
+      let b = std.Model.rhs.(i) in
+      dual_obj := !dual_obj +. (duals.(i) *. b);
+      let lo, hi =
+        match std.Model.row_sense.(i) with
+        | Model.Le -> (0.0, infinity)
+        | Model.Ge -> (neg_infinity, 0.0)
+        | Model.Eq -> (0.0, 0.0)
+      in
+      (* the slack's feasibility is the row's, scaled by its right-hand side *)
+      let s = b -. activity.(i) in
+      let s = if Float.abs s <= ptol b then 0.0 else s in
+      column (Printf.sprintf "row %d slack" i) s lo hi (-.duals.(i))
+    done;
+    if Float.abs (!dual_obj -. obj) > 1e-6 *. Float.max 1.0 (Float.abs obj) then
+      fail "dual objective %.12g vs primal %.12g" !dual_obj obj
+  end;
+  match !error with None -> Ok () | Some e -> Error e
+
+(* ---------- LU accuracy: residuals against the basis columns ---------- *)
+
+(* Normwise backward errors of a basis solve, with B rebuilt from the
+   basis columns ([col j f] calls [f row coef] for column [j]'s nonzeros;
+   position [p] of B is column [basis.(p)]) and nothing of the
+   factorization read: ‖B·x − b‖∞ / (‖B‖∞·‖x‖∞ + ‖b‖∞) for an FTRAN
+   result [x] (basis-position-indexed) of a row-indexed [b], and
+   ‖Bᵀ·y − c‖∞ / (‖B‖₁·‖y‖∞ + ‖c‖∞) for a BTRAN result [y]
+   (row-indexed) of a position-indexed [c].  A backward-stable solve
+   reads a small multiple of the unit roundoff; a wrong factor entry or
+   eta reads O(1).  0 when both sides are zero. *)
+let inf_norm a = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 a
+
+let backward_error resid ~scale = if resid = 0.0 then 0.0 else resid /. scale
+
+let ftran_residual ~basis ~col x b =
+  let r = Array.copy b and row_abs = Array.make (Array.length b) 0.0 in
+  Array.iteri
+    (fun p j ->
+      col j (fun i v ->
+          r.(i) <- r.(i) -. (v *. x.(p));
+          row_abs.(i) <- row_abs.(i) +. Float.abs v))
+    basis;
+  backward_error (inf_norm r) ~scale:((inf_norm row_abs *. inf_norm x) +. inf_norm b)
+
+let btran_residual ~basis ~col y c =
+  let worst = ref 0.0 and col_abs = ref 0.0 in
+  Array.iteri
+    (fun p j ->
+      let s = ref 0.0 and a = ref 0.0 in
+      col j (fun i v ->
+          s := !s +. (v *. y.(i));
+          a := !a +. Float.abs v);
+      worst := Float.max !worst (Float.abs (!s -. c.(p)));
+      col_abs := Float.max !col_abs !a)
+    basis;
+  backward_error !worst ~scale:((!col_abs *. inf_norm y) +. inf_norm c)

@@ -1,16 +1,20 @@
 (* Numerical-stability tests for the factorized basis (Ras_mip.Basis):
    FTRAN/BTRAN round trips through the LU factors and the eta file,
    refactorization policy triggers, rejection of near-singular pivots, and
-   Dense-vs-Lu backend agreement on random matrices.
+   residuals against B rebuilt from the basis columns after every eta
+   update and every refactorization on random matrices.
 
    The LU identity battery pins the elimination order — column singletons,
    then Markowitz on the nucleus left over — against the rescan oracle
    ([Oracles.lu_pivot_order_reference]) on random, triangular-plus-nucleus,
    crash and differential-corpus root bases, and pins that both raise
    Singular on bases with dependent columns, plus the refactorization's
-   scaling and allocation.  RAS_SCALE_TESTS=full adds the root and crash
-   bases of the 10^6-server preset's phase-1 model at bring-up and after a
-   failure round (scripts/check.sh sets it by default). *)
+   scaling and allocation.  The corpus's optimal root bases also get the
+   traversal pin ([Test_sparse_kernels.pin_model_basis]).
+   RAS_SCALE_TESTS=full adds the root and crash bases of the 10^6-server
+   preset's phase-1 model at bring-up and after a failure round, the root
+   bases with the traversal pin too (scripts/check.sh sets it by
+   default). *)
 
 open Ras_mip
 module R = Ras_stats.Rng
@@ -51,11 +55,11 @@ let apply_matrix cols basis x m =
     basis;
   b
 
-let refactorized kind rng m =
+let refactorized rng m =
   let cols = random_matrix rng m in
   let basis = Array.init m (fun i -> i) in
   R.shuffle rng basis;
-  let t = Basis.create kind ~m in
+  let t = Basis.create ~m in
   Basis.refactorize t ~basis ~col:(col_fn cols);
   (t, cols, basis)
 
@@ -98,7 +102,7 @@ let test_ftran_round_trip () =
   let rng = R.create 11 in
   List.iter
     (fun m ->
-      let t, cols, basis = refactorized Basis.Lu rng m in
+      let t, cols, basis = refactorized rng m in
       let b = Array.init m (fun _ -> R.float rng 10.0 -. 5.0) in
       let x = Basis.ftran_dense t (Array.copy b) in
       let back = apply_matrix cols basis x m in
@@ -112,7 +116,7 @@ let test_btran_round_trip () =
   let rng = R.create 12 in
   List.iter
     (fun m ->
-      let t, cols, basis = refactorized Basis.Lu rng m in
+      let t, cols, basis = refactorized rng m in
       let c = Array.init m (fun _ -> R.float rng 10.0 -. 5.0) in
       let y = btran t c in
       (* y^T B = c^T: component i is y . A_{basis.(i)} *)
@@ -130,7 +134,7 @@ let test_ftran_btran_adjoint () =
      including through a nonempty eta file *)
   let rng = R.create 13 in
   let m = 15 in
-  let t, _, _ = refactorized Basis.Lu rng m in
+  let t, _, _ = refactorized rng m in
   (* push a few eta updates through *)
   for k = 0 to 4 do
     let col = Array.init m (fun _ -> R.float rng 2.0 -. 1.0) in
@@ -152,7 +156,7 @@ let test_ftran_btran_adjoint () =
 
 let test_eta_limit_triggers_refactorize () =
   let m = 6 in
-  let t = Basis.create Basis.Lu ~m in
+  let t = Basis.create ~m in
   Alcotest.(check bool) "fresh identity needs no refactor" false (Basis.should_refactorize t);
   let fired = ref (-1) in
   let k = ref 0 in
@@ -175,7 +179,7 @@ let test_eta_limit_triggers_refactorize () =
 let test_near_singular_pivot_refused () =
   let rng = R.create 14 in
   let m = 10 in
-  let t, _, _ = refactorized Basis.Lu rng m in
+  let t, _, _ = refactorized rng m in
   let before_updates = Basis.updates_since_refactor t in
   let probe = Array.init m (fun _ -> R.float rng 2.0 -. 1.0) in
   let x_before = Basis.ftran_dense t (Array.copy probe) in
@@ -200,7 +204,7 @@ let test_singular_matrix_raises () =
   let cols = Array.make m [ (0, 1.0); (1, 1.0) ] in
   (* every column identical: rank 1 *)
   let basis = Array.init m (fun i -> i) in
-  let t = Basis.create Basis.Lu ~m in
+  let t = Basis.create ~m in
   (match Basis.refactorize t ~basis ~col:(col_fn cols) with
   | () -> Alcotest.fail "singular matrix must raise"
   | exception Basis.Singular -> ());
@@ -208,39 +212,52 @@ let test_singular_matrix_raises () =
   let x = Basis.ftran_dense t [| 1.0; 2.0; 3.0; 4.0 |] in
   Alcotest.(check bool) "state survives" true (max_abs_diff x [| 1.0; 2.0; 3.0; 4.0 |] < 1e-12)
 
-let test_dense_lu_agree () =
+(* Residuals against B rebuilt from the basis columns
+   ([Oracles.ftran_residual], [Oracles.btran_residual]), which read nothing
+   of the factorization: after the refactorization, after each of a run of
+   eta updates (random columns entering at the position of their largest
+   |alpha|), and after refactorizing the updated basis. *)
+let test_residuals () =
   let rng = R.create 15 in
-  for _ = 1 to 20 do
+  for trial = 1 to 20 do
     let m = 1 + R.int rng 25 in
     let cols = random_matrix rng m in
     let basis = Array.init m (fun i -> i) in
     R.shuffle rng basis;
-    let lu = Basis.create Basis.Lu ~m in
-    let dn = Basis.create Basis.Dense ~m in
-    Basis.refactorize lu ~basis ~col:(col_fn cols);
-    Basis.refactorize dn ~basis ~col:(col_fn cols);
-    let b = Array.init m (fun _ -> R.float rng 10.0 -. 5.0) in
-    let xl = Basis.ftran_dense lu (Array.copy b) in
-    let xd = Basis.ftran_dense dn (Array.copy b) in
-    Alcotest.(check bool)
-      (Printf.sprintf "ftran agrees at m=%d (err %g)" m (max_abs_diff xl xd))
-      true
-      (max_abs_diff xl xd < 1e-8);
-    let yl = btran lu b in
-    let yd = btran dn b in
-    Alcotest.(check bool)
-      (Printf.sprintf "btran agrees at m=%d (err %g)" m (max_abs_diff yl yd))
-      true
-      (max_abs_diff yl yd < 1e-8)
+    let cur = Array.map (fun j -> cols.(j)) basis in
+    let pos = Array.init m Fun.id in
+    let col p f = List.iter (fun (i, v) -> f i v) cur.(p) in
+    let t = Basis.create ~m in
+    Basis.refactorize t ~basis ~col:(col_fn cols);
+    let check stage =
+      let tag = Printf.sprintf "trial %d (m=%d) %s" trial m stage in
+      let b = Array.init m (fun _ -> R.float rng 10.0 -. 5.0) in
+      let fe = Oracles.ftran_residual ~basis:pos ~col (Basis.ftran_dense t (Array.copy b)) b in
+      let be = Oracles.btran_residual ~basis:pos ~col (btran t b) b in
+      if fe > 1e-12 || be > 1e-12 then
+        Alcotest.failf "%s: ftran backward error %.3g, btran %.3g" tag fe be
+    in
+    check "refactorized";
+    for k = 1 to 12 do
+      let rows = Array.init m Fun.id and coefs = Array.init m (fun _ -> R.float rng 2.0 -. 1.0) in
+      let alpha = Basis.ftran_col_sparse t rows coefs ~off:0 ~len:m in
+      let row = Test_sparse_kernels.largest_entry alpha in
+      if row >= 0 && Basis.update_sparse t ~alpha ~row then begin
+        cur.(row) <- List.init m (fun i -> (i, coefs.(i)));
+        check (Printf.sprintf "after eta %d" k)
+      end
+    done;
+    Basis.refactorize t ~basis:pos ~col;
+    check "refactorized after the etas"
   done
 
 let test_copy_is_independent () =
   let rng = R.create 16 in
   let m = 8 in
-  let t, _, _ = refactorized Basis.Lu rng m in
+  let t, _, _ = refactorized rng m in
   let probe = Array.init m (fun _ -> R.float rng 2.0 -. 1.0) in
   let x_before = Basis.ftran_dense t (Array.copy probe) in
-  let snap = Option.get (Basis.adopt t Basis.Lu) in
+  let snap = Basis.copy t in
   (* mutate the copy with an eta update *)
   let alpha = scaled_unit_ftran snap 2 3.0 in
   Alcotest.(check bool) "update on copy ok" true (Basis.update_sparse snap ~alpha ~row:2);
@@ -258,7 +275,7 @@ let test_copy_is_independent () =
    sequence, so the elimination order must match exactly. *)
 
 let production_order m ~basis ~col =
-  let t = Basis.create Basis.Lu ~m in
+  let t = Basis.create ~m in
   Basis.refactorize t ~basis ~col;
   let rperm, cperm = Basis.pivot_order t in
   Array.init m (fun k -> (rperm.(k), cperm.(k)))
@@ -350,25 +367,22 @@ let test_pivot_order_singular () =
     (Printf.sprintf "singular agreements exercised (%d)" !singular)
     true (!singular >= 60)
 
-(* FTRAN/BTRAN of a basis through a fresh factorization and through the
-   solve's own factorization [t] (which pivoted its way to the basis and
-   carries an eta file), forced to refactorize, must be bitwise equal under
-   both LU kinds: nothing of the factorization's history survives a
+(* FTRAN/BTRAN of a basis through a fresh factorization and through a copy
+   of the solve's own factorization [t] (which pivoted its way to the basis
+   and may carry an eta file), forced to refactorize, must be bitwise
+   equal: nothing of the factorization's history survives a
    refactorization. *)
 let check_solves_bitwise tag rng (t : Basis.t) m ~basis ~col =
+  let t = Basis.copy t in
   Basis.refactorize t ~basis ~col;
+  let fresh = Basis.create ~m in
+  Basis.refactorize fresh ~basis ~col;
   List.iter
-    (fun kind ->
-      let fresh = Basis.create kind ~m in
-      Basis.refactorize fresh ~basis ~col;
-      let t = Option.get (Basis.adopt t kind) in
-      List.iter
-        (fun b ->
-          let same f = f fresh (Array.copy b) = f t (Array.copy b) in
-          if not (same Basis.ftran_dense && same btran) then
-            Alcotest.failf "%s: solves differ after a forced refactorization" tag)
-        (List.init 3 (fun _ -> Array.init m (fun _ -> R.float rng 2.0 -. 1.0))))
-    [ Basis.Lu; Basis.Lu_full_scan ]
+    (fun b ->
+      let same f = f fresh (Array.copy b) = f t (Array.copy b) in
+      if not (same Basis.ftran_dense && same btran) then
+        Alcotest.failf "%s: solves differ after a forced refactorization" tag)
+    (List.init 3 (fun _ -> Array.init m (fun _ -> R.float rng 2.0 -. 1.0)))
 
 (* [f tag std] on every model of the differential corpus: 140 LP, 60
    warm-restart LP and 80 MIP relaxations. *)
@@ -408,7 +422,8 @@ let test_pivot_order_corpus () =
       incr checked;
       let m = std.Model.nrows and col = Simplex.iter_column std in
       ignore (check_pivot_order tag m ~basis:wcols ~col);
-      check_solves_bitwise tag rng fac m ~basis:wcols ~col
+      check_solves_bitwise tag rng fac m ~basis:wcols ~col;
+      ignore (Test_sparse_kernels.pin_model_basis tag rng std fac ~wcols ~samples:2 ~updates:2)
     | _ -> ()
   in
   iter_corpus check;
@@ -458,8 +473,8 @@ let triangle_nucleus_basis rng ~t1 ~n ~t2 =
 
 (* The singleton pass takes exactly the lower triangle when a nucleus of 2
    or more columns stands in the way, and everything without one (a
-   one-column nucleus is a singleton too); the factors solve as the dense
-   inverse does. *)
+   one-column nucleus is a singleton too); the factors solve with small
+   residuals. *)
 let test_pivot_order_triangle_nucleus () =
   let rng = R.create 25 in
   for trial = 1 to 150 do
@@ -473,14 +488,13 @@ let test_pivot_order_triangle_nucleus () =
       | Some singletons ->
         if singletons <> if n <= 1 then m else t1 then
           Alcotest.failf "%s: singleton pass took %d steps" tag singletons);
-      let lu = Basis.create Basis.Lu ~m and dn = Basis.create Basis.Dense ~m in
-      Basis.refactorize lu ~basis ~col:(col_fn cols);
-      Basis.refactorize dn ~basis ~col:(col_fn cols);
+      let lu = Basis.create ~m and col = col_fn cols in
+      Basis.refactorize lu ~basis ~col;
       let b = Array.init m (fun _ -> R.float rng 2.0 -. 1.0) in
-      let ftran t = Basis.ftran_dense t (Array.copy b) in
-      let df = max_abs_diff (ftran lu) (ftran dn) in
-      let db = max_abs_diff (btran lu b) (btran dn b) in
-      if df > 1e-9 || db > 1e-9 then Alcotest.failf "%s: ftran err %g, btran err %g" tag df db
+      let df = Oracles.ftran_residual ~basis ~col (Basis.ftran_dense lu (Array.copy b)) b in
+      let db = Oracles.btran_residual ~basis ~col (btran lu b) b in
+      if df > 1e-12 || db > 1e-12 then
+        Alcotest.failf "%s: ftran backward error %.3g, btran %.3g" tag df db
     end
   done
 
@@ -591,7 +605,7 @@ let allocated_words () =
    wall time inflates only the large run and with it the ratio. *)
 let measure_refactorize ~stride m =
   let basis, col, nnz = banded_basis ~stride m in
-  let t = Basis.create Basis.Lu ~m in
+  let t = Basis.create ~m in
   let best = ref infinity and words = ref 0.0 in
   for _ = 1 to 3 do
     Gc.minor ();
@@ -658,7 +672,9 @@ let test_refactorize_allocation () =
 (* The phase-1 model a region-scale round compiles, at bring-up and after a
    failure round: its crash basis at the status quo must factor in the
    oracle's order with an empty nucleus, and its optimal root basis in the
-   oracle's order, with solves unchanged by a forced refactorization. *)
+   oracle's order, with solves unchanged by a forced refactorization and
+   sparse solves equal to the dense ones (the traversal pin, with
+   residuals, also after eta updates). *)
 let test_pivot_order_region_scale () =
   if not (Test_region_scale.full_scale ()) then () (* 10^6-server pin: RAS_SCALE_TESTS=full only *)
   else begin
@@ -674,7 +690,11 @@ let test_pivot_order_region_scale () =
         | Simplex.Optimal { basis = { Simplex.wcols; wfac = Some fac; _ }; _ } ->
           ignore (check_pivot_order tag m ~basis:wcols ~col);
           check_solves_bitwise tag rng fac m ~basis:wcols ~col;
-          Printf.printf "%s: %d elimination steps match the oracle\n" tag m
+          Printf.printf "%s: %d elimination steps match the oracle\n" tag m;
+          let pinned =
+            Test_sparse_kernels.pin_model_basis tag rng std fac ~wcols ~samples:50 ~updates:8
+          in
+          Printf.printf "%s: %d sparse solves equal the dense ones\n" tag pinned
         | _ -> Alcotest.failf "%s: root LP not optimal" tag)
   end
 
@@ -687,7 +707,7 @@ let suite =
       test_eta_limit_triggers_refactorize;
     Alcotest.test_case "near-singular pivot refused" `Quick test_near_singular_pivot_refused;
     Alcotest.test_case "singular matrix raises" `Quick test_singular_matrix_raises;
-    Alcotest.test_case "dense and LU backends agree" `Quick test_dense_lu_agree;
+    Alcotest.test_case "residuals after every update and refactorization" `Quick test_residuals;
     Alcotest.test_case "copy is independent" `Quick test_copy_is_independent;
     Alcotest.test_case "LU pivot order matches the window-scan oracle (random bases)" `Quick
       test_pivot_order_random;

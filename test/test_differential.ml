@@ -1,40 +1,29 @@
-(* Differential solver harness: every pricing rule (Dantzig, Devex) on
-   every basis backend (dense inverse, LU + eta) against one reference
-   configuration — full Dantzig scan on the dense inverse — on a
-   280-instance seeded corpus of random bounded LPs and MIPs (140 LP + 60
-   warm-restart LP + 80 MIP).  The LP references are cold solves; the MIP
-   reference's child nodes restart warm like every other configuration.
+(* Differential solver harness: the solver against
+   [Oracles.lp_reference], a dense tableau simplex under Bland's rule that
+   shares no code with Simplex or Basis, on a 280-instance seeded corpus
+   of random bounded LPs and MIPs (140 LP + 60 warm-restart LP + 80 MIP).
 
-   Every generated instance is solved under all four pricing×backend
-   combinations; each must agree with the reference on the feasibility
-   verdict, the objective value (within 1e-6, scale-relative) and — for
-   MIPs — the branch-and-bound best bound.  The generator covers sizes up
-   to ~60 rows × 120 columns for LPs and small bounded integer programs
-   for MIPs, with free/fixed/one-sided/negative variable bounds and all
-   three row senses.
+   Every LP instance must agree with the reference on the verdict
+   (optimal, infeasible, unbounded) and the objective (within 1e-6,
+   scale-relative), and every optimal result must pass
+   [Oracles.lp_certificate] — primal feasibility, dual signs and strong
+   duality read off its point and duals alone.  The warm restarts re-solve
+   from the first solve's basis with a tightened bound, the
+   branch-and-bound child pattern that runs the dual simplex.  Each MIP's
+   branch-and-bound must agree with [Oracles.mip_reference], a depth-first
+   search over the tableau reference, on the status and the objective.
+   The generator covers sizes up to ~60 rows × 120 columns for LPs and
+   small bounded integer programs for MIPs, with free/fixed/one-sided/
+   negative variable bounds and all three row senses.
 
-   The same 280-instance corpus is then re-solved under both LU kinds
-   (hypersparse traversal vs the full-scan reference) with a strictly
-   tighter contract: bit-identical pivot
-   counts, bases, and search traces, objectives within 1e-9. *)
+   The kernel battery then pins, on the same 280 instances, the sparse
+   solves against the all-steps dense solves bit for bit on the
+   factorizations the solves end with and after eta updates on top of
+   them (see [Test_sparse_kernels.pin_model_basis]): equal solves give the
+   same pivots, so the hypersparse traversal cannot steer a solve. *)
 
 open Ras_mip
 module R = Ras_stats.Rng
-
-let reference_backend = Basis.Dense
-let production_backend = Basis.Lu
-
-(* the full pricing × backend matrix every instance is solved under *)
-let all_pricings =
-  [ ("dantzig", Simplex.Dantzig); ("devex", Simplex.Devex) ]
-
-let all_backends = [ ("dense", Basis.Dense); ("lu", Basis.Lu) ]
-
-let iter_configs f =
-  List.iter
-    (fun (pname, pricing) ->
-      List.iter (fun (bname, backend) -> f ~pname ~pricing ~bname ~backend) all_backends)
-    all_pricings
 
 (* ------------------------------------------------------------------ *)
 (* Instance generator                                                  *)
@@ -100,33 +89,28 @@ let lp_verdict = function
   | Simplex.Unbounded -> "unbounded"
   | Simplex.Iteration_limit _ -> "iteration-limit"
 
-let check_lp_instance seed std =
-  let reference =
-    Simplex.solve ~pricing:Simplex.Dantzig ~backend:reference_backend std
-  in
-  iter_configs (fun ~pname ~pricing ~bname ~backend ->
-      let produced = Simplex.solve ~pricing ~backend std in
-      match (reference, produced) with
-      | Simplex.Optimal r, Simplex.Optimal p ->
-        if Float.abs (r.obj -. p.obj) > obj_tol r.obj then
-          Alcotest.failf "seed %d [%s/%s]: objectives differ: ref %.9g vs %.9g" seed pname
-            bname r.obj p.obj;
-        (match Model.check_solution std p.x with
-        | Ok () -> ()
-        | Error msg ->
-          Alcotest.failf "seed %d [%s/%s]: solution infeasible: %s" seed pname bname msg)
-      | Simplex.Infeasible _, Simplex.Infeasible _ -> ()
-      | Simplex.Unbounded, Simplex.Unbounded -> ()
-      | r, p ->
-        Alcotest.failf "seed %d [%s/%s]: verdicts differ: ref %s vs %s" seed pname bname
-          (lp_verdict r) (lp_verdict p))
+(* [produced] against the tableau reference on the same bounds, and the
+   certificate on an optimal result. *)
+let check_lp_result tag ?lb ?ub std produced =
+  match (Oracles.lp_reference ?lb ?ub std, produced) with
+  | Oracles.Lp_optimal r, Simplex.Optimal p -> (
+    if Float.abs (r.obj -. p.obj) > obj_tol r.obj then
+      Alcotest.failf "%s: objectives differ: reference %.9g vs %.9g" tag r.obj p.obj;
+    match Oracles.lp_certificate ?lb ?ub std ~x:p.x ~duals:p.duals ~obj:p.obj with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "%s: certificate fails: %s" tag msg)
+  | Oracles.Lp_infeasible, Simplex.Infeasible _ -> ()
+  | Oracles.Lp_unbounded, Simplex.Unbounded -> ()
+  | r, p ->
+    Alcotest.failf "%s: verdicts differ: reference %s vs %s" tag (Oracles.lp_verdict_name r)
+      (lp_verdict p)
 
 let test_lp_differential () =
   let count = ref 0 in
   for seed = 1 to 140 do
     let rng = R.create (7000 + seed) in
     let std = random_model rng ~max_rows:60 ~max_cols:120 ~integer_frac:0.0 in
-    check_lp_instance seed std;
+    check_lp_result (Printf.sprintf "seed %d" seed) std (Simplex.solve std);
     incr count
   done;
   Alcotest.(check bool) "enough LP instances" true (!count >= 140)
@@ -172,41 +156,34 @@ let random_feasible_model rng ~max_rows ~max_cols =
     (Lin_expr.of_terms (List.init n (fun j -> (R.float rng 10.0 -. 5.0, vars.(j)))));
   Model.compile mdl
 
+(* The warm-restart instances: the first solve's result and a tightened
+   copy of one variable's bounds past its LP value, or [None] when the
+   first solve is not optimal or the tightening empties the box. *)
+let warm_restart seed =
+  let rng = R.create (9000 + seed) in
+  let std = random_feasible_model rng ~max_rows:30 ~max_cols:60 in
+  match Simplex.solve std with
+  | Simplex.Optimal { basis; x; _ } ->
+    let j = R.int rng std.Model.nvars in
+    let ub = Array.copy std.Model.ub in
+    let lb = Array.copy std.Model.lb in
+    if R.bool rng then ub.(j) <- Float.min ub.(j) (Float.floor x.(j))
+    else lb.(j) <- Float.max lb.(j) (Float.ceil x.(j));
+    if lb.(j) <= ub.(j) then Some (std, basis, lb, ub) else None
+  | _ -> None
+
 (* Warm-started differential: re-solve with tightened bounds from the first
    solve's basis — the branch-and-bound child pattern, which is the code
    path where the dual simplex actually runs. *)
 let test_lp_warm_differential () =
   let exercised = ref 0 in
   for seed = 1 to 60 do
-    let rng = R.create (9000 + seed) in
-    let std = random_feasible_model rng ~max_rows:30 ~max_cols:60 in
-    match Simplex.solve ~backend:production_backend std with
-    | Simplex.Optimal { basis; x; _ } ->
-      (* tighten a random variable's bound past its LP value *)
-      let j = R.int rng std.Model.nvars in
-      let ub = Array.copy std.Model.ub in
-      let lb = Array.copy std.Model.lb in
-      if R.bool rng then ub.(j) <- Float.min ub.(j) (Float.floor x.(j))
-      else lb.(j) <- Float.max lb.(j) (Float.ceil x.(j));
-      if lb.(j) <= ub.(j) then begin
-        incr exercised;
-        let reference =
-          Simplex.solve ~pricing:Simplex.Dantzig ~backend:reference_backend ~lb ~ub std
-        in
-        iter_configs (fun ~pname ~pricing ~bname ~backend ->
-            let produced = Simplex.solve ~pricing ~backend ~basis ~lb ~ub std in
-            match (reference, produced) with
-            | Simplex.Optimal r, Simplex.Optimal p ->
-              if Float.abs (r.obj -. p.obj) > obj_tol r.obj then
-                Alcotest.failf "warm seed %d [%s/%s]: objectives differ: %.9g vs %.9g"
-                  seed pname bname r.obj p.obj
-            | Simplex.Infeasible _, Simplex.Infeasible _ -> ()
-            | Simplex.Unbounded, Simplex.Unbounded -> ()
-            | r, p ->
-              Alcotest.failf "warm seed %d [%s/%s]: verdicts differ: %s vs %s" seed pname
-                bname (lp_verdict r) (lp_verdict p))
-      end
-    | _ -> ()
+    match warm_restart seed with
+    | Some (std, basis, lb, ub) ->
+      incr exercised;
+      check_lp_result (Printf.sprintf "warm seed %d" seed) ~lb ~ub std
+        (Simplex.solve ~basis ~lb ~ub std)
+    | None -> ()
   done;
   Alcotest.(check bool)
     (Printf.sprintf "warm restarts exercised (%d)" !exercised)
@@ -223,43 +200,34 @@ let status_name = function
   | Branch_bound.Unknown -> "unknown"
 
 let check_mip_instance seed std =
-  let solve pricing backend =
-    let options =
-      {
-        Branch_bound.default_options with
-        Branch_bound.lp_pricing = pricing;
-        lp_backend = backend;
-        node_limit = 20_000;
-      }
+  let options = { Branch_bound.default_options with Branch_bound.node_limit = 20_000 } in
+  let produced = Branch_bound.solve ~options std in
+  match (Oracles.mip_reference std, produced.Branch_bound.status) with
+  | Oracles.Mip_optimal r, Branch_bound.Optimal ->
+    let p = produced.Branch_bound.objective in
+    if Float.abs (r -. p) > obj_tol r then
+      Alcotest.failf "seed %d: MIP objectives differ: reference %.9g vs %.9g" seed r p;
+    let pb = produced.Branch_bound.best_bound in
+    if pb > r +. obj_tol r then
+      Alcotest.failf "seed %d: MIP bound %.9g above the reference optimum %.9g" seed pb r
+  | Oracles.Mip_infeasible, Branch_bound.Infeasible -> ()
+  | Oracles.Mip_unbounded, Branch_bound.Unbounded -> ()
+  | r, p ->
+    let r =
+      match r with
+      | Oracles.Mip_optimal o -> Printf.sprintf "optimal %g" o
+      | Oracles.Mip_infeasible -> "infeasible"
+      | Oracles.Mip_unbounded -> "unbounded"
     in
-    Branch_bound.solve ~options std
-  in
-  let reference = solve Simplex.Dantzig reference_backend in
-  iter_configs (fun ~pname ~pricing ~bname ~backend ->
-      let produced = solve pricing backend in
-      if reference.Branch_bound.status <> produced.Branch_bound.status then
-        Alcotest.failf "seed %d [%s/%s]: MIP status differs: ref %s vs %s" seed pname bname
-          (status_name reference.Branch_bound.status)
-          (status_name produced.Branch_bound.status);
-      match reference.Branch_bound.status with
-      | Branch_bound.Optimal ->
-        let r = reference.Branch_bound.objective and p = produced.Branch_bound.objective in
-        if Float.abs (r -. p) > obj_tol r then
-          Alcotest.failf "seed %d [%s/%s]: MIP objectives differ: ref %.9g vs %.9g" seed
-            pname bname r p;
-        let rb = reference.Branch_bound.best_bound
-        and pb = produced.Branch_bound.best_bound in
-        if Float.abs (rb -. pb) > obj_tol rb then
-          Alcotest.failf "seed %d [%s/%s]: MIP bounds differ: ref %.9g vs %.9g" seed pname
-            bname rb pb
-      | _ -> ())
+    Alcotest.failf "seed %d: MIP verdicts differ: reference %s vs %s" seed r (status_name p)
+
+let mip_model seed =
+  random_model (R.create (8000 + seed)) ~max_rows:8 ~max_cols:8 ~integer_frac:0.7
 
 let test_mip_differential () =
   let count = ref 0 in
   for seed = 1 to 80 do
-    let rng = R.create (8000 + seed) in
-    let std = random_model rng ~max_rows:8 ~max_cols:8 ~integer_frac:0.7 in
-    check_mip_instance seed std;
+    check_mip_instance seed (mip_model seed);
     incr count
   done;
   Alcotest.(check bool) "enough MIP instances" true (!count >= 80)
@@ -267,136 +235,107 @@ let test_mip_differential () =
 (* ------------------------------------------------------------------ *)
 (* Sparse-vs-dense kernel differential                                 *)
 
-(* The two LU kinds ({!Basis.Lu} graph traversal vs {!Basis.Lu_full_scan}
-   full scans) perform bit-identical floating point operations — the
-   entries a traversal skips are structural zeros — so a solve under either
-   kind must take the *same pivot sequence*, not merely reach the same
-   optimum.  The full 280-instance corpus (the same 140 LP + 60
-   warm-restart + 80 MIP seeds as above) is re-solved here under both
-   kinds × both pricing rules, asserting identical pivot counts, identical
-   final bases, matching verdicts, and objectives within 1e-9.  The warm
-   restarts hand both kinds the production solve's factorization, which
-   each adopts. *)
+(* The traversal pin on the factorization an optimal solve ends with, and
+   after [updates] eta updates on top of it; a solve that is not optimal
+   leaves no factorization to pin. *)
+let pin_result tag rng std = function
+  | Simplex.Optimal { basis = { Simplex.wcols; wfac = Some fac; _ }; _ } ->
+    Test_sparse_kernels.pin_model_basis tag rng std fac ~wcols ~samples:4 ~updates:6
+  | _ -> 0
 
-let kernel_tol a = 1e-9 *. (1.0 +. Float.abs a)
+(* Most of the random LPs are infeasible or unbounded, so each instance
+   also pins the crash basis of a random point in its box: triangular,
+   hence always factorizable, and holding structural columns wherever the
+   point is inside a bound. *)
+let pin_crash_basis tag rng (std : Model.std) =
+  let point j =
+    let lo = std.Model.lb.(j) and hi = std.Model.ub.(j) in
+    let lo = if Float.is_finite lo then lo else if Float.is_finite hi then hi -. 10.0 else -5.0 in
+    let hi = if Float.is_finite hi then hi else lo +. 10.0 in
+    lo +. R.float rng (hi -. lo)
+  in
+  let crash = Simplex.crash std (Array.init std.Model.nvars point) in
+  let m = std.Model.nrows in
+  let fac = Basis.create ~m in
+  Basis.refactorize fac ~basis:crash.Simplex.wcols ~col:(Simplex.iter_column std);
+  Test_sparse_kernels.pin_model_basis tag rng std fac ~wcols:crash.Simplex.wcols ~samples:4
+    ~updates:6
 
-let check_lp_kernel_pair ?basis ?lb ?ub tag std =
-  List.iter
-    (fun (pname, pricing) ->
-      let solve backend = Simplex.solve ~pricing ~backend ?basis ?lb ?ub std in
-      let sparse = solve production_backend and oracle = solve Basis.Lu_full_scan in
-      match (sparse, oracle) with
-      | ( Simplex.Optimal
-            { iterations = si; dual_iterations = sdi; obj = so; basis = sb; _ },
-          Simplex.Optimal { iterations = oi; dual_iterations = odi; obj = oo; basis = ob; _ } )
-        ->
-        if si <> oi || sdi <> odi then
-          Alcotest.failf "%s [%s]: pivot counts differ: sparse %d/%d vs oracle %d/%d" tag
-            pname si sdi oi odi;
-        if Float.abs (so -. oo) > kernel_tol oo then
-          Alcotest.failf "%s [%s]: objectives differ: %.12g vs %.12g" tag pname so oo;
-        if sb.Simplex.wcols <> ob.Simplex.wcols || sb.Simplex.wstatus <> ob.Simplex.wstatus
-        then Alcotest.failf "%s [%s]: final bases differ" tag pname
-      | ( Simplex.Infeasible { infeasibility = a },
-          Simplex.Infeasible { infeasibility = b } ) ->
-        if a <> b then
-          Alcotest.failf "%s [%s]: infeasibility counts differ: %d vs %d" tag pname a b
-      | Simplex.Unbounded, Simplex.Unbounded -> ()
-      | s, o ->
-        Alcotest.failf "%s [%s]: verdicts differ: sparse %s vs oracle %s" tag pname
-          (lp_verdict s) (lp_verdict o))
-    all_pricings
+let check_pinned what n floor =
+  Alcotest.(check bool) (Printf.sprintf "%s: %d solves pinned" what n) true (n >= floor)
 
 let test_lp_kernel_differential () =
+  let pinned = ref 0 in
   for seed = 1 to 140 do
     let rng = R.create (7000 + seed) in
     let std = random_model rng ~max_rows:60 ~max_cols:120 ~integer_frac:0.0 in
-    check_lp_kernel_pair (Printf.sprintf "lp seed %d" seed) std
-  done
+    let tag = Printf.sprintf "lp seed %d" seed in
+    pinned := !pinned + pin_result tag rng std (Simplex.solve std);
+    pinned := !pinned + pin_crash_basis (tag ^ " crash") rng std
+  done;
+  check_pinned "lp" !pinned 5_000
 
 let test_lp_warm_kernel_differential () =
-  let exercised = ref 0 in
+  let pinned = ref 0 in
   for seed = 1 to 60 do
-    let rng = R.create (9000 + seed) in
-    let std = random_feasible_model rng ~max_rows:30 ~max_cols:60 in
-    match Simplex.solve ~backend:production_backend std with
-    | Simplex.Optimal { basis; x; _ } ->
-      let j = R.int rng std.Model.nvars in
-      let ub = Array.copy std.Model.ub in
-      let lb = Array.copy std.Model.lb in
-      if R.bool rng then ub.(j) <- Float.min ub.(j) (Float.floor x.(j))
-      else lb.(j) <- Float.max lb.(j) (Float.ceil x.(j));
-      if lb.(j) <= ub.(j) then begin
-        incr exercised;
-        (* warm restart with the dual phase on: its dual pivot counts must
-           agree across kernels too *)
-        check_lp_kernel_pair ~basis ~lb ~ub (Printf.sprintf "warm seed %d" seed) std
-      end
+    match warm_restart seed with
+    | Some (std, basis, lb, ub) ->
+      let rng = R.create (9500 + seed) in
+      pinned :=
+        !pinned
+        + pin_result (Printf.sprintf "warm seed %d" seed) rng std
+            (Simplex.solve ~basis ~lb ~ub std)
+    | None -> ()
+  done;
+  check_pinned "warm lp" !pinned 1_400
+
+(* The MIPs' root LP and the two children of its first fractional
+   variable, each child warm-started from the root's basis as
+   branch-and-bound does; each also against the tableau reference and the
+   certificate. *)
+let test_mip_kernel_differential () =
+  let pinned = ref 0 in
+  for seed = 1 to 80 do
+    let std = mip_model seed and rng = R.create (8500 + seed) in
+    let tag = Printf.sprintf "mip seed %d" seed in
+    let root = Simplex.solve std in
+    check_lp_result (tag ^ " root") std root;
+    pinned := !pinned + pin_result (tag ^ " root") rng std root;
+    match root with
+    | Simplex.Optimal { x; basis; _ } -> (
+      let fractional j =
+        std.Model.integer.(j) && Float.abs (x.(j) -. Float.round x.(j)) > 1e-6
+      in
+      match List.find_opt fractional (List.init std.Model.nvars Fun.id) with
+      | Some j ->
+        let down = Array.copy std.Model.ub and up = Array.copy std.Model.lb in
+        down.(j) <- Float.floor x.(j);
+        up.(j) <- Float.ceil x.(j);
+        let down_lp = Simplex.solve ~basis ~ub:down std and up_lp = Simplex.solve ~basis ~lb:up std in
+        check_lp_result (tag ^ " down") ~ub:down std down_lp;
+        check_lp_result (tag ^ " up") ~lb:up std up_lp;
+        pinned := !pinned + pin_result (tag ^ " down") rng std down_lp;
+        pinned := !pinned + pin_result (tag ^ " up") rng std up_lp
+      | None -> ())
     | _ -> ()
   done;
-  Alcotest.(check bool)
-    (Printf.sprintf "warm restarts exercised (%d)" !exercised)
-    true (!exercised >= 30)
-
-let test_mip_kernel_differential () =
-  for seed = 1 to 80 do
-    let rng = R.create (8000 + seed) in
-    let std = random_model rng ~max_rows:8 ~max_cols:8 ~integer_frac:0.7 in
-    List.iter
-      (fun (pname, pricing) ->
-        let solve backend =
-          let options =
-            {
-              Branch_bound.default_options with
-              Branch_bound.lp_pricing = pricing;
-              lp_backend = backend;
-              node_limit = 20_000;
-            }
-          in
-          Branch_bound.solve ~options std
-        in
-        let s = solve production_backend and o = solve Basis.Lu_full_scan in
-        if s.Branch_bound.status <> o.Branch_bound.status then
-          Alcotest.failf "mip seed %d [%s]: statuses differ: %s vs %s" seed pname
-            (status_name s.Branch_bound.status)
-            (status_name o.Branch_bound.status);
-        if s.Branch_bound.nodes <> o.Branch_bound.nodes
-           || s.Branch_bound.lp_iterations <> o.Branch_bound.lp_iterations
-           || s.Branch_bound.dual_pivots <> o.Branch_bound.dual_pivots
-        then
-          Alcotest.failf "mip seed %d [%s]: search traces differ: %d/%d/%d vs %d/%d/%d" seed
-            pname s.Branch_bound.nodes s.Branch_bound.lp_iterations s.Branch_bound.dual_pivots
-            o.Branch_bound.nodes o.Branch_bound.lp_iterations o.Branch_bound.dual_pivots;
-        match s.Branch_bound.status with
-        | Branch_bound.Optimal ->
-          if
-            Float.abs (s.Branch_bound.objective -. o.Branch_bound.objective)
-            > kernel_tol o.Branch_bound.objective
-            || Float.abs (s.Branch_bound.best_bound -. o.Branch_bound.best_bound)
-               > kernel_tol o.Branch_bound.best_bound
-          then
-            Alcotest.failf "mip seed %d [%s]: objectives/bounds differ: %.12g/%.12g vs %.12g/%.12g"
-              seed pname s.Branch_bound.objective s.Branch_bound.best_bound
-              o.Branch_bound.objective o.Branch_bound.best_bound
-        | _ -> ())
-      all_pricings
-  done
+  check_pinned "mip" !pinned 1_500
 
 let suite =
   [
-    Alcotest.test_case "lp: 3 pricing rules x 2 backends match oracle (140 instances)"
+    Alcotest.test_case "lp: verdict, objective and certificate match the tableau oracle (140 instances)"
       `Quick test_lp_differential;
-    Alcotest.test_case "lp warm restart: all configs match oracle (60 seeds)" `Quick
-      test_lp_warm_differential;
-    Alcotest.test_case "mip: all configs match oracle bounds/verdicts (80 instances)"
+    Alcotest.test_case "lp warm restart: matches the tableau oracle and certificate (60 seeds)"
+      `Quick test_lp_warm_differential;
+    Alcotest.test_case "mip: verdict and objective match the depth-first oracle (80 instances)"
       `Quick test_mip_differential;
     Alcotest.test_case
-      "kernels lp: sparse vs dense-oracle bit-identical pivots (140 instances)" `Quick
-      test_lp_kernel_differential;
+      "kernels lp: sparse vs dense-oracle solves bit-identical on root and crash bases (140 instances)"
+      `Quick test_lp_kernel_differential;
     Alcotest.test_case
-      "kernels warm lp: sparse vs dense-oracle incl. dual pivots (60 seeds)" `Quick
+      "kernels warm lp: sparse vs dense-oracle solves on the dual phase's bases (60 seeds)" `Quick
       test_lp_warm_kernel_differential;
     Alcotest.test_case
-      "kernels mip: sparse vs dense-oracle identical search traces (80 instances)" `Quick
+      "kernels mip: sparse vs dense-oracle solves on root and child bases (80 instances)" `Quick
       test_mip_kernel_differential;
   ]

@@ -19,11 +19,11 @@ let test_lin_expr_cancel () =
   Alcotest.(check int) "cancels" 0 (List.length (Lin_expr.terms e))
 
 let test_lin_expr_eval () =
-  let e = Lin_expr.of_terms ~constant:1.5 [ (2.0, 0); (-1.0, 1) ] in
+  let e = Lin_expr.add (Lin_expr.of_terms [ (2.0, 0); (-1.0, 1) ]) (Lin_expr.constant 1.5) in
   Alcotest.(check (float 1e-9)) "eval" 4.5 (Lin_expr.eval e (fun v -> if v = 0 then 2.0 else 1.0))
 
 let test_lin_expr_scale () =
-  let e = Lin_expr.scale 2.0 (Lin_expr.of_terms ~constant:1.0 [ (3.0, 0) ]) in
+  let e = Lin_expr.scale 2.0 (Lin_expr.add (Lin_expr.term 3.0 0) (Lin_expr.constant 1.0)) in
   Alcotest.(check (list (pair (float 1e-9) int))) "scaled terms" [ (6.0, 0) ] (Lin_expr.terms e);
   Alcotest.(check (float 1e-9)) "scaled const" 2.0 (Lin_expr.get_constant e)
 
@@ -63,7 +63,7 @@ let test_model_constant_folded_into_rhs () =
   let m = Model.create () in
   let x = Model.add_var ~ub:10.0 m in
   (* x + 3 <= 5  =>  x <= 2 *)
-  let _ = Model.add_constraint m (Lin_expr.of_terms ~constant:3.0 [ (1.0, x) ]) Model.Le 5.0 in
+  let _ = Model.add_constraint m (Lin_expr.add (Lin_expr.var x) (Lin_expr.constant 3.0)) Model.Le 5.0 in
   Model.set_objective m (Lin_expr.term (-1.0) x);
   match Simplex.solve (Model.compile m) with
   | Simplex.Optimal { x = sol; _ } -> Alcotest.(check (float 1e-6)) "x = 2" 2.0 sol.(0)
@@ -84,7 +84,7 @@ let test_pos_part_helper () =
   let x = Model.add_var ~ub:10.0 m in
   let _ = Model.add_constraint m (Lin_expr.var x) Model.Ge 7.0 in
   (* objective: 5 * max(0, x - 4): optimum picks x = 7, cost 15 *)
-  let _ = Model.add_pos_part m ~weight:5.0 (Lin_expr.of_terms ~constant:(-4.0) [ (1.0, x) ]) in
+  let _ = Model.add_pos_part m ~weight:5.0 (Lin_expr.add (Lin_expr.var x) (Lin_expr.constant (-4.0))) in
   match Simplex.solve (Model.compile m) with
   | Simplex.Optimal { obj; _ } -> Alcotest.(check (float 1e-6)) "cost" 15.0 obj
   | _ -> Alcotest.fail "expected optimal"
@@ -718,9 +718,10 @@ let prop_lp_no_worse_than_feasible_point =
 
    Small hand-written instances covering the solver's awkward corners
    (degeneracy, dual degeneracy, free and fixed variables, infeasibility,
-   unboundedness) with hand-computed expected results.  Each fixture runs on
-   both basis backends, so a factorization regression is caught by a fixed
-   instance and not only by the random differential harness. *)
+   unboundedness) with hand-computed expected results, which both the
+   solver and the tableau oracle ([Oracles.lp_reference]) must reproduce,
+   so a solver regression is caught by a fixed instance and not only by
+   the random differential harness. *)
 
 type golden_expect =
   | Lp_opt of float  (* LP relaxation optimum *)
@@ -767,53 +768,91 @@ let load_fixture name =
   | Ok std -> std
   | Error msg -> Alcotest.failf "%s: parse error: %s" name msg
 
-let check_golden ?pricing backend (name, expect) =
+let mip_status_name = function
+  | Branch_bound.Optimal -> "optimal"
+  | Branch_bound.Feasible -> "feasible"
+  | Branch_bound.Infeasible -> "infeasible"
+  | Branch_bound.Unbounded -> "unbounded"
+  | Branch_bound.Unknown -> "unknown"
+
+(* The solver against the fixture's hand-computed expectation;
+   [degen_limit] reaches the LP solves only. *)
+let check_golden ?degen_limit (name, expect) =
   let std = load_fixture name in
+  let lp () = Simplex.solve ?degen_limit std in
+  let mip () = (Branch_bound.solve std).Branch_bound.status in
   match expect with
   | Lp_opt want -> (
-    match Simplex.solve ?pricing ~backend std with
+    match lp () with
     | Simplex.Optimal { obj; x; _ } ->
       Alcotest.(check (float 1e-6)) (name ^ " objective") want obj;
       Alcotest.(check bool) (name ^ " solution feasible") true (feasible std x)
     | _ -> Alcotest.failf "%s: expected optimal" name)
   | Lp_infeas -> (
-    match Simplex.solve ?pricing ~backend std with
+    match lp () with
     | Simplex.Infeasible _ -> ()
     | _ -> Alcotest.failf "%s: expected infeasible" name)
   | Lp_unbounded -> (
-    match Simplex.solve ?pricing ~backend std with
-    | Simplex.Unbounded -> ()
-    | _ -> Alcotest.failf "%s: expected unbounded" name)
+    match lp () with Simplex.Unbounded -> () | _ -> Alcotest.failf "%s: expected unbounded" name)
   | Mip_opt want -> (
-    let options = { Branch_bound.default_options with Branch_bound.lp_backend = backend } in
-    match Branch_bound.solve ~options std with
+    match Branch_bound.solve std with
     | { Branch_bound.status = Branch_bound.Optimal; objective; _ } ->
       Alcotest.(check (float 1e-6)) (name ^ " objective") want objective
-    | o -> Alcotest.failf "%s: expected MIP optimal, got some other status (bound %g)" name
-             o.Branch_bound.best_bound)
-  | Mip_infeas -> (
-    let options = { Branch_bound.default_options with Branch_bound.lp_backend = backend } in
-    match Branch_bound.solve ~options std with
-    | { Branch_bound.status = Branch_bound.Infeasible; _ } -> ()
-    | _ -> Alcotest.failf "%s: expected MIP infeasible" name)
+    | o ->
+      Alcotest.failf "%s: expected MIP optimal, got %s (bound %g)" name
+        (mip_status_name o.Branch_bound.status) o.Branch_bound.best_bound)
+  | Mip_infeas ->
+    if mip () <> Branch_bound.Infeasible then Alcotest.failf "%s: expected MIP infeasible" name
 
-let test_golden_lu () = List.iter (check_golden Basis.Lu) golden_fixtures
-let test_golden_dense () = List.iter (check_golden Basis.Dense) golden_fixtures
+let test_golden_lu () = List.iter check_golden golden_fixtures
+
+(* The tableau oracle against the fixture's expectation, and the solver's
+   LP relaxation against the oracle: the same verdict and objective, and an
+   optimal result that passes the certificate.  A MIP fixture compares the
+   depth-first oracle's optimum with its expectation instead. *)
+let test_golden_oracle () =
+  List.iter
+    (fun (name, expect) ->
+      let std = load_fixture name in
+      let reference = Oracles.lp_reference std in
+      (match (expect, reference) with
+      | Lp_opt want, Oracles.Lp_optimal { obj; _ } ->
+        Alcotest.(check (float 1e-6)) (name ^ " reference objective") want obj
+      | Lp_infeas, Oracles.Lp_infeasible | Lp_unbounded, Oracles.Lp_unbounded -> ()
+      | (Lp_opt _ | Lp_infeas | Lp_unbounded), r ->
+        Alcotest.failf "%s: reference says %s" name (Oracles.lp_verdict_name r)
+      | Mip_opt want, _ -> (
+        match Oracles.mip_reference std with
+        | Oracles.Mip_optimal obj -> Alcotest.(check (float 1e-6)) (name ^ " reference MIP") want obj
+        | _ -> Alcotest.failf "%s: reference MIP not optimal" name)
+      | Mip_infeas, _ ->
+        if Oracles.mip_reference std <> Oracles.Mip_infeasible then
+          Alcotest.failf "%s: reference MIP not infeasible" name);
+      match (reference, Simplex.solve std) with
+      | Oracles.Lp_optimal r, Simplex.Optimal { obj; x; duals; _ } -> (
+        Alcotest.(check (float 1e-6)) (name ^ " LP relaxation vs reference") r.obj obj;
+        match Oracles.lp_certificate std ~x ~duals ~obj with
+        | Ok () -> ()
+        | Error msg -> Alcotest.failf "%s: certificate fails: %s" name msg)
+      | Oracles.Lp_infeasible, Simplex.Infeasible _ | Oracles.Lp_unbounded, Simplex.Unbounded -> ()
+      | r, _ -> Alcotest.failf "%s: solver disagrees with the reference (%s)" name
+                  (Oracles.lp_verdict_name r))
+    golden_fixtures
 
 let test_golden_pricing_rules () =
-  (* the whole corpus again under each explicit pricing rule: a pricing
-     regression must be caught by a fixed instance, not only by the random
-     differential harness *)
-  List.iter
-    (fun pricing -> List.iter (check_golden ~pricing Basis.Lu) golden_fixtures)
-    [ Simplex.Dantzig; Simplex.Devex ]
+  (* the whole corpus again with the Bland fallback switching on at the
+     first degenerate pivot, so both entering rules meet every fixture: a
+     pricing regression must be caught by a fixed instance, not only by the
+     random differential harness *)
+  List.iter (check_golden ~degen_limit:0) golden_fixtures
 
 (* ---------- Cycling-prone fixtures and the Bland fallback ----------
 
    Beale's and Kuhn's examples cycle under naive most-negative-reduced-cost
-   pricing; the solver must terminate with the right optimum under every
-   pricing rule on both backends, and the Bland anti-cycling fallback must
-   demonstrably engage when the degenerate-pivot budget is exhausted. *)
+   pricing; the solver must terminate with the right optimum under Devex
+   and with the Bland fallback from the first degenerate pivot, and the
+   fallback must demonstrably engage when the degenerate-pivot budget is
+   exhausted. *)
 
 let cycling_fixtures = [ ("beale.lp", -0.05); ("kuhn_cycle.lp", -2.0) ]
 
@@ -822,16 +861,15 @@ let test_cycling_terminates_all_rules () =
     (fun (name, want) ->
       let std = load_fixture name in
       List.iter
-        (fun pricing ->
-          List.iter
-            (fun backend ->
-              match Simplex.solve ~pricing ~backend std with
-              | Simplex.Optimal { obj; x; _ } ->
-                Alcotest.(check (float 1e-6)) (name ^ " objective") want obj;
-                Alcotest.(check bool) (name ^ " solution feasible") true (feasible std x)
-              | _ -> Alcotest.failf "%s: expected optimal" name)
-            [ Basis.Lu; Basis.Dense ])
-        [ Simplex.Dantzig; Simplex.Devex ])
+        (fun degen_limit ->
+          match Simplex.solve ?degen_limit std with
+          | Simplex.Optimal { obj; x; duals; _ } ->
+            Alcotest.(check (float 1e-6)) (name ^ " objective") want obj;
+            Alcotest.(check bool) (name ^ " solution feasible") true (feasible std x);
+            Alcotest.(check bool) (name ^ " certificate") true
+              (Oracles.lp_certificate std ~x ~duals ~obj = Ok ())
+          | _ -> Alcotest.failf "%s: expected optimal" name)
+        [ None; Some 0 ])
     cycling_fixtures
 
 let test_bland_fallback_triggers () =
@@ -843,14 +881,11 @@ let test_bland_fallback_triggers () =
   List.iter
     (fun (name, want) ->
       let std = load_fixture name in
-      List.iter
-        (fun pricing ->
-          match Simplex.solve ~pricing ~degen_limit:0 std with
-          | Simplex.Optimal { obj; bland_iterations; _ } ->
-            Alcotest.(check (float 1e-6)) (name ^ " objective under bland") want obj;
-            if bland_iterations > 0 then incr hits
-          | _ -> Alcotest.failf "%s: expected optimal under degen_limit:0" name)
-        [ Simplex.Dantzig; Simplex.Devex ])
+      match Simplex.solve ~degen_limit:0 std with
+      | Simplex.Optimal { obj; bland_iterations; _ } ->
+        Alcotest.(check (float 1e-6)) (name ^ " objective under bland") want obj;
+        if bland_iterations > 0 then incr hits
+      | _ -> Alcotest.failf "%s: expected optimal under degen_limit:0" name)
     cycling_fixtures;
   Alcotest.(check bool)
     (Printf.sprintf "bland fallback engaged (%d solves)" !hits)
@@ -910,11 +945,12 @@ let suite =
     Alcotest.test_case "lp parse rejects garbage" `Quick test_lp_parse_rejects_garbage;
     Alcotest.test_case "lp parse duplicate bounds" `Quick test_lp_parse_duplicate_bounds;
     Alcotest.test_case "golden corpus (LU backend)" `Quick test_golden_lu;
-    Alcotest.test_case "golden corpus (dense backend)" `Quick test_golden_dense;
+    Alcotest.test_case "golden corpus against the tableau oracle and certificate" `Quick
+      test_golden_oracle;
     Alcotest.test_case "golden corpus covers all fixtures" `Quick test_golden_corpus_complete;
-    Alcotest.test_case "golden corpus under all pricing rules" `Quick
+    Alcotest.test_case "golden corpus under all pricing rules (Devex, Bland from the start)" `Quick
       test_golden_pricing_rules;
-    Alcotest.test_case "cycling fixtures terminate under all rules" `Quick
+    Alcotest.test_case "cycling fixtures terminate under Devex and the Bland fallback" `Quick
       test_cycling_terminates_all_rules;
     Alcotest.test_case "bland anti-cycling fallback triggers" `Quick
       test_bland_fallback_triggers;

@@ -372,7 +372,7 @@ let prop_devex_weights_ge_one =
         incr pivots;
         if min_devex_weight < 1.0 then ok := false
       in
-      match Simplex.solve ~pricing:Simplex.Devex ~trace std with
+      match Simplex.solve ~trace std with
       | Simplex.Optimal _ -> !ok
       | _ -> false)
 

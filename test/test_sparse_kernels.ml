@@ -1,17 +1,22 @@
 (* Property tests pinning the hypersparse triangular-solve kernels
-   directly at the {!Basis} layer (the solver-level pinning lives in
-   test_differential.ml's kernel battery):
+   directly at the {!Basis} layer:
 
-   - seeded random sparse systems: FTRAN/BTRAN under the hypersparse
-     traversal ({!Basis.Lu}) must be bit-identical to the full scan over
-     the same factors ({!Basis.Lu_full_scan}), and both must agree to 1e-9
-     with a Gauss-Jordan ({!Basis.Dense}) factorization of the same
-     columns;
-   - round trips: B·(B⁻¹b) recovers b through the factorization, before
-     and after product-form eta updates;
-   - the dense solves under both LU kinds: [ftran_dense] and
-     [btran_dense_into] equal the sparse FTRAN/BTRAN of the same right-hand
-     side entry for entry, and leave the svecs those returned untouched;
+   - the traversal pin: on the same factors, every sparse solve
+     ([ftran_col_sparse], [ftran_unit_sparse], [btran_unit_sparse]) must
+     equal the all-steps dense solve ([ftran_dense], [btran_dense_into])
+     bit for bit (+0 and -0 count as equal), with a pattern that is exactly
+     the dense result's nonzero set.  Equal solves give equal pivot
+     choices, so the pin also stands for a whole solve taking the same
+     pivots under either traversal.  [pin_model_basis] runs it, with the
+     residual checks below, on the factorizations the differential
+     battery's, the LU identity battery's and the region-scale solves end
+     with, and after eta updates on top of them;
+   - residuals: ‖B·x − b‖ and ‖Bᵀ·y − c‖ ([Oracles.ftran_residual],
+     [Oracles.btran_residual], with B rebuilt from the basis columns)
+     after every refactorization and every product-form eta update on
+     seeded random sparse systems;
+   - a sparse result held across a dense solve keeps its pattern and
+     values;
    - the fully-dense-column worst case, where the traversal's reach is the
      whole factor pattern and the kernel falls back to the full scan;
    - the dual ratio test on the bound_flip.lp golden fixture,
@@ -24,7 +29,130 @@ open Ras_mip
 module R = Ras_stats.Rng
 
 (* ------------------------------------------------------------------ *)
-(* Random sparse triangular systems                                    *)
+(* The traversal pin and residual checks                               *)
+
+(* The bits of [v], with -0 read as +0. *)
+let bits v = if v = 0.0 then 0L else Int64.bits_of_float v
+
+(* The sparse result [s] against the dense result [dense] of the same
+   solve on the same factors. *)
+let check_same_solve tag (s : Basis.Svec.t) (dense : float array) =
+  let nonzeros = Array.fold_left (fun n v -> if v <> 0.0 then n + 1 else n) 0 dense in
+  if s.Basis.Svec.n <> nonzeros then
+    Alcotest.failf "%s: sparse pattern holds %d entries, the dense solve %d nonzeros" tag
+      s.Basis.Svec.n nonzeros;
+  for u = 0 to s.Basis.Svec.n - 1 do
+    let i = s.Basis.Svec.idx.(u) in
+    if u > 0 && i <= s.Basis.Svec.idx.(u - 1) then
+      Alcotest.failf "%s: sparse pattern not ascending at %d" tag u;
+    if bits s.Basis.Svec.vals.(i) <> bits dense.(i) then
+      Alcotest.failf "%s: sparse vs dense at %d: %h vs %h" tag i s.Basis.Svec.vals.(i) dense.(i)
+  done
+
+(* FTRAN of the packed column [rows]/[coefs].[off .. off+len-1], sparse
+   against dense; returns the sparse result (the factorization's FTRAN
+   svec), the dense one and the right-hand side. *)
+let pin_ftran tag t rows coefs ~off ~len =
+  let m = Basis.dim t in
+  let b = Array.make m 0.0 in
+  for k = off to off + len - 1 do
+    b.(rows.(k)) <- b.(rows.(k)) +. coefs.(k)
+  done;
+  let s = Basis.ftran_col_sparse t rows coefs ~off ~len in
+  let x = Basis.ftran_dense t b in
+  check_same_solve (tag ^ " ftran") s x;
+  (s, x, b)
+
+(* Row [r] of B^-1, sparse against dense; returns the dense result and the
+   unit right-hand side. *)
+let pin_btran tag t r =
+  let m = Basis.dim t in
+  let c = Array.init m (fun i -> if i = r then 1.0 else 0.0) in
+  let s = Basis.btran_unit_sparse t r in
+  let y = Array.make m 0.0 in
+  Basis.btran_dense_into t c y;
+  check_same_solve (tag ^ " btran") s y;
+  (y, c)
+
+(* The position of [alpha]'s largest |entry|, the pivot row the eta
+   updates below take; -1 for an empty vector. *)
+let largest_entry (alpha : Basis.Svec.t) =
+  let row = ref (-1) in
+  for u = 0 to alpha.Basis.Svec.n - 1 do
+    let i = alpha.Basis.Svec.idx.(u) in
+    if !row < 0 || Float.abs alpha.Basis.Svec.vals.(i) > Float.abs alpha.Basis.Svec.vals.(!row) then
+      row := i
+  done;
+  !row
+
+(* Largest backward error the residual checks accept: a backward-stable
+   solve reads ~1e-16 times a small factor, a wrong entry O(1). *)
+let residual_tol = 1e-9
+
+let check_residual tag what err =
+  if not (err <= residual_tol) then Alcotest.failf "%s: %s backward error %.3g" tag what err
+
+(* The traversal pin and the residual checks on the factorization [fac] of
+   the basis [wcols] of [std] (a copy: [fac] itself is not touched), on
+   [samples] random structural or slack columns' FTRAN and basis
+   positions' BTRAN; then again after each of [updates] eta updates that
+   enter a random nonbasic column at the position of its largest |alpha|.
+   Returns the number of solves pinned. *)
+let pin_model_basis tag rng (std : Model.std) fac ~wcols ~samples ~updates =
+  let m = std.Model.nrows and ntotal = std.Model.nvars + std.Model.nrows in
+  let t = Basis.copy fac and basis = Array.copy wcols in
+  let col = Simplex.iter_column std in
+  let ftran j =
+    let tag = Printf.sprintf "%s column %d" tag j in
+    if j < std.Model.nvars then begin
+      let off = std.Model.col_ptr.(j) in
+      pin_ftran tag t std.Model.col_ind std.Model.col_val ~off ~len:(std.Model.col_ptr.(j + 1) - off)
+    end
+    else begin
+      let r = j - std.Model.nvars in
+      let _, x, b = pin_ftran tag t [| r |] [| 1.0 |] ~off:0 ~len:1 in
+      let s = Basis.ftran_unit_sparse t r in
+      check_same_solve (tag ^ " unit ftran") s x;
+      (s, x, b)
+    end
+  in
+  let pinned = ref 0 in
+  let check stage =
+    let tag = Printf.sprintf "%s %s" tag stage in
+    for _ = 1 to samples do
+      let _, x, b = ftran (R.int rng ntotal) in
+      check_residual tag "ftran" (Oracles.ftran_residual ~basis ~col x b);
+      let r = R.int rng m in
+      let y, c = pin_btran (Printf.sprintf "%s position %d" tag r) t r in
+      check_residual tag "btran" (Oracles.btran_residual ~basis ~col y c);
+      pinned := !pinned + 2
+    done
+  in
+  check "as factored";
+  let in_basis = Array.make ntotal false in
+  Array.iter (fun j -> in_basis.(j) <- true) basis;
+  (* a random nonbasic column, if a few draws find one *)
+  let rec nonbasic tries =
+    let j = R.int rng ntotal in
+    if not in_basis.(j) then Some j else if tries > 1 then nonbasic (tries - 1) else None
+  in
+  for k = 1 to updates do
+    match nonbasic 20 with
+    | None -> ()
+    | Some j ->
+      let alpha, _, _ = ftran j in
+      let row = largest_entry alpha in
+      if row >= 0 && Basis.update_sparse t ~alpha ~row then begin
+        in_basis.(basis.(row)) <- false;
+        in_basis.(j) <- true;
+        basis.(row) <- j;
+        check (Printf.sprintf "after eta %d" k)
+      end
+  done;
+  !pinned
+
+(* ------------------------------------------------------------------ *)
+(* Random sparse systems                                               *)
 
 (* Random m×m strictly column-diagonally-dominant sparse matrix: diagonal
    in [2,5], up to three off-diagonal entries per column in (-0.5, 0.5) —
@@ -39,8 +167,8 @@ let random_sparse_matrix rng m =
       done;
       !entries)
 
-let factorized kind m cols =
-  let t = Basis.create kind ~m in
+let factorized m cols =
+  let t = Basis.create ~m in
   Basis.refactorize t
     ~basis:(Array.init m (fun i -> i))
     ~col:(fun j f -> List.iter (fun (i, v) -> f i v) cols.(j));
@@ -61,143 +189,78 @@ let random_rhs rng m =
   let l = List.sort compare !picked in
   (Array.of_list (List.map fst l), Array.of_list (List.map snd l))
 
-let svec_dense m (s : Basis.Svec.t) =
-  let d = Array.make m 0.0 in
-  for k = 0 to s.Basis.Svec.n - 1 do
-    let i = s.Basis.Svec.idx.(k) in
-    d.(i) <- s.Basis.Svec.vals.(i)
-  done;
-  d
-
 (* an svec's pattern and the bits of its whole backing store *)
 let svec_bits (s : Basis.Svec.t) =
   (Array.sub s.Basis.Svec.idx 0 s.Basis.Svec.n, Array.map Int64.bits_of_float s.Basis.Svec.vals)
-
-let check_bit_identical tag a b =
-  Array.iteri
-    (fun i va ->
-      if va <> b.(i) then
-        Alcotest.failf "%s: kernels disagree at %d: %h vs %h" tag i va b.(i))
-    a
-
-(* B·x for the tracked column set, x indexed by basis position *)
-let apply_matrix m cur x =
-  let b = Array.make m 0.0 in
-  Array.iteri
-    (fun pos entries -> List.iter (fun (i, v) -> b.(i) <- b.(i) +. (v *. x.(pos))) entries)
-    cur;
-  b
-
-let check_round_trip tag m cur x rows coefs =
-  let b = apply_matrix m cur x in
-  let want = Array.make m 0.0 in
-  Array.iteri (fun k i -> want.(i) <- coefs.(k)) rows;
-  Array.iteri
-    (fun i v ->
-      if Float.abs (v -. want.(i)) > 1e-9 *. (1.0 +. Float.abs want.(i)) then
-        Alcotest.failf "%s: round trip off at row %d: %.12g vs %.12g" tag i v want.(i))
-    b
 
 let test_random_sparse_triangular () =
   for seed = 1 to 40 do
     let rng = R.create (11_000 + seed) in
     let m = 5 + R.int rng 56 in
     let cols = random_sparse_matrix rng m in
-    let th = factorized Basis.Lu m cols in
-    let td = factorized Basis.Lu_full_scan m cols in
-    let tg = factorized Basis.Dense m cols in
+    let t = factorized m cols in
     (* current basis columns by position; updated as etas are applied *)
     let cur = Array.init m (fun i -> cols.(i)) in
+    let basis = Array.init m Fun.id in
+    let col j f = List.iter (fun (i, v) -> f i v) cur.(j) in
     for pass = 1 to 3 do
-      (* FTRAN: traversal vs full scan bit-identical, Gauss-Jordan to 1e-9 *)
-      let rows, coefs = random_rhs rng m in
       let tag = Printf.sprintf "seed %d pass %d" seed pass in
-      let ftran t =
-        svec_dense m (Basis.ftran_col_sparse t rows coefs ~off:0 ~len:(Array.length rows))
-      in
-      let xh = ftran th and xd = ftran td in
-      check_bit_identical (tag ^ " ftran") xh xd;
-      let x_dense = ftran tg in
-      Array.iteri
-        (fun i v ->
-          if Float.abs (v -. x_dense.(i)) > 1e-9 *. (1.0 +. Float.abs v) then
-            Alcotest.failf "%s: sparse vs dense ftran at %d: %.12g vs %.12g" tag i v
-              x_dense.(i))
-        xh;
-      check_round_trip (tag ^ " ftran") m cur xh rows coefs;
-      (* BTRAN: a random row of the inverse, traversal vs full scan vs
-         Gauss-Jordan *)
+      (* FTRAN and BTRAN: traversal vs every step, bit for bit, and small
+         residuals against the current basis columns *)
+      let rows, coefs = random_rhs rng m in
+      let _, x, b = pin_ftran tag t rows coefs ~off:0 ~len:(Array.length rows) in
+      check_residual tag "ftran" (Oracles.ftran_residual ~basis ~col x b);
       let r = R.int rng m in
-      let yh = svec_dense m (Basis.btran_unit_sparse th r) in
-      let yd = svec_dense m (Basis.btran_unit_sparse td r) in
-      check_bit_identical (tag ^ " btran") yh yd;
-      let y_dense = svec_dense m (Basis.btran_unit_sparse tg r) in
-      Array.iteri
-        (fun i v ->
-          if Float.abs (v -. y_dense.(i)) > 1e-9 *. (1.0 +. Float.abs v) then
-            Alcotest.failf "%s: sparse vs dense btran at %d: %.12g vs %.12g" tag i v
-              y_dense.(i))
-        yh;
-      (* the dense solves run the same passes over every step: they match
-         the sparse ones entry for entry (0.0 = -0.0), and a sparse result
-         held across them keeps its pattern and values *)
-      let b = Array.make m 0.0 in
-      Array.iteri (fun k i -> b.(i) <- coefs.(k)) rows;
-      let e_r = Array.init m (fun i -> if i = r then 1.0 else 0.0) in
-      List.iter
-        (fun (kname, t) ->
-          let tag = Printf.sprintf "%s %s" tag kname in
-          let xs = Basis.ftran_col_sparse t rows coefs ~off:0 ~len:(Array.length rows) in
-          let ys = Basis.btran_unit_sparse t r in
-          let held = (svec_bits xs, svec_bits ys) in
-          let x_full = Basis.ftran_dense t b in
-          let y_full = Array.make m 0.0 in
-          Basis.btran_dense_into t e_r y_full;
-          if (svec_bits xs, svec_bits ys) <> held then
-            Alcotest.failf "%s: a dense solve changed a held sparse result" tag;
-          check_bit_identical (tag ^ " ftran_dense") x_full (svec_dense m xs);
-          check_bit_identical (tag ^ " btran_dense_into") y_full (svec_dense m ys))
-        [ ("lu", th); ("full scan", td) ];
+      let y, c = pin_btran tag t r in
+      check_residual tag "btran" (Oracles.btran_residual ~basis ~col y c);
+      (* a sparse result held across the dense solves keeps its pattern
+         and values *)
+      let xs = Basis.ftran_col_sparse t rows coefs ~off:0 ~len:(Array.length rows) in
+      let ys = Basis.btran_unit_sparse t r in
+      let held = (svec_bits xs, svec_bits ys) in
+      ignore (Basis.ftran_dense t b);
+      Basis.btran_dense_into t c (Array.make m 0.0);
+      if (svec_bits xs, svec_bits ys) <> held then
+        Alcotest.failf "%s: a dense solve changed a held sparse result" tag;
       (* push a product-form eta and keep testing against the updated basis:
          enter a fresh random column at the position of its largest alpha *)
       let erows, ecoefs = random_rhs rng m in
-      let ah = Basis.ftran_col_sparse th erows ecoefs ~off:0 ~len:(Array.length erows) in
-      let alpha = svec_dense m ah in
-      let row = ref 0 in
-      Array.iteri (fun i v -> if Float.abs v > Float.abs alpha.(!row) then row := i) alpha;
-      if Float.abs alpha.(!row) > 0.1 then begin
-        let ad = Basis.ftran_col_sparse td erows ecoefs ~off:0 ~len:(Array.length erows) in
-        let ag = Basis.ftran_col_sparse tg erows ecoefs ~off:0 ~len:(Array.length erows) in
-        let okh = Basis.update_sparse th ~alpha:ah ~row:!row in
-        let okd = Basis.update_sparse td ~alpha:ad ~row:!row in
-        let okg = Basis.update_sparse tg ~alpha:ag ~row:!row in
-        if okh <> okd || okh <> okg then Alcotest.failf "%s: update verdicts differ" tag;
-        if okh then
-          cur.(!row) <-
-            List.init (Array.length erows) (fun k -> (erows.(k), ecoefs.(k)))
-      end
-    done
+      let alpha = Basis.ftran_col_sparse t erows ecoefs ~off:0 ~len:(Array.length erows) in
+      let row = largest_entry alpha in
+      if row >= 0 && Float.abs alpha.Basis.Svec.vals.(row) > 0.1 then
+        if Basis.update_sparse t ~alpha ~row then
+          cur.(row) <- List.init (Array.length erows) (fun k -> (erows.(k), ecoefs.(k)))
+    done;
+    (* refactorized from the updated columns, the solves still check out *)
+    Basis.refactorize t ~basis ~col;
+    let rows, coefs = random_rhs rng m in
+    let _, x, b =
+      pin_ftran (Printf.sprintf "seed %d refactorized" seed) t rows coefs ~off:0
+        ~len:(Array.length rows)
+    in
+    check_residual (Printf.sprintf "seed %d refactorized" seed) "ftran"
+      (Oracles.ftran_residual ~basis ~col x b)
   done
 
 let test_dense_column_fallback () =
   (* one column touching every row: the traversal's reach is the entire
      factor pattern, forcing the full-scan fallback — which must stay
-     bit-identical to the oracle and still solve correctly *)
+     bit-identical to the dense solve and still solve correctly *)
   for seed = 1 to 10 do
     let rng = R.create (12_000 + seed) in
     let m = 20 + R.int rng 21 in
     let cols = random_sparse_matrix rng m in
     cols.(0) <-
       List.init m (fun i -> (i, if i = 0 then 3.0 +. R.float rng 2.0 else R.float rng 1.0 -. 0.5));
-    let th = factorized Basis.Lu m cols in
-    let td = factorized Basis.Lu_full_scan m cols in
+    let t = factorized m cols in
     let rows = Array.init m (fun i -> i) in
     let coefs = Array.init m (fun _ -> R.float rng 4.0 -. 2.0) in
     let tag = Printf.sprintf "dense-col seed %d" seed in
-    let xh = svec_dense m (Basis.ftran_col_sparse th rows coefs ~off:0 ~len:m) in
-    let xd = svec_dense m (Basis.ftran_col_sparse td rows coefs ~off:0 ~len:m) in
-    check_bit_identical tag xh xd;
-    check_round_trip tag m (Array.init m (fun i -> cols.(i))) xh rows coefs
+    let _, x, b = pin_ftran tag t rows coefs ~off:0 ~len:m in
+    let basis = Array.init m Fun.id and col j f = List.iter (fun (i, v) -> f i v) cols.(j) in
+    check_residual tag "ftran" (Oracles.ftran_residual ~basis ~col x b);
+    let y, c = pin_btran tag t 0 in
+    check_residual tag "btran" (Oracles.btran_residual ~basis ~col y c)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -220,14 +283,11 @@ let test_dual_ratio_restart () =
        absorbs the last 0.2 — three dual pivots *)
     let ub = Array.copy std.Model.ub in
     ub.(2) <- 0.0;
-    List.iter
-      (fun backend ->
-        match Simplex.solve ~basis ~ub ~backend std with
-        | Simplex.Optimal { obj; dual_iterations; _ } ->
-          Alcotest.(check (float 1e-6)) "warm objective" (-9.725) obj;
-          Alcotest.(check int) "dual pivots" 3 dual_iterations
-        | _ -> Alcotest.fail "warm restart: expected optimal")
-      [ Basis.Lu; Basis.Lu_full_scan ]
+    (match Simplex.solve ~basis ~ub std with
+    | Simplex.Optimal { obj; dual_iterations; _ } ->
+      Alcotest.(check (float 1e-6)) "warm objective" (-9.725) obj;
+      Alcotest.(check int) "dual pivots" 3 dual_iterations
+    | _ -> Alcotest.fail "warm restart: expected optimal")
   | _ -> Alcotest.fail "bound_flip.lp: expected optimal"
 
 (* ------------------------------------------------------------------ *)
@@ -284,7 +344,7 @@ let test_workspace_alloc_bound () =
 
 let suite =
   [
-    Alcotest.test_case "random sparse systems: traversal == oracle, round trips" `Quick
+    Alcotest.test_case "random sparse systems: traversal == all-steps solves, residuals" `Quick
       test_random_sparse_triangular;
     Alcotest.test_case "fully dense column falls back without diverging" `Quick
       test_dense_column_fallback;

@@ -72,7 +72,9 @@ let test_capacity_rejection_atomic () =
 
 let test_stacking_respects_capacity () =
   let _, alloc = setup () in
-  let job = Job.make ~id:3 ~reservation:1 ~replicas:20 ~rru_per_replica:0.4 ~spread_msbs:false () in
+  let job =
+    { (Job.make ~id:3 ~reservation:1 ~replicas:20 ~rru_per_replica:0.4 ()) with Job.spread_msbs = false }
+  in
   (match Allocator.place_job alloc job with Ok () -> () | Error e -> Alcotest.fail e);
   Alcotest.(check int) "all placed" 20 (Allocator.placed_containers alloc);
   Alcotest.(check bool) "stacked" true (List.length (Allocator.servers_in_use alloc) < 20)

@@ -3,8 +3,9 @@
    The warm-start machinery (Simplex.solve ~basis, Branch_bound warm nodes,
    candidate-list pricing) is a pure performance change: on any input it must
    return the same status and the same objective (within the 1e-6 absolute
-   gap) as a branch-and-bound whose every node LP starts cold, and repeated
-   runs must be bit-identical.  These tests pin that contract on a corpus of
+   gap) as [Oracles.mip_reference], a depth-first branch-and-bound whose
+   every node LP is a cold tableau solve sharing no code with Simplex, and
+   repeated runs must be bit-identical.  These tests pin that contract on a corpus of
    small random MIPs plus direct simplex restart checks. *)
 
 module Model = Ras_mip.Model
@@ -39,30 +40,6 @@ let random_mip rng =
     (Lin_expr.of_terms (List.init n (fun i -> (coef (), vars.(i)))));
   Model.compile model
 
-(* The cold-start reference: a depth-first branch-and-bound that solves
-   every node LP from scratch with Dantzig pricing and branches on the
-   first fractional integer variable.  Returns the optimum, or [infinity]
-   when the MIP is infeasible (the corpus has finite bounds, so no node is
-   unbounded). *)
-let cold_branch_and_bound (std : Model.std) =
-  let best = ref infinity in
-  let rec explore lb ub =
-    match Simplex.solve ~pricing:Simplex.Dantzig ~lb ~ub std with
-    | Simplex.Optimal { x; obj; _ } when obj < !best -> (
-      let fractional j = std.Model.integer.(j) && Float.abs (x.(j) -. Float.round x.(j)) > 1e-6 in
-      match List.find_opt fractional (List.init std.Model.nvars Fun.id) with
-      | None -> best := obj
-      | Some j ->
-        let down = Array.copy ub and up = Array.copy lb in
-        down.(j) <- Float.floor x.(j);
-        up.(j) <- Float.ceil x.(j);
-        explore lb down;
-        explore up ub)
-    | Simplex.Optimal _ | Simplex.Infeasible _ | Simplex.Unbounded | Simplex.Iteration_limit _ -> ()
-  in
-  explore std.Model.lb std.Model.ub;
-  !best
-
 (* ---------- equivalence: warm-started B&B = cold-started B&B ---------- *)
 
 let prop_warm_matches_cold =
@@ -70,14 +47,14 @@ let prop_warm_matches_cold =
     QCheck.int (fun seed ->
       let rng = Ras_stats.Rng.create seed in
       let std = random_mip rng in
-      let cold = cold_branch_and_bound std in
       let warm = Branch_bound.solve std in
       (* branch-and-bound's fixed absolute optimality gap *)
       let tol = 1e-6 in
-      match warm.Branch_bound.status with
-      | Branch_bound.Optimal -> Float.abs (cold -. warm.Branch_bound.objective) <= tol
-      | Branch_bound.Infeasible -> cold = infinity
-      | Branch_bound.Feasible | Branch_bound.Unbounded | Branch_bound.Unknown -> false)
+      match (Oracles.mip_reference std, warm.Branch_bound.status) with
+      | Oracles.Mip_optimal cold, Branch_bound.Optimal ->
+        Float.abs (cold -. warm.Branch_bound.objective) <= tol
+      | Oracles.Mip_infeasible, Branch_bound.Infeasible -> true
+      | _ -> false)
 
 (* ---------- determinism: repeated warm runs are bit-identical ---------- *)
 
@@ -225,14 +202,15 @@ let feasible_point rng (std : Model.std) xstar =
   | Simplex.Optimal { x; _ } -> Array.map2 (fun a b -> 0.5 *. (a +. b)) xstar x
   | Simplex.Infeasible _ | Simplex.Unbounded | Simplex.Iteration_limit _ -> xstar
 
-let cold_optimum ?pricing std =
-  match Simplex.solve ?pricing std with
+let cold_optimum std =
+  match Simplex.solve std with
   | Simplex.Optimal { x; obj; iterations; _ } -> Some (x, obj, iterations)
   | Simplex.Infeasible _ | Simplex.Unbounded | Simplex.Iteration_limit _ -> None
 
-(* Every crash basis is triangular: every backend factorizes it, from any
-   point — box points that violate rows, seeded feasible points, optima and
-   the all-lower-bound point. *)
+(* Every crash basis is triangular, so it factorizes from any point — box
+   points that violate rows, seeded feasible points, optima and the
+   all-lower-bound point — and the factors solve it: an FTRAN of the
+   point's row activity has a small residual against the crash columns. *)
 let test_crash_nonsingular () =
   let rng = R.create 41 in
   let bases = ref 0 in
@@ -250,20 +228,22 @@ let test_crash_nonsingular () =
           let b = Simplex.crash std x0 in
           let m = std.Model.nrows in
           Alcotest.(check int) (tag ^ ": one basic column per row") m (Array.length b.Simplex.wcols);
-          List.iter
-            (fun kind ->
-              let t = Basis.create kind ~m in
-              match Basis.refactorize t ~basis:b.Simplex.wcols ~col:(Simplex.iter_column std) with
-              | () -> incr bases
-              | exception Basis.Singular -> Alcotest.failf "%s: crash basis singular" tag)
-            [ Basis.Lu; Basis.Lu_full_scan; Basis.Dense ])
+          let t = Basis.create ~m and col = Simplex.iter_column std in
+          match Basis.refactorize t ~basis:b.Simplex.wcols ~col with
+          | () ->
+            incr bases;
+            let act = Array.make m 0.0 in
+            Array.iteri (fun j v -> col j (fun i a -> act.(i) <- act.(i) +. (a *. v))) x0;
+            let x = Basis.ftran_dense t act in
+            let err = Oracles.ftran_residual ~basis:b.Simplex.wcols ~col x act in
+            if err > 1e-9 then Alcotest.failf "%s: crash basis solve backward error %.3g" tag err
+          | exception Basis.Singular -> Alcotest.failf "%s: crash basis singular" tag)
         points)
     (Lazy.force crash_corpus);
-  Alcotest.(check bool) (Printf.sprintf "crash bases factorized (%d)" !bases) true (!bases >= 1500)
+  Alcotest.(check bool) (Printf.sprintf "crash bases factorized (%d)" !bases) true (!bases >= 500)
 
 (* From a seeded feasible point the crash-started solve reaches the cold
-   optimum's objective under both pricing rules (the vertex may differ:
-   alternative optima). *)
+   optimum's objective (the vertex may differ: alternative optima). *)
 let test_crash_solves_to_cold_objective () =
   let rng = R.create 43 in
   let solved = ref 0 in
@@ -273,21 +253,18 @@ let test_crash_solves_to_cold_objective () =
       | None -> ()
       | Some (xstar, _, _) ->
         let basis = Simplex.crash std (feasible_point rng std xstar) in
-        List.iter
-          (fun (pname, pricing) ->
-            let _, cold, _ = Option.get (cold_optimum ~pricing std) in
-            match Simplex.solve ~pricing ~basis std with
-            | Simplex.Optimal { obj; x; _ } ->
-              incr solved;
-              if Float.abs (obj -. cold) > 1e-9 *. Float.max 1.0 (Float.abs cold) then
-                Alcotest.failf "%s [%s]: crash objective %.12g vs cold %.12g" tag pname obj cold;
-              if Model.check_solution std x <> Ok () then
-                Alcotest.failf "%s [%s]: crash-started solution infeasible" tag pname
-            | Simplex.Infeasible _ | Simplex.Unbounded | Simplex.Iteration_limit _ ->
-              Alcotest.failf "%s [%s]: crash-started solve not optimal" tag pname)
-          D.all_pricings)
+        let _, cold, _ = Option.get (cold_optimum std) in
+        match Simplex.solve ~basis std with
+        | Simplex.Optimal { obj; x; _ } ->
+          incr solved;
+          if Float.abs (obj -. cold) > 1e-9 *. Float.max 1.0 (Float.abs cold) then
+            Alcotest.failf "%s: crash objective %.12g vs cold %.12g" tag obj cold;
+          if Model.check_solution std x <> Ok () then
+            Alcotest.failf "%s: crash-started solution infeasible" tag
+        | Simplex.Infeasible _ | Simplex.Unbounded | Simplex.Iteration_limit _ ->
+          Alcotest.failf "%s: crash-started solve not optimal" tag)
     (Lazy.force crash_corpus);
-  Alcotest.(check bool) (Printf.sprintf "crash solves checked (%d)" !solved) true (!solved >= 100)
+  Alcotest.(check bool) (Printf.sprintf "crash solves checked (%d)" !solved) true (!solved >= 50)
 
 (* The crash rebuilds most of an optimal basis from the optimum alone. *)
 let test_crash_from_optimum_is_cheap () =
@@ -325,7 +302,8 @@ let test_crash_at_lower_bounds_is_all_slack () =
 
 let suite =
   [
-    Alcotest.test_case "crash basis factorizes under every backend" `Quick test_crash_nonsingular;
+    Alcotest.test_case "crash basis factorizes under every starting point, small residual" `Quick
+      test_crash_nonsingular;
     Alcotest.test_case "crash-started solve reaches the cold objective" `Quick
       test_crash_solves_to_cold_objective;
     Alcotest.test_case "crash from the optimum takes < 1/4 of the cold pivots" `Quick
