@@ -60,8 +60,9 @@ let run_phasing () =
   let t_two = Unix.gettimeofday () -. t0 in
   let t0 = Unix.gettimeofday () in
   let single =
-    Ras.Phases.run ~rack_level:true ~mip_time_limit:8.0 ~mip_node_limit:60 snapshot
-      reservations
+    Ras.Phases.run
+      ~params:{ Ras.Phases.default_params with phase2_time_limit_s = 8.0; node_limit = 60 }
+      ~rack_level:true snapshot reservations
   in
   let t_single = Unix.gettimeofday () -. t0 in
   Report.row "two-phase:    %.2fs total; phase1 %d vars + phase2 %s vars\n" t_two

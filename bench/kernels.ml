@@ -582,7 +582,9 @@ let tests () =
       (Staged.stage (fun () -> Ras_mip.Model.compile formulation.Ras.Formulation.model));
     Test.make ~name:"phase1-heuristic-solve"
       (Staged.stage (fun () ->
-           Ras.Phases.run ~mip_node_limit:0 snapshot snapshot.Ras.Snapshot.reservations));
+           Ras.Phases.run
+             ~params:{ Ras.Phases.default_params with node_limit = 0 }
+             snapshot snapshot.Ras.Snapshot.reservations));
   ]
 
 let run_micro () =

@@ -42,8 +42,8 @@ type t = {
   mutable stale_log : int array;  (* a superset of the stale ids *)
   mutable stale_len : int;
   mutable stale_mark : Bytes.t;  (* compaction scratch, 0 / 1 per server id, all 0 outside it *)
-  mutable subscribers : (event -> unit) list;  (* reversed subscription order *)
-  mutable change_subscribers : (int -> unit) list;  (* reversed subscription order *)
+  mutable subscribers : (event -> unit) list;  (* subscription order *)
+  mutable change_subscribers : (int -> unit) list;  (* subscription order *)
 }
 
 (* Owner codes: injective int encoding so a column cell is a single
@@ -126,14 +126,13 @@ let[@inline] available_byte b = available_code (Char.code b)
 
 let healthy_at t id = down_code t id = 0
 
-let subscribe t f = t.subscribers <- f :: t.subscribers
+let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 
-let subscribe_changes t f = t.change_subscribers <- f :: t.change_subscribers
+let subscribe_changes t f = t.change_subscribers <- t.change_subscribers @ [ f ]
 
-let notify t ev = List.iter (fun f -> f ev) (List.rev t.subscribers)
+let notify t ev = List.iter (fun f -> f ev) t.subscribers
 
-let notify_change t id =
-  List.iter (fun f -> f id) (List.rev t.change_subscribers)
+let notify_change t id = List.iter (fun f -> f id) t.change_subscribers
 
 let freeze t : frozen =
   t.shared <- true;

@@ -3,7 +3,7 @@ module Region = Ras_topology.Region
 module Branch_bound = Ras_mip.Branch_bound
 module Hw = Ras_topology.Hardware
 
-type params = {
+type params = Phases.params = {
   formulation : Formulation.params;
   phase1_time_limit_s : float;
   phase2_time_limit_s : float;
@@ -12,15 +12,7 @@ type params = {
   mip_stall_nodes : int;
 }
 
-let default_params =
-  {
-    formulation = Formulation.default_params;
-    phase1_time_limit_s = 10.0;
-    phase2_time_limit_s = 5.0;
-    node_limit = 300;
-    mip_gap_rel = Branch_bound.default_options.Branch_bound.gap_rel;
-    mip_stall_nodes = 0;
-  }
+let default_params = Phases.default_params
 
 (* Phase 2 refines the worst ~10% of reservations by rack objective
    (§3.5.2), while their grouped assignment-variable estimate stays under
@@ -118,10 +110,7 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
   let start = Unix.gettimeofday () in
   let reservations = snapshot.Snapshot.reservations in
   let phase1 =
-    Phases.run ~params:params.formulation ~mip_time_limit:params.phase1_time_limit_s
-      ~mip_node_limit:params.node_limit ~mip_gap_rel:params.mip_gap_rel
-      ~mip_stall_nodes:params.mip_stall_nodes ~rack_level:false ?include_server
-      snapshot reservations
+    Phases.run ~params ~rack_level:false ?include_server snapshot reservations
   in
   let assignment1 = Formulation.decode phase1.Phases.formulation phase1.Phases.solution in
   let moves1 = Concretize.moves_of phase1.Phases.formulation assignment1 in
@@ -179,13 +168,7 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
           let code = Snapshot.current_code snapshot2_all id in
           (code = free_code || List.mem code owners) && user_filter id
         in
-        let result =
-          Phases.run ~params:params.formulation
-            ~mip_time_limit:params.phase2_time_limit_s ~mip_node_limit:params.node_limit
-            ~mip_gap_rel:params.mip_gap_rel ~mip_stall_nodes:params.mip_stall_nodes
-            ~rack_level:true ~include_server snapshot2_all selected
-        in
-        Some result
+        Some (Phases.run ~params ~rack_level:true ~include_server snapshot2_all selected)
     end
   in
   (* ---- merge: phase 2's moves override phase 1's ---- *)

@@ -9,26 +9,18 @@
     starting from the phase-1 result, with every other reservation's
     servers frozen. *)
 
-type params = {
+type params = Phases.params = {
   formulation : Formulation.params;
   phase1_time_limit_s : float;
   phase2_time_limit_s : float;
   node_limit : int;
-      (** branch-and-bound nodes per phase.  In practice this is phase 2's
-          budget: phase 1 stops once its gap is under the capacity-slack
-          cost (see {!Phases.run}), which after bring-up holds at its root
-          node *)
   mip_gap_rel : float;
-      (** relative optimality gap for both phases' tree searches (forwarded
-          to {!Phases.run}).  The default is near-exact; continuous-loop
-          deployments may run at an interactive tolerance (e.g. [1e-3]) *)
   mip_stall_nodes : int;
-      (** stop a phase's tree search once the incumbent has not improved
-          for this many nodes (0, the default, disables; forwarded to
-          {!Phases.run}) *)
 }
+(** {!Phases.params}, re-exported: both phases run under it. *)
 
 val default_params : params
+(** {!Phases.default_params}. *)
 
 type stats = {
   phase1 : Phases.result;

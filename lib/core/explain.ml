@@ -6,27 +6,22 @@ module Branch_bound = Ras_mip.Branch_bound
 let reservation_report (snapshot : Snapshot.t) res =
   let buf = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  (* per-MSB RRU, read once: the capacity, spread, buffer and quorum lines
-     all derive from it *)
-  let per_msb = Snapshot.rru_by_msb snapshot res in
+  (* per-(MSB, subtype) servers, read once: the capacity, hardware,
+     spread, buffer and quorum lines all derive from them *)
+  let counts = Snapshot.usable_by_msb_hw snapshot res in
+  let per_msb = Snapshot.rru_of_counts res counts in
   let total = Array.fold_left ( +. ) 0.0 per_msb in
   let max_msb = Array.fold_left Float.max 0.0 per_msb in
   add "%s (reservation %d)\n" res.Reservation.name res.Reservation.id;
   add "  capacity: %.1f RRU bound / %.1f requested%s\n" total res.Reservation.capacity_rru
     (if total >= res.Reservation.capacity_rru then "" else "  ** SHORT **");
   (* hardware mix *)
-  let hw_counts = Array.make Hw.count 0 in
-  for id = 0 to Snapshot.num_servers snapshot - 1 do
-    if Snapshot.usable_at snapshot id then begin
-      let hw = (Snapshot.server snapshot id).Region.hw in
-      if Snapshot.owned_by_code res (Snapshot.current_code snapshot id) hw then
-        hw_counts.(hw.Hw.index) <- hw_counts.(hw.Hw.index) + 1
-    end
-  done;
   add "  hardware:";
   Array.iteri
-    (fun i c -> if c > 0 then add " %s x%d" Hw.catalog.(i).Hw.code c)
-    hw_counts;
+    (fun i (hw : Hw.t) ->
+      let c = Array.fold_left (fun acc row -> acc + row.(i)) 0 counts in
+      if c > 0 then add " %s x%d" hw.Hw.code c)
+    Hw.catalog;
   add "\n";
   (* MSB spread *)
   let max_share = if total <= 0.0 then nan else max_msb /. total in

@@ -24,16 +24,32 @@ type result = {
   compiled : Model.std;
 }
 
+type params = {
+  formulation : Formulation.params;
+  phase1_time_limit_s : float;
+  phase2_time_limit_s : float;
+  node_limit : int;
+  mip_gap_rel : float;
+  mip_stall_nodes : int;
+}
+
+let default_params =
+  {
+    formulation = Formulation.default_params;
+    phase1_time_limit_s = 10.0;
+    phase2_time_limit_s = 5.0;
+    node_limit = 300;
+    mip_gap_rel = Branch_bound.default_options.Branch_bound.gap_rel;
+    mip_stall_nodes = 0;
+  }
+
 let now () = Unix.gettimeofday ()
 
-let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
-    ?(mip_gap_rel = Branch_bound.default_options.Branch_bound.gap_rel)
-    ?(mip_stall_nodes = 0) ?(rack_level = false) ?include_server
-    snapshot reservations =
+let run ?(params = default_params) ?(rack_level = false) ?include_server snapshot reservations =
   let words_before = Gc.allocated_bytes () in
   let t0 = now () in
   let symmetry = Symmetry.build ~rack_level ?include_server snapshot in
-  let formulation = Formulation.build ?params ~rack_level symmetry reservations in
+  let formulation = Formulation.build ~params:params.formulation ~rack_level symmetry reservations in
   let t1 = now () in
   let std = Model.compile formulation.Formulation.model in
   let t2 = now () in
@@ -53,60 +69,39 @@ let run ?params ?(mip_time_limit = 60.0) ?(mip_node_limit = 2000)
     | Simplex.Infeasible _ | Simplex.Unbounded | Simplex.Iteration_limit _ -> status_quo
   in
   let t3 = now () in
-  let lp_bound = match lp with Simplex.Optimal { obj; _ } -> obj | _ -> neg_infinity in
+  let options =
+    {
+      Branch_bound.time_limit =
+        (if rack_level then params.phase2_time_limit_s else params.phase1_time_limit_s);
+      node_limit = params.node_limit;
+      gap_rel = params.mip_gap_rel;
+      (* phase 1 stops once its incumbent is provably within one
+         capacity-slack unit of the optimum: search past that cannot fix
+         a softened capacity constraint (the paper's Fig. 9 bar).
+         Phase 2 keeps the near-exact default and its node budget. *)
+      gap_abs =
+        (if rack_level then Branch_bound.default_options.Branch_bound.gap_abs
+         else params.formulation.Formulation.capacity_slack_cost);
+      stall_node_limit = params.mip_stall_nodes;
+      initial = Some initial;
+      (* hand the root LP's optimal basis to the root node: the tree
+         search re-optimizes it under the integer-tightened bounds via
+         the dual phase instead of re-solving the root from scratch *)
+      root_basis = (match lp with Simplex.Optimal { basis; _ } -> Some basis | _ -> None);
+    }
+  in
+  let outcome = Branch_bound.solve ~options std in
+  (* a search that processed no node (heuristic-only mode, [node_limit =
+     0]) leaves its root open and proves nothing; the root LP solved above
+     still bounds the phase *)
   let outcome =
-    if mip_node_limit <= 0 then begin
-      (* heuristic-only mode for long simulations: the LP-guided rounding /
-         repair / spread pipeline is the solution, with the LP relaxation as
-         the proven bound *)
-      let best_bound = lp_bound in
-      let objective = objective_of initial in
-      {
-        Branch_bound.status = Branch_bound.Feasible;
-        solution = Some initial;
-        objective;
-        best_bound;
-        gap = objective -. best_bound;
-        nodes = 0;
-        lp_iterations = 0;
-        warm_started_nodes = 0;
-        dual_restarted_nodes = 0;
-        dual_pivots = 0;
-        bland_pivots = 0;
-        seed = Branch_bound.Seed_none;
-        elapsed = 0.0;
-      }
-    end
-    else begin
-      let options =
-        {
-          Branch_bound.time_limit = mip_time_limit;
-          node_limit = mip_node_limit;
-          gap_rel = mip_gap_rel;
-          (* phase 1 stops once its incumbent is provably within one
-             capacity-slack unit of the optimum: search past that cannot fix
-             a softened capacity constraint (the paper's Fig. 9 bar).
-             Phase 2 keeps the near-exact default and its node budget. *)
-          gap_abs =
-            (if rack_level then Branch_bound.default_options.Branch_bound.gap_abs
-             else (Option.value params ~default:Formulation.default_params)
-                    .Formulation.capacity_slack_cost);
-          stall_node_limit = mip_stall_nodes;
-          initial = Some initial;
-          (* hand the root LP's optimal basis to the root node: the tree
-             search re-optimizes it under the integer-tightened bounds via
-             the dual phase instead of re-solving the root from scratch *)
-          root_basis =
-            (match lp with Simplex.Optimal { basis; _ } -> Some basis | _ -> None);
-        }
-      in
-      Branch_bound.solve ~options std
-    end
+    if outcome.Branch_bound.nodes > 0 then outcome
+    else
+      let best_bound = match lp with Simplex.Optimal { obj; _ } -> obj | _ -> neg_infinity in
+      { outcome with Branch_bound.best_bound; gap = outcome.Branch_bound.objective -. best_bound }
   in
   let t4 = now () in
-  let solution =
-    match outcome.Branch_bound.solution with Some x -> x | None -> initial
-  in
+  let solution = Option.value outcome.Branch_bound.solution ~default:initial in
   {
     timing =
       {

@@ -41,29 +41,48 @@ type result = {
   compiled : Ras_mip.Model.std;  (** the compiled model the solve ran on *)
 }
 
+type params = {
+  formulation : Formulation.params;
+  phase1_time_limit_s : float;  (** phase 1's ([rack_level = false]) wall clock *)
+  phase2_time_limit_s : float;  (** phase 2's ([rack_level = true]) wall clock *)
+  node_limit : int;
+      (** branch-and-bound nodes per phase.  In practice this is phase 2's
+          budget: phase 1 stops once its gap is under the capacity-slack
+          cost, which after bring-up holds at its root node.  [0] is
+          heuristic-only mode: the seed is the phase's solution and the
+          root LP its bound *)
+  mip_gap_rel : float;
+      (** relative optimality gap of the tree search.  The default is
+          near-exact; continuous-loop deployments may run at an
+          interactive tolerance (e.g. [1e-3]) *)
+  mip_stall_nodes : int;
+      (** stop the tree search once the incumbent has not improved for
+          this many nodes (0, the default, disables) *)
+}
+
+val default_params : params
+(** The one set of solve limits: 10 s for phase 1, 5 s for phase 2, 300
+    nodes, {!Ras_mip.Branch_bound.default_options}'s near-exact relative
+    gap, no stall limit, {!Formulation.default_params}. *)
+
 val run :
-  ?params:Formulation.params ->
-  ?mip_time_limit:float ->
-  ?mip_node_limit:int ->
-  ?mip_gap_rel:float ->
-  ?mip_stall_nodes:int ->
+  ?params:params ->
   ?rack_level:bool ->
   ?include_server:(int -> bool) ->
   Snapshot.t ->
   Reservation.t list ->
   result
-(** [?mip_gap_rel] sets the branch-and-bound relative optimality gap
-    (default {!Ras_mip.Branch_bound.default_options}'s near-exact 1e-9).
-    The continuous loop may run at an interactive tolerance (e.g. 1e-3).
-    [?mip_stall_nodes] forwards
-    {!Ras_mip.Branch_bound.options.stall_node_limit} — stop once the
-    incumbent has not improved for that many nodes (0, the default,
-    disables).
+(** One phase: [rack_level] picks the phase's time limit from [params];
+    node, gap and stall limits are the phase-independent fields.  The tree
+    search is {!Ras_mip.Branch_bound.solve}, seeded with the heuristic
+    incumbent.  With [node_limit = 0] it processes no node: the outcome
+    has [nodes = 0], the seed as its solution, and the root LP's objective
+    as [best_bound] (the tree's own open root proves nothing).
 
     The absolute gap is not a parameter.  At MSB granularity
     ([rack_level = false], phase 1) it is the formulation's
     [capacity_slack_cost]: the search stops once its incumbent is
     provably within one capacity-slack unit of the optimum, which after
     bring-up is usually at the root node.  At rack granularity (phase 2)
-    it is the near-exact default, and [mip_node_limit] is the budget that
+    it is the near-exact default, and [node_limit] is the budget that
     ends the search. *)

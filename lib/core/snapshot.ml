@@ -1,5 +1,6 @@
 module Broker = Ras_broker.Broker
 module Region = Ras_topology.Region
+module Hw = Ras_topology.Hardware
 
 (* Server state is columnar (int/byte column per field, indexed by server
    id), and the columns are the broker's own, frozen: capture does no
@@ -63,21 +64,28 @@ let owned_by_code res code hw =
     code = Broker.owner_code (Broker.Reservation res.Reservation.id)
     && not (Reservation.is_buffer res)
 
-(* The one per-server pass of the rru folds: the per-DC and total reads
-   add up its MSBs. *)
-let rru_by_msb t res =
-  let out = Array.make t.region.Region.num_msbs 0.0 in
+(* The one per-server pass of the rru folds: the per-MSB, per-DC and total
+   reads add up its counts. *)
+let usable_by_msb_hw t res =
+  let out = Array.init t.region.Region.num_msbs (fun _ -> Array.make Hw.count 0) in
   for id = 0 to num_servers t - 1 do
     if usable_at t id then begin
       let s = server t id in
       let hw = s.Region.hw in
       if owned_by_code res (current_code t id) hw then begin
-        let m = s.Region.loc.Region.msb in
-        out.(m) <- out.(m) +. res.Reservation.rru_of hw
+        let row = out.(s.Region.loc.Region.msb) in
+        row.(hw.Hw.index) <- row.(hw.Hw.index) + 1
       end
     end
   done;
   out
+
+let rru_of_counts res counts =
+  let rru = Array.map res.Reservation.rru_of Hw.catalog in
+  let rru_of row = Array.map2 (fun n v -> float_of_int n *. v) row rru in
+  Array.map (fun row -> Array.fold_left ( +. ) 0.0 (rru_of row)) counts
+
+let rru_by_msb t res = rru_of_counts res (usable_by_msb_hw t res)
 
 let current_rru t res = Array.fold_left ( +. ) 0.0 (rru_by_msb t res)
 

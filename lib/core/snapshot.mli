@@ -65,17 +65,22 @@ val usable_hw_histogram : t -> int array
     snapshot, so admission checks fold supply over |catalog| entries
     instead of 10⁶ servers.  Callers must not write the array. *)
 
-val owned_by_code : Reservation.t -> int -> Ras_topology.Hardware.t -> bool
-(** [owned_by_code res code hw]: does owner-code [code] on a server of
-    hardware [hw] place it in reservation [res]?  Buffer reservations own
+val usable_by_msb_hw : t -> Reservation.t -> int array array
+(** Usable servers of the reservation per MSB and hardware-catalog index,
+    in one pass over the servers.  Buffer reservations own
     [Shared_buffer] servers of their hardware category. *)
+
+val rru_of_counts : Reservation.t -> int array array -> float array
+(** Per-MSB RRU of {!usable_by_msb_hw}'s counts, at the reservation's
+    [rru_of] per subtype. *)
 
 val current_rru : t -> Reservation.t -> float
 (** Usable RRU currently bound to the reservation: the sum of
     {!rru_by_msb}. *)
 
 val rru_by_msb : t -> Reservation.t -> float array
-(** Usable RRU of the reservation per MSB, in one pass over the servers. *)
+(** Usable RRU of the reservation per MSB: {!rru_of_counts} of
+    {!usable_by_msb_hw}. *)
 
 val rru_by_dc : t -> Reservation.t -> float array
 (** {!rru_by_msb} added up per datacenter through [region.msb_dc]. *)

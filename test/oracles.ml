@@ -22,6 +22,9 @@
      test_region_scale.ml).
    - Admission supply: the usable servers per hardware subtype, which the
      broker now keeps as counts and a snapshot freezes (test_core.ml).
+   - The reservation report of Ras.Explain, which now reads one pass of
+     per-(MSB, subtype) server counts, as it first shipped over two walks
+     (test_core.ml).
 
    And independent references that share no code with what they check:
 
@@ -691,6 +694,87 @@ let usable_hw_histogram_reference (snapshot : Snapshot.t) =
     end
   done;
   counts
+
+(* ---------- explain: the two-walk reservation report ---------- *)
+
+(* [Explain.reservation_report] as it shipped before one pass gave the
+   per-(MSB, subtype) counts: one walk summed each owned server's RRU into
+   its MSB, a second counted the owned servers per subtype.  A server is
+   the reservation's when its owner code is the reservation's own, or the
+   shared buffer's for a buffer reservation of its hardware category. *)
+let reservation_report_reference (snapshot : Snapshot.t) res =
+  let module Hw = Ras_topology.Hardware in
+  let region = snapshot.Snapshot.region in
+  let owned id hw =
+    match Broker.owner_of_code (Snapshot.current_code snapshot id) with
+    | Broker.Shared_buffer -> Reservation.is_buffer res && res.Reservation.rru_of hw > 0.0
+    | Broker.Reservation r -> r = res.Reservation.id && not (Reservation.is_buffer res)
+    | Broker.Free | Broker.Elastic _ -> false
+  in
+  let buf = Buffer.create 512 in
+  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let per_msb = Array.make region.Region.num_msbs 0.0 in
+  for id = 0 to Snapshot.num_servers snapshot - 1 do
+    if Snapshot.usable_at snapshot id then begin
+      let s = Snapshot.server snapshot id in
+      if owned id s.Region.hw then begin
+        let m = s.Region.loc.Region.msb in
+        per_msb.(m) <- per_msb.(m) +. res.Reservation.rru_of s.Region.hw
+      end
+    end
+  done;
+  let total = Array.fold_left ( +. ) 0.0 per_msb in
+  let max_msb = Array.fold_left Float.max 0.0 per_msb in
+  add "%s (reservation %d)\n" res.Reservation.name res.Reservation.id;
+  add "  capacity: %.1f RRU bound / %.1f requested%s\n" total res.Reservation.capacity_rru
+    (if total >= res.Reservation.capacity_rru then "" else "  ** SHORT **");
+  let hw_counts = Array.make Hw.count 0 in
+  for id = 0 to Snapshot.num_servers snapshot - 1 do
+    if Snapshot.usable_at snapshot id then begin
+      let hw = (Snapshot.server snapshot id).Region.hw in
+      if owned id hw then hw_counts.(hw.Hw.index) <- hw_counts.(hw.Hw.index) + 1
+    end
+  done;
+  add "  hardware:";
+  Array.iteri (fun i c -> if c > 0 then add " %s x%d" Hw.catalog.(i).Hw.code c) hw_counts;
+  add "\n";
+  let max_share = if total <= 0.0 then nan else max_msb /. total in
+  let used_msbs = Array.fold_left (fun acc v -> if v > 0.0 then acc + 1 else acc) 0 per_msb in
+  if Float.is_nan max_share then add "  spread: no capacity bound yet\n"
+  else begin
+    add "  spread: %d/%d MSBs, max MSB share %.1f%% (limit alpha_F = %.1f%%)%s\n" used_msbs
+      (Array.length per_msb) (100.0 *. max_share)
+      (100.0 *. res.Reservation.msb_spread_limit)
+      (if max_share > res.Reservation.msb_spread_limit +. 1e-9 then "  ** OVER **" else "");
+    if res.Reservation.embedded_buffer then begin
+      let survives = total -. max_msb >= res.Reservation.capacity_rru -. 1e-9 in
+      add "  embedded buffer: %s (capacity after worst MSB loss: %.1f / %.1f needed)\n"
+        (if survives then "covers one MSB failure" else "** CANNOT cover an MSB failure **")
+        (total -. max_msb) res.Reservation.capacity_rru
+    end
+  end;
+  (match res.Reservation.hard_msb_cap with
+  | Some cap when total > 0.0 ->
+    add "  quorum spread: max MSB holds %.1f%% of total (hard cap %.1f%%)%s\n"
+      (100.0 *. max_share) (100.0 *. cap)
+      (if max_share > cap +. 1e-9 then "  ** QUORUM AT RISK **" else "")
+  | Some _ | None -> ());
+  if res.Reservation.dc_affinity <> [] then begin
+    let per_dc = Array.make region.Region.num_dcs 0.0 in
+    Array.iteri
+      (fun m v ->
+        let d = region.Region.msb_dc.(m) in
+        per_dc.(d) <- per_dc.(d) +. v)
+      per_msb;
+    List.iter
+      (fun (dc, target) ->
+        let share = if total > 0.0 then per_dc.(dc) /. res.Reservation.capacity_rru else 0.0 in
+        add "  affinity: DC%d holds %.1f%% of requested capacity (target %.1f%% +/- %.1f%%)\n" dc
+          (100.0 *. share) (100.0 *. target)
+          (100.0 *. res.Reservation.affinity_tolerance))
+      res.Reservation.dc_affinity
+  end;
+  Buffer.contents buf
 
 (* ---------- System metrics: the decoded-owner reads ---------- *)
 

@@ -49,10 +49,13 @@ let build_fixture () =
 
 let fixture = lazy (build_fixture ())
 
+(* Heuristic-only mode: a phase processes no node. *)
+let heuristic_only = { Phases.default_params with node_limit = 0 }
+
 (* The heuristic seed phase 1 starts its tree search from, with the root-LP
    bound, as a node-less phase 1 reports them. *)
 let heuristic_seed (snap : Snapshot.t) =
-  (Phases.run ~mip_node_limit:0 snap snap.Snapshot.reservations).Phases.outcome
+  (Phases.run ~params:heuristic_only snap snap.Snapshot.reservations).Phases.outcome
 
 (* A post-failure round on the solve-medium benchmark's region and
    requests, with rack goals on requests of 5 RRU or more so that phase 2
@@ -1175,6 +1178,24 @@ let contains haystack needle =
   let rec loop i = i + nn <= nh && (String.sub haystack i nn = needle || loop (i + 1)) in
   nn = 0 || loop 0
 
+(* The one-pass reservation report reads byte for byte as the two-walk
+   version did, for every reservation of a bring-up and of a post-failure
+   Medium round. *)
+let test_explain_report_matches_reference () =
+  let lazy { broker; reservations; _ } = fixture in
+  let lazy { snap = medium; _ } = medium_round in
+  let lines = ref 0 in
+  List.iter
+    (fun (snap : Snapshot.t) ->
+      List.iter
+        (fun res ->
+          let want = Oracles.reservation_report_reference snap res in
+          Alcotest.(check string) res.Reservation.name want (Explain.reservation_report snap res);
+          lines := !lines + List.length (String.split_on_char '\n' want))
+        snap.Snapshot.reservations)
+    [ Snapshot.take broker reservations; medium ];
+  Alcotest.(check bool) (Printf.sprintf "%d report lines compared" !lines) true (!lines > 100)
+
 let test_explain_reports () =
   let lazy { broker; reservations; stats } = fixture in
   let snap = Snapshot.take broker reservations in
@@ -1213,9 +1234,9 @@ let test_explain_reports () =
   let reason = Explain.shortfall_reason snap res ~shortfall:1.0 in
   Alcotest.(check bool) "reason non-empty" true (String.length reason > 20)
 
-let test_shadow_prices_surface_binding_rows () =
-  (* a reservation competing for scarce GPU hardware makes its capacity row
-     (or the GPU supply rows) carry a non-trivial shadow price *)
+(* A reservation competing for scarce GPU hardware, on an empty Small
+   region. *)
+let gpu_scarce_snapshot () =
   let region = Generator.generate Generator.small_params in
   let broker = Broker.create region in
   let ml =
@@ -1225,8 +1246,13 @@ let test_shadow_prices_surface_binding_rows () =
     Capacity_request.make ~id:1 ~service:ml ~rru:500.0 ~embedded_buffer:false
       ~msb_spread_limit:0.5 ()
   in
-  let reservations = [ Reservation.of_request req ] in
-  let result = Phases.run ~mip_node_limit:0 (Snapshot.take broker reservations) reservations in
+  Snapshot.take broker [ Reservation.of_request req ]
+
+let test_shadow_prices_surface_binding_rows () =
+  (* the scarce reservation's capacity row (or the GPU supply rows) carries
+     a non-trivial shadow price *)
+  let snap = gpu_scarce_snapshot () in
+  let result = Phases.run ~params:heuristic_only snap snap.Snapshot.reservations in
   let prices = Explain.shadow_prices ~top:5 result in
   Alcotest.(check bool) "some constraint binds" true (prices <> []);
   List.iter
@@ -1288,6 +1314,41 @@ let test_phase1_stops_within_slack () =
     Alcotest.(check int) "phase 2 keeps its node budget" Async_solver.default_params.Async_solver.node_limit
       p2.Phases.outcome.Ras_mip.Branch_bound.nodes
   | None -> Alcotest.fail "phase 2 should refine the rack goals"
+
+(* Heuristic-only mode runs the one search path: branch-and-bound accepts
+   the seed, processes no node and keeps it, and the phase reports the
+   root LP's objective as its bound.  Over the suite's zero-node phases:
+   the Medium round's heuristic seed, the shadow-price fixture and the
+   world of the tier-1 drift test. *)
+let test_zero_node_phase () =
+  let check what (snap : Snapshot.t) =
+    let p = Phases.run ~params:heuristic_only snap snap.Snapshot.reservations in
+    let o = p.Phases.outcome and f = p.Phases.formulation and std = p.Phases.compiled in
+    (* the phase's root LP, solved again as [Phases.run] solves it *)
+    let status_quo = Formulation.status_quo f in
+    match Ras_mip.Simplex.solve ~basis:(Ras_mip.Simplex.crash std status_quo) std with
+    | Ras_mip.Simplex.Optimal { x; obj; _ } ->
+      Alcotest.(check bool) (what ^ ": seed accepted") true
+        (o.Ras_mip.Branch_bound.seed = Ras_mip.Branch_bound.Seed_accepted);
+      Alcotest.(check int) (what ^ ": no node") 0 o.Ras_mip.Branch_bound.nodes;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: bound %h is the root LP's %h" what o.Ras_mip.Branch_bound.best_bound obj)
+        true
+        (o.Ras_mip.Branch_bound.best_bound = obj);
+      Alcotest.(check bool) (what ^ ": gap from that bound") true
+        (o.Ras_mip.Branch_bound.gap = o.Ras_mip.Branch_bound.objective -. obj);
+      (* the seed: the rounded-and-repaired root LP, or the status quo
+         where that is cheaper *)
+      let repaired = Formulation.repair f (Formulation.round_lp f x) in
+      let cost = Ras_mip.Model.objective_value std in
+      Alcotest.(check bool) (what ^ ": solution is the seed") true
+        (p.Phases.solution = if cost repaired <= cost status_quo then repaired else status_quo)
+    | _ -> Alcotest.failf "%s: root LP not optimal" what
+  in
+  check "Medium heuristic seed" (Lazy.force medium_round).snap;
+  check "scarce GPU" (gpu_scarce_snapshot ());
+  let broker, reservations = Test_reactive.drift_world () in
+  check "tier-1 drift world" (Snapshot.take broker reservations)
 
 let test_system_end_to_end () =
   let region = Generator.generate Generator.small_params in
@@ -1876,6 +1937,10 @@ let suite =
     Alcotest.test_case "system end to end" `Slow test_system_end_to_end;
     Alcotest.test_case "system remove reservation" `Quick test_system_remove_reservation;
     Alcotest.test_case "phase 1 stops within the slack cost" `Quick test_phase1_stops_within_slack;
+    Alcotest.test_case "explain report matches the two-walk reference" `Quick
+      test_explain_report_matches_reference;
+    Alcotest.test_case "zero-node phase keeps the seed, bounded by the root LP" `Quick
+      test_zero_node_phase;
     Alcotest.test_case "system metrics match the record reads" `Quick
       test_system_metrics_match_reference;
     Alcotest.test_case "system installs tier-1 prices" `Quick test_system_installs_prices;

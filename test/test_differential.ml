@@ -14,7 +14,9 @@
    search over the tableau reference, on the status and the objective.
    The generator covers sizes up to ~60 rows × 120 columns for LPs and
    small bounded integer programs for MIPs, with free/fixed/one-sided/
-   negative variable bounds and all three row senses.
+   negative variable bounds and all three row senses; two thirds of the
+   140 LPs anchor their rows on a point, so at least 40 cold solves are
+   optimal and reach the objective and certificate checks.
 
    The kernel battery then pins, on the same 280 instances, the sparse
    solves against the all-steps dense solves bit for bit on the
@@ -41,22 +43,36 @@ let random_bounds rng ~finite_only =
   else if finite_only then (-5.0, 5.0)
   else (neg_infinity, infinity) (* free *)
 
-let random_model ?(finite_bounds = false) rng ~max_rows ~max_cols ~integer_frac =
+(* A point of [lb, ub], within 10 of a finite side. *)
+let point_in rng (lb, ub) =
+  match (Float.is_finite lb, Float.is_finite ub) with
+  | true, true -> lb +. R.float rng (ub -. lb)
+  | true, false -> lb +. R.float rng 10.0
+  | false, true -> ub -. R.float rng 10.0
+  | false, false -> R.float rng 10.0 -. 5.0
+
+(* [anchored] draws a point in the bounds and sets every row's rhs on the
+   row's value there (an equality at it, an inequality up to 5 past it), so
+   the LP is feasible; otherwise rhs is uniform in [-20, 20], which leaves
+   most of the larger instances infeasible. *)
+let random_model ?(finite_bounds = false) ?(anchored = false) rng ~max_rows ~max_cols
+    ~integer_frac =
   let finite_only = finite_bounds || integer_frac > 0.0 in
   let n = 1 + R.int rng max_cols in
   let m = 1 + R.int rng max_rows in
   let mdl = Model.create () in
-  let vars =
+  let bounds =
     Array.init n (fun _ ->
         let lb, ub = random_bounds rng ~finite_only in
         let kind =
           if integer_frac > 0.0 && R.float rng 1.0 < integer_frac then Model.Integer
           else Model.Continuous
         in
-        let lb, ub =
-          if kind = Model.Integer then (Float.round lb, Float.round ub) else (lb, ub)
-        in
-        Model.add_var ~lb ~ub ~kind mdl)
+        if kind = Model.Integer then (Float.round lb, Float.round ub, kind) else (lb, ub, kind))
+  in
+  let vars = Array.map (fun (lb, ub, kind) -> Model.add_var ~lb ~ub ~kind mdl) bounds in
+  let point =
+    if anchored then Array.map (fun (lb, ub, _) -> point_in rng (lb, ub)) bounds else [||]
   in
   for _ = 1 to m do
     let k = 1 + R.int rng (min 6 n) in
@@ -65,10 +81,19 @@ let random_model ?(finite_bounds = false) rng ~max_rows ~max_cols ~integer_frac 
     let terms =
       List.init k (fun t ->
           let c = (1.0 +. R.float rng 4.0) *. if R.bool rng then 1.0 else -1.0 in
-          (c, vars.(picked.(t))))
+          (c, picked.(t)))
     in
     let sense = [| Model.Le; Model.Ge; Model.Eq |].(R.int rng 3) in
-    let rhs = R.float rng 40.0 -. 20.0 in
+    let rhs =
+      if not anchored then R.float rng 40.0 -. 20.0
+      else
+        let at_point = List.fold_left (fun acc (c, j) -> acc +. (c *. point.(j))) 0.0 terms in
+        match sense with
+        | Model.Eq -> at_point
+        | Model.Le -> at_point +. R.float rng 5.0
+        | Model.Ge -> at_point -. R.float rng 5.0
+    in
+    let terms = List.map (fun (c, j) -> (c, vars.(j))) terms in
     ignore (Model.add_constraint mdl (Lin_expr.of_terms terms) sense rhs)
   done;
   let obj_terms =
@@ -105,15 +130,32 @@ let check_lp_result tag ?lb ?ub std produced =
     Alcotest.failf "%s: verdicts differ: reference %s vs %s" tag (Oracles.lp_verdict_name r)
       (lp_verdict p)
 
+(* The 140 LP instances, with the generator's stream left for the caller.
+   A third keeps uniform rhs (mostly infeasible), a third anchors its rows
+   on a point (feasible, often unbounded along an infinite bound), and a
+   third anchors them with finite bounds (optimal): the cold solves reach
+   all three verdicts, and the objective and certificate checks. *)
+let lp_instance seed =
+  let rng = R.create (7000 + seed) in
+  let std =
+    random_model ~anchored:(seed mod 3 <> 0) ~finite_bounds:(seed mod 3 = 2) rng ~max_rows:60
+      ~max_cols:120 ~integer_frac:0.0
+  in
+  (rng, std)
+
 let test_lp_differential () =
-  let count = ref 0 in
+  let count = ref 0 and optimal = ref 0 in
   for seed = 1 to 140 do
-    let rng = R.create (7000 + seed) in
-    let std = random_model rng ~max_rows:60 ~max_cols:120 ~integer_frac:0.0 in
-    check_lp_result (Printf.sprintf "seed %d" seed) std (Simplex.solve std);
-    incr count
+    let _, std = lp_instance seed in
+    let produced = Simplex.solve std in
+    check_lp_result (Printf.sprintf "seed %d" seed) std produced;
+    incr count;
+    match produced with Simplex.Optimal _ -> incr optimal | _ -> ()
   done;
-  Alcotest.(check bool) "enough LP instances" true (!count >= 140)
+  Alcotest.(check bool) "enough LP instances" true (!count >= 140);
+  Alcotest.(check bool)
+    (Printf.sprintf "optimal cold solves (%d of 140) reach the certificate" !optimal)
+    true (!optimal >= 40)
 
 (* Feasible-by-construction generator for the warm-restart differential:
    bounds are finite and every row's rhs is anchored on a random interior
@@ -267,8 +309,7 @@ let check_pinned what n floor =
 let test_lp_kernel_differential () =
   let pinned = ref 0 in
   for seed = 1 to 140 do
-    let rng = R.create (7000 + seed) in
-    let std = random_model rng ~max_rows:60 ~max_cols:120 ~integer_frac:0.0 in
+    let rng, std = lp_instance seed in
     let tag = Printf.sprintf "lp seed %d" seed in
     pinned := !pinned + pin_result tag rng std (Simplex.solve std);
     pinned := !pinned + pin_crash_basis (tag ^ " crash") rng std

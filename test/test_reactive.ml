@@ -502,28 +502,32 @@ let test_replacement_cost_ignores_loans () =
 
 (* ---------- tier-2 drift bound ---------- *)
 
+(* The world the drift test below repairs twice: a Small region with its
+   requests and shared buffers, nothing bound yet. *)
+let drift_world () =
+  let region = Generator.generate Generator.small_params in
+  let broker = Broker.create region in
+  let rng = Rng.create 11 in
+  let requests =
+    Ras_workload.Request_gen.scenario rng ~region ~services:Service.default_catalog
+      ~target_utilization:0.4
+  in
+  let reservations =
+    List.map Reservation.of_request requests
+    @ Buffers.shared_buffer_reservations region ~fraction:0.05
+  in
+  (broker, reservations)
+
 let test_tier1_repair_drift_bounded () =
   (* identical worlds; one repaired by tier-1 (reactive), one by the legacy
      oracle scans.  Re-solving both repaired states must give objectives
      within a small relative band: tier-1's price-guided picks may differ
      server-for-server, never materially in tier-2 cost. *)
-  let build () =
-    let region = Generator.generate Generator.small_params in
-    let broker = Broker.create region in
-    let rng = Rng.create 11 in
-    let requests =
-      Ras_workload.Request_gen.scenario rng ~region ~services:Service.default_catalog
-        ~target_utilization:0.4
-    in
-    let reservations =
-      List.map Reservation.of_request requests
-      @ Buffers.shared_buffer_reservations region ~fraction:0.05
-    in
-    (broker, reservations)
-  in
   let solve_objective broker reservations =
     let snapshot = Snapshot.take broker reservations in
-    let result = Phases.run ~mip_node_limit:0 snapshot reservations in
+    let result =
+      Phases.run ~params:{ Phases.default_params with node_limit = 0 } snapshot reservations
+    in
     result.Phases.outcome.Ras_mip.Branch_bound.objective
   in
   (* the oracle world repairs each failure by hand with the full-scan
@@ -545,7 +549,7 @@ let test_tier1_repair_drift_bounded () =
     | Broker.Free | Broker.Shared_buffer | Broker.Elastic _ -> 0
   in
   let repair ~oracle =
-    let broker, reservations = build () in
+    let broker, reservations = drift_world () in
     let mover = Online_mover.create broker in
     Online_mover.set_reservations mover reservations;
     (* bind capacity with one heuristic round *)

@@ -321,7 +321,9 @@ let test_scale_invariance () =
   if full_scale () then begin
     (* and the full 10^6-server pipeline solves end to end *)
     let snapshot, reservations = scale_snapshot ~servers_per_rack:48 () in
-    let result = Phases.run ~mip_node_limit:0 snapshot reservations in
+    let result =
+      Phases.run ~params:{ Phases.default_params with node_limit = 0 } snapshot reservations
+    in
     Alcotest.(check bool) "million-server heuristic solve is feasible" true
       (Model.check_solution result.Phases.compiled result.Phases.solution = Ok ());
     Alcotest.(check bool) "million-server status quo is feasible" true
