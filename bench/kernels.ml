@@ -225,8 +225,10 @@ let post_failure_phase1 (_, stats) =
 
 (* The root LP [Phases] solves every round, cold from the all-slack basis
    and from [Simplex.crash] at the status quo (crash time included):
-   pivots of each, median wall time of [repeats], and the objectives'
-   relative difference (alternative optima may differ in x, not in obj). *)
+   pivots of each, quartiles of the wall time over [repeats], how many
+   refactorizations and how dense an FTRAN and a BTRAN result are on
+   average in one solve, and the objectives' relative difference
+   (alternative optima may differ in x, not in obj). *)
 let root_lp_kernel ~label ~repeats ((f : Ras.Formulation.t), (std : Model.std)) =
   let name = Printf.sprintf "root-lp-%s" label in
   let x0 = Ras.Formulation.status_quo f in
@@ -238,27 +240,43 @@ let root_lp_kernel ~label ~repeats ((f : Ras.Formulation.t), (std : Model.std)) 
       times.(r) <- Unix.gettimeofday () -. t0
     done;
     Array.sort compare times;
-    (times.(repeats / 2), !out)
+    ((fun k -> times.(k * (repeats - 1) / 4)), !out)
   in
-  let cold_s, cold = timed (fun () -> Simplex.solve std) in
-  let crash_s, crash = timed (fun () -> Simplex.solve ~basis:(Simplex.crash std x0) std) in
+  let cold_q, cold = timed (fun () -> Simplex.solve std) in
+  let crash_q, crash = timed (fun () -> Simplex.solve ~basis:(Simplex.crash std x0) std) in
   match (cold, crash) with
   | Simplex.Optimal c, Simplex.Optimal w ->
     let rel = Float.abs (c.obj -. w.obj) /. Float.max 1.0 (Float.abs c.obj) in
-    let ratio a b = float_of_int a /. float_of_int (max 1 b) in
+    let refactors (b : Simplex.warm_basis) =
+      match b.Simplex.wfac with Some f -> Ras_mip.Basis.refactor_count f | None -> 0
+    in
     Report.row
-      "%-34s cold %5d pivots %7.3fs  crash %5d pivots %7.3fs  (%.2fx pivots, %.2fx time)  obj \
-       rel diff %.1e\n"
-      name c.iterations cold_s w.iterations crash_s
-      (ratio c.iterations w.iterations)
-      (cold_s /. crash_s) rel;
-    record ~kernel:name ~size:(size_of std) ~wall_s:crash_s
+      "%-34s cold %5d pivots %7.3fs (q1 %.3f, q3 %.3f)  crash %5d pivots %7.3fs (q1 %.3f, q3 \
+       %.3f) of %d  (%.2fx time)  obj rel diff %.1e\n"
+      name c.iterations (cold_q 2) (cold_q 1) (cold_q 3) w.iterations (crash_q 2) (crash_q 1)
+      (crash_q 3) repeats
+      (cold_q 2 /. crash_q 2)
+      rel;
+    Report.row
+      "%-34s per solve: cold %d refactorizations, ftran %.1f / btran %.1f nnz; crash %d, \
+       ftran %.1f / btran %.1f nnz\n"
+      "" (refactors c.basis) c.kstats.Simplex.avg_ftran_nnz c.kstats.Simplex.avg_btran_nnz
+      (refactors w.basis) w.kstats.Simplex.avg_ftran_nnz w.kstats.Simplex.avg_btran_nnz;
+    record ~kernel:name ~size:(size_of std) ~wall_s:(crash_q 2)
       [
         ("cold_pivots", string_of_int c.iterations);
         ("crash_pivots", string_of_int w.iterations);
-        ("cold_s_median", flt cold_s);
-        ("crash_s_median", flt crash_s);
+        ("cold_s_median", flt (cold_q 2));
+        ("cold_s_q1", flt (cold_q 1));
+        ("cold_s_q3", flt (cold_q 3));
+        ("crash_s_median", flt (crash_q 2));
+        ("crash_s_q1", flt (crash_q 1));
+        ("crash_s_q3", flt (crash_q 3));
         ("repeats", string_of_int repeats);
+        ("cold_refactors", string_of_int (refactors c.basis));
+        ("crash_refactors", string_of_int (refactors w.basis));
+        ("crash_avg_ftran_nnz", flt w.kstats.Simplex.avg_ftran_nnz);
+        ("crash_avg_btran_nnz", flt w.kstats.Simplex.avg_btran_nnz);
         ("obj_rel_diff", flt rel);
       ]
   | _ -> Report.row "%-34s skipped: root LP not optimal\n" name
@@ -654,7 +672,7 @@ let preset_rows () =
       reactive_events = (if !Scenarios.quick then 20 else 60);
       lu_refactors = 31;
       heuristic_repeats = (if !Scenarios.quick then 5 else 15);
-      root_lp_repeats = (if !Scenarios.quick then 3 else 7);
+      root_lp_repeats = (if !Scenarios.quick then 7 else 15);
       merge_repeats = (if !Scenarios.quick then 7 else 15);
       snapshot_changes = (if !Scenarios.quick then 200 else 1000);
     };
@@ -670,7 +688,7 @@ let preset_rows () =
       reactive_events = (if !Scenarios.quick then 10 else 25);
       lu_refactors = 31;
       heuristic_repeats = (if !Scenarios.quick then 3 else 7);
-      root_lp_repeats = (if !Scenarios.quick then 1 else 3);
+      root_lp_repeats = (if !Scenarios.quick then 3 else 7);
       merge_repeats = (if !Scenarios.quick then 3 else 7);
       snapshot_changes = (if !Scenarios.quick then 50 else 200);
     };

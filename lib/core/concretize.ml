@@ -32,6 +32,24 @@ let take unmet c =
     code
   end
 
+(* Two ascending runs of moves on distinct servers, merged. *)
+let merge_runs a b =
+  let rec go acc a b =
+    match (a, b) with
+    | [], rest | rest, [] -> List.rev_append acc rest
+    | x :: a', y :: b' -> if x.server < y.server then go (x :: acc) a' b else go (y :: acc) a b'
+  in
+  go [] a b
+
+(* Ascending runs on disjoint servers, merged pairwise until one is left:
+   O(moves · log runs). *)
+let rec merge_all = function
+  | [] -> []
+  | [ run ] -> run
+  | runs ->
+    let rec pairs = function a :: b :: rest -> merge_runs a b :: pairs rest | rest -> rest in
+    merge_all (pairs runs)
+
 let moves_of (f : Formulation.t) (assignment : Formulation.assignment) =
   let sym = f.Formulation.symmetry in
   let snapshot = sym.Symmetry.snapshot in
@@ -47,7 +65,9 @@ let moves_of (f : Formulation.t) (assignment : Formulation.assignment) =
      again after each class *)
   let keep = Array.make (!max_code + 1) 0 in
   let kept c = if c <= !max_code then keep.(c) else 0 in
-  let moves = ref [] in
+  (* each class's walk visits its members in ascending id order, so its
+     moves form one ascending run *)
+  let runs = ref [] in
   Array.iter
     (fun (cls : Symmetry.cls) ->
       let quotas = quotas.(cls.Symmetry.index) in
@@ -79,6 +99,7 @@ let moves_of (f : Formulation.t) (assignment : Formulation.assignment) =
       in
       if not moves_nothing then begin
         let from_free = cursor_at unmet 0 and from_owned = cursor_at unmet free_surplus in
+        let moves = ref [] in
         Array.iter
           (fun id ->
             let c = Snapshot.current_code snapshot id in
@@ -95,11 +116,12 @@ let moves_of (f : Formulation.t) (assignment : Formulation.assignment) =
                   }
                   :: !moves
             end)
-          cls.Symmetry.members
+          cls.Symmetry.members;
+        if !moves <> [] then runs := List.rev !moves :: !runs
       end;
       List.iter (fun (owner, _) -> keep.(Broker.owner_code owner) <- 0) quotas)
     sym.Symmetry.classes;
-  List.sort (fun a b -> Int.compare a.server b.server) !moves
+  merge_all !runs
 
 let merge (snapshot : Snapshot.t) ~phase1 ~phase2 =
   (* a phase-2 move restated against [snapshot], dropped when it returns

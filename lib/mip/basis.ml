@@ -1,24 +1,43 @@
-(* Factorized simplex basis: sparse LU, extended between refactorizations
-   by a product-form eta file.  A refactorization reads B once into
-   compressed columns and rows, pivots column singletons in O(nnz) —
-   simplex bases are nearly triangular, so this takes most steps — and runs
-   Markowitz pivoting (threshold partial pivoting for stability, minimum
-   fill-in cost for sparsity) only on the nucleus left over.  The factors
-   are flat compressed arrays, written without per-step allocation.  All
-   solves run through the triangular factors and the etas, touching factor
-   nonzeros only.
+(* Factorized simplex basis: sparse LU, kept current between
+   refactorizations by Forrest–Tomlin updates of U.  A refactorization
+   reads B once into compressed columns and rows, pivots column singletons
+   in O(nnz) — simplex bases are nearly triangular, so this takes most
+   steps — and runs Markowitz pivoting (threshold partial pivoting for
+   stability, minimum fill-in cost for sparsity) only on the nucleus left
+   over.  The factors are flat compressed arrays, written without per-step
+   allocation, and never change afterwards.  All solves run through the
+   triangular factors and the update overlay, touching nonzeros only.
 
    Index conventions (shared with Simplex): the basis matrix B is m x m with
    rows = constraint rows and column i = constraint column basis.(i) (a
    "basis position").  FTRAN inputs are row-indexed and outputs basis-
-   position-indexed; BTRAN is the reverse. *)
+   position-indexed; BTRAN is the reverse.
 
-(* Each of the four triangular passes (L, U, Uᵀ, Lᵀ) is one loop over an
-   ascending list of elimination steps.  The sparse solves list the steps
-   reachable from the right-hand side's nonzeros through the factor
-   patterns; the dense solves list every step.  The entries a reach skips
-   are structural zeros, so both perform bit-identical floating-point
-   operations on every reachable entry. *)
+   A Forrest–Tomlin update (Math. Programming 2, 1972) replacing the column
+   at U step s by the entering column's spike L⁻¹a_q moves step s to the
+   end of the elimination order and clears its row with one row eta.  Here
+   the refactorized U stays as it is: step s is marked dead (its workspace
+   entry is zero whenever a pass reads it, which deletes its old row and
+   column), and a new step m + i is appended whose U column is the spike.
+   The row eta sets z(m + i) = z(s) − Σ r_j z(j) and z(s) = 0; FTRAN applies
+   the row etas in order after L, BTRAN their transposes in reverse before
+   Lᵀ.  Appended steps sort after every refactorized one, so U stays upper
+   triangular in step order.  When the new diagonal disagrees with the
+   pivot times the old diagonal (the determinant identity; Suhl & Suhl,
+   Annals of OR 43, 1993) the update is refused and the caller
+   refactorizes. *)
+
+(* Each of the four triangular passes (L, U, Uᵀ, Lᵀ) is one loop over a
+   list of elimination steps; the appended U columns and the row etas are
+   loops over every update.  The sparse solves list the steps reachable
+   from the right-hand side's nonzeros through the factor patterns; the
+   dense solves list every step, ascending.  A scattering pass (L, Uᵀ)
+   sums each entry's scatters in list order, so its reach is sorted
+   ascending too; a gathering pass (U, Lᵀ) computes each entry from its
+   own row whatever the order, as long as the entries it reads come first,
+   and takes its reach in depth-first postorder.  The entries a reach
+   skips are structural zeros, so both perform bit-identical
+   floating-point operations on every reachable entry. *)
 
 (* Sparse vector: a packed, ascending index list over a dense value scratch
    (zero outside the pattern).  The solve results below are returned in
@@ -39,15 +58,28 @@ end
 
 exception Singular
 
-(* Product-form eta from the pivot alpha = B^-1 a_q entering at basis
-   position [er]: E = I - (alpha - e_r) e_r^T / alpha_r, so the new inverse
-   is E B^-1.  Stored sparse: off-pivot nonzeros of alpha plus the pivot. *)
-type eta = {
-  er : int;
-  epiv : float;
-  erows : int array;  (* basis positions i <> er with alpha_i <> 0 *)
-  evals : float array;
-}
+(* Growable (index, value) slots: B's entries as read, the L columns / U
+   rows as the elimination writes them, or the update overlay's columns
+   and row etas, one after another in a pair of flat arrays. *)
+type slots = { mutable si : int array; mutable sv : float array; mutable sn : int }
+
+let slots_make () = { si = [||]; sv = [||]; sn = 0 }
+
+let slots_push s i v =
+  let n = s.sn in
+  if n = Array.length s.si then begin
+    let cap = Stdlib.max 16 (2 * n) in
+    let ni = Array.make cap 0 and nv = Array.make cap 0.0 in
+    Array.blit s.si 0 ni 0 n;
+    Array.blit s.sv 0 nv 0 n;
+    s.si <- ni;
+    s.sv <- nv
+  end;
+  s.si.(n) <- i;
+  s.sv.(n) <- v;
+  s.sn <- n + 1
+
+let slots_copy s = { si = Array.sub s.si 0 s.sn; sv = Array.sub s.sv 0 s.sn; sn = s.sn }
 
 (* A compressed pattern of m entries: entry k's indices sit in slots
    ptr.(k) .. ptr.(k+1) - 1 of [idx]. *)
@@ -70,13 +102,26 @@ type lu = {
   lsteps : pattern;
   ltr : pattern;
   utr : pattern;
-  mutable etas : eta array;
-  mutable neta : int;
 }
+
+(* Update-chain budget: a refactorization is due after this many
+   updates. *)
+let update_limit = 96
 
 type t = {
   m : int;
   mutable lu : lu;
+  (* the update overlay, per holder (steps m .. m + updates - 1 are the
+     appended ones; update i appended step m + i) *)
+  spos : int array;  (* basis position -> U step (m) *)
+  pstep : int array;  (* U step -> basis position (m + update_limit) *)
+  dead : bool array;  (* steps vacated by an update (m + update_limit) *)
+  vac : int array;  (* update i's vacated step *)
+  adiag : float array;  (* update i's U diagonal *)
+  aptr : int array;  (* update i's U column: slots aptr.(i) .. aptr.(i+1)-1 of [acol] *)
+  acol : slots;  (* (earlier step, value) *)
+  eptr : int array;  (* update i's row eta: slots eptr.(i) .. eptr.(i+1)-1 of [erow] *)
+  erow : slots;  (* (later step, multiplier) *)
   mutable updates : int;
   mutable err : float;
   mutable refactors : int;
@@ -84,7 +129,10 @@ type t = {
      and BTRAN directions are separate so a pivot can hold both at once), a
      step-indexed workspace [wz] kept all-zero between calls, the step list
      [wzi] the triangular passes run over, a traversal worklist, step marks,
-     and the one-entry row array of the unit FTRAN's column *)
+     a depth-first stack of steps and their next edges,
+     the one-entry row array of the unit FTRAN's column, and the last
+     sparse FTRAN's spike (its step vector after L and the row etas, the
+     U column an update appends) *)
   sf : Svec.t;
   sb : Svec.t;
   wz : float array;
@@ -92,17 +140,17 @@ type t = {
   wstk : int array;
   wmark : int array;
   mutable wstamp : int;
+  dstk : int array;
+  dptr : int array;
   unit_row : int array;
+  spike : slots;
+  mutable spike_ok : bool;  (* [spike] belongs to [sf] on the current factors *)
   (* per-solve kernel counters (reset by {!reset_stats}) *)
   mutable ftran_calls : int;
   mutable ftran_nnz : int;
   mutable btran_calls : int;
   mutable btran_nnz : int;
 }
-
-(* Update-chain budget: every eta costs one pass per solve, so the file is
-   kept short. *)
-let update_limit = 48
 
 (* Accumulated-error threshold: each accepted pivot contributes an estimate
    proportional to its growth factor; crossing this forces refactorization
@@ -113,6 +161,19 @@ let err_limit = 1e-8
    a relative test against the largest entry of the FTRAN'd column. *)
 let pivot_abs_min = 1e-9
 let pivot_rel_min = 1e-7
+
+(* The new U diagonal must match alpha_r times the old one to this relative
+   tolerance; a larger gap means the update has lost accuracy. *)
+let diag_rel_tol = 1e-8
+
+(* A solve entry below this magnitude is roundoff left by cancellation: the
+   pass that finalizes it stores a zero, so it neither fills the result nor
+   spreads through the reach of the passes after it.  Without the drop,
+   such entries were ~30% of FTRAN results, and an update chain stores
+   them in its spikes and row etas, so the chain fills U as it grows. *)
+let drop_tol = 1e-14
+
+let drop v = if Float.abs v < drop_tol then 0.0 else v
 
 let identity_lu m =
   let empty = { ptr = Array.make (m + 1) 0; idx = [||] } in
@@ -129,25 +190,64 @@ let identity_lu m =
     lsteps = empty;
     ltr = empty;
     utr = empty;
-    etas = [||];
-    neta = 0;
+  }
+
+(* Solve scratch for an m x m basis: steps run to m + update_limit. *)
+let fresh_scratch (t : t) =
+  let steps = t.m + update_limit in
+  {
+    t with
+    sf = Svec.make t.m;
+    sb = Svec.make t.m;
+    wz = Array.make steps 0.0;
+    wzi = Array.make steps 0;
+    wstk = Array.make steps 0;
+    wmark = Array.make steps (-1);
+    wstamp = 0;
+    dstk = Array.make steps 0;
+    dptr = Array.make steps 0;
+    unit_row = [| 0 |];
+    spike = { si = Array.make steps 0; sv = Array.make steps 0.0; sn = 0 };
+    spike_ok = false;
+    ftran_calls = 0;
+    ftran_nnz = 0;
+    btran_calls = 0;
+    btran_nnz = 0;
   }
 
 let create ~m =
+  let lu = identity_lu m in
+  let steps = m + update_limit in
+  let pstep = Array.make steps 0 in
+  Array.blit lu.cperm 0 pstep 0 m;
+  fresh_scratch
   {
     m;
-    lu = identity_lu m;
+    lu;
+    spos = Array.copy lu.cpos;
+    pstep;
+    dead = Array.make steps false;
+    vac = Array.make update_limit 0;
+    adiag = Array.make update_limit 0.0;
+    aptr = Array.make (update_limit + 1) 0;
+    acol = slots_make ();
+    eptr = Array.make (update_limit + 1) 0;
+    erow = slots_make ();
     updates = 0;
     err = 0.0;
     refactors = 0;
-    sf = Svec.make m;
-    sb = Svec.make m;
-    wz = Array.make m 0.0;
-    wzi = Array.make m 0;
-    wstk = Array.make m 0;
-    wmark = Array.make m (-1);
+    sf = Svec.make 0;
+    sb = Svec.make 0;
+    wz = [||];
+    wzi = [||];
+    wstk = [||];
+    wmark = [||];
     wstamp = 0;
-    unit_row = [| 0 |];
+    dstk = [||];
+    dptr = [||];
+    unit_row = [||];
+    spike = slots_make ();
+    spike_ok = false;
     ftran_calls = 0;
     ftran_nnz = 0;
     btran_calls = 0;
@@ -184,40 +284,39 @@ let pivot_order t = (Array.copy t.lu.rperm, Array.copy t.lu.cperm)
 
 let should_refactorize t = t.updates >= update_limit || t.err > err_limit
 
-let set_identity t =
-  t.lu <- identity_lu t.m;
+(* Install [lu] with an empty overlay: O(m + updates). *)
+let install t lu =
+  for i = 0 to t.updates - 1 do
+    t.dead.(t.vac.(i)) <- false
+  done;
+  t.lu <- lu;
+  Array.blit lu.cpos 0 t.spos 0 t.m;
+  Array.blit lu.cperm 0 t.pstep 0 t.m;
+  t.acol.sn <- 0;
+  t.erow.sn <- 0;
   t.updates <- 0;
-  t.err <- 0.0
+  t.err <- 0.0;
+  t.spike_ok <- false
 
+let set_identity t = install t (identity_lu t.m)
+
+(* The refactorized factors are immutable, so copies share them; the
+   overlay is duplicated, and the solve scratch and counters start fresh:
+   O(m + the overlay's nonzeros). *)
 let copy t =
-  let lu = t.lu in
-  {
-    t with
-    (* solve scratch and counters are per-holder, never shared *)
-    sf = Svec.make t.m;
-    sb = Svec.make t.m;
-    wz = Array.make t.m 0.0;
-    wzi = Array.make t.m 0;
-    wstk = Array.make t.m 0;
-    wmark = Array.make t.m (-1);
-    wstamp = 0;
-    unit_row = [| 0 |];
-    ftran_calls = 0;
-    ftran_nnz = 0;
-    btran_calls = 0;
-    btran_nnz = 0;
-    lu =
-      {
-        lu with
-        rperm = Array.copy lu.rperm;
-        rpos = Array.copy lu.rpos;
-        cperm = Array.copy lu.cperm;
-        cpos = Array.copy lu.cpos;
-        etas = Array.sub lu.etas 0 lu.neta;
-        (* factor bodies (lcol .. utr) are immutable after factorization,
-           so sharing them between copies is safe *)
-      };
-  }
+  fresh_scratch
+    {
+      t with
+      spos = Array.copy t.spos;
+      pstep = Array.copy t.pstep;
+      dead = Array.copy t.dead;
+      vac = Array.copy t.vac;
+      adiag = Array.copy t.adiag;
+      aptr = Array.copy t.aptr;
+      acol = slots_copy t.acol;
+      eptr = Array.copy t.eptr;
+      erow = slots_copy t.erow;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Sparse LU factorization: column singletons, then Markowitz          *)
@@ -238,27 +337,6 @@ let markowitz_window = (1 lsl markowitz_cands) - 1
 (* A column whose largest active entry is below this is numerically
    dependent on the columns pivoted before it. *)
 let singular_tol = 1e-12
-
-(* Growable (index, value) slots: B's entries as read, or the L columns /
-   U rows as the elimination writes them, step after step, into one pair
-   of flat arrays. *)
-type slots = { mutable si : int array; mutable sv : float array; mutable sn : int }
-
-let slots_make () = { si = [||]; sv = [||]; sn = 0 }
-
-let slots_push s i v =
-  let n = s.sn in
-  if n = Array.length s.si then begin
-    let cap = Stdlib.max 16 (2 * n) in
-    let ni = Array.make cap 0 and nv = Array.make cap 0.0 in
-    Array.blit s.si 0 ni 0 n;
-    Array.blit s.sv 0 nv 0 n;
-    s.si <- ni;
-    s.sv <- nv
-  end;
-  s.si.(n) <- i;
-  s.sv.(n) <- v;
-  s.sn <- n + 1
 
 (* Write the transpose of the m-entry pattern [p] over indices 0 .. m-1
    into [ptr] (m + 1 slots) and [idx]: entry j lists, ascending, every k
@@ -739,16 +817,13 @@ let lu_refactorize m ~basis ~col =
     lsteps;
     ltr;
     utr;
-    etas = [||];
-    neta = 0;
   }
 
 let refactorize t ~basis ~col =
   (* build first, install second: a Singular raise leaves [t] unchanged *)
-  t.lu <- lu_refactorize t.m ~basis ~col;
-  t.updates <- 0;
-  t.err <- 0.0;
+  install t (lu_refactorize t.m ~basis ~col);
   t.refactors <- t.refactors + 1
+
 
 (* ------------------------------------------------------------------ *)
 (* Step lists                                                          *)
@@ -832,44 +907,108 @@ let push_seed t k sp =
     sp + 1
   end
 
-(* Every step 0..m-1 as the step list: the full scan. *)
+(* A fresh stamp for a U pass, with every dead step already marked: no
+   seed or traversal enters one. *)
+let u_stamp t =
+  t.wstamp <- t.wstamp + 1;
+  for i = 0 to t.updates - 1 do
+    t.wmark.(t.vac.(i)) <- t.wstamp
+  done
+
+(* Every refactorized step 0..m-1 as the step list: an L pass's full
+   scan. *)
 let all_steps t =
   for k = 0 to t.m - 1 do
     t.wzi.(k) <- k
   done;
   t.m
 
-(* The ascending step list of one triangular pass, left in [t.wzi]: the
-   reach over [succ] of the [nseed] seeds on [t.wstk], or every step once
-   that reach passes [hyper_cap].  Returns the list's length. *)
-let reach_steps t succ nseed =
-  let n = drain_reach succ t.wmark t.wstamp t.wstk nseed t.wzi (hyper_cap t.m) in
-  if n < 0 then all_steps t
-  else begin
-    qsort_ints t.wzi 0 (n - 1);
-    n
-  end
+(* The refactorized steps no update vacated: a U pass's full scan. *)
+let live_steps t =
+  let n = ref 0 in
+  for k = 0 to t.m - 1 do
+    if not t.dead.(k) then begin
+      t.wzi.(!n) <- k;
+      incr n
+    end
+  done;
+  !n
 
-(* The step list of the pass that follows one over [t.wzi.(0 .. n-1)]: the
-   reach of that list over [succ], and every step again after a full
-   scan. *)
-let next_steps t succ n =
-  if n = t.m then n
-  else begin
-    t.wstamp <- t.wstamp + 1;
-    let sp = ref 0 in
-    for u = 0 to n - 1 do
-      sp := push_seed t t.wzi.(u) !sp
-    done;
-    reach_steps t succ !sp
-  end
+(* Append the live appended steps to the [n]-step list in [t.wzi]. *)
+let append_live t n =
+  let n = ref n in
+  for i = 0 to t.updates - 1 do
+    let c = t.m + i in
+    if not t.dead.(c) then begin
+      t.wzi.(!n) <- c;
+      incr n
+    end
+  done;
+  !n
+
+(* The ascending reach over [succ] of the [nseed] seeds on [t.wstk], left
+   in [t.wzi]; -1 once it passes [hyper_cap].  The scattering passes (L,
+   Uᵀ) need ascending order: a workspace entry sums its scatters in step
+   order, as the full scan does. *)
+let reach t succ nseed =
+  let n = drain_reach succ t.wmark t.wstamp t.wstk nseed t.wzi (hyper_cap t.m) in
+  if n > 0 then qsort_ints t.wzi 0 (n - 1);
+  n
+
+(* The reach over [succ] of the [nroot] steps on [t.wstk], depth first
+   under a fresh stamp (dead steps marked, so never entered, when
+   [skip_dead]), left in [t.wzi] in postorder: each step after every step
+   it reaches.  A gathering pass (U, Lᵀ) walks it descending, so a step
+   comes after the steps it reads; a gather's sum does not depend on which
+   such order, so no sort is needed.  -1 once it passes [hyper_cap]. *)
+let reach_postorder t succ nroot ~skip_dead =
+  if skip_dead then u_stamp t else t.wstamp <- t.wstamp + 1;
+  let mark = t.wmark and stamp = t.wstamp and out = t.wzi in
+  let stk = t.dstk and ptr = t.dptr and cap = hyper_cap t.m in
+  let n = ref 0 and r = ref 0 in
+  while !n >= 0 && !r < nroot do
+    let root = t.wstk.(!r) in
+    incr r;
+    if mark.(root) <> stamp then begin
+      mark.(root) <- stamp;
+      stk.(0) <- root;
+      ptr.(0) <- succ.ptr.(root);
+      let top = ref 0 in
+      while !top >= 0 do
+        let k = stk.(!top) in
+        let e = succ.ptr.(k + 1) in
+        let q = ref ptr.(!top) in
+        while !q < e && mark.(succ.idx.(!q)) = stamp do
+          incr q
+        done;
+        if !q < e then begin
+          let j = succ.idx.(!q) in
+          ptr.(!top) <- !q + 1;
+          mark.(j) <- stamp;
+          incr top;
+          stk.(!top) <- j;
+          ptr.(!top) <- succ.ptr.(j)
+        end
+        else if !n >= cap then begin
+          n := -1;
+          top := -1
+        end
+        else begin
+          out.(!n) <- k;
+          incr n;
+          decr top
+        end
+      done
+    end
+  done;
+  !n
 
 (* ------------------------------------------------------------------ *)
 (* Triangular passes                                                   *)
 
-(* Each pass runs over the [n]-step list in [t.wzi], on the step-indexed
-   workspace [t.wz].  The traversal and the full scan are the same loop:
-   only the list differs. *)
+(* Each pass over refactorized steps runs over the [n]-step list in
+   [t.wzi], on the step-indexed workspace [t.wz].  The traversal and the
+   full scan are the same loop: only the list differs. *)
 
 (* Forward L z = P x: read the row-indexed right-hand side [x] into the
    workspace, zeroing every row the list covers (L column k only touches
@@ -879,7 +1018,7 @@ let l_forward t lu (x : float array) n =
   for u = 0 to n - 1 do
     let k = pat.(u) in
     let r = lu.rperm.(k) in
-    let zk = x.(r) in
+    let zk = drop x.(r) in
     x.(r) <- 0.0;
     z.(k) <- zk;
     if zk <> 0.0 then begin
@@ -890,7 +1029,9 @@ let l_forward t lu (x : float array) n =
     end
   done
 
-(* Back-substitution U y = z, descending (each gather reads later steps). *)
+(* Back-substitution U y = z, walking the list backwards (each gather reads
+   steps listed after it; a dead step reads as the zero that deletes its
+   column). *)
 let u_backward t lu n =
   let z = t.wz and pat = t.wzi in
   for u = n - 1 downto 0 do
@@ -900,15 +1041,16 @@ let u_backward t lu n =
     for w = lu.urow.ptr.(k) to lu.urow.ptr.(k + 1) - 1 do
       acc := !acc -. (uv.(w) *. z.(uc.(w)))
     done;
-    z.(k) <- !acc /. lu.udiag.(k)
+    z.(k) <- drop (!acc /. lu.udiag.(k))
   done
 
-(* Uᵀ d' = d, ascending (each scatter writes later steps). *)
+(* Uᵀ d' = d, ascending (each scatter writes later steps; what lands on a
+   dead step is wiped by [clear_dead]). *)
 let ut_forward t lu n =
   let z = t.wz and pat = t.wzi in
   for u = 0 to n - 1 do
     let k = pat.(u) in
-    let dk = z.(k) /. lu.udiag.(k) in
+    let dk = drop (z.(k) /. lu.udiag.(k)) in
     z.(k) <- dk;
     if dk <> 0.0 then begin
       let uc = lu.urow.idx and uv = lu.uval in
@@ -918,7 +1060,8 @@ let ut_forward t lu n =
     end
   done
 
-(* Lᵀ e = d, descending (each gather reads later steps, already final). *)
+(* Lᵀ e = d, walking the list backwards (each gather reads steps listed
+   after it, already final). *)
 let lt_backward t lu n =
   let z = t.wz and pat = t.wzi in
   for u = n - 1 downto 0 do
@@ -928,8 +1071,154 @@ let lt_backward t lu n =
     for w = lu.lcol.ptr.(k) to lu.lcol.ptr.(k + 1) - 1 do
       acc := !acc -. (lv.(w) *. z.(lu.rpos.(lr.(w))))
     done;
-    z.(k) <- !acc
+    z.(k) <- drop !acc
   done
+
+(* Zero the dead steps: a dead row's entries are gone from U, so whatever a
+   scatter left there is dropped. *)
+let clear_dead t =
+  for i = 0 to t.updates - 1 do
+    t.wz.(t.vac.(i)) <- 0.0
+  done
+
+(* The row etas in update order: z(m + i) = z(s) - r_i . z, z(s) = 0. *)
+let row_etas_forward t =
+  let z = t.wz and e = t.erow in
+  for i = 0 to t.updates - 1 do
+    let s = t.vac.(i) in
+    let acc = ref z.(s) in
+    for w = t.eptr.(i) to t.eptr.(i + 1) - 1 do
+      acc := !acc -. (e.sv.(w) *. z.(e.si.(w)))
+    done;
+    z.(s) <- 0.0;
+    z.(t.m + i) <- drop !acc
+  done
+
+(* Their transposes in reverse: z(s) = z(m + i), z(j) -= r_ij z(m + i),
+   z(m + i) = 0 (z(s) is zero beforehand: s was dead for every later
+   update).  With [seed], every refactorized step written is pushed as a
+   seed of the Lᵀ pass.  Returns the seed stack height. *)
+let row_etas_backward t ~seed sp =
+  let z = t.wz and e = t.erow and sp = ref sp in
+  for i = t.updates - 1 downto 0 do
+    let c = t.m + i in
+    let zc = drop z.(c) in
+    z.(c) <- 0.0;
+    if zc <> 0.0 then begin
+      let s = t.vac.(i) in
+      z.(s) <- zc;
+      if seed && s < t.m then sp := push_seed t s !sp;
+      for w = t.eptr.(i) to t.eptr.(i + 1) - 1 do
+        let j = e.si.(w) in
+        z.(j) <- z.(j) -. (e.sv.(w) *. zc);
+        if seed && j < t.m then sp := push_seed t j !sp
+      done
+    end
+  done;
+  !sp
+
+(* The appended U columns, descending: each live step divides by its
+   diagonal and scatters into the earlier steps of its column.  With
+   [seed], every refactorized step written is pushed as a seed of the U
+   pass that follows.  Returns the seed stack height. *)
+let u_backward_appended t ~seed sp =
+  let z = t.wz and a = t.acol and sp = ref sp in
+  for i = t.updates - 1 downto 0 do
+    let c = t.m + i in
+    if not t.dead.(c) then begin
+      let v = drop (z.(c) /. t.adiag.(i)) in
+      z.(c) <- v;
+      if v <> 0.0 then
+        for w = t.aptr.(i) to t.aptr.(i + 1) - 1 do
+          let j = a.si.(w) in
+          z.(j) <- z.(j) -. (a.sv.(w) *. v);
+          if seed && j < t.m then sp := push_seed t j !sp
+        done
+    end
+  done;
+  !sp
+
+(* Uᵀ over the appended columns, ascending: each live step gathers its
+   column's (final) earlier steps and divides by its diagonal. *)
+let ut_forward_appended t =
+  let z = t.wz and a = t.acol in
+  for i = 0 to t.updates - 1 do
+    let c = t.m + i in
+    if not t.dead.(c) then begin
+      let acc = ref z.(c) in
+      for w = t.aptr.(i) to t.aptr.(i + 1) - 1 do
+        acc := !acc -. (a.sv.(w) *. z.(a.si.(w)))
+      done;
+      z.(c) <- drop (!acc /. t.adiag.(i))
+    end
+  done
+
+(* Record the step vector an FTRAN holds after L and the row etas — the
+   [n]-step L list plus the appended steps — as the spike an update of this
+   column appends. *)
+let save_spike t n =
+  let z = t.wz and s = t.spike in
+  s.sn <- 0;
+  let keep k =
+    let v = z.(k) in
+    if v <> 0.0 then begin
+      s.si.(s.sn) <- k;
+      s.sv.(s.sn) <- v;
+      s.sn <- s.sn + 1
+    end
+  in
+  for u = 0 to n - 1 do
+    keep t.wzi.(u)
+  done;
+  for i = 0 to t.updates - 1 do
+    keep (t.m + i)
+  done;
+  t.spike_ok <- true
+
+(* FTRAN after the L pass over the [n]-step list in [t.wzi] ([n] = m when
+   it ran every step): the row etas, the appended U columns, then the
+   refactorized U over the reach of what they leave — every live step after
+   a full L pass or once the reach passes the cap.  Leaves the live result
+   steps in [t.wzi] and returns their count. *)
+let ftran_upper t n ~save =
+  let lu = t.lu in
+  row_etas_forward t;
+  if save then save_spike t n;
+  t.wstamp <- t.wstamp + 1;
+  let full = n = t.m in
+  let sp = ref 0 in
+  if not full then
+    for u = 0 to n - 1 do
+      sp := push_seed t t.wzi.(u) !sp
+    done;
+  let sp = u_backward_appended t ~seed:(not full) !sp in
+  clear_dead t;
+  let n = if full then -1 else reach_postorder t lu.utr sp ~skip_dead:true in
+  let n = if n < 0 then live_steps t else n in
+  u_backward t lu n;
+  append_live t n
+
+(* BTRAN from the Uᵀ pass over the [n] refactorized steps listed in
+   [t.wzi] ([full]: every live one): the appended columns, the transposed
+   row etas, then Lᵀ over the reach of what they leave — every step when
+   [full] or once the reach passes the cap.  Returns the Lᵀ list's
+   length. *)
+let btran_lower t n ~full =
+  let lu = t.lu in
+  ut_forward t lu n;
+  clear_dead t;
+  ut_forward_appended t;
+  t.wstamp <- t.wstamp + 1;
+  let sp = ref 0 in
+  if not full then
+    for u = 0 to n - 1 do
+      sp := push_seed t t.wzi.(u) !sp
+    done;
+  let sp = row_etas_backward t ~seed:(not full) !sp in
+  let n = if full then -1 else reach_postorder t lu.ltr sp ~skip_dead:false in
+  let n = if n < 0 then all_steps t else n in
+  lt_backward t lu n;
+  n
 
 (* Scatter the listed workspace steps into [sv] through [perm] (dropping
    exact zeros), clear the workspace, and leave the pattern sorted
@@ -952,159 +1241,37 @@ let emit_steps t (perm : int array) n (sv : Svec.t) =
   qsort_ints idx 0 (!nz - 1);
   sv.Svec.n <- !nz
 
-(* The dense twin of {!emit_steps}: x.(perm.(k)) := z.(k) for every step,
-   clearing the workspace. *)
-let scatter_steps t (perm : int array) (x : float array) =
-  let z = t.wz in
-  for k = 0 to t.m - 1 do
+(* The dense twin of {!emit_steps}: x.(perm.(k)) := z.(k) for every listed
+   step, clearing the workspace. *)
+let scatter_steps t (perm : int array) n (x : float array) =
+  let z = t.wz and pat = t.wzi in
+  for u = 0 to n - 1 do
+    let k = pat.(u) in
     x.(perm.(k)) <- z.(k);
     z.(k) <- 0.0
   done
 
 (* ------------------------------------------------------------------ *)
-(* Product-form eta files                                              *)
-
-let apply_etas lu x =
-  for e = 0 to lu.neta - 1 do
-    let eta = lu.etas.(e) in
-    let xr = x.(eta.er) /. eta.epiv in
-    x.(eta.er) <- xr;
-    if xr <> 0.0 then begin
-      let rs = eta.erows and vs = eta.evals in
-      for u = 0 to Array.length rs - 1 do
-        x.(rs.(u)) <- x.(rs.(u)) -. (vs.(u) *. xr)
-      done
-    end
-  done
-
-let apply_etas_t lu y =
-  for e = lu.neta - 1 downto 0 do
-    let eta = lu.etas.(e) in
-    let rs = eta.erows and vs = eta.evals in
-    let s = ref 0.0 in
-    for u = 0 to Array.length rs - 1 do
-      s := !s +. (vs.(u) *. y.(rs.(u)))
-    done;
-    y.(eta.er) <- (y.(eta.er) -. !s) /. eta.epiv
-  done
-
-(* Sparse (pattern-tracked) product-form eta application over [sv]'s
-   position-indexed values.  Performs the same arithmetic as {!apply_etas}
-   on the nonzero entries; positions the dense code would only have written
-   a signed zero into are skipped, which the output filter erases anyway. *)
-let apply_etas_sparse t lu (sv : Svec.t) =
-  if lu.neta > 0 then begin
-    let vals = sv.Svec.vals and idx = sv.Svec.idx in
-    t.wstamp <- t.wstamp + 1;
-    let stamp = t.wstamp in
-    let mark = t.wmark in
-    for u = 0 to sv.Svec.n - 1 do
-      mark.(idx.(u)) <- stamp
-    done;
-    let n = ref sv.Svec.n in
-    for e = 0 to lu.neta - 1 do
-      let eta = lu.etas.(e) in
-      if mark.(eta.er) = stamp then begin
-        let xr = vals.(eta.er) /. eta.epiv in
-        vals.(eta.er) <- xr;
-        if xr <> 0.0 then begin
-          let rs = eta.erows and vs = eta.evals in
-          for u = 0 to Array.length rs - 1 do
-            let p = rs.(u) in
-            vals.(p) <- vals.(p) -. (vs.(u) *. xr);
-            if mark.(p) <> stamp then begin
-              mark.(p) <- stamp;
-              idx.(!n) <- p;
-              incr n
-            end
-          done
-        end
-      end
-    done;
-    (* re-filter: eta arithmetic can cancel entries to exact zero, and the
-       pattern gained the scatter targets *)
-    let k = ref 0 in
-    for u = 0 to !n - 1 do
-      let p = idx.(u) in
-      if vals.(p) <> 0.0 then begin
-        idx.(!k) <- p;
-        incr k
-      end
-      else vals.(p) <- 0.0
-    done;
-    qsort_ints idx 0 (!k - 1);
-    sv.Svec.n <- !k
-  end
-
-(* The transposed twin, position-indexed input: same arithmetic as
-   {!apply_etas_t} wherever it matters (an unwritten position differs from
-   the dense result only in the sign of zero). *)
-let apply_etas_t_sparse t lu (sv : Svec.t) =
-  if lu.neta > 0 then begin
-    let vals = sv.Svec.vals and idx = sv.Svec.idx in
-    t.wstamp <- t.wstamp + 1;
-    let stamp = t.wstamp in
-    let mark = t.wmark in
-    for u = 0 to sv.Svec.n - 1 do
-      mark.(idx.(u)) <- stamp
-    done;
-    let n = ref sv.Svec.n in
-    for e = lu.neta - 1 downto 0 do
-      let eta = lu.etas.(e) in
-      let rs = eta.erows and vs = eta.evals in
-      let s = ref 0.0 in
-      for u = 0 to Array.length rs - 1 do
-        s := !s +. (vs.(u) *. vals.(rs.(u)))
-      done;
-      if mark.(eta.er) = stamp || !s <> 0.0 then begin
-        vals.(eta.er) <- (vals.(eta.er) -. !s) /. eta.epiv;
-        if mark.(eta.er) <> stamp then begin
-          mark.(eta.er) <- stamp;
-          idx.(!n) <- eta.er;
-          incr n
-        end
-      end
-    done;
-    let k = ref 0 in
-    for u = 0 to !n - 1 do
-      let p = idx.(u) in
-      if vals.(p) <> 0.0 then begin
-        idx.(!k) <- p;
-        incr k
-      end
-      else vals.(p) <- 0.0
-    done;
-    qsort_ints idx 0 (!k - 1);
-    sv.Svec.n <- !k
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Public solves                                                       *)
 
-(* The dense solves run the triangular passes over every step through the
-   step workspace and their own arrays, never through the svecs [sf]/[sb]:
-   a caller may still hold the last sparse FTRAN or BTRAN across them. *)
+(* The dense solves run every pass over every step through the step
+   workspace and their own arrays, never through the svecs [sf]/[sb] or the
+   spike: a caller may still hold the last sparse FTRAN or BTRAN, or be
+   about to update with it, across them. *)
 let ftran_dense t b =
-  let lu = t.lu in
   let x = Array.copy b in
   let n = all_steps t in
-  l_forward t lu x n;
-  u_backward t lu n;
-  scatter_steps t lu.cperm x;
-  apply_etas lu x;
+  l_forward t t.lu x n;
+  let n = ftran_upper t n ~save:false in
+  scatter_steps t t.pstep n x;
   x
 
 let btran_dense_into t c y =
-  let lu = t.lu in
-  Array.blit c 0 y 0 t.m;
-  apply_etas_t lu y;
-  for k = 0 to t.m - 1 do
-    t.wz.(k) <- y.(lu.cperm.(k))
+  for p = 0 to t.m - 1 do
+    t.wz.(t.spos.(p)) <- c.(p)
   done;
-  let n = all_steps t in
-  ut_forward t lu n;
-  lt_backward t lu n;
-  scatter_steps t lu.rperm y
+  let n = btran_lower t (live_steps t) ~full:true in
+  scatter_steps t t.lu.rperm n y
 
 (* ------------------------------------------------------------------ *)
 (* Sparse-result solves (the simplex hot path)                         *)
@@ -1123,12 +1290,11 @@ let ftran_col_sparse t (rows : int array) (coefs : float array) ~off ~len =
     vals.(r) <- vals.(r) +. coefs.(off + k);
     nseed := push_seed t lu.rpos.(r) !nseed
   done;
-  let n = reach_steps t lu.lsteps !nseed in
+  let n = reach t lu.lsteps !nseed in
+  let n = if n < 0 then all_steps t else n in
   l_forward t lu vals n;
-  let n = next_steps t lu.utr n in
-  u_backward t lu n;
-  emit_steps t lu.cperm n sv;
-  apply_etas_sparse t lu sv;
+  let n = ftran_upper t n ~save:true in
+  emit_steps t t.pstep n sv;
   t.ftran_calls <- t.ftran_calls + 1;
   t.ftran_nnz <- t.ftran_nnz + sv.Svec.n;
   sv
@@ -1145,26 +1311,12 @@ let ftran_unit_sparse t r =
 let btran_unit_sparse t r =
   let sv = t.sb and lu = t.lu in
   Svec.clear sv;
-  let vals = sv.Svec.vals in
-  vals.(r) <- 1.0;
-  sv.Svec.idx.(0) <- r;
-  sv.Svec.n <- 1;
-  apply_etas_t_sparse t lu sv;
-  (* move the position-indexed pattern into the step workspace *)
-  t.wstamp <- t.wstamp + 1;
-  let nseed = ref 0 in
-  for u = 0 to sv.Svec.n - 1 do
-    let p = sv.Svec.idx.(u) in
-    let k = lu.cpos.(p) in
-    t.wz.(k) <- vals.(p);
-    vals.(p) <- 0.0;
-    nseed := push_seed t k !nseed
-  done;
-  sv.Svec.n <- 0;
-  let n = reach_steps t lu.urow !nseed in
-  ut_forward t lu n;
-  let n = next_steps t lu.ltr n in
-  lt_backward t lu n;
+  let k = t.spos.(r) in
+  t.wz.(k) <- 1.0;
+  u_stamp t;
+  let n = if k < t.m then reach t lu.urow (push_seed t k 0) else 0 in
+  let full = n < 0 in
+  let n = btran_lower t (if full then live_steps t else n) ~full in
   emit_steps t lu.rperm n sv;
   t.btran_calls <- t.btran_calls + 1;
   t.btran_nnz <- t.btran_nnz + sv.Svec.n;
@@ -1173,10 +1325,14 @@ let btran_unit_sparse t r =
 (* ------------------------------------------------------------------ *)
 (* Updates                                                             *)
 
-(* Record the basis change that replaces the column in basis position [row]
-   by the entering column whose FTRAN is [alpha].  The stability guards and
-   the eta are derived from the pattern alone (svec patterns carry no exact
-   zeros). *)
+(* Replace the column in basis position [row] by the entering column whose
+   FTRAN is [alpha] (the last sparse FTRAN on [t], whose spike is kept).
+   Vacated step s = spos.(row); its row of U past the diagonal gives the
+   row eta r, solving rᵀ U = (that row) over the steps after s (one Uᵀ
+   pass); the appended step's diagonal is spike(s) - r . spike and its
+   column the rest of the spike.  The factorization is untouched until
+   every guard has passed: a refused update drops the row eta it
+   staged. *)
 let update_sparse t ~(alpha : Svec.t) ~row =
   let piv = alpha.Svec.vals.(row) in
   let apiv = Float.abs piv in
@@ -1186,32 +1342,74 @@ let update_sparse t ~(alpha : Svec.t) ~row =
     if a > !amax then amax := a
   done;
   if apiv < pivot_abs_min || apiv < pivot_rel_min *. !amax then false
-  else if t.updates >= update_limit then false
+  else if t.updates >= update_limit || alpha != t.sf || not t.spike_ok then false
   else begin
-    let lu = t.lu in
-    let nnz = ref 0 in
-    for u = 0 to alpha.Svec.n - 1 do
-      if alpha.Svec.idx.(u) <> row then incr nnz
+    let lu = t.lu and z = t.wz and m = t.m in
+    let s = t.spos.(row) in
+    (* row s past its diagonal: the refactorized row's live entries and the
+       appended columns' entries in row s *)
+    u_stamp t;
+    let sp = ref 0 in
+    if s < m then
+      for w = lu.urow.ptr.(s) to lu.urow.ptr.(s + 1) - 1 do
+        let j = lu.urow.idx.(w) in
+        if not t.dead.(j) then begin
+          z.(j) <- lu.uval.(w);
+          sp := push_seed t j !sp
+        end
+      done;
+    let a = t.acol in
+    for i = 0 to t.updates - 1 do
+      for w = t.aptr.(i) to t.aptr.(i + 1) - 1 do
+        if a.si.(w) = s then z.(m + i) <- a.sv.(w)
+      done
     done;
-    let rs = Array.make !nnz 0 and vs = Array.make !nnz 0.0 in
-    let p = ref 0 in
-    for u = 0 to alpha.Svec.n - 1 do
-      let i = alpha.Svec.idx.(u) in
-      if i <> row then begin
-        rs.(!p) <- i;
-        vs.(!p) <- alpha.Svec.vals.(i);
-        incr p
-      end
+    let n = reach t lu.urow !sp in
+    let n = if n < 0 then live_steps t else n in
+    ut_forward t lu n;
+    clear_dead t;
+    ut_forward_appended t;
+    let spike = t.spike in
+    let ss = ref 0.0 and dot = ref 0.0 in
+    for u = 0 to spike.sn - 1 do
+      let k = spike.si.(u) in
+      if k = s then ss := spike.sv.(u) else dot := !dot +. (z.(k) *. spike.sv.(u))
     done;
-    if lu.neta = Array.length lu.etas then begin
-      let cap = Stdlib.max 8 (2 * lu.neta) in
-      let bigger = Array.make cap { er = 0; epiv = 1.0; erows = [||]; evals = [||] } in
-      Array.blit lu.etas 0 bigger 0 lu.neta;
-      lu.etas <- bigger
-    end;
-    lu.etas.(lu.neta) <- { er = row; epiv = piv; erows = rs; evals = vs };
-    lu.neta <- lu.neta + 1;
-    t.updates <- t.updates + 1;
-    t.err <- t.err +. (1e-16 *. (!amax /. apiv));
-    true
+    let dnew = !ss -. !dot in
+    (* r into the row-eta slots, clearing the workspace *)
+    let e = t.erow in
+    let e0 = e.sn in
+    let take k =
+      let v = z.(k) in
+      z.(k) <- 0.0;
+      if v <> 0.0 then slots_push e k v
+    in
+    for u = 0 to n - 1 do
+      take t.wzi.(u)
+    done;
+    for i = 0 to t.updates - 1 do
+      take (m + i)
+    done;
+    let expect = piv *. if s < m then lu.udiag.(s) else t.adiag.(s - m) in
+    if not (Float.abs (dnew -. expect) <= diag_rel_tol *. Float.abs expect) then begin
+      e.sn <- e0;
+      false
+    end
+    else begin
+      let i = t.updates in
+      t.vac.(i) <- s;
+      t.dead.(s) <- true;
+      t.eptr.(i + 1) <- e.sn;
+      for u = 0 to spike.sn - 1 do
+        if spike.si.(u) <> s then slots_push a spike.si.(u) spike.sv.(u)
+      done;
+      t.aptr.(i + 1) <- a.sn;
+      t.adiag.(i) <- dnew;
+      t.spos.(row) <- m + i;
+      t.pstep.(m + i) <- row;
+      t.updates <- i + 1;
+      t.err <- t.err +. (1e-16 *. (!amax /. apiv));
+      t.spike_ok <- false;
+      true
+    end
   end

@@ -1,11 +1,20 @@
-(** Factorized simplex basis: FTRAN/BTRAN and rank-one updates over a
-    sparse LU factorization, computed with Markowitz pivoting at
-    refactorization time and extended by product-form eta updates after
-    each simplex pivot.  FTRAN/BTRAN run through the triangular factors and
-    the eta file in O(nnz) instead of O(m²), and refactorization rebuilds
+(** Factorized simplex basis: FTRAN/BTRAN and basis updates over a sparse
+    LU factorization, computed with Markowitz pivoting at refactorization
+    time and kept current after each simplex pivot by a Forrest–Tomlin
+    update of U.  FTRAN/BTRAN run through the triangular factors and the
+    update overlay in O(nnz) instead of O(m²), and refactorization rebuilds
     the factors in O(nnz) for the column singletons plus roughly
     O(n log n + nnz·fill) for the n-column nucleus left after them, instead
     of the O(m³) dense elimination (see {!pivot_order}).
+
+    The refactorized L and U never change.  An update that replaces the
+    column at U step s vacates that step, appends a new last step whose U
+    column is the entering column's spike L⁻¹a_q (kept by its sparse FTRAN),
+    and records one row eta that clears the vacated row: FTRAN applies the
+    row etas after L, BTRAN their transposes before Lᵀ.  The overlay is per
+    holder, so {!copy} costs O(m + updates) and shares the factors.
+    Entries below 1e-14 in magnitude are cancellation roundoff and are
+    stored as zeros by the pass that finalizes them.
 
     The sparse solves ({!ftran_col_sparse}, {!btran_unit_sparse}) run as
     graph traversals over the factor patterns (Gilbert–Peierls-style
@@ -24,13 +33,14 @@
 
     A factorization goes stale in two ways, and {!update_sparse} /
     {!should_refactorize} encode the refactorization policy:
-    - the eta file grows past its budget, or the accumulated error estimate
-      from small pivots crosses a threshold — {!should_refactorize} turns
-      true;
-    - a single proposed pivot element is too small to apply stably —
-      {!update_sparse} refuses (returns [false]) without touching the
-      factorization, and the caller must refactorize from the new basis
-      instead of dividing by a near-zero. *)
+    - the update chain reaches its budget, or the accumulated error
+      estimate from small pivots crosses a threshold —
+      {!should_refactorize} turns true;
+    - a single proposed update cannot be applied stably — the pivot
+      element is too small, or the new U diagonal disagrees with the pivot
+      times the old one — and {!update_sparse} refuses (returns [false])
+      without touching the factorization; the caller must refactorize from
+      the new basis instead. *)
 
 (** Sparse vector over a dense backing store: [idx.(0..n-1)] lists the
     nonzero positions in ascending order and [vals] is zero outside them.
@@ -63,8 +73,8 @@ val refactorize :
 (** [refactorize t ~basis ~col] rebuilds the factorization from scratch for
     the matrix whose [i]-th column is column [basis.(i)] of the constraint
     matrix; [col j f] must call [f row coef] for every nonzero of column
-    [j].  Clears the eta file.  Raises {!Singular} (state
-    unchanged) when elimination cannot complete. *)
+    [j].  Clears the update chain.  Raises {!Singular} (state unchanged)
+    when elimination cannot complete. *)
 
 val ftran_dense : t -> float array -> float array
 (** [ftran_dense t b] returns B⁻¹b for a dense right-hand side [b] indexed
@@ -98,12 +108,15 @@ val btran_unit_sparse : t -> int -> Svec.t
 val update_sparse : t -> alpha:Svec.t -> row:int -> bool
 (** [update_sparse t ~alpha ~row] records the basis change that replaces
     the column in basis position [row], where [alpha] = B⁻¹a_q is the
-    sparse FTRAN of the entering column (so [alpha]'s value at [row] is the
-    pivot element).  Returns [false] — leaving the factorization unchanged
-    — when the pivot element is too small in absolute or relative terms to
-    apply stably; the caller must then {!refactorize} from the updated
-    basis.  A successful update appends one eta to the product-form file,
-    built from [alpha]'s pattern without scanning the full column. *)
+    result of the last sparse FTRAN on [t] (so [alpha]'s value at [row] is
+    the pivot element, and that FTRAN kept the entering column's spike).
+    Returns [false] — leaving the factorization unchanged — when the pivot
+    element is too small in absolute or relative terms, when the new U
+    diagonal disagrees with the pivot times the old diagonal, when the
+    update budget is spent, or when [alpha] is not [t]'s last FTRAN since
+    the factors last changed; the caller must then {!refactorize} from the
+    updated basis.  A successful update costs one Uᵀ pass over the vacated
+    row's reach, not a scan of the column. *)
 
 type solve_stats = {
   ftran_calls : int;
@@ -118,9 +131,9 @@ val solve_stats : t -> solve_stats
 val reset_stats : t -> unit
 
 val should_refactorize : t -> bool
-(** The eta file has exhausted its budget or the accumulated pivot-error
-    estimate crossed its threshold: the caller should refactorize at the
-    next safe point. *)
+(** The update chain has exhausted its budget or the accumulated
+    pivot-error estimate crossed its threshold: the caller should
+    refactorize at the next safe point. *)
 
 val updates_since_refactor : t -> int
 

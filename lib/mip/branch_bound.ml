@@ -160,7 +160,7 @@ let solve ?(options = default_options) (std : Model.std) =
   (* One-entry basis-factorization cache keyed by physical equality on the
      stripped snapshot stored in the nodes: the plunged child is processed
      immediately after its parent, so it reuses the parent's LU factors (and
-     eta file) for free; nodes popped from the heap later re-factorize from
+     update chain) for free; nodes popped from the heap later re-factorize from
      their stored basis columns instead (still far cheaper than a cold
      phase-1 start). *)
   let fac_cache : (Simplex.warm_basis * Basis.t) option ref = ref None in

@@ -46,7 +46,7 @@ type state = {
   status : col_status array;
   xval : float array;
   basis : int array;  (* basis.(i) = column basic in row i *)
-  mutable fac : Basis.t;  (* factorized basis (LU + eta file) *)
+  mutable fac : Basis.t;  (* factorized basis (LU + update chain) *)
   mutable bland : bool;  (* anti-cycling mode *)
   mutable degenerate_run : int;
   degen_limit : int;  (* consecutive degenerate pivots before Bland mode *)
@@ -170,8 +170,8 @@ let devex_max_strikes = 3
    scores are within this factor of the best seen, prefer the column with
    the fewest nonzeros.  The reference-framework weights are coarse
    approximations, so a small score band is inside the rule's own noise —
-   but entering a sparser column buys a cheaper FTRAN, a sparser eta and a
-   sparser pivot row for every downstream update, which is where the wall
+   but entering a sparser column buys a cheaper FTRAN, a sparser spike and
+   a sparser pivot row for every downstream update, which is where the wall
    clock actually goes on hypersparse models. *)
 let devex_sparsity_band = 1.5
 

@@ -1,7 +1,7 @@
 (** Bounded-variable simplex for linear programs in {!Model.std} form.
 
     The implementation is a revised simplex over a factorized basis
-    ({!Basis}: sparse LU with product-form eta updates):
+    ({!Basis}: sparse LU with Forrest–Tomlin updates):
 
     - slack columns are appended internally (one per row) so the working
       problem is [min c.x  s.t.  Ax + s = b] with bounds on every column;

@@ -19,7 +19,8 @@ echo "== dead-module and dead-value check =="
 sh scripts/check_dead_modules.sh
 
 # the kernel batteries inside the suite pin every sparse solve they probe
-# against the all-steps dense solve on the same factors, bit for bit;
+# against the all-steps dense solve on the same factors, bit for bit, as
+# factored and along Forrest-Tomlin update chains;
 # runtest also runs `ras_bench.exe --smoke` (benchmark/dune), whose
 # check_round verifies, through System, that every available server sits
 # on its target owner and that capacity plus shortfall covers each request
@@ -59,7 +60,9 @@ if [ "${RAS_SCALE_TESTS:-full}" = "full" ]; then
   # (bring-up and one post-failure round): the singleton pass and the
   # count-heap elimination must pivot in the rescan oracle's order on
   # them, the crash bases must be all column singletons, and on the root
-  # bases every sparse solve probed must equal the dense one bit for bit
+  # bases every sparse solve probed must equal the dense one bit for bit,
+  # with small residuals, as factored and after each update of a
+  # Forrest-Tomlin update chain on top of them
   echo "== LU identity battery on 10^6-server root bases (RAS_SCALE_TESTS=full) =="
   RAS_SCALE_TESTS=full dune exec test/test_main.exe -- test basis
 fi

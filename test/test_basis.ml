@@ -1,8 +1,10 @@
 (* Numerical-stability tests for the factorized basis (Ras_mip.Basis):
-   FTRAN/BTRAN round trips through the LU factors and the eta file,
-   refactorization policy triggers, rejection of near-singular pivots, and
-   residuals against B rebuilt from the basis columns after every eta
-   update and every refactorization on random matrices.
+   FTRAN/BTRAN round trips through the LU factors and the Forrest–Tomlin
+   update overlay, refactorization policy triggers, rejection of
+   near-singular pivots and of updates whose spike does not match their
+   pivot, copies that update independently, and residuals against B
+   rebuilt from the basis columns after every update of a full update
+   chain and every refactorization on random matrices.
 
    The LU identity battery pins the elimination order — column singletons,
    then Markowitz on the nucleus left over — against the rescan oracle
@@ -84,14 +86,8 @@ let svec_of_dense a =
     a;
   s
 
-(* [k]·B^-1 e_r: the FTRAN of k times the unit column e_r, scaled in place *)
-let scaled_unit_ftran t r k =
-  let alpha = Basis.ftran_unit_sparse t r in
-  for u = 0 to alpha.Basis.Svec.n - 1 do
-    let i = alpha.Basis.Svec.idx.(u) in
-    alpha.Basis.Svec.vals.(i) <- k *. alpha.Basis.Svec.vals.(i)
-  done;
-  alpha
+(* B^-1 (k e_r): the FTRAN of the column k times e_r *)
+let scaled_unit_ftran t r k = Basis.ftran_col_sparse t [| r |] [| k |] ~off:0 ~len:1
 
 let max_abs_diff a b =
   let worst = ref 0.0 in
@@ -131,11 +127,11 @@ let test_btran_round_trip () =
 
 let test_ftran_btran_adjoint () =
   (* <c, B^-1 b> = <B^-T c, b> — exercises both solves against each other,
-     including through a nonempty eta file *)
+     including through a nonempty update chain *)
   let rng = R.create 13 in
   let m = 15 in
   let t, _, _ = refactorized rng m in
-  (* push a few eta updates through *)
+  (* push a few updates through *)
   for k = 0 to 4 do
     let col = Array.init m (fun _ -> R.float rng 2.0 -. 1.0) in
     let alpha = Basis.ftran_col_sparse t (Array.init m Fun.id) col ~off:0 ~len:m in
@@ -171,15 +167,18 @@ let test_eta_limit_triggers_refactorize () =
     if Basis.should_refactorize t then fired := !k
   done;
   Alcotest.(check bool)
-    (Printf.sprintf "eta budget fires (after %d updates)" !fired)
+    (Printf.sprintf "update budget fires (after %d updates)" !fired)
     true
-    (!fired > 0 && !fired <= 64);
+    (!fired > 0 && !fired <= 128);
+  (* past the budget the update is refused, leaving the chain as it is *)
+  let alpha = scaled_unit_ftran t 0 2.0 in
+  Alcotest.(check bool) "update past the budget refused" false (Basis.update_sparse t ~alpha ~row:0);
   Alcotest.(check int) "update counter matches" !fired (Basis.updates_since_refactor t)
 
 let test_near_singular_pivot_refused () =
   let rng = R.create 14 in
   let m = 10 in
-  let t, _, _ = refactorized rng m in
+  let t, cols, basis = refactorized rng m in
   let before_updates = Basis.updates_since_refactor t in
   let probe = Array.init m (fun _ -> R.float rng 2.0 -. 1.0) in
   let x_before = Basis.ftran_dense t (Array.copy probe) in
@@ -194,10 +193,39 @@ let test_near_singular_pivot_refused () =
   alpha.(7) <- 1e9;
   Alcotest.(check bool) "relatively tiny pivot refused" false
     (Basis.update_sparse t ~alpha:(svec_of_dense alpha) ~row:3);
+  (* diagonal guard: the FTRAN of e_3 scaled by 3 after the solve, so the
+     new U diagonal its spike gives is a third of alpha_3 times the old *)
+  let alpha = scaled_unit_ftran t 3 1.0 in
+  for u = 0 to alpha.Basis.Svec.n - 1 do
+    let i = alpha.Basis.Svec.idx.(u) in
+    alpha.Basis.Svec.vals.(i) <- 3.0 *. alpha.Basis.Svec.vals.(i)
+  done;
+  Alcotest.(check bool) "pivot its spike disagrees with refused" false
+    (Basis.update_sparse t ~alpha ~row:3);
+  (* a sound alpha that is not the factorization's last FTRAN has no spike *)
+  let alpha = scaled_unit_ftran t 3 1.0 in
+  let dense = Array.make m 0.0 in
+  for u = 0 to alpha.Basis.Svec.n - 1 do
+    let i = alpha.Basis.Svec.idx.(u) in
+    dense.(i) <- alpha.Basis.Svec.vals.(i)
+  done;
+  Alcotest.(check bool) "alpha from elsewhere refused" false
+    (Basis.update_sparse t ~alpha:(svec_of_dense dense) ~row:3);
   (* the refused updates left the factorization untouched *)
   Alcotest.(check int) "no update recorded" before_updates (Basis.updates_since_refactor t);
   let x_after = Basis.ftran_dense t (Array.copy probe) in
-  Alcotest.(check bool) "solves unchanged" true (max_abs_diff x_before x_after = 0.0)
+  Alcotest.(check bool) "solves unchanged" true (max_abs_diff x_before x_after = 0.0);
+  (* an FTRAN from before a refactorization, or before another update, is
+     stale: its spike no longer matches the factors *)
+  let alpha = scaled_unit_ftran t 3 2.0 in
+  Basis.refactorize t ~basis ~col:(col_fn cols);
+  Alcotest.(check bool) "FTRAN older than the refactorization refused" false
+    (Basis.update_sparse t ~alpha ~row:3);
+  let alpha = scaled_unit_ftran t 3 2.0 in
+  let row = Test_sparse_kernels.largest_entry alpha in
+  Alcotest.(check bool) "fresh FTRAN accepted" true (Basis.update_sparse t ~alpha ~row);
+  Alcotest.(check bool) "FTRAN already used by an update refused" false
+    (Basis.update_sparse t ~alpha ~row)
 
 let test_singular_matrix_raises () =
   let m = 4 in
@@ -212,59 +240,103 @@ let test_singular_matrix_raises () =
   let x = Basis.ftran_dense t [| 1.0; 2.0; 3.0; 4.0 |] in
   Alcotest.(check bool) "state survives" true (max_abs_diff x [| 1.0; 2.0; 3.0; 4.0 |] < 1e-12)
 
-(* Residuals against B rebuilt from the basis columns
-   ([Oracles.ftran_residual], [Oracles.btran_residual]), which read nothing
-   of the factorization: after the refactorization, after each of a run of
-   eta updates (random columns entering at the position of their largest
-   |alpha|), and after refactorizing the updated basis. *)
+(* A basis under updates, for the residual oracles: [cur.(p)] is the
+   column in basis position p. *)
+type tracked = { t : Basis.t; cur : (int * float) list array }
+
+let tracked_col tb p f = List.iter (fun (i, v) -> f i v) tb.cur.(p)
+
+(* The random sparse column [rows]/[coefs] enters [tb] at the position of
+   its largest |alpha|; returns whether the update was accepted. *)
+let enter tb (rows, coefs) =
+  let alpha = Basis.ftran_col_sparse tb.t rows coefs ~off:0 ~len:(Array.length rows) in
+  let row = Test_sparse_kernels.largest_entry alpha in
+  row >= 0
+  && Basis.update_sparse tb.t ~alpha ~row
+  && begin
+       tb.cur.(row) <- List.init (Array.length rows) (fun k -> (rows.(k), coefs.(k)));
+       true
+     end
+
+(* The traversal pin and residuals against B rebuilt from [tb]'s basis
+   columns ([Oracles.ftran_residual], [Oracles.btran_residual], which read
+   nothing of the factorization) on a random right-hand side and basis
+   position. *)
+let check_tracked tag rng tb =
+  let m = Basis.dim tb.t in
+  let basis = Array.init m Fun.id and col = tracked_col tb in
+  let rows, coefs = Test_sparse_kernels.random_rhs rng m in
+  let _, x, b = Test_sparse_kernels.pin_ftran tag tb.t rows coefs ~off:0 ~len:(Array.length rows) in
+  let y, c = Test_sparse_kernels.pin_btran tag tb.t (R.int rng m) in
+  let fe = Oracles.ftran_residual ~basis ~col x b in
+  let be = Oracles.btran_residual ~basis ~col y c in
+  if fe > 1e-12 || be > 1e-12 then
+    Alcotest.failf "%s: ftran backward error %.3g, btran %.3g" tag fe be
+
+(* After the refactorization, after every update of a full update chain —
+   random sparse columns entering at the position of their largest |alpha|
+   until the update budget is spent — and after refactorizing the updated
+   basis. *)
 let test_residuals () =
   let rng = R.create 15 in
-  for trial = 1 to 20 do
-    let m = 1 + R.int rng 25 in
+  for trial = 1 to 12 do
+    let m = 5 + R.int rng 36 in
     let cols = random_matrix rng m in
     let basis = Array.init m (fun i -> i) in
     R.shuffle rng basis;
-    let cur = Array.map (fun j -> cols.(j)) basis in
-    let pos = Array.init m Fun.id in
-    let col p f = List.iter (fun (i, v) -> f i v) cur.(p) in
-    let t = Basis.create ~m in
-    Basis.refactorize t ~basis ~col:(col_fn cols);
-    let check stage =
-      let tag = Printf.sprintf "trial %d (m=%d) %s" trial m stage in
-      let b = Array.init m (fun _ -> R.float rng 10.0 -. 5.0) in
-      let fe = Oracles.ftran_residual ~basis:pos ~col (Basis.ftran_dense t (Array.copy b)) b in
-      let be = Oracles.btran_residual ~basis:pos ~col (btran t b) b in
-      if fe > 1e-12 || be > 1e-12 then
-        Alcotest.failf "%s: ftran backward error %.3g, btran %.3g" tag fe be
-    in
-    check "refactorized";
-    for k = 1 to 12 do
-      let rows = Array.init m Fun.id and coefs = Array.init m (fun _ -> R.float rng 2.0 -. 1.0) in
-      let alpha = Basis.ftran_col_sparse t rows coefs ~off:0 ~len:m in
-      let row = Test_sparse_kernels.largest_entry alpha in
-      if row >= 0 && Basis.update_sparse t ~alpha ~row then begin
-        cur.(row) <- List.init m (fun i -> (i, coefs.(i)));
-        check (Printf.sprintf "after eta %d" k)
-      end
+    let tb = { t = Basis.create ~m; cur = Array.map (fun j -> cols.(j)) basis } in
+    Basis.refactorize tb.t ~basis ~col:(col_fn cols);
+    let tag = Printf.sprintf "trial %d (m=%d)" trial m in
+    check_tracked (tag ^ " refactorized") rng tb;
+    let tries = ref 0 in
+    while (not (Basis.should_refactorize tb.t)) && !tries < 2000 do
+      incr tries;
+      if enter tb (Test_sparse_kernels.random_rhs rng m) then
+        check_tracked
+          (Printf.sprintf "%s after update %d" tag (Basis.updates_since_refactor tb.t))
+          rng tb
     done;
-    Basis.refactorize t ~basis:pos ~col;
-    check "refactorized after the etas"
+    if not (Basis.should_refactorize tb.t) then
+      Alcotest.failf "%s: the chain stopped after %d updates" tag
+        (Basis.updates_since_refactor tb.t);
+    Basis.refactorize tb.t ~basis:(Array.init m Fun.id) ~col:(tracked_col tb);
+    check_tracked (tag ^ " refactorized after the chain") rng tb
   done
 
+(* A copy shares the refactorized factors but not the update overlay:
+   updates on the copy leave the original's solves bit for bit as they
+   were, updates on the original leave the copy's, and each still solves
+   its own basis. *)
 let test_copy_is_independent () =
   let rng = R.create 16 in
-  let m = 8 in
-  let t, _, _ = refactorized rng m in
-  let probe = Array.init m (fun _ -> R.float rng 2.0 -. 1.0) in
-  let x_before = Basis.ftran_dense t (Array.copy probe) in
-  let snap = Basis.copy t in
-  (* mutate the copy with an eta update *)
-  let alpha = scaled_unit_ftran snap 2 3.0 in
-  Alcotest.(check bool) "update on copy ok" true (Basis.update_sparse snap ~alpha ~row:2);
-  (* the original is untouched *)
-  Alcotest.(check int) "original update count" 0 (Basis.updates_since_refactor t);
-  let x_after = Basis.ftran_dense t (Array.copy probe) in
-  Alcotest.(check bool) "original solves unchanged" true (max_abs_diff x_before x_after = 0.0)
+  let m = 12 in
+  let cols = random_matrix rng m in
+  let basis = Array.init m Fun.id in
+  R.shuffle rng basis;
+  let orig = { t = Basis.create ~m; cur = Array.map (fun j -> cols.(j)) basis } in
+  Basis.refactorize orig.t ~basis ~col:(col_fn cols);
+  let updates tb k =
+    for _ = 1 to k do
+      Alcotest.(check bool) "update accepted" true
+        (enter tb (Test_sparse_kernels.random_rhs rng m))
+    done
+  in
+  updates orig 3;
+  let snap = { t = Basis.copy orig.t; cur = Array.copy orig.cur } in
+  let probes = List.init 3 (fun _ -> Array.init m (fun _ -> R.float rng 2.0 -. 1.0)) in
+  let solves tb = List.map (fun b -> (Basis.ftran_dense tb.t (Array.copy b), btran tb.t b)) probes in
+  let orig_before = solves orig in
+  updates snap 4;
+  Alcotest.(check int) "original update count" 3 (Basis.updates_since_refactor orig.t);
+  Alcotest.(check bool) "original solves unchanged by the copy's updates" true
+    (solves orig = orig_before);
+  let snap_before = solves snap in
+  updates orig 4;
+  Alcotest.(check int) "copy update count" 7 (Basis.updates_since_refactor snap.t);
+  Alcotest.(check bool) "copy solves unchanged by the original's updates" true
+    (solves snap = snap_before);
+  check_tracked "original" rng orig;
+  check_tracked "copy" rng snap
 
 (* ---------- LU pivot order against the rescan oracle ---------- *)
 
@@ -369,7 +441,7 @@ let test_pivot_order_singular () =
 
 (* FTRAN/BTRAN of a basis through a fresh factorization and through a copy
    of the solve's own factorization [t] (which pivoted its way to the basis
-   and may carry an eta file), forced to refactorize, must be bitwise
+   and may carry an update chain), forced to refactorize, must be bitwise
    equal: nothing of the factorization's history survives a
    refactorization. *)
 let check_solves_bitwise tag rng (t : Basis.t) m ~basis ~col =
@@ -423,7 +495,7 @@ let test_pivot_order_corpus () =
       let m = std.Model.nrows and col = Simplex.iter_column std in
       ignore (check_pivot_order tag m ~basis:wcols ~col);
       check_solves_bitwise tag rng fac m ~basis:wcols ~col;
-      ignore (Test_sparse_kernels.pin_model_basis tag rng std fac ~wcols ~samples:2 ~updates:2)
+      ignore (Test_sparse_kernels.pin_model_basis tag rng std fac ~wcols ~samples:2 ~updates:6)
     | _ -> ()
   in
   iter_corpus check;
@@ -674,7 +746,7 @@ let test_refactorize_allocation () =
    oracle's order with an empty nucleus, and its optimal root basis in the
    oracle's order, with solves unchanged by a forced refactorization and
    sparse solves equal to the dense ones (the traversal pin, with
-   residuals, also after eta updates). *)
+   residuals, also after updates). *)
 let test_pivot_order_region_scale () =
   if not (Test_region_scale.full_scale ()) then () (* 10^6-server pin: RAS_SCALE_TESTS=full only *)
   else begin

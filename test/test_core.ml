@@ -1709,7 +1709,7 @@ let test_root_lp_pivots_pinned () =
       obj
     | _ -> Alcotest.failf "%s: root LP not optimal" label
   in
-  let cold = solve "cold" 1403 None in
+  let cold = solve "cold" 1455 None in
   let crash =
     solve "crash" 309 (Some (Simplex.crash std (Formulation.status_quo p1.Phases.formulation)))
   in
@@ -1721,7 +1721,7 @@ let test_root_lp_pivots_pinned () =
         { Ras_mip.Branch_bound.default_options with node_limit = 40; time_limit = 600.0 }
       std
   in
-  Alcotest.(check (list int)) "tree search: nodes, node-LP pivots, dual pivots" [ 40; 1612; 131 ]
+  Alcotest.(check (list int)) "tree search: nodes, node-LP pivots, dual pivots" [ 40; 1701; 168 ]
     [
       out.Ras_mip.Branch_bound.nodes;
       out.Ras_mip.Branch_bound.lp_iterations;

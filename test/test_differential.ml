@@ -20,7 +20,7 @@
 
    The kernel battery then pins, on the same 280 instances, the sparse
    solves against the all-steps dense solves bit for bit on the
-   factorizations the solves end with and after eta updates on top of
+   factorizations the solves end with and after updates on top of
    them (see [Test_sparse_kernels.pin_model_basis]): equal solves give the
    same pivots, so the hypersparse traversal cannot steer a solve. *)
 
@@ -278,7 +278,7 @@ let test_mip_differential () =
 (* Sparse-vs-dense kernel differential                                 *)
 
 (* The traversal pin on the factorization an optimal solve ends with, and
-   after [updates] eta updates on top of it; a solve that is not optimal
+   after [updates] updates on top of it; a solve that is not optimal
    leaves no factorization to pin. *)
 let pin_result tag rng std = function
   | Simplex.Optimal { basis = { Simplex.wcols; wfac = Some fac; _ }; _ } ->

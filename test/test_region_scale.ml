@@ -192,7 +192,7 @@ let test_streaming_matches_reference () =
 
 (* The root LP solves to an optimum that passes the certificate (its point
    and duals alone prove optimality: no tableau oracle runs at this size),
-   and on its final factorization, and after eta updates on top of it, the
+   and on its final factorization, and after updates on top of it, the
    sparse solves equal the all-steps dense ones bit for bit. *)
 let test_root_lp_certified_and_pinned () =
   let snapshot, reservations = scale_snapshot ~servers_per_rack:1 () in

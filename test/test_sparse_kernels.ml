@@ -10,11 +10,11 @@
      pivots under either traversal.  [pin_model_basis] runs it, with the
      residual checks below, on the factorizations the differential
      battery's, the LU identity battery's and the region-scale solves end
-     with, and after eta updates on top of them;
+     with, and after each of several Forrest–Tomlin updates on top of them;
    - residuals: ‖B·x − b‖ and ‖Bᵀ·y − c‖ ([Oracles.ftran_residual],
      [Oracles.btran_residual], with B rebuilt from the basis columns)
-     after every refactorization and every product-form eta update on
-     seeded random sparse systems;
+     after every refactorization and every update on seeded random sparse
+     systems;
    - a sparse result held across a dense solve keeps its pattern and
      values;
    - the fully-dense-column worst case, where the traversal's reach is the
@@ -74,8 +74,8 @@ let pin_btran tag t r =
   check_same_solve (tag ^ " btran") s y;
   (y, c)
 
-(* The position of [alpha]'s largest |entry|, the pivot row the eta
-   updates below take; -1 for an empty vector. *)
+(* The position of [alpha]'s largest |entry|, the pivot row the updates
+   below take; -1 for an empty vector. *)
 let largest_entry (alpha : Basis.Svec.t) =
   let row = ref (-1) in
   for u = 0 to alpha.Basis.Svec.n - 1 do
@@ -95,7 +95,7 @@ let check_residual tag what err =
 (* The traversal pin and the residual checks on the factorization [fac] of
    the basis [wcols] of [std] (a copy: [fac] itself is not touched), on
    [samples] random structural or slack columns' FTRAN and basis
-   positions' BTRAN; then again after each of [updates] eta updates that
+   positions' BTRAN; then again after each of [updates] updates that
    enter a random nonbasic column at the position of its largest |alpha|.
    Returns the number of solves pinned. *)
 let pin_model_basis tag rng (std : Model.std) fac ~wcols ~samples ~updates =
@@ -146,7 +146,7 @@ let pin_model_basis tag rng (std : Model.std) fac ~wcols ~samples ~updates =
         in_basis.(basis.(row)) <- false;
         in_basis.(j) <- true;
         basis.(row) <- j;
-        check (Printf.sprintf "after eta %d" k)
+        check (Printf.sprintf "after update %d" k)
       end
   done;
   !pinned
@@ -199,11 +199,11 @@ let test_random_sparse_triangular () =
     let m = 5 + R.int rng 56 in
     let cols = random_sparse_matrix rng m in
     let t = factorized m cols in
-    (* current basis columns by position; updated as etas are applied *)
+    (* current basis columns by position; updated as updates are applied *)
     let cur = Array.init m (fun i -> cols.(i)) in
     let basis = Array.init m Fun.id in
     let col j f = List.iter (fun (i, v) -> f i v) cur.(j) in
-    for pass = 1 to 3 do
+    for pass = 1 to 8 do
       let tag = Printf.sprintf "seed %d pass %d" seed pass in
       (* FTRAN and BTRAN: traversal vs every step, bit for bit, and small
          residuals against the current basis columns *)
@@ -222,8 +222,8 @@ let test_random_sparse_triangular () =
       Basis.btran_dense_into t c (Array.make m 0.0);
       if (svec_bits xs, svec_bits ys) <> held then
         Alcotest.failf "%s: a dense solve changed a held sparse result" tag;
-      (* push a product-form eta and keep testing against the updated basis:
-         enter a fresh random column at the position of its largest alpha *)
+      (* update and keep testing against the updated basis: enter a fresh
+         random column at the position of its largest alpha *)
       let erows, ecoefs = random_rhs rng m in
       let alpha = Basis.ftran_col_sparse t erows ecoefs ~off:0 ~len:(Array.length erows) in
       let row = largest_entry alpha in
