@@ -8,8 +8,9 @@
      scenario sizes: LP pivots/sec and FTRAN/BTRAN result density of the
      cold root LP, one LU refactorization of the root basis, the root LP
      of a post-failure round started cold and from the crash basis at the
-     status quo, that round's merge + apply (the moves it makes and the
-     targets it writes), LP rounding + repair of the root-LP optimum, and
+     status quo, that round's model build (symmetry, formulation and
+     compile, each timed alone) and merge + apply (the moves it makes and
+     the targets it writes), LP rounding + repair of the root-LP optimum, and
      branch-and-bound nodes/sec with warm dual-simplex restarts on the
      factorized basis.  Each pair prints its speedup and agreement;
      nothing is asserted.
@@ -280,6 +281,72 @@ let root_lp_kernel ~label ~repeats ((f : Ras.Formulation.t), (std : Model.std)) 
         ("obj_rel_diff", flt rel);
       ]
   | _ -> Report.row "%-34s skipped: root LP not optimal\n" name
+
+(* The three layers that turn [post_failure_round]'s snapshot into its
+   phase-1 model, each timed alone over [repeats]: [Symmetry.build],
+   [Formulation.build] on those classes and [Model.compile] on that model,
+   as [Phases.run] calls them.  Prints each layer's median and quartiles,
+   and the classes, covered servers and the compiled size. *)
+let model_build_kernel ~label ~repeats (sys, _) =
+  let name = Printf.sprintf "model-build-%s" label in
+  let snapshot = Ras.System.snapshot sys in
+  let reservations = snapshot.Ras.Snapshot.reservations in
+  let params = Scenarios.simulation_solver.Ras.Phases.formulation in
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
+  in
+  let sym_s = Array.make repeats 0.0 and form_s = Array.make repeats 0.0 in
+  let compile_s = Array.make repeats 0.0 and last = ref None in
+  for r = 0 to repeats - 1 do
+    (* a repeat starts on a collected heap, so no layer pays for the
+       previous repeat's garbage *)
+    Gc.full_major ();
+    let sym, ts = timed (fun () -> Ras.Symmetry.build snapshot) in
+    let f, tf = timed (fun () -> Ras.Formulation.build ~params sym reservations) in
+    let std, tc = timed (fun () -> Model.compile f.Ras.Formulation.model) in
+    sym_s.(r) <- ts;
+    form_s.(r) <- tf;
+    compile_s.(r) <- tc;
+    last := Some (sym, std)
+  done;
+  match !last with
+  | None -> ()
+  | Some (sym, std) ->
+    let q times =
+      let sorted = Array.copy times in
+      Array.sort compare sorted;
+      fun k -> sorted.(k * (repeats - 1) / 4) *. 1e3
+    in
+    let sq = q sym_s and fq = q form_s and cq = q compile_s in
+    let covered =
+      Array.fold_left (fun acc c -> acc + Ras.Symmetry.size c) 0 sym.Ras.Symmetry.classes
+    in
+    let nnz = std.Model.col_ptr.(std.Model.nvars) in
+    Report.row
+      "%-34s symmetry %6.2fms (q1 %.2f, q3 %.2f)  formulation %6.2fms (q1 %.2f, q3 %.2f)  compile \
+       %6.2fms (q1 %.2f, q3 %.2f) of %d\n"
+      name (sq 2) (sq 1) (sq 3) (fq 2) (fq 1) (fq 3) (cq 2) (cq 1) (cq 3) repeats;
+    Report.row "%-34s %d classes over %d servers  nvars=%d nrows=%d nnz=%d\n" ""
+      (Ras.Symmetry.num_classes sym) covered std.Model.nvars std.Model.nrows nnz;
+    record ~kernel:name ~size:(size_of std)
+      ~wall_s:((sq 2 +. fq 2 +. cq 2) *. 1e-3)
+      [
+        ("symmetry_ms_median", flt (sq 2));
+        ("symmetry_ms_q1", flt (sq 1));
+        ("symmetry_ms_q3", flt (sq 3));
+        ("formulation_ms_median", flt (fq 2));
+        ("formulation_ms_q1", flt (fq 1));
+        ("formulation_ms_q3", flt (fq 3));
+        ("compile_ms_median", flt (cq 2));
+        ("compile_ms_q1", flt (cq 1));
+        ("compile_ms_q3", flt (cq 3));
+        ("repeats", string_of_int repeats);
+        ("classes", string_of_int (Ras.Symmetry.num_classes sym));
+        ("covered_servers", string_of_int covered);
+        ("nnz", string_of_int nnz);
+      ]
 
 (* ---------------------------------------------------------------- *)
 (* Primal heuristic: LP rounding, capacity repair, local searches     *)
@@ -643,6 +710,7 @@ type preset_row = {
   heuristic_repeats : int;  (* timed round_lp + repair calls; 0 skips *)
   root_lp_repeats : int;  (* timed cold and crash root LPs after failures; 0 skips *)
   merge_repeats : int;  (* timed merge + apply of the post-failure round; 0 skips *)
+  model_build_repeats : int;  (* timed symmetry + formulation + compile of that round; 0 skips *)
   snapshot_changes : int;  (* timed snapshot + admission changes; 0 skips *)
 }
 
@@ -661,6 +729,7 @@ let preset_rows () =
       heuristic_repeats = 0;
       root_lp_repeats = 0;
       merge_repeats = 0;
+      model_build_repeats = 0;
       snapshot_changes = 0;
     };
     {
@@ -674,6 +743,7 @@ let preset_rows () =
       heuristic_repeats = (if !Scenarios.quick then 5 else 15);
       root_lp_repeats = (if !Scenarios.quick then 7 else 15);
       merge_repeats = (if !Scenarios.quick then 7 else 15);
+      model_build_repeats = (if !Scenarios.quick then 7 else 15);
       snapshot_changes = (if !Scenarios.quick then 200 else 1000);
     };
     (* the north-star row: the 10^6-server preset.  Symmetry aggregation
@@ -690,6 +760,7 @@ let preset_rows () =
       heuristic_repeats = (if !Scenarios.quick then 3 else 7);
       root_lp_repeats = (if !Scenarios.quick then 3 else 7);
       merge_repeats = (if !Scenarios.quick then 3 else 7);
+      model_build_repeats = (if !Scenarios.quick then 7 else 9);
       snapshot_changes = (if !Scenarios.quick then 50 else 200);
     };
   ]
@@ -719,11 +790,15 @@ let run () =
       if r.heuristic_repeats > 0 then
         heuristic_kernel ~label:r.label ~repeats:r.heuristic_repeats (Lazy.force row))
     rows;
-  Report.row "-- a round after failures: root LP (cold vs crash at the status quo), merge + apply --\n";
+  Report.row
+    "-- a round after failures: model build, root LP (cold vs crash at the status quo), merge + \
+     apply --\n";
   List.iter
     (fun (r, _) ->
-      if r.root_lp_repeats > 0 || r.merge_repeats > 0 then begin
+      if r.root_lp_repeats > 0 || r.merge_repeats > 0 || r.model_build_repeats > 0 then begin
         let round = post_failure_round r.preset in
+        if r.model_build_repeats > 0 then
+          model_build_kernel ~label:r.label ~repeats:r.model_build_repeats round;
         if r.root_lp_repeats > 0 then
           root_lp_kernel ~label:r.label ~repeats:r.root_lp_repeats (post_failure_phase1 round);
         if r.merge_repeats > 0 then merge_apply_kernel ~label:r.label ~repeats:r.merge_repeats round

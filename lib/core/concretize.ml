@@ -93,9 +93,13 @@ let moves_of (f : Formulation.t) (assignment : Formulation.assignment) =
       let free_surplus = Symmetry.current_count sym cls Broker.Free - kept free_code in
       let moves_nothing =
         (Array.length unmet = 0 || free_surplus = 0)
-        && Hashtbl.fold
-             (fun c n ok -> ok && (c = free_code || kept c = n))
-             sym.Symmetry.owner_counts.(cls.Symmetry.index) true
+        &&
+        let { Symmetry.first; codes; counts } = sym.Symmetry.owner_counts in
+        let rec all_kept k =
+          k = first.(cls.Symmetry.index + 1)
+          || ((codes.(k) = free_code || kept codes.(k) = counts.(k)) && all_kept (k + 1))
+        in
+        all_kept first.(cls.Symmetry.index)
       in
       if not moves_nothing then begin
         let from_free = cursor_at unmet 0 and from_owned = cursor_at unmet free_surplus in

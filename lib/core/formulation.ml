@@ -1,6 +1,7 @@
 module Model = Ras_mip.Model
 module Lin = Ras_mip.Lin_expr
 module Region = Ras_topology.Region
+module Hw = Ras_topology.Hardware
 
 type params = {
   move_cost_unused : float;
@@ -59,19 +60,27 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
      descending creation order *)
   let res_pairs = Array.make (List.length reservations) [] in
   let class_pairs = Array.make (Symmetry.num_classes symmetry) [] in
+  (* names are keyed by the stable class key, never the dense class index:
+     a name identifies the same logical class in every snapshot.  Each is
+     formatted once; the per-pair names are concatenations of it. *)
+  let class_names = Array.map Symmetry.class_name symmetry.Symmetry.classes in
+  (* each reservation's RRU per hardware subtype, read once per subtype
+     rather than once per class *)
+  let res_array = Array.of_list reservations in
+  let rru_by_hw =
+    Array.map (fun hw -> Array.map (fun res -> res.Reservation.rru_of hw) res_array) Hw.catalog
+  in
   (* assignment variables *)
   Array.iter
     (fun (cls : Symmetry.cls) ->
-      let hw = Symmetry.hw_of cls in
-      List.iteri
+      let rru_of_res = rru_by_hw.(cls.Symmetry.hw) in
+      let class_name = class_names.(cls.Symmetry.index) in
+      Array.iteri
         (fun res_index res ->
-          let rru = res.Reservation.rru_of hw in
+          let rru = rru_of_res.(res_index) in
           if rru > 0.0 then begin
-            (* names are keyed by the stable class key, never the dense
-               class index: a name identifies the same logical class in
-               every snapshot *)
             let name =
-              Printf.sprintf "n_%s_r%d" (Symmetry.class_name cls) res.Reservation.id
+              String.concat "" [ "n_"; class_name; "_r"; string_of_int res.Reservation.id ]
             in
             let var =
               Model.add_var ~name ~lb:0.0
@@ -89,7 +98,7 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
             in
             Model.add_to_objective model (Lin.term (params.assignment_cost +. wear_cost) var)
           end)
-        reservations)
+        res_array)
     symmetry.Symmetry.classes;
   let pairs = Array.of_list (List.rev !pairs) in
   (* expression (5): class supply *)
@@ -101,7 +110,7 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
         let cls = symmetry.Symmetry.classes.(idx) in
         let row =
           Model.add_constraint
-            ~name:(Printf.sprintf "supply_%s" (Symmetry.class_name cls))
+            ~name:("supply_" ^ class_names.(idx))
             model e Model.Le
             (float_of_int (Symmetry.size cls))
         in
@@ -126,16 +135,36 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
     aux_defs := (v, defs) :: !aux_defs;
     v
   in
+  (* a reservation's terms grouped by scope (MSB, datacenter or rack),
+     ascending scope, each group's terms in reverse [terms] order; scopes
+     below 0 are left out.  One scratch list per scope, shared by every
+     reservation and emptied as its groups are read. *)
+  let region = symmetry.Symmetry.region in
+  let by_scope =
+    Array.make
+      (max region.Region.num_msbs
+         (max region.Region.num_dcs (if rack_level then region.Region.num_racks else 0)))
+      []
+  in
   let group_terms terms ~scope_of =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun p ->
-        let g = scope_of p.cls in
-        let existing = try Hashtbl.find tbl g with Not_found -> [] in
-        Hashtbl.replace tbl g ((p.rru, p.var) :: existing))
-      terms;
-    Hashtbl.fold (fun g ts acc -> (g, Lin.of_terms ts) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    let used =
+      List.fold_left
+        (fun used p ->
+          let g = scope_of p.cls in
+          if g < 0 then used
+          else begin
+            let existing = by_scope.(g) in
+            by_scope.(g) <- (p.rru, p.var) :: existing;
+            if existing = [] then g :: used else used
+          end)
+        [] terms
+    in
+    List.map
+      (fun g ->
+        let ts = by_scope.(g) in
+        by_scope.(g) <- [];
+        (g, Lin.of_terms ts))
+      (List.sort Int.compare used)
   in
   List.iteri
     (fun res_index res ->
@@ -146,7 +175,7 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
       let cr = res.Reservation.capacity_rru in
       (* expressions (4) + (6): embedded correlated-failure buffer *)
       let z_term =
-        if res.Reservation.embedded_buffer && symmetry.Symmetry.region.Region.num_msbs > 1 then begin
+        if res.Reservation.embedded_buffer && region.Region.num_msbs > 1 then begin
           let z =
             max_over
               ~name:(Printf.sprintf "zbuf_r%d" rid)
@@ -178,7 +207,7 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
         (fun (msb, e) ->
           ignore
             (pos_part
-               ~name:(Printf.sprintf "over_r%d_m%d" rid msb)
+               ~name:(String.concat "" [ "over_r"; string_of_int rid; "_m"; string_of_int msb ])
                ~weight:params.spread_penalty
                (Lin.sub e (Lin.constant (alpha_f *. cr)))))
         by_msb;
@@ -212,19 +241,17 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
         in
         List.iter
           (fun (rack, e) ->
-            if rack >= 0 then
-              ignore
-                (pos_part
-                   ~name:(Printf.sprintf "overk_r%d_k%d" rid rack)
-                   ~weight:params.spread_penalty
-                   (Lin.sub e (Lin.constant (alpha_k *. cr)))))
+            ignore
+              (pos_part
+                 ~name:(String.concat "" [ "overk_r"; string_of_int rid; "_k"; string_of_int rack ])
+                 ~weight:params.spread_penalty
+                 (Lin.sub e (Lin.constant (alpha_k *. cr)))))
           by_rack
       | _, _ -> ());
       (* expression (7): datacenter affinity, softened two-sided *)
       if res.Reservation.dc_affinity <> [] then begin
         let by_dc =
-          group_terms terms ~scope_of:(fun c ->
-              symmetry.Symmetry.region.Region.msb_dc.(c.Symmetry.msb))
+          group_terms terms ~scope_of:(fun c -> region.Region.msb_dc.(c.Symmetry.msb))
         in
         let theta = res.Reservation.affinity_tolerance in
         List.iter
@@ -265,7 +292,9 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
             in
             ignore
               (pos_part
-                 ~name:(Printf.sprintf "move_%s_r%d" (Symmetry.class_name cls) rid)
+                 ~name:
+                   (String.concat ""
+                      [ "move_"; class_names.(cls.Symmetry.index); "_r"; string_of_int rid ])
                  ~weight:cost
                  (Lin.sub (Lin.constant (float_of_int n0)) (Lin.var var)))
           end)

@@ -12,131 +12,220 @@ type cls = {
   members : int array;
 }
 
+type owner_counts = { first : int array; codes : int array; counts : int array }
+
 type t = {
   classes : cls array;
   region : Region.t;
   snapshot : Snapshot.t;
-  owner_counts : (int, int) Hashtbl.t array;
+  owner_counts : owner_counts;
   covers : int -> bool;
 }
 
-type key = { kmsb : int; krack : int; khw : int; kuse : bool; kattr : int }
+(* Int pairs numbered densely in order of first sight, each with a count:
+   an open-addressing table, linear probing, at most half full, so its
+   size follows the distinct pairs seen.  [build] keeps two: the groups,
+   keyed by (key, attr) where [key] packs the scope (the MSB, or MSB and
+   rack at rack level), the subtype and the in-use bit into one int whose
+   order is theirs, so the table is O(classes), never O(scopes x
+   subtypes); and the owner runs, keyed by (class, owner code). *)
+type counted = {
+  mutable slot : int array;  (* -> pair number, -1 when empty *)
+  mutable fst : int array;  (* per pair number *)
+  mutable snd : int array;
+  mutable count : int array;
+  mutable size : int;  (* pairs seen *)
+  mutable last : int;  (* the pair last bumped, -1 before the first *)
+}
 
-let cls_of_key index key members =
+(* room for [pairs] pairs before the first growth, a power of two *)
+let counted pairs =
+  let n = ref 64 in
+  while !n < pairs do
+    n := 2 * !n
+  done;
+  let n = !n in
   {
-    index;
-    msb = key.kmsb;
-    rack = (if key.krack >= 0 then Some key.krack else None);
-    hw = key.khw;
-    in_use = key.kuse;
-    attr = key.kattr;
-    members;
+    slot = Array.make (2 * n) (-1);
+    fst = Array.make n 0;
+    snd = Array.make n 0;
+    count = Array.make n 0;
+    size = 0;
+    last = -1;
   }
 
-(* Per-class histogram of current-owner codes over the members, so
-   [current_count] is a table lookup instead of a scan of the member list
-   (which at region scale is hit once per (class, reservation) pair during
-   formulation). *)
-let count_owners snapshot classes =
-  Array.map
-    (fun c ->
-      let h = Hashtbl.create 8 in
-      Array.iter
-        (fun id ->
-          let code = Snapshot.current_code snapshot id in
-          match Hashtbl.find_opt h code with
-          | Some n -> Hashtbl.replace h code (n + 1)
-          | None -> Hashtbl.add h code 1)
-        c.members;
-      h)
-    classes
+let[@inline] slot_of t a b =
+  let mask = Array.length t.slot - 1 in
+  let h = ((a * 0x9E3779B1) lxor (b * 0x85EBCA77)) land max_int in
+  let s = ref ((h lxor (h lsr 17)) land mask) in
+  while
+    let j = t.slot.(!s) in
+    j >= 0 && (t.fst.(j) <> a || t.snd.(j) <> b)
+  do
+    s := (!s + 1) land mask
+  done;
+  !s
 
-let finish snapshot classes covers =
-  {
-    classes;
-    region = snapshot.Snapshot.region;
-    snapshot;
-    owner_counts = count_owners snapshot classes;
-    covers;
-  }
+let grow t =
+  let n = 2 * t.size in
+  let extend a =
+    let b = Array.make n 0 in
+    Array.blit a 0 b 0 t.size;
+    b
+  in
+  t.fst <- extend t.fst;
+  t.snd <- extend t.snd;
+  t.count <- extend t.count;
+  t.slot <- Array.make (2 * n) (-1);
+  for j = 0 to t.size - 1 do
+    t.slot.(slot_of t t.fst.(j) t.snd.(j)) <- j
+  done
 
-(* Streaming build: one pass over server ids reading the snapshot columns,
-   grouping into classes via a key table.  Member arrays are filled in a
-   second pass over a per-server group-index scratch column, so ids come out
-   ascending for free and the filter runs exactly once per usable server. *)
+(* the number of pair (a, b), counted once more.  Neighbouring servers
+   mostly repeat a pair (a rack shares its MSB and subtype, an owner holds
+   runs of ids), so the last pair is checked before the table. *)
+let[@inline] bump t a b =
+  let last = t.last in
+  if last >= 0 && t.fst.(last) = a && t.snd.(last) = b then begin
+    t.count.(last) <- t.count.(last) + 1;
+    last
+  end
+  else begin
+    let s = slot_of t a b in
+    let j = t.slot.(s) in
+    let j =
+      if j >= 0 then begin
+        t.count.(j) <- t.count.(j) + 1;
+        j
+      end
+      else begin
+        let j = t.size in
+        t.slot.(s) <- j;
+        t.fst.(j) <- a;
+        t.snd.(j) <- b;
+        t.count.(j) <- 1;
+        t.size <- j + 1;
+        if t.size = Array.length t.fst then grow t;
+        j
+      end
+    in
+    t.last <- j;
+    j
+  end
+
+(* pair numbers in ascending (fst, snd) order *)
+let sorted_pairs t =
+  let order = Array.init t.size Fun.id in
+  Array.sort
+    (fun x y ->
+      let c = Int.compare t.fst.(x) t.fst.(y) in
+      if c <> 0 then c else Int.compare t.snd.(x) t.snd.(y))
+    order;
+  order
+
+(* Streaming build: one pass over server ids reading the snapshot columns
+   numbers each covered server's group (the filter runs exactly once per
+   usable server).  A second pass over that per-server group column fills
+   the member arrays, ids ascending for free, and counts each member's
+   (class, owner code) pair. *)
 let build ?(rack_level = false) ?(include_server = fun _ -> true) (snapshot : Snapshot.t) =
   let n = Snapshot.num_servers snapshot in
+  let region = snapshot.Snapshot.region in
+  let servers = region.Region.servers in
+  let num_racks = region.Region.num_racks in
   let covers id = Snapshot.usable_at snapshot id && include_server id in
-  let group_of_key : (key, int) Hashtbl.t = Hashtbl.create 256 in
-  let keys : key list ref = ref [] in
-  let num_groups = ref 0 in
-  (* group index per server, -1 = excluded *)
+  let groups = counted 64 in
+  (* group number per server, -1 = excluded *)
   let group = Array.make n (-1) in
   for id = 0 to n - 1 do
     if covers id then begin
-      let s = Snapshot.server snapshot id in
+      let s = servers.(id) in
       let loc = s.Region.loc in
-      let key =
-        {
-          kmsb = loc.Region.msb;
-          krack = (if rack_level then loc.Region.rack else -1);
-          khw = s.Region.hw.Hw.index;
-          kuse = Snapshot.in_use_at snapshot id;
-          kattr = Snapshot.attr_at snapshot id;
-        }
+      let scope =
+        if rack_level then (loc.Region.msb * num_racks) + loc.Region.rack else loc.Region.msb
       in
-      match Hashtbl.find_opt group_of_key key with
-      | Some g -> group.(id) <- g
-      | None ->
-        let g = !num_groups in
-        incr num_groups;
-        Hashtbl.add group_of_key key g;
-        keys := key :: !keys;
-        group.(id) <- g
+      let key =
+        (((scope * Hw.count) + s.Region.hw.Hw.index) * 2)
+        + if Snapshot.in_use_at snapshot id then 1 else 0
+      in
+      group.(id) <- bump groups key (Snapshot.attr_at snapshot id)
     end
   done;
-  (* class order is the sorted key order, as in the pre-streaming build the
-     tests keep as an oracle: the dense indices (and the name list order)
-     must not depend on which server id happened to introduce each class *)
-  let sorted_keys = List.sort compare !keys in
-  let class_of_group = Array.make !num_groups (-1) in
-  List.iteri
-    (fun index key -> class_of_group.(Hashtbl.find group_of_key key) <- index)
-    sorted_keys;
-  let counts = Array.make !num_groups 0 in
-  Array.iter (fun g -> if g >= 0 then counts.(class_of_group.(g)) <- counts.(class_of_group.(g)) + 1) group;
-  let members = Array.init !num_groups (fun c -> Array.make counts.(c) 0) in
-  let fill = Array.make !num_groups 0 in
+  (* class order is the (key, attr) order, i.e. the order of (msb, rack,
+     hw, in_use, attr): the dense indices (and the name list order) must
+     not depend on which server id happened to introduce each class *)
+  let order = sorted_pairs groups in
+  let class_of_group = Array.make groups.size (-1) in
+  Array.iteri (fun c j -> class_of_group.(j) <- c) order;
+  let members = Array.map (fun j -> Array.make groups.count.(j) 0) order in
+  let fill = Array.make groups.size 0 in
+  (* every class has at least one owner run *)
+  let owners = counted groups.size in
   for id = 0 to n - 1 do
-    let g = group.(id) in
-    if g >= 0 then begin
-      let c = class_of_group.(g) in
+    let j = group.(id) in
+    if j >= 0 then begin
+      let c = class_of_group.(j) in
       members.(c).(fill.(c)) <- id;
-      fill.(c) <- fill.(c) + 1
+      fill.(c) <- fill.(c) + 1;
+      ignore (bump owners c (Snapshot.current_code snapshot id))
     end
   done;
   let classes =
-    Array.of_list
-      (List.mapi (fun index key -> cls_of_key index key members.(index)) sorted_keys)
+    Array.mapi
+      (fun index j ->
+        let key = groups.fst.(j) in
+        let scope = key / (2 * Hw.count) in
+        {
+          index;
+          msb = (if rack_level then scope / num_racks else scope);
+          rack = (if rack_level then Some (scope mod num_racks) else None);
+          hw = key / 2 mod Hw.count;
+          in_use = key land 1 = 1;
+          attr = groups.snd.(j);
+          members = members.(index);
+        })
+      order
   in
-  finish snapshot classes covers
+  (* the owner runs, class by class, codes ascending *)
+  let runs = sorted_pairs owners in
+  let first = Array.make (Array.length classes + 1) 0 in
+  Array.iter (fun r -> first.(owners.fst.(r) + 1) <- first.(owners.fst.(r) + 1) + 1) runs;
+  for c = 1 to Array.length classes do
+    first.(c) <- first.(c) + first.(c - 1)
+  done;
+  let owner_counts =
+    {
+      first;
+      codes = Array.map (fun r -> owners.snd.(r)) runs;
+      counts = Array.map (fun r -> owners.count.(r)) runs;
+    }
+  in
+  { classes; region; snapshot; owner_counts; covers }
 
 (* Stable identity of a class: every field of the grouping key, none of the
    dense index.  Used to name model variables and rows, so that the same
    logical class keeps the same name across snapshots even when classes
    appear or disappear and the dense indices shift. *)
 let class_name c =
-  let rack = match c.rack with Some r -> Printf.sprintf "k%d" r | None -> "" in
-  Printf.sprintf "m%d%sh%du%da%d" c.msb rack c.hw (if c.in_use then 1 else 0) c.attr
+  let rack = match c.rack with Some r -> "k" ^ string_of_int r | None -> "" in
+  String.concat ""
+    [
+      "m"; string_of_int c.msb; rack; "h"; string_of_int c.hw; (if c.in_use then "u1" else "u0");
+      "a"; string_of_int c.attr;
+    ]
 
 let size c = Array.length c.members
 
-let hw_of c = Hw.catalog.(c.hw)
-
 let current_count t c owner =
-  match Hashtbl.find_opt t.owner_counts.(c.index) (Broker.owner_code owner) with
-  | Some n -> n
-  | None -> 0
+  let { first; codes; counts } = t.owner_counts in
+  let code = Broker.owner_code owner in
+  (* binary search of the class's ascending run *)
+  let lo = ref first.(c.index) and hi = ref first.(c.index + 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if codes.(mid) < code then lo := mid + 1 else hi := mid
+  done;
+  if !lo < first.(c.index + 1) && codes.(!lo) = code then counts.(!lo) else 0
 
 let num_classes t = Array.length t.classes
 

@@ -22,13 +22,23 @@ type cls = {
   members : int array;  (** server ids, ascending *)
 }
 
+(** Per class, the histogram of its members' current-owner codes
+    ({!Ras_broker.Broker.owner_code}, [Elastic] read as [Shared_buffer])
+    as one run of (code, count) entries: class [c]'s run is slots
+    [first.(c)] to [first.(c+1) - 1] of [codes]/[counts], codes ascending,
+    counts positive and summing to the class size. *)
+type owner_counts = {
+  first : int array;  (** length classes + 1 *)
+  codes : int array;
+  counts : int array;
+}
+
 type t = {
   classes : cls array;
   region : Ras_topology.Region.t;
   snapshot : Snapshot.t;
-  owner_counts : (int, int) Hashtbl.t array;
-      (** per class index: histogram of member current-owner codes
-          ({!Ras_broker.Broker.owner_code}), making {!current_count} O(1) *)
+  owner_counts : owner_counts;
+      (** makes {!current_count} a binary search of one class's owners *)
   covers : int -> bool;
       (** whether a server id is a member of some class: usable in the
           snapshot and passing the build's [include_server].  O(1) *)
@@ -42,7 +52,10 @@ val build :
 (** Classes over the snapshot's usable servers, optionally filtered further
     by [include_server] over server ids.  Defaults: MSB-level, all usable
     servers.  Streams over the snapshot columns: per-server work is O(1)
-    and allocates nothing per server. *)
+    and allocates nothing per server.  Each covered server finds its group
+    through an int-keyed open-addressing table (O(classes) slots); the
+    allocation is the one-word-per-server group column and the member
+    arrays plus O(classes + owner runs). *)
 
 val class_name : cls -> string
 (** Stable textual identity of the class, built from every grouping-key
@@ -52,10 +65,9 @@ val class_name : cls -> string
 
 val size : cls -> int
 
-val hw_of : cls -> Ras_topology.Hardware.t
-
 val current_count : t -> cls -> Ras_broker.Broker.owner -> int
-(** [N0]: how many members are currently owned by the given owner. *)
+(** [N0]: how many members are currently owned by the given owner.
+    O(log owners of the class). *)
 
 val num_classes : t -> int
 

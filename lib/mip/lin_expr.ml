@@ -1,7 +1,7 @@
-(* Expressions are kept as an unsorted term list plus a constant and combined
-   lazily: [normalize] merges duplicates once when the expression is
-   consumed.  [add a b] copies [a]'s terms onto [b]'s, O(length of [a]), so
-   a long accumulation keeps the accumulator second. *)
+(* Expressions are kept as an unsorted term list plus a constant:
+   duplicates are merged once, when [Model.compile] consumes the
+   expression.  [add a b] copies [a]'s terms onto [b]'s, O(length of [a]),
+   so a long accumulation keeps the accumulator second. *)
 
 type t = { terms : (float * int) list; const : float }
 
@@ -25,17 +25,14 @@ let of_terms terms = { terms; const = 0.0 }
 
 let get_constant e = e.const
 
-let normalize e =
-  let tbl = Hashtbl.create (max 8 (List.length e.terms)) in
-  let merge (c, v) =
-    let prev = try Hashtbl.find tbl v with Not_found -> 0.0 in
-    Hashtbl.replace tbl v (prev +. c)
+let iter f e =
+  let rec go = function
+    | [] -> ()
+    | (c, v) :: rest ->
+      f c v;
+      go rest
   in
-  List.iter merge e.terms;
-  let combined = Hashtbl.fold (fun v c acc -> if c <> 0.0 then (c, v) :: acc else acc) tbl [] in
-  List.sort (fun (_, v1) (_, v2) -> compare v1 v2) combined
-
-let terms e = normalize e
+  go e.terms
 
 let eval e value_of =
   List.fold_left (fun acc (c, v) -> acc +. (c *. value_of v)) e.const e.terms

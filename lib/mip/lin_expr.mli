@@ -17,7 +17,8 @@ val var : int -> t
 (** [var v] is [term 1.0 v]. *)
 
 val of_terms : (float * int) list -> t
-(** Build from a coefficient/variable list; duplicate variables are summed. *)
+(** Build from a coefficient/variable list.  Duplicate variables stay
+    separate terms until {!Model.compile} sums them. *)
 
 val add : t -> t -> t
 (** [add a b] costs O(terms of [a]) and shares [b]'s: an accumulator
@@ -29,8 +30,10 @@ val scale : float -> t -> t
 
 val get_constant : t -> float
 
-val terms : t -> (float * int) list
-(** Combined terms with non-zero coefficients, in increasing variable order. *)
+val iter : (float -> int -> unit) -> t -> unit
+(** [iter f e] calls [f coef var] on every stored term, duplicates and
+    zero coefficients included, in the expression's stored order: the
+    order {!Model.compile} sums duplicates in. *)
 
 val eval : t -> (int -> float) -> float
 (** [eval e value_of] substitutes variable values. *)

@@ -48,7 +48,7 @@ let add_pos_part ?name t ~weight e =
   let y = add_var ?name ~lb:0.0 t in
   (* y >= e  <=>  e - y <= 0; the defining row is named after the
      auxiliary variable *)
-  let rname = Printf.sprintf "%s_def" t.vars.(y).vname in
+  let rname = t.vars.(y).vname ^ "_def" in
   let _ = add_constraint ~name:rname t (Lin_expr.sub e (Lin_expr.var y)) Le 0.0 in
   add_to_objective t (Lin_expr.term weight y);
   y
@@ -60,7 +60,7 @@ let add_max_over ?name t ~weight es =
   let bound i e =
     ignore
       (add_constraint
-         ~name:(Printf.sprintf "%s_def%d" vname i)
+         ~name:(vname ^ "_def" ^ string_of_int i)
          t (Lin_expr.sub e (Lin_expr.var z)) Le 0.0)
   in
   List.iteri bound es;
@@ -88,55 +88,103 @@ type std = {
   row_names : string array;
 }
 
+(* Each row's raw terms are merged in one dense scratch: [acc.(v)] holds
+   the row's sum for [v] while [v]'s stamp is the row's number, and is
+   reset to 0.0 on a row's first term for [v], so duplicates are summed in
+   the expression's stored order starting from 0.0.  The merged non-zero
+   terms are written to the row's arrays in first-appearance order; the
+   CSC arrays are their transpose (rows ascending per column), and the row
+   arrays are then rewritten in place as the transpose of those (columns
+   ascending per row).  No sort, no table.  The scratch is two arrays:
+   [acc], and [ints] holding the stamps (row + 1, 0 for none), then the
+   column counts, then the row fill positions. *)
 let compile (t : t) =
   let nvars = t.nvars and nrows = t.nrows in
   let obj = Array.make nvars 0.0 in
-  let set_obj (c, v) =
-    if v < 0 || v >= nvars then invalid_arg "Model.compile: objective references unknown variable";
-    obj.(v) <- obj.(v) +. c
-  in
-  List.iter set_obj (Lin_expr.terms t.obj);
-  let rows = Array.of_list (List.rev t.rows) in
-  let row_sense = Array.map (fun r -> r.rsense) rows in
-  let rhs = Array.map (fun r -> r.rrhs) rows in
-  let row_names = Array.map (fun r -> r.rname) rows in
+  Lin_expr.iter
+    (fun c v ->
+      if v < 0 || v >= nvars then invalid_arg "Model.compile: objective references unknown variable";
+      obj.(v) <- obj.(v) +. c)
+    t.obj;
+  let acc = Array.make nvars 0.0 and ints = Array.make ((2 * nvars) + nrows) 0 in
+  let counts = nvars and fills = 2 * nvars in
+  let row_sense = Array.make nrows Le and rhs = Array.make nrows 0.0 in
+  let row_names = Array.make nrows "" in
   let row_cols = Array.make nrows [||] and row_coefs = Array.make nrows [||] in
-  (* Column counts first so we can size the CSC arrays exactly. *)
-  let col_count = Array.make nvars 0 in
-  let terms_of = Array.make nrows [] in
-  Array.iteri
+  let touched = ref (Array.make 64 0) and ntouched = ref 0 and row = ref 0 in
+  let merge c v =
+    let i = !row in
+    if v < 0 || v >= nvars then
+      invalid_arg
+        (Printf.sprintf "Model.compile: row %s references unknown variable %d" row_names.(i) v);
+    if ints.(v) <> i + 1 then begin
+      ints.(v) <- i + 1;
+      acc.(v) <- 0.0;
+      if !ntouched = Array.length !touched then begin
+        let bigger = Array.make (2 * !ntouched) 0 in
+        Array.blit !touched 0 bigger 0 !ntouched;
+        touched := bigger
+      end;
+      !touched.(!ntouched) <- v;
+      incr ntouched
+    end;
+    acc.(v) <- acc.(v) +. c
+  in
+  List.iteri
     (fun i r ->
-      let ts = Lin_expr.terms r.expr in
-      terms_of.(i) <- ts;
-      let count (c, v) =
-        if v < 0 || v >= nvars then
-          invalid_arg (Printf.sprintf "Model.compile: row %s references unknown variable %d" r.rname v);
-        if c <> 0.0 then col_count.(v) <- col_count.(v) + 1
-      in
-      List.iter count ts)
-    rows;
+      row := i;
+      row_sense.(i) <- r.rsense;
+      rhs.(i) <- r.rrhs;
+      row_names.(i) <- r.rname;
+      ntouched := 0;
+      Lin_expr.iter merge r.expr;
+      let touched = !touched in
+      let len = ref 0 in
+      for k = 0 to !ntouched - 1 do
+        if acc.(touched.(k)) <> 0.0 then incr len
+      done;
+      let cols = Array.make !len 0 and coefs = Array.make !len 0.0 in
+      len := 0;
+      for k = 0 to !ntouched - 1 do
+        let v = touched.(k) in
+        let c = acc.(v) in
+        if c <> 0.0 then begin
+          cols.(!len) <- v;
+          coefs.(!len) <- c;
+          ints.(counts + v) <- ints.(counts + v) + 1;
+          incr len
+        end
+      done;
+      row_cols.(i) <- cols;
+      row_coefs.(i) <- coefs)
+    (List.rev t.rows);
   (* packed CSC: col_ptr.(v) .. col_ptr.(v+1)-1 index into col_ind/col_val *)
   let col_ptr = Array.make (nvars + 1) 0 in
   for v = 0 to nvars - 1 do
-    col_ptr.(v + 1) <- col_ptr.(v) + col_count.(v)
+    col_ptr.(v + 1) <- col_ptr.(v) + ints.(counts + v)
   done;
   let nnz = col_ptr.(nvars) in
-  let col_ind = Array.make nnz 0 in
-  let col_val = Array.make nnz 0.0 in
-  let col_fill = Array.blit col_ptr 0 col_count 0 nvars; col_count in
-  Array.iteri
-    (fun i _ ->
-      let ts = List.filter (fun (c, _) -> c <> 0.0) terms_of.(i) in
-      row_cols.(i) <- Array.of_list (List.map snd ts);
-      row_coefs.(i) <- Array.of_list (List.map fst ts);
-      let fill (c, v) =
-        let k = col_fill.(v) in
-        col_ind.(k) <- i;
-        col_val.(k) <- c;
-        col_fill.(v) <- k + 1
-      in
-      List.iter fill ts)
-    rows;
+  let col_ind = Array.make nnz 0 and col_val = Array.make nnz 0.0 in
+  (* the column counts become each column's next free slot *)
+  Array.blit col_ptr 0 ints counts nvars;
+  for i = 0 to nrows - 1 do
+    let cols = row_cols.(i) and coefs = row_coefs.(i) in
+    for k = 0 to Array.length cols - 1 do
+      let slot = ints.(counts + cols.(k)) in
+      col_ind.(slot) <- i;
+      col_val.(slot) <- coefs.(k);
+      ints.(counts + cols.(k)) <- slot + 1
+    done
+  done;
+  for v = 0 to nvars - 1 do
+    for k = col_ptr.(v) to col_ptr.(v + 1) - 1 do
+      let i = col_ind.(k) in
+      let slot = ints.(fills + i) in
+      row_cols.(i).(slot) <- v;
+      row_coefs.(i).(slot) <- col_val.(k);
+      ints.(fills + i) <- slot + 1
+    done
+  done;
   {
     nvars;
     nrows;

@@ -8,8 +8,6 @@
     formulation relies on: [add_pos_part] for [max(0, e)] objective terms and
     [add_max_over] for [max_G (e_G)] terms. *)
 
-type t
-
 type var = int
 (** Variable handle: the index assigned by {!add_var}, also the index into
     solution arrays. *)
@@ -17,6 +15,20 @@ type var = int
 type kind = Continuous | Integer
 
 type sense = Le | Ge | Eq
+
+type row = { rname : string; expr : Lin_expr.t; rsense : sense; rrhs : float }
+
+type vinfo = { vname : string; vlb : float; vub : float; vkind : kind }
+
+(** A model under construction, readable but built only through the
+    functions below. *)
+type t = private {
+  mutable vars : vinfo array;  (** slots [0 .. nvars-1] are the variables *)
+  mutable nvars : int;
+  mutable rows : row list;  (** newest first *)
+  mutable nrows : int;
+  mutable obj : Lin_expr.t;
+}
 
 val create : unit -> t
 
@@ -81,7 +93,13 @@ type std = {
 val compile : t -> std
 (** Validates variable indices in all rows and the objective, merges
     duplicate coefficients, and builds both row- and column-major sparse
-    views. *)
+    views.  Each row's terms are summed per variable in the expression's
+    stored order ({!Lin_expr.iter}), starting from [0.], in one dense
+    scratch of [nvars] floats stamped by row; a sum equal to zero is
+    dropped.  O(nvars + nrows + terms) time, no sort and no table; the
+    allocation is the output plus two scratch arrays, O(nvars + nrows).
+    An out-of-range index raises [Invalid_argument] naming the row and the
+    index. *)
 
 val objective_value : std -> float array -> float
 (** [obj_offset + sum_j obj.(j) * x.(j)], summed in ascending [j]; [x] may

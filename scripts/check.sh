@@ -46,9 +46,11 @@ dune exec bench/main.exe -- --quick fig9
 # skip them by exporting RAS_SCALE_TESTS=quick first
 if [ "${RAS_SCALE_TESTS:-full}" = "full" ]; then
   # the scale sweep must compile the identical model at servers_per_rack
-  # 1 / 5 / 48, and the disaggregation round trip at 10^6 servers must pick
+  # 1 / 5 / 48, the disaggregation round trip at 10^6 servers must pick
   # the oracle's moves (class walk and merge) and leave its target column
-  # after the apply
+  # after the apply, and the compile pin must find the 10^6-server rounds'
+  # models and a rack-level model compiled bit for bit as the per-row
+  # table-and-sort compile (Oracles.compile_reference) compiles them
   echo "== region-scale sweep at 10^6 servers (RAS_SCALE_TESTS=full) =="
   RAS_SCALE_TESTS=full dune exec test/test_main.exe -- test region_scale
   # the O(n)->O(classes) event-path pins only bite at this preset:

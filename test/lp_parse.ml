@@ -68,7 +68,7 @@ type wrow = {
   rhs : float;
 }
 
-let parse text =
+let parse_model text =
   try
     let lines = String.split_on_char '\n' text in
     (* Pass 1: the Bounds section defines variable order; General marks
@@ -192,12 +192,19 @@ let parse text =
         ignore (Model.add_constraint ~name:r.name m e r.sense r.rhs))
       rows;
     Model.set_objective m (Lin_expr.of_terms (List.map (fun (v, c) -> (c, v)) !obj_terms));
-    Ok (Model.compile m)
+    Ok m
   with
   | Parse_error msg -> Error msg
   | Invalid_argument msg -> Error msg
 
-let parse_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> parse text
-  | exception Sys_error msg -> Error msg
+let parse text =
+  match parse_model text with
+  | Ok m -> ( try Ok (Model.compile m) with Invalid_argument msg -> Error msg)
+  | Error msg -> Error msg
+
+let read path = In_channel.with_open_text path In_channel.input_all
+
+let parse_file path = match read path with text -> parse text | exception Sys_error msg -> Error msg
+
+let parse_model_file path =
+  match read path with text -> parse_model text | exception Sys_error msg -> Error msg

@@ -21,3 +21,9 @@ val parse : string -> (Ras_mip.Model.std, string) result
     an upper bound may not be [-inf]. *)
 
 val parse_file : string -> (Ras_mip.Model.std, string) result
+
+val parse_model : string -> (Ras_mip.Model.t, string) result
+(** [parse] before the compile: the model as read, for tests that compile
+    it themselves. *)
+
+val parse_model_file : string -> (Ras_mip.Model.t, string) result

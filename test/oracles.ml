@@ -25,6 +25,10 @@
    - The reservation report of Ras.Explain, which now reads one pass of
      per-(MSB, subtype) server counts, as it first shipped over two walks
      (test_core.ml).
+   - The model compile: Ras_mip.Model.compile, which now merges each row
+     in one dense scratch, as it shipped with a table and a sort per row
+     (test_differential.ml, test_core.ml, test_region_scale.ml,
+     test_mip.ml).
 
    And independent references that share no code with what they check:
 
@@ -422,8 +426,9 @@ let build_reference ?(rack_level = false) ?(include_server = fun _ -> true)
            })
          keys)
   in
-  (* per-class histogram of member current-owner codes *)
-  let owner_counts =
+  (* per-class histogram of member current-owner codes, as ascending
+     (code, count) runs laid end to end *)
+  let runs =
     Array.map
       (fun (c : Symmetry.cls) ->
         let h = Hashtbl.create 8 in
@@ -432,8 +437,14 @@ let build_reference ?(rack_level = false) ?(include_server = fun _ -> true)
             let code = Snapshot.current_code snapshot id in
             Hashtbl.replace h code (1 + Option.value ~default:0 (Hashtbl.find_opt h code)))
           c.Symmetry.members;
-        h)
+        List.sort compare (Hashtbl.fold (fun code n acc -> (code, n) :: acc) h []))
       classes
+  in
+  let first = Array.make (Array.length classes + 1) 0 in
+  Array.iteri (fun c run -> first.(c + 1) <- first.(c) + List.length run) runs;
+  let flat = Array.of_list (List.concat (Array.to_list runs)) in
+  let owner_counts =
+    { Symmetry.first; codes = Array.map fst flat; counts = Array.map snd flat }
   in
   let members = Hashtbl.create 1024 in
   Array.iter
@@ -860,7 +871,7 @@ let improve_spread_reference (t : Formulation.t) ~moves ~counts ~class_used =
       let existing = try Hashtbl.find pairs_of_res p.res.Reservation.id with Not_found -> [] in
       Hashtbl.replace pairs_of_res p.res.Reservation.id (p :: existing))
     t.pairs;
-  let value p = p.res.Reservation.rru_of (Symmetry.hw_of p.cls) in
+  let value p = p.res.Reservation.rru_of (Ras_topology.Hardware.catalog.(p.cls.Symmetry.hw)) in
   let count_of p = !(Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id)) in
   let set p delta =
     let r = Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id) in
@@ -976,7 +987,7 @@ let improve_affinity_reference (t : Formulation.t) ~moves ~counts ~class_used =
       let existing = try Hashtbl.find pairs_of_res p.res.Reservation.id with Not_found -> [] in
       Hashtbl.replace pairs_of_res p.res.Reservation.id (p :: existing))
     t.pairs;
-  let value p = p.res.Reservation.rru_of (Symmetry.hw_of p.cls) in
+  let value p = p.res.Reservation.rru_of (Ras_topology.Hardware.catalog.(p.cls.Symmetry.hw)) in
   let count_of p = !(Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id)) in
   let set p delta =
     let r = Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id) in
@@ -1098,11 +1109,11 @@ let repair_reference (t : Formulation.t) solution =
       let c = int_of_float (Float.round solution.(p.var)) in
       Hashtbl.replace counts (p.cls.Symmetry.index, p.res.Reservation.id) (ref c);
       class_used.(p.cls.Symmetry.index) <- class_used.(p.cls.Symmetry.index) + c;
-      let v = p.res.Reservation.rru_of (Symmetry.hw_of p.cls) in
+      let v = p.res.Reservation.rru_of (Ras_topology.Hardware.catalog.(p.cls.Symmetry.hw)) in
       let total = Hashtbl.find res_total p.res.Reservation.id in
       total := !total +. (v *. float_of_int c))
     t.pairs;
-  let value p = p.res.Reservation.rru_of (Symmetry.hw_of p.cls) in
+  let value p = p.res.Reservation.rru_of (Ras_topology.Hardware.catalog.(p.cls.Symmetry.hw)) in
   let count_of p = !(Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id)) in
   let bump p delta =
     let r = Hashtbl.find counts (p.cls.Symmetry.index, p.res.Reservation.id) in
@@ -1617,3 +1628,117 @@ let btran_residual ~basis ~col y c =
       col_abs := Float.max !col_abs !a)
     basis;
   backward_error !worst ~scale:((!col_abs *. inf_norm y) +. inf_norm c)
+
+(* ---------- model compile: the per-row table and sort ---------- *)
+
+(* [Lin_expr.normalize] as it shipped: duplicates summed in stored order
+   in a table, zero sums dropped, sorted by variable. *)
+let normalize_reference e =
+  let tbl = Hashtbl.create 8 in
+  Ras_mip.Lin_expr.iter
+    (fun c v ->
+      let prev = try Hashtbl.find tbl v with Not_found -> 0.0 in
+      Hashtbl.replace tbl v (prev +. c))
+    e;
+  let combined = Hashtbl.fold (fun v c acc -> if c <> 0.0 then (c, v) :: acc else acc) tbl [] in
+  List.sort (fun (_, v1) (_, v2) -> compare v1 v2) combined
+
+(* [Model.compile] as it shipped: a [normalize] table and sort per row,
+   then the CSC arrays filled from the sorted rows.  The dense-scratch
+   compile must equal it bit for bit. *)
+let compile_reference (t : Ras_mip.Model.t) =
+  let open Ras_mip.Model in
+  let nvars = t.nvars and nrows = t.nrows in
+  let obj = Array.make nvars 0.0 in
+  let set_obj (c, v) =
+    if v < 0 || v >= nvars then invalid_arg "Model.compile: objective references unknown variable";
+    obj.(v) <- obj.(v) +. c
+  in
+  List.iter set_obj (normalize_reference t.obj);
+  let rows = Array.of_list (List.rev t.rows) in
+  let row_sense = Array.map (fun r -> r.rsense) rows in
+  let rhs = Array.map (fun r -> r.rrhs) rows in
+  let row_names = Array.map (fun r -> r.rname) rows in
+  let row_cols = Array.make nrows [||] and row_coefs = Array.make nrows [||] in
+  let col_count = Array.make nvars 0 in
+  let terms_of = Array.make nrows [] in
+  Array.iteri
+    (fun i r ->
+      let ts = normalize_reference r.expr in
+      terms_of.(i) <- ts;
+      let count (c, v) =
+        if v < 0 || v >= nvars then
+          invalid_arg (Printf.sprintf "Model.compile: row %s references unknown variable %d" r.rname v);
+        if c <> 0.0 then col_count.(v) <- col_count.(v) + 1
+      in
+      List.iter count ts)
+    rows;
+  let col_ptr = Array.make (nvars + 1) 0 in
+  for v = 0 to nvars - 1 do
+    col_ptr.(v + 1) <- col_ptr.(v) + col_count.(v)
+  done;
+  let nnz = col_ptr.(nvars) in
+  let col_ind = Array.make nnz 0 in
+  let col_val = Array.make nnz 0.0 in
+  let col_fill = Array.blit col_ptr 0 col_count 0 nvars; col_count in
+  Array.iteri
+    (fun i _ ->
+      let ts = List.filter (fun (c, _) -> c <> 0.0) terms_of.(i) in
+      row_cols.(i) <- Array.of_list (List.map snd ts);
+      row_coefs.(i) <- Array.of_list (List.map fst ts);
+      let fill (c, v) =
+        let k = col_fill.(v) in
+        col_ind.(k) <- i;
+        col_val.(k) <- c;
+        col_fill.(v) <- k + 1
+      in
+      List.iter fill ts)
+    rows;
+  {
+    nvars;
+    nrows;
+    obj;
+    obj_offset = Ras_mip.Lin_expr.get_constant t.obj;
+    lb = Array.init nvars (fun v -> t.vars.(v).vlb);
+    ub = Array.init nvars (fun v -> t.vars.(v).vub);
+    integer = Array.init nvars (fun v -> t.vars.(v).vkind = Integer);
+    row_sense;
+    rhs;
+    col_ptr;
+    col_ind;
+    col_val;
+    row_cols;
+    row_coefs;
+    var_names = Array.init nvars (fun v -> t.vars.(v).vname);
+    row_names;
+  }
+
+(* Two compiled models agree bit for bit: every float compared by its
+   bits ([%h]), every int array, sense and name.  [None] when they agree,
+   else the first field that differs. *)
+let std_difference (a : Ras_mip.Model.std) (b : Ras_mip.Model.std) =
+  let open Ras_mip.Model in
+  let floats xs = String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") xs)) in
+  let fields =
+    [
+      ("nvars", a.nvars = b.nvars);
+      ("nrows", a.nrows = b.nrows);
+      ("obj", floats a.obj = floats b.obj);
+      ("obj_offset", Printf.sprintf "%h" a.obj_offset = Printf.sprintf "%h" b.obj_offset);
+      ("lb", floats a.lb = floats b.lb);
+      ("ub", floats a.ub = floats b.ub);
+      ("integer", a.integer = b.integer);
+      ("row_sense", a.row_sense = b.row_sense);
+      ("rhs", floats a.rhs = floats b.rhs);
+      ("col_ptr", a.col_ptr = b.col_ptr);
+      ("col_ind", a.col_ind = b.col_ind);
+      ("col_val", floats a.col_val = floats b.col_val);
+      ("row_cols", a.row_cols = b.row_cols);
+      ( "row_coefs",
+        Array.length a.row_coefs = Array.length b.row_coefs
+        && Array.for_all2 (fun x y -> floats x = floats y) a.row_coefs b.row_coefs );
+      ("var_names", a.var_names = b.var_names);
+      ("row_names", a.row_names = b.row_names);
+    ]
+  in
+  List.find_map (fun (name, same) -> if same then None else Some name) fields

@@ -1728,6 +1728,24 @@ let test_root_lp_pivots_pinned () =
       out.Ras_mip.Branch_bound.dual_pivots;
     ]
 
+(* The medium round's phase-1 and phase-2 models compile bit-identical to
+   [Oracles.compile_reference], the per-row table and sort that
+   [Model.compile]'s dense scratch replaced. *)
+let test_medium_round_compile_pinned () =
+  let lazy { round; _ } = medium_round in
+  let check phase (p : Phases.result) =
+    match
+      Oracles.std_difference p.Phases.compiled
+        (Oracles.compile_reference p.Phases.formulation.Formulation.model)
+    with
+    | None -> ()
+    | Some field -> Alcotest.failf "%s: compiled %s differs from the reference" phase field
+  in
+  check "phase 1" round.Async_solver.phase1;
+  match round.Async_solver.phase2 with
+  | Some p2 -> check "phase 2" p2
+  | None -> Alcotest.fail "phase 2 did not run"
+
 (* Merge and apply allocate O(classes + quotas + moves), not O(servers):
    a round on the medium layout at 8 and at 48 servers per rack, counted
    from the decoded phase results to the applied plan. *)
@@ -1958,4 +1976,6 @@ let suite =
     Alcotest.test_case "snapshot is a frozen view" `Quick test_snapshot_frozen_view;
     Alcotest.test_case "snapshot counts match the full fold" `Quick
       test_snapshot_counts_match_fold;
+    Alcotest.test_case "medium round's models compile bit-identical to the reference" `Quick
+      test_medium_round_compile_pinned;
   ]

@@ -55,7 +55,7 @@ let point_in rng (lb, ub) =
    row's value there (an equality at it, an inequality up to 5 past it), so
    the LP is feasible; otherwise rhs is uniform in [-20, 20], which leaves
    most of the larger instances infeasible. *)
-let random_model ?(finite_bounds = false) ?(anchored = false) rng ~max_rows ~max_cols
+let random_raw_model ?(finite_bounds = false) ?(anchored = false) rng ~max_rows ~max_cols
     ~integer_frac =
   let finite_only = finite_bounds || integer_frac > 0.0 in
   let n = 1 + R.int rng max_cols in
@@ -101,7 +101,10 @@ let random_model ?(finite_bounds = false) ?(anchored = false) rng ~max_rows ~max
     |> List.filter (fun _ -> R.int rng 10 < 8)
   in
   Model.set_objective mdl (Lin_expr.of_terms obj_terms);
-  Model.compile mdl
+  mdl
+
+let random_model ?finite_bounds ?anchored rng ~max_rows ~max_cols ~integer_frac =
+  Model.compile (random_raw_model ?finite_bounds ?anchored rng ~max_rows ~max_cols ~integer_frac)
 
 (* ------------------------------------------------------------------ *)
 (* LP differential                                                     *)
@@ -135,13 +138,17 @@ let check_lp_result tag ?lb ?ub std produced =
    on a point (feasible, often unbounded along an infinite bound), and a
    third anchors them with finite bounds (optimal): the cold solves reach
    all three verdicts, and the objective and certificate checks. *)
-let lp_instance seed =
+let lp_raw_instance seed =
   let rng = R.create (7000 + seed) in
-  let std =
-    random_model ~anchored:(seed mod 3 <> 0) ~finite_bounds:(seed mod 3 = 2) rng ~max_rows:60
+  let mdl =
+    random_raw_model ~anchored:(seed mod 3 <> 0) ~finite_bounds:(seed mod 3 = 2) rng ~max_rows:60
       ~max_cols:120 ~integer_frac:0.0
   in
-  (rng, std)
+  (rng, mdl)
+
+let lp_instance seed =
+  let rng, mdl = lp_raw_instance seed in
+  (rng, Model.compile mdl)
 
 let test_lp_differential () =
   let count = ref 0 and optimal = ref 0 in
@@ -161,7 +168,7 @@ let test_lp_differential () =
    bounds are finite and every row's rhs is anchored on a random interior
    point, so the first solve is always Optimal and the tightened re-solve
    below actually runs. *)
-let random_feasible_model rng ~max_rows ~max_cols =
+let random_feasible_raw_model rng ~max_rows ~max_cols =
   let n = 2 + R.int rng max_cols in
   let m = 1 + R.int rng max_rows in
   let mdl = Model.create () in
@@ -196,11 +203,16 @@ let random_feasible_model rng ~max_rows ~max_cols =
   done;
   Model.set_objective mdl
     (Lin_expr.of_terms (List.init n (fun j -> (R.float rng 10.0 -. 5.0, vars.(j)))));
-  Model.compile mdl
+  mdl
+
+let random_feasible_model rng ~max_rows ~max_cols =
+  Model.compile (random_feasible_raw_model rng ~max_rows ~max_cols)
 
 (* The warm-restart instances: the first solve's result and a tightened
    copy of one variable's bounds past its LP value, or [None] when the
    first solve is not optimal or the tightening empties the box. *)
+let warm_raw_model seed = random_feasible_raw_model (R.create (9000 + seed)) ~max_rows:30 ~max_cols:60
+
 let warm_restart seed =
   let rng = R.create (9000 + seed) in
   let std = random_feasible_model rng ~max_rows:30 ~max_cols:60 in
@@ -263,8 +275,10 @@ let check_mip_instance seed std =
     in
     Alcotest.failf "seed %d: MIP verdicts differ: reference %s vs %s" seed r (status_name p)
 
-let mip_model seed =
-  random_model (R.create (8000 + seed)) ~max_rows:8 ~max_cols:8 ~integer_frac:0.7
+let mip_raw_model seed =
+  random_raw_model (R.create (8000 + seed)) ~max_rows:8 ~max_cols:8 ~integer_frac:0.7
+
+let mip_model seed = Model.compile (mip_raw_model seed)
 
 let test_mip_differential () =
   let count = ref 0 in
@@ -362,6 +376,78 @@ let test_mip_kernel_differential () =
   done;
   check_pinned "mip" !pinned 1_500
 
+(* ------------------------------------------------------------------ *)
+(* Compile pin                                                         *)
+
+(* Rows where duplicates are the rule: 3 to 14 terms over at most 7
+   variables, coefficients spread over 12 decades so the summation order
+   shows in the bits, ±0 terms, and on one variable per row a pair that
+   cancels exactly.  Built through add/sub/scale as well, so stored orders
+   mix reversed and forward runs. *)
+let duplicate_heavy_model seed =
+  let rng = R.create (10_000 + seed) in
+  let mdl = Model.create () in
+  let n = 2 + R.int rng 6 in
+  let vars = Array.init n (fun _ -> Model.add_var ~lb:(-10.0) ~ub:10.0 mdl) in
+  let cancelled = Model.add_var mdl in
+  let coef () =
+    let c = R.float rng 1.0 *. (10.0 ** float_of_int (R.int rng 13 - 6)) in
+    if R.bool rng then c else -.c
+  in
+  let expr () =
+    let terms =
+      List.init (3 + R.int rng 12) (fun _ ->
+          let v = vars.(R.int rng n) in
+          match R.int rng 8 with 0 -> ((if R.bool rng then 0.0 else -0.0), v) | _ -> (coef (), v))
+    in
+    let c = coef () in
+    let e = Lin_expr.of_terms ((c, cancelled) :: terms) in
+    match R.int rng 3 with
+    | 0 -> Lin_expr.add e (Lin_expr.term (-.c) cancelled)
+    | 1 -> Lin_expr.sub (Lin_expr.scale 2.0 e) (Lin_expr.of_terms [ (2.0 *. c, cancelled); (coef (), vars.(0)) ])
+    | _ -> Lin_expr.add (Lin_expr.term (-.c) cancelled) (Lin_expr.add e (Lin_expr.of_terms terms))
+  in
+  for _ = 1 to 1 + R.int rng 12 do
+    ignore (Model.add_constraint mdl (expr ()) [| Model.Le; Model.Ge; Model.Eq |].(R.int rng 3) (coef ()))
+  done;
+  Model.set_objective mdl (Lin_expr.add (expr ()) (Lin_expr.constant (coef ())));
+  mdl
+
+(* [Model.compile] equals [Oracles.compile_reference], the per-row table
+   and sort it replaced, bit for bit: on the battery's 280 models, the
+   golden corpus and 300 duplicate-heavy models. *)
+let test_compile_matches_reference () =
+  let check tag mdl =
+    match Oracles.std_difference (Model.compile mdl) (Oracles.compile_reference mdl) with
+    | None -> ()
+    | Some field -> Alcotest.failf "%s: compiled %s differs from the reference" tag field
+  in
+  for seed = 1 to 140 do
+    check (Printf.sprintf "lp seed %d" seed) (snd (lp_raw_instance seed))
+  done;
+  for seed = 1 to 60 do
+    check (Printf.sprintf "warm seed %d" seed) (warm_raw_model seed)
+  done;
+  for seed = 1 to 80 do
+    check (Printf.sprintf "mip seed %d" seed) (mip_raw_model seed)
+  done;
+  List.iter
+    (fun (name, _) ->
+      match Lp_parse.parse_model_file (Filename.concat "fixtures" name) with
+      | Ok mdl -> check name mdl
+      | Error msg -> Alcotest.failf "%s: parse error: %s" name msg)
+    Test_mip.golden_fixtures;
+  let dropped = ref 0 in
+  for seed = 1 to 300 do
+    let mdl = duplicate_heavy_model seed in
+    check (Printf.sprintf "duplicate-heavy seed %d" seed) mdl;
+    let std = Model.compile mdl in
+    (* the cancelled variable sums to zero in every row and is dropped *)
+    if std.Model.col_ptr.(std.Model.nvars) = std.Model.col_ptr.(std.Model.nvars - 1) then
+      incr dropped
+  done;
+  Alcotest.(check int) "exact cancellations dropped" 300 !dropped
+
 let suite =
   [
     Alcotest.test_case "lp: verdict, objective and certificate match the tableau oracle (140 instances)"
@@ -379,4 +465,7 @@ let suite =
     Alcotest.test_case
       "kernels mip: sparse vs dense-oracle solves on root and child bases (80 instances)" `Quick
       test_mip_kernel_differential;
+    Alcotest.test_case
+      "compile equals the table-and-sort reference bit for bit (battery, golden corpus, duplicates)"
+      `Quick test_compile_matches_reference;
   ]

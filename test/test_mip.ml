@@ -9,14 +9,25 @@ let feasible std x =
 
 (* ---------- Lin_expr ---------- *)
 
+(* An expression's terms as a compiled row merges them: duplicates summed,
+   zero sums dropped, ascending variable. *)
+let merged e =
+  let m = Model.create () in
+  for _ = 0 to 3 do
+    ignore (Model.add_var m)
+  done;
+  ignore (Model.add_constraint m e Model.Le 0.0);
+  let std = Model.compile m in
+  Array.to_list (Array.map2 (fun c v -> (c, v)) std.Model.row_coefs.(0) std.Model.row_cols.(0))
+
 let test_lin_expr_combine () =
   let e = Lin_expr.of_terms [ (1.0, 0); (2.0, 1); (3.0, 0) ] in
   Alcotest.(check (list (pair (float 1e-9) int))) "combined terms" [ (4.0, 0); (2.0, 1) ]
-    (Lin_expr.terms e)
+    (merged e)
 
 let test_lin_expr_cancel () =
   let e = Lin_expr.sub (Lin_expr.var 0) (Lin_expr.var 0) in
-  Alcotest.(check int) "cancels" 0 (List.length (Lin_expr.terms e))
+  Alcotest.(check int) "cancels" 0 (List.length (merged e))
 
 let test_lin_expr_eval () =
   let e = Lin_expr.add (Lin_expr.of_terms [ (2.0, 0); (-1.0, 1) ]) (Lin_expr.constant 1.5) in
@@ -24,7 +35,7 @@ let test_lin_expr_eval () =
 
 let test_lin_expr_scale () =
   let e = Lin_expr.scale 2.0 (Lin_expr.add (Lin_expr.term 3.0 0) (Lin_expr.constant 1.0)) in
-  Alcotest.(check (list (pair (float 1e-9) int))) "scaled terms" [ (6.0, 0) ] (Lin_expr.terms e);
+  Alcotest.(check (list (pair (float 1e-9) int))) "scaled terms" [ (6.0, 0) ] (merged e);
   Alcotest.(check (float 1e-9)) "scaled const" 2.0 (Lin_expr.get_constant e)
 
 (* ---------- Model ---------- *)
@@ -58,6 +69,43 @@ let test_model_unknown_var_in_row () =
   Alcotest.check_raises "unknown var"
     (Invalid_argument "Model.compile: row r0 references unknown variable 5") (fun () ->
       ignore (Model.compile m))
+
+(* [Model.compile] allocates its output and an O(nvars) scratch: 4 words
+   per nonzero (row and column views) and ~16 per row (the row list read
+   back, row arrays, senses, right-hand sides, names).  The limit, 6 per
+   nonzero plus 20 per row and 16 per variable, leaves no room for a
+   table per row (~14 words empty, 4 per binding); the per-row table and
+   sort of [Oracles.compile_reference] must exceed it.  Short rows make
+   per-row work show. *)
+let test_compile_allocation_bounded () =
+  let rng = Ras_stats.Rng.create 5 in
+  let m = Model.create () in
+  let nvars = 2_000 and nrows = 20_000 in
+  let vars = Array.init nvars (fun _ -> Model.add_var ~ub:1.0 m) in
+  for _ = 1 to nrows do
+    let terms =
+      List.init (2 + Ras_stats.Rng.int rng 3) (fun _ ->
+          (1.0 +. Ras_stats.Rng.float rng 1.0, vars.(Ras_stats.Rng.int rng nvars)))
+    in
+    ignore (Model.add_constraint m (Lin_expr.of_terms terms) Model.Le 1.0)
+  done;
+  Model.set_objective m (Lin_expr.of_terms (Array.to_list (Array.map (fun v -> (1.0, v)) vars)));
+  let words compile =
+    Gc.minor ();
+    let w0 = Test_core.allocated_words () in
+    let std = compile m in
+    (Test_core.allocated_words () -. w0, std)
+  in
+  let got, std = words Model.compile in
+  let reference, _ = words Oracles.compile_reference in
+  let nnz = std.Model.col_ptr.(nvars) in
+  let bound = float_of_int ((6 * nnz) + (20 * nrows) + (16 * nvars)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "compile: %.0f words for %d nnz, %d rows (limit %.0f)" got nnz nrows bound)
+    true (got <= bound);
+  Alcotest.(check bool)
+    (Printf.sprintf "the per-row table compile exceeds the limit (%.0f words)" reference)
+    true (reference > bound)
 
 let test_model_constant_folded_into_rhs () =
   let m = Model.create () in
@@ -957,4 +1005,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_lp_round_trip_preserves_optimum;
     QCheck_alcotest.to_alcotest prop_bb_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_lp_no_worse_than_feasible_point;
+    Alcotest.test_case "model compile allocation is O(nnz + rows)" `Quick
+      test_compile_allocation_bounded;
   ]

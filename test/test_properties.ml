@@ -161,13 +161,21 @@ let aggregation_scenario seed =
   done;
   let attr_mod = 2 + R.int rng 8 in
   let attr_of id = if id mod attr_mod = 0 then 1 else 0 in
-  (Snapshot.take ~attr_of broker reservations, reservations)
+  let snapshot = Snapshot.take ~attr_of broker reservations in
+  (* the same region with loans: servers of any owner moved to an
+     [Elastic] owner, which a snapshot reads at the shared buffer.  The
+     broker copies its columns on this write, so [snapshot] keeps its
+     owners. *)
+  for _ = 1 to 1 + R.int rng (1 + (n / 10)) do
+    Broker.move broker (R.int rng n) (Broker.Elastic (R.int rng 3))
+  done;
+  (snapshot, Snapshot.take ~attr_of broker reservations, reservations)
 
 let prop_aggregation_invariants =
   QCheck.Test.make ~name:"symmetry aggregation invariants (200-seed corpus)" ~count:200
     QCheck.int
     (fun seed ->
-      let snapshot, reservations = aggregation_scenario seed in
+      let snapshot, loaned, reservations = aggregation_scenario seed in
       let sym = Symmetry.build snapshot in
       let reference = Oracles.build_reference snapshot in
       (* 1. the streaming build matches the materializing oracle *)
@@ -193,7 +201,7 @@ let prop_aggregation_invariants =
       let representative_ok =
         Array.for_all
           (fun (c : Symmetry.cls) ->
-            let hw = Symmetry.hw_of c in
+            let hw = Ras_topology.Hardware.catalog.(c.Symmetry.hw) in
             Array.for_all
               (fun id ->
                 (Snapshot.server snapshot id).Region.hw.Ras_topology.Hardware.index
@@ -208,7 +216,7 @@ let prop_aggregation_invariants =
           (fun (res : Reservation.t) ->
             Array.for_all
               (fun (c : Symmetry.cls) ->
-                let per = res.Reservation.rru_of (Symmetry.hw_of c) in
+                let per = res.Reservation.rru_of (Ras_topology.Hardware.catalog.(c.Symmetry.hw)) in
                 let summed =
                   Array.fold_left
                     (fun acc id ->
@@ -220,13 +228,46 @@ let prop_aggregation_invariants =
               sym.Symmetry.classes)
           reservations
       in
-      (* 4. the O(1) owner histograms cover every member exactly once *)
+      (* 4. the owner histograms cover every member exactly once and equal
+         the oracle's for every (class, code), at MSB level and at rack
+         level under a filter, with and without loans; a loan counts at
+         the shared buffer, never at its [Elastic] owner *)
       let histogram_ok =
+        let { Symmetry.first; counts; _ } = sym.Symmetry.owner_counts in
         Array.for_all
           (fun (c : Symmetry.cls) ->
-            let tbl = sym.Symmetry.owner_counts.(c.Symmetry.index) in
-            Hashtbl.fold (fun _ k acc -> acc + k) tbl 0 = Symmetry.size c)
+            let total = ref 0 in
+            for k = first.(c.Symmetry.index) to first.(c.Symmetry.index + 1) - 1 do
+              total := !total + counts.(k)
+            done;
+            !total = Symmetry.size c)
           sym.Symmetry.classes
+      in
+      let owners_match (a : Symmetry.t) (b : Symmetry.t) =
+        a.Symmetry.owner_counts = b.Symmetry.owner_counts
+        && Symmetry.num_classes a = Symmetry.num_classes b
+        && Array.for_all2
+             (fun (ca : Symmetry.cls) (cb : Symmetry.cls) ->
+               Symmetry.class_name ca = Symmetry.class_name cb
+               && ca.Symmetry.members = cb.Symmetry.members)
+             a.Symmetry.classes b.Symmetry.classes
+      in
+      let filter id = (id + seed) mod 3 <> 0 in
+      let owners_ok =
+        owners_match sym reference
+        && owners_match
+             (Symmetry.build ~rack_level:true ~include_server:filter snapshot)
+             (Oracles.build_reference ~rack_level:true ~include_server:filter snapshot)
+        &&
+        let lent = Symmetry.build loaned in
+        owners_match lent (Oracles.build_reference loaned)
+        && owners_match
+             (Symmetry.build ~rack_level:true ~include_server:filter loaned)
+             (Oracles.build_reference ~rack_level:true ~include_server:filter loaned)
+        && Array.for_all
+             (fun c ->
+               List.for_all (fun k -> Symmetry.current_count lent c (Broker.Elastic k) = 0) [ 0; 1; 2 ])
+             lent.Symmetry.classes
       in
       (* 5. aggregation o disaggregation is the identity on the current
          assignment: encoding the status quo and concretizing it moves
@@ -270,7 +311,7 @@ let prop_aggregation_invariants =
           (List.init (Snapshot.num_servers snapshot) Fun.id)
       in
       matches_reference && counts_sum && representative_ok && capacity_ok && histogram_ok
-      && identity_ok && reference_ok && overflows_ok && covers_ok)
+      && owners_ok && identity_ok && reference_ok && overflows_ok && covers_ok)
 
 (* ---------- simplex under bad scaling ---------- *)
 

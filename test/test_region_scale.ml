@@ -10,7 +10,9 @@
      retained pre-columnar oracle [Oracles.build_reference] class-for-class
      and produce the same compiled model, whose root LP optimum must pass
      [Oracles.lp_certificate] and whose final factorization must solve
-     identically under the sparse and the all-steps dense solves;
+     identically under the sparse and the all-steps dense solves; and
+     every round's model must compile bit-identical to the table-and-sort
+     [Oracles.compile_reference];
    - disaggregation: a class-level solution concretized to per-server
      targets and re-aggregated must encode back to a feasible vector with
      the same objective, and the class walk and merge must pick the moves
@@ -22,8 +24,9 @@
      the cold start's pivots and reach the same objective;
    - ceilings: compiled size must be independent of raw server count
      (Fig. 10/11 regime), formulation+compile allocation must be bounded by
-     model size (not server count), and the columnar snapshot/symmetry live
-     footprint must stay a few words per server.
+     model size (not server count), the symmetry build must allocate its
+     group column and member arrays plus O(classes), and the columnar
+     snapshot/symmetry live footprint must stay a few words per server.
 
    [dune runtest] keeps the sweep at spr <= 5; RAS_SCALE_TESTS=full adds
    the 10^6 run (scripts/check.sh sets it by default). *)
@@ -187,6 +190,39 @@ let test_streaming_matches_reference () =
   check_symmetry_equal
     (Symmetry.build ~rack_level:true ~include_server:filter snapshot)
     (Oracles.build_reference ~rack_level:true ~include_server:filter snapshot)
+
+(* ---------- compile pin: the dense-scratch merge against the table ------ *)
+
+(* A round's compiled models equal [Oracles.compile_reference], the
+   per-row table and sort [Model.compile] replaced, bit for bit: both
+   rounds' phase-1 models (and phase 2's when it runs), and a rack-level
+   phase-2 formulation, rack goals on eight reservations over a filtered
+   pool.  At 10^6 servers too under RAS_SCALE_TESTS=full. *)
+let compile_pin ~servers_per_rack =
+  let check tag (mdl : Model.t) std =
+    match Oracles.std_difference std (Oracles.compile_reference mdl) with
+    | None -> ()
+    | Some field ->
+      Alcotest.failf "spr=%d %s: compiled %s differs from the reference" servers_per_rack tag field
+  in
+  bring_up_then_failures ~servers_per_rack (fun tag stats ->
+      let check_phase name (p : Phases.result) =
+        check (tag ^ " " ^ name) p.Phases.formulation.Formulation.model p.Phases.compiled
+      in
+      check_phase "phase 1" stats.Async_solver.phase1;
+      Option.iter (check_phase "phase 2") stats.Async_solver.phase2);
+  let snapshot, reservations = scale_snapshot ~servers_per_rack () in
+  let goals =
+    List.filteri (fun i _ -> i < 8) (List.filter (fun r -> not (Reservation.is_buffer r)) reservations)
+    |> List.map (fun r -> { r with Reservation.rack_spread_limit = Some 0.06 })
+  in
+  let symmetry = Symmetry.build ~rack_level:true ~include_server:(fun id -> id mod 4 <> 0) snapshot in
+  let f = Formulation.build ~rack_level:true symmetry goals in
+  check "rack level" f.Formulation.model (Model.compile f.Formulation.model)
+
+let test_compile_pin () =
+  compile_pin ~servers_per_rack:1;
+  if full_scale () then compile_pin ~servers_per_rack:48
 
 (* ---------- the aggregated model's root LP: kernels and certificate ---------- *)
 
@@ -421,6 +457,30 @@ let test_build_allocation_scale_independent () =
     true
     (large <= 1.5 *. small)
 
+(* [Symmetry.build] allocates its one-word-per-server group column, the
+   member arrays (one word per covered server) and O(classes + owner
+   runs): per server nothing else, so a key record or a table entry per
+   server breaks the limit, 2 words per server plus 64 per class and 16
+   per owner run.  At 5x the servers, with the same classes. *)
+let test_symmetry_build_words () =
+  List.iter
+    (fun servers_per_rack ->
+      let snapshot, _ = scale_snapshot ~servers_per_rack () in
+      ignore (Symmetry.build snapshot);
+      Gc.minor ();
+      let w0 = Test_core.allocated_words () in
+      let symmetry = Symmetry.build snapshot in
+      let words = Test_core.allocated_words () -. w0 in
+      let n = Snapshot.num_servers snapshot in
+      let classes = Symmetry.num_classes symmetry in
+      let runs = Array.length symmetry.Symmetry.owner_counts.Symmetry.codes in
+      let limit = float_of_int ((2 * n) + (64 * classes) + (16 * runs)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "spr=%d: %.0f words for %d servers, %d classes, %d owner runs (limit %.0f)"
+           servers_per_rack words n classes runs limit)
+        true (words <= limit))
+    [ 1; 5 ]
+
 (* The columnar stores must cost O(1) words per server: snapshot columns
    (owner codes + attr ints, the in-use and down byte columns) and
    symmetry member arrays plus per-class tables. *)
@@ -468,4 +528,8 @@ let suite =
       test_build_allocation_scale_independent;
     Alcotest.test_case "columnar stores cost O(1) words per server" `Quick
       test_live_words_per_server;
+    Alcotest.test_case "symmetry build allocates its group column plus O(classes)" `Quick
+      test_symmetry_build_words;
+    Alcotest.test_case "round models compile bit-identical to the table-and-sort compile" `Slow
+      test_compile_pin;
   ]
