@@ -8,7 +8,7 @@ module Failure_model = Ras_failures.Failure_model
 let scenario preset =
   let region = Scenarios.region_of preset in
   let broker = Broker.create region in
-  let requests = Solver_runs.with_rack_limits (Scenarios.requests_of preset region) in
+  let requests = Scenarios.with_rack_limits (Scenarios.requests_of preset region) in
   let reservations =
     List.map Ras.Reservation.of_request requests
     @ Ras.Buffers.shared_buffer_reservations region ~fraction:0.02
@@ -123,12 +123,11 @@ let run_move_cost () =
           };
       }
     in
-    let runs = Solver_runs.collect ~solver ~solves:(Scenarios.scaled 8) () in
     List.fold_left
-      (fun (iu, uu) (r : Solver_runs.run) ->
-        ( iu + r.Solver_runs.stats.Ras.Async_solver.moves_in_use,
-          uu + r.Solver_runs.stats.Ras.Async_solver.moves_unused ))
-      (0, 0) runs
+      (fun (iu, uu) (r : Ras.Async_solver.stats) ->
+        (iu + r.Ras.Async_solver.moves_in_use, uu + r.Ras.Async_solver.moves_unused))
+      (0, 0)
+      (Fig07.collect ~solver ~solves:(Scenarios.scaled 8))
   in
   let iu10, uu10 = trial 10.0 in
   let iu1, uu1 = trial 1.0 in

@@ -18,9 +18,9 @@ let run () =
       d +. t.Ras.Phases.mip_s )
   in
   List.iter
-    (fun (r : Solver_runs.run) ->
-      p1 := add !p1 r.Solver_runs.stats.Ras.Async_solver.phase1.Ras.Phases.timing;
-      match r.Solver_runs.stats.Ras.Async_solver.phase2 with
+    (fun (r : Ras.Async_solver.stats) ->
+      p1 := add !p1 r.Ras.Async_solver.phase1.Ras.Phases.timing;
+      match r.Ras.Async_solver.phase2 with
       | Some ph ->
         p2 := add !p2 ph.Ras.Phases.timing;
         incr n2

@@ -13,8 +13,7 @@ let run () =
   let gaps = Summary.create () in
   let within_200 = ref 0 and constraints_ok = ref 0 and n = ref 0 in
   List.iter
-    (fun (r : Solver_runs.run) ->
-      let s = r.Solver_runs.stats in
+    (fun (s : Ras.Async_solver.stats) ->
       incr n;
       if Float.is_finite s.Ras.Async_solver.gap_preemptions then
         Summary.add gaps s.Ras.Async_solver.gap_preemptions;

@@ -31,7 +31,7 @@ let measure ~dcs ~msbs ~racks ~servers =
   let region = Generator.generate params in
   let broker = Broker.create region in
   let requests =
-    Solver_runs.with_rack_limits
+    Scenarios.with_rack_limits
       (Ras_workload.Request_gen.scenario (Ras_stats.Rng.create 11) ~region
          ~services:(Scenarios.services_of Scenarios.Wide) ~target_utilization:0.45)
   in

@@ -32,24 +32,18 @@ let run () =
     Report.row "note: greedy left %d requests short (they stay short until RAS)\n"
       (List.length unmet);
   let all_res = List.map Ras.Reservation.of_request requests in
-  let buffers () =
-    Ras.Buffers.shared_buffer_reservations (Broker.region broker) ~fraction:0.02
-  in
-  let measure () =
-    let snap = Ras.Snapshot.take broker all_res in
-    Ras.Buffers.embedded_buffer_fraction snap
-  in
+  let measure () = Ras.Buffers.embedded_buffer_fraction (Ras.Snapshot.take broker all_res) in
   Report.row "week  0.0 (greedy baseline): %5.1f%% machines in max MSB\n"
     (Report.pct (measure ()));
-  let mover = Ras.Online_mover.create broker in
+  let sys = Scenarios.system broker in
+  let enable, legacy_moved = Scenarios.ramp sys requests in
   let weeks = Scenarios.scaled 8 in
-  let total = List.length all_res in
-  let series = ref [] in
+  let total = List.length requests in
+  let worst = ref 0 in
   for day = 0 to (weeks * 7) - 1 do
     let week = day / 7 in
     (* enable reservations progressively over the first six weeks *)
-    let enabled_count = Stdlib.min total (Stdlib.max 1 ((week + 1) * total / 6)) in
-    let enabled = List.filteri (fun i _ -> i < enabled_count) all_res in
+    enable (Stdlib.min total (Stdlib.max 1 ((week + 1) * total / 6)));
     (* datacenter expansion at the start of week 5 *)
     if day = 5 * 7 && (Broker.region broker).Region.num_msbs = 32 then begin
       let extended =
@@ -57,31 +51,23 @@ let run () =
           ~racks_per_msb:params.Generator.racks_per_msb
           ~servers_per_rack:params.Generator.servers_per_rack ~seed:77
       in
-      Broker.extend_region broker extended;
+      Ras.System.extend_region sys extended;
       Report.row "week  5.0: region extended to %d MSBs\n" extended.Region.num_msbs
     end;
-    let reservations = enabled @ buffers () in
-    Ras.Online_mover.set_reservations mover reservations;
-    let enabled_owners =
-      List.map Broker.owner_code
-        (Broker.Free :: Broker.Shared_buffer :: List.map Ras.Reservation.owner reservations)
-    in
-    let snapshot = Ras.Snapshot.take broker reservations in
-    let include_server id = List.mem (Ras.Snapshot.current_code snapshot id) enabled_owners in
-    let stats =
-      Ras.Async_solver.solve ~params:Scenarios.simulation_solver ~include_server snapshot
-    in
-    ignore (Ras.Online_mover.apply_plan mover stats.Ras.Async_solver.plan);
-    series := (float_of_int (day + 1) /. 7.0, measure ()) :: !series
+    ignore (Ras.System.solve_now sys);
+    worst := Stdlib.max !worst (legacy_moved ());
+    if (day + 1) mod 7 = 0 then
+      Report.row "week %4.1f: %5.1f%% machines in max MSB\n"
+        (float_of_int (day + 1) /. 7.0)
+        (Report.pct (measure ()))
   done;
-  List.iter
-    (fun (w, v) ->
-      if Float.rem w 1.0 < 0.01 || w = float_of_int weeks then
-        Report.row "week %4.1f: %5.1f%% machines in max MSB\n" w (Report.pct v))
-    (List.rev !series);
+  Report.check (!worst = 0)
+    "fig12: %d servers of a not-yet-enabled reservation changed owner during the ramp" !worst;
   (* bounds *)
-  let final_snap = Ras.Snapshot.take broker (all_res @ buffers ()) in
-  let hw_bound = Ras.Buffers.hardware_aware_bound final_snap (all_res @ buffers ()) in
+  let reservations = all_res @ List.filter Ras.Reservation.is_buffer (Ras.System.reservations sys) in
+  let hw_bound =
+    Ras.Buffers.hardware_aware_bound (Ras.Snapshot.take broker reservations) reservations
+  in
   Report.row "hardware-aware lower bound: %5.1f%%  (paper: 4.06%%)\n" (Report.pct hw_bound);
   Report.row "perfect-spread bound 1/%d:  %5.1f%%  (paper: 2.8%%)\n"
     (Broker.region broker).Region.num_msbs

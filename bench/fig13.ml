@@ -12,21 +12,15 @@ let run () =
     ~paper:"top-30 services nearly uniform; new-hw services skip old MSBs and vice versa; ML pinned to one DC"
     ~expect:"uniform rows except the constrained services (marked)";
   let region = Scenarios.region_of Scenarios.Wide in
-  let broker = Broker.create region in
-  let requests = Scenarios.requests_of ~utilization:0.42 Scenarios.Wide region in
-  let reservations =
-    List.map Ras.Reservation.of_request requests
-    @ Ras.Buffers.shared_buffer_reservations region ~fraction:0.02
-  in
-  let mover = Ras.Online_mover.create broker in
-  Ras.Online_mover.set_reservations mover reservations;
+  let sys = Scenarios.system (Broker.create region) in
+  List.iter (Ras.System.add_request sys)
+    (Scenarios.requests_of ~utilization:0.42 Scenarios.Wide region);
   (* a few solve iterations to steady state *)
   for _ = 1 to Scenarios.scaled 4 do
-    let snapshot = Ras.Snapshot.take broker reservations in
-    let stats = Ras.Async_solver.solve ~params:Scenarios.simulation_solver snapshot in
-    ignore (Ras.Online_mover.apply_plan mover stats.Ras.Async_solver.plan)
+    ignore (Ras.System.solve_now sys)
   done;
-  let snapshot = Ras.Snapshot.take broker reservations in
+  let snapshot = Ras.System.snapshot sys in
+  let reservations = Ras.System.reservations sys in
   Report.row "%-24s" "service \\ MSB (oldest->newest)";
   for m = 0 to region.Region.num_msbs - 1 do
     Report.row "%3d" m

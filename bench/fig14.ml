@@ -30,31 +30,22 @@ let run () =
   let v0, h0 = power_state broker in
   Report.row "month 0.0 (greedy): normalized variance %.3f (=1.00 rel), headroom %.1f%%\n" v0
     (Report.pct h0);
-  let reservations =
-    List.map Ras.Reservation.of_request requests
-    @ Ras.Buffers.shared_buffer_reservations region ~fraction:0.02
-  in
-  let mover = Ras.Online_mover.create broker in
-  Ras.Online_mover.set_reservations mover reservations;
+  let sys = Scenarios.system broker in
+  let enable, legacy_moved = Scenarios.ramp sys requests in
   let months = Scenarios.scaled 4 in
+  let worst = ref 0 in
   (* weekly solves over four months; RAS coverage ramps over the first month *)
   for week = 0 to (months * 4) - 1 do
     let coverage = Stdlib.min 1.0 (float_of_int (week + 1) /. 4.0) in
-    let guaranteed = List.filter (fun r -> not (Ras.Reservation.is_buffer r)) reservations in
-    let enabled_n =
-      Stdlib.max 1 (int_of_float (coverage *. float_of_int (List.length guaranteed)))
-    in
-    let enabled =
-      List.filteri (fun i _ -> i < enabled_n) guaranteed
-      @ List.filter Ras.Reservation.is_buffer reservations
-    in
-    let snapshot = Ras.Snapshot.take broker enabled in
-    let stats = Ras.Async_solver.solve ~params:Scenarios.simulation_solver snapshot in
-    ignore (Ras.Online_mover.apply_plan mover stats.Ras.Async_solver.plan);
+    enable (Stdlib.max 1 (int_of_float (coverage *. float_of_int (List.length requests))));
+    ignore (Ras.System.solve_now sys);
+    worst := Stdlib.max !worst (legacy_moved ());
     if (week + 1) mod 4 = 0 then begin
       let v, h = power_state broker in
       Report.row "month %.1f: normalized variance %.3f (%.2f rel to start), headroom %.1f%%\n"
         (float_of_int (week + 1) /. 4.0)
         v (v /. v0) (Report.pct h)
     end
-  done
+  done;
+  Report.check (!worst = 0)
+    "fig14: %d servers of a not-yet-enabled reservation changed owner during the ramp" !worst

@@ -45,49 +45,33 @@ let run () =
         affinity_tolerance = 0.1 }
     else r
   in
-  let buffers = Ras.Buffers.shared_buffer_reservations region ~fraction:0.02 in
-  let mover = Ras.Online_mover.create broker in
+  let sys = Scenarios.system broker in
+  List.iter (fun r -> Ras.System.add_request sys (strip r)) requests;
   let weeks = Scenarios.scaled 8 in
-  let presto_res reservations =
-    List.filter
-      (fun res ->
-        List.exists
-          (fun (r : Capacity_request.t) ->
-            is_presto r && r.Capacity_request.id = res.Ras.Reservation.id)
-          requests)
-      reservations
-  in
   for week = 0 to weeks - 1 do
     (* affinity constraints are enabled at the start of week 2 *)
-    let reqs =
-      if week < 2 then List.map strip requests else List.map with_affinity requests
-    in
-    let reservations = List.map Ras.Reservation.of_request reqs @ buffers in
-    Ras.Online_mover.set_reservations mover reservations;
-    let snapshot = Ras.Snapshot.take broker reservations in
-    let stats = Ras.Async_solver.solve ~params:Scenarios.simulation_solver snapshot in
-    ignore (Ras.Online_mover.apply_plan mover stats.Ras.Async_solver.plan);
-    let snapshot = Ras.Snapshot.take broker reservations in
+    if week = 2 then List.iter (fun r -> Ras.System.resize_request sys (with_affinity r)) requests;
+    ignore (Ras.System.solve_now sys);
+    let snapshot = Ras.System.snapshot sys in
     let line =
-      List.map
-        (fun res ->
-          (* measure against the data DC regardless of declared affinity *)
-          let data_dc =
-            match
-              List.find_opt
-                (fun (r : Capacity_request.t) -> r.Capacity_request.id = res.Ras.Reservation.id)
-                requests
-            with
-            | Some r -> data_dc_of r
-            | None -> 0
-          in
-          let frac =
-            Traffic.cross_dc_working_fraction ~data_dc
-              ~capacity_per_dc:(Ras.Snapshot.rru_by_dc snapshot res)
-              ~requested:res.Ras.Reservation.capacity_rru
-          in
-          Printf.sprintf "%s %.0f%%" res.Ras.Reservation.name (Report.pct frac))
-        (presto_res reservations)
+      List.filter_map
+        (fun (r : Capacity_request.t) ->
+          if not (is_presto r) then None
+          else begin
+            let res =
+              List.find
+                (fun res -> res.Ras.Reservation.id = r.Capacity_request.id)
+                (Ras.System.reservations sys)
+            in
+            (* measure against the data DC regardless of declared affinity *)
+            let frac =
+              Traffic.cross_dc_working_fraction ~data_dc:(data_dc_of r)
+                ~capacity_per_dc:(Ras.Snapshot.rru_by_dc snapshot res)
+                ~requested:res.Ras.Reservation.capacity_rru
+            in
+            Some (Printf.sprintf "%s %.0f%%" res.Ras.Reservation.name (Report.pct frac))
+          end)
+        requests
     in
     Report.row "week %d%s: %s\n" (week + 1)
       (if week = 2 - 1 then " (affinity off->on next week)" else "")

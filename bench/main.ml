@@ -5,8 +5,9 @@
    Experiments: table1 fig2 fig3 fig4 fig5 fig7 fig8 fig9 fig10 fig11 fig12
                 fig13 fig14 fig15 fig16 ablations kernels
    With no experiment arguments, everything runs.  Exits 1 when an
-   experiment's checked claim fails (fig9 checks the paper's two
-   phase-1 quality claims). *)
+   experiment's checked claim fails: fig9 checks the paper's two phase-1
+   quality claims, and fig12 and fig14 that no server of a reservation
+   not yet enabled changes owner during the gradual enablement. *)
 
 let experiments : (string * (unit -> unit)) list =
   [

@@ -106,9 +106,29 @@ let with_moves (snapshot : Snapshot.t) (moves : Concretize.move list) =
     moves;
   { snapshot with Snapshot.current; in_use }
 
-let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
+(* The servers RAS manages: those held by [Free], by the shared buffer
+   (loans read as their home) or by a reservation of the snapshot; a
+   server another owner holds stays out of the solve.  [None] when every
+   server is managed, as inside [System]. *)
+let managed_filter (snapshot : Snapshot.t) =
+  let codes =
+    Broker.owner_code Broker.Free :: Broker.owner_code Broker.Shared_buffer
+    :: List.map (fun r -> Broker.owner_code (Reservation.owner r)) snapshot.Snapshot.reservations
+  in
+  (* a bitset, 32 codes a word, keeps the per-round table small *)
+  let managed = Array.make ((List.fold_left Int.max 0 codes lsr 5) + 1) 0 in
+  List.iter (fun c -> managed.(c lsr 5) <- managed.(c lsr 5) lor (1 lsl (c land 31))) codes;
+  let is_managed id =
+    let c = Snapshot.current_code snapshot id in
+    c lsr 5 < Array.length managed && managed.(c lsr 5) land (1 lsl (c land 31)) <> 0
+  in
+  let rec all id = id = Snapshot.num_servers snapshot || (is_managed id && all (id + 1)) in
+  if all 0 then None else Some is_managed
+
+let solve ?(params = default_params) (snapshot : Snapshot.t) =
   let start = Unix.gettimeofday () in
   let reservations = snapshot.Snapshot.reservations in
+  let include_server = managed_filter snapshot in
   let phase1 =
     Phases.run ~params ~rack_level:false ?include_server snapshot reservations
   in
@@ -163,10 +183,10 @@ let solve ?(params = default_params) ?include_server (snapshot : Snapshot.t) =
       | [] -> None
       | selected ->
         let owners = List.map (fun res -> Broker.owner_code (Reservation.owner res)) selected in
-        let user_filter = Option.value include_server ~default:(fun _ -> true) in
+        (* free and the selected owners are all managed: no other filter *)
         let include_server id =
           let code = Snapshot.current_code snapshot2_all id in
-          (code = free_code || List.mem code owners) && user_filter id
+          code = free_code || List.mem code owners
         in
         Some (Phases.run ~params ~rack_level:true ~include_server snapshot2_all selected)
     end

@@ -58,16 +58,14 @@ val rack_overflows :
     reservations this scores worst.  One pass over the servers covers
     every reservation. *)
 
-val solve :
-  ?params:params ->
-  ?include_server:(int -> bool) ->
-  Snapshot.t ->
-  stats
-(** [include_server id] restricts the assignable server pool by server id
-    (on top of the availability constraint); phase 2 applies it on top of
-    its own pool filter.  Used to roll RAS out to a subset of the fleet
-    while the rest stays under legacy management (Fig. 12's gradual
-    enablement).
+val solve : ?params:params -> Snapshot.t -> stats
+(** Both phases solve the servers RAS manages: those held by [Free], by
+    the shared buffer (loans read as their home, {!Snapshot.current_code})
+    or by a reservation in [snapshot.reservations].  A server any other
+    reservation holds is in no class, gets no target and never moves —
+    how RAS is rolled out over a fleet whose other reservations stay
+    under legacy management (Fig. 12's gradual enablement).  Inside
+    {!System} every server is managed.
 
     Phase 1's root-LP duals ([phase1.lp_duals] on the class-supply rows
     [phase1.formulation.supply_rows]) cover the whole region at the

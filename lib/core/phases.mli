@@ -85,4 +85,8 @@ val run :
     provably within one capacity-slack unit of the optimum, which after
     bring-up is usually at the root node.  At rack granularity (phase 2)
     it is the near-exact default, and [node_limit] is the budget that
-    ends the search. *)
+    ends the search.
+
+    [include_server] is {!Symmetry.build}'s pool filter: {!Async_solver}
+    passes its managed-owner rule to phase 1 and phase 2's pool (the
+    free servers plus the selected reservations') to phase 2. *)

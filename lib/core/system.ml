@@ -31,7 +31,7 @@ type t = {
   mv : Online_mover.t;
   mtr : Metrics.t;
   mutable guaranteed : Reservation.t list;  (* newest first *)
-  buffers : Reservation.t list;
+  mutable buffers : Reservation.t list;
   allocators : (int, Allocator.t) Hashtbl.t;
   requests : (int, Capacity_request.t) Hashtbl.t;
   mutable next_job_id : int;
@@ -127,6 +127,14 @@ let remove_reservation t rid =
       Broker.set_target t.brk id Broker.Free
     end
   done
+
+(* New servers join as [Free]; the shared buffer is re-sized to the grown
+   region, and the next solve fills it. *)
+let extend_region t region =
+  Broker.extend_region t.brk region;
+  t.buffers <-
+    Buffers.shared_buffer_reservations region ~fraction:t.config.shared_buffer_fraction;
+  Online_mover.set_reservations t.mv (reservations t)
 
 let install_failures t events = ignore (Health.install t.eng t.brk events)
 

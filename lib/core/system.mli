@@ -53,6 +53,11 @@ val remove_reservation : t -> int -> unit
 (** Delete a reservation; its servers return to the free pool.  Its
     allocator leaves the table and hears no further broker events. *)
 
+val extend_region : t -> Ras_topology.Region.t -> unit
+(** Adopt a grown region ({!Ras_broker.Broker.extend_region}: the new
+    servers join free) and re-size the shared-buffer reservations to it;
+    the next solve binds the new servers. *)
+
 val install_failures : t -> Ras_failures.Unavail.t list -> unit
 
 val start : t -> unit

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repository check: build, dead-code check, full test suite, a quick
-# solver-kernel bench smoke run and the Fig. 9 quality claims (same entry
-# points CI uses).
+# solver-kernel bench smoke run and the multi-round figures with their
+# checked claims (same entry points CI uses).
 # Usage: scripts/check.sh
 set -eu
 cd "$(dirname "$0")/.."
@@ -34,11 +34,13 @@ dune runtest
 echo "== bench smoke (kernels --quick, incl. large rows) =="
 dune exec bench/main.exe -- --quick kernels
 
-# Fig. 9's two claims as a gate: main.exe exits 1 when fewer than 90% of
-# the phase-1 solves are within 200 preemptions of their bound, or fewer
-# than 99% are proven on the softened constraints
-echo "== Fig. 9 quality claims (fig9 --quick) =="
-dune exec bench/main.exe -- --quick fig9
+# the multi-round figures, each a System loop, with their checked claims
+# as a gate: main.exe exits 1 when fewer than 90% of Fig. 9's phase-1
+# solves are within 200 preemptions of their bound or fewer than 99% are
+# proven on the softened constraints, or when a server of a reservation
+# not yet enabled changes owner during Fig. 12's or Fig. 14's ramp
+echo "== multi-round figures and their claims (fig7 fig9 fig12-fig15 --quick) =="
+dune exec bench/main.exe -- --quick fig7 fig9 fig12 fig13 fig14 fig15
 
 # the region-scale, tier-1 reactive and LU identity batteries again at the
 # full 10^6-server preset (the quick runtest above covers the reduced sweep

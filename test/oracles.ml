@@ -615,7 +615,7 @@ type merge = {
    replayed from a solve's phase results: the phase-1 target table, the
    rack overflows, the phase-2 selection (one full server pass per
    candidate), the phase-2 overwrite and the merge with its two sorts.  A
-   solve made with no [include_server] must agree with it. *)
+   server the solve did not cover counts nowhere, as in the solve. *)
 let merge_reference (stats : Async_solver.stats) =
   let p1 = stats.Async_solver.phase1 in
   let snapshot = p1.Phases.formulation.Formulation.symmetry.Symmetry.snapshot in

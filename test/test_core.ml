@@ -1261,18 +1261,27 @@ let test_shadow_prices_surface_binding_rows () =
       Alcotest.(check bool) "non-trivial price" true (Float.abs price > 1e-6))
     prices
 
-(* [include_server] confines both phases: on the Medium rack-goal round,
-   with every third server id rejected, no rejected server is a member of
-   either phase's symmetry classes, nor is it given a target or moved. *)
-let test_solve_include_server () =
+(* A server held by a reservation the snapshot leaves out is not RAS's to
+   move: on the Medium rack-goal round with three reservations left out,
+   none of their servers is a member of either phase's symmetry classes,
+   nor is it covered, moved or given a target. *)
+let test_solve_leaves_unmanaged_alone () =
   let lazy { snap; _ } = medium_round in
-  let rejected id = id mod 3 = 0 in
-  let stats = Async_solver.solve ~include_server:(fun id -> not (rejected id)) snap in
-  let no_rejected what ids =
-    Alcotest.(check (list int)) (what ^ " hold no rejected id") [] (List.filter rejected ids)
+  let left_out =
+    List.filteri (fun i _ -> i < 3)
+      (List.filter (fun r -> not (Reservation.is_buffer r)) snap.Snapshot.reservations)
+  in
+  let codes = List.map (fun r -> Broker.owner_code (Reservation.owner r)) left_out in
+  let unmanaged id = List.mem (Snapshot.current_code snap id) codes in
+  let held = List.filter unmanaged (List.init (Snapshot.num_servers snap) Fun.id) in
+  Alcotest.(check bool) "the left-out reservations hold servers" true (held <> []);
+  let reservations = List.filter (fun r -> not (List.memq r left_out)) snap.Snapshot.reservations in
+  let stats = Async_solver.solve { snap with Snapshot.reservations } in
+  let none_held what ids =
+    Alcotest.(check (list int)) (what ^ " hold no unmanaged server") [] (List.filter unmanaged ids)
   in
   let check_classes what (p : Phases.result) =
-    no_rejected what
+    none_held what
       (Array.fold_left
          (fun acc (c : Symmetry.cls) -> Array.to_list c.Symmetry.members @ acc)
          [] p.Phases.formulation.Formulation.symmetry.Symmetry.classes)
@@ -1283,8 +1292,9 @@ let test_solve_include_server () =
   | None -> Alcotest.fail "phase 2 should refine the rack goals");
   let plan = stats.Async_solver.plan in
   Alcotest.(check bool) "the plan moves servers" true (plan.Concretize.moves <> []);
-  no_rejected "targets" (List.map fst plan.Concretize.targets);
-  no_rejected "moves" (List.map (fun m -> m.Concretize.server) plan.Concretize.moves)
+  none_held "covered ids" (List.filter plan.Concretize.covers held);
+  none_held "targets" (List.map fst plan.Concretize.targets);
+  none_held "moves" (List.map (fun m -> m.Concretize.server) plan.Concretize.moves)
 
 (* ---------- System ---------- *)
 
@@ -1801,10 +1811,10 @@ let test_merge_apply_words () =
 
 (* A planned move whose server goes down before the apply is skipped and
    leaves a stale target; once the server heals, the next round covers it
-   and the apply resets it.  That round runs under an [include_server]
-   filter, with stale targets on covered and on filtered-out servers and
-   shared-buffer servers on loan.  Moves and the target column after each
-   apply are the oracle's. *)
+   and the apply resets it.  That round leaves one reservation out of its
+   snapshot, so its servers are filtered out; it has stale targets on
+   covered and on filtered-out servers and shared-buffer servers on loan.
+   Moves and the target column after each apply are the oracle's. *)
 let test_apply_matches_reference () =
   let broker, sys, params = rack_goal_system ~servers_per_rack:8 in
   ignore (System.solve_now sys);
@@ -1813,8 +1823,14 @@ let test_apply_matches_reference () =
   for _ = 1 to 10 do
     Broker.mark_down broker (Ras_stats.Rng.int rng (Broker.num_servers broker)) Unavail.Unplanned_hw
   done;
-  let round label ?include_server ~before_apply () =
-    let stats = Async_solver.solve ~params ?include_server (System.snapshot sys) in
+  let round label ?(unmanaged = -1) ~before_apply () =
+    let snap = System.snapshot sys in
+    let reservations =
+      List.filter
+        (fun r -> Broker.owner_code (Reservation.owner r) <> unmanaged)
+        snap.Snapshot.reservations
+    in
+    let stats = Async_solver.solve ~params { snap with Snapshot.reservations } in
     let reference = Oracles.merge_reference stats in
     let plan = stats.Async_solver.plan in
     Alcotest.(check bool) (label ^ ": moves") true (Oracles.plan_matches plan reference.Oracles.plan);
@@ -1841,7 +1857,19 @@ let test_apply_matches_reference () =
   Broker.mark_up broker !skipped;
   ignore (Online_mover.lend_idle mover ~elastic_id:9000 ~max_servers:max_int);
   Alcotest.(check bool) "servers on loan" true (elastic_servers broker <> []);
-  let filtered id = id mod 5 = 0 && id <> !skipped in
+  (* the owner of the first reservation-held server id in 37's steps,
+     other than the healed server's *)
+  let unmanaged =
+    let healed = Broker.current_code broker !skipped in
+    let rec first id =
+      let code = Broker.current_code broker id in
+      match Broker.owner_of_code code with
+      | Broker.Reservation _ when code <> healed -> code
+      | _ -> first (id + 37)
+    in
+    first 0
+  in
+  let filtered id = Broker.current_code broker id = unmanaged in
   let stale_filtered = ref [] in
   for id = 0 to Broker.num_servers broker - 1 do
     if id mod 37 = 0 && Broker.current_code broker id <> Broker.owner_code Broker.Free then begin
@@ -1851,8 +1879,7 @@ let test_apply_matches_reference () =
   done;
   Alcotest.(check bool) "stale targets on filtered-out servers" true (!stale_filtered <> []);
   let plan, apply =
-    round "healed, under a filter"
-      ~include_server:(fun id -> not (filtered id))
+    round "healed, under a filter" ~unmanaged
       ~before_apply:(fun _ -> ())
       ()
   in
@@ -1862,6 +1889,33 @@ let test_apply_matches_reference () =
     (List.filter plan.Concretize.covers (Broker.stale_servers broker));
   Alcotest.(check bool) "filtered-out stale targets kept" true
     (List.for_all (fun id -> List.mem id (Broker.stale_servers broker)) !stale_filtered)
+
+(* Growing the region by one MSB per datacenter re-sizes the shared buffer
+   to the grown region, and the next round covers the new servers and
+   binds some of them. *)
+let test_system_extend_region () =
+  let broker, sys, _ = rack_goal_system ~servers_per_rack:8 in
+  ignore (System.solve_now sys);
+  let old_n = Broker.num_servers broker in
+  let extended =
+    Generator.extend (Broker.region broker) ~new_msbs_per_dc:1 ~racks_per_msb:6
+      ~servers_per_rack:8 ~seed:77
+  in
+  System.extend_region sys extended;
+  let key r = (r.Reservation.id, r.Reservation.name, r.Reservation.capacity_rru) in
+  Alcotest.(check (list (triple int string (float 1e-9))))
+    "buffers sized to the grown region"
+    (List.map key
+       (Buffers.shared_buffer_reservations extended
+          ~fraction:System.default_config.System.shared_buffer_fraction))
+    (List.map key (List.filter Reservation.is_buffer (System.reservations sys)));
+  let added = List.init (Broker.num_servers broker - old_n) (fun i -> old_n + i) in
+  Alcotest.(check int) "three new MSBs" 144 (List.length added);
+  let plan = (System.solve_now sys).Async_solver.plan in
+  Alcotest.(check bool) "the round covers the new servers" true
+    (List.for_all plan.Concretize.covers added);
+  Alcotest.(check bool) "and binds some of them" true
+    (List.exists (fun id -> Broker.current_code broker id <> Broker.owner_code Broker.Free) added)
 
 let test_system_merge_matches_reference () =
   (* the medium preset itself: 864 servers *)
@@ -1970,7 +2024,8 @@ let suite =
     Alcotest.test_case "merge and apply allocate O(moves)" `Quick test_merge_apply_words;
     Alcotest.test_case "root LP pivots pinned" `Quick test_root_lp_pivots_pinned;
     Alcotest.test_case "snapshot unknown id" `Quick test_snapshot_unknown_id;
-    Alcotest.test_case "solve include_server" `Quick test_solve_include_server;
+    Alcotest.test_case "solve leaves unmanaged reservations alone" `Quick
+      test_solve_leaves_unmanaged_alone;
     Alcotest.test_case "system removed allocator is deaf" `Quick
       test_system_removed_allocator_is_deaf;
     Alcotest.test_case "snapshot is a frozen view" `Quick test_snapshot_frozen_view;
@@ -1978,4 +2033,6 @@ let suite =
       test_snapshot_counts_match_fold;
     Alcotest.test_case "medium round's models compile bit-identical to the reference" `Quick
       test_medium_round_compile_pinned;
+    Alcotest.test_case "system extend_region re-sizes the buffer" `Quick
+      test_system_extend_region;
   ]
