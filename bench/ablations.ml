@@ -25,22 +25,22 @@ let run_symmetry () =
       let snapshot = Ras.Snapshot.take broker reservations in
       let t0 = Unix.gettimeofday () in
       let msb_level = Ras.Symmetry.build snapshot in
-      let f = Ras.Formulation.build msb_level reservations in
+      let f = Ras.Formulation.build msb_level in
       let std = Ras_mip.Model.compile f.Ras.Formulation.model in
       let t_grouped = Unix.gettimeofday () -. t0 in
       let t0 = Unix.gettimeofday () in
       let rack_level = Ras.Symmetry.build ~rack_level:true snapshot in
-      let f_rack = Ras.Formulation.build ~rack_level:true rack_level reservations in
+      let f_rack = Ras.Formulation.build ~rack_level:true rack_level in
       let std_rack = Ras_mip.Model.compile f_rack.Ras.Formulation.model in
       let t_rack = Unix.gettimeofday () -. t0 in
       Report.row
         "%-8s per-server vars %6d | MSB-grouped %5d (build %.2fs, %s) | rack-grouped %5d (build %.2fs, %s)\n"
         (Scenarios.label_of preset)
-        (Ras.Symmetry.raw_variable_count msb_level ~reservations)
-        (Ras.Symmetry.grouped_variable_count msb_level ~reservations)
+        (Ras.Symmetry.raw_variable_count msb_level)
+        (Ras.Symmetry.grouped_variable_count msb_level)
         t_grouped
         (Format.asprintf "%a" Ras_mip.Model.pp_stats std)
-        (Ras.Symmetry.grouped_variable_count rack_level ~reservations)
+        (Ras.Symmetry.grouped_variable_count rack_level)
         t_rack
         (Format.asprintf "%a" Ras_mip.Model.pp_stats std_rack))
     [ Scenarios.Small; Scenarios.Medium ]
@@ -62,7 +62,7 @@ let run_phasing () =
   let single =
     Ras.Phases.run
       ~params:{ Ras.Phases.default_params with phase2_time_limit_s = 8.0; node_limit = 60 }
-      ~rack_level:true snapshot reservations
+      ~rack_level:true snapshot
   in
   let t_single = Unix.gettimeofday () -. t0 in
   Report.row "two-phase:    %.2fs total; phase1 %d vars + phase2 %s vars\n" t_two

@@ -66,7 +66,7 @@ let run () =
   (* bounds *)
   let reservations = all_res @ List.filter Ras.Reservation.is_buffer (Ras.System.reservations sys) in
   let hw_bound =
-    Ras.Buffers.hardware_aware_bound (Ras.Snapshot.take broker reservations) reservations
+    Ras.Buffers.hardware_aware_bound (Ras.Snapshot.take broker reservations)
   in
   Report.row "hardware-aware lower bound: %5.1f%%  (paper: 4.06%%)\n" (Report.pct hw_bound);
   Report.row "perfect-spread bound 1/%d:  %5.1f%%  (paper: 2.8%%)\n"

@@ -104,7 +104,7 @@ let scenario_snapshot preset =
 let scenario_formulation preset =
   let snapshot = scenario_snapshot preset in
   let symmetry = Ras.Symmetry.build snapshot in
-  let formulation = Ras.Formulation.build symmetry snapshot.Ras.Snapshot.reservations in
+  let formulation = Ras.Formulation.build symmetry in
   (formulation, Ras_mip.Model.compile formulation.Ras.Formulation.model)
 
 let size_of (std : Model.std) = Printf.sprintf "nvars=%d nrows=%d" std.Model.nvars std.Model.nrows
@@ -290,7 +290,6 @@ let root_lp_kernel ~label ~repeats ((f : Ras.Formulation.t), (std : Model.std)) 
 let model_build_kernel ~label ~repeats (sys, _) =
   let name = Printf.sprintf "model-build-%s" label in
   let snapshot = Ras.System.snapshot sys in
-  let reservations = snapshot.Ras.Snapshot.reservations in
   let params = Scenarios.simulation_solver.Ras.Phases.formulation in
   let timed f =
     let t0 = Unix.gettimeofday () in
@@ -304,7 +303,7 @@ let model_build_kernel ~label ~repeats (sys, _) =
        previous repeat's garbage *)
     Gc.full_major ();
     let sym, ts = timed (fun () -> Ras.Symmetry.build snapshot) in
-    let f, tf = timed (fun () -> Ras.Formulation.build ~params sym reservations) in
+    let f, tf = timed (fun () -> Ras.Formulation.build ~params sym) in
     let std, tc = timed (fun () -> Model.compile f.Ras.Formulation.model) in
     sym_s.(r) <- ts;
     form_s.(r) <- tf;
@@ -610,7 +609,7 @@ let merge_apply_kernel ~label ~repeats (sys, (stats : Ras.Async_solver.stats)) =
       | Some (f2, a2) -> Concretize.merge snapshot ~phase1:moves1 ~phase2:(Concretize.moves_of f2 a2)
       | None -> moves1
     in
-    Concretize.of_moves ~covers:f1.Ras.Formulation.symmetry.Ras.Symmetry.covers moves
+    Concretize.of_moves ~covers:(Ras.Snapshot.covers snapshot) moves
   in
   let last = ref None in
   let times =
@@ -656,20 +655,20 @@ let tests () =
   let std = lp_problem () in
   let snapshot = scenario_snapshot Scenarios.Small in
   let symmetry = Ras.Symmetry.build snapshot in
-  let formulation = Ras.Formulation.build symmetry snapshot.Ras.Snapshot.reservations in
+  let formulation = Ras.Formulation.build symmetry in
   [
     Test.make ~name:"simplex-lp-120var" (Staged.stage (fun () -> Ras_mip.Simplex.solve std));
     Test.make ~name:"symmetry-build" (Staged.stage (fun () -> Ras.Symmetry.build snapshot));
     Test.make ~name:"formulation-build"
       (Staged.stage (fun () ->
-           Ras.Formulation.build symmetry snapshot.Ras.Snapshot.reservations));
+           Ras.Formulation.build symmetry));
     Test.make ~name:"model-compile"
       (Staged.stage (fun () -> Ras_mip.Model.compile formulation.Ras.Formulation.model));
     Test.make ~name:"phase1-heuristic-solve"
       (Staged.stage (fun () ->
            Ras.Phases.run
              ~params:{ Ras.Phases.default_params with node_limit = 0 }
-             snapshot snapshot.Ras.Snapshot.reservations));
+             snapshot));
   ]
 
 let run_micro () =

@@ -16,7 +16,7 @@ let run () =
   in
   let snapshot = Ras.Snapshot.take broker reservations in
   let symmetry = Ras.Symmetry.build snapshot in
-  let f = Ras.Formulation.build symmetry reservations in
+  let f = Ras.Formulation.build symmetry in
   let std = Ras_mip.Model.compile f.Ras.Formulation.model in
   Report.row "S  (servers):                 %d usable\n"
     (Array.fold_left ( + ) 0 (Ras.Snapshot.usable_hw_histogram snapshot));

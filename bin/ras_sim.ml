@@ -2,10 +2,11 @@
 
    Subcommands:
      region   — generate a synthetic region and print its topology/hardware mix
-     solve    — one Async Solver pass over a generated scenario, with reports
+     solve    — one System round (Async Solver pass, plan applied) over a
+                generated scenario, with reports
      simulate — run the full system (health, hourly solves, mover, containers)
                 for N days and dump the metric time series
-     drill    — MSB-failure drill on a solved region *)
+     drill    — MSB-failure drill on a region after one System round *)
 
 open Cmdliner
 module Broker = Ras_broker.Broker
@@ -53,9 +54,13 @@ let make_scenario region ~seed ~utilization =
   Ras_workload.Request_gen.scenario rng ~region ~services:Service.default_catalog
     ~target_utilization:utilization
 
-let reservations_of region requests =
-  List.map Ras.Reservation.of_request requests
-  @ Ras.Buffers.shared_buffer_reservations region ~fraction:0.02
+(* One round of the continuous loop, without containers: the requests
+   registered, solved and the plan applied by [System]. *)
+let solved_system region requests solver =
+  let config = { Ras.System.default_config with Ras.System.solver; job_fill_fraction = 0.0 } in
+  let sys = Ras.System.create ~config (Broker.create region) in
+  List.iter (Ras.System.add_request sys) requests;
+  (sys, Ras.System.solve_now sys)
 
 (* ---------- region ---------- *)
 
@@ -87,30 +92,25 @@ let solve_cmd =
   in
   let run dcs msbs racks servers seed utilization nodes time_limit =
     let region = make_region ~dcs ~msbs ~racks ~servers ~seed in
-    let broker = Broker.create region in
     let requests = make_scenario region ~seed:(seed + 10) ~utilization in
     Printf.printf "scenario: %d capacity requests\n" (List.length requests);
-    let reservations = reservations_of region requests in
-    let params =
-      {
-        Ras.Async_solver.default_params with
-        Ras.Async_solver.node_limit = nodes;
-        phase1_time_limit_s = time_limit;
-        phase2_time_limit_s = time_limit /. 2.0;
-      }
+    let sys, stats =
+      solved_system region requests
+        {
+          Ras.Async_solver.default_params with
+          Ras.Async_solver.node_limit = nodes;
+          phase1_time_limit_s = time_limit;
+          phase2_time_limit_s = time_limit /. 2.0;
+        }
     in
-    let snapshot = Ras.Snapshot.take broker reservations in
-    let stats = Ras.Async_solver.solve ~params snapshot in
     print_string (Ras.Explain.solve_report stats);
     (match Ras.Explain.shadow_prices ~top:5 stats.Ras.Async_solver.phase1 with
     | [] -> ()
     | prices ->
       print_endline "most binding constraints (root-LP shadow prices):";
       List.iter (fun (name, p) -> Printf.printf "  %-24s %.1f per unit\n" name p) prices);
-    let mover = Ras.Online_mover.create broker in
-    Ras.Online_mover.set_reservations mover reservations;
-    ignore (Ras.Online_mover.apply_plan mover stats.Ras.Async_solver.plan);
-    let snapshot = Ras.Snapshot.take broker reservations in
+    let snapshot = Ras.System.snapshot sys in
+    let reservations = snapshot.Ras.Snapshot.reservations in
     List.iter
       (fun res ->
         if not (Ras.Reservation.is_buffer res) then
@@ -178,20 +178,16 @@ let drill_cmd =
   let msb = Arg.(value & opt int 0 & info [ "kill-msb" ] ~docv:"MSB" ~doc:"MSB index to fail.") in
   let run dcs msbs racks servers seed utilization msb =
     let region = make_region ~dcs ~msbs ~racks ~servers ~seed in
-    let broker = Broker.create region in
     let requests = make_scenario region ~seed:(seed + 10) ~utilization in
-    let reservations = reservations_of region requests in
-    let mover = Ras.Online_mover.create broker in
-    Ras.Online_mover.set_reservations mover reservations;
-    let stats = Ras.Async_solver.solve (Ras.Snapshot.take broker reservations) in
-    ignore (Ras.Online_mover.apply_plan mover stats.Ras.Async_solver.plan);
+    let sys, stats = solved_system region requests Ras.Async_solver.default_params in
     let short = List.map fst stats.Ras.Async_solver.shortfalls in
     Printf.printf "killing MSB %d (%d servers)\n" msb
       (List.length (Region.servers_of_msb region msb));
     List.iter
-      (fun (s : Region.server) -> Broker.mark_down broker s.Region.id Unavail.Correlated)
+      (fun (s : Region.server) ->
+        Broker.mark_down (Ras.System.broker sys) s.Region.id Unavail.Correlated)
       (Region.servers_of_msb region msb);
-    let snapshot = Ras.Snapshot.take broker reservations in
+    let snapshot = Ras.System.snapshot sys in
     List.iter
       (fun res ->
         if (not (Ras.Reservation.is_buffer res)) && not (List.mem res.Ras.Reservation.id short)
@@ -203,7 +199,7 @@ let drill_cmd =
              else if res.Ras.Reservation.embedded_buffer then "** GUARANTEE BROKEN **"
              else "(no embedded buffer requested)")
         end)
-      reservations
+      snapshot.Ras.Snapshot.reservations
   in
   Cmd.v
     (Cmd.info "drill" ~doc:"Fail a whole MSB and audit every reservation's guarantee.")

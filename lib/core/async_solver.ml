@@ -41,8 +41,9 @@ type stats = {
    ("reservations with the worst rack-level objectives are prioritized",
    §3.5.2).  One pass over the servers, with a cursor in the id-sorted
    moves, sums RRU per (rack-goal reservation, rack). *)
-let rack_overflows (snapshot : Snapshot.t) ~covers (moves : Concretize.move list) reservations =
+let rack_overflows (snapshot : Snapshot.t) (moves : Concretize.move list) =
   let region = snapshot.Snapshot.region in
+  let reservations = snapshot.Snapshot.reservations in
   let res = Array.of_list reservations in
   let has_goal r = r.Reservation.rack_spread_limit <> None in
   let code_of r = Broker.owner_code (Reservation.owner r) in
@@ -75,8 +76,9 @@ let rack_overflows (snapshot : Snapshot.t) ~covers (moves : Concretize.move list
         Broker.owner_code m.Concretize.to_
       | _ -> Snapshot.current_code snapshot id
     in
-    (* a server the solve did not cover has no target and counts nowhere *)
-    if code <= max_code && goals_of.(code) != [] && covers id then begin
+    (* a reservation of the snapshot holds its usable servers in scope:
+       the down ones have no target and count nowhere *)
+    if code <= max_code && goals_of.(code) != [] && Snapshot.usable_at snapshot id then begin
       let s = region.Region.servers.(id) in
       add s.Region.hw.Hw.index s.Region.loc.Region.rack goals_of.(code)
     end
@@ -106,90 +108,51 @@ let with_moves (snapshot : Snapshot.t) (moves : Concretize.move list) =
     moves;
   { snapshot with Snapshot.current; in_use }
 
-(* The servers RAS manages: those held by [Free], by the shared buffer
-   (loans read as their home) or by a reservation of the snapshot; a
-   server another owner holds stays out of the solve.  [None] when every
-   server is managed, as inside [System]. *)
-let managed_filter (snapshot : Snapshot.t) =
-  let codes =
-    Broker.owner_code Broker.Free :: Broker.owner_code Broker.Shared_buffer
-    :: List.map (fun r -> Broker.owner_code (Reservation.owner r)) snapshot.Snapshot.reservations
-  in
-  (* a bitset, 32 codes a word, keeps the per-round table small *)
-  let managed = Array.make ((List.fold_left Int.max 0 codes lsr 5) + 1) 0 in
-  List.iter (fun c -> managed.(c lsr 5) <- managed.(c lsr 5) lor (1 lsl (c land 31))) codes;
-  let is_managed id =
-    let c = Snapshot.current_code snapshot id in
-    c lsr 5 < Array.length managed && managed.(c lsr 5) land (1 lsl (c land 31)) <> 0
-  in
-  let rec all id = id = Snapshot.num_servers snapshot || (is_managed id && all (id + 1)) in
-  if all 0 then None else Some is_managed
-
 let solve ?(params = default_params) (snapshot : Snapshot.t) =
   let start = Unix.gettimeofday () in
   let reservations = snapshot.Snapshot.reservations in
-  let include_server = managed_filter snapshot in
-  let phase1 =
-    Phases.run ~params ~rack_level:false ?include_server snapshot reservations
-  in
-  let assignment1 = Formulation.decode phase1.Phases.formulation phase1.Phases.solution in
-  let moves1 = Concretize.moves_of phase1.Phases.formulation assignment1 in
-  (* phase 2 covers a subset of the servers phase 1 covers *)
-  let covers = phase1.Phases.formulation.Formulation.symmetry.Symmetry.covers in
+  let phase1 = Phases.run ~params ~rack_level:false snapshot in
+  let f1 = phase1.Phases.formulation in
+  let assignment1 = Formulation.decode f1 phase1.Phases.solution in
+  let moves1 = Concretize.moves_of f1 assignment1 in
   (* ---- phase 2: rack refinement for the worst reservations ---- *)
-  let phase2 =
-    let scored =
-      List.combine (rack_overflows snapshot ~covers moves1 reservations) reservations
-      |> List.filter (fun (overflow, _) -> overflow > 1e-6)
-    in
-    if scored = [] then None
+  (* a reservation's phase-2 pool is what it holds after phase 1 plus the
+     free servers; rack-level classes are at worst one per server, so the
+     pool bounds its grouped-variable estimate *)
+  let held = Concretize.held f1 assignment1 in
+  let pool res = held (Reservation.owner res) + held Broker.Free in
+  let fits res = res.Reservation.rack_spread_limit <> None && pool res <= phase2_var_cap in
+  let selected =
+    (* the cap is cumulative, so it only admits a reservation that fits
+       on its own: without one, nothing is scored *)
+    if not (List.exists fits reservations) then []
     else begin
-      let scored = List.sort (fun (a, _) (b, _) -> compare b a) scored in
+      let scored =
+        List.combine (rack_overflows snapshot moves1) reservations
+        |> List.filter (fun (overflow, _) -> overflow > 1e-6)
+        |> List.sort (fun (a, _) (b, _) -> compare b a)
+      in
       let quota =
         Int.max 1 (int_of_float (phase2_fraction *. float_of_int (List.length reservations)))
       in
-      let candidates = List.filteri (fun i _ -> i < quota) (List.map snd scored) in
-      let snapshot2_all = with_moves snapshot moves1 in
-      (* a candidate's phase-2 pool is its usable servers plus the usable
-         free ones: one owner-code histogram sizes them all *)
-      let free_code = Broker.owner_code Broker.Free in
-      let max_code =
-        List.fold_left
-          (fun m res -> Int.max m (Broker.owner_code (Reservation.owner res)))
-          free_code candidates
-      in
-      let usable_by_code = Array.make (max_code + 1) 0 in
-      for id = 0 to Snapshot.num_servers snapshot2_all - 1 do
-        let c = Snapshot.current_code snapshot2_all id in
-        if c <= max_code && Snapshot.usable_at snapshot2_all id then
-          usable_by_code.(c) <- usable_by_code.(c) + 1
-      done;
-      (* accumulate reservations while the grouped-variable estimate stays
-         under the cap (one variable per rack-level class x reservation) *)
-      let selected = ref [] and var_estimate = ref 0 in
-      List.iter
-        (fun res ->
-          let server_count =
-            usable_by_code.(Broker.owner_code (Reservation.owner res))
-            + usable_by_code.(free_code)
-          in
-          (* rack-level classes are at worst one per server *)
-          if !var_estimate + server_count <= phase2_var_cap then begin
-            selected := res :: !selected;
-            var_estimate := !var_estimate + server_count
-          end)
-        candidates;
-      match !selected with
-      | [] -> None
-      | selected ->
-        let owners = List.map (fun res -> Broker.owner_code (Reservation.owner res)) selected in
-        (* free and the selected owners are all managed: no other filter *)
-        let include_server id =
-          let code = Snapshot.current_code snapshot2_all id in
-          code = free_code || List.mem code owners
-        in
-        Some (Phases.run ~params ~rack_level:true ~include_server snapshot2_all selected)
+      (* accumulate reservations while the estimate stays under the cap *)
+      List.filteri (fun i _ -> i < quota) scored
+      |> List.fold_left
+           (fun (selected, estimate) (_, res) ->
+             let n = pool res in
+             if estimate + n <= phase2_var_cap then (res :: selected, estimate + n)
+             else (selected, estimate))
+           ([], 0)
+      |> fst
     end
+  in
+  let phase2 =
+    match selected with
+    | [] -> None
+    | selected ->
+      Some
+        (Phases.run ~params ~rack_level:true
+           { (with_moves snapshot moves1) with Snapshot.reservations = selected })
   in
   (* ---- merge: phase 2's moves override phase 1's ---- *)
   let moves =
@@ -200,7 +163,8 @@ let solve ?(params = default_params) (snapshot : Snapshot.t) =
       Concretize.merge snapshot ~phase1:moves1
         ~phase2:(Concretize.moves_of f2 (Formulation.decode f2 p2.Phases.solution))
   in
-  let plan = Concretize.of_moves ~covers moves in
+  (* phase 2 covers a subset of the servers phase 1 covers *)
+  let plan = Concretize.of_moves ~covers:(Snapshot.covers snapshot) moves in
   let shortfalls =
     let base = Formulation.capacity_shortfalls phase1.Phases.formulation phase1.Phases.solution in
     match phase2 with

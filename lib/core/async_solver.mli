@@ -7,7 +7,9 @@
     with rack goals for the worst ~10% of reservations by rack objective —
     capped so the grouped assignment-variable estimate stays under 6,000 —
     starting from the phase-1 result, with every other reservation's
-    servers frozen. *)
+    servers frozen.  A reservation's estimate is what it holds after phase
+    1 plus the free servers ({!Concretize.held}), so with more than 6,000
+    free servers phase 2 never runs and nothing is scored. *)
 
 type params = Phases.params = {
   formulation : Formulation.params;
@@ -49,23 +51,24 @@ type stats = {
   solver_dual_pivots : int;  (** dual-simplex pivots across both phases *)
 }
 
-val rack_overflows :
-  Snapshot.t -> covers:(int -> bool) -> Concretize.move list -> Reservation.t list -> float list
-(** [rack_overflows snapshot ~covers moves reservations]: per reservation,
-    in list order, the RRU its rack-goal racks hold above [alpha_K * C_r]
-    once the id-sorted [moves] are made, counting the servers [covers]
-    admits; 0 for a reservation without a rack goal.  Phase 2 refines the
+val rack_overflows : Snapshot.t -> Concretize.move list -> float list
+(** [rack_overflows snapshot moves]: per reservation of the snapshot, in
+    list order, the RRU its rack-goal racks hold above [alpha_K * C_r]
+    once the id-sorted [moves] are made, counting its usable servers; 0
+    for a reservation without a rack goal.  Phase 2 refines the
     reservations this scores worst.  One pass over the servers covers
     every reservation. *)
 
 val solve : ?params:params -> Snapshot.t -> stats
-(** Both phases solve the servers RAS manages: those held by [Free], by
-    the shared buffer (loans read as their home, {!Snapshot.current_code})
-    or by a reservation in [snapshot.reservations].  A server any other
+(** Phase 1 solves the snapshot's scope ({!Snapshot.covers}): its
+    reservations, over the usable servers they and [Free] hold (loans read
+    as their home, {!Snapshot.current_code}).  A server any other
     reservation holds is in no class, gets no target and never moves —
     how RAS is rolled out over a fleet whose other reservations stay
     under legacy management (Fig. 12's gradual enablement).  Inside
-    {!System} every server is managed.
+    {!System} every reservation is in the snapshot.  Phase 2 solves a
+    snapshot with phase 1's moves made that holds the reservations it
+    refines, so its scope is their servers and the free ones.
 
     Phase 1's root-LP duals ([phase1.lp_duals] on the class-supply rows
     [phase1.formulation.supply_rows]) cover the whole region at the

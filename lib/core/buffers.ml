@@ -46,7 +46,7 @@ let embedded_buffer_fraction (snapshot : Snapshot.t) =
 let perfect_spread_bound (region : Region.t) =
   if region.Region.num_msbs = 0 then nan else 1.0 /. float_of_int region.Region.num_msbs
 
-let hardware_aware_bound (snapshot : Snapshot.t) reservations =
+let hardware_aware_bound (snapshot : Snapshot.t) =
   (* buffer-only objective: no stability or spread costs, capacity enforced
      through heavy softening; the continuous relaxation gives the floor *)
   let params =
@@ -62,7 +62,7 @@ let hardware_aware_bound (snapshot : Snapshot.t) reservations =
     }
   in
   let symmetry = Symmetry.build snapshot in
-  let f = Formulation.build ~params symmetry reservations in
+  let f = Formulation.build ~params symmetry in
   let std = Model.compile f.Formulation.model in
   match Simplex.solve std with
   | Simplex.Optimal { x; _ } ->

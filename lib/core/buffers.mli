@@ -27,9 +27,9 @@ val embedded_buffer_fraction : Snapshot.t -> float
 val perfect_spread_bound : Ras_topology.Region.t -> float
 (** [1 / num_msbs]: the bound if hardware were perfectly spread. *)
 
-val hardware_aware_bound :
-  Snapshot.t -> Reservation.t list -> float
-(** LP lower bound on the achievable embedded-buffer fraction given actual
-    hardware placement: the continuous relaxation of the assignment problem
-    with only the buffer objective (no stability costs).  This is the
-    paper's "minimal required buffer capacity" (4.06%). *)
+val hardware_aware_bound : Snapshot.t -> float
+(** LP lower bound on the achievable embedded-buffer fraction of the
+    snapshot's reservations given actual hardware placement: the continuous
+    relaxation of the assignment problem with only the buffer objective (no
+    stability costs).  This is the paper's "minimal required buffer
+    capacity" (4.06%). *)

@@ -127,6 +127,25 @@ let moves_of (f : Formulation.t) (assignment : Formulation.assignment) =
     sym.Symmetry.classes;
   merge_all !runs
 
+(* Every quota is met in full (the counts fit class supply) and a covered
+   server that meets none returns to the free pool, so the owners' shares
+   follow from the counts without a walk. *)
+let held (f : Formulation.t) (assignment : Formulation.assignment) =
+  let code_of (_, res, _) = Broker.owner_code (Reservation.owner res) in
+  let counts = assignment.Formulation.counts in
+  let share = Array.make (List.fold_left (fun m q -> Int.max m (code_of q)) free_code counts + 1) 0 in
+  Array.iter
+    (fun c -> share.(free_code) <- share.(free_code) + Symmetry.size c)
+    f.Formulation.symmetry.Symmetry.classes;
+  List.iter
+    (fun ((_, _, n) as q) ->
+      share.(code_of q) <- share.(code_of q) + n;
+      share.(free_code) <- share.(free_code) - n)
+    counts;
+  fun owner ->
+    let c = Broker.owner_code owner in
+    if c < Array.length share then share.(c) else 0
+
 let merge (snapshot : Snapshot.t) ~phase1 ~phase2 =
   (* a phase-2 move restated against [snapshot], dropped when it returns
      the server to its snapshot owner *)
@@ -151,8 +170,8 @@ let merge (snapshot : Snapshot.t) ~phase1 ~phase2 =
 let of_moves ~covers moves =
   { moves; targets = List.map (fun m -> (m.server, m.to_)) moves; covers }
 
-let plan (f : Formulation.t) (assignment : Formulation.assignment) =
-  of_moves ~covers:f.Formulation.symmetry.Symmetry.covers (moves_of f assignment)
+let plan (f : Formulation.t) assignment =
+  of_moves ~covers:(Snapshot.covers f.Formulation.symmetry.Symmetry.snapshot) (moves_of f assignment)
 
 let moves_in_use plan =
   List.fold_left (fun acc m -> if m.was_in_use then acc + 1 else acc) 0 plan.moves

@@ -33,6 +33,12 @@ val moves_of : Formulation.t -> Formulation.assignment -> move list
 (** The moves that realize an assignment, relative to the formulation's
     snapshot, ascending id. *)
 
+val held : Formulation.t -> Formulation.assignment -> Ras_broker.Broker.owner -> int
+(** [held f assignment owner]: how many of the servers [f] covers [owner]
+    holds once {!moves_of}'s moves are made: a reservation its counts,
+    [Free] the rest.  [held f assignment] costs O(classes + pairs), each
+    query O(1). *)
+
 val merge : Snapshot.t -> phase1:move list -> phase2:move list -> move list
 (** [merge snapshot ~phase1 ~phase2]: a later phase's moves, made from a
     snapshot with [phase1]'s moves applied, override [phase1]'s on the

@@ -53,7 +53,8 @@ type t = {
   rack_level : bool;
 }
 
-let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.t) reservations =
+let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.t) =
+  let reservations = symmetry.Symmetry.snapshot.Snapshot.reservations in
   let model = Model.create () in
   let pairs = ref [] and npairs = ref 0 in
   (* pair indices per reservation position and per class, each list in

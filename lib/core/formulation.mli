@@ -70,14 +70,11 @@ type t = {
   rack_level : bool;
 }
 
-val build :
-  ?params:params ->
-  ?rack_level:bool ->
-  Symmetry.t ->
-  Reservation.t list ->
-  t
-(** Rack goals (alpha_K spread) are only emitted when [rack_level] is set
-    and the symmetry build is rack-keyed. *)
+val build : ?params:params -> ?rack_level:bool -> Symmetry.t -> t
+(** The model of the symmetry build's snapshot: its reservations, in
+    [snapshot.reservations] order, over its classes.  Rack goals (alpha_K
+    spread) are only emitted when [rack_level] is set and the symmetry
+    build is rack-keyed. *)
 
 val num_assignment_vars : t -> int
 

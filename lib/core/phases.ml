@@ -45,11 +45,11 @@ let default_params =
 
 let now () = Unix.gettimeofday ()
 
-let run ?(params = default_params) ?(rack_level = false) ?include_server snapshot reservations =
+let run ?(params = default_params) ?(rack_level = false) snapshot =
   let words_before = Gc.allocated_bytes () in
   let t0 = now () in
-  let symmetry = Symmetry.build ~rack_level ?include_server snapshot in
-  let formulation = Formulation.build ~params:params.formulation ~rack_level symmetry reservations in
+  let symmetry = Symmetry.build ~rack_level snapshot in
+  let formulation = Formulation.build ~params:params.formulation ~rack_level symmetry in
   let t1 = now () in
   let std = Model.compile formulation.Formulation.model in
   let t2 = now () in
@@ -113,8 +113,8 @@ let run ?(params = default_params) ?(rack_level = false) ?include_server snapsho
     formulation;
     outcome;
     solution;
-    grouped_vars = Symmetry.grouped_variable_count symmetry ~reservations;
-    raw_vars = Symmetry.raw_variable_count symmetry ~reservations;
+    grouped_vars = Symmetry.grouped_variable_count symmetry;
+    raw_vars = Symmetry.raw_variable_count symmetry;
     setup_bytes = int_of_float (words_after -. words_before);
     lp_duals = (match lp with Simplex.Optimal { duals; _ } -> duals | _ -> [||]);
     root_lp_pivots = (match lp with Simplex.Optimal { iterations; _ } -> iterations | _ -> 0);

@@ -65,14 +65,10 @@ val default_params : params
     nodes, {!Ras_mip.Branch_bound.default_options}'s near-exact relative
     gap, no stall limit, {!Formulation.default_params}. *)
 
-val run :
-  ?params:params ->
-  ?rack_level:bool ->
-  ?include_server:(int -> bool) ->
-  Snapshot.t ->
-  Reservation.t list ->
-  result
-(** One phase: [rack_level] picks the phase's time limit from [params];
+val run : ?params:params -> ?rack_level:bool -> Snapshot.t -> result
+(** One phase over the snapshot's scope: its reservations, over the
+    servers {!Snapshot.covers} admits (those [Free] and the reservations
+    hold).  [rack_level] picks the phase's time limit from [params];
     node, gap and stall limits are the phase-independent fields.  The tree
     search is {!Ras_mip.Branch_bound.solve}, seeded with the heuristic
     incumbent.  With [node_limit = 0] it processes no node: the outcome
@@ -85,8 +81,4 @@ val run :
     provably within one capacity-slack unit of the optimum, which after
     bring-up is usually at the root node.  At rack granularity (phase 2)
     it is the near-exact default, and [node_limit] is the budget that
-    ends the search.
-
-    [include_server] is {!Symmetry.build}'s pool filter: {!Async_solver}
-    passes its managed-owner rule to phase 1 and phase 2's pool (the
-    free servers plus the selected reservations') to phase 2. *)
+    ends the search. *)

@@ -54,6 +54,21 @@ let[@inline] attr_at t id =
 
 let usable_hw_histogram t = t.usable_by_hw
 
+(* The home owners in scope as a bitset of owner codes, 32 a word, built
+   once per application: symmetry queries it once per server. *)
+let covers t =
+  let codes =
+    Broker.owner_code Broker.Free
+    :: List.map (fun r -> Broker.owner_code (Reservation.owner r)) t.reservations
+  in
+  let held = Array.make ((List.fold_left Int.max 0 codes lsr 5) + 1) 0 in
+  List.iter (fun c -> held.(c lsr 5) <- held.(c lsr 5) lor (1 lsl (c land 31))) codes;
+  fun id ->
+    usable_at t id
+    &&
+    let c = current_code t id in
+    c lsr 5 < Array.length held && held.(c lsr 5) land (1 lsl (c land 31)) <> 0
+
 (* Buffer reservations are per hardware category, so category membership
    (rru_of > 0) identifies which buffer reservation holds a [Shared_buffer]
    server.  Code-based so the rru folds below never decode owners. *)

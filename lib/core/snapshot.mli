@@ -39,6 +39,13 @@ val take : ?attr_of:(int -> int) -> Ras_broker.Broker.t -> Reservation.t list ->
     work: it freezes the broker's columns and copies its per-subtype
     counts. *)
 
+val covers : t -> int -> bool
+(** A solve's scope: [covers t id] when server [id] is usable and its home
+    owner ({!current_code}) is [Free] or a reservation of [t.reservations]
+    (a buffer reservation holds [Shared_buffer]).  [covers t] reads
+    [t.reservations] when applied, O(reservations), so a
+    [{ t with reservations }] copy has its own scope; each query is O(1). *)
+
 val num_servers : t -> int
 
 val server : t -> int -> Ras_topology.Region.server

@@ -19,7 +19,6 @@ type t = {
   region : Region.t;
   snapshot : Snapshot.t;
   owner_counts : owner_counts;
-  covers : int -> bool;
 }
 
 (* Int pairs numbered densely in order of first sight, each with a count:
@@ -124,16 +123,16 @@ let sorted_pairs t =
   order
 
 (* Streaming build: one pass over server ids reading the snapshot columns
-   numbers each covered server's group (the filter runs exactly once per
-   usable server).  A second pass over that per-server group column fills
-   the member arrays, ids ascending for free, and counts each member's
-   (class, owner code) pair. *)
-let build ?(rack_level = false) ?(include_server = fun _ -> true) (snapshot : Snapshot.t) =
+   numbers each covered server's group (the scope is asked once per
+   server).  A second pass over that per-server group column fills the
+   member arrays, ids ascending for free, and counts each member's (class,
+   owner code) pair. *)
+let build ?(rack_level = false) (snapshot : Snapshot.t) =
   let n = Snapshot.num_servers snapshot in
   let region = snapshot.Snapshot.region in
   let servers = region.Region.servers in
   let num_racks = region.Region.num_racks in
-  let covers id = Snapshot.usable_at snapshot id && include_server id in
+  let covers = Snapshot.covers snapshot in
   let groups = counted 64 in
   (* group number per server, -1 = excluded *)
   let group = Array.make n (-1) in
@@ -200,7 +199,7 @@ let build ?(rack_level = false) ?(include_server = fun _ -> true) (snapshot : Sn
       counts = Array.map (fun r -> owners.count.(r)) runs;
     }
   in
-  { classes; region; snapshot; owner_counts; covers }
+  { classes; region; snapshot; owner_counts }
 
 (* Stable identity of a class: every field of the grouping key, none of the
    dense index.  Used to name model variables and rows, so that the same
@@ -229,15 +228,13 @@ let current_count t c owner =
 
 let num_classes t = Array.length t.classes
 
-let acceptable_count reservations hw =
+let acceptable_count t hw =
   List.fold_left
     (fun acc r -> if Reservation.accepts r Hw.catalog.(hw) then acc + 1 else acc)
-    0 reservations
+    0 t.snapshot.Snapshot.reservations
 
-let raw_variable_count t ~reservations =
-  Array.fold_left
-    (fun acc c -> acc + (size c * acceptable_count reservations c.hw))
-    0 t.classes
+let raw_variable_count t =
+  Array.fold_left (fun acc c -> acc + (size c * acceptable_count t c.hw)) 0 t.classes
 
-let grouped_variable_count t ~reservations =
-  Array.fold_left (fun acc c -> acc + acceptable_count reservations c.hw) 0 t.classes
+let grouped_variable_count t =
+  Array.fold_left (fun acc c -> acc + acceptable_count t c.hw) 0 t.classes

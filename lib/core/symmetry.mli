@@ -39,19 +39,12 @@ type t = {
   snapshot : Snapshot.t;
   owner_counts : owner_counts;
       (** makes {!current_count} a binary search of one class's owners *)
-  covers : int -> bool;
-      (** whether a server id is a member of some class: usable in the
-          snapshot and passing the build's [include_server].  O(1) *)
 }
 
-val build :
-  ?rack_level:bool ->
-  ?include_server:(int -> bool) ->
-  Snapshot.t ->
-  t
-(** Classes over the snapshot's usable servers, optionally filtered further
-    by [include_server] over server ids.  Defaults: MSB-level, all usable
-    servers.  Streams over the snapshot columns: per-server work is O(1)
+val build : ?rack_level:bool -> Snapshot.t -> t
+(** Classes over the servers {!Snapshot.covers} admits: the usable ones
+    whose home owner is [Free] or a reservation of the snapshot.  Default
+    MSB-level.  Streams over the snapshot columns: per-server work is O(1)
     and allocates nothing per server.  Each covered server finds its group
     through an int-keyed open-addressing table (O(classes) slots); the
     allocation is the one-word-per-server group column and the member
@@ -71,9 +64,10 @@ val current_count : t -> cls -> Ras_broker.Broker.owner -> int
 
 val num_classes : t -> int
 
-val raw_variable_count : t -> reservations:Reservation.t list -> int
-(** Assignment variables a per-server formulation would need (|usable
-    servers| x |acceptable reservations|) — the paper's Fig. 10/11 x-axis. *)
+val raw_variable_count : t -> int
+(** Assignment variables a per-server formulation of the snapshot's
+    reservations would need (|covered servers| x |acceptable
+    reservations|) — the paper's Fig. 10/11 x-axis. *)
 
-val grouped_variable_count : t -> reservations:Reservation.t list -> int
+val grouped_variable_count : t -> int
 (** Assignment variables after symmetry grouping. *)

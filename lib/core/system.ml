@@ -174,7 +174,7 @@ let solve_now t =
   let p1 = stats.Async_solver.phase1 in
   Reactive.set_prices (reactive t) ~supply_rows:p1.Phases.formulation.Formulation.supply_rows
     ~duals:p1.Phases.lp_duals;
-  (* revoke elastic loans touched by the plan before applying it *)
+  (* a lent server the plan moves is moved like any other: the loan ends *)
   let apply = Online_mover.apply_plan t.mv stats.Async_solver.plan in
   t.moves_in_use_acc <- t.moves_in_use_acc + apply.Online_mover.moved_in_use;
   t.moves_unused_acc <- t.moves_unused_acc + apply.Online_mover.moved_unused;

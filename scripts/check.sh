@@ -23,8 +23,9 @@ sh scripts/check_dead_modules.sh
 # factored and along Forrest-Tomlin update chains;
 # runtest also runs `ras_bench.exe --smoke` (benchmark/dune), whose
 # check_round verifies, through System, that every available server sits
-# on its target owner and that capacity plus shortfall covers each request
-echo "== dune runtest (test suite + ras_bench --smoke) =="
+# on its target owner and that capacity plus shortfall covers each request,
+# the five examples, and each `ras_sim` subcommand once (bin/dune)
+echo "== dune runtest (test suite + ras_bench --smoke + examples + ras_sim) =="
 dune runtest
 
 # includes the 10^6-server `large` rows (lp-large-*, the
@@ -34,13 +35,17 @@ dune runtest
 echo "== bench smoke (kernels --quick, incl. large rows) =="
 dune exec bench/main.exe -- --quick kernels
 
-# the multi-round figures, each a System loop, with their checked claims
-# as a gate: main.exe exits 1 when fewer than 90% of Fig. 9's phase-1
-# solves are within 200 preemptions of their bound or fewer than 99% are
-# proven on the softened constraints, or when a server of a reservation
-# not yet enabled changes owner during Fig. 12's or Fig. 14's ramp
-echo "== multi-round figures and their claims (fig7 fig9 fig12-fig15 --quick) =="
-dune exec bench/main.exe -- --quick fig7 fig9 fig12 fig13 fig14 fig15
+# every other experiment in quick mode: the multi-round figures, each a
+# System loop, with their checked claims as a gate (main.exe exits 1 when
+# fewer than 90% of Fig. 9's phase-1 solves are within 200 preemptions of
+# their bound or fewer than 99% are proven on the softened constraints,
+# or when a server of a reservation not yet enabled changes owner during
+# Fig. 12's or Fig. 14's ramp), and table1, figs. 2-5, 8, 10, 11, 16 and
+# the ablations, which call Symmetry.build, Formulation.build and
+# Phases.run directly
+echo "== every experiment and its claims (--quick) =="
+dune exec bench/main.exe -- --quick table1 fig2 fig3 fig4 fig5 fig7 fig8 fig9 fig10 fig11 \
+  fig12 fig13 fig14 fig15 fig16 ablations
 
 # the region-scale, tier-1 reactive and LU identity batteries again at the
 # full 10^6-server preset (the quick runtest above covers the reduced sweep

@@ -386,15 +386,31 @@ let lu_pivot_order_reference m ~basis ~col =
 
 (* ---------- symmetry classes: the pre-streaming build ---------- *)
 
+(* A solve's scope, stated per server on the decoded owner: the server is
+   usable and its owner is [Free], a guaranteed reservation of the
+   snapshot, or the shared buffer (a loan is lent from it) while the
+   snapshot holds a buffer reservation. *)
+let in_scope_reference (snapshot : Snapshot.t) id =
+  let reservations = snapshot.Snapshot.reservations in
+  Snapshot.usable_at snapshot id
+  &&
+  match Broker.owner_of_code snapshot.Snapshot.current.(id) with
+  | Broker.Free -> true
+  | Broker.Shared_buffer | Broker.Elastic _ -> List.exists Reservation.is_buffer reservations
+  | Broker.Reservation r ->
+    List.exists
+      (fun res -> res.Reservation.id = r && not (Reservation.is_buffer res))
+      reservations
+
 (* The pre-streaming [Symmetry.build]: groups member-id lists in a table
    keyed by (msb, rack, hw, in_use, attr), exactly as builds did before the
-   columnar refactor.  The streaming build must agree with it
-   class-for-class, member-for-member on any snapshot. *)
-let build_reference ?(rack_level = false) ?(include_server = fun _ -> true)
-    (snapshot : Snapshot.t) =
+   columnar refactor, over the servers [in_scope_reference] admits.  The
+   streaming build must agree with it class-for-class, member-for-member
+   on any snapshot. *)
+let build_reference ?(rack_level = false) (snapshot : Snapshot.t) =
   let groups = Hashtbl.create 256 in
   for id = 0 to Snapshot.num_servers snapshot - 1 do
-    if Snapshot.usable_at snapshot id && include_server id then begin
+    if in_scope_reference snapshot id then begin
       let s = Snapshot.server snapshot id in
       let loc = s.Region.loc in
       let key =
@@ -446,17 +462,7 @@ let build_reference ?(rack_level = false) ?(include_server = fun _ -> true)
   let owner_counts =
     { Symmetry.first; codes = Array.map fst flat; counts = Array.map snd flat }
   in
-  let members = Hashtbl.create 1024 in
-  Array.iter
-    (fun (c : Symmetry.cls) -> Array.iter (fun id -> Hashtbl.replace members id ()) c.Symmetry.members)
-    classes;
-  {
-    Symmetry.classes;
-    region = snapshot.Snapshot.region;
-    snapshot;
-    owner_counts;
-    covers = Hashtbl.mem members;
-  }
+  { Symmetry.classes; region = snapshot.Snapshot.region; snapshot; owner_counts }
 
 (* ---------- disaggregation: the table-and-list implementation ---------- *)
 
@@ -604,6 +610,39 @@ let with_targets_reference (snapshot : Snapshot.t) targets =
     targets;
   { snapshot with Snapshot.current; in_use }
 
+(* Phase 2's pools as [Async_solver] counted them before it read them
+   from phase 1's assignment: one pass over every server of the snapshot
+   with phase 1's moves made, counting the usable ones per owner code
+   (loans at their home), indexed by every code the column holds. *)
+let usable_by_code_reference (snapshot : Snapshot.t) =
+  let counts = Array.make (Array.fold_left Int.max 0 snapshot.Snapshot.current + 1) 0 in
+  for id = 0 to Snapshot.num_servers snapshot - 1 do
+    if Snapshot.usable_at snapshot id then begin
+      let c = Snapshot.current_code snapshot id in
+      counts.(c) <- counts.(c) + 1
+    end
+  done;
+  counts
+
+(* [Concretize.held] against [usable_by_code_reference] of the snapshot
+   with the assignment's targets made, for [Free] and every reservation
+   of the snapshot: the first owner that differs, described. *)
+let held_difference (f : Formulation.t) assignment =
+  let snapshot = f.Formulation.symmetry.Symmetry.snapshot in
+  let targets = Hashtbl.create 1024 in
+  List.iter
+    (fun (id, owner) -> Hashtbl.replace targets id owner)
+    (concretize_reference f assignment).targets;
+  let counted = usable_by_code_reference (with_targets_reference snapshot targets) in
+  let held = Concretize.held f assignment in
+  List.find_map
+    (fun owner ->
+      let code = Broker.owner_code owner in
+      let want = if code < Array.length counted then counted.(code) else 0 in
+      if held owner = want then None
+      else Some (Printf.sprintf "owner code %d holds %d, the pass counts %d" code (held owner) want))
+    (Broker.Free :: List.map Reservation.owner snapshot.Snapshot.reservations)
+
 type merge = {
   overflows : float list;  (** phase-1 rack overflow per snapshot reservation *)
   selected : int list;  (** phase-2 reservation ids, in the order phase 2 got them *)
@@ -641,20 +680,15 @@ let merge_reference (stats : Async_solver.stats) =
       let scored = List.sort (fun (a, _) (b, _) -> compare b a) scored in
       let quota = Int.max 1 (int_of_float (0.1 *. float_of_int (List.length reservations))) in
       let snapshot2_all = with_targets_reference snapshot targets in
+      let usable_by_code = usable_by_code_reference snapshot2_all in
       let selected = ref [] and var_estimate = ref 0 in
       List.iteri
         (fun i (_, res) ->
           if i < quota then begin
-            let owner_code = Broker.owner_code (Reservation.owner res) in
-            let free_code = Broker.owner_code Broker.Free in
-            let counted = ref 0 in
-            for id = 0 to Snapshot.num_servers snapshot2_all - 1 do
-              if Snapshot.usable_at snapshot2_all id then begin
-                let c = Snapshot.current_code snapshot2_all id in
-                if c = owner_code || c = free_code then incr counted
-              end
-            done;
-            let server_count = !counted in
+            let server_count =
+              usable_by_code.(Broker.owner_code (Reservation.owner res))
+              + usable_by_code.(Broker.owner_code Broker.Free)
+            in
             if !var_estimate + server_count <= 6000 then begin
               selected := res :: !selected;
               var_estimate := !var_estimate + server_count

@@ -55,7 +55,7 @@ let heuristic_only = { Phases.default_params with node_limit = 0 }
 (* The heuristic seed phase 1 starts its tree search from, with the root-LP
    bound, as a node-less phase 1 reports them. *)
 let heuristic_seed (snap : Snapshot.t) =
-  (Phases.run ~params:heuristic_only snap snap.Snapshot.reservations).Phases.outcome
+  (Phases.run ~params:heuristic_only snap).Phases.outcome
 
 (* A post-failure round on the solve-medium benchmark's region and
    requests, with rack goals on requests of 5 RRU or more so that phase 2
@@ -465,8 +465,7 @@ let test_symmetry_rack_level_finer () =
   Alcotest.(check bool) "rack classes >= msb classes" true
     (Symmetry.num_classes rack_level >= Symmetry.num_classes msb_level);
   Alcotest.(check bool) "grouped <= raw" true
-    (Symmetry.grouped_variable_count msb_level ~reservations
-    <= Symmetry.raw_variable_count msb_level ~reservations)
+    (Symmetry.grouped_variable_count msb_level <= Symmetry.raw_variable_count msb_level)
 
 let test_symmetry_current_count () =
   let lazy { broker; reservations; _ } = fixture in
@@ -492,7 +491,7 @@ let formulation_fixture ?(rack_level = false) () =
   let lazy { broker; reservations; _ } = fixture in
   let snap = Snapshot.take broker reservations in
   let sym = Symmetry.build ~rack_level snap in
-  (Formulation.build ~rack_level sym reservations, snap)
+  (Formulation.build ~rack_level sym, snap)
 
 (* The root LP's crash basis and Phases' branch-and-bound seed both start
    from the status quo: it must be a feasible point of every model a phase
@@ -558,7 +557,7 @@ let test_heuristic_matches_reference () =
     let snap = Snapshot.take broker reservations in
     List.iter
       (fun rack_level ->
-        let f = Formulation.build ~rack_level (Symmetry.build ~rack_level snap) reservations in
+        let f = Formulation.build ~rack_level (Symmetry.build ~rack_level snap) in
         match Simplex.solve (Model.compile f.Formulation.model) with
         | Simplex.Optimal { x; _ } ->
           let rng = Ras_stats.Rng.create 7 in
@@ -624,7 +623,7 @@ let test_affinity_keeps_msb_survival () =
   let msbs_of dc = List.filter (fun m -> region.Region.msb_dc.(m) = dc) [ 0; 1; 2; 3 ] in
   let full_msb = List.nth (msbs_of 1) 1 in
   let snap = Snapshot.take (Broker.create region) [ r; filler ] in
-  let f = Formulation.build (Symmetry.build snap) [ r; filler ] in
+  let f = Formulation.build (Symmetry.build snap) in
   let sol =
     Formulation.encode f (fun p ->
         let msb = p.Formulation.cls.Symmetry.msb in
@@ -1163,7 +1162,7 @@ let test_buffer_bounds_ordering () =
   let lazy { broker; reservations; _ } = fixture in
   let snap = Snapshot.take broker reservations in
   let perfect = Buffers.perfect_spread_bound (Broker.region broker) in
-  let hw_bound = Buffers.hardware_aware_bound snap reservations in
+  let hw_bound = Buffers.hardware_aware_bound snap in
   let achieved = Buffers.embedded_buffer_fraction snap in
   Alcotest.(check (float 1e-9)) "perfect bound = 1/6" (1.0 /. 6.0) perfect;
   if not (Float.is_nan hw_bound) then
@@ -1252,7 +1251,7 @@ let test_shadow_prices_surface_binding_rows () =
   (* the scarce reservation's capacity row (or the GPU supply rows) carries
      a non-trivial shadow price *)
   let snap = gpu_scarce_snapshot () in
-  let result = Phases.run ~params:heuristic_only snap snap.Snapshot.reservations in
+  let result = Phases.run ~params:heuristic_only snap in
   let prices = Explain.shadow_prices ~top:5 result in
   Alcotest.(check bool) "some constraint binds" true (prices <> []);
   List.iter
@@ -1296,6 +1295,51 @@ let test_solve_leaves_unmanaged_alone () =
   none_held "targets" (List.map fst plan.Concretize.targets);
   none_held "moves" (List.map (fun m -> m.Concretize.server) plan.Concretize.moves)
 
+(* Phase 2's pools, read from phase 1's assignment on the Medium round,
+   are the per-server count of the snapshot with phase 1's moves made. *)
+let test_phase2_pools_match_the_pass () =
+  let lazy { round; _ } = medium_round in
+  let f1 = round.Async_solver.phase1.Phases.formulation in
+  match Oracles.held_difference f1 (Formulation.decode f1 round.Async_solver.phase1.Phases.solution) with
+  | None -> ()
+  | Some difference -> Alcotest.failf "Medium round phase 1: %s" difference
+
+(* One web reservation whose rack goal (no rack above 1% of its 20 RRU)
+   overflows whatever phase 1 binds, alone on an empty Small-layout
+   region: its phase-2 pool is what it holds plus every free server.
+   With 300 servers a rack the pool exceeds the 6,000-variable cap and
+   phase 2 does not run; with 20 it fits and phase 2 refines it. *)
+let test_phase2_cap () =
+  let check ~servers_per_rack ~fits =
+    let region = Generator.generate { Generator.small_params with servers_per_rack } in
+    let res =
+      Reservation.of_request
+        { (Capacity_request.make ~id:1 ~service:web ~rru:20.0 ()) with
+          Capacity_request.rack_spread_limit = Some 0.01 }
+    in
+    let snap = Snapshot.take (Broker.create region) [ res ] in
+    let stats =
+      Async_solver.solve ~params:{ Async_solver.default_params with node_limit = 0 } snap
+    in
+    let label what = Printf.sprintf "%d servers a rack: %s" servers_per_rack what in
+    let f1 = stats.Async_solver.phase1.Phases.formulation in
+    let assignment = Formulation.decode f1 stats.Async_solver.phase1.Phases.solution in
+    let held = Concretize.held f1 assignment in
+    let pool = held (Reservation.owner res) + held Broker.Free in
+    Alcotest.(check bool) (label (Printf.sprintf "pool of %d fits the cap" pool)) fits (pool <= 6000);
+    let overflow =
+      Async_solver.rack_overflows snap (Concretize.moves_of f1 assignment)
+    in
+    Alcotest.(check bool) (label "the rack goal overflows") true (List.hd overflow > 1e-6);
+    Alcotest.(check (list int)) (label "phase 2's reservations")
+      (if fits then [ 1 ] else [])
+      (match stats.Async_solver.phase2 with
+      | Some p2 -> List.map (fun r -> r.Reservation.id) p2.Phases.formulation.Formulation.reservations
+      | None -> [])
+  in
+  check ~servers_per_rack:300 ~fits:false;
+  check ~servers_per_rack:20 ~fits:true
+
 (* ---------- System ---------- *)
 
 (* After bring-up, the heuristic seed of a Medium round is within the
@@ -1332,7 +1376,7 @@ let test_phase1_stops_within_slack () =
    world of the tier-1 drift test. *)
 let test_zero_node_phase () =
   let check what (snap : Snapshot.t) =
-    let p = Phases.run ~params:heuristic_only snap snap.Snapshot.reservations in
+    let p = Phases.run ~params:heuristic_only snap in
     let o = p.Phases.outcome and f = p.Phases.formulation and std = p.Phases.compiled in
     (* the phase's root LP, solved again as [Phases.run] solves it *)
     let status_quo = Formulation.status_quo f in
@@ -1665,9 +1709,8 @@ let system_merge_matches_reference ~servers_per_rack ~rounds =
         (fun acc got want ->
           Float.max acc (Float.abs (got -. want) /. Float.max 1.0 (Float.abs want)))
         0.0
-        (Async_solver.rack_overflows snapshot ~covers:f1.Formulation.symmetry.Symmetry.covers
-           (Concretize.moves_of f1 (Formulation.decode f1 p1.Phases.solution))
-           snapshot.Snapshot.reservations)
+        (Async_solver.rack_overflows snapshot
+           (Concretize.moves_of f1 (Formulation.decode f1 p1.Phases.solution)))
         reference.Oracles.overflows
     in
     Alcotest.(check bool)
@@ -1787,7 +1830,7 @@ let test_merge_apply_words () =
         | Some (f2, a2) -> Concretize.merge snapshot ~phase1:moves1 ~phase2:(Concretize.moves_of f2 a2)
         | None -> moves1
       in
-      let plan = Concretize.of_moves ~covers:f1.Formulation.symmetry.Symmetry.covers moves in
+      let plan = Concretize.of_moves ~covers:(Snapshot.covers snapshot) moves in
       let apply = Online_mover.apply_plan (System.mover sys) plan in
       let words = allocated_words () -. w0 in
       let classes, quotas =
@@ -2026,6 +2069,9 @@ let suite =
     Alcotest.test_case "snapshot unknown id" `Quick test_snapshot_unknown_id;
     Alcotest.test_case "solve leaves unmanaged reservations alone" `Quick
       test_solve_leaves_unmanaged_alone;
+    Alcotest.test_case "phase-2 pools match the per-server pass" `Quick
+      test_phase2_pools_match_the_pass;
+    Alcotest.test_case "phase 2 runs only when a pool fits the cap" `Quick test_phase2_cap;
     Alcotest.test_case "system removed allocator is deaf" `Quick
       test_system_removed_allocator_is_deaf;
     Alcotest.test_case "snapshot is a frozen view" `Quick test_snapshot_frozen_view;

@@ -28,8 +28,7 @@ let fixture () =
   (* put the broker in a non-trivial starting state *)
   ignore (Ras_twine.Greedy.fulfill broker requests);
   let snapshot = Snapshot.take broker reservations in
-  let symmetry = Symmetry.build snapshot in
-  Formulation.build symmetry reservations
+  Formulation.build (Symmetry.build snapshot)
 
 (* Random feasible counts: walk classes, hand out supply to random
    acceptable reservations. *)
@@ -230,8 +229,9 @@ let prop_aggregation_invariants =
       in
       (* 4. the owner histograms cover every member exactly once and equal
          the oracle's for every (class, code), at MSB level and at rack
-         level under a filter, with and without loans; a loan counts at
-         the shared buffer, never at its [Elastic] owner *)
+         level over a random subset of the reservations, with and without
+         loans; a loan counts at the shared buffer, never at its
+         [Elastic] owner *)
       let histogram_ok =
         let { Symmetry.first; counts; _ } = sym.Symmetry.owner_counts in
         Array.for_all
@@ -252,18 +252,26 @@ let prop_aggregation_invariants =
                && ca.Symmetry.members = cb.Symmetry.members)
              a.Symmetry.classes b.Symmetry.classes
       in
-      let filter id = (id + seed) mod 3 <> 0 in
+      (* the same draw for both snapshots, whose reservation lists are one *)
+      let subset (s : Snapshot.t) =
+        let rng = Ras_stats.Rng.create (seed + 1) in
+        {
+          s with
+          Snapshot.reservations =
+            List.filter (fun _ -> Ras_stats.Rng.bool rng) s.Snapshot.reservations;
+        }
+      in
       let owners_ok =
         owners_match sym reference
         && owners_match
-             (Symmetry.build ~rack_level:true ~include_server:filter snapshot)
-             (Oracles.build_reference ~rack_level:true ~include_server:filter snapshot)
+             (Symmetry.build ~rack_level:true (subset snapshot))
+             (Oracles.build_reference ~rack_level:true (subset snapshot))
         &&
         let lent = Symmetry.build loaned in
         owners_match lent (Oracles.build_reference loaned)
         && owners_match
-             (Symmetry.build ~rack_level:true ~include_server:filter loaned)
-             (Oracles.build_reference ~rack_level:true ~include_server:filter loaned)
+             (Symmetry.build ~rack_level:true (subset loaned))
+             (Oracles.build_reference ~rack_level:true (subset loaned))
         && Array.for_all
              (fun c ->
                List.for_all (fun k -> Symmetry.current_count lent c (Broker.Elastic k) = 0) [ 0; 1; 2 ])
@@ -272,20 +280,23 @@ let prop_aggregation_invariants =
       (* 5. aggregation o disaggregation is the identity on the current
          assignment: encoding the status quo and concretizing it moves
          nothing *)
-      let f = Formulation.build sym reservations in
+      let f = Formulation.build sym in
       let assignment = Formulation.decode f (Formulation.status_quo f) in
       let plan = Concretize.plan f assignment in
       let identity_ok = plan.Concretize.moves = [] && plan.Concretize.targets = [] in
-      (* 6. on random counts the class walk gives the oracle's moves, and
-         the one-pass rack overflows over them (every reservation given a
+      (* 6. on random counts the class walk gives the oracle's moves, the
+         one-pass rack overflows over them (every reservation given a
          rack goal) agree with the per-reservation passes over the
-         oracle's targets *)
+         oracle's targets, and the owners' shares read from the counts
+         (phase 2's pools) equal a per-server count once they are made *)
       let assignment =
         Formulation.decode f (Formulation.encode f (random_counts (Ras_stats.Rng.create seed) f))
       in
       let plan = Concretize.plan f assignment in
       let reference = Oracles.concretize_reference f assignment in
-      let reference_ok = Oracles.plan_matches plan reference in
+      let reference_ok =
+        Oracles.plan_matches plan reference && Oracles.held_difference f assignment = None
+      in
       let overflows_ok =
         let goals =
           List.map (fun r -> { r with Reservation.rack_spread_limit = Some 0.05 }) reservations
@@ -296,18 +307,20 @@ let prop_aggregation_invariants =
           (fun got res ->
             let want = Oracles.rack_overflow_reference snapshot table res in
             Float.abs (got -. want) <= 1e-9 *. Float.max 1.0 (Float.abs want))
-          (Async_solver.rack_overflows snapshot ~covers:sym.Symmetry.covers plan.Concretize.moves
-             goals)
+          (Async_solver.rack_overflows
+             { snapshot with Snapshot.reservations = goals }
+             plan.Concretize.moves)
           goals
       in
-      (* 7. the build covers exactly its classes' members *)
+      (* 7. the snapshot's scope is exactly the classes' members *)
       let covers_ok =
         let members = Hashtbl.create 64 in
         Array.iter
           (fun (c : Symmetry.cls) -> Array.iter (fun id -> Hashtbl.replace members id ()) c.Symmetry.members)
           sym.Symmetry.classes;
+        let covers = Snapshot.covers snapshot in
         List.for_all
-          (fun id -> sym.Symmetry.covers id = Hashtbl.mem members id)
+          (fun id -> covers id = Hashtbl.mem members id)
           (List.init (Snapshot.num_servers snapshot) Fun.id)
       in
       matches_reference && counts_sum && representative_ok && capacity_ok && histogram_ok

@@ -526,7 +526,7 @@ let test_tier1_repair_drift_bounded () =
   let solve_objective broker reservations =
     let snapshot = Snapshot.take broker reservations in
     let result =
-      Phases.run ~params:{ Phases.default_params with node_limit = 0 } snapshot reservations
+      Phases.run ~params:{ Phases.default_params with node_limit = 0 } snapshot
     in
     result.Phases.outcome.Ras_mip.Branch_bound.objective
   in

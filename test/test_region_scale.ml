@@ -181,23 +181,28 @@ let test_streaming_matches_reference () =
     streamed.Symmetry.classes;
   (* same compiled model, bit for bit *)
   let std_of sym =
-    let f = Formulation.build sym reservations in
+    let f = Formulation.build sym in
     Model.compile f.Formulation.model
   in
   check_std_equal (std_of streamed) (std_of reference);
-  (* rack-level and filtered builds agree too *)
-  let filter id = id mod 3 <> 0 in
+  (* rack-level builds over a subset of the reservations agree too *)
+  let subset =
+    {
+      snapshot with
+      Snapshot.reservations = List.filteri (fun i _ -> i mod 3 <> 0) reservations;
+    }
+  in
   check_symmetry_equal
-    (Symmetry.build ~rack_level:true ~include_server:filter snapshot)
-    (Oracles.build_reference ~rack_level:true ~include_server:filter snapshot)
+    (Symmetry.build ~rack_level:true subset)
+    (Oracles.build_reference ~rack_level:true subset)
 
 (* ---------- compile pin: the dense-scratch merge against the table ------ *)
 
 (* A round's compiled models equal [Oracles.compile_reference], the
    per-row table and sort [Model.compile] replaced, bit for bit: both
    rounds' phase-1 models (and phase 2's when it runs), and a rack-level
-   phase-2 formulation, rack goals on eight reservations over a filtered
-   pool.  At 10^6 servers too under RAS_SCALE_TESTS=full. *)
+   phase-2 formulation, rack goals on eight reservations over their
+   servers and the free ones.  At 10^6 servers too under RAS_SCALE_TESTS=full. *)
 let compile_pin ~servers_per_rack =
   let check tag (mdl : Model.t) std =
     match Oracles.std_difference std (Oracles.compile_reference mdl) with
@@ -216,8 +221,10 @@ let compile_pin ~servers_per_rack =
     List.filteri (fun i _ -> i < 8) (List.filter (fun r -> not (Reservation.is_buffer r)) reservations)
     |> List.map (fun r -> { r with Reservation.rack_spread_limit = Some 0.06 })
   in
-  let symmetry = Symmetry.build ~rack_level:true ~include_server:(fun id -> id mod 4 <> 0) snapshot in
-  let f = Formulation.build ~rack_level:true symmetry goals in
+  let symmetry =
+    Symmetry.build ~rack_level:true { snapshot with Snapshot.reservations = goals }
+  in
+  let f = Formulation.build ~rack_level:true symmetry in
   check "rack level" f.Formulation.model (Model.compile f.Formulation.model)
 
 let test_compile_pin () =
@@ -231,9 +238,9 @@ let test_compile_pin () =
    and on its final factorization, and after updates on top of it, the
    sparse solves equal the all-steps dense ones bit for bit. *)
 let test_root_lp_certified_and_pinned () =
-  let snapshot, reservations = scale_snapshot ~servers_per_rack:1 () in
+  let snapshot, _ = scale_snapshot ~servers_per_rack:1 () in
   let symmetry = Symmetry.build snapshot in
-  let f = Formulation.build symmetry reservations in
+  let f = Formulation.build symmetry in
   let std = Model.compile f.Formulation.model in
   match Simplex.solve std with
   | Simplex.Optimal { x; duals; obj; basis = { Simplex.wcols; wfac = Some fac; _ }; _ } ->
@@ -326,9 +333,9 @@ let test_disaggregation_round_trip () =
 (* ---------- scale sweep: compiled size independent of raw server count -- *)
 
 let compiled_at ~servers_per_rack =
-  let snapshot, reservations = scale_snapshot ~churn:false ~servers_per_rack () in
+  let snapshot, _ = scale_snapshot ~churn:false ~servers_per_rack () in
   let symmetry = Symmetry.build snapshot in
-  let f = Formulation.build symmetry reservations in
+  let f = Formulation.build symmetry in
   let std = Model.compile f.Formulation.model in
   let names = Array.map Symmetry.class_name symmetry.Symmetry.classes in
   (Snapshot.num_servers snapshot, names, std)
@@ -356,9 +363,9 @@ let test_scale_invariance () =
     (std0.Model.nvars < 20_000 && std0.Model.nrows < 20_000);
   if full_scale () then begin
     (* and the full 10^6-server pipeline solves end to end *)
-    let snapshot, reservations = scale_snapshot ~servers_per_rack:48 () in
+    let snapshot, _ = scale_snapshot ~servers_per_rack:48 () in
     let result =
-      Phases.run ~params:{ Phases.default_params with node_limit = 0 } snapshot reservations
+      Phases.run ~params:{ Phases.default_params with node_limit = 0 } snapshot
     in
     Alcotest.(check bool) "million-server heuristic solve is feasible" true
       (Model.check_solution result.Phases.compiled result.Phases.solution = Ok ());
@@ -414,8 +421,8 @@ let test_crash_root_lp_after_failures () =
    affinity search is long, so its move count is pinned too. *)
 let test_heuristic_matches_reference () =
   let servers_per_rack = if full_scale () then 8 else 1 in
-  let snapshot, reservations = scale_snapshot ~churn:false ~servers_per_rack () in
-  let f = Formulation.build (Symmetry.build snapshot) reservations in
+  let snapshot, _ = scale_snapshot ~churn:false ~servers_per_rack () in
+  let f = Formulation.build (Symmetry.build snapshot) in
   match Simplex.solve (Model.compile f.Formulation.model) with
   | Simplex.Optimal { x; _ } ->
     let total = { Oracles.free = 0; donor = 0; spread = 0; affinity = 0 } in
@@ -439,12 +446,12 @@ let test_heuristic_matches_reference () =
    may not cost more than ~1.5x the build allocation. *)
 let test_build_allocation_scale_independent () =
   let measure ~servers_per_rack =
-    let snapshot, reservations = scale_snapshot ~churn:false ~servers_per_rack () in
+    let snapshot, _ = scale_snapshot ~churn:false ~servers_per_rack () in
     let symmetry = Symmetry.build snapshot in
     (* warm up so one-time lazy setup is not billed to either measurement *)
-    ignore (Formulation.build symmetry reservations);
+    ignore (Formulation.build symmetry);
     let before = Gc.allocated_bytes () in
-    let f = Formulation.build symmetry reservations in
+    let f = Formulation.build symmetry in
     let std = Model.compile f.Formulation.model in
     let after = Gc.allocated_bytes () in
     ignore (Sys.opaque_identity std);
