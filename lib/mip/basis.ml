@@ -130,9 +130,10 @@ type t = {
      step-indexed workspace [wz] kept all-zero between calls, the step list
      [wzi] the triangular passes run over, a traversal worklist, step marks,
      a depth-first stack of steps and their next edges,
-     the one-entry row array of the unit FTRAN's column, and the last
-     sparse FTRAN's spike (its step vector after L and the row etas, the
-     U column an update appends) *)
+     the one-entry row array of the unit FTRAN's column, the digit counts
+     of the result patterns' radix sort, and the last sparse FTRAN's spike
+     (its step vector after L and the row etas, the U column an update
+     appends) *)
   sf : Svec.t;
   sb : Svec.t;
   wz : float array;
@@ -143,6 +144,7 @@ type t = {
   dstk : int array;
   dptr : int array;
   unit_row : int array;
+  rcount : int array;
   spike : slots;
   mutable spike_ok : bool;  (* [spike] belongs to [sf] on the current factors *)
   (* per-solve kernel counters (reset by {!reset_stats}) *)
@@ -174,6 +176,11 @@ let diag_rel_tol = 1e-8
 let drop_tol = 1e-14
 
 let drop v = if Float.abs v < drop_tol then 0.0 else v
+
+(* A solve result's pattern is sorted by least-significant-digit radix
+   passes of this many bits of a position (see {!radix_sort_ints}). *)
+let radix_bits = 7
+let radix_size = 1 lsl radix_bits
 
 let identity_lu m =
   let empty = { ptr = Array.make (m + 1) 0; idx = [||] } in
@@ -207,6 +214,7 @@ let fresh_scratch (t : t) =
     dstk = Array.make steps 0;
     dptr = Array.make steps 0;
     unit_row = [| 0 |];
+    rcount = Array.make radix_size 0;
     spike = { si = Array.make steps 0; sv = Array.make steps 0.0; sn = 0 };
     spike_ok = false;
     ftran_calls = 0;
@@ -246,6 +254,7 @@ let create ~m =
     dstk = [||];
     dptr = [||];
     unit_row = [||];
+    rcount = [||];
     spike = slots_make ();
     spike_ok = false;
     ftran_calls = 0;
@@ -1220,9 +1229,47 @@ let btran_lower t n ~full =
   lt_backward t lu n;
   n
 
+(* Below this many entries a result pattern is sorted by {!qsort_ints}:
+   a radix pass costs O(radix_size) whatever the length. *)
+let radix_min = 25
+
+(* In-place ascending sort of the distinct a.(0..n-1), each in
+   [0, bound): one counting pass per [radix_bits] bits of [bound - 1],
+   lowest digit first, alternating between [a] and [tmp] (length >= n);
+   [count] holds the [radix_size] digit counts.  Each pass is stable, so
+   the result is the ascending order. *)
+let radix_sort_ints count (a : int array) (tmp : int array) n ~bound =
+  let mask = radix_size - 1 in
+  let src = ref a and dst = ref tmp and shift = ref 0 in
+  while (bound - 1) lsr !shift > 0 do
+    let src' = !src and dst' = !dst and sh = !shift in
+    Array.fill count 0 radix_size 0;
+    for u = 0 to n - 1 do
+      let d = (src'.(u) lsr sh) land mask in
+      count.(d) <- count.(d) + 1
+    done;
+    let sum = ref 0 in
+    for d = 0 to mask do
+      let c = count.(d) in
+      count.(d) <- !sum;
+      sum := !sum + c
+    done;
+    for u = 0 to n - 1 do
+      let v = src'.(u) in
+      let d = (v lsr sh) land mask in
+      dst'.(count.(d)) <- v;
+      count.(d) <- count.(d) + 1
+    done;
+    src := dst';
+    dst := src';
+    shift := sh + radix_bits
+  done;
+  if !src != a then Array.blit !src 0 a 0 n
+
 (* Scatter the listed workspace steps into [sv] through [perm] (dropping
    exact zeros), clear the workspace, and leave the pattern sorted
-   ascending. *)
+   ascending.  The step list [t.wzi] is spent once scattered, so the
+   radix sort uses it as its second buffer. *)
 let emit_steps t (perm : int array) n (sv : Svec.t) =
   let z = t.wz and pat = t.wzi in
   let vals = sv.Svec.vals and idx = sv.Svec.idx in
@@ -1238,7 +1285,8 @@ let emit_steps t (perm : int array) n (sv : Svec.t) =
       incr nz
     end
   done;
-  qsort_ints idx 0 (!nz - 1);
+  if !nz < radix_min then qsort_ints idx 0 (!nz - 1)
+  else radix_sort_ints t.rcount idx pat !nz ~bound:t.m;
   sv.Svec.n <- !nz
 
 (* The dense twin of {!emit_steps}: x.(perm.(k)) := z.(k) for every listed

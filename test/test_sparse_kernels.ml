@@ -263,6 +263,32 @@ let test_dense_column_fallback () =
     check_residual tag "btran" (Oracles.btran_residual ~basis ~col y c)
   done
 
+(* Result patterns long enough for the radix sort, at sizes whose
+   positions take one, two and three 7-bit digit passes (m = 100, 1,000,
+   20,000), and random short ones below its cut-off: every FTRAN and
+   BTRAN pattern is ascending and the solve equals the dense one.  The
+   basis is lower bidiagonal, so it factors without fill, the all-rows
+   FTRAN fills every position and row r of its inverse holds r + 1. *)
+let test_radix_sorted_patterns () =
+  List.iteri
+    (fun k m ->
+      let rng = R.create (13_000 + k) in
+      let cols =
+        Array.init m (fun j ->
+            (j, 2.0 +. R.float rng 3.0) :: (if j + 1 < m then [ (j + 1, R.float rng 1.0 -. 0.5) ] else []))
+      in
+      let t = factorized m cols in
+      let tag = Printf.sprintf "radix m=%d" m in
+      let coefs = Array.init m (fun _ -> R.float rng 4.0 -. 2.0) in
+      ignore (pin_ftran tag t (Array.init m Fun.id) coefs ~off:0 ~len:m);
+      ignore (pin_btran tag t (m - 1));
+      for _ = 1 to 4 do
+        let rows, coefs = random_rhs rng m in
+        ignore (pin_ftran tag t rows coefs ~off:0 ~len:(Array.length rows));
+        ignore (pin_btran tag t (R.int rng m))
+      done)
+    [ 100; 1_000; 20_000 ]
+
 (* ------------------------------------------------------------------ *)
 (* Dual ratio test (bound_flip.lp warm restart)                        *)
 
@@ -348,6 +374,8 @@ let suite =
       test_random_sparse_triangular;
     Alcotest.test_case "fully dense column falls back without diverging" `Quick
       test_dense_column_fallback;
+    Alcotest.test_case "radix-sorted result patterns at one, two and three digit passes" `Quick
+      test_radix_sorted_patterns;
     Alcotest.test_case "bound-flip dual ratio test (bound_flip.lp warm restart)" `Quick
       test_dual_ratio_restart;
     Alcotest.test_case "workspace reuse bounds per-solve allocation" `Quick
