@@ -217,9 +217,12 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
          replicated stores keep quorum through an MSB loss *)
       (match res.Reservation.hard_msb_cap with
       | Some cap ->
+        let neg_cap = -.cap in
         List.iter
           (fun (msb, e) ->
-            let excess = Lin.sub e (Lin.scale cap total) in
+            (* one copy of [total] per row: the row is the slack's
+               definition with the slack's term in front *)
+            let excess = Lin.add e (Lin.scale neg_cap total) in
             let slack =
               slack_var
                 ~name:(Printf.sprintf "quorum_slack_r%d_m%d" rid msb)
@@ -229,7 +232,7 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
               (Model.add_constraint
                  ~name:(Printf.sprintf "quorum_r%d_m%d" rid msb)
                  model
-                 (Lin.sub excess (Lin.var slack))
+                 (Lin.add (Lin.term (-1.0) slack) excess)
                  Model.Le 0.0))
           by_msb
       | None -> ());
