@@ -282,11 +282,38 @@ let root_lp_kernel ~label ~repeats ((f : Ras.Formulation.t), (std : Model.std)) 
       ]
   | _ -> Report.row "%-34s skipped: root LP not optimal\n" name
 
+(* A compiled model's rows by kind, read off the names [Formulation.build]
+   gives them: class supply (expression 5), capacity, MSB and rack spread
+   (2, 3), the buffer's per-MSB rows (4, 6), storage quorum, datacenter
+   affinity (7), and stability (1), which has no rows since it became a
+   bound split. *)
+let row_kinds =
+  [
+    ("supply", [ "supply_" ]);
+    ("capacity", [ "capacity_" ]);
+    ("spread", [ "over_"; "overk_" ]);
+    ("buffer", [ "zbuf_" ]);
+    ("quorum", [ "quorum_" ]);
+    ("affinity", [ "affge_"; "affle_" ]);
+    ("stability", [ "move_" ]);
+  ]
+
+let rows_by_kind (std : Model.std) =
+  let has_prefix name pre = String.starts_with ~prefix:pre name in
+  List.map
+    (fun (kind, prefixes) ->
+      ( kind,
+        Array.fold_left
+          (fun n name -> if List.exists (has_prefix name) prefixes then n + 1 else n)
+          0 std.Model.row_names ))
+    row_kinds
+
 (* The three layers that turn [post_failure_round]'s snapshot into its
    phase-1 model, each timed alone over [repeats]: [Symmetry.build],
    [Formulation.build] on those classes and [Model.compile] on that model,
    as [Phases.run] calls them.  Prints each layer's median and quartiles,
-   and the classes, covered servers and the compiled size. *)
+   the classes, covered servers and the compiled size, and its rows by
+   kind. *)
 let model_build_kernel ~label ~repeats (sys, _) =
   let name = Printf.sprintf "model-build-%s" label in
   let snapshot = Ras.System.snapshot sys in
@@ -329,23 +356,27 @@ let model_build_kernel ~label ~repeats (sys, _) =
       name (sq 2) (sq 1) (sq 3) (fq 2) (fq 1) (fq 3) (cq 2) (cq 1) (cq 3) repeats;
     Report.row "%-34s %d classes over %d servers  nvars=%d nrows=%d nnz=%d\n" ""
       (Ras.Symmetry.num_classes sym) covered std.Model.nvars std.Model.nrows nnz;
+    let kinds = rows_by_kind std in
+    Report.row "%-34s rows: %s\n" ""
+      (String.concat ", " (List.map (fun (kind, n) -> Printf.sprintf "%s %d" kind n) kinds));
     record ~kernel:name ~size:(size_of std)
       ~wall_s:((sq 2 +. fq 2 +. cq 2) *. 1e-3)
-      [
-        ("symmetry_ms_median", flt (sq 2));
-        ("symmetry_ms_q1", flt (sq 1));
-        ("symmetry_ms_q3", flt (sq 3));
-        ("formulation_ms_median", flt (fq 2));
-        ("formulation_ms_q1", flt (fq 1));
-        ("formulation_ms_q3", flt (fq 3));
-        ("compile_ms_median", flt (cq 2));
-        ("compile_ms_q1", flt (cq 1));
-        ("compile_ms_q3", flt (cq 3));
-        ("repeats", string_of_int repeats);
-        ("classes", string_of_int (Ras.Symmetry.num_classes sym));
-        ("covered_servers", string_of_int covered);
-        ("nnz", string_of_int nnz);
-      ]
+      ([
+         ("symmetry_ms_median", flt (sq 2));
+         ("symmetry_ms_q1", flt (sq 1));
+         ("symmetry_ms_q3", flt (sq 3));
+         ("formulation_ms_median", flt (fq 2));
+         ("formulation_ms_q1", flt (fq 1));
+         ("formulation_ms_q3", flt (fq 3));
+         ("compile_ms_median", flt (cq 2));
+         ("compile_ms_q1", flt (cq 1));
+         ("compile_ms_q3", flt (cq 3));
+         ("repeats", string_of_int repeats);
+         ("classes", string_of_int (Ras.Symmetry.num_classes sym));
+         ("covered_servers", string_of_int covered);
+         ("nnz", string_of_int nnz);
+       ]
+      @ List.map (fun (kind, n) -> ("rows_" ^ kind, string_of_int n)) kinds)
 
 (* ---------------------------------------------------------------- *)
 (* Primal heuristic: LP rounding, capacity repair, local searches     *)

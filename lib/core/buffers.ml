@@ -47,8 +47,9 @@ let perfect_spread_bound (region : Region.t) =
   if region.Region.num_msbs = 0 then nan else 1.0 /. float_of_int region.Region.num_msbs
 
 let hardware_aware_bound (snapshot : Snapshot.t) =
-  (* buffer-only objective: no stability or spread costs, capacity enforced
-     through heavy softening; the continuous relaxation gives the floor *)
+  (* buffer-only objective: no stability or spread costs (so no pair's
+     count is split), capacity enforced through heavy softening; the
+     continuous relaxation gives the floor *)
   let params =
     {
       Formulation.move_cost_unused = 0.0;
@@ -75,7 +76,7 @@ let hardware_aware_bound (snapshot : Snapshot.t) =
       Array.fold_left
         (fun acc (p : Formulation.pair) ->
           if p.Formulation.res.Reservation.embedded_buffer then
-            acc +. (p.Formulation.rru *. x.(p.Formulation.var))
+            acc +. (p.Formulation.rru *. Formulation.count x p)
           else acc)
         0.0 f.Formulation.pairs
     in

@@ -31,7 +31,23 @@ let default_params =
     wear_penalty = 2.0;
   }
 
-type pair = { cls : Symmetry.cls; res : Reservation.t; var : Model.var; rru : float; res_index : int }
+type pair = {
+  cls : Symmetry.cls;
+  res : Reservation.t;
+  held : Model.var;
+  added : Model.var;
+  current : int;
+  rru : float;
+  res_index : int;
+}
+
+let count x p =
+  (if p.held >= 0 then x.(p.held) else 0.0) +. if p.added >= 0 then x.(p.added) else 0.0
+
+(* The pair's columns with coefficient [c], consed onto [acc]. *)
+let push_terms c p acc =
+  let acc = if p.added >= 0 then (c, p.added) :: acc else acc in
+  if p.held >= 0 then (c, p.held) :: acc else acc
 
 type t = {
   model : Model.t;
@@ -56,6 +72,8 @@ type t = {
 let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.t) =
   let reservations = symmetry.Symmetry.snapshot.Snapshot.reservations in
   let model = Model.create () in
+  (* expression (1)'s constant: the move cost of every server held now *)
+  let offset = ref 0.0 in
   let pairs = ref [] and npairs = ref 0 in
   (* pair indices per reservation position and per class, each list in
      descending creation order *)
@@ -68,46 +86,76 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
   (* each reservation's RRU per hardware subtype, read once per subtype
      rather than once per class *)
   let res_array = Array.of_list reservations in
+  let owners = Array.map Reservation.owner res_array in
   let rru_by_hw =
     Array.map (fun hw -> Array.map (fun res -> res.Reservation.rru_of hw) res_array) Hw.catalog
   in
-  (* assignment variables *)
+  (* assignment variables.  Expression (1), stability, costs
+     [M_s * max(0, N0 - n)] for a pair whose reservation holds N0 > 0 of
+     the class's servers now: convex and piecewise linear in the count,
+     so the count is split at N0 into two bounded integer columns, the
+     servers kept ([held], at most N0, each costing M_s less) and the
+     servers added past N0 ([added]), and M_s * N0 joins the objective's
+     constant.  The cheaper [held] fills first, so the split costs
+     exactly the term, with no auxiliary variable or row.  A pair with
+     nothing held, or whose move cost is 0, keeps one count column. *)
+  let column ~prefix ~class_name ~rid ~ub ~cost =
+    let name = String.concat "" [ prefix; class_name; "_r"; string_of_int rid ] in
+    let v = Model.add_var ~name ~lb:0.0 ~ub:(float_of_int ub) ~kind:Model.Integer model in
+    Model.add_to_objective model (Lin.term cost v);
+    v
+  in
   Array.iter
     (fun (cls : Symmetry.cls) ->
       let rru_of_res = rru_by_hw.(cls.Symmetry.hw) in
       let class_name = class_names.(cls.Symmetry.index) in
+      let size = Symmetry.size cls in
+      let move_cost =
+        if cls.Symmetry.in_use then params.move_cost_in_use else params.move_cost_unused
+      in
       Array.iteri
         (fun res_index res ->
           let rru = rru_of_res.(res_index) in
           if rru > 0.0 then begin
-            let name =
-              String.concat "" [ "n_"; class_name; "_r"; string_of_int res.Reservation.id ]
+            let rid = res.Reservation.id in
+            let current =
+              if move_cost = 0.0 then 0 else Symmetry.current_count symmetry cls owners.(res_index)
             in
-            let var =
-              Model.add_var ~name ~lb:0.0
-                ~ub:(float_of_int (Symmetry.size cls))
-                ~kind:Model.Integer model
+            if current > 0 && move_cost < 0.0 then invalid_arg "Formulation.build: negative move cost";
+            let cost =
+              params.assignment_cost
+              +. (params.wear_penalty *. res.Reservation.io_intensity *. float_of_int cls.Symmetry.attr)
+            in
+            let held =
+              if current = 0 then -1
+              else begin
+                offset := !offset +. (move_cost *. float_of_int current);
+                column ~prefix:"held_" ~class_name ~rid ~ub:current ~cost:(cost -. move_cost)
+              end
+            in
+            let added =
+              if current = size then -1
+              else
+                column
+                  ~prefix:(if current = 0 then "n_" else "new_")
+                  ~class_name ~rid ~ub:(size - current) ~cost
             in
             let i = !npairs in
             incr npairs;
-            pairs := { cls; res; var; rru; res_index } :: !pairs;
+            pairs := { cls; res; held; added; current; rru; res_index } :: !pairs;
             res_pairs.(res_index) <- i :: res_pairs.(res_index);
-            class_pairs.(cls.Symmetry.index) <- i :: class_pairs.(cls.Symmetry.index);
-            let wear_cost =
-              params.wear_penalty *. res.Reservation.io_intensity
-              *. float_of_int cls.Symmetry.attr
-            in
-            Model.add_to_objective model (Lin.term (params.assignment_cost +. wear_cost) var)
+            class_pairs.(cls.Symmetry.index) <- i :: class_pairs.(cls.Symmetry.index)
           end)
         res_array)
     symmetry.Symmetry.classes;
+  Model.add_to_objective model (Lin.constant !offset);
   let pairs = Array.of_list (List.rev !pairs) in
   (* expression (5): class supply *)
   let supply_rows = ref [] in
   Array.iteri
     (fun idx ps ->
       if ps <> [] then begin
-        let e = Lin.of_terms (List.map (fun i -> (1.0, pairs.(i).var)) ps) in
+        let e = Lin.of_terms (List.fold_left (fun acc i -> push_terms 1.0 pairs.(i) acc) [] ps) in
         let cls = symmetry.Symmetry.classes.(idx) in
         let row =
           Model.add_constraint
@@ -155,7 +203,7 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
           if g < 0 then used
           else begin
             let existing = by_scope.(g) in
-            by_scope.(g) <- (p.rru, p.var) :: existing;
+            by_scope.(g) <- push_terms p.rru p existing;
             if existing = [] then g :: used else used
           end)
         [] terms
@@ -171,7 +219,7 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
     (fun res_index res ->
       let rid = res.Reservation.id in
       let terms = List.map (fun i -> pairs.(i)) res_pairs.(res_index) in
-      let total = Lin.of_terms (List.map (fun p -> (p.rru, p.var)) terms) in
+      let total = Lin.of_terms (List.fold_left (fun acc p -> push_terms p.rru p acc) [] terms) in
       let by_msb = group_terms terms ~scope_of:(fun c -> c.Symmetry.msb) in
       let cr = res.Reservation.capacity_rru in
       (* expressions (4) + (6): embedded correlated-failure buffer *)
@@ -284,25 +332,7 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
                  model (Lin.sub e (Lin.var s_hi)) Model.Le
                  ((target +. theta) *. cr)))
           res.Reservation.dc_affinity
-      end;
-      (* expression (1): stability *)
-      let owner = Reservation.owner res in
-      List.iter
-        (fun { cls; var; _ } ->
-          let n0 = Symmetry.current_count symmetry cls owner in
-          if n0 > 0 then begin
-            let cost =
-              if cls.Symmetry.in_use then params.move_cost_in_use else params.move_cost_unused
-            in
-            ignore
-              (pos_part
-                 ~name:
-                   (String.concat ""
-                      [ "move_"; class_names.(cls.Symmetry.index); "_r"; string_of_int rid ])
-                 ~weight:cost
-                 (Lin.sub (Lin.constant (float_of_int n0)) (Lin.var var)))
-          end)
-        terms)
+      end)
     reservations;
   {
     model;
@@ -325,7 +355,13 @@ let build ?(params = default_params) ?(rack_level = false) (symmetry : Symmetry.
    ascending pass suffices. *)
 let encode_counts t counts =
   let vec = Array.make (Model.num_vars t.model) 0.0 in
-  Array.iteri (fun i p -> vec.(p.var) <- float_of_int counts.(i)) t.pairs;
+  Array.iteri
+    (fun i p ->
+      let n = counts.(i) in
+      let kept = Int.min n p.current in
+      if p.held >= 0 then vec.(p.held) <- float_of_int kept;
+      if p.added >= 0 then vec.(p.added) <- float_of_int (n - kept))
+    t.pairs;
   List.iter
     (fun (v, exprs) ->
       let value =
@@ -346,7 +382,7 @@ let status_quo t =
    can only decrease, so the result is always feasible once auxiliaries are
    re-encoded. *)
 let round_lp t lp_solution =
-  let x i = Float.max 0.0 lp_solution.(t.pairs.(i).var) in
+  let x i = Float.max 0.0 (count lp_solution t.pairs.(i)) in
   let floor i = Float.floor (x i +. 1e-9) in
   let remainder i = x i -. floor i in
   let counts = Array.init (Array.length t.pairs) (fun i -> int_of_float (floor i)) in
@@ -369,7 +405,7 @@ let decode t solution =
   let counts =
     List.filter_map
       (fun p ->
-        let v = int_of_float (Float.round solution.(p.var)) in
+        let v = int_of_float (Float.round (count solution p)) in
         if v > 0 then Some (p.cls, p.res, v) else None)
       (Array.to_list t.pairs)
   in
@@ -601,7 +637,7 @@ let repair t solution =
       res_total = Array.make (Array.length t.res_pairs) 0.0;
     }
   in
-  Array.iteri (fun i p -> bump t w i (int_of_float (Float.round solution.(p.var)))) t.pairs;
+  Array.iteri (fun i p -> bump t w i (int_of_float (Float.round (count solution p)))) t.pairs;
   (* a donor must keep a safety margin over its own request so stealing never
      creates a new violation elsewhere *)
   let donor_floor res =

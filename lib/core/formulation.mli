@@ -1,11 +1,17 @@
 (** The RAS MIP model (paper §3.5.3, Table 1), built over symmetry classes.
 
     Per (class, reservation) pair with a non-zero RRU value there is one
-    integer count variable.  The model linearizes the paper's objective:
+    integer count, held in one or two integer columns.  The model
+    linearizes the paper's objective:
 
-    - expression (1), stability: an auxiliary move variable per pair with a
-      positive current count, [move >= N0 - n], weighted by the movement
-      cost (10x higher for in-use servers, §4.6);
+    - expression (1), stability: [M_s * max(0, N0 - n)] for a pair whose
+      reservation holds [N0 > 0] of the class's servers now, with the
+      movement cost [M_s] 10x higher for in-use servers (§4.6).  The cost
+      is convex and piecewise linear in the count, so it is a bound split,
+      not a row: the count is [held + added], [held] in [0, N0] costing
+      [M_s] less per server than [added] in [0, size - N0], and
+      [M_s * N0] is an objective constant.  The cheaper column fills
+      first, so the split prices every count exactly as the term does;
     - expressions (2)/(3), spread-wide: a positive-part auxiliary per
       (reservation, rack/MSB) weighted by [beta];
     - expression (4), buffer size: one [z_r >= sum over each MSB] auxiliary
@@ -42,18 +48,32 @@ val default_params : params
 type pair = {
   cls : Symmetry.cls;
   res : Reservation.t;
-  var : Ras_mip.Model.var;
+  held : Ras_mip.Model.var;
+      (** the column of the servers [res] keeps of the [current] it holds
+          in [cls], bounded by [current]; [-1] when [current = 0] *)
+  added : Ras_mip.Model.var;
+      (** the column of the servers past [current], bounded by
+          [size - current]; the whole count when [current = 0]; [-1] when
+          [current] is the class size *)
+  current : int;
+      (** the servers of [cls] that [res] holds now, where the stability
+          term prices them; 0 when the class's move cost is 0 *)
   rru : float;  (** [V_{s,r}]: the RRU one server of [cls] gives [res] *)
   res_index : int;  (** position of [res] in [reservations] *)
 }
+
+val count : float array -> pair -> float
+(** The pair's count in a solution vector: [held] plus [added].  Every
+    reader of a solution reads a pair's count through this. *)
 
 type t = {
   model : Ras_mip.Model.t;
   symmetry : Symmetry.t;
   reservations : Reservation.t list;
   pairs : pair array;
-      (** assignment variables in creation order: classes outermost, then
-          reservations; a pair's position here is its pair index *)
+      (** the (class, reservation) pairs in creation order: classes
+          outermost, then reservations; a pair's position here is its pair
+          index *)
   res_pairs : int array array;
       (** per reservation position: its pair indices, descending *)
   class_pairs : int array array;
@@ -91,8 +111,9 @@ val capacity_shortfalls : t -> float array -> (int * float) list
 
 val encode : t -> (pair -> int) -> float array
 (** Build a complete, feasible solution vector from per-pair assignment
-    counts (auxiliaries take their cheapest feasible values).  The counts
-    must respect class supply; this is not re-checked here. *)
+    counts: a count fills [held] first, then [added], and auxiliaries take
+    their cheapest feasible values.  The counts must respect class supply;
+    this is not re-checked here. *)
 
 val status_quo : t -> float array
 (** {!encode} of the current assignment — the do-nothing solution.  Because

@@ -128,6 +128,34 @@ let pick_branch_var (std : Model.std) x =
   done;
   if !best < 0 then None else Some !best
 
+(* Adjacent parallel integer columns: [dearer.(j) = j + 1] when columns
+   [j] and [j + 1] are both integer with the same constraint entries and
+   [j] is strictly cheaper, as the two columns of a bound split are;
+   otherwise -1.  Shifting a unit from [j + 1] to [j] changes no row and
+   lowers the objective, so inside any node every optimum has [x_j] at its
+   upper bound or [x_(j+1)] at its lower one. *)
+let dearer_twins (std : Model.std) =
+  let p = std.col_ptr in
+  let parallel j k =
+    let len = p.(j + 1) - p.(j) in
+    len = p.(k + 1) - p.(k)
+    &&
+    let rec same u =
+      u = len
+      || std.col_ind.(p.(j) + u) = std.col_ind.(p.(k) + u)
+         && std.col_val.(p.(j) + u) = std.col_val.(p.(k) + u)
+         && same (u + 1)
+    in
+    same 0
+  in
+  Array.init std.nvars (fun j ->
+      let k = j + 1 in
+      if
+        k < std.nvars && std.integer.(j) && std.integer.(k) && std.obj.(j) < std.obj.(k)
+        && parallel j k
+      then k
+      else -1)
+
 let integral (std : Model.std) x =
   let ok = ref true in
   for j = 0 to std.nvars - 1 do
@@ -164,6 +192,9 @@ let solve ?(options = default_options) (std : Model.std) =
      their stored basis columns instead (still far cheaper than a cold
      phase-1 start). *)
   let fac_cache : (Simplex.warm_basis * Basis.t) option ref = ref None in
+  let dearer = dearer_twins std in
+  let cheaper = Array.make std.nvars (-1) in
+  Array.iteri (fun j k -> if k >= 0 then cheaper.(k) <- j) dearer;
   let root_lb = Array.copy std.lb and root_ub = Array.copy std.ub in
   tighten_integer_bounds std root_lb root_ub;
   let last_improve = ref 0 in
@@ -236,6 +267,13 @@ let solve ?(options = default_options) (std : Model.std) =
             down_ub.(j) <- Float.floor v;
             let up_lb = Array.copy node.nlb in
             up_lb.(j) <- Float.ceil v;
+            (* below its upper bound, a cheaper twin leaves its dearer
+               twin at the lower bound; above its lower bound, a dearer
+               twin needs its cheaper one at the upper bound: every
+               optimum of this node stays in a child *)
+            let k = dearer.(j) and i = cheaper.(j) in
+            if k >= 0 then down_ub.(k) <- node.nlb.(k);
+            if i >= 0 then up_lb.(i) <- node.nub.(i);
             let down_ok = Float.floor v >= node.nlb.(j) -. 1e-9 in
             let up_ok = Float.ceil v <= node.nub.(j) +. 1e-9 in
             let down = { nlb = node.nlb; nub = down_ub; depth = node.depth + 1; wb } in

@@ -102,4 +102,10 @@ val solve : ?options:options -> Model.std -> outcome
     markers; no reduction is applied first.  Integer bounds are rounded
     inward at the root, and an infeasible model (an empty integer window,
     a row no activity can satisfy) is proven so by the root LP.  A model with no
-    integer variables reduces to a single LP solve. *)
+    integer variables reduces to a single LP solve.
+
+    Adjacent integer columns [j] and [j + 1] with the same constraint
+    entries and [j] strictly cheaper (a bound split's two columns) branch
+    together: every optimum has [x_j] at its upper bound or [x_(j+1)] at
+    its lower one, so a down branch on [j] also fixes [j + 1] at its lower
+    bound, and an up branch on [j + 1] fixes [j] at its upper bound. *)

@@ -29,6 +29,10 @@
      in one dense scratch, as it shipped with a table and a sort per row
      (test_differential.ml, test_core.ml, test_region_scale.ml,
      test_mip.ml).
+   - The formulation's stability term (expression 1), which Ras.Formulation
+     now states as a bound split of each held pair's count, as it shipped:
+     a move variable and a row per held pair (test_core.ml,
+     test_region_scale.ml).
 
    And independent references that share no code with what they check:
 
@@ -874,12 +878,12 @@ let round_lp_reference (t : Formulation.t) lp_solution =
       let floors =
         List.map
           (fun p ->
-            let x = Float.max 0.0 lp_solution.(p.var) in
+            let x = Float.max 0.0 (count lp_solution p) in
             let fl = Float.floor (x +. 1e-9) in
             (p, int_of_float fl, x -. fl))
           ps
       in
-      let total_lp = List.fold_left (fun acc p -> acc +. Float.max 0.0 lp_solution.(p.var)) 0.0 ps in
+      let total_lp = List.fold_left (fun acc p -> acc +. Float.max 0.0 (count lp_solution p)) 0.0 ps in
       let floor_sum = List.fold_left (fun acc (_, fl, _) -> acc + fl) 0 floors in
       let extra = int_of_float (Float.round total_lp) - floor_sum in
       let by_remainder =
@@ -1140,7 +1144,7 @@ let repair_reference (t : Formulation.t) solution =
     t.reservations;
   Array.iter
     (fun p ->
-      let c = int_of_float (Float.round solution.(p.var)) in
+      let c = int_of_float (Float.round (count solution p)) in
       Hashtbl.replace counts (p.cls.Symmetry.index, p.res.Reservation.id) (ref c);
       class_used.(p.cls.Symmetry.index) <- class_used.(p.cls.Symmetry.index) + c;
       let v = p.res.Reservation.rru_of (Ras_topology.Hardware.catalog.(p.cls.Symmetry.hw)) in
@@ -1275,20 +1279,29 @@ let repair_reference (t : Formulation.t) solution =
    its pairs, so only donors can cover a shortfall.  Class supply holds. *)
 let perturb_lp rng (f : Formulation.t) ~fill x =
   let y = Array.copy x in
-  let var i = f.Formulation.pairs.(i).Formulation.var in
+  let pair i = f.Formulation.pairs.(i) in
+  let get i = Formulation.count y (pair i) in
+  (* a count goes to the pair's held column first, as [Formulation.encode]
+     puts it *)
+  let set i v =
+    let p = pair i in
+    let kept = Float.min v (float_of_int p.Formulation.current) in
+    if p.Formulation.held >= 0 then y.(p.Formulation.held) <- kept;
+    if p.Formulation.added >= 0 then y.(p.Formulation.added) <- v -. kept
+  in
   Array.iter
     (fun ps ->
       if ps <> [||] then begin
-        let size = float_of_int (Symmetry.size f.Formulation.pairs.(ps.(0)).Formulation.cls) in
+        let size = float_of_int (Symmetry.size (pair ps.(0)).Formulation.cls) in
         Array.iter
           (fun i ->
-            y.(var i) <- (x.(var i) *. Ras_stats.Rng.float rng 1.0) +. Ras_stats.Rng.float rng 1.5)
+            set i ((Formulation.count x (pair i) *. Ras_stats.Rng.float rng 1.0) +. Ras_stats.Rng.float rng 1.5))
           ps;
-        let sum = Array.fold_left (fun acc i -> acc +. y.(var i)) 0.0 ps in
-        if sum > size then Array.iter (fun i -> y.(var i) <- y.(var i) *. size /. sum) ps
+        let sum = Array.fold_left (fun acc i -> acc +. get i) 0.0 ps in
+        if sum > size then Array.iter (fun i -> set i (get i *. size /. sum)) ps
         else if fill then begin
           let i = ps.(Ras_stats.Rng.int rng (Array.length ps)) in
-          y.(var i) <- y.(var i) +. (size -. sum)
+          set i (get i +. (size -. sum))
         end
       end)
     f.Formulation.class_pairs;
@@ -1776,3 +1789,146 @@ let std_difference (a : Ras_mip.Model.std) (b : Ras_mip.Model.std) =
     ]
   in
   List.find_map (fun (name, same) -> if same then None else Some name) fields
+
+(* ---------- formulation: the pos-part stability term ---------- *)
+
+(* [Formulation.build]'s model as it shipped before expression (1) became
+   a bound split: one integer count column per (class, reservation) pair,
+   and per pair whose reservation holds N0 > 0 of the class's servers a
+   move variable [y >= N0 - n] with its row, weighted by the move cost.
+   Every other expression as [Formulation.build] states it, over the count
+   column.  The two are the same LP and the same MIP in the pair counts,
+   so their optima agree; only the vertex may differ. *)
+let formulation_reference ?(params = Formulation.default_params) ?(rack_level = false)
+    (symmetry : Symmetry.t) =
+  let module Model = Ras_mip.Model in
+  let module Lin = Ras_mip.Lin_expr in
+  let p = params in
+  let reservations = symmetry.Symmetry.snapshot.Snapshot.reservations in
+  let region = symmetry.Symmetry.region in
+  let model = Model.create () in
+  (* per reservation position: its (class, count column, RRU) terms *)
+  let res_terms = Array.make (List.length reservations) [] in
+  let class_vars = Array.make (Symmetry.num_classes symmetry) [] in
+  Array.iter
+    (fun (cls : Symmetry.cls) ->
+      List.iteri
+        (fun ri (res : Reservation.t) ->
+          let rru = res.Reservation.rru_of Ras_topology.Hardware.catalog.(cls.Symmetry.hw) in
+          if rru > 0.0 then begin
+            let v =
+              Model.add_var
+                ~name:(Printf.sprintf "n_%s_r%d" (Symmetry.class_name cls) res.Reservation.id)
+                ~lb:0.0
+                ~ub:(float_of_int (Symmetry.size cls))
+                ~kind:Model.Integer model
+            in
+            let wear =
+              p.Formulation.wear_penalty *. res.Reservation.io_intensity
+              *. float_of_int cls.Symmetry.attr
+            in
+            Model.add_to_objective model (Lin.term (p.Formulation.assignment_cost +. wear) v);
+            res_terms.(ri) <- (cls, v, rru) :: res_terms.(ri);
+            class_vars.(cls.Symmetry.index) <- v :: class_vars.(cls.Symmetry.index)
+          end)
+        reservations)
+    symmetry.Symmetry.classes;
+  Array.iteri
+    (fun idx vs ->
+      if vs <> [] then
+        ignore
+          (Model.add_constraint model
+             (Lin.of_terms (List.map (fun v -> (1.0, v)) vs))
+             Model.Le
+             (float_of_int (Symmetry.size symmetry.Symmetry.classes.(idx)))))
+    class_vars;
+  let slack ~weight =
+    let v = Model.add_var ~lb:0.0 model in
+    Model.add_to_objective model (Lin.term weight v);
+    v
+  in
+  (* per scope (MSB, datacenter, rack) in ascending order, the terms in it *)
+  let group terms ~scope_of =
+    let tbl = Hashtbl.create 16 in
+    List.iter
+      (fun (cls, v, rru) ->
+        let g = scope_of cls in
+        if g >= 0 then
+          Hashtbl.replace tbl g ((rru, v) :: Option.value (Hashtbl.find_opt tbl g) ~default:[]))
+      terms;
+    List.sort
+      (fun (a, _) (b, _) -> Int.compare a b)
+      (Hashtbl.fold (fun g ts acc -> (g, Lin.of_terms ts) :: acc) tbl [])
+  in
+  List.iteri
+    (fun ri (res : Reservation.t) ->
+      let terms = res_terms.(ri) in
+      let total = Lin.of_terms (List.map (fun (_, v, rru) -> (rru, v)) terms) in
+      let by_msb = group terms ~scope_of:(fun c -> c.Symmetry.msb) in
+      let cr = res.Reservation.capacity_rru in
+      let z_term =
+        if res.Reservation.embedded_buffer && region.Region.num_msbs > 1 then
+          Lin.term (-1.0)
+            (Model.add_max_over model ~weight:p.Formulation.buffer_cost (List.map snd by_msb))
+        else Lin.zero
+      in
+      let s = slack ~weight:p.Formulation.capacity_slack_cost in
+      ignore
+        (Model.add_constraint model (Lin.add (Lin.add total z_term) (Lin.var s)) Model.Ge cr);
+      List.iter
+        (fun (_, e) ->
+          ignore
+            (Model.add_pos_part model ~weight:p.Formulation.spread_penalty
+               (Lin.sub e (Lin.constant (res.Reservation.msb_spread_limit *. cr)))))
+        by_msb;
+      Option.iter
+        (fun cap ->
+          List.iter
+            (fun (_, e) ->
+              let s = slack ~weight:p.Formulation.capacity_slack_cost in
+              ignore
+                (Model.add_constraint model
+                   (Lin.sub (Lin.sub e (Lin.scale cap total)) (Lin.var s))
+                   Model.Le 0.0))
+            by_msb)
+        res.Reservation.hard_msb_cap;
+      (match (rack_level, res.Reservation.rack_spread_limit) with
+      | true, Some alpha_k ->
+        List.iter
+          (fun (_, e) ->
+            ignore
+              (Model.add_pos_part model ~weight:p.Formulation.spread_penalty
+                 (Lin.sub e (Lin.constant (alpha_k *. cr)))))
+          (group terms ~scope_of:(fun c -> Option.value c.Symmetry.rack ~default:(-1)))
+      | _ -> ());
+      if res.Reservation.dc_affinity <> [] then begin
+        let by_dc = group terms ~scope_of:(fun c -> region.Region.msb_dc.(c.Symmetry.msb)) in
+        let theta = res.Reservation.affinity_tolerance in
+        List.iter
+          (fun (dc, target) ->
+            let e = Option.value (List.assoc_opt dc by_dc) ~default:Lin.zero in
+            let lo = slack ~weight:p.Formulation.affinity_slack_cost in
+            let hi = slack ~weight:p.Formulation.affinity_slack_cost in
+            ignore
+              (Model.add_constraint model (Lin.add e (Lin.var lo)) Model.Ge
+                 ((target -. theta) *. cr));
+            ignore
+              (Model.add_constraint model (Lin.sub e (Lin.var hi)) Model.Le
+                 ((target +. theta) *. cr)))
+          res.Reservation.dc_affinity
+      end;
+      (* expression (1): a move variable and row per held pair *)
+      let owner = Reservation.owner res in
+      List.iter
+        (fun ((cls : Symmetry.cls), v, _) ->
+          let n0 = Symmetry.current_count symmetry cls owner in
+          if n0 > 0 then
+            ignore
+              (Model.add_pos_part model
+                 ~weight:
+                   (if cls.Symmetry.in_use then p.Formulation.move_cost_in_use
+                    else p.Formulation.move_cost_unused)
+                 (Lin.sub (Lin.constant (float_of_int n0)) (Lin.var v))))
+        terms)
+    reservations;
+  model

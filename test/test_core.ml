@@ -664,7 +664,7 @@ let test_status_quo_zero_movement () =
         (float_of_int
            (Symmetry.current_count f.Formulation.symmetry p.Formulation.cls
               (Reservation.owner p.Formulation.res)))
-        sq.(p.Formulation.var))
+        (Formulation.count sq p))
     f.Formulation.pairs
 
 (* ---------- Concretize ---------- *)
@@ -1762,9 +1762,9 @@ let test_root_lp_pivots_pinned () =
       obj
     | _ -> Alcotest.failf "%s: root LP not optimal" label
   in
-  let cold = solve "cold" 1455 None in
+  let cold = solve "cold" 1169 None in
   let crash =
-    solve "crash" 309 (Some (Simplex.crash std (Formulation.status_quo p1.Phases.formulation)))
+    solve "crash" 149 (Some (Simplex.crash std (Formulation.status_quo p1.Phases.formulation)))
   in
   Alcotest.(check (float 1e-6)) "same objective" cold crash;
   (* a tree search's warm restarts run the dual phase *)
@@ -1774,12 +1774,117 @@ let test_root_lp_pivots_pinned () =
         { Ras_mip.Branch_bound.default_options with node_limit = 40; time_limit = 600.0 }
       std
   in
-  Alcotest.(check (list int)) "tree search: nodes, node-LP pivots, dual pivots" [ 40; 1701; 168 ]
+  Alcotest.(check (list int)) "tree search: nodes, node-LP pivots, dual pivots" [ 40; 1418; 171 ]
     [
       out.Ras_mip.Branch_bound.nodes;
       out.Ras_mip.Branch_bound.lp_iterations;
       out.Ras_mip.Branch_bound.dual_pivots;
     ]
+
+(* ---------- expression (1): the bound split against the pos-part row ---------- *)
+
+(* [f]'s model states expression (1) as a bound split of each held pair's
+   count; [Oracles.formulation_reference] over the same classes and
+   parameters states it as a move variable and row per held pair.  The
+   split model has one row fewer per held pair, and both root LPs reach
+   the same optimum to 1e-9 relative.  Returns the two compiled models. *)
+let check_split_root_lp tag (f : Formulation.t) =
+  let std = Model.compile f.Formulation.model in
+  let reference =
+    Model.compile
+      (Oracles.formulation_reference ~params:f.Formulation.params
+         ~rack_level:f.Formulation.rack_level f.Formulation.symmetry)
+  in
+  let held =
+    Array.fold_left
+      (fun n (p : Formulation.pair) -> if p.Formulation.current > 0 then n + 1 else n)
+      0 f.Formulation.pairs
+  in
+  Alcotest.(check int)
+    (Printf.sprintf "%s: %d rows, one fewer per held pair (%d)" tag std.Model.nrows held)
+    (reference.Model.nrows - held) std.Model.nrows;
+  (match (Simplex.solve std, Simplex.solve reference) with
+  | Simplex.Optimal a, Simplex.Optimal b ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: root LP %.12g vs the pos-part reference's %.12g" tag a.obj b.obj)
+      true
+      (Float.abs (a.obj -. b.obj) <= 1e-9 *. Float.max 1.0 (Float.abs b.obj))
+  | _ -> Alcotest.failf "%s: a root LP is not optimal" tag);
+  (std, reference)
+
+let test_split_medium_round () =
+  let lazy { round; _ } = medium_round in
+  ignore (check_split_root_lp "phase 1" round.Async_solver.phase1.Phases.formulation);
+  match round.Async_solver.phase2 with
+  | Some p2 -> ignore (check_split_root_lp "phase 2" p2.Phases.formulation)
+  | None -> Alcotest.fail "phase 2 did not run"
+
+(* Small seeded regions (4 MSBs of 2 servers) after greedy bring-up, with
+   every request resized and some servers in use, solved to optimality:
+   the split model's MIP optimum is the pos-part reference's.  Across the
+   corpus every column shape occurs (a pair holding none of its class,
+   part of it and all of it), and some searches branch. *)
+let test_split_mip_optima () =
+  let shapes = Array.make 3 0 and trees = ref 0 in
+  for seed = 1 to 40 do
+    let region =
+      Generator.generate
+        { Generator.name = "split-mip"; num_dcs = 2; msbs_per_dc = 2; racks_per_msb = 1;
+          servers_per_rack = 2; seed }
+    in
+    let broker = Broker.create region in
+    let rng = Ras_stats.Rng.create (500 + seed) in
+    let requests =
+      Ras_workload.Request_gen.scenario rng ~region ~services:Service.default_catalog
+        ~target_utilization:0.5
+    in
+    ignore (Ras_twine.Greedy.fulfill broker requests);
+    for id = 0 to Broker.num_servers broker - 1 do
+      if Ras_stats.Rng.int rng 4 = 0 then Broker.set_in_use broker id true
+    done;
+    let reservations =
+      List.map
+        (fun req ->
+          let r = Reservation.of_request req in
+          { r with Reservation.capacity_rru = r.Reservation.capacity_rru *. (0.5 +. Ras_stats.Rng.float rng 1.0) })
+        requests
+    in
+    let f = Formulation.build (Symmetry.build (Snapshot.take broker reservations)) in
+    Array.iter
+      (fun (p : Formulation.pair) ->
+        let k =
+          if p.Formulation.current = 0 then 0
+          else if p.Formulation.current < Symmetry.size p.Formulation.cls then 1
+          else 2
+        in
+        shapes.(k) <- shapes.(k) + 1)
+      f.Formulation.pairs;
+    let tag = Printf.sprintf "seed %d" seed in
+    let std, reference = check_split_root_lp tag f in
+    let optimum std =
+      let out =
+        Ras_mip.Branch_bound.solve
+          ~options:{ Ras_mip.Branch_bound.default_options with gap_rel = 0.0; gap_abs = 1e-9 }
+          std
+      in
+      if out.Ras_mip.Branch_bound.status <> Ras_mip.Branch_bound.Optimal then
+        Alcotest.failf "%s: MIP not solved to optimality" tag;
+      if out.Ras_mip.Branch_bound.nodes > 1 then incr trees;
+      out.Ras_mip.Branch_bound.objective
+    in
+    let a = optimum std and b = optimum reference in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: MIP optimum %.12g vs the pos-part reference's %.12g" tag a b)
+      true
+      (Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs b))
+  done;
+  Array.iteri
+    (fun k n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s pairs occur (%d)" [| "unheld"; "partly held"; "wholly held" |].(k) n)
+        true (n > 0))
+    shapes;
+  Alcotest.(check bool) (Printf.sprintf "searches that branch (%d)" !trees) true (!trees > 0)
 
 (* The medium round's phase-1 and phase-2 models compile bit-identical to
    [Oracles.compile_reference], the per-row table and sort that
@@ -2066,6 +2171,10 @@ let suite =
       test_apply_matches_reference;
     Alcotest.test_case "merge and apply allocate O(moves)" `Quick test_merge_apply_words;
     Alcotest.test_case "root LP pivots pinned" `Quick test_root_lp_pivots_pinned;
+    Alcotest.test_case "stability bound split: medium round root LPs match the pos-part reference"
+      `Quick test_split_medium_round;
+    Alcotest.test_case "stability bound split: small MIP optima match the pos-part reference"
+      `Quick test_split_mip_optima;
     Alcotest.test_case "snapshot unknown id" `Quick test_snapshot_unknown_id;
     Alcotest.test_case "solve leaves unmanaged reservations alone" `Quick
       test_solve_leaves_unmanaged_alone;

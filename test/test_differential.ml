@@ -288,6 +288,65 @@ let test_mip_differential () =
   done;
   Alcotest.(check bool) "enough MIP instances" true (!count >= 80)
 
+(* Small integer programs built from bound splits: each count is a pair
+   of adjacent integer columns with the same entries in every row, the
+   first bounded by a "held" count and cheaper by a positive move cost,
+   plus one free-standing integer column.  Rows are anchored on a random
+   integer point, with all three senses.  Branch-and-bound fixes a
+   dearer twin when it branches on a pair (see [Branch_bound.solve]), and
+   must still reach the depth-first oracle's optimum; some searches must
+   branch. *)
+let split_raw_model seed =
+  let rng = R.create (8500 + seed) in
+  let mdl = Model.create () in
+  let columns =
+    List.concat
+      (List.init (1 + R.int rng 4) (fun _ ->
+           let held = R.int rng 4 and rest = 1 + R.int rng 4 in
+           let base = R.float rng 6.0 -. 3.0 and move = 0.5 +. R.float rng 2.0 in
+           let h =
+             Model.add_var ~lb:0.0 ~ub:(float_of_int held) ~kind:Model.Integer mdl
+           in
+           let a = Model.add_var ~lb:0.0 ~ub:(float_of_int rest) ~kind:Model.Integer mdl in
+           [ ([ h; a ], R.int rng (held + rest + 1), [ base -. move; base ]) ]))
+  in
+  let lone = Model.add_var ~lb:0.0 ~ub:3.0 ~kind:Model.Integer mdl in
+  let columns = ([ lone ], R.int rng 4, [ R.float rng 2.0 -. 1.0 ]) :: columns in
+  for _ = 1 to 1 + R.int rng 5 do
+    let terms, at_point =
+      List.fold_left
+        (fun (terms, at) (vars, count, _) ->
+          if R.bool rng then (terms, at)
+          else begin
+            let c = (1.0 +. R.float rng 4.0) *. if R.bool rng then 1.0 else -1.0 in
+            (List.map (fun v -> (c, v)) vars @ terms, at +. (c *. float_of_int count))
+          end)
+        ([], 0.0) columns
+    in
+    let sense = [| Model.Le; Model.Ge; Model.Eq |].(R.int rng 3) in
+    let rhs =
+      match sense with
+      | Model.Le -> at_point +. R.float rng 2.0
+      | Model.Ge -> at_point -. R.float rng 2.0
+      | Model.Eq -> at_point
+    in
+    ignore (Model.add_constraint mdl (Lin_expr.of_terms terms) sense rhs)
+  done;
+  Model.set_objective mdl
+    (Lin_expr.of_terms
+       (List.concat_map (fun (vars, _, costs) -> List.combine costs vars) columns));
+  mdl
+
+let test_split_mip_differential () =
+  let branched = ref 0 in
+  for seed = 1 to 120 do
+    let std = Model.compile (split_raw_model seed) in
+    check_mip_instance seed std;
+    let out = Branch_bound.solve std in
+    if out.Branch_bound.nodes > 1 then incr branched
+  done;
+  Alcotest.(check bool) (Printf.sprintf "searches that branch (%d)" !branched) true (!branched >= 20)
+
 (* ------------------------------------------------------------------ *)
 (* Sparse-vs-dense kernel differential                                 *)
 
@@ -456,6 +515,8 @@ let suite =
       `Quick test_lp_warm_differential;
     Alcotest.test_case "mip: verdict and objective match the depth-first oracle (80 instances)"
       `Quick test_mip_differential;
+    Alcotest.test_case "mip: bound-split twins match the depth-first oracle (120 instances)" `Quick
+      test_split_mip_differential;
     Alcotest.test_case
       "kernels lp: sparse vs dense-oracle solves bit-identical on root and crash bases (140 instances)"
       `Quick test_lp_kernel_differential;

@@ -4,7 +4,7 @@
    The region-scale preset varies only [servers_per_rack] between scales;
    rack hardware is drawn once per rack, so the same logical region exists
    at ~2x10^4 (spr=1), ~10^5 (spr=5) and ~10^6 (spr=48) raw servers with
-   identical class structure.  That gives five pins:
+   identical class structure.  That gives six pins:
 
    - equivalence: the streaming [Symmetry.build] must agree with the
      retained pre-columnar oracle [Oracles.build_reference] class-for-class
@@ -22,6 +22,9 @@
      optimum must match the retained Hashtbl oracle bit for bit;
    - root LP: after failures, the crash basis at the status quo must halve
      the cold start's pivots and reach the same objective;
+   - stability: each round's models, with expression (1) a bound split,
+     must reach the root-LP optimum of the pos-part reference
+     [Oracles.formulation_reference];
    - ceilings: compiled size must be independent of raw server count
      (Fig. 10/11 regime), formulation+compile allocation must be bounded by
      model size (not server count), the symmetry build must allocate its
@@ -411,6 +414,28 @@ let test_crash_root_lp_after_failures () =
           | _ -> Alcotest.fail "crash-started root LP not optimal")
         | _ -> Alcotest.fail "cold root LP not optimal")
 
+(* ---------- expression (1): the bound split against the pos-part row ---------- *)
+
+(* Both rounds of the region-scale loop, phase 1 and phase 2 when it runs:
+   each model has one row fewer per held pair than
+   [Oracles.formulation_reference]'s, and the same root-LP optimum to
+   1e-9 relative ([Test_core.check_split_root_lp]).  spr=1 in [dune
+   runtest], 10^6 servers under RAS_SCALE_TESTS=full. *)
+let test_split_root_lps () =
+  let at servers_per_rack =
+    bring_up_then_failures ~servers_per_rack (fun tag stats ->
+        let check name (p : Phases.result) =
+          ignore
+            (Test_core.check_split_root_lp
+               (Printf.sprintf "spr=%d %s %s" servers_per_rack tag name)
+               p.Phases.formulation)
+        in
+        check "phase 1" stats.Async_solver.phase1;
+        Option.iter (check "phase 2") stats.Async_solver.phase2)
+  in
+  at 1;
+  if full_scale () then at 48
+
 (* ---------- primal heuristic: pair-indexed table vs the oracle ---------- *)
 
 (* The bring-up phase-1 model (surge-mid's servers_per_rack = 8 under
@@ -539,4 +564,6 @@ let suite =
       test_symmetry_build_words;
     Alcotest.test_case "round models compile bit-identical to the table-and-sort compile" `Slow
       test_compile_pin;
+    Alcotest.test_case "stability bound split: round root LPs match the pos-part reference" `Slow
+      test_split_root_lps;
   ]
