@@ -2171,10 +2171,6 @@ let suite =
       test_apply_matches_reference;
     Alcotest.test_case "merge and apply allocate O(moves)" `Quick test_merge_apply_words;
     Alcotest.test_case "root LP pivots pinned" `Quick test_root_lp_pivots_pinned;
-    Alcotest.test_case "stability bound split: medium round root LPs match the pos-part reference"
-      `Quick test_split_medium_round;
-    Alcotest.test_case "stability bound split: small MIP optima match the pos-part reference"
-      `Quick test_split_mip_optima;
     Alcotest.test_case "snapshot unknown id" `Quick test_snapshot_unknown_id;
     Alcotest.test_case "solve leaves unmanaged reservations alone" `Quick
       test_solve_leaves_unmanaged_alone;
@@ -2190,4 +2186,8 @@ let suite =
       test_medium_round_compile_pinned;
     Alcotest.test_case "system extend_region re-sizes the buffer" `Quick
       test_system_extend_region;
+    Alcotest.test_case "stability bound split: medium round root LPs match the pos-part reference"
+      `Quick test_split_medium_round;
+    Alcotest.test_case "stability bound split: small MIP optima match the pos-part reference"
+      `Quick test_split_mip_optima;
   ]

@@ -515,8 +515,6 @@ let suite =
       `Quick test_lp_warm_differential;
     Alcotest.test_case "mip: verdict and objective match the depth-first oracle (80 instances)"
       `Quick test_mip_differential;
-    Alcotest.test_case "mip: bound-split twins match the depth-first oracle (120 instances)" `Quick
-      test_split_mip_differential;
     Alcotest.test_case
       "kernels lp: sparse vs dense-oracle solves bit-identical on root and crash bases (140 instances)"
       `Quick test_lp_kernel_differential;
@@ -529,4 +527,6 @@ let suite =
     Alcotest.test_case
       "compile equals the table-and-sort reference bit for bit (battery, golden corpus, duplicates)"
       `Quick test_compile_matches_reference;
+    Alcotest.test_case "mip: bound-split twins match the depth-first oracle (120 instances)" `Quick
+      test_split_mip_differential;
   ]

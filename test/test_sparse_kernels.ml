@@ -374,10 +374,10 @@ let suite =
       test_random_sparse_triangular;
     Alcotest.test_case "fully dense column falls back without diverging" `Quick
       test_dense_column_fallback;
-    Alcotest.test_case "radix-sorted result patterns at one, two and three digit passes" `Quick
-      test_radix_sorted_patterns;
     Alcotest.test_case "bound-flip dual ratio test (bound_flip.lp warm restart)" `Quick
       test_dual_ratio_restart;
     Alcotest.test_case "workspace reuse bounds per-solve allocation" `Quick
       test_workspace_alloc_bound;
+    Alcotest.test_case "radix-sorted result patterns at one, two and three digit passes" `Quick
+      test_radix_sorted_patterns;
   ]
