@@ -10,10 +10,11 @@
      of a post-failure round started cold and from the crash basis at the
      status quo, that round's model build (symmetry, formulation and
      compile, each timed alone) and merge + apply (the moves it makes and
-     the targets it writes), LP rounding + repair of the root-LP optimum, and
+     the targets it writes), LP rounding + repair of the root-LP optimum,
      branch-and-bound nodes/sec with warm dual-simplex restarts on the
-     factorized basis.  Each pair prints its speedup and agreement;
-     nothing is asserted.
+     factorized basis, and the time per node of a round's phase-2 tree
+     with the tree's fingerprint.  Each pair prints its speedup and
+     agreement; nothing is asserted.
    - The tier-1 restore path and a demand change's window (snapshot +
      admission, and the column copy the next broker write pays) on the
      medium and 10^6-server presets.
@@ -196,27 +197,27 @@ let lu_refactor_kernel ~label ~repeats (std : Model.std) =
 (* A continuous-loop round after failures: a bring-up round through
    [System], up to 200 random hardware failures (one per 40 servers at
    most), then the solve [System] makes next, not yet applied.  Returns
-   the system and that round's solve. *)
-let post_failure_round preset =
+   the system and that round's solve.  By default the rounds are
+   heuristic-only ([Scenarios.simulation_solver]) on the scenario's
+   requests; [solver] and [rack_limits] (rack goals on every request of at
+   least 5 RRU, see [Scenarios.with_rack_limits]) make them the tree
+   searches a round with phase 2 runs. *)
+let post_failure_round ?(solver = Scenarios.simulation_solver) ?(rack_limits = false) preset =
   let module Broker = Ras_broker.Broker in
   let region = Scenarios.region_of preset in
   let broker = Broker.create region in
-  let config =
-    {
-      Ras.System.default_config with
-      Ras.System.solver = Scenarios.simulation_solver;
-      job_fill_fraction = 0.0;
-    }
-  in
+  let config = { Ras.System.default_config with Ras.System.solver; job_fill_fraction = 0.0 } in
   let sys = Ras.System.create ~config broker in
-  List.iter (Ras.System.add_request sys) (Scenarios.requests_of preset region);
+  let requests = Scenarios.requests_of preset region in
+  List.iter (Ras.System.add_request sys)
+    (if rack_limits then Scenarios.with_rack_limits requests else requests);
   ignore (Ras.System.solve_now sys);
   let n = Broker.num_servers broker in
   let rng = Ras_stats.Rng.create 24 in
   for _ = 1 to min 200 (n / 40) do
     Broker.mark_down broker (Ras_stats.Rng.int rng n) Ras_failures.Unavail.Unplanned_hw
   done;
-  (sys, Ras.Async_solver.solve ~params:Scenarios.simulation_solver (Ras.System.snapshot sys))
+  (sys, Ras.Async_solver.solve ~params:solver (Ras.System.snapshot sys))
 
 (* The phase-1 model of [post_failure_round]: its formulation and compiled
    model. *)
@@ -429,6 +430,64 @@ let bb_kernel ~label ~node_limit ~time_limit (std : Model.std) =
       ("pivots_per_sec", flt (float_of_int out.Branch_bound.lp_iterations /. dt));
       ("best_bound", flt out.Branch_bound.best_bound);
     ]
+
+(* A round's phase-2 tree: [post_failure_round] with the loop's own solve
+   limits ([Phases.default_params]) and rack goals, so the round runs
+   phase 2; its rack-level model is searched again from [Phases.search]'s
+   options, [repeats] times, each after a full major collection.  Prints
+   the quartiles of the time per node and the tree's fingerprint: nodes,
+   LP and dual pivots, incumbent, best bound and a digest of the
+   solution's bits, which a change that claims the same answers must
+   leave as it was. *)
+let bb_phase2_kernel ~label ~repeats preset =
+  let name = Printf.sprintf "bb-phase2-%s" label in
+  let params = Ras.Phases.default_params in
+  let _, stats = post_failure_round ~solver:params ~rack_limits:true preset in
+  match stats.Ras.Async_solver.phase2 with
+  | None -> Report.row "%-34s skipped: the round ran no phase 2\n" name
+  | Some p2 ->
+    let std = p2.Ras.Phases.compiled in
+    let _, options = Ras.Phases.search ~params ~rack_level:true p2.Ras.Phases.formulation std in
+    let last = ref None in
+    let per_node =
+      Array.init repeats (fun _ ->
+          Gc.full_major ();
+          let t0 = Unix.gettimeofday () in
+          let out = Branch_bound.solve ~options std in
+          let dt = Unix.gettimeofday () -. t0 in
+          last := Some out;
+          dt *. 1e6 /. float_of_int (max 1 out.Branch_bound.nodes))
+    in
+    Array.sort compare per_node;
+    let q k = per_node.(k * (repeats - 1) / 4) in
+    let out = Option.get !last in
+    let digest =
+      match out.Branch_bound.solution with
+      | None -> "none"
+      | Some x ->
+        let b = Buffer.create (8 * Array.length x) in
+        Array.iter (fun v -> Buffer.add_int64_le b (Int64.bits_of_float v)) x;
+        Digest.to_hex (Digest.string (Buffer.contents b))
+    in
+    Report.row "%-34s %8.2fus/node median (q1 %.2f, q3 %.2f) of %d  %s\n" name (q 2) (q 1) (q 3)
+      repeats (size_of std);
+    Report.row "%-34s %d nodes  %d pivots (%d dual)  incumbent %.17g  bound %.17g  solution %s\n" ""
+      out.Branch_bound.nodes out.Branch_bound.lp_iterations out.Branch_bound.dual_pivots
+      out.Branch_bound.objective out.Branch_bound.best_bound digest;
+    record ~kernel:name ~size:(size_of std)
+      ~wall_s:(q 2 *. 1e-6 *. float_of_int out.Branch_bound.nodes)
+      [
+        ("us_per_node_median", flt (q 2));
+        ("us_per_node_q1", flt (q 1));
+        ("us_per_node_q3", flt (q 3));
+        ("repeats", string_of_int repeats);
+        ("nodes", string_of_int out.Branch_bound.nodes);
+        ("lp_pivots", string_of_int out.Branch_bound.lp_iterations);
+        ("dual_pivots", string_of_int out.Branch_bound.dual_pivots);
+        ("incumbent", Printf.sprintf "%.17g" out.Branch_bound.objective);
+        ("best_bound", Printf.sprintf "%.17g" out.Branch_bound.best_bound);
+        ("solution_digest", Printf.sprintf "%S" digest);
+      ]
 
 (* ---------------------------------------------------------------- *)
 (* Tier-1 reactive restore: event -> healthy-replacement latency     *)
@@ -735,6 +794,7 @@ type preset_row = {
   lp_repeats : int;
   bb_node_limit : int;
   bb_time_limit : float;
+  bb_phase2_repeats : int;  (* timed searches of a round's phase-2 tree; 0 skips *)
   reactive_events : int;  (* tier-1 restore events; 0 skips the kernel *)
   lu_refactors : int;  (* timed root-basis refactorizations; 0 skips *)
   heuristic_repeats : int;  (* timed round_lp + repair calls; 0 skips *)
@@ -754,6 +814,7 @@ let preset_rows () =
       lp_repeats = Scenarios.scaled 8;
       bb_node_limit = Scenarios.scaled 120;
       bb_time_limit = 60.0;
+      bb_phase2_repeats = 0;
       reactive_events = 0;
       lu_refactors = 0;
       heuristic_repeats = 0;
@@ -768,6 +829,7 @@ let preset_rows () =
       lp_repeats = 2;
       bb_node_limit = (if !Scenarios.quick then 24 else 60);
       bb_time_limit = 120.0;
+      bb_phase2_repeats = (if !Scenarios.quick then 11 else 31);
       reactive_events = (if !Scenarios.quick then 20 else 60);
       lu_refactors = 31;
       heuristic_repeats = (if !Scenarios.quick then 5 else 15);
@@ -785,6 +847,9 @@ let preset_rows () =
       lp_repeats = (if !Scenarios.quick then 1 else 2);
       bb_node_limit = (if !Scenarios.quick then 8 else 40);
       bb_time_limit = 120.0;
+      (* phase 2 does not run at this scale (its candidates' pools pass
+         the variable cap) *)
+      bb_phase2_repeats = 0;
       reactive_events = (if !Scenarios.quick then 10 else 25);
       lu_refactors = 31;
       heuristic_repeats = (if !Scenarios.quick then 3 else 7);
@@ -840,6 +905,11 @@ let run () =
       if r.bb_node_limit > 0 then
         bb_kernel ~label:r.label ~node_limit:r.bb_node_limit ~time_limit:r.bb_time_limit
           (std row))
+    rows;
+  List.iter
+    (fun (r, _) ->
+      if r.bb_phase2_repeats > 0 then
+        bb_phase2_kernel ~label:r.label ~repeats:r.bb_phase2_repeats r.preset)
     rows;
   Report.row "-- tier-1 reactive restore (event -> replacement) --\n";
   List.iter

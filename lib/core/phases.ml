@@ -45,15 +45,7 @@ let default_params =
 
 let now () = Unix.gettimeofday ()
 
-let run ?(params = default_params) ?(rack_level = false) snapshot =
-  let words_before = Gc.allocated_bytes () in
-  let t0 = now () in
-  let symmetry = Symmetry.build ~rack_level snapshot in
-  let formulation = Formulation.build ~params:params.formulation ~rack_level symmetry in
-  let t1 = now () in
-  let std = Model.compile formulation.Formulation.model in
-  let t2 = now () in
-  let words_after = Gc.allocated_bytes () in
+let search ~params ~rack_level formulation std =
   let status_quo = Formulation.status_quo formulation in
   (* the stability term anchors the optimum on the current assignment, so
      the root LP starts from a crash basis at the status quo *)
@@ -68,7 +60,6 @@ let run ?(params = default_params) ?(rack_level = false) snapshot =
       if objective_of repaired <= objective_of status_quo then repaired else status_quo
     | Simplex.Infeasible _ | Simplex.Unbounded | Simplex.Iteration_limit _ -> status_quo
   in
-  let t3 = now () in
   let options =
     {
       Branch_bound.time_limit =
@@ -90,6 +81,19 @@ let run ?(params = default_params) ?(rack_level = false) snapshot =
       root_basis = (match lp with Simplex.Optimal { basis; _ } -> Some basis | _ -> None);
     }
   in
+  (lp, options)
+
+let run ?(params = default_params) ?(rack_level = false) snapshot =
+  let words_before = Gc.allocated_bytes () in
+  let t0 = now () in
+  let symmetry = Symmetry.build ~rack_level snapshot in
+  let formulation = Formulation.build ~params:params.formulation ~rack_level symmetry in
+  let t1 = now () in
+  let std = Model.compile formulation.Formulation.model in
+  let t2 = now () in
+  let words_after = Gc.allocated_bytes () in
+  let lp, options = search ~params ~rack_level formulation std in
+  let t3 = now () in
   let outcome = Branch_bound.solve ~options std in
   (* a search that processed no node (heuristic-only mode, [node_limit =
      0]) leaves its root open and proves nothing; the root LP solved above
@@ -101,6 +105,8 @@ let run ?(params = default_params) ?(rack_level = false) snapshot =
       { outcome with Branch_bound.best_bound; gap = outcome.Branch_bound.objective -. best_bound }
   in
   let t4 = now () in
+  (* [search] always seeds the tree with the heuristic incumbent *)
+  let initial = Option.get options.Branch_bound.initial in
   let solution = Option.value outcome.Branch_bound.solution ~default:initial in
   {
     timing =

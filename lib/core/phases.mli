@@ -65,6 +65,20 @@ val default_params : params
     nodes, {!Ras_mip.Branch_bound.default_options}'s near-exact relative
     gap, no stall limit, {!Formulation.default_params}. *)
 
+val search :
+  params:params ->
+  rack_level:bool ->
+  Formulation.t ->
+  Ras_mip.Model.std ->
+  Ras_mip.Simplex.result * Ras_mip.Branch_bound.options
+(** [search ~params ~rack_level formulation std] is the initial state of
+    {!run}'s tree search on the compiled [formulation]: the root LP,
+    started from a {!Ras_mip.Simplex.crash} basis at the status quo, and
+    the {!Ras_mip.Branch_bound.options} {!run} solves [std] with — the
+    phase's limits from [params], the heuristic incumbent and the root
+    LP's basis.  The bench's phase-2 tree row replays a round's search
+    from it. *)
+
 val run : ?params:params -> ?rack_level:bool -> Snapshot.t -> result
 (** One phase over the snapshot's scope: its reservations, over the
     servers {!Snapshot.covers} admits (those [Free] and the reservations

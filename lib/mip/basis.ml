@@ -120,6 +120,14 @@ type t = {
   adiag : float array;  (* update i's U diagonal *)
   aptr : int array;  (* update i's U column: slots aptr.(i) .. aptr.(i+1)-1 of [acol] *)
   acol : slots;  (* (earlier step, value) *)
+  (* the appended columns' entries indexed by step: [ahead.(k)] is the last
+     [acol] slot holding step k (-1 when none), [anext.(w)] the slot before
+     [w] holding the same step and [aupd.(w)] the update whose column holds
+     slot [w].  A column holds a step at most once, so an update reads the
+     vacated row off one list instead of scanning every column. *)
+  ahead : int array;  (* m + update_limit *)
+  mutable anext : int array;  (* parallel to [acol] *)
+  mutable aupd : int array;
   eptr : int array;  (* update i's row eta: slots eptr.(i) .. eptr.(i+1)-1 of [erow] *)
   erow : slots;  (* (later step, multiplier) *)
   mutable updates : int;
@@ -239,6 +247,9 @@ let create ~m =
     adiag = Array.make update_limit 0.0;
     aptr = Array.make (update_limit + 1) 0;
     acol = slots_make ();
+    ahead = Array.make steps (-1);
+    anext = [||];
+    aupd = [||];
     eptr = Array.make (update_limit + 1) 0;
     erow = slots_make ();
     updates = 0;
@@ -298,6 +309,9 @@ let install t lu =
   for i = 0 to t.updates - 1 do
     t.dead.(t.vac.(i)) <- false
   done;
+  for w = 0 to t.acol.sn - 1 do
+    t.ahead.(t.acol.si.(w)) <- -1
+  done;
   t.lu <- lu;
   Array.blit lu.cpos 0 t.spos 0 t.m;
   Array.blit lu.cperm 0 t.pstep 0 t.m;
@@ -323,6 +337,9 @@ let copy t =
       adiag = Array.copy t.adiag;
       aptr = Array.copy t.aptr;
       acol = slots_copy t.acol;
+      ahead = Array.copy t.ahead;
+      anext = Array.sub t.anext 0 t.acol.sn;
+      aupd = Array.sub t.aupd 0 t.acol.sn;
       eptr = Array.copy t.eptr;
       erow = slots_copy t.erow;
     }
@@ -1306,13 +1323,11 @@ let scatter_steps t (perm : int array) n (x : float array) =
    workspace and their own arrays, never through the svecs [sf]/[sb] or the
    spike: a caller may still hold the last sparse FTRAN or BTRAN, or be
    about to update with it, across them. *)
-let ftran_dense t b =
-  let x = Array.copy b in
+let ftran_dense_in_place t x =
   let n = all_steps t in
   l_forward t t.lu x n;
   let n = ftran_upper t n ~save:false in
-  scatter_steps t t.pstep n x;
-  x
+  scatter_steps t t.pstep n x
 
 let btran_dense_into t c y =
   for p = 0 to t.m - 1 do
@@ -1373,6 +1388,25 @@ let btran_unit_sparse t r =
 (* ------------------------------------------------------------------ *)
 (* Updates                                                             *)
 
+(* Append (step [k], [v]) to update [i]'s U column and to step k's
+   list. *)
+let acol_push t k v i =
+  let w = t.acol.sn in
+  slots_push t.acol k v;
+  let cap = Array.length t.acol.si in
+  if Array.length t.anext < cap then begin
+    let grow a =
+      let b = Array.make cap 0 in
+      Array.blit a 0 b 0 w;
+      b
+    in
+    t.anext <- grow t.anext;
+    t.aupd <- grow t.aupd
+  end;
+  t.anext.(w) <- t.ahead.(k);
+  t.aupd.(w) <- i;
+  t.ahead.(k) <- w
+
 (* Replace the column in basis position [row] by the entering column whose
    FTRAN is [alpha] (the last sparse FTRAN on [t], whose spike is kept).
    Vacated step s = spos.(row); its row of U past the diagonal gives the
@@ -1407,10 +1441,10 @@ let update_sparse t ~(alpha : Svec.t) ~row =
         end
       done;
     let a = t.acol in
-    for i = 0 to t.updates - 1 do
-      for w = t.aptr.(i) to t.aptr.(i + 1) - 1 do
-        if a.si.(w) = s then z.(m + i) <- a.sv.(w)
-      done
+    let w = ref t.ahead.(s) in
+    while !w >= 0 do
+      z.(m + t.aupd.(!w)) <- a.sv.(!w);
+      w := t.anext.(!w)
     done;
     let n = reach t lu.urow !sp in
     let n = if n < 0 then live_steps t else n in
@@ -1449,7 +1483,7 @@ let update_sparse t ~(alpha : Svec.t) ~row =
       t.dead.(s) <- true;
       t.eptr.(i + 1) <- e.sn;
       for u = 0 to spike.sn - 1 do
-        if spike.si.(u) <> s then slots_push a spike.si.(u) spike.sv.(u)
+        if spike.si.(u) <> s then acol_push t spike.si.(u) spike.sv.(u) i
       done;
       t.aptr.(i + 1) <- a.sn;
       t.adiag.(i) <- dnew;

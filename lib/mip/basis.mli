@@ -21,7 +21,7 @@
     reachability), touching only the steps reachable from the right-hand
     side's nonzeros; a traversal whose reach densifies past a fraction of
     the steps runs that pass, and the ones after it, over every step.  The
-    dense solves ({!ftran_dense}, {!btran_dense_into}) run every pass over
+    dense solves ({!ftran_dense_in_place}, {!btran_dense_into}) run every pass over
     every step.  The entries a traversal skips are structural zeros, so on
     the same factors a sparse solve's nonzeros equal the dense solve's bit
     for bit, which the tests pin; their accuracy is checked by residuals
@@ -53,8 +53,8 @@ end
 
 type t
 (** Mutable factorization state for one m×m basis.  Not thread-safe; copy
-    with {!copy} to share across solves (branch-and-bound snapshot
-    adoption). *)
+    with {!copy} to share across solves (the tree root adopts the root
+    LP's factors this way). *)
 
 exception Singular
 (** Raised by {!refactorize} when the basis matrix is (numerically)
@@ -76,10 +76,11 @@ val refactorize :
     [j].  Clears the update chain.  Raises {!Singular} (state unchanged)
     when elimination cannot complete. *)
 
-val ftran_dense : t -> float array -> float array
-(** [ftran_dense t b] returns B⁻¹b for a dense right-hand side [b] indexed
-    by constraint row; the result is indexed by basis position (used to
-    recompute the basic-variable values). *)
+val ftran_dense_in_place : t -> float array -> unit
+(** [ftran_dense_in_place t x] overwrites the dense right-hand side [x]
+    (indexed by constraint row) with B⁻¹x, indexed by basis position: the
+    simplex recomputes its basic-variable values this way in a buffer it
+    owns, so the solve allocates nothing. *)
 
 val btran_dense_into : t -> float array -> float array -> unit
 (** [btran_dense_into t c y] stores B⁻ᵀc into the caller buffer [y]
@@ -116,7 +117,9 @@ val update_sparse : t -> alpha:Svec.t -> row:int -> bool
     update budget is spent, or when [alpha] is not [t]'s last FTRAN since
     the factors last changed; the caller must then {!refactorize} from the
     updated basis.  A successful update costs one Uᵀ pass over the vacated
-    row's reach, not a scan of the column. *)
+    row's reach, not a scan of the column; the appended columns' entries
+    in that row come off a per-step index, not a scan of the update
+    chain. *)
 
 type solve_stats = {
   ftran_calls : int;

@@ -108,7 +108,7 @@ type node = {
   nlb : float array;
   nub : float array;
   depth : int;
-  wb : Simplex.warm_basis option;  (* parent's optimal basis, inverse stripped *)
+  wb : Simplex.warm_basis option;  (* parent's optimal basis *)
 }
 
 let fractionality v = Float.abs (v -. Float.round v)
@@ -179,19 +179,16 @@ let solve ?(options = default_options) (std : Model.std) =
   let dual_nodes = ref 0 and dual_pivots = ref 0 in
   let bland_pivots = ref 0 in
   (* every node LP is the same shape, so one workspace serves the whole
-     tree: the solver's per-node allocations collapse to O(1) arrays *)
+     tree: the solver's per-node allocations collapse to O(1) arrays.  The
+     plunged child is processed right after its parent, so its solve
+     restarts in the parent's final solver state, factors included; a node
+     popped from the heap later refactorizes from its stored basis instead
+     (still far cheaper than a cold phase-1 start). *)
   let lp_ws = Simplex.create_workspace () in
   let inexact = ref false in
   (* an LP node hit its iteration limit: optimality can no longer be proven *)
   let dummy_node = { nlb = [||]; nub = [||]; depth = 0; wb = None } in
   let open_nodes = Heap.create (0.0, dummy_node) in
-  (* One-entry basis-factorization cache keyed by physical equality on the
-     stripped snapshot stored in the nodes: the plunged child is processed
-     immediately after its parent, so it reuses the parent's LU factors (and
-     update chain) for free; nodes popped from the heap later re-factorize from
-     their stored basis columns instead (still far cheaper than a cold
-     phase-1 start). *)
-  let fac_cache : (Simplex.warm_basis * Basis.t) option ref = ref None in
   let dearer = dearer_twins std in
   let cheaper = Array.make std.nvars (-1) in
   Array.iteri (fun j k -> if k >= 0 then cheaper.(k) <- j) dearer;
@@ -219,18 +216,8 @@ let solve ?(options = default_options) (std : Model.std) =
   let plunge : (float * node) list ref = ref [] in
   let process node =
     incr nodes;
-    let basis =
-      match node.wb with
-      | None -> None
-      | Some wb -> (
-        match !fac_cache with
-        | Some (key, fac) when key == wb -> Some { wb with Simplex.wfac = Some fac }
-        | _ -> Some wb)
-    in
-    (match basis with Some _ -> incr warm_nodes | None -> ());
-    match
-      Simplex.solve ~ws:lp_ws ?basis ~lb:node.nlb ~ub:node.nub std
-    with
+    (match node.wb with Some _ -> incr warm_nodes | None -> ());
+    match Simplex.solve ~ws:lp_ws ?basis:node.wb ~lb:node.nlb ~ub:node.nub std with
     | Simplex.Infeasible _ -> ()
     | Simplex.Unbounded -> unbounded := true
     | Simplex.Iteration_limit _ -> inexact := true
@@ -255,13 +242,8 @@ let solve ?(options = default_options) (std : Model.std) =
           match pick_branch_var std x with
           | None -> ()
           | Some j ->
-            (* both children share one stripped snapshot of this node's
-               optimal basis; the factorization lives only in the cache *)
-            let stripped = { final_basis with Simplex.wfac = None } in
-            (match final_basis.Simplex.wfac with
-            | Some fac -> fac_cache := Some (stripped, fac)
-            | None -> ());
-            let wb = Some stripped in
+            (* both children share this node's optimal basis snapshot *)
+            let wb = Some final_basis in
             let v = x.(j) in
             let down_ub = Array.copy node.nub in
             down_ub.(j) <- Float.floor v;

@@ -5,9 +5,9 @@ type col_status = Basic | At_lower | At_upper | Nb_free
 
 (* A restartable basis snapshot: which column is basic in each row plus the
    bound every nonbasic column rests on.  [wfac] optionally carries the
-   matching basis factorization so a restart can skip refactorization;
-   holders that keep many snapshots alive (the branch-and-bound node queue)
-   drop it to stay O(ntotal) per snapshot. *)
+   matching basis factorization so a restart can skip refactorization; a
+   solve through a workspace returns [None] (the workspace keeps its
+   factors), so a snapshot stays O(ntotal). *)
 type warm_basis = {
   wcols : int array;  (* wcols.(i) = column basic in row i *)
   wstatus : col_status array;  (* one entry per column incl. slacks *)
@@ -66,6 +66,8 @@ type state = {
   (* solver-owned basic-cost buffer for the dual BTRAN (reusable across
      solves through {!workspace}) *)
   cb : float array;  (* m *)
+  (* right-hand side, then basic values, of [recompute_basics] *)
+  rwork : float array;  (* m *)
   (* cached reduced costs d_j = c_j - y . A_j under [dual]: maintained
      incrementally across pivots by [update_prices_after_pivot] — in phase
      1 only while no bystander basic crosses a violation boundary (see
@@ -202,16 +204,26 @@ let count_infeasible st =
 
 let recompute_basics st =
   (* x_B = B^-1 (rhs - sum over nonbasic columns of A_j x_j) *)
-  let r = Array.copy st.std.rhs in
+  let r = st.rwork in
+  Array.blit st.std.rhs 0 r 0 st.m;
+  let nvars = st.std.nvars and p = st.std.col_ptr in
+  let ind = st.std.col_ind and vl = st.std.col_val in
   for j = 0 to st.ntotal - 1 do
     if st.status.(j) <> Basic && st.xval.(j) <> 0.0 then begin
       let v = st.xval.(j) in
-      iter_column st.std j (fun row c -> r.(row) <- r.(row) -. (c *. v))
+      if j < nvars then
+        for k = p.(j) to p.(j + 1) - 1 do
+          r.(ind.(k)) <- r.(ind.(k)) -. (vl.(k) *. v)
+        done
+      else
+        (* the slack's column is e_i: its coefficient 1.0 times v is v *)
+        let i = j - nvars in
+        r.(i) <- r.(i) -. v
     end
   done;
-  let vals = Basis.ftran_dense st.fac r in
+  Basis.ftran_dense_in_place st.fac r;
   for i = 0 to st.m - 1 do
-    st.xval.(st.basis.(i)) <- vals.(i)
+    st.xval.(st.basis.(i)) <- r.(i)
   done;
   count_infeasible st
 
@@ -694,9 +706,20 @@ let pivot st alpha ~row j ~bound =
    bounds), then either adopt the supplied factorization (the tree root
    takes the root LP's factors this way) or refactorize.  Returns false —
    leaving the caller to fall back to a cold start — on any structural
-   mismatch or a singular basis; the basis is never repaired. *)
-let try_warm st (wb : warm_basis) =
-  if Array.length wb.wcols <> st.m || Array.length wb.wstatus <> st.ntotal then false
+   mismatch or a singular basis; the basis is never repaired.
+
+   A [hot] restart (see [initial_state]) finds the snapshot's basis,
+   statuses and factors already in place: only the nonbasic columns move
+   to the new bounds, and the basic values follow. *)
+let try_warm st ~hot (wb : warm_basis) =
+  if hot then begin
+    for j = 0 to st.ntotal - 1 do
+      if st.status.(j) <> Basic then set_nonbasic st j wb.wstatus.(j)
+    done;
+    recompute_basics st;
+    true
+  end
+  else if Array.length wb.wcols <> st.m || Array.length wb.wstatus <> st.ntotal then false
   else begin
     let in_basis = Array.make st.ntotal false in
     let ok = ref true in
@@ -804,16 +827,19 @@ let crash (std : Model.std) x0 =
   { wcols; wstatus; wfac = None }
 
 (* Reusable per-solve scratch: the previous solve's state, whose O(m) and
-   O(ntotal) arrays the next solve takes over, so a caller that solves many
-   same-shaped LPs (the branch-and-bound node loop) allocates them once
-   instead of per solve.  The basis factorization is deliberately not
-   reused — it escapes into the returned [warm_basis].  A previous state of
-   another shape is dropped and the arrays allocated afresh, so one
-   workspace can serve heterogeneous solves at the cost of losing reuse
-   across shape changes. *)
-type workspace = { mutable prev : state option }
+   O(ntotal) arrays and basis factorization the next solve takes over, so a
+   caller that solves many same-shaped LPs (the branch-and-bound node loop)
+   allocates them once instead of per solve.  [last] is the snapshot the
+   previous solve returned, when it ended [Optimal]: the state still holds
+   exactly that basis, its statuses and its factors, so a solve warm-started
+   from that very snapshot on the same model restarts in place (hot)
+   instead of refactorizing.  A previous state of another shape is dropped
+   and the arrays allocated afresh, so one workspace can serve
+   heterogeneous solves at the cost of losing reuse across shape
+   changes. *)
+type workspace = { mutable prev : state option; mutable last : warm_basis option }
 
-let create_workspace () = { prev = None }
+let create_workspace () = { prev = None; last = None }
 
 let initial_state ?lb_override ?ub_override ?basis ?ws ~degen_limit ~trace (std : Model.std) =
   let m = std.nrows in
@@ -821,7 +847,7 @@ let initial_state ?lb_override ?ub_override ?basis ?ws ~degen_limit ~trace (std 
   let ntotal = nvars + m in
   let prev =
     match ws with
-    | Some { prev = Some p } when p.m = m && p.ntotal = ntotal ->
+    | Some { prev = Some p; _ } when p.m = m && p.ntotal = ntotal ->
       (* reused scratch: restore the invariants fresh arrays provide — the
          mark arrays unstamped (this solve's stamps restart at 1), Devex
          weights back to the unit framework.  prod and dvec need no reset:
@@ -832,6 +858,22 @@ let initial_state ?lb_override ?ub_override ?basis ?ws ~degen_limit ~trace (std 
       Array.fill p.devex_w 0 ntotal 1.0;
       Some p
     | _ -> None
+  in
+  let hot =
+    match (ws, basis, prev) with
+    | Some { last = Some l; _ }, Some wb, Some p -> l == wb && p.std == std
+    | _ -> false
+  in
+  (* the parent's prices are the ones a re-price would compute when they
+     were computed on the factors the restart keeps: no update since the
+     last refactorization (an optimal solve confirms on fresh factors; a
+     basis found singular at the confirmation keeps its update chain) *)
+  let keep_prices =
+    match prev with
+    | Some p when hot ->
+      p.dual_valid && p.dvec_valid && (not p.dual_phase1)
+      && Basis.updates_since_refactor p.fac = 0
+    | _ -> false
   in
   (* the previous state's array, or a fresh one of [len] copies of [v] *)
   let take field len v = match prev with Some p -> field p | None -> Array.make len v in
@@ -858,10 +900,6 @@ let initial_state ?lb_override ?ub_override ?basis ?ws ~degen_limit ~trace (std 
   let obj = take (fun p -> p.obj) ntotal 0.0 in
   Array.blit std.obj 0 obj 0 nvars;
   Array.fill obj nvars m 0.0;
-  let basis_arr = take (fun p -> p.basis) m 0 in
-  for i = 0 to m - 1 do
-    basis_arr.(i) <- nvars + i
-  done;
   let st =
     {
       std;
@@ -872,8 +910,10 @@ let initial_state ?lb_override ?ub_override ?basis ?ws ~degen_limit ~trace (std 
       obj;
       status = take (fun p -> p.status) ntotal At_lower;
       xval = take (fun p -> p.xval) ntotal 0.0;
-      basis = basis_arr;
-      fac = Basis.create ~m;
+      (* every path below sets the basis and the statuses: a warm start
+         from the snapshot, a cold one to the slacks *)
+      basis = take (fun p -> p.basis) m 0;
+      fac = (match prev with Some p -> p.fac | None -> Basis.create ~m);
       bland = false;
       degenerate_run = 0;
       degen_limit;
@@ -882,11 +922,12 @@ let initial_state ?lb_override ?ub_override ?basis ?ws ~degen_limit ~trace (std 
       dual_pivots = 0;
       bland_pivots = 0;
       dual = take (fun p -> p.dual) m 0.0;
-      dual_valid = false;
+      dual_valid = keep_prices;
       dual_phase1 = false;
       cb = take (fun p -> p.cb) m 0.0;
+      rwork = take (fun p -> p.rwork) m 0.0;
       dvec = take (fun p -> p.dvec) ntotal 0.0;
-      dvec_valid = false;
+      dvec_valid = keep_prices;
       prod = take (fun p -> p.prod) ntotal 0.0;
       prod_pat = take (fun p -> p.prod_pat) ntotal 0;
       pmark = take (fun p -> p.pmark) ntotal 0;
@@ -902,8 +943,12 @@ let initial_state ?lb_override ?ub_override ?basis ?ws ~degen_limit ~trace (std 
       trace;
     }
   in
-  Option.iter (fun w -> w.prev <- Some st) ws;
-  let warmed = match basis with Some wb -> try_warm st wb | None -> false in
+  Option.iter
+    (fun w ->
+      w.prev <- Some st;
+      w.last <- None)
+    ws;
+  let warmed = match basis with Some wb -> try_warm st ~hot wb | None -> false in
   Basis.reset_stats st.fac;
   if not warmed then set_cold st;
   (st, warmed)
@@ -913,13 +958,19 @@ let objective_value st = Model.objective_value st.std st.xval
 let extract st = Array.sub st.xval 0 st.std.nvars
 
 (* The snapshot must own its arrays: the state's are workspace-backed and
-   the next solve through the same workspace would scribble over them. *)
-let final_basis st =
-  {
-    wcols = Array.copy st.basis;
-    wstatus = Array.copy st.status;
-    wfac = Some st.fac;
-  }
+   the next solve through the same workspace would scribble over them.  For
+   the same reason a workspace keeps its factors to itself; a solve without
+   one hands them over. *)
+let final_basis ?ws st =
+  let b =
+    {
+      wcols = Array.copy st.basis;
+      wstatus = Array.copy st.status;
+      wfac = (match ws with Some _ -> None | None -> Some st.fac);
+    }
+  in
+  Option.iter (fun w -> w.last <- Some b) ws;
+  b
 
 let kernel_stats_of st =
   let s = Basis.solve_stats st.fac in
@@ -1180,8 +1231,19 @@ let solve ?(degen_limit = 100) ?trace ?ws ?basis ?lb ?ub (std : Model.std) =
               | exception Basis.Singular -> true
           in
           if confirmed then begin
-            let duals = Array.make st.m 0.0 in
-            compute_duals_into st ~phase1:false duals;
+            (* the pricing pass that found no entering column left the
+               cached duals valid; with no update since the refactorization
+               they were computed on these very factors.  A basis found
+               singular at the confirmation keeps its update chain, and its
+               cache may have been updated incrementally along it. *)
+            let duals =
+              if Basis.updates_since_refactor st.fac = 0 then Array.copy st.dual
+              else begin
+                let d = Array.make st.m 0.0 in
+                compute_duals_into st ~phase1:false d;
+                d
+              end
+            in
             result :=
               Some
                 (Optimal
@@ -1192,7 +1254,7 @@ let solve ?(degen_limit = 100) ?trace ?ws ?basis ?lb ?ub (std : Model.std) =
                      dual_iterations = st.dual_pivots;
                      bland_iterations = st.bland_pivots;
                      duals;
-                     basis = final_basis st;
+                     basis = final_basis ?ws st;
                      kstats = kernel_stats_of st;
                    })
           end

@@ -28,7 +28,9 @@
     - solves can be warm-started from the final basis of a previous solve of
       the same model with different bounds — this is how {!Branch_bound}
       restarts each child node from its parent's optimal basis — or from a
-      triangular basis crashed from a known point ({!crash});
+      triangular basis crashed from a known point ({!crash}); a restart
+      from the snapshot a {!workspace}'s last solve returned runs in that
+      solve's state, factors included (see {!workspace});
     - a warm-started basis that is still dual feasible (the branch-and-bound
       child pattern: parent-optimal basis, tightened bounds) is
       re-optimized by a dual simplex phase — typically a handful of pivots
@@ -52,13 +54,15 @@ type warm_basis = {
       (** One entry per column including slacks; nonbasic entries record
           which bound the column rests on. *)
   wfac : Basis.t option;
-      (** The basis factorization matching [wcols], when available.
-          Supplying it lets a restart skip refactorization; dropping it (set
-          to [None]) keeps a stored snapshot at O(columns) memory.  It is
-          adopted (copied, see {!Basis.copy}) when its dimension matches
-          the model; otherwise the restart refactorizes from [wcols].
-          When present it must genuinely be the factorization of the
-          [wcols] basis — it is not cross-checked. *)
+      (** The basis factorization matching [wcols], when available: a
+          solve without a {!workspace} returns its factors here (the root
+          LP hands them to the tree root this way); a solve through one
+          returns [None], since the workspace keeps its factors and a later
+          solve through it mutates them.  Supplying it lets a restart skip
+          refactorization; it is adopted (copied, see {!Basis.copy}) when
+          its dimension matches the model, otherwise the restart
+          refactorizes from [wcols].  When present it must genuinely be the
+          factorization of the [wcols] basis — it is not cross-checked. *)
 }
 (** A restartable snapshot of a simplex basis.  Obtained from
     {!result.Optimal} or built from a point by {!crash}, and fed back
@@ -78,11 +82,22 @@ type kernel_stats = {
     surfaced in the bench kernel rows. *)
 
 type workspace
-(** Reusable per-solve scratch: the previous solve's O(rows + columns)
-    working arrays, which the next solve takes over.  Pass the same workspace to consecutive [solve] calls
-    on same-shaped models (the branch-and-bound node loop) to make the
+(** Reusable per-solve state: the previous solve's O(rows + columns)
+    working arrays and its basis factorization, which the next solve takes
+    over.  Pass the same workspace to consecutive [solve] calls on
+    same-shaped models (the branch-and-bound node loop) to make the
     solver's own allocation per solve O(1) arrays instead of O(solve
     count × problem size); a dimension mismatch transparently reallocates.
+
+    A solve whose [basis] is physically the snapshot the workspace's last
+    solve returned [Optimal], on the same [Model.std], is a hot restart:
+    it keeps that solve's basis, statuses and factors (the ones it
+    confirmed optimality on) and its prices, moves only the nonbasic
+    columns to the new bounds, and then runs the same dual and primal
+    phases as any warm start.  It answers bit for bit as a restart from
+    the snapshot without the workspace, which refactorizes [wcols].  Any
+    other solve through the workspace ends that snapshot's claim.
+
     A workspace must not be shared across concurrent solves (one per
     domain). *)
 
@@ -163,4 +178,6 @@ val solve :
     stays ≥ 1).  [ws] supplies a reusable {!workspace}.  The iteration
     budget is [20000 + 60·(m + n)] pivots over [m] rows and [n] columns
     including slacks, and the primal feasibility and reduced-cost
-    tolerances are both [1e-7]. *)
+    tolerances are both [1e-7].  [Optimal]'s [duals] are the cached
+    multipliers when they were computed on the final factors, else one
+    more BTRAN. *)

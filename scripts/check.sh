@@ -20,7 +20,9 @@ sh scripts/check_dead_modules.sh
 
 # the kernel batteries inside the suite pin every sparse solve they probe
 # against the all-steps dense solve on the same factors, bit for bit, as
-# factored and along Forrest-Tomlin update chains;
+# factored and along Forrest-Tomlin update chains; the warm-start battery
+# pins every node LP of a tree restarted hot in its parent's solver state
+# against the same node solved from its snapshot, bit for bit;
 # runtest also runs `ras_bench.exe --smoke` (benchmark/dune), whose
 # check_round verifies, through System, that every available server sits
 # on its target owner and that capacity plus shortfall covers each request,

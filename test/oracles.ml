@@ -1638,6 +1638,14 @@ let lp_certificate ?lb ?ub (std : Ras_mip.Model.std) ~x ~duals ~obj =
   end;
   match !error with None -> Ok () | Some e -> Error e
 
+(* B⁻¹b through [t]'s factors into a fresh array, leaving [b] as it is:
+   the all-steps solve the LU batteries pin the sparse ones against and
+   take residuals of. *)
+let ftran_dense t b =
+  let x = Array.copy b in
+  Ras_mip.Basis.ftran_dense_in_place t x;
+  x
+
 (* ---------- LU accuracy: residuals against the basis columns ---------- *)
 
 (* Normwise backward errors of a basis solve, with B rebuilt from the

@@ -100,7 +100,7 @@ let test_ftran_round_trip () =
     (fun m ->
       let t, cols, basis = refactorized rng m in
       let b = Array.init m (fun _ -> R.float rng 10.0 -. 5.0) in
-      let x = Basis.ftran_dense t (Array.copy b) in
+      let x = Oracles.ftran_dense t (Array.copy b) in
       let back = apply_matrix cols basis x m in
       Alcotest.(check bool)
         (Printf.sprintf "B (B^-1 b) = b at m=%d (err %g)" m (max_abs_diff back b))
@@ -141,7 +141,7 @@ let test_ftran_btran_adjoint () =
   done;
   let b = Array.init m (fun _ -> R.float rng 4.0 -. 2.0) in
   let c = Array.init m (fun _ -> R.float rng 4.0 -. 2.0) in
-  let x = Basis.ftran_dense t (Array.copy b) in
+  let x = Oracles.ftran_dense t (Array.copy b) in
   let y = btran t c in
   let lhs = ref 0.0 and rhs = ref 0.0 in
   for i = 0 to m - 1 do
@@ -181,7 +181,7 @@ let test_near_singular_pivot_refused () =
   let t, cols, basis = refactorized rng m in
   let before_updates = Basis.updates_since_refactor t in
   let probe = Array.init m (fun _ -> R.float rng 2.0 -. 1.0) in
-  let x_before = Basis.ftran_dense t (Array.copy probe) in
+  let x_before = Oracles.ftran_dense t (Array.copy probe) in
   (* absolute test: pivot element ~1e-12 *)
   let alpha = Array.make m 0.1 in
   alpha.(3) <- 1e-12;
@@ -213,7 +213,7 @@ let test_near_singular_pivot_refused () =
     (Basis.update_sparse t ~alpha:(svec_of_dense dense) ~row:3);
   (* the refused updates left the factorization untouched *)
   Alcotest.(check int) "no update recorded" before_updates (Basis.updates_since_refactor t);
-  let x_after = Basis.ftran_dense t (Array.copy probe) in
+  let x_after = Oracles.ftran_dense t (Array.copy probe) in
   Alcotest.(check bool) "solves unchanged" true (max_abs_diff x_before x_after = 0.0);
   (* an FTRAN from before a refactorization, or before another update, is
      stale: its spike no longer matches the factors *)
@@ -237,7 +237,7 @@ let test_singular_matrix_raises () =
   | () -> Alcotest.fail "singular matrix must raise"
   | exception Basis.Singular -> ());
   (* the failed refactorization left the identity factors usable *)
-  let x = Basis.ftran_dense t [| 1.0; 2.0; 3.0; 4.0 |] in
+  let x = Oracles.ftran_dense t [| 1.0; 2.0; 3.0; 4.0 |] in
   Alcotest.(check bool) "state survives" true (max_abs_diff x [| 1.0; 2.0; 3.0; 4.0 |] < 1e-12)
 
 (* A basis under updates, for the residual oracles: [cur.(p)] is the
@@ -324,7 +324,7 @@ let test_copy_is_independent () =
   updates orig 3;
   let snap = { t = Basis.copy orig.t; cur = Array.copy orig.cur } in
   let probes = List.init 3 (fun _ -> Array.init m (fun _ -> R.float rng 2.0 -. 1.0)) in
-  let solves tb = List.map (fun b -> (Basis.ftran_dense tb.t (Array.copy b), btran tb.t b)) probes in
+  let solves tb = List.map (fun b -> (Oracles.ftran_dense tb.t (Array.copy b), btran tb.t b)) probes in
   let orig_before = solves orig in
   updates snap 4;
   Alcotest.(check int) "original update count" 3 (Basis.updates_since_refactor orig.t);
@@ -452,7 +452,7 @@ let check_solves_bitwise tag rng (t : Basis.t) m ~basis ~col =
   List.iter
     (fun b ->
       let same f = f fresh (Array.copy b) = f t (Array.copy b) in
-      if not (same Basis.ftran_dense && same btran) then
+      if not (same Oracles.ftran_dense && same btran) then
         Alcotest.failf "%s: solves differ after a forced refactorization" tag)
     (List.init 3 (fun _ -> Array.init m (fun _ -> R.float rng 2.0 -. 1.0)))
 
@@ -563,7 +563,7 @@ let test_pivot_order_triangle_nucleus () =
       let lu = Basis.create ~m and col = col_fn cols in
       Basis.refactorize lu ~basis ~col;
       let b = Array.init m (fun _ -> R.float rng 2.0 -. 1.0) in
-      let df = Oracles.ftran_residual ~basis ~col (Basis.ftran_dense lu (Array.copy b)) b in
+      let df = Oracles.ftran_residual ~basis ~col (Oracles.ftran_dense lu (Array.copy b)) b in
       let db = Oracles.btran_residual ~basis ~col (btran lu b) b in
       if df > 1e-12 || db > 1e-12 then
         Alcotest.failf "%s: ftran backward error %.3g, btran %.3g" tag df db

@@ -3,9 +3,10 @@
 
    - the traversal pin: on the same factors, every sparse solve
      ([ftran_col_sparse], [ftran_unit_sparse], [btran_unit_sparse]) must
-     equal the all-steps dense solve ([ftran_dense], [btran_dense_into])
-     bit for bit (+0 and -0 count as equal), with a pattern that is exactly
-     the dense result's nonzero set.  Equal solves give equal pivot
+     equal the all-steps dense solve ([ftran_dense_in_place],
+     [btran_dense_into]) bit for bit (+0 and -0 count as equal), with a
+     pattern that is exactly the dense result's nonzero set.  Equal
+     solves give equal pivot
      choices, so the pin also stands for a whole solve taking the same
      pivots under either traversal.  [pin_model_basis] runs it, with the
      residual checks below, on the factorizations the differential
@@ -59,7 +60,7 @@ let pin_ftran tag t rows coefs ~off ~len =
     b.(rows.(k)) <- b.(rows.(k)) +. coefs.(k)
   done;
   let s = Basis.ftran_col_sparse t rows coefs ~off ~len in
-  let x = Basis.ftran_dense t b in
+  let x = Oracles.ftran_dense t b in
   check_same_solve (tag ^ " ftran") s x;
   (s, x, b)
 
@@ -218,7 +219,7 @@ let test_random_sparse_triangular () =
       let xs = Basis.ftran_col_sparse t rows coefs ~off:0 ~len:(Array.length rows) in
       let ys = Basis.btran_unit_sparse t r in
       let held = (svec_bits xs, svec_bits ys) in
-      ignore (Basis.ftran_dense t b);
+      ignore (Oracles.ftran_dense t b);
       Basis.btran_dense_into t c (Array.make m 0.0);
       if (svec_bits xs, svec_bits ys) <> held then
         Alcotest.failf "%s: a dense solve changed a held sparse result" tag;

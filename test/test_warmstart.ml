@@ -234,7 +234,7 @@ let test_crash_nonsingular () =
             incr bases;
             let act = Array.make m 0.0 in
             Array.iteri (fun j v -> col j (fun i a -> act.(i) <- act.(i) +. (a *. v))) x0;
-            let x = Basis.ftran_dense t act in
+            let x = Oracles.ftran_dense t act in
             let err = Oracles.ftran_residual ~basis:b.Simplex.wcols ~col x act in
             if err > 1e-9 then Alcotest.failf "%s: crash basis solve backward error %.3g" tag err
           | exception Basis.Singular -> Alcotest.failf "%s: crash basis singular" tag)
@@ -300,6 +300,111 @@ let test_crash_at_lower_bounds_is_all_slack () =
       done)
     (Lazy.force crash_corpus)
 
+(* ---------- hot restarts: a child solved in its parent's state ---------- *)
+
+(* A node LP's answer, floats by their bits. *)
+type answer =
+  | A_optimal of {
+      x : int64 array;
+      obj : int64;
+      iterations : int;
+      dual_iterations : int;
+      duals : int64 array;
+      wcols : int array;
+      wstatus : Simplex.col_status array;
+    }
+  | A_other of string
+
+let answer = function
+  | Simplex.Optimal { x; obj; iterations; dual_iterations; duals; basis; _ } ->
+    let bits = Array.map Int64.bits_of_float in
+    A_optimal
+      {
+        x = bits x;
+        obj = Int64.bits_of_float obj;
+        iterations;
+        dual_iterations;
+        duals = bits duals;
+        wcols = basis.Simplex.wcols;
+        wstatus = basis.Simplex.wstatus;
+      }
+  | Simplex.Infeasible { infeasibility } -> A_other (Printf.sprintf "infeasible %d" infeasibility)
+  | Simplex.Unbounded -> A_other "unbounded"
+  | Simplex.Iteration_limit _ -> A_other "iteration limit"
+
+(* A depth-first tree over a random MIP, branching on the most fractional
+   integer; the down child also lowers the first other integer resting on
+   its upper bound by one, as [Branch_bound]'s twin rule moves a nonbasic
+   column, so the restart must re-rest nonbasics and recompute the basics.
+   Each node is solved through one workspace right after its parent was
+   (re-)solved there, so it restarts hot in the parent's state, and again
+   without a workspace from the parent's snapshot, which refactorizes it;
+   both must answer the same, bit for bit. *)
+let prop_hot_restart_matches_snapshot =
+  QCheck.Test.make ~name:"hot node restart equals the solve from its snapshot" ~count:200
+    QCheck.int (fun seed ->
+      let rng = Ras_stats.Rng.create seed in
+      let std = random_mip rng in
+      let ws = Simplex.create_workspace () in
+      let budget = ref 60 and same = ref true in
+      let snapshot = function Simplex.Optimal { basis; _ } -> Some basis | _ -> None in
+      (* [parent ()] solves the parent through [ws] and returns its snapshot *)
+      let rec node ~lb ~ub ~depth parent =
+        decr budget;
+        let basis = parent () in
+        let hot = Simplex.solve ~ws ?basis ~lb ~ub std in
+        if answer hot <> answer (Simplex.solve ?basis ~lb ~ub std) then same := false;
+        match hot with
+        | Simplex.Optimal { x; _ } when depth < 6 -> (
+          let frac j = Float.abs (x.(j) -. Float.round x.(j)) in
+          let j = ref (-1) in
+          for k = 0 to std.Model.nvars - 1 do
+            if std.Model.integer.(k) && frac k > 1e-6 && (!j < 0 || frac k > frac !j) then j := k
+          done;
+          match !j with
+          | -1 -> ()
+          | j ->
+            let again () = snapshot (Simplex.solve ~ws ?basis ~lb ~ub std) in
+            let ub' = Array.copy ub and lb' = Array.copy lb in
+            ub'.(j) <- Float.floor x.(j);
+            lb'.(j) <- Float.ceil x.(j);
+            (match
+               List.find_opt
+                 (fun k -> k <> j && std.Model.integer.(k) && x.(k) = ub.(k) && ub.(k) -. 1.0 >= lb.(k))
+                 (List.init std.Model.nvars Fun.id)
+             with
+            | Some k -> ub'.(k) <- ub.(k) -. 1.0
+            | None -> ());
+            if !budget > 0 then node ~lb ~ub:ub' ~depth:(depth + 1) again;
+            if !budget > 0 then node ~lb:lb' ~ub ~depth:(depth + 1) again)
+        | _ -> ()
+      in
+      node ~lb:std.Model.lb ~ub:std.Model.ub ~depth:0 (fun () -> None);
+      !same)
+
+(* The snapshot a workspace solve returns carries no factors and owns its
+   arrays: hot, refactorizing and cold solves through the same workspace
+   leave it as it was. *)
+let test_workspace_snapshot_is_owned () =
+  let std = restart_lp () in
+  let ws = Simplex.create_workspace () in
+  let solve ?basis ?ub () =
+    match Simplex.solve ~ws ?basis ?ub std with
+    | Simplex.Optimal { basis; _ } -> basis
+    | _ -> Alcotest.fail "expected optimal"
+  in
+  let first = solve () in
+  Alcotest.(check bool) "no factors leave the workspace" true (Option.is_none first.Simplex.wfac);
+  let wcols = Array.copy first.Simplex.wcols and wstatus = Array.copy first.Simplex.wstatus in
+  let ub = Array.copy std.Model.ub in
+  ub.(0) <- 0.0;
+  let child = solve ~basis:first ~ub () in
+  ignore (solve ~basis:child ());
+  ignore (solve ~basis:first ());
+  ignore (solve ());
+  Alcotest.(check bool) "basis columns unchanged" true (wcols = first.Simplex.wcols);
+  Alcotest.(check bool) "statuses unchanged" true (wstatus = first.Simplex.wstatus)
+
 let suite =
   [
     Alcotest.test_case "crash basis factorizes under every starting point, small residual" `Quick
@@ -320,4 +425,7 @@ let suite =
       test_stale_basis_falls_back;
     QCheck_alcotest.to_alcotest prop_warm_matches_cold;
     QCheck_alcotest.to_alcotest prop_warm_deterministic;
+    QCheck_alcotest.to_alcotest prop_hot_restart_matches_snapshot;
+    Alcotest.test_case "workspace snapshot unchanged by later solves" `Quick
+      test_workspace_snapshot_is_owned;
   ]
