@@ -45,6 +45,11 @@ type state = {
   obj : float array;
   status : col_status array;
   xval : float array;
+  mutable basics_fresh : bool;
+      (* the basic values are [recompute_basics]'s output for the current
+         basis, factors and nonbasic values: set by it, cleared by every
+         step that moves a value ([apply_move], [pivot], the dual phase's
+         step); a caller moving a nonbasic value recomputes *)
   basis : int array;  (* basis.(i) = column basic in row i *)
   mutable fac : Basis.t;  (* factorized basis (LU + update chain) *)
   mutable bland : bool;  (* anti-cycling mode *)
@@ -225,6 +230,7 @@ let recompute_basics st =
   for i = 0 to st.m - 1 do
     st.xval.(st.basis.(i)) <- r.(i)
   done;
+  st.basics_fresh <- true;
   count_infeasible st
 
 (* -------------------------------------------------------------------- *)
@@ -624,6 +630,7 @@ let set_cold st =
 
 let apply_move st (alpha : Basis.Svec.t) ~dir ~step j =
   if step <> 0.0 then begin
+    st.basics_fresh <- false;
     st.xval.(j) <- st.xval.(j) +. (dir *. step);
     let infeasible = ref st.infeasible in
     for u = 0 to alpha.Basis.Svec.n - 1 do
@@ -685,6 +692,7 @@ let absorb_pivot st (alpha : Basis.Svec.t) ~row =
 
 let pivot st alpha ~row j ~bound =
   let leaving = st.basis.(row) in
+  st.basics_fresh <- false;
   (* the row's basic variable changes from [leaving] to [j] *)
   st.infeasible <- st.infeasible - violates st leaving + violates st j;
   st.status.(leaving) <- bound;
@@ -710,13 +718,21 @@ let pivot st alpha ~row j ~bound =
 
    A [hot] restart (see [initial_state]) finds the snapshot's basis,
    statuses and factors already in place: only the nonbasic columns move
-   to the new bounds, and the basic values follow. *)
+   to the new bounds, and the basic values follow — unless no nonbasic
+   value moved and they are already what [recompute_basics] would
+   compute (a branch on a basic variable moves none), when only the
+   violation count is redone under the new bounds. *)
 let try_warm st ~hot (wb : warm_basis) =
   if hot then begin
+    let moved = ref false in
     for j = 0 to st.ntotal - 1 do
-      if st.status.(j) <> Basic then set_nonbasic st j wb.wstatus.(j)
+      if st.status.(j) <> Basic then begin
+        let x = st.xval.(j) in
+        set_nonbasic st j wb.wstatus.(j);
+        if st.xval.(j) <> x then moved := true
+      end
     done;
-    recompute_basics st;
+    if !moved || not st.basics_fresh then recompute_basics st else count_infeasible st;
     true
   end
   else if Array.length wb.wcols <> st.m || Array.length wb.wstatus <> st.ntotal then false
@@ -910,6 +926,7 @@ let initial_state ?lb_override ?ub_override ?basis ?ws ~degen_limit ~trace (std 
       obj;
       status = take (fun p -> p.status) ntotal At_lower;
       xval = take (fun p -> p.xval) ntotal 0.0;
+      basics_fresh = (match prev with Some p when hot -> p.basics_fresh | _ -> false);
       (* every path below sets the basis and the statuses: a warm start
          from the snapshot, a cold one to the slacks *)
       basis = take (fun p -> p.basis) m 0;
@@ -1105,6 +1122,7 @@ let dual_phase st ~max_iters =
           end
           else begin
             let step = v /. arq in
+            st.basics_fresh <- false;
             st.xval.(q) <- st.xval.(q) +. step;
             for u = 0 to alpha.Basis.Svec.n - 1 do
               let i = alpha.Basis.Svec.idx.(u) in

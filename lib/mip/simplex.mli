@@ -93,8 +93,9 @@ type workspace
     solve returned [Optimal], on the same [Model.std], is a hot restart:
     it keeps that solve's basis, statuses and factors (the ones it
     confirmed optimality on) and its prices, moves only the nonbasic
-    columns to the new bounds, and then runs the same dual and primal
-    phases as any warm start.  It answers bit for bit as a restart from
+    columns to the new bounds (recomputing the basic values only when a
+    nonbasic value moved), and then runs the same dual and primal phases
+    as any warm start.  It answers bit for bit as a restart from
     the snapshot without the workspace, which refactorizes [wcols].  Any
     other solve through the workspace ends that snapshot's claim.
 
